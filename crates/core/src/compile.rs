@@ -10,9 +10,10 @@
 
 use crate::error::{GaloisError, Result};
 use galois_llm::intent::{CmpOp, Condition, PromptValue};
-use galois_relational::{Catalog, LogicalPlan, ScalarExpr, Value};
+use galois_relational::{Catalog, Column, LogicalPlan, ScalarExpr, TableSchema, Value};
 use galois_sql::ast::{BinaryOp, SourceQualifier};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Where unqualified tables come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +50,11 @@ pub struct LlmScanStep {
     pub key_attr: String,
     /// Index of the key column.
     pub key_index: usize,
-    /// Full column list of the relation (order preserved so plan indexes
-    /// stay valid).
-    pub columns: Vec<galois_relational::Column>,
+    /// Schema of the temporary table: the relation's full column list
+    /// (order preserved so plan indexes stay valid), everything but the
+    /// key nullable — an unfetched attribute is NULL. Built once at compile
+    /// time and shared with every table materialised from this step.
+    pub temp_schema: Arc<TableSchema>,
     /// Attributes (by column index) that must be fetched per key.
     pub fetch: Vec<usize>,
     /// Condition pushed into the key-listing prompt (prompt-pushdown
@@ -62,6 +65,11 @@ pub struct LlmScanStep {
 }
 
 impl LlmScanStep {
+    /// Full column list of the relation, in stored order.
+    pub fn columns(&self) -> &[Column] {
+        &self.temp_schema.columns
+    }
+
     /// The step's key-universe identity: two scans share a stored
     /// universe exactly when they would render the same key-listing
     /// prompt chain — same relation, key attribute, and pushed-down scan
@@ -350,8 +358,7 @@ fn make_step(
     steps: &mut Vec<LlmScanStep>,
 ) -> Result<LogicalPlan> {
     let stored = catalog.get(table).map_err(GaloisError::from)?;
-    let columns = stored.schema.columns.clone();
-    let key_attr = columns[key_index].name.clone();
+    let key_attr = stored.schema.columns[key_index].name.clone();
 
     // Attributes the plan touches for this binding, as column indexes;
     // the key is retrieved by the scan itself and never fetched.
@@ -378,6 +385,22 @@ fn make_step(
         None
     };
 
+    // The stored schema already vouches for distinct column names and the
+    // key position; only nullability differs.
+    let temp_schema = TableSchema {
+        columns: stored
+            .schema
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Column {
+                nullable: i != key_index,
+                ..c.clone()
+            })
+            .collect(),
+        key: key_index,
+    };
+
     let temp_name = format!("__llm_{}", binding.to_ascii_lowercase());
     let step = LlmScanStep {
         table: table.to_string(),
@@ -385,7 +408,7 @@ fn make_step(
         temp_name: temp_name.clone(),
         key_attr,
         key_index,
-        columns,
+        temp_schema: Arc::new(temp_schema),
         fetch,
         scan_condition,
         filter_conditions,
@@ -588,7 +611,7 @@ pub fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
     for idx in &step.fetch {
         out.push_str(&format!(
             "    fetch prompt per key: {}\n",
-            step.columns[*idx].name
+            step.columns()[*idx].name
         ));
     }
 }
@@ -659,7 +682,7 @@ mod tests {
         );
         let s = &c.steps[0];
         assert!(s.filter_conditions.is_empty());
-        assert!(s.fetch.iter().any(|i| s.columns[*i].name == "population"));
+        assert!(s.fetch.iter().any(|i| s.columns()[*i].name == "population"));
         assert!(c.plan.explain().contains("Filter"));
     }
 
@@ -685,12 +708,15 @@ mod tests {
         );
         assert_eq!(c.steps.len(), 2);
         let city = c.steps.iter().find(|s| s.table == "city").unwrap();
-        assert!(city.fetch.iter().any(|i| city.columns[*i].name == "mayor"));
+        assert!(city
+            .fetch
+            .iter()
+            .any(|i| city.columns()[*i].name == "mayor"));
         let mayor = c.steps.iter().find(|s| s.table == "cityMayor").unwrap();
         assert!(mayor
             .fetch
             .iter()
-            .any(|i| mayor.columns[*i].name == "birthDate"));
+            .any(|i| mayor.columns()[*i].name == "birthDate"));
         // The join stays relational.
         assert!(c.plan.explain().contains("JOIN"));
     }
@@ -730,7 +756,7 @@ mod tests {
         assert_eq!(s.filter_conditions[0].attribute, "elevation");
         assert!(c.plan.explain().contains("Filter"));
         // The attribute feeding the residual filter is fetched.
-        assert!(s.fetch.iter().any(|i| s.columns[*i].name == "population"));
+        assert!(s.fetch.iter().any(|i| s.columns()[*i].name == "population"));
     }
 
     #[test]

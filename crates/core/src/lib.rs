@@ -62,7 +62,7 @@ pub use error::{GaloisError, Result};
 pub use galois_llm::{FairShare, Parallelism, RetryPolicy};
 pub use multi::{run_multi_query, MultiQueryOutcome, MultiQueryReport};
 pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost};
-pub use schedule::Scheduler;
+pub use schedule::{Crew, Scheduler};
 pub use session::{
     Admission, AdmissionPolicy, EarlyStop, Galois, GaloisOptions, GaloisResult, ListStore,
     Pipeline, PromptBatch, QueryStats, Resilience,

@@ -8,11 +8,12 @@
 //! dependencies, so [`Scheduler::run_wave`] may execute them on up to
 //! `K` OS threads (`K` = the session's [`Parallelism`] knob); results are
 //! always returned in submission order, so downstream code is oblivious
-//! to the interleaving. [`Scheduler::run_wave_streaming`] is the
+//! to the interleaving. [`Crew::run_wave_streaming`] is the
 //! completion-ordered form used by the pipelined session driver: each
 //! `(index, result)` pair is handed to a sink on the calling thread as
-//! soon as the unit finishes, so downstream work can start before the
-//! wave's stragglers complete.
+//! units finish, the calling thread itself working as one of the `K`. Its
+//! helper threads belong to the session and park between waves, because
+//! the streaming engine runs several short waves a statement.
 //!
 //! With `Parallelism(1)` the scheduler runs every unit inline on the
 //! calling thread, in submission order — the exact pre-scheduler
@@ -27,7 +28,7 @@ use galois_llm::Parallelism;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 thread_local! {
     /// Set on scheduler worker threads so *nested* waves (a step wave
@@ -109,113 +110,298 @@ impl Scheduler {
             .map(|slot| slot.into_inner().expect("every unit ran"))
             .collect()
     }
+}
+
+/// A session's standing helper threads for completion-ordered waves.
+///
+/// The streaming engine fires a wave of prompts at every instant of its
+/// event simulation — several a statement — and most of them are over in
+/// microseconds (cache hits, a simulated model). Spawning and joining `K`
+/// OS threads for such a wave costs more than the wave and makes the
+/// statement wait on the OS scheduler (beside one busy neighbour process
+/// a cold serving statement takes 40 % longer that way). A crew keeps its
+/// helpers parked between waves, wakes them only while a wave has units
+/// unclaimed, and makes the calling thread one of the `K` workers, so a
+/// wave the caller drains alone never waits for another thread — while a
+/// wave of slow units (a remote model) is still `K` wide a few wake-ups
+/// after it is posted.
+///
+/// Helpers outlive the calls that use them, which is why units must be
+/// `'static`; they exit when the crew (the session) is dropped.
+pub struct Crew {
+    /// Workers per wave, the calling thread included.
+    width: usize,
+    shared: Arc<CrewShared>,
+}
+
+struct CrewShared {
+    state: StdMutex<CrewState>,
+    /// Parked helpers wait here for a wave or for shutdown.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct CrewState {
+    /// Waves whose caller has not returned yet, by id.
+    open: Vec<(u64, Arc<dyn Help>)>,
+    next_id: u64,
+    /// Helpers parked on `wake`.
+    idle: usize,
+    /// Every helper started so far; at most `width - 1`.
+    helpers: Vec<std::thread::JoinHandle<()>>,
+    shutdown: bool,
+}
+
+/// What a helper sees of a wave, whatever its unit and result types.
+trait Help: Send + Sync {
+    /// True while units are unclaimed.
+    fn pending(&self) -> bool;
+    /// Claims and runs units until none is left.
+    fn help(&self);
+}
+
+struct Wave<T, F> {
+    jobs: Vec<Mutex<Option<F>>>,
+    next: AtomicUsize,
+    landing: StdMutex<Landing<T>>,
+    ready: Condvar,
+}
+
+/// Results the helpers have landed and the caller has not sunk yet, plus
+/// the units lost to panics (the caller's wait must end all the same).
+struct Landing<T> {
+    items: Vec<(usize, T)>,
+    lost: usize,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<T, F: FnOnce() -> T> Wave<T, F> {
+    fn claim(&self) -> Option<(usize, F)> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        let job = self.jobs.get(i)?;
+        Some((i, job.lock().take().expect("each unit claimed once")))
+    }
+
+    fn landing(&self) -> std::sync::MutexGuard<'_, Landing<T>> {
+        self.landing.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<T: Send, F: FnOnce() -> T + Send> Help for Wave<T, F> {
+    fn pending(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.jobs.len()
+    }
+
+    fn help(&self) {
+        while let Some((i, unit)) = self.claim() {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(unit));
+            let mut landing = self.landing();
+            match outcome {
+                Ok(result) => landing.items.push((i, result)),
+                Err(payload) => {
+                    landing.lost += 1;
+                    landing.panic.get_or_insert(payload);
+                }
+            }
+            drop(landing);
+            self.ready.notify_all();
+        }
+    }
+}
+
+/// Removes a wave from the crew's open list when its caller leaves,
+/// normally or unwinding out of the sink.
+struct OpenWave<'a> {
+    shared: &'a CrewShared,
+    id: u64,
+}
+
+impl Drop for OpenWave<'_> {
+    fn drop(&mut self) {
+        self.shared.state().open.retain(|(id, _)| *id != self.id);
+    }
+}
+
+impl CrewShared {
+    fn state(&self) -> std::sync::MutexGuard<'_, CrewState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Brings one more helper to the open waves: a parked one if there is
+    /// one, else a new thread while fewer than `helpers` exist.
+    fn recruit(self: &Arc<Self>, state: &mut CrewState, helpers: usize) {
+        if state.idle > 0 {
+            self.wake.notify_one();
+        } else if state.helpers.len() < helpers {
+            let shared = Arc::clone(self);
+            state
+                .helpers
+                .push(std::thread::spawn(move || shared.helper(helpers)));
+        }
+    }
+
+    /// A helper thread's life: help the first open wave that has units
+    /// left — after recruiting the next helper, so a wave that stays
+    /// pending widens one helper at a time — else park.
+    fn helper(self: Arc<Self>, helpers: usize) {
+        IN_WAVE_WORKER.with(|flag| flag.set(true));
+        let mut state = self.state();
+        while !state.shutdown {
+            let pending = state.open.iter().find(|(_, wave)| wave.pending());
+            if let Some((_, wave)) = pending {
+                let wave = Arc::clone(wave);
+                self.recruit(&mut state, helpers);
+                drop(state);
+                wave.help();
+                drop(wave);
+                state = self.state();
+            } else {
+                state.idle += 1;
+                state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+                state.idle -= 1;
+            }
+        }
+    }
+}
+
+impl Crew {
+    /// A crew running at most `parallelism` units of a wave at once. No
+    /// thread starts before a wave needs it.
+    pub fn new(parallelism: Parallelism) -> Self {
+        Crew {
+            width: parallelism.get(),
+            shared: Arc::new(CrewShared {
+                state: StdMutex::new(CrewState::default()),
+                wake: Condvar::new(),
+            }),
+        }
+    }
 
     /// Runs one wave of independent units, delivering each `(index,
-    /// result)` pair to `sink` **in completion order** — the caller sees
-    /// results the moment they land instead of waiting for the whole wave
-    /// to join.
+    /// result)` pair to `sink` on the calling thread, roughly **in
+    /// completion order**: the caller runs units itself and, after each,
+    /// first sinks what the helpers finished meanwhile.
     ///
-    /// [`Scheduler::run_wave`] is the positional form: it blocks until
-    /// every unit has finished and hands back a submission-ordered `Vec`.
-    /// The streaming session driver instead wants to start parsing a
-    /// micro-batch's answers while its siblings are still completing, so
-    /// this form pushes results through a sink running on the *calling*
-    /// thread (the sink needs no `Send` bound and may freely mutate caller
-    /// state). Completion order is nondeterministic by construction —
-    /// callers that need determinism must key their state by the delivered
-    /// index, exactly like the virtual clock does.
+    /// [`Scheduler::run_wave`] is the positional form: it hands back a
+    /// submission-ordered `Vec`. Here the order is nondeterministic by
+    /// construction — callers that need determinism must key their state
+    /// by the delivered index, exactly like the virtual clock does. The
+    /// sink needs no `Send` bound and may freely mutate caller state.
     ///
-    /// The inline cases (one worker, one unit, nested waves) deliver in
-    /// submission order. A panicking unit propagates when the scope joins,
-    /// after the surviving units have been delivered.
+    /// With a width of one, a single unit, or on a wave worker thread
+    /// (nested waves) everything runs inline, in submission order. A
+    /// panicking unit is re-raised on the caller after the surviving
+    /// units have been delivered.
     pub fn run_wave_streaming<T, F, S>(&self, units: Vec<F>, mut sink: S)
     where
-        T: Send,
-        F: FnOnce() -> T + Send,
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
         S: FnMut(usize, T),
     {
-        if self.workers <= 1 || units.len() <= 1 || IN_WAVE_WORKER.with(Cell::get) {
+        if self.width <= 1 || units.len() <= 1 || IN_WAVE_WORKER.with(Cell::get) {
             for (i, unit) in units.into_iter().enumerate() {
                 sink(i, unit());
             }
             return;
         }
         let n = units.len();
-        let jobs: Vec<Mutex<Option<F>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-        let next = AtomicUsize::new(0);
-        // Landed results plus a count of units lost to panics: the drain
-        // loop must terminate even when a worker unwinds mid-unit, or the
-        // scope join (which re-raises the panic) would never be reached.
-        struct Landing<T> {
-            items: Vec<(usize, T)>,
-            lost: usize,
+        let wave = Arc::new(Wave {
+            jobs: units.into_iter().map(|u| Mutex::new(Some(u))).collect(),
+            next: AtomicUsize::new(0),
+            landing: StdMutex::new(Landing {
+                items: Vec::new(),
+                lost: 0,
+                panic: None,
+            }),
+            ready: Condvar::new(),
+        });
+        let _open = {
+            let mut state = self.shared.state();
+            let id = state.next_id;
+            state.next_id += 1;
+            state.open.push((id, Arc::clone(&wave) as Arc<dyn Help>));
+            self.shared.recruit(&mut state, self.width - 1);
+            OpenWave {
+                shared: &self.shared,
+                id,
+            }
+        };
+        let mut delivered = 0;
+        // The caller's share of the wave. What the helpers landed while
+        // it ran a unit completed before that unit did, so is sunk first.
+        while let Some((i, unit)) = wave.claim() {
+            let own = {
+                let _mark = WorkerMark::set();
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(unit))
+            };
+            let mut landing = wave.landing();
+            let landed = std::mem::take(&mut landing.items);
+            let own = match own {
+                Ok(result) => Some(result),
+                Err(payload) => {
+                    landing.lost += 1;
+                    landing.panic.get_or_insert(payload);
+                    None
+                }
+            };
+            drop(landing);
+            for (j, result) in landed.into_iter().chain(own.map(|result| (i, result))) {
+                delivered += 1;
+                sink(j, result);
+            }
         }
-        let landing: StdMutex<Landing<T>> = StdMutex::new(Landing {
-            items: Vec::new(),
-            lost: 0,
-        });
-        let ready = Condvar::new();
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
-                scope.spawn(|| {
-                    IN_WAVE_WORKER.with(|flag| flag.set(true));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let unit = jobs[i].lock().take().expect("each unit claimed once");
-                        // Unwind guard: a panicking unit still counts
-                        // towards termination of the drain loop.
-                        struct LostGuard<'a, T> {
-                            landing: &'a StdMutex<Landing<T>>,
-                            ready: &'a Condvar,
-                            armed: bool,
-                        }
-                        impl<T> Drop for LostGuard<'_, T> {
-                            fn drop(&mut self) {
-                                if self.armed {
-                                    self.landing.lock().unwrap_or_else(|e| e.into_inner()).lost +=
-                                        1;
-                                    self.ready.notify_all();
-                                }
-                            }
-                        }
-                        let mut guard = LostGuard {
-                            landing: &landing,
-                            ready: &ready,
-                            armed: true,
-                        };
-                        let result = unit();
-                        guard.armed = false;
-                        landing
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .items
-                            .push((i, result));
-                        ready.notify_all();
-                    }
-                });
+        // Every unit is claimed: wait for the ones helpers still run.
+        let mut landing = wave.landing();
+        while delivered + landing.lost < n {
+            let landed = std::mem::take(&mut landing.items);
+            if landed.is_empty() {
+                landing = wave.ready.wait(landing).unwrap_or_else(|e| e.into_inner());
+                continue;
             }
-            let mut delivered = 0;
-            let mut slot = landing.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                let batch: Vec<(usize, T)> = slot.items.drain(..).collect();
-                if batch.is_empty() {
-                    if delivered + slot.lost >= n {
-                        break;
-                    }
-                    slot = ready.wait(slot).unwrap_or_else(|e| e.into_inner());
-                    continue;
-                }
-                drop(slot);
-                for (i, result) in batch {
-                    delivered += 1;
-                    sink(i, result);
-                }
-                slot = landing.lock().unwrap_or_else(|e| e.into_inner());
+            drop(landing);
+            for (i, result) in landed {
+                delivered += 1;
+                sink(i, result);
             }
-        });
+            landing = wave.landing();
+        }
+        let panic = landing.panic.take();
+        drop(landing);
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        let helpers = {
+            let mut state = self.shared.state();
+            state.shutdown = true;
+            std::mem::take(&mut state.helpers)
+        };
+        self.shared.wake.notify_all();
+        for helper in helpers {
+            // A helper catches its units' panics; it has none of its own.
+            let _ = helper.join();
+        }
+    }
+}
+
+/// Marks the current thread as a wave worker until dropped, then restores
+/// what it was: the calling thread works in its own wave, so waves its
+/// units start run inline, and is no worker once the unit is over.
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn set() -> Self {
+        WorkerMark(IN_WAVE_WORKER.with(|flag| flag.replace(true)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WAVE_WORKER.with(|flag| flag.set(self.0));
     }
 }
 
@@ -306,7 +492,7 @@ mod tests {
 
     #[test]
     fn streaming_delivers_every_result_exactly_once() {
-        let sched = Scheduler::new(Parallelism::new(4));
+        let sched = Crew::new(Parallelism::new(4));
         let units: Vec<_> = (0..32u64)
             .map(|i| {
                 move || {
@@ -330,7 +516,7 @@ mod tests {
         // Unit 0 sleeps far longer than its siblings: with several real
         // workers the fast units must be sunk before it, proving delivery
         // is by completion, not submission.
-        let sched = Scheduler::new(Parallelism::new(4));
+        let sched = Crew::new(Parallelism::new(4));
         let units: Vec<_> = (0..4u64)
             .map(|i| {
                 move || {
@@ -349,7 +535,7 @@ mod tests {
 
     #[test]
     fn streaming_single_worker_is_submission_ordered() {
-        let sched = Scheduler::new(Parallelism::new(1));
+        let sched = Crew::new(Parallelism::new(1));
         let units: Vec<_> = (0..5).map(|i| move || i).collect();
         let mut order = Vec::new();
         sched.run_wave_streaming(units, |i, r| {
@@ -361,7 +547,7 @@ mod tests {
 
     #[test]
     fn streaming_panic_propagates_without_deadlock() {
-        let sched = Scheduler::new(Parallelism::new(4));
+        let sched = Crew::new(Parallelism::new(4));
         let units: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
             .map(|i| {
                 Box::new(move || {
@@ -378,6 +564,110 @@ mod tests {
             delivered
         }));
         assert!(outcome.is_err(), "the unit panic must propagate");
+    }
+
+    /// A wave of `n` units that sleep `ms` and report their thread.
+    fn sleepy_units(n: usize, ms: u64) -> Vec<impl FnOnce() -> std::thread::ThreadId + Send> {
+        (0..n)
+            .map(move |_| {
+                move || {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                    std::thread::current().id()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crew_keeps_its_helpers_between_waves_and_within_its_width() {
+        let crew = Crew::new(Parallelism::new(4));
+        let mut threads = std::collections::HashSet::new();
+        for _ in 0..12 {
+            crew.run_wave_streaming(sleepy_units(8, 2), |_, id| {
+                threads.insert(id);
+            });
+        }
+        assert!(
+            threads.contains(&std::thread::current().id()),
+            "the caller works in its own waves"
+        );
+        assert!(threads.len() > 1, "slow units must reach a helper");
+        assert!(
+            threads.len() <= 4,
+            "12 waves ran on {} threads",
+            threads.len()
+        );
+        assert!(crew.shared.state().helpers.len() <= 3);
+    }
+
+    #[test]
+    fn crew_survives_a_panicking_unit_and_keeps_its_payload() {
+        let crew = Crew::new(Parallelism::new(4));
+        let units: Vec<_> = (0..8usize)
+            .map(|i| {
+                move || {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    assert!(i != 5, "unit five exploded");
+                    i
+                }
+            })
+            .collect();
+        let mut delivered = Vec::new();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crew.run_wave_streaming(units, |i, _| delivered.push(i));
+        }));
+        let payload = outcome.expect_err("the unit panic must propagate");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "unit five exploded");
+        delivered.sort_unstable();
+        assert_eq!(delivered, vec![0, 1, 2, 3, 4, 6, 7], "survivors come first");
+        assert!(crew.shared.state().open.is_empty(), "the wave is closed");
+        // The helpers are still there for the next wave.
+        let mut sum = 0;
+        crew.run_wave_streaming((0..8usize).map(|i| move || i).collect(), |_, r| sum += r);
+        assert_eq!(sum, 28);
+    }
+
+    #[test]
+    fn crew_units_are_wave_workers_and_the_caller_is_not_afterwards() {
+        let crew = Crew::new(Parallelism::new(4));
+        let units: Vec<_> = (0..8)
+            .map(|_| {
+                move || {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    let outer = std::thread::current().id();
+                    let inner: Vec<_> = (0..3).map(|_| || std::thread::current().id()).collect();
+                    Scheduler::new(Parallelism::new(4))
+                        .run_wave(inner)
+                        .into_iter()
+                        .all(|id| id == outer)
+                }
+            })
+            .collect();
+        let mut inline = true;
+        crew.run_wave_streaming(units, |_, ok| inline &= ok);
+        assert!(inline, "nested waves must not spawn further threads");
+        assert!(!IN_WAVE_WORKER.with(Cell::get));
+    }
+
+    #[test]
+    fn dropping_a_crew_ends_its_helpers() {
+        let crew = Crew::new(Parallelism::new(4));
+        crew.run_wave_streaming(sleepy_units(8, 5), |_, _| {});
+        let shared = Arc::clone(&crew.shared);
+        assert!(!shared.state().helpers.is_empty());
+        drop(crew);
+        assert_eq!(Arc::strong_count(&shared), 1, "every helper has exited");
+    }
+
+    #[test]
+    fn a_crew_that_never_sees_a_wide_wave_starts_no_thread() {
+        let crew = Crew::new(Parallelism::new(8));
+        crew.run_wave_streaming(vec![|| 1], |_, _| {});
+        let sequential = Crew::new(Parallelism::new(1));
+        sequential.run_wave_streaming(sleepy_units(4, 1), |_, _| {});
+        assert!(crew.shared.state().helpers.is_empty());
+        assert!(sequential.shared.state().helpers.is_empty());
     }
 
     #[test]

@@ -45,14 +45,14 @@ use crate::error::{GaloisError, Result};
 use crate::parse::{parse_boolean_answer, parse_list_answer, parse_value_answer, ListAnswer};
 use crate::plan_choice::{plan_query, PlannedQuery, Planner, PlannerParams};
 use crate::prompts::PromptBuilder;
-use crate::schedule::Scheduler;
+use crate::schedule::{Crew, Scheduler};
 use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
 use galois_llm::{
     lane_schedule, BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LanguageModel,
     LlmClient, Parallelism, RetryPolicy, SubEntryLookup,
 };
-use galois_relational::{Column, Database, Relation, Table, TableSchema, Value};
+use galois_relational::{Database, Relation, Table, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -722,7 +722,11 @@ pub struct GaloisResult {
 /// Sessions are `Sync`: one session may serve queries from many threads
 /// concurrently (the harness does exactly that), sharing the prompt cache.
 pub struct Galois {
-    client: LlmClient,
+    /// Shared with the units the streaming engine hands to [`Crew`]
+    /// helpers, which outlive the call that posts them.
+    client: Arc<LlmClient>,
+    /// The streaming engine's standing helper threads.
+    crew: Crew,
     db: Database,
     prompt_builder: PromptBuilder,
     options: GaloisOptions,
@@ -762,7 +766,8 @@ impl Galois {
             client = client.with_resilience(policy);
         }
         Galois {
-            client,
+            client: Arc::new(client),
+            crew: Crew::new(options.parallelism),
             db,
             prompt_builder,
             options,
@@ -946,23 +951,40 @@ impl Galois {
 
         let mut stats = QueryStats::default();
         let mut step_virtuals = Vec::with_capacity(compiled.steps.len());
-        let mut catalog = self.db.catalog().clone();
-        for result in retrieved {
-            let (table, step_stats) = result?;
+        let mut step_rows = Vec::with_capacity(compiled.steps.len());
+        for (rows, step_stats) in retrieved {
             fold_step_stats(&mut stats, &step_stats);
-            stats.rows_retrieved += table.len();
             step_virtuals.push(step_stats.virtual_ms);
+            step_rows.push(rows);
+        }
+        stats.virtual_ms = lane_schedule(step_virtuals, lanes);
+
+        let relation = self.materialise_and_execute(compiled, step_rows, &mut stats)?;
+        stats.wall_ms = started.elapsed().as_millis() as u64;
+        Ok(GaloisResult { relation, stats })
+    }
+
+    /// The hand-off to the relational engine, shared by both retrieval
+    /// engines: overlays the stored catalog with one temporary table per
+    /// step (`step_rows` runs parallel to `compiled.steps`), counts the
+    /// rows that survive materialisation, and runs the residual plan. The
+    /// overlay shares the stored tables' storage, so building and
+    /// dropping it costs one pointer per table.
+    fn materialise_and_execute(
+        &self,
+        compiled: &CompiledQuery,
+        step_rows: impl IntoIterator<Item = Vec<Vec<Value>>>,
+        stats: &mut QueryStats,
+    ) -> Result<Relation> {
+        let mut catalog = self.db.catalog().clone();
+        for (step, rows) in compiled.steps.iter().zip(step_rows) {
+            let table = materialise_step(step, rows);
+            stats.rows_retrieved += table.len();
             catalog
                 .add_table(table)
                 .map_err(|e| GaloisError::Compile(format!("temp table: {e}")))?;
         }
-        stats.virtual_ms = lane_schedule(step_virtuals, lanes);
-
-        let relation =
-            galois_relational::execute(&compiled.plan, &catalog).map_err(GaloisError::from)?;
-
-        stats.wall_ms = started.elapsed().as_millis() as u64;
-        Ok(GaloisResult { relation, stats })
+        galois_relational::execute(&compiled.plan, &catalog).map_err(GaloisError::from)
     }
 
     /// Client-level stats accumulated over the session.
@@ -974,13 +996,13 @@ impl Galois {
     // Retrieval (workflow steps 2–3)
     // -----------------------------------------------------------------
 
-    fn retrieve(&self, step: &LlmScanStep) -> Result<(Table, StepStats)> {
+    fn retrieve(&self, step: &LlmScanStep) -> (Vec<Vec<Value>>, StepStats) {
         let scheduler = Scheduler::new(self.options.parallelism);
         let mut acc = StepStats::default();
         let keys = self.scan_keys(step, &scheduler, &mut acc);
         let keys = self.apply_filters(step, keys, &scheduler, &mut acc);
         let rows = self.fetch_attributes(step, &keys, &scheduler, &mut acc);
-        Ok((materialise_step(step, rows)?, acc))
+        (rows, acc)
     }
 
     /// Key retrieval. Without a [`ListStore`], iterate the list prompt
@@ -1331,7 +1353,7 @@ impl Galois {
         }
         let lanes = self.options.parallelism.get();
         let batch = self.options.batch_size.max(1);
-        let arity = step.columns.len();
+        let arity = step.columns().len();
         let mut rows: Vec<Vec<Value>> = keys
             .iter()
             .map(|key| {
@@ -1339,7 +1361,7 @@ impl Galois {
                 // The key itself is cleaned to the key column's type.
                 row[step.key_index] = clean_to_type(
                     key,
-                    step.columns[step.key_index].data_type,
+                    step.columns()[step.key_index].data_type,
                     &self.options.cleaning,
                 )
                 .unwrap_or(Value::Null);
@@ -1355,7 +1377,7 @@ impl Galois {
             .fetch
             .iter()
             .map(|&col_idx| {
-                let column = &step.columns[col_idx];
+                let column = &step.columns()[col_idx];
                 let template =
                     self.prompt_builder
                         .fetch_template(&step.table, &step.key_attr, &column.name);
@@ -1386,7 +1408,7 @@ impl Galois {
         }
 
         for ((col_idx, _), col_answers) in col_prompts.iter().zip(answers) {
-            let column = &step.columns[*col_idx];
+            let column = &step.columns()[*col_idx];
             for (row, completion) in rows.iter_mut().zip(col_answers) {
                 let value = if is_fault_text(&completion.text) {
                     // A degraded fetch annotates the cell as Null.
@@ -1465,14 +1487,14 @@ impl Galois {
         scheduler: &Scheduler,
         acc: &mut StepStats,
     ) -> Vec<Vec<Value>> {
-        let arity = step.columns.len();
+        let arity = step.columns().len();
         let mut rows: Vec<Vec<Value>> = keys
             .iter()
             .map(|key| {
                 let mut row = vec![Value::Null; arity];
                 row[step.key_index] = clean_to_type(
                     key,
-                    step.columns[step.key_index].data_type,
+                    step.columns()[step.key_index].data_type,
                     &self.options.cleaning,
                 )
                 .unwrap_or(Value::Null);
@@ -1483,13 +1505,13 @@ impl Galois {
         let cells: Vec<(BatchCell, &[String])> = step
             .fetch
             .iter()
-            .map(|&col_idx| (BatchCell::Fetch(&step.columns[col_idx].name), keys))
+            .map(|&col_idx| (BatchCell::Fetch(&step.columns()[col_idx].name), keys))
             .collect();
         let results = self.run_batched_cells(step, cells, Phase::Fetch, scheduler, acc);
 
         for (&col_idx, (answers, prompts)) in step.fetch.iter().zip(results) {
             acc.fetch_prompts += prompts;
-            let column = &step.columns[col_idx];
+            let column = &step.columns()[col_idx];
             for (row, answer) in rows.iter_mut().zip(answers) {
                 let value = if is_fault_text(&answer) {
                     // A degraded fetch annotates the cell as Null.
@@ -1548,14 +1570,14 @@ impl Galois {
         let fuse = self.options.prompt_batch.keys_per_prompt();
         let attr_fuse = self.options.prompt_batch.attrs_per_prompt();
 
-        let arity = step.columns.len();
+        let arity = step.columns().len();
         let mut rows: Vec<Vec<Value>> = keys
             .iter()
             .map(|key| {
                 let mut row = vec![Value::Null; arity];
                 row[step.key_index] = clean_to_type(
                     key,
-                    step.columns[step.key_index].data_type,
+                    step.columns()[step.key_index].data_type,
                     &self.options.cleaning,
                 )
                 .unwrap_or(Value::Null);
@@ -1569,7 +1591,7 @@ impl Galois {
         let prefixes: Vec<String> = step
             .fetch
             .iter()
-            .map(|&col| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns[col].name)))
+            .map(|&col| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns()[col].name)))
             .collect();
         let mut sig = String::new();
 
@@ -1639,12 +1661,12 @@ impl Galois {
             let pads = grid_pad_columns(step, start, len, attr_fuse);
             let pad_prefixes: Vec<String> = pads
                 .iter()
-                .map(|&c| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns[c].name)))
+                .map(|&c| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns()[c].name)))
                 .collect();
             let chunk_keys: Vec<String> = members.iter().map(|&i| keys[i].clone()).collect();
             let attr_names: Vec<String> = (start..start + len)
-                .map(|ci| step.columns[step.fetch[ci]].name.clone())
-                .chain(pads.iter().map(|&c| step.columns[c].name.clone()))
+                .map(|ci| step.columns()[step.fetch[ci]].name.clone())
+                .chain(pads.iter().map(|&c| step.columns()[c].name.clone()))
                 .collect();
             let mut cells = split_grid_answer(&completion.text, &chunk_keys, &attr_names);
             for (ki, &i) in members.iter().enumerate() {
@@ -1683,7 +1705,7 @@ impl Galois {
                 .collect();
             for chunk in rem.chunks(fuse) {
                 let chunk_keys: Vec<String> = chunk.iter().map(|&i| keys[i].clone()).collect();
-                let cell = BatchCell::Fetch(&step.columns[step.fetch[ci]].name);
+                let cell = BatchCell::Fetch(&step.columns()[step.fetch[ci]].name);
                 fb_prompts.push(
                     self.prompt_builder
                         .task(&self.cell_batched_intent(step, &cell, chunk_keys)),
@@ -1723,7 +1745,7 @@ impl Galois {
         for ci in 0..n_cols {
             for i in 0..keys.len() {
                 if pending[ci][i] && answers[ci][i].is_none() {
-                    let cell = BatchCell::Fetch(&step.columns[step.fetch[ci]].name);
+                    let cell = BatchCell::Fetch(&step.columns()[step.fetch[ci]].name);
                     single_prompts.push(
                         self.prompt_builder
                             .task(&self.cell_single_intent(step, &cell, &keys[i])),
@@ -1752,7 +1774,7 @@ impl Galois {
         }
 
         for (ci, &col_idx) in step.fetch.iter().enumerate() {
-            let column = &step.columns[col_idx];
+            let column = &step.columns()[col_idx];
             for (i, row) in rows.iter_mut().enumerate() {
                 let answer = answers[ci][i]
                     .take()
@@ -1798,7 +1820,7 @@ impl Galois {
             attributes: step.fetch[start..start + len]
                 .iter()
                 .chain(pads.iter())
-                .map(|&c| step.columns[c].name.clone())
+                .map(|&c| step.columns()[c].name.clone())
                 .collect(),
         }
     }
@@ -2158,34 +2180,21 @@ fn absorb_page(
     got_new
 }
 
-/// Materialises retrieved rows as a step's temporary table: same column
-/// order as the stored schema, everything but the key nullable (unfetched
-/// attributes are NULL). Rows whose key failed to clean are unusable and
-/// dropped; duplicate keys (hallucinated repeats) are dropped silently —
-/// the key-identifies-tuple assumption is enforced here.
-fn materialise_step(step: &LlmScanStep, rows: Vec<Vec<Value>>) -> Result<Table> {
-    let columns: Vec<Column> = step
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if i == step.key_index {
-                Column::new(c.name.clone(), c.data_type)
-            } else {
-                Column::nullable(c.name.clone(), c.data_type)
-            }
-        })
-        .collect();
-    let schema = TableSchema::new(columns, &step.key_attr)
-        .map_err(|e| GaloisError::Compile(format!("temp schema: {e}")))?;
-    let mut table = Table::new(step.temp_name.clone(), schema);
+/// Materialises retrieved rows as a step's temporary table under the
+/// schema compiled with the step (stored column order, everything but the
+/// key nullable). Rows whose key failed to clean are unusable and dropped;
+/// duplicate keys (hallucinated repeats) are dropped silently, the first
+/// occurrence winning — the key-identifies-tuple assumption is enforced
+/// here.
+fn materialise_step(step: &LlmScanStep, rows: Vec<Vec<Value>>) -> Table {
+    let mut table = Table::new(step.temp_name.clone(), Arc::clone(&step.temp_schema));
     for row in rows {
         if row[step.key_index].is_null() {
             continue;
         }
         let _ = table.insert(row);
     }
-    Ok(table)
+    table
 }
 
 // ---------------------------------------------------------------------
@@ -2218,23 +2227,15 @@ impl Galois {
         fold_step_stats(&mut stats, &sim.acc);
         stats.virtual_ms = sim.clock.makespan();
         let trace = sim.trace;
-        let mut catalog = self.db.catalog().clone();
-        for run in sim.steps {
-            let rows: Vec<Vec<Value>> = run
-                .slots
+        // `sim.steps` was built from `compiled.steps`, in order.
+        let step_rows = sim.steps.into_iter().map(|run| {
+            run.slots
                 .into_iter()
                 .filter(|slot| slot.alive)
                 .map(|slot| slot.row)
-                .collect();
-            let table = materialise_step(run.step, rows)?;
-            stats.rows_retrieved += table.len();
-            catalog
-                .add_table(table)
-                .map_err(|e| GaloisError::Compile(format!("temp table: {e}")))?;
-        }
-
-        let relation =
-            galois_relational::execute(&compiled.plan, &catalog).map_err(GaloisError::from)?;
+                .collect()
+        });
+        let relation = self.materialise_and_execute(compiled, step_rows, &mut stats)?;
         stats.wall_ms = started.elapsed().as_millis() as u64;
         Ok((GaloisResult { relation, stats }, trace))
     }
@@ -2301,7 +2302,7 @@ pub(crate) struct TracedTask {
 enum StageCell {
     /// Index into `step.filter_conditions`.
     Filter(usize),
-    /// `col` indexes `step.columns`; the stage sits at position
+    /// `col` indexes `step.columns()`; the stage sits at position
     /// `n_filters + ord` in the stage list.
     Fetch { col: usize },
     /// One attr-group of the grid protocol: the columns
@@ -2484,13 +2485,12 @@ impl Ord for StreamEvent {
 /// lanes, and per-step dataflow state.
 ///
 /// Prompts are *executed* (against the real client, inline or across the
-/// scheduler's worker threads) at fire time, because a task's virtual
+/// session's [`Crew`]) at fire time, because a task's virtual
 /// duration — cache hit or model latency — is only known once it has run;
 /// its parsed effects are then applied at its simulated completion time,
 /// which is what releases downstream work.
 struct StreamSim<'a> {
     session: &'a Galois,
-    scheduler: Scheduler,
     clock: galois_llm::EventClock,
     events: std::collections::BinaryHeap<std::cmp::Reverse<StreamEvent>>,
     next_seq: u64,
@@ -2563,7 +2563,7 @@ impl<'a> StreamSim<'a> {
                                 .map(|&c| {
                                     session.cell_sig_prefix(
                                         step,
-                                        &BatchCell::Fetch(&step.columns[c].name),
+                                        &BatchCell::Fetch(&step.columns()[c].name),
                                     )
                                 })
                                 .collect(),
@@ -2593,7 +2593,6 @@ impl<'a> StreamSim<'a> {
         };
         StreamSim {
             session,
-            scheduler: Scheduler::new(session.options.parallelism),
             clock: galois_llm::EventClock::new(session.options.parallelism.get()),
             events: std::collections::BinaryHeap::new(),
             next_seq: 0,
@@ -2904,10 +2903,14 @@ impl<'a> StreamSim<'a> {
             outcomes[0] = Some(client.complete_outcome(&prompts[0]));
         } else {
             let units: Vec<_> = prompts
-                .iter()
-                .map(|prompt| move || client.complete_outcome(prompt))
+                .into_iter()
+                .map(|prompt| {
+                    let client = Arc::clone(client);
+                    move || client.complete_outcome(&prompt)
+                })
                 .collect();
-            self.scheduler
+            self.session
+                .crew
                 .run_wave_streaming(units, |i, outcome| outcomes[i] = Some(outcome));
         }
         for (fire, outcome) in fires.into_iter().zip(outcomes) {
@@ -3139,7 +3142,7 @@ impl<'a> StreamSim<'a> {
                 (start..start + len)
                     .map(|ci| run.step.fetch[ci])
                     .chain(pads)
-                    .map(|c| run.step.columns[c].name.clone())
+                    .map(|c| run.step.columns()[c].name.clone())
                     .collect(),
             )
         };
@@ -3271,7 +3274,7 @@ impl<'a> StreamSim<'a> {
         let mut new_slots = Vec::new();
         {
             let run = &mut self.steps[s];
-            let arity = run.step.columns.len();
+            let arity = run.step.columns().len();
             let fresh = Arc::make_mut(&mut run.exclude);
             for v in values {
                 let cleaned = normalise_text(&v);
@@ -3283,7 +3286,7 @@ impl<'a> StreamSim<'a> {
                     let mut row = vec![Value::Null; arity];
                     row[run.step.key_index] = clean_to_type(
                         &cleaned,
-                        run.step.columns[run.step.key_index].data_type,
+                        run.step.columns()[run.step.key_index].data_type,
                         &session.options.cleaning,
                     )
                     .unwrap_or(Value::Null);
@@ -3534,7 +3537,7 @@ impl<'a> StreamSim<'a> {
         }
         let value = {
             let run = &self.steps[s];
-            let column = &run.step.columns[col];
+            let column = &run.step.columns()[col];
             parse_value_answer(answer)
                 .and_then(|raw| {
                     clean_to_type(&raw, column.data_type, &self.session.options.cleaning)
@@ -3623,7 +3626,7 @@ impl<'a> StreamSim<'a> {
 fn stage_cell(step: &LlmScanStep, cell: StageCell) -> BatchCell<'_> {
     match cell {
         StageCell::Filter(i) => BatchCell::Filter(&step.filter_conditions[i]),
-        StageCell::Fetch { col } => BatchCell::Fetch(&step.columns[col].name),
+        StageCell::Fetch { col } => BatchCell::Fetch(&step.columns()[col].name),
         StageCell::Grid { .. } => {
             unreachable!("grid stages render through their grid-aware call sites")
         }
@@ -3635,7 +3638,7 @@ fn grid_attr_name<'a>(step: &'a LlmScanStep, stage: &StageState, attr: usize) ->
     let StageCell::Grid { start, .. } = stage.cell else {
         unreachable!("attr ordinals exist only at grid stages")
     };
-    &step.columns[step.fetch[start + attr]].name
+    &step.columns()[step.fetch[start + attr]].name
 }
 
 /// Speculative fill of a grid attr-group's spare width: when the group is
@@ -3651,14 +3654,14 @@ fn grid_attr_name<'a>(step: &'a LlmScanStep, stage: &StageState, attr: usize) ->
 /// surface across a handful of grid prompts instead of paying
 /// `ceil(keys/B)` prompts per newly-touched column.
 ///
-/// Returns column indices into `step.columns`; empty for every non-last
+/// Returns column indices into `step.columns()`; empty for every non-last
 /// or already-full group (so `A = 1` stays the exact key-batched base
 /// case).
 fn grid_pad_columns(step: &LlmScanStep, start: usize, len: usize, attr_fuse: usize) -> Vec<usize> {
     if start + len < step.fetch.len() || len >= attr_fuse {
         return Vec::new();
     }
-    (0..step.columns.len())
+    (0..step.columns().len())
         .filter(|&c| c != step.key_index && !step.fetch.contains(&c))
         .take(attr_fuse - len)
         .collect()
@@ -3689,6 +3692,51 @@ mod tests {
             },
         );
         (s, g)
+    }
+
+    #[test]
+    fn materialise_keeps_first_of_a_repeated_key_and_drops_null_keys() {
+        let s = Scenario::generate(42);
+        let plan = s
+            .database
+            .plan("SELECT name, population FROM city")
+            .unwrap();
+        let compiled =
+            crate::compile::compile(&plan, s.database.catalog(), &CompileOptions::default())
+                .unwrap();
+        let step = &compiled.steps[0];
+        let population = step.temp_schema.index_of("population").unwrap();
+        let row = |key: Value, pop: Value| {
+            let mut row = vec![Value::Null; step.columns().len()];
+            row[step.key_index] = key;
+            row[population] = pop;
+            row
+        };
+        let table = materialise_step(
+            step,
+            vec![
+                row("Rome".into(), Value::Int(1)),
+                row(Value::Null, Value::Int(2)),
+                row("Oslo".into(), Value::Null),
+                row("Rome".into(), Value::Int(3)),
+                row("rome".into(), Value::Int(4)),
+            ],
+        );
+        let got: Vec<(String, Value)> = table
+            .rows()
+            .iter()
+            .map(|r| (r[step.key_index].render(), r[population].clone()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("Rome".to_string(), Value::Int(1)),
+                ("Oslo".to_string(), Value::Null),
+                ("rome".to_string(), Value::Int(4)),
+            ]
+        );
+        assert_eq!(table.name, step.temp_name);
+        assert!(Arc::ptr_eq(&table.schema, &step.temp_schema));
     }
 
     #[test]

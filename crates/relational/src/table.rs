@@ -4,27 +4,99 @@ use crate::error::{EngineError, Result};
 use crate::schema::{PlanColumn, PlanSchema, TableSchema};
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::Arc;
 
 /// A row of values; arity always matches the owning schema.
 pub type Row = Vec<Value>;
 
-/// An in-memory stored table with schema validation on insert.
+/// Marks a free slot of a [`KeyIndex`]; never a valid row position.
+const EMPTY: u32 = u32::MAX;
+
+/// Hash index from key value to row position: open addressing, linear
+/// probing. It stores positions only — the keys stay in the rows — so an
+/// indexed table costs 8–16 bytes a row and no second copy of any key
+/// string. Keys arrive from outside the program (a model's answers), so
+/// the hasher is the randomly keyed default.
+#[derive(Debug, Clone)]
+struct KeyIndex {
+    hasher: RandomState,
+    /// Row positions or [`EMPTY`]. The length is a power of two and more
+    /// than twice the row count, so a probe always ends.
+    slots: Vec<u32>,
+}
+
+impl KeyIndex {
+    fn new() -> Self {
+        KeyIndex {
+            hasher: RandomState::new(),
+            slots: vec![EMPTY; 8],
+        }
+    }
+
+    fn first_slot(&self, key: &Value) -> usize {
+        self.hasher.hash_one(key) as usize & (self.slots.len() - 1)
+    }
+
+    /// Probes for `key`: `Ok` with the position of the row that holds it,
+    /// else `Err` with the free slot it would take. A key column holds one
+    /// data type, within which [`Value`] equality agrees with its hash, so
+    /// a match is the one a linear search finds.
+    fn probe(
+        &self,
+        rows: &[Row],
+        key_col: usize,
+        key: &Value,
+    ) -> std::result::Result<usize, usize> {
+        let mut slot = self.first_slot(key);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                pos if rows[pos as usize][key_col] == *key => return Ok(pos as usize),
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    /// Doubles the slot array, re-placing every row, when one row more
+    /// than `rows` would leave it half full.
+    fn reserve_one(&mut self, rows: &[Row], key_col: usize) {
+        if (rows.len() + 1) * 2 < self.slots.len() {
+            return;
+        }
+        self.slots = vec![EMPTY; self.slots.len() * 2];
+        for (pos, row) in rows.iter().enumerate() {
+            let mut slot = self.first_slot(&row[key_col]);
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & (self.slots.len() - 1);
+            }
+            self.slots[slot] = pos as u32;
+        }
+    }
+}
+
+/// An in-memory stored table with schema validation on insert and a hash
+/// index on its key, so `insert` and `find_by_key` take constant time.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table name.
     pub name: String,
-    /// Schema, including the key attribute.
-    pub schema: TableSchema,
+    /// Schema, including the key attribute. Shared, so a table built from
+    /// a schema its maker keeps (a compiled step's temporary table) copies
+    /// no column.
+    pub schema: Arc<TableSchema>,
     rows: Vec<Row>,
+    index: KeyIndex,
 }
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(name: impl Into<String>, schema: TableSchema) -> Self {
+    pub fn new(name: impl Into<String>, schema: impl Into<Arc<TableSchema>>) -> Self {
         Table {
             name: name.into(),
-            schema,
+            schema: schema.into(),
             rows: Vec::new(),
+            index: KeyIndex::new(),
         }
     }
 
@@ -58,14 +130,28 @@ impl Table {
                 }
             }
         }
-        let key = &row[self.schema.key];
-        if self.rows.iter().any(|r| &r[self.schema.key] == key) {
+        let key_col = self.schema.key;
+        self.index.reserve_one(&self.rows, key_col);
+        let slot = match self.index.probe(&self.rows, key_col, &row[key_col]) {
+            Ok(_) => {
+                return Err(EngineError::BadRow(format!(
+                    "duplicate key {} in table '{}'",
+                    row[key_col].render(),
+                    self.name
+                )))
+            }
+            Err(slot) => slot,
+        };
+        let Some(pos) = u32::try_from(self.rows.len())
+            .ok()
+            .filter(|pos| *pos != EMPTY)
+        else {
             return Err(EngineError::BadRow(format!(
-                "duplicate key {} in table '{}'",
-                key.render(),
+                "table '{}' is full",
                 self.name
             )));
-        }
+        };
+        self.index.slots[slot] = pos;
         self.rows.push(row);
         Ok(())
     }
@@ -87,7 +173,10 @@ impl Table {
 
     /// Looks up a row by its key value.
     pub fn find_by_key(&self, key: &Value) -> Option<&Row> {
-        self.rows.iter().find(|r| &r[self.schema.key] == key)
+        self.index
+            .probe(&self.rows, self.schema.key, key)
+            .ok()
+            .map(|pos| &self.rows[pos])
     }
 
     /// The plan schema this table produces when scanned under `binding`.
@@ -103,9 +192,14 @@ impl Table {
 }
 
 /// A named collection of tables.
+///
+/// Tables sit behind shared ownership: cloning a catalog copies one
+/// pointer per table, not the rows, and [`Catalog::get_mut`] copies a
+/// table only when another catalog still shares it. A query's overlay —
+/// the stored tables plus its temporary ones — is such a clone.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, Arc<Table>>,
 }
 
 impl Catalog {
@@ -123,7 +217,7 @@ impl Catalog {
                 table.name
             )));
         }
-        self.tables.insert(key, table);
+        self.tables.insert(key, Arc::new(table));
         Ok(())
     }
 
@@ -131,13 +225,16 @@ impl Catalog {
     pub fn get(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(&name.to_ascii_lowercase())
+            .map(Arc::as_ref)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable case-insensitive lookup.
+    /// Mutable case-insensitive lookup (copy-on-write: a table shared
+    /// with a clone of this catalog is copied first).
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
+            .map(Arc::make_mut)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
