@@ -5,8 +5,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::prompts::PromptBuilder;
 use galois_dataset::Scenario;
 use galois_eval::model_for;
-use galois_llm::intent::TaskIntent;
-use galois_llm::{LlmClient, ModelProfile};
+use galois_llm::intent::{CmpOp, Condition, PromptValue, TaskIntent};
+use galois_llm::noise::seeded;
+use galois_llm::tokenizer::count_tokens;
+use galois_llm::{Completion, LanguageModel, LlmClient, ModelProfile, SubEntryLookup, Usage};
+use std::sync::Arc;
 
 fn bench_completion(c: &mut Criterion) {
     let s = Scenario::generate(42);
@@ -55,5 +58,144 @@ fn bench_client_cache(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_completion, bench_client_cache);
+/// Operations per iteration of every case below: the shim times each
+/// iteration with two clock reads, which would drown a 100 ns lookup, and
+/// with a thousand per iteration the printed µs read as ns per operation.
+const OPS: usize = 1000;
+
+/// A model that costs nothing, so the client cases time the client.
+struct NullModel;
+
+impl LanguageModel for NullModel {
+    fn name(&self) -> &str {
+        "null"
+    }
+    fn context_window(&self) -> usize {
+        4096
+    }
+    fn complete(&self, _prompt: &str) -> Completion {
+        Completion {
+            text: String::new(),
+            usage: Usage::default(),
+            latency_ms: 0,
+        }
+    }
+}
+
+/// `OPS` distinct fetch prompts of the paper-faithful shape: the 700-byte
+/// Figure 4 preamble and a question that differs in its key.
+fn fetch_prompts(builder: &PromptBuilder, keys: &[String]) -> Vec<String> {
+    let template = builder.fetch_template("city", "name", "population");
+    keys.iter().map(|key| template.render(key)).collect()
+}
+
+/// The host's share of a paper-faithful prompt, layer by layer: what the
+/// client pays to miss and to hit on a 768-byte prompt, a sub-entry hit,
+/// the simulator's answer to a fetch and to a filter question, and the
+/// two whole-prompt passes inside it (tokenizer, noise seed).
+fn bench_prompt_path(c: &mut Criterion) {
+    let s = Scenario::generate(42);
+    let builder = PromptBuilder::for_model("chatgpt");
+    // Twenty-byte keys make the prompt the 768 bytes `paper_cold` averages.
+    let synthetic: Vec<String> = (0..OPS).map(|i| format!("San Lorenzo {i:08}")).collect();
+    let prompts = fetch_prompts(&builder, &synthetic);
+    assert!(
+        prompts.iter().all(|p| p.len() == 768),
+        "{}",
+        prompts[0].len()
+    );
+
+    c.bench_function("client_miss/768B", |b| {
+        b.iter(|| {
+            let client = LlmClient::new(Arc::new(NullModel));
+            for prompt in &prompts {
+                black_box(client.complete(black_box(prompt)));
+            }
+            client
+        })
+    });
+    let client = LlmClient::new(Arc::new(NullModel));
+    c.bench_function("client_hit/768B", |b| {
+        b.iter(|| {
+            for prompt in &prompts {
+                black_box(client.complete(black_box(prompt)));
+            }
+        })
+    });
+    let signatures: Vec<String> = synthetic
+        .iter()
+        .map(|key| format!("fetch|city|name|population|{key}"))
+        .collect();
+    for signature in &signatures {
+        client.store_sub_entry(signature, "2800000");
+    }
+    c.bench_function("sub_entry_hit", |b| {
+        b.iter(|| {
+            for signature in &signatures {
+                let found = client.extract_sub_entry(black_box(signature));
+                debug_assert!(matches!(found, SubEntryLookup::Hit(_)));
+                black_box(found);
+            }
+        })
+    });
+
+    // The simulator answers about cities it knows.
+    let model = model_for(&s, ModelProfile::chatgpt());
+    let known: Vec<String> = s
+        .world
+        .cities
+        .iter()
+        .map(|city| city.name.clone())
+        .cycle()
+        .take(OPS)
+        .collect();
+    let fetches = fetch_prompts(&builder, &known);
+    c.bench_function("simllm_complete/fetch", |b| {
+        b.iter(|| {
+            for prompt in &fetches {
+                black_box(model.complete(black_box(prompt)));
+            }
+        })
+    });
+    let filter = builder.filter_template(
+        "city",
+        "name",
+        &Condition {
+            attribute: "population".into(),
+            op: CmpOp::Gt,
+            values: vec![PromptValue::Number(1_000_000.0)],
+        },
+    );
+    let filters: Vec<String> = known.iter().map(|key| filter.render(key)).collect();
+    c.bench_function("simllm_complete/filter", |b| {
+        b.iter(|| {
+            for prompt in &filters {
+                black_box(model.complete(black_box(prompt)));
+            }
+        })
+    });
+
+    let kilobyte = format!("{}{}", prompts[0], &prompts[1][..1024 - 768]);
+    c.bench_function("tokenizer/1KB", |b| {
+        b.iter(|| {
+            for _ in 0..OPS {
+                black_box(count_tokens(black_box(&kilobyte)));
+            }
+        })
+    });
+    c.bench_function("seeded/768B", |b| {
+        b.iter(|| {
+            for prompt in &prompts {
+                black_box(seeded(42, &["fetch", black_box(prompt)]));
+            }
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_completion,
+    bench_client_cache,
+    bench_prompt_path
+);
 criterion_main!(benches);

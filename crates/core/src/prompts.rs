@@ -7,7 +7,9 @@
 //! instruction, as the paper "construct\[s\] prompts appropriately for each
 //! model".
 
-use galois_llm::intent::{render_fetch_attr_parts, render_task, TaskIntent};
+use galois_llm::intent::{
+    render_check_filter_parts, render_fetch_attr_parts, render_task, Condition, TaskIntent,
+};
 
 /// The paper's Figure 4 preamble, verbatim.
 pub const FIGURE4_PREAMBLE: &str = "\
@@ -86,12 +88,7 @@ impl PromptBuilder {
     /// Appends a question to the precomputed prefix with one exact-size
     /// allocation.
     fn wrap(&self, question: &str) -> String {
-        let mut prompt =
-            String::with_capacity(self.question_prefix.len() + question.len() + "\nA:".len());
-        prompt.push_str(&self.question_prefix);
-        prompt.push_str(question);
-        prompt.push_str("\nA:");
-        prompt
+        splice(&self.question_prefix, question, "\nA:")
     }
 
     /// Full prompt for the chain-of-thought baseline (`T_C_M`).
@@ -116,6 +113,32 @@ impl PromptBuilder {
             suffix: format!("{q_suffix}\nA:"),
         }
     }
+
+    /// Precomputes the filter prompt of one `(relation, key attribute,
+    /// condition)`: the filter phase asks the same condition of every
+    /// surviving key, so the condition is rendered once and each key
+    /// costs two appends ([`FilterTemplate::render`]).
+    pub fn filter_template(
+        &self,
+        relation: &str,
+        key_attr: &str,
+        condition: &Condition,
+    ) -> FilterTemplate {
+        let (q_prefix, q_suffix) = render_check_filter_parts(relation, key_attr, condition);
+        FilterTemplate {
+            prefix: format!("{}{q_prefix}", self.question_prefix),
+            suffix: format!("{q_suffix}\nA:"),
+        }
+    }
+}
+
+/// `prefix + middle + suffix` in one exact-size allocation.
+fn splice(prefix: &str, middle: &str, suffix: &str) -> String {
+    let mut out = String::with_capacity(prefix.len() + middle.len() + suffix.len());
+    out.push_str(prefix);
+    out.push_str(middle);
+    out.push_str(suffix);
+    out
 }
 
 /// A pre-rendered single-attribute fetch prompt with a hole for the key
@@ -132,11 +155,25 @@ pub struct FetchTemplate {
 impl FetchTemplate {
     /// The full prompt for one key, in one exact-size allocation.
     pub fn render(&self, key: &str) -> String {
-        let mut prompt = String::with_capacity(self.prefix.len() + key.len() + self.suffix.len());
-        prompt.push_str(&self.prefix);
-        prompt.push_str(key);
-        prompt.push_str(&self.suffix);
-        prompt
+        splice(&self.prefix, key, &self.suffix)
+    }
+}
+
+/// A pre-rendered filter prompt with a hole for the key (see
+/// [`PromptBuilder::filter_template`]). Rendering through the template is
+/// byte-identical to [`PromptBuilder::task`] on the equivalent
+/// [`TaskIntent::CheckFilter`] — the parts come from the same
+/// [`render_check_filter_parts`] the render arm uses.
+#[derive(Debug, Clone)]
+pub struct FilterTemplate {
+    prefix: String,
+    suffix: String,
+}
+
+impl FilterTemplate {
+    /// The full prompt for one key, in one exact-size allocation.
+    pub fn render(&self, key: &str) -> String {
+        splice(&self.prefix, key, &self.suffix)
     }
 }
 
@@ -209,6 +246,53 @@ mod tests {
                 assert_eq!(template.render(key), direct, "{model} / {key}");
             }
         }
+    }
+
+    /// Every condition the two suites compile into a filter step, asked of
+    /// keys that stress the hole (quotes, commas, the protocol's own
+    /// markers, multi-byte characters, nothing at all).
+    #[test]
+    fn filter_template_matches_task_rendering_byte_for_byte() {
+        use crate::compile::{compile, CompileOptions};
+        use galois_dataset::{build_operator_suite, Scenario};
+
+        let s = Scenario::generate(42);
+        let statements = s
+            .suite
+            .iter()
+            .map(|q| q.to_sql())
+            .chain(build_operator_suite(&s.world).into_iter().map(|q| q.sql));
+        let mut conditions = 0;
+        for sql in statements {
+            let plan = s.database.plan(&sql).unwrap();
+            let compiled = compile(&plan, s.database.catalog(), &CompileOptions::default());
+            for step in compiled.unwrap().steps {
+                for condition in &step.filter_conditions {
+                    conditions += 1;
+                    for model in ["chatgpt", "flan"] {
+                        let b = PromptBuilder::for_model(model);
+                        let template = b.filter_template(&step.table, &step.key_attr, condition);
+                        for key in [
+                            "Rome",
+                            "Val d'Oro: east",
+                            "A, B",
+                            "', is its x",
+                            "Zürich 東京",
+                            "",
+                        ] {
+                            let direct = b.task(&TaskIntent::CheckFilter {
+                                relation: step.table.clone(),
+                                key_attr: step.key_attr.clone(),
+                                key: key.into(),
+                                condition: condition.clone(),
+                            });
+                            assert_eq!(template.render(key), direct, "{sql} / {model} / {key}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(conditions >= 20, "the suites filter: {conditions}");
     }
 
     #[test]

@@ -1288,23 +1288,25 @@ impl Galois {
         let batch = self.options.batch_size.max(1);
         let mut keys = keys;
         for condition in &step.filter_conditions {
-            let prompts: Vec<String> = keys
-                .iter()
-                .map(|key| {
-                    self.prompt_builder.task(&TaskIntent::CheckFilter {
-                        relation: step.table.clone(),
-                        key_attr: step.key_attr.clone(),
-                        key: key.clone(),
-                        condition: condition.clone(),
-                    })
+            // The question is constant except for the key: render it once
+            // and splice each key in. Each unit renders its own chunk, so
+            // a wave holds one chunk of prompts per lane, not the phase's.
+            let template =
+                &self
+                    .prompt_builder
+                    .filter_template(&step.table, &step.key_attr, condition);
+            let units: Vec<_> = keys
+                .chunks(batch)
+                .map(|chunk| {
+                    move || {
+                        let prompts: Vec<String> =
+                            chunk.iter().map(|key| template.render(key)).collect();
+                        self.client.complete_batch_outcome(&prompts)
+                    }
                 })
                 .collect();
-            let units: Vec<_> = prompts
-                .chunks(batch)
-                .map(|chunk| move || self.client.complete_batch_outcome(chunk))
-                .collect();
             let outcomes = scheduler.run_wave(units);
-            acc.filter_prompts += prompts.len();
+            acc.filter_prompts += keys.len();
             acc.charge_wave(
                 Phase::Filter,
                 lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes),
@@ -1372,26 +1374,29 @@ impl Galois {
         // The per-cell prompt is constant except for the key: render the
         // template once per column and splice each key in, instead of
         // re-formatting the whole question per (key, column) — the same
-        // hoist shape as the batched protocol's `cell_sig_prefix`.
-        let col_prompts: Vec<(usize, Vec<String>)> = step
+        // hoist shape as the batched protocol's `cell_sig_prefix`. Each
+        // unit renders its own chunk, so a wave holds one chunk of prompts
+        // per lane, not the phase's.
+        let templates: Vec<_> = step
             .fetch
             .iter()
             .map(|&col_idx| {
                 let column = &step.columns()[col_idx];
-                let template =
-                    self.prompt_builder
-                        .fetch_template(&step.table, &step.key_attr, &column.name);
-                let prompts = keys.iter().map(|key| template.render(key)).collect();
-                (col_idx, prompts)
+                self.prompt_builder
+                    .fetch_template(&step.table, &step.key_attr, &column.name)
             })
             .collect();
 
         let mut unit_columns: Vec<usize> = Vec::new(); // unit → column ordinal
         let mut units = Vec::new();
-        for (ord, (_, prompts)) in col_prompts.iter().enumerate() {
-            for chunk in prompts.chunks(batch) {
+        for (ord, template) in templates.iter().enumerate() {
+            for chunk in keys.chunks(batch) {
                 unit_columns.push(ord);
-                units.push(move || self.client.complete_batch_outcome(chunk));
+                units.push(move || {
+                    let prompts: Vec<String> =
+                        chunk.iter().map(|key| template.render(key)).collect();
+                    self.client.complete_batch_outcome(&prompts)
+                });
             }
         }
         let outcomes = scheduler.run_wave(units);
@@ -1400,14 +1405,14 @@ impl Galois {
             lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes),
         );
 
-        let mut answers: Vec<Vec<_>> = vec![Vec::new(); col_prompts.len()];
+        let mut answers: Vec<Vec<_>> = vec![Vec::new(); templates.len()];
         for (&ord, outcome) in unit_columns.iter().zip(outcomes) {
             acc.absorb(&outcome);
             acc.fetch_prompts += outcome.completions.len();
             answers[ord].extend(outcome.completions);
         }
 
-        for ((col_idx, _), col_answers) in col_prompts.iter().zip(answers) {
+        for (col_idx, col_answers) in step.fetch.iter().zip(answers) {
             let column = &step.columns()[*col_idx];
             for (row, completion) in rows.iter_mut().zip(col_answers) {
                 let value = if is_fault_text(&completion.text) {

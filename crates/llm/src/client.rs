@@ -29,10 +29,9 @@ use crate::lanes::{lane_schedule, Parallelism};
 use crate::model::{Completion, FaultKind, LanguageModel, Usage};
 use crate::resilience::{CircuitBreaker, RetryPolicy};
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::collections::hash_map::{Entry as MapEntry, HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Usage counters accumulated by a client.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -203,8 +202,8 @@ impl InFlight {
 /// woken with `Abandoned` instead of blocking forever (the panic itself
 /// still propagates when the scheduler scope joins).
 struct FulfillGuard<'a> {
-    shard: &'a Mutex<HashMap<String, Slot>>,
-    prompt: &'a str,
+    shard: &'a Mutex<Table<Slot>>,
+    probe: &'a Probe<'a>,
     pending: &'a Arc<InFlight>,
     armed: bool,
 }
@@ -214,13 +213,13 @@ impl Drop for FulfillGuard<'_> {
         if !self.armed {
             return;
         }
-        let mut map = self.shard.lock();
-        if let Some(Slot::InFlight(current)) = map.get(self.prompt) {
+        let mut table = self.shard.lock();
+        if let Some(Slot::InFlight(current)) = table.get_mut(self.probe) {
             if Arc::ptr_eq(current, self.pending) {
-                map.remove(self.prompt);
+                table.remove(self.probe);
             }
         }
-        drop(map);
+        drop(table);
         self.pending.resolve(InFlightState::Abandoned);
     }
 }
@@ -264,30 +263,210 @@ pub enum SubEntryLookup {
 /// lookups of different keys do not serialise on one lock. Backs both the
 /// prompt cache (`Striped<Slot>`) and the per-key sub-entry store
 /// (`Striped<SubEntry>`).
+///
+/// A lookup reads its key's bytes twice and no more. [`Striped::probe`]
+/// hashes the text once, with a SipHash keyed at random per map — keys
+/// hold model output, which is input from outside the program, so the
+/// hash must stay one an adversary cannot aim. That one `u64` picks the
+/// shard, indexes the shard's table through a pass-through [`Hasher`] and
+/// is the table's stored key, so a growing table never reads key text.
+/// The second read is the comparison: a hash only *locates* candidates,
+/// and an entry answers for a text only if its full text is equal.
+///
+/// Stored text is front-coded against the first key the map ever saw, the
+/// way B-tree pages and string dictionaries compress a sorted run: an
+/// entry keeps how many leading bytes it shares with that reference and
+/// its own tail. Operator prompts share a few-shot preamble of several
+/// hundred bytes and sub-entry signatures share a `relation|key|attr|`
+/// prefix; neither is stored more than once.
 struct Striped<V> {
-    shards: Vec<Mutex<HashMap<String, V>>>,
+    shards: Vec<Mutex<Table<V>>>,
+    keys: RandomState,
+    /// The first key seen; every entry's `shared` counts bytes of it.
+    /// Never replaced (entries would decode differently), so it outlives
+    /// [`Striped::clear`].
+    reference: OnceLock<Box<str>>,
+    /// Test-only: hash every key to the same value, so that every lookup
+    /// exercises the collision chain of one shard.
+    #[cfg(test)]
+    colliding: bool,
+}
+
+/// One lookup's view of its key: the text, its hash, and how many leading
+/// bytes it has in common with the map's reference.
+struct Probe<'a> {
+    text: &'a str,
+    hash: u64,
+    common: usize,
+}
+
+/// One stored key, `reference[..shared] + tail`, and its value. `next`
+/// chains the other keys with the same 64-bit hash, of which there are in
+/// practice none.
+struct Entry<V> {
+    shared: u32,
+    tail: Box<str>,
+    value: V,
+    next: Option<Box<Entry<V>>>,
+}
+
+impl<V> Entry<V> {
+    fn holds(&self, probe: &Probe) -> bool {
+        // `shared <= common` says the text starts with the same
+        // `reference[..shared]` this entry does.
+        let shared = self.shared as usize;
+        shared <= probe.common && probe.text.as_bytes()[shared..] == *self.tail.as_bytes()
+    }
+}
+
+/// Feeds a precomputed `u64` hash through to the table unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard tables are keyed by u64 hashes");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One shard: key hash → the entries with that hash.
+struct Table<V>(HashMap<u64, Entry<V>, BuildHasherDefault<PassThrough>>);
+
+impl<V> Table<V> {
+    fn get_mut(&mut self, probe: &Probe) -> Option<&mut V> {
+        let mut entry = self.0.get_mut(&probe.hash)?;
+        loop {
+            if entry.holds(probe) {
+                return Some(&mut entry.value);
+            }
+            entry = entry.next.as_deref_mut()?;
+        }
+    }
+
+    /// Stores a key that [`Table::get_mut`] has just reported absent.
+    fn insert(&mut self, probe: &Probe, value: V) {
+        // Back off to a character boundary so the tail is a `str`; `u32`
+        // bounds what one entry can share, never what it can hold.
+        let mut shared = probe.common.min(u32::MAX as usize);
+        while !probe.text.is_char_boundary(shared) {
+            shared -= 1;
+        }
+        let mut entry = Entry {
+            shared: shared as u32,
+            tail: probe.text[shared..].into(),
+            value,
+            next: None,
+        };
+        match self.0.entry(probe.hash) {
+            MapEntry::Vacant(slot) => {
+                slot.insert(entry);
+            }
+            MapEntry::Occupied(slot) => {
+                let head = slot.into_mut();
+                entry.next = head.next.take();
+                head.next = Some(Box::new(entry));
+            }
+        }
+    }
+
+    fn remove(&mut self, probe: &Probe) {
+        let MapEntry::Occupied(mut slot) = self.0.entry(probe.hash) else {
+            return;
+        };
+        if slot.get().holds(probe) {
+            match slot.get_mut().next.take() {
+                Some(next) => *slot.get_mut() = *next,
+                None => {
+                    slot.remove();
+                }
+            }
+            return;
+        }
+        Self::unlink(&mut slot.get_mut().next, probe);
+    }
+
+    /// Removes the probe's entry from the chain behind a table slot.
+    fn unlink(link: &mut Option<Box<Entry<V>>>, probe: &Probe) {
+        match link {
+            Some(entry) if entry.holds(probe) => *link = entry.next.take(),
+            Some(entry) => Self::unlink(&mut entry.next, probe),
+            None => {}
+        }
+    }
 }
 
 impl<V> Striped<V> {
     fn new() -> Self {
         Striped {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Table(HashMap::default())))
                 .collect(),
+            keys: RandomState::new(),
+            reference: OnceLock::new(),
+            #[cfg(test)]
+            colliding: false,
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % CACHE_SHARDS]
+    /// A map that hashes every key to the same value.
+    #[cfg(test)]
+    fn colliding() -> Self {
+        Striped {
+            colliding: true,
+            ..Striped::new()
+        }
+    }
+
+    /// Reads `text` for its hash and for its common prefix with the
+    /// reference, which the first text probed becomes.
+    fn probe<'a>(&self, text: &'a str) -> Probe<'a> {
+        let hash = self.keys.hash_one(text);
+        #[cfg(test)]
+        let hash = if self.colliding { 0 } else { hash };
+        let reference = self.reference.get_or_init(|| text.into());
+        Probe {
+            text,
+            hash,
+            common: common_prefix(text.as_bytes(), reference.as_bytes()),
+        }
+    }
+
+    /// The shard a probe lives in. The table indexes itself by the hash's
+    /// low bits and tags entries by its top seven; the shard comes from
+    /// bits neither uses.
+    fn shard(&self, probe: &Probe) -> &Mutex<Table<V>> {
+        &self.shards[(probe.hash >> 32) as usize % CACHE_SHARDS]
     }
 
     fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            shard.lock().0.clear();
         }
     }
+}
+
+/// Length of the longest common prefix of two byte strings.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const WORD: usize = 8;
+    let words = a
+        .chunks_exact(WORD)
+        .zip(b.chunks_exact(WORD))
+        .take_while(|(x, y)| x == y)
+        .count();
+    let rest = a[words * WORD..]
+        .iter()
+        .zip(&b[words * WORD..])
+        .take_while(|(x, y)| x == y)
+        .count();
+    words * WORD + rest
 }
 
 /// A caching, stats-keeping, thread-safe client over any [`LanguageModel`].
@@ -425,13 +604,16 @@ impl LlmClient {
     /// One cache round-trip for one prompt; returns `(completion, hit,
     /// resilience counters)`.
     ///
-    /// Hits take a single shard-lock acquisition. Misses insert an
-    /// [`InFlight`] marker, release the lock, call the model (through the
-    /// retry loop when resilience is on), then swap the marker for the
-    /// landed completion — concurrent requests for the same prompt wait on
-    /// the marker and count as hits. The marker also serialises the retry
-    /// loop per prompt: a prompt's attempt sequence is walked by exactly
-    /// one thread, so fault schedules stay deterministic under lanes.
+    /// The prompt is hashed once ([`Striped::probe`]), however many times
+    /// the table is consulted. Hits take a single shard-lock acquisition.
+    /// Misses insert an [`InFlight`] marker, release the lock, call the
+    /// model (through the retry loop when resilience is on), then swap the
+    /// marker for the landed completion — concurrent requests for the same
+    /// prompt wait on the marker and count as hits; with none waiting, the
+    /// completion is cloned once, for the cache. The marker also
+    /// serialises the retry loop per prompt: a prompt's attempt sequence
+    /// is walked by exactly one thread, so fault schedules stay
+    /// deterministic under lanes.
     fn lookup_or_complete(&self, prompt: &str) -> (Completion, bool, FaultCounters) {
         if !self.cache_enabled {
             let (completion, counters) = self.call_model(prompt);
@@ -442,16 +624,17 @@ impl LlmClient {
             Wait(Arc<InFlight>),
             Mine(Arc<InFlight>),
         }
-        let shard = self.cache.shard(prompt);
+        let probe = self.cache.probe(prompt);
+        let shard = self.cache.shard(&probe);
         loop {
             let found = {
-                let mut map = shard.lock();
-                match map.get(prompt) {
+                let mut table = shard.lock();
+                match table.get_mut(&probe) {
                     Some(Slot::Ready(c)) => Found::Ready(c.clone()),
                     Some(Slot::InFlight(pending)) => Found::Wait(Arc::clone(pending)),
                     None => {
                         let pending = Arc::new(InFlight::default());
-                        map.insert(prompt.to_string(), Slot::InFlight(Arc::clone(&pending)));
+                        table.insert(&probe, Slot::InFlight(Arc::clone(&pending)));
                         Found::Mine(pending)
                     }
                 }
@@ -467,24 +650,28 @@ impl LlmClient {
                 Found::Mine(pending) => {
                     let mut guard = FulfillGuard {
                         shard,
-                        prompt,
+                        probe: &probe,
                         pending: &pending,
                         armed: true,
                     };
                     let (completion, counters) = self.call_model(prompt);
                     guard.armed = false;
+                    let stored = Slot::Ready(completion.clone());
                     {
-                        let mut map = shard.lock();
-                        match map.get_mut(prompt) {
+                        let mut table = shard.lock();
+                        match table.get_mut(&probe) {
                             // Normal path: replace our own marker in place.
-                            Some(slot) => *slot = Slot::Ready(completion.clone()),
+                            Some(slot) => *slot = stored,
                             // The cache was cleared mid-flight; re-insert.
-                            None => {
-                                map.insert(prompt.to_string(), Slot::Ready(completion.clone()));
-                            }
+                            None => table.insert(&probe, stored),
                         }
                     }
-                    pending.resolve(InFlightState::Ready(completion.clone()));
+                    // Waiters clone the marker under the shard lock, and
+                    // the table no longer holds it: if ours is the only
+                    // reference left, nobody waits and nobody will.
+                    if Arc::strong_count(&pending) > 1 {
+                        pending.resolve(InFlightState::Ready(completion.clone()));
+                    }
                     return (completion, false, counters);
                 }
             }
@@ -626,13 +813,14 @@ impl LlmClient {
         if !self.cache_enabled {
             return SubEntryLookup::Miss;
         }
+        let probe = self.sub_entries.probe(sig);
         let found = {
-            let mut map = self.sub_entries.shard(sig).lock();
-            match map.get(sig) {
+            let mut table = self.sub_entries.shard(&probe).lock();
+            match table.get_mut(&probe) {
                 Some(SubEntry::Ready(answer)) => SubEntryLookup::Hit(answer.clone()),
                 Some(SubEntry::Asked) => SubEntryLookup::InFlight,
                 None => {
-                    map.insert(sig.to_string(), SubEntry::Asked);
+                    table.insert(&probe, SubEntry::Asked);
                     SubEntryLookup::Miss
                 }
             }
@@ -656,13 +844,12 @@ impl LlmClient {
         if !self.cache_enabled || crate::faults::is_fault_text(answer) {
             return;
         }
-        let mut map = self.sub_entries.shard(sig).lock();
-        match map.get_mut(sig) {
+        let probe = self.sub_entries.probe(sig);
+        let mut table = self.sub_entries.shard(&probe).lock();
+        match table.get_mut(&probe) {
             Some(SubEntry::Ready(_)) => {}
             Some(slot @ SubEntry::Asked) => *slot = SubEntry::Ready(answer.to_string()),
-            None => {
-                map.insert(sig.to_string(), SubEntry::Ready(answer.to_string()));
-            }
+            None => table.insert(&probe, SubEntry::Ready(answer.to_string())),
         }
     }
 
@@ -1264,6 +1451,231 @@ mod tests {
             c.extract_sub_entry("sig"),
             SubEntryLookup::Hit("real answer".to_string())
         );
+    }
+
+    /// A model that answers with its prompt, so a completion served for
+    /// the wrong key shows.
+    struct Echo;
+
+    impl LanguageModel for Echo {
+        fn name(&self) -> &str {
+            "echo"
+        }
+        fn context_window(&self) -> usize {
+            4096
+        }
+        fn complete(&self, prompt: &str) -> Completion {
+            Completion {
+                text: format!("echo:{prompt}"),
+                usage: Usage::default(),
+                latency_ms: 1,
+            }
+        }
+    }
+
+    /// A client whose two maps hash every key to the same value: every
+    /// key lands in one shard, on one collision chain.
+    fn colliding_client(model: Arc<dyn LanguageModel>) -> LlmClient {
+        LlmClient {
+            cache: Striped::colliding(),
+            sub_entries: Striped::colliding(),
+            ..LlmClient::new(model)
+        }
+    }
+
+    #[test]
+    fn colliding_prompts_are_stored_and_served_apart() {
+        let c = colliding_client(Arc::new(Echo));
+        let prompts = ["preamble Q: a", "preamble Q: b", "other", ""];
+        for prompt in prompts {
+            assert_eq!(c.complete(prompt).text, format!("echo:{prompt}"));
+        }
+        assert_eq!(c.stats().prompts, 4, "a shared hash is not a hit");
+        for prompt in prompts {
+            assert_eq!(c.complete(prompt).text, format!("echo:{prompt}"));
+        }
+        assert_eq!(c.stats().prompts, 4);
+        assert_eq!(c.stats().cache_hits, 4);
+    }
+
+    #[test]
+    fn abandoned_marker_removes_only_itself_from_a_collision_chain() {
+        /// Panics on prompts starting with `boom`, echoes the rest.
+        struct Selective;
+        impl LanguageModel for Selective {
+            fn name(&self) -> &str {
+                "selective"
+            }
+            fn context_window(&self) -> usize {
+                4096
+            }
+            fn complete(&self, prompt: &str) -> Completion {
+                assert!(!prompt.starts_with("boom"), "model exploded");
+                Echo.complete(prompt)
+            }
+        }
+        // Abandon the chain's only entry, its tail, and an entry in its
+        // middle: `insert` puts a new key right behind the head.
+        for doomed in 0..3 {
+            let c = Arc::new(colliding_client(Arc::new(Selective)));
+            let keep = ["keep 0", "keep 1"];
+            let mut order = vec![keep[0], keep[1]];
+            order.insert(doomed, "boom");
+            for prompt in order {
+                let worker = Arc::clone(&c);
+                let joined = std::thread::spawn(move || worker.complete(prompt)).join();
+                assert_eq!(joined.is_err(), prompt == "boom");
+            }
+            assert_eq!(c.stats().prompts, 2);
+            for prompt in keep {
+                assert_eq!(c.complete(prompt).text, format!("echo:{prompt}"));
+            }
+            assert_eq!(c.stats().cache_hits, 2, "the neighbours survived");
+            // The abandoned prompt left no marker to park behind.
+            let probe = c.cache.probe("boom");
+            assert!(c.cache.shard(&probe).lock().get_mut(&probe).is_none());
+        }
+    }
+
+    #[test]
+    fn removal_unlinks_one_entry_wherever_it_sits_in_the_chain() {
+        let map: Striped<usize> = Striped::colliding();
+        let keys = ["head", "tail", "middle"]; // chained head → middle → tail
+        for victim in keys {
+            let mut table = Table(HashMap::default());
+            for (i, key) in keys.iter().enumerate() {
+                table.insert(&map.probe(key), i);
+            }
+            table.remove(&map.probe(victim));
+            table.remove(&map.probe("never stored"));
+            for (i, key) in keys.iter().enumerate() {
+                let found = table.get_mut(&map.probe(key)).copied();
+                assert_eq!(found, (*key != victim).then_some(i), "{victim} / {key}");
+            }
+        }
+        // Removing the last entry of a hash removes the hash.
+        let mut table = Table(HashMap::default());
+        table.insert(&map.probe("only"), 0);
+        table.remove(&map.probe("only"));
+        assert!(table.0.is_empty());
+    }
+
+    #[test]
+    fn sub_entry_transitions_ignore_a_colliding_neighbour() {
+        let c = colliding_client(Arc::new(Echo));
+        assert_eq!(
+            c.extract_sub_entry("city|name|pop|Rome"),
+            SubEntryLookup::Miss
+        );
+        assert_eq!(
+            c.extract_sub_entry("city|name|pop|Oslo"),
+            SubEntryLookup::Miss
+        );
+        c.store_sub_entry("city|name|pop|Oslo", "700000");
+        // Rome is still only asked; Oslo's answer is Oslo's alone.
+        assert_eq!(
+            c.extract_sub_entry("city|name|pop|Rome"),
+            SubEntryLookup::InFlight
+        );
+        c.store_sub_entry("city|name|pop|Rome", "2800000");
+        c.store_sub_entry("city|name|pop|Rome", "first stored write wins");
+        for (sig, answer) in [
+            ("city|name|pop|Rome", "2800000"),
+            ("city|name|pop|Oslo", "700000"),
+        ] {
+            assert_eq!(
+                c.extract_sub_entry(sig),
+                SubEntryLookup::Hit(answer.to_string())
+            );
+        }
+    }
+
+    /// Keys chosen against the reference (the first key): front coding
+    /// must store and find each one as its full text, whether the hash
+    /// tells them apart or not.
+    #[test]
+    fn front_coded_keys_round_trip_at_every_edge() {
+        let cases: [(&str, &[&str]); 3] = [
+            // An empty reference shares nothing with anyone.
+            ("", &["a", "ab", "é"]),
+            (
+                "préambule Q: Rome",
+                &[
+                    // Strict prefixes of the reference, one ending where a
+                    // character of the reference starts, and an extension.
+                    "préambule Q: Rom",
+                    "pr",
+                    "p",
+                    "",
+                    "préambule Q: Rome!",
+                    // Diverges inside the two-byte `é` (C3 A9 / C3 A8):
+                    // the shared length backs off to before it.
+                    "prèambule Q: Rome",
+                    // One tail, two shared lengths.
+                    "préambule Q: Oslo",
+                    "préambule Oslo",
+                    "Oslo",
+                ],
+            ),
+            ("東京", &["東", "東亰", "京"]),
+        ];
+        for colliding in [false, true] {
+            for (reference, others) in cases {
+                let c = if colliding {
+                    colliding_client(Arc::new(Echo))
+                } else {
+                    LlmClient::new(Arc::new(Echo))
+                };
+                let keys: Vec<&str> = std::iter::once(reference)
+                    .chain(others.iter().copied())
+                    .collect();
+                for round in 0..2 {
+                    for key in &keys {
+                        assert_eq!(c.complete(key).text, format!("echo:{key}"));
+                    }
+                    assert_eq!(c.stats().prompts, keys.len(), "{reference:?}");
+                    assert_eq!(c.stats().cache_hits, round * keys.len(), "{reference:?}");
+                }
+                // Clearing keeps the reference; the keys come back.
+                c.clear_cache();
+                for key in keys.iter().rev() {
+                    assert_eq!(c.complete(key).text, format!("echo:{key}"));
+                }
+                assert_eq!(c.stats().prompts, 2 * keys.len(), "{reference:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn entries_store_only_what_the_reference_lacks() {
+        let c = LlmClient::new(Arc::new(Echo));
+        let preamble = "x".repeat(700);
+        c.complete(&format!("{preamble}Q: Rome"));
+        c.complete(&format!("{preamble}Q: Oslo é"));
+        let oslo = format!("{preamble}Q: Oslo é");
+        let probe = c.cache.probe(&oslo);
+        assert_eq!(probe.common, 703);
+        let table = c.cache.shard(&probe).lock();
+        let entry = &table.0[&probe.hash];
+        assert_eq!((entry.shared, &*entry.tail), (703, "Oslo é"));
+    }
+
+    #[test]
+    fn common_prefix_counts_bytes() {
+        let long = "0123456789abcdefXYZ";
+        for (a, b, n) in [
+            ("", "", 0),
+            ("", "a", 0),
+            ("abc", "abd", 2),
+            ("abc", "abc", 3),
+            (long, "0123456789abcdefXYz", 18),
+            (long, "0123456789abcdef", 16),
+            (long, "0123456_", 7),
+            ("é", "è", 1),
+        ] {
+            assert_eq!(common_prefix(a.as_bytes(), b.as_bytes()), n, "{a} {b}");
+            assert_eq!(common_prefix(b.as_bytes(), a.as_bytes()), n, "{b} {a}");
+        }
     }
 
     #[test]

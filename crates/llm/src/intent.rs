@@ -377,12 +377,10 @@ pub fn render_task(intent: &TaskIntent) -> String {
             key_attr,
             key,
             condition,
-        } => format!(
-            "For the {relation} identified by {key_attr} '{key}', is its {} {}? \
-             Answer \"Yes\" or \"No\".",
-            condition.attribute,
-            condition.render_phrase(),
-        ),
+        } => {
+            let (prefix, suffix) = render_check_filter_parts(relation, key_attr, condition);
+            format!("{prefix}{key}{suffix}")
+        }
         TaskIntent::FetchAttrBatch {
             relation,
             key_attr,
@@ -433,6 +431,26 @@ pub fn render_fetch_attr_parts(
     (
         format!("For the {relation} identified by {key_attr} '"),
         format!("', what is its {attribute}? Answer with the value only, or \"Unknown\"."),
+    )
+}
+
+/// The [`TaskIntent::CheckFilter`] question split around the key, the
+/// filter phase's counterpart of [`render_fetch_attr_parts`]: one
+/// condition is asked of every surviving key, and `prefix + key + suffix`
+/// is byte-identical to [`render_task`] on the equivalent intent (the
+/// render arm goes through this function).
+pub fn render_check_filter_parts(
+    relation: &str,
+    key_attr: &str,
+    condition: &Condition,
+) -> (String, String) {
+    (
+        format!("For the {relation} identified by {key_attr} '"),
+        format!(
+            "', is its {} {}? Answer \"Yes\" or \"No\".",
+            condition.attribute,
+            condition.render_phrase(),
+        ),
     )
 }
 

@@ -18,31 +18,47 @@ use crate::knowledge::FactValue;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step.
+fn fnv_byte(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds parts into the hash, each followed by a `0xff` separator byte so
+/// ("ab","c") != ("a","bc").
+fn fnv_parts<'a>(h: u64, parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    parts.into_iter().fold(h, |h, part| {
+        fnv_byte(part.iter().fold(h, |h, b| fnv_byte(h, *b)), 0xff)
+    })
+}
+
 /// Stable FNV-1a hash used to derive per-(model, entity, attribute) seeds.
 /// Written out explicitly so determinism survives toolchain upgrades.
 pub fn fnv1a64(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator byte so ("ab","c") != ("a","bc").
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv_parts(FNV_OFFSET, parts.iter().map(|part| part.as_bytes()))
 }
 
-/// Mixes a numeric seed into a part list. The FNV output is passed through
-/// a splitmix64 finalizer: FNV alone has poor avalanche on structured keys
-/// ("City1", "City2", …), which visibly biases Bernoulli draws.
+/// Mixes a numeric seed into a part list: [`fnv1a64`] of the seed's
+/// little-endian bytes as sixteen lower-case hex digits, then the parts.
+/// The digits go straight into the fold, with no string built — this runs
+/// once per noise draw, over whole prompts. The FNV output is passed
+/// through a splitmix64 finalizer: FNV alone has poor avalanche on
+/// structured keys ("City1", "City2", …), which visibly biases Bernoulli
+/// draws.
 pub fn seeded(seed: u64, parts: &[&str]) -> u64 {
-    let s = seed.to_le_bytes();
-    let hex: String = s.iter().map(|b| format!("{b:02x}")).collect();
-    let mut all: Vec<&str> = vec![&hex];
-    all.extend_from_slice(parts);
-    splitmix64(fnv1a64(&all))
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut hex = [0u8; 16];
+    for (pair, b) in hex.chunks_exact_mut(2).zip(seed.to_le_bytes()) {
+        pair[0] = HEX[usize::from(b >> 4)];
+        pair[1] = HEX[usize::from(b & 0xf)];
+    }
+    let parts = parts.iter().map(|part| part.as_bytes());
+    splitmix64(fnv_parts(
+        FNV_OFFSET,
+        std::iter::once(&hex[..]).chain(parts),
+    ))
 }
 
 /// splitmix64 finalizer (public domain, Vigna).
@@ -283,6 +299,7 @@ pub fn render_fact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -290,6 +307,50 @@ mod tests {
         assert_eq!(fnv1a64(&["abc"]), fnv1a64(&["abc"]));
         assert_ne!(fnv1a64(&["ab", "c"]), fnv1a64(&["a", "bc"]));
         assert_ne!(seeded(1, &["x"]), seeded(2, &["x"]));
+    }
+
+    /// `seeded` as first written: the seed's hex string prepended to the
+    /// part list, hashed by [`fnv1a64`].
+    fn seeded_via_hex_string(seed: u64, parts: &[&str]) -> u64 {
+        let hex: String = seed
+            .to_le_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let mut all: Vec<&str> = vec![&hex];
+        all.extend_from_slice(parts);
+        splitmix64(fnv1a64(&all))
+    }
+
+    proptest! {
+        #[test]
+        fn seeded_equals_the_hex_string_formula(
+            seed in any::<u64>(),
+            parts in proptest::collection::vec("[a-zA-Z0-9 :'?üж東😀\n]{0,12}", 0..6),
+        ) {
+            let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
+            prop_assert_eq!(seeded(seed, &parts), seeded_via_hex_string(seed, &parts));
+        }
+    }
+
+    /// Every stable belief of every simulated model hangs off these
+    /// values; pinned so neither a toolchain nor a refactor moves them
+    /// silently.
+    #[test]
+    fn seeded_values_are_pinned() {
+        let pins: [(u64, &[&str], u64); 3] = [
+            (0, &[], 0x94a9_b5b3_5253_4897),
+            (42, &["recall", "city", "Rome"], 0x2ff8_edc7_743d_2e66),
+            (
+                0xfedc_ba98_7654_3210,
+                &["fetch", "", "Zürich 東京 😀"],
+                0x4f58_22fc_6681_841a,
+            ),
+        ];
+        for (seed, parts, pinned) in pins {
+            assert_eq!(seeded(seed, parts), pinned, "{seed} {parts:?}");
+            assert_eq!(seeded_via_hex_string(seed, parts), pinned);
+        }
     }
 
     #[test]

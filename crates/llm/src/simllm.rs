@@ -706,10 +706,10 @@ impl LanguageModel for SimLlm {
     }
 
     fn complete(&self, prompt: &str) -> Completion {
-        let truncated = truncate_tokens(prompt, self.profile.context_window);
-        let text = self.answer(truncated);
+        let (kept, prompt_tokens) = truncate_tokens(prompt, self.profile.context_window);
+        let text = self.answer(kept);
         let usage = Usage {
-            prompt_tokens: count_tokens(truncated),
+            prompt_tokens,
             completion_tokens: count_tokens(&text),
         };
         let latency_ms = self.profile.latency_ms
