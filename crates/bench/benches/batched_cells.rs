@@ -8,7 +8,10 @@
 //! table/attribute preamble re-formatted per key). The end-to-end bench
 //! drives the real session: a repeated batched query's filter/fetch
 //! phases are served entirely from sub-entries, so the run is dominated
-//! by per-key signature building and cache extraction.
+//! by per-key signature building and cache extraction. `warm_statement/x10`
+//! is the serving configuration's version of the same: the whole suite on
+//! a warmed grid-stack session, where no prompt is sent and every key and
+//! cell is served from the stores.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::{Galois, GaloisOptions, PromptBatch};
@@ -72,9 +75,35 @@ fn bench_batched_cell_extraction(c: &mut Criterion) {
     });
 }
 
+/// One pass of the 46-statement suite over the x10 world on a warmed
+/// serving session (streaming, cost planner, grid batching, key-universe
+/// store): stored universes in, sub-entry hits, cell cleaning, temporary
+/// tables, relational execution — the host's whole cost when the model
+/// costs nothing. Time ÷ 46 is one warm statement.
+fn bench_warm_statement(c: &mut Criterion) {
+    let scenario = Scenario::generate_scaled(42, 10);
+    let session = galois_bench::fresh_session(
+        &scenario,
+        &ModelProfile::oracle(),
+        galois_bench::grid_stack_options(8, 10, 6),
+    );
+    let suite: Vec<String> = scenario.suite.iter().map(|q| q.to_sql()).collect();
+    let pass = || {
+        for sql in &suite {
+            black_box(session.execute(black_box(sql)).expect("suite statement"));
+        }
+    };
+    // Two passes: the first lists and fetches, the second also settles the
+    // pad columns and plans the first left to later statements.
+    pass();
+    pass();
+    c.bench_function("warm_statement/x10", |b| b.iter(pass));
+}
+
 criterion_group!(
     benches,
     bench_signature_building,
-    bench_batched_cell_extraction
+    bench_batched_cell_extraction,
+    bench_warm_statement
 );
 criterion_main!(benches);

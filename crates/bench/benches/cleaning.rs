@@ -2,7 +2,7 @@
 //! stage — the hot path of workflow step (3).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use galois_core::clean::{clean_to_type, parse_number, CleaningPolicy};
+use galois_core::clean::{cell_value, clean_to_type, parse_number, CleaningPolicy};
 use galois_core::parse::{extract_records, parse_list_answer};
 use galois_relational::DataType;
 
@@ -26,6 +26,28 @@ fn bench_numbers(c: &mut Criterion) {
     });
 }
 
+/// Workflow step (3) for one fetched cell, answer text to typed value: the
+/// four shapes models mostly answer in, which `cell_value` cleans in place,
+/// and a decorated sentence, which takes the general path.
+fn bench_cell_value(c: &mut Criterion) {
+    let policy = CleaningPolicy::default();
+    for (name, answer, ty) in [
+        ("int", "2800000", DataType::Int),
+        ("float", "41.9", DataType::Float),
+        ("text", "Port Nelson", DataType::Text),
+        ("date", "1961-05-08", DataType::Date),
+        (
+            "decorated",
+            "The population of Rome is about 2.8 million.",
+            DataType::Int,
+        ),
+    ] {
+        c.bench_function(&format!("cell_value/{name}"), |b| {
+            b.iter(|| cell_value(black_box(answer), ty, &policy))
+        });
+    }
+}
+
 fn bench_answers(c: &mut Criterion) {
     let list = "Sure! Here are some values: Rome, Paris, Milan, Naples, Turin, \
                 Palermo, Genoa, Bologna, Florence, Bari, Catania, Venice.";
@@ -38,5 +60,5 @@ fn bench_answers(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_numbers, bench_answers);
+criterion_group!(benches, bench_numbers, bench_cell_value, bench_answers);
 criterion_main!(benches);

@@ -1,10 +1,12 @@
 //! Microbenchmarks for the relational engine: planning, the physical
-//! operators over the ground-truth corpus, and the two costs of handing
-//! retrieved tuples over — keyed insert and the per-query catalog overlay.
+//! operators over the ground-truth corpus and over 10⁴-row tables (the
+//! size of a serving statement's temporary tables), and the two costs of
+//! handing retrieved tuples over — keyed insert and the per-query catalog
+//! overlay.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_dataset::Scenario;
-use galois_relational::{Column, DataType, Table, TableSchema, Value};
+use galois_relational::{Column, DataType, Database, Table, TableSchema, Value};
 
 fn bench_planning(c: &mut Criterion) {
     let s = Scenario::generate(42);
@@ -83,6 +85,78 @@ fn bench_table_insert(c: &mut Criterion) {
     }
 }
 
+/// The same 10⁴ rows into a table told its size up front: no index
+/// doubling, so none of the ≈ 11 re-hashes of every stored row.
+fn bench_table_with_capacity(c: &mut Criterion) {
+    let schema = std::sync::Arc::new(key_value_schema());
+    let n = 10_000i64;
+    c.bench_function("table_with_capacity/1e4", |b| {
+        b.iter(|| {
+            let mut table = Table::with_capacity("t", schema.clone(), n as usize);
+            for i in 0..n {
+                table
+                    .insert(vec![format!("key {i}").into(), Value::Int(i)])
+                    .expect("distinct keys");
+            }
+            table
+        })
+    });
+}
+
+/// `item(name, grp, qty)` with 10⁴ rows over 100 groups and `grp(name,
+/// weight)`: what the residual plan of a serving statement runs over. The
+/// plan is built once; the measured part is `execute` alone, whose scans
+/// borrow the tables' rows.
+fn bench_execution_1e4(c: &mut Criterion) {
+    let mut db = Database::new();
+    let mut item = Table::new(
+        "item",
+        TableSchema::new(
+            vec![
+                Column::new("name", DataType::Text),
+                Column::nullable("grp", DataType::Text),
+                Column::nullable("qty", DataType::Int),
+            ],
+            "name",
+        )
+        .expect("static schema"),
+    );
+    for i in 0..10_000i64 {
+        item.insert(vec![
+            format!("item {i}").into(),
+            format!("group {}", i % 100).into(),
+            Value::Int(i),
+        ])
+        .expect("distinct keys");
+    }
+    let mut grp = Table::new("grp", key_value_schema());
+    for g in 0..100i64 {
+        grp.insert(vec![format!("group {g}").into(), Value::Int(g)])
+            .expect("distinct keys");
+    }
+    db.add_table(item).expect("fresh name");
+    db.add_table(grp).expect("fresh name");
+    for (name, sql) in [
+        (
+            "exec_scan_filter_project/1e4",
+            "SELECT name, qty FROM item WHERE qty < 1000",
+        ),
+        (
+            "exec_hash_join/1e4",
+            "SELECT i.name, g.population FROM item i, grp g WHERE i.grp = g.name",
+        ),
+        (
+            "exec_group_by/1e4",
+            "SELECT grp, COUNT(*), AVG(qty) FROM item GROUP BY grp",
+        ),
+    ] {
+        let plan = db.plan(sql).expect("valid statement");
+        c.bench_function(name, |b| {
+            b.iter(|| db.execute_plan(black_box(&plan)).expect("executes"))
+        });
+    }
+}
+
 /// What every Galois statement pays before its residual plan runs: clone
 /// the stored catalog (x40 world, ≈10⁴ rows), add one temporary table,
 /// drop the overlay.
@@ -104,7 +178,9 @@ criterion_group!(
     benches,
     bench_planning,
     bench_execution,
+    bench_execution_1e4,
     bench_table_insert,
+    bench_table_with_capacity,
     bench_catalog_overlay
 );
 criterion_main!(benches);

@@ -39,10 +39,10 @@
 //! query shares the same `K` simulated lanes. See [`Pipeline`] for the
 //! micro-batch trigger rule and the mode's invariants.
 
-use crate::clean::{clean_to_type, normalise_text, CleaningPolicy};
+use crate::clean::{cell_value, key_row, normalise_text, CleaningPolicy};
 use crate::compile::{CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
-use crate::parse::{parse_boolean_answer, parse_list_answer, parse_value_answer, ListAnswer};
+use crate::parse::{parse_boolean_answer, parse_list_answer, ListAnswer};
 use crate::plan_choice::{plan_query, PlannedQuery, Planner, PlannerParams};
 use crate::prompts::PromptBuilder;
 use crate::schedule::{Crew, Scheduler};
@@ -52,7 +52,7 @@ use galois_llm::{
     lane_schedule, BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LanguageModel,
     LlmClient, Parallelism, RetryPolicy, SubEntryLookup,
 };
-use galois_relational::{Database, Relation, Table, Value};
+use galois_relational::{Column, Database, Relation, Table, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -712,6 +712,15 @@ pub struct GaloisResult {
     pub stats: QueryStats,
 }
 
+/// What a statement's prologue ([`Galois::prepare`]) leaves to do.
+enum Prepared {
+    /// An `EXPLAIN`: nothing to execute, the `QUERY PLAN` relation is the
+    /// result.
+    Explain(Relation),
+    /// A query, compiled and ready for retrieval.
+    Compiled(CompiledQuery),
+}
+
 /// A Galois session over one LLM and one schema catalog.
 ///
 /// The [`Database`] provides the *schema* (the paper assumes "the schema
@@ -898,17 +907,29 @@ impl Galois {
     /// chosen plan and its cost report as a one-column `QUERY PLAN`
     /// relation with zero prompt accounting.
     pub fn execute(&self, sql: &str) -> Result<GaloisResult> {
+        match self.prepare(sql)? {
+            Prepared::Explain(relation) => Ok(GaloisResult {
+                relation,
+                stats: QueryStats::default(),
+            }),
+            Prepared::Compiled(compiled) => self.execute_compiled(&compiled),
+        }
+    }
+
+    /// The prologue of every statement: parse, then either render an
+    /// `EXPLAIN`'s plan relation or compile the query through the
+    /// session's [`Planner`].
+    fn prepare(&self, sql: &str) -> Result<Prepared> {
         let stmt = self.parse_statement(sql)?;
         if stmt.is_explain() {
             let params = self.planning_params();
             let planned = self.plan_statement(stmt.select(), &params)?;
             let text = planned.render(self.db.catalog(), &params);
-            return Ok(GaloisResult {
-                relation: galois_relational::cost::explain_relation(&text),
-                stats: QueryStats::default(),
-            });
+            return Ok(Prepared::Explain(
+                galois_relational::cost::explain_relation(&text),
+            ));
         }
-        let compiled = match self.options.planner {
+        Ok(Prepared::Compiled(match self.options.planner {
             // Fast path, and the bit-exactness invariant made literal: the
             // default mode runs exactly the pre-planner pipeline, no cost
             // estimation on the hot path.
@@ -923,8 +944,7 @@ impl Galois {
                 self.plan_statement(stmt.select(), &self.planning_params())?
                     .compiled
             }
-        };
-        self.execute_compiled(&compiled)
+        }))
     }
 
     /// Executes an already-compiled query.
@@ -1030,37 +1050,28 @@ impl Galois {
             return Vec::new();
         }
         let concept = step.concept_signature();
-        if let Some(stored) = store.read(&concept, &self.model_sig) {
+        let out = if let Some(stored) = store.read(&concept, &self.model_sig) {
             // Warm read: the stored frontier's iterations are counted as
             // cache hits — the same bill a re-listing run would have paid
             // in prompt-cache hits — at zero prompts and zero virtual
             // time.
             acc.cache_hits += stored.iterations;
             if stored.exhausted || stored.iterations >= self.options.max_list_iterations {
-                return stored.keys;
+                return stored.keys.to_vec();
             }
             // Partial frontier (an earlier session hit its iteration cap):
             // resume classic exclusion paging after the stored keys and
             // extend the entry append-only.
             let seen = stored.keys.iter().map(|k| k.to_ascii_lowercase()).collect();
-            let out = self.scan_keys_classic(step, acc, stored.keys, seen, stored.iterations);
-            store.publish(
-                &concept,
-                &self.model_sig,
-                KeyUniverse {
-                    keys: out.keys.clone(),
-                    iterations: out.iterations,
-                    exhausted: out.exhausted,
-                },
-            );
-            return out.keys;
-        }
-        let out = self.scan_keys_speculative(step, scheduler, acc);
+            self.scan_keys_classic(step, acc, stored.keys.to_vec(), seen, stored.iterations)
+        } else {
+            self.scan_keys_speculative(step, scheduler, acc)
+        };
         store.publish(
             &concept,
             &self.model_sig,
             KeyUniverse {
-                keys: out.keys.clone(),
+                keys: out.keys.as_slice().into(),
                 iterations: out.iterations,
                 exhausted: out.exhausted,
             },
@@ -1336,6 +1347,26 @@ impl Galois {
         keys
     }
 
+    /// One materialising row per key, in key order ([`key_row`]).
+    fn key_rows(&self, step: &LlmScanStep, keys: &[String]) -> Vec<Vec<Value>> {
+        keys.iter()
+            .map(|key| key_row(key, step.columns(), step.key_index, &self.options.cleaning))
+            .collect()
+    }
+
+    /// Workflow step (3) for one fetched cell, shared by every fetch
+    /// variant of both engines: the answer becomes the column's typed
+    /// value ([`cell_value`]); a degraded fetch (fault text) annotates the
+    /// cell as NULL and counts as a failed cell.
+    fn fetched_cell(&self, answer: &str, column: &Column, failed_cells: &mut usize) -> Value {
+        if is_fault_text(answer) {
+            *failed_cells += 1;
+            Value::Null
+        } else {
+            cell_value(answer, column.data_type, &self.options.cleaning)
+        }
+    }
+
     /// Attribute retrieval: one prompt per (key, attribute), batched.
     ///
     /// Every `(column, chunk)` cell is independent — the whole phase is a
@@ -1355,21 +1386,7 @@ impl Galois {
         }
         let lanes = self.options.parallelism.get();
         let batch = self.options.batch_size.max(1);
-        let arity = step.columns().len();
-        let mut rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|key| {
-                let mut row = vec![Value::Null; arity];
-                // The key itself is cleaned to the key column's type.
-                row[step.key_index] = clean_to_type(
-                    key,
-                    step.columns()[step.key_index].data_type,
-                    &self.options.cleaning,
-                )
-                .unwrap_or(Value::Null);
-                row
-            })
-            .collect();
+        let mut rows = self.key_rows(step, keys);
 
         // The per-cell prompt is constant except for the key: render the
         // template once per column and splice each key in, instead of
@@ -1415,22 +1432,7 @@ impl Galois {
         for (col_idx, col_answers) in step.fetch.iter().zip(answers) {
             let column = &step.columns()[*col_idx];
             for (row, completion) in rows.iter_mut().zip(col_answers) {
-                let value = if is_fault_text(&completion.text) {
-                    // A degraded fetch annotates the cell as Null.
-                    acc.failed_cells += 1;
-                    Value::Null
-                } else {
-                    parse_value_answer(&completion.text)
-                        .and_then(|raw| {
-                            clean_to_type(&raw, column.data_type, &self.options.cleaning)
-                        })
-                        .map(|v| match v {
-                            Value::Text(s) => Value::Text(normalise_text(&s)),
-                            other => other,
-                        })
-                        .unwrap_or(Value::Null)
-                };
-                row[*col_idx] = value;
+                row[*col_idx] = self.fetched_cell(&completion.text, column, &mut acc.failed_cells);
             }
         }
 
@@ -1492,20 +1494,7 @@ impl Galois {
         scheduler: &Scheduler,
         acc: &mut StepStats,
     ) -> Vec<Vec<Value>> {
-        let arity = step.columns().len();
-        let mut rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|key| {
-                let mut row = vec![Value::Null; arity];
-                row[step.key_index] = clean_to_type(
-                    key,
-                    step.columns()[step.key_index].data_type,
-                    &self.options.cleaning,
-                )
-                .unwrap_or(Value::Null);
-                row
-            })
-            .collect();
+        let mut rows = self.key_rows(step, keys);
 
         let cells: Vec<(BatchCell, &[String])> = step
             .fetch
@@ -1518,22 +1507,7 @@ impl Galois {
             acc.fetch_prompts += prompts;
             let column = &step.columns()[col_idx];
             for (row, answer) in rows.iter_mut().zip(answers) {
-                let value = if is_fault_text(&answer) {
-                    // A degraded fetch annotates the cell as Null.
-                    acc.failed_cells += 1;
-                    Value::Null
-                } else {
-                    parse_value_answer(&answer)
-                        .and_then(|raw| {
-                            clean_to_type(&raw, column.data_type, &self.options.cleaning)
-                        })
-                        .map(|v| match v {
-                            Value::Text(s) => Value::Text(normalise_text(&s)),
-                            other => other,
-                        })
-                        .unwrap_or(Value::Null)
-                };
-                row[col_idx] = value;
+                row[col_idx] = self.fetched_cell(&answer, column, &mut acc.failed_cells);
             }
         }
 
@@ -1575,20 +1549,7 @@ impl Galois {
         let fuse = self.options.prompt_batch.keys_per_prompt();
         let attr_fuse = self.options.prompt_batch.attrs_per_prompt();
 
-        let arity = step.columns().len();
-        let mut rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|key| {
-                let mut row = vec![Value::Null; arity];
-                row[step.key_index] = clean_to_type(
-                    key,
-                    step.columns()[step.key_index].data_type,
-                    &self.options.cleaning,
-                )
-                .unwrap_or(Value::Null);
-                row
-            })
-            .collect();
+        let mut rows = self.key_rows(step, keys);
 
         let n_cols = step.fetch.len();
         // Per-column sub-entry prefixes — the same signatures the
@@ -1784,22 +1745,7 @@ impl Galois {
                 let answer = answers[ci][i]
                     .take()
                     .expect("every grid cell answered by sub-entry, grid, batch or fallback");
-                let value = if is_fault_text(&answer) {
-                    // A degraded fetch annotates the cell as Null.
-                    acc.failed_cells += 1;
-                    Value::Null
-                } else {
-                    parse_value_answer(&answer)
-                        .and_then(|raw| {
-                            clean_to_type(&raw, column.data_type, &self.options.cleaning)
-                        })
-                        .map(|v| match v {
-                            Value::Text(s) => Value::Text(normalise_text(&s)),
-                            other => other,
-                        })
-                        .unwrap_or(Value::Null)
-                };
-                row[col_idx] = value;
+                row[col_idx] = self.fetched_cell(&answer, column, &mut acc.failed_cells);
             }
         }
 
@@ -2192,7 +2138,11 @@ fn absorb_page(
 /// occurrence winning — the key-identifies-tuple assumption is enforced
 /// here.
 fn materialise_step(step: &LlmScanStep, rows: Vec<Vec<Value>>) -> Table {
-    let mut table = Table::new(step.temp_name.clone(), Arc::clone(&step.temp_schema));
+    let mut table = Table::with_capacity(
+        step.temp_name.clone(),
+        Arc::clone(&step.temp_schema),
+        rows.len(),
+    );
     for row in rows {
         if row[step.key_index].is_null() {
             continue;
@@ -2258,33 +2208,16 @@ impl Galois {
                     .to_string(),
             ));
         }
-        let stmt = self.parse_statement(sql)?;
-        if stmt.is_explain() {
-            let params = self.planning_params();
-            let planned = self.plan_statement(stmt.select(), &params)?;
-            let text = planned.render(self.db.catalog(), &params);
-            return Ok((
+        match self.prepare(sql)? {
+            Prepared::Explain(relation) => Ok((
                 GaloisResult {
-                    relation: galois_relational::cost::explain_relation(&text),
+                    relation,
                     stats: QueryStats::default(),
                 },
                 Vec::new(),
-            ));
+            )),
+            Prepared::Compiled(compiled) => self.execute_compiled_streaming_traced(&compiled),
         }
-        let compiled = match self.options.planner {
-            Planner::Heuristic => {
-                let plan = self
-                    .db
-                    .plan_statement(stmt.select())
-                    .map_err(GaloisError::from)?;
-                crate::compile::compile(&plan, self.db.catalog(), &self.options.compile)?
-            }
-            Planner::CostBased => {
-                self.plan_statement(stmt.select(), &self.planning_params())?
-                    .compiled
-            }
-        };
-        self.execute_compiled_streaming_traced(&compiled)
     }
 }
 
@@ -2338,7 +2271,7 @@ struct StageState {
     /// re-enter the fallback ladder (mirrors the wave path's
     /// `pending && answers.is_none()` guard). Unused at single-cell
     /// stages.
-    answered: std::collections::HashSet<(usize, usize)>,
+    answered: AnsweredCells,
     /// True once the producing stage (list page stream, or the previous
     /// filter) can no longer deliver keys.
     upstream_drained: bool,
@@ -2346,13 +2279,64 @@ struct StageState {
     drained: bool,
 }
 
-/// One discovered key of a step: its identity, whether it has survived
-/// every filter verdict so far, and its materialising row.
+/// The answered `(slot, attr ordinal)` cells of one grid stage, as a
+/// bitmap over `slot * len + ord` — the cell space is dense (every slot
+/// that reaches the stage has all `len` cells), so membership is a shift
+/// and a mask where a hash set paid a SipHash per cell.
+#[derive(Debug)]
+struct AnsweredCells {
+    /// Attr ordinals per slot (the stage's group width).
+    len: usize,
+    /// Bit `slot * len + ord`, 64 to a word; grows with the slots.
+    words: Vec<u64>,
+}
+
+impl AnsweredCells {
+    fn new(len: usize) -> Self {
+        AnsweredCells {
+            len,
+            words: Vec::new(),
+        }
+    }
+
+    fn bit(&self, slot: usize, ord: usize) -> (usize, u64) {
+        debug_assert!(ord < self.len, "attr ordinal outside the stage's group");
+        let bit = slot * self.len + ord;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    fn contains(&self, slot: usize, ord: usize) -> bool {
+        let (word, mask) = self.bit(slot, ord);
+        self.words.get(word).is_some_and(|w| w & mask != 0)
+    }
+
+    fn insert(&mut self, slot: usize, ord: usize) {
+        let (word, mask) = self.bit(slot, ord);
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= mask;
+    }
+}
+
+/// One discovered key of a step — the key itself is `keys()[slot]` of its
+/// [`StepRun`]: whether it has survived every filter verdict so far, and
+/// its materialising row.
 #[derive(Debug)]
 struct KeySlot {
-    key: String,
     alive: bool,
     row: Vec<Value>,
+}
+
+impl KeySlot {
+    /// The slot of a freshly listed (or stored) key of `step`: alive, its
+    /// row blank but for the key cell ([`key_row`]).
+    fn new(key: &str, step: &LlmScanStep, cleaning: &CleaningPolicy) -> Self {
+        KeySlot {
+            alive: true,
+            row: key_row(key, step.columns(), step.key_index, cleaning),
+        }
+    }
 }
 
 /// Speculative list-paging state of one cold-concept step (store on):
@@ -2391,10 +2375,16 @@ impl SpecState {
 /// Per-step dataflow state of the streaming simulation.
 struct StepRun<'a> {
     step: &'a LlmScanStep,
-    /// Exclusion list rendered into each list iteration's prompt (shared
-    /// behind an `Arc`, exactly like the wave scan).
+    /// A terminal stored universe, served as is: the store's own list,
+    /// shared, which no page can follow — so nothing is cleaned,
+    /// de-duplicated or copied out of it (the wave engine's warm read
+    /// trusts it the same way). `None` when this run lists its keys.
+    stored: Option<Arc<[String]>>,
+    /// The keys this run listed, in discovery order — also the exclusion
+    /// list rendered into each list iteration's prompt (shared behind an
+    /// `Arc`, exactly like the wave scan). Empty under `stored`.
     exclude: Arc<Vec<String>>,
-    /// Case-folded dedup of discovered keys.
+    /// Case-folded dedup of the listed keys.
     seen: std::collections::HashSet<String>,
     /// List iterations fired so far.
     iterations: usize,
@@ -2415,6 +2405,14 @@ struct StepRun<'a> {
     list_done: bool,
     /// Speculative paging state (cold concept with the store on).
     spec: Option<SpecState>,
+}
+
+impl StepRun<'_> {
+    /// The step's keys in discovery order: `keys()[slot]` is the key of
+    /// `slots[slot]`.
+    fn keys(&self) -> &[String] {
+        self.stored.as_deref().unwrap_or(&self.exclude)
+    }
 }
 
 /// What a fired task is: one list iteration, one speculative offset page,
@@ -2531,7 +2529,10 @@ impl<'a> StreamSim<'a> {
             sig_prefixes: Vec::new(),
             pending: Vec::new(),
             inflight: 0,
-            answered: std::collections::HashSet::new(),
+            answered: AnsweredCells::new(match cell {
+                StageCell::Grid { len, .. } => len,
+                StageCell::Filter(_) | StageCell::Fetch { .. } => 1,
+            }),
             upstream_drained: false,
             drained: false,
         };
@@ -2578,6 +2579,7 @@ impl<'a> StreamSim<'a> {
                 }
                 StepRun {
                     step,
+                    stored: None,
                     exclude: Arc::new(Vec::new()),
                     seen: std::collections::HashSet::new(),
                     iterations: 0,
@@ -2622,11 +2624,13 @@ impl<'a> StreamSim<'a> {
         self.limit.is_some_and(|n| self.confirmed_total >= n)
     }
 
-    /// Confirmed survivors among slots strictly before `slot` (discovery
-    /// order). Rows materialise in slot order, so once `limit` earlier
-    /// slots are confirmed, `slot` can never surface inside the window.
-    fn prefix_confirmed(&self, slot: usize) -> usize {
-        self.confirmed.iter().take(slot).filter(|&&c| c).count()
+    /// True when at least `n` slots strictly before `slot` (discovery
+    /// order) are confirmed survivors. Rows materialise in slot order, so
+    /// `slot` can then never surface inside a window of `n`. The prefix is
+    /// only counted once the total reaches `n` — until then the answer is
+    /// no for every slot, which keeps a listing linear in its keys.
+    fn prefix_covers(&self, slot: usize, n: usize) -> bool {
+        self.confirmed_total >= n && self.confirmed.iter().take(slot).filter(|&&c| c).count() >= n
     }
 
     /// Marks one slot as having survived every filter verdict.
@@ -2721,16 +2725,26 @@ impl<'a> StreamSim<'a> {
         match entry {
             Some(stored) if stored.exhausted || stored.iterations >= cap => {
                 self.acc.cache_hits += stored.iterations;
-                self.absorb_stream_page(s, stored.keys, 0, fires);
-                self.steps[s].iterations = stored.iterations;
-                self.steps[s].list_exhausted = stored.exhausted;
+                let cleaning = &self.session.options.cleaning;
+                let run = &mut self.steps[s];
+                run.slots = stored
+                    .keys
+                    .iter()
+                    .map(|key| KeySlot::new(key, run.step, cleaning))
+                    .collect();
+                run.stored = Some(stored.keys);
+                run.iterations = stored.iterations;
+                run.list_exhausted = stored.exhausted;
+                for slot in 0..self.steps[s].slots.len() {
+                    self.enter_dataflow(s, slot, 0, fires);
+                }
                 // Warm service re-publishes nothing: `concept` stays
                 // `None`, so `finish_list` skips the store.
                 self.finish_list(s, 0, fires);
             }
             Some(stored) => {
                 self.acc.cache_hits += stored.iterations;
-                self.absorb_stream_page(s, stored.keys, 0, fires);
+                self.absorb_stream_page(s, &stored.keys, 0, fires);
                 self.steps[s].iterations = stored.iterations;
                 self.steps[s].concept = Some(concept);
                 if self.limit_covered() {
@@ -2826,7 +2840,7 @@ impl<'a> StreamSim<'a> {
             }),
             FireTarget::Chunk { stage, members } => {
                 let chunk_keys: Vec<String> =
-                    members.iter().map(|&i| run.slots[i].key.clone()).collect();
+                    members.iter().map(|&i| run.keys()[i].clone()).collect();
                 match run.stages[*stage].cell {
                     StageCell::Grid { start, len } => {
                         builder.task(&self.session.grid_intent(run.step, start, len, chunk_keys))
@@ -2846,7 +2860,7 @@ impl<'a> StreamSim<'a> {
                 builder.task(&self.session.cell_single_intent(
                     run.step,
                     &cell,
-                    &run.slots[*member].key,
+                    &run.keys()[*member],
                 ))
             }
             FireTarget::AttrChunk {
@@ -2855,7 +2869,7 @@ impl<'a> StreamSim<'a> {
                 members,
             } => {
                 let chunk_keys: Vec<String> =
-                    members.iter().map(|&i| run.slots[i].key.clone()).collect();
+                    members.iter().map(|&i| run.keys()[i].clone()).collect();
                 let cell = BatchCell::Fetch(grid_attr_name(run.step, &run.stages[*stage], *attr));
                 builder.task(
                     &self
@@ -2872,7 +2886,7 @@ impl<'a> StreamSim<'a> {
                 builder.task(&self.session.cell_single_intent(
                     run.step,
                     &cell,
-                    &run.slots[*member].key,
+                    &run.keys()[*member],
                 ))
             }
         }
@@ -2998,7 +3012,7 @@ impl<'a> StreamSim<'a> {
                 }
                 let chunk_keys: Vec<String> = members
                     .iter()
-                    .map(|&i| self.steps[s].slots[i].key.clone())
+                    .map(|&i| self.steps[s].keys()[i].clone())
                     .collect();
                 let subs = split_batched_answer(&event.completion.text, &chunk_keys);
                 let mut sig = String::new();
@@ -3011,7 +3025,7 @@ impl<'a> StreamSim<'a> {
                                     sig_for_key(
                                         &mut sig,
                                         &run.stages[stage].sig_prefixes[0],
-                                        &run.slots[slot].key,
+                                        &run.keys()[slot],
                                     ),
                                     &answer,
                                 );
@@ -3036,7 +3050,7 @@ impl<'a> StreamSim<'a> {
                         sig_for_key(
                             &mut sig,
                             &run.stages[stage].sig_prefixes[0],
-                            &run.slots[member].key,
+                            &run.keys()[member],
                         ),
                         &event.completion.text,
                     );
@@ -3055,7 +3069,7 @@ impl<'a> StreamSim<'a> {
                 };
                 let chunk_keys: Vec<String> = members
                     .iter()
-                    .map(|&i| self.steps[s].slots[i].key.clone())
+                    .map(|&i| self.steps[s].keys()[i].clone())
                     .collect();
                 let subs = split_batched_answer(&event.completion.text, &chunk_keys);
                 let mut sig = String::new();
@@ -3068,12 +3082,12 @@ impl<'a> StreamSim<'a> {
                                     sig_for_key(
                                         &mut sig,
                                         &run.stages[stage].sig_prefixes[attr],
-                                        &run.slots[slot].key,
+                                        &run.keys()[slot],
                                     ),
                                     &answer,
                                 );
                             }
-                            self.steps[s].stages[stage].answered.insert((slot, attr));
+                            self.steps[s].stages[stage].answered.insert(slot, attr);
                             let col = self.steps[s].step.fetch[start + attr];
                             self.consume_fetch_value(s, col, slot, &answer);
                         }
@@ -3110,12 +3124,12 @@ impl<'a> StreamSim<'a> {
                         sig_for_key(
                             &mut sig,
                             &run.stages[stage].sig_prefixes[attr],
-                            &run.slots[member].key,
+                            &run.keys()[member],
                         ),
                         &event.completion.text,
                     );
                 }
-                self.steps[s].stages[stage].answered.insert((member, attr));
+                self.steps[s].stages[stage].answered.insert(member, attr);
                 let col = self.steps[s].step.fetch[start + attr];
                 self.consume_fetch_value(s, col, member, &event.completion.text);
                 self.maybe_drain(s, stage, t, fires);
@@ -3143,7 +3157,7 @@ impl<'a> StreamSim<'a> {
             let run = &self.steps[s];
             let pads = grid_pad_columns(run.step, start, len, attr_fuse);
             (
-                members.iter().map(|&i| run.slots[i].key.clone()).collect(),
+                members.iter().map(|&i| run.keys()[i].clone()).collect(),
                 (start..start + len)
                     .map(|ci| run.step.fetch[ci])
                     .chain(pads)
@@ -3156,7 +3170,7 @@ impl<'a> StreamSim<'a> {
         let mut failed: Vec<Vec<usize>> = vec![Vec::new(); len];
         for (ki, &slot) in members.iter().enumerate() {
             for (ord, failed_ord) in failed.iter_mut().enumerate() {
-                if self.steps[s].stages[stage].answered.contains(&(slot, ord)) {
+                if self.steps[s].stages[stage].answered.contains(slot, ord) {
                     continue;
                 }
                 match cells[ki][ord].take() {
@@ -3167,12 +3181,12 @@ impl<'a> StreamSim<'a> {
                                 sig_for_key(
                                     &mut sig,
                                     &run.stages[stage].sig_prefixes[ord],
-                                    &run.slots[slot].key,
+                                    &run.keys()[slot],
                                 ),
                                 &answer,
                             );
                         }
-                        self.steps[s].stages[stage].answered.insert((slot, ord));
+                        self.steps[s].stages[stage].answered.insert(slot, ord);
                         let col = self.steps[s].step.fetch[start + ord];
                         self.consume_fetch_value(s, col, slot, &answer);
                     }
@@ -3189,7 +3203,7 @@ impl<'a> StreamSim<'a> {
                         sig_for_key(
                             &mut sig,
                             &run.stages[stage].sig_prefixes[ord],
-                            &run.slots[slot].key,
+                            &run.keys()[slot],
                         ),
                         &answer,
                     );
@@ -3231,7 +3245,7 @@ impl<'a> StreamSim<'a> {
             }
             ListAnswer::Values(values) => {
                 let raw = values.len();
-                let added = self.absorb_stream_page(s, values, t, fires);
+                let added = self.absorb_stream_page(s, &values, t, fires);
                 if added == 0 {
                     self.steps[s].list_exhausted = true;
                     self.finish_list(s, t, fires);
@@ -3271,43 +3285,29 @@ impl<'a> StreamSim<'a> {
     fn absorb_stream_page(
         &mut self,
         s: usize,
-        values: Vec<String>,
+        values: &[String],
         t: u64,
         fires: &mut Vec<Fire>,
     ) -> usize {
-        let session = self.session;
-        let mut new_slots = Vec::new();
-        {
-            let run = &mut self.steps[s];
-            let arity = run.step.columns().len();
-            let fresh = Arc::make_mut(&mut run.exclude);
-            for v in values {
-                let cleaned = normalise_text(&v);
-                if cleaned.is_empty() {
-                    continue;
-                }
-                if run.seen.insert(cleaned.to_ascii_lowercase()) {
-                    fresh.push(cleaned.clone());
-                    let mut row = vec![Value::Null; arity];
-                    row[run.step.key_index] = clean_to_type(
-                        &cleaned,
-                        run.step.columns()[run.step.key_index].data_type,
-                        &session.options.cleaning,
-                    )
-                    .unwrap_or(Value::Null);
-                    new_slots.push(run.slots.len());
-                    run.slots.push(KeySlot {
-                        key: cleaned,
-                        alive: true,
-                        row,
-                    });
-                }
+        let cleaning = &self.session.options.cleaning;
+        let run = &mut self.steps[s];
+        let first_new = run.slots.len();
+        let fresh = Arc::make_mut(&mut run.exclude);
+        for v in values {
+            let cleaned = normalise_text(v);
+            if cleaned.is_empty() {
+                continue;
+            }
+            if run.seen.insert(cleaned.to_ascii_lowercase()) {
+                run.slots.push(KeySlot::new(&cleaned, run.step, cleaning));
+                fresh.push(cleaned);
             }
         }
-        for &slot in &new_slots {
+        let end = run.slots.len();
+        for slot in first_new..end {
             self.enter_dataflow(s, slot, t, fires);
         }
-        new_slots.len()
+        end - first_new
     }
 
     /// Applies a fully-landed speculative wave in offset order: each page
@@ -3338,7 +3338,7 @@ impl<'a> StreamSim<'a> {
                 ListAnswer::Exhausted => terminal = true,
                 ListAnswer::Values(values) => {
                     let raw = values.len();
-                    let added = self.absorb_stream_page(s, values, t, fires);
+                    let added = self.absorb_stream_page(s, &values, t, fires);
                     let page_est = self.steps[s].spec.as_ref().expect("spec mode").page_est;
                     if added == 0 || raw < page_est {
                         terminal = true;
@@ -3363,7 +3363,7 @@ impl<'a> StreamSim<'a> {
     /// dataflow (first filter condition; fetch stages when there is none).
     fn enter_dataflow(&mut self, s: usize, slot: usize, t: u64, fires: &mut Vec<Fire>) {
         if let Some(n) = self.limit {
-            if self.prefix_confirmed(slot) >= n {
+            if self.prefix_covers(slot, n) {
                 // The window is already covered by earlier confirmed
                 // survivors, so this key can never surface — prune it
                 // before any filter or fetch prompt is issued.
@@ -3393,7 +3393,7 @@ impl<'a> StreamSim<'a> {
         } else {
             if let Some(n) = self.limit {
                 self.confirm_survivor(slot);
-                if self.prefix_confirmed(slot) >= n {
+                if self.prefix_covers(slot, n) {
                     // Beyond the window: every verdict landed (the key
                     // stays alive) but its row can never surface, so its
                     // fetch prompts are never issued.
@@ -3420,7 +3420,7 @@ impl<'a> StreamSim<'a> {
                 self.session.client.extract_sub_entry(sig_for_key(
                     &mut sig,
                     &run.stages[g].sig_prefixes[0],
-                    &run.slots[slot].key,
+                    &run.keys()[slot],
                 ))
             };
             match extracted {
@@ -3460,7 +3460,7 @@ impl<'a> StreamSim<'a> {
     ) {
         let mut missing = false;
         for ord in 0..len {
-            if self.steps[s].stages[g].answered.contains(&(slot, ord)) {
+            if self.steps[s].stages[g].answered.contains(slot, ord) {
                 continue;
             }
             let extracted = {
@@ -3469,13 +3469,13 @@ impl<'a> StreamSim<'a> {
                 self.session.client.extract_sub_entry(sig_for_key(
                     &mut sig,
                     &run.stages[g].sig_prefixes[ord],
-                    &run.slots[slot].key,
+                    &run.keys()[slot],
                 ))
             };
             match extracted {
                 SubEntryLookup::Hit(answer) => {
                     self.acc.cache_hits += 1;
-                    self.steps[s].stages[g].answered.insert((slot, ord));
+                    self.steps[s].stages[g].answered.insert(slot, ord);
                     let col = self.steps[s].step.fetch[start + ord];
                     self.consume_fetch_value(s, col, slot, &answer);
                 }
@@ -3534,26 +3534,10 @@ impl<'a> StreamSim<'a> {
     /// Lands one fetch answer in a key's materialising row (shared by the
     /// per-column and grid stages).
     fn consume_fetch_value(&mut self, s: usize, col: usize, slot: usize, answer: &str) {
-        if is_fault_text(answer) {
-            // A degraded fetch annotates the cell as Null.
-            self.acc.failed_cells += 1;
-            self.steps[s].slots[slot].row[col] = Value::Null;
-            return;
-        }
-        let value = {
-            let run = &self.steps[s];
-            let column = &run.step.columns()[col];
-            parse_value_answer(answer)
-                .and_then(|raw| {
-                    clean_to_type(&raw, column.data_type, &self.session.options.cleaning)
-                })
-                .map(|v| match v {
-                    Value::Text(x) => Value::Text(normalise_text(&x)),
-                    other => other,
-                })
-                .unwrap_or(Value::Null)
-        };
-        self.steps[s].slots[slot].row[col] = value;
+        let run = &mut self.steps[s];
+        run.slots[slot].row[col] =
+            self.session
+                .fetched_cell(answer, &run.step.columns()[col], &mut self.acc.failed_cells);
     }
 
     // --- drain propagation -------------------------------------------
@@ -3572,7 +3556,7 @@ impl<'a> StreamSim<'a> {
                         &concept,
                         &self.session.model_sig,
                         KeyUniverse {
-                            keys: (*run.exclude).clone(),
+                            keys: run.exclude.as_slice().into(),
                             iterations: run.iterations,
                             exhausted: run.list_exhausted,
                         },
@@ -3742,6 +3726,38 @@ mod tests {
         );
         assert_eq!(table.name, step.temp_name);
         assert!(Arc::ptr_eq(&table.schema, &step.temp_schema));
+    }
+
+    #[test]
+    fn answered_cells_index_slot_and_ordinal_without_aliasing() {
+        for len in [1usize, 6] {
+            let mut cells = AnsweredCells::new(len);
+            assert!(!cells.contains(0, 0));
+            assert!(
+                !cells.contains(10_000, len - 1),
+                "unseen slots read unanswered"
+            );
+            // Slots arrive out of order and far apart: the bitmap grows
+            // across word boundaries without disturbing earlier cells.
+            let slots = [11usize, 0, 64, 1, 63, 500, 10];
+            let marked =
+                |slot: usize, ord: usize| slots.contains(&slot) && (slot + ord).is_multiple_of(2);
+            for slot in slots {
+                for ord in (0..len).filter(|&ord| marked(slot, ord)) {
+                    cells.insert(slot, ord);
+                    cells.insert(slot, ord); // re-delivery is idempotent
+                }
+            }
+            for slot in 0..=600 {
+                for ord in 0..len {
+                    assert_eq!(
+                        cells.contains(slot, ord),
+                        marked(slot, ord),
+                        "len {len}: cell ({slot}, {ord})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

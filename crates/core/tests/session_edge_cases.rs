@@ -156,3 +156,52 @@ fn max_iterations_one_truncates_but_still_returns() {
     assert!(got.relation.len() <= truth.len());
     assert_eq!(got.stats.list_prompts, 1);
 }
+
+/// `EarlyStop::Limit` over an x10 relation: the window check that prunes
+/// keys behind a covered `LIMIT` must issue the prompts and rows it always
+/// has (pinned to the engine before the check stopped counting the
+/// confirmed prefix while the window cannot yet be covered).
+#[test]
+fn limit_early_stop_over_an_x10_relation_keeps_its_prompts_and_rows() {
+    use galois_core::{EarlyStop, Parallelism, Pipeline, PromptBatch};
+    let s = Scenario::generate_scaled(42, 10);
+    let paged = ModelProfile {
+        list_page_size: 25,
+        ..ModelProfile::oracle()
+    };
+    let session = |batch, early_stop| {
+        Galois::with_options(
+            Arc::new(SimLlm::new(s.knowledge.clone(), paged.clone())),
+            s.database.clone(),
+            GaloisOptions {
+                pipeline: Pipeline::Streaming,
+                early_stop,
+                prompt_batch: batch,
+                parallelism: Parallelism::new(4),
+                ..Default::default()
+            },
+        )
+    };
+    let sql = "SELECT name, population FROM city WHERE elevation < 400 LIMIT 5";
+    for (batch, pinned) in [
+        (PromptBatch::Off, (2, 25, 10, 2510)),
+        (PromptBatch::Keys(8), (2, 4, 2, 753)),
+    ] {
+        let got = session(batch, EarlyStop::Limit).execute(sql).unwrap();
+        let full = session(batch, EarlyStop::Off).execute(sql).unwrap();
+        assert_eq!(got.relation.rows, full.relation.rows, "{batch:?}");
+        assert_eq!(got.relation.len(), 5);
+        let st = &got.stats;
+        assert!(st.total_prompts() < full.stats.total_prompts() / 4);
+        assert_eq!(
+            (
+                st.list_prompts,
+                st.filter_prompts,
+                st.fetch_prompts,
+                st.virtual_ms as usize
+            ),
+            pinned,
+            "{batch:?}: list, filter, fetch prompts and virtual ms"
+        );
+    }
+}

@@ -879,8 +879,10 @@ impl LlmClient {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyUniverse {
     /// Listed keys in discovery order (cleaned, de-duplicated — exactly
-    /// what the listing session's scan produced).
-    pub keys: Vec<String>,
+    /// what the listing session's scan produced). Shared: a read hands
+    /// out the stored list itself, never a copy, so a reader's key
+    /// positions index the one list every other reader sees.
+    pub keys: Arc<[String]>,
     /// LIST prompts the stored frontier cost. A warm reader counts these
     /// as cache hits — the same bill a re-listing run would have paid in
     /// prompt-cache hits.
@@ -1160,15 +1162,15 @@ mod tests {
         assert!(store.is_empty());
         assert_eq!(store.read("list|city|name|", "sig-a"), None);
         let partial = KeyUniverse {
-            keys: vec!["Rome".into(), "Milan".into()],
+            keys: ["Rome", "Milan"].map(String::from).into(),
             iterations: 1,
             exhausted: false,
         };
         store.publish("list|city|name|", "sig-a", partial.clone());
-        assert_eq!(
-            store.read("list|city|name|", "sig-a"),
-            Some(partial.clone())
-        );
+        let read = store.read("list|city|name|", "sig-a").expect("published");
+        assert_eq!(read, partial);
+        // A read shares the stored list; it does not copy it.
+        assert!(Arc::ptr_eq(&read.keys, &partial.keys));
         assert_eq!(store.len(), 1);
         // Partial frontiers stay invisible to the planner's warm map.
         assert!(store.warm_map("sig-a").is_empty());
@@ -1179,14 +1181,14 @@ mod tests {
             "list|city|name|",
             "sig-a",
             KeyUniverse {
-                keys: vec!["Rome".into()],
+                keys: ["Rome"].map(String::from).into(),
                 iterations: 1,
                 exhausted: false,
             },
         );
         assert_eq!(store.read("list|city|name|", "sig-a"), Some(partial));
         let full = KeyUniverse {
-            keys: vec!["Rome".into(), "Milan".into(), "Paris".into()],
+            keys: ["Rome", "Milan", "Paris"].map(String::from).into(),
             iterations: 2,
             exhausted: true,
         };

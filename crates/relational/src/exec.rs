@@ -1,7 +1,8 @@
 //! Physical execution of logical plans over the in-memory catalog.
 //!
 //! Execution is operator-at-a-time with materialised intermediates: each
-//! node consumes its children's [`Relation`]s and produces one. Joins hash
+//! node consumes its children's rows and produces its own, and rows stay
+//! borrowed from the catalog until an operator builds new ones. Joins hash
 //! on equi keys when available and fall back to nested loops; aggregation
 //! is hash-based with optional per-group DISTINCT sets.
 
@@ -12,6 +13,7 @@ use crate::schema::PlanSchema;
 use crate::table::{Catalog, Row};
 use crate::value::Value;
 use galois_sql::ast::{JoinType, SortDirection};
+use std::borrow::{Borrow, Cow};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -102,127 +104,129 @@ impl fmt::Display for Relation {
 }
 
 /// Executes `plan` against `catalog`.
+///
+/// Operators pass rows *borrowed* from the catalog's tables: a scan copies
+/// nothing, a filter, sort, distinct or limit moves references, and a row
+/// is only built — or, for a borrowed row that reaches the result, cloned
+/// — where an operator creates one (projection, join, aggregation) or the
+/// result takes ownership.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
+    Ok(Relation {
+        schema: plan.schema(),
+        rows: run(plan, catalog)?
+            .into_iter()
+            .map(Cow::into_owned)
+            .collect(),
+    })
+}
+
+/// Rows between operators: borrowed from a stored table until an operator
+/// builds new ones.
+type Rows<'a> = Vec<Cow<'a, Row>>;
+
+fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
     match plan {
-        LogicalPlan::Scan { table, schema, .. } => {
+        LogicalPlan::Scan { table, .. } => {
             if table.is_empty() {
                 // "dual": one empty row feeding table-less SELECTs.
-                return Ok(Relation {
-                    schema: schema.clone(),
-                    rows: vec![Vec::new()],
-                });
+                return Ok(vec![Cow::Owned(Vec::new())]);
             }
-            let t = catalog.get(table)?;
-            Ok(Relation {
-                schema: schema.clone(),
-                rows: t.rows().to_vec(),
-            })
+            Ok(catalog
+                .get(table)?
+                .rows()
+                .iter()
+                .map(Cow::Borrowed)
+                .collect())
         }
         LogicalPlan::Filter { input, predicate } => {
-            let rel = execute(input, catalog)?;
-            let mut rows = Vec::with_capacity(rel.rows.len() / 2);
-            for row in rel.rows {
+            let input = run(input, catalog)?;
+            let mut rows = Vec::with_capacity(input.len() / 2);
+            for row in input {
                 if predicate.eval_predicate(&row)? {
                     rows.push(row);
                 }
             }
-            Ok(Relation {
-                schema: rel.schema,
-                rows,
-            })
+            Ok(rows)
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let rel = execute(input, catalog)?;
-            let mut rows = Vec::with_capacity(rel.rows.len());
-            for row in &rel.rows {
+        LogicalPlan::Project { input, exprs, .. } => {
+            let input = run(input, catalog)?;
+            let mut rows = Vec::with_capacity(input.len());
+            for row in &input {
                 let mut out = Vec::with_capacity(exprs.len());
                 for (e, _) in exprs {
                     out.push(e.eval(row)?);
                 }
-                rows.push(out);
+                rows.push(Cow::Owned(out));
             }
-            Ok(Relation {
-                schema: schema.clone(),
-                rows,
-            })
+            Ok(rows)
         }
         LogicalPlan::Join {
             left,
             right,
             join_type,
             condition,
-            schema,
+            ..
         } => {
-            let l = execute(left, catalog)?;
-            let r = execute(right, catalog)?;
-            join(&l, &r, *join_type, condition, schema)
+            let l = run(left, catalog)?;
+            let r = run(right, catalog)?;
+            // Only an outer join pads, so only it needs the right arity.
+            let right_arity = match join_type {
+                JoinType::LeftOuter => right.schema().arity(),
+                _ => 0,
+            };
+            join(&l, &r, *join_type, condition, right_arity)
         }
-        LogicalPlan::CrossJoin {
-            left,
-            right,
-            schema,
-        } => {
-            let l = execute(left, catalog)?;
-            let r = execute(right, catalog)?;
-            let mut rows = Vec::with_capacity(l.rows.len() * r.rows.len());
-            for lr in &l.rows {
-                for rr in &r.rows {
-                    let mut row = lr.clone();
-                    row.extend(rr.iter().cloned());
-                    rows.push(row);
+        LogicalPlan::CrossJoin { left, right, .. } => {
+            let l = run(left, catalog)?;
+            let r = run(right, catalog)?;
+            let mut rows = Vec::with_capacity(l.len() * r.len());
+            for lr in &l {
+                for rr in &r {
+                    rows.push(Cow::Owned(concat(lr, rr)));
                 }
             }
-            Ok(Relation {
-                schema: schema.clone(),
-                rows,
-            })
+            Ok(rows)
         }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggregates,
-            schema,
-        } => {
-            let rel = execute(input, catalog)?;
-            aggregate(&rel, group_by, aggregates, schema)
-        }
+            ..
+        } => aggregate(&run(input, catalog)?, group_by, aggregates),
         LogicalPlan::Sort { input, keys } => {
-            let mut rel = execute(input, catalog)?;
-            sort_rows(&mut rel.rows, keys);
-            Ok(rel)
+            let mut rows = run(input, catalog)?;
+            sort_rows(&mut rows, keys);
+            Ok(rows)
         }
         LogicalPlan::Distinct { input } => {
-            let rel = execute(input, catalog)?;
-            let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(rel.rows.len());
-            let mut rows = Vec::with_capacity(rel.rows.len());
-            for row in rel.rows {
-                if seen.insert(row.clone()) {
-                    rows.push(row);
-                }
-            }
-            Ok(Relation {
-                schema: rel.schema,
-                rows,
-            })
+            let rows = run(input, catalog)?;
+            // The set borrows the rows it has seen, so it is built and
+            // dropped before the first occurrences move out.
+            let mut seen: HashSet<&Row> = HashSet::with_capacity(rows.len());
+            let first: Vec<bool> = rows.iter().map(|row| seen.insert(row)).collect();
+            drop(seen);
+            Ok(rows
+                .into_iter()
+                .zip(first)
+                .filter_map(|(row, first)| first.then_some(row))
+                .collect())
         }
         LogicalPlan::Limit { input, n, offset } => {
-            let mut rel = execute(input, catalog)?;
+            let mut rows = run(input, catalog)?;
             if *offset > 0 {
-                rel.rows.drain(..(*offset as usize).min(rel.rows.len()));
+                rows.drain(..(*offset as usize).min(rows.len()));
             }
-            rel.rows.truncate(*n as usize);
-            Ok(rel)
+            rows.truncate(*n as usize);
+            Ok(rows)
         }
     }
 }
 
-/// Sorts rows in place by the given keys (stable, NULLs first).
-pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
+/// Sorts rows — owned, or borrowed by the executor — in place by the given
+/// keys (stable, NULLs first).
+pub fn sort_rows<R: Borrow<Row>>(rows: &mut [R], keys: &[SortKey]) {
     rows.sort_by(|a, b| {
+        let (a, b) = (a.borrow(), b.borrow());
         for k in keys {
             let ord = a[k.index].total_cmp(&b[k.index]);
             let ord = if k.direction == SortDirection::Desc {
@@ -238,40 +242,53 @@ pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
     });
 }
 
-fn join(
-    l: &Relation,
-    r: &Relation,
+/// A join's output row: the left row's values, then the right's.
+fn concat(left: &[Value], right: &[Value]) -> Row {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
+}
+
+/// Joins two row sets. `right_arity` is the NULL padding of an unmatched
+/// left row (read only by [`JoinType::LeftOuter`]).
+fn join<'a>(
+    l: &[Cow<'_, Row>],
+    r: &[Cow<'_, Row>],
     join_type: JoinType,
     condition: &JoinCondition,
-    schema: &PlanSchema,
-) -> Result<Relation> {
+    right_arity: usize,
+) -> Result<Rows<'a>> {
     let mut rows = Vec::new();
+    let passes = |row: &Row| match &condition.residual {
+        Some(p) => p.eval_predicate(row),
+        None => Ok(true),
+    };
+    let padded = |lr: &Row| {
+        let mut row = Vec::with_capacity(lr.len() + right_arity);
+        row.extend_from_slice(lr);
+        row.extend(std::iter::repeat_n(Value::Null, right_arity));
+        Cow::Owned(row)
+    };
     if condition.equi.is_empty() {
         // Nested loop with the residual predicate.
-        for lr in &l.rows {
+        for lr in l {
             let mut matched = false;
-            for rr in &r.rows {
-                let mut row = lr.clone();
-                row.extend(rr.iter().cloned());
-                let ok = match &condition.residual {
-                    Some(p) => p.eval_predicate(&row)?,
-                    None => true,
-                };
-                if ok {
+            for rr in r {
+                let row = concat(lr, rr);
+                if passes(&row)? {
                     matched = true;
-                    rows.push(row);
+                    rows.push(Cow::Owned(row));
                 }
             }
             if !matched && join_type == JoinType::LeftOuter {
-                let mut row = lr.clone();
-                row.extend(std::iter::repeat_n(Value::Null, r.schema.arity()));
-                rows.push(row);
+                rows.push(padded(lr));
             }
         }
     } else {
         // Hash join: build on the right, probe from the left.
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.rows.len());
-        for (i, rr) in r.rows.iter().enumerate() {
+        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.len());
+        for (i, rr) in r.iter().enumerate() {
             let mut key = Vec::with_capacity(condition.equi.len());
             let mut has_null = false;
             for (_, rk) in &condition.equi {
@@ -283,7 +300,7 @@ fn join(
                 table.entry(key).or_default().push(i);
             }
         }
-        for lr in &l.rows {
+        for lr in l {
             let mut key = Vec::with_capacity(condition.equi.len());
             let mut has_null = false;
             for (lk, _) in &condition.equi {
@@ -295,30 +312,20 @@ fn join(
             if !has_null {
                 if let Some(candidates) = table.get(&key) {
                     for &i in candidates {
-                        let mut row = lr.clone();
-                        row.extend(r.rows[i].iter().cloned());
-                        let ok = match &condition.residual {
-                            Some(p) => p.eval_predicate(&row)?,
-                            None => true,
-                        };
-                        if ok {
+                        let row = concat(lr, &r[i]);
+                        if passes(&row)? {
                             matched = true;
-                            rows.push(row);
+                            rows.push(Cow::Owned(row));
                         }
                     }
                 }
             }
             if !matched && join_type == JoinType::LeftOuter {
-                let mut row = lr.clone();
-                row.extend(std::iter::repeat_n(Value::Null, r.schema.arity()));
-                rows.push(row);
+                rows.push(padded(lr));
             }
         }
     }
-    Ok(Relation {
-        schema: schema.clone(),
-        rows,
-    })
+    Ok(rows)
 }
 
 /// Accumulator for one aggregate call in one group.
@@ -422,12 +429,11 @@ struct GroupAcc {
     distinct_seen: Vec<Option<HashSet<Value>>>,
 }
 
-fn aggregate(
-    rel: &Relation,
+fn aggregate<'a>(
+    input: &[Cow<'_, Row>],
     group_by: &[(ScalarExpr, String)],
     aggregates: &[AggCall],
-    schema: &PlanSchema,
-) -> Result<Relation> {
+) -> Result<Rows<'a>> {
     let new_group = || GroupAcc {
         states: aggregates.iter().map(AggState::new).collect(),
         distinct_seen: aggregates
@@ -446,7 +452,7 @@ fn aggregate(
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut groups: HashMap<Vec<Value>, GroupAcc> = HashMap::new();
 
-    for row in &rel.rows {
+    for row in input {
         let mut key = Vec::with_capacity(group_by.len());
         for (g, _) in group_by {
             key.push(g.eval(row)?);
@@ -485,19 +491,17 @@ fn aggregate(
         for st in acc.states {
             row.push(st.finish());
         }
-        rows.push(row);
+        rows.push(Cow::Owned(row));
     }
-    Ok(Relation {
-        schema: schema.clone(),
-        rows,
-    })
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::ResolvedColumn;
-    use crate::schema::PlanColumn;
+    use crate::schema::{Column, PlanColumn, TableSchema};
+    use crate::table::Table;
     use crate::value::DataType;
 
     fn rel(names: &[&str], rows: Vec<Row>) -> Relation {
@@ -512,6 +516,21 @@ mod tests {
         }
     }
 
+    /// Rows as the executor passes them when they come from a table.
+    fn borrowed(rows: &[Row]) -> Rows<'_> {
+        rows.iter().map(Cow::Borrowed).collect()
+    }
+
+    fn owned(rows: Rows<'_>) -> Vec<Row> {
+        rows.into_iter().map(Cow::into_owned).collect()
+    }
+
+    fn ints(rows: &[&[i64]]) -> Vec<Row> {
+        rows.iter()
+            .map(|r| r.iter().map(|&i| Value::Int(i)).collect())
+            .collect()
+    }
+
     fn colx(i: usize) -> ScalarExpr {
         ScalarExpr::Column(ResolvedColumn {
             index: i,
@@ -521,41 +540,57 @@ mod tests {
         })
     }
 
-    #[test]
-    fn hash_join_drops_null_keys() {
-        let l = rel(&["a"], vec![vec![Value::Int(1)], vec![Value::Null]]);
-        let r = rel(&["b"], vec![vec![Value::Int(1)], vec![Value::Null]]);
-        let cond = JoinCondition {
+    fn on_first_columns() -> JoinCondition {
+        JoinCondition {
             equi: vec![(colx(0), colx(0))],
             residual: None,
-        };
-        let schema = l.schema.join(&r.schema);
-        let out = join(&l, &r, JoinType::Inner, &cond, &schema).unwrap();
+        }
+    }
+
+    #[test]
+    fn hash_join_drops_null_keys() {
+        let l = vec![vec![Value::Int(1)], vec![Value::Null]];
+        let r = vec![vec![Value::Int(1)], vec![Value::Null]];
+        let out = join(
+            &borrowed(&l),
+            &borrowed(&r),
+            JoinType::Inner,
+            &on_first_columns(),
+            0,
+        )
+        .unwrap();
         // NULL = NULL is unknown, so only the (1,1) pair joins.
-        assert_eq!(out.rows, vec![vec![Value::Int(1), Value::Int(1)]]);
+        assert_eq!(owned(out), ints(&[&[1, 1]]));
     }
 
     #[test]
     fn left_outer_join_pads_with_nulls() {
-        let l = rel(&["a"], vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
-        let r = rel(&["b"], vec![vec![Value::Int(1)]]);
-        let cond = JoinCondition {
-            equi: vec![(colx(0), colx(0))],
-            residual: None,
-        };
-        let schema = l.schema.join(&r.schema.as_nullable());
-        let out = join(&l, &r, JoinType::LeftOuter, &cond, &schema).unwrap();
-        assert_eq!(out.len(), 2);
-        assert!(out
-            .rows
-            .iter()
-            .any(|r| r == &vec![Value::Int(2), Value::Null]));
+        let l = ints(&[&[1], &[2]]);
+        let r = ints(&[&[1, 10]]);
+        let out = join(
+            &borrowed(&l),
+            &borrowed(&r),
+            JoinType::LeftOuter,
+            &on_first_columns(),
+            2,
+        )
+        .unwrap();
+        assert_eq!(
+            owned(out),
+            vec![
+                vec![Value::Int(1), Value::Int(1), Value::Int(10)],
+                vec![Value::Int(2), Value::Null, Value::Null],
+            ]
+        );
+        // The inputs were read, not consumed.
+        assert_eq!(l, ints(&[&[1], &[2]]));
+        assert_eq!(r, ints(&[&[1, 10]]));
     }
 
     #[test]
     fn nested_loop_join_with_residual() {
-        let l = rel(&["a"], vec![vec![Value::Int(1)], vec![Value::Int(5)]]);
-        let r = rel(&["b"], vec![vec![Value::Int(3)]]);
+        let l = ints(&[&[1], &[5]]);
+        let r = ints(&[&[3]]);
         // ON a < b — no equi component.
         let cond = JoinCondition {
             equi: vec![],
@@ -565,24 +600,115 @@ mod tests {
                 right: Box::new(colx(1)),
             }),
         };
-        let schema = l.schema.join(&r.schema);
-        let out = join(&l, &r, JoinType::Inner, &cond, &schema).unwrap();
-        assert_eq!(out.rows, vec![vec![Value::Int(1), Value::Int(3)]]);
+        let out = join(&borrowed(&l), &borrowed(&r), JoinType::Inner, &cond, 0).unwrap();
+        assert_eq!(owned(out), ints(&[&[1, 3]]));
     }
 
     #[test]
     fn sort_rows_null_first_and_desc() {
+        let desc = [SortKey {
+            index: 0,
+            direction: SortDirection::Desc,
+        }];
         let mut rows = vec![vec![Value::Int(2)], vec![Value::Null], vec![Value::Int(1)]];
-        sort_rows(
-            &mut rows,
-            &[SortKey {
-                index: 0,
+        let sorted = vec![vec![Value::Int(2)], vec![Value::Int(1)], vec![Value::Null]];
+        // Borrowed rows sort by reference; the rows themselves stay put.
+        let mut refs = borrowed(&rows);
+        sort_rows(&mut refs, &desc);
+        assert_eq!(owned(refs), sorted);
+        assert_eq!(rows[1], vec![Value::Null]);
+        sort_rows(&mut rows, &desc);
+        assert_eq!(rows, sorted);
+    }
+
+    /// A one-table catalog: `t(k INT KEY, v INT)` holding `rows`.
+    fn catalog_of(rows: &[&[i64]]) -> Catalog {
+        let schema = TableSchema::new(
+            vec![
+                Column::new("k", DataType::Int),
+                Column::nullable("v", DataType::Int),
+            ],
+            "k",
+        )
+        .unwrap();
+        let mut table = Table::new("t", schema);
+        for row in ints(rows) {
+            table.insert(row).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.add_table(table).unwrap();
+        catalog
+    }
+
+    fn scan_t(catalog: &Catalog) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table: "t".into(),
+            binding: "t".into(),
+            source: None,
+            schema: catalog.get("t").unwrap().plan_schema("t"),
+            key_index: 0,
+        }
+    }
+
+    #[test]
+    fn sort_distinct_and_limit_pass_borrowed_rows_through() {
+        let catalog = catalog_of(&[&[3, 1], &[1, 2], &[2, 1], &[4, 2]]);
+        let shared = catalog.clone();
+        let by_v_desc = LogicalPlan::Sort {
+            input: Box::new(scan_t(&catalog)),
+            keys: vec![SortKey {
+                index: 1,
                 direction: SortDirection::Desc,
             }],
-        );
+        };
+        // No operator below the result builds a row: every one is still
+        // the table's own when `execute` takes ownership.
+        let rows = run(&by_v_desc, &catalog).unwrap();
+        assert!(rows.iter().all(|r| matches!(r, Cow::Borrowed(_))));
+        // Stable: ties keep table order.
+        assert_eq!(owned(rows), ints(&[&[1, 2], &[4, 2], &[3, 1], &[2, 1]]));
+
+        let window = LogicalPlan::Limit {
+            input: Box::new(by_v_desc),
+            n: 2,
+            offset: 1,
+        };
+        let out = execute(&window, &catalog).unwrap();
+        assert_eq!(out.rows, ints(&[&[4, 2], &[3, 1]]));
+        assert_eq!(out.schema, scan_t(&catalog).schema());
+
+        // DISTINCT over a projection of `v`: first occurrences, in order.
+        let distinct = LogicalPlan::Distinct {
+            input: Box::new(LogicalPlan::Project {
+                input: Box::new(scan_t(&catalog)),
+                exprs: vec![(colx(1), "v".into())],
+                schema: PlanSchema::new(vec![PlanColumn::computed("v", DataType::Int)]),
+            }),
+        };
         assert_eq!(
-            rows,
-            vec![vec![Value::Int(2)], vec![Value::Int(1)], vec![Value::Null]]
+            execute(&distinct, &catalog).unwrap().rows,
+            ints(&[&[1], &[2]])
+        );
+        // DISTINCT straight over a scan keeps borrowing.
+        let rows = run(
+            &LogicalPlan::Distinct {
+                input: Box::new(scan_t(&catalog)),
+            },
+            &catalog,
+        )
+        .unwrap();
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|r| matches!(r, Cow::Borrowed(_))));
+
+        // The catalog's table is untouched and still the one its clone
+        // shares.
+        assert!(std::ptr::eq(
+            catalog.get("t").unwrap(),
+            shared.get("t").unwrap()
+        ));
+        assert_eq!(
+            catalog.get("t").unwrap().rows(),
+            ints(&[&[3, 1], &[1, 2], &[2, 1], &[4, 2]])
         );
     }
 

@@ -27,10 +27,14 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    fn new() -> Self {
+    /// An index sized for `rows` rows: filling it to that many never
+    /// grows it ([`KeyIndex::reserve_one`] keeps it under half full).
+    fn with_capacity(rows: usize) -> Self {
+        // No table holds more rows than there are positions.
+        let rows = rows.min(EMPTY as usize);
         KeyIndex {
             hasher: RandomState::new(),
-            slots: vec![EMPTY; 8],
+            slots: vec![EMPTY; (rows * 2 + 1).next_power_of_two().max(8)],
         }
     }
 
@@ -92,11 +96,24 @@ pub struct Table {
 impl Table {
     /// Creates an empty table.
     pub fn new(name: impl Into<String>, schema: impl Into<Arc<TableSchema>>) -> Self {
+        Table::with_capacity(name, schema, 0)
+    }
+
+    /// Creates an empty table sized for `rows` rows: inserting that many
+    /// re-allocates neither the rows nor the key index (which otherwise
+    /// re-hashes every row each time it doubles). Sizing only —
+    /// [`Table::insert`] checks every row as it always does, and more
+    /// rows than announced still fit.
+    pub fn with_capacity(
+        name: impl Into<String>,
+        schema: impl Into<Arc<TableSchema>>,
+        rows: usize,
+    ) -> Self {
         Table {
             name: name.into(),
             schema: schema.into(),
-            rows: Vec::new(),
-            index: KeyIndex::new(),
+            rows: Vec::with_capacity(rows),
+            index: KeyIndex::with_capacity(rows),
         }
     }
 
@@ -317,6 +334,33 @@ mod tests {
         let mut t = city_table();
         t.insert(vec!["Rome".into(), Value::Int(1)]).unwrap();
         assert!(t.insert(vec!["Rome".into(), Value::Int(2)]).is_err());
+    }
+
+    #[test]
+    fn with_capacity_sizes_the_index_once_and_keeps_every_check() {
+        let mut t = Table::with_capacity("city", city_table().schema, 1000);
+        let slots = t.index.slots.len();
+        assert!(slots > 2 * 1000);
+        for i in 0..1000 {
+            t.insert(vec![format!("key {i}").into(), Value::Int(i)])
+                .unwrap();
+        }
+        assert_eq!(t.index.slots.len(), slots, "no doubling below the hint");
+        assert!(t.insert(vec!["key 7".into(), Value::Int(0)]).is_err());
+        assert!(t.insert(vec![Value::Null, Value::Int(0)]).is_err());
+        assert!(t.insert(vec!["new".into()]).is_err());
+        // The hint is not a limit.
+        for i in 1000..3000 {
+            t.insert(vec![format!("key {i}").into(), Value::Null])
+                .unwrap();
+        }
+        assert_eq!(t.len(), 3000);
+        assert_eq!(
+            t.find_by_key(&"key 2999".into()),
+            Some(&vec!["key 2999".into(), Value::Null])
+        );
+        // An empty hint is `Table::new`.
+        assert_eq!(Table::new("t", city_table().schema).index.slots.len(), 8);
     }
 
     #[test]
