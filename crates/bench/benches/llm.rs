@@ -192,10 +192,71 @@ fn bench_prompt_path(c: &mut Criterion) {
     });
 }
 
+/// The sub-entry store as the engine uses it: a column handle resolved
+/// once, then one `extract_in` per key. Each case does its whole key set
+/// per iteration, so time ÷ keys is one operation.
+fn bench_sub_columns(c: &mut Criterion) {
+    const PREFIX: &str = "fetch\u{1f}city\u{1f}name\u{1f}population\u{1f}";
+    let keys: Vec<String> = (0..10_000).map(|i| format!("San Lorenzo {i:05}")).collect();
+    let fill = |client: &LlmClient, prefix: &str, keys: &[String]| {
+        let column = client.sub_column(prefix);
+        for key in keys {
+            black_box(client.extract_in(&column, key, str::len));
+            client.store_in(&column, key, "2800000");
+        }
+        column
+    };
+    let read = |client: &LlmClient, column, keys: &mut dyn Iterator<Item = &String>| {
+        for key in keys {
+            black_box(client.extract_in(column, black_box(key), str::len));
+        }
+    };
+
+    let client = LlmClient::new(Arc::new(NullModel));
+    let column = fill(&client, PREFIX, &keys);
+    // The order a warm stage asks in: the one the column was filled in,
+    // so entries and text are read front to back.
+    c.bench_function("sub_column_hit_in_order/1e4", |b| {
+        b.iter(|| read(&client, &column, &mut keys.iter()))
+    });
+    // Any other order.
+    let shuffled: Vec<&String> = (0..keys.len())
+        .map(|i| &keys[i * 7919 % keys.len()])
+        .collect();
+    c.bench_function("sub_column_hit_shuffled/1e4", |b| {
+        b.iter(|| read(&client, &column, &mut shuffled.iter().copied()))
+    });
+    c.bench_function("sub_column_store/1e4", |b| {
+        b.iter(|| {
+            let client = LlmClient::new(Arc::new(NullModel));
+            fill(&client, PREFIX, &keys);
+            client
+        })
+    });
+    // Fifty columns, one pass over each in turn: by the time a column is
+    // read again the others have been through the cache, as on a serving
+    // session. The single-column cases above cannot show that.
+    let client = LlmClient::new(Arc::new(NullModel));
+    let columns: Vec<_> = (0..50)
+        .map(|i| {
+            let prefix = format!("fetch\u{1f}city\u{1f}name\u{1f}attribute {i}\u{1f}");
+            fill(&client, &prefix, &keys[..2_000])
+        })
+        .collect();
+    c.bench_function("sub_column_hit_cold/50x2e3", |b| {
+        b.iter(|| {
+            for column in &columns {
+                read(&client, column, &mut keys[..2_000].iter());
+            }
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_completion,
     bench_client_cache,
-    bench_prompt_path
+    bench_prompt_path,
+    bench_sub_columns
 );
 criterion_main!(benches);

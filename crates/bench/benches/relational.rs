@@ -103,9 +103,11 @@ fn bench_table_with_capacity(c: &mut Criterion) {
     });
 }
 
-/// `item(name, grp, qty)` with 10⁴ rows over 100 groups and `grp(name,
-/// weight)`: what the residual plan of a serving statement runs over. The
-/// plan is built once; the measured part is `execute` alone, whose scans
+/// `item(name, grp, qty)` with 10⁴ rows over 100 groups, `grp(name,
+/// weight)` and `stock(name, population)` with one row per item: what the
+/// residual plan of a serving statement runs over — the join on `grp`
+/// probes 100 keys, the one on `stock` 10⁴ distinct text keys, the
+/// `city ⋈ cityMayor` shape. The plan is built once; the measured part is `execute` alone, whose scans
 /// borrow the tables' rows.
 fn bench_execution_1e4(c: &mut Criterion) {
     let mut db = Database::new();
@@ -134,8 +136,15 @@ fn bench_execution_1e4(c: &mut Criterion) {
         grp.insert(vec![format!("group {g}").into(), Value::Int(g)])
             .expect("distinct keys");
     }
+    let mut stock = Table::new("stock", key_value_schema());
+    for i in 0..10_000i64 {
+        stock
+            .insert(vec![format!("item {i}").into(), Value::Int(i)])
+            .expect("distinct keys");
+    }
     db.add_table(item).expect("fresh name");
     db.add_table(grp).expect("fresh name");
+    db.add_table(stock).expect("fresh name");
     for (name, sql) in [
         (
             "exec_scan_filter_project/1e4",
@@ -144,6 +153,10 @@ fn bench_execution_1e4(c: &mut Criterion) {
         (
             "exec_hash_join/1e4",
             "SELECT i.name, g.population FROM item i, grp g WHERE i.grp = g.name",
+        ),
+        (
+            "exec_hash_join_text_keys/1e4",
+            "SELECT i.name, s.population FROM item i, stock s WHERE i.name = s.name",
         ),
         (
             "exec_group_by/1e4",

@@ -64,6 +64,7 @@ use galois_relational::cost as rcost;
 use galois_relational::{Catalog, LogicalPlan};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Expected per-prompt model latency (virtual ms) before any observed
 /// [`ClientStats`] are available to calibrate it.
@@ -146,7 +147,7 @@ pub struct PlannerParams {
     /// ([`rcost::warm_list_rows`]). `None` (the default, and always when
     /// the store is off) reproduces the store-free estimates bit for bit
     /// and keeps the `EXPLAIN` report tag-free.
-    pub warm_lists: Option<BTreeMap<String, usize>>,
+    pub warm_lists: Option<Arc<BTreeMap<String, usize>>>,
     /// LIMIT-aware early termination on
     /// ([`crate::EarlyStop::Limit`]): the `EXPLAIN` report gains a
     /// `limit: early-stop after ~N keys` line for eligible plan shapes.
@@ -264,9 +265,11 @@ impl PlannerParams {
     /// → stored key counts) onto the frozen calibration, threading
     /// [`crate::ListStore`] into the estimates. Called per planning
     /// request, so the planner sees universes warmed by *earlier* queries
-    /// without thawing the latency/hit-rate calibration.
-    pub fn with_warm_lists(mut self, warm: BTreeMap<String, usize>) -> Self {
-        self.warm_lists = Some(warm);
+    /// without thawing the latency/hit-rate calibration. Takes the store's
+    /// shared snapshot ([`galois_llm::KeyUniverseStore::warm_map`]) as it
+    /// is, or a plain map.
+    pub fn with_warm_lists(mut self, warm: impl Into<Arc<BTreeMap<String, usize>>>) -> Self {
+        self.warm_lists = Some(warm.into());
         self
     }
 

@@ -104,7 +104,7 @@ impl PromptBuilder {
     /// preamble, question lead-in, relation, attribute, answer instruction
     /// — is rendered once, and the per-key hot loop of the fetch phase
     /// becomes two appends around the key ([`FetchTemplate::render`]).
-    /// Same shape as the `cell_sig_prefix` hoist of the batched protocol;
+    /// Same shape as the `cell_column` hoist of the batched protocol;
     /// the `prompts` criterion bench measures the before/after.
     pub fn fetch_template(&self, relation: &str, key_attr: &str, attribute: &str) -> FetchTemplate {
         let (q_prefix, q_suffix) = render_fetch_attr_parts(relation, key_attr, attribute);

@@ -50,7 +50,7 @@ use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
 use galois_llm::{
     lane_schedule, BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LanguageModel,
-    LlmClient, Parallelism, RetryPolicy, SubEntryLookup,
+    LlmClient, Parallelism, RetryPolicy, SubColumn, SubLookup,
 };
 use galois_relational::{Column, Database, Relation, Table, Value};
 use std::sync::Arc;
@@ -1391,7 +1391,7 @@ impl Galois {
         // The per-cell prompt is constant except for the key: render the
         // template once per column and splice each key in, instead of
         // re-formatting the whole question per (key, column) — the same
-        // hoist shape as the batched protocol's `cell_sig_prefix`. Each
+        // hoist shape as the batched protocol's `cell_column`. Each
         // unit renders its own chunk, so a wave holds one chunk of prompts
         // per lane, not the phase's.
         let templates: Vec<_> = step
@@ -1552,33 +1552,29 @@ impl Galois {
         let mut rows = self.key_rows(step, keys);
 
         let n_cols = step.fetch.len();
-        // Per-column sub-entry prefixes — the same signatures the
-        // key-batched and single-key fallback prompts store under.
-        let prefixes: Vec<String> = step
+        // Per-column sub-entry columns — the same cells the key-batched
+        // and single-key fallback prompts store under.
+        let columns: Vec<SubColumn> = step
             .fetch
             .iter()
-            .map(|&col| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns()[col].name)))
+            .map(|&col| self.cell_column(step, &BatchCell::Fetch(&step.columns()[col].name)))
             .collect();
-        let mut sig = String::new();
 
         // Stage 1: per-(key, attr) sub-entry extraction.
         let mut answers: Vec<Vec<Option<String>>> = vec![vec![None; keys.len()]; n_cols];
         let mut pending: Vec<Vec<bool>> = vec![vec![false; keys.len()]; n_cols];
         for ci in 0..n_cols {
             for (i, key) in keys.iter().enumerate() {
-                match self
-                    .client
-                    .extract_sub_entry(sig_for_key(&mut sig, &prefixes[ci], key))
-                {
-                    SubEntryLookup::Hit(answer) => {
+                match self.client.extract_in(&columns[ci], key, str::to_string) {
+                    SubLookup::Hit(answer) => {
                         acc.cache_hits += 1;
                         answers[ci][i] = Some(answer);
                     }
-                    SubEntryLookup::InFlight => {
+                    SubLookup::InFlight => {
                         acc.cache_hits += 1;
                         pending[ci][i] = true;
                     }
-                    SubEntryLookup::Miss => pending[ci][i] = true,
+                    SubLookup::Miss => pending[ci][i] = true,
                 }
             }
         }
@@ -1625,9 +1621,9 @@ impl Galois {
         {
             let (start, len) = groups[gi];
             let pads = grid_pad_columns(step, start, len, attr_fuse);
-            let pad_prefixes: Vec<String> = pads
+            let pad_columns: Vec<SubColumn> = pads
                 .iter()
-                .map(|&c| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns()[c].name)))
+                .map(|&c| self.cell_column(step, &BatchCell::Fetch(&step.columns()[c].name)))
                 .collect();
             let chunk_keys: Vec<String> = members.iter().map(|&i| keys[i].clone()).collect();
             let attr_names: Vec<String> = (start..start + len)
@@ -1641,10 +1637,7 @@ impl Galois {
                         continue;
                     }
                     if let Some(answer) = cells[ki][ord].take() {
-                        self.client.store_sub_entry(
-                            sig_for_key(&mut sig, &prefixes[ci], &keys[i]),
-                            &answer,
-                        );
+                        self.client.store_in(&columns[ci], &keys[i], &answer);
                         answers[ci][i] = Some(answer);
                     }
                 }
@@ -1652,10 +1645,9 @@ impl Galois {
                 // they never feed rows and never enter the fallback
                 // ladder (first stored write wins, so a pad can't flap an
                 // already-extracted cell).
-                for (pi, prefix) in pad_prefixes.iter().enumerate() {
+                for (pi, column) in pad_columns.iter().enumerate() {
                     if let Some(answer) = cells[ki][len + pi].take() {
-                        self.client
-                            .store_sub_entry(sig_for_key(&mut sig, prefix, &keys[i]), &answer);
+                        self.client.store_in(column, &keys[i], &answer);
                     }
                 }
             }
@@ -1697,8 +1689,7 @@ impl Galois {
                 .zip(split_batched_answer(&completion.text, &chunk_keys))
             {
                 if let Some(answer) = sub {
-                    self.client
-                        .store_sub_entry(sig_for_key(&mut sig, &prefixes[ci], &keys[i]), &answer);
+                    self.client.store_in(&columns[ci], &keys[i], &answer);
                     answers[ci][i] = Some(answer);
                 }
             }
@@ -1732,10 +1723,8 @@ impl Galois {
             acc,
         );
         for ((&ci, &i), completion) in single_cols.iter().zip(&single_keys).zip(completions) {
-            self.client.store_sub_entry(
-                sig_for_key(&mut sig, &prefixes[ci], &keys[i]),
-                &completion.text,
-            );
+            self.client
+                .store_in(&columns[ci], &keys[i], &completion.text);
             answers[ci][i] = Some(completion.text);
         }
 
@@ -1776,18 +1765,14 @@ impl Galois {
         }
     }
 
-    /// Signature prefix shared by every `(cell, key)` sub-entry of one
-    /// retrieval cell in the client's extraction cache. `\u{1f}` (ASCII
-    /// unit separator) keeps field boundaries unambiguous for keys
-    /// containing `:` or commas.
-    ///
-    /// The prefix is everything but the key, so the per-key loops build
-    /// each signature with a single append onto a reused buffer
-    /// ([`sig_for_key`]) instead of re-formatting the whole
-    /// table/attribute/condition preamble for every key — the
-    /// `batched_cells` criterion bench measures that hot path.
-    fn cell_sig_prefix(&self, step: &LlmScanStep, cell: &BatchCell) -> String {
-        match cell {
+    /// The sub-entry column of one retrieval cell in the client's
+    /// extraction cache, resolved once per statement; the per-key loops
+    /// then ask it by key alone. The column is named by everything of a
+    /// `(cell, key)` signature but the key. `\u{1f}` (ASCII unit
+    /// separator) keeps field boundaries unambiguous for names and
+    /// phrases containing `:` or commas.
+    fn cell_column(&self, step: &LlmScanStep, cell: &BatchCell) -> SubColumn {
+        let prefix = match cell {
             BatchCell::Filter(c) => format!(
                 "filter\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}",
                 step.table,
@@ -1799,7 +1784,8 @@ impl Galois {
                 "fetch\u{1f}{}\u{1f}{}\u{1f}{attribute}\u{1f}",
                 step.table, step.key_attr,
             ),
-        }
+        };
+        self.client.sub_column(&prefix)
     }
 
     /// The multi-key intent for one chunk of a cell's keys.
@@ -1876,39 +1862,35 @@ impl Galois {
             prompts: usize,
         }
 
-        // Each cell's signature prefix is built once; the per-key loops
-        // below append only the key onto a reused buffer.
-        let prefixes: Vec<String> = cells
+        // Each cell's column is resolved once; the per-key loops below
+        // ask it by key alone.
+        let columns: Vec<SubColumn> = cells
             .iter()
-            .map(|(cell, _)| self.cell_sig_prefix(step, cell))
+            .map(|(cell, _)| self.cell_column(step, cell))
             .collect();
-        let mut sig = String::new();
 
         // Stage 1: per-key sub-entry extraction.
         let mut states: Vec<CellState> = cells
             .iter()
-            .zip(&prefixes)
-            .map(|((_, keys), prefix)| {
+            .zip(&columns)
+            .map(|((_, keys), column)| {
                 let mut answers = vec![None; keys.len()];
                 let mut pending = Vec::new();
                 for (i, key) in keys.iter().enumerate() {
-                    match self
-                        .client
-                        .extract_sub_entry(sig_for_key(&mut sig, prefix, key))
-                    {
-                        SubEntryLookup::Hit(answer) => {
+                    match self.client.extract_in(column, key, str::to_string) {
+                        SubLookup::Hit(answer) => {
                             acc.cache_hits += 1;
                             answers[i] = Some(answer);
                         }
                         // In flight elsewhere: already billed as a hit by
                         // the client; re-ask rather than block so prompt
                         // counts stay a local decision (determinism note
-                        // on [`LlmClient::extract_sub_entry`]).
-                        SubEntryLookup::InFlight => {
+                        // on [`LlmClient::extract_in`]).
+                        SubLookup::InFlight => {
                             acc.cache_hits += 1;
                             pending.push(i);
                         }
-                        SubEntryLookup::Miss => pending.push(i),
+                        SubLookup::Miss => pending.push(i),
                     }
                 }
                 CellState {
@@ -1953,8 +1935,7 @@ impl Galois {
                 .zip(split_batched_answer(&completion.text, &chunk_keys))
             {
                 if let Some(answer) = sub {
-                    self.client
-                        .store_sub_entry(sig_for_key(&mut sig, &prefixes[ci], &keys[i]), &answer);
+                    self.client.store_in(&columns[ci], &keys[i], &answer);
                     states[ci].answers[i] = Some(answer);
                 }
             }
@@ -1982,10 +1963,8 @@ impl Galois {
             self.run_cell_wave(&fb_prompts, &fb_cells, batch, lanes, phase, scheduler, acc);
         for ((&ci, &i), completion) in fb_cells.iter().zip(&fb_keys).zip(completions) {
             let (_, keys) = &cells[ci];
-            self.client.store_sub_entry(
-                sig_for_key(&mut sig, &prefixes[ci], &keys[i]),
-                &completion.text,
-            );
+            self.client
+                .store_in(&columns[ci], &keys[i], &completion.text);
             states[ci].answers[i] = Some(completion.text);
         }
 
@@ -2064,16 +2043,6 @@ enum BatchCell<'a> {
     Filter(&'a Condition),
     /// Fetch of one attribute over the cell's keys.
     Fetch(&'a str),
-}
-
-/// Builds one `(cell, key)` sub-entry signature into `buf` from the
-/// cell's precomputed prefix — the per-key half of the signature is a
-/// single append onto a reused allocation.
-fn sig_for_key<'b>(buf: &'b mut String, prefix: &str, key: &str) -> &'b str {
-    buf.clear();
-    buf.push_str(prefix);
-    buf.push_str(key);
-    buf
 }
 
 /// Folds one step's accounting into the query stats — everything except
@@ -2255,11 +2224,11 @@ enum StageCell {
 #[derive(Debug)]
 struct StageState {
     cell: StageCell,
-    /// Sub-entry signature prefixes of the stage's cells (empty when the
-    /// multi-key protocol is off — plain single-key prompts bypass the
-    /// sub-entry store, exactly like the wave pipeline). Single-cell
-    /// stages use `[0]`; a grid stage holds one per attr ordinal.
-    sig_prefixes: Vec<String>,
+    /// Sub-entry columns of the stage's cells (empty when the multi-key
+    /// protocol is off — plain single-key prompts bypass the sub-entry
+    /// store, exactly like the wave pipeline). Single-cell stages use
+    /// `[0]`; a grid stage holds one per attr ordinal.
+    sub_columns: Vec<SubColumn>,
     /// Key slots accumulated towards the next micro-batch (always fewer
     /// than the fuse factor — full batches fire immediately).
     pending: Vec<usize>,
@@ -2415,6 +2384,42 @@ impl StepRun<'_> {
     }
 }
 
+/// What one key's answer decides at a single-cell stage.
+enum Landed {
+    /// A filter verdict: whether the key survives the condition.
+    Verdict(bool),
+    /// A fetched cell, typed.
+    Value(Value),
+}
+
+impl Galois {
+    /// Parses one key's answer at a single-cell streaming stage. An
+    /// unparseable verdict keeps the tuple out, exactly like the wave
+    /// pipeline; a degraded one (fault text) does too, and counts as a
+    /// failed cell.
+    fn parse_stage_answer(
+        &self,
+        step: &LlmScanStep,
+        cell: StageCell,
+        answer: &str,
+        failed_cells: &mut usize,
+    ) -> Landed {
+        match cell {
+            StageCell::Filter(_) if is_fault_text(answer) => {
+                *failed_cells += 1;
+                Landed::Verdict(false)
+            }
+            StageCell::Filter(_) => Landed::Verdict(parse_boolean_answer(answer).unwrap_or(false)),
+            StageCell::Fetch { col } => {
+                Landed::Value(self.fetched_cell(answer, &step.columns()[col], failed_cells))
+            }
+            StageCell::Grid { .. } => {
+                unreachable!("grid cells consume through consume_fetch_value directly")
+            }
+        }
+    }
+}
+
 /// What a fired task is: one list iteration, one speculative offset page,
 /// one multi-key micro-batch, or one single-key prompt (a batched-mode
 /// fallback re-ask, or the entire dataflow when batching is off).
@@ -2526,7 +2531,7 @@ impl<'a> StreamSim<'a> {
         let attr_fuse = session.options.prompt_batch.attrs_per_prompt();
         let blank_stage = |cell| StageState {
             cell,
-            sig_prefixes: Vec::new(),
+            sub_columns: Vec::new(),
             pending: Vec::new(),
             inflight: 0,
             answered: AnsweredCells::new(match cell {
@@ -2559,21 +2564,17 @@ impl<'a> StreamSim<'a> {
                 }
                 if batched {
                     for stage in &mut stages {
-                        stage.sig_prefixes = match stage.cell {
+                        let column = |cell: &BatchCell| session.cell_column(step, cell);
+                        stage.sub_columns = match stage.cell {
                             // Group ordinals first, then the group's
                             // speculative pad columns — the same attr
                             // order the grid prompt renders.
                             StageCell::Grid { start, len } => step.fetch[start..start + len]
                                 .iter()
                                 .chain(grid_pad_columns(step, start, len, attr_fuse).iter())
-                                .map(|&c| {
-                                    session.cell_sig_prefix(
-                                        step,
-                                        &BatchCell::Fetch(&step.columns()[c].name),
-                                    )
-                                })
+                                .map(|&c| column(&BatchCell::Fetch(&step.columns()[c].name)))
                                 .collect(),
-                            cell => vec![session.cell_sig_prefix(step, &stage_cell(step, cell))],
+                            cell => vec![column(&stage_cell(step, cell))],
                         };
                     }
                 }
@@ -3015,21 +3016,10 @@ impl<'a> StreamSim<'a> {
                     .map(|&i| self.steps[s].keys()[i].clone())
                     .collect();
                 let subs = split_batched_answer(&event.completion.text, &chunk_keys);
-                let mut sig = String::new();
                 for (&slot, sub) in members.iter().zip(subs) {
                     match sub {
                         Some(answer) => {
-                            {
-                                let run = &self.steps[s];
-                                self.session.client.store_sub_entry(
-                                    sig_for_key(
-                                        &mut sig,
-                                        &run.stages[stage].sig_prefixes[0],
-                                        &run.keys()[slot],
-                                    ),
-                                    &answer,
-                                );
-                            }
+                            self.store_cell(s, stage, 0, slot, &answer);
                             self.consume_answer(s, stage, slot, &answer, t, fires);
                         }
                         // The model dropped or mangled this key's line:
@@ -3044,16 +3034,7 @@ impl<'a> StreamSim<'a> {
             FireTarget::Single { stage, member } => {
                 self.steps[s].stages[stage].inflight -= 1;
                 if self.batched {
-                    let mut sig = String::new();
-                    let run = &self.steps[s];
-                    self.session.client.store_sub_entry(
-                        sig_for_key(
-                            &mut sig,
-                            &run.stages[stage].sig_prefixes[0],
-                            &run.keys()[member],
-                        ),
-                        &event.completion.text,
-                    );
+                    self.store_cell(s, stage, 0, member, &event.completion.text);
                 }
                 self.consume_answer(s, stage, member, &event.completion.text, t, fires);
                 self.maybe_drain(s, stage, t, fires);
@@ -3072,21 +3053,10 @@ impl<'a> StreamSim<'a> {
                     .map(|&i| self.steps[s].keys()[i].clone())
                     .collect();
                 let subs = split_batched_answer(&event.completion.text, &chunk_keys);
-                let mut sig = String::new();
                 for (&slot, sub) in members.iter().zip(subs) {
                     match sub {
                         Some(answer) => {
-                            {
-                                let run = &self.steps[s];
-                                self.session.client.store_sub_entry(
-                                    sig_for_key(
-                                        &mut sig,
-                                        &run.stages[stage].sig_prefixes[attr],
-                                        &run.keys()[slot],
-                                    ),
-                                    &answer,
-                                );
-                            }
+                            self.store_cell(s, stage, attr, slot, &answer);
                             self.steps[s].stages[stage].answered.insert(slot, attr);
                             let col = self.steps[s].step.fetch[start + attr];
                             self.consume_fetch_value(s, col, slot, &answer);
@@ -3117,24 +3087,24 @@ impl<'a> StreamSim<'a> {
                 let StageCell::Grid { start, .. } = self.steps[s].stages[stage].cell else {
                     unreachable!("GridSingle fires only at grid stages")
                 };
-                {
-                    let mut sig = String::new();
-                    let run = &self.steps[s];
-                    self.session.client.store_sub_entry(
-                        sig_for_key(
-                            &mut sig,
-                            &run.stages[stage].sig_prefixes[attr],
-                            &run.keys()[member],
-                        ),
-                        &event.completion.text,
-                    );
-                }
+                self.store_cell(s, stage, attr, member, &event.completion.text);
                 self.steps[s].stages[stage].answered.insert(member, attr);
                 let col = self.steps[s].step.fetch[start + attr];
                 self.consume_fetch_value(s, col, member, &event.completion.text);
                 self.maybe_drain(s, stage, t, fires);
             }
         }
+    }
+
+    /// Stores one landed answer as the sub-entry of `slot`'s key in the
+    /// stage's `ord`-th column.
+    fn store_cell(&self, s: usize, stage: usize, ord: usize, slot: usize, answer: &str) {
+        let run = &self.steps[s];
+        self.session.client.store_in(
+            &run.stages[stage].sub_columns[ord],
+            &run.keys()[slot],
+            answer,
+        );
     }
 
     /// Applies one grid chunk's answer: every unanswered `(slot, attr)`
@@ -3166,7 +3136,6 @@ impl<'a> StreamSim<'a> {
             )
         };
         let mut cells = split_grid_answer(text, &chunk_keys, &attr_names);
-        let mut sig = String::new();
         let mut failed: Vec<Vec<usize>> = vec![Vec::new(); len];
         for (ki, &slot) in members.iter().enumerate() {
             for (ord, failed_ord) in failed.iter_mut().enumerate() {
@@ -3175,17 +3144,7 @@ impl<'a> StreamSim<'a> {
                 }
                 match cells[ki][ord].take() {
                     Some(answer) => {
-                        {
-                            let run = &self.steps[s];
-                            self.session.client.store_sub_entry(
-                                sig_for_key(
-                                    &mut sig,
-                                    &run.stages[stage].sig_prefixes[ord],
-                                    &run.keys()[slot],
-                                ),
-                                &answer,
-                            );
-                        }
+                        self.store_cell(s, stage, ord, slot, &answer);
                         self.steps[s].stages[stage].answered.insert(slot, ord);
                         let col = self.steps[s].step.fetch[start + ord];
                         self.consume_fetch_value(s, col, slot, &answer);
@@ -3198,15 +3157,7 @@ impl<'a> StreamSim<'a> {
             // no row consumption, no fallback for a dropped pad line.
             for (ord, cell) in cells[ki].iter_mut().enumerate().skip(len) {
                 if let Some(answer) = cell.take() {
-                    let run = &self.steps[s];
-                    self.session.client.store_sub_entry(
-                        sig_for_key(
-                            &mut sig,
-                            &run.stages[stage].sig_prefixes[ord],
-                            &run.keys()[slot],
-                        ),
-                        &answer,
-                    );
+                    self.store_cell(s, stage, ord, slot, &answer);
                 }
             }
         }
@@ -3414,25 +3365,29 @@ impl<'a> StreamSim<'a> {
             return self.deliver_grid(s, g, start, len, slot, fires);
         }
         if self.batched {
+            // A stored answer is parsed where it lies, under the column's
+            // lock; only what it decides leaves the store.
             let extracted = {
+                let session = self.session;
+                let failed_cells = &mut self.acc.failed_cells;
                 let run = &self.steps[s];
-                let mut sig = String::new();
-                self.session.client.extract_sub_entry(sig_for_key(
-                    &mut sig,
-                    &run.stages[g].sig_prefixes[0],
-                    &run.keys()[slot],
-                ))
+                let stage = &run.stages[g];
+                session
+                    .client
+                    .extract_in(&stage.sub_columns[0], &run.keys()[slot], |answer| {
+                        session.parse_stage_answer(run.step, stage.cell, answer, failed_cells)
+                    })
             };
             match extracted {
-                SubEntryLookup::Hit(answer) => {
+                SubLookup::Hit(landed) => {
                     self.acc.cache_hits += 1;
-                    self.consume_answer(s, g, slot, &answer, t, fires);
+                    self.land(s, g, slot, landed, t, fires);
                     return;
                 }
                 // Counted as a hit, but re-asked locally — the sim loop
                 // must never park a key waiting on another thread.
-                SubEntryLookup::InFlight => self.acc.cache_hits += 1,
-                SubEntryLookup::Miss => {}
+                SubLookup::InFlight => self.acc.cache_hits += 1,
+                SubLookup::Miss => {}
             }
         }
         let fuse = self.fuse;
@@ -3463,27 +3418,27 @@ impl<'a> StreamSim<'a> {
             if self.steps[s].stages[g].answered.contains(slot, ord) {
                 continue;
             }
-            let extracted = {
-                let run = &self.steps[s];
-                let mut sig = String::new();
-                self.session.client.extract_sub_entry(sig_for_key(
-                    &mut sig,
-                    &run.stages[g].sig_prefixes[ord],
-                    &run.keys()[slot],
-                ))
-            };
+            let session = self.session;
+            let failed_cells = &mut self.acc.failed_cells;
+            let run = &mut self.steps[s];
+            let col = run.step.fetch[start + ord];
+            let column = &run.step.columns()[col];
+            let extracted = session.client.extract_in(
+                &run.stages[g].sub_columns[ord],
+                &run.keys()[slot],
+                |answer| session.fetched_cell(answer, column, failed_cells),
+            );
             match extracted {
-                SubEntryLookup::Hit(answer) => {
+                SubLookup::Hit(value) => {
                     self.acc.cache_hits += 1;
-                    self.steps[s].stages[g].answered.insert(slot, ord);
-                    let col = self.steps[s].step.fetch[start + ord];
-                    self.consume_fetch_value(s, col, slot, &answer);
+                    run.stages[g].answered.insert(slot, ord);
+                    run.slots[slot].row[col] = value;
                 }
-                SubEntryLookup::InFlight => {
+                SubLookup::InFlight => {
                     self.acc.cache_hits += 1;
                     missing = true;
                 }
-                SubEntryLookup::Miss => missing = true,
+                SubLookup::Miss => missing = true,
             }
         }
         if !missing {
@@ -3498,10 +3453,8 @@ impl<'a> StreamSim<'a> {
         }
     }
 
-    /// Applies one key's answer at a stage: a filter verdict routes the
-    /// key onward or kills it (an unparseable verdict keeps the tuple out,
-    /// exactly like the wave pipeline); a fetch answer lands in the key's
-    /// row.
+    /// Applies one key's answer at a single-cell stage
+    /// ([`Galois::parse_stage_answer`], then [`StreamSim::land`]).
     fn consume_answer(
         &mut self,
         s: usize,
@@ -3511,22 +3464,36 @@ impl<'a> StreamSim<'a> {
         t: u64,
         fires: &mut Vec<Fire>,
     ) {
-        match self.steps[s].stages[g].cell {
-            StageCell::Filter(_) => {
-                if is_fault_text(answer) {
-                    // A degraded verdict keeps the tuple out, like any
-                    // unparseable one, but is counted as a failed cell.
-                    self.acc.failed_cells += 1;
-                    self.steps[s].slots[slot].alive = false;
-                } else if parse_boolean_answer(answer).unwrap_or(false) {
-                    self.route_survivor(s, g, slot, t, fires);
-                } else {
-                    self.steps[s].slots[slot].alive = false;
-                }
-            }
-            StageCell::Fetch { col } => self.consume_fetch_value(s, col, slot, answer),
-            StageCell::Grid { .. } => {
-                unreachable!("grid cells consume through consume_fetch_value directly")
+        let run = &self.steps[s];
+        let landed = self.session.parse_stage_answer(
+            run.step,
+            run.stages[g].cell,
+            answer,
+            &mut self.acc.failed_cells,
+        );
+        self.land(s, g, slot, landed, t, fires);
+    }
+
+    /// Applies what one key's answer decided at a single-cell stage: a
+    /// filter verdict routes the key onward or kills it; a fetched value
+    /// lands in the key's row.
+    fn land(
+        &mut self,
+        s: usize,
+        g: usize,
+        slot: usize,
+        landed: Landed,
+        t: u64,
+        fires: &mut Vec<Fire>,
+    ) {
+        match landed {
+            Landed::Verdict(true) => self.route_survivor(s, g, slot, t, fires),
+            Landed::Verdict(false) => self.steps[s].slots[slot].alive = false,
+            Landed::Value(value) => {
+                let StageCell::Fetch { col } = self.steps[s].stages[g].cell else {
+                    unreachable!("only fetch stages land values")
+                };
+                self.steps[s].slots[slot].row[col] = value;
             }
         }
     }
@@ -3958,6 +3925,39 @@ mod tests {
             .explain("SELECT name FROM city ORDER BY population LIMIT 5")
             .unwrap()
             .contains("limit:"));
+    }
+
+    /// The "live overlay" rule of [`Galois::planning_params`]: the warm
+    /// map is a shared snapshot, and a universe published between two
+    /// plans is visible to the second.
+    #[test]
+    fn a_publish_between_two_plans_is_visible_to_the_second() {
+        let s = Scenario::generate(42);
+        let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
+        let store = Arc::new(KeyUniverseStore::new());
+        let session = || {
+            Galois::with_options(
+                model.clone(),
+                s.database.clone(),
+                GaloisOptions {
+                    list_store: ListStore::Shared(Arc::clone(&store)),
+                    ..Default::default()
+                },
+            )
+        };
+        let sql = "SELECT name, population FROM city";
+        let g = session();
+        let cold = g.explain(sql).unwrap();
+        assert!(cold.contains("    list: cold\n"), "{cold}");
+        assert_eq!(g.explain(sql).unwrap(), cold);
+        let listed = g.execute(sql).unwrap().relation.rows.len();
+        let warm = g.explain(sql).unwrap();
+        assert!(
+            warm.contains(&format!("    list: warm ({listed} keys)\n")),
+            "{warm}"
+        );
+        // A session that never held the cold snapshot renders the same.
+        assert_eq!(session().explain(sql).unwrap(), warm);
     }
 
     #[test]

@@ -197,3 +197,51 @@ fn a_partial_frontier_resumes_paging_and_dedupes_against_stored_keys() {
         );
     }
 }
+
+/// A sub-entry column holds its cells in the order they arrived, which
+/// need not be universe order. Here the `population` column is filled by
+/// a filtered statement (the survivors), completed by an unfiltered one
+/// (everyone else, appended), then read by a third in universe order:
+/// every key is found, whatever its position. Both engines return the
+/// same relations, prompts and cache hits.
+#[test]
+fn a_column_filled_out_of_universe_order_serves_every_key() {
+    let s = Scenario::generate(42);
+    let model = SimLlm::new(s.knowledge.clone(), ModelProfile::oracle());
+    let statements = [
+        "SELECT name, population FROM city WHERE elevation < 100",
+        "SELECT name, population FROM city",
+        "SELECT name, population FROM city",
+    ];
+    let run = |pipeline| {
+        let store = Arc::new(KeyUniverseStore::new());
+        let session = grid_session(&s, Arc::new(model.clone()), &store, pipeline);
+        statements.map(|sql| session.execute(sql).unwrap())
+    };
+    let wave = run(Pipeline::Off);
+    let stream = run(Pipeline::Streaming);
+    for (i, (wave, stream)) in wave.iter().zip(&stream).enumerate() {
+        assert_eq!(wave.relation, stream.relation, "statement {i} relation");
+        assert_eq!(
+            wave.stats.total_prompts(),
+            stream.stats.total_prompts(),
+            "statement {i} prompts"
+        );
+        assert_eq!(
+            wave.stats.cache_hits, stream.stats.cache_hits,
+            "statement {i} cache hits"
+        );
+    }
+    let rows = |i: usize| stream[i].relation.rows.len();
+    assert!(
+        0 < rows(0) && rows(0) < rows(1),
+        "the filter must keep some keys and drop others"
+    );
+    assert_eq!(stream[2].relation, stream[1].relation);
+    assert_eq!(stream[2].stats.total_prompts(), 0, "third pass is all hits");
+    // One stored list iteration plus one hit per key's `population` cell.
+    assert_eq!(
+        stream[2].stats.cache_hits,
+        stream[1].stats.cache_hits + (rows(1) - rows(0))
+    );
+}

@@ -25,12 +25,14 @@
 //! lanes ([`lane_schedule`]), with `K = 1` reproducing the original
 //! sequential accounting bit-for-bit.
 
+use crate::columns::{SubColumn, SubLookup, SubStore};
 use crate::lanes::{lane_schedule, Parallelism};
 use crate::model::{Completion, FaultKind, LanguageModel, Usage};
 use crate::resilience::{CircuitBreaker, RetryPolicy};
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry as MapEntry, HashMap, RandomState};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Usage counters accumulated by a client.
@@ -224,45 +226,13 @@ impl Drop for FulfillGuard<'_> {
     }
 }
 
-/// A per-key sub-entry slot: a stored answer fragment, or a marker that
-/// some request has already asked the model for this signature and its
-/// answer has not been stored yet.
-///
-/// The marker is what makes `cache_hits` accounting deterministic under
-/// threads: a lookup that finds *either* state counts as a hit — the
-/// signature has been asked before, full stop — instead of depending on
-/// whether the first asker's store happened to land before the second
-/// asker's lookup (arrival order). Prompt counts can still wobble under
-/// races (the second asker re-asks the model rather than blocking on the
-/// first), but the hit totals are a pure function of the per-signature ask
-/// counts.
-enum SubEntry {
-    /// The signature has been asked; its answer is still in flight.
-    Asked,
-    /// The stored answer fragment.
-    Ready(String),
-}
-
-/// Result of a sub-entry lookup ([`LlmClient::extract_sub_entry`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubEntryLookup {
-    /// A stored answer was served — a cache hit with zero prompt cost.
-    Hit(String),
-    /// Another request already asked this signature and its answer has not
-    /// been stored yet. Counted as a cache hit (by-signature accounting:
-    /// in a sequential run this lookup would have found the stored
-    /// answer), but the caller must produce the answer itself — the store
-    /// never blocks one query's dataflow on another's.
-    InFlight,
-    /// First ask of this signature; the caller owes a
-    /// [`LlmClient::store_sub_entry`] once the answer lands.
-    Miss,
-}
+/// Result of a whole-signature sub-entry lookup
+/// ([`LlmClient::extract_sub_entry`]): the stored answer, copied out.
+pub type SubEntryLookup = SubLookup<String>;
 
 /// A string-keyed map striped over [`CACHE_SHARDS`] mutexes, so concurrent
-/// lookups of different keys do not serialise on one lock. Backs both the
-/// prompt cache (`Striped<Slot>`) and the per-key sub-entry store
-/// (`Striped<SubEntry>`).
+/// lookups of different keys do not serialise on one lock. Backs the
+/// prompt cache (`Striped<Slot>`).
 ///
 /// A lookup reads its key's bytes twice and no more. [`Striped::probe`]
 /// hashes the text once, with a SipHash keyed at random per map — keys
@@ -277,8 +247,7 @@ pub enum SubEntryLookup {
 /// way B-tree pages and string dictionaries compress a sorted run: an
 /// entry keeps how many leading bytes it shares with that reference and
 /// its own tail. Operator prompts share a few-shot preamble of several
-/// hundred bytes and sub-entry signatures share a `relation|key|attr|`
-/// prefix; neither is stored more than once.
+/// hundred bytes, which is stored once.
 struct Striped<V> {
     shards: Vec<Mutex<Table<V>>>,
     keys: RandomState,
@@ -321,11 +290,11 @@ impl<V> Entry<V> {
 
 /// Feeds a precomputed `u64` hash through to the table unchanged.
 #[derive(Default)]
-struct PassThrough(u64);
+pub(crate) struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("shard tables are keyed by u64 hashes");
+        unreachable!("tables are keyed by u64 hashes");
     }
 
     fn write_u64(&mut self, hash: u64) {
@@ -486,8 +455,12 @@ pub struct LlmClient {
     /// differently across queries. The sub-entry store caches at the
     /// *task* granularity instead, so a key answered inside any earlier
     /// batch is a cache hit for every later prompt that would re-ask it,
-    /// batched or not.
-    sub_entries: Striped<SubEntry>,
+    /// batched or not. One column per signature prefix
+    /// ([`crate::columns`]).
+    sub_entries: SubStore,
+    /// Sub-entry hits, counted beside `stats` so that a hit takes no
+    /// second lock; [`LlmClient::stats`] folds them into `cache_hits`.
+    sub_hits: AtomicUsize,
     stats: Mutex<ClientStats>,
     cache_enabled: bool,
     parallelism: Parallelism,
@@ -511,7 +484,8 @@ impl LlmClient {
         LlmClient {
             model,
             cache: Striped::new(),
-            sub_entries: Striped::new(),
+            sub_entries: SubStore::new(),
+            sub_hits: AtomicUsize::new(0),
             stats: Mutex::new(ClientStats::default()),
             cache_enabled: true,
             parallelism,
@@ -538,6 +512,17 @@ impl LlmClient {
     pub fn without_cache(model: Arc<dyn LanguageModel>) -> Self {
         LlmClient {
             cache_enabled: false,
+            ..Self::new(model)
+        }
+    }
+
+    /// A client whose two stores hash every key to the same value: every
+    /// prompt lands in one shard, every key of a column on one chain.
+    #[cfg(test)]
+    pub(crate) fn colliding(model: Arc<dyn LanguageModel>) -> Self {
+        LlmClient {
+            cache: Striped::colliding(),
+            sub_entries: SubStore::colliding(),
             ..Self::new(model)
         }
     }
@@ -797,70 +782,91 @@ impl LlmClient {
         }
     }
 
-    /// Looks a per-key sub-entry up by task signature.
+    /// The column of the sub-entry store that holds the cells whose
+    /// signature starts with `prefix` — everything of a cell signature but
+    /// its key. A stage resolves its columns once per statement and then
+    /// asks per key ([`LlmClient::extract_in`], [`LlmClient::store_in`]).
+    pub fn sub_column(&self, prefix: &str) -> SubColumn {
+        self.sub_entries.column(prefix)
+    }
+
+    /// Looks one key's sub-entry up in a column and, on a stored answer,
+    /// hands it to `read` — in place, under the column's lock, so `read`
+    /// must not call back into this client.
     ///
-    /// A stored answer is served as [`SubEntryLookup::Hit`] (a cache hit:
-    /// the key's answer costs no prompt, so no batch is charged — unlike a
+    /// A stored answer is served as [`SubLookup::Hit`] (a cache hit: the
+    /// key's answer costs no prompt, so no batch is charged — unlike a
     /// prompt-cache hit, which still rides inside a batch request). A
-    /// first ask returns [`SubEntryLookup::Miss`] and leaves an in-flight
+    /// first ask returns [`SubLookup::Miss`] and leaves an in-flight
     /// marker; a concurrent lookup that finds the marker returns
-    /// [`SubEntryLookup::InFlight`], which *also* counts as a cache hit —
-    /// hits are a function of how often each signature is asked, never of
-    /// which thread's store landed first — but obliges the caller to
-    /// produce the answer itself. Always misses when the cache is
-    /// disabled.
+    /// [`SubLookup::InFlight`], which *also* counts as a cache hit — hits
+    /// are a function of how often each cell is asked, never of which
+    /// thread's store landed first — but obliges the caller to produce the
+    /// answer itself. Always misses when the cache is disabled.
+    pub fn extract_in<R>(
+        &self,
+        column: &SubColumn,
+        key: &str,
+        read: impl FnOnce(&str) -> R,
+    ) -> SubLookup<R> {
+        if !self.cache_enabled {
+            return SubLookup::Miss;
+        }
+        self.count_sub_hit(column.extract(key, read))
+    }
+
+    /// Stores one key's answer fragment in a column, making it extractable
+    /// by later single-key or batched requests. First *stored* write wins:
+    /// per-key answers are deterministic per session, so re-storing after
+    /// a raw-prompt-cache hit must not flap the entry (an in-flight marker
+    /// is always replaced — it holds no answer).
+    ///
+    /// Fault-marker text is never stored: a degraded answer must not
+    /// poison the sub-entry store for later queries (the in-flight marker
+    /// is left in place, so by-signature hit accounting is unaffected).
+    pub fn store_in(&self, column: &SubColumn, key: &str, answer: &str) {
+        if self.cache_enabled && !crate::faults::is_fault_text(answer) {
+            column.store(key, answer);
+        }
+    }
+
+    /// [`LlmClient::extract_in`] by whole signature: the column is the
+    /// signature up to and including its last U+001F (the empty prefix
+    /// when it has none), the key is the rest, and the answer is copied
+    /// out. A cell is the pair `(prefix, key)`, not their concatenation.
     pub fn extract_sub_entry(&self, sig: &str) -> SubEntryLookup {
         if !self.cache_enabled {
-            return SubEntryLookup::Miss;
+            return SubLookup::Miss;
         }
-        let probe = self.sub_entries.probe(sig);
-        let found = {
-            let mut table = self.sub_entries.shard(&probe).lock();
-            match table.get_mut(&probe) {
-                Some(SubEntry::Ready(answer)) => SubEntryLookup::Hit(answer.clone()),
-                Some(SubEntry::Asked) => SubEntryLookup::InFlight,
-                None => {
-                    table.insert(&probe, SubEntry::Asked);
-                    SubEntryLookup::Miss
-                }
-            }
-        };
-        if !matches!(found, SubEntryLookup::Miss) {
-            self.stats.lock().cache_hits += 1;
+        self.count_sub_hit(self.sub_entries.extract(sig, str::to_string))
+    }
+
+    /// [`LlmClient::store_in`] by whole signature, split as
+    /// [`LlmClient::extract_sub_entry`] splits it.
+    pub fn store_sub_entry(&self, sig: &str, answer: &str) {
+        if self.cache_enabled && !crate::faults::is_fault_text(answer) {
+            self.sub_entries.store(sig, answer);
+        }
+    }
+
+    fn count_sub_hit<R>(&self, found: SubLookup<R>) -> SubLookup<R> {
+        if !matches!(found, SubLookup::Miss) {
+            self.sub_hits.fetch_add(1, Ordering::Relaxed);
         }
         found
     }
 
-    /// Stores one key's answer fragment under its task signature, making
-    /// it extractable by later single-key or batched requests. First
-    /// *stored* write wins: per-key answers are deterministic per session,
-    /// so re-storing after a raw-prompt-cache hit must not flap the entry
-    /// (an in-flight marker is always replaced — it holds no answer).
-    ///
-    /// Fault-marker text is never stored: a degraded answer must not
-    /// poison the sub-entry store for later queries (the `Asked` marker is
-    /// left in place, so by-signature hit accounting is unaffected).
-    pub fn store_sub_entry(&self, sig: &str, answer: &str) {
-        if !self.cache_enabled || crate::faults::is_fault_text(answer) {
-            return;
-        }
-        let probe = self.sub_entries.probe(sig);
-        let mut table = self.sub_entries.shard(&probe).lock();
-        match table.get_mut(&probe) {
-            Some(SubEntry::Ready(_)) => {}
-            Some(slot @ SubEntry::Asked) => *slot = SubEntry::Ready(answer.to_string()),
-            None => table.insert(&probe, SubEntry::Ready(answer.to_string())),
-        }
-    }
-
     /// Snapshot of the accumulated stats.
     pub fn stats(&self) -> ClientStats {
-        *self.stats.lock()
+        let mut stats = *self.stats.lock();
+        stats.cache_hits += self.sub_hits.load(Ordering::Relaxed);
+        stats
     }
 
     /// Resets counters (the cache is kept).
     pub fn reset_stats(&self) {
         *self.stats.lock() = ClientStats::default();
+        self.sub_hits.store(0, Ordering::Relaxed);
     }
 
     /// Clears the prompt cache and the per-key sub-entry store.
@@ -920,8 +926,20 @@ struct UniverseEntry {
 /// the arrival order.
 #[derive(Debug, Default)]
 pub struct KeyUniverseStore {
-    entries: Mutex<HashMap<String, UniverseEntry>>,
+    inner: Mutex<Universes>,
 }
+
+/// The stored universes, and the planner's view of them.
+#[derive(Debug, Default)]
+struct Universes {
+    entries: HashMap<String, UniverseEntry>,
+    /// [`KeyUniverseStore::warm_map`] snapshots by model signature, built
+    /// on demand and dropped whenever `entries` changes.
+    warm: HashMap<String, Arc<WarmMap>>,
+}
+
+/// Exhausted concepts → stored key counts.
+type WarmMap = std::collections::BTreeMap<String, usize>;
 
 impl KeyUniverseStore {
     /// Creates an empty store.
@@ -934,11 +952,12 @@ impl KeyUniverseStore {
     /// *drops* the stale entry (invalidate-on-read) and reports a cold
     /// concept.
     pub fn read(&self, concept: &str, model_sig: &str) -> Option<KeyUniverse> {
-        let mut entries = self.entries.lock();
-        match entries.get(concept) {
+        let mut inner = self.inner.lock();
+        match inner.entries.get(concept) {
             Some(entry) if entry.model_sig == model_sig => Some(entry.universe.clone()),
             Some(_) => {
-                entries.remove(concept);
+                inner.entries.remove(concept);
+                inner.warm.clear();
                 None
             }
             None => None,
@@ -950,18 +969,19 @@ impl KeyUniverseStore {
     /// strictly more (exhausted beats partial; a longer frontier beats a
     /// shorter one). A different-signature entry is always replaced.
     pub fn publish(&self, concept: &str, model_sig: &str, universe: KeyUniverse) {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(concept) {
+        let mut inner = self.inner.lock();
+        match inner.entries.get_mut(concept) {
             Some(entry) if entry.model_sig == model_sig => {
                 let old = &entry.universe;
                 let extends =
                     (universe.exhausted && !old.exhausted) || universe.keys.len() > old.keys.len();
-                if extends {
-                    entry.universe = universe;
+                if !extends {
+                    return;
                 }
+                entry.universe = universe;
             }
             _ => {
-                entries.insert(
+                inner.entries.insert(
                     concept.to_string(),
                     UniverseEntry {
                         model_sig: model_sig.to_string(),
@@ -970,34 +990,46 @@ impl KeyUniverseStore {
                 );
             }
         }
+        inner.warm.clear();
     }
 
     /// All *exhausted* universes stored under the given model signature,
     /// as `concept → key count` — the planner-visible warm-list
     /// cardinalities (partial frontiers still need paging, so they stay
-    /// invisible to cost estimation).
-    pub fn warm_map(&self, model_sig: &str) -> std::collections::BTreeMap<String, usize> {
-        self.entries
-            .lock()
-            .iter()
-            .filter(|(_, e)| e.model_sig == model_sig && e.universe.exhausted)
-            .map(|(concept, e)| (concept.clone(), e.universe.keys.len()))
-            .collect()
+    /// invisible to cost estimation). A shared snapshot: the map is built
+    /// once per change of the store, not once per call.
+    pub fn warm_map(&self, model_sig: &str) -> Arc<std::collections::BTreeMap<String, usize>> {
+        let mut inner = self.inner.lock();
+        if let Some(warm) = inner.warm.get(model_sig) {
+            return Arc::clone(warm);
+        }
+        let warm: Arc<WarmMap> = Arc::new(
+            inner
+                .entries
+                .iter()
+                .filter(|(_, e)| e.model_sig == model_sig && e.universe.exhausted)
+                .map(|(concept, e)| (concept.clone(), e.universe.keys.len()))
+                .collect(),
+        );
+        inner.warm.insert(model_sig.to_string(), Arc::clone(&warm));
+        warm
     }
 
     /// Number of stored concepts.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.inner.lock().entries.len()
     }
 
     /// True when no universe is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.inner.lock().entries.is_empty()
     }
 
     /// Drops every stored universe.
     pub fn clear(&self) {
-        self.entries.lock().clear();
+        let mut inner = self.inner.lock();
+        inner.entries.clear();
+        inner.warm.clear();
     }
 }
 
@@ -1153,6 +1185,11 @@ mod tests {
         }));
         c.store_sub_entry("sig", "value");
         assert_eq!(c.extract_sub_entry("sig"), SubEntryLookup::Miss);
+        let column = c.sub_column("fetch\u{1f}");
+        c.store_in(&column, "Rome", "value");
+        for _ in 0..2 {
+            assert_eq!(c.extract_in(&column, "Rome", str::len), SubLookup::Miss);
+        }
         assert_eq!(c.stats().cache_hits, 0);
     }
 
@@ -1202,6 +1239,36 @@ mod tests {
         // A read under a different model signature invalidates the entry.
         assert_eq!(store.read("list|city|name|", "sig-b"), None);
         assert!(store.is_empty());
+    }
+
+    /// The warm map is one shared snapshot per model signature, rebuilt
+    /// only after the store changed.
+    #[test]
+    fn warm_map_snapshots_follow_every_change_of_the_store() {
+        let store = KeyUniverseStore::new();
+        let universe = |keys: &[&str], exhausted| KeyUniverse {
+            keys: keys.iter().map(|k| k.to_string()).collect(),
+            iterations: 1,
+            exhausted,
+        };
+        store.publish("city", "sig-a", universe(&["Rome"], true));
+        let first = store.warm_map("sig-a");
+        assert!(Arc::ptr_eq(&first, &store.warm_map("sig-a")));
+        assert!(store.warm_map("sig-b").is_empty());
+        // A publish that changes nothing keeps the snapshot.
+        store.publish("city", "sig-a", universe(&["Rome"], true));
+        assert!(Arc::ptr_eq(&first, &store.warm_map("sig-a")));
+        // One that adds a concept is visible to the next call; the
+        // snapshot already handed out is not touched.
+        store.publish("country", "sig-a", universe(&["Italy", "Norway"], true));
+        let second = store.warm_map("sig-a");
+        assert_eq!((first.len(), second.len()), (1, 2));
+        assert_eq!(second.get("country").copied(), Some(2));
+        // Invalidate-on-read and clear drop it too.
+        assert_eq!(store.read("city", "sig-b"), None);
+        assert_eq!(store.warm_map("sig-a").len(), 1);
+        store.clear();
+        assert!(store.warm_map("sig-a").is_empty());
     }
 
     #[test]
@@ -1475,19 +1542,9 @@ mod tests {
         }
     }
 
-    /// A client whose two maps hash every key to the same value: every
-    /// key lands in one shard, on one collision chain.
-    fn colliding_client(model: Arc<dyn LanguageModel>) -> LlmClient {
-        LlmClient {
-            cache: Striped::colliding(),
-            sub_entries: Striped::colliding(),
-            ..LlmClient::new(model)
-        }
-    }
-
     #[test]
     fn colliding_prompts_are_stored_and_served_apart() {
-        let c = colliding_client(Arc::new(Echo));
+        let c = LlmClient::colliding(Arc::new(Echo));
         let prompts = ["preamble Q: a", "preamble Q: b", "other", ""];
         for prompt in prompts {
             assert_eq!(c.complete(prompt).text, format!("echo:{prompt}"));
@@ -1519,7 +1576,7 @@ mod tests {
         // Abandon the chain's only entry, its tail, and an entry in its
         // middle: `insert` puts a new key right behind the head.
         for doomed in 0..3 {
-            let c = Arc::new(colliding_client(Arc::new(Selective)));
+            let c = Arc::new(LlmClient::colliding(Arc::new(Selective)));
             let keep = ["keep 0", "keep 1"];
             let mut order = vec![keep[0], keep[1]];
             order.insert(doomed, "boom");
@@ -1564,7 +1621,7 @@ mod tests {
 
     #[test]
     fn sub_entry_transitions_ignore_a_colliding_neighbour() {
-        let c = colliding_client(Arc::new(Echo));
+        let c = LlmClient::colliding(Arc::new(Echo));
         assert_eq!(
             c.extract_sub_entry("city|name|pop|Rome"),
             SubEntryLookup::Miss
@@ -1624,7 +1681,7 @@ mod tests {
         for colliding in [false, true] {
             for (reference, others) in cases {
                 let c = if colliding {
-                    colliding_client(Arc::new(Echo))
+                    LlmClient::colliding(Arc::new(Echo))
                 } else {
                     LlmClient::new(Arc::new(Echo))
                 };

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod columns;
 pub mod faults;
 pub mod intent;
 pub mod knowledge;
@@ -44,6 +45,7 @@ pub use client::{
     BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LlmClient, SubEntryLookup,
     BATCH_OVERHEAD_MS, CACHE_SHARDS,
 };
+pub use columns::{SubColumn, SubLookup};
 pub use faults::{FaultProfile, FaultyLlm};
 pub use intent::{CmpOp, Condition, PromptValue, TaskIntent};
 pub use knowledge::{Entity, EntityId, FactValue, KnowledgeStore};

@@ -286,30 +286,32 @@ fn join<'a>(
             }
         }
     } else {
-        // Hash join: build on the right, probe from the left.
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.len());
+        // Hash join: build on the right, probe from the left. Keys that
+        // are plain columns are hashed and compared where they lie.
+        let mut table: HashMap<Vec<Cow<'_, Value>>, Vec<usize>> = HashMap::with_capacity(r.len());
+        let mut key = Vec::with_capacity(condition.equi.len());
         for (i, rr) in r.iter().enumerate() {
-            let mut key = Vec::with_capacity(condition.equi.len());
-            let mut has_null = false;
+            key.clear();
             for (_, rk) in &condition.equi {
-                let v = rk.eval(rr)?;
-                has_null |= v.is_null();
-                key.push(v);
+                key.push(rk.eval_ref(rr)?);
             }
-            if !has_null {
-                table.entry(key).or_default().push(i);
+            if key.iter().any(|v| v.is_null()) {
+                continue;
+            }
+            match table.get_mut(&key) {
+                Some(candidates) => candidates.push(i),
+                None => {
+                    table.insert(std::mem::take(&mut key), vec![i]);
+                }
             }
         }
         for lr in l {
-            let mut key = Vec::with_capacity(condition.equi.len());
-            let mut has_null = false;
+            key.clear();
             for (lk, _) in &condition.equi {
-                let v = lk.eval(lr)?;
-                has_null |= v.is_null();
-                key.push(v);
+                key.push(lk.eval_ref(lr)?);
             }
             let mut matched = false;
-            if !has_null {
+            if !key.iter().any(|v| v.is_null()) {
                 if let Some(candidates) = table.get(&key) {
                     for &i in candidates {
                         let row = concat(lr, &r[i]);
@@ -448,22 +450,27 @@ fn aggregate<'a>(
             .collect(),
     };
 
-    // Keyed accumulation; insertion order preserved for stable output.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, GroupAcc> = HashMap::new();
+    // Keyed accumulation, groups in the order they first appear. Keys that
+    // are plain columns are hashed and compared where they lie; a key is
+    // copied once, into its group's output row.
+    let mut ordinals: HashMap<Vec<Cow<'_, Value>>, usize> = HashMap::new();
+    let mut groups: Vec<GroupAcc> = Vec::new();
+    let mut key = Vec::with_capacity(group_by.len());
 
     for row in input {
-        let mut key = Vec::with_capacity(group_by.len());
+        key.clear();
         for (g, _) in group_by {
-            key.push(g.eval(row)?);
+            key.push(g.eval_ref(row)?);
         }
-        let acc = match groups.get_mut(&key) {
-            Some(acc) => acc,
+        let ordinal = match ordinals.get(&key) {
+            Some(&ordinal) => ordinal,
             None => {
-                order.push(key.clone());
-                groups.entry(key.clone()).or_insert_with(new_group)
+                groups.push(new_group());
+                ordinals.insert(std::mem::take(&mut key), groups.len() - 1);
+                groups.len() - 1
             }
         };
+        let acc = &mut groups[ordinal];
         for (i, call) in aggregates.iter().enumerate() {
             let v = match &call.arg {
                 Some(e) => e.eval(row)?,
@@ -479,21 +486,25 @@ fn aggregate<'a>(
     }
 
     // A global aggregate (no GROUP BY) over empty input yields one row.
-    if group_by.is_empty() && order.is_empty() {
-        order.push(Vec::new());
-        groups.insert(Vec::new(), new_group());
+    if group_by.is_empty() && groups.is_empty() {
+        groups.push(new_group());
+        ordinals.insert(Vec::new(), 0);
     }
 
-    let mut rows = Vec::with_capacity(order.len());
-    for key in order {
-        let acc = groups.remove(&key).expect("group recorded");
-        let mut row = key;
-        for st in acc.states {
-            row.push(st.finish());
-        }
-        rows.push(Cow::Owned(row));
+    let mut keys: Vec<Vec<Cow<'_, Value>>> = vec![Vec::new(); groups.len()];
+    for (key, ordinal) in ordinals {
+        keys[ordinal] = key;
     }
-    Ok(rows)
+    Ok(keys
+        .into_iter()
+        .zip(groups)
+        .map(|(key, acc)| {
+            let mut row = Vec::with_capacity(key.len() + acc.states.len());
+            row.extend(key.into_iter().map(Cow::into_owned));
+            row.extend(acc.states.into_iter().map(AggState::finish));
+            Cow::Owned(row)
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use crate::error::{EngineError, Result};
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use galois_sql::ast::{BinaryOp, UnaryOp};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A column reference resolved against an input schema.
@@ -316,6 +317,19 @@ impl ScalarExpr {
                     ))),
                 }
             }
+        }
+    }
+
+    /// [`ScalarExpr::eval`] without the copy when the expression is a
+    /// plain column: the value is borrowed from the row. Everything else
+    /// is evaluated as usual and returned owned.
+    pub fn eval_ref<'r>(&self, row: &'r Row) -> Result<Cow<'r, Value>> {
+        match self {
+            ScalarExpr::Column(c) => row
+                .get(c.index)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EngineError::Evaluation(format!("row too short for {c}"))),
+            computed => computed.eval(row).map(Cow::Owned),
         }
     }
 
