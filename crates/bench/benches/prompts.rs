@@ -58,7 +58,7 @@ fn bench_batched_rendering(c: &mut Criterion) {
 /// The fetch-path per-cell render hoist: building one prompt per key for
 /// the same (relation, key attribute, attribute) cell. "before" rebuilds
 /// the full intent and re-renders the preamble/question framing per key;
-/// "after" renders through the hoisted [`galois_core::prompts::FetchTemplate`]
+/// "after" renders through the hoisted [`galois_core::prompts::KeyTemplate`]
 /// — the table/attribute framing is formatted once and each key costs one
 /// exact-size concatenation.
 fn bench_fetch_render_hoist(c: &mut Criterion) {

@@ -576,7 +576,7 @@ mod tests {
         assert_eq!(report.outcomes[0].finished_ms, 0);
         assert!(report.outcomes[1].finished_ms > 0);
 
-        // The wave engine has no trace to replay.
+        // The barrier driver has no trace to replay.
         let s = Scenario::generate(42);
         let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
         let wave = Galois::new(model, s.database.clone());

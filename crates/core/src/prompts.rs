@@ -103,29 +103,35 @@ impl PromptBuilder {
     /// key attribute, fetched attribute)` cell: everything but the key —
     /// preamble, question lead-in, relation, attribute, answer instruction
     /// — is rendered once, and the per-key hot loop of the fetch phase
-    /// becomes two appends around the key ([`FetchTemplate::render`]).
-    /// Same shape as the `cell_column` hoist of the batched protocol;
-    /// the `prompts` criterion bench measures the before/after.
-    pub fn fetch_template(&self, relation: &str, key_attr: &str, attribute: &str) -> FetchTemplate {
-        let (q_prefix, q_suffix) = render_fetch_attr_parts(relation, key_attr, attribute);
-        FetchTemplate {
-            prefix: format!("{}{q_prefix}", self.question_prefix),
-            suffix: format!("{q_suffix}\nA:"),
-        }
+    /// becomes two appends around the key ([`KeyTemplate::render`]).
+    /// Rendering through the template is byte-identical to
+    /// [`PromptBuilder::task`] on the equivalent [`TaskIntent::FetchAttr`]
+    /// — the parts come from the same [`render_fetch_attr_parts`] the
+    /// render arm uses. The `prompts` criterion bench measures the
+    /// before/after.
+    pub fn fetch_template(&self, relation: &str, key_attr: &str, attribute: &str) -> KeyTemplate {
+        self.key_template(render_fetch_attr_parts(relation, key_attr, attribute))
     }
 
     /// Precomputes the filter prompt of one `(relation, key attribute,
     /// condition)`: the filter phase asks the same condition of every
     /// surviving key, so the condition is rendered once and each key
-    /// costs two appends ([`FilterTemplate::render`]).
+    /// costs two appends ([`KeyTemplate::render`]). Byte-identical to
+    /// [`PromptBuilder::task`] on the equivalent
+    /// [`TaskIntent::CheckFilter`] (same [`render_check_filter_parts`]).
     pub fn filter_template(
         &self,
         relation: &str,
         key_attr: &str,
         condition: &Condition,
-    ) -> FilterTemplate {
-        let (q_prefix, q_suffix) = render_check_filter_parts(relation, key_attr, condition);
-        FilterTemplate {
+    ) -> KeyTemplate {
+        self.key_template(render_check_filter_parts(relation, key_attr, condition))
+    }
+
+    /// Wraps a question split around its key in the preamble and the
+    /// answer marker.
+    fn key_template(&self, (q_prefix, q_suffix): (String, String)) -> KeyTemplate {
+        KeyTemplate {
             prefix: format!("{}{q_prefix}", self.question_prefix),
             suffix: format!("{q_suffix}\nA:"),
         }
@@ -141,36 +147,16 @@ fn splice(prefix: &str, middle: &str, suffix: &str) -> String {
     out
 }
 
-/// A pre-rendered single-attribute fetch prompt with a hole for the key
-/// (see [`PromptBuilder::fetch_template`]). Rendering through the template
-/// is byte-identical to [`PromptBuilder::task`] on the equivalent
-/// [`TaskIntent::FetchAttr`] — the parts come from the same
-/// [`render_fetch_attr_parts`] the render arm uses.
+/// A pre-rendered single-key prompt with a hole for the key (see
+/// [`PromptBuilder::fetch_template`] and
+/// [`PromptBuilder::filter_template`]).
 #[derive(Debug, Clone)]
-pub struct FetchTemplate {
+pub struct KeyTemplate {
     prefix: String,
     suffix: String,
 }
 
-impl FetchTemplate {
-    /// The full prompt for one key, in one exact-size allocation.
-    pub fn render(&self, key: &str) -> String {
-        splice(&self.prefix, key, &self.suffix)
-    }
-}
-
-/// A pre-rendered filter prompt with a hole for the key (see
-/// [`PromptBuilder::filter_template`]). Rendering through the template is
-/// byte-identical to [`PromptBuilder::task`] on the equivalent
-/// [`TaskIntent::CheckFilter`] — the parts come from the same
-/// [`render_check_filter_parts`] the render arm uses.
-#[derive(Debug, Clone)]
-pub struct FilterTemplate {
-    prefix: String,
-    suffix: String,
-}
-
-impl FilterTemplate {
+impl KeyTemplate {
     /// The full prompt for one key, in one exact-size allocation.
     pub fn render(&self, key: &str) -> String {
         splice(&self.prefix, key, &self.suffix)

@@ -1,23 +1,20 @@
-//! The prompt scheduler: real worker threads for independent retrieval
-//! units.
+//! The prompt scheduler: real worker threads for independent units.
 //!
-//! The session decomposes a compiled query into *waves* of independent
-//! work units — every distinct [`crate::compile::LlmScanStep`] of the
-//! query, every chunk of one filter condition, every `(column, chunk)`
-//! cell of the attribute-fetch phase. A wave's units share no data
-//! dependencies, so [`Scheduler::run_wave`] may execute them on up to
-//! `K` OS threads (`K` = the session's [`Parallelism`] knob); results are
-//! always returned in submission order, so downstream code is oblivious
-//! to the interleaving. [`Crew::run_wave_streaming`] is the
-//! completion-ordered form used by the pipelined session driver: each
-//! `(index, result)` pair is handed to a sink on the calling thread as
-//! units finish, the calling thread itself working as one of the `K`. Its
-//! helper threads belong to the session and park between waves, because
-//! the streaming engine runs several short waves a statement.
+//! A *wave* is a set of units that share no data dependencies — the client
+//! requests one round of the session's barrier driver fires, the prompts
+//! one instant of its event driver releases, the query streams of an
+//! evaluation harness. [`Crew::run_wave_streaming`] runs a wave across a
+//! session's standing helper threads, handing each `(index, result)` pair
+//! to a sink on the calling thread as units finish, the calling thread
+//! itself working as one of the `K` (`K` = the session's [`Parallelism`]
+//! knob); the helpers park between waves, because a statement runs
+//! several short ones. [`Scheduler::run_wave`] is the positional form on
+//! scoped threads — results come back in submission order — which the
+//! harness uses for its streams.
 //!
-//! With `Parallelism(1)` the scheduler runs every unit inline on the
-//! calling thread, in submission order — the exact pre-scheduler
-//! behaviour, which keeps the sequential path bit-for-bit reproducible.
+//! With `Parallelism(1)` both run every unit inline on the calling thread,
+//! in submission order, which keeps the sequential path bit-for-bit
+//! reproducible.
 //!
 //! Virtual-time accounting is deliberately *not* done here: units return
 //! their own virtual cost and the caller packs those costs onto simulated
@@ -114,8 +111,8 @@ impl Scheduler {
 
 /// A session's standing helper threads for completion-ordered waves.
 ///
-/// The streaming engine fires a wave of prompts at every instant of its
-/// event simulation — several a statement — and most of them are over in
+/// A session's drivers fire a wave of requests at every round or instant
+/// of a statement — several a statement — and most of them are over in
 /// microseconds (cache hits, a simulated model). Spawning and joining `K`
 /// OS threads for such a wave costs more than the wave and makes the
 /// statement wait on the OS scheduler (beside one busy neighbour process

@@ -1,7 +1,7 @@
 //! Edge-case integration tests for the Galois session, run against the
 //! noise-free oracle profile (failures here are engine bugs, not noise).
 
-use galois_core::{Galois, GaloisOptions};
+use galois_core::{Galois, GaloisOptions, Pipeline};
 use galois_dataset::Scenario;
 use galois_llm::{ModelProfile, SimLlm};
 use galois_relational::Value;
@@ -15,6 +15,24 @@ fn session(scenario: &Scenario) -> Galois {
         )),
         scenario.database.clone(),
     )
+}
+
+/// Runs `check` on a fresh oracle session per retrieval driver — the
+/// barrier-separated default and the streaming dataflow are two clocks
+/// over one protocol, so an edge of the protocol is an edge of both.
+fn under_both_pipelines(options: GaloisOptions, check: impl Fn(&Scenario, &Galois, Pipeline)) {
+    let s = Scenario::generate(42);
+    for pipeline in [Pipeline::Off, Pipeline::Streaming] {
+        let g = Galois::with_options(
+            Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle())),
+            s.database.clone(),
+            GaloisOptions {
+                pipeline,
+                ..options.clone()
+            },
+        );
+        check(&s, &g, pipeline);
+    }
 }
 
 #[test]
@@ -44,13 +62,14 @@ fn distinct_over_llm_relation() {
 
 #[test]
 fn empty_selection_yields_empty_relation_not_error() {
-    let s = Scenario::generate(42);
-    let g = session(&s);
-    // No city has a negative population.
-    let got = g
-        .execute("SELECT name FROM city WHERE population < 0")
-        .unwrap();
-    assert!(got.relation.is_empty());
+    under_both_pipelines(GaloisOptions::default(), |_, g, pipeline| {
+        // No city has a negative population.
+        let got = g
+            .execute("SELECT name FROM city WHERE population < 0")
+            .unwrap();
+        assert!(got.relation.is_empty(), "{pipeline:?}");
+        assert_eq!(got.stats.fetch_prompts, 0, "{pipeline:?}: nothing survived");
+    });
 }
 
 #[test]
@@ -66,16 +85,19 @@ fn global_aggregate_over_empty_llm_selection() {
 
 #[test]
 fn self_join_of_one_relation_under_two_bindings() {
-    let s = Scenario::generate(42);
-    let g = session(&s);
-    // Pairs of distinct cities in the same country. Each binding gets its
-    // own retrieval step and temp table.
-    let sql = "SELECT a.name, b.name FROM city a, city b \
-               WHERE a.country = b.country AND a.name < b.name";
-    let got = g.execute(sql).unwrap();
-    let truth = s.database.execute(sql).unwrap();
-    assert_eq!(got.relation.len(), truth.len());
-    assert!(got.stats.list_prompts >= 2, "two scans expected");
+    under_both_pipelines(GaloisOptions::default(), |s, g, pipeline| {
+        // Pairs of distinct cities in the same country. Each binding gets
+        // its own retrieval step and temp table.
+        let sql = "SELECT a.name, b.name FROM city a, city b \
+                   WHERE a.country = b.country AND a.name < b.name";
+        let got = g.execute(sql).unwrap();
+        let truth = s.database.execute(sql).unwrap();
+        assert_eq!(got.relation.len(), truth.len(), "{pipeline:?}");
+        assert!(
+            got.stats.list_prompts >= 2,
+            "{pipeline:?}: two scans expected"
+        );
+    });
 }
 
 #[test]
@@ -119,13 +141,15 @@ fn unknown_table_is_a_clean_error() {
 
 #[test]
 fn aggregate_only_query_costs_no_fetch_prompts() {
-    let s = Scenario::generate(42);
-    let g = session(&s);
-    // COUNT(*) needs keys only: no attribute fetches, no filters.
-    let got = g.execute("SELECT COUNT(*) FROM city").unwrap();
-    assert_eq!(got.stats.fetch_prompts, 0);
-    assert_eq!(got.stats.filter_prompts, 0);
-    assert!(got.stats.list_prompts > 0);
+    under_both_pipelines(GaloisOptions::default(), |s, g, pipeline| {
+        // COUNT(*) needs keys only: no attribute fetches, no filters.
+        let got = g.execute("SELECT COUNT(*) FROM city").unwrap();
+        assert_eq!(got.stats.fetch_prompts, 0, "{pipeline:?}");
+        assert_eq!(got.stats.filter_prompts, 0, "{pipeline:?}");
+        assert!(got.stats.list_prompts > 0, "{pipeline:?}");
+        let truth = s.database.execute("SELECT COUNT(*) FROM city").unwrap();
+        assert_eq!(got.relation.rows, truth.rows, "{pipeline:?}");
+    });
 }
 
 #[test]
@@ -138,23 +162,19 @@ fn stats_virtual_seconds_consistent_with_ms() {
 
 #[test]
 fn max_iterations_one_truncates_but_still_returns() {
-    let s = Scenario::generate(42);
-    let model: Arc<SimLlm> = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
-    let g = Galois::with_options(
-        model,
-        s.database.clone(),
-        GaloisOptions {
-            max_list_iterations: 1,
-            ..Default::default()
-        },
-    );
-    let got = g.execute("SELECT name FROM city").unwrap();
-    // The oracle's page size is large enough for one page to be complete,
-    // so this also guards the "no spurious repeats" property.
-    let truth = s.database.execute("SELECT name FROM city").unwrap();
-    assert!(!got.relation.is_empty());
-    assert!(got.relation.len() <= truth.len());
-    assert_eq!(got.stats.list_prompts, 1);
+    let capped = GaloisOptions {
+        max_list_iterations: 1,
+        ..Default::default()
+    };
+    under_both_pipelines(capped, |s, g, pipeline| {
+        let got = g.execute("SELECT name FROM city").unwrap();
+        // The oracle's page size is large enough for one page to be
+        // complete, so this also guards the "no spurious repeats" property.
+        let truth = s.database.execute("SELECT name FROM city").unwrap();
+        assert!(!got.relation.is_empty(), "{pipeline:?}");
+        assert!(got.relation.len() <= truth.len(), "{pipeline:?}");
+        assert_eq!(got.stats.list_prompts, 1, "{pipeline:?}");
+    });
 }
 
 /// `EarlyStop::Limit` over an x10 relation: the window check that prunes

@@ -27,18 +27,19 @@
 //!
 //! `full` is `-` where the pre-PR-19 engine did not reproduce it: at
 //! `K = 8` it ran a statement's steps on concurrent threads, so a
-//! statement whose steps share prompts (the suite's joins of one table
-//! with itself or with a table another binding also lists) split the
-//! misses, and with them the clocks, by thread timing. The writer runs
-//! every `K = 8` cell five times and blanks what moved; on the fixture's
-//! generating run that was no line at all — see the `unstable` count in
-//! the fixture's header — so every line carries both digests.
+//! statement whose steps shared prompts would have split the misses, and
+//! with them the clocks, by thread timing. The writer runs every `K = 8`
+//! cell five times and blanks what moved; the suite's joins are between
+//! different tables, so nothing did (three whole-file generations on the
+//! parent were byte-identical, `unstable=0` in the fixture's header) and
+//! every line carries both digests.
 //!
-//! The `dropper-grid` cell was regenerated after PR 19: below the grid
-//! rung the ladder now re-asks a *chunk's* failed cells together where the
-//! wave engine re-chunked a column's failed cells across the whole key
-//! list (ARCHITECTURE.md "Fallback ladder"). Every other line is the
-//! parent's.
+//! Every line is the parent's, generated in this file's first commit —
+//! the `dropper-grid8x4` cell included, although below the grid rung the
+//! ladder now re-asks a *chunk's* failed cells together where the wave
+//! engine re-chunked a column's failed cells across the whole key list
+//! (ARCHITECTURE.md "Fallback ladder"): on this world and chunk size the
+//! two rules send the same prompts.
 //!
 //! Regenerate with
 //! `cargo test --test wave_golden -- --ignored regenerate_wave_golden_fixture`.
