@@ -39,85 +39,114 @@ const GENRES: [&str; 6] = ["rock", "pop", "jazz", "folk", "electronic", "classic
 const PARTIES: [&str; 5] = ["Green", "Liberal", "Labour", "Unity", "Reform"];
 const CONTINENTS: [&str; 4] = ["Euralia", "Meridia", "Osterra", "Zephyria"];
 
-/// Unique-name factory over a generator function.
+/// Unique-name factory over a small name space. A name is drawn as its
+/// *index* in the space (`country_id`, `city_id`, …) and only the accepted
+/// draw is ever formatted: scaled worlds need many times more names than a
+/// space holds (6 720 people from 400 names at x40), so almost every entity
+/// spends its whole retry budget on draws that are thrown away.
+#[derive(Default)]
 pub struct NamePool {
-    used: HashSet<String>,
+    /// Plain names handed out, by index.
+    used: Vec<bool>,
+    /// Suffixed names handed out: (index, suffix).
+    suffixed: HashSet<(usize, u32)>,
 }
 
 impl NamePool {
     /// Creates an empty pool.
     pub fn new() -> Self {
-        NamePool {
-            used: HashSet::new(),
-        }
+        Self::default()
     }
 
-    /// Registers `candidate` if unused; true when it was fresh.
-    pub fn unique_check(&mut self, candidate: &str) -> bool {
-        self.used.insert(candidate.to_string())
-    }
-
-    /// Draws until `gen` yields an unused name (appending a numeric suffix
-    /// after too many collisions).
-    pub fn unique(&mut self, rng: &mut StdRng, gen: impl Fn(&mut StdRng) -> String) -> String {
-        for _ in 0..64 {
-            let candidate = gen(rng);
-            if self.used.insert(candidate.clone()) {
-                return candidate;
+    /// Draws until `draw` yields an unused index, and after `tries`
+    /// collisions disambiguates deterministically: fresh draws paired with
+    /// a rising numeric suffix (from 2) until the pair is unused. The
+    /// caller renders the index and appends `" {suffix}"` when there is one.
+    pub fn unique(
+        &mut self,
+        rng: &mut StdRng,
+        tries: usize,
+        draw: impl Fn(&mut StdRng) -> usize,
+    ) -> (usize, Option<u32>) {
+        for _ in 0..tries {
+            let id = draw(rng);
+            if self.used.len() <= id {
+                self.used.resize(id + 1, false);
+            }
+            if !std::mem::replace(&mut self.used[id], true) {
+                return (id, None);
             }
         }
-        // Pathological collision run: disambiguate deterministically.
-        let mut i = 2;
+        let mut suffix = 2;
         loop {
-            let candidate = format!("{} {}", gen(rng), i);
-            if self.used.insert(candidate.clone()) {
-                return candidate;
+            let id = draw(rng);
+            if self.suffixed.insert((id, suffix)) {
+                return (id, Some(suffix));
             }
-            i += 1;
+            suffix += 1;
         }
     }
 }
 
-impl Default for NamePool {
-    fn default() -> Self {
-        Self::new()
+/// `name`, or `"{name} {suffix}"` for a disambiguated draw.
+pub fn suffixed(name: String, suffix: Option<u32>) -> String {
+    match suffix {
+        Some(i) => format!("{name} {i}"),
+        None => name,
     }
 }
 
-/// A fictional country name.
-pub fn country(rng: &mut StdRng) -> String {
-    format!(
-        "{}{}",
-        COUNTRY_STEMS[rng.gen_range(0..COUNTRY_STEMS.len())],
-        COUNTRY_ENDS[rng.gen_range(0..COUNTRY_ENDS.len())]
-    )
+/// Draws a fictional country name's index.
+pub fn country_id(rng: &mut StdRng) -> usize {
+    let stem = rng.gen_range(0..COUNTRY_STEMS.len());
+    stem * COUNTRY_ENDS.len() + rng.gen_range(0..COUNTRY_ENDS.len())
 }
 
-/// A fictional city name.
-pub fn city(rng: &mut StdRng) -> String {
-    if rng.gen_bool(0.5) {
-        format!(
-            "{} {}",
-            CITY_STARTS[rng.gen_range(0..CITY_STARTS.len())],
-            capitalize(CITY_CORES[rng.gen_range(0..CITY_CORES.len())])
-        )
+/// The country name with index `id`.
+pub fn country_name(id: usize) -> String {
+    let (stem, end) = (id / COUNTRY_ENDS.len(), id % COUNTRY_ENDS.len());
+    format!("{}{}", COUNTRY_STEMS[stem], COUNTRY_ENDS[end])
+}
+
+/// Draws a fictional city name's index.
+pub fn city_id(rng: &mut StdRng) -> usize {
+    let spaced = usize::from(rng.gen_bool(0.5));
+    let start = rng.gen_range(0..CITY_STARTS.len());
+    let core = rng.gen_range(0..CITY_CORES.len());
+    (spaced * CITY_STARTS.len() + start) * CITY_CORES.len() + core
+}
+
+/// The city name with index `id`: "Port Haven" or "Porthaven".
+pub fn city_name(id: usize) -> String {
+    let (rest, core) = (id / CITY_CORES.len(), CITY_CORES[id % CITY_CORES.len()]);
+    let start = CITY_STARTS[rest % CITY_STARTS.len()];
+    if rest >= CITY_STARTS.len() {
+        format!("{start} {}", capitalize(core))
     } else {
-        format!(
-            "{}{}",
-            CITY_STARTS[rng.gen_range(0..CITY_STARTS.len())],
-            CITY_CORES[rng.gen_range(0..CITY_CORES.len())]
-        )
+        format!("{start}{core}")
     }
 }
 
-/// A fictional person name, with its short form ("Anna Rossi" → "A. Rossi").
-pub fn person(rng: &mut StdRng) -> (String, String) {
-    let first = FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())];
-    let last = LAST_NAMES[rng.gen_range(0..LAST_NAMES.len())];
+/// Draws a fictional person name's index.
+pub fn person_id(rng: &mut StdRng) -> usize {
+    let first = rng.gen_range(0..FIRST_NAMES.len());
+    first * LAST_NAMES.len() + rng.gen_range(0..LAST_NAMES.len())
+}
+
+/// The person name with index `id`, with its short form ("Anna Rossi" →
+/// "A. Rossi").
+pub fn person_name(id: usize) -> (String, String) {
+    let first = FIRST_NAMES[id / LAST_NAMES.len()];
+    let last = LAST_NAMES[id % LAST_NAMES.len()];
     (
         format!("{first} {last}"),
         format!("{}. {last}", &first[..1]),
     )
+}
+
+/// A fictional person name (not necessarily unused), with its short form.
+pub fn person(rng: &mut StdRng) -> (String, String) {
+    person_name(person_id(rng))
 }
 
 /// Derives 2- and 3-letter codes from a country name (uppercased prefix;
@@ -162,10 +191,16 @@ pub fn parties() -> Vec<String> {
     PARTIES.iter().map(|s| s.to_string()).collect()
 }
 
-/// An airport code (three uppercase letters).
-pub fn airport_code(rng: &mut StdRng) -> String {
-    (0..3)
-        .map(|_| (b'A' + rng.gen_range(0..26u8)) as char)
+/// Draws an airport code's index: three letters, read as base 26.
+pub fn airport_code_id(rng: &mut StdRng) -> usize {
+    (0..3).fold(0, |id, _| id * 26 + usize::from(rng.gen_range(0..26u8)))
+}
+
+/// The airport code (three uppercase letters) with index `id`.
+pub fn airport_code(id: usize) -> String {
+    [id / 676, id / 26 % 26, id % 26]
+        .iter()
+        .map(|&letter| (b'A' + letter as u8) as char)
         .collect()
 }
 
@@ -178,19 +213,25 @@ pub fn airport_name(city: &str, rng: &mut StdRng) -> String {
     }
 }
 
-/// A concert/venue event name.
-pub fn concert(rng: &mut StdRng, year: i64) -> String {
-    const FESTS: [&str; 8] = [
-        "Sunset Festival",
-        "Harbor Sounds",
-        "Echo Nights",
-        "Aurora Live",
-        "Riverbeat",
-        "Skyline Session",
-        "Velvet Stage",
-        "Northern Lights Tour",
-    ];
-    format!("{} {year}", FESTS[rng.gen_range(0..FESTS.len())])
+const FESTS: [&str; 8] = [
+    "Sunset Festival",
+    "Harbor Sounds",
+    "Echo Nights",
+    "Aurora Live",
+    "Riverbeat",
+    "Skyline Session",
+    "Velvet Stage",
+    "Northern Lights Tour",
+];
+
+/// Draws the index of a concert/venue event name held in `year`.
+pub fn concert_id(rng: &mut StdRng, year: i64) -> usize {
+    year as usize * FESTS.len() + rng.gen_range(0..FESTS.len())
+}
+
+/// The event name with index `id`: "Echo Nights 2019".
+pub fn concert_name(id: usize) -> String {
+    format!("{} {}", FESTS[id % FESTS.len()], id / FESTS.len())
 }
 
 fn capitalize(s: &str) -> String {
@@ -211,10 +252,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut pool = NamePool::new();
         let mut seen = HashSet::new();
-        for _ in 0..100 {
-            let n = pool.unique(&mut rng, city);
-            assert!(seen.insert(n));
+        // 600 names from a space of 448: the suffixed fallback runs.
+        for _ in 0..600 {
+            let (id, suffix) = pool.unique(&mut rng, 64, city_id);
+            assert!(seen.insert(suffixed(city_name(id), suffix)));
         }
+        assert!(seen.contains("Port Haven") || seen.contains("Porthaven"));
+        assert!(seen.iter().any(|name| name.ends_with(" 2")));
     }
 
     #[test]
@@ -237,11 +281,15 @@ mod tests {
     fn generation_is_deterministic() {
         let a: Vec<String> = {
             let mut rng = StdRng::seed_from_u64(7);
-            (0..10).map(|_| country(&mut rng)).collect()
+            (0..10)
+                .map(|_| country_name(country_id(&mut rng)))
+                .collect()
         };
         let b: Vec<String> = {
             let mut rng = StdRng::seed_from_u64(7);
-            (0..10).map(|_| country(&mut rng)).collect()
+            (0..10)
+                .map(|_| country_name(country_id(&mut rng)))
+                .collect()
         };
         assert_eq!(a, b);
     }
@@ -250,7 +298,7 @@ mod tests {
     fn airport_codes_are_three_letters() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            let c = airport_code(&mut rng);
+            let c = airport_code(airport_code_id(&mut rng));
             assert_eq!(c.len(), 3);
             assert!(c.chars().all(|ch| ch.is_ascii_uppercase()));
         }

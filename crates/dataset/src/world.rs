@@ -10,6 +10,7 @@
 use crate::names::{self, NamePool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// A country record.
 #[derive(Debug, Clone)]
@@ -209,25 +210,28 @@ pub struct World {
     pub employees: Vec<Employee>,
 }
 
+/// Draws a place, code or event name unused in `pool`: 64 plain draws, then
+/// a numeric disambiguator.
+fn unique_name(
+    pool: &mut NamePool,
+    rng: &mut StdRng,
+    draw: impl Fn(&mut StdRng) -> usize,
+    render: impl Fn(usize) -> String,
+) -> String {
+    let (id, suffix) = pool.unique(rng, 64, draw);
+    names::suffixed(render(id), suffix)
+}
+
 /// Draws a person name unused in `pool`, appending a numeric disambiguator
 /// once the (bounded) name space is exhausted — scaled worlds need more
 /// people than there are first/last-name combinations.
 fn unique_person(pool: &mut NamePool, rng: &mut StdRng) -> (String, String) {
-    for _ in 0..512 {
-        let (full, short) = names::person(rng);
-        if pool.unique_check(&full) {
-            return (full, short);
-        }
-    }
-    let mut i = 2;
-    loop {
-        let (full, short) = names::person(rng);
-        let full = format!("{full} {i}");
-        if pool.unique_check(&full) {
-            return (full, format!("{short} {i}"));
-        }
-        i += 1;
-    }
+    let (id, suffix) = pool.unique(rng, 512, names::person_id);
+    let (full, short) = names::person_name(id);
+    (
+        names::suffixed(full, suffix),
+        names::suffixed(short, suffix),
+    )
 }
 
 /// Re-rolls the tail of a country code until it is unused in `pool`.
@@ -235,22 +239,26 @@ fn unique_person(pool: &mut NamePool, rng: &mut StdRng) -> (String, String) {
 /// it *grows by one letter* every further 512 attempts — large scaled
 /// worlds need more codes than any fixed length offers (676 two-letter
 /// codes < 2 400 countries at 100×), so termination requires widening.
-fn unique_code(pool: &mut NamePool, rng: &mut StdRng, code: &str) -> String {
+/// Candidates are re-rolled in place and only the accepted one is stored:
+/// past 676 countries most codes spend the whole budget on taken ones.
+fn unique_code(pool: &mut HashSet<String>, rng: &mut StdRng, code: &str) -> String {
     let mut code = code.to_string();
     let base_len = code.len();
     let mut attempts = 0usize;
-    while !pool.unique_check(&code) {
+    while pool.contains(&code) {
         attempts += 1;
         let letter = |rng: &mut StdRng| (b'A' + rng.gen_range(0..26u8)) as char;
-        code = if attempts <= 512 {
+        if attempts <= 512 {
             // The original re-roll: keep the mnemonic prefix, vary the
             // last letter.
-            format!("{}{}", &code[..code.len() - 1], letter(rng))
+            code.pop();
+            code.push(letter(rng));
         } else {
-            let len = base_len + attempts / 512;
-            (0..len).map(|_| letter(rng)).collect()
-        };
+            code.clear();
+            code.extend((0..base_len + attempts / 512).map(|_| letter(rng)));
+        }
     }
+    pool.insert(code.clone());
     code
 }
 
@@ -283,7 +291,7 @@ impl World {
     pub fn generate_with(seed: u64, cfg: WorldConfig) -> World {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut country_pool = NamePool::new();
-        let mut code_pool = NamePool::new();
+        let mut code_pool = HashSet::new();
         let mut city_pool = NamePool::new();
         let mut person_pool = NamePool::new();
         let mut code3s: Vec<String> = Vec::new();
@@ -297,7 +305,12 @@ impl World {
 
         let mut countries = Vec::with_capacity(cfg.countries);
         for i in 0..cfg.countries {
-            let name = country_pool.unique(&mut rng, names::country);
+            let name = unique_name(
+                &mut country_pool,
+                &mut rng,
+                names::country_id,
+                names::country_name,
+            );
             let (code2, code3) = names::country_codes(&name);
             // Ensure distinct codes across countries.
             let code2 = unique_code(&mut code_pool, &mut rng, &code2);
@@ -330,7 +343,7 @@ impl World {
         let mut cities = Vec::with_capacity(cfg.cities);
         let mut mayors = Vec::with_capacity(cfg.cities);
         for i in 0..cfg.cities {
-            let name = city_pool.unique(&mut rng, names::city);
+            let name = unique_name(&mut city_pool, &mut rng, names::city_id, names::city_name);
             let country = rng.gen_range(0..countries.len());
             let pop = popularity(i, cfg.cities, &mut rng);
             let (full, short) = unique_person(&mut person_pool, &mut rng);
@@ -367,7 +380,12 @@ impl World {
         let mut airports = Vec::with_capacity(cfg.airports);
         for i in 0..cfg.airports {
             let city = rng.gen_range(0..cities.len());
-            let code = airport_codes.unique(&mut rng, names::airport_code);
+            let code = unique_name(
+                &mut airport_codes,
+                &mut rng,
+                names::airport_code_id,
+                names::airport_code,
+            );
             // The first airport is always an international hub, so pattern
             // queries over airport names have non-empty ground truth on
             // every seed.
@@ -415,7 +433,12 @@ impl World {
         let mut concerts = Vec::with_capacity(cfg.concerts);
         for i in 0..cfg.concerts {
             let year = rng.gen_range(2015..2024);
-            let name = concert_pool.unique(&mut rng, |r| names::concert(r, year));
+            let name = unique_name(
+                &mut concert_pool,
+                &mut rng,
+                |r| names::concert_id(r, year),
+                names::concert_name,
+            );
             let pop_score = popularity(i, cfg.concerts, &mut rng);
             concerts.push(Concert {
                 name,

@@ -1,21 +1,31 @@
 //! Physical execution of logical plans over the in-memory catalog.
 //!
-//! Execution is operator-at-a-time with materialised intermediates: each
-//! node consumes its children's rows and produces its own, and rows stay
-//! borrowed from the catalog until an operator builds new ones. Joins hash
-//! on equi keys when available and fall back to nested loops; aggregation
-//! is hash-based with optional per-group DISTINCT sets.
+//! Execution is late-materialising: rows stay borrowed from the catalog
+//! until an operator computes new ones, and a join passes *views* of its
+//! matches ([`RowView`]: the two rows side by side) down to the operator
+//! that consumes them, so a joined row is built once — by the projection,
+//! group or result that owns it — or never. Joins hash on equi keys when
+//! available and fall back to nested loops; aggregation is hash-based with
+//! DISTINCT sets only for the calls that ask for them.
 
 use crate::error::{EngineError, Result};
-use crate::expr::ScalarExpr;
+use crate::expr::{RowView, ScalarExpr};
 use crate::plan::{AggCall, AggFunc, JoinCondition, LogicalPlan, SortKey};
 use crate::schema::PlanSchema;
 use crate::table::{Catalog, Row};
 use crate::value::Value;
 use galois_sql::ast::{JoinType, SortDirection};
 use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// A materialised query result: schema plus rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,11 +115,12 @@ impl fmt::Display for Relation {
 
 /// Executes `plan` against `catalog`.
 ///
-/// Operators pass rows *borrowed* from the catalog's tables: a scan copies
-/// nothing, a filter, sort, distinct or limit moves references, and a row
-/// is only built — or, for a borrowed row that reaches the result, cloned
-/// — where an operator creates one (projection, join, aggregation) or the
-/// result takes ownership.
+/// Rows stay where they lie for as long as possible. A scan copies
+/// nothing; a filter, sort, distinct or limit moves references; a join
+/// hands its parent *views* of its matches — the two joined rows, side by
+/// side — and builds none. A row is built once: where a projection computes
+/// it, where an aggregate opens a group, or where the result — or a sort,
+/// distinct, limit or further join over a join — has to own it.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
     Ok(Relation {
         schema: plan.schema(),
@@ -124,11 +135,59 @@ pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
 /// builds new ones.
 type Rows<'a> = Vec<Cow<'a, Row>>;
 
-fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
+/// What [`for_each_row`] hands each row to. A view lives for the call: a
+/// join's are cut from rows local to the join, which is why they are
+/// passed down to the consumer and never returned to it.
+type Sink<'f> = dyn FnMut(RowView<'_>) -> Result<()> + 'f;
+
+/// Streams `plan`'s rows to `f`, in order. Scans, filters and joins build
+/// nothing on the way; any other operator is materialised by [`run`] and
+/// its rows handed over.
+fn for_each_row(plan: &LogicalPlan, catalog: &Catalog, f: &mut Sink<'_>) -> Result<()> {
     match plan {
         LogicalPlan::Scan { table, .. } => {
             if table.is_empty() {
                 // "dual": one empty row feeding table-less SELECTs.
+                return f(RowView::of(&[]));
+            }
+            let rows = catalog.get(table)?.rows();
+            rows.iter().try_for_each(|row| f(RowView::of(row)))
+        }
+        LogicalPlan::Filter { input, predicate } => for_each_row(input, catalog, &mut |row| {
+            if predicate.eval_predicate(row)? {
+                f(row)?;
+            }
+            Ok(())
+        }),
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            condition,
+            ..
+        } => {
+            let (l, r) = (run(left, catalog)?, run(right, catalog)?);
+            // Only an outer join pads: an unmatched left row's right side.
+            let outer = *join_type == JoinType::LeftOuter;
+            let nulls = outer.then(|| vec![Value::Null; right.schema().arity()]);
+            join(&l, &r, condition, nulls.as_deref(), f)
+        }
+        LogicalPlan::CrossJoin { left, right, .. } => {
+            let (l, r) = (run(left, catalog)?, run(right, catalog)?);
+            join(&l, &r, &JoinCondition::default(), None, f)
+        }
+        materialising => {
+            let rows = run(materialising, catalog)?;
+            rows.iter().try_for_each(|row| f(RowView::of(row)))
+        }
+    }
+}
+
+/// `plan`'s rows, materialised.
+fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
+    match plan {
+        LogicalPlan::Scan { table, .. } => {
+            if table.is_empty() {
                 return Ok(vec![Cow::Owned(Vec::new())]);
             }
             Ok(catalog
@@ -138,53 +197,34 @@ fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
                 .map(Cow::Borrowed)
                 .collect())
         }
-        LogicalPlan::Filter { input, predicate } => {
+        // Over stored or built rows a filter moves references; over a join
+        // it streams (last arm), so only a match that passes is built.
+        LogicalPlan::Filter { input, predicate }
+            if !matches!(
+                **input,
+                LogicalPlan::Join { .. } | LogicalPlan::CrossJoin { .. }
+            ) =>
+        {
             let input = run(input, catalog)?;
             let mut rows = Vec::with_capacity(input.len() / 2);
             for row in input {
-                if predicate.eval_predicate(&row)? {
+                if predicate.eval_predicate(RowView::of(&row))? {
                     rows.push(row);
                 }
             }
             Ok(rows)
         }
         LogicalPlan::Project { input, exprs, .. } => {
-            let input = run(input, catalog)?;
-            let mut rows = Vec::with_capacity(input.len());
-            for row in &input {
+            let (input, exprs) = composed(input, exprs);
+            let mut rows = Vec::new();
+            for_each_row(input, catalog, &mut |row| {
                 let mut out = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
+                for e in &exprs {
                     out.push(e.eval(row)?);
                 }
                 rows.push(Cow::Owned(out));
-            }
-            Ok(rows)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            condition,
-            ..
-        } => {
-            let l = run(left, catalog)?;
-            let r = run(right, catalog)?;
-            // Only an outer join pads, so only it needs the right arity.
-            let right_arity = match join_type {
-                JoinType::LeftOuter => right.schema().arity(),
-                _ => 0,
-            };
-            join(&l, &r, *join_type, condition, right_arity)
-        }
-        LogicalPlan::CrossJoin { left, right, .. } => {
-            let l = run(left, catalog)?;
-            let r = run(right, catalog)?;
-            let mut rows = Vec::with_capacity(l.len() * r.len());
-            for lr in &l {
-                for rr in &r {
-                    rows.push(Cow::Owned(concat(lr, rr)));
-                }
-            }
+                Ok(())
+            })?;
             Ok(rows)
         }
         LogicalPlan::Aggregate {
@@ -192,7 +232,7 @@ fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
             group_by,
             aggregates,
             ..
-        } => aggregate(&run(input, catalog)?, group_by, aggregates),
+        } => aggregate(input, catalog, group_by, aggregates),
         LogicalPlan::Sort { input, keys } => {
             let mut rows = run(input, catalog)?;
             sort_rows(&mut rows, keys);
@@ -219,7 +259,50 @@ fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
             rows.truncate(*n as usize);
             Ok(rows)
         }
+        // A join whose parent needs its rows owned: the one place a match
+        // becomes a concatenated row.
+        views => {
+            let mut rows = Vec::new();
+            for_each_row(views, catalog, &mut |row| {
+                rows.push(Cow::Owned(row.to_row()));
+                Ok(())
+            })?;
+            Ok(rows)
+        }
     }
+}
+
+/// A projection chain as one expression list over the chain's input. While
+/// the operator below is a projection of plain columns and literals — what
+/// restores the column order over a join the planner commuted — its
+/// expressions are substituted into the list and the operator is skipped:
+/// reading through it costs nothing, and the plan (its `EXPLAIN` text, its
+/// equality) is never rewritten. A projection that computes stays an
+/// operator: its expressions run once a row, and fail the statement,
+/// whether or not the list above reads them.
+fn composed<'p>(
+    mut input: &'p LogicalPlan,
+    exprs: &'p [(ScalarExpr, String)],
+) -> (&'p LogicalPlan, Vec<Cow<'p, ScalarExpr>>) {
+    let mut exprs: Vec<_> = exprs.iter().map(|(e, _)| Cow::Borrowed(e)).collect();
+    while let LogicalPlan::Project {
+        input: below,
+        exprs: inner,
+        ..
+    } = input
+    {
+        let plain = |e: &ScalarExpr| matches!(e, ScalarExpr::Column(_) | ScalarExpr::Literal(_));
+        let reads_inner = |e: &ScalarExpr| e.referenced_indices().last() < Some(&inner.len());
+        if !(inner.iter().all(|(e, _)| plain(e)) && exprs.iter().all(|e| reads_inner(e))) {
+            break;
+        }
+        exprs = exprs
+            .iter()
+            .map(|e| Cow::Owned(e.map_columns(&|c| inner[c.index].0.clone())))
+            .collect();
+        input = below;
+    }
+    (input, exprs)
 }
 
 /// Sorts rows — owned, or borrowed by the executor — in place by the given
@@ -234,100 +317,135 @@ pub fn sort_rows<R: Borrow<Row>>(rows: &mut [R], keys: &[SortKey]) {
             } else {
                 ord
             };
-            if ord != std::cmp::Ordering::Equal {
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     });
 }
 
-/// A join's output row: the left row's values, then the right's.
-fn concat(left: &[Value], right: &[Value]) -> Row {
-    let mut row = Vec::with_capacity(left.len() + right.len());
-    row.extend_from_slice(left);
-    row.extend_from_slice(right);
-    row
+/// Row positions chained by the hash of their key: `head` holds the first
+/// position of a hash's chain, `next[p]` the one after `p`. Two keys that
+/// share a hash share a chain, so a reader compares the keys themselves.
+#[derive(Default)]
+struct Chains {
+    hasher: RandomState,
+    head: HashMap<u64, u32>,
+    next: Vec<u32>,
 }
 
-/// Joins two row sets. `right_arity` is the NULL padding of an unmatched
-/// left row (read only by [`JoinType::LeftOuter`]).
-fn join<'a>(
+/// The end of a chain.
+const END: u32 = u32::MAX;
+
+impl Chains {
+    /// Hashes the values `keys` take on `row`; the flag is set when one of
+    /// them is NULL.
+    fn hash<'e>(
+        &self,
+        keys: impl Iterator<Item = &'e ScalarExpr>,
+        row: RowView<'_>,
+    ) -> Result<(u64, bool)> {
+        let mut hasher = self.hasher.build_hasher();
+        let mut null = false;
+        for key in keys {
+            let value = key.eval_ref(row)?;
+            null |= value.is_null();
+            value.hash(&mut hasher);
+        }
+        Ok((hasher.finish(), null))
+    }
+
+    /// Puts `position` at the front of `hash`'s chain.
+    fn link_front(&mut self, hash: u64, position: usize) -> Result<()> {
+        let link = u32::try_from(position)
+            .ok()
+            .filter(|&p| p != END)
+            .ok_or_else(|| EngineError::Evaluation("too many rows to index".into()))?;
+        if self.next.len() <= position {
+            self.next.resize(position + 1, END);
+        }
+        self.next[position] = self.head.insert(hash, link).unwrap_or(END);
+        Ok(())
+    }
+
+    /// The positions of `hash`'s chain, front first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let follow = |&p: &u32| Some(self.next[p as usize]).filter(|&n| n != END);
+        std::iter::successors(self.head.get(&hash).copied(), follow).map(|p| p as usize)
+    }
+}
+
+/// Hands `f` one probe row's matches: of `candidates`, in the order given,
+/// those whose pairing with `lr` passes the residual — or, when none does
+/// and the join is outer, `lr` padded.
+fn emit_matches<'r>(
+    lr: &Row,
+    candidates: impl Iterator<Item = &'r Row>,
+    residual: Option<&ScalarExpr>,
+    pad: Option<&[Value]>,
+    f: &mut Sink<'_>,
+) -> Result<()> {
+    let mut matched = false;
+    for rr in candidates {
+        let pair = RowView::pair(lr, rr);
+        if residual.map_or(Ok(true), |p| p.eval_predicate(pair))? {
+            matched = true;
+            f(pair)?;
+        }
+    }
+    match pad {
+        Some(nulls) if !matched => f(RowView::pair(lr, nulls)),
+        _ => Ok(()),
+    }
+}
+
+/// Joins two row sets, handing each output row to `f` as a view of the two
+/// rows it joins: probe (left) order, and within one probe row the build
+/// rows in ascending position. An outer join passes `pad`, the all-NULL
+/// right side of a left row nothing matches.
+fn join(
     l: &[Cow<'_, Row>],
     r: &[Cow<'_, Row>],
-    join_type: JoinType,
     condition: &JoinCondition,
-    right_arity: usize,
-) -> Result<Rows<'a>> {
-    let mut rows = Vec::new();
-    let passes = |row: &Row| match &condition.residual {
-        Some(p) => p.eval_predicate(row),
-        None => Ok(true),
-    };
-    let padded = |lr: &Row| {
-        let mut row = Vec::with_capacity(lr.len() + right_arity);
-        row.extend_from_slice(lr);
-        row.extend(std::iter::repeat_n(Value::Null, right_arity));
-        Cow::Owned(row)
-    };
+    pad: Option<&[Value]>,
+    f: &mut Sink<'_>,
+) -> Result<()> {
+    let residual = condition.residual.as_ref();
     if condition.equi.is_empty() {
         // Nested loop with the residual predicate.
         for lr in l {
-            let mut matched = false;
-            for rr in r {
-                let row = concat(lr, rr);
-                if passes(&row)? {
-                    matched = true;
-                    rows.push(Cow::Owned(row));
-                }
-            }
-            if !matched && join_type == JoinType::LeftOuter {
-                rows.push(padded(lr));
-            }
+            emit_matches(lr, r.iter().map(|rr| &**rr), residual, pad, f)?;
         }
-    } else {
-        // Hash join: build on the right, probe from the left. Keys that
-        // are plain columns are hashed and compared where they lie.
-        let mut table: HashMap<Vec<Cow<'_, Value>>, Vec<usize>> = HashMap::with_capacity(r.len());
-        let mut key = Vec::with_capacity(condition.equi.len());
-        for (i, rr) in r.iter().enumerate() {
-            key.clear();
-            for (_, rk) in &condition.equi {
-                key.push(rk.eval_ref(rr)?);
-            }
-            if key.iter().any(|v| v.is_null()) {
-                continue;
-            }
-            match table.get_mut(&key) {
-                Some(candidates) => candidates.push(i),
-                None => {
-                    table.insert(std::mem::take(&mut key), vec![i]);
-                }
-            }
-        }
-        for lr in l {
-            key.clear();
-            for (lk, _) in &condition.equi {
-                key.push(lk.eval_ref(lr)?);
-            }
-            let mut matched = false;
-            if !key.iter().any(|v| v.is_null()) {
-                if let Some(candidates) = table.get(&key) {
-                    for &i in candidates {
-                        let row = concat(lr, &r[i]);
-                        if passes(&row)? {
-                            matched = true;
-                            rows.push(Cow::Owned(row));
-                        }
-                    }
-                }
-            }
-            if !matched && join_type == JoinType::LeftOuter {
-                rows.push(padded(lr));
-            }
+        return Ok(());
+    }
+    // Hash join: build on the right, probe from the left. Keys are hashed
+    // and compared where they lie. Linking the build rows last to first
+    // leaves every chain in ascending position; a NULL key is never linked
+    // and never probes.
+    let mut index = Chains::default();
+    index.head.reserve(r.len());
+    for (i, rr) in r.iter().enumerate().rev() {
+        let keys = condition.equi.iter().map(|(_, rk)| rk);
+        if let (hash, false) = index.hash(keys, RowView::of(rr))? {
+            index.link_front(hash, i)?;
         }
     }
-    Ok(rows)
+    for lr in l {
+        let keys = condition.equi.iter().map(|(lk, _)| lk);
+        let (hash, null) = index.hash(keys, RowView::of(lr))?;
+        // Both sides' keys evaluated once already, so neither fails here.
+        let same_key = |rr: &&Row| {
+            condition.equi.iter().all(|(lk, rk)| {
+                let (lv, rv) = (lk.eval_ref(RowView::of(lr)), rk.eval_ref(RowView::of(rr)));
+                matches!((lv, rv), (Ok(lv), Ok(rv)) if lv == rv)
+            })
+        };
+        let chain = (!null).then(|| index.chain(hash)).into_iter().flatten();
+        let candidates = chain.map(|i| &*r[i]).filter(same_key);
+        emit_matches(lr, candidates, residual, pad, f)?;
+    }
+    Ok(())
 }
 
 /// Accumulator for one aggregate call in one group.
@@ -337,8 +455,8 @@ enum AggState {
     SumInt(Option<i64>),
     SumFloat(Option<f64>),
     Avg { sum: f64, n: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
+    // MIN or MAX: the best value so far, and how a better one compares.
+    Extreme(Option<Value>, Ordering),
 }
 
 impl AggState {
@@ -350,8 +468,8 @@ impl AggState {
                 _ => AggState::SumInt(None),
             },
             AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
+            AggFunc::Min => AggState::Extreme(None, Ordering::Less),
+            AggFunc::Max => AggState::Extreme(None, Ordering::Greater),
         }
     }
 
@@ -387,22 +505,9 @@ impl AggState {
                 *sum += f;
                 *n += 1;
             }
-            AggState::Min(acc) => {
-                let better = match acc {
-                    None => true,
-                    Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Less,
-                };
-                if better {
-                    *acc = Some(v.clone());
-                }
-            }
-            AggState::Max(acc) => {
-                let better = match acc {
-                    None => true,
-                    Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Greater,
-                };
-                if better {
-                    *acc = Some(v.clone());
+            AggState::Extreme(best, better) => {
+                if best.as_ref().is_none_or(|cur| v.total_cmp(cur) == *better) {
+                    *best = Some(v.clone());
                 }
             }
         }
@@ -421,90 +526,83 @@ impl AggState {
                     Value::Float(sum / n as f64)
                 }
             }
-            AggState::Min(acc) | AggState::Max(acc) => acc.unwrap_or(Value::Null),
+            AggState::Extreme(best, _) => best.unwrap_or(Value::Null),
         }
     }
 }
 
-struct GroupAcc {
-    states: Vec<AggState>,
-    distinct_seen: Vec<Option<HashSet<Value>>>,
-}
+/// What `COUNT(*)` counts: any non-null marker.
+static COUNTED: Value = Value::Int(1);
 
+/// Hash aggregation over `input`'s rows as they stream by — over a join,
+/// no joined row is built. Groups come out in the order they first appear.
 fn aggregate<'a>(
-    input: &[Cow<'_, Row>],
+    input: &LogicalPlan,
+    catalog: &Catalog,
     group_by: &[(ScalarExpr, String)],
     aggregates: &[AggCall],
 ) -> Result<Rows<'a>> {
-    let new_group = || GroupAcc {
-        states: aggregates.iter().map(AggState::new).collect(),
-        distinct_seen: aggregates
-            .iter()
-            .map(|a| {
-                if a.distinct {
-                    Some(HashSet::new())
-                } else {
-                    None
-                }
-            })
-            .collect(),
-    };
-
-    // Keyed accumulation, groups in the order they first appear. Keys that
-    // are plain columns are hashed and compared where they lie; a key is
-    // copied once, into its group's output row.
-    let mut ordinals: HashMap<Vec<Cow<'_, Value>>, usize> = HashMap::new();
-    let mut groups: Vec<GroupAcc> = Vec::new();
-    let mut key = Vec::with_capacity(group_by.len());
-
-    for row in input {
-        key.clear();
-        for (g, _) in group_by {
-            key.push(g.eval_ref(row)?);
-        }
-        let ordinal = match ordinals.get(&key) {
-            Some(&ordinal) => ordinal,
+    let n = aggregates.len();
+    let any_distinct = aggregates.iter().any(|a| a.distinct);
+    // One output row per group — its key values now, its aggregates when
+    // the input ends — found through the hash of the key. States, and the
+    // DISTINCT sets when some call has one, lie flat: `group * n + call`.
+    let mut index = Chains::default();
+    let mut rows: Rows<'a> = Vec::new();
+    let mut states: Vec<AggState> = Vec::new();
+    let mut seen: Vec<HashSet<Value>> = Vec::new();
+    for_each_row(input, catalog, &mut |row| {
+        let (hash, _) = index.hash(group_by.iter().map(|(g, _)| g), row)?;
+        // The keys evaluated once already, so none fails here.
+        let same_key = |&group: &usize| {
+            let key = group_by.iter().zip(rows[group].iter());
+            key.into_iter()
+                .all(|((g, _), k)| matches!(g.eval_ref(row), Ok(v) if *v == *k))
+        };
+        let found = index.chain(hash).find(same_key);
+        let group = match found {
+            Some(group) => group,
             None => {
-                groups.push(new_group());
-                ordinals.insert(std::mem::take(&mut key), groups.len() - 1);
-                groups.len() - 1
+                let mut key = Vec::with_capacity(group_by.len() + n);
+                for (g, _) in group_by {
+                    key.push(g.eval(row)?);
+                }
+                index.link_front(hash, rows.len())?;
+                rows.push(Cow::Owned(key));
+                states.extend(aggregates.iter().map(AggState::new));
+                if any_distinct {
+                    seen.extend(std::iter::repeat_with(HashSet::new).take(n));
+                }
+                rows.len() - 1
             }
         };
-        let acc = &mut groups[ordinal];
-        for (i, call) in aggregates.iter().enumerate() {
+        for (slot, call) in (group * n..).zip(aggregates) {
             let v = match &call.arg {
-                Some(e) => e.eval(row)?,
-                None => Value::Int(1), // COUNT(*): any non-null marker
+                Some(e) => e.eval_ref(row)?,
+                None => Cow::Borrowed(&COUNTED),
             };
-            if let Some(seen) = &mut acc.distinct_seen[i] {
-                if v.is_null() || !seen.insert(v.clone()) {
+            if call.distinct {
+                if v.is_null() || seen[slot].contains(&*v) {
                     continue;
                 }
+                seen[slot].insert(v.as_ref().clone());
             }
-            acc.states[i].update(&v)?;
+            states[slot].update(&v)?;
         }
-    }
+        Ok(())
+    })?;
 
     // A global aggregate (no GROUP BY) over empty input yields one row.
-    if group_by.is_empty() && groups.is_empty() {
-        groups.push(new_group());
-        ordinals.insert(Vec::new(), 0);
+    if group_by.is_empty() && rows.is_empty() {
+        rows.push(Cow::Owned(Vec::with_capacity(n)));
+        states.extend(aggregates.iter().map(AggState::new));
     }
-
-    let mut keys: Vec<Vec<Cow<'_, Value>>> = vec![Vec::new(); groups.len()];
-    for (key, ordinal) in ordinals {
-        keys[ordinal] = key;
+    let mut states = states.into_iter();
+    for row in &mut rows {
+        row.to_mut()
+            .extend(states.by_ref().take(n).map(AggState::finish));
     }
-    Ok(keys
-        .into_iter()
-        .zip(groups)
-        .map(|(key, acc)| {
-            let mut row = Vec::with_capacity(key.len() + acc.states.len());
-            row.extend(key.into_iter().map(Cow::into_owned));
-            row.extend(acc.states.into_iter().map(AggState::finish));
-            Cow::Owned(row)
-        })
-        .collect())
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -536,6 +634,18 @@ mod tests {
         rows.into_iter().map(Cow::into_owned).collect()
     }
 
+    /// The rows a join's views concatenate to.
+    fn joined(l: &[Row], r: &[Row], condition: &JoinCondition, pad: Option<&[Value]>) -> Vec<Row> {
+        let mut rows = Vec::new();
+        let mut build = |row: RowView<'_>| {
+            rows.push(row.to_row());
+            Ok(())
+        };
+        let (l, r) = (borrowed(l), borrowed(r));
+        join(&l, &r, condition, pad, &mut build).unwrap();
+        rows
+    }
+
     fn ints(rows: &[&[i64]]) -> Vec<Row> {
         rows.iter()
             .map(|r| r.iter().map(|&i| Value::Int(i)).collect())
@@ -562,32 +672,23 @@ mod tests {
     fn hash_join_drops_null_keys() {
         let l = vec![vec![Value::Int(1)], vec![Value::Null]];
         let r = vec![vec![Value::Int(1)], vec![Value::Null]];
-        let out = join(
-            &borrowed(&l),
-            &borrowed(&r),
-            JoinType::Inner,
-            &on_first_columns(),
-            0,
-        )
-        .unwrap();
+        let out = joined(&l, &r, &on_first_columns(), None);
         // NULL = NULL is unknown, so only the (1,1) pair joins.
-        assert_eq!(owned(out), ints(&[&[1, 1]]));
+        assert_eq!(out, ints(&[&[1, 1]]));
     }
 
     #[test]
     fn left_outer_join_pads_with_nulls() {
         let l = ints(&[&[1], &[2]]);
         let r = ints(&[&[1, 10]]);
-        let out = join(
-            &borrowed(&l),
-            &borrowed(&r),
-            JoinType::LeftOuter,
+        let out = joined(
+            &l,
+            &r,
             &on_first_columns(),
-            2,
-        )
-        .unwrap();
+            Some(&[Value::Null, Value::Null]),
+        );
         assert_eq!(
-            owned(out),
+            out,
             vec![
                 vec![Value::Int(1), Value::Int(1), Value::Int(10)],
                 vec![Value::Int(2), Value::Null, Value::Null],
@@ -611,8 +712,8 @@ mod tests {
                 right: Box::new(colx(1)),
             }),
         };
-        let out = join(&borrowed(&l), &borrowed(&r), JoinType::Inner, &cond, 0).unwrap();
-        assert_eq!(owned(out), ints(&[&[1, 3]]));
+        let out = joined(&l, &r, &cond, None);
+        assert_eq!(out, ints(&[&[1, 3]]));
     }
 
     #[test]
@@ -721,6 +822,69 @@ mod tests {
             catalog.get("t").unwrap().rows(),
             ints(&[&[3, 1], &[1, 2], &[2, 1], &[4, 2]])
         );
+    }
+
+    fn project(input: LogicalPlan, exprs: Vec<ScalarExpr>) -> LogicalPlan {
+        let schema = PlanSchema::new(
+            (0..exprs.len())
+                .map(|i| PlanColumn::computed(format!("c{i}"), DataType::Int))
+                .collect(),
+        );
+        LogicalPlan::Project {
+            input: Box::new(input),
+            exprs: exprs.into_iter().map(|e| (e, "c".into())).collect(),
+            schema,
+        }
+    }
+
+    #[test]
+    fn a_projection_of_plain_columns_is_read_through_not_run() {
+        let catalog = catalog_of(&[&[1, 10], &[2, 0]]);
+        let sum = ScalarExpr::Binary {
+            left: Box::new(colx(0)),
+            op: galois_sql::ast::BinaryOp::Add,
+            right: Box::new(colx(1)),
+        };
+        // `k + v` over a projection that swaps the two columns, over one
+        // that repeats `v`: both are index remaps, so the list is composed
+        // down to the scan.
+        let swap = project(scan_t(&catalog), vec![colx(1), colx(0)]);
+        let repeat = project(swap, vec![colx(0), colx(0)]);
+        let top = project(repeat, vec![sum.clone(), colx(1)]);
+        let LogicalPlan::Project { input, exprs, .. } = &top else {
+            unreachable!()
+        };
+        let (base, list) = composed(input, exprs);
+        assert_eq!(base, &scan_t(&catalog));
+        assert_eq!(list[0].referenced_indices(), [1]);
+        assert_eq!(list[1].referenced_indices(), [1]);
+        assert_eq!(
+            execute(&top, &catalog).unwrap().rows,
+            ints(&[&[20, 10], &[0, 0]])
+        );
+
+        // A projection that computes stays an operator — its `k / v` fails
+        // the statement on the second row although the list above reads
+        // only `k` — and so does one the list reads out of range.
+        let quotient = ScalarExpr::Binary {
+            left: Box::new(colx(0)),
+            op: galois_sql::ast::BinaryOp::Div,
+            right: Box::new(colx(1)),
+        };
+        let computing = project(scan_t(&catalog), vec![colx(0), quotient]);
+        let top = project(computing.clone(), vec![colx(0)]);
+        let LogicalPlan::Project { input, exprs, .. } = &top else {
+            unreachable!()
+        };
+        assert_eq!(composed(input, exprs).0, &computing);
+        assert!(execute(&top, &catalog).is_err());
+        let narrow = project(scan_t(&catalog), vec![colx(0)]);
+        let top = project(narrow.clone(), vec![colx(1)]);
+        let LogicalPlan::Project { input, exprs, .. } = &top else {
+            unreachable!()
+        };
+        assert_eq!(composed(input, exprs).0, &narrow);
+        assert!(execute(&top, &catalog).is_err());
     }
 
     #[test]

@@ -34,6 +34,40 @@ impl fmt::Display for ResolvedColumn {
     }
 }
 
+/// The row an expression is evaluated against: one slice of values, or a
+/// join's match — the left row's slice and the right's, read as their
+/// concatenation without building it.
+#[derive(Debug, Clone, Copy)]
+pub struct RowView<'r> {
+    left: &'r [Value],
+    right: &'r [Value],
+}
+
+impl<'r> RowView<'r> {
+    /// A stored or already built row.
+    pub fn of(row: &'r [Value]) -> Self {
+        Self::pair(row, &[])
+    }
+
+    /// A join's match: column `i` is `left[i]`, or `right[i - left.len()]`.
+    pub fn pair(left: &'r [Value], right: &'r [Value]) -> Self {
+        RowView { left, right }
+    }
+
+    /// The value of column `index`, if the row is that wide.
+    pub fn get(self, index: usize) -> Option<&'r Value> {
+        match index.checked_sub(self.left.len()) {
+            None => self.left.get(index),
+            Some(i) => self.right.get(i),
+        }
+    }
+
+    /// The row, built: the left values, then the right's.
+    pub fn to_row(self) -> Row {
+        [self.left, self.right].concat()
+    }
+}
+
 /// A resolved, executable scalar expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScalarExpr {
@@ -171,23 +205,32 @@ impl ScalarExpr {
     /// Rewrites every column index through `map` (used when an input's
     /// column order changes, e.g. below a join).
     pub fn remap_indices(&self, map: &impl Fn(usize) -> usize) -> ScalarExpr {
-        match self {
-            ScalarExpr::Column(c) => ScalarExpr::Column(ResolvedColumn {
+        self.map_columns(&|c| {
+            ScalarExpr::Column(ResolvedColumn {
                 index: map(c.index),
                 ..c.clone()
-            }),
+            })
+        })
+    }
+
+    /// Replaces every column reference by `f` of it: an index remap, or the
+    /// expression that computes the column one operator below (how the
+    /// executor reads through a projection instead of running it).
+    pub fn map_columns(&self, f: &impl Fn(&ResolvedColumn) -> ScalarExpr) -> ScalarExpr {
+        match self {
+            ScalarExpr::Column(c) => f(c),
             ScalarExpr::Literal(v) => ScalarExpr::Literal(v.clone()),
             ScalarExpr::Unary { op, expr } => ScalarExpr::Unary {
                 op: *op,
-                expr: Box::new(expr.remap_indices(map)),
+                expr: Box::new(expr.map_columns(f)),
             },
             ScalarExpr::Binary { left, op, right } => ScalarExpr::Binary {
-                left: Box::new(left.remap_indices(map)),
+                left: Box::new(left.map_columns(f)),
                 op: *op,
-                right: Box::new(right.remap_indices(map)),
+                right: Box::new(right.map_columns(f)),
             },
             ScalarExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
-                expr: Box::new(expr.remap_indices(map)),
+                expr: Box::new(expr.map_columns(f)),
                 negated: *negated,
             },
             ScalarExpr::InList {
@@ -195,8 +238,8 @@ impl ScalarExpr {
                 list,
                 negated,
             } => ScalarExpr::InList {
-                expr: Box::new(expr.remap_indices(map)),
-                list: list.iter().map(|e| e.remap_indices(map)).collect(),
+                expr: Box::new(expr.map_columns(f)),
+                list: list.iter().map(|e| e.map_columns(f)).collect(),
                 negated: *negated,
             },
             ScalarExpr::Between {
@@ -205,9 +248,9 @@ impl ScalarExpr {
                 high,
                 negated,
             } => ScalarExpr::Between {
-                expr: Box::new(expr.remap_indices(map)),
-                low: Box::new(low.remap_indices(map)),
-                high: Box::new(high.remap_indices(map)),
+                expr: Box::new(expr.map_columns(f)),
+                low: Box::new(low.map_columns(f)),
+                high: Box::new(high.map_columns(f)),
                 negated: *negated,
             },
             ScalarExpr::Like {
@@ -215,59 +258,54 @@ impl ScalarExpr {
                 pattern,
                 negated,
             } => ScalarExpr::Like {
-                expr: Box::new(expr.remap_indices(map)),
-                pattern: Box::new(pattern.remap_indices(map)),
+                expr: Box::new(expr.map_columns(f)),
+                pattern: Box::new(pattern.map_columns(f)),
                 negated: *negated,
             },
         }
     }
 
-    /// Evaluates against a row, returning a value (possibly NULL).
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    /// Evaluates against a row, returning a value (possibly NULL). Operands
+    /// are read through [`ScalarExpr::eval_ref`]: comparing a text column
+    /// with a literal copies neither.
+    pub fn eval(&self, row: RowView<'_>) -> Result<Value> {
         match self {
-            ScalarExpr::Column(c) => row
-                .get(c.index)
-                .cloned()
-                .ok_or_else(|| EngineError::Evaluation(format!("row too short for {c}"))),
-            ScalarExpr::Literal(v) => Ok(v.clone()),
-            ScalarExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
-                match (op, v) {
-                    (_, Value::Null) => Ok(Value::Null),
-                    (UnaryOp::Neg, Value::Int(i)) => i
-                        .checked_neg()
-                        .map(Value::Int)
-                        .ok_or_else(|| EngineError::Evaluation("integer overflow".into())),
-                    (UnaryOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
-                    (UnaryOp::Neg, other) => Err(EngineError::TypeMismatch(format!(
-                        "cannot negate {}",
-                        other.render()
-                    ))),
-                    (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (UnaryOp::Not, other) => Err(EngineError::TypeMismatch(format!(
-                        "NOT expects a boolean, got {}",
-                        other.render()
-                    ))),
-                }
+            ScalarExpr::Column(_) | ScalarExpr::Literal(_) => {
+                self.eval_ref(row).map(Cow::into_owned)
             }
+            ScalarExpr::Unary { op, expr } => match (op, &*expr.eval_ref(row)?) {
+                (_, Value::Null) => Ok(Value::Null),
+                (UnaryOp::Neg, Value::Int(i)) => i
+                    .checked_neg()
+                    .map(Value::Int)
+                    .ok_or_else(|| EngineError::Evaluation("integer overflow".into())),
+                (UnaryOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+                (UnaryOp::Neg, other) => Err(EngineError::TypeMismatch(format!(
+                    "cannot negate {}",
+                    other.render()
+                ))),
+                (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+                (UnaryOp::Not, other) => Err(EngineError::TypeMismatch(format!(
+                    "NOT expects a boolean, got {}",
+                    other.render()
+                ))),
+            },
             ScalarExpr::Binary { left, op, right } => eval_binary(left, *op, right, row),
             ScalarExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Ok(Value::Bool(expr.eval_ref(row)?.is_null() != *negated))
             }
             ScalarExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_ref(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let cand = item.eval(row)?;
-                    match v.sql_eq(&cand) {
+                    match v.sql_eq(&*item.eval_ref(row)?) {
                         Some(true) => return Ok(Value::Bool(!*negated)),
                         Some(false) => {}
                         None => saw_null = true,
@@ -285,9 +323,9 @@ impl ScalarExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row)?;
-                let lo = low.eval(row)?;
-                let hi = high.eval(row)?;
+                let v = expr.eval_ref(row)?;
+                let lo = low.eval_ref(row)?;
+                let hi = high.eval_ref(row)?;
                 let ge = match v.sql_cmp(&lo) {
                     Some(o) => o != std::cmp::Ordering::Less,
                     None => return Ok(Value::Null),
@@ -302,42 +340,40 @@ impl ScalarExpr {
                 expr,
                 pattern,
                 negated,
-            } => {
-                let v = expr.eval(row)?;
-                let p = pattern.eval(row)?;
-                match (v, p) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    (Value::Text(s), Value::Text(pat)) => {
-                        Ok(Value::Bool(like_match(&s, &pat) != *negated))
-                    }
-                    (a, b) => Err(EngineError::TypeMismatch(format!(
-                        "LIKE expects text operands, got {} and {}",
-                        a.render(),
-                        b.render()
-                    ))),
+            } => match (&*expr.eval_ref(row)?, &*pattern.eval_ref(row)?) {
+                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                (Value::Text(s), Value::Text(pat)) => {
+                    Ok(Value::Bool(like_match(s, pat) != *negated))
                 }
-            }
+                (a, b) => Err(EngineError::TypeMismatch(format!(
+                    "LIKE expects text operands, got {} and {}",
+                    a.render(),
+                    b.render()
+                ))),
+            },
         }
     }
 
     /// [`ScalarExpr::eval`] without the copy when the expression is a
-    /// plain column: the value is borrowed from the row. Everything else
-    /// is evaluated as usual and returned owned.
-    pub fn eval_ref<'r>(&self, row: &'r Row) -> Result<Cow<'r, Value>> {
+    /// plain column or a literal: the value is borrowed from the row or
+    /// from the expression. Everything else is evaluated as usual and
+    /// returned owned.
+    pub fn eval_ref<'r>(&'r self, row: RowView<'r>) -> Result<Cow<'r, Value>> {
         match self {
             ScalarExpr::Column(c) => row
                 .get(c.index)
                 .map(Cow::Borrowed)
                 .ok_or_else(|| EngineError::Evaluation(format!("row too short for {c}"))),
+            ScalarExpr::Literal(v) => Ok(Cow::Borrowed(v)),
             computed => computed.eval(row).map(Cow::Owned),
         }
     }
 
     /// Evaluates as a predicate: true only if the result is boolean TRUE
     /// (NULL counts as false, per SQL WHERE semantics).
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        match self.eval(row)? {
-            Value::Bool(b) => Ok(b),
+    pub fn eval_predicate(&self, row: RowView<'_>) -> Result<bool> {
+        match &*self.eval_ref(row)? {
+            Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
             other => Err(EngineError::TypeMismatch(format!(
                 "predicate evaluated to non-boolean {}",
@@ -347,35 +383,38 @@ impl ScalarExpr {
     }
 }
 
-fn eval_binary(left: &ScalarExpr, op: BinaryOp, right: &ScalarExpr, row: &Row) -> Result<Value> {
+fn eval_binary(
+    left: &ScalarExpr,
+    op: BinaryOp,
+    right: &ScalarExpr,
+    row: RowView<'_>,
+) -> Result<Value> {
     // AND/OR use Kleene logic and must not eagerly error on the other side.
     match op {
         BinaryOp::And => {
-            let l = left.eval(row)?;
-            if l == Value::Bool(false) {
+            let l = left.eval_ref(row)?;
+            if *l == Value::Bool(false) {
                 return Ok(Value::Bool(false));
             }
-            let r = right.eval(row)?;
-            return kleene_and(l, r);
+            return kleene_and(&l, &*right.eval_ref(row)?);
         }
         BinaryOp::Or => {
-            let l = left.eval(row)?;
-            if l == Value::Bool(true) {
+            let l = left.eval_ref(row)?;
+            if *l == Value::Bool(true) {
                 return Ok(Value::Bool(true));
             }
-            let r = right.eval(row)?;
-            return kleene_or(l, r);
+            return kleene_or(&l, &*right.eval_ref(row)?);
         }
         _ => {}
     }
 
-    let l = left.eval(row)?;
-    let r = right.eval(row)?;
+    let (l, r) = (left.eval_ref(row)?, right.eval_ref(row)?);
+    let (l, r) = (&*l, &*r);
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     if op.is_comparison() {
-        let ord = l.sql_cmp(&r).ok_or_else(|| {
+        let ord = l.sql_cmp(r).ok_or_else(|| {
             EngineError::TypeMismatch(format!("cannot compare {} with {}", l.render(), r.render()))
         })?;
         use std::cmp::Ordering::*;
@@ -394,14 +433,14 @@ fn eval_binary(left: &ScalarExpr, op: BinaryOp, right: &ScalarExpr, row: &Row) -
     match op {
         BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul => arith(l, r, op),
         BinaryOp::Div => {
-            let (a, b) = both_f64(&l, &r)?;
+            let (a, b) = both_f64(l, r)?;
             if b == 0.0 {
                 Err(EngineError::Evaluation("division by zero".into()))
             } else {
                 Ok(Value::Float(a / b))
             }
         }
-        BinaryOp::Mod => match (&l, &r) {
+        BinaryOp::Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
                     Err(EngineError::Evaluation("modulo by zero".into()))
@@ -417,16 +456,16 @@ fn eval_binary(left: &ScalarExpr, op: BinaryOp, right: &ScalarExpr, row: &Row) -
     }
 }
 
-fn kleene_and(l: Value, r: Value) -> Result<Value> {
-    match (bool3(&l)?, bool3(&r)?) {
+fn kleene_and(l: &Value, r: &Value) -> Result<Value> {
+    match (bool3(l)?, bool3(r)?) {
         (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
         (Some(true), Some(true)) => Ok(Value::Bool(true)),
         _ => Ok(Value::Null),
     }
 }
 
-fn kleene_or(l: Value, r: Value) -> Result<Value> {
-    match (bool3(&l)?, bool3(&r)?) {
+fn kleene_or(l: &Value, r: &Value) -> Result<Value> {
+    match (bool3(l)?, bool3(r)?) {
         (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
         (Some(false), Some(false)) => Ok(Value::Bool(false)),
         _ => Ok(Value::Null),
@@ -455,8 +494,8 @@ fn both_f64(l: &Value, r: &Value) -> Result<(f64, f64)> {
     }
 }
 
-fn arith(l: Value, r: Value, op: BinaryOp) -> Result<Value> {
-    match (&l, &r) {
+fn arith(l: &Value, r: &Value, op: BinaryOp) -> Result<Value> {
+    match (l, r) {
         (Value::Int(a), Value::Int(b)) => {
             let res = match op {
                 BinaryOp::Add => a.checked_add(*b),
@@ -468,7 +507,7 @@ fn arith(l: Value, r: Value, op: BinaryOp) -> Result<Value> {
                 .ok_or_else(|| EngineError::Evaluation("integer overflow".into()))
         }
         _ => {
-            let (a, b) = both_f64(&l, &r)?;
+            let (a, b) = both_f64(l, r)?;
             let res = match op {
                 BinaryOp::Add => a + b,
                 BinaryOp::Sub => a - b,
@@ -481,33 +520,36 @@ fn arith(l: Value, r: Value, op: BinaryOp) -> Result<Value> {
 }
 
 /// SQL `LIKE` matching with `%` (any run) and `_` (single char) wildcards.
-/// Case-sensitive, iterative two-pointer algorithm (no backtracking blowup).
+/// Case-sensitive, iterative two-pointer algorithm (no backtracking blowup)
+/// over the two strings where they lie: positions are byte offsets of
+/// characters.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    let first = |text: &str, at: usize| text[at..].chars().next();
     let (mut si, mut pi) = (0usize, 0usize);
-    let (mut star, mut star_s) = (None::<usize>, 0usize);
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi);
-            star_s = si;
-            pi += 1;
-        } else if let Some(sp) = star {
-            // Backtrack: let the last % absorb one more character.
-            pi = sp + 1;
-            star_s += 1;
-            si = star_s;
-        } else {
-            return false;
+    // Where the last `%` ends in the pattern, and the text it has absorbed.
+    let mut star = None::<(usize, usize)>;
+    while let Some(sc) = first(s, si) {
+        match first(pattern, pi) {
+            Some(pc) if pc == '_' || pc == sc => {
+                si += sc.len_utf8();
+                pi += pc.len_utf8();
+            }
+            Some('%') => {
+                pi += 1;
+                star = Some((pi, si));
+            }
+            _ => {
+                // Backtrack: let the last % absorb one more character.
+                let Some((after, absorbed)) = star else {
+                    return false;
+                };
+                si = absorbed + first(s, absorbed).map_or(0, char::len_utf8);
+                pi = after;
+                star = Some((after, si));
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 impl fmt::Display for ScalarExpr {
@@ -596,34 +638,37 @@ mod tests {
             BinaryOp::Add,
             col(1, DataType::Float),
         );
-        assert_eq!(e.eval(&row).unwrap(), Value::Float(7.5));
+        assert_eq!(e.eval(RowView::of(&row)).unwrap(), Value::Float(7.5));
         let e = bin(col(0, DataType::Int), BinaryOp::Mul, lit(2i64));
-        assert_eq!(e.eval(&row).unwrap(), Value::Int(12));
+        assert_eq!(e.eval(RowView::of(&row)).unwrap(), Value::Int(12));
     }
 
     #[test]
     fn division_always_float_and_checks_zero() {
         let row = vec![Value::Int(7), Value::Int(2)];
         let e = bin(col(0, DataType::Int), BinaryOp::Div, col(1, DataType::Int));
-        assert_eq!(e.eval(&row).unwrap(), Value::Float(3.5));
+        assert_eq!(e.eval(RowView::of(&row)).unwrap(), Value::Float(3.5));
         let z = bin(col(0, DataType::Int), BinaryOp::Div, lit(0i64));
-        assert!(z.eval(&row).is_err());
+        assert!(z.eval(RowView::of(&row)).is_err());
     }
 
     #[test]
     fn integer_overflow_is_an_error() {
         let row = vec![Value::Int(i64::MAX)];
         let e = bin(col(0, DataType::Int), BinaryOp::Add, lit(1i64));
-        assert!(matches!(e.eval(&row), Err(EngineError::Evaluation(_))));
+        assert!(matches!(
+            e.eval(RowView::of(&row)),
+            Err(EngineError::Evaluation(_))
+        ));
     }
 
     #[test]
     fn null_propagates_through_arithmetic_and_comparison() {
         let row = vec![Value::Null];
         let e = bin(col(0, DataType::Int), BinaryOp::Add, lit(1i64));
-        assert!(e.eval(&row).unwrap().is_null());
+        assert!(e.eval(RowView::of(&row)).unwrap().is_null());
         let c = bin(col(0, DataType::Int), BinaryOp::Eq, lit(1i64));
-        assert!(c.eval(&row).unwrap().is_null());
+        assert!(c.eval(RowView::of(&row)).unwrap().is_null());
     }
 
     #[test]
@@ -638,20 +683,26 @@ mod tests {
         };
         let or = |a, b| bin(col(a, DataType::Bool), BinaryOp::Or, col(b, DataType::Bool));
         // false AND null = false; true AND null = null
-        assert_eq!(and(2, 0).eval(&row).unwrap(), Value::Bool(false));
-        assert!(and(1, 0).eval(&row).unwrap().is_null());
+        assert_eq!(
+            and(2, 0).eval(RowView::of(&row)).unwrap(),
+            Value::Bool(false)
+        );
+        assert!(and(1, 0).eval(RowView::of(&row)).unwrap().is_null());
         // true OR null = true; false OR null = null
-        assert_eq!(or(1, 0).eval(&row).unwrap(), Value::Bool(true));
-        assert!(or(2, 0).eval(&row).unwrap().is_null());
+        assert_eq!(or(1, 0).eval(RowView::of(&row)).unwrap(), Value::Bool(true));
+        assert!(or(2, 0).eval(RowView::of(&row)).unwrap().is_null());
         // null AND false = false (no short-circuit asymmetry)
-        assert_eq!(and(0, 2).eval(&row).unwrap(), Value::Bool(false));
+        assert_eq!(
+            and(0, 2).eval(RowView::of(&row)).unwrap(),
+            Value::Bool(false)
+        );
     }
 
     #[test]
     fn predicate_treats_null_as_false() {
         let row = vec![Value::Null];
         let c = bin(col(0, DataType::Int), BinaryOp::Gt, lit(1i64));
-        assert!(!c.eval_predicate(&row).unwrap());
+        assert!(!c.eval_predicate(RowView::of(&row)).unwrap());
     }
 
     #[test]
@@ -662,14 +713,14 @@ mod tests {
             list: vec![lit(1i64), lit(5i64)],
             negated: false,
         };
-        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(RowView::of(&row)).unwrap(), Value::Bool(true));
         // 5 NOT IN (1, NULL) → NULL (unknown), not true/false
         let e2 = ScalarExpr::InList {
             expr: Box::new(col(0, DataType::Int)),
             list: vec![lit(1i64), col(1, DataType::Int)],
             negated: true,
         };
-        assert!(e2.eval(&row).unwrap().is_null());
+        assert!(e2.eval(RowView::of(&row)).unwrap().is_null());
     }
 
     #[test]
@@ -681,7 +732,7 @@ mod tests {
             high: Box::new(lit(20i64)),
             negated: false,
         };
-        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(RowView::of(&row)).unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -699,6 +750,48 @@ mod tests {
         assert!(like_match("banana", "%na%"));
     }
 
+    /// `like_match` as it was: both strings collected into `Vec<char>`s.
+    fn like_match_over_chars(s: &str, pattern: &str) -> bool {
+        let s: Vec<char> = s.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let (mut si, mut pi) = (0usize, 0usize);
+        let (mut star, mut star_s) = (None::<usize>, 0usize);
+        while si < s.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
+                si += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some(pi);
+                star_s = si;
+                pi += 1;
+            } else if let Some(sp) = star {
+                // Backtrack: let the last % absorb one more character.
+                pi = sp + 1;
+                star_s += 1;
+                si = star_s;
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn like_match_agrees_with_the_char_vector_form(
+            s in "[ab%_é]{0,8}",
+            pattern in "[ab%_é]{0,6}",
+        ) {
+            proptest::prop_assert_eq!(
+                like_match(&s, &pattern),
+                like_match_over_chars(&s, &pattern)
+            );
+        }
+    }
+
     #[test]
     fn is_null_never_null() {
         let row = vec![Value::Null, Value::Int(1)];
@@ -706,12 +799,12 @@ mod tests {
             expr: Box::new(col(0, DataType::Int)),
             negated: false,
         };
-        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(RowView::of(&row)).unwrap(), Value::Bool(true));
         let e2 = ScalarExpr::IsNull {
             expr: Box::new(col(1, DataType::Int)),
             negated: true,
         };
-        assert_eq!(e2.eval(&row).unwrap(), Value::Bool(true));
+        assert_eq!(e2.eval(RowView::of(&row)).unwrap(), Value::Bool(true));
     }
 
     #[test]
