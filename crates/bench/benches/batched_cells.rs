@@ -6,7 +6,9 @@
 //! entirely from sub-entries, so the run is dominated by cache extraction.
 //! `warm_statement/x10` is the serving configuration's version of the
 //! same: the whole suite on a warmed grid-stack session, where no prompt
-//! is sent and every key and cell is served from the stores.
+//! is sent and every key and cell is served from the stores;
+//! `warm_new_statement/x10` is one statement the suite does not contain,
+//! over columns its statements have already fetched.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::{Galois, GaloisOptions, PromptBatch};
@@ -60,6 +62,12 @@ fn bench_warm_statement(c: &mut Criterion) {
     pass();
     pass();
     c.bench_function("warm_statement/x10", |b| b.iter(pass));
+    // A projection no suite statement makes, over three columns that three
+    // of them fetched: nothing to ask, everything to read and materialise.
+    let new = "SELECT name, population, elevation, country FROM city";
+    c.bench_function("warm_new_statement/x10", |b| {
+        b.iter(|| session.execute(black_box(new)).expect("new statement"))
+    });
 }
 
 criterion_group!(benches, bench_batched_cell_extraction, bench_warm_statement);

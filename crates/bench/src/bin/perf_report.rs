@@ -152,10 +152,11 @@ impl MethodReport {
 
     fn to_json(&self) -> String {
         // Phase keys stay flat (no nested object) so line-oriented drift
-        // checks keep matching one brace pair per method row.
+        // checks keep matching one brace pair per method row. The file is
+        // the virtual-clock ledger: host wall time is printed, not written.
         format!(
             "    \"{}\": {{ \"parallelism\": {}, \"threads\": {}, \"virtual_ms\": {}, \
-             \"serial_virtual_ms\": {}, \"wall_ms\": {}, \"prompts\": {}, \"cache_hits\": {}, \
+             \"serial_virtual_ms\": {}, \"prompts\": {}, \"cache_hits\": {}, \
              \"list_virtual_ms\": {}, \"filter_virtual_ms\": {}, \"fetch_virtual_ms\": {}, \
              \"queue_ms\": {}{} }}",
             self.name,
@@ -163,7 +164,6 @@ impl MethodReport {
             self.threads,
             self.totals.virtual_ms,
             self.totals.serial_virtual_ms,
-            self.totals.wall_ms,
             self.totals.prompts,
             self.totals.cache_hits,
             self.totals.list_virtual_ms,

@@ -35,6 +35,7 @@ mod options;
 mod protocol;
 mod stats;
 mod stream;
+mod typed;
 mod wave;
 
 pub use options::{
@@ -101,6 +102,9 @@ pub struct Galois {
     /// The model's behaviour fingerprint, keying store entries so a
     /// profile change invalidates stored universes cleanly.
     model_sig: String,
+    /// What warm statements have already read out of the sub-entry store,
+    /// typed, by stored universe and column.
+    typed: typed::TypedCells,
 }
 
 impl Galois {
@@ -135,6 +139,7 @@ impl Galois {
             calibration: parking_lot::Mutex::new(None),
             list_store,
             model_sig,
+            typed: typed::TypedCells::default(),
         }
     }
 

@@ -33,6 +33,7 @@
 //! pads stored and never consumed, fault text turned into a failed cell.
 
 use super::stats::{Phase, StepStats};
+use super::typed::Cells;
 use super::Galois;
 use crate::clean::{cell_value, key_row, normalise_text};
 use crate::compile::{CompiledQuery, LlmScanStep};
@@ -44,6 +45,7 @@ use galois_llm::{BatchOutcome, KeyUniverse, SubColumn, SubLookup};
 use galois_relational::{Column, Value};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One retrieval cell of the batched protocol: a filter condition, or a
@@ -86,10 +88,9 @@ impl Galois {
                 Landed::Verdict(false)
             }
             None => Landed::Verdict(parse_boolean_answer(answer).unwrap_or(false)),
-            Some(col) => Landed::Value {
-                col,
-                value: self.fetched_cell(answer, &step.columns()[col], failed_cells),
-            },
+            Some(col) => {
+                Landed::Value(self.fetched_cell(answer, &step.columns()[col], failed_cells))
+            }
         }
     }
 
@@ -215,6 +216,10 @@ struct StageState {
     /// store). Single-cell stages use `[0]`; a grid stage holds one per
     /// attr ordinal, then one per pad column.
     sub_columns: Vec<SubColumn>,
+    /// The typed cells of the stage's own columns over the step's stored
+    /// universe, one per attr ordinal, where the session keeps them
+    /// ([`super::typed`]); empty when the step lists its keys.
+    cells: Vec<Option<Cells>>,
     /// Single-key prompt templates of the stage's own cells (one; a grid
     /// stage one per attr ordinal), each rendered on first use: the whole
     /// dataflow when batching is off, the ladder's bottom rung otherwise.
@@ -244,6 +249,7 @@ impl StageState {
         StageState {
             cell,
             sub_columns: Vec::new(),
+            cells: Vec::new(),
             templates: (0..own_cells).map(|_| OnceCell::new()).collect(),
             pending: Vec::new(),
             inflight: 0,
@@ -433,12 +439,15 @@ impl StepRun<'_> {
     }
 }
 
-/// What one key's answer decides for a cell.
-enum Landed {
+/// What one key's answer decides for a cell — also what a typed cell
+/// ([`super::typed`]) keeps of a stored answer, so it names no step-local
+/// column: the stage supplies that when it lands.
+#[derive(Debug, Clone)]
+pub(super) enum Landed {
     /// A filter verdict: whether the key survives the condition.
     Verdict(bool),
-    /// A fetched cell, typed, for column `col` of the key's row.
-    Value { col: usize, value: Value },
+    /// A fetched cell, typed.
+    Value(Value),
 }
 
 /// What a fired prompt is.
@@ -560,6 +569,8 @@ pub(super) struct Protocol<'a> {
     /// residual plan is a plain window over this (single) step's scan
     /// ([`crate::compile::limit_hint`]). `None` runs to exhaustion.
     window: Option<LimitWindow>,
+    /// Cell reads this statement served from typed cells.
+    typed_hits: usize,
 }
 
 impl<'a> Protocol<'a> {
@@ -634,6 +645,7 @@ impl<'a> Protocol<'a> {
             fuse: options.prompt_batch.keys_per_prompt(),
             barrier,
             window,
+            typed_hits: 0,
         }
     }
 
@@ -649,6 +661,8 @@ impl<'a> Protocol<'a> {
     /// The end of a run: per step (in step order) its accounting and the
     /// rows of the keys that survived, in discovery order.
     pub(super) fn finish(self) -> impl Iterator<Item = (StepStats, Vec<Vec<Value>>)> + 'a {
+        let served = &self.session.typed.hits;
+        served.fetch_add(self.typed_hits, Ordering::Relaxed);
         self.steps.into_iter().map(|run| {
             let rows = run
                 .slots
@@ -692,6 +706,20 @@ impl<'a> Protocol<'a> {
                 let run = &mut self.steps[s];
                 run.acc.cache_hits += stored.iterations;
                 run.slots = (0..stored.keys.len()).map(|_| KeySlot::listed()).collect();
+                if self.batched {
+                    // The universe's slots are fixed, so its columns'
+                    // typed cells apply: one map lock for the whole step.
+                    let generation = self.session.client.sub_generation();
+                    let typed = &self.session.typed;
+                    typed.with_universe(generation, &concept, &stored.keys, |universe| {
+                        for stage in &mut run.stages {
+                            stage.cells = stage.sub_columns[..stage.own_cells()]
+                                .iter()
+                                .map(|column| universe.admit(column.id()))
+                                .collect();
+                        }
+                    });
+                }
                 run.stored = Some(stored.keys);
                 run.iterations = stored.iterations;
                 run.list_exhausted = stored.exhausted;
@@ -1009,16 +1037,27 @@ impl<'a> Protocol<'a> {
         let landed =
             self.session
                 .parse_answer(run.step, fetch_col, answer, &mut run.acc.failed_cells);
-        self.land(s, g, slot, landed, fires);
+        self.land(s, g, ord, slot, landed, fires);
     }
 
-    /// Applies what one key's answer decided: a filter verdict routes the
-    /// key onward or kills it; a fetched value lands in the key's row.
-    fn land(&mut self, s: usize, g: usize, slot: usize, landed: Landed, fires: &mut Vec<Fire>) {
-        match landed {
-            Landed::Verdict(true) => self.route_survivor(s, g, slot, fires),
-            Landed::Verdict(false) => self.steps[s].slots[slot].alive = false,
-            Landed::Value { col, value } => self.steps[s].slots[slot].row[col] = value,
+    /// Applies what one key's answer decided for a stage's `ord`-th cell:
+    /// a filter verdict routes the key onward or kills it; a fetched value
+    /// lands in the key's row.
+    fn land(
+        &mut self,
+        s: usize,
+        g: usize,
+        ord: usize,
+        slot: usize,
+        landed: Landed,
+        fires: &mut Vec<Fire>,
+    ) {
+        let run = &mut self.steps[s];
+        match (landed, run.stages[g].fetch_col(run.step, ord)) {
+            (Landed::Verdict(true), _) => self.route_survivor(s, g, slot, fires),
+            (Landed::Verdict(false), _) => run.slots[slot].alive = false,
+            (Landed::Value(value), Some(col)) => run.slots[slot].row[col] = value,
+            (Landed::Value(_), None) => unreachable!("a filter stage lands verdicts"),
         }
     }
 
@@ -1263,12 +1302,15 @@ impl<'a> Protocol<'a> {
     }
 
     /// Sub-entry extraction for one key at a stage: every unanswered own
-    /// cell is looked up in its sub-entry column — a stored answer is
-    /// parsed where it lies, under the column's lock, and lands — and the
-    /// key joins the stage's accumulator when *any* cell is still missing
-    /// (already-answered cells are skipped at parse time — grid prompts
-    /// always ask the whole group, so their strings stay
-    /// chunk-membership-deterministic). Returns whether one is.
+    /// cell is read — from its typed cell when the step serves a stored
+    /// universe and the session has read this `(column, slot)` before,
+    /// else from its sub-entry column, where a stored answer is parsed
+    /// where it lies, under the column's lock, and kept in the typed cell
+    /// for the next read — and lands. The key joins the stage's
+    /// accumulator when *any* cell is still missing (already-answered
+    /// cells are skipped at parse time — grid prompts always ask the whole
+    /// group, so their strings stay chunk-membership-deterministic).
+    /// Returns whether one is.
     fn extract_cells(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) -> bool {
         let session = self.session;
         let mut missing = false;
@@ -1276,6 +1318,15 @@ impl<'a> Protocol<'a> {
             let run = &self.steps[s];
             let stage = &run.stages[g];
             if stage.answered.contains(slot, ord) {
+                continue;
+            }
+            let cells = stage.cells.get(ord).and_then(Option::as_ref);
+            let cell = cells.map(|cells| &cells[slot]);
+            if let Some(landed) = cell.and_then(|cell| cell.get()).cloned() {
+                // The hit the store would have served, billed as one.
+                session.client.bill_sub_hit();
+                self.typed_hits += 1;
+                self.land_hit(s, g, ord, slot, landed, fires);
                 continue;
             }
             let fetch_col = stage.fetch_col(run.step, ord);
@@ -1286,14 +1337,15 @@ impl<'a> Protocol<'a> {
                     .extract_in(&stage.sub_columns[ord], &run.keys()[slot], |answer| {
                         session.parse_answer(run.step, fetch_col, answer, &mut failed_cells)
                     });
+            // Only what the store said is kept: never an asked answer,
+            // never an in-flight cell's (first stored write wins).
+            if let (SubLookup::Hit(landed), Some(cell)) = (&extracted, cell) {
+                let _ = cell.set(landed.clone());
+            }
             let run = &mut self.steps[s];
             run.acc.failed_cells += failed_cells;
             match extracted {
-                SubLookup::Hit(landed) => {
-                    run.acc.cache_hits += 1;
-                    run.stages[g].mark_answered(slot, ord);
-                    self.land(s, g, slot, landed, fires);
-                }
+                SubLookup::Hit(landed) => self.land_hit(s, g, ord, slot, landed, fires),
                 // In flight elsewhere: already billed as a hit by the
                 // client; re-ask rather than block so prompt counts stay
                 // a local decision, and no driver ever parks a key
@@ -1307,6 +1359,24 @@ impl<'a> Protocol<'a> {
             }
         }
         missing
+    }
+
+    /// One cell served without a prompt, by the sub-entry store or by the
+    /// typed cell that stands for it: a cache hit of the step, consumed,
+    /// landed.
+    fn land_hit(
+        &mut self,
+        s: usize,
+        g: usize,
+        ord: usize,
+        slot: usize,
+        landed: Landed,
+        fires: &mut Vec<Fire>,
+    ) {
+        let run = &mut self.steps[s];
+        run.acc.cache_hits += 1;
+        run.stages[g].mark_answered(slot, ord);
+        self.land(s, g, ord, slot, landed, fires);
     }
 
     // --- drain propagation -------------------------------------------

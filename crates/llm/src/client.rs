@@ -471,6 +471,9 @@ pub struct LlmClient {
     /// per-client is per-model-signature). Only consulted with resilience
     /// on.
     breaker: Mutex<CircuitBreaker>,
+    /// How many times the sub-entry store has been cleared: a stored
+    /// answer never changes within one generation.
+    sub_generation: AtomicUsize,
 }
 
 impl LlmClient {
@@ -491,6 +494,7 @@ impl LlmClient {
             parallelism,
             resilience: None,
             breaker: Mutex::new(CircuitBreaker::default()),
+            sub_generation: AtomicUsize::new(0),
         }
     }
 
@@ -851,9 +855,23 @@ impl LlmClient {
 
     fn count_sub_hit<R>(&self, found: SubLookup<R>) -> SubLookup<R> {
         if !matches!(found, SubLookup::Miss) {
-            self.sub_hits.fetch_add(1, Ordering::Relaxed);
+            self.bill_sub_hit();
         }
         found
+    }
+
+    /// Bills one sub-entry hit: what [`LlmClient::extract_in`] counts for
+    /// a stored answer, for a caller that kept what it read from one and
+    /// serves it again ([`LlmClient::sub_generation`] tells it until when).
+    pub fn bill_sub_hit(&self) {
+        self.sub_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The sub-entry store's generation, which [`LlmClient::clear_cache`]
+    /// advances: whatever a reader derived from an answer stored under an
+    /// earlier one is stale.
+    pub fn sub_generation(&self) -> usize {
+        self.sub_generation.load(Ordering::SeqCst)
     }
 
     /// Snapshot of the accumulated stats.
@@ -873,6 +891,7 @@ impl LlmClient {
     pub fn clear_cache(&self) {
         self.cache.clear();
         self.sub_entries.clear();
+        self.sub_generation.fetch_add(1, Ordering::SeqCst);
     }
 }
 

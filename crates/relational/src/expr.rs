@@ -529,24 +529,23 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     // Where the last `%` ends in the pattern, and the text it has absorbed.
     let mut star = None::<(usize, usize)>;
     while let Some(sc) = first(s, si) {
-        match first(pattern, pi) {
-            Some(pc) if pc == '_' || pc == sc => {
-                si += sc.len_utf8();
-                pi += pc.len_utf8();
-            }
-            Some('%') => {
+        match (first(pattern, pi), star) {
+            // The wildcard is read before the literal arm: a `%` or `_`
+            // in the text is an ordinary character.
+            (Some('%'), _) => {
                 pi += 1;
                 star = Some((pi, si));
             }
-            _ => {
-                // Backtrack: let the last % absorb one more character.
-                let Some((after, absorbed)) = star else {
-                    return false;
-                };
-                si = absorbed + first(s, absorbed).map_or(0, char::len_utf8);
-                pi = after;
-                star = Some((after, si));
+            (Some(pc), _) if pc == '_' || pc == sc => {
+                si += sc.len_utf8();
+                pi += pc.len_utf8();
             }
+            // Backtrack: let the last % absorb one more character.
+            (_, Some((after, absorbed))) => {
+                si = absorbed + first(s, absorbed).map_or(0, char::len_utf8);
+                (pi, star) = (after, Some((after, si)));
+            }
+            (_, None) => return false,
         }
     }
     pattern[pi..].bytes().all(|b| b == b'%')
@@ -748,46 +747,38 @@ mod tests {
         assert!(like_match("a%b", "a%b"));
         assert!(!like_match("xay", "a%"));
         assert!(like_match("banana", "%na%"));
+        // A `%` or `_` in the text is a character like any other.
+        assert!(like_match("%x", "%"));
+        assert!(like_match("a_b", "a%"));
+        assert!(like_match("%", "_"));
     }
 
-    /// `like_match` as it was: both strings collected into `Vec<char>`s.
-    fn like_match_over_chars(s: &str, pattern: &str) -> bool {
-        let s: Vec<char> = s.chars().collect();
-        let p: Vec<char> = pattern.chars().collect();
-        let (mut si, mut pi) = (0usize, 0usize);
-        let (mut star, mut star_s) = (None::<usize>, 0usize);
-        while si < s.len() {
-            if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-                si += 1;
-                pi += 1;
-            } else if pi < p.len() && p[pi] == '%' {
-                star = Some(pi);
-                star_s = si;
-                pi += 1;
-            } else if let Some(sp) = star {
-                // Backtrack: let the last % absorb one more character.
-                pi = sp + 1;
-                star_s += 1;
-                si = star_s;
-            } else {
-                return false;
+    /// `LIKE` by its definition, one character at a time: `%` matches
+    /// nothing or one more character, `_` any one, the rest itself.
+    fn like_by_definition(s: &[char], p: &[char]) -> bool {
+        match (p.split_first(), s.split_first()) {
+            (None, _) => s.is_empty(),
+            (Some(('%', rest)), None) => like_by_definition(s, rest),
+            (Some(('%', rest)), Some((_, tail))) => {
+                like_by_definition(s, rest) || like_by_definition(tail, p)
             }
+            (Some((pc, rest)), Some((sc, tail))) => {
+                (*pc == '_' || pc == sc) && like_by_definition(tail, rest)
+            }
+            (Some(_), None) => false,
         }
-        while pi < p.len() && p[pi] == '%' {
-            pi += 1;
-        }
-        pi == p.len()
     }
 
     proptest::proptest! {
         #[test]
-        fn like_match_agrees_with_the_char_vector_form(
+        fn like_match_agrees_with_the_definition(
             s in "[ab%_é]{0,8}",
             pattern in "[ab%_é]{0,6}",
         ) {
+            let chars = |text: &str| text.chars().collect::<Vec<char>>();
             proptest::prop_assert_eq!(
                 like_match(&s, &pattern),
-                like_match_over_chars(&s, &pattern)
+                like_by_definition(&chars(&s), &chars(&pattern))
             );
         }
     }

@@ -1,0 +1,233 @@
+//! Typed cells change no reading (PR 21).
+//!
+//! A warmed serving session keeps what it has read out of the sub-entry
+//! store as typed cells, slot-aligned to the stored key universe a step
+//! is served from (`crates/core/src/session/typed.rs`). A cell stands for
+//! a store hit and nothing else, so nothing a caller can observe may
+//! depend on whether a cell, or the store, served a read: not the rows,
+//! not their order, not one `QueryStats` or `ClientStats` counter. This
+//! file holds that on the serving stack (`grid_stack_options(8, 10, 6)`:
+//! streaming, cost planner, grid batching, key-universe store) over the
+//! evaluation suite and the operator suite on worlds {1, 7, 42} at x4,
+//! and then pulls on each of the three things that retire a cell.
+
+mod common;
+
+use common::{assert_stats_eq, options, session_with_model};
+use galois::core::{Galois, GaloisOptions, ListStore, Pipeline, Planner, PromptBatch, QueryStats};
+use galois::dataset::{build_operator_suite, Scenario};
+use galois::llm::{ClientStats, KeyUniverseStore, ModelProfile, SimLlm};
+use galois::relational::Value;
+use std::sync::{Arc, Barrier};
+
+fn serving_options(list_store: ListStore) -> GaloisOptions {
+    GaloisOptions {
+        planner: Planner::CostBased,
+        ..options(
+            list_store,
+            Pipeline::Streaming,
+            PromptBatch::Grid { keys: 10, attrs: 6 },
+            8,
+        )
+    }
+}
+
+fn serving_session(scenario: &Scenario, profile: ModelProfile, options: GaloisOptions) -> Galois {
+    let model = Arc::new(SimLlm::new(scenario.knowledge.clone(), profile));
+    session_with_model(model, scenario, options)
+}
+
+fn statements(scenario: &Scenario) -> Vec<String> {
+    let suite = scenario.suite.iter().map(|q| q.to_sql());
+    let operators = build_operator_suite(&scenario.world);
+    suite.chain(operators.into_iter().map(|q| q.sql)).collect()
+}
+
+/// One statement's reading: column names and rows in output order, and
+/// its accounting.
+type Reading = (Vec<String>, Vec<Vec<Value>>, QueryStats);
+
+/// What one pass of `statements` reads, and what it adds to the client's
+/// counters.
+fn pass(session: &Galois, statements: &[String]) -> (Vec<Reading>, ClientStats) {
+    session.client().reset_stats();
+    let readings = statements
+        .iter()
+        .map(|sql| {
+            let got = session
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            (got.relation.column_names(), got.relation.rows, got.stats)
+        })
+        .collect();
+    (readings, session.session_stats())
+}
+
+fn assert_same_pass(
+    a: &(Vec<Reading>, ClientStats),
+    b: &(Vec<Reading>, ClientStats),
+    statements: &[String],
+    label: &str,
+) {
+    for ((a, b), sql) in a.0.iter().zip(&b.0).zip(statements) {
+        assert_eq!(a.0, b.0, "{label}: columns of {sql}");
+        assert_eq!(a.1, b.1, "{label}: rows of {sql}");
+        assert_stats_eq(&a.2, &b.2, &format!("{label}: stats of {sql}"));
+    }
+    assert_eq!(a.1, b.1, "{label}: client stats of the pass");
+}
+
+/// Passes 2, 3 and 4 of one session read the same: the second reads
+/// through the store (and is a column's first warm sighting at the
+/// latest), the third fills cells, the fourth is served from them.
+fn warm_passes_agree(profile: ModelProfile) {
+    for seed in [1, 7, 42] {
+        let scenario = Scenario::generate_scaled(seed, 4);
+        let statements = statements(&scenario);
+        let session = serving_session(&scenario, profile.clone(), serving_options(ListStore::On));
+        pass(&session, &statements);
+        let second = pass(&session, &statements);
+        assert!(
+            second.0.iter().map(|r| r.2.cache_hits).sum::<usize>() > 0,
+            "a warm pass is served from the stores"
+        );
+        for nth in [3, 4] {
+            let later = pass(&session, &statements);
+            let label = format!("world {seed} x4, pass {nth} against pass 2");
+            assert_same_pass(&second, &later, &statements, &label);
+        }
+    }
+}
+
+#[test]
+fn warm_passes_read_the_same_rows_stats_and_client_bill() {
+    warm_passes_agree(ModelProfile::oracle());
+}
+
+/// A cell holds what the store holds, right or wrong: a noisy model's
+/// stored answers read the same from either.
+#[test]
+fn a_noisy_models_warm_passes_read_the_same() {
+    warm_passes_agree(ModelProfile::chatgpt());
+}
+
+/// `LlmClient::clear_cache` retires every cell: the pass after it asks
+/// the model again, exactly as in a session that had filled none.
+#[test]
+fn clearing_the_client_cache_retires_the_cells() {
+    let scenario = Scenario::generate_scaled(7, 4);
+    let statements = statements(&scenario);
+    let after_clear = |warm_passes: usize| {
+        let session = serving_session(
+            &scenario,
+            ModelProfile::oracle(),
+            serving_options(ListStore::On),
+        );
+        let before = (0..warm_passes)
+            .map(|_| pass(&session, &statements))
+            .last()
+            .expect("at least one pass");
+        session.client().clear_cache();
+        (before, pass(&session, &statements))
+    };
+    // Two passes settle the plans and the stored universes and fill no
+    // cell a third would not; five leave every warm cell filled.
+    let (_, barely) = after_clear(2);
+    let (before, filled) = after_clear(5);
+    assert!(filled.1.prompts > 0, "the cleared session prompts again");
+    assert_same_pass(&barely, &filled, &statements, "after clear_cache");
+    for ((b, f), sql) in before.0.iter().zip(&filled.0).zip(&statements) {
+        assert_eq!(b.1, f.1, "rows of {sql} across clear_cache");
+    }
+}
+
+/// A universe replaced in a shared store retires the cells aligned to the
+/// old list: a session capped at one list page serves the partial
+/// frontier as terminal until an uncapped session pages past it and
+/// republishes; its next statements then read the longer list.
+#[test]
+fn a_republished_shared_universe_retires_the_cells() {
+    let scenario = Scenario::generate_scaled(42, 4);
+    let store = Arc::new(KeyUniverseStore::new());
+    let paged = ModelProfile {
+        list_page_size: 10,
+        ..ModelProfile::oracle()
+    };
+    let session = |max_list_iterations: usize| {
+        let shared = ListStore::Shared(Arc::clone(&store));
+        let options = GaloisOptions {
+            max_list_iterations,
+            ..serving_options(shared)
+        };
+        serving_session(&scenario, paged.clone(), options)
+    };
+    let sql = [
+        "SELECT name, population FROM city".to_string(),
+        "SELECT name, country, population FROM city".to_string(),
+    ];
+    let capped = session(1);
+    let mut partial = pass(&capped, &sql);
+    for _ in 0..3 {
+        partial = pass(&capped, &sql);
+    }
+    let full = pass(&session(100), &sql);
+    assert!(
+        partial.0[0].1.len() < full.0[0].1.len(),
+        "one page is a strict prefix of the universe"
+    );
+    let republished = pass(&capped, &sql);
+    let fresh = pass(&session(1), &sql);
+    for (nth, sql) in sql.iter().enumerate() {
+        assert_eq!(republished.0[nth].1, full.0[nth].1, "{sql}");
+        assert_eq!(republished.0[nth].1, fresh.0[nth].1, "{sql}");
+    }
+}
+
+/// Two threads running the same warm statement race to fill the same
+/// cells with equal values: both read the single-threaded relation.
+#[test]
+fn two_threads_fill_the_same_cells_with_the_same_rows() {
+    let scenario = Scenario::generate_scaled(42, 4);
+    let statements = statements(&scenario);
+    let session = serving_session(
+        &scenario,
+        ModelProfile::oracle(),
+        serving_options(ListStore::On),
+    );
+    // One pass: everything is stored, few cells are filled yet. The plans
+    // settle in the second, so a twin session's second pass is the
+    // reference.
+    pass(&session, &statements);
+    let twin = serving_session(
+        &scenario,
+        ModelProfile::oracle(),
+        serving_options(ListStore::On),
+    );
+    pass(&twin, &statements);
+    let expected = pass_rows(&twin, &statements);
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..3)
+                        .map(|_| pass_rows(&session, &statements))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for rows in worker.join().expect("worker panicked") {
+                for ((got, want), sql) in rows.iter().zip(&expected).zip(&statements) {
+                    assert_eq!(got, want, "{sql}");
+                }
+            }
+        }
+    });
+}
+
+fn pass_rows(session: &Galois, statements: &[String]) -> Vec<Vec<Vec<Value>>> {
+    let (readings, _) = pass(session, statements);
+    readings.into_iter().map(|(_, rows, _)| rows).collect()
+}
