@@ -1,8 +1,9 @@
 //! Microbenchmarks for the relational engine: planning, the physical
 //! operators over the ground-truth corpus and over 10⁴-row tables (the
-//! size of a serving statement's temporary tables), and the two costs of
-//! handing retrieved tuples over — keyed insert and the per-query catalog
-//! overlay.
+//! size of a serving statement's temporary tables), and the costs of
+//! handing retrieved tuples over — keyed insert, the per-query catalog
+//! overlay, and a warm step's whole hand-off built from rows against
+//! served as the shared table it was last time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_dataset::Scenario;
@@ -268,6 +269,54 @@ fn bench_catalog_overlay(c: &mut Criterion) {
     });
 }
 
+/// A warm step's hand-off over the x40 `city` universe with one fetched
+/// column, two ways. *Built*: a row per key (the key and the fetched cell
+/// cloned out of what the store holds, the other columns NULL), keyed
+/// inserts into a table sized up front, the overlay, and the drop of all
+/// of it — what every warm statement paid. *Served*: the overlay takes
+/// the `Arc` of the table built last time under the step's name.
+fn bench_warm_step(c: &mut Criterion) {
+    let s = Scenario::generate_scaled(42, 40);
+    let city = s.database.catalog().get("city").expect("generated table");
+    // The step's temporary schema: the stored one, all but the key nullable.
+    let mut schema = TableSchema::clone(&city.schema);
+    for (i, column) in schema.columns.iter_mut().enumerate() {
+        column.nullable = i != schema.key;
+    }
+    let schema = std::sync::Arc::new(schema);
+    let (key, fetched) = (
+        schema.key,
+        schema.index_of("population").expect("a city column"),
+    );
+    let built = || {
+        let mut table = Table::with_capacity("__llm_city", schema.clone(), city.len());
+        for stored in city.rows() {
+            let mut row = vec![Value::Null; schema.arity()];
+            row[key] = stored[key].clone();
+            row[fetched] = stored[fetched].clone();
+            table.insert(row).expect("distinct keys");
+        }
+        table
+    };
+    c.bench_function("warm_step/built/x40", |b| {
+        b.iter(|| {
+            let mut overlay = s.database.catalog().clone();
+            overlay.add_table(built()).expect("fresh name");
+            overlay
+        })
+    });
+    let relation = std::sync::Arc::new(built());
+    c.bench_function("warm_step/served/x40", |b| {
+        b.iter(|| {
+            let mut overlay = s.database.catalog().clone();
+            overlay
+                .add_shared("__llm_city", relation.clone())
+                .expect("fresh name");
+            overlay
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_planning,
@@ -275,6 +324,7 @@ criterion_group!(
     bench_execution_1e4,
     bench_table_insert,
     bench_table_with_capacity,
-    bench_catalog_overlay
+    bench_catalog_overlay,
+    bench_warm_step
 );
 criterion_main!(benches);

@@ -65,5 +65,5 @@ pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost
 pub use schedule::{Crew, Scheduler};
 pub use session::{
     Admission, AdmissionPolicy, EarlyStop, Galois, GaloisOptions, GaloisResult, ListStore,
-    Pipeline, PromptBatch, QueryStats, Resilience,
+    Pipeline, PromptBatch, QueryStats, Resilience, TypedStats,
 };

@@ -44,6 +44,7 @@ pub use options::{
 };
 pub use stats::QueryStats;
 pub(crate) use stream::TracedTask;
+pub use typed::TypedStats;
 
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
@@ -52,6 +53,7 @@ use crate::prompts::PromptBuilder;
 use crate::schedule::Crew;
 use galois_llm::{BatchOutcome, ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
 use galois_relational::{Database, Relation, Table, Value};
+use protocol::StepTable;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,8 +105,8 @@ pub struct Galois {
     /// profile change invalidates stored universes cleanly.
     model_sig: String,
     /// What warm statements have already read out of the sub-entry store,
-    /// typed, by stored universe and column.
-    typed: typed::TypedCells,
+    /// typed: by stored universe, the relation a warm step materialised.
+    typed: typed::Universes,
 }
 
 impl Galois {
@@ -139,7 +141,7 @@ impl Galois {
             calibration: parking_lot::Mutex::new(None),
             list_store,
             model_sig,
-            typed: typed::TypedCells::default(),
+            typed: typed::Universes::default(),
         }
     }
 
@@ -161,6 +163,12 @@ impl Galois {
     /// Options in use.
     pub fn options(&self) -> &GaloisOptions {
         &self.options
+    }
+
+    /// Counters of the warm reads kept (universe relations) and of how
+    /// steps were served.
+    pub fn typed_stats(&self) -> TypedStats {
+        self.typed.stats()
     }
 
     /// The cost-model calibration computed from the client's stats *right
@@ -323,13 +331,13 @@ impl Galois {
         compiled: &CompiledQuery,
     ) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let started = Instant::now();
-        let (mut stats, step_rows, trace) = if self.options.pipeline.is_streaming() {
+        let (mut stats, step_tables, trace) = if self.options.pipeline.is_streaming() {
             stream::retrieve(self, compiled)
         } else {
-            let (stats, step_rows) = wave::retrieve(self, compiled);
-            (stats, step_rows, Vec::new())
+            let (stats, step_tables) = wave::retrieve(self, compiled);
+            (stats, step_tables, Vec::new())
         };
-        let relation = self.materialise_and_execute(compiled, step_rows, &mut stats)?;
+        let relation = self.materialise_and_execute(compiled, step_tables, &mut stats)?;
         stats.wall_ms = started.elapsed().as_millis() as u64;
         Ok((GaloisResult { relation, stats }, trace))
     }
@@ -395,23 +403,31 @@ impl Galois {
     }
 
     /// The hand-off to the relational engine, shared by both drivers:
-    /// overlays the stored catalog with one temporary table per
-    /// step (`step_rows` runs parallel to `compiled.steps`), counts the
-    /// rows that survive materialisation, and runs the residual plan. The
-    /// overlay shares the stored tables' storage, so building and
-    /// dropping it costs one pointer per table.
+    /// overlays the stored catalog with one temporary table per step
+    /// (`step_tables` runs parallel to `compiled.steps`) — the universe
+    /// relation it was served, or the table materialised from its rows,
+    /// which the universe keeps if the step may publish — under the step's
+    /// `temp_name`, counts the rows that survived materialisation, and
+    /// runs the residual plan. The overlay shares the stored tables' and
+    /// the relations' storage: one pointer per table to build and drop.
     fn materialise_and_execute(
         &self,
         compiled: &CompiledQuery,
-        step_rows: impl IntoIterator<Item = Vec<Vec<Value>>>,
+        step_tables: impl IntoIterator<Item = StepTable>,
         stats: &mut QueryStats,
     ) -> Result<Relation> {
         let mut catalog = self.db.catalog().clone();
-        for (step, rows) in compiled.steps.iter().zip(step_rows) {
-            let table = materialise_step(step, rows);
+        for (step, table) in compiled.steps.iter().zip(step_tables) {
+            let table = match table {
+                StepTable::Served(table) => table,
+                StepTable::Built(rows, publish) => {
+                    let table = materialise_step(step, rows);
+                    self.typed.publish(publish, &step.fetch, table)
+                }
+            };
             stats.rows_retrieved += table.len();
             catalog
-                .add_table(table)
+                .add_shared(&step.temp_name, table)
                 .map_err(|e| GaloisError::Compile(format!("temp table: {e}")))?;
         }
         galois_relational::execute(&compiled.plan, &catalog).map_err(GaloisError::from)

@@ -33,7 +33,7 @@
 //! pads stored and never consumed, fault text turned into a failed cell.
 
 use super::stats::{Phase, StepStats};
-use super::typed::Cells;
+use super::typed::Publish;
 use super::Galois;
 use crate::clean::{cell_value, key_row, normalise_text};
 use crate::compile::{CompiledQuery, LlmScanStep};
@@ -42,7 +42,7 @@ use crate::prompts::KeyTemplate;
 use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
 use galois_llm::{BatchOutcome, KeyUniverse, SubColumn, SubLookup};
-use galois_relational::{Column, Value};
+use galois_relational::{Column, Table, Value};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::sync::atomic::Ordering;
@@ -216,10 +216,6 @@ struct StageState {
     /// store). Single-cell stages use `[0]`; a grid stage holds one per
     /// attr ordinal, then one per pad column.
     sub_columns: Vec<SubColumn>,
-    /// The typed cells of the stage's own columns over the step's stored
-    /// universe, one per attr ordinal, where the session keeps them
-    /// ([`super::typed`]); empty when the step lists its keys.
-    cells: Vec<Option<Cells>>,
     /// Single-key prompt templates of the stage's own cells (one; a grid
     /// stage one per attr ordinal), each rendered on first use: the whole
     /// dataflow when batching is off, the ladder's bottom rung otherwise.
@@ -249,7 +245,6 @@ impl StageState {
         StageState {
             cell,
             sub_columns: Vec::new(),
-            cells: Vec::new(),
             templates: (0..own_cells).map(|_| OnceCell::new()).collect(),
             pending: Vec::new(),
             inflight: 0,
@@ -422,6 +417,13 @@ struct StepRun<'a> {
     list_exhausted: bool,
     /// Speculative paging state (cold concept with the store on).
     spec: Option<SpecState>,
+    /// The stored universe's relation ([`super::typed`]), handed to the
+    /// step whole: no slot, stage or row of this run is used.
+    served: Option<Arc<Table>>,
+    /// The right to publish this run's table as its stored universe's
+    /// relation: set for a run with no filter stage and no `LIMIT` window,
+    /// lost at the first cell the store does not answer with a hit.
+    publish: Option<Publish>,
     /// The step's accounting.
     acc: StepStats,
 }
@@ -439,15 +441,22 @@ impl StepRun<'_> {
     }
 }
 
-/// What one key's answer decides for a cell — also what a typed cell
-/// ([`super::typed`]) keeps of a stored answer, so it names no step-local
-/// column: the stage supplies that when it lands.
-#[derive(Debug, Clone)]
-pub(super) enum Landed {
+/// What one key's answer decides for a cell; the stage it lands at says
+/// which column a value is for.
+#[derive(Debug)]
+enum Landed {
     /// A filter verdict: whether the key survives the condition.
     Verdict(bool),
     /// A fetched cell, typed.
     Value(Value),
+}
+
+/// What a step's run hands the relational engine.
+pub(super) enum StepTable {
+    /// Its stored universe's relation, as it stands.
+    Served(Arc<Table>),
+    /// Rows to materialise, and where the table may be kept.
+    Built(Vec<Vec<Value>>, Option<Publish>),
 }
 
 /// What a fired prompt is.
@@ -569,8 +578,6 @@ pub(super) struct Protocol<'a> {
     /// residual plan is a plain window over this (single) step's scan
     /// ([`crate::compile::limit_hint`]). `None` runs to exhaustion.
     window: Option<LimitWindow>,
-    /// Cell reads this statement served from typed cells.
-    typed_hits: usize,
 }
 
 impl<'a> Protocol<'a> {
@@ -628,6 +635,8 @@ impl<'a> Protocol<'a> {
                     concept: None,
                     list_exhausted: false,
                     spec: None,
+                    served: None,
+                    publish: None,
                     acc: StepStats::default(),
                 }
             })
@@ -645,7 +654,6 @@ impl<'a> Protocol<'a> {
             fuse: options.prompt_batch.keys_per_prompt(),
             barrier,
             window,
-            typed_hits: 0,
         }
     }
 
@@ -658,19 +666,26 @@ impl<'a> Protocol<'a> {
         &mut self.steps[s].acc
     }
 
-    /// The end of a run: per step (in step order) its accounting and the
-    /// rows of the keys that survived, in discovery order.
-    pub(super) fn finish(self) -> impl Iterator<Item = (StepStats, Vec<Vec<Value>>)> + 'a {
-        let served = &self.session.typed.hits;
-        served.fetch_add(self.typed_hits, Ordering::Relaxed);
+    /// The end of a run: per step (in step order) its accounting and what
+    /// it hands the relational engine — the relation it was served, or the
+    /// rows of the keys that survived, in discovery order, and the right to
+    /// publish their table if it still has it and no cell failed.
+    pub(super) fn finish(self) -> impl Iterator<Item = (StepStats, StepTable)> + 'a {
+        let typed = &self.session.typed;
+        let served = self.steps.iter().filter(|run| run.served.is_some()).count();
+        typed.steps_served.fetch_add(served, Ordering::Relaxed);
+        let built = self.steps.len() - served;
+        typed.steps_built.fetch_add(built, Ordering::Relaxed);
         self.steps.into_iter().map(|run| {
-            let rows = run
-                .slots
-                .into_iter()
-                .filter(|slot| slot.alive)
-                .map(|slot| slot.row)
-                .collect();
-            (run.acc, rows)
+            let table = match run.served {
+                Some(table) => StepTable::Served(table),
+                None => {
+                    let alive = run.slots.into_iter().filter(|slot| slot.alive);
+                    let publish = run.publish.filter(|_| run.acc.failed_cells == 0);
+                    StepTable::Built(alive.map(|slot| slot.row).collect(), publish)
+                }
+            };
+            (run.acc, table)
         })
     }
 
@@ -684,6 +699,12 @@ impl<'a> Protocol<'a> {
     /// re-listing run would have paid in prompt-cache hits), a partial
     /// frontier is injected and classic paging resumes after it, and a
     /// cold concept lists speculatively ([`SpecState`]).
+    ///
+    /// A warm step with no filter stage and no `LIMIT` window whose
+    /// fetched columns the universe's relation holds ([`super::typed`])
+    /// injects nothing: it is handed the relation and billed the hits the
+    /// dataflow would have counted — one per key and fetched column, to
+    /// the step and to the client — and, like it, fires no prompt.
     pub(super) fn start_step(&mut self, s: usize, fires: &mut Vec<Fire>) {
         let cap = self.session.options.max_list_iterations;
         if cap == 0 {
@@ -705,21 +726,26 @@ impl<'a> Protocol<'a> {
             Some(stored) if stored.exhausted || stored.iterations >= cap => {
                 let run = &mut self.steps[s];
                 run.acc.cache_hits += stored.iterations;
-                run.slots = (0..stored.keys.len()).map(|_| KeySlot::listed()).collect();
-                if self.batched {
-                    // The universe's slots are fixed, so its columns'
-                    // typed cells apply: one map lock for the whole step.
+                if self.batched && run.n_filters == 0 && self.window.is_none() {
+                    // Every key, in slot order, and nothing but fetched
+                    // cells: the step's table is the universe's relation.
                     let generation = self.session.client.sub_generation();
+                    let fetch = &run.step.fetch;
                     let typed = &self.session.typed;
-                    typed.with_universe(generation, &concept, &stored.keys, |universe| {
-                        for stage in &mut run.stages {
-                            stage.cells = stage.sub_columns[..stage.own_cells()]
-                                .iter()
-                                .map(|column| universe.admit(column.id()))
-                                .collect();
-                        }
+                    run.served = typed.serve(generation, &concept, &stored.keys, fetch);
+                    if run.served.is_some() {
+                        let cells = stored.keys.len() * fetch.len();
+                        run.acc.cache_hits += cells;
+                        self.session.client.bill_sub_hits(cells);
+                        return;
+                    }
+                    run.publish = Some(Publish {
+                        generation,
+                        concept,
+                        keys: Arc::clone(&stored.keys),
                     });
                 }
+                run.slots = (0..stored.keys.len()).map(|_| KeySlot::listed()).collect();
                 run.stored = Some(stored.keys);
                 run.iterations = stored.iterations;
                 run.list_exhausted = stored.exhausted;
@@ -1302,15 +1328,13 @@ impl<'a> Protocol<'a> {
     }
 
     /// Sub-entry extraction for one key at a stage: every unanswered own
-    /// cell is read — from its typed cell when the step serves a stored
-    /// universe and the session has read this `(column, slot)` before,
-    /// else from its sub-entry column, where a stored answer is parsed
-    /// where it lies, under the column's lock, and kept in the typed cell
-    /// for the next read — and lands. The key joins the stage's
-    /// accumulator when *any* cell is still missing (already-answered
-    /// cells are skipped at parse time — grid prompts always ask the whole
-    /// group, so their strings stay chunk-membership-deterministic).
-    /// Returns whether one is.
+    /// cell is looked up in its sub-entry column — a stored answer is
+    /// parsed where it lies, under the column's lock, and lands — and the
+    /// key joins the stage's accumulator when *any* cell is still missing
+    /// (already-answered cells are skipped at parse time — grid prompts
+    /// always ask the whole group, so their strings stay
+    /// chunk-membership-deterministic). Returns whether one is, which also
+    /// ends the step's right to publish its table.
     fn extract_cells(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) -> bool {
         let session = self.session;
         let mut missing = false;
@@ -1318,15 +1342,6 @@ impl<'a> Protocol<'a> {
             let run = &self.steps[s];
             let stage = &run.stages[g];
             if stage.answered.contains(slot, ord) {
-                continue;
-            }
-            let cells = stage.cells.get(ord).and_then(Option::as_ref);
-            let cell = cells.map(|cells| &cells[slot]);
-            if let Some(landed) = cell.and_then(|cell| cell.get()).cloned() {
-                // The hit the store would have served, billed as one.
-                session.client.bill_sub_hit();
-                self.typed_hits += 1;
-                self.land_hit(s, g, ord, slot, landed, fires);
                 continue;
             }
             let fetch_col = stage.fetch_col(run.step, ord);
@@ -1337,15 +1352,14 @@ impl<'a> Protocol<'a> {
                     .extract_in(&stage.sub_columns[ord], &run.keys()[slot], |answer| {
                         session.parse_answer(run.step, fetch_col, answer, &mut failed_cells)
                     });
-            // Only what the store said is kept: never an asked answer,
-            // never an in-flight cell's (first stored write wins).
-            if let (SubLookup::Hit(landed), Some(cell)) = (&extracted, cell) {
-                let _ = cell.set(landed.clone());
-            }
             let run = &mut self.steps[s];
             run.acc.failed_cells += failed_cells;
             match extracted {
-                SubLookup::Hit(landed) => self.land_hit(s, g, ord, slot, landed, fires),
+                SubLookup::Hit(landed) => {
+                    run.acc.cache_hits += 1;
+                    run.stages[g].mark_answered(slot, ord);
+                    self.land(s, g, ord, slot, landed, fires);
+                }
                 // In flight elsewhere: already billed as a hit by the
                 // client; re-ask rather than block so prompt counts stay
                 // a local decision, and no driver ever parks a key
@@ -1358,25 +1372,11 @@ impl<'a> Protocol<'a> {
                 SubLookup::Miss => missing = true,
             }
         }
+        if missing {
+            // Not wholly the store's: the run's table is not a relation.
+            self.steps[s].publish = None;
+        }
         missing
-    }
-
-    /// One cell served without a prompt, by the sub-entry store or by the
-    /// typed cell that stands for it: a cache hit of the step, consumed,
-    /// landed.
-    fn land_hit(
-        &mut self,
-        s: usize,
-        g: usize,
-        ord: usize,
-        slot: usize,
-        landed: Landed,
-        fires: &mut Vec<Fire>,
-    ) {
-        let run = &mut self.steps[s];
-        run.acc.cache_hits += 1;
-        run.stages[g].mark_answered(slot, ord);
-        self.land(s, g, ord, slot, landed, fires);
     }
 
     // --- drain propagation -------------------------------------------

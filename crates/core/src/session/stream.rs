@@ -13,12 +13,11 @@
 //! has run; its parsed effects are then applied at its simulated
 //! completion time, which is what releases downstream work.
 
-use super::protocol::{Fire, FireTarget, Protocol};
+use super::protocol::{Fire, FireTarget, Protocol, StepTable};
 use super::stats::{fold_step_stats, QueryStats};
 use super::Galois;
 use crate::compile::CompiledQuery;
 use galois_llm::EventClock;
-use galois_relational::Value;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -78,11 +77,11 @@ struct StreamSim<'a> {
 /// Runs a compiled query's retrieval to quiescence under the event
 /// driver: every step's key stream listed, filtered, fetched and drained.
 /// Returns the accounting (the clock is the simulation's makespan), the
-/// surviving rows per step and the task trace.
+/// table each step hands on and the task trace.
 pub(super) fn retrieve(
     session: &Galois,
     compiled: &CompiledQuery,
-) -> (QueryStats, Vec<Vec<Vec<Value>>>, Vec<TracedTask>) {
+) -> (QueryStats, Vec<StepTable>, Vec<TracedTask>) {
     let mut sim = StreamSim {
         session,
         protocol: Protocol::new(session, compiled),
@@ -95,15 +94,15 @@ pub(super) fn retrieve(
         virtual_ms: sim.clock.makespan(),
         ..QueryStats::default()
     };
-    let step_rows = sim
+    let step_tables = sim
         .protocol
         .finish()
-        .map(|(acc, rows)| {
+        .map(|(acc, table)| {
             fold_step_stats(&mut stats, &acc);
-            rows
+            table
         })
         .collect();
-    (stats, step_rows, sim.trace)
+    (stats, step_tables, sim.trace)
 }
 
 impl StreamSim<'_> {

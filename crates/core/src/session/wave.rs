@@ -21,12 +21,11 @@
 //! accounting. Completions are processed in fire order, so the virtual
 //! clock is a function of the work, never of thread timing.
 
-use super::protocol::{Fire, Protocol};
+use super::protocol::{Fire, Protocol, StepTable};
 use super::stats::{fold_step_stats, QueryStats};
 use super::Galois;
 use crate::compile::CompiledQuery;
 use galois_llm::lane_schedule;
-use galois_relational::Value;
 use std::ops::Range;
 
 /// Groups one round's fired prompts, given each one's retrieval cell in
@@ -51,11 +50,8 @@ fn group_requests<C: PartialEq>(
 
 /// Runs a compiled query's retrieval under the barrier driver. Returns the
 /// accounting (the clock is the lane-packed makespan of the step clocks)
-/// and the surviving rows per step.
-pub(super) fn retrieve(
-    session: &Galois,
-    compiled: &CompiledQuery,
-) -> (QueryStats, Vec<Vec<Vec<Value>>>) {
+/// and the table each step hands on.
+pub(super) fn retrieve(session: &Galois, compiled: &CompiledQuery) -> (QueryStats, Vec<StepTable>) {
     let lanes = session.options.parallelism.get();
     let mut protocol = Protocol::new(session, compiled);
     for s in 0..protocol.n_steps() {
@@ -67,16 +63,16 @@ pub(super) fn retrieve(
     }
     let mut stats = QueryStats::default();
     let mut step_virtuals = Vec::with_capacity(compiled.steps.len());
-    let step_rows = protocol
+    let step_tables = protocol
         .finish()
-        .map(|(acc, rows)| {
+        .map(|(acc, table)| {
             fold_step_stats(&mut stats, &acc);
             step_virtuals.push(acc.virtual_ms);
-            rows
+            table
         })
         .collect();
     stats.virtual_ms = lane_schedule(step_virtuals, lanes);
-    (stats, step_rows)
+    (stats, step_tables)
 }
 
 /// Runs one non-empty round of one step: groups the fired prompts into

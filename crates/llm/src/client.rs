@@ -855,16 +855,17 @@ impl LlmClient {
 
     fn count_sub_hit<R>(&self, found: SubLookup<R>) -> SubLookup<R> {
         if !matches!(found, SubLookup::Miss) {
-            self.bill_sub_hit();
+            self.bill_sub_hits(1);
         }
         found
     }
 
-    /// Bills one sub-entry hit: what [`LlmClient::extract_in`] counts for
-    /// a stored answer, for a caller that kept what it read from one and
-    /// serves it again ([`LlmClient::sub_generation`] tells it until when).
-    pub fn bill_sub_hit(&self) {
-        self.sub_hits.fetch_add(1, Ordering::Relaxed);
+    /// Bills `n` sub-entry hits: what [`LlmClient::extract_in`] counts for
+    /// `n` stored answers, for a caller that kept what it read from them
+    /// and serves it again ([`LlmClient::sub_generation`] tells it until
+    /// when).
+    pub fn bill_sub_hits(&self, n: usize) {
+        self.sub_hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The sub-entry store's generation, which [`LlmClient::clear_cache`]

@@ -182,12 +182,6 @@ impl std::fmt::Debug for SubColumn {
 }
 
 impl SubColumn {
-    /// The column's identity: equal for two handles exactly when they
-    /// name the same column of the same client, for that client's lifetime.
-    pub fn id(&self) -> usize {
-        Arc::as_ptr(&self.0) as usize
-    }
-
     pub(crate) fn extract<R>(&self, key: &str, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
         self.0.lock().extract(key, read)
     }

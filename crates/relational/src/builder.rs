@@ -117,6 +117,10 @@ impl<'a> Builder<'a> {
         let table = self.catalog.get(&t.name)?;
         let binding = t.binding().to_string();
         Ok(LogicalPlan::Scan {
+            // The table's own spelling of its name. Plans are bound against
+            // catalogs of tables registered under their own names; a table
+            // shared under another one (`Catalog::add_shared`) is reached
+            // only by scans that already carry the registered name.
             table: table.name.clone(),
             binding: binding.clone(),
             source: t.source,

@@ -252,12 +252,34 @@ fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
                 .collect())
         }
         LogicalPlan::Limit { input, n, offset } => {
+            // A projection of plain columns cannot fail and keeps rows one
+            // to one, so the window is cut below it and only the window's
+            // rows are built — unless it reads a join's views, which `run`
+            // would build whole where the projection builds them narrow.
+            let (input, project) = match &**input {
+                LogicalPlan::Project {
+                    input: below,
+                    exprs,
+                    ..
+                } if !streams_views(below) && plain_columns(exprs, below.schema().arity()) => {
+                    (below, Some(exprs))
+                }
+                _ => (input, None),
+            };
             let mut rows = run(input, catalog)?;
             if *offset > 0 {
                 rows.drain(..(*offset as usize).min(rows.len()));
             }
             rows.truncate(*n as usize);
-            Ok(rows)
+            let Some(exprs) = project else {
+                return Ok(rows);
+            };
+            rows.iter()
+                .map(|row| {
+                    let cells = exprs.iter().map(|(e, _)| e.eval(RowView::of(row)));
+                    cells.collect::<Result<Row>>().map(Cow::Owned)
+                })
+                .collect()
         }
         // A join whose parent needs its rows owned: the one place a match
         // becomes a concatenated row.
@@ -270,6 +292,25 @@ fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
             Ok(rows)
         }
     }
+}
+
+/// Whether [`for_each_row`] hands `plan`'s rows on as views of a join's
+/// matches: a join, or filters over one.
+fn streams_views(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Join { .. } | LogicalPlan::CrossJoin { .. } => true,
+        LogicalPlan::Filter { input, .. } => streams_views(input),
+        _ => false,
+    }
+}
+
+/// Whether `exprs` are literals and plain columns of an input `arity`
+/// columns wide: reading them computes nothing and cannot fail.
+fn plain_columns(exprs: &[(ScalarExpr, String)], arity: usize) -> bool {
+    exprs.iter().all(|(e, _)| match e {
+        ScalarExpr::Column(column) => column.index < arity,
+        other => matches!(other, ScalarExpr::Literal(_)),
+    })
 }
 
 /// A projection chain as one expression list over the chain's input. While
@@ -885,6 +926,56 @@ mod tests {
         };
         assert_eq!(composed(input, exprs).0, &narrow);
         assert!(execute(&top, &catalog).is_err());
+    }
+
+    #[test]
+    fn a_limit_windows_below_a_projection_of_plain_columns_only() {
+        let catalog = catalog_of(&[&[1, 10], &[2, 0], &[3, 30], &[4, 40]]);
+        let window = |input| LogicalPlan::Limit {
+            input: Box::new(input),
+            n: 2,
+            offset: 1,
+        };
+        let swap = project(scan_t(&catalog), vec![colx(1), colx(0)]);
+        assert_eq!(
+            execute(&window(swap), &catalog).unwrap().rows,
+            ints(&[&[0, 2], &[30, 3]])
+        );
+        // Sorted input: the window is cut from the sorted rows.
+        let by_v_desc = LogicalPlan::Sort {
+            input: Box::new(scan_t(&catalog)),
+            keys: vec![SortKey {
+                index: 1,
+                direction: SortDirection::Desc,
+            }],
+        };
+        let keys = project(by_v_desc, vec![colx(0)]);
+        assert_eq!(
+            execute(&window(keys), &catalog).unwrap().rows,
+            ints(&[&[3], &[1]])
+        );
+        // What can fail outside the window still fails the statement: a
+        // computed `k / v` (zero in a row the window skips, with the row
+        // before it skipped too) and a column read out of range.
+        let quotient = ScalarExpr::Binary {
+            left: Box::new(colx(0)),
+            op: galois_sql::ast::BinaryOp::Div,
+            right: Box::new(colx(1)),
+        };
+        let computing = project(scan_t(&catalog), vec![quotient]);
+        let late = LogicalPlan::Limit {
+            input: Box::new(computing),
+            n: 1,
+            offset: 2,
+        };
+        assert!(execute(&late, &catalog).is_err());
+        let out_of_range = project(scan_t(&catalog), vec![colx(2)]);
+        let none = LogicalPlan::Limit {
+            input: Box::new(out_of_range),
+            n: 0,
+            offset: 0,
+        };
+        assert!(execute(&none, &catalog).is_err());
     }
 
     #[test]

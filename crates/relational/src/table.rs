@@ -196,6 +196,39 @@ impl Table {
             .map(|pos| &self.rows[pos])
     }
 
+    /// Copies `columns` of `other` into this table, row for row: what lets
+    /// a rebuilt table keep the cells an earlier one of the same keys held.
+    /// Carries nothing, and says so, unless the two have equal schemas,
+    /// equal lengths and the same key in every row.
+    pub fn merge_columns(&mut self, other: &Table, columns: &[usize]) -> bool {
+        let key = self.schema.key;
+        let aligned = self.schema == other.schema
+            && self.rows.len() == other.rows.len()
+            && columns.iter().all(|&c| c != key && c < self.schema.arity())
+            && self
+                .rows
+                .iter()
+                .zip(&other.rows)
+                .all(|(a, b)| a[key] == b[key]);
+        if aligned {
+            for (row, from) in self.rows.iter_mut().zip(&other.rows) {
+                for &c in columns {
+                    row[c] = from[c].clone();
+                }
+            }
+        }
+        aligned
+    }
+
+    /// The bytes the table's rows hold: their cells, the text those own
+    /// and the key index's slots.
+    pub fn bytes(&self) -> usize {
+        let text = self.rows.iter().flatten().filter_map(Value::as_text);
+        self.rows.len() * self.schema.arity() * std::mem::size_of::<Value>()
+            + text.map(str::len).sum::<usize>()
+            + self.index.slots.len() * std::mem::size_of::<u32>()
+    }
+
     /// The plan schema this table produces when scanned under `binding`.
     pub fn plan_schema(&self, binding: &str) -> PlanSchema {
         PlanSchema::new(
@@ -225,16 +258,23 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers a table; the name must be unused.
+    /// Registers a table under its own name; the name must be unused.
     pub fn add_table(&mut self, table: Table) -> Result<()> {
-        let key = table.name.to_ascii_lowercase();
+        let name = table.name.clone();
+        self.add_shared(&name, Arc::new(table))
+    }
+
+    /// Registers a table someone else may hold too, under `name` (unused
+    /// so far) — one table can stand in several catalogs, or twice in
+    /// one, each time under the name given here.
+    pub fn add_shared(&mut self, name: &str, table: Arc<Table>) -> Result<()> {
+        let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) {
             return Err(EngineError::Catalog(format!(
-                "table '{}' already exists",
-                table.name
+                "table '{name}' already exists"
             )));
         }
-        self.tables.insert(key, Arc::new(table));
+        self.tables.insert(key, table);
         Ok(())
     }
 
@@ -255,7 +295,9 @@ impl Catalog {
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// Names of all tables, sorted.
+    /// Each table's own name ([`Table::name`] — a shared table is looked up
+    /// by the name it was registered under, which this does not report),
+    /// sorted.
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.values().map(|t| t.name.clone()).collect();
         names.sort();
@@ -371,6 +413,88 @@ mod tests {
         assert!(c.get("town").is_err());
         assert!(c.add_table(city_table()).is_err());
         assert_eq!(c.table_names(), vec!["city".to_string()]);
+    }
+
+    #[test]
+    fn a_shared_table_goes_by_the_name_it_was_registered_under() {
+        let mut t = city_table();
+        t.insert(vec!["Rome".into(), Value::Int(1)]).unwrap();
+        let shared = Arc::new(t);
+        let mut c = Catalog::new();
+        c.add_shared("__llm_P", Arc::clone(&shared)).unwrap();
+        c.add_shared("__llm_r", Arc::clone(&shared)).unwrap();
+        assert!(std::ptr::eq(
+            c.get("__LLM_p").unwrap(),
+            c.get("__llm_r").unwrap()
+        ));
+        assert!(matches!(c.get("city"), Err(EngineError::UnknownTable(n)) if n == "city"));
+        let taken = c.add_shared("__LLM_R", Arc::clone(&shared)).unwrap_err();
+        assert!(taken.to_string().contains("'__LLM_R'"), "{taken}");
+        // Writing through one name copies: the other keeps the shared rows.
+        c.get_mut("__llm_r")
+            .unwrap()
+            .insert(vec!["Oslo".into(), Value::Null])
+            .unwrap();
+        assert_eq!((c.get("__llm_p").unwrap().len(), shared.len()), (1, 1));
+    }
+
+    #[test]
+    fn merge_columns_carries_cells_between_tables_of_the_same_keys_only() {
+        let filled = |rows: &[(&str, Value)]| {
+            let mut t = city_table();
+            for (key, population) in rows {
+                t.insert(vec![(*key).into(), population.clone()]).unwrap();
+            }
+            t
+        };
+        let old = filled(&[("Rome", Value::Int(1)), ("Oslo", Value::Int(2))]);
+        let mut new = filled(&[("Rome", Value::Null), ("Oslo", Value::Null)]);
+        assert!(new.merge_columns(&old, &[1]));
+        assert_eq!(new.rows(), old.rows());
+        assert_eq!(new.find_by_key(&"Oslo".into()).unwrap()[1], Value::Int(2));
+        // Another key order, another length, another schema, the key
+        // column itself or a column out of range: nothing moves.
+        let blank = || filled(&[("Rome", Value::Null), ("Oslo", Value::Null)]);
+        let swapped = filled(&[("Oslo", Value::Int(2)), ("Rome", Value::Int(1))]);
+        let longer = filled(&[
+            ("Rome", Value::Int(1)),
+            ("Oslo", Value::Int(2)),
+            ("Bern", Value::Null),
+        ]);
+        let mut renamed = Table::new(
+            "city",
+            TableSchema::new(
+                vec![
+                    Column::new("name", DataType::Text),
+                    Column::nullable("area", DataType::Int),
+                ],
+                "name",
+            )
+            .unwrap(),
+        );
+        for row in old.rows() {
+            renamed.insert(row.clone()).unwrap();
+        }
+        for (other, columns) in [
+            (&swapped, &[1][..]),
+            (&longer, &[1]),
+            (&renamed, &[1]),
+            (&old, &[0]),
+            (&old, &[2]),
+        ] {
+            let mut new = blank();
+            assert!(!new.merge_columns(other, columns));
+            assert_eq!(new.rows(), blank().rows());
+        }
+        assert!(
+            blank().merge_columns(&old, &[]),
+            "no column is every column"
+        );
+        let text = "Rome".len() + "Oslo".len();
+        assert_eq!(
+            old.bytes(),
+            2 * 2 * std::mem::size_of::<Value>() + text + 8 * std::mem::size_of::<u32>()
+        );
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Typed cells change no reading (PR 21).
+//! What a warmed session keeps of its reads changes no reading (PR 21).
 //!
 //! A warmed serving session keeps what it has read out of the sub-entry
-//! store as typed cells, slot-aligned to the stored key universe a step
-//! is served from (`crates/core/src/session/typed.rs`). A cell stands for
-//! a store hit and nothing else, so nothing a caller can observe may
-//! depend on whether a cell, or the store, served a read: not the rows,
+//! store, typed and aligned to the stored key universe a step is served
+//! from (`crates/core/src/session/typed.rs`): PR 21 kept it cell by cell —
+//! the "cells" the tests below are named for — and PR 22 keeps the whole
+//! table instead (`tests/universe_relation.rs`). What is kept stands for
+//! store hits and nothing else, so nothing a caller can observe may
+//! depend on whether it, or the store, served a read: not the rows,
 //! not their order, not one `QueryStats` or `ClientStats` counter. This
 //! file holds that on the serving stack (`grid_stack_options(8, 10, 6)`:
 //! streaming, cost planner, grid batching, key-universe store) over the
 //! evaluation suite and the operator suite on worlds {1, 7, 42} at x4,
-//! and then pulls on each of the three things that retire a cell.
+//! and then pulls on each of the three things that retire what is kept.
 
 mod common;
 
@@ -78,8 +80,7 @@ fn assert_same_pass(
 }
 
 /// Passes 2, 3 and 4 of one session read the same: the second reads
-/// through the store (and is a column's first warm sighting at the
-/// latest), the third fills cells, the fourth is served from them.
+/// through the store, the third and fourth are served what it kept.
 fn warm_passes_agree(profile: ModelProfile) {
     for seed in [1, 7, 42] {
         let scenario = Scenario::generate_scaled(seed, 4);
