@@ -1,9 +1,12 @@
-//! Microbenchmarks for answer parsing and the cleaning/normalisation
-//! stage — the hot path of workflow step (3).
+//! Microbenchmarks for the cleaning/normalisation stage — the hot path of
+//! workflow step (3) — where `galois_benchmark` has no probe on the same
+//! call: `cell_value` (the engine's cell path; `core.clean.ns_per_cell`
+//! times `clean_to_type` on already unwrapped answers), `parse_number`
+//! and the QA baselines' `extract_records`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use galois_core::clean::{cell_value, clean_to_type, parse_number, CleaningPolicy};
-use galois_core::parse::{extract_records, parse_list_answer};
+use galois_core::clean::{cell_value, parse_number, CleaningPolicy};
+use galois_core::parse::extract_records;
 use galois_relational::DataType;
 
 fn bench_numbers(c: &mut Criterion) {
@@ -18,12 +21,6 @@ fn bench_numbers(c: &mut Criterion) {
             b.iter(|| parse_number(black_box(input), &policy))
         });
     }
-    c.bench_function("clean_to_int", |b| {
-        b.iter(|| clean_to_type(black_box("2.8 million"), DataType::Int, &policy))
-    });
-    c.bench_function("clean_to_date", |b| {
-        b.iter(|| clean_to_type(black_box("May 8, 1961"), DataType::Date, &policy))
-    });
 }
 
 /// Workflow step (3) for one fetched cell, answer text to typed value: the
@@ -49,11 +46,6 @@ fn bench_cell_value(c: &mut Criterion) {
 }
 
 fn bench_answers(c: &mut Criterion) {
-    let list = "Sure! Here are some values: Rome, Paris, Milan, Naples, Turin, \
-                Palermo, Genoa, Bologna, Florence, Bari, Catania, Venice.";
-    c.bench_function("parse_list_answer", |b| {
-        b.iter(|| parse_list_answer(black_box(list)))
-    });
     let qa = "- Rome: 2,800,000\n- Paris: 2,100,000\n- Milan: 1,400,000\n- Naples: 960,000";
     c.bench_function("extract_records", |b| {
         b.iter(|| extract_records(black_box(qa)))

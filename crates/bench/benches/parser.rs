@@ -1,9 +1,10 @@
-//! Microbenchmarks for the SQL front-end: lexing and parsing throughput.
+//! Microbenchmark for the SQL printer: parse → print → parse. Lexing and
+//! parsing alone are `galois_benchmark`'s `sql.tokenize_ns_per_query` and
+//! `sql.parse_ns_per_query`; nothing there prints a statement.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use galois_sql::{lexer::tokenize, parse};
+use galois_sql::parse;
 
-const SIMPLE: &str = "SELECT name FROM city WHERE population > 1000000";
 const COMPLEX: &str = "SELECT c.name, k.gdp, COUNT(*), AVG(c.population) \
     FROM city c, country k \
     WHERE c.country = k.name AND c.population BETWEEN 100000 AND 5000000 \
@@ -11,28 +12,12 @@ const COMPLEX: &str = "SELECT c.name, k.gdp, COUNT(*), AVG(c.population) \
     GROUP BY c.name, k.gdp HAVING COUNT(*) > 1 \
     ORDER BY AVG(c.population) DESC, c.name LIMIT 10";
 
-fn bench_lexer(c: &mut Criterion) {
-    c.bench_function("lex_simple", |b| {
-        b.iter(|| tokenize(black_box(SIMPLE)).unwrap())
-    });
-    c.bench_function("lex_complex", |b| {
-        b.iter(|| tokenize(black_box(COMPLEX)).unwrap())
-    });
-}
-
-fn bench_parser(c: &mut Criterion) {
-    c.bench_function("parse_simple", |b| {
-        b.iter(|| parse(black_box(SIMPLE)).unwrap())
-    });
-    c.bench_function("parse_complex", |b| {
-        b.iter(|| parse(black_box(COMPLEX)).unwrap())
-    });
-    // Round-trip: parse → print → parse (canonical printer throughput).
+fn bench_printer(c: &mut Criterion) {
     c.bench_function("roundtrip_complex", |b| {
         let stmt = parse(COMPLEX).unwrap();
         b.iter(|| parse(&black_box(&stmt).to_string()).unwrap())
     });
 }
 
-criterion_group!(benches, bench_lexer, bench_parser);
+criterion_group!(benches, bench_printer);
 criterion_main!(benches);

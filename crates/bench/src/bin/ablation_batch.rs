@@ -13,15 +13,16 @@
 //!
 //! Usage: `ablation_batch [--seed 42] [--parallelism 8] [--model oracle]`.
 
-use galois_bench::{cost_planned_options, lanes_from_args, model_from_args, seed_from_args};
+use galois_bench::{cost_planned_options, Flags};
 use galois_core::{GaloisOptions, PromptBatch};
 use galois_dataset::Scenario;
-use galois_eval::{run_galois_suite_parallel, suite_totals, TextTable};
+use galois_eval::{run_galois_suite, suite_totals, TextTable};
 
 fn main() {
-    let seed = seed_from_args();
-    let lanes = lanes_from_args();
-    let profile = model_from_args();
+    let flags = Flags::from_env(&["--seed", "--parallelism", "--model"]);
+    let seed = flags.seed();
+    let lanes = flags.lanes();
+    let profile = flags.model("oracle");
     let scenario = Scenario::generate(seed);
     println!(
         "Ablation A5 — multi-key prompt batching ({}, seed {seed}, {lanes} lanes, \
@@ -50,7 +51,7 @@ fn main() {
             prompt_batch,
             ..cost_planned_options(lanes)
         };
-        let run = run_galois_suite_parallel(&scenario, profile.clone(), options, lanes);
+        let run = run_galois_suite(&scenario, profile.clone(), options);
         let totals = suite_totals(&run, lanes);
         t.row(vec![
             label.to_string(),

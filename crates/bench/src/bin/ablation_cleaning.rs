@@ -6,14 +6,14 @@
 //! disabled. Without normalisation, answers like "2.8 million" or
 //! "May 8, 1961" fail to type and become NULLs.
 
-use galois_bench::seed_from_args;
+use galois_bench::Flags;
 use galois_core::{CleaningPolicy, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_eval::{run_galois_suite, TextTable};
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("Ablation A2 — answer cleaning/normalisation (ChatGPT, seed {seed})\n");
 

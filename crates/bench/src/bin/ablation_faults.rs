@@ -23,7 +23,7 @@
 //!
 //! Usage: `ablation_faults [--seed 42]`.
 
-use galois_bench::{detectable_fault_profile, seed_from_args};
+use galois_bench::{detectable_fault_profile, Flags};
 use galois_core::{Galois, GaloisOptions, Resilience, RetryPolicy};
 use galois_dataset::Scenario;
 use galois_eval::TextTable;
@@ -75,7 +75,7 @@ fn measure(scenario: &Scenario, model: Arc<dyn LanguageModel>, resilience: Resil
 }
 
 fn main() {
-    let seed = seed_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     let oracle = || {
         Arc::new(SimLlm::new(

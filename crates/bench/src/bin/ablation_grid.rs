@@ -2,8 +2,8 @@
 //! prompt.
 //!
 //! Runs the 46-query suite on one cold key-universe-store session per
-//! variant (cost-based planner, streaming pipeline, `--parallelism` lanes,
-//! one harness thread — the `galois_grid_fused` BENCH configuration) with
+//! variant (cost-based planner, streaming pipeline, `--parallelism` lanes
+//! — the `galois_grid_fused` BENCH configuration) with
 //! `PromptBatch::Grid { keys: B, attrs: A }` for `B ∈ {1, 5, 10}` ×
 //! `A ∈ {1, 2, 4, all}`, reporting prompt volume per phase, cache hits and
 //! the virtual clocks. On the oracle profile every variant returns
@@ -19,16 +19,15 @@
 //!
 //! Usage: `ablation_grid [--seed 42] [--parallelism 8] [--model oracle]`.
 
-use galois_bench::{
-    fresh_session, grid_stack_options, lanes_from_args, model_from_args, seed_from_args,
-};
+use galois_bench::{fresh_session, grid_stack_options, Flags};
 use galois_dataset::Scenario;
 use galois_eval::{run_galois_suite_on, suite_totals, TextTable};
 
 fn main() {
-    let seed = seed_from_args();
-    let lanes = lanes_from_args();
-    let profile = model_from_args();
+    let flags = Flags::from_env(&["--seed", "--parallelism", "--model"]);
+    let seed = flags.seed();
+    let lanes = flags.lanes();
+    let profile = flags.model("oracle");
     let scenario = Scenario::generate(seed);
     println!(
         "Ablation A7 — grid-fused multi-attribute prompting ({}, seed {seed}, {lanes} lanes, \
@@ -54,7 +53,7 @@ fn main() {
         for (attr_label, attrs) in attr_variants {
             let session =
                 fresh_session(&scenario, &profile, grid_stack_options(lanes, keys, attrs));
-            let run = run_galois_suite_on(&scenario, &session, &profile.name, 1);
+            let run = run_galois_suite_on(&scenario, &session, &profile.name);
             let totals = suite_totals(&run, lanes);
             let (list, filter, fetch) = run.outcomes.iter().fold((0, 0, 0), |(l, f, a), o| {
                 (

@@ -5,14 +5,14 @@
 //! Sweeps the iteration cap and reports how cardinality recovery and
 //! prompt cost trade off.
 
-use galois_bench::seed_from_args;
+use galois_bench::Flags;
 use galois_core::GaloisOptions;
 use galois_dataset::Scenario;
 use galois_eval::{run_galois_suite, timing_summary, TextTable};
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("Ablation A3 — \"Return more results\" iteration cap (ChatGPT, seed {seed})\n");
 

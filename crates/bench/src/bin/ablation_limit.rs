@@ -16,7 +16,7 @@
 //!
 //! Usage: `ablation_limit [--seed 42] [--parallelism 8]`.
 
-use galois_bench::{fresh_session, lanes_from_args, seed_from_args};
+use galois_bench::{fresh_session, Flags};
 use galois_core::{EarlyStop, GaloisOptions, Parallelism, Pipeline, PromptBatch};
 use galois_dataset::{Scenario, WorldConfig};
 use galois_eval::TextTable;
@@ -58,8 +58,9 @@ fn measure(
 }
 
 fn main() {
-    let seed = seed_from_args();
-    let lanes = lanes_from_args();
+    let flags = Flags::from_env(&["--seed", "--parallelism"]);
+    let seed = flags.seed();
+    let lanes = flags.lanes();
     let scenario = Scenario::generate_with(
         seed,
         WorldConfig {

@@ -11,15 +11,16 @@
 //!
 //! Usage: `ablation_planner [--seed 42] [--parallelism 8] [--model oracle]`.
 
-use galois_bench::{cost_planned_options, lanes_from_args, model_from_args, seed_from_args};
+use galois_bench::{cost_planned_options, Flags};
 use galois_core::{GaloisOptions, Planner};
 use galois_dataset::Scenario;
-use galois_eval::{run_galois_suite_parallel, suite_totals, TextTable};
+use galois_eval::{run_galois_suite, suite_totals, TextTable};
 
 fn main() {
-    let seed = seed_from_args();
-    let lanes = lanes_from_args();
-    let profile = model_from_args();
+    let flags = Flags::from_env(&["--seed", "--parallelism", "--model"]);
+    let seed = flags.seed();
+    let lanes = flags.lanes();
+    let profile = flags.model("oracle");
     let scenario = Scenario::generate(seed);
     println!(
         "Ablation A4 — cost-based planner ({}, seed {seed}, {lanes} lanes)\n",
@@ -45,7 +46,7 @@ fn main() {
             planner,
             ..cost_planned_options(k)
         };
-        let run = run_galois_suite_parallel(&scenario, profile.clone(), options, k);
+        let run = run_galois_suite(&scenario, profile.clone(), options);
         let totals = suite_totals(&run, k);
         t.row(vec![
             label.to_string(),

@@ -7,14 +7,14 @@
 //! This sweep runs the 46 queries with and without prompt pushdown and
 //! reports prompt counts vs. content accuracy.
 
-use galois_bench::seed_from_args;
+use galois_bench::Flags;
 use galois_core::{CompileOptions, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_eval::{run_galois_suite, timing_summary, TextTable};
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("Ablation A1 — prompt pushdown (ChatGPT, seed {seed})\n");
 

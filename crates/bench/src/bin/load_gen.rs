@@ -20,7 +20,7 @@
 //! Usage: `load_gen [--seed 42] [--parallelism 8] [--scale 3]
 //! [--inflight 0]`.
 
-use galois_bench::{grid_stack_options, lanes_from_args, parsed_flag, seed_from_args};
+use galois_bench::{grid_stack_options, Flags};
 use galois_core::{Admission, AdmissionPolicy, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_eval::{run_suite_concurrent, TextTable};
@@ -45,10 +45,11 @@ fn sweep(t: &mut TextTable, world: &str, scenario: &Scenario, options: &GaloisOp
 }
 
 fn main() {
-    let seed = seed_from_args();
-    let lanes = lanes_from_args();
-    let scale = parsed_flag::<usize>("--scale").unwrap_or(3).max(1);
-    let inflight = parsed_flag::<usize>("--inflight").unwrap_or(0);
+    let flags = Flags::from_env(&["--seed", "--parallelism", "--scale", "--inflight"]);
+    let seed = flags.seed();
+    let lanes = flags.lanes();
+    let scale = flags.get("--scale", 3usize).max(1);
+    let inflight = flags.get("--inflight", 0usize);
     let options = GaloisOptions {
         admission: Admission::Fair(AdmissionPolicy {
             max_inflight: inflight,

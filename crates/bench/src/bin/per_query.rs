@@ -5,25 +5,16 @@
 //!
 //! Usage: `per_query [--seed N] [--model flan|tk|gpt3|chatgpt|oracle]`
 
-use galois_bench::seed_from_args;
+use galois_bench::Flags;
 use galois_core::{BaselineKind, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_eval::{run_baseline_suite, run_galois_suite, TextTable};
-use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let model = args
-        .windows(2)
-        .find(|w| w[0] == "--model")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "chatgpt".to_string());
-    let profile = if model == "oracle" {
-        ModelProfile::oracle()
-    } else {
-        ModelProfile::by_name(&model).expect("unknown model")
-    };
+    let flags = Flags::from_env(&["--seed", "--model"]);
+    let seed = flags.seed();
+    let profile = flags.model("chatgpt");
+    let model = profile.name.clone();
 
     let scenario = Scenario::generate(seed);
     let run = run_galois_suite(&scenario, profile.clone(), GaloisOptions::default());

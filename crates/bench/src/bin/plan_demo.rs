@@ -5,14 +5,14 @@
 //! in our schema the equivalent shape is mayors filtered by election year
 //! joined with their cities.
 
-use galois_bench::seed_from_args;
+use galois_bench::Flags;
 use galois_core::Galois;
 use galois_dataset::Scenario;
 use galois_eval::model_for;
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     let galois = Galois::new(
         model_for(&scenario, ModelProfile::chatgpt()),

@@ -6,7 +6,7 @@
 //! reports pairwise Jaccard similarity of the returned key sets — a
 //! quantified version of the paper's observation.
 
-use galois_bench::seed_from_args;
+use galois_bench::Flags;
 use galois_core::Galois;
 use galois_dataset::Scenario;
 use galois_eval::{model_for, TextTable};
@@ -38,7 +38,7 @@ fn jaccard(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
 }
 
 fn main() {
-    let seed = seed_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("§6 Portability — same SQL, different LLMs (seed {seed})");
     println!("cell = Jaccard similarity of returned key sets (1.0 = identical)\n");

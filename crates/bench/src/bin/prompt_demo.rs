@@ -10,6 +10,7 @@ fn question_line(prompt: &str) -> String {
 }
 
 fn main() {
+    galois_bench::Flags::from_env(&[]);
     println!("Figure 4 — prompt construction\n");
     let builder = PromptBuilder::for_model("gpt3");
 

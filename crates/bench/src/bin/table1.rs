@@ -4,21 +4,17 @@
 //!
 //! Paper reference values: Flan −47.4, TK −43.7, GPT-3 +1.0,
 //! ChatGPT −19.5.
-//!
-//! `--threads N` fans the suite out over N workers; the table is
-//! byte-identical for any thread count.
 
-use galois_bench::{seed_from_args, threads_from_args};
+use galois_bench::Flags;
 use galois_dataset::Scenario;
-use galois_eval::table1_parallel;
+use galois_eval::table1;
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
-    let threads = threads_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("Table 1 — cardinality difference (seed {seed}, 46 queries)");
     println!("paper:   flan -47.4   tk -43.7   gpt3 +1.0   chatgpt -19.5\n");
-    let (table, _) = table1_parallel(&scenario, &ModelProfile::all(), threads);
+    let (table, _) = table1(&scenario, &ModelProfile::all());
     println!("{}", table.render());
 }

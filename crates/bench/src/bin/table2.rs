@@ -11,16 +11,15 @@
 //! T_C_M (NL quest.+CoT)    41          71          13           0
 //! ```
 
-use galois_bench::{seed_from_args, threads_from_args};
+use galois_bench::Flags;
 use galois_dataset::Scenario;
-use galois_eval::table2_parallel;
+use galois_eval::table2;
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
-    let threads = threads_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("Table 2 — cell value matches %, ChatGPT (seed {seed}, 46 queries)\n");
-    let t = table2_parallel(&scenario, ModelProfile::chatgpt(), threads);
+    let t = table2(&scenario, ModelProfile::chatgpt());
     println!("{}", t.render());
 }

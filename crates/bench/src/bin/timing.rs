@@ -6,15 +6,14 @@
 //! Latency is a virtual clock (see `galois_llm::client`): the shapes and
 //! counts are meaningful, wall-clock equivalence is not claimed.
 
-use galois_bench::{seed_from_args, threads_from_args};
+use galois_bench::Flags;
 use galois_core::GaloisOptions;
 use galois_dataset::Scenario;
-use galois_eval::{run_galois_suite_parallel, timing_summary, TextTable};
+use galois_eval::{run_galois_suite, timing_summary, TextTable};
 use galois_llm::ModelProfile;
 
 fn main() {
-    let seed = seed_from_args();
-    let threads = threads_from_args();
+    let seed = Flags::from_env(&["--seed"]).seed();
     let scenario = Scenario::generate(seed);
     println!("Prompt/latency statistics per query (seed {seed}, 46 queries)");
     println!("paper: ~110 batched prompts and ~20 s per query on GPT-3; skewed\n");
@@ -30,7 +29,7 @@ fn main() {
     ]);
     for profile in ModelProfile::all() {
         let name = profile.name.clone();
-        let run = run_galois_suite_parallel(&scenario, profile, GaloisOptions::default(), threads);
+        let run = run_galois_suite(&scenario, profile, GaloisOptions::default());
         let s = timing_summary(&run);
         t.row(vec![
             name,

@@ -21,38 +21,110 @@
 //! | `load_gen` | closed-loop multi-session load sweep over the shared lane pool |
 //! | `perf_report` | end-to-end accounting (`BENCH_e2e.json`), incl. the planner and batched rows |
 //!
-//! Every binary accepts `--seed <u64>` (default 42). The suite-setup
-//! boilerplate the binaries share — flag parsing, the engine option
-//! stacks each BENCH row names, fresh-session construction — lives here
-//! so a configuration is defined once and every ablation, the load
-//! generator and `perf_report` measure the same stack.
+//! Every binary but `prompt_demo` accepts `--seed <u64>` (default 42);
+//! each declares the flags it reads through [`Flags`], which refuses the
+//! rest. The suite-setup boilerplate the binaries share — flag parsing,
+//! the engine option stacks each BENCH row names, fresh-session
+//! construction — lives here so a configuration is defined once and every
+//! ablation, the load generator and `perf_report` measure the same stack;
+//! [`ledger`] builds and checks the `BENCH_e2e.json` rows.
 
 #![warn(missing_docs)]
 
+pub mod ledger;
+
+use std::str::FromStr;
 use std::sync::Arc;
 
 use galois_core::{Galois, GaloisOptions, ListStore, Parallelism, Pipeline, Planner, PromptBatch};
 use galois_dataset::Scenario;
 use galois_llm::{FaultProfile, ModelProfile, SimLlm};
 
-/// Parses a `--seed N` argument pair from `std::env::args`, defaulting to
-/// 42. Shared by all reproduction binaries.
-pub fn seed_from_args() -> u64 {
-    parsed_flag("--seed").unwrap_or(42)
+/// A bin's command line: `<flag> <value>` pairs over the flags the bin
+/// declared. An undeclared flag, a flag without a value and a value that
+/// does not parse are errors naming the offender, never a silent default.
+#[derive(Debug)]
+pub struct Flags {
+    declared: &'static [&'static str],
+    pairs: Vec<(String, String)>,
 }
 
-/// Parses a `--parallelism K` argument pair (request lanes per session),
-/// defaulting to 8 — the BENCH configuration.
-pub fn lanes_from_args() -> usize {
-    parsed_flag("--parallelism").unwrap_or(8).max(1)
+impl Flags {
+    /// Reads `args` (the command line after the program name) against the
+    /// flags a bin accepts.
+    pub fn parse(
+        declared: &'static [&'static str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Flags, String> {
+        let mut args = args.into_iter();
+        let mut pairs = Vec::new();
+        while let Some(flag) = args.next() {
+            if !declared.contains(&flag.as_str()) {
+                let accepted = match declared {
+                    [] => "this binary takes no arguments".to_string(),
+                    _ => format!("accepted: {}", declared.join(" ")),
+                };
+                return Err(format!("unknown flag {flag} ({accepted})"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            pairs.push((flag, value));
+        }
+        Ok(Flags { declared, pairs })
+    }
+
+    /// [`Flags::parse`] over the process's arguments; an error is printed
+    /// and the process exits with status 2.
+    pub fn from_env(declared: &'static [&'static str]) -> Flags {
+        Flags::parse(declared, std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// The value given for `flag`, if any; `Err` when it does not parse as
+    /// a `T`.
+    pub fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        assert!(self.declared.contains(&flag), "{flag} was not declared");
+        match self.pairs.iter().find(|(given, _)| given == flag) {
+            None => Ok(None),
+            Some((_, text)) => text
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{flag}: {text:?} is not a {}", std::any::type_name::<T>())),
+        }
+    }
+
+    /// The value given for `flag`, or `default`; a malformed value is
+    /// printed and the process exits with status 2.
+    pub fn get<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.value(flag)
+            .unwrap_or_else(|e| exit_usage(&e))
+            .unwrap_or(default)
+    }
+
+    /// `--seed N`, the world seed; 42 by default.
+    pub fn seed(&self) -> u64 {
+        self.get("--seed", 42)
+    }
+
+    /// `--parallelism K`, request lanes per session; 8 — the BENCH
+    /// configuration — by default.
+    pub fn lanes(&self) -> usize {
+        self.get("--parallelism", 8).max(1)
+    }
+
+    /// `--model NAME` as a [`ModelProfile`] (`oracle` or one of the
+    /// paper's four); the profile named `default` when absent.
+    pub fn model(&self, default: &str) -> ModelProfile {
+        let name = self.get("--model", default.to_string());
+        ModelProfile::by_name(&name).unwrap_or_else(|| {
+            exit_usage(&format!(
+                "--model: unknown model {name} (oracle, flan, tk, gpt3, chatgpt)"
+            ))
+        })
+    }
 }
 
-/// Parses a `--model NAME` argument pair into a [`ModelProfile`], falling
-/// back to the oracle when absent or unknown.
-pub fn model_from_args() -> ModelProfile {
-    string_flag("--model")
-        .and_then(|name| ModelProfile::by_name(&name))
-        .unwrap_or_else(ModelProfile::oracle)
+fn exit_usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The cost-planned stack: `Planner::CostBased` over `lanes` request
@@ -124,46 +196,64 @@ pub fn detectable_fault_profile(rate: f64) -> FaultProfile {
     }
 }
 
-/// Parses a `--threads N` argument pair, defaulting to 1 (the sequential,
-/// paper-faithful harness).
-pub fn threads_from_args() -> usize {
-    parsed_flag("--threads").unwrap_or(1).max(1)
-}
-
-/// Parses an arbitrary `<flag> <value>` pair from `std::env::args`.
-pub fn parsed_flag<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .and_then(|w| w[1].parse().ok())
-}
-
-/// Parses a `<flag> <value>` string pair from `std::env::args`
-/// (convenience alias for `parsed_flag::<String>`, whose parse is
-/// infallible).
-pub fn string_flag(flag: &str) -> Option<String> {
-    parsed_flag(flag)
-}
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn default_seed_is_42() {
-        // Arguments of the test harness never contain --seed.
-        assert_eq!(super::seed_from_args(), 42);
+    use super::Flags;
+
+    fn parse(declared: &'static [&'static str], args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(declared, args.iter().map(|a| a.to_string()))
     }
 
     #[test]
-    fn default_threads_is_one() {
-        assert_eq!(super::threads_from_args(), 1);
-        assert_eq!(super::parsed_flag::<usize>("--no-such-flag"), None);
-        assert_eq!(super::string_flag("--no-such-flag"), None);
+    fn absent_flags_take_the_bench_defaults() {
+        let flags = parse(&["--seed", "--parallelism", "--model"], &[]).unwrap();
+        assert_eq!(flags.seed(), 42);
+        assert_eq!(flags.lanes(), 8);
+        assert_eq!(flags.model("oracle").name, "oracle");
+        assert_eq!(flags.model("chatgpt").name, "chatgpt");
+        assert_eq!(flags.value::<String>("--model"), Ok(None));
     }
 
     #[test]
-    fn default_lanes_and_model_match_the_bench_configuration() {
-        assert_eq!(super::lanes_from_args(), 8);
-        assert_eq!(super::model_from_args().name, "oracle");
+    fn given_flags_are_read_typed() {
+        let args = ["--seed", "7", "--parallelism", "0", "--model", "GPT3"];
+        let flags = parse(&["--seed", "--parallelism", "--model"], &args).unwrap();
+        assert_eq!(flags.seed(), 7);
+        assert_eq!(flags.lanes(), 1, "a session has at least one lane");
+        assert_eq!(flags.model("oracle").name, "gpt3");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error_that_names_it() {
+        // What `table1 --threads 8` meets now that the flag is gone.
+        let err = parse(&["--seed"], &["--threads", "8"]).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("--seed"), "{err}");
+        let err = parse(&[], &["--seed", "1"]).unwrap_err();
+        assert!(
+            err.contains("--seed") && err.contains("no arguments"),
+            "{err}"
+        );
+        let err = parse(&["--seed"], &["--seed"]).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
+    }
+
+    #[test]
+    fn a_malformed_value_is_an_error_not_the_default() {
+        let flags = parse(&["--parallelism", "--seed"], &["--parallelism", "eight"]).unwrap();
+        let err = flags.value::<usize>("--parallelism").unwrap_err();
+        assert!(
+            err.contains("--parallelism") && err.contains("eight"),
+            "{err}"
+        );
+        assert_eq!(flags.value::<u64>("--seed"), Ok(None));
+        let flags = parse(&["--seed"], &["--seed", "-1"]).unwrap();
+        assert!(flags.value::<u64>("--seed").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "--batch was not declared")]
+    fn reading_an_undeclared_flag_is_a_bug_in_the_bin() {
+        let _ = parse(&["--seed"], &[]).unwrap().value::<usize>("--batch");
     }
 
     #[test]

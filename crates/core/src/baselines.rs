@@ -60,9 +60,8 @@ impl QaBaseline {
     /// Asks the question and extracts records.
     ///
     /// Accounting comes from the call's own [`galois_llm::BatchOutcome`]
-    /// rather than global counter deltas, so concurrent `ask`s (the
-    /// multi-threaded harness) attribute tokens and virtual time to the
-    /// right question.
+    /// rather than global counter deltas, so concurrent `ask`s attribute
+    /// tokens and virtual time to the right question.
     pub fn ask(&self, question: &str, kind: BaselineKind) -> BaselineResult {
         let prompt = match kind {
             BaselineKind::Plain => self.prompt_builder.question(question),

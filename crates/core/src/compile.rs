@@ -143,7 +143,7 @@ pub fn compile(
 
     // Pass 2: rewrite LLM scans (and their filters) into steps.
     let mut steps = Vec::new();
-    let plan = rewrite(plan, catalog, options, &needed, &mut steps)?;
+    let plan = rewrite(plan.clone(), catalog, options, &needed, &mut steps)?;
     Ok(CompiledQuery { steps, plan })
 }
 
@@ -220,128 +220,66 @@ fn collect_needed(plan: &LogicalPlan, needed: &mut HashMap<String, BTreeSet<Stri
 }
 
 fn rewrite(
-    plan: &LogicalPlan,
+    plan: LogicalPlan,
     catalog: &Catalog,
     options: &CompileOptions,
     needed: &HashMap<String, BTreeSet<String>>,
     steps: &mut Vec<LlmScanStep>,
 ) -> Result<LogicalPlan> {
     match plan {
-        // A filter directly above an LLM scan: translate conjuncts into
-        // prompt conditions where possible.
-        LogicalPlan::Filter { input, predicate } => {
-            if let LogicalPlan::Scan {
+        LogicalPlan::Filter { input, predicate } => match *input {
+            // A filter directly above an LLM scan: translate conjuncts into
+            // prompt conditions where possible.
+            LogicalPlan::Scan {
                 table,
                 binding,
                 source,
                 schema,
                 key_index,
-            } = input.as_ref()
-            {
-                if is_llm_scan(*source, options) {
-                    let mut conditions = Vec::new();
-                    let mut residual: Vec<ScalarExpr> = Vec::new();
-                    for conj in galois_relational::builder::split_conjuncts(predicate.clone()) {
-                        match (options.filter_mode, expr_to_condition(&conj, binding)) {
-                            (FilterMode::LlmBoolean, Some(cond)) => conditions.push(cond),
-                            _ => residual.push(conj),
-                        }
+            } if is_llm_scan(source, options) => {
+                let mut conditions = Vec::new();
+                let mut residual: Vec<ScalarExpr> = Vec::new();
+                for conj in galois_relational::builder::split_conjuncts(predicate) {
+                    match (options.filter_mode, expr_to_condition(&conj, &binding)) {
+                        (FilterMode::LlmBoolean, Some(cond)) => conditions.push(cond),
+                        _ => residual.push(conj),
                     }
-                    let scan = make_step(
-                        table, binding, *key_index, schema, catalog, options, needed, conditions,
-                        steps,
-                    )?;
-                    return Ok(match and_all(residual) {
-                        Some(p) => LogicalPlan::Filter {
-                            input: Box::new(scan),
-                            predicate: p,
-                        },
-                        None => scan,
-                    });
                 }
+                let scan = make_step(
+                    &table, &binding, key_index, schema, catalog, options, needed, conditions,
+                    steps,
+                )?;
+                Ok(match and_all(residual) {
+                    Some(p) => LogicalPlan::Filter {
+                        input: Box::new(scan),
+                        predicate: p,
+                    },
+                    None => scan,
+                })
             }
-            Ok(LogicalPlan::Filter {
-                input: Box::new(rewrite(input, catalog, options, needed, steps)?),
-                predicate: predicate.clone(),
-            })
-        }
+            other => Ok(LogicalPlan::Filter {
+                input: Box::new(rewrite(other, catalog, options, needed, steps)?),
+                predicate,
+            }),
+        },
         LogicalPlan::Scan {
             table,
             binding,
             source,
             schema,
             key_index,
-        } => {
-            if is_llm_scan(*source, options) {
-                make_step(
-                    table,
-                    binding,
-                    *key_index,
-                    schema,
-                    catalog,
-                    options,
-                    needed,
-                    Vec::new(),
-                    steps,
-                )
-            } else {
-                Ok(plan.clone())
-            }
-        }
-        LogicalPlan::Project {
-            input,
-            exprs,
+        } if is_llm_scan(source, options) => make_step(
+            &table,
+            &binding,
+            key_index,
             schema,
-        } => Ok(LogicalPlan::Project {
-            input: Box::new(rewrite(input, catalog, options, needed, steps)?),
-            exprs: exprs.clone(),
-            schema: schema.clone(),
-        }),
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            condition,
-            schema,
-        } => Ok(LogicalPlan::Join {
-            left: Box::new(rewrite(left, catalog, options, needed, steps)?),
-            right: Box::new(rewrite(right, catalog, options, needed, steps)?),
-            join_type: *join_type,
-            condition: condition.clone(),
-            schema: schema.clone(),
-        }),
-        LogicalPlan::CrossJoin {
-            left,
-            right,
-            schema,
-        } => Ok(LogicalPlan::CrossJoin {
-            left: Box::new(rewrite(left, catalog, options, needed, steps)?),
-            right: Box::new(rewrite(right, catalog, options, needed, steps)?),
-            schema: schema.clone(),
-        }),
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            schema,
-        } => Ok(LogicalPlan::Aggregate {
-            input: Box::new(rewrite(input, catalog, options, needed, steps)?),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-            schema: schema.clone(),
-        }),
-        LogicalPlan::Sort { input, keys } => Ok(LogicalPlan::Sort {
-            input: Box::new(rewrite(input, catalog, options, needed, steps)?),
-            keys: keys.clone(),
-        }),
-        LogicalPlan::Distinct { input } => Ok(LogicalPlan::Distinct {
-            input: Box::new(rewrite(input, catalog, options, needed, steps)?),
-        }),
-        LogicalPlan::Limit { input, n, offset } => Ok(LogicalPlan::Limit {
-            input: Box::new(rewrite(input, catalog, options, needed, steps)?),
-            n: *n,
-            offset: *offset,
-        }),
+            catalog,
+            options,
+            needed,
+            Vec::new(),
+            steps,
+        ),
+        other => other.try_map_children(|child| rewrite(child, catalog, options, needed, steps)),
     }
 }
 
@@ -350,7 +288,7 @@ fn make_step(
     table: &str,
     binding: &str,
     key_index: usize,
-    schema: &galois_relational::PlanSchema,
+    schema: galois_relational::PlanSchema,
     catalog: &Catalog,
     options: &CompileOptions,
     needed: &HashMap<String, BTreeSet<String>>,
@@ -419,7 +357,7 @@ fn make_step(
         table: temp_name,
         binding: binding.to_string(),
         source: None,
-        schema: schema.clone(),
+        schema,
         key_index,
     })
 }

@@ -35,7 +35,7 @@
 //! | [`parse`] | §4 workflow (3): answers → CELL values |
 //! | [`clean`] | §4 workflow (3): normalisation + domain constraints |
 //! | [`session`] | §4 workflow (1)–(4), §5 prompt accounting: options, stats, the one retrieval protocol and its barrier and event drivers |
-//! | [`schedule`] | worker threads for waves of independent units: the session's crew, the harness's scheduler |
+//! | [`schedule`] | worker threads for waves of independent units: the session's crew |
 //! | [`multi`] | cross-query scheduling over a shared lane pool |
 //! | [`baselines`] | §5 `T_M` and `T_C_M` |
 

@@ -585,126 +585,79 @@ fn commute_joins(
     catalog: &Catalog,
     overrides: &HashMap<String, f64>,
 ) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Join {
+    let plan = plan.map_children(|child| commute_joins(child, catalog, overrides));
+    let LogicalPlan::Join {
+        left,
+        right,
+        join_type,
+        condition,
+        schema,
+    } = plan
+    else {
+        return plan;
+    };
+    // Only an inner join with a pure equi condition commutes
+    // cleanly: a residual predicate and the outer flavours are
+    // resolved against the left ++ right column order.
+    let commutable = join_type == galois_sql::ast::JoinType::Inner
+        && !condition.equi.is_empty()
+        && condition.residual.is_none();
+    let probe = rcost::estimate_rows_with(left.as_ref(), catalog, overrides);
+    let build = rcost::estimate_rows_with(right.as_ref(), catalog, overrides);
+    if !commutable || probe >= build {
+        return LogicalPlan::Join {
             left,
             right,
             join_type,
             condition,
             schema,
-        } => {
-            let left = Box::new(commute_joins(*left, catalog, overrides));
-            let right = Box::new(commute_joins(*right, catalog, overrides));
-            // Only an inner join with a pure equi condition commutes
-            // cleanly: a residual predicate and the outer flavours are
-            // resolved against the left ++ right column order.
-            let commutable = join_type == galois_sql::ast::JoinType::Inner
-                && !condition.equi.is_empty()
-                && condition.residual.is_none();
-            let probe = rcost::estimate_rows_with(left.as_ref(), catalog, overrides);
-            let build = rcost::estimate_rows_with(right.as_ref(), catalog, overrides);
-            if !commutable || probe >= build {
-                return LogicalPlan::Join {
-                    left,
-                    right,
-                    join_type,
-                    condition,
-                    schema,
-                };
-            }
-            let l_arity = left.schema().arity();
-            let r_arity = right.schema().arity();
-            let swapped_schema = galois_relational::PlanSchema::new(
-                schema.columns[l_arity..]
-                    .iter()
-                    .chain(&schema.columns[..l_arity])
-                    .cloned()
-                    .collect(),
-            );
-            let swapped = LogicalPlan::Join {
-                left: right,
-                right: left,
-                join_type,
-                condition: galois_relational::JoinCondition {
-                    equi: condition.equi.into_iter().map(|(l, r)| (r, l)).collect(),
-                    residual: None,
-                },
-                schema: swapped_schema,
+        };
+    }
+    let l_arity = left.schema().arity();
+    let r_arity = right.schema().arity();
+    let swapped_schema = galois_relational::PlanSchema::new(
+        schema.columns[l_arity..]
+            .iter()
+            .chain(&schema.columns[..l_arity])
+            .cloned()
+            .collect(),
+    );
+    let swapped = LogicalPlan::Join {
+        left: right,
+        right: left,
+        join_type,
+        condition: galois_relational::JoinCondition {
+            equi: condition.equi.into_iter().map(|(l, r)| (r, l)).collect(),
+            residual: None,
+        },
+        schema: swapped_schema,
+    };
+    // Restore the original left ++ right column order.
+    let exprs = schema
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(i, col)| {
+            let src = if i < l_arity {
+                r_arity + i
+            } else {
+                i - l_arity
             };
-            // Restore the original left ++ right column order.
-            let exprs = schema
-                .columns
-                .iter()
-                .enumerate()
-                .map(|(i, col)| {
-                    let src = if i < l_arity {
-                        r_arity + i
-                    } else {
-                        i - l_arity
-                    };
-                    (
-                        galois_relational::ScalarExpr::Column(galois_relational::ResolvedColumn {
-                            index: src,
-                            binding: col.binding.clone(),
-                            name: col.name.clone(),
-                            data_type: col.data_type,
-                        }),
-                        col.name.clone(),
-                    )
-                })
-                .collect();
-            LogicalPlan::Project {
-                input: Box::new(swapped),
-                exprs,
-                schema,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(commute_joins(*input, catalog, overrides)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(commute_joins(*input, catalog, overrides)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::CrossJoin {
-            left,
-            right,
-            schema,
-        } => LogicalPlan::CrossJoin {
-            left: Box::new(commute_joins(*left, catalog, overrides)),
-            right: Box::new(commute_joins(*right, catalog, overrides)),
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(commute_joins(*input, catalog, overrides)),
-            group_by,
-            aggregates,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(commute_joins(*input, catalog, overrides)),
-            keys,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(commute_joins(*input, catalog, overrides)),
-        },
-        LogicalPlan::Limit { input, n, offset } => LogicalPlan::Limit {
-            input: Box::new(commute_joins(*input, catalog, overrides)),
-            n,
-            offset,
-        },
-        leaf @ LogicalPlan::Scan { .. } => leaf,
+            (
+                galois_relational::ScalarExpr::Column(galois_relational::ResolvedColumn {
+                    index: src,
+                    binding: col.binding.clone(),
+                    name: col.name.clone(),
+                    data_type: col.data_type,
+                }),
+                col.name.clone(),
+            )
+        })
+        .collect();
+    LogicalPlan::Project {
+        input: Box::new(swapped),
+        exprs,
+        schema,
     }
 }
 

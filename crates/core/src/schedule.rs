@@ -2,15 +2,14 @@
 //!
 //! A *wave* is a set of units that share no data dependencies — the client
 //! requests one round of the session's barrier driver fires, the prompts
-//! one instant of its event driver releases, the query streams of an
-//! evaluation harness. [`Crew::run_wave_streaming`] runs a wave across a
-//! session's standing helper threads, handing each `(index, result)` pair
-//! to a sink on the calling thread as units finish, the calling thread
-//! itself working as one of the `K` (`K` = the session's [`Parallelism`]
-//! knob); the helpers park between waves, because a statement runs
-//! several short ones. [`Scheduler::run_wave`] is the positional form on
-//! scoped threads — results come back in submission order — which the
-//! harness uses for its streams.
+//! one instant of its event driver releases. [`Crew::run_wave_streaming`]
+//! runs a wave across a session's standing helper threads, handing each
+//! `(index, result)` pair to a sink on the calling thread as units finish,
+//! the calling thread itself working as one of the `K` (`K` = the
+//! session's [`Parallelism`] knob); the helpers park between waves,
+//! because a statement runs several short ones. [`Scheduler::run_wave`] is
+//! the positional form on scoped threads — results come back in submission
+//! order. Nothing in the workspace calls it any more (see [`Scheduler`]).
 //!
 //! With `Parallelism(1)` both run every unit inline on the calling thread,
 //! in submission order, which keeps the sequential path bit-for-bit
@@ -28,15 +27,25 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 thread_local! {
-    /// Set on scheduler worker threads so *nested* waves (a step wave
-    /// spawning its condition/fetch waves, or the harness wave spawning
-    /// per-query step waves) run inline instead of multiplying threads —
-    /// real concurrency stays bounded by the top-level wave's `K` rather
-    /// than compounding to `K²`/`K³`.
+    /// Set on wave worker threads so *nested* waves (a unit that starts a
+    /// wave of its own) run inline instead of multiplying threads — real
+    /// concurrency stays bounded by the top-level wave's `K` rather than
+    /// compounding to `K²`/`K³`.
     static IN_WAVE_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Executes waves of independent closures across a bounded worker pool.
+///
+/// No engine path and no harness uses it: a session's concurrency is its
+/// [`Crew`], cross-query concurrency is [`crate::run_multi_query`]'s
+/// logical pass and replay, and the eval harness is sequential. [`new`]
+/// and [`run_wave`] keep their signatures because `galois_benchmark`'s
+/// `core.schedule.wave_ns_per_unit` probe compiles against them and that
+/// package changes only in a benchmark-only PR — which deletes the probe
+/// and this type together (ROADMAP 2b).
+///
+/// [`new`]: Scheduler::new
+/// [`run_wave`]: Scheduler::run_wave
 #[derive(Debug, Clone, Copy)]
 pub struct Scheduler {
     workers: usize,
@@ -48,11 +57,6 @@ impl Scheduler {
         Scheduler {
             workers: parallelism.get(),
         }
-    }
-
-    /// The worker-pool bound.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Runs one wave of independent units, returning their results in

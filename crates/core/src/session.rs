@@ -83,7 +83,8 @@ enum Prepared {
 /// are materialised through prompts at query time.
 ///
 /// Sessions are `Sync`: one session may serve queries from many threads
-/// concurrently (the harness does exactly that), sharing the prompt cache.
+/// concurrently, sharing the prompt cache (`tests/concurrency_determinism.rs`
+/// holds what they may and may not observe of each other).
 pub struct Galois {
     /// Shared with the request units handed to [`Crew`] helpers, which
     /// outlive the call that posts them.
@@ -474,7 +475,7 @@ mod tests {
         (s, g)
     }
 
-    fn oracle_session_parallel(lanes: usize) -> (Scenario, Galois) {
+    fn oracle_session_with_lanes(lanes: usize) -> (Scenario, Galois) {
         let s = Scenario::generate(42);
         let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
         let g = Galois::with_options(
@@ -651,10 +652,10 @@ mod tests {
     #[test]
     fn parallel_run_matches_sequential_results_and_counts() {
         let sql = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
-        let (_, seq) = oracle_session_parallel(1);
+        let (_, seq) = oracle_session_with_lanes(1);
         let base = seq.execute(sql).unwrap();
         for lanes in [2, 8] {
-            let (_, par) = oracle_session_parallel(lanes);
+            let (_, par) = oracle_session_with_lanes(lanes);
             let got = par.execute(sql).unwrap();
             assert_eq!(got.relation.rows, base.relation.rows, "lanes {lanes}");
             assert_eq!(
@@ -678,8 +679,8 @@ mod tests {
     #[test]
     fn parallel_join_is_virtually_faster() {
         let sql = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
-        let (_, seq) = oracle_session_parallel(1);
-        let (_, par) = oracle_session_parallel(8);
+        let (_, seq) = oracle_session_with_lanes(1);
+        let (_, par) = oracle_session_with_lanes(8);
         let a = seq.execute(sql).unwrap();
         let b = par.execute(sql).unwrap();
         assert!(

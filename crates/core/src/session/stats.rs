@@ -164,7 +164,7 @@ impl StepStats {
     /// such a prompt would bill the same keys twice — and, because
     /// raw-cache hits on chunk strings only arise when concurrent queries
     /// race into identical chunks, would make `cache_hits` depend on
-    /// arrival order. On a single harness thread this equals [`absorb`]
+    /// arrival order. With one query thread this equals [`absorb`]
     /// exactly: a pending key is by construction not yet stored, so a
     /// re-ask chunk can never reproduce an earlier chunk's prompt string
     /// and such hits are zero.

@@ -9,13 +9,22 @@
 //! conjunctive filters, multi-column fetches, multi-step joins including a
 //! self-join whose steps race on identical prompts) through real worker
 //! threads.
+//!
+//! The same holds across statements: query threads sharing one session
+//! (or one QA baseline) leave every `R_M`, every per-query prompt count
+//! and the suite's cache-hit bill where a single thread puts them. The
+//! eval harness used to check that through its own K query streams; it
+//! is sequential now, and the checks live here on plain scoped threads.
 
-use galois_core::{Galois, GaloisOptions, ListStore, Parallelism};
+use galois_core::{
+    BaselineKind, Galois, GaloisOptions, GaloisResult, ListStore, Parallelism, PromptBatch,
+    QaBaseline,
+};
 use galois_dataset::{Scenario, WorldConfig};
 use galois_llm::{Completion, KeyUniverseStore, LanguageModel, ModelProfile, SimLlm};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Query shapes covering scans, filters, fetches, aggregates and joins.
 /// The self-join makes two concurrent steps issue *identical* prompts, so
@@ -198,6 +207,146 @@ fn racing_threads_share_one_deduplicated_universe() {
         assert_eq!(
             calls, seq_calls,
             "prompt count must be deterministic under the race (attempt {attempt})"
+        );
+    }
+}
+
+/// Runs `units` work items on `threads` scoped threads — started together
+/// by a barrier, each claiming the next index from a shared counter — and
+/// returns the results in index order.
+fn on_query_threads<T: Send>(
+    units: usize,
+    threads: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let start = Barrier::new(threads);
+    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= units {
+                            break mine;
+                        }
+                        mine.push((i, work(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a query thread panicked"))
+            .collect()
+    });
+    claimed.sort_by_key(|(i, _)| *i);
+    claimed.into_iter().map(|(_, result)| result).collect()
+}
+
+/// The 46-query suite through one fresh session on `threads` query threads.
+fn suite_on_query_threads(
+    s: &Scenario,
+    profile: &str,
+    options: GaloisOptions,
+    threads: usize,
+) -> Vec<GaloisResult> {
+    let galois = Galois::with_options(model(s, profile), s.database.clone(), options);
+    on_query_threads(s.suite.len(), threads, |i| {
+        galois
+            .execute(&s.suite[i].to_sql())
+            .expect("suite queries execute")
+    })
+}
+
+/// Eight query threads over one shared default session, on the oracle and
+/// two noisy models: every query's `R_M` — so Tables 1 and 2, which are
+/// functions of it — and prompt count are the single-threaded ones, and so
+/// are the suite's prompt, cache-hit and serial-clock totals. Only the
+/// per-query *attribution* of cross-query cache hits may shift. The QA
+/// baselines share a client the same way and answer the same.
+#[test]
+fn query_threads_leave_relations_prompt_counts_and_suite_totals_unchanged() {
+    let s = Scenario::generate_with(
+        42,
+        WorldConfig {
+            countries: 8,
+            cities: 20,
+            airports: 10,
+            singers: 10,
+            concerts: 12,
+            employees: 15,
+        },
+    );
+    for profile in ["oracle", "flan", "chatgpt"] {
+        let single = suite_on_query_threads(&s, profile, GaloisOptions::default(), 1);
+        let threaded = suite_on_query_threads(&s, profile, GaloisOptions::default(), 8);
+        for ((spec, a), b) in s.suite.iter().zip(&single).zip(&threaded) {
+            assert_eq!(a.relation.rows, b.relation.rows, "{profile} q{}", spec.id);
+            assert_eq!(
+                a.stats.total_prompts(),
+                b.stats.total_prompts(),
+                "{profile} q{} prompts",
+                spec.id
+            );
+        }
+        let totals = |run: &[GaloisResult]| {
+            run.iter().fold((0, 0, 0), |(p, h, ms), r| {
+                (
+                    p + r.stats.total_prompts(),
+                    h + r.stats.cache_hits,
+                    ms + r.stats.serial_virtual_ms,
+                )
+            })
+        };
+        assert_eq!(totals(&single), totals(&threaded), "{profile} suite totals");
+
+        for kind in [BaselineKind::Plain, BaselineKind::ChainOfThought] {
+            let ask = |threads| {
+                let baseline = QaBaseline::new(model(&s, profile));
+                on_query_threads(s.suite.len(), threads, |i| {
+                    let answer = baseline.ask(&s.suite[i].question(), kind);
+                    (answer.records, answer.virtual_ms)
+                })
+            };
+            assert_eq!(ask(1), ask(4), "{profile} {kind:?} baseline");
+        }
+    }
+}
+
+/// Sub-entry hits are billed by signature, never by arrival order: on the
+/// key-batched configuration the suite's cache-hit total and every `R_M`
+/// are the same at 1 and at 8 query threads, run after run. (Prompt totals
+/// are left out: racing queries may split a chunk differently and re-ask
+/// an in-flight key.)
+#[test]
+fn suite_cache_hits_are_query_thread_count_invariant() {
+    let s = scenario(42);
+    let run = |threads| {
+        let batched = GaloisOptions {
+            prompt_batch: PromptBatch::Keys(10),
+            parallelism: Parallelism::new(8),
+            ..Default::default()
+        };
+        suite_on_query_threads(&s, "oracle", batched, threads)
+    };
+    let hits = |run: &[GaloisResult]| run.iter().map(|r| r.stats.cache_hits).sum::<usize>();
+    let single = run(1);
+    for attempt in 0..3 {
+        let threaded = run(8);
+        for ((spec, a), b) in s.suite.iter().zip(&single).zip(&threaded) {
+            assert_eq!(
+                a.relation.rows, b.relation.rows,
+                "q{} (attempt {attempt})",
+                spec.id
+            );
+        }
+        assert_eq!(
+            hits(&single),
+            hits(&threaded),
+            "cache-hit totals wobbled under threads (attempt {attempt})"
         );
     }
 }

@@ -63,40 +63,13 @@ impl ConcurrentSuiteRun {
     /// embed the pool contention, so no further lane packing applies).
     pub fn totals(&self) -> SuiteTotals {
         SuiteTotals {
-            prompts: self
-                .run
-                .outcomes
-                .iter()
-                .map(|o| o.stats.total_prompts())
-                .sum(),
-            cache_hits: self.run.outcomes.iter().map(|o| o.stats.cache_hits).sum(),
-            serial_virtual_ms: self
-                .run
-                .outcomes
-                .iter()
-                .map(|o| o.stats.serial_virtual_ms)
-                .sum(),
             virtual_ms: self.makespan_ms,
-            list_virtual_ms: self
-                .run
-                .outcomes
-                .iter()
-                .map(|o| o.stats.list_virtual_ms)
-                .sum(),
-            filter_virtual_ms: self
-                .run
-                .outcomes
-                .iter()
-                .map(|o| o.stats.filter_virtual_ms)
-                .sum(),
-            fetch_virtual_ms: self
-                .run
-                .outcomes
-                .iter()
-                .map(|o| o.stats.fetch_virtual_ms)
-                .sum(),
-            wall_ms: self.run.wall_ms,
             queue_ms: self.total_queue_ms,
+            ..SuiteTotals::from_stats(
+                self.run.outcomes.iter().map(|o| &o.stats),
+                1,
+                self.run.wall_ms,
+            )
         }
     }
 }
@@ -182,7 +155,7 @@ pub fn run_suite_concurrent_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_galois_suite_parallel, suite_totals};
+    use crate::harness::{run_galois_suite, suite_totals};
     use galois_core::{Admission, AdmissionPolicy, Parallelism, Pipeline, PromptBatch};
 
     fn small_scenario() -> Scenario {
@@ -211,7 +184,7 @@ mod tests {
     #[test]
     fn concurrent_suite_matches_serial_answers_and_beats_its_clock() {
         let s = small_scenario();
-        let serial = run_galois_suite_parallel(&s, ModelProfile::oracle(), streaming_options(), 1);
+        let serial = run_galois_suite(&s, ModelProfile::oracle(), streaming_options());
         let concurrent =
             run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 8).unwrap();
         assert_eq!(concurrent.sessions, 8);
@@ -256,7 +229,7 @@ mod tests {
         assert!(run.prompts_per_query() > 0.0);
         // Serial-harness totals agree on the interleaving-independent
         // accounting (prompt volume, cache hits, serial clock).
-        let serial = run_galois_suite_parallel(&s, ModelProfile::oracle(), streaming_options(), 1);
+        let serial = run_galois_suite(&s, ModelProfile::oracle(), streaming_options());
         let st = suite_totals(&serial, 1);
         assert_eq!(totals.prompts, st.prompts);
         assert_eq!(totals.cache_hits, st.cache_hits);
@@ -266,7 +239,7 @@ mod tests {
     #[test]
     fn one_session_concurrent_run_is_the_serial_suite() {
         let s = small_scenario();
-        let serial = run_galois_suite_parallel(&s, ModelProfile::oracle(), streaming_options(), 1);
+        let serial = run_galois_suite(&s, ModelProfile::oracle(), streaming_options());
         let one = run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 1).unwrap();
         let serial_sum: u64 = serial.outcomes.iter().map(|o| o.stats.virtual_ms).sum();
         assert_eq!(one.makespan_ms, serial_sum);

@@ -10,11 +10,11 @@
 use crate::cardinality::{average_diff, cardinality_diff_percent};
 use crate::matching::{match_records, relation_to_records, MatchOutcome};
 use crate::report::{percent0, signed1, TextTable};
-use galois_core::{BaselineKind, Galois, GaloisOptions, QaBaseline, QueryStats, Scheduler};
+use galois_core::{BaselineKind, Galois, GaloisOptions, QaBaseline, QueryStats};
 use galois_dataset::{
     build_operator_suite, OperatorCheck, OperatorFamily, QueryCategory, Scenario,
 };
-use galois_llm::{lane_schedule, LanguageModel, ModelProfile, Parallelism, SimLlm};
+use galois_llm::{lane_schedule, LanguageModel, ModelProfile, SimLlm};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,87 +80,58 @@ pub fn model_for(scenario: &Scenario, profile: ModelProfile) -> Arc<dyn Language
     Arc::new(SimLlm::new(scenario.knowledge.clone(), profile))
 }
 
-/// Runs all 46 queries through Galois on the given model, sequentially
-/// (equivalent to [`run_galois_suite_parallel`] with one thread).
+/// Runs all 46 queries through a fresh Galois session on the given model,
+/// in suite order.
 pub fn run_galois_suite(
     scenario: &Scenario,
     profile: ModelProfile,
     options: GaloisOptions,
 ) -> GaloisRun {
-    run_galois_suite_parallel(scenario, profile, options, 1)
-}
-
-/// Runs all 46 queries through Galois on the given model, across up to
-/// `threads` worker threads.
-///
-/// One shared session serves every query (as in the sequential harness, so
-/// the prompt cache is reused across queries), workers claim queries from
-/// a shared queue, and outcomes are always collected in suite order — the
-/// report artifacts (Table 1 / Table 2) are byte-identical to a
-/// single-threaded run for any thread count, because each query's `R_M`
-/// relation is a deterministic function of its prompts alone.
-pub fn run_galois_suite_parallel(
-    scenario: &Scenario,
-    profile: ModelProfile,
-    options: GaloisOptions,
-    threads: usize,
-) -> GaloisRun {
     let model_name = profile.name.clone();
     let model = model_for(scenario, profile);
     let galois = Galois::with_options(model, scenario.database.clone(), options);
-    run_galois_suite_on(scenario, &galois, &model_name, threads)
+    run_galois_suite_on(scenario, &galois, &model_name)
 }
 
-/// Runs all 46 queries through an *existing* Galois session, across up to
-/// `threads` worker threads.
+/// Runs all 46 queries through an *existing* Galois session, in suite
+/// order.
 ///
-/// Separated from [`run_galois_suite_parallel`] (which constructs a fresh
-/// session) so callers can run the suite repeatedly on one session and
-/// measure what session-lived state — the prompt cache, and the
-/// key-universe store when [`galois_core::ListStore`] is enabled — buys
-/// the second pass.
-pub fn run_galois_suite_on(
-    scenario: &Scenario,
-    galois: &Galois,
-    model_name: &str,
-    threads: usize,
-) -> GaloisRun {
+/// Separated from [`run_galois_suite`] (which constructs a fresh session)
+/// so callers can run the suite repeatedly on one session and measure what
+/// session-lived state — the prompt cache, and the key-universe store when
+/// [`galois_core::ListStore`] is enabled — buys the second pass.
+pub fn run_galois_suite_on(scenario: &Scenario, galois: &Galois, model_name: &str) -> GaloisRun {
     let started = Instant::now();
-    let scheduler = Scheduler::new(Parallelism::new(threads));
-    let units: Vec<_> = scenario
+    let outcomes = scenario
         .suite
         .iter()
         .map(|spec| {
-            let galois = &galois;
-            move || {
-                let sql = spec.to_sql();
-                let truth = scenario
-                    .database
-                    .execute(&sql)
-                    .expect("suite queries execute on ground truth");
-                let (relation, stats) = match galois.execute(&sql) {
-                    Ok(r) => (r.relation, r.stats),
-                    // An execution failure contributes an empty result —
-                    // the system returned nothing for this query.
-                    Err(_) => (
-                        galois_relational::Relation::empty(truth.schema.clone()),
-                        QueryStats::default(),
-                    ),
-                };
-                let matching = match_records(&truth, &relation_to_records(&relation));
-                QueryOutcome {
-                    id: spec.id,
-                    category: spec.category,
-                    truth_rows: truth.len(),
-                    result_rows: relation.len(),
-                    cardinality_diff: cardinality_diff_percent(truth.len(), relation.len()),
-                    matching,
-                    stats,
-                }
+            let sql = spec.to_sql();
+            let truth = scenario
+                .database
+                .execute(&sql)
+                .expect("suite queries execute on ground truth");
+            let (relation, stats) = match galois.execute(&sql) {
+                Ok(r) => (r.relation, r.stats),
+                // An execution failure contributes an empty result —
+                // the system returned nothing for this query.
+                Err(_) => (
+                    galois_relational::Relation::empty(truth.schema.clone()),
+                    QueryStats::default(),
+                ),
+            };
+            let matching = match_records(&truth, &relation_to_records(&relation));
+            QueryOutcome {
+                id: spec.id,
+                category: spec.category,
+                truth_rows: truth.len(),
+                result_rows: relation.len(),
+                cardinality_diff: cardinality_diff_percent(truth.len(), relation.len()),
+                matching,
+                stats,
             }
         })
         .collect();
-    let outcomes = scheduler.run_wave(units);
     GaloisRun {
         model: model_name.to_string(),
         outcomes,
@@ -169,7 +140,7 @@ pub fn run_galois_suite_on(
 }
 
 /// Aggregate prompt/latency accounting over one Galois suite run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuiteTotals {
     /// Prompts that reached the model or cache, across all queries.
     pub prompts: usize,
@@ -202,20 +173,33 @@ pub struct SuiteTotals {
     pub queue_ms: u64,
 }
 
+impl SuiteTotals {
+    /// Folds per-query stats, packing the queries' virtual clocks onto
+    /// `lanes` modelled concurrent query streams for the suite makespan.
+    pub fn from_stats<'a>(
+        stats: impl IntoIterator<Item = &'a QueryStats>,
+        lanes: usize,
+        wall_ms: u64,
+    ) -> SuiteTotals {
+        let stats: Vec<&QueryStats> = stats.into_iter().collect();
+        SuiteTotals {
+            prompts: stats.iter().map(|s| s.total_prompts()).sum(),
+            cache_hits: stats.iter().map(|s| s.cache_hits).sum(),
+            serial_virtual_ms: stats.iter().map(|s| s.serial_virtual_ms).sum(),
+            virtual_ms: lane_schedule(stats.iter().map(|s| s.virtual_ms), lanes),
+            list_virtual_ms: stats.iter().map(|s| s.list_virtual_ms).sum(),
+            filter_virtual_ms: stats.iter().map(|s| s.filter_virtual_ms).sum(),
+            fetch_virtual_ms: stats.iter().map(|s| s.fetch_virtual_ms).sum(),
+            wall_ms,
+            queue_ms: stats.iter().map(|s| s.queue_ms).sum(),
+        }
+    }
+}
+
 /// Folds a run's per-query stats into [`SuiteTotals`], modelling `lanes`
 /// concurrent query streams for the suite-level virtual makespan.
 pub fn suite_totals(run: &GaloisRun, lanes: usize) -> SuiteTotals {
-    SuiteTotals {
-        prompts: run.outcomes.iter().map(|o| o.stats.total_prompts()).sum(),
-        cache_hits: run.outcomes.iter().map(|o| o.stats.cache_hits).sum(),
-        serial_virtual_ms: run.outcomes.iter().map(|o| o.stats.serial_virtual_ms).sum(),
-        virtual_ms: lane_schedule(run.outcomes.iter().map(|o| o.stats.virtual_ms), lanes),
-        list_virtual_ms: run.outcomes.iter().map(|o| o.stats.list_virtual_ms).sum(),
-        filter_virtual_ms: run.outcomes.iter().map(|o| o.stats.filter_virtual_ms).sum(),
-        fetch_virtual_ms: run.outcomes.iter().map(|o| o.stats.fetch_virtual_ms).sum(),
-        wall_ms: run.wall_ms,
-        queue_ms: run.outcomes.iter().map(|o| o.stats.queue_ms).sum(),
-    }
+    SuiteTotals::from_stats(run.outcomes.iter().map(|o| &o.stats), lanes, run.wall_ms)
 }
 
 /// One query's outcome under a QA baseline.
@@ -261,50 +245,32 @@ impl BaselineRun {
     }
 }
 
-/// Runs the NL-question baseline over the suite, sequentially.
+/// Runs the NL-question baseline over the suite, in suite order.
 pub fn run_baseline_suite(
     scenario: &Scenario,
     profile: ModelProfile,
     kind: BaselineKind,
 ) -> BaselineRun {
-    run_baseline_suite_parallel(scenario, profile, kind, 1)
-}
-
-/// Runs the NL-question baseline over the suite across up to `threads`
-/// worker threads, with outcomes in suite order.
-pub fn run_baseline_suite_parallel(
-    scenario: &Scenario,
-    profile: ModelProfile,
-    kind: BaselineKind,
-    threads: usize,
-) -> BaselineRun {
     let started = Instant::now();
     let model_name = profile.name.clone();
-    let model = model_for(scenario, profile);
-    let baseline = QaBaseline::new(model);
-    let scheduler = Scheduler::new(Parallelism::new(threads));
-    let units: Vec<_> = scenario
+    let baseline = QaBaseline::new(model_for(scenario, profile));
+    let outcomes = scenario
         .suite
         .iter()
         .map(|spec| {
-            let baseline = &baseline;
-            move || {
-                let truth = scenario
-                    .database
-                    .execute(&spec.to_sql())
-                    .expect("suite queries execute on ground truth");
-                let result = baseline.ask(&spec.question(), kind);
-                let matching = match_records(&truth, &result.records);
-                BaselineOutcome {
-                    id: spec.id,
-                    category: spec.category,
-                    matching,
-                    virtual_ms: result.virtual_ms,
-                }
+            let truth = scenario
+                .database
+                .execute(&spec.to_sql())
+                .expect("suite queries execute on ground truth");
+            let result = baseline.ask(&spec.question(), kind);
+            BaselineOutcome {
+                id: spec.id,
+                category: spec.category,
+                matching: match_records(&truth, &result.records),
+                virtual_ms: result.virtual_ms,
             }
         })
         .collect();
-    let outcomes = scheduler.run_wave(units);
     BaselineRun {
         model: model_name,
         kind,
@@ -315,21 +281,10 @@ pub fn run_baseline_suite_parallel(
 
 /// Regenerates **Table 1**: average cardinality difference per model.
 pub fn table1(scenario: &Scenario, profiles: &[ModelProfile]) -> (TextTable, Vec<(String, f64)>) {
-    table1_parallel(scenario, profiles, 1)
-}
-
-/// [`table1`] with each profile's suite run across `threads` workers; the
-/// rendered table is byte-identical for any thread count.
-pub fn table1_parallel(
-    scenario: &Scenario,
-    profiles: &[ModelProfile],
-    threads: usize,
-) -> (TextTable, Vec<(String, f64)>) {
     let mut table = TextTable::new(&["model", "diff as % of |R_D|"]);
     let mut values = Vec::new();
     for profile in profiles {
-        let run =
-            run_galois_suite_parallel(scenario, profile.clone(), GaloisOptions::default(), threads);
+        let run = run_galois_suite(scenario, profile.clone(), GaloisOptions::default());
         let avg = run.average_cardinality_diff();
         table.row(vec![run.model.clone(), signed1(avg)]);
         values.push((run.model, avg));
@@ -371,12 +326,6 @@ impl Table2 {
 
 /// Regenerates **Table 2** on one model (the paper uses ChatGPT).
 pub fn table2(scenario: &Scenario, profile: ModelProfile) -> Table2 {
-    table2_parallel(scenario, profile, 1)
-}
-
-/// [`table2`] with each suite run across `threads` workers; the rendered
-/// table is byte-identical for any thread count.
-pub fn table2_parallel(scenario: &Scenario, profile: ModelProfile, threads: usize) -> Table2 {
     let by_cat = |scores: &dyn Fn(Option<QueryCategory>) -> f64| {
         (
             scores(None),
@@ -385,12 +334,9 @@ pub fn table2_parallel(scenario: &Scenario, profile: ModelProfile, threads: usiz
             scores(Some(QueryCategory::Join)),
         )
     };
-    let galois_run =
-        run_galois_suite_parallel(scenario, profile.clone(), GaloisOptions::default(), threads);
-    let qa_run =
-        run_baseline_suite_parallel(scenario, profile.clone(), BaselineKind::Plain, threads);
-    let cot_run =
-        run_baseline_suite_parallel(scenario, profile, BaselineKind::ChainOfThought, threads);
+    let galois_run = run_galois_suite(scenario, profile.clone(), GaloisOptions::default());
+    let qa_run = run_baseline_suite(scenario, profile.clone(), BaselineKind::Plain);
+    let cot_run = run_baseline_suite(scenario, profile, BaselineKind::ChainOfThought);
     Table2 {
         galois: by_cat(&|c| galois_run.content_score(c)),
         qa: by_cat(&|c| qa_run.content_score(c)),
@@ -693,39 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_harness_reports_are_byte_identical() {
-        let s = small_scenario();
-        let (seq_t1, _) = table1(&s, &[ModelProfile::oracle(), ModelProfile::flan()]);
-        let (par_t1, _) = table1_parallel(&s, &[ModelProfile::oracle(), ModelProfile::flan()], 4);
-        assert_eq!(seq_t1.render(), par_t1.render());
-        let seq_t2 = table2(&s, ModelProfile::chatgpt()).render();
-        let par_t2 = table2_parallel(&s, ModelProfile::chatgpt(), 4).render();
-        assert_eq!(seq_t2, par_t2);
-    }
-
-    #[test]
-    fn parallel_harness_preserves_suite_totals() {
-        let s = small_scenario();
-        let seq = run_galois_suite(&s, ModelProfile::chatgpt(), GaloisOptions::default());
-        let par =
-            run_galois_suite_parallel(&s, ModelProfile::chatgpt(), GaloisOptions::default(), 8);
-        let a = suite_totals(&seq, 1);
-        let b = suite_totals(&par, 1);
-        // Prompt volume, cache-hit totals and serial virtual time are
-        // interleaving-independent; only per-query *attribution* of
-        // cross-query cache hits may shift.
-        assert_eq!(a.prompts, b.prompts);
-        assert_eq!(a.cache_hits, b.cache_hits);
-        assert_eq!(a.serial_virtual_ms, b.serial_virtual_ms);
-        for (x, y) in seq.outcomes.iter().zip(&par.outcomes) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.result_rows, y.result_rows);
-            assert_eq!(x.stats.total_prompts(), y.stats.total_prompts());
-            assert_eq!(x.matching.score(), y.matching.score());
-        }
-    }
-
-    #[test]
     fn operator_families_are_exact_on_the_oracle() {
         let s = small_scenario();
         let run = run_operator_suite(&s, ModelProfile::oracle(), GaloisOptions::default());
@@ -846,10 +759,8 @@ mod tests {
             pipeline: galois_core::Pipeline::Streaming,
             ..batched.clone()
         };
-        // One harness thread keeps cross-query cache interleaving
-        // deterministic, so the totals compare exactly.
-        let a = run_galois_suite_parallel(&s, ModelProfile::oracle(), batched, 1);
-        let b = run_galois_suite_parallel(&s, ModelProfile::oracle(), pipelined, 1);
+        let a = run_galois_suite(&s, ModelProfile::oracle(), batched);
+        let b = run_galois_suite(&s, ModelProfile::oracle(), pipelined);
         assert_eq!(a.content_score(None), b.content_score(None));
         assert_eq!(a.average_cardinality_diff(), b.average_cardinality_diff());
         let at = suite_totals(&a, lanes);
@@ -871,14 +782,13 @@ mod tests {
         let s = small_scenario();
         let lanes = 8;
         let sequential = run_galois_suite(&s, ModelProfile::oracle(), GaloisOptions::default());
-        let scheduled = run_galois_suite_parallel(
+        let scheduled = run_galois_suite(
             &s,
             ModelProfile::oracle(),
             GaloisOptions {
                 parallelism: galois_llm::Parallelism::new(lanes),
                 ..Default::default()
             },
-            lanes,
         );
         let before = suite_totals(&sequential, 1);
         let after = suite_totals(&scheduled, lanes);

@@ -25,10 +25,9 @@ pub mod report;
 pub use cardinality::{average_diff, cardinality_diff_percent, cardinality_ratio};
 pub use concurrent::{run_suite_concurrent, run_suite_concurrent_on, ConcurrentSuiteRun};
 pub use harness::{
-    model_for, run_baseline_suite, run_baseline_suite_parallel, run_galois_suite,
-    run_galois_suite_on, run_galois_suite_parallel, run_operator_suite, suite_totals, table1,
-    table1_parallel, table2, table2_parallel, timing_summary, BaselineOutcome, BaselineRun,
-    GaloisRun, OperatorOutcome, OperatorRun, QueryOutcome, SuiteTotals, Table2, TimingSummary,
+    model_for, run_baseline_suite, run_galois_suite, run_galois_suite_on, run_operator_suite,
+    suite_totals, table1, table2, timing_summary, BaselineOutcome, BaselineRun, GaloisRun,
+    OperatorOutcome, OperatorRun, QueryOutcome, SuiteTotals, Table2, TimingSummary,
 };
 pub use matching::{cell_matches, match_records, relation_to_records, MatchOutcome};
 pub use report::{percent0, signed1, TextTable};

@@ -13,8 +13,8 @@
 //!
 //! The knob applies *per scheduling level*: a batch's members decode
 //! across `K` provider streams, a wave's independent batches occupy `K`
-//! request lanes, and the harness may additionally run `K` concurrent
-//! query streams. Because the levels compose, an end-to-end speedup can
+//! request lanes, and a suite's per-query clocks may additionally be
+//! packed over `K` modelled query streams. Because the levels compose, an end-to-end speedup can
 //! exceed `K` (it is bounded by the product of the levels involved) — the
 //! model is "each scheduling point sees `K`-way concurrency", not a
 //! single global pool of `K` connections.

@@ -215,10 +215,11 @@ impl ModelProfile {
         vec![Self::flan(), Self::tk(), Self::gpt3(), Self::chatgpt()]
     }
 
-    /// Looks a profile up by name.
+    /// Looks a profile up by name: the paper's four, or `oracle`.
     pub fn by_name(name: &str) -> Option<ModelProfile> {
         Self::all()
             .into_iter()
+            .chain([Self::oracle()])
             .find(|p| p.name.eq_ignore_ascii_case(name))
     }
 
@@ -288,6 +289,10 @@ mod tests {
     fn lookup_by_name() {
         assert!(ModelProfile::by_name("ChatGPT").is_some());
         assert!(ModelProfile::by_name("gpt3").is_some());
+        assert_eq!(
+            ModelProfile::by_name("oracle"),
+            Some(ModelProfile::oracle())
+        );
         assert!(ModelProfile::by_name("claude").is_none());
     }
 

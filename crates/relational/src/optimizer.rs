@@ -34,74 +34,10 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 
 fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     // Bottom-up: rewrite children first.
-    let plan = map_children(plan, rewrite);
+    let plan = plan.map_children(rewrite);
     match plan {
         LogicalPlan::Filter { input, predicate } => rewrite_filter(*input, predicate),
         other => other,
-    }
-}
-
-fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { .. } => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            condition,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            join_type,
-            condition,
-            schema,
-        },
-        LogicalPlan::CrossJoin {
-            left,
-            right,
-            schema,
-        } => LogicalPlan::CrossJoin {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group_by,
-            aggregates,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Limit { input, n, offset } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            n,
-            offset,
-        },
     }
 }
 

@@ -240,6 +240,85 @@ impl LogicalPlan {
         }
     }
 
+    /// Rebuilds this operator around `f` applied to each immediate child
+    /// (left before right); every other field is kept. The shared spine
+    /// of the tree rewrites — a walker states only the arms that do
+    /// something.
+    pub fn map_children(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        match self.try_map_children(|child| Ok::<_, std::convert::Infallible>(f(child))) {
+            Ok(plan) => plan,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`LogicalPlan::map_children`] for a rewrite that can fail: the first
+    /// error is returned and the remaining children are not visited.
+    pub fn try_map_children<E>(
+        self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan, E>,
+    ) -> Result<LogicalPlan, E> {
+        let mut map = |child: Box<LogicalPlan>| f(*child).map(Box::new);
+        Ok(match self {
+            LogicalPlan::Scan { .. } => self,
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: map(input)?,
+                predicate,
+            },
+            LogicalPlan::Project {
+                input,
+                exprs,
+                schema,
+            } => LogicalPlan::Project {
+                input: map(input)?,
+                exprs,
+                schema,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                condition,
+                schema,
+            } => LogicalPlan::Join {
+                left: map(left)?,
+                right: map(right)?,
+                join_type,
+                condition,
+                schema,
+            },
+            LogicalPlan::CrossJoin {
+                left,
+                right,
+                schema,
+            } => LogicalPlan::CrossJoin {
+                left: map(left)?,
+                right: map(right)?,
+                schema,
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggregates,
+                schema,
+            } => LogicalPlan::Aggregate {
+                input: map(input)?,
+                group_by,
+                aggregates,
+                schema,
+            },
+            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+                input: map(input)?,
+                keys,
+            },
+            LogicalPlan::Distinct { input } => LogicalPlan::Distinct { input: map(input)? },
+            LogicalPlan::Limit { input, n, offset } => LogicalPlan::Limit {
+                input: map(input)?,
+                n,
+                offset,
+            },
+        })
+    }
+
     /// All scans in the plan, left to right.
     pub fn scans(&self) -> Vec<&LogicalPlan> {
         let mut out = Vec::new();
@@ -464,15 +543,55 @@ mod tests {
         assert_eq!(schema.columns[1].data_type, DataType::Int);
     }
 
-    #[test]
-    fn explain_renders_tree() {
-        let scan = LogicalPlan::Scan {
-            table: "city".into(),
-            binding: "c".into(),
+    fn scan(table: &str) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table: table.into(),
+            binding: table.into(),
             source: None,
             schema: PlanSchema::default(),
             key_index: 0,
+        }
+    }
+
+    #[test]
+    fn map_children_visits_left_then_right_and_stops_at_the_first_error() {
+        let tree = LogicalPlan::Distinct {
+            input: Box::new(LogicalPlan::CrossJoin {
+                left: Box::new(scan("a")),
+                right: Box::new(scan("b")),
+                schema: PlanSchema::default(),
+            }),
         };
+        // One level only: the Distinct's child is the cross join itself.
+        let mut seen = 0;
+        let same = tree.clone().map_children(|child| {
+            seen += 1;
+            child
+        });
+        assert_eq!((same, seen), (tree.clone(), 1));
+
+        let LogicalPlan::Distinct { input } = tree else {
+            unreachable!()
+        };
+        let mut order = Vec::new();
+        let renamed = input.clone().map_children(|child| {
+            order.push(child.explain());
+            scan("t")
+        });
+        assert_eq!(order, ["Scan a AS a\n", "Scan b AS b\n"]);
+        assert_eq!(renamed.children(), [&scan("t"), &scan("t")]);
+
+        let mut visited = 0;
+        let failed = input.try_map_children(|_| {
+            visited += 1;
+            Err::<LogicalPlan, _>("no")
+        });
+        assert_eq!((failed, visited), (Err("no"), 1));
+    }
+
+    #[test]
+    fn explain_renders_tree() {
+        let scan = scan("city");
         let plan = LogicalPlan::Limit {
             input: Box::new(scan),
             n: 3,

@@ -4,16 +4,20 @@
 //! subset it needs (hence the file-wide `dead_code` allowance): the small
 //! world config, row/stat normalisers, session constructors, the
 //! options-matrix builder, the suite runner with its stat-snapshot diff,
-//! and the adversarial model wrappers that corrupt batched answers.
+//! the serving-stack session and its per-pass readings, and the
+//! adversarial model wrappers that corrupt batched answers.
 
 #![allow(dead_code)]
 
 use galois::core::{
-    EarlyStop, Galois, GaloisOptions, ListStore, Parallelism, Pipeline, PromptBatch, QueryStats,
+    EarlyStop, Galois, GaloisOptions, ListStore, Parallelism, Pipeline, Planner, PromptBatch,
+    QueryStats,
 };
-use galois::dataset::{Scenario, WorldConfig};
+use galois::dataset::{build_operator_suite, Scenario, WorldConfig};
 use galois::llm::intent::{parse_task, TaskIntent};
-use galois::llm::{Completion, FaultProfile, FaultyLlm, LanguageModel, ModelProfile, SimLlm};
+use galois::llm::{
+    ClientStats, Completion, FaultProfile, FaultyLlm, LanguageModel, ModelProfile, SimLlm,
+};
 use galois::relational::{Relation, Value};
 use std::sync::Arc;
 
@@ -120,6 +124,71 @@ pub fn session_with_model(
     opts: GaloisOptions,
 ) -> Galois {
     Galois::with_options(model, s.database.clone(), opts)
+}
+
+/// The serving stack (`grid_stack_options(8, 10, 6)`): streaming, cost
+/// planner, grid batching, eight lanes, over the given key-universe store.
+pub fn serving_options(list_store: ListStore) -> GaloisOptions {
+    GaloisOptions {
+        planner: Planner::CostBased,
+        ..options(
+            list_store,
+            Pipeline::Streaming,
+            PromptBatch::Grid { keys: 10, attrs: 6 },
+            8,
+        )
+    }
+}
+
+/// A session over the scenario's knowledge as `profile` answers it.
+pub fn serving_session(
+    scenario: &Scenario,
+    profile: ModelProfile,
+    options: GaloisOptions,
+) -> Galois {
+    let model = SimLlm::new(scenario.knowledge.clone(), profile);
+    session_with_model(Arc::new(model), scenario, options)
+}
+
+/// The evaluation suite followed by the operator suite, as SQL.
+pub fn statements(scenario: &Scenario) -> Vec<String> {
+    let suite = scenario.suite.iter().map(|q| q.to_sql());
+    let operators = build_operator_suite(&scenario.world);
+    suite.chain(operators.into_iter().map(|q| q.sql)).collect()
+}
+
+/// One statement's reading: column names and rows in output order, its
+/// accounting, and how many of its steps were served a universe relation
+/// and how many built their table.
+pub struct Reading {
+    pub columns: Vec<String>,
+    pub rows: Vec<Vec<Value>>,
+    pub stats: QueryStats,
+    pub served: usize,
+    pub built: usize,
+}
+
+pub fn read(session: &Galois, sql: &str) -> Reading {
+    let before = session.typed_stats();
+    let got = session
+        .execute(sql)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let after = session.typed_stats();
+    Reading {
+        columns: got.relation.column_names(),
+        rows: got.relation.rows,
+        stats: got.stats,
+        served: after.steps_served - before.steps_served,
+        built: after.steps_built - before.steps_built,
+    }
+}
+
+/// What one pass of `statements` reads, and what it adds to the client's
+/// counters.
+pub fn pass(session: &Galois, statements: &[String]) -> (Vec<Reading>, ClientStats) {
+    session.client().reset_stats();
+    let readings = statements.iter().map(|sql| read(session, sql)).collect();
+    (readings, session.session_stats())
 }
 
 /// `GaloisOptions` with the four axes the batteries most often vary.

@@ -14,7 +14,8 @@
 //!    filled), never shrink. On the benchmark configuration — single-page
 //!    key streams whose stage inputs each arrive at one instant — the
 //!    prompt bill is exactly the wave's, which the fixed-grid test below
-//!    (and CI's `pipeline_parity` pair) pins down.
+//!    (and the ledger test's `galois_pipelined` / `galois_batched` pair)
+//!    pins down.
 //! 4. **Fallback safety** — corrupted batched answers still fall back to
 //!    single-key re-asks under the event-driven dataflow: accuracy can
 //!    never regress, only the prompt bill can.

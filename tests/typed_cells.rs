@@ -15,55 +15,12 @@
 
 mod common;
 
-use common::{assert_stats_eq, options, session_with_model};
-use galois::core::{Galois, GaloisOptions, ListStore, Pipeline, Planner, PromptBatch, QueryStats};
-use galois::dataset::{build_operator_suite, Scenario};
-use galois::llm::{ClientStats, KeyUniverseStore, ModelProfile, SimLlm};
+use common::{assert_stats_eq, pass, serving_options, serving_session, statements, Reading};
+use galois::core::{Galois, GaloisOptions, ListStore};
+use galois::dataset::Scenario;
+use galois::llm::{ClientStats, KeyUniverseStore, ModelProfile};
 use galois::relational::Value;
 use std::sync::{Arc, Barrier};
-
-fn serving_options(list_store: ListStore) -> GaloisOptions {
-    GaloisOptions {
-        planner: Planner::CostBased,
-        ..options(
-            list_store,
-            Pipeline::Streaming,
-            PromptBatch::Grid { keys: 10, attrs: 6 },
-            8,
-        )
-    }
-}
-
-fn serving_session(scenario: &Scenario, profile: ModelProfile, options: GaloisOptions) -> Galois {
-    let model = Arc::new(SimLlm::new(scenario.knowledge.clone(), profile));
-    session_with_model(model, scenario, options)
-}
-
-fn statements(scenario: &Scenario) -> Vec<String> {
-    let suite = scenario.suite.iter().map(|q| q.to_sql());
-    let operators = build_operator_suite(&scenario.world);
-    suite.chain(operators.into_iter().map(|q| q.sql)).collect()
-}
-
-/// One statement's reading: column names and rows in output order, and
-/// its accounting.
-type Reading = (Vec<String>, Vec<Vec<Value>>, QueryStats);
-
-/// What one pass of `statements` reads, and what it adds to the client's
-/// counters.
-fn pass(session: &Galois, statements: &[String]) -> (Vec<Reading>, ClientStats) {
-    session.client().reset_stats();
-    let readings = statements
-        .iter()
-        .map(|sql| {
-            let got = session
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}: {e}"));
-            (got.relation.column_names(), got.relation.rows, got.stats)
-        })
-        .collect();
-    (readings, session.session_stats())
-}
 
 fn assert_same_pass(
     a: &(Vec<Reading>, ClientStats),
@@ -72,9 +29,9 @@ fn assert_same_pass(
     label: &str,
 ) {
     for ((a, b), sql) in a.0.iter().zip(&b.0).zip(statements) {
-        assert_eq!(a.0, b.0, "{label}: columns of {sql}");
-        assert_eq!(a.1, b.1, "{label}: rows of {sql}");
-        assert_stats_eq(&a.2, &b.2, &format!("{label}: stats of {sql}"));
+        assert_eq!(a.columns, b.columns, "{label}: columns of {sql}");
+        assert_eq!(a.rows, b.rows, "{label}: rows of {sql}");
+        assert_stats_eq(&a.stats, &b.stats, &format!("{label}: stats of {sql}"));
     }
     assert_eq!(a.1, b.1, "{label}: client stats of the pass");
 }
@@ -89,7 +46,7 @@ fn warm_passes_agree(profile: ModelProfile) {
         pass(&session, &statements);
         let second = pass(&session, &statements);
         assert!(
-            second.0.iter().map(|r| r.2.cache_hits).sum::<usize>() > 0,
+            second.0.iter().map(|r| r.stats.cache_hits).sum::<usize>() > 0,
             "a warm pass is served from the stores"
         );
         for nth in [3, 4] {
@@ -138,7 +95,7 @@ fn clearing_the_client_cache_retires_the_cells() {
     assert!(filled.1.prompts > 0, "the cleared session prompts again");
     assert_same_pass(&barely, &filled, &statements, "after clear_cache");
     for ((b, f), sql) in before.0.iter().zip(&filled.0).zip(&statements) {
-        assert_eq!(b.1, f.1, "rows of {sql} across clear_cache");
+        assert_eq!(b.rows, f.rows, "rows of {sql} across clear_cache");
     }
 }
 
@@ -173,14 +130,14 @@ fn a_republished_shared_universe_retires_the_cells() {
     }
     let full = pass(&session(100), &sql);
     assert!(
-        partial.0[0].1.len() < full.0[0].1.len(),
+        partial.0[0].rows.len() < full.0[0].rows.len(),
         "one page is a strict prefix of the universe"
     );
     let republished = pass(&capped, &sql);
     let fresh = pass(&session(1), &sql);
     for (nth, sql) in sql.iter().enumerate() {
-        assert_eq!(republished.0[nth].1, full.0[nth].1, "{sql}");
-        assert_eq!(republished.0[nth].1, fresh.0[nth].1, "{sql}");
+        assert_eq!(republished.0[nth].rows, full.0[nth].rows, "{sql}");
+        assert_eq!(republished.0[nth].rows, fresh.0[nth].rows, "{sql}");
     }
 }
 
@@ -230,5 +187,5 @@ fn two_threads_fill_the_same_cells_with_the_same_rows() {
 
 fn pass_rows(session: &Galois, statements: &[String]) -> Vec<Vec<Vec<Value>>> {
     let (readings, _) = pass(session, statements);
-    readings.into_iter().map(|(_, rows, _)| rows).collect()
+    readings.into_iter().map(|r| r.rows).collect()
 }

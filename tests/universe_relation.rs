@@ -18,74 +18,19 @@
 
 mod common;
 
-use common::{assert_stats_eq, faulty_oracle, options, permutation, session_with_model};
+use common::{
+    assert_stats_eq, faulty_oracle, oracle_session, pass, permutation, read, serving_options,
+    serving_session, session_with_model, statements, Reading,
+};
 use galois::core::{
-    limit_hint, CompileOptions, EarlyStop, Galois, GaloisOptions, ListStore, Pipeline, Planner,
-    PromptBatch, QueryStats, Resilience, RetryPolicy,
+    limit_hint, CompileOptions, EarlyStop, Galois, GaloisOptions, ListStore, Planner, PromptBatch,
+    Resilience, RetryPolicy,
 };
 use galois::dataset::{build_operator_suite, OperatorCheck, Scenario};
-use galois::llm::{ClientStats, FaultProfile, KeyUniverseStore, ModelProfile, SimLlm};
+use galois::llm::{FaultProfile, KeyUniverseStore, ModelProfile, SimLlm};
 use galois::relational::Value;
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
-
-fn serving_options(list_store: ListStore) -> GaloisOptions {
-    GaloisOptions {
-        planner: Planner::CostBased,
-        ..options(
-            list_store,
-            Pipeline::Streaming,
-            PromptBatch::Grid { keys: 10, attrs: 6 },
-            8,
-        )
-    }
-}
-
-fn serving_session(scenario: &Scenario, profile: ModelProfile, options: GaloisOptions) -> Galois {
-    let model = SimLlm::new(scenario.knowledge.clone(), profile);
-    session_with_model(Arc::new(model), scenario, options)
-}
-
-fn oracle_session(scenario: &Scenario, options: GaloisOptions) -> Galois {
-    serving_session(scenario, ModelProfile::oracle(), options)
-}
-
-fn statements(scenario: &Scenario) -> Vec<String> {
-    let suite = scenario.suite.iter().map(|q| q.to_sql());
-    let operators = build_operator_suite(&scenario.world);
-    suite.chain(operators.into_iter().map(|q| q.sql)).collect()
-}
-
-/// One statement's reading: its rows in output order, its accounting, and
-/// how many of its steps were served a relation and how many built.
-struct Reading {
-    rows: Vec<Vec<Value>>,
-    stats: QueryStats,
-    served: usize,
-    built: usize,
-}
-
-fn read(session: &Galois, sql: &str) -> Reading {
-    let before = session.typed_stats();
-    let got = session
-        .execute(sql)
-        .unwrap_or_else(|e| panic!("{sql}: {e}"));
-    let after = session.typed_stats();
-    Reading {
-        rows: got.relation.rows,
-        stats: got.stats,
-        served: after.steps_served - before.steps_served,
-        built: after.steps_built - before.steps_built,
-    }
-}
-
-/// What one pass of `statements` reads, and what it adds to the client's
-/// counters.
-fn pass(session: &Galois, statements: &[String]) -> (Vec<Reading>, ClientStats) {
-    session.client().reset_stats();
-    let readings = statements.iter().map(|sql| read(session, sql)).collect();
-    (readings, session.session_stats())
-}
 
 /// How a warm statement's steps must split, by its plan: a step with no
 /// filter stage is served, one with a filter stage is built.
