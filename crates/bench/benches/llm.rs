@@ -1,69 +1,22 @@
-//! Microbenchmarks for the simulated-LLM substrate: prompt round-trips and
-//! the client cache.
+//! Microbenchmarks for the prompt path's host side: what no
+//! `galois_benchmark` probe times. The client's miss and hit paths, the
+//! tokenizer and the simulator's answers are the probes'
+//! (`llm.client.{miss,hit}_ns_per_prompt`, `llm.tokenizer.ns_per_kb`,
+//! `llm.simllm.complete_us_per_call`); `crates/bench/README.md` lists
+//! what is kept here and why.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::prompts::PromptBuilder;
-use galois_dataset::Scenario;
-use galois_eval::model_for;
-use galois_llm::intent::{CmpOp, Condition, PromptValue, TaskIntent};
 use galois_llm::noise::seeded;
-use galois_llm::tokenizer::count_tokens;
-use galois_llm::{Completion, LanguageModel, LlmClient, ModelProfile, SubEntryLookup, Usage};
+use galois_llm::{Completion, LanguageModel, LlmClient, SubEntryLookup, Usage};
 use std::sync::Arc;
-
-fn bench_completion(c: &mut Criterion) {
-    let s = Scenario::generate(42);
-    let model = model_for(&s, ModelProfile::chatgpt());
-    let builder = PromptBuilder::for_model("chatgpt");
-    let list_prompt = builder.task(&TaskIntent::ListKeys {
-        relation: "city".into(),
-        key_attr: "name".into(),
-        condition: None,
-        exclude: std::sync::Arc::new(vec![]),
-    });
-    let fetch_prompt = builder.task(&TaskIntent::FetchAttr {
-        relation: "city".into(),
-        key_attr: "name".into(),
-        key: s.world.cities[0].name.clone(),
-        attribute: "population".into(),
-    });
-
-    c.bench_function("sim_list_keys", |b| {
-        b.iter(|| model.complete(black_box(&list_prompt)))
-    });
-    c.bench_function("sim_fetch_attr", |b| {
-        b.iter(|| model.complete(black_box(&fetch_prompt)))
-    });
-
-    let qa_prompt = builder.question(&s.suite[0].question());
-    c.bench_function("sim_qa_question", |b| {
-        b.iter(|| model.complete(black_box(&qa_prompt)))
-    });
-}
-
-fn bench_client_cache(c: &mut Criterion) {
-    let s = Scenario::generate(42);
-    let model = model_for(&s, ModelProfile::chatgpt());
-    let builder = PromptBuilder::for_model("chatgpt");
-    let prompt = builder.task(&TaskIntent::FetchAttr {
-        relation: "city".into(),
-        key_attr: "name".into(),
-        key: s.world.cities[0].name.clone(),
-        attribute: "population".into(),
-    });
-    let client = LlmClient::new(model);
-    client.complete(&prompt); // warm the cache
-    c.bench_function("client_cache_hit", |b| {
-        b.iter(|| client.complete(black_box(&prompt)))
-    });
-}
 
 /// Operations per iteration of every case below: the shim times each
 /// iteration with two clock reads, which would drown a 100 ns lookup, and
 /// with a thousand per iteration the printed µs read as ns per operation.
 const OPS: usize = 1000;
 
-/// A model that costs nothing, so the client cases time the client.
+/// A model that costs nothing, so the store cases time the store.
 struct NullModel;
 
 impl LanguageModel for NullModel {
@@ -82,46 +35,22 @@ impl LanguageModel for NullModel {
     }
 }
 
-/// `OPS` distinct fetch prompts of the paper-faithful shape: the 700-byte
-/// Figure 4 preamble and a question that differs in its key.
-fn fetch_prompts(builder: &PromptBuilder, keys: &[String]) -> Vec<String> {
-    let template = builder.fetch_template("city", "name", "population");
-    keys.iter().map(|key| template.render(key)).collect()
-}
-
-/// The host's share of a paper-faithful prompt, layer by layer: what the
-/// client pays to miss and to hit on a 768-byte prompt, a sub-entry hit,
-/// the simulator's answer to a fetch and to a filter question, and the
-/// two whole-prompt passes inside it (tokenizer, noise seed).
+/// Two whole-signature and whole-prompt passes the probes do not reach:
+/// a sub-entry hit through the signature wrapper, and the noise seed the
+/// simulator folds over a paper-faithful 768-byte prompt.
 fn bench_prompt_path(c: &mut Criterion) {
-    let s = Scenario::generate(42);
-    let builder = PromptBuilder::for_model("chatgpt");
-    // Twenty-byte keys make the prompt the 768 bytes `paper_cold` averages.
+    // Twenty-byte keys make the prompt the 768 bytes `paper_cold` averages:
+    // the 700-byte Figure 4 preamble and a question that differs in its key.
     let synthetic: Vec<String> = (0..OPS).map(|i| format!("San Lorenzo {i:08}")).collect();
-    let prompts = fetch_prompts(&builder, &synthetic);
+    let template = PromptBuilder::for_model("chatgpt").fetch_template("city", "name", "population");
+    let prompts: Vec<String> = synthetic.iter().map(|key| template.render(key)).collect();
     assert!(
         prompts.iter().all(|p| p.len() == 768),
         "{}",
         prompts[0].len()
     );
 
-    c.bench_function("client_miss/768B", |b| {
-        b.iter(|| {
-            let client = LlmClient::new(Arc::new(NullModel));
-            for prompt in &prompts {
-                black_box(client.complete(black_box(prompt)));
-            }
-            client
-        })
-    });
     let client = LlmClient::new(Arc::new(NullModel));
-    c.bench_function("client_hit/768B", |b| {
-        b.iter(|| {
-            for prompt in &prompts {
-                black_box(client.complete(black_box(prompt)));
-            }
-        })
-    });
     let signatures: Vec<String> = synthetic
         .iter()
         .map(|key| format!("fetch|city|name|population|{key}"))
@@ -135,51 +64,6 @@ fn bench_prompt_path(c: &mut Criterion) {
                 let found = client.extract_sub_entry(black_box(signature));
                 debug_assert!(matches!(found, SubEntryLookup::Hit(_)));
                 black_box(found);
-            }
-        })
-    });
-
-    // The simulator answers about cities it knows.
-    let model = model_for(&s, ModelProfile::chatgpt());
-    let known: Vec<String> = s
-        .world
-        .cities
-        .iter()
-        .map(|city| city.name.clone())
-        .cycle()
-        .take(OPS)
-        .collect();
-    let fetches = fetch_prompts(&builder, &known);
-    c.bench_function("simllm_complete/fetch", |b| {
-        b.iter(|| {
-            for prompt in &fetches {
-                black_box(model.complete(black_box(prompt)));
-            }
-        })
-    });
-    let filter = builder.filter_template(
-        "city",
-        "name",
-        &Condition {
-            attribute: "population".into(),
-            op: CmpOp::Gt,
-            values: vec![PromptValue::Number(1_000_000.0)],
-        },
-    );
-    let filters: Vec<String> = known.iter().map(|key| filter.render(key)).collect();
-    c.bench_function("simllm_complete/filter", |b| {
-        b.iter(|| {
-            for prompt in &filters {
-                black_box(model.complete(black_box(prompt)));
-            }
-        })
-    });
-
-    let kilobyte = format!("{}{}", prompts[0], &prompts[1][..1024 - 768]);
-    c.bench_function("tokenizer/1KB", |b| {
-        b.iter(|| {
-            for _ in 0..OPS {
-                black_box(count_tokens(black_box(&kilobyte)));
             }
         })
     });
@@ -252,11 +136,5 @@ fn bench_sub_columns(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_completion,
-    bench_client_cache,
-    bench_prompt_path,
-    bench_sub_columns
-);
+criterion_group!(benches, bench_prompt_path, bench_sub_columns);
 criterion_main!(benches);

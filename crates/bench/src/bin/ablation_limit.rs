@@ -2,22 +2,22 @@
 //!
 //! Runs `SELECT name FROM city LIMIT n` (and a filtered variant) on a wide
 //! 120-city world with a paged oracle (`list_page_size: 10`, so listing
-//! takes ~12 pages end to end) under the streaming grid-fused stack, once
-//! with `EarlyStop::Off` and once with `EarlyStop::Limit`, for `n ∈
-//! {3, 10, 25, 60}` plus the unlimited form. With the knob on, the
-//! streaming pipeline cancels list paging — and the filter/fetch
-//! micro-batches scheduled behind it — as soon as confirmed survivors
-//! cover the window, so the prompt bill scales with `n` instead of with
-//! the concept's cardinality. Both variants return the same admissible
+//! takes ~12 pages end to end) under the serving preset's grid batch, once
+//! on `Pipeline::Streaming` ("off") and once on `Pipeline::StreamingLimit`
+//! ("on"), for `n ∈ {3, 10, 25, 60}` plus the unlimited form. With early
+//! stop on, the streaming pipeline cancels list paging — and the
+//! filter/fetch micro-batches scheduled behind it — as soon as confirmed
+//! survivors cover the window, so the prompt bill scales with `n` instead
+//! of with the concept's cardinality. Both variants return the same admissible
 //! window (the suite's equivalence battery pins this); the table ties on
 //! row counts and separates on prompts and the virtual clock. The
-//! unlimited row is the control: with no window to cover, the knob must
+//! unlimited row is the control: with no window to cover, early stop must
 //! change nothing.
 //!
 //! Usage: `ablation_limit [--seed 42] [--parallelism 8]`.
 
 use galois_bench::{fresh_session, Flags};
-use galois_core::{EarlyStop, GaloisOptions, Parallelism, Pipeline, PromptBatch};
+use galois_core::{GaloisOptions, Parallelism, Pipeline};
 use galois_dataset::{Scenario, WorldConfig};
 use galois_eval::TextTable;
 use galois_llm::ModelProfile;
@@ -35,14 +35,13 @@ fn measure(
     scenario: &Scenario,
     profile: &ModelProfile,
     lanes: usize,
-    early: EarlyStop,
+    pipeline: Pipeline,
     sql: &str,
 ) -> Measure {
     let options = GaloisOptions {
         parallelism: Parallelism::new(lanes),
-        pipeline: Pipeline::Streaming,
-        prompt_batch: PromptBatch::Grid { keys: 10, attrs: 6 },
-        early_stop: early,
+        pipeline,
+        prompt_batch: GaloisOptions::serving().prompt_batch,
         ..Default::default()
     };
     let session = fresh_session(scenario, profile, options);
@@ -107,8 +106,8 @@ fn main() {
     for (label, sql_of) in shapes {
         for n in windows {
             let sql = sql_of(n);
-            let off = measure(&scenario, &profile, lanes, EarlyStop::Off, &sql);
-            let on = measure(&scenario, &profile, lanes, EarlyStop::Limit, &sql);
+            let off = measure(&scenario, &profile, lanes, Pipeline::Streaming, &sql);
+            let on = measure(&scenario, &profile, lanes, Pipeline::StreamingLimit, &sql);
             assert_eq!(
                 off.rows, on.rows,
                 "early stop must not change the window size ({sql})"
@@ -128,7 +127,7 @@ fn main() {
     }
     println!("{}", t.render());
     println!(
-        "(expected: identical row counts; with the knob on, list pages stop shortly after the \
+        "(expected: identical row counts; with early stop on, list pages stop shortly after the \
          window is covered, so prompts grow with n and the unlimited row ties exactly)"
     );
 }

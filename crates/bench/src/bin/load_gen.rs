@@ -20,16 +20,28 @@
 //! Usage: `load_gen [--seed 42] [--parallelism 8] [--scale 3]
 //! [--inflight 0]`.
 
-use galois_bench::{grid_stack_options, Flags};
-use galois_core::{Admission, AdmissionPolicy, GaloisOptions};
+use galois_bench::Flags;
+use galois_core::{AdmissionPolicy, GaloisOptions, Parallelism};
 use galois_dataset::Scenario;
 use galois_eval::{run_suite_concurrent, TextTable};
 use galois_llm::ModelProfile;
 
-fn sweep(t: &mut TextTable, world: &str, scenario: &Scenario, options: &GaloisOptions) {
+fn sweep(
+    t: &mut TextTable,
+    world: &str,
+    scenario: &Scenario,
+    options: &GaloisOptions,
+    policy: &AdmissionPolicy,
+) {
     for sessions in [2usize, 4, 8, 16, 32, 64] {
-        let run = run_suite_concurrent(scenario, ModelProfile::oracle(), options.clone(), sessions)
-            .expect("the grid stack streams, so its traces replay");
+        let run = run_suite_concurrent(
+            scenario,
+            ModelProfile::oracle(),
+            options.clone(),
+            sessions,
+            policy,
+        )
+        .expect("the serving stack streams, so its traces replay");
         t.row(vec![
             world.to_string(),
             sessions.to_string(),
@@ -51,20 +63,16 @@ fn main() {
     let scale = flags.get("--scale", 3usize).max(1);
     let inflight = flags.get("--inflight", 0usize);
     let options = GaloisOptions {
-        admission: Admission::Fair(AdmissionPolicy {
-            max_inflight: inflight,
-            ..Default::default()
-        }),
-        ..grid_stack_options(lanes, 10, 6)
+        parallelism: Parallelism::new(lanes),
+        ..GaloisOptions::serving()
+    };
+    let policy = AdmissionPolicy {
+        max_inflight: inflight,
+        ..Default::default()
     };
     println!(
-        "Closed-loop load sweep — shared lane pool, grid-fused streaming stack (seed {seed}, \
-         K={lanes} lanes/session, in-flight cap {})\n",
-        if inflight == 0 {
-            "unlimited".to_string()
-        } else {
-            inflight.to_string()
-        }
+        "Closed-loop load sweep — serving stack (seed {seed}, K={lanes} lanes/session)\n\
+         admission: {policy}\n"
     );
 
     let oracle46 = Scenario::generate(seed);
@@ -80,8 +88,14 @@ fn main() {
         "prompts/query",
         "pool util",
     ]);
-    sweep(&mut t, "oracle-46", &oracle46, &options);
-    sweep(&mut t, &format!("scaled-x{scale}"), &scaled, &options);
+    sweep(&mut t, "oracle-46", &oracle46, &options, &policy);
+    sweep(
+        &mut t,
+        &format!("scaled-x{scale}"),
+        &scaled,
+        &options,
+        &policy,
+    );
     println!("{}", t.render());
     println!(
         "(expected: prompts/query constant down each world's sweep — concurrency never changes \

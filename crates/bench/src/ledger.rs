@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use galois_core::{
-    Admission, AdmissionPolicy, BaselineKind, EarlyStop, Galois, GaloisOptions, ListStore,
-    Parallelism, Pipeline, Resilience, RetryPolicy,
+    AdmissionPolicy, BaselineKind, Galois, GaloisOptions, ListStore, Parallelism, Pipeline,
+    Resilience, RetryPolicy,
 };
 use galois_dataset::{
     build_operator_suite, OperatorCheck, OperatorFamily, OperatorQuery, Scenario, WorldConfig,
@@ -79,8 +79,8 @@ enum Drive {
     LimitFamily { windowed: bool },
     /// The 46 queries at [`LedgerConfig::sessions`] closed-loop sessions
     /// over one shared lane pool (logical pass in suite order, then the
-    /// task traces replayed on the pool).
-    SharedPool,
+    /// task traces replayed on the pool under this policy).
+    SharedPool(AdmissionPolicy),
     /// One question, one prompt.
     Baseline(BaselineKind),
 }
@@ -112,11 +112,10 @@ fn row_table(config: &LedgerConfig) -> Vec<RowSpec> {
         ..pipelined.clone()
     };
     let grid = grid_stack_options(k, config.grid_keys, config.grid_attrs);
-    let limit = |early_stop| GaloisOptions {
+    let limit = |pipeline| GaloisOptions {
         parallelism: Parallelism::new(k),
-        pipeline: Pipeline::Streaming,
+        pipeline,
         prompt_batch: grid.prompt_batch,
-        early_stop,
         ..Default::default()
     };
     vec![
@@ -151,17 +150,17 @@ fn row_table(config: &LedgerConfig) -> Vec<RowSpec> {
         ),
         row("galois_listcached_warm", listcached, k, Drive::SecondPass),
         row("galois_grid_fused", grid.clone(), k, Drive::Suite),
-        // Same stack and queries; the early-stop knob and the LIMIT
-        // clause differ.
+        // Same stack and queries; the early stop and the LIMIT clause
+        // differ.
         row(
             "galois_limit_streaming",
-            limit(EarlyStop::Limit),
+            limit(Pipeline::StreamingLimit),
             1,
             Drive::LimitFamily { windowed: true },
         ),
         row(
             "galois_limit_unlimited",
-            limit(EarlyStop::Off),
+            limit(Pipeline::Streaming),
             1,
             Drive::LimitFamily { windowed: false },
         ),
@@ -178,15 +177,12 @@ fn row_table(config: &LedgerConfig) -> Vec<RowSpec> {
         ),
         row(
             "galois_multiquery",
-            GaloisOptions {
-                admission: Admission::Fair(AdmissionPolicy {
-                    max_inflight: config.inflight,
-                    ..Default::default()
-                }),
-                ..grid
-            },
+            grid,
             1,
-            Drive::SharedPool,
+            Drive::SharedPool(AdmissionPolicy {
+                max_inflight: config.inflight,
+                ..Default::default()
+            }),
         ),
         // The paper's `T_M` and `T_C_M`: no session, so `options` only
         // carries the row's `parallelism`.
@@ -301,12 +297,13 @@ impl Ledger {
                         let wall_ms = started.elapsed().as_millis() as u64;
                         SuiteTotals::from_stats(&stats, spec.streams, wall_ms)
                     }
-                    Drive::SharedPool => {
+                    Drive::SharedPool(policy) => {
                         let run = run_suite_concurrent(
                             &scenario,
                             oracle.clone(),
                             spec.options.clone(),
                             config.sessions,
+                            &policy,
                         )
                         .expect("the grid stack streams, so its traces replay");
                         let totals = run.totals();

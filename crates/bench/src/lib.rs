@@ -1,8 +1,8 @@
 //! # galois-bench
 //!
 //! Reproduction harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` §4 for the experiment index) plus Criterion microbenchmarks
-//! in `benches/`.
+//! ARCHITECTURE.md's "Crate ↔ paper map" for which crate reproduces which
+//! section) plus Criterion microbenchmarks in `benches/`.
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -36,13 +36,14 @@ pub mod ledger;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use galois_core::{Galois, GaloisOptions, ListStore, Parallelism, Pipeline, Planner, PromptBatch};
+use galois_core::{Galois, GaloisOptions, Parallelism, Pipeline, Planner, PromptBatch};
 use galois_dataset::Scenario;
 use galois_llm::{FaultProfile, ModelProfile, SimLlm};
 
 /// A bin's command line: `<flag> <value>` pairs over the flags the bin
-/// declared. An undeclared flag, a flag without a value and a value that
-/// does not parse are errors naming the offender, never a silent default.
+/// declared. An undeclared flag, a flag given twice, a flag without a
+/// value and a value that does not parse are errors naming the offender,
+/// never a silent default.
 #[derive(Debug)]
 pub struct Flags {
     declared: &'static [&'static str],
@@ -67,6 +68,9 @@ impl Flags {
                 return Err(format!("unknown flag {flag} ({accepted})"));
             }
             let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            if let Some((_, first)) = pairs.iter().find(|(given, _)| *given == flag) {
+                return Err(format!("{flag} given twice ({first}, then {value})"));
+            }
             pairs.push((flag, value));
         }
         Ok(Flags { declared, pairs })
@@ -155,18 +159,19 @@ pub fn pipelined_options(lanes: usize, batch: usize) -> GaloisOptions {
     }
 }
 
-/// The full grid-fused stack: streaming, cost-planned, key-universe store
-/// on, `PromptBatch::Grid { keys, attrs }` (the `galois_grid_fused` BENCH
-/// row, and the base configuration of the multi-query rows).
+/// The full grid-fused stack — [`GaloisOptions::serving`] (streaming,
+/// cost-planned, key-universe store on) at `lanes` request lanes and
+/// `PromptBatch::Grid { keys, attrs }`: the `galois_grid_fused` BENCH row
+/// and the base configuration of the multi-query rows.
+/// `grid_stack_options(8, 10, 6)` is the serving preset itself.
 pub fn grid_stack_options(lanes: usize, keys: usize, attrs: usize) -> GaloisOptions {
     GaloisOptions {
-        list_store: ListStore::On,
+        parallelism: Parallelism::new(lanes),
         prompt_batch: PromptBatch::Grid {
             keys: keys.max(1),
             attrs: attrs.max(1),
         },
-        pipeline: Pipeline::Streaming,
-        ..cost_planned_options(lanes)
+        ..GaloisOptions::serving()
     }
 }
 
@@ -238,6 +243,20 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_flag_is_an_error_not_the_first_value() {
+        // `--seed 1 --seed 2` used to run seed 1 without a word.
+        let err = parse(&["--seed", "--model"], &["--seed", "1", "--seed", "2"]).unwrap_err();
+        assert!(
+            err.contains("--seed given twice") && err.contains('1') && err.contains('2'),
+            "{err}"
+        );
+        // Equal values are still two statements of one decision.
+        assert!(parse(&["--seed"], &["--seed", "7", "--seed", "7"]).is_err());
+        let flags = parse(&["--seed", "--model"], &["--seed", "1", "--model", "tk"]).unwrap();
+        assert_eq!(flags.seed(), 1);
+    }
+
+    #[test]
     fn a_malformed_value_is_an_error_not_the_default() {
         let flags = parse(&["--parallelism", "--seed"], &["--parallelism", "eight"]).unwrap();
         let err = flags.value::<usize>("--parallelism").unwrap_err();
@@ -258,7 +277,7 @@ mod tests {
 
     #[test]
     fn option_stacks_compose_incrementally() {
-        use galois_core::{ListStore, Pipeline, Planner, PromptBatch};
+        use galois_core::{GaloisOptions, ListStore, Pipeline, Planner, PromptBatch};
         let cost = super::cost_planned_options(8);
         assert_eq!(cost.planner, Planner::CostBased);
         assert_eq!(cost.parallelism.get(), 8);
@@ -274,6 +293,17 @@ mod tests {
         assert_eq!(grid.pipeline, Pipeline::Streaming);
         assert_eq!(grid.list_store, ListStore::On);
         assert_eq!(grid.planner, Planner::CostBased);
+        // The stack the benchmark serves is the library's preset, and
+        // every stack is the one below it plus its own knob.
+        assert_eq!(grid, GaloisOptions::serving());
+        assert_eq!(
+            GaloisOptions {
+                list_store: ListStore::Off,
+                prompt_batch: pipelined.prompt_batch,
+                ..grid
+            },
+            pipelined
+        );
     }
 
     #[test]

@@ -64,6 +64,6 @@ pub use multi::{run_multi_query, MultiQueryOutcome, MultiQueryReport};
 pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost};
 pub use schedule::{Crew, Scheduler};
 pub use session::{
-    Admission, AdmissionPolicy, EarlyStop, Galois, GaloisOptions, GaloisResult, ListStore,
-    Pipeline, PromptBatch, QueryStats, Resilience, TypedStats,
+    AdmissionPolicy, Galois, GaloisOptions, GaloisResult, ListStore, Pipeline, PromptBatch,
+    QueryStats, Resilience, TypedStats,
 };

@@ -58,8 +58,9 @@
 
 use crate::compile::{compile, CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::Result;
+use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
 use galois_llm::intent::{CmpOp, Condition};
-use galois_llm::{ClientStats, Parallelism, RetryPolicy, BATCH_OVERHEAD_MS};
+use galois_llm::{ClientStats, Parallelism, BATCH_OVERHEAD_MS};
 use galois_relational::cost as rcost;
 use galois_relational::{Catalog, LogicalPlan};
 use std::collections::{BTreeMap, HashMap};
@@ -105,13 +106,38 @@ impl fmt::Display for Planner {
     }
 }
 
-/// Calibration inputs of the cost model.
+/// What one planning pass reads: the session's own option values — held
+/// as they are, so the estimator, the `EXPLAIN` renderer and the
+/// retrieval protocol read one statement of each decision — plus the
+/// cost model's calibration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerParams {
-    /// Prompts per batch request ([`crate::GaloisOptions::batch_size`]).
-    pub batch_size: f64,
-    /// Request lanes / worker threads (`GaloisOptions::parallelism`).
-    pub lanes: usize,
+    /// Request lanes / worker threads ([`GaloisOptions::parallelism`]).
+    pub parallelism: Parallelism,
+    /// Keys (and, in grid mode, attributes) fused per filter or fetch
+    /// prompt ([`GaloisOptions::prompt_batch`]): the fetch phase costs
+    /// `⌈C/A⌉ × ⌈keys/B⌉` prompts per step. [`PromptBatch::Off`] (the
+    /// default) reproduces the unbatched estimates bit for bit, and the
+    /// report names the batch shape only when it fuses something.
+    pub prompt_batch: PromptBatch,
+    /// Retrieval driver ([`GaloisOptions::pipeline`]). Under a streaming
+    /// variant latency is estimated as the dataflow's critical path
+    /// ([`rcost::critical_path_ms`]) instead of the phase-barrier sum, and
+    /// steps share the lanes instead of packing as blocks; prompt-count
+    /// estimates are unaffected — streaming issues the same prompts.
+    /// [`Pipeline::StreamingLimit`] adds a `limit: early-stop after ~N
+    /// keys` report line for eligible plan shapes and deliberately leaves
+    /// the estimates alone — how many keys survive before the window
+    /// fills is data-dependent, so the planner reports the stop threshold
+    /// rather than guessing a discount.
+    pub pipeline: Pipeline,
+    /// Retry policy in effect ([`GaloisOptions::resilience`]):
+    /// [`Resilience::On`] adds a `resilience:` header line naming the
+    /// retry budget, backoff shape and breaker threshold. Cost estimates
+    /// are deliberately untouched — retry time depends on the model's live
+    /// fault rate, which calibration already folds into the observed
+    /// per-prompt latency.
+    pub resilience: Resilience,
     /// Fixed virtual overhead charged per batch request.
     pub batch_overhead_ms: f64,
     /// Expected virtual latency of one cache-missing prompt.
@@ -121,24 +147,6 @@ pub struct PlannerParams {
     pub cache_hit_rate: f64,
     /// Expected keys per key-listing iteration.
     pub list_page_size: f64,
-    /// Multi-key prompt batching factor
-    /// ([`crate::GaloisOptions::prompt_batch`]): keys fused per filter or
-    /// fetch prompt. 1.0 (the default) reproduces the unbatched estimates
-    /// bit for bit.
-    pub batch_keys: f64,
-    /// Grid attribute-fusion factor
-    /// ([`crate::PromptBatch::Grid`]): fetched columns fused per grid
-    /// prompt, cutting the fetch phase from `C × ⌈keys/B⌉` to
-    /// `⌈C/A⌉ × ⌈keys/B⌉` prompts per step. 1.0 (the default) reproduces
-    /// the per-column estimates bit for bit.
-    pub batch_attrs: f64,
-    /// Streaming pipeline on ([`crate::GaloisOptions::pipeline`]): latency
-    /// is estimated as the dataflow's critical path
-    /// ([`rcost::critical_path_ms`]) instead of the phase-barrier sum, and
-    /// steps share the lanes instead of packing as blocks. `false` (the
-    /// default) reproduces the wave estimates bit for bit. Prompt-count
-    /// estimates are unaffected — streaming issues the same prompts.
-    pub pipeline_streaming: bool,
     /// Concepts already exhausted in the session's key-universe store
     /// ([`crate::ListStore`]), keyed by
     /// [`LlmScanStep::concept_signature`] and mapping to the stored key
@@ -148,63 +156,31 @@ pub struct PlannerParams {
     /// the store is off) reproduces the store-free estimates bit for bit
     /// and keeps the `EXPLAIN` report tag-free.
     pub warm_lists: Option<Arc<BTreeMap<String, usize>>>,
-    /// LIMIT-aware early termination on
-    /// ([`crate::EarlyStop::Limit`]): the `EXPLAIN` report gains a
-    /// `limit: early-stop after ~N keys` line for eligible plan shapes.
-    /// `false` (the default) keeps the report byte-identical to the
-    /// pre-limit pipeline's. The cost *estimates* are deliberately left
-    /// untouched — how many keys survive before the window fills is
-    /// data-dependent, so the planner reports the stop threshold rather
-    /// than guessing a discount.
-    pub early_stop: bool,
-    /// Retry policy in effect ([`crate::Resilience::On`]): the `EXPLAIN`
-    /// report gains a `resilience:` header line naming the retry budget,
-    /// backoff shape and breaker threshold. `None` (the default) keeps
-    /// the report byte-identical to the pre-resilience pipeline's. Cost
-    /// estimates are deliberately untouched — retry time depends on the
-    /// model's live fault rate, which calibration already folds into the
-    /// observed per-prompt latency.
-    pub resilience: Option<RetryPolicy>,
-    /// Admission policy in effect ([`crate::Admission::Fair`]): the
-    /// `EXPLAIN` report gains an `admission:` header line naming the
-    /// shared lane pool, the in-flight cap and the fair-share
-    /// discipline. `None` (the default) keeps the report byte-identical
-    /// to the single-query pipeline's. Cost estimates are deliberately
-    /// untouched — queueing delay depends on the live concurrent load,
-    /// which the per-query planner cannot see; the multi-query replay
-    /// ([`crate::run_multi_query`]) measures it instead.
-    pub admission: Option<crate::session::AdmissionPolicy>,
 }
 
 impl Default for PlannerParams {
+    /// The default session's options over the cold-start calibration.
     fn default() -> Self {
-        PlannerParams {
-            batch_size: 20.0,
-            lanes: 1,
-            batch_overhead_ms: BATCH_OVERHEAD_MS as f64,
-            prompt_latency_ms: DEFAULT_PROMPT_LATENCY_MS,
-            cache_hit_rate: 0.0,
-            list_page_size: DEFAULT_LIST_PAGE,
-            batch_keys: 1.0,
-            batch_attrs: 1.0,
-            pipeline_streaming: false,
-            warm_lists: None,
-            early_stop: false,
-            resilience: None,
-            admission: None,
-        }
+        PlannerParams::for_session(&GaloisOptions::default(), &ClientStats::default())
     }
 }
 
 impl PlannerParams {
-    /// Builds params for a session, calibrating the expected per-prompt
-    /// latency and cache-hit rate from the client's observed stats (the
-    /// cold-start defaults apply until the session has served prompts).
-    pub fn from_session(batch_size: usize, parallelism: Parallelism, stats: &ClientStats) -> Self {
+    /// Params for a session: its options as they stand, and the expected
+    /// per-prompt latency and cache-hit rate calibrated from the client's
+    /// observed stats (the cold-start defaults apply until the session
+    /// has served prompts).
+    pub fn for_session(options: &GaloisOptions, stats: &ClientStats) -> Self {
         let mut p = PlannerParams {
-            batch_size: batch_size.max(1) as f64,
-            lanes: parallelism.get(),
-            ..Default::default()
+            parallelism: options.parallelism,
+            prompt_batch: options.prompt_batch,
+            pipeline: options.pipeline,
+            resilience: options.resilience,
+            batch_overhead_ms: BATCH_OVERHEAD_MS as f64,
+            prompt_latency_ms: DEFAULT_PROMPT_LATENCY_MS,
+            cache_hit_rate: 0.0,
+            list_page_size: DEFAULT_LIST_PAGE,
+            warm_lists: None,
         };
         if stats.prompts > 0 {
             let model_ms = stats
@@ -219,48 +195,6 @@ impl PlannerParams {
         p
     }
 
-    /// Sets the multi-key batching factor (clamped to ≥ 1), threading
-    /// [`crate::GaloisOptions::prompt_batch`] into the estimates.
-    pub fn with_batch_keys(mut self, batch_keys: usize) -> Self {
-        self.batch_keys = batch_keys.max(1) as f64;
-        self
-    }
-
-    /// Sets the grid attribute-fusion factor (clamped to ≥ 1), threading
-    /// [`crate::PromptBatch::Grid`]'s `attrs` into the estimates.
-    pub fn with_batch_attrs(mut self, batch_attrs: usize) -> Self {
-        self.batch_attrs = batch_attrs.max(1) as f64;
-        self
-    }
-
-    /// Selects the streaming-pipeline latency model, threading
-    /// [`crate::GaloisOptions::pipeline`] into the estimates.
-    pub fn with_pipeline(mut self, streaming: bool) -> Self {
-        self.pipeline_streaming = streaming;
-        self
-    }
-
-    /// Flags LIMIT-aware early termination
-    /// ([`crate::GaloisOptions::early_stop`]) for the `EXPLAIN` report.
-    pub fn with_early_stop(mut self, on: bool) -> Self {
-        self.early_stop = on;
-        self
-    }
-
-    /// Threads the session's retry policy
-    /// ([`crate::GaloisOptions::resilience`]) into the `EXPLAIN` report.
-    pub fn with_resilience(mut self, policy: Option<RetryPolicy>) -> Self {
-        self.resilience = policy;
-        self
-    }
-
-    /// Threads the session's admission policy
-    /// ([`crate::GaloisOptions::admission`]) into the `EXPLAIN` report.
-    pub fn with_admission(mut self, policy: Option<crate::session::AdmissionPolicy>) -> Self {
-        self.admission = policy;
-        self
-    }
-
     /// Overlays the live key-universe store contents (exhausted concepts
     /// → stored key counts) onto the frozen calibration, threading
     /// [`crate::ListStore`] into the estimates. Called per planning
@@ -271,6 +205,11 @@ impl PlannerParams {
     pub fn with_warm_lists(mut self, warm: impl Into<Arc<BTreeMap<String, usize>>>) -> Self {
         self.warm_lists = Some(warm.into());
         self
+    }
+
+    /// Request lanes, as the lane model's divisor.
+    fn lanes(&self) -> f64 {
+        self.parallelism.get() as f64
     }
 
     /// The stored key count for a step's concept, when its universe is
@@ -383,7 +322,7 @@ fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, params: &PlannerParam
     if batches < 1.0 {
         return 0.0;
     }
-    let lanes = params.lanes as f64;
+    let lanes = params.lanes();
     let misses_per_batch = (prompts / batches) * (1.0 - params.cache_hit_rate);
     let per_batch = params.batch_overhead_ms + (misses_per_batch / lanes) * per_prompt_ms;
     (batches / lanes).ceil() * per_batch
@@ -424,33 +363,35 @@ pub fn estimate_step(step: &LlmScanStep, catalog: &Catalog, params: &PlannerPara
     // the chunks within one condition run as one wave. With multi-key
     // batching the phase issues ⌈keys / B⌉ fused prompts per condition,
     // each charged by answer volume.
-    let fused = params.fused_prompt_latency_ms(params.batch_keys);
+    let batch_keys = params.prompt_batch.keys_per_prompt() as f64;
+    let request_prompts = REQUEST_PROMPTS as f64;
+    let fused = params.fused_prompt_latency_ms(batch_keys);
     let mut filter_prompts = 0.0;
     let mut n = est_keys_listed;
     for cond in &step.filter_conditions {
-        let prompts = rcost::batched_prompt_count(n, params.batch_keys);
+        let prompts = rcost::batched_prompt_count(n, batch_keys);
         filter_prompts += prompts;
-        wave_total += wave_ms(prompts, (prompts / params.batch_size).ceil(), fused, params);
+        wave_total += wave_ms(prompts, (prompts / request_prompts).ceil(), fused, params);
         n *= condition_selectivity(cond);
     }
 
     // Every (attr-group × chunk) fetch cell is independent — one wave.
     // Without grid fusion each column is its own group; with
     // `PromptBatch::Grid` the columns fuse into ⌈C/A⌉ groups whose prompts
-    // carry `batch_keys × attrs-per-group` answer cells each.
+    // carry `B × attrs-per-group` answer cells each.
     let cols = step.fetch.len() as f64;
     let groups = if cols > 0.0 {
-        (cols / params.batch_attrs).ceil()
+        (cols / params.prompt_batch.attrs_per_prompt() as f64).ceil()
     } else {
         0.0
     };
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
-    let col_prompts = rcost::batched_prompt_count(n, params.batch_keys);
+    let col_prompts = rcost::batched_prompt_count(n, batch_keys);
     let fetch_prompts = col_prompts * groups;
-    let fetch_fused = params.fused_prompt_latency_ms(params.batch_keys * attrs_per_group.max(1.0));
+    let fetch_fused = params.fused_prompt_latency_ms(batch_keys * attrs_per_group.max(1.0));
     wave_total += wave_ms(
         fetch_prompts,
-        (col_prompts / params.batch_size).ceil() * groups,
+        (col_prompts / request_prompts).ceil() * groups,
         fetch_fused,
         params,
     );
@@ -463,16 +404,17 @@ pub fn estimate_step(step: &LlmScanStep, catalog: &Catalog, params: &PlannerPara
     // covers the single-lane degeneration, where the per-micro-batch
     // overheads are paid back to back.
     let per_stage = params.batch_overhead_ms + miss * fused;
-    let busy_ms = if params.pipeline_streaming {
+    let streaming = params.pipeline.is_streaming();
+    let busy_ms = if streaming {
         list_chain + (filter_prompts + fetch_prompts) * per_stage
     } else {
         wave_total
     };
-    let virtual_ms = if params.pipeline_streaming {
+    let virtual_ms = if streaming {
         let stages =
             step.filter_conditions.len() as f64 + if step.fetch.is_empty() { 0.0 } else { 1.0 };
         let chain_head = (list_prompts - 1.0).max(0.0) * per_iter;
-        rcost::critical_path_ms(chain_head, stages * per_stage, busy_ms, params.lanes as f64)
+        rcost::critical_path_ms(chain_head, stages * per_stage, busy_ms, params.lanes())
             .max(list_chain)
     } else {
         wave_total
@@ -509,12 +451,12 @@ fn make_report(
     // Wave mode packs the steps onto the lanes as blocks; the streaming
     // pipeline shares the lanes across steps, so the query estimate is
     // the slowest step's critical path against the pooled busy bound.
-    let est_virtual_ms = if params.pipeline_streaming {
+    let est_virtual_ms = if params.pipeline.is_streaming() {
         let chain = steps.iter().map(|c| c.virtual_ms).fold(0.0, f64::max);
         let busy: f64 = steps.iter().map(|c| c.busy_ms).sum();
-        rcost::critical_path_ms(chain, 0.0, busy, params.lanes as f64)
+        rcost::critical_path_ms(chain, 0.0, busy, params.lanes())
     } else {
-        pack_steps(&steps, params.lanes)
+        pack_steps(&steps, params.parallelism.get())
     };
     let est_total_prompts = steps.iter().map(StepCost::total_prompts).sum();
     let est_cache_hits = steps.iter().map(|c| c.expected_cache_hits).sum();
@@ -775,34 +717,37 @@ impl PlannedQuery {
     /// protocol and cost estimates, then the residual relational plan with
     /// cardinality annotations, then query totals.
     pub fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
-        // The batch factor only appears when batching is on, so the
-        // `PromptBatch::Off` report stays byte-identical to the pre-batch
-        // pipeline's.
-        let batch = if params.batch_attrs > 1.0 {
-            format!(
-                ", batch: {:.0} keys × {:.0} attrs/prompt",
-                params.batch_keys, params.batch_attrs
-            )
-        } else if params.batch_keys > 1.0 {
-            format!(", batch: {:.0} keys/prompt", params.batch_keys)
+        // The batch factor only appears when a prompt fuses something, so
+        // the `PromptBatch::Off` report stays byte-identical to the
+        // pre-batch pipeline's.
+        let (keys, attrs) = (
+            params.prompt_batch.keys_per_prompt(),
+            params.prompt_batch.attrs_per_prompt(),
+        );
+        let batch = if attrs > 1 {
+            format!(", batch: {keys} keys × {attrs} attrs/prompt")
+        } else if keys > 1 {
+            format!(", batch: {keys} keys/prompt")
         } else {
             String::new()
         };
         // Likewise the pipeline tag: absent in the default wave mode, so
         // the pre-pipelining report stays byte-identical.
-        let pipeline = if params.pipeline_streaming {
+        let pipeline = if params.pipeline.is_streaming() {
             ", pipeline: streaming"
         } else {
             ""
         };
         let mut out = format!(
             "galois plan  (planner: {}, lanes: {}{batch}{pipeline}, candidates considered: {})\n",
-            self.report.planner, params.lanes, self.report.candidates_considered
+            self.report.planner,
+            params.parallelism.get(),
+            self.report.candidates_considered
         );
-        // The early-termination line appears only when the session knob is
-        // on *and* the plan shape is eligible, so every other report stays
-        // byte-identical to the pre-limit pipeline's.
-        if params.early_stop {
+        // The early-termination line appears only when the driver stops at
+        // a window *and* the plan shape is eligible, so every other report
+        // stays byte-identical to the pre-limit pipeline's.
+        if params.pipeline.stops_at_limit() {
             if let Some(n) = self.report.limit_hint {
                 out.push_str(&format!("limit: early-stop after ~{n} keys\n"));
             }
@@ -810,7 +755,7 @@ impl PlannedQuery {
         // The resilience line appears only with the retry knob on, so
         // every `Resilience::Off` report stays byte-identical to the
         // pre-resilience pipeline's.
-        if let Some(policy) = &params.resilience {
+        if let Resilience::On(policy) = &params.resilience {
             out.push_str(&format!(
                 "resilience: {} retries, backoff {}ms ×{} (cap {}ms), timeout {}ms, \
                  breaker opens at {}\n",
@@ -820,31 +765,6 @@ impl PlannedQuery {
                 policy.max_backoff_ms,
                 policy.timeout_ms,
                 policy.breaker_threshold,
-            ));
-        }
-        // The admission line appears only with cross-query scheduling on,
-        // so every `Admission::Off` report stays byte-identical to the
-        // single-query pipeline's.
-        if let Some(policy) = &params.admission {
-            let pool = if policy.pool_lanes > 0 {
-                format!("{} lanes", policy.pool_lanes)
-            } else {
-                format!("sessions × {} lanes", params.lanes)
-            };
-            let inflight = if policy.max_inflight > 0 {
-                format!("{} queries", policy.max_inflight)
-            } else {
-                "unlimited".to_string()
-            };
-            let quota = if policy.session_quota > 0 {
-                format!("{} tasks/session", policy.session_quota)
-            } else {
-                "unlimited".to_string()
-            };
-            out.push_str(&format!(
-                "admission: shared pool ({pool}), in-flight cap {inflight}, quota {quota}, \
-                 share {}\n",
-                policy.share,
             ));
         }
         let mut temp_rows: HashMap<String, f64> = HashMap::new();
@@ -901,6 +821,23 @@ impl PlannedQuery {
 mod tests {
     use super::*;
     use galois_dataset::Scenario;
+    use galois_llm::RetryPolicy;
+
+    /// Default params at another batch shape.
+    fn batched(prompt_batch: PromptBatch) -> PlannerParams {
+        PlannerParams {
+            prompt_batch,
+            ..Default::default()
+        }
+    }
+
+    /// Default params at `lanes` request lanes.
+    fn at_lanes(lanes: usize) -> PlannerParams {
+        PlannerParams {
+            parallelism: Parallelism::new(lanes),
+            ..Default::default()
+        }
+    }
 
     fn planned(sql: &str, planner: Planner, params: &PlannerParams) -> PlannedQuery {
         let s = Scenario::generate(42);
@@ -973,10 +910,7 @@ mod tests {
 
     #[test]
     fn cost_based_orders_steps_longest_first() {
-        let params = PlannerParams {
-            lanes: 8,
-            ..Default::default()
-        };
+        let params = at_lanes(8);
         let q = "SELECT p.name, r.electionYear, r.party, r.birthDate \
                  FROM city p, cityMayor r WHERE p.mayor = r.name";
         let planned = planned(q, Planner::CostBased, &params);
@@ -1086,8 +1020,12 @@ mod tests {
     #[test]
     fn render_shows_the_early_stop_window_only_when_enabled() {
         let s = Scenario::generate(42);
-        let off = PlannerParams::default();
-        let on = PlannerParams::default().with_early_stop(true);
+        let streaming = |pipeline| PlannerParams {
+            pipeline,
+            ..Default::default()
+        };
+        let off = streaming(Pipeline::Streaming);
+        let on = streaming(Pipeline::StreamingLimit);
         let render = |sql: &str, params: &PlannerParams| {
             plan_query(
                 &s.database.plan(sql).unwrap(),
@@ -1107,7 +1045,7 @@ mod tests {
             render(q, &on)
         );
         // Ineligible shapes (no LIMIT window over the sole scan) stay
-        // tag-free even with the knob on.
+        // tag-free even when the driver would stop.
         let plain = "SELECT name FROM city";
         assert!(!render(plain, &on).contains("limit:"));
         let sorted = "SELECT name FROM city ORDER BY population LIMIT 7";
@@ -1123,25 +1061,30 @@ mod tests {
             serial_ms: 10 * BATCH_OVERHEAD_MS + 100 * 40,
             ..Default::default()
         };
-        let p = PlannerParams::from_session(20, Parallelism::new(4), &stats);
+        let options = GaloisOptions {
+            parallelism: Parallelism::new(4),
+            ..GaloisOptions::serving()
+        };
+        let p = PlannerParams::for_session(&options, &stats);
         assert!((p.prompt_latency_ms - 40.0).abs() < 1e-9);
         assert!((p.cache_hit_rate - 0.5).abs() < 1e-9);
-        assert_eq!(p.lanes, 4);
+        // The options are held as they are, not re-typed.
+        assert_eq!(p.parallelism, options.parallelism);
+        assert_eq!(p.prompt_batch, options.prompt_batch);
+        assert_eq!(p.pipeline, options.pipeline);
+        assert_eq!(p.resilience, options.resilience);
         // Cold start keeps the defaults.
-        let cold = PlannerParams::from_session(20, Parallelism::new(1), &ClientStats::default());
+        let cold = PlannerParams::for_session(&options, &ClientStats::default());
         assert_eq!(cold.prompt_latency_ms, DEFAULT_PROMPT_LATENCY_MS);
         assert_eq!(cold.cache_hit_rate, 0.0);
+        assert_eq!(cold.warm_lists, None);
     }
 
     #[test]
     fn batch_keys_of_one_matches_unbatched_estimates_exactly() {
         let q = "SELECT name, population FROM city WHERE elevation < 100";
         let base = planned(q, Planner::CostBased, &PlannerParams::default());
-        let one = planned(
-            q,
-            Planner::CostBased,
-            &PlannerParams::default().with_batch_keys(1),
-        );
+        let one = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(1)));
         assert_eq!(base.report, one.report);
         assert_eq!(base.compiled, one.compiled);
     }
@@ -1150,18 +1093,14 @@ mod tests {
     fn batching_shrinks_estimated_prompts_and_virtual_time() {
         let q = "SELECT name, population FROM city WHERE elevation < 100";
         let base = planned(q, Planner::CostBased, &PlannerParams::default());
-        let batched = planned(
-            q,
-            Planner::CostBased,
-            &PlannerParams::default().with_batch_keys(10),
-        );
+        let fused = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(10)));
         assert!(
-            batched.report.est_total_prompts < base.report.est_total_prompts,
+            fused.report.est_total_prompts < base.report.est_total_prompts,
             "{} vs {}",
-            batched.report.est_total_prompts,
+            fused.report.est_total_prompts,
             base.report.est_total_prompts
         );
-        assert!(batched.report.est_virtual_ms < base.report.est_virtual_ms);
+        assert!(fused.report.est_virtual_ms < base.report.est_virtual_ms);
         // A fused prompt is charged by answer volume, not per key: ten
         // keys cost less than ten prompts but more than one.
         let p = PlannerParams::default();
@@ -1173,17 +1112,11 @@ mod tests {
     #[test]
     fn batch_attrs_of_one_matches_per_column_estimates_exactly() {
         let q = "SELECT name, population, country FROM city WHERE elevation < 100";
-        let base = planned(
-            q,
-            Planner::CostBased,
-            &PlannerParams::default().with_batch_keys(10),
-        );
+        let base = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(10)));
         let one = planned(
             q,
             Planner::CostBased,
-            &PlannerParams::default()
-                .with_batch_keys(10)
-                .with_batch_attrs(1),
+            &batched(PromptBatch::Grid { keys: 10, attrs: 1 }),
         );
         assert_eq!(base.report, one.report);
         assert_eq!(base.compiled, one.compiled);
@@ -1192,17 +1125,11 @@ mod tests {
     #[test]
     fn grid_shrinks_estimated_fetch_prompts() {
         let q = "SELECT name, population, country FROM city WHERE elevation < 100";
-        let keys_only = planned(
-            q,
-            Planner::CostBased,
-            &PlannerParams::default().with_batch_keys(10),
-        );
+        let keys_only = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(10)));
         let grid = planned(
             q,
             Planner::CostBased,
-            &PlannerParams::default()
-                .with_batch_keys(10)
-                .with_batch_attrs(4),
+            &batched(PromptBatch::Grid { keys: 10, attrs: 4 }),
         );
         let keys_fetch: f64 = keys_only.report.steps.iter().map(|c| c.fetch_prompts).sum();
         let grid_fetch: f64 = grid.report.steps.iter().map(|c| c.fetch_prompts).sum();
@@ -1221,9 +1148,7 @@ mod tests {
             .database
             .plan("SELECT name, population FROM city WHERE elevation < 100")
             .unwrap();
-        let grid = PlannerParams::default()
-            .with_batch_keys(10)
-            .with_batch_attrs(4);
+        let grid = batched(PromptBatch::Grid { keys: 10, attrs: 4 });
         let text = plan_query(
             &plan,
             s.database.catalog(),
@@ -1245,7 +1170,7 @@ mod tests {
             .plan("SELECT name FROM city WHERE population > 1000000")
             .unwrap();
         let off = PlannerParams::default();
-        let on = PlannerParams::default().with_batch_keys(10);
+        let on = batched(PromptBatch::Keys(10));
         let render = |params: &PlannerParams| {
             plan_query(
                 &plan,
@@ -1268,12 +1193,14 @@ mod tests {
         // fused-answer decode so expensive that the estimator correctly
         // prefers the wave's within-batch lane packing on this query).
         let wave = PlannerParams {
-            lanes: 8,
+            parallelism: Parallelism::new(8),
             prompt_latency_ms: 40.0,
-            ..Default::default()
-        }
-        .with_batch_keys(10);
-        let streaming = wave.clone().with_pipeline(true);
+            ..batched(PromptBatch::Keys(10))
+        };
+        let streaming = PlannerParams {
+            pipeline: Pipeline::Streaming,
+            ..wave.clone()
+        };
         let a = planned(q, Planner::CostBased, &wave);
         let b = planned(q, Planner::CostBased, &streaming);
         // Same prompts — streaming only removes the barriers.
@@ -1288,10 +1215,12 @@ mod tests {
         // estimate must reflect that streaming is the wrong choice there.
         let one_wave = PlannerParams {
             prompt_latency_ms: 40.0,
-            ..Default::default()
-        }
-        .with_batch_keys(10);
-        let one_stream = one_wave.clone().with_pipeline(true);
+            ..batched(PromptBatch::Keys(10))
+        };
+        let one_stream = PlannerParams {
+            pipeline: Pipeline::Streaming,
+            ..one_wave.clone()
+        };
         let c = planned(q, Planner::CostBased, &one_wave);
         let d = planned(q, Planner::CostBased, &one_stream);
         assert!(
@@ -1302,17 +1231,24 @@ mod tests {
         );
     }
 
+    /// `StreamingLimit` reports the stop threshold and leaves every
+    /// estimate where `Streaming` put it.
     #[test]
-    fn pipeline_off_reproduces_wave_estimates_bit_for_bit() {
-        let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
-        let base = PlannerParams {
-            lanes: 8,
-            ..Default::default()
+    fn streaming_limit_reproduces_streaming_estimates_bit_for_bit() {
+        let q = "SELECT name, population FROM city WHERE elevation < 100 LIMIT 5";
+        let streaming = PlannerParams {
+            pipeline: Pipeline::Streaming,
+            ..at_lanes(8)
         };
-        let a = planned(q, Planner::CostBased, &base);
-        let b = planned(q, Planner::CostBased, &base.clone().with_pipeline(false));
+        let limit = PlannerParams {
+            pipeline: Pipeline::StreamingLimit,
+            ..at_lanes(8)
+        };
+        let a = planned(q, Planner::CostBased, &streaming);
+        let b = planned(q, Planner::CostBased, &limit);
         assert_eq!(a.report, b.report);
         assert_eq!(a.compiled, b.compiled);
+        assert!(b.report.limit_hint.is_some());
     }
 
     #[test]
@@ -1323,7 +1259,10 @@ mod tests {
             .plan("SELECT name FROM city WHERE population > 1000000")
             .unwrap();
         let off = PlannerParams::default();
-        let on = PlannerParams::default().with_pipeline(true);
+        let on = PlannerParams {
+            pipeline: Pipeline::Streaming,
+            ..Default::default()
+        };
         let render = |params: &PlannerParams| {
             plan_query(
                 &plan,
@@ -1347,7 +1286,10 @@ mod tests {
             .plan("SELECT name FROM city WHERE population > 1000000")
             .unwrap();
         let off = PlannerParams::default();
-        let on = PlannerParams::default().with_resilience(Some(RetryPolicy::default()));
+        let on = PlannerParams {
+            resilience: Resilience::On(RetryPolicy::default()),
+            ..Default::default()
+        };
         let render = |params: &PlannerParams| {
             plan_query(
                 &plan,
@@ -1373,91 +1315,10 @@ mod tests {
     }
 
     #[test]
-    fn render_shows_admission_only_when_on() {
-        let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name FROM city WHERE population > 1000000")
-            .unwrap();
-        let off = PlannerParams::default();
-        let on = PlannerParams {
-            lanes: 8,
-            ..Default::default()
-        }
-        .with_admission(Some(crate::session::AdmissionPolicy {
-            max_inflight: 4,
-            ..Default::default()
-        }));
-        let render = |params: &PlannerParams| {
-            plan_query(
-                &plan,
-                s.database.catalog(),
-                &CompileOptions::default(),
-                Planner::CostBased,
-                params,
-            )
-            .unwrap()
-            .render(s.database.catalog(), params)
-        };
-        assert!(!render(&off).contains("admission:"));
-        let report = render(&on);
-        assert!(report.contains("admission: shared pool (sessions × 8 lanes)"));
-        assert!(report.contains("in-flight cap 4 queries"));
-        assert!(report.contains("share deficit-ms"));
-        // The knob adds one line and changes nothing else.
-        let stripped: String = report
-            .lines()
-            .filter(|l| !l.starts_with("admission:"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let off_at_8 = PlannerParams {
-            lanes: 8,
-            ..Default::default()
-        };
-        assert_eq!(stripped, render(&off_at_8));
-    }
-
-    #[test]
-    fn render_admission_names_explicit_pool_and_quota() {
-        let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name FROM city WHERE population > 1000000")
-            .unwrap();
-        let params =
-            PlannerParams::default().with_admission(Some(crate::session::AdmissionPolicy {
-                pool_lanes: 64,
-                max_inflight: 0,
-                session_quota: 2,
-                share: galois_llm::FairShare::RoundRobin,
-            }));
-        let report = plan_query(
-            &plan,
-            s.database.catalog(),
-            &CompileOptions::default(),
-            Planner::CostBased,
-            &params,
-        )
-        .unwrap()
-        .render(s.database.catalog(), &params);
-        assert!(report.contains("admission: shared pool (64 lanes)"));
-        assert!(report.contains("in-flight cap unlimited"));
-        assert!(report.contains("quota 2 tasks/session"));
-        assert!(report.contains("share round-robin"));
-    }
-
-    #[test]
     fn lanes_shrink_estimated_virtual_time() {
         let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
         let seq = planned(q, Planner::CostBased, &PlannerParams::default());
-        let par = planned(
-            q,
-            Planner::CostBased,
-            &PlannerParams {
-                lanes: 8,
-                ..Default::default()
-            },
-        );
+        let par = planned(q, Planner::CostBased, &at_lanes(8));
         assert!(par.report.est_virtual_ms < seq.report.est_virtual_ms);
     }
 

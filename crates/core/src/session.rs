@@ -26,7 +26,8 @@
 //! * [`Pipeline::Streaming`], the event driver (`stream`): keys flow
 //!   through the stages the moment they are known to survive, and every
 //!   step of the query shares the same `K` lanes of one event-driven
-//!   clock ([`galois_llm::EventClock`]).
+//!   clock ([`galois_llm::EventClock`]); [`Pipeline::StreamingLimit`] is
+//!   the same driver stopping at a covered `LIMIT` window.
 //!
 //! The module is split along those seams: `options`, `stats`,
 //! `protocol`, `stream`, `wave`; this file holds the session itself.
@@ -38,13 +39,11 @@ mod stream;
 mod typed;
 mod wave;
 
-pub use options::{
-    Admission, AdmissionPolicy, EarlyStop, GaloisOptions, ListStore, Pipeline, PromptBatch,
-    Resilience,
-};
+pub use options::{AdmissionPolicy, GaloisOptions, ListStore, Pipeline, PromptBatch, Resilience};
 pub use stats::QueryStats;
 pub(crate) use stream::TracedTask;
 pub use typed::TypedStats;
+pub(crate) use wave::REQUEST_PROMPTS;
 
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
@@ -172,23 +171,13 @@ impl Galois {
         self.typed.stats()
     }
 
-    /// The cost-model calibration computed from the client's stats *right
-    /// now*: batch size and lanes from the options, expected per-prompt
+    /// The planner's parameters computed from the client's stats *right
+    /// now*: the session's options as they stand, expected per-prompt
     /// latency and cache-hit rate from the observed stats. This is the
     /// live reading; plan choice uses the frozen snapshot of
     /// [`Galois::recalibrate_planner`].
     pub fn planner_params(&self) -> PlannerParams {
-        PlannerParams::from_session(
-            self.options.batch_size,
-            self.options.parallelism,
-            &self.client.stats(),
-        )
-        .with_batch_keys(self.options.prompt_batch.keys_per_prompt())
-        .with_batch_attrs(self.options.prompt_batch.attrs_per_prompt())
-        .with_pipeline(self.options.pipeline.is_streaming())
-        .with_early_stop(self.options.early_stop == EarlyStop::Limit)
-        .with_resilience(self.options.resilience.policy())
-        .with_admission(self.options.admission.policy())
+        PlannerParams::for_session(&self.options, &self.client.stats())
     }
 
     /// The calibration snapshot plan choice uses, frozen at the session's
@@ -719,7 +708,7 @@ mod tests {
             model,
             s.database.clone(),
             GaloisOptions {
-                early_stop: EarlyStop::Limit,
+                pipeline: Pipeline::StreamingLimit,
                 ..Default::default()
             },
         );
@@ -1090,7 +1079,7 @@ mod tests {
     fn streaming_single_lane_serialises_the_micro_batch_overheads() {
         // With one lane there is nothing to overlap: every micro-batch
         // pays its own request overhead back to back, while the wave
-        // amortises overheads across up to `batch_size` prompts. The
+        // amortises overheads across up to `REQUEST_PROMPTS` prompts. The
         // documented trade-off — pipelining is a concurrency optimisation.
         let sql = "SELECT name, population FROM city WHERE elevation < 100";
         let (_, wave) = oracle_session_pipelined(Pipeline::Off, 1);

@@ -5,6 +5,7 @@ use crate::clean::CleaningPolicy;
 use crate::compile::CompileOptions;
 use crate::plan_choice::Planner;
 use galois_llm::{KeyUniverseStore, Parallelism, RetryPolicy};
+use std::fmt;
 use std::sync::Arc;
 
 /// Multi-key prompt batching: how many keys of one retrieval cell (one
@@ -125,9 +126,37 @@ impl PromptBatch {
 /// * streaming pays one request overhead per micro-batch (a real
 ///   streaming deployment cannot fuse requests it has not accumulated),
 ///   so with a single lane it is *slower* than the wave pipeline, which
-///   amortises the overhead across up to `batch_size` prompts per
-///   request. Pipelining is a concurrency optimisation: the overheads
-///   overlap across lanes, and the phase barriers disappear.
+///   amortises the overhead across up to twenty prompts per request.
+///   Pipelining is a concurrency optimisation: the overheads overlap
+///   across lanes, and the phase barriers disappear.
+///
+/// [`Pipeline::StreamingLimit`] is the same driver with LIMIT-aware early
+/// termination. The paper's protocol materialises a concept's full key
+/// universe before the residual plan runs, so `SELECT … LIMIT 10` over a
+/// 100-key concept pays the whole prompt bill and throws 90 rows away.
+/// Under `StreamingLimit`, a query whose residual plan is a plain window
+/// — `Limit` over row-wise projections of a single LLM scan (see
+/// [`crate::compile::limit_hint`]) — stops retrieval as soon as the
+/// window is covered:
+///
+/// * list paging halts once `n + offset` keys have **survived every
+///   filter verdict** (in-flight keys count zero until their verdicts
+///   land, so the stop is never speculative);
+/// * keys listed past the point of coverage are pruned before entering
+///   the filter/fetch dataflow — but only when enough *earlier* keys are
+///   already confirmed, so the surfaced window is exactly the one the
+///   full run would produce;
+/// * keys whose verdicts are already in flight (including batched-answer
+///   fallback re-asks) always complete — early stop cancels unissued
+///   work, never in-flight work.
+///
+/// On a noise-free model an early-stopped `LIMIT` query returns exactly
+/// the full evaluation truncated to the window and never issues more
+/// prompts than the unlimited query; on a query without a plain window
+/// `StreamingLimit` is bit-identical to `Streaming`. Only the event
+/// driver can stop early — waves have no per-key release points to
+/// cancel — which is why the policy is a variant of this enum and not a
+/// knob of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Pipeline {
     /// Barrier-separated retrieval waves — the paper-faithful dataflow,
@@ -136,14 +165,24 @@ pub enum Pipeline {
     Off,
     /// Per-key dataflow under the event-driven virtual clock: list pages
     /// feed filter micro-batches, survivors stream into the next
-    /// condition and then into per-column fetch micro-batches.
+    /// condition and then into per-column fetch micro-batches. Always
+    /// materialises the full key universe.
     Streaming,
+    /// [`Pipeline::Streaming`], stopping retrieval once a plain `LIMIT`
+    /// window is covered by confirmed survivors.
+    StreamingLimit,
 }
 
 impl Pipeline {
-    /// True when streaming execution is selected.
+    /// True when the event driver runs the retrieval (either streaming
+    /// variant).
     pub fn is_streaming(self) -> bool {
-        matches!(self, Pipeline::Streaming)
+        !matches!(self, Pipeline::Off)
+    }
+
+    /// True when retrieval stops at a covered `LIMIT` window.
+    pub fn stops_at_limit(self) -> bool {
+        matches!(self, Pipeline::StreamingLimit)
     }
 }
 
@@ -209,55 +248,6 @@ impl PartialEq for ListStore {
     }
 }
 
-/// LIMIT-aware early termination of streaming retrieval.
-///
-/// The paper's protocol materialises a concept's full key universe before
-/// the residual plan runs, so `SELECT … LIMIT 10` over a 100-key concept
-/// pays the whole prompt bill and throws 90 rows away. With early stop
-/// enabled, [`Pipeline::Streaming`] queries whose residual plan is a
-/// plain window — `Limit` over row-wise projections of a single LLM scan
-/// (see [`crate::compile::limit_hint`]) — stop retrieval as soon as the
-/// window is covered:
-///
-/// * list paging halts once `n + offset` keys have **survived every
-///   filter verdict** (in-flight keys count zero until their verdicts
-///   land, so the stop is never speculative);
-/// * keys listed past the point of coverage are pruned before entering
-///   the filter/fetch dataflow — but only when enough *earlier* keys are
-///   already confirmed, so the surfaced window is exactly the one the
-///   full run would produce;
-/// * keys whose verdicts are already in flight (including batched-answer
-///   fallback re-asks) always complete — early stop cancels unissued
-///   work, never in-flight work.
-///
-/// Invariants:
-///
-/// * [`EarlyStop::Off`] (the default) is bit-identical to the
-///   exhaustive pipeline — prompts per kind, cache hits, both clocks,
-///   relations;
-/// * on a noise-free model, an early-stopped `LIMIT` query returns
-///   exactly the full evaluation truncated to the window, and never
-///   issues more prompts than the unlimited query;
-/// * under [`Pipeline::Off`] (wave retrieval) the knob is inert: waves
-///   have no per-key release points to cancel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EarlyStop {
-    /// Always materialise the full key universe — the paper-faithful
-    /// behaviour, bit-identical to the pre-limit pipeline. The default.
-    #[default]
-    Off,
-    /// Stop streaming retrieval once a plain `LIMIT` window is covered by
-    /// confirmed survivors.
-    Limit,
-}
-
-impl EarlyStop {
-    /// True when LIMIT-aware early termination is enabled.
-    pub fn is_on(self) -> bool {
-        !matches!(self, EarlyStop::Off)
-    }
-}
-
 /// Resilience knob: what the client does when a model request fails.
 ///
 /// Invariants:
@@ -300,52 +290,23 @@ impl Resilience {
     }
 }
 
-/// Cross-query admission control for [`crate::multi::run_multi_query`].
-///
-/// [`Admission::Off`] (the default) leaves the single-query engine
-/// untouched: each `execute` call still packs its own tasks onto the
-/// session's private `K` lanes, and the multi-query runner falls back to
-/// the default [`AdmissionPolicy`]. `Fair(policy)` makes the policy the
-/// session's — the multi-query runner schedules every admitted query's
-/// micro-batch tasks onto one shared [`galois_llm::LanePool`] under it,
-/// and `EXPLAIN` gains an `admission:` line describing the queueing
-/// behaviour a query will see.
-///
-/// Admission control never changes *what* a query answers — queries
-/// always execute logically in workload order with identical prompts,
-/// cache hits and result relations; the policy only governs when their
-/// traced tasks run on the shared clock (see [`crate::multi`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Admission {
-    /// No cross-query scheduling configured (the default).
-    #[default]
-    Off,
-    /// Fair-share admission over a shared lane pool under this policy.
-    Fair(AdmissionPolicy),
-}
-
-impl Admission {
-    /// The configured policy (`None` when off).
-    pub fn policy(&self) -> Option<AdmissionPolicy> {
-        match self {
-            Admission::Off => None,
-            Admission::Fair(policy) => Some(*policy),
-        }
-    }
-
-    /// True when a cross-query policy is configured.
-    pub fn is_on(&self) -> bool {
-        matches!(self, Admission::Fair(_))
-    }
-}
-
-/// How the multi-query runner admits queries and shares the lane pool.
+/// How the multi-query runner admits queries and shares the lane pool —
+/// the argument of [`crate::multi::run_multi_query`], never a session
+/// option: a session executes a query the same way whatever pool its
+/// trace is later replayed on.
 ///
 /// Every `0` field means "unbounded / derive automatically", which is also
 /// the default policy: pool sized to `sessions × K`, no in-flight cap, no
 /// per-session task quota, deficit-weighted fairness. Those defaults make
 /// a single-session multi-query run bit-exact with running the same
 /// queries back-to-back through the private streaming engine.
+///
+/// Admission control never changes *what* a query answers — queries
+/// always execute logically in workload order with identical prompts,
+/// cache hits and result relations; the policy only governs when their
+/// traced tasks run on the shared clock (see [`crate::multi`]). Its
+/// `Display` form is the one-line description a caller prints beside the
+/// run it applies the policy to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Lanes in the shared pool; `0` derives `sessions × K` (every
@@ -390,7 +351,32 @@ impl AdmissionPolicy {
     }
 }
 
+impl fmt::Display for AdmissionPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bound = |n: usize, unit: &str| match n {
+            0 => "unlimited".to_string(),
+            n => format!("{n} {unit}"),
+        };
+        match self.pool_lanes {
+            0 => write!(f, "shared pool (sessions × K lanes)")?,
+            n => write!(f, "shared pool ({n} lanes)")?,
+        }
+        write!(
+            f,
+            ", in-flight cap {}, quota {}, share {}",
+            bound(self.max_inflight, "queries"),
+            bound(self.session_quota, "tasks/session"),
+            self.share,
+        )
+    }
+}
+
 /// Tuning knobs of a session.
+///
+/// Two presets name the configurations everything else is measured
+/// against: [`GaloisOptions::default`], the paper's pipeline, and
+/// [`GaloisOptions::serving`], the stack the benchmark's serving
+/// workloads run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaloisOptions {
     /// Plan-compilation options (source routing, filter mode, pushdown).
@@ -401,8 +387,6 @@ pub struct GaloisOptions {
     /// iterates "until we stop getting new results"; the cap is the
     /// user-specified threshold alternative).
     pub max_list_iterations: usize,
-    /// Prompts per batch request.
-    pub batch_size: usize,
     /// Concurrency knob: simulated request lanes for the virtual clock
     /// *and* real worker threads for the scheduler. `Parallelism(1)` (the
     /// default) is the paper-faithful sequential configuration.
@@ -423,46 +407,126 @@ pub struct GaloisOptions {
     /// barrier-separated waves bit for bit; [`Pipeline::Streaming`]
     /// streams keys through filter and fetch micro-batches under the
     /// event-driven virtual clock, issuing the same prompts without the
-    /// phase barriers.
+    /// phase barriers; [`Pipeline::StreamingLimit`] also stops listing
+    /// and prunes unissued filter/fetch work once a plain `LIMIT` window
+    /// is covered by confirmed survivors.
     pub pipeline: Pipeline,
     /// Cross-query key-universe store for the LIST phase.
     /// [`ListStore::Off`] (the default) re-lists every query bit for bit;
     /// `On`/`Shared` serve warm concepts at zero prompt cost and page
     /// cold ones speculatively (see [`ListStore`]).
     pub list_store: ListStore,
-    /// LIMIT-aware early termination for streaming retrieval.
-    /// [`EarlyStop::Off`] (the default) materialises every key universe
-    /// in full bit for bit; [`EarlyStop::Limit`] stops listing and prunes
-    /// unissued filter/fetch work once a plain `LIMIT` window is covered
-    /// by confirmed survivors (see [`EarlyStop`]).
-    pub early_stop: EarlyStop,
     /// Fault handling for model requests. [`Resilience::Off`] (the
     /// default) hands degraded completions straight to the parsers bit
     /// for bit; [`Resilience::On`] retries failed requests with backoff
     /// billed in virtual time (see [`Resilience`]).
     pub resilience: Resilience,
-    /// Cross-query admission control. [`Admission::Off`] (the default)
-    /// changes nothing about single-query execution; [`Admission::Fair`]
-    /// configures how [`crate::multi::run_multi_query`] shares the lane
-    /// pool across concurrent sessions (see [`Admission`]).
-    pub admission: Admission,
 }
 
 impl Default for GaloisOptions {
+    /// The paper preset: one lane, one task per prompt, barrier-separated
+    /// waves, fixed-rule planning, no cross-query state, no retries —
+    /// bit-exact with the pipeline the paper describes.
     fn default() -> Self {
         GaloisOptions {
             compile: CompileOptions::default(),
             cleaning: CleaningPolicy::default(),
             max_list_iterations: 32,
-            batch_size: 20,
             parallelism: Parallelism::default(),
             planner: Planner::default(),
             prompt_batch: PromptBatch::default(),
             pipeline: Pipeline::default(),
             list_store: ListStore::default(),
-            early_stop: EarlyStop::default(),
             resilience: Resilience::default(),
-            admission: Admission::default(),
         }
+    }
+}
+
+impl GaloisOptions {
+    /// The serving preset: eight lanes, the cost-based planner, streaming
+    /// retrieval, 10 keys × 6 attributes per grid prompt and a
+    /// session-private key-universe store — the stack behind the
+    /// `serving_*` and `frontend` benchmark workloads and the
+    /// `galois_grid_fused` ledger row (`galois_bench::grid_stack_options(8,
+    /// 10, 6)`).
+    pub fn serving() -> Self {
+        GaloisOptions {
+            parallelism: Parallelism::new(8),
+            planner: Planner::CostBased,
+            prompt_batch: PromptBatch::Grid { keys: 10, attrs: 6 },
+            pipeline: Pipeline::Streaming,
+            list_store: ListStore::On,
+            ..Default::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_admission_policy_describes_itself_in_one_line() {
+        assert_eq!(
+            AdmissionPolicy {
+                max_inflight: 4,
+                ..Default::default()
+            }
+            .to_string(),
+            "shared pool (sessions × K lanes), in-flight cap 4 queries, quota unlimited, \
+             share deficit-ms"
+        );
+        assert_eq!(
+            AdmissionPolicy {
+                pool_lanes: 64,
+                max_inflight: 0,
+                session_quota: 2,
+                share: galois_llm::FairShare::RoundRobin,
+            }
+            .to_string(),
+            "shared pool (64 lanes), in-flight cap unlimited, quota 2 tasks/session, \
+             share round-robin"
+        );
+    }
+
+    #[test]
+    fn the_presets_are_the_paper_pipeline_and_the_serving_stack() {
+        let paper = GaloisOptions::default();
+        assert_eq!(paper.parallelism.get(), 1);
+        assert_eq!(paper.planner, Planner::Heuristic);
+        assert_eq!(paper.prompt_batch, PromptBatch::Off);
+        assert_eq!(paper.pipeline, Pipeline::Off);
+        assert_eq!(paper.list_store, ListStore::Off);
+        assert_eq!(paper.resilience, Resilience::Off);
+        // Serving changes the five scheduling knobs and nothing else.
+        let serving = GaloisOptions::serving();
+        assert_eq!(serving.parallelism.get(), 8);
+        assert_eq!(serving.planner, Planner::CostBased);
+        assert_eq!(
+            serving.prompt_batch,
+            PromptBatch::Grid { keys: 10, attrs: 6 }
+        );
+        assert_eq!(serving.pipeline, Pipeline::Streaming);
+        assert_eq!(serving.list_store, ListStore::On);
+        assert_eq!(
+            GaloisOptions {
+                parallelism: paper.parallelism,
+                planner: paper.planner,
+                prompt_batch: paper.prompt_batch,
+                pipeline: paper.pipeline,
+                list_store: paper.list_store.clone(),
+                ..serving
+            },
+            paper
+        );
+    }
+
+    #[test]
+    fn both_streaming_variants_run_the_event_driver() {
+        assert!(!Pipeline::Off.is_streaming() && !Pipeline::Off.stops_at_limit());
+        assert!(Pipeline::Streaming.is_streaming() && !Pipeline::Streaming.stops_at_limit());
+        assert!(
+            Pipeline::StreamingLimit.is_streaming() && Pipeline::StreamingLimit.stops_at_limit()
+        );
     }
 }

@@ -574,8 +574,8 @@ pub(super) struct Protocol<'a> {
     /// event driver it also fires the moment it holds `fuse` keys.
     barrier: bool,
     /// LIMIT window (`n + offset`) when early stop applies: the session
-    /// enables `EarlyStop::Limit`, the event driver runs, *and* the
-    /// residual plan is a plain window over this (single) step's scan
+    /// runs `Pipeline::StreamingLimit` *and* the residual plan is a plain
+    /// window over this (single) step's scan
     /// ([`crate::compile::limit_hint`]). `None` runs to exhaustion.
     window: Option<LimitWindow>,
 }
@@ -642,7 +642,7 @@ impl<'a> Protocol<'a> {
             })
             .collect();
         let barrier = !options.pipeline.is_streaming();
-        let window = if options.early_stop.is_on() && !barrier {
+        let window = if options.pipeline.stops_at_limit() {
             crate::compile::limit_hint(compiled).map(LimitWindow::new)
         } else {
             None

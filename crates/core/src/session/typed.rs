@@ -205,11 +205,10 @@ impl Universes {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Galois, GaloisOptions, ListStore, Pipeline, PromptBatch};
+    use super::super::{Galois, GaloisOptions};
     use super::{Publish, Universes};
-    use crate::plan_choice::Planner;
     use galois_dataset::Scenario;
-    use galois_llm::{ModelProfile, Parallelism, SimLlm};
+    use galois_llm::{ModelProfile, SimLlm};
     use galois_relational::{Column, DataType, Table, TableSchema, Value};
     use std::sync::Arc;
 
@@ -217,14 +216,7 @@ mod tests {
         Galois::with_options(
             Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle())),
             s.database.clone(),
-            GaloisOptions {
-                list_store: ListStore::On,
-                prompt_batch: PromptBatch::Grid { keys: 10, attrs: 6 },
-                pipeline: Pipeline::Streaming,
-                planner: Planner::CostBased,
-                parallelism: Parallelism::new(8),
-                ..Default::default()
-            },
+            GaloisOptions::serving(),
         )
     }
 

@@ -12,7 +12,8 @@
 //! The clock nests three lane packings. A round's prompts are grouped
 //! into client requests ([`group_requests`]): a list iteration or offset
 //! page is a request of its own; consecutive prompts of one retrieval
-//! cell fuse into requests of up to `batch_size`, never spanning cells.
+//! cell fuse into requests of up to [`REQUEST_PROMPTS`], never spanning
+//! cells.
 //! Inside a request the client packs the miss latencies onto its `K`
 //! lanes and charges one overhead; a round costs its requests'
 //! `lane_schedule` over `K`; a step costs the sum of its rounds (rounds
@@ -27,6 +28,13 @@ use super::Galois;
 use crate::compile::CompiledQuery;
 use galois_llm::lane_schedule;
 use std::ops::Range;
+
+/// Prompts per client request under the barrier driver: a wave's prompts
+/// of one retrieval cell ride in requests of at most this many, each
+/// charged one request overhead. A constant, not an option: no caller
+/// ever ran another value, and the wave estimates of
+/// [`crate::plan_choice`] price requests by the same number.
+pub(crate) const REQUEST_PROMPTS: usize = 20;
 
 /// Groups one round's fired prompts, given each one's retrieval cell in
 /// fire order (`None`: a list prompt), into client requests — ranges of
@@ -81,10 +89,7 @@ pub(super) fn retrieve(session: &Galois, compiled: &CompiledQuery) -> (QueryStat
 /// is single-phase: a stage cannot fire before its upstream drained —
 /// and processes the completions in fire order. Returns what they fired.
 fn run_round(session: &Galois, protocol: &mut Protocol, fires: Vec<Fire>) -> Vec<Fire> {
-    let requests = group_requests(
-        fires.iter().map(|fire| fire.target.cell()),
-        session.options.batch_size.max(1),
-    );
+    let requests = group_requests(fires.iter().map(|fire| fire.target.cell()), REQUEST_PROMPTS);
     let outcomes = {
         let protocol = &*protocol;
         // Each request renders its own prompts, so an inline round holds

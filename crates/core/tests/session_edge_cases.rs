@@ -177,25 +177,24 @@ fn max_iterations_one_truncates_but_still_returns() {
     });
 }
 
-/// `EarlyStop::Limit` over an x10 relation: the window check that prunes
+/// `Pipeline::StreamingLimit` over an x10 relation: the window check that prunes
 /// keys behind a covered `LIMIT` must issue the prompts and rows it always
 /// has (pinned to the engine before the check stopped counting the
 /// confirmed prefix while the window cannot yet be covered).
 #[test]
 fn limit_early_stop_over_an_x10_relation_keeps_its_prompts_and_rows() {
-    use galois_core::{EarlyStop, Parallelism, Pipeline, PromptBatch};
+    use galois_core::{Parallelism, Pipeline, PromptBatch};
     let s = Scenario::generate_scaled(42, 10);
     let paged = ModelProfile {
         list_page_size: 25,
         ..ModelProfile::oracle()
     };
-    let session = |batch, early_stop| {
+    let session = |batch, pipeline| {
         Galois::with_options(
             Arc::new(SimLlm::new(s.knowledge.clone(), paged.clone())),
             s.database.clone(),
             GaloisOptions {
-                pipeline: Pipeline::Streaming,
-                early_stop,
+                pipeline,
                 prompt_batch: batch,
                 parallelism: Parallelism::new(4),
                 ..Default::default()
@@ -207,8 +206,10 @@ fn limit_early_stop_over_an_x10_relation_keeps_its_prompts_and_rows() {
         (PromptBatch::Off, (2, 25, 10, 2510)),
         (PromptBatch::Keys(8), (2, 4, 2, 753)),
     ] {
-        let got = session(batch, EarlyStop::Limit).execute(sql).unwrap();
-        let full = session(batch, EarlyStop::Off).execute(sql).unwrap();
+        let got = session(batch, Pipeline::StreamingLimit)
+            .execute(sql)
+            .unwrap();
+        let full = session(batch, Pipeline::Streaming).execute(sql).unwrap();
         assert_eq!(got.relation.rows, full.relation.rows, "{batch:?}");
         assert_eq!(got.relation.len(), 5);
         let st = &got.stats;

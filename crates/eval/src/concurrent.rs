@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use galois_core::{run_multi_query, Galois, GaloisOptions};
+use galois_core::{run_multi_query, AdmissionPolicy, Galois, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_llm::ModelProfile;
 
@@ -75,23 +75,24 @@ impl ConcurrentSuiteRun {
 }
 
 /// Runs the scenario's suite at `sessions` concurrent closed-loop
-/// sessions over a fresh shared session built from `options`.
+/// sessions, admitted under `policy`, over a fresh shared session built
+/// from `options`.
 ///
 /// Queries are dealt round-robin (`query i` → `session i mod sessions`),
-/// the admission policy comes from [`GaloisOptions::admission`] (the
-/// default fair policy when the knob is off), and the options must select
-/// [`Pipeline::Streaming`](galois_core::Pipeline::Streaming) — the wave
-/// engine has no task trace to replay.
+/// and the options must select a streaming
+/// [`Pipeline`](galois_core::Pipeline) — the wave engine has no task
+/// trace to replay.
 pub fn run_suite_concurrent(
     scenario: &Scenario,
     profile: ModelProfile,
     options: GaloisOptions,
     sessions: usize,
+    policy: &AdmissionPolicy,
 ) -> galois_core::Result<ConcurrentSuiteRun> {
     let model_name = profile.name.clone();
     let model = model_for(scenario, profile);
     let galois = Galois::with_options(model, scenario.database.clone(), options);
-    run_suite_concurrent_on(scenario, &galois, &model_name, sessions)
+    run_suite_concurrent_on(scenario, &galois, &model_name, sessions, policy)
 }
 
 /// [`run_suite_concurrent`] over an *existing* shared session, so callers
@@ -101,14 +102,14 @@ pub fn run_suite_concurrent_on(
     galois: &Galois,
     model_name: &str,
     sessions: usize,
+    policy: &AdmissionPolicy,
 ) -> galois_core::Result<ConcurrentSuiteRun> {
     let started = Instant::now();
     let sessions = sessions.max(1);
     let sqls: Vec<String> = scenario.suite.iter().map(|spec| spec.to_sql()).collect();
     let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
     let session_of: Vec<usize> = (0..queries.len()).map(|i| i % sessions).collect();
-    let policy = galois.options().admission.policy().unwrap_or_default();
-    let report = run_multi_query(galois, &queries, &session_of, &policy)?;
+    let report = run_multi_query(galois, &queries, &session_of, policy)?;
 
     let outcomes: Vec<QueryOutcome> = scenario
         .suite
@@ -156,7 +157,7 @@ pub fn run_suite_concurrent_on(
 mod tests {
     use super::*;
     use crate::harness::{run_galois_suite, suite_totals};
-    use galois_core::{Admission, AdmissionPolicy, Parallelism, Pipeline, PromptBatch};
+    use galois_core::{Parallelism, Pipeline, PromptBatch};
 
     fn small_scenario() -> Scenario {
         Scenario::generate_with(
@@ -185,8 +186,14 @@ mod tests {
     fn concurrent_suite_matches_serial_answers_and_beats_its_clock() {
         let s = small_scenario();
         let serial = run_galois_suite(&s, ModelProfile::oracle(), streaming_options());
-        let concurrent =
-            run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 8).unwrap();
+        let concurrent = run_suite_concurrent(
+            &s,
+            ModelProfile::oracle(),
+            streaming_options(),
+            8,
+            &AdmissionPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(concurrent.sessions, 8);
         assert_eq!(concurrent.pool_lanes, 64);
         assert_eq!(serial.outcomes.len(), concurrent.run.outcomes.len());
@@ -215,14 +222,12 @@ mod tests {
     #[test]
     fn inflight_cap_surfaces_queue_delay_in_totals() {
         let s = small_scenario();
-        let options = GaloisOptions {
-            admission: Admission::Fair(AdmissionPolicy {
-                max_inflight: 2,
-                ..Default::default()
-            }),
-            ..streaming_options()
+        let capped = AdmissionPolicy {
+            max_inflight: 2,
+            ..Default::default()
         };
-        let run = run_suite_concurrent(&s, ModelProfile::oracle(), options, 8).unwrap();
+        let run = run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 8, &capped)
+            .unwrap();
         assert!(run.total_queue_ms > 0);
         let totals = run.totals();
         assert_eq!(totals.queue_ms, run.total_queue_ms);
@@ -240,7 +245,14 @@ mod tests {
     fn one_session_concurrent_run_is_the_serial_suite() {
         let s = small_scenario();
         let serial = run_galois_suite(&s, ModelProfile::oracle(), streaming_options());
-        let one = run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 1).unwrap();
+        let one = run_suite_concurrent(
+            &s,
+            ModelProfile::oracle(),
+            streaming_options(),
+            1,
+            &AdmissionPolicy::default(),
+        )
+        .unwrap();
         let serial_sum: u64 = serial.outcomes.iter().map(|o| o.stats.virtual_ms).sum();
         assert_eq!(one.makespan_ms, serial_sum);
         for (a, b) in serial.outcomes.iter().zip(&one.run.outcomes) {

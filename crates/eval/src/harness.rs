@@ -657,10 +657,9 @@ mod tests {
             &s,
             ModelProfile::oracle(),
             GaloisOptions {
-                pipeline: galois_core::Pipeline::Streaming,
+                pipeline: galois_core::Pipeline::StreamingLimit,
                 prompt_batch: galois_core::PromptBatch::Grid { keys: 8, attrs: 2 },
                 parallelism: galois_llm::Parallelism::new(4),
-                early_stop: galois_core::EarlyStop::Limit,
                 ..Default::default()
             },
         );

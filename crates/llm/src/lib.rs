@@ -21,8 +21,8 @@
 //! * weak self-computed arithmetic for the QA baselines,
 //! * context-window truncation (small models lose long exclusion lists).
 //!
-//! See `DESIGN.md` §1 for why each substitution preserves the behaviour
-//! the paper measures.
+//! ARCHITECTURE.md's "Crate ↔ paper map" (`crates/llm` — §5 models,
+//! offline substitution) names the module behind each substitution.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 //! This is the only surface Galois sees: it renders a prompt string, gets a
 //! completion string back, and must parse whatever comes out. Keeping the
 //! boundary purely textual is what makes the simulation exercise the same
-//! code paths as a real LLM deployment (DESIGN.md §1).
+//! code paths as a real LLM deployment (ARCHITECTURE.md, "Crate ↔ paper map").
 
 use std::fmt;
 

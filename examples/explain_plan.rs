@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example explain_plan`
 
 use galois::core::{
-    Admission, AdmissionPolicy, Galois, GaloisOptions, Parallelism, Pipeline, Planner, PromptBatch,
-    Resilience, RetryPolicy,
+    run_multi_query, AdmissionPolicy, Galois, GaloisOptions, Parallelism, Pipeline, Planner,
+    PromptBatch, Resilience, RetryPolicy,
 };
 use galois::dataset::Scenario;
 use galois::llm::{FaultProfile, FaultyLlm, ModelProfile, SimLlm};
@@ -144,42 +144,48 @@ fn main() {
     );
     assert_eq!(result.stats.failed_cells, 0, "retries absorb the schedule");
 
-    // Admission control: the same streaming stack with cross-query
-    // scheduling armed. EXPLAIN gains a queueing-aware `admission:` line
-    // naming the shared-pool width, the in-flight window, the per-session
-    // quota and the fair-share rule — the plan itself (and its cost
-    // estimates) are untouched, because admission only reshapes *when*
-    // traces replay, never what the query asks.
+    // Admission control is not a session option: the policy is the
+    // argument of `run_multi_query`, which replays the queries' task traces
+    // on one shared lane pool. EXPLAIN therefore says nothing about it —
+    // the plan and its estimates are what any replay of it starts from —
+    // and the caller that applies a policy prints its one-line description
+    // beside the clocks it measured: admission reshapes *when* traces
+    // replay, never what a query asks.
     let galois = Galois::with_options(
         Arc::new(SimLlm::new(
             scenario.knowledge.clone(),
             ModelProfile::oracle(),
         )),
         scenario.database.clone(),
-        GaloisOptions {
-            planner: Planner::CostBased,
-            prompt_batch: PromptBatch::Keys(10),
-            pipeline: Pipeline::Streaming,
-            parallelism: Parallelism::new(8),
-            admission: Admission::Fair(AdmissionPolicy {
-                max_inflight: 14,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
+        GaloisOptions::serving(),
     );
-    let explained = galois.execute(&format!("EXPLAIN {sql}")).unwrap();
-    println!("\n=== streaming, 8 lanes + fair admission (in-flight cap 14) ===");
-    for row in &explained.relation.rows {
-        println!("{}", row[0].render());
-    }
-    assert_eq!(explained.stats.total_prompts(), 0);
-    let admission_line = explained
-        .relation
-        .rows
-        .iter()
-        .map(|row| row[0].render())
-        .find(|line| line.starts_with("admission:"))
-        .expect("fair admission adds its EXPLAIN line");
-    println!("-> {admission_line}");
+    let explained = galois.explain(sql).unwrap();
+    assert!(!explained.contains("admission:"));
+    let sqls: Vec<String> = scenario.suite.iter().take(8).map(|q| q.to_sql()).collect();
+    let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
+    let session_of: Vec<usize> = (0..queries.len()).collect();
+    let policy = AdmissionPolicy {
+        max_inflight: 2,
+        ..Default::default()
+    };
+    let report = run_multi_query(&galois, &queries, &session_of, &policy).unwrap();
+    println!("\n=== serving stack, 8 sessions on one shared pool ===");
+    println!("admission: {policy}");
+    println!(
+        "actual: {} queries on {} lanes, makespan {} virtual ms, {} ms queued at the window",
+        report.outcomes.len(),
+        report.pool_lanes,
+        report.makespan_ms,
+        report.total_queue_ms,
+    );
+    assert_eq!(
+        policy.to_string(),
+        "shared pool (sessions × K lanes), in-flight cap 2 queries, quota unlimited, \
+         share deficit-ms"
+    );
+    assert_eq!(report.pool_lanes, 64);
+    assert!(
+        report.total_queue_ms > 0,
+        "a 2-query window over 8 arrivals"
+    );
 }

@@ -4,14 +4,13 @@
 //! subset it needs (hence the file-wide `dead_code` allowance): the small
 //! world config, row/stat normalisers, session constructors, the
 //! options-matrix builder, the suite runner with its stat-snapshot diff,
-//! the serving-stack session and its per-pass readings, and the
+//! the profile-answered session and its per-pass readings, and the
 //! adversarial model wrappers that corrupt batched answers.
 
 #![allow(dead_code)]
 
 use galois::core::{
-    EarlyStop, Galois, GaloisOptions, ListStore, Parallelism, Pipeline, Planner, PromptBatch,
-    QueryStats,
+    Galois, GaloisOptions, ListStore, Parallelism, Pipeline, PromptBatch, QueryStats,
 };
 use galois::dataset::{build_operator_suite, Scenario, WorldConfig};
 use galois::llm::intent::{parse_task, TaskIntent};
@@ -126,20 +125,6 @@ pub fn session_with_model(
     Galois::with_options(model, s.database.clone(), opts)
 }
 
-/// The serving stack (`grid_stack_options(8, 10, 6)`): streaming, cost
-/// planner, grid batching, eight lanes, over the given key-universe store.
-pub fn serving_options(list_store: ListStore) -> GaloisOptions {
-    GaloisOptions {
-        planner: Planner::CostBased,
-        ..options(
-            list_store,
-            Pipeline::Streaming,
-            PromptBatch::Grid { keys: 10, attrs: 6 },
-            8,
-        )
-    }
-}
-
 /// A session over the scenario's knowledge as `profile` answers it.
 pub fn serving_session(
     scenario: &Scenario,
@@ -223,7 +208,6 @@ pub struct OptionsMatrix {
     batches: Vec<PromptBatch>,
     lanes: Vec<usize>,
     stores: Vec<ListStore>,
-    early_stops: Vec<EarlyStop>,
 }
 
 impl Default for OptionsMatrix {
@@ -240,7 +224,6 @@ impl OptionsMatrix {
             batches: vec![PromptBatch::default()],
             lanes: vec![1],
             stores: vec![ListStore::default()],
-            early_stops: vec![EarlyStop::default()],
         }
     }
 
@@ -268,12 +251,6 @@ impl OptionsMatrix {
         self
     }
 
-    /// Vary the early-stop axis.
-    pub fn early_stops(mut self, v: &[EarlyStop]) -> Self {
-        self.early_stops = v.to_vec();
-        self
-    }
-
     /// The cartesian product of every axis, as ready-to-use options.
     pub fn build(&self) -> Vec<GaloisOptions> {
         let mut out = Vec::new();
@@ -281,16 +258,7 @@ impl OptionsMatrix {
             for batch in &self.batches {
                 for &lanes in &self.lanes {
                     for store in &self.stores {
-                        for &early_stop in &self.early_stops {
-                            out.push(GaloisOptions {
-                                pipeline: *pipeline,
-                                prompt_batch: *batch,
-                                parallelism: Parallelism::new(lanes),
-                                list_store: store.clone(),
-                                early_stop,
-                                ..Default::default()
-                            });
-                        }
+                        out.push(options(store.clone(), *pipeline, *batch, lanes));
                     }
                 }
             }

@@ -10,7 +10,7 @@
 //! statements followed by the operator suite's 18 under
 //!
 //! * `default` — `GaloisOptions::default()`;
-//! * `serving-cold` — the serving stack (`grid_stack_options(8, 10, 6)`)
+//! * `serving-cold` — the serving stack (`GaloisOptions::serving()`)
 //!   on a session that has executed nothing (`list: cold` on every step);
 //! * `serving-warm` — the same session after one pass of the 64
 //!   statements: the calibration is the one frozen cold, the live overlay
@@ -27,19 +27,18 @@
 //! ```
 //!
 //! Every byte is the parent's, generated in this file's first commit with
-//! `PlannerParams::from_session` and its `with_*` chain; no cell sets an
-//! admission policy, so the `admission:` line PR 24 takes out of the
-//! report is in none of them.
+//! `PlannerParams::from_session` and its `with_*` chain (the early-stop
+//! cell as `EarlyStop::Limit` over `Pipeline::Streaming`, which is
+//! `Pipeline::StreamingLimit` now); no cell set an admission policy, so
+//! the `admission:` line PR 24 took out of the report is in none of them.
 //!
 //! Regenerate with
 //! `cargo test --test explain_golden -- --ignored regenerate_explain_golden_fixture`.
 
 mod common;
 
-use common::{options, oracle_session, serving_options, small_config, statements};
-use galois::core::{
-    EarlyStop, GaloisOptions, ListStore, Pipeline, PromptBatch, Resilience, RetryPolicy,
-};
+use common::{options, oracle_session, small_config, statements};
+use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch, Resilience, RetryPolicy};
 use galois::dataset::Scenario;
 use std::fmt::Write as _;
 
@@ -75,7 +74,7 @@ fn reports() -> String {
         &sqls,
     );
 
-    let serving = oracle_session(&s, serving_options(ListStore::On));
+    let serving = oracle_session(&s, GaloisOptions::serving());
     explain_all(&mut out, "serving-cold", &serving, &sqls);
     for sql in &sqls {
         serving
@@ -99,10 +98,12 @@ fn reports() -> String {
     one(
         &mut out,
         "early-stop",
-        GaloisOptions {
-            early_stop: EarlyStop::Limit,
-            ..options(ListStore::Off, Pipeline::Streaming, PromptBatch::Off, 8)
-        },
+        options(
+            ListStore::Off,
+            Pipeline::StreamingLimit,
+            PromptBatch::Off,
+            8,
+        ),
         "SELECT name FROM city LIMIT 5 OFFSET 2",
     );
     one(

@@ -27,8 +27,8 @@ mod common;
 
 use common::{assert_stats_eq, options, oracle_session, permutation};
 use galois::core::{
-    run_multi_query, AdmissionPolicy, FairShare, ListStore, MultiQueryReport, Pipeline,
-    PromptBatch, QueryStats,
+    run_multi_query, AdmissionPolicy, FairShare, GaloisOptions, ListStore, MultiQueryReport,
+    Pipeline, PromptBatch, QueryStats,
 };
 use galois::dataset::{Scenario, WorldConfig};
 use proptest::prelude::*;
@@ -48,6 +48,11 @@ fn scenario(seed: u64) -> Scenario {
             employees: 10,
         },
     )
+}
+
+/// The serving preset's grid batch (`Grid { keys: 10, attrs: 6 }`).
+fn serving_grid() -> PromptBatch {
+    GaloisOptions::serving().prompt_batch
 }
 
 /// Runs the scenario's suite through the scheduler at the given shape and
@@ -103,7 +108,7 @@ proptest! {
         let s = scenario(seed);
         let n = s.suite.len();
         let batch = if grid {
-            PromptBatch::Grid { keys: 10, attrs: 6 }
+            serving_grid()
         } else {
             PromptBatch::Keys(10)
         };
@@ -284,6 +289,47 @@ fn inflight_cap_queues_without_changing_accounting() {
     }
 }
 
+/// The policy is the argument's: two sessions built from *equal* options,
+/// replayed under a one-query window and under the default policy, queue
+/// differently and answer identically — nothing about admission is hidden
+/// on the session.
+#[test]
+fn the_admission_policy_is_the_arguments_not_the_sessions() {
+    let s = scenario(42);
+    let opts = GaloisOptions {
+        list_store: ListStore::Off,
+        ..GaloisOptions::serving()
+    };
+    let sqls: Vec<String> = s.suite.iter().map(|q| q.to_sql()).collect();
+    let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
+    let session_of: Vec<usize> = (0..queries.len()).map(|i| i % 8).collect();
+    let replay = |policy: &AdmissionPolicy| {
+        let session = oracle_session(&s, opts.clone());
+        assert_eq!(session.options(), &opts);
+        run_multi_query(&session, &queries, &session_of, policy).expect("serving suite replays")
+    };
+    let free = replay(&AdmissionPolicy::default());
+    let one = replay(&AdmissionPolicy {
+        max_inflight: 1,
+        ..AdmissionPolicy::default()
+    });
+    assert_eq!(free.total_queue_ms, 0);
+    assert!(one.total_queue_ms > 0, "a one-query window must queue");
+    let prompts = |r: &MultiQueryReport| -> usize {
+        r.outcomes
+            .iter()
+            .map(|o| o.result.stats.total_prompts())
+            .sum()
+    };
+    assert_eq!(prompts(&one), prompts(&free));
+    for (i, (got, want)) in one.outcomes.iter().zip(&free.outcomes).enumerate() {
+        assert_eq!(
+            got.result.relation, want.result.relation,
+            "relation, query {i}"
+        );
+    }
+}
+
 #[test]
 fn repeat_runs_are_identical_on_every_field() {
     let s = scenario(42);
@@ -293,20 +339,8 @@ fn repeat_runs_are_identical_on_every_field() {
         max_inflight: 6,
         ..AdmissionPolicy::default()
     };
-    let a = run(
-        &s,
-        PromptBatch::Grid { keys: 10, attrs: 6 },
-        8,
-        &session_of,
-        &policy,
-    );
-    let b = run(
-        &s,
-        PromptBatch::Grid { keys: 10, attrs: 6 },
-        8,
-        &session_of,
-        &policy,
-    );
+    let a = run(&s, serving_grid(), 8, &session_of, &policy);
+    let b = run(&s, serving_grid(), 8, &session_of, &policy);
     assert_eq!(a.makespan_ms, b.makespan_ms);
     assert_eq!(a.total_queue_ms, b.total_queue_ms);
     assert_eq!(a.lane_utilisation, b.lane_utilisation);

@@ -1,17 +1,21 @@
 //! Operator-surface battery (PR 8): joins, grouped aggregates and LIMIT
 //! windows over LLM relations, plus LIMIT-aware early termination.
 //!
-//! 1. **Defaults stay bit-exact** — `EarlyStop::Off` is the default, and
-//!    `EarlyStop::Limit` is *inert* wherever its precondition fails: on
-//!    queries without a plain LIMIT window, and under `Pipeline::Off`
-//!    (wave retrieval has no per-key release points to cancel). Inert
-//!    means bit-identical stat snapshots, not just equal rows.
+//! 1. **Defaults stay bit-exact** — `Pipeline::StreamingLimit` is opt-in,
+//!    and *inert* wherever its precondition fails: on queries without a
+//!    plain LIMIT window it reads exactly as `Pipeline::Streaming` does.
+//!    Inert means bit-identical stat snapshots, not just equal rows.
+//!    (Until PR 24 early stop was a knob of its own, `EarlyStop::Limit`,
+//!    and a second case here held that it was inert under `Pipeline::Off`
+//!    — wave retrieval has no per-key release points to cancel. With the
+//!    window policy a variant of the only driver that can honour it, that
+//!    state cannot be written down, and the case went with it.)
 //! 2. **Oracle exactness** — every operator-suite family (LLM ⋈ LLM,
 //!    LLM ⋈ stored, GROUP BY/HAVING, LIMIT) evaluates exactly against
-//!    relational ground truth on the noise-free model, across pipelines,
-//!    batch shapes and the early-stop knob.
+//!    relational ground truth on the noise-free model, across the three
+//!    pipelines and batch shapes.
 //! 3. **Early-stop economics** — on a 100+-key concept, a streaming
-//!    `LIMIT 10` with `EarlyStop::Limit` returns exactly the full
+//!    `LIMIT 10` under `Pipeline::StreamingLimit` returns exactly the full
 //!    evaluation truncated, while issuing measurably fewer prompts.
 //! 4. **Fallback safety under LIMIT** — a model that corrupts batched
 //!    answers (forcing mid-flight fallback re-asks) must not make early
@@ -28,7 +32,7 @@ use common::{
     assert_stats_eq, options, oracle_session, session_with_model, small_config, sorted_rows,
     LineDropper, OptionsMatrix,
 };
-use galois::core::{EarlyStop, GaloisOptions, ListStore, Pipeline, PromptBatch};
+use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::{build_operator_suite, OperatorCheck, Scenario, WorldConfig};
 use galois::llm::{ModelProfile, SimLlm};
 use galois::relational::{Relation, Value};
@@ -78,20 +82,20 @@ fn check_against_truth(s: &Scenario, q: &galois::dataset::OperatorQuery, got: &R
     }
 }
 
-/// `EarlyStop::Off` stays the default, and switching the knob on changes
-/// *nothing* on queries without a plain LIMIT window — bit-identical stat
-/// snapshots across the pipeline × batch × lane matrix, over the paper
-/// suite (which contains no LIMIT clause).
+/// Early stop stays opt-in, and switching it on changes *nothing* on
+/// queries without a plain LIMIT window — bit-identical stat snapshots
+/// across the batch × lane matrix, over the paper suite (which contains no
+/// LIMIT clause).
 #[test]
 fn limit_knob_is_inert_without_a_limit_window() {
     let s = Scenario::generate_with(42, small_config());
-    assert_eq!(
-        GaloisOptions::default().early_stop,
-        EarlyStop::Off,
-        "Off must stay the default"
+    assert!(
+        !GaloisOptions::default().pipeline.stops_at_limit()
+            && !GaloisOptions::serving().pipeline.stops_at_limit(),
+        "neither preset stops early"
     );
     for base in OptionsMatrix::new()
-        .pipelines(&[Pipeline::Off, Pipeline::Streaming])
+        .pipelines(&[Pipeline::Streaming])
         .batches(&[PromptBatch::Off, PromptBatch::Keys(8)])
         .lanes(&[1, 4])
         .build()
@@ -100,7 +104,7 @@ fn limit_knob_is_inert_without_a_limit_window() {
         let on = oracle_session(
             &s,
             GaloisOptions {
-                early_stop: EarlyStop::Limit,
+                pipeline: Pipeline::StreamingLimit,
                 ..base.clone()
             },
         );
@@ -110,16 +114,15 @@ fn limit_knob_is_inert_without_a_limit_window() {
             let b = on.execute(&sql).unwrap();
             assert_eq!(
                 a.relation.rows, b.relation.rows,
-                "q{} rows ({:?}, {:?})",
-                spec.id, base.pipeline, base.prompt_batch
+                "q{} rows ({:?})",
+                spec.id, base.prompt_batch
             );
             assert_stats_eq(
                 &a.stats,
                 &b.stats,
                 &format!(
-                    "q{} stats ({:?}, {:?}, K={}): {sql}",
+                    "q{} stats ({:?}, K={}): {sql}",
                     spec.id,
-                    base.pipeline,
                     base.prompt_batch,
                     base.parallelism.get()
                 ),
@@ -128,37 +131,8 @@ fn limit_knob_is_inert_without_a_limit_window() {
     }
 }
 
-/// Under wave retrieval the knob is inert even on LIMIT queries: there
-/// are no per-key release points to cancel, so stat snapshots match the
-/// knob-off session bit for bit.
-#[test]
-fn limit_knob_is_inert_under_wave_retrieval() {
-    let s = Scenario::generate_with(42, small_config());
-    let ops = build_operator_suite(&s.world);
-    let off = oracle_session(
-        &s,
-        options(ListStore::Off, Pipeline::Off, PromptBatch::Keys(8), 4),
-    );
-    let on = oracle_session(
-        &s,
-        GaloisOptions {
-            early_stop: EarlyStop::Limit,
-            ..options(ListStore::Off, Pipeline::Off, PromptBatch::Keys(8), 4)
-        },
-    );
-    for q in ops
-        .iter()
-        .filter(|q| matches!(q.family, galois::dataset::OperatorFamily::Limit))
-    {
-        let a = off.execute(&q.sql).unwrap();
-        let b = on.execute(&q.sql).unwrap();
-        assert_eq!(a.relation.rows, b.relation.rows, "op{}: {}", q.id, q.sql);
-        assert_stats_eq(&a.stats, &b.stats, &format!("op{} stats: {}", q.id, q.sql));
-    }
-}
-
 /// Every operator family evaluates exactly on the noise-free model,
-/// across the pipeline × batch × early-stop matrix. This is the oracle
+/// across the pipeline × batch matrix. This is the oracle
 /// battery of the widened query surface: joins between two LLM scans,
 /// joins against `DB.`-qualified stored tables, GROUP BY/HAVING
 /// aggregates, and LIMIT/OFFSET windows.
@@ -167,13 +141,12 @@ fn operator_suite_is_exact_on_the_oracle_across_the_matrix() {
     let s = Scenario::generate_with(42, small_config());
     let ops = build_operator_suite(&s.world);
     for opts in OptionsMatrix::new()
-        .pipelines(&[Pipeline::Off, Pipeline::Streaming])
+        .pipelines(&[Pipeline::Off, Pipeline::Streaming, Pipeline::StreamingLimit])
         .batches(&[
             PromptBatch::Off,
             PromptBatch::Keys(8),
             PromptBatch::Grid { keys: 8, attrs: 2 },
         ])
-        .early_stops(&[EarlyStop::Off, EarlyStop::Limit])
         .lanes(&[4])
         .build()
     {
@@ -188,7 +161,7 @@ fn operator_suite_is_exact_on_the_oracle_across_the_matrix() {
 }
 
 /// The headline economics (ISSUE acceptance): a streaming `LIMIT 10` over
-/// a 100+-key concept with `EarlyStop::Limit` surfaces exactly the rows
+/// a 100+-key concept under `Pipeline::StreamingLimit` surfaces exactly the rows
 /// the full evaluation would keep, while issuing measurably fewer
 /// prompts — the early stop cancels list pages and the per-key filter and
 /// fetch work of keys past the covered window.
@@ -211,14 +184,11 @@ fn early_stop_cuts_prompts_on_a_wide_concept() {
         list_page_size: 10,
         ..ModelProfile::oracle()
     };
-    let session = |early_stop: EarlyStop| {
+    let session = |pipeline: Pipeline| {
         galois::core::Galois::with_options(
             Arc::new(SimLlm::new(s.knowledge.clone(), paged.clone())),
             s.database.clone(),
-            GaloisOptions {
-                early_stop,
-                ..options(ListStore::Off, Pipeline::Streaming, PromptBatch::Keys(8), 4)
-            },
+            options(ListStore::Off, pipeline, PromptBatch::Keys(8), 4),
         )
     };
     for sql in [
@@ -226,8 +196,8 @@ fn early_stop_cuts_prompts_on_a_wide_concept() {
         "SELECT name, population FROM city WHERE elevation < 3000 LIMIT 10",
         "SELECT name FROM city LIMIT 5 OFFSET 3",
     ] {
-        let full = session(EarlyStop::Off).execute(sql).unwrap();
-        let early = session(EarlyStop::Limit).execute(sql).unwrap();
+        let full = session(Pipeline::Streaming).execute(sql).unwrap();
+        let early = session(Pipeline::StreamingLimit).execute(sql).unwrap();
         assert_eq!(
             early.relation.rows, full.relation.rows,
             "early stop changed the surfaced window: {sql}"
@@ -264,15 +234,12 @@ fn early_stop_waits_for_fallback_verdicts() {
         let flaky = session_with_model(
             Arc::new(LineDropper::oracle(&s)),
             &s,
-            GaloisOptions {
-                early_stop: EarlyStop::Limit,
-                ..options(
-                    ListStore::Off,
-                    Pipeline::Streaming,
-                    PromptBatch::Grid { keys: 8, attrs: 2 },
-                    lanes,
-                )
-            },
+            options(
+                ListStore::Off,
+                Pipeline::StreamingLimit,
+                PromptBatch::Grid { keys: 8, attrs: 2 },
+                lanes,
+            ),
         );
         for q in ops
             .iter()
@@ -313,10 +280,12 @@ fn early_stopped_listings_do_not_poison_the_key_universe_store() {
     let session = galois::core::Galois::with_options(
         Arc::new(SimLlm::new(s.knowledge.clone(), paged)),
         s.database.clone(),
-        GaloisOptions {
-            early_stop: EarlyStop::Limit,
-            ..options(ListStore::On, Pipeline::Streaming, PromptBatch::Keys(8), 4)
-        },
+        options(
+            ListStore::On,
+            Pipeline::StreamingLimit,
+            PromptBatch::Keys(8),
+            4,
+        ),
     );
     let limited = session.execute("SELECT name FROM city LIMIT 10").unwrap();
     assert_eq!(limited.relation.rows.len(), 10);
@@ -351,14 +320,19 @@ proptest! {
             spec.category,
             galois::dataset::QueryCategory::SelectionOnly
         ));
-        let pipeline = if streaming { Pipeline::Streaming } else { Pipeline::Off };
+        // The window stops retrieval early only where a driver can.
+        let (pipeline, windowed) = if streaming {
+            (Pipeline::Streaming, Pipeline::StreamingLimit)
+        } else {
+            (Pipeline::Off, Pipeline::Off)
+        };
         let base = options(ListStore::Off, pipeline, PromptBatch::Keys(b), lanes);
         let limited_sql = format!("{} LIMIT {n}", spec.to_sql());
 
         let unlimited = oracle_session(&s, base.clone())
             .execute(&spec.to_sql())
             .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
-        let limited = oracle_session(&s, GaloisOptions { early_stop: EarlyStop::Limit, ..base })
+        let limited = oracle_session(&s, GaloisOptions { pipeline: windowed, ..base })
             .execute(&limited_sql)
             .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
 

@@ -6,7 +6,7 @@
 //! joins, so its relational tail runs `Project(Project(Join))` plans the
 //! stored-table pin never produces. This file pins those: the evaluation
 //! suite and the operator suite on worlds {1, 7, 42} at x4, on the serving
-//! stack (`grid_stack_options(8, 10, 6)`: streaming, cost planner, grid
+//! stack (`GaloisOptions::serving()`: streaming, cost planner, grid
 //! batching, key-universe store) after two warming passes — column names,
 //! then every row in output order, every value in its `Debug` form, folded
 //! into one FNV-1a digest per world. The digests were computed with the
@@ -15,8 +15,8 @@
 
 mod common;
 
-use common::{options, oracle_session};
-use galois::core::{GaloisOptions, ListStore, Pipeline, Planner, PromptBatch};
+use common::oracle_session;
+use galois::core::GaloisOptions;
 use galois::dataset::{build_operator_suite, Scenario};
 
 fn fold(hash: &mut u64, text: &str) {
@@ -27,18 +27,7 @@ fn fold(hash: &mut u64, text: &str) {
 
 fn digest(seed: u64) -> u64 {
     let scenario = Scenario::generate_scaled(seed, 4);
-    let session = oracle_session(
-        &scenario,
-        GaloisOptions {
-            planner: Planner::CostBased,
-            ..options(
-                ListStore::On,
-                Pipeline::Streaming,
-                PromptBatch::Grid { keys: 10, attrs: 6 },
-                8,
-            )
-        },
-    );
+    let session = oracle_session(&scenario, GaloisOptions::serving());
     let statements: Vec<String> = scenario
         .suite
         .iter()

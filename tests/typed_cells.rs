@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{assert_stats_eq, pass, serving_options, serving_session, statements, Reading};
+use common::{assert_stats_eq, pass, serving_session, statements, Reading};
 use galois::core::{Galois, GaloisOptions, ListStore};
 use galois::dataset::Scenario;
 use galois::llm::{ClientStats, KeyUniverseStore, ModelProfile};
@@ -42,7 +42,7 @@ fn warm_passes_agree(profile: ModelProfile) {
     for seed in [1, 7, 42] {
         let scenario = Scenario::generate_scaled(seed, 4);
         let statements = statements(&scenario);
-        let session = serving_session(&scenario, profile.clone(), serving_options(ListStore::On));
+        let session = serving_session(&scenario, profile.clone(), GaloisOptions::serving());
         pass(&session, &statements);
         let second = pass(&session, &statements);
         assert!(
@@ -76,11 +76,7 @@ fn clearing_the_client_cache_retires_the_cells() {
     let scenario = Scenario::generate_scaled(7, 4);
     let statements = statements(&scenario);
     let after_clear = |warm_passes: usize| {
-        let session = serving_session(
-            &scenario,
-            ModelProfile::oracle(),
-            serving_options(ListStore::On),
-        );
+        let session = serving_session(&scenario, ModelProfile::oracle(), GaloisOptions::serving());
         let before = (0..warm_passes)
             .map(|_| pass(&session, &statements))
             .last()
@@ -112,10 +108,10 @@ fn a_republished_shared_universe_retires_the_cells() {
         ..ModelProfile::oracle()
     };
     let session = |max_list_iterations: usize| {
-        let shared = ListStore::Shared(Arc::clone(&store));
         let options = GaloisOptions {
             max_list_iterations,
-            ..serving_options(shared)
+            list_store: ListStore::Shared(Arc::clone(&store)),
+            ..GaloisOptions::serving()
         };
         serving_session(&scenario, paged.clone(), options)
     };
@@ -147,20 +143,12 @@ fn a_republished_shared_universe_retires_the_cells() {
 fn two_threads_fill_the_same_cells_with_the_same_rows() {
     let scenario = Scenario::generate_scaled(42, 4);
     let statements = statements(&scenario);
-    let session = serving_session(
-        &scenario,
-        ModelProfile::oracle(),
-        serving_options(ListStore::On),
-    );
+    let session = serving_session(&scenario, ModelProfile::oracle(), GaloisOptions::serving());
     // One pass: everything is stored, few cells are filled yet. The plans
     // settle in the second, so a twin session's second pass is the
     // reference.
     pass(&session, &statements);
-    let twin = serving_session(
-        &scenario,
-        ModelProfile::oracle(),
-        serving_options(ListStore::On),
-    );
+    let twin = serving_session(&scenario, ModelProfile::oracle(), GaloisOptions::serving());
     pass(&twin, &statements);
     let expected = pass_rows(&twin, &statements);
     let start = Barrier::new(2);

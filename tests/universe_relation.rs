@@ -19,11 +19,11 @@
 mod common;
 
 use common::{
-    assert_stats_eq, faulty_oracle, oracle_session, pass, permutation, read, serving_options,
-    serving_session, session_with_model, statements, Reading,
+    assert_stats_eq, faulty_oracle, oracle_session, pass, permutation, read, serving_session,
+    session_with_model, statements, Reading,
 };
 use galois::core::{
-    limit_hint, CompileOptions, EarlyStop, Galois, GaloisOptions, ListStore, Planner, PromptBatch,
+    limit_hint, CompileOptions, Galois, GaloisOptions, ListStore, Pipeline, Planner, PromptBatch,
     Resilience, RetryPolicy,
 };
 use galois::dataset::{build_operator_suite, OperatorCheck, Scenario};
@@ -63,7 +63,7 @@ fn served_steps_read_what_built_steps_read() {
     {
         let scenario = Scenario::generate_scaled(seed, 4);
         let statements = statements(&scenario);
-        let session = serving_session(&scenario, profile.clone(), serving_options(ListStore::On));
+        let session = serving_session(&scenario, profile.clone(), GaloisOptions::serving());
         let seed = format!("{seed} ({})", profile.name);
         pass(&session, &statements);
         let second = pass(&session, &statements);
@@ -115,7 +115,7 @@ proptest! {
             .take(24)
             .map(|i| all[i].clone())
             .collect();
-        let session = oracle_session(&scenario, serving_options(ListStore::On));
+        let session = oracle_session(&scenario, GaloisOptions::serving());
         // In a drawn order a plan may settle — and list its universe —
         // as late as the second pass, which the third then builds from;
         // and a selection first planned over an already warm universe
@@ -145,7 +145,7 @@ fn clearing_the_client_cache_retires_the_relations() {
     let scenario = Scenario::generate_scaled(7, 4);
     let statements = statements(&scenario);
     let after_clear = |warm_passes: usize| {
-        let session = oracle_session(&scenario, serving_options(ListStore::On));
+        let session = oracle_session(&scenario, GaloisOptions::serving());
         let before = (0..warm_passes)
             .map(|_| pass(&session, &statements))
             .last()
@@ -184,10 +184,10 @@ fn a_republished_shared_universe_retires_the_relation() {
         ..ModelProfile::oracle()
     };
     let session = |max_list_iterations: usize| {
-        let shared = ListStore::Shared(Arc::clone(&store));
         let options = GaloisOptions {
             max_list_iterations,
-            ..serving_options(shared)
+            list_store: ListStore::Shared(Arc::clone(&store)),
+            ..GaloisOptions::serving()
         };
         let model = SimLlm::new(scenario.knowledge.clone(), paged.clone());
         session_with_model(Arc::new(model), &scenario, options)
@@ -235,12 +235,9 @@ fn a_filter_stage_is_built_every_time() {
             ..CompileOptions::default()
         },
         prompt_batch,
-        ..serving_options(ListStore::On)
+        ..GaloisOptions::serving()
     };
-    let session = oracle_session(
-        &scenario,
-        heuristic(PromptBatch::Grid { keys: 10, attrs: 6 }),
-    );
+    let session = oracle_session(&scenario, heuristic(GaloisOptions::serving().prompt_batch));
     let unbatched = oracle_session(&scenario, heuristic(PromptBatch::Off));
     for _ in 0..3 {
         pass(&session, &statements);
@@ -266,7 +263,7 @@ fn a_filter_stage_is_built_every_time() {
 }
 
 /// A `LIMIT` window prunes key slots, so its table is not the universe's:
-/// under `EarlyStop::Limit` the operator suite's plain windows are built
+/// under `Pipeline::StreamingLimit` the operator suite's plain windows are built
 /// every time — over universes whose relations hold every column they
 /// fetch — return what a session without early stop returns, and leave
 /// the relations as they were for the same statements without a window.
@@ -274,11 +271,11 @@ fn a_filter_stage_is_built_every_time() {
 fn a_limit_window_is_built_every_time_and_keeps_nothing() {
     let scenario = Scenario::generate_scaled(42, 4);
     let early = GaloisOptions {
-        early_stop: EarlyStop::Limit,
-        ..serving_options(ListStore::On)
+        pipeline: Pipeline::StreamingLimit,
+        ..GaloisOptions::serving()
     };
     let session = oracle_session(&scenario, early);
-    let plain = oracle_session(&scenario, serving_options(ListStore::On));
+    let plain = oracle_session(&scenario, GaloisOptions::serving());
     let (windows, unlimited): (Vec<String>, Vec<String>) = build_operator_suite(&scenario.world)
         .into_iter()
         .filter_map(|q| match q.check {
@@ -321,10 +318,7 @@ fn a_limit_window_is_built_every_time_and_keeps_nothing() {
 fn a_degraded_cell_never_enters_a_relation() {
     let scenario = Scenario::generate_scaled(7, 4);
     let sql = "SELECT name, population, country FROM city";
-    let want = read(
-        &oracle_session(&scenario, serving_options(ListStore::On)),
-        sql,
-    );
+    let want = read(&oracle_session(&scenario, GaloisOptions::serving()), sql);
     let faults = FaultProfile {
         seed: 7,
         fault_rate: 1.0,
@@ -340,7 +334,7 @@ fn a_degraded_cell_never_enters_a_relation() {
     let session = || {
         let options = GaloisOptions {
             resilience: Resilience::On(policy),
-            ..serving_options(ListStore::On)
+            ..GaloisOptions::serving()
         };
         session_with_model(model.clone(), &scenario, options)
     };
@@ -383,7 +377,7 @@ fn a_degraded_cell_never_enters_a_relation() {
 #[test]
 fn a_table_of_freshly_asked_answers_is_not_kept() {
     let scenario = Scenario::generate_scaled(42, 4);
-    let session = oracle_session(&scenario, serving_options(ListStore::On));
+    let session = oracle_session(&scenario, GaloisOptions::serving());
     let keys = "SELECT COUNT(*) FROM city";
     let [listed, built, served] = [(); 3].map(|()| read(&session, keys));
     assert_eq!((listed.built, built.built, served.served), (1, 1, 1));
@@ -405,7 +399,7 @@ fn a_table_of_freshly_asked_answers_is_not_kept() {
 #[test]
 fn a_self_join_is_served_one_table_under_two_names() {
     let scenario = Scenario::generate_scaled(1, 4);
-    let session = oracle_session(&scenario, serving_options(ListStore::On));
+    let session = oracle_session(&scenario, GaloisOptions::serving());
     let sql = "SELECT p.name, r.name FROM city p, city r \
                WHERE p.country = r.country AND p.population < r.population";
     read(&session, sql);
@@ -434,8 +428,8 @@ fn two_threads_publish_and_are_served_the_same_rows() {
     // One pass: everything is stored, little is published yet. The plans
     // settle in the second, so a twin session's second pass is the
     // reference.
-    let session = oracle_session(&scenario, serving_options(ListStore::On));
-    let twin = oracle_session(&scenario, serving_options(ListStore::On));
+    let session = oracle_session(&scenario, GaloisOptions::serving());
+    let twin = oracle_session(&scenario, GaloisOptions::serving());
     rows(&session);
     rows(&twin);
     let expected = rows(&twin);
