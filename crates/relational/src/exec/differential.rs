@@ -32,6 +32,7 @@ use crate::table::{Catalog, Table};
 use crate::value::{DataType, Value};
 use galois_sql::ast::{BinaryOp, JoinType, SortDirection, UnaryOp};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// The case's private stream.
 struct Gen(u64);
@@ -468,4 +469,106 @@ fn generated_cases_reach_rows_empty_results_and_failures() {
         rows >= 160 && empty >= 20 && failed >= 20,
         "{rows} with rows, {empty} empty, {failed} failed"
     );
+}
+
+/// The executor path a join or aggregate node takes, read off its shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Path {
+    /// The right input's key index serves the join.
+    RightKeyed,
+    /// The left input's key index serves the join (the right's cannot).
+    LeftKeyed,
+    HashJoin,
+    NestedLoop,
+    GlobalAggregateOverEmpty,
+    GlobalAggregateOverRows,
+}
+
+/// Whether a join input can be probed through its table's key index: a
+/// bare scan of a catalog table, one equi key on its side reading the
+/// table's key column, and every key on its side a plain column or a
+/// literal — reading those cannot fail, so the rows no probe reaches hide
+/// no error.
+fn index_joinable<'e>(
+    input: &LogicalPlan,
+    mut keys: impl Iterator<Item = &'e ScalarExpr>,
+    catalog: &Catalog,
+) -> bool {
+    let LogicalPlan::Scan { table, .. } = input else {
+        return false;
+    };
+    let Ok(table) = catalog.get(table) else {
+        return false;
+    };
+    let (key, arity) = (table.schema.key, table.schema.arity());
+    let mut on_key = false;
+    let plain = keys.all(|e| match e {
+        ScalarExpr::Column(c) => {
+            on_key |= c.index == key;
+            c.index < arity
+        }
+        other => matches!(other, ScalarExpr::Literal(_)),
+    });
+    plain && on_key
+}
+
+/// The paths `plan`'s nodes take, counted into `paths`.
+fn paths(plan: &LogicalPlan, catalog: &Catalog, paths: &mut HashMap<Path, usize>) {
+    let path = match plan {
+        LogicalPlan::Join {
+            left,
+            right,
+            condition,
+            ..
+        } => Some(if condition.equi.is_empty() {
+            Path::NestedLoop
+        } else if index_joinable(right, condition.equi.iter().map(|(_, r)| r), catalog) {
+            Path::RightKeyed
+        } else if index_joinable(left, condition.equi.iter().map(|(l, _)| l), catalog) {
+            Path::LeftKeyed
+        } else {
+            Path::HashJoin
+        }),
+        LogicalPlan::CrossJoin { .. } => Some(Path::NestedLoop),
+        LogicalPlan::Aggregate {
+            input, group_by, ..
+        } if group_by.is_empty() => match reference::execute(input, catalog) {
+            Ok(rows) if rows.is_empty() => Some(Path::GlobalAggregateOverEmpty),
+            Ok(_) => Some(Path::GlobalAggregateOverRows),
+            Err(_) => None,
+        },
+        _ => None,
+    };
+    if let Some(path) = path {
+        *paths.entry(path).or_default() += 1;
+    }
+    for child in plan.children() {
+        self::paths(child, catalog, paths);
+    }
+}
+
+/// The generator reaches every path the executor picks by shape: both
+/// orientations of the index join, the hash join, the nested loop, and a
+/// global aggregate over no rows and over some.
+#[test]
+fn generated_cases_reach_every_join_and_aggregate_path() {
+    let mut reached = HashMap::new();
+    for seed in 0..400 {
+        let mut g = Gen(seed);
+        let catalog = catalog(&mut g);
+        paths(&plan(&mut g, &catalog), &catalog, &mut reached);
+    }
+    let mut counts: Vec<_> = reached.iter().collect();
+    counts.sort();
+    for path in [
+        Path::RightKeyed,
+        Path::LeftKeyed,
+        Path::HashJoin,
+        Path::NestedLoop,
+        Path::GlobalAggregateOverEmpty,
+        Path::GlobalAggregateOverRows,
+    ] {
+        let n = reached.get(&path).copied().unwrap_or(0);
+        assert!(n >= 20, "{path:?} reached {n} times: {counts:?}");
+    }
 }
