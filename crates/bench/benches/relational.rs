@@ -181,8 +181,11 @@ fn commuted(plan: LogicalPlan) -> LogicalPlan {
 /// residual plan of a serving statement runs over — the join on `grp`
 /// probes 100 keys, the one on `stock` 10⁴ distinct text keys, the
 /// `city ⋈ cityMayor` shape — in FROM order and as the cost planner
-/// commutes it. The plan is built once; the measured part is `execute`
-/// alone, whose scans borrow the tables' rows.
+/// commutes it (each joins on its right table's key, so since PR 25 the
+/// executor probes that table's key index; the names predate it), and
+/// `COUNT(*) FROM city`'s shape, a global aggregate. The plan is built
+/// once; the measured part is `execute` alone, whose scans borrow the
+/// tables' rows.
 fn bench_execution_1e4(c: &mut Criterion) {
     let mut db = Database::new();
     let mut item = Table::new(
@@ -238,6 +241,10 @@ fn bench_execution_1e4(c: &mut Criterion) {
         (
             "exec_group_by/1e4",
             "SELECT grp, COUNT(*), AVG(qty) FROM item GROUP BY grp",
+        ),
+        (
+            "exec_global_aggregate/1e4",
+            "SELECT COUNT(*), MAX(qty), AVG(qty) FROM item",
         ),
     ]
     .map(|(name, sql)| (name, db.plan(sql).expect("valid statement")));

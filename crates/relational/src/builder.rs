@@ -637,7 +637,11 @@ fn collect_aggregates(
             distinct,
             args,
         } if ast::is_aggregate_name(name) => {
-            let func = AggFunc::from_name(name).expect("checked by is_aggregate_name");
+            let Some(func) = AggFunc::from_name(name) else {
+                return Err(EngineError::InvalidQuery(format!(
+                    "unknown aggregate function {name}"
+                )));
+            };
             let key = expr.to_string();
             if out.iter().any(|(k, _)| k == &key) {
                 return Ok(());
@@ -721,11 +725,9 @@ impl PostAggRewriter<'_> {
         if let AstExpr::Function { name, .. } = expr {
             if ast::is_aggregate_name(name) {
                 let key = expr.to_string();
-                let pos = self
-                    .agg_keys
-                    .iter()
-                    .position(|k| k == &key)
-                    .expect("collected beforehand");
+                let pos = (self.agg_keys.iter().position(|k| k == &key)).ok_or_else(|| {
+                    EngineError::InvalidQuery(format!("aggregate {key} was not collected"))
+                })?;
                 let i = self.group_by.len() + pos;
                 return Ok(column_expr(i, &self.agg_schema.columns[i]));
             }
@@ -751,7 +753,11 @@ impl PostAggRewriter<'_> {
                     right: Box::new(r),
                 })
             }
-            AstExpr::Function { .. } => unreachable!("aggregates handled above"),
+            // Step 2 returned every aggregate call: this one is no function
+            // the engine knows.
+            AstExpr::Function { name, .. } => Err(EngineError::InvalidQuery(format!(
+                "unknown function {name}"
+            ))),
             AstExpr::IsNull { expr, negated } => Ok(ScalarExpr::IsNull {
                 expr: Box::new(self.rewrite(expr)?),
                 negated: *negated,

@@ -411,6 +411,18 @@ mod tests {
     }
 
     #[test]
+    fn unknown_function_beside_an_aggregate_is_an_error_not_a_panic() {
+        let db = sample_db();
+        for sql in [
+            "SELECT UPPER(name), COUNT(*) FROM city GROUP BY name",
+            "SELECT country FROM city GROUP BY country ORDER BY FOO(1)",
+        ] {
+            let err = db.execute(sql).unwrap_err();
+            assert!(err.to_string().contains("unknown function"), "{sql}: {err}");
+        }
+    }
+
+    #[test]
     fn in_and_like_and_between() {
         let db = sample_db();
         let r = db

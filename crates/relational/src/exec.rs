@@ -4,23 +4,24 @@
 //! until an operator computes new ones, and a join passes *views* of its
 //! matches ([`RowView`]: the two rows side by side) down to the operator
 //! that consumes them, so a joined row is built once — by the projection,
-//! group or result that owns it — or never. Joins hash on equi keys when
-//! available and fall back to nested loops; aggregation is hash-based with
-//! DISTINCT sets only for the calls that ask for them.
+//! group or result that owns it — or never. Equi joins probe a stored
+//! table's key index when one side has it, else hash; without equi keys a
+//! nested loop. Aggregation is hash-based with DISTINCT sets only for the
+//! calls that ask for them.
 
 use crate::error::{EngineError, Result};
 use crate::expr::{RowView, ScalarExpr};
 use crate::plan::{AggCall, AggFunc, JoinCondition, LogicalPlan, SortKey};
 use crate::schema::PlanSchema;
-use crate::table::{Catalog, Row};
-use crate::value::Value;
+use crate::table::{Catalog, Row, Table};
+use crate::value::{DataType, Value};
 use galois_sql::ast::{JoinType, SortDirection};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 #[cfg(test)]
 mod differential;
@@ -170,7 +171,11 @@ fn for_each_row(plan: &LogicalPlan, catalog: &Catalog, f: &mut Sink<'_>) -> Resu
             // Only an outer join pads: an unmatched left row's right side.
             let outer = *join_type == JoinType::LeftOuter;
             let nulls = outer.then(|| vec![Value::Null; right.schema().arity()]);
-            join(&l, &r, condition, nulls.as_deref(), f)
+            let pad = nulls.as_deref();
+            match keyed(left, right, &condition.equi, catalog) {
+                Some(keyed) if index_join(&l, &r, keyed, condition, pad, f)? => Ok(()),
+                _ => join(&l, &r, condition, pad, f),
+            }
         }
         LogicalPlan::CrossJoin { left, right, .. } => {
             let (l, r) = (run(left, catalog)?, run(right, catalog)?);
@@ -261,7 +266,9 @@ fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Result<Rows<'a>> {
                     input: below,
                     exprs,
                     ..
-                } if !streams_views(below) && plain_columns(exprs, below.schema().arity()) => {
+                } if !streams_views(below)
+                    && plain_columns(exprs.iter().map(|(e, _)| e), below.schema().arity()) =>
+                {
                     (below, Some(exprs))
                 }
                 _ => (input, None),
@@ -306,8 +313,8 @@ fn streams_views(plan: &LogicalPlan) -> bool {
 
 /// Whether `exprs` are literals and plain columns of an input `arity`
 /// columns wide: reading them computes nothing and cannot fail.
-fn plain_columns(exprs: &[(ScalarExpr, String)], arity: usize) -> bool {
-    exprs.iter().all(|(e, _)| match e {
+fn plain_columns<'e>(mut exprs: impl Iterator<Item = &'e ScalarExpr>, arity: usize) -> bool {
+    exprs.all(|e| match e {
         ScalarExpr::Column(column) => column.index < arity,
         other => matches!(other, ScalarExpr::Literal(_)),
     })
@@ -369,11 +376,32 @@ pub fn sort_rows<R: Borrow<Row>>(rows: &mut [R], keys: &[SortKey]) {
 /// Row positions chained by the hash of their key: `head` holds the first
 /// position of a hash's chain, `next[p]` the one after `p`. Two keys that
 /// share a hash share a chain, so a reader compares the keys themselves.
+/// `head`'s keys are `hasher`'s (keyed) hashes already, so it passes them
+/// through.
 #[derive(Default)]
 struct Chains {
     hasher: RandomState,
-    head: HashMap<u64, u32>,
+    head: HashMap<u64, u32, BuildHasherDefault<Hashed>>,
     next: Vec<u32>,
+}
+
+/// Hashes a `u64` that is a hash already to itself.
+#[derive(Default)]
+struct Hashed(u64);
+
+impl Hasher for Hashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // `Chains::head` hashes `u64`s only; anything else is folded in.
+        self.0 = (bytes.iter()).fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 /// The end of a chain.
@@ -415,6 +443,105 @@ impl Chains {
         let follow = |&p: &u32| Some(self.next[p as usize]).filter(|&n| n != END);
         std::iter::successors(self.head.get(&hash).copied(), follow).map(|p| p as usize)
     }
+}
+
+/// A join side a stored table's key index serves, and its key's equi pair.
+#[derive(Clone, Copy)]
+struct Keyed<'c> {
+    table: &'c Table,
+    pair: usize,
+    left: bool,
+}
+
+/// The join side a key index serves, the right first: a bare scan of a
+/// stored table with an equi key on its schema's key column, and every key
+/// on that side plain, so the rows no probe reaches hide no error.
+fn keyed<'c>(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    equi: &[(ScalarExpr, ScalarExpr)],
+    catalog: &'c Catalog,
+) -> Option<Keyed<'c>> {
+    let side = |input: &LogicalPlan, left: bool| {
+        let LogicalPlan::Scan { table: name, .. } = input else {
+            return None;
+        };
+        // The unnamed scan is the one-row "dual", not a stored table.
+        let table = catalog.get(name).ok().filter(|_| !name.is_empty())?;
+        let keys = || equi.iter().map(move |(lk, rk)| if left { lk } else { rk });
+        let key =
+            |e: &ScalarExpr| matches!(e, ScalarExpr::Column(c) if c.index == table.schema.key);
+        let pair = keys().position(key)?;
+        plain_columns(keys(), table.schema.arity()).then_some(Keyed { table, pair, left })
+    };
+    side(right, false).or_else(|| side(left, true))
+}
+
+/// Whether `l` and `r` agree on every equi pair but `matched` (an index
+/// lookup's). Both sides' keys were evaluated once already: none fails.
+fn same_keys(condition: &JoinCondition, matched: Option<usize>, l: &Row, r: &Row) -> bool {
+    let equal = |(lk, rk): &(ScalarExpr, ScalarExpr)| {
+        let (lv, rv) = (lk.eval_ref(RowView::of(l)), rk.eval_ref(RowView::of(r)));
+        matches!((lv, rv), (Ok(lv), Ok(rv)) if lv == rv)
+    };
+    (condition.equi.iter().enumerate()).all(|(i, pair)| Some(i) == matched || equal(pair))
+}
+
+/// [`join`]'s rows in its order, through `keyed`'s index: each probe row
+/// finds its partner's position (`usize::MAX`: none); a keyed left side
+/// chains the right rows by it. `false`, nothing emitted, when a probe may
+/// equal several keys: a float of magnitude 2⁵³ or more equals every
+/// integer that rounds to it.
+fn index_join(
+    l: &[Cow<'_, Row>],
+    r: &[Cow<'_, Row>],
+    keyed: Keyed<'_>,
+    condition: &JoinCondition,
+    pad: Option<&[Value]>,
+    f: &mut Sink<'_>,
+) -> Result<bool> {
+    let schema = &keyed.table.schema;
+    let int_keys = schema.columns[schema.key].data_type == DataType::Int;
+    let probes = if keyed.left { r } else { l };
+    let mut partner = Vec::with_capacity(probes.len());
+    for row in probes {
+        // Every probe key is evaluated, as the hash join does; a NULL one
+        // matches nothing.
+        let (mut probe, mut null) = (None, false);
+        for (i, (lk, rk)) in condition.equi.iter().enumerate() {
+            let value = (if keyed.left { rk } else { lk }).eval_ref(RowView::of(row))?;
+            null |= value.is_null();
+            probe = probe.or((i == keyed.pair).then_some(value));
+        }
+        partner.push(match probe.filter(|_| !null) {
+            Some(v) if int_keys && matches!(*v, Value::Float(f) if f.abs() >= 2f64.powi(53)) => {
+                return Ok(false)
+            }
+            Some(v) => keyed.table.position_of(&v).unwrap_or(usize::MAX),
+            None => usize::MAX,
+        });
+    }
+    let agree = |lr: &Row, rr: &&Row| same_keys(condition, Some(keyed.pair), lr, rr);
+    let residual = condition.residual.as_ref();
+    if !keyed.left {
+        for (lr, &p) in l.iter().zip(&partner) {
+            let rr = r.get(p).map(|rr| &**rr).filter(|rr| agree(lr, rr));
+            emit_matches(lr, rr.into_iter(), residual, pad, f)?;
+        }
+        return Ok(true);
+    }
+    let (mut head, mut next) = (vec![usize::MAX; l.len()], vec![usize::MAX; r.len()]);
+    for (j, &p) in partner.iter().enumerate().rev() {
+        if let Some(first) = head.get_mut(p) {
+            next[j] = std::mem::replace(first, j);
+        }
+    }
+    for (lr, &first) in l.iter().zip(&head) {
+        let chain = std::iter::successors(Some(first), |&j| next.get(j).copied());
+        let rows = chain.map_while(|j| r.get(j)).map(|rr| &**rr);
+        emit_matches(lr, rows.filter(|rr| agree(lr, rr)), residual, pad, f)?;
+    }
+    Ok(true)
 }
 
 /// Hands `f` one probe row's matches: of `candidates`, in the order given,
@@ -475,15 +602,10 @@ fn join(
     for lr in l {
         let keys = condition.equi.iter().map(|(lk, _)| lk);
         let (hash, null) = index.hash(keys, RowView::of(lr))?;
-        // Both sides' keys evaluated once already, so neither fails here.
-        let same_key = |rr: &&Row| {
-            condition.equi.iter().all(|(lk, rk)| {
-                let (lv, rv) = (lk.eval_ref(RowView::of(lr)), rk.eval_ref(RowView::of(rr)));
-                matches!((lv, rv), (Ok(lv), Ok(rv)) if lv == rv)
-            })
-        };
         let chain = (!null).then(|| index.chain(hash)).into_iter().flatten();
-        let candidates = chain.map(|i| &*r[i]).filter(same_key);
+        let candidates = chain
+            .map(|i| &*r[i])
+            .filter(|rr| same_keys(condition, None, lr, rr));
         emit_matches(lr, candidates, residual, pad, f)?;
     }
     Ok(())
@@ -593,28 +715,32 @@ fn aggregate<'a>(
     let mut states: Vec<AggState> = Vec::new();
     let mut seen: Vec<HashSet<Value>> = Vec::new();
     for_each_row(input, catalog, &mut |row| {
-        let (hash, _) = index.hash(group_by.iter().map(|(g, _)| g), row)?;
-        // The keys evaluated once already, so none fails here.
-        let same_key = |&group: &usize| {
-            let key = group_by.iter().zip(rows[group].iter());
-            key.into_iter()
-                .all(|((g, _), k)| matches!(g.eval_ref(row), Ok(v) if *v == *k))
-        };
-        let found = index.chain(hash).find(same_key);
-        let group = match found {
-            Some(group) => group,
-            None => {
-                let mut key = Vec::with_capacity(group_by.len() + n);
-                for (g, _) in group_by {
-                    key.push(g.eval(row)?);
+        let group = if group_by.is_empty() && !rows.is_empty() {
+            0 // A global aggregate's one group: no key to hash or chain to walk.
+        } else {
+            let (hash, _) = index.hash(group_by.iter().map(|(g, _)| g), row)?;
+            // The keys evaluated once already, so none fails here.
+            let same_key = |&group: &usize| {
+                let key = group_by.iter().zip(rows[group].iter());
+                key.into_iter()
+                    .all(|((g, _), k)| matches!(g.eval_ref(row), Ok(v) if *v == *k))
+            };
+            let found = index.chain(hash).find(same_key);
+            match found {
+                Some(group) => group,
+                None => {
+                    let mut key = Vec::with_capacity(group_by.len() + n);
+                    for (g, _) in group_by {
+                        key.push(g.eval(row)?);
+                    }
+                    index.link_front(hash, rows.len())?;
+                    rows.push(Cow::Owned(key));
+                    states.extend(aggregates.iter().map(AggState::new));
+                    if any_distinct {
+                        seen.extend(std::iter::repeat_with(HashSet::new).take(n));
+                    }
+                    rows.len() - 1
                 }
-                index.link_front(hash, rows.len())?;
-                rows.push(Cow::Owned(key));
-                states.extend(aggregates.iter().map(AggState::new));
-                if any_distinct {
-                    seen.extend(std::iter::repeat_with(HashSet::new).take(n));
-                }
-                rows.len() - 1
             }
         };
         for (slot, call) in (group * n..).zip(aggregates) {
@@ -801,6 +927,80 @@ mod tests {
             schema: catalog.get("t").unwrap().plan_schema("t"),
             key_index: 0,
         }
+    }
+
+    #[test]
+    fn index_joins_keep_the_hash_joins_rows_and_order() {
+        // Keys 2⁵³ + 1 and 2⁵³ both equal the float 2⁵³.
+        let big = 1i64 << 53;
+        let catalog = catalog_of(&[&[big + 1, 1], &[1, big], &[big, 2], &[2, 2], &[3, 7]]);
+        let as_float = ScalarExpr::Binary {
+            left: Box::new(colx(1)),
+            op: galois_sql::ast::BinaryOp::Mul,
+            right: Box::new(ScalarExpr::Literal(Value::Float(1.0))),
+        };
+        // Each condition on `t ⋈ t`, and which side's index serves it.
+        let cases = [
+            (vec![(colx(1), colx(0))], "right"),
+            (vec![(colx(0), colx(1))], "left"),
+            (vec![(as_float.clone(), colx(0))], "right"),
+            (vec![(colx(0), as_float.clone())], "left"),
+            (vec![(colx(1), colx(0)), (colx(1), colx(1))], "right"),
+            (vec![(colx(1), colx(1)), (colx(0), colx(1))], "left"),
+            (vec![(colx(1), colx(1))], "neither"),
+            (
+                vec![(colx(0), as_float.clone()), (as_float.clone(), colx(0))],
+                "neither",
+            ),
+        ];
+        let scan = scan_t(&catalog);
+        let columns = scan.schema().columns;
+        let join_on = |equi: &[(ScalarExpr, ScalarExpr)], join_type| LogicalPlan::Join {
+            left: Box::new(scan.clone()),
+            right: Box::new(scan.clone()),
+            join_type,
+            condition: JoinCondition {
+                equi: equi.to_vec(),
+                residual: None,
+            },
+            schema: PlanSchema::new([&columns[..], &columns[..]].concat()),
+        };
+        for (equi, side) in cases {
+            let serves = keyed(&scan, &scan, &equi, &catalog).map_or("neither", |k| {
+                if k.left {
+                    "left"
+                } else {
+                    "right"
+                }
+            });
+            assert_eq!(serves, side, "{equi:?}");
+            // What the hash join makes of it, inner and left outer.
+            let stored = catalog.get("t").unwrap().rows();
+            let condition = JoinCondition {
+                equi: equi.clone(),
+                residual: None,
+            };
+            for (join_type, pad) in [
+                (JoinType::Inner, None),
+                (JoinType::LeftOuter, Some(&[Value::Null, Value::Null][..])),
+            ] {
+                let rows = execute(&join_on(&equi, join_type), &catalog).unwrap().rows;
+                assert_eq!(rows, joined(stored, stored, &condition, pad), "{equi:?}");
+            }
+        }
+        // The float probe 2⁵³ meets both keys it equals, in table order
+        // (the `#[cfg(test)]` reference, keyed by value, finds one).
+        let plan = join_on(&[(as_float, colx(0))], JoinType::Inner);
+        assert_eq!(
+            execute(&plan, &catalog).unwrap().rows,
+            ints(&[
+                &[big + 1, 1, 1, big],
+                &[1, big, big + 1, 1],
+                &[1, big, big, 2],
+                &[big, 2, 2, 2],
+                &[2, 2, 2, 2],
+            ])
+        );
     }
 
     #[test]

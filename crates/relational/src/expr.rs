@@ -425,6 +425,7 @@ fn eval_binary(
             BinaryOp::LtEq => ord != Greater,
             BinaryOp::Gt => ord == Greater,
             BinaryOp::GtEq => ord != Less,
+            // `is_comparison` holds for the six operators above only.
             _ => unreachable!(),
         };
         return Ok(Value::Bool(b));
@@ -452,6 +453,7 @@ fn eval_binary(
                 "% expects integer operands".into(),
             )),
         },
+        // AND and OR returned at the top, the comparisons above.
         _ => unreachable!("handled above"),
     }
 }
@@ -501,6 +503,7 @@ fn arith(l: &Value, r: &Value, op: BinaryOp) -> Result<Value> {
                 BinaryOp::Add => a.checked_add(*b),
                 BinaryOp::Sub => a.checked_sub(*b),
                 BinaryOp::Mul => a.checked_mul(*b),
+                // `eval_binary` calls `arith` for these three only.
                 _ => unreachable!(),
             };
             res.map(Value::Int)
@@ -512,6 +515,7 @@ fn arith(l: &Value, r: &Value, op: BinaryOp) -> Result<Value> {
                 BinaryOp::Add => a + b,
                 BinaryOp::Sub => a - b,
                 BinaryOp::Mul => a * b,
+                // `eval_binary` calls `arith` for these three only.
                 _ => unreachable!(),
             };
             Ok(Value::Float(res))

@@ -107,17 +107,16 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
                 rewrite(filter_over(*right, to_right))
             };
 
-            if across.is_empty() {
+            let Some(combined) = and_all(across) else {
                 return LogicalPlan::CrossJoin {
                     left: Box::new(new_left),
                     right: Box::new(new_right),
                     schema,
                 };
-            }
+            };
             // Extract equi conjuncts from the cross-side predicate. If no
             // hash keys emerge the join keeps a residual-only condition and
             // the executor falls back to a nested loop.
-            let combined = and_all(across).expect("non-empty");
             let condition = split_join_condition(combined, left_arity);
             LogicalPlan::Join {
                 left: Box::new(new_left),

@@ -45,7 +45,14 @@ impl KeyIndex {
     /// Probes for `key`: `Ok` with the position of the row that holds it,
     /// else `Err` with the free slot it would take. A key column holds one
     /// data type, within which [`Value`] equality agrees with its hash, so
-    /// a match is the one a linear search finds.
+    /// a match is the one a linear search finds. An index join probes with
+    /// another relation's values, of any type: a number still finds the
+    /// equal key of the other numeric type, because [`Value`] hashes
+    /// numerics by value (`Int(1)` and `Float(1.0)` alike —
+    /// `tests/keyed_table.rs` probes `Float(1.0)`), and another type finds
+    /// nothing, as it equals nothing. The one probe that can equal several
+    /// keys, a float of magnitude 2⁵³ or more against integers, finds one of
+    /// them; the executor never asks with it.
     fn probe(
         &self,
         rows: &[Row],
@@ -190,10 +197,13 @@ impl Table {
 
     /// Looks up a row by its key value.
     pub fn find_by_key(&self, key: &Value) -> Option<&Row> {
-        self.index
-            .probe(&self.rows, self.schema.key, key)
-            .ok()
-            .map(|pos| &self.rows[pos])
+        self.position_of(key).map(|pos| &self.rows[pos])
+    }
+
+    /// The position in [`Table::rows`] of the row whose key is `key` —
+    /// what an index join probes.
+    pub fn position_of(&self, key: &Value) -> Option<usize> {
+        self.index.probe(&self.rows, self.schema.key, key).ok()
     }
 
     /// Copies `columns` of `other` into this table, row for row: what lets

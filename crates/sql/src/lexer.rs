@@ -251,7 +251,7 @@ impl<'a> Lexer<'a> {
                 )
             })
         } else {
-            text.parse::<i64>().map(TokenKind::Integer).map_err(|e| {
+            text.parse::<u64>().map(TokenKind::Integer).map_err(|e| {
                 SqlError::new(
                     format!("bad integer literal: {e}"),
                     Span::new(start, self.pos),

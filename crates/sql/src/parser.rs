@@ -212,9 +212,9 @@ impl Parser {
 
         let limit = if self.eat_keyword(Keyword::Limit) {
             match self.peek_kind().clone() {
-                TokenKind::Integer(v) if v >= 0 => {
+                TokenKind::Integer(v) => {
                     self.advance();
-                    Some(v as u64)
+                    Some(v)
                 }
                 other => {
                     return Err(self.error_here(format!(
@@ -231,9 +231,9 @@ impl Parser {
                 return Err(self.error_here("OFFSET requires a preceding LIMIT".to_string()));
             }
             match self.peek_kind().clone() {
-                TokenKind::Integer(v) if v >= 0 => {
+                TokenKind::Integer(v) => {
                     self.advance();
-                    Some(v as u64)
+                    Some(v)
                 }
                 other => {
                     return Err(self.error_here(format!(
@@ -491,11 +491,19 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
+            // `-9223372036854775808` is `i64::MIN`, whose digits alone are
+            // no `i64`: the one literal read with its sign.
+            if self.peek_kind() == &TokenKind::Integer(i64::MIN.unsigned_abs()) {
+                self.advance();
+                return Ok(Expr::Literal(Literal::Integer(i64::MIN)));
+            }
             let inner = self.parse_unary()?;
             // Fold negation of numeric literals so `-3` is a literal, which
             // keeps canonical printing stable.
             return Ok(match inner {
-                Expr::Literal(Literal::Integer(v)) => Expr::Literal(Literal::Integer(-v)),
+                Expr::Literal(Literal::Integer(v)) if v != i64::MIN => {
+                    Expr::Literal(Literal::Integer(-v))
+                }
                 Expr::Literal(Literal::Float(v)) => Expr::Literal(Literal::Float(-v)),
                 other => Expr::Unary {
                     op: UnaryOp::Neg,
@@ -512,6 +520,8 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr> {
         match self.peek_kind().clone() {
             TokenKind::Integer(v) => {
+                let v = i64::try_from(v)
+                    .map_err(|_| self.error_here("bad integer literal: number too large"))?;
                 self.advance();
                 Ok(Expr::Literal(Literal::Integer(v)))
             }

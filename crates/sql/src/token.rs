@@ -128,8 +128,9 @@ pub enum TokenKind {
     Ident(String),
     /// A double-quoted identifier, kept verbatim (case-sensitive).
     QuotedIdent(String),
-    /// An integer literal, e.g. `42`.
-    Integer(i64),
+    /// An integer literal, e.g. `42`: digits only — a minus sign is a
+    /// token of its own, so the parser decides what fits an `i64`.
+    Integer(u64),
     /// A floating point literal, e.g. `3.14`.
     Float(f64),
     /// A single-quoted string literal with escapes resolved.

@@ -200,19 +200,62 @@ fn select_strategy() -> impl Strategy<Value = SelectStatement> {
         )
 }
 
+/// The expression of `sql`'s first select item.
+fn select_item(sql: &str) -> Result<Expr, galois_sql::SqlError> {
+    let Statement::Select(stmt) = parse(sql)? else {
+        panic!("expected SELECT")
+    };
+    match &stmt.items[0] {
+        SelectItem::Expr { expr, .. } => Ok(expr.clone()),
+        other => panic!("unexpected item {other:?}"),
+    }
+}
+
+/// Both ends of `i64` print and re-parse, alone and as a binary operand —
+/// `i64::MIN` too, whose digits alone are no `i64` — while those digits
+/// without the sign stay an error.
+#[test]
+fn i64_extremes_reparse_identically() {
+    let x = || {
+        Expr::Column(ColumnRef {
+            table: None,
+            column: "x".into(),
+        })
+    };
+    for v in [i64::MIN, i64::MIN + 1, i64::MAX] {
+        let literal = Expr::Literal(Literal::Integer(v));
+        for expr in [
+            literal.clone(),
+            Expr::binary(x(), BinaryOp::Sub, literal.clone()),
+            Expr::binary(literal.clone(), BinaryOp::Mul, x()),
+        ] {
+            let sql = format!("SELECT {expr}");
+            assert_eq!(
+                select_item(&sql).unwrap_or_else(|e| panic!("{sql}\n{e}")),
+                expr
+            );
+        }
+    }
+    assert_eq!(
+        select_item("SELECT -9223372036854775808").unwrap(),
+        Expr::Literal(Literal::Integer(i64::MIN))
+    );
+    for sql in [
+        "SELECT 9223372036854775808",
+        "SELECT x - 9223372036854775808",
+        "SELECT -18446744073709551616",
+    ] {
+        assert!(select_item(sql).is_err(), "{sql}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn printed_expr_reparses_identically(expr in expr_strategy()) {
         let sql = format!("SELECT {expr}");
-        let Statement::Select(stmt) = parse(&sql).unwrap_or_else(|e| panic!("{sql}\n{e}")) else {
-            panic!("expected SELECT")
-        };
-        let reparsed = match &stmt.items[0] {
-            SelectItem::Expr { expr, .. } => expr.clone(),
-            other => panic!("unexpected item {other:?}"),
-        };
+        let reparsed = select_item(&sql).unwrap_or_else(|e| panic!("{sql}\n{e}"));
         prop_assert_eq!(reparsed, expr);
     }
 
