@@ -498,40 +498,25 @@ fn mirror(op: BinaryOp) -> BinaryOp {
 /// join, aggregate, distinct or residual filter) consumes the full key
 /// universe, so the hint is `None` and retrieval runs to exhaustion.
 pub fn limit_hint(compiled: &CompiledQuery) -> Option<usize> {
-    if compiled.steps.len() != 1 {
+    let [step] = compiled.steps.as_slice() else {
         return None;
-    }
-    // Walk root → Limit through the strip-Project the builder may add
-    // above the limit.
-    let mut node = &compiled.plan;
-    let (input, needed) = loop {
-        match node {
-            LogicalPlan::Project { input, .. } => node = input.as_ref(),
-            LogicalPlan::Limit { input, n, offset } => {
-                break (
-                    input.as_ref(),
-                    (*n as usize).saturating_add(*offset as usize),
-                )
-            }
-            _ => return None,
-        }
     };
-    // Walk Limit → the step's temp scan through row-wise projections.
-    let mut node = input;
+    let (mut node, mut window) = (&compiled.plan, None);
     loop {
         match node {
-            LogicalPlan::Project { input, .. } => node = input.as_ref(),
-            LogicalPlan::Scan { table, .. } if *table == compiled.steps[0].temp_name => {
-                return Some(needed);
+            LogicalPlan::Project { input, .. } => node = input,
+            LogicalPlan::Limit { input, n, offset } if window.is_none() => {
+                window = Some((*n as usize).saturating_add(*offset as usize));
+                node = input;
             }
+            LogicalPlan::Scan { table, .. } if *table == step.temp_name => return window,
             _ => return None,
         }
     }
 }
 
 /// Renders one retrieval step's header and prompt protocol (the Figure-3
-/// step block, shared by [`explain_compiled`] and the planner's
-/// [`crate::plan_choice::PlannedQuery::render`]).
+/// step block of [`crate::plan_choice::PlannedQuery::render`]).
 pub fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
     out.push_str(&format!(
         "[LLM step {}] scan {} AS {} (key: {})\n",
@@ -551,26 +536,6 @@ pub fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
             "    fetch prompt per key: {}\n",
             step.columns()[*idx].name
         ));
-    }
-}
-
-/// Renders the compiled query in Figure-3 style: retrieval steps plus the
-/// residual plan.
-pub fn explain_compiled(c: &CompiledQuery) -> String {
-    let mut out = String::new();
-    for (i, s) in c.steps.iter().enumerate() {
-        render_step_into(s, i, &mut out);
-    }
-    out.push_str("[relational plan]\n");
-    out.push_str(&c.plan.explain());
-    out
-}
-
-/// True if the residual plan still contains a cross join (diagnostic).
-pub fn has_cross_join(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::CrossJoin { .. } => true,
-        _ => plan.children().iter().any(|c| has_cross_join(c)),
     }
 }
 
@@ -695,17 +660,5 @@ mod tests {
         assert!(c.plan.explain().contains("Filter"));
         // The attribute feeding the residual filter is fetched.
         assert!(s.fetch.iter().any(|i| s.columns()[*i].name == "population"));
-    }
-
-    #[test]
-    fn explain_compiled_shows_steps() {
-        let c = compiled(
-            "SELECT name FROM city WHERE population > 1000000",
-            CompileOptions::default(),
-        );
-        let text = explain_compiled(&c);
-        assert!(text.contains("[LLM step 1] scan city"));
-        assert!(text.contains("filter prompt per key"));
-        assert!(text.contains("[relational plan]"));
     }
 }

@@ -31,6 +31,7 @@
 //! |---|---|
 //! | [`compile`] | §4 Operators — plan → retrieval steps |
 //! | [`plan_choice`] | §6 Query optimization — cost-based, prompt-aware planner |
+//! | [`physical`] | the physical plan: each retrieval decision of a statement |
 //! | [`prompts`] | §4 Prompts, Figure 4 |
 //! | [`parse`] | §4 workflow (3): answers → CELL values |
 //! | [`clean`] | §4 workflow (3): normalisation + domain constraints |
@@ -47,6 +48,7 @@ pub mod compile;
 pub mod error;
 pub mod multi;
 pub mod parse;
+pub mod physical;
 pub mod plan_choice;
 pub mod prompts;
 pub mod schedule;
@@ -61,6 +63,7 @@ pub use compile::{
 pub use error::{GaloisError, Result};
 pub use galois_llm::{FairShare, Parallelism, RetryPolicy};
 pub use multi::{run_multi_query, MultiQueryOutcome, MultiQueryReport};
+pub use physical::{PhysicalPlan, Stage, StepPlan};
 pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost};
 pub use schedule::{Crew, Scheduler};
 pub use session::{

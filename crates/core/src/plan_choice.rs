@@ -58,6 +58,7 @@
 
 use crate::compile::{compile, CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::Result;
+use crate::physical::{self, PhysicalPlan, Stage};
 use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
 use galois_llm::intent::{CmpOp, Condition};
 use galois_llm::{ClientStats, Parallelism, BATCH_OVERHEAD_MS};
@@ -124,12 +125,9 @@ pub struct PlannerParams {
     /// variant latency is estimated as the dataflow's critical path
     /// ([`rcost::critical_path_ms`]) instead of the phase-barrier sum, and
     /// steps share the lanes instead of packing as blocks; prompt-count
-    /// estimates are unaffected — streaming issues the same prompts.
-    /// [`Pipeline::StreamingLimit`] adds a `limit: early-stop after ~N
-    /// keys` report line for eligible plan shapes and deliberately leaves
-    /// the estimates alone — how many keys survive before the window
-    /// fills is data-dependent, so the planner reports the stop threshold
-    /// rather than guessing a discount.
+    /// estimates are unaffected — streaming issues the same prompts. A
+    /// `LIMIT` window ([`PhysicalPlan::window`]) leaves them alone too: how
+    /// many keys survive before it fills is data-dependent.
     pub pipeline: Pipeline,
     /// Retry policy in effect ([`GaloisOptions::resilience`]):
     /// [`Resilience::On`] adds a `resilience:` header line naming the
@@ -232,7 +230,7 @@ impl PlannerParams {
 }
 
 /// Estimated cost of one LLM retrieval step.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepCost {
     /// Keys the key-listing phase is expected to produce.
     pub est_keys_listed: f64,
@@ -265,13 +263,15 @@ impl StepCost {
     }
 }
 
-/// The planner's decision for one query: the compiled retrieval program
-/// plus the cost report that justified it.
+/// The planner's decision for one query: the compiled retrieval program,
+/// its physical plan and the cost report that justified it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedQuery {
     /// Retrieval steps + residual relational plan, ready to execute.
     pub compiled: CompiledQuery,
-    /// Cost accounting per step and for the whole query.
+    /// How each step retrieves, with its estimated cost.
+    pub physical: PhysicalPlan,
+    /// Cost accounting for the whole query.
     pub report: PlanReport,
 }
 
@@ -282,18 +282,12 @@ pub struct PlanReport {
     pub planner: Planner,
     /// Candidate plans whose costs were compared (1 for the heuristic).
     pub candidates_considered: usize,
-    /// Per-step estimates, parallel to `compiled.steps`.
-    pub steps: Vec<StepCost>,
     /// Expected query virtual time: step estimates packed onto the lanes.
     pub est_virtual_ms: f64,
     /// Expected total prompts across steps.
     pub est_total_prompts: f64,
     /// Expected cache hits across steps.
     pub est_cache_hits: f64,
-    /// The early-termination window (`LIMIT n` + `OFFSET`) when the plan
-    /// shape is eligible for LIMIT-aware streaming
-    /// ([`crate::compile::limit_hint`]); `None` otherwise.
-    pub limit_hint: Option<usize>,
 }
 
 /// Selectivity of a prompt-protocol condition, using the same System-R
@@ -328,8 +322,14 @@ fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, params: &PlannerParam
     (batches / lanes).ceil() * per_batch
 }
 
-/// Estimates the cost of one retrieval step against the catalog's stats.
-pub fn estimate_step(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
+/// Estimates the cost of one retrieval step, laid out as `stages`
+/// ([`physical::stages`]), against the catalog's stats.
+pub fn estimate_step(
+    step: &LlmScanStep,
+    stages: &[Stage],
+    catalog: &Catalog,
+    params: &PlannerParams,
+) -> StepCost {
     // A warm key universe short-circuits the listing estimate entirely:
     // the stored key count is exact, and the phase issues no prompts.
     let warm_keys = params.warm_keys(step);
@@ -376,15 +376,12 @@ pub fn estimate_step(step: &LlmScanStep, catalog: &Catalog, params: &PlannerPara
     }
 
     // Every (attr-group × chunk) fetch cell is independent — one wave.
-    // Without grid fusion each column is its own group; with
+    // The step's fetch stages follow its filter stages, one per group:
+    // without grid fusion each column is its own group; with
     // `PromptBatch::Grid` the columns fuse into ⌈C/A⌉ groups whose prompts
     // carry `B × attrs-per-group` answer cells each.
     let cols = step.fetch.len() as f64;
-    let groups = if cols > 0.0 {
-        (cols / params.prompt_batch.attrs_per_prompt() as f64).ceil()
-    } else {
-        0.0
-    };
+    let groups = (stages.len() - step.filter_conditions.len()) as f64;
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
     let col_prompts = rcost::batched_prompt_count(n, batch_keys);
     let fetch_prompts = col_prompts * groups;
@@ -430,44 +427,6 @@ pub fn estimate_step(step: &LlmScanStep, catalog: &Catalog, params: &PlannerPara
         expected_cache_hits: params.cache_hit_rate * total,
         virtual_ms,
         busy_ms,
-    }
-}
-
-/// Packs per-step virtual estimates onto the lanes (the step wave).
-fn pack_steps(costs: &[StepCost], lanes: usize) -> f64 {
-    galois_llm::lane_schedule(
-        costs.iter().map(|c| c.virtual_ms.round().max(0.0) as u64),
-        lanes,
-    ) as f64
-}
-
-fn make_report(
-    planner: Planner,
-    candidates_considered: usize,
-    steps: Vec<StepCost>,
-    params: &PlannerParams,
-    limit_hint: Option<usize>,
-) -> PlanReport {
-    // Wave mode packs the steps onto the lanes as blocks; the streaming
-    // pipeline shares the lanes across steps, so the query estimate is
-    // the slowest step's critical path against the pooled busy bound.
-    let est_virtual_ms = if params.pipeline.is_streaming() {
-        let chain = steps.iter().map(|c| c.virtual_ms).fold(0.0, f64::max);
-        let busy: f64 = steps.iter().map(|c| c.busy_ms).sum();
-        rcost::critical_path_ms(chain, 0.0, busy, params.lanes())
-    } else {
-        pack_steps(&steps, params.parallelism.get())
-    };
-    let est_total_prompts = steps.iter().map(StepCost::total_prompts).sum();
-    let est_cache_hits = steps.iter().map(|c| c.expected_cache_hits).sum();
-    PlanReport {
-        planner,
-        candidates_considered,
-        steps,
-        est_virtual_ms,
-        est_total_prompts,
-        est_cache_hits,
-        limit_hint,
     }
 }
 
@@ -603,6 +562,12 @@ fn commute_joins(
     }
 }
 
+/// [`estimate_step`] over the stages the step is laid out as.
+fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
+    let stages = physical::stages(step, params.prompt_batch);
+    estimate_step(step, &stages, catalog, params)
+}
+
 /// Picks the cheapest pushdown variant of one step. Returns the chosen
 /// step, its cost, and how many candidates were costed.
 fn best_step_variant(
@@ -611,7 +576,7 @@ fn best_step_variant(
     params: &PlannerParams,
 ) -> (LlmScanStep, StepCost, usize) {
     let mut best = step.clone();
-    let mut best_cost = estimate_step(step, catalog, params);
+    let mut best_cost = estimate(step, catalog, params);
     let mut considered = 1;
     if step.scan_condition.is_some() {
         return (best, best_cost, considered);
@@ -620,7 +585,7 @@ fn best_step_variant(
         let mut candidate = step.clone();
         let cond = candidate.filter_conditions.remove(j);
         candidate.scan_condition = Some(cond);
-        let cost = estimate_step(&candidate, catalog, params);
+        let cost = estimate(&candidate, catalog, params);
         considered += 1;
         // Strict improvement keeps ties on the heuristic shape (and on the
         // lowest j), which keeps the choice deterministic.
@@ -635,7 +600,8 @@ fn best_step_variant(
     (best, best_cost, considered)
 }
 
-/// Chooses a retrieval program for an optimized logical plan.
+/// Chooses a retrieval program for an optimized logical plan, and lays it
+/// out as its physical plan, each step carrying its estimate.
 ///
 /// * [`Planner::Heuristic`] compiles the plan exactly as the pre-planner
 ///   pipeline did (bit-identical [`CompiledQuery`]) and merely *annotates*
@@ -649,19 +615,13 @@ pub fn plan_query(
     planner: Planner,
     params: &PlannerParams,
 ) -> Result<PlannedQuery> {
-    match planner {
+    let (compiled, costs, candidates) = match planner {
         Planner::Heuristic => {
             let compiled = compile(plan, catalog, options)?;
-            let steps = compiled
-                .steps
-                .iter()
-                .map(|s| estimate_step(s, catalog, params))
+            let costs: Vec<StepCost> = (compiled.steps.iter())
+                .map(|step| estimate(step, catalog, params))
                 .collect();
-            let limit_hint = crate::compile::limit_hint(&compiled);
-            Ok(PlannedQuery {
-                report: make_report(planner, 1, steps, params, limit_hint),
-                compiled,
-            })
+            (compiled, costs, 1)
         }
         Planner::CostBased => {
             // Start from the no-pushdown compilation so every condition is
@@ -672,44 +632,68 @@ pub fn plan_query(
             };
             let mut compiled = compile(plan, catalog, &base_options)?;
             let mut candidates = 0usize;
-            let mut costs = Vec::with_capacity(compiled.steps.len());
-            for step in &mut compiled.steps {
-                let (chosen, cost, considered) = best_step_variant(step, catalog, params);
-                *step = chosen;
-                costs.push(cost);
+            let mut chosen = Vec::with_capacity(compiled.steps.len());
+            for step in &compiled.steps {
+                let (step, cost, considered) = best_step_variant(step, catalog, params);
+                chosen.push((step, cost));
                 candidates += considered;
             }
             // LPT ordering: the scheduler packs the step wave greedily, so
             // submitting the longest retrieval first minimises the
-            // estimated makespan. Stable on the original order for ties.
-            let mut order: Vec<usize> = (0..compiled.steps.len()).collect();
-            order.sort_by(|&a, &b| {
-                costs[b]
-                    .virtual_ms
-                    .partial_cmp(&costs[a].virtual_ms)
-                    .expect("cost estimates are finite")
-                    .then(a.cmp(&b))
+            // estimated makespan. The sort is stable: ties keep the
+            // original order.
+            chosen.sort_by(|(_, a), (_, b)| {
+                (b.virtual_ms.partial_cmp(&a.virtual_ms)).expect("cost estimates are finite")
             });
-            let steps: Vec<LlmScanStep> =
-                order.iter().map(|&i| compiled.steps[i].clone()).collect();
-            let costs: Vec<StepCost> = order.iter().map(|&i| costs[i]).collect();
-            compiled.steps = steps;
+            let costs: Vec<StepCost>;
+            (compiled.steps, costs) = chosen.into_iter().unzip();
             // Join-order choice: the executor's hash joins build on the
             // right, so commute inner equi joins until the smaller
             // estimated side — priced with the retrieval-step row
             // estimates for the `__llm_*` temps — is the build side.
-            let mut temp_rows: HashMap<String, f64> = HashMap::new();
-            for (step, cost) in compiled.steps.iter().zip(&costs) {
-                temp_rows.insert(step.temp_name.to_ascii_lowercase(), cost.est_rows_out);
-            }
+            let temp_rows = temp_rows(&compiled.steps, costs.iter());
             compiled.plan = commute_joins(compiled.plan, catalog, &temp_rows);
-            let limit_hint = crate::compile::limit_hint(&compiled);
-            Ok(PlannedQuery {
-                report: make_report(planner, candidates.max(1), costs, params, limit_hint),
-                compiled,
-            })
+            (compiled, costs, candidates.max(1))
         }
+    };
+    // Each cost was estimated over the stages its step is laid out as here.
+    let mut physical = PhysicalPlan::new(&compiled, params.prompt_batch, params.pipeline);
+    for (step_plan, cost) in physical.steps.iter_mut().zip(&costs) {
+        step_plan.cost = *cost;
     }
+    // Wave mode packs the steps onto the lanes as blocks; the streaming
+    // pipeline shares the lanes across steps, so the query estimate is
+    // the slowest step's critical path against the pooled busy bound.
+    let est_virtual_ms = if params.pipeline.is_streaming() {
+        let chain = costs.iter().map(|c| c.virtual_ms).fold(0.0, f64::max);
+        let busy: f64 = costs.iter().map(|c| c.busy_ms).sum();
+        rcost::critical_path_ms(chain, 0.0, busy, params.lanes())
+    } else {
+        let blocks = costs.iter().map(|c| c.virtual_ms.round().max(0.0) as u64);
+        galois_llm::lane_schedule(blocks, params.parallelism.get()) as f64
+    };
+    let report = PlanReport {
+        planner,
+        candidates_considered: candidates,
+        est_virtual_ms,
+        est_total_prompts: costs.iter().map(StepCost::total_prompts).sum(),
+        est_cache_hits: costs.iter().map(|c| c.expected_cache_hits).sum(),
+    };
+    Ok(PlannedQuery {
+        compiled,
+        physical,
+        report,
+    })
+}
+
+/// Each step's temp table (lower-cased) and its estimated rows out: the
+/// cardinalities of the `__llm_*` scans the catalog has no rows for.
+fn temp_rows<'c>(
+    steps: &[LlmScanStep],
+    costs: impl Iterator<Item = &'c StepCost>,
+) -> HashMap<String, f64> {
+    let temps = steps.iter().map(|s| s.temp_name.to_ascii_lowercase());
+    temps.zip(costs.map(|c| c.est_rows_out)).collect()
 }
 
 impl PlannedQuery {
@@ -720,10 +704,8 @@ impl PlannedQuery {
         // The batch factor only appears when a prompt fuses something, so
         // the `PromptBatch::Off` report stays byte-identical to the
         // pre-batch pipeline's.
-        let (keys, attrs) = (
-            params.prompt_batch.keys_per_prompt(),
-            params.prompt_batch.attrs_per_prompt(),
-        );
+        let shape = self.physical.batch;
+        let (keys, attrs) = (shape.keys_per_prompt(), shape.attrs_per_prompt());
         let batch = if attrs > 1 {
             format!(", batch: {keys} keys × {attrs} attrs/prompt")
         } else if keys > 1 {
@@ -744,13 +726,11 @@ impl PlannedQuery {
             params.parallelism.get(),
             self.report.candidates_considered
         );
-        // The early-termination line appears only when the driver stops at
-        // a window *and* the plan shape is eligible, so every other report
-        // stays byte-identical to the pre-limit pipeline's.
-        if params.pipeline.stops_at_limit() {
-            if let Some(n) = self.report.limit_hint {
-                out.push_str(&format!("limit: early-stop after ~{n} keys\n"));
-            }
+        // The early-termination line appears only when the plan has a
+        // window, so every other report stays byte-identical to the
+        // pre-limit pipeline's.
+        if let Some(n) = self.physical.window {
+            out.push_str(&format!("limit: early-stop after ~{n} keys\n"));
         }
         // The resilience line appears only with the retry knob on, so
         // every `Resilience::Off` report stays byte-identical to the
@@ -767,14 +747,8 @@ impl PlannedQuery {
                 policy.breaker_threshold,
             ));
         }
-        let mut temp_rows: HashMap<String, f64> = HashMap::new();
-        for (i, (step, cost)) in self
-            .compiled
-            .steps
-            .iter()
-            .zip(&self.report.steps)
-            .enumerate()
-        {
+        let costs = self.physical.steps.iter().map(|s| &s.cost);
+        for (i, (step, cost)) in self.compiled.steps.iter().zip(costs.clone()).enumerate() {
             crate::compile::render_step_into(step, i, &mut out);
             // Key-universe store line: only when a store is attached, so
             // the store-off report stays byte-identical to the pre-store
@@ -796,8 +770,8 @@ impl PlannedQuery {
                 cost.expected_cache_hits,
                 cost.virtual_ms,
             ));
-            temp_rows.insert(step.temp_name.to_ascii_lowercase(), cost.est_rows_out);
         }
+        let temp_rows = temp_rows(&self.compiled.steps, costs);
         // Join-order lines accompany the cost-based planner's build-side
         // choice; the heuristic report stays byte-identical without them.
         if self.report.planner == Planner::CostBased {
@@ -837,6 +811,11 @@ mod tests {
             parallelism: Parallelism::new(lanes),
             ..Default::default()
         }
+    }
+
+    /// Each step's estimate, in step order.
+    fn step_costs(planned: &PlannedQuery) -> Vec<StepCost> {
+        planned.physical.steps.iter().map(|s| s.cost).collect()
     }
 
     fn planned(sql: &str, planner: Planner, params: &PlannerParams) -> PlannedQuery {
@@ -914,7 +893,7 @@ mod tests {
         let q = "SELECT p.name, r.electionYear, r.party, r.birthDate \
                  FROM city p, cityMayor r WHERE p.mayor = r.name";
         let planned = planned(q, Planner::CostBased, &params);
-        let costs = &planned.report.steps;
+        let costs = step_costs(&planned);
         assert_eq!(costs.len(), 2);
         assert!(costs[0].virtual_ms >= costs[1].virtual_ms);
     }
@@ -1086,6 +1065,7 @@ mod tests {
         let base = planned(q, Planner::CostBased, &PlannerParams::default());
         let one = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(1)));
         assert_eq!(base.report, one.report);
+        assert_eq!(step_costs(&base), step_costs(&one));
         assert_eq!(base.compiled, one.compiled);
     }
 
@@ -1119,6 +1099,7 @@ mod tests {
             &batched(PromptBatch::Grid { keys: 10, attrs: 1 }),
         );
         assert_eq!(base.report, one.report);
+        assert_eq!(step_costs(&base), step_costs(&one));
         assert_eq!(base.compiled, one.compiled);
     }
 
@@ -1131,8 +1112,8 @@ mod tests {
             Planner::CostBased,
             &batched(PromptBatch::Grid { keys: 10, attrs: 4 }),
         );
-        let keys_fetch: f64 = keys_only.report.steps.iter().map(|c| c.fetch_prompts).sum();
-        let grid_fetch: f64 = grid.report.steps.iter().map(|c| c.fetch_prompts).sum();
+        let fetch = |p: &PlannedQuery| step_costs(p).iter().map(|c| c.fetch_prompts).sum::<f64>();
+        let (keys_fetch, grid_fetch) = (fetch(&keys_only), fetch(&grid));
         assert!(
             grid_fetch < keys_fetch,
             "grid {grid_fetch} vs keys-only {keys_fetch}"
@@ -1247,8 +1228,10 @@ mod tests {
         let a = planned(q, Planner::CostBased, &streaming);
         let b = planned(q, Planner::CostBased, &limit);
         assert_eq!(a.report, b.report);
+        assert_eq!(step_costs(&a), step_costs(&b));
         assert_eq!(a.compiled, b.compiled);
-        assert!(b.report.limit_hint.is_some());
+        assert_eq!(a.physical.window, None);
+        assert_eq!(b.physical.window, Some(5));
     }
 
     #[test]

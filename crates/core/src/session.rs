@@ -47,12 +47,13 @@ pub(crate) use wave::REQUEST_PROMPTS;
 
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
+use crate::physical::PhysicalPlan;
 use crate::plan_choice::{plan_query, PlannedQuery, Planner, PlannerParams};
 use crate::prompts::PromptBuilder;
 use crate::schedule::Crew;
 use galois_llm::{BatchOutcome, ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
 use galois_relational::{Database, Relation, Table, Value};
-use protocol::StepTable;
+use protocol::{Protocol, StepTable};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,15 +64,6 @@ pub struct GaloisResult {
     pub relation: Relation,
     /// Prompt accounting.
     pub stats: QueryStats,
-}
-
-/// What a statement's prologue ([`Galois::prepare`]) leaves to do.
-enum Prepared {
-    /// An `EXPLAIN`: nothing to execute, the `QUERY PLAN` relation is the
-    /// result.
-    Explain(Relation),
-    /// A query, compiled and ready for retrieval.
-    Compiled(CompiledQuery),
 }
 
 /// A Galois session over one LLM and one schema catalog.
@@ -262,29 +254,23 @@ impl Galois {
     /// chosen plan and its cost report as a one-column `QUERY PLAN`
     /// relation with zero prompt accounting.
     pub fn execute(&self, sql: &str) -> Result<GaloisResult> {
-        match self.prepare(sql)? {
-            Prepared::Explain(relation) => Ok(GaloisResult {
-                relation,
-                stats: QueryStats::default(),
-            }),
-            Prepared::Compiled(compiled) => self.execute_compiled(&compiled),
-        }
+        self.run(sql).map(|(result, _)| result)
     }
 
-    /// The prologue of every statement: parse, then either render an
-    /// `EXPLAIN`'s plan relation or compile the query through the
-    /// session's [`Planner`].
-    fn prepare(&self, sql: &str) -> Result<Prepared> {
+    /// Every statement's path: parse, then either render an `EXPLAIN`'s
+    /// plan relation (with an empty trace), or compile and plan the query
+    /// through the session's [`Planner`] and execute it.
+    fn run(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let stmt = self.parse_statement(sql)?;
         if stmt.is_explain() {
             let params = self.planning_params();
             let planned = self.plan_statement(stmt.select(), &params)?;
             let text = planned.render(self.db.catalog(), &params);
-            return Ok(Prepared::Explain(
-                galois_relational::cost::explain_relation(&text),
-            ));
+            let relation = galois_relational::cost::explain_relation(&text);
+            let stats = QueryStats::default();
+            return Ok((GaloisResult { relation, stats }, Vec::new()));
         }
-        Ok(Prepared::Compiled(match self.options.planner {
+        let (compiled, physical) = match self.options.planner {
             // Fast path, and the bit-exactness invariant made literal: the
             // default mode runs exactly the pre-planner pipeline, no cost
             // estimation on the hot path.
@@ -293,38 +279,50 @@ impl Galois {
                     .db
                     .plan_statement(stmt.select())
                     .map_err(GaloisError::from)?;
-                crate::compile::compile(&plan, self.db.catalog(), &self.options.compile)?
+                let compiled =
+                    crate::compile::compile(&plan, self.db.catalog(), &self.options.compile)?;
+                let physical = self.physical_plan(&compiled);
+                (compiled, physical)
             }
             Planner::CostBased => {
-                self.plan_statement(stmt.select(), &self.planning_params())?
-                    .compiled
+                let planned = self.plan_statement(stmt.select(), &self.planning_params())?;
+                (planned.compiled, planned.physical)
             }
-        }))
+        };
+        self.execute_planned(&compiled, &physical)
+    }
+
+    /// The physical plan the session's options give `compiled`.
+    fn physical_plan(&self, compiled: &CompiledQuery) -> PhysicalPlan {
+        PhysicalPlan::new(compiled, self.options.prompt_batch, self.options.pipeline)
     }
 
     /// Executes an already-compiled query: retrieval under the driver
-    /// [`GaloisOptions::pipeline`] selects (see the module docs), then the
+    /// [`GaloisOptions::pipeline`] selects (see the module docs), laid out
+    /// by the physical plan the session's options give it, then the
     /// residual relational plan over the retrieved tables.
     pub fn execute_compiled(&self, compiled: &CompiledQuery) -> Result<GaloisResult> {
-        self.execute_compiled_traced(compiled)
+        self.execute_planned(compiled, &self.physical_plan(compiled))
             .map(|(result, _)| result)
     }
 
-    /// [`Galois::execute_compiled`] plus the run's task trace — every
-    /// scheduled task's `(release, duration, completion)` on the event
-    /// driver's private clock, in fire order (empty under the barrier
-    /// driver, whose rounds are not tasks on a shared clock). The trace
-    /// is what the cross-query replay ([`crate::multi`]) re-packs onto a
-    /// shared lane pool.
-    fn execute_compiled_traced(
+    /// Executes a compiled query as `physical` lays it out, returning the
+    /// result and the run's task trace — every scheduled task's `(release,
+    /// duration, completion)` on the event driver's private clock, in fire
+    /// order (empty under the barrier driver, whose rounds are not tasks on
+    /// a shared clock). The trace is what the cross-query replay
+    /// ([`crate::multi`]) re-packs onto a shared lane pool.
+    fn execute_planned(
         &self,
         compiled: &CompiledQuery,
+        physical: &PhysicalPlan,
     ) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let started = Instant::now();
+        let protocol = Protocol::new(self, compiled, physical);
         let (mut stats, step_tables, trace) = if self.options.pipeline.is_streaming() {
-            stream::retrieve(self, compiled)
+            stream::retrieve(self, protocol)
         } else {
-            let (stats, step_tables) = wave::retrieve(self, compiled);
+            let (stats, step_tables) = wave::retrieve(self, protocol);
             (stats, step_tables, Vec::new())
         };
         let relation = self.materialise_and_execute(compiled, step_tables, &mut stats)?;
@@ -345,16 +343,7 @@ impl Galois {
                     .to_string(),
             ));
         }
-        match self.prepare(sql)? {
-            Prepared::Explain(relation) => Ok((
-                GaloisResult {
-                    relation,
-                    stats: QueryStats::default(),
-                },
-                Vec::new(),
-            )),
-            Prepared::Compiled(compiled) => self.execute_compiled_traced(&compiled),
-        }
+        self.run(sql)
     }
 
     /// Completes `n` independent client requests — request `i` is the

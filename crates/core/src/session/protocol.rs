@@ -38,11 +38,12 @@ use super::Galois;
 use crate::clean::{cell_value, key_row, normalise_text};
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::parse::{parse_boolean_answer, parse_list_answer, ListAnswer};
+use crate::physical::{PhysicalPlan, Stage, StepPlan};
 use crate::prompts::KeyTemplate;
 use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
 use galois_llm::{BatchOutcome, KeyUniverse, SubColumn, SubLookup};
-use galois_relational::{Column, Table, Value};
+use galois_relational::{Table, Value};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::sync::atomic::Ordering;
@@ -58,23 +59,12 @@ enum BatchCell<'a> {
 }
 
 impl Galois {
-    /// Workflow step (3) for one fetched cell: the answer becomes the
-    /// column's typed value ([`cell_value`]); a degraded fetch (fault
-    /// text) annotates the cell as NULL and counts as a failed cell.
-    fn fetched_cell(&self, answer: &str, column: &Column, failed_cells: &mut usize) -> Value {
-        if is_fault_text(answer) {
-            *failed_cells += 1;
-            Value::Null
-        } else {
-            cell_value(answer, column.data_type, &self.options.cleaning)
-        }
-    }
-
-    /// Parses one key's answer for a cell: a filter verdict when the cell
-    /// fetches no column, else the column's typed value. An unparseable
-    /// verdict keeps the tuple out (the predicate did not evaluate to
-    /// TRUE); a degraded one (fault text) does too, and counts as a
-    /// failed cell.
+    /// Workflow step (3) for one key's answer to a cell: a filter verdict
+    /// when the cell fetches no column, else the column's typed value
+    /// ([`cell_value`]). An unparseable verdict keeps the tuple out (the
+    /// predicate did not evaluate to TRUE). A degraded answer (fault text)
+    /// counts as a failed cell, and keeps the tuple out or annotates the
+    /// cell as NULL.
     fn parse_answer(
         &self,
         step: &LlmScanStep,
@@ -82,14 +72,14 @@ impl Galois {
         answer: &str,
         failed_cells: &mut usize,
     ) -> Landed {
+        let faulted = is_fault_text(answer);
+        *failed_cells += usize::from(faulted);
         match fetch_col {
-            None if is_fault_text(answer) => {
-                *failed_cells += 1;
-                Landed::Verdict(false)
-            }
-            None => Landed::Verdict(parse_boolean_answer(answer).unwrap_or(false)),
+            None => Landed::Verdict(!faulted && parse_boolean_answer(answer).unwrap_or(false)),
+            Some(_) if faulted => Landed::Value(Value::Null),
             Some(col) => {
-                Landed::Value(self.fetched_cell(answer, &step.columns()[col], failed_cells))
+                let data_type = step.columns()[col].data_type;
+                Landed::Value(cell_value(answer, data_type, &self.options.cleaning))
             }
         }
     }
@@ -139,78 +129,27 @@ impl Galois {
             },
         }
     }
-
-    /// The grid intent for one chunk of keys × one contiguous attr-group
-    /// of the step's fetched columns (`step.fetch[start..start + len]`),
-    /// plus the group's speculative pad columns ([`grid_pad_columns`]).
-    fn grid_intent(
-        &self,
-        step: &LlmScanStep,
-        start: usize,
-        len: usize,
-        chunk_keys: Vec<String>,
-    ) -> TaskIntent {
-        let attr_fuse = self.options.prompt_batch.attrs_per_prompt();
-        let pads = grid_pad_columns(step, start, len, attr_fuse);
-        TaskIntent::FetchGridBatch {
-            relation: step.table.clone(),
-            key_attr: step.key_attr.clone(),
-            keys: chunk_keys,
-            attributes: step.fetch[start..start + len]
-                .iter()
-                .chain(pads.iter())
-                .map(|&c| step.columns()[c].name.clone())
-                .collect(),
-        }
-    }
 }
 
-/// Speculative fill of a grid attr-group's spare width: when the group is
-/// the step's *last* (the only one that can be narrower than `A`), the
-/// remaining attribute slots are padded with the relation's other columns
-/// — schema order, key and already-fetched columns excluded. The padded
-/// cells ride along in the same prompt (the group count, and so the
-/// prompt count, is untouched), are stored as per-(key, attr) sub-entries
-/// for later queries to extract, and never feed rows or the fallback
-/// ladder: a dropped pad line is simply not stored. This is the fetch
-/// phase's analogue of the key-universe store's speculative paging — it
-/// is what lets a suite of narrow queries amortise one table's attribute
-/// surface across a handful of grid prompts instead of paying
-/// `ceil(keys/B)` prompts per newly-touched column.
-///
-/// Returns column indices into `step.columns()`; empty for every non-last
-/// or already-full group (so `A = 1` stays the exact key-batched base
-/// case).
-fn grid_pad_columns(step: &LlmScanStep, start: usize, len: usize, attr_fuse: usize) -> Vec<usize> {
-    if start + len < step.fetch.len() || len >= attr_fuse {
+/// The columns a grid stage's prompt asks, by name: the group's own
+/// (`step.fetch[start..start + len]`), then its pads.
+fn grid_attributes(step: &LlmScanStep, stage: &Stage) -> Vec<String> {
+    let Stage::Grid { start, len, pads } = stage else {
         return Vec::new();
-    }
-    (0..step.columns().len())
-        .filter(|&c| c != step.key_index && !step.fetch.contains(&c))
-        .take(attr_fuse - len)
+    };
+    let own = &step.fetch[*start..start + len];
+    own.iter()
+        .chain(pads)
+        .map(|&c| step.columns()[c].name.clone())
         .collect()
-}
-
-/// One retrieval cell of a stage, by index into the step.
-#[derive(Debug, Clone, Copy)]
-enum StageCell {
-    /// Index into `step.filter_conditions`.
-    Filter(usize),
-    /// `col` indexes `step.columns()`; the stage sits at position
-    /// `n_filters + ord` in the stage list.
-    Fetch { col: usize },
-    /// One attr-group of the grid protocol: the columns
-    /// `step.fetch[start..start + len]`, fused into one prompt stream.
-    /// Survivors fan out to per-group micro-batches instead of
-    /// per-column ones.
-    Grid { start: usize, len: usize },
 }
 
 /// One micro-batch accumulator of the dataflow: a filter condition, a
 /// fetched column or a grid attr-group of one step.
 #[derive(Debug)]
-struct StageState {
-    cell: StageCell,
+struct StageState<'a> {
+    /// The stage of the step's plan this accumulates for.
+    cell: &'a Stage,
     /// Sub-entry columns of the stage's cells (empty when the multi-key
     /// protocol is off — plain single-key prompts bypass the sub-entry
     /// store). Single-cell stages use `[0]`; a grid stage holds one per
@@ -236,11 +175,11 @@ struct StageState {
     drained: bool,
 }
 
-impl StageState {
-    fn new(cell: StageCell) -> Self {
+impl<'a> StageState<'a> {
+    fn new(cell: &'a Stage) -> Self {
         let own_cells = match cell {
-            StageCell::Grid { len, .. } => len,
-            StageCell::Filter(_) | StageCell::Fetch { .. } => 1,
+            Stage::Grid { len, .. } => *len,
+            Stage::Filter(_) | Stage::Fetch { .. } => 1,
         };
         StageState {
             cell,
@@ -263,7 +202,7 @@ impl StageState {
     /// Records that a key's `ord`-th cell has been consumed (grid stages
     /// only — see `answered`).
     fn mark_answered(&mut self, slot: usize, ord: usize) {
-        if let StageCell::Grid { .. } = self.cell {
+        if let Stage::Grid { .. } = self.cell {
             self.answered.insert(slot, ord);
         }
     }
@@ -273,18 +212,18 @@ impl StageState {
     /// verdicts.
     fn fetch_col(&self, step: &LlmScanStep, ord: usize) -> Option<usize> {
         match self.cell {
-            StageCell::Filter(_) => None,
-            StageCell::Fetch { col } => Some(col),
-            StageCell::Grid { start, .. } => Some(step.fetch[start + ord]),
+            Stage::Filter(_) => None,
+            Stage::Fetch { col } => Some(*col),
+            Stage::Grid { start, .. } => Some(step.fetch[start + ord]),
         }
     }
 
     /// The borrowed form of the stage's `ord`-th own cell.
     fn batch_cell<'s>(&self, step: &'s LlmScanStep, ord: usize) -> BatchCell<'s> {
         match self.cell {
-            StageCell::Filter(i) => BatchCell::Filter(&step.filter_conditions[i]),
-            StageCell::Fetch { col } => BatchCell::Fetch(&step.columns()[col].name),
-            StageCell::Grid { start, .. } => {
+            Stage::Filter(i) => BatchCell::Filter(&step.filter_conditions[*i]),
+            Stage::Fetch { col } => BatchCell::Fetch(&step.columns()[*col].name),
+            Stage::Grid { start, .. } => {
                 BatchCell::Fetch(&step.columns()[step.fetch[start + ord]].name)
             }
         }
@@ -292,8 +231,8 @@ impl StageState {
 
     fn phase(&self) -> Phase {
         match self.cell {
-            StageCell::Filter(_) => Phase::Filter,
-            StageCell::Fetch { .. } | StageCell::Grid { .. } => Phase::Fetch,
+            Stage::Filter(_) => Phase::Filter,
+            Stage::Fetch { .. } | Stage::Grid { .. } => Phase::Fetch,
         }
     }
 }
@@ -389,6 +328,8 @@ struct SpecState {
 /// Per-step dataflow state.
 struct StepRun<'a> {
     step: &'a LlmScanStep,
+    /// How the step retrieves.
+    plan: &'a StepPlan,
     /// A terminal stored universe, served as is: the store's own list,
     /// shared, which no page can follow — so nothing is cleaned,
     /// de-duplicated or copied out of it. `None` when this run lists its
@@ -406,7 +347,7 @@ struct StepRun<'a> {
     /// Key slots in discovery order — rows materialise in this order.
     slots: Vec<KeySlot>,
     /// Filter stages (in conjunction order) followed by fetch stages.
-    stages: Vec<StageState>,
+    stages: Vec<StageState<'a>>,
     n_filters: usize,
     /// Key-universe store concept to publish at list finish (`None` when
     /// the store is off, or when the universe was served warm and needs
@@ -466,14 +407,8 @@ pub(super) enum FireTarget {
     List,
     /// One speculative offset page.
     ListPage { offset: usize },
-    /// One grid prompt: `members` × the stage's attr-group — the columns
-    /// `step.fetch[start..start + len]` — and its pads.
-    Grid {
-        stage: usize,
-        start: usize,
-        len: usize,
-        members: Vec<usize>,
-    },
+    /// One grid prompt: `members` × the stage's attr-group and its pads.
+    Grid { stage: usize, members: Vec<usize> },
     /// One multi-key prompt for the stage's `ord`-th cell: a single-cell
     /// stage's micro-batch (`ord` 0), or the middle rung of the grid
     /// ladder — the failed cells of one attr of one grid chunk, re-asked
@@ -517,7 +452,8 @@ pub(super) struct Fire {
 /// The confirmed survivors that can still matter to a `LIMIT` window of
 /// `n` rows: the `n` smallest confirmed slots, as a max-heap. Rows
 /// materialise in slot order, so once the heap is full, a slot past its
-/// top can never surface inside the window.
+/// top can never surface inside the window. The heap grows with the
+/// confirmations; `n` may exceed any universe, so nothing is reserved.
 #[derive(Debug)]
 struct LimitWindow {
     n: usize,
@@ -528,7 +464,7 @@ impl LimitWindow {
     fn new(n: usize) -> Self {
         LimitWindow {
             n,
-            smallest: BinaryHeap::with_capacity(n),
+            smallest: BinaryHeap::new(),
         }
     }
 
@@ -565,7 +501,7 @@ impl LimitWindow {
 pub(super) struct Protocol<'a> {
     session: &'a Galois,
     steps: Vec<StepRun<'a>>,
-    /// Multi-key protocol on (mirrors `prompt_batch.is_on()`).
+    /// Multi-key protocol on (the plan's batch is not `Off`).
     batched: bool,
     /// Keys per micro-batch (`B`; 1 when batching is off).
     fuse: usize,
@@ -573,46 +509,32 @@ pub(super) struct Protocol<'a> {
     /// fires only when its upstream has drained, in key order; under the
     /// event driver it also fires the moment it holds `fuse` keys.
     barrier: bool,
-    /// LIMIT window (`n + offset`) when early stop applies: the session
-    /// runs `Pipeline::StreamingLimit` *and* the residual plan is a plain
-    /// window over this (single) step's scan
-    /// ([`crate::compile::limit_hint`]). `None` runs to exhaustion.
+    /// The plan's LIMIT window ([`PhysicalPlan::window`]); `None` runs to
+    /// exhaustion.
     window: Option<LimitWindow>,
 }
 
 impl<'a> Protocol<'a> {
-    pub(super) fn new(session: &'a Galois, compiled: &'a CompiledQuery) -> Self {
-        let options = &session.options;
-        let batched = options.prompt_batch.is_on();
-        let grid = options.prompt_batch.is_grid();
-        let attr_fuse = options.prompt_batch.attrs_per_prompt();
+    pub(super) fn new(
+        session: &'a Galois,
+        compiled: &'a CompiledQuery,
+        physical: &'a PhysicalPlan,
+    ) -> Self {
+        let batched = physical.batch.is_on();
         let steps = compiled
             .steps
             .iter()
-            .map(|step| {
-                let mut stages: Vec<StageState> = (0..step.filter_conditions.len())
-                    .map(|i| StageState::new(StageCell::Filter(i)))
-                    .collect();
-                if grid {
-                    for start in (0..step.fetch.len()).step_by(attr_fuse) {
-                        let len = attr_fuse.min(step.fetch.len() - start);
-                        stages.push(StageState::new(StageCell::Grid { start, len }));
-                    }
-                } else {
-                    for &col in &step.fetch {
-                        stages.push(StageState::new(StageCell::Fetch { col }));
-                    }
-                }
+            .zip(&physical.steps)
+            .map(|(step, plan)| {
+                let mut stages: Vec<StageState> = plan.stages.iter().map(StageState::new).collect();
                 if batched {
                     for stage in &mut stages {
                         // Own cells first, then a grid group's speculative
                         // pad columns — the attr order the grid prompt
                         // renders.
                         let pads = match stage.cell {
-                            StageCell::Grid { start, len } => {
-                                grid_pad_columns(step, start, len, attr_fuse)
-                            }
-                            StageCell::Filter(_) | StageCell::Fetch { .. } => Vec::new(),
+                            Stage::Grid { pads, .. } => pads.as_slice(),
+                            Stage::Filter(_) | Stage::Fetch { .. } => &[],
                         };
                         stage.sub_columns = (0..stage.own_cells())
                             .map(|ord| session.cell_column(step, &stage.batch_cell(step, ord)))
@@ -625,6 +547,7 @@ impl<'a> Protocol<'a> {
                 }
                 StepRun {
                     step,
+                    plan,
                     stored: None,
                     exclude: Arc::new(Vec::new()),
                     seen: HashSet::new(),
@@ -641,19 +564,13 @@ impl<'a> Protocol<'a> {
                 }
             })
             .collect();
-        let barrier = !options.pipeline.is_streaming();
-        let window = if options.pipeline.stops_at_limit() {
-            crate::compile::limit_hint(compiled).map(LimitWindow::new)
-        } else {
-            None
-        };
         Protocol {
             session,
             steps,
             batched,
-            fuse: options.prompt_batch.keys_per_prompt(),
-            barrier,
-            window,
+            fuse: physical.batch.keys_per_prompt(),
+            barrier: !session.options.pipeline.is_streaming(),
+            window: physical.window.map(LimitWindow::new),
         }
     }
 
@@ -726,7 +643,7 @@ impl<'a> Protocol<'a> {
             Some(stored) if stored.exhausted || stored.iterations >= cap => {
                 let run = &mut self.steps[s];
                 run.acc.cache_hits += stored.iterations;
-                if self.batched && run.n_filters == 0 && self.window.is_none() {
+                if run.plan.servable {
                     // Every key, in slot order, and nothing but fetched
                     // cells: the step's table is the universe's relation.
                     let generation = self.session.client.sub_generation();
@@ -833,11 +750,9 @@ impl<'a> Protocol<'a> {
                 ord: 0,
                 member: members[0],
             }
-        } else if let StageCell::Grid { start, len } = self.steps[s].stages[stage].cell {
+        } else if let Stage::Grid { .. } = self.steps[s].stages[stage].cell {
             FireTarget::Grid {
                 stage,
-                start,
-                len,
                 members: members.to_vec(),
             }
         } else {
@@ -894,17 +809,12 @@ impl<'a> Protocol<'a> {
                 condition: step.scan_condition.clone(),
                 offset: *offset,
             }),
-            FireTarget::Grid {
-                start,
-                len,
-                members,
-                ..
-            } => builder.task(&self.session.grid_intent(
-                step,
-                *start,
-                *len,
-                run.chunk_keys(members),
-            )),
+            FireTarget::Grid { stage, members } => builder.task(&TaskIntent::FetchGridBatch {
+                relation: step.table.clone(),
+                key_attr: step.key_attr.clone(),
+                keys: run.chunk_keys(members),
+                attributes: grid_attributes(step, run.stages[*stage].cell),
+            }),
             FireTarget::Batch {
                 stage,
                 ord,
@@ -991,14 +901,9 @@ impl<'a> Protocol<'a> {
                     self.spec_apply(s, page_est, pages, fires);
                 }
             }
-            FireTarget::Grid {
-                stage,
-                start,
-                len,
-                members,
-            } => {
+            FireTarget::Grid { stage, members } => {
                 self.steps[s].stages[stage].inflight -= 1;
-                self.process_grid_chunk(s, stage, start, len, &members, text, fires);
+                self.process_grid_chunk(s, stage, &members, text, fires);
                 self.maybe_drain(s, stage, fires);
             }
             FireTarget::Batch {
@@ -1090,27 +995,18 @@ impl<'a> Protocol<'a> {
     /// Applies one grid chunk's answer: every unanswered `(slot, attr)`
     /// cell consumes its parsed line, and each attr's failed cells re-ask
     /// together down the ladder's middle rung.
-    #[allow(clippy::too_many_arguments)]
     fn process_grid_chunk(
         &mut self,
         s: usize,
         stage: usize,
-        start: usize,
-        len: usize,
         members: &[usize],
         text: &str,
         fires: &mut Vec<Fire>,
     ) {
         let run = &self.steps[s];
-        let attr_fuse = self.session.options.prompt_batch.attrs_per_prompt();
-        let pads = grid_pad_columns(run.step, start, len, attr_fuse);
-        let chunk_keys = run.chunk_keys(members);
-        let attr_names: Vec<String> = run.step.fetch[start..start + len]
-            .iter()
-            .chain(pads.iter())
-            .map(|&c| run.step.columns()[c].name.clone())
-            .collect();
-        let mut cells = split_grid_answer(text, &chunk_keys, &attr_names);
+        let len = run.stages[stage].own_cells();
+        let attr_names = grid_attributes(run.step, run.stages[stage].cell);
+        let mut cells = split_grid_answer(text, &run.chunk_keys(members), &attr_names);
         let mut failed: Vec<Vec<usize>> = vec![Vec::new(); len];
         for (ki, &slot) in members.iter().enumerate() {
             for (ord, failed_ord) in failed.iter_mut().enumerate() {

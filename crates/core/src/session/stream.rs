@@ -16,7 +16,6 @@
 use super::protocol::{Fire, FireTarget, Protocol, StepTable};
 use super::stats::{fold_step_stats, QueryStats};
 use super::Galois;
-use crate::compile::CompiledQuery;
 use galois_llm::EventClock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -74,17 +73,17 @@ struct StreamSim<'a> {
     trace: Vec<TracedTask>,
 }
 
-/// Runs a compiled query's retrieval to quiescence under the event
+/// Runs a query's retrieval protocol to quiescence under the event
 /// driver: every step's key stream listed, filtered, fetched and drained.
 /// Returns the accounting (the clock is the simulation's makespan), the
 /// table each step hands on and the task trace.
-pub(super) fn retrieve(
-    session: &Galois,
-    compiled: &CompiledQuery,
+pub(super) fn retrieve<'a>(
+    session: &'a Galois,
+    protocol: Protocol<'a>,
 ) -> (QueryStats, Vec<StepTable>, Vec<TracedTask>) {
     let mut sim = StreamSim {
         session,
-        protocol: Protocol::new(session, compiled),
+        protocol,
         clock: EventClock::new(session.options.parallelism.get()),
         events: BinaryHeap::new(),
         trace: Vec::new(),

@@ -25,7 +25,6 @@
 use super::protocol::{Fire, Protocol, StepTable};
 use super::stats::{fold_step_stats, QueryStats};
 use super::Galois;
-use crate::compile::CompiledQuery;
 use galois_llm::lane_schedule;
 use std::ops::Range;
 
@@ -56,12 +55,11 @@ fn group_requests<C: PartialEq>(
     requests
 }
 
-/// Runs a compiled query's retrieval under the barrier driver. Returns the
+/// Runs a query's retrieval protocol under the barrier driver. Returns the
 /// accounting (the clock is the lane-packed makespan of the step clocks)
 /// and the table each step hands on.
-pub(super) fn retrieve(session: &Galois, compiled: &CompiledQuery) -> (QueryStats, Vec<StepTable>) {
+pub(super) fn retrieve(session: &Galois, mut protocol: Protocol) -> (QueryStats, Vec<StepTable>) {
     let lanes = session.options.parallelism.get();
-    let mut protocol = Protocol::new(session, compiled);
     for s in 0..protocol.n_steps() {
         let mut fires = Vec::new();
         protocol.start_step(s, &mut fires);
@@ -70,7 +68,7 @@ pub(super) fn retrieve(session: &Galois, compiled: &CompiledQuery) -> (QueryStat
         }
     }
     let mut stats = QueryStats::default();
-    let mut step_virtuals = Vec::with_capacity(compiled.steps.len());
+    let mut step_virtuals = Vec::with_capacity(protocol.n_steps());
     let step_tables = protocol
         .finish()
         .map(|(acc, table)| {

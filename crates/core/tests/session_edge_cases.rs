@@ -226,3 +226,40 @@ fn limit_early_stop_over_an_x10_relation_keeps_its_prompts_and_rows() {
         );
     }
 }
+
+/// `LIMIT` and `OFFSET` take any `u64`, so a window can exceed every
+/// universe: `Pipeline::StreamingLimit` never covers it and returns what
+/// `Pipeline::Streaming` returns, with no more prompts (the window once
+/// reserved its `n + offset` slots up front and panicked on these).
+#[test]
+fn a_window_past_every_universe_runs_like_streaming() {
+    let s = Scenario::generate(42);
+    let session = |pipeline| {
+        Galois::with_options(
+            Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle())),
+            s.database.clone(),
+            GaloisOptions {
+                pipeline,
+                ..Default::default()
+            },
+        )
+    };
+    for (sql, rows) in [
+        ("SELECT name FROM city LIMIT 9223372036854775807", 60),
+        ("SELECT name FROM city LIMIT 18446744073709551615", 60),
+        (
+            "SELECT name FROM city LIMIT 5 OFFSET 18446744073709551615",
+            0,
+        ),
+    ] {
+        let full = session(Pipeline::Streaming).execute(sql).unwrap();
+        let windowed = session(Pipeline::StreamingLimit).execute(sql).unwrap();
+        assert_eq!(full.relation.len(), rows, "{sql}");
+        assert_eq!(windowed.relation.rows, full.relation.rows, "{sql}");
+        let prompts = |r: &galois_core::GaloisResult| {
+            let st = &r.stats;
+            (st.list_prompts, st.filter_prompts, st.fetch_prompts)
+        };
+        assert_eq!(prompts(&windowed), prompts(&full), "{sql}");
+    }
+}

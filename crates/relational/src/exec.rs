@@ -12,7 +12,7 @@
 use crate::error::{EngineError, Result};
 use crate::expr::{RowView, ScalarExpr};
 use crate::plan::{AggCall, AggFunc, JoinCondition, LogicalPlan, SortKey};
-use crate::schema::PlanSchema;
+use crate::schema::{PlanSchema, TableSchema};
 use crate::table::{Catalog, Row, Table};
 use crate::value::{DataType, Value};
 use galois_sql::ast::{JoinType, SortDirection};
@@ -172,8 +172,17 @@ fn for_each_row(plan: &LogicalPlan, catalog: &Catalog, f: &mut Sink<'_>) -> Resu
             let outer = *join_type == JoinType::LeftOuter;
             let nulls = outer.then(|| vec![Value::Null; right.schema().arity()]);
             let pad = nulls.as_deref();
-            match keyed(left, right, &condition.equi, catalog) {
-                Some(keyed) if index_join(&l, &r, keyed, condition, pad, f)? => Ok(()),
+            let schema_of = |name: &str| catalog.get(name).ok().map(|t| t.schema.as_ref());
+            let algorithm = join_algorithm(left, right, condition, schema_of);
+            let keyed = match (algorithm, &**left, &**right) {
+                (JoinAlgorithm::IndexLeft(_), LogicalPlan::Scan { table, .. }, _)
+                | (JoinAlgorithm::IndexRight(_), _, LogicalPlan::Scan { table, .. }) => {
+                    catalog.get(table).ok()
+                }
+                _ => None,
+            };
+            match keyed {
+                Some(table) if index_join(&l, &r, table, algorithm, condition, pad, f)? => Ok(()),
                 _ => join(&l, &r, condition, pad, f),
             }
         }
@@ -445,36 +454,52 @@ impl Chains {
     }
 }
 
-/// A join side a stored table's key index serves, and its key's equi pair.
-#[derive(Clone, Copy)]
-struct Keyed<'c> {
-    table: &'c Table,
-    pair: usize,
-    left: bool,
+/// How a [`LogicalPlan::Join`] meets its inputs' rows; each emits the
+/// hash join's rows in its order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinAlgorithm {
+    /// Probe the right table's key index through equi pair `.0`.
+    IndexRight(usize),
+    /// Probe the left table's key index through equi pair `.0`.
+    IndexLeft(usize),
+    /// Build a hash table on the right input, probe it from the left.
+    Hash,
+    /// No equi key: try every pair of rows against the residual.
+    NestedLoop,
 }
 
-/// The join side a key index serves, the right first: a bare scan of a
-/// stored table with an equi key on its schema's key column, and every key
-/// on that side plain, so the rows no probe reaches hide no error.
-fn keyed<'c>(
+/// The algorithm [`execute`] joins `left` and `right` with, read off the
+/// plan and the stored schemas `schema_of` resolves. A key index serves a
+/// side (the right first) that is a bare scan of a stored table with an
+/// equi key on its key column and every key on that side plain, so the
+/// rows no probe reaches hide no error.
+pub fn join_algorithm<'s>(
     left: &LogicalPlan,
     right: &LogicalPlan,
-    equi: &[(ScalarExpr, ScalarExpr)],
-    catalog: &'c Catalog,
-) -> Option<Keyed<'c>> {
-    let side = |input: &LogicalPlan, left: bool| {
-        let LogicalPlan::Scan { table: name, .. } = input else {
+    condition: &JoinCondition,
+    schema_of: impl Fn(&str) -> Option<&'s TableSchema>,
+) -> JoinAlgorithm {
+    let equi = &condition.equi;
+    let keyed = |input: &LogicalPlan, left: bool| {
+        let LogicalPlan::Scan { table, .. } = input else {
             return None;
         };
         // The unnamed scan is the one-row "dual", not a stored table.
-        let table = catalog.get(name).ok().filter(|_| !name.is_empty())?;
+        let schema = schema_of(table).filter(|_| !table.is_empty())?;
         let keys = || equi.iter().map(move |(lk, rk)| if left { lk } else { rk });
-        let key =
-            |e: &ScalarExpr| matches!(e, ScalarExpr::Column(c) if c.index == table.schema.key);
+        let key = |e: &ScalarExpr| matches!(e, ScalarExpr::Column(c) if c.index == schema.key);
         let pair = keys().position(key)?;
-        plain_columns(keys(), table.schema.arity()).then_some(Keyed { table, pair, left })
+        plain_columns(keys(), schema.arity()).then_some(pair)
     };
-    side(right, false).or_else(|| side(left, true))
+    if equi.is_empty() {
+        JoinAlgorithm::NestedLoop
+    } else if let Some(pair) = keyed(right, false) {
+        JoinAlgorithm::IndexRight(pair)
+    } else if let Some(pair) = keyed(left, true) {
+        JoinAlgorithm::IndexLeft(pair)
+    } else {
+        JoinAlgorithm::Hash
+    }
 }
 
 /// Whether `l` and `r` agree on every equi pair but `matched` (an index
@@ -487,43 +512,50 @@ fn same_keys(condition: &JoinCondition, matched: Option<usize>, l: &Row, r: &Row
     (condition.equi.iter().enumerate()).all(|(i, pair)| Some(i) == matched || equal(pair))
 }
 
-/// [`join`]'s rows in its order, through `keyed`'s index: each probe row
-/// finds its partner's position (`usize::MAX`: none); a keyed left side
-/// chains the right rows by it. `false`, nothing emitted, when a probe may
-/// equal several keys: a float of magnitude 2⁵³ or more equals every
+/// [`join`]'s rows in its order, through the key index of `table`, the
+/// side an index `algorithm` names: each probe row finds its partner's
+/// position (`usize::MAX`: none); a keyed left side chains the right rows
+/// by it. `false`, nothing emitted, for another algorithm, or when a probe
+/// may equal several keys: a float of magnitude 2⁵³ or more equals every
 /// integer that rounds to it.
 fn index_join(
     l: &[Cow<'_, Row>],
     r: &[Cow<'_, Row>],
-    keyed: Keyed<'_>,
+    table: &Table,
+    algorithm: JoinAlgorithm,
     condition: &JoinCondition,
     pad: Option<&[Value]>,
     f: &mut Sink<'_>,
 ) -> Result<bool> {
-    let schema = &keyed.table.schema;
+    let (pair, keyed_left) = match algorithm {
+        JoinAlgorithm::IndexRight(pair) => (pair, false),
+        JoinAlgorithm::IndexLeft(pair) => (pair, true),
+        JoinAlgorithm::Hash | JoinAlgorithm::NestedLoop => return Ok(false),
+    };
+    let schema = &table.schema;
     let int_keys = schema.columns[schema.key].data_type == DataType::Int;
-    let probes = if keyed.left { r } else { l };
+    let probes = if keyed_left { r } else { l };
     let mut partner = Vec::with_capacity(probes.len());
     for row in probes {
         // Every probe key is evaluated, as the hash join does; a NULL one
         // matches nothing.
         let (mut probe, mut null) = (None, false);
         for (i, (lk, rk)) in condition.equi.iter().enumerate() {
-            let value = (if keyed.left { rk } else { lk }).eval_ref(RowView::of(row))?;
+            let value = (if keyed_left { rk } else { lk }).eval_ref(RowView::of(row))?;
             null |= value.is_null();
-            probe = probe.or((i == keyed.pair).then_some(value));
+            probe = probe.or((i == pair).then_some(value));
         }
         partner.push(match probe.filter(|_| !null) {
             Some(v) if int_keys && matches!(*v, Value::Float(f) if f.abs() >= 2f64.powi(53)) => {
                 return Ok(false)
             }
-            Some(v) => keyed.table.position_of(&v).unwrap_or(usize::MAX),
+            Some(v) => table.position_of(&v).unwrap_or(usize::MAX),
             None => usize::MAX,
         });
     }
-    let agree = |lr: &Row, rr: &&Row| same_keys(condition, Some(keyed.pair), lr, rr);
+    let agree = |lr: &Row, rr: &&Row| same_keys(condition, Some(pair), lr, rr);
     let residual = condition.residual.as_ref();
-    if !keyed.left {
+    if !keyed_left {
         for (lr, &p) in l.iter().zip(&partner) {
             let rr = r.get(p).map(|rr| &**rr).filter(|rr| agree(lr, rr));
             emit_matches(lr, rr.into_iter(), residual, pad, f)?;
@@ -966,20 +998,19 @@ mod tests {
             schema: PlanSchema::new([&columns[..], &columns[..]].concat()),
         };
         for (equi, side) in cases {
-            let serves = keyed(&scan, &scan, &equi, &catalog).map_or("neither", |k| {
-                if k.left {
-                    "left"
-                } else {
-                    "right"
-                }
-            });
-            assert_eq!(serves, side, "{equi:?}");
-            // What the hash join makes of it, inner and left outer.
-            let stored = catalog.get("t").unwrap().rows();
             let condition = JoinCondition {
                 equi: equi.clone(),
                 residual: None,
             };
+            let schema_of = |name: &str| catalog.get(name).ok().map(|t| t.schema.as_ref());
+            let serves = match join_algorithm(&scan, &scan, &condition, schema_of) {
+                JoinAlgorithm::IndexRight(_) => "right",
+                JoinAlgorithm::IndexLeft(_) => "left",
+                JoinAlgorithm::Hash | JoinAlgorithm::NestedLoop => "neither",
+            };
+            assert_eq!(serves, side, "{equi:?}");
+            // What the hash join makes of it, inner and left outer.
+            let stored = catalog.get("t").unwrap().rows();
             for (join_type, pad) in [
                 (JoinType::Inner, None),
                 (JoinType::LeftOuter, Some(&[Value::Null, Value::Null][..])),

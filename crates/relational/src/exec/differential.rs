@@ -24,7 +24,7 @@
 //! — one streams what the other runs operator by operator — so a failure
 //! is compared as a failure, rows by their `Debug` form.
 
-use super::{execute, reference};
+use super::{execute, join_algorithm, reference, JoinAlgorithm};
 use crate::expr::{ResolvedColumn, ScalarExpr};
 use crate::plan::{AggCall, AggFunc, JoinCondition, LogicalPlan, SortKey};
 use crate::schema::{Column, PlanColumn, PlanSchema, TableSchema};
@@ -512,7 +512,8 @@ fn index_joinable<'e>(
     plain && on_key
 }
 
-/// The paths `plan`'s nodes take, counted into `paths`.
+/// The paths `plan`'s nodes take, counted into `paths`. A join's path is
+/// derived here and must be the one [`join_algorithm`] decides.
 fn paths(plan: &LogicalPlan, catalog: &Catalog, paths: &mut HashMap<Path, usize>) {
     let path = match plan {
         LogicalPlan::Join {
@@ -520,15 +521,26 @@ fn paths(plan: &LogicalPlan, catalog: &Catalog, paths: &mut HashMap<Path, usize>
             right,
             condition,
             ..
-        } => Some(if condition.equi.is_empty() {
-            Path::NestedLoop
-        } else if index_joinable(right, condition.equi.iter().map(|(_, r)| r), catalog) {
-            Path::RightKeyed
-        } else if index_joinable(left, condition.equi.iter().map(|(l, _)| l), catalog) {
-            Path::LeftKeyed
-        } else {
-            Path::HashJoin
-        }),
+        } => {
+            let path = if condition.equi.is_empty() {
+                Path::NestedLoop
+            } else if index_joinable(right, condition.equi.iter().map(|(_, r)| r), catalog) {
+                Path::RightKeyed
+            } else if index_joinable(left, condition.equi.iter().map(|(l, _)| l), catalog) {
+                Path::LeftKeyed
+            } else {
+                Path::HashJoin
+            };
+            let schema_of = |name: &str| catalog.get(name).ok().map(|t| t.schema.as_ref());
+            let decided = match join_algorithm(left, right, condition, schema_of) {
+                JoinAlgorithm::IndexRight(_) => Path::RightKeyed,
+                JoinAlgorithm::IndexLeft(_) => Path::LeftKeyed,
+                JoinAlgorithm::Hash => Path::HashJoin,
+                JoinAlgorithm::NestedLoop => Path::NestedLoop,
+            };
+            assert_eq!(decided, path, "{}", plan.explain());
+            Some(path)
+        }
         LogicalPlan::CrossJoin { .. } => Some(Path::NestedLoop),
         LogicalPlan::Aggregate {
             input, group_by, ..
@@ -549,7 +561,8 @@ fn paths(plan: &LogicalPlan, catalog: &Catalog, paths: &mut HashMap<Path, usize>
 
 /// The generator reaches every path the executor picks by shape: both
 /// orientations of the index join, the hash join, the nested loop, and a
-/// global aggregate over no rows and over some.
+/// global aggregate over no rows and over some. Every join node's path,
+/// derived independently, is the one [`join_algorithm`] decides.
 #[test]
 fn generated_cases_reach_every_join_and_aggregate_path() {
     let mut reached = HashMap::new();

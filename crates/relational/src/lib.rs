@@ -49,7 +49,7 @@ pub mod value;
 pub use cost::{estimate_rows, explain_with_rows, predicate_selectivity};
 pub use engine::Database;
 pub use error::{EngineError, Result};
-pub use exec::{execute, Relation};
+pub use exec::{execute, join_algorithm, JoinAlgorithm, Relation};
 pub use expr::{like_match, ResolvedColumn, RowView, ScalarExpr};
 pub use optimizer::{optimize, plan_stats, PlanStats};
 pub use plan::{AggCall, AggFunc, JoinCondition, LogicalPlan, SortKey};

@@ -50,12 +50,6 @@ impl<'a> Lexer<'a> {
         self.bytes.get(self.pos + 1).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
     fn skip_trivia(&mut self) -> Result<()> {
         loop {
             match self.peek() {
@@ -164,8 +158,11 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         let mut value = String::new();
         loop {
-            match self.bump() {
-                Some(b'\'') => {
+            // Whole (possibly multi-byte) characters: `pos` stays on a
+            // character boundary.
+            match self.input[self.pos..].chars().next() {
+                Some('\'') => {
+                    self.pos += 1;
                     // SQL escapes a quote inside a string as ''.
                     if self.peek() == Some(b'\'') {
                         value.push('\'');
@@ -174,12 +171,9 @@ impl<'a> Lexer<'a> {
                         return Ok(TokenKind::String(value));
                     }
                 }
-                Some(_) => {
-                    // Recover the original (possibly multi-byte) character.
-                    let ch_start = self.pos - 1;
-                    let ch = self.input[ch_start..].chars().next().expect("in bounds");
+                Some(ch) => {
                     value.push(ch);
-                    self.pos = ch_start + ch.len_utf8();
+                    self.pos += ch.len_utf8();
                 }
                 None => {
                     return Err(SqlError::new(
