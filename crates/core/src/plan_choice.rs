@@ -63,7 +63,7 @@ use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_P
 use galois_llm::intent::{CmpOp, Condition};
 use galois_llm::{ClientStats, Parallelism, BATCH_OVERHEAD_MS};
 use galois_relational::cost as rcost;
-use galois_relational::{Catalog, LogicalPlan};
+use galois_relational::{join_algorithm, Catalog, JoinAlgorithm, LogicalPlan, TableSchema};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -449,22 +449,35 @@ fn side_label(plan: &LogicalPlan) -> String {
 }
 
 /// Appends one `join order:` report line per join node (post-order, so
-/// inner joins print before the joins consuming them), with the estimated
-/// probe/build cardinalities that justified the chosen order.
-fn join_order_lines(
+/// inner joins print before the joins consuming them): the algorithm the
+/// executor joins with ([`join_algorithm`] over the scans' schemas,
+/// `schema_of`) and the estimated rows of each side.
+fn join_order_lines<'s>(
     plan: &LogicalPlan,
     catalog: &Catalog,
     overrides: &HashMap<String, f64>,
+    schema_of: &impl Fn(&str) -> Option<&'s TableSchema>,
     out: &mut String,
 ) {
     for child in plan.children() {
-        join_order_lines(child, catalog, overrides, out);
+        join_order_lines(child, catalog, overrides, schema_of, out);
     }
-    if let LogicalPlan::Join { left, right, .. } = plan {
+    if let LogicalPlan::Join {
+        left,
+        right,
+        condition,
+        ..
+    } = plan
+    {
+        let (l, r) = (side_label(left), side_label(right));
+        let algorithm = match join_algorithm(left, right, condition, schema_of) {
+            JoinAlgorithm::IndexRight(_) => format!("index join on {r}'s key"),
+            JoinAlgorithm::IndexLeft(_) => format!("index join on {l}'s key"),
+            JoinAlgorithm::Hash => format!("hash join building {r}"),
+            JoinAlgorithm::NestedLoop => "nested loop".to_string(),
+        };
         out.push_str(&format!(
-            "join order: {} ⋈ {}  (probe rows≈{:.0}, build rows≈{:.0})\n",
-            side_label(left),
-            side_label(right),
+            "join order: {l} ⋈ {r}  ({algorithm}; left rows≈{:.0}, right rows≈{:.0})\n",
             rcost::estimate_rows_with(left, catalog, overrides),
             rcost::estimate_rows_with(right, catalog, overrides),
         ));
@@ -774,8 +787,21 @@ impl PlannedQuery {
         let temp_rows = temp_rows(&self.compiled.steps, costs);
         // Join-order lines accompany the cost-based planner's build-side
         // choice; the heuristic report stays byte-identical without them.
+        // The executor finds a temp as the table built under its step's
+        // schema, any other scan in the catalog.
         if self.report.planner == Planner::CostBased {
-            join_order_lines(&self.compiled.plan, catalog, &temp_rows, &mut out);
+            let schema_of =
+                |name: &str| match self.compiled.steps.iter().find(|s| s.temp_name == name) {
+                    Some(step) => Some(step.temp_schema.as_ref()),
+                    None => catalog.get(name).ok().map(|t| t.schema.as_ref()),
+                };
+            join_order_lines(
+                &self.compiled.plan,
+                catalog,
+                &temp_rows,
+                &schema_of,
+                &mut out,
+            );
         }
         out.push_str("[relational plan]\n");
         out.push_str(&rcost::explain_with_rows_overridden(
@@ -968,16 +994,9 @@ mod tests {
     fn render_shows_join_order_only_under_cost_based_planning() {
         let s = Scenario::generate(42);
         let params = PlannerParams::default();
-        let plan = s
-            .database
-            .plan(
-                "SELECT p.name, r.electionYear FROM city p, cityMayor r \
-                 WHERE p.mayor = r.name AND p.population > 1000000",
-            )
-            .unwrap();
-        let render = |planner: Planner| {
+        let render = |sql: &str, planner: Planner| {
             plan_query(
-                &plan,
+                &s.database.plan(sql).unwrap(),
                 s.database.catalog(),
                 &CompileOptions::default(),
                 planner,
@@ -986,14 +1005,22 @@ mod tests {
             .unwrap()
             .render(s.database.catalog(), &params)
         };
-        assert!(!render(Planner::Heuristic).contains("join order:"));
-        let text = render(Planner::CostBased);
+        let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r \
+                 WHERE p.mayor = r.name AND p.population > 1000000";
+        assert!(!render(q, Planner::Heuristic).contains("join order:"));
+        // Commuted, the mayor temp is the left side, and the executor
+        // probes its key index with each city's mayor.
+        let text = render(q, Planner::CostBased);
         assert!(
-            text.contains("join order: r ⋈ p"),
-            "commuted order must be reported:\n{text}"
+            text.contains("join order: r ⋈ p  (index join on r's key; left rows≈"),
+            "the commuted order and the algorithm must be reported:\n{text}"
         );
-        assert!(text.contains("probe rows≈"), "{text}");
-        assert!(text.contains("build rows≈"), "{text}");
+        assert!(text.contains(", right rows≈"), "{text}");
+        // Neither side's key is the join key: a hash join.
+        let q = "SELECT e.name, k.gdp FROM DB.employees e, LLM.country k \
+                 WHERE e.countryCode = k.code";
+        let text = render(q, Planner::CostBased);
+        assert!(text.contains("(hash join building "), "{text}");
     }
 
     #[test]

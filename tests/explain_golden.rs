@@ -32,6 +32,12 @@
 //! `Pipeline::StreamingLimit` now); no cell set an admission policy, so
 //! the `admission:` line PR 24 took out of the report is in none of them.
 //!
+//! Since then only the `join order:` lines have moved, in a commit of
+//! their own: they name the algorithm the executor joins with
+//! (`galois_relational::join_algorithm` — an index join on one side's key,
+//! a hash join building the right side, or a nested loop) and each side's
+//! estimated rows, where they read `probe rows≈, build rows≈` before.
+//!
 //! Regenerate with
 //! `cargo test --test explain_golden -- --ignored regenerate_explain_golden_fixture`.
 
