@@ -543,23 +543,29 @@ impl LlmClient {
 
     /// Completes one prompt (counts as a batch of one).
     pub fn complete(&self, prompt: &str) -> Completion {
-        self.complete_outcome(prompt)
-            .completions
-            .pop()
-            .expect("one completion per prompt")
+        self.complete_one(prompt).0
     }
 
     /// Completes one prompt, returning full batch accounting.
     pub fn complete_outcome(&self, prompt: &str) -> BatchOutcome {
+        let (completion, mut outcome) = self.complete_one(prompt);
+        outcome.completions.push(completion);
+        outcome
+    }
+
+    /// One prompt as a batch of one: its completion, and the charged
+    /// outcome without it.
+    fn complete_one(&self, prompt: &str) -> (Completion, BatchOutcome) {
         let (completion, hit, counters) = self.lookup_or_complete(prompt);
-        if hit {
-            self.charge(vec![completion], 1, &[], 0, 0, counters)
+        let outcome = if hit {
+            self.charge(Vec::new(), 1, &[], 0, 0, counters)
         } else {
             let latency = [completion.latency_ms];
             let p_tok = completion.usage.prompt_tokens;
             let c_tok = completion.usage.completion_tokens;
-            self.charge(vec![completion], 0, &latency, p_tok, c_tok, counters)
-        }
+            self.charge(Vec::with_capacity(1), 0, &latency, p_tok, c_tok, counters)
+        };
+        (completion, outcome)
     }
 
     /// Completes a batch of prompts; one batch overhead is charged and the

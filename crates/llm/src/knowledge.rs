@@ -9,8 +9,17 @@
 //! default semantics for the LLM is to pick the most popular
 //! interpretation"), and aliases model the surface-form variance that
 //! breaks joins ("IT" vs "ITA", §5).
+//!
+//! Reads go through two indexes built once, on the first read after the
+//! last [`KnowledgeStore::add_entity`] or [`KnowledgeStore::add_fact`]:
+//! each type's entities in list order (popularity descending, then name,
+//! then insertion), and for each `(type, canonical predicate)` the
+//! entities holding a fact for it, in the same order. No read sorts or
+//! scans a type.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Identifier of an entity inside a knowledge store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,11 +64,72 @@ pub enum FactValue {
 #[derive(Debug, Default, Clone)]
 pub struct KnowledgeStore {
     entities: Vec<Entity>,
-    by_type: HashMap<String, Vec<EntityId>>,
     by_name: HashMap<(String, String), EntityId>,
     facts: HashMap<(EntityId, String), FactValue>,
     /// Predicate synonym lexicon: surface label → canonical predicate.
     lexicon: HashMap<String, String>,
+    /// Built on the first read after the last `add_entity` / `add_fact`.
+    index: OnceLock<Index>,
+}
+
+/// The store's read orders, derived from `entities` and `facts`.
+#[derive(Debug, Clone)]
+struct Index {
+    /// Each type's ids, most popular first, then by name, then insertion.
+    by_type: HashMap<String, Vec<EntityId>>,
+    /// Type → canonical predicate → the ids holding a fact for it, in
+    /// `by_type` order.
+    holders: HashMap<String, HashMap<String, Vec<EntityId>>>,
+    /// Each entity's position in its type's `by_type` list, by id.
+    rank: Vec<u32>,
+}
+
+impl Index {
+    fn build(kb: &KnowledgeStore) -> Index {
+        let mut by_type: HashMap<String, Vec<EntityId>> = HashMap::new();
+        for e in &kb.entities {
+            by_type.entry(e.entity_type.clone()).or_default().push(e.id);
+        }
+        let mut rank = vec![0u32; kb.entities.len()];
+        for ids in by_type.values_mut() {
+            // Stable: equal popularity and name keep insertion order.
+            ids.sort_by(|a, b| {
+                let (a, b) = (kb.entity(*a), kb.entity(*b));
+                b.popularity
+                    .total_cmp(&a.popularity)
+                    .then_with(|| a.name.cmp(&b.name))
+            });
+            for (at, id) in ids.iter().enumerate() {
+                rank[id.0 as usize] = at as u32;
+            }
+        }
+        let mut holders: HashMap<String, HashMap<String, Vec<EntityId>>> = HashMap::new();
+        for (id, predicate) in kb.facts.keys() {
+            holders
+                .entry(kb.entity(*id).entity_type.clone())
+                .or_default()
+                .entry(predicate.clone())
+                .or_default()
+                .push(*id);
+        }
+        for ids in holders.values_mut().flat_map(HashMap::values_mut) {
+            ids.sort_unstable_by_key(|id| rank[id.0 as usize]);
+        }
+        Index {
+            by_type,
+            holders,
+            rank,
+        }
+    }
+}
+
+/// `s` lowercased, borrowed when it already is.
+fn ascii_lower(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 impl KnowledgeStore {
@@ -78,10 +148,7 @@ impl KnowledgeStore {
         let id = EntityId(self.entities.len() as u32);
         let name = name.into();
         let entity_type = entity_type.into().to_ascii_lowercase();
-        self.by_type
-            .entry(entity_type.clone())
-            .or_default()
-            .push(id);
+        self.index.take();
         self.by_name
             .insert((entity_type.clone(), name.to_ascii_lowercase()), id);
         self.entities.push(Entity {
@@ -106,6 +173,7 @@ impl KnowledgeStore {
     /// predicate through the lexicon).
     pub fn add_fact(&mut self, subject: EntityId, predicate: impl Into<String>, object: FactValue) {
         let p = self.canonical_predicate(&predicate.into());
+        self.index.take();
         self.facts.insert((subject, p), object);
     }
 
@@ -120,8 +188,16 @@ impl KnowledgeStore {
 
     /// Maps a surface attribute label to its canonical predicate.
     pub fn canonical_predicate(&self, label: &str) -> String {
-        let lower = label.to_ascii_lowercase();
-        self.lexicon.get(&lower).cloned().unwrap_or(lower)
+        self.canonical(label).into_owned()
+    }
+
+    /// [`Self::canonical_predicate`], borrowed where it can be.
+    fn canonical<'a>(&'a self, label: &'a str) -> Cow<'a, str> {
+        let lower = ascii_lower(label);
+        match self.lexicon.get(lower.as_ref()) {
+            Some(canonical) => Cow::Borrowed(canonical),
+            None => lower,
+        }
     }
 
     /// The entity with this id.
@@ -129,25 +205,45 @@ impl KnowledgeStore {
         &self.entities[id.0 as usize]
     }
 
-    /// All entities of a type, most popular first.
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| Index::build(self))
+    }
+
+    /// All entities of a type, most popular first (ties by name, then
+    /// insertion).
     pub fn entities_of_type(&self, entity_type: &str) -> Vec<&Entity> {
-        let ty = entity_type.to_ascii_lowercase();
-        let mut v: Vec<&Entity> = self
+        self.ids_of_type(entity_type)
+            .iter()
+            .map(|id| self.entity(*id))
+            .collect()
+    }
+
+    /// The ids of [`Self::entities_of_type`], in its order, without a copy.
+    pub(crate) fn ids_of_type(&self, entity_type: &str) -> &[EntityId] {
+        self.index()
             .by_type
-            .get(&ty)
-            .map(|ids| ids.iter().map(|id| self.entity(*id)).collect())
-            .unwrap_or_default();
-        v.sort_by(|a, b| {
-            b.popularity
-                .total_cmp(&a.popularity)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        v
+            .get(ascii_lower(entity_type).as_ref())
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The ids of a type's entities that hold a fact for `predicate` (a
+    /// surface label, canonicalised), in [`Self::ids_of_type`] order.
+    pub(crate) fn holders(&self, entity_type: &str, predicate: &str) -> &[EntityId] {
+        self.index()
+            .holders
+            .get(ascii_lower(entity_type).as_ref())
+            .and_then(|by_predicate| by_predicate.get(self.canonical(predicate).as_ref()))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// An entity's position in its type's [`Self::ids_of_type`] list.
+    pub(crate) fn rank(&self, id: EntityId) -> usize {
+        self.index().rank[id.0 as usize] as usize
     }
 
     /// All entity types present.
     pub fn entity_types(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.by_type.keys().cloned().collect();
+        let mut v: Vec<String> = self.index().by_type.keys().cloned().collect();
         v.sort();
         v
     }
@@ -166,20 +262,6 @@ impl KnowledgeStore {
     pub fn fact(&self, subject: EntityId, predicate: &str) -> Option<&FactValue> {
         self.facts
             .get(&(subject, self.canonical_predicate(predicate)))
-    }
-
-    /// True if the store knows the given predicate for *any* subject of the
-    /// given type (used to distinguish "unknown attribute" from "unknown
-    /// value").
-    pub fn type_has_predicate(&self, entity_type: &str, predicate: &str) -> bool {
-        let p = self.canonical_predicate(predicate);
-        self.by_type
-            .get(&entity_type.to_ascii_lowercase())
-            .map(|ids| {
-                ids.iter()
-                    .any(|id| self.facts.contains_key(&(*id, p.clone())))
-            })
-            .unwrap_or(false)
     }
 
     /// Number of entities.
@@ -243,12 +325,106 @@ mod tests {
         assert!(kb.fact(rome, "elevation").is_none());
     }
 
+    /// What `entities_of_type` computed on every call before the index:
+    /// the type's ids in insertion order, stably sorted by popularity
+    /// descending, then name.
+    fn sorted_by_hand(kb: &KnowledgeStore, ty: &str) -> Vec<EntityId> {
+        let mut v: Vec<&Entity> = (0..kb.entity_count())
+            .map(|i| kb.entity(EntityId(i as u32)))
+            .filter(|e| e.entity_type == ty)
+            .collect();
+        v.sort_by(|a, b| {
+            b.popularity
+                .total_cmp(&a.popularity)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+        v.iter().map(|e| e.id).collect()
+    }
+
+    /// Ties on popularity (broken by name) and on popularity and name
+    /// (broken by insertion), facts under a synonym, a type without facts.
+    fn tied_store() -> KnowledgeStore {
+        let mut kb = store();
+        kb.add_synonym("inhabitants", "population");
+        for (name, pop) in [
+            ("Turin", 0.4),
+            ("Bari", 0.4),
+            ("Lyon", 0.4),
+            ("Nice", 0.7),
+            ("Bari", 0.4),
+        ] {
+            let e = kb.add_entity(name, "city", pop);
+            if name != "Nice" {
+                kb.add_fact(e, "inhabitants", FactValue::Number(1.0));
+            }
+        }
+        kb.add_entity("Etna", "volcano", 0.5);
+        kb
+    }
+
     #[test]
-    fn type_has_predicate() {
-        let kb = store();
-        assert!(kb.type_has_predicate("city", "population"));
-        assert!(!kb.type_has_predicate("city", "elevation"));
-        assert!(!kb.type_has_predicate("volcano", "population"));
+    fn type_index_reproduces_the_popularity_sort() {
+        let kb = tied_store();
+        for ty in ["city", "country", "volcano"] {
+            assert_eq!(kb.ids_of_type(ty), sorted_by_hand(&kb, ty), "{ty}");
+            for (at, id) in kb.ids_of_type(ty).iter().enumerate() {
+                assert_eq!(kb.rank(*id), at);
+            }
+        }
+        let names: Vec<&str> = kb
+            .entities_of_type("CITY")
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["Rome", "Nice", "Bari", "Bari", "Lyon", "Lyon", "Turin"]
+        );
+        let baris: Vec<EntityId> = kb
+            .entities_of_type("city")
+            .iter()
+            .filter(|e| e.name == "Bari")
+            .map(|e| e.id)
+            .collect();
+        assert!(baris[0] < baris[1], "equal keys keep insertion order");
+        assert!(kb.ids_of_type("glacier").is_empty());
+    }
+
+    #[test]
+    fn holders_index_equals_the_filter() {
+        let kb = tied_store();
+        for ty in ["city", "country", "volcano", "glacier"] {
+            for label in ["population", "Inhabitants", "country", "elevation"] {
+                let filtered: Vec<EntityId> = sorted_by_hand(&kb, ty)
+                    .into_iter()
+                    .filter(|id| kb.fact(*id, label).is_some())
+                    .collect();
+                assert_eq!(kb.holders(ty, label), filtered, "{ty} {label}");
+            }
+        }
+        assert_eq!(kb.holders("city", "country").len(), 1);
+    }
+
+    #[test]
+    fn adding_after_a_read_rebuilds_both_indexes() {
+        let mut kb = tied_store();
+        let before = kb.ids_of_type("city").to_vec();
+        assert_eq!(kb.holders("city", "elevation"), []);
+        let milan = kb.add_entity("Milan", "city", 0.99);
+        assert_eq!(kb.ids_of_type("city")[0], milan);
+        assert_eq!(kb.ids_of_type("city")[1..], before[..]);
+        assert_eq!(
+            kb.holders("city", "population"),
+            sorted_by_hand(&kb, "city")
+                .into_iter()
+                .filter(|id| kb.fact(*id, "population").is_some())
+                .collect::<Vec<_>>()
+        );
+        kb.add_fact(milan, "elevation", FactValue::Number(120.0));
+        assert_eq!(kb.holders("city", "elevation"), [milan]);
+        kb.add_fact(milan, "population", FactValue::Number(1.4e6));
+        assert_eq!(kb.holders("city", "population")[0], milan);
+        assert_eq!(kb.entity_types(), ["city", "country", "volcano"]);
     }
 
     #[test]

@@ -149,19 +149,21 @@ impl LaneScratch {
             }
             let mut makespan = 0u64;
             for d in durations {
-                let Reverse((free_at, lane)) = self.free.pop().expect("at least one lane");
-                let done = free_at + d;
-                self.free.push(Reverse((done, lane)));
-                makespan = makespan.max(done);
+                // The earliest-free lane takes the item in place; the heap
+                // holds one entry per lane, so it is never empty.
+                if let Some(mut top) = self.free.peek_mut() {
+                    let Reverse((free_at, _)) = &mut *top;
+                    *free_at += d;
+                    makespan = makespan.max(*free_at);
+                }
             }
             return makespan;
         }
         self.load.clear();
         self.load.resize(lanes, 0);
         for d in durations {
-            let min = (0..lanes)
-                .min_by_key(|&i| self.load[i])
-                .expect("at least one lane");
+            // `lanes ≥ 2` here, so the fallback never applies.
+            let min = (0..lanes).min_by_key(|&i| self.load[i]).unwrap_or(0);
             self.load[min] += d;
         }
         self.load.iter().copied().max().unwrap_or(0)
@@ -222,9 +224,16 @@ impl EventClock {
     /// not banked). Ties between equally-free lanes go to the lowest lane
     /// index, matching [`lane_schedule`]'s round-robin determinism.
     pub fn schedule(&mut self, release: u64, duration: u64) -> u64 {
-        let Reverse((free_at, lane)) = self.free.pop().expect("at least one lane");
-        let done = free_at.max(release) + duration;
-        self.free.push(Reverse((done, lane)));
+        // `new` seeds one entry per lane and nothing removes one, so the
+        // fallback (a free lane) never applies.
+        let done = match self.free.peek_mut() {
+            Some(mut top) => {
+                let Reverse((free_at, _)) = &mut *top;
+                *free_at = (*free_at).max(release) + duration;
+                *free_at
+            }
+            None => release + duration,
+        };
         self.makespan = self.makespan.max(done);
         done
     }

@@ -25,6 +25,7 @@
 //! offline substitution) names the module behind each substitution.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
 pub mod columns;

@@ -20,8 +20,9 @@ use rand::{Rng, SeedableRng};
 /// Answers a parsed NL question as free text.
 pub fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str) -> String {
     let ty = model.relation_type(&q.relation);
-    let entities = model.knowledge().entities_of_type(&ty);
-    if entities.is_empty() {
+    let kb = model.knowledge();
+    let ids = kb.ids_of_type(&ty);
+    if ids.is_empty() {
         return "Unknown".to_string();
     }
     let profile = model.profile().clone();
@@ -30,7 +31,7 @@ pub fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str)
     // Enumerate + filter with the model's stable beliefs; QA answers also
     // drop rows (models tire of long enumerations).
     let mut survivors = Vec::new();
-    for e in entities {
+    for e in ids.iter().map(|id| kb.entity(*id)) {
         if !model.recalls(e) {
             continue;
         }
@@ -63,8 +64,8 @@ pub fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str)
                 Some(v) => model.render_value(&v, &ty, attr, &mut rng),
                 None => {
                     if attr.eq_ignore_ascii_case("name")
-                        || model.knowledge().resolve(&ty, &e.name).is_some()
-                            && model.knowledge().fact(e.id, attr).is_none()
+                        || kb.resolve(&ty, &e.name).is_some()
+                            && kb.fact(e.id, attr).is_none()
                             && is_key_like(attr)
                     {
                         e.name.clone()
@@ -93,7 +94,7 @@ pub fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str)
                 .perceived_fact(e, &join.via_attribute)
                 .and_then(|v| match v {
                     FactValue::Entity(id) => {
-                        let target = model.knowledge().entity(id);
+                        let target = kb.entity(id);
                         model
                             .perceived_fact(target, &join.related_attribute)
                             .map(|rv| {

@@ -22,6 +22,13 @@
 //!    therefore disagree systematically — reproducing the paper's join
 //!    failures ("an attempt to join the country code 'IT' with 'ITA'",
 //!    §5) rather than sprinkling random noise.
+//!
+//! Because beliefs are stable, a prompt's cost need not grow with the
+//! world: the store's indexes hand out a type's entities and a
+//! predicate's holders in list order, a list concept's belief list is
+//! computed once and sliced by every page that asks for it, and a draw
+//! whose outcome is certain (a rate of zero or one, or a prompt-seeded
+//! draw the profile would discard) is never hashed.
 
 use crate::intent::{self, CmpOp, Condition, PromptValue, TaskIntent};
 use crate::knowledge::{Entity, FactValue, KnowledgeStore};
@@ -30,8 +37,10 @@ use crate::noise::{self, seeded};
 use crate::profiles::ModelProfile;
 use crate::qa;
 use crate::tokenizer::{count_tokens, truncate_tokens};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The simulated LLM: a knowledge store viewed through a noisy profile.
@@ -39,12 +48,58 @@ use std::sync::Arc;
 pub struct SimLlm {
     kb: Arc<KnowledgeStore>,
     profile: ModelProfile,
+    /// Belief lists by list concept. A list is a pure function of the
+    /// profile, the store and the concept, so clones share the memo; it
+    /// holds at most (distinct concepts asked × entities of the type)
+    /// surfaces.
+    lists: Arc<Mutex<HashMap<ListConcept, Arc<[String]>>>>,
+}
+
+/// What a list prompt asks for, as the belief-list memo keys it: the
+/// relation's entity type, the key attribute and the condition.
+#[derive(PartialEq, Eq, Hash)]
+struct ListConcept {
+    ty: String,
+    key_attr: String,
+    condition: Option<(String, CmpOp, Vec<Operand>)>,
+}
+
+/// A condition operand, numbers by bit pattern so that the key is `Eq`.
+#[derive(PartialEq, Eq, Hash)]
+enum Operand {
+    Text(String),
+    Number(u64),
+}
+
+impl ListConcept {
+    fn new(ty: String, key_attr: &str, condition: Option<&Condition>) -> Self {
+        let condition = condition.map(|c| {
+            let operands = c
+                .values
+                .iter()
+                .map(|v| match v {
+                    PromptValue::Text(t) => Operand::Text(t.clone()),
+                    PromptValue::Number(n) => Operand::Number(n.to_bits()),
+                })
+                .collect();
+            (c.attribute.clone(), c.op, operands)
+        });
+        ListConcept {
+            ty,
+            key_attr: key_attr.to_string(),
+            condition,
+        }
+    }
 }
 
 impl SimLlm {
     /// Creates a model over a knowledge store.
     pub fn new(kb: Arc<KnowledgeStore>, profile: ModelProfile) -> Self {
-        SimLlm { kb, profile }
+        SimLlm {
+            kb,
+            profile,
+            lists: Arc::default(),
+        }
     }
 
     /// The profile in use.
@@ -62,15 +117,35 @@ impl SimLlm {
         (seeded(self.profile.seed, parts) >> 11) as f64 / (1u64 << 53) as f64
     }
 
+    /// True with probability `p`, stable per (model seed, parts):
+    /// `draw(parts) < p`, without the hash when the outcome is certain.
+    fn chance(&self, p: f64, parts: &[&str]) -> bool {
+        if p <= 0.0 {
+            false
+        } else if p >= 1.0 {
+            true
+        } else {
+            self.draw(parts) < p
+        }
+    }
+
     /// RNG seeded stably per (model seed, parts).
     fn rng(&self, parts: &[&str]) -> StdRng {
         StdRng::seed_from_u64(seeded(self.profile.seed, parts))
     }
 
+    /// Whether format noise can change a rendered value: without it every
+    /// style draw picks the plain form.
+    fn formats_vary(&self) -> bool {
+        self.profile.format_noise > 0.0
+    }
+
     /// Does the model recall this entity at all? Stable belief.
     pub fn recalls(&self, e: &Entity) -> bool {
-        self.draw(&["recall", &e.entity_type, &e.name])
-            < self.profile.recall_probability(e.popularity)
+        self.chance(
+            self.profile.recall_probability(e.popularity),
+            &["recall", &e.entity_type, &e.name],
+        )
     }
 
     /// The value the model *believes* for `(entity, attribute)`:
@@ -85,10 +160,16 @@ impl SimLlm {
             return Some(FactValue::Text(e.name.clone()));
         }
         let truth = self.kb.fact(e.id, attribute)?;
-        if self.draw(&["know", &ty, &e.name, attribute]) < self.profile.unknown_rate {
+        if self.chance(
+            self.profile.unknown_rate,
+            &["know", &ty, &e.name, attribute],
+        ) {
             return None;
         }
-        if self.draw(&["err", &ty, &e.name, attribute]) < self.profile.value_error_rate {
+        if self.chance(
+            self.profile.value_error_rate,
+            &["err", &ty, &e.name, attribute],
+        ) {
             Some(self.perturbed(truth, e, attribute))
         } else {
             Some(truth.clone())
@@ -121,21 +202,23 @@ impl SimLlm {
             }
             FactValue::Text(_) | FactValue::Entity(_) => {
                 // Confusion: substitute the same attribute of another
-                // entity of the same type (a popular wrong answer).
-                let peers = self.kb.entities_of_type(&e.entity_type);
-                let donors: Vec<&&Entity> = peers
-                    .iter()
-                    .filter(|p| p.id != e.id && self.kb.fact(p.id, attribute).is_some())
-                    .collect();
-                if donors.is_empty() {
-                    truth.clone()
-                } else {
-                    let donor = donors[rng.gen_range(0..donors.len())];
-                    self.kb
-                        .fact(donor.id, attribute)
-                        .cloned()
-                        .unwrap_or_else(|| truth.clone())
+                // entity of the same type (a popular wrong answer). The
+                // donors are the attribute's holders without `e`; the draw
+                // indexes them as it would a filtered copy.
+                let holders = self.kb.holders(&e.entity_type, attribute);
+                let rank = self.kb.rank(e.id);
+                let at = holders.partition_point(|h| self.kb.rank(*h) < rank);
+                let gap = usize::from(holders.get(at) == Some(&e.id));
+                let donors = holders.len() - gap;
+                if donors == 0 {
+                    return truth.clone();
                 }
+                let i = rng.gen_range(0..donors);
+                let donor = holders[if i < at { i } else { i + gap }];
+                self.kb
+                    .fact(donor, attribute)
+                    .cloned()
+                    .unwrap_or_else(|| truth.clone())
             }
         }
     }
@@ -160,7 +243,10 @@ impl SimLlm {
         let label = attribute.to_ascii_lowercase();
         let slots = target.aliases.len();
         if label.contains("code") {
-            if self.draw(&["convdrift", context_type, &label]) < self.profile.code_drift {
+            if self.chance(
+                self.profile.code_drift,
+                &["convdrift", context_type, &label],
+            ) {
                 let conv =
                     seeded(self.profile.seed, &["conv", context_type, &label]) as usize % slots;
                 return target.aliases[conv].clone();
@@ -179,7 +265,7 @@ impl SimLlm {
         // canonical-form guarantee; the mid/tail drifts.
         let effective =
             self.profile.alias_rate * (1.0 - 0.9 * target.popularity * target.popularity);
-        if self.draw(&["conv", context_type, &label, &target.name]) < effective {
+        if self.chance(effective, &["conv", context_type, &label, &target.name]) {
             let slot =
                 seeded(self.profile.seed, &["convslot", context_type, &label]) as usize % slots;
             target.aliases[slot].clone()
@@ -275,12 +361,28 @@ impl SimLlm {
         attribute: &str,
         rng: &mut StdRng,
     ) -> String {
-        match v {
-            FactValue::Entity(id) => {
+        self.render_belief(v, context_type, attribute, Some(rng))
+    }
+
+    /// [`Self::render_value`] with the seed left unbuilt (`None`) when
+    /// [`Self::formats_vary`] is false: every style draw would pick the
+    /// plain form.
+    fn render_belief(
+        &self,
+        v: &FactValue,
+        context_type: &str,
+        attribute: &str,
+        rng: Option<&mut StdRng>,
+    ) -> String {
+        match (v, rng) {
+            (FactValue::Entity(id), _) => {
                 let target = self.kb.entity(*id);
                 self.entity_surface(target, context_type, attribute)
             }
-            other => noise::render_fact(other, rng, self.profile.format_noise, |_| None),
+            (other, Some(rng)) => {
+                noise::render_fact(other, rng, self.profile.format_noise, |_| None)
+            }
+            (other, None) => self.fact_text(other),
         }
     }
 
@@ -327,49 +429,33 @@ impl SimLlm {
                 key_attr: _,
                 key,
                 attribute,
-            } => self.answer_fetch_attr(relation, key, attribute, prompt),
+            } => self.answer_fetch_attr(relation, key, attribute, self.fetch_noise(prompt)),
             TaskIntent::CheckFilter {
                 relation,
                 key_attr: _,
                 key,
                 condition,
-            } => self.answer_check_filter(relation, key, condition, prompt),
+            } => self.answer_check_filter(relation, key, condition),
             TaskIntent::FetchAttrBatch {
                 relation,
                 key_attr,
                 keys,
                 attribute,
-            } => self.answer_batched(
-                prompt,
-                keys,
-                |key| TaskIntent::FetchAttr {
-                    relation: relation.clone(),
-                    key_attr: key_attr.clone(),
-                    key: key.to_string(),
-                    attribute: attribute.clone(),
-                },
-                |single_prompt, key| {
-                    self.answer_fetch_attr(relation, key, attribute, single_prompt)
-                },
-            ),
+            } => {
+                let preamble = preamble(prompt);
+                self.answer_batched(keys, |key| {
+                    let noise = self.cell_noise(preamble, relation, key_attr, key, attribute);
+                    self.answer_fetch_attr(relation, key, attribute, noise)
+                })
+            }
             TaskIntent::FilterKeysBatch {
                 relation,
-                key_attr,
+                key_attr: _,
                 keys,
                 condition,
-            } => self.answer_batched(
-                prompt,
-                keys,
-                |key| TaskIntent::CheckFilter {
-                    relation: relation.clone(),
-                    key_attr: key_attr.clone(),
-                    key: key.to_string(),
-                    condition: condition.clone(),
-                },
-                |single_prompt, key| {
-                    self.answer_check_filter(relation, key, condition, single_prompt)
-                },
-            ),
+            } => self.answer_batched(keys, |key| {
+                self.answer_check_filter(relation, key, condition)
+            }),
             TaskIntent::FetchGridBatch {
                 relation,
                 key_attr,
@@ -384,10 +470,10 @@ impl SimLlm {
     ///
     /// Like [`Self::answer_batched`], every cell is answered through the
     /// *single-key, single-attribute* machinery seeded with the
-    /// reconstructed one-cell prompt, so grid answers are bit-identical to
-    /// what per-cell retrieval would have produced under the same prompt
-    /// builder — the guarantee that lets the engine prove grid mode's
-    /// `R_M`-invariance on a noise-free model.
+    /// reconstructed one-cell prompt ([`Self::cell_noise`]), so grid
+    /// answers are bit-identical to what per-cell retrieval would have
+    /// produced under the same prompt builder — the guarantee that lets
+    /// the engine prove grid mode's `R_M`-invariance on a noise-free model.
     fn answer_grid(
         &self,
         prompt: &str,
@@ -399,73 +485,78 @@ impl SimLlm {
         if keys.is_empty() || attributes.is_empty() {
             return "Unknown".to_string();
         }
-        let preamble = intent::question_start(prompt).map_or("", |i| &prompt[..i]);
-        let cells: Vec<(String, String, String)> = keys
+        let preamble = preamble(prompt);
+        let cells: Vec<(&str, &str, String)> = keys
             .iter()
             .flat_map(|key| {
                 attributes.iter().map(move |attribute| {
-                    let single_prompt = format!(
-                        "{preamble}Q: {}\nA:",
-                        intent::render_task(&TaskIntent::FetchAttr {
-                            relation: relation.to_string(),
-                            key_attr: key_attr.to_string(),
-                            key: key.clone(),
-                            attribute: attribute.clone(),
-                        })
-                    );
-                    (
-                        key.clone(),
-                        attribute.clone(),
-                        self.answer_fetch_attr(relation, key, attribute, &single_prompt),
-                    )
+                    let noise = self.cell_noise(preamble, relation, key_attr, key, attribute);
+                    let answer = self.answer_fetch_attr(relation, key, attribute, noise);
+                    (key.as_str(), attribute.as_str(), answer)
                 })
             })
             .collect();
-        intent::render_grid_answer(
-            cells
-                .iter()
-                .map(|(k, a, v)| (k.as_str(), a.as_str(), v.as_str())),
-        )
+        intent::render_grid_answer(cells.iter().map(|(k, a, v)| (*k, *a, v.as_str())))
     }
 
     /// Answers a multi-key batched task as one `key: answer` line per key.
     ///
-    /// Each key is answered through the *single-key* machinery, seeded with
-    /// the reconstructed single-key prompt (the batched prompt's preamble
-    /// plus the single task's question) — so per-key beliefs, surface forms
-    /// and format noise are bit-identical to what one-prompt-per-key
-    /// retrieval would have produced under the same prompt builder. A real
-    /// LLM offers no such guarantee; keeping it exact here is what lets the
-    /// engine prove `R_M`-invariance of batching on a noise-free model.
-    fn answer_batched<M, A>(
-        &self,
-        prompt: &str,
-        keys: &[String],
-        make_single: M,
-        answer_one: A,
-    ) -> String
-    where
-        M: Fn(&str) -> TaskIntent,
-        A: Fn(&str, &str) -> String,
-    {
+    /// Each key is answered through the *single-key* machinery — a fetch
+    /// seeded with the reconstructed single-key prompt
+    /// ([`Self::cell_noise`]), a filter check with no prompt seed at all —
+    /// so per-key beliefs, surface forms and format noise are bit-identical
+    /// to what one-prompt-per-key retrieval would have produced under the
+    /// same prompt builder. A real LLM offers no such guarantee; keeping it
+    /// exact here is what lets the engine prove `R_M`-invariance of
+    /// batching on a noise-free model.
+    fn answer_batched(&self, keys: &[String], answer_one: impl Fn(&str) -> String) -> String {
         if keys.is_empty() {
             return "Unknown".to_string();
         }
-        // Everything before the final question's `Q: ` lead-in — prepended
-        // to each reconstructed prompt so the per-key noise seeds match the
-        // single-key path exactly.
-        let preamble = intent::question_start(prompt).map_or("", |i| &prompt[..i]);
-        let pairs: Vec<(String, String)> = keys
-            .iter()
-            .map(|key| {
-                let single_prompt = format!(
-                    "{preamble}Q: {}\nA:",
-                    intent::render_task(&make_single(key))
-                );
-                (key.clone(), answer_one(&single_prompt, key))
-            })
-            .collect();
-        intent::render_batched_answer(pairs.iter().map(|(k, a)| (k.as_str(), a.as_str())))
+        let answers: Vec<String> = keys.iter().map(|key| answer_one(key)).collect();
+        intent::render_batched_answer(
+            keys.iter()
+                .map(String::as_str)
+                .zip(answers.iter().map(String::as_str)),
+        )
+    }
+
+    /// Whether a fetch answer draws from its prompt's seed: format noise
+    /// picks number and date styles, verbosity may wrap the answer. With
+    /// neither, every draw would be discarded.
+    fn fetch_seeded(&self) -> bool {
+        self.formats_vary() || self.profile.verbose
+    }
+
+    /// The prompt-seeded RNG of a fetch answer, built only when
+    /// [`Self::fetch_seeded`].
+    fn fetch_noise(&self, prompt: &str) -> Option<StdRng> {
+        self.fetch_seeded().then(|| self.rng(&["fetch", prompt]))
+    }
+
+    /// [`Self::fetch_noise`] of one cell of a batched or grid fetch: the
+    /// one-cell prompt the cell stands for — the batch's `preamble` plus
+    /// the single fetch question — is formatted only when it would seed.
+    fn cell_noise(
+        &self,
+        preamble: &str,
+        relation: &str,
+        key_attr: &str,
+        key: &str,
+        attribute: &str,
+    ) -> Option<StdRng> {
+        self.fetch_seeded().then(|| {
+            let single_prompt = format!(
+                "{preamble}Q: {}\nA:",
+                intent::render_task(&TaskIntent::FetchAttr {
+                    relation: relation.to_string(),
+                    key_attr: key_attr.to_string(),
+                    key: key.to_string(),
+                    attribute: attribute.to_string(),
+                })
+            );
+            self.rng(&["fetch", &single_prompt])
+        })
     }
 
     /// The entity type a prompt-level relation name denotes.
@@ -480,19 +571,35 @@ impl SimLlm {
     /// protocols (exclusion iteration and offset paging) read the same
     /// list, so a page at offset `n` serves exactly the keys an exclusion
     /// prompt carrying the first `n` surfaces would have produced next.
+    ///
+    /// The list is computed once per concept and memoised; the memo's
+    /// lock is not held while a list is computed (two threads may both
+    /// compute one, and keep the first).
     fn list_surfaces(
         &self,
         relation: &str,
         key_attr: &str,
         condition: Option<&Condition>,
-    ) -> Option<Vec<String>> {
+    ) -> Option<Arc<[String]>> {
         let ty = self.relation_type(relation);
-        let all = self.kb.entities_of_type(&ty);
-        if all.is_empty() {
+        let ids = self.kb.ids_of_type(&ty);
+        if ids.is_empty() {
             return None;
         }
+        let concept = ListConcept::new(ty, key_attr, condition);
+        let memo = self.lists.lock().get(&concept).cloned();
+        if memo.is_some() {
+            return memo;
+        }
+        let list: Arc<[String]> = self.belief_list(&concept.ty, key_attr, condition).into();
+        Some(Arc::clone(self.lists.lock().entry(concept).or_insert(list)))
+    }
+
+    /// Computes [`Self::list_surfaces`]'s list for an entity type.
+    fn belief_list(&self, ty: &str, key_attr: &str, condition: Option<&Condition>) -> Vec<String> {
         let mut surfaces: Vec<String> = Vec::new();
-        for e in &all {
+        for id in self.kb.ids_of_type(ty) {
+            let e = self.kb.entity(*id);
             if !self.recalls(e) {
                 continue;
             }
@@ -500,32 +607,36 @@ impl SimLlm {
                 let holds = self.condition_holds(e, cond).unwrap_or(false);
                 // Combined prompts are harder: independent chance the model
                 // mis-applies the condition to this entity (stable).
-                let flipped = self.draw(&["combflip", &ty, &e.name, &cond.attribute])
-                    < self.profile.combined_condition_penalty;
+                let flipped = self.chance(
+                    self.profile.combined_condition_penalty,
+                    &["combflip", ty, &e.name, &cond.attribute],
+                );
                 if holds == flipped {
                     continue;
                 }
             }
-            surfaces.push(self.entity_surface(e, &ty, key_attr));
+            surfaces.push(self.entity_surface(e, ty, key_attr));
             // Hallucination: occasionally invent a neighbour.
-            if self.draw(&["fake", &ty, &e.name]) < self.profile.hallucination_rate {
-                let mut frng = self.rng(&["fakename", &ty, &e.name]);
+            if self.chance(self.profile.hallucination_rate, &["fake", ty, &e.name]) {
+                let mut frng = self.rng(&["fakename", ty, &e.name]);
                 surfaces.push(noise::fake_name(&mut frng));
             }
         }
-        Some(surfaces)
+        surfaces
     }
 
-    /// Renders one page of list values ("No more results" when empty).
-    fn render_list_page(&self, fresh: Vec<String>, prompt: &str) -> String {
-        let mut rng = self.rng(&["list", prompt]);
+    /// Renders one page of list values ("No more results" when empty). The
+    /// prompt seeds only the verbose wrapper, so only a verbose profile
+    /// builds the seed.
+    fn render_list_page(&self, fresh: &[&str], prompt: &str) -> String {
         if fresh.is_empty() {
             return "No more results".to_string();
         }
-        if self.profile.verbose && rng.gen::<f64>() < 0.5 {
-            format!("Sure! Here are some values: {}.", fresh.join(", "))
+        let values = fresh.join(", ");
+        if self.profile.verbose && self.rng(&["list", prompt]).gen::<f64>() < 0.5 {
+            format!("Sure! Here are some values: {values}.")
         } else {
-            fresh.join(", ")
+            values
         }
     }
 
@@ -540,16 +651,23 @@ impl SimLlm {
         let Some(surfaces) = self.list_surfaces(relation, key_attr, condition) else {
             return "Unknown".to_string();
         };
-        let excluded: std::collections::HashSet<String> = exclude
+        let excluded: HashSet<String> = exclude
             .iter()
             .map(|s| s.trim().to_ascii_lowercase())
             .collect();
-        let fresh: Vec<String> = surfaces
-            .into_iter()
-            .filter(|s| !excluded.contains(&s.trim().to_ascii_lowercase()))
+        let mut lowered = String::new();
+        let fresh: Vec<&str> = surfaces
+            .iter()
+            .filter(|s| {
+                lowered.clear();
+                lowered.push_str(s.trim());
+                lowered.make_ascii_lowercase();
+                !excluded.contains(&lowered)
+            })
             .take(self.profile.list_page_size)
+            .map(String::as_str)
             .collect();
-        self.render_list_page(fresh, prompt)
+        self.render_list_page(&fresh, prompt)
     }
 
     /// Offset paging over the same stable surface list the exclusion
@@ -566,28 +684,31 @@ impl SimLlm {
         let Some(surfaces) = self.list_surfaces(relation, key_attr, condition) else {
             return "Unknown".to_string();
         };
-        let fresh: Vec<String> = surfaces
-            .into_iter()
-            .skip(offset)
+        let fresh: Vec<&str> = surfaces
+            .get(offset..)
+            .unwrap_or_default()
+            .iter()
             .take(self.profile.list_page_size)
+            .map(String::as_str)
             .collect();
-        self.render_list_page(fresh, prompt)
+        self.render_list_page(&fresh, prompt)
     }
 
+    /// Answers one fetch; `noise` is its prompt seed, `None` when no draw
+    /// from it can change the answer ([`Self::fetch_seeded`]).
     fn answer_fetch_attr(
         &self,
         relation: &str,
         key: &str,
         attribute: &str,
-        prompt: &str,
+        mut noise: Option<StdRng>,
     ) -> String {
         let ty = self.relation_type(relation);
-        let mut rng = self.rng(&["fetch", prompt]);
         let value = match self.kb.resolve(&ty, key) {
             Some(id) => {
                 let e = self.kb.entity(id);
                 match self.perceived_fact(e, attribute) {
-                    Some(v) => Some(self.render_value(&v, &ty, attribute, &mut rng)),
+                    Some(v) => Some(self.render_belief(&v, &ty, attribute, noise.as_mut())),
                     None => self.fabricated_value(&ty, key, attribute),
                 }
             }
@@ -595,8 +716,9 @@ impl SimLlm {
             // prompt; the model happily fabricates attributes for it.
             None => self.fabricated_value(&ty, key, attribute),
         };
+        let wrap = |rng: &mut StdRng| rng.gen::<f64>() < 0.4;
         match value {
-            Some(v) if self.profile.verbose && rng.gen::<f64>() < 0.4 => {
+            Some(v) if self.profile.verbose && noise.as_mut().is_some_and(wrap) => {
                 format!("The {attribute} of {key} is {v}.")
             }
             Some(v) => v,
@@ -607,34 +729,28 @@ impl SimLlm {
     /// Fabricates a plausible value for an unknown `(key, attribute)` by
     /// perturbing a donor entity's value, or admits "Unknown".
     fn fabricated_value(&self, ty: &str, key: &str, attribute: &str) -> Option<String> {
-        if self.draw(&["fab", ty, key, attribute]) >= self.profile.fabrication_rate {
+        if !self.chance(self.profile.fabrication_rate, &["fab", ty, key, attribute]) {
             return None;
         }
-        let donor = self
-            .kb
-            .entities_of_type(ty)
-            .into_iter()
-            .find(|e| self.kb.fact(e.id, attribute).is_some())?;
+        let donor = self.kb.entity(*self.kb.holders(ty, attribute).first()?);
         let truth = self.kb.fact(donor.id, attribute)?.clone();
         let fabricated = self.perturbed(&truth, donor, attribute);
-        let mut rng = self.rng(&["fabrender", ty, key, attribute]);
-        Some(self.render_value(&fabricated, ty, attribute, &mut rng))
+        let mut rng = self
+            .formats_vary()
+            .then(|| self.rng(&["fabrender", ty, key, attribute]));
+        Some(self.render_belief(&fabricated, ty, attribute, rng.as_mut()))
     }
 
-    fn answer_check_filter(
-        &self,
-        relation: &str,
-        key: &str,
-        condition: &Condition,
-        _prompt: &str,
-    ) -> String {
+    fn answer_check_filter(&self, relation: &str, key: &str, condition: &Condition) -> String {
         let ty = self.relation_type(relation);
         let verdict = match self.kb.resolve(&ty, key) {
             Some(id) => {
                 let e = self.kb.entity(id);
                 let holds = self.condition_holds(e, condition).unwrap_or(false);
-                let flipped = self.draw(&["flip", &ty, &e.name, &condition.attribute])
-                    < self.profile.filter_flip_rate;
+                let flipped = self.chance(
+                    self.profile.filter_flip_rate,
+                    &["flip", &ty, &e.name, &condition.attribute],
+                );
                 holds != flipped
             }
             // Unknown key: guess, stable per key.
@@ -646,6 +762,13 @@ impl SimLlm {
             "No".to_string()
         }
     }
+}
+
+/// Everything before a prompt's final question's `Q: ` lead-in: prepended
+/// to each reconstructed one-cell prompt of a batch, so per-cell noise
+/// seeds match the single-cell path exactly.
+fn preamble(prompt: &str) -> &str {
+    intent::question_start(prompt).map_or("", |i| &prompt[..i])
 }
 
 /// Numeric view of a fact (dates expose their year — models routinely
@@ -1079,6 +1202,128 @@ mod tests {
         assert!(flan < chat, "flan {flan} vs chat {chat}");
         assert!(chat < gpt3, "chat {chat} vs gpt3 {gpt3}");
         assert!(gpt3 > 280);
+    }
+
+    /// Forty cities over three countries (popularity ties included), for
+    /// lists that run to several pages.
+    fn list_kb() -> Arc<KnowledgeStore> {
+        let mut kb = KnowledgeStore::new();
+        let countries: Vec<_> = [("Italy", "IT"), ("France", "FR"), ("Spain", "ES")]
+            .into_iter()
+            .map(|(name, code)| {
+                let c = kb.add_entity(name, "country", 0.9);
+                kb.add_alias(c, code);
+                c
+            })
+            .collect();
+        for i in 0..40u32 {
+            let e = kb.add_entity(format!("City{i}"), "city", f64::from(i % 13) / 13.0);
+            kb.add_fact(e, "population", FactValue::Number(f64::from(i) * 61_000.0));
+            kb.add_fact(e, "country", FactValue::Entity(countries[i as usize % 3]));
+        }
+        kb.add_synonym("cities", "city");
+        Arc::new(kb)
+    }
+
+    /// One list prompt: `relation` and `condition` index small tables,
+    /// `n` is the offset of a page prompt or the length of an exclusion
+    /// list (the first `n` of the type's names with every third skipped).
+    fn list_prompt(
+        kb: &KnowledgeStore,
+        relation: usize,
+        condition: usize,
+        exclusion: bool,
+        n: usize,
+    ) -> String {
+        let relation = ["city", "cities", "country", "volcano"][relation];
+        let number = |n: f64| PromptValue::Number(n);
+        let condition = match condition {
+            0 => None,
+            1 => Some((CmpOp::Gt, vec![number(1_000_000.0)])),
+            2 => Some((CmpOp::Gt, vec![number(1_500_000.0)])),
+            3 => Some((CmpOp::Between, vec![number(0.0), number(900_000.0)])),
+            _ => Some((CmpOp::Eq, vec![PromptValue::Text("Italy".into())])),
+        }
+        .map(|(op, values)| Condition {
+            attribute: if op == CmpOp::Eq {
+                "country"
+            } else {
+                "population"
+            }
+            .into(),
+            op,
+            values,
+        });
+        let task = if exclusion {
+            let names = kb.entities_of_type(&kb.canonical_predicate(relation));
+            let exclude = names
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 3 != 2)
+                .map(|(_, e)| e.name.clone())
+                .take(n)
+                .collect();
+            TaskIntent::ListKeys {
+                relation: relation.into(),
+                key_attr: "name".into(),
+                condition,
+                exclude: Arc::new(exclude),
+            }
+        } else {
+            TaskIntent::ListKeysPage {
+                relation: relation.into(),
+                key_attr: "name".into(),
+                condition,
+                offset: n,
+            }
+        };
+        with_preamble(&render_task(&task))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The belief-list memo is invisible: a model that has answered
+        /// earlier list prompts (and memoised their lists) answers each
+        /// next one exactly as a fresh model does.
+        #[test]
+        fn a_model_that_answered_before_answers_as_a_fresh_one(
+            prompts in proptest::collection::vec(
+                (0usize..5, 0usize..4, 0usize..5, proptest::arbitrary::any::<bool>(), 0usize..45),
+                1..16,
+            ),
+        ) {
+            let kb = list_kb();
+            let profiles: Vec<ModelProfile> =
+                ModelProfile::all().into_iter().chain([ModelProfile::oracle()]).collect();
+            let used: Vec<SimLlm> =
+                profiles.iter().map(|p| SimLlm::new(kb.clone(), p.clone())).collect();
+            for (profile, relation, condition, exclusion, n) in prompts {
+                let prompt = list_prompt(&kb, relation, condition, exclusion, n);
+                let fresh = SimLlm::new(kb.clone(), profiles[profile].clone());
+                proptest::prop_assert_eq!(
+                    used[profile].complete(&prompt),
+                    fresh.complete(&prompt),
+                    "{}",
+                    prompt
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn list_concepts_share_one_memo_entry_per_type() {
+        let kb = list_kb();
+        let m = SimLlm::new(kb.clone(), ModelProfile::chatgpt());
+        for (relation, exclusion, n) in [(0, true, 0), (1, false, 15), (0, false, 30)] {
+            m.complete(&list_prompt(&kb, relation, 0, exclusion, n));
+        }
+        m.clone().complete(&list_prompt(&kb, 0, 1, true, 3));
+        // "city" and its synonym "cities" are one concept; the condition
+        // makes a second; the clone shares the memo.
+        assert_eq!(m.lists.lock().len(), 2);
+        assert_eq!(m.complete(&list_prompt(&kb, 3, 0, true, 0)).text, "Unknown");
+        assert_eq!(m.lists.lock().len(), 2, "an unknown type memoises nothing");
     }
 
     #[test]
