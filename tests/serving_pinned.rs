@@ -11,13 +11,15 @@
 //! then every row in output order, every value in its `Debug` form, folded
 //! into one FNV-1a digest per world. The digests were computed with the
 //! executor that concatenated every joined row, in this file's first
-//! commit.
+//! commit. A second digest folds each statement's rows sorted, so it holds
+//! a change that may reorder rows but must not change which rows come back.
 
 mod common;
 
-use common::oracle_session;
+use common::{oracle_session, statements};
 use galois::core::GaloisOptions;
-use galois::dataset::{build_operator_suite, Scenario};
+use galois::dataset::Scenario;
+use std::sync::OnceLock;
 
 fn fold(hash: &mut u64, text: &str) {
     for byte in text.bytes().chain([0x1f]) {
@@ -25,45 +27,70 @@ fn fold(hash: &mut u64, text: &str) {
     }
 }
 
-fn digest(seed: u64) -> u64 {
+/// One world's digests of its third pass: rows in output order, and rows
+/// sorted within each statement (blind to row order, not to a row's
+/// values or multiplicity).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digests {
+    ordered: u64,
+    multiset: u64,
+}
+
+fn digests(seed: u64) -> Digests {
     let scenario = Scenario::generate_scaled(seed, 4);
     let session = oracle_session(&scenario, GaloisOptions::serving());
-    let statements: Vec<String> = scenario
-        .suite
-        .iter()
-        .map(|q| q.to_sql())
-        .chain(
-            build_operator_suite(&scenario.world)
-                .into_iter()
-                .map(|q| q.sql),
-        )
-        .collect();
-    let mut hash = 0;
+    let statements = statements(&scenario);
+    let mut digests = Digests {
+        ordered: 0,
+        multiset: 0,
+    };
     // Two passes warm every store and settle the plans; the third is read.
     for _pass in 0..3 {
-        hash = 0xcbf2_9ce4_8422_2325;
+        digests.ordered = 0xcbf2_9ce4_8422_2325;
+        digests.multiset = 0xcbf2_9ce4_8422_2325;
         for sql in &statements {
             let relation = session
                 .execute(sql)
                 .unwrap_or_else(|e| panic!("{sql}: {e}"))
                 .relation;
-            fold(&mut hash, &format!("{:?}", relation.column_names()));
-            for row in &relation.rows {
-                fold(&mut hash, &format!("{row:?}"));
-            }
+            let columns = format!("{:?}", relation.column_names());
+            let mut rows: Vec<String> = relation.rows.iter().map(|r| format!("{r:?}")).collect();
+            fold(&mut digests.ordered, &columns);
+            rows.iter().for_each(|row| fold(&mut digests.ordered, row));
+            rows.sort_unstable();
+            fold(&mut digests.multiset, &columns);
+            rows.iter().for_each(|row| fold(&mut digests.multiset, row));
         }
     }
-    hash
+    digests
+}
+
+const SEEDS: [u64; 3] = [1, 7, 42];
+
+/// The three worlds' digests, computed once for both tests.
+fn worlds() -> &'static [Digests; 3] {
+    static WORLDS: OnceLock<[Digests; 3]> = OnceLock::new();
+    WORLDS.get_or_init(|| SEEDS.map(digests))
 }
 
 #[test]
 fn warm_serving_results_match_the_concatenating_executor_row_for_row() {
-    for (seed, pinned) in [
-        (1, 0x28d1_784c_2c0b_c307u64),
-        (7, 0xa41d_6694_88c5_792d),
-        (42, 0x681e_c61b_2218_fd2e),
-    ] {
-        let found = digest(seed);
-        assert_eq!(found, pinned, "world {seed} x4: {found:#018x}");
-    }
+    let pinned = [
+        0x28d1_784c_2c0b_c307u64,
+        0xa41d_6694_88c5_792d,
+        0x681e_c61b_2218_fd2e,
+    ];
+    let found = worlds().map(|d| d.ordered);
+    assert_eq!(found, pinned, "worlds {SEEDS:?} x4: {found:#018x?}");
+}
+
+#[test]
+fn warm_serving_results_match_as_multisets() {
+    let pinned = [
+        0x1645_9b51_f366_1733u64,
+        0x31e6_596d_1da5_44c1,
+        0xbede_aff4_a0b8_b656,
+    ];
+    let found = worlds().map(|d| d.multiset);
+    assert_eq!(found, pinned, "worlds {SEEDS:?} x4: {found:#018x?}");
 }
