@@ -484,97 +484,6 @@ fn join_order_lines<'s>(
     }
 }
 
-/// Rewrites a residual plan bottom-up, commuting every inner pure-equi
-/// join whose build side (the right input — the executor's hash join
-/// builds on the right) is estimated larger than its probe side, so the
-/// hash table is always the smaller relation. `overrides` supplies
-/// cardinalities for the not-yet-materialised `__llm_*` temps, taken from
-/// the retrieval-step estimates — join order is thereby costed by the
-/// same model that prices the prompts producing each side. A swapped
-/// join is wrapped in a projection restoring the original column order,
-/// so the rewrite changes nothing downstream except row order (which
-/// cost-based mode does not promise).
-fn commute_joins(
-    plan: LogicalPlan,
-    catalog: &Catalog,
-    overrides: &HashMap<String, f64>,
-) -> LogicalPlan {
-    let plan = plan.map_children(|child| commute_joins(child, catalog, overrides));
-    let LogicalPlan::Join {
-        left,
-        right,
-        join_type,
-        condition,
-        schema,
-    } = plan
-    else {
-        return plan;
-    };
-    // Only an inner join with a pure equi condition commutes
-    // cleanly: a residual predicate and the outer flavours are
-    // resolved against the left ++ right column order.
-    let commutable = join_type == galois_sql::ast::JoinType::Inner
-        && !condition.equi.is_empty()
-        && condition.residual.is_none();
-    let probe = rcost::estimate_rows_with(left.as_ref(), catalog, overrides);
-    let build = rcost::estimate_rows_with(right.as_ref(), catalog, overrides);
-    if !commutable || probe >= build {
-        return LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            condition,
-            schema,
-        };
-    }
-    let l_arity = left.schema().arity();
-    let r_arity = right.schema().arity();
-    let swapped_schema = galois_relational::PlanSchema::new(
-        schema.columns[l_arity..]
-            .iter()
-            .chain(&schema.columns[..l_arity])
-            .cloned()
-            .collect(),
-    );
-    let swapped = LogicalPlan::Join {
-        left: right,
-        right: left,
-        join_type,
-        condition: galois_relational::JoinCondition {
-            equi: condition.equi.into_iter().map(|(l, r)| (r, l)).collect(),
-            residual: None,
-        },
-        schema: swapped_schema,
-    };
-    // Restore the original left ++ right column order.
-    let exprs = schema
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, col)| {
-            let src = if i < l_arity {
-                r_arity + i
-            } else {
-                i - l_arity
-            };
-            (
-                galois_relational::ScalarExpr::Column(galois_relational::ResolvedColumn {
-                    index: src,
-                    binding: col.binding.clone(),
-                    name: col.name.clone(),
-                    data_type: col.data_type,
-                }),
-                col.name.clone(),
-            )
-        })
-        .collect();
-    LogicalPlan::Project {
-        input: Box::new(swapped),
-        exprs,
-        schema,
-    }
-}
-
 /// [`estimate_step`] over the stages the step is laid out as.
 fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
     let stages = physical::stages(step, params.prompt_batch);
@@ -655,17 +564,9 @@ pub fn plan_query(
             // submitting the longest retrieval first minimises the
             // estimated makespan. The sort is stable: ties keep the
             // original order.
-            chosen.sort_by(|(_, a), (_, b)| {
-                (b.virtual_ms.partial_cmp(&a.virtual_ms)).expect("cost estimates are finite")
-            });
+            chosen.sort_by(|(_, a), (_, b)| b.virtual_ms.total_cmp(&a.virtual_ms));
             let costs: Vec<StepCost>;
             (compiled.steps, costs) = chosen.into_iter().unzip();
-            // Join-order choice: the executor's hash joins build on the
-            // right, so commute inner equi joins until the smaller
-            // estimated side — priced with the retrieval-step row
-            // estimates for the `__llm_*` temps — is the build side.
-            let temp_rows = temp_rows(&compiled.steps, costs.iter());
-            compiled.plan = commute_joins(compiled.plan, catalog, &temp_rows);
             (compiled, costs, candidates.max(1))
         }
     };
@@ -697,16 +598,6 @@ pub fn plan_query(
         physical,
         report,
     })
-}
-
-/// Each step's temp table (lower-cased) and its estimated rows out: the
-/// cardinalities of the `__llm_*` scans the catalog has no rows for.
-fn temp_rows<'c>(
-    steps: &[LlmScanStep],
-    costs: impl Iterator<Item = &'c StepCost>,
-) -> HashMap<String, f64> {
-    let temps = steps.iter().map(|s| s.temp_name.to_ascii_lowercase());
-    temps.zip(costs.map(|c| c.est_rows_out)).collect()
 }
 
 impl PlannedQuery {
@@ -784,9 +675,16 @@ impl PlannedQuery {
                 cost.virtual_ms,
             ));
         }
-        let temp_rows = temp_rows(&self.compiled.steps, costs);
-        // Join-order lines accompany the cost-based planner's build-side
-        // choice; the heuristic report stays byte-identical without them.
+        // Each step's temp table (lower-cased) and its estimated rows out:
+        // the cardinalities of the `__llm_*` scans the catalog has no rows
+        // for.
+        let temp_rows: HashMap<String, f64> = (self.compiled.steps.iter())
+            .map(|s| s.temp_name.to_ascii_lowercase())
+            .zip(costs.map(|c| c.est_rows_out))
+            .collect();
+        // Join-order lines (each join's algorithm and estimated side rows,
+        // in `FROM` order) belong to the cost-based report; the heuristic
+        // report stays byte-identical without them.
         // The executor finds a temp as the table built under its step's
         // schema, any other scan in the catalog.
         if self.report.planner == Planner::CostBased {
@@ -924,70 +822,42 @@ mod tests {
         assert!(costs[0].virtual_ms >= costs[1].virtual_ms);
     }
 
-    /// The first join node under `plan`, if any.
-    fn first_join(plan: &LogicalPlan) -> Option<&LogicalPlan> {
-        if matches!(plan, LogicalPlan::Join { .. }) {
-            return Some(plan);
+    /// Every join's `(left, right)` side labels, in post-order.
+    fn join_sides(plan: &LogicalPlan, out: &mut Vec<(String, String)>) {
+        for child in plan.children() {
+            join_sides(child, out);
         }
-        plan.children().into_iter().find_map(first_join)
+        if let LogicalPlan::Join { left, right, .. } = plan {
+            out.push((side_label(left), side_label(right)));
+        }
     }
 
     #[test]
-    fn cost_based_builds_hash_joins_on_the_smaller_side() {
-        let params = PlannerParams::default();
-        // The filtered city side is estimated smaller than the unfiltered
-        // mayor scan; the executor builds its hash table on the right, so
-        // the cost-based plan commutes the join (and restores the column
-        // order with a projection), while the heuristic leaves the
-        // FROM-clause order untouched.
-        let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r \
-                 WHERE p.mayor = r.name AND p.population > 1000000";
-        let side = |planned: &PlannedQuery| -> (String, String) {
-            let Some(LogicalPlan::Join { left, right, .. }) = first_join(&planned.compiled.plan)
-            else {
-                panic!("no join in the residual plan");
-            };
-            (side_label(left), side_label(right))
-        };
-        let (h_probe, h_build) = side(&planned(q, Planner::Heuristic, &params));
-        assert_eq!((h_probe.as_str(), h_build.as_str()), ("p", "r"));
-        let cost_based = planned(q, Planner::CostBased, &params);
-        let (c_probe, c_build) = side(&cost_based);
-        assert_eq!(
-            (c_probe.as_str(), c_build.as_str()),
-            ("r", "p"),
-            "smaller side must build"
-        );
-        // The column-restoring projection keeps the output schema the
-        // heuristic plan produces.
+    fn cost_based_plans_keep_the_heuristic_join_order() {
+        // Neither planner rewrites joins: the executor serves a keyed
+        // join from either side's index, so both keep the FROM order.
         let s = Scenario::generate(42);
-        let h = plan_query(
-            &s.database.plan(q).unwrap(),
-            s.database.catalog(),
-            &CompileOptions::default(),
-            Planner::Heuristic,
-            &params,
-        )
-        .unwrap();
-        assert_eq!(
-            cost_based.compiled.plan.schema().columns,
-            h.compiled.plan.schema().columns
-        );
-    }
-
-    #[test]
-    fn equal_sides_keep_the_from_clause_join_order() {
-        // No filter on either side: both temps are estimated at the
-        // catalog cardinality of their concept, and a tie must not swap
-        // (keeps the heuristic shape deterministic to diff against).
-        let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
-        let cost_based = planned(q, Planner::CostBased, &PlannerParams::default());
-        let Some(LogicalPlan::Join { left, right, .. }) = first_join(&cost_based.compiled.plan)
-        else {
-            panic!("no join in the residual plan");
-        };
-        assert_eq!(side_label(left), "p");
-        assert_eq!(side_label(right), "r");
+        let operators = galois_dataset::build_operator_suite(&s.world);
+        let statements: Vec<String> = (s.suite.iter().map(|q| q.to_sql()))
+            .chain(operators.into_iter().map(|q| q.sql))
+            .collect();
+        assert_eq!(statements.len(), 46 + 18);
+        let params = PlannerParams::default();
+        let mut joins = 0;
+        for sql in &statements {
+            let plan = s.database.plan(sql).unwrap();
+            let order = |planner| {
+                let options = CompileOptions::default();
+                let planned = plan_query(&plan, s.database.catalog(), &options, planner, &params);
+                let mut sides = Vec::new();
+                join_sides(&planned.unwrap().compiled.plan, &mut sides);
+                sides
+            };
+            let heuristic = order(Planner::Heuristic);
+            assert_eq!(order(Planner::CostBased), heuristic, "{sql}");
+            joins += heuristic.len();
+        }
+        assert!(joins > 0, "the statements must hold joins");
     }
 
     #[test]
@@ -1008,12 +878,12 @@ mod tests {
         let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r \
                  WHERE p.mayor = r.name AND p.population > 1000000";
         assert!(!render(q, Planner::Heuristic).contains("join order:"));
-        // Commuted, the mayor temp is the left side, and the executor
+        // In FROM order the mayor temp is the right side, and the executor
         // probes its key index with each city's mayor.
         let text = render(q, Planner::CostBased);
         assert!(
-            text.contains("join order: r ⋈ p  (index join on r's key; left rows≈"),
-            "the commuted order and the algorithm must be reported:\n{text}"
+            text.contains("join order: p ⋈ r  (index join on r's key; left rows≈"),
+            "the FROM order and the algorithm must be reported:\n{text}"
         );
         assert!(text.contains(", right rows≈"), "{text}");
         // Neither side's key is the join key: a hash join.

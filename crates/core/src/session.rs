@@ -173,8 +173,9 @@ impl Galois {
     }
 
     /// The calibration snapshot plan choice uses, frozen at the session's
-    /// first planner invocation. Freezing keeps the chosen plan a
-    /// deterministic function of the query even when many threads share
+    /// first statement under either [`Planner`] (every statement, executed
+    /// or explained, is planned through it). Freezing keeps the chosen plan
+    /// a deterministic function of the query even when many threads share
     /// the session (live stats would race); a fresh session freezes the
     /// documented cold-start defaults.
     fn calibration(&self) -> PlannerParams {
@@ -257,39 +258,20 @@ impl Galois {
         self.run(sql).map(|(result, _)| result)
     }
 
-    /// Every statement's path: parse, then either render an `EXPLAIN`'s
-    /// plan relation (with an empty trace), or compile and plan the query
-    /// through the session's [`Planner`] and execute it.
+    /// Every statement's path: parse, plan through the session's
+    /// [`Planner`] with the frozen calibration, then either render an
+    /// `EXPLAIN`'s plan relation (with an empty trace) or execute the plan.
     fn run(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let stmt = self.parse_statement(sql)?;
+        let params = self.planning_params();
+        let planned = self.plan_statement(stmt.select(), &params)?;
         if stmt.is_explain() {
-            let params = self.planning_params();
-            let planned = self.plan_statement(stmt.select(), &params)?;
             let text = planned.render(self.db.catalog(), &params);
             let relation = galois_relational::cost::explain_relation(&text);
             let stats = QueryStats::default();
             return Ok((GaloisResult { relation, stats }, Vec::new()));
         }
-        let (compiled, physical) = match self.options.planner {
-            // Fast path, and the bit-exactness invariant made literal: the
-            // default mode runs exactly the pre-planner pipeline, no cost
-            // estimation on the hot path.
-            Planner::Heuristic => {
-                let plan = self
-                    .db
-                    .plan_statement(stmt.select())
-                    .map_err(GaloisError::from)?;
-                let compiled =
-                    crate::compile::compile(&plan, self.db.catalog(), &self.options.compile)?;
-                let physical = self.physical_plan(&compiled);
-                (compiled, physical)
-            }
-            Planner::CostBased => {
-                let planned = self.plan_statement(stmt.select(), &self.planning_params())?;
-                (planned.compiled, planned.physical)
-            }
-        };
-        self.execute_planned(&compiled, &physical)
+        self.execute_planned(&planned.compiled, &planned.physical)
     }
 
     /// The physical plan the session's options give `compiled`.
@@ -762,27 +744,30 @@ mod tests {
     fn planner_calibration_is_frozen_until_recalibrated() {
         let s = Scenario::generate(42);
         let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
-        let g = Galois::with_options(
-            model,
-            s.database.clone(),
-            GaloisOptions {
-                planner: Planner::CostBased,
-                ..Default::default()
-            },
-        );
         let sql = "SELECT name FROM city WHERE population > 1000000";
-        let before = g.explain(sql).unwrap();
-        // Executing queries mutates the client stats, but the frozen
-        // snapshot keeps the planner's choice (and report) stable.
-        g.execute(sql).unwrap();
-        assert_eq!(g.explain(sql).unwrap(), before);
-        // The live reading has moved; re-freezing adopts it.
-        assert_ne!(g.planner_params().prompt_latency_ms, {
-            let d = crate::plan_choice::PlannerParams::default();
-            d.prompt_latency_ms
-        });
-        g.recalibrate_planner();
-        assert_ne!(g.explain(sql).unwrap(), before);
+        for planner in [Planner::Heuristic, Planner::CostBased] {
+            let session = || {
+                let options = GaloisOptions {
+                    planner,
+                    ..Default::default()
+                };
+                Galois::with_options(model.clone(), s.database.clone(), options)
+            };
+            let cold = session().explain(sql).unwrap();
+            // The first statement, executed, freezes the cold-start
+            // calibration: its prompts move the client stats, but the
+            // frozen snapshot keeps the plan (and report) stable.
+            let g = session();
+            g.execute(sql).unwrap();
+            assert_eq!(g.explain(sql).unwrap(), cold, "{planner}");
+            g.execute(sql).unwrap();
+            assert_eq!(g.explain(sql).unwrap(), cold, "{planner}");
+            // The live reading has moved; re-freezing adopts it.
+            let default_latency = crate::plan_choice::PlannerParams::default().prompt_latency_ms;
+            assert_ne!(g.planner_params().prompt_latency_ms, default_latency);
+            g.recalibrate_planner();
+            assert_ne!(g.explain(sql).unwrap(), cold, "{planner}");
+        }
     }
 
     #[test]
