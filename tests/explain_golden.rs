@@ -37,6 +37,11 @@
 //! (`galois_relational::join_algorithm` — an index join on one side's key,
 //! a hash join building the right side, or a nested loop) and each side's
 //! estimated rows, where they read `probe rows≈, build rows≈` before.
+//! Then, again in a commit of their own, the joins the cost planner had
+//! commuted to build on the smaller side went back to `FROM` order: their
+//! `join order:` and `[relational plan]` lines moved (each an index join
+//! on the same key either way, now always the right side's), and the
+//! `Project` that restored the column order above each is gone.
 //!
 //! Regenerate with
 //! `cargo test --test explain_golden -- --ignored regenerate_explain_golden_fixture`.
