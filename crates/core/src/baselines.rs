@@ -68,12 +68,10 @@ impl QaBaseline {
             BaselineKind::ChainOfThought => self.prompt_builder.question_cot(question),
         };
         let outcome = self.client.complete_outcome(&prompt);
-        let text = outcome
-            .completions
-            .into_iter()
-            .next()
-            .expect("one completion per prompt")
-            .text;
+        let Some(completion) = outcome.completions.into_iter().next() else {
+            unreachable!("one completion per prompt");
+        };
+        let text = completion.text;
         BaselineResult {
             records: extract_records(&text),
             text,

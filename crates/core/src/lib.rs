@@ -41,6 +41,7 @@
 //! | [`baselines`] | §5 `T_M` and `T_C_M` |
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baselines;
 pub mod clean;

@@ -39,6 +39,7 @@
 //! asserts.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use galois_llm::{FairShare, LanePool};
@@ -266,46 +267,41 @@ pub fn run_multi_query(
         ($t:expr) => {{
             let t = $t;
             loop {
-                let candidate_sessions: Vec<usize> = (0..sessions)
+                // Each session under quota with a ready query, and the
+                // first such query (canonical order).
+                let candidates: Vec<(usize, usize)> = (0..sessions)
                     .filter(|&s| {
                         policy.session_quota == 0 || session_tasks[s] < policy.session_quota
                     })
-                    .filter(|&s| {
-                        (0..replay.len()).any(|q| {
+                    .filter_map(|s| {
+                        let ready = (0..replay.len()).find(|&q| {
                             replay[q].session == s
                                 && replay[q].admitted.is_some()
                                 && replay[q].next_ready()
-                        })
+                        });
+                        ready.map(|q| (s, q))
                     })
                     .collect();
-                if candidate_sessions.is_empty() {
+                let Some(&first) = candidates.first() else {
                     break;
-                }
-                let winner_session = match policy.share {
-                    FairShare::DeficitMs => *candidate_sessions
-                        .iter()
-                        .min_by_key(|&&s| (pool.served_ms(s), s))
-                        .expect("non-empty candidates"),
+                };
+                let (winner_session, q) = match policy.share {
+                    FairShare::DeficitMs => (candidates.iter().copied())
+                        .min_by_key(|&(s, _)| (pool.served_ms(s), s))
+                        .unwrap_or(first),
                     FairShare::RoundRobin => {
-                        let mut pick = candidate_sessions[0];
+                        let mut pick = first;
                         for off in 0..sessions {
                             let s = (rr_cursor + off) % sessions;
-                            if candidate_sessions.contains(&s) {
-                                pick = s;
+                            if let Some(&candidate) = candidates.iter().find(|c| c.0 == s) {
+                                pick = candidate;
                                 break;
                             }
                         }
-                        rr_cursor = (pick + 1) % sessions;
+                        rr_cursor = (pick.0 + 1) % sessions;
                         pick
                     }
                 };
-                let q = (0..replay.len())
-                    .find(|&q| {
-                        replay[q].session == winner_session
-                            && replay[q].admitted.is_some()
-                            && replay[q].next_ready()
-                    })
-                    .expect("winner session has a ready query");
                 let idx = replay[q].next;
                 let duration = replay[q].trace[idx].duration;
                 let done = pool.schedule(winner_session, t, duration);
@@ -324,11 +320,12 @@ pub fn run_multi_query(
     while let Some(&Reverse((t, _, _, _))) = events.peek() {
         // Drain every completion at this instant, finishing queries and
         // arriving their closed-loop successors.
-        while let Some(&Reverse((et, _, _, _))) = events.peek() {
+        while let Some(top) = events.peek_mut() {
+            let Reverse((et, _, q, idx)) = *top;
             if et != t {
                 break;
             }
-            let Reverse((_, _, q, idx)) = events.pop().expect("peeked event");
+            PeekMut::pop(top);
             replay[q].done_at[idx] = Some(t);
             replay[q].running -= 1;
             let s = replay[q].session;
@@ -352,9 +349,11 @@ pub fn run_multi_query(
 
     let mut outcomes = Vec::with_capacity(results.len());
     for (result, rq) in results.into_iter().zip(replay) {
-        let arrival = rq.arrival.expect("every query arrived");
-        let admitted = rq.admitted.expect("every query was admitted");
-        let finished = rq.finished.expect("every query finished");
+        let (Some(arrival), Some(admitted), Some(finished)) =
+            (rq.arrival, rq.admitted, rq.finished)
+        else {
+            unreachable!("the replay arrives, admits and finishes every query");
+        };
         let mut result = result;
         result.stats.virtual_ms = finished - admitted;
         result.stats.queue_ms = admitted - arrival;

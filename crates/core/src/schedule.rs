@@ -98,7 +98,9 @@ impl Scheduler {
                         if i >= n {
                             break;
                         }
-                        let unit = jobs[i].lock().take().expect("each unit claimed once");
+                        let Some(unit) = jobs[i].lock().take() else {
+                            unreachable!("unit {i} claimed twice");
+                        };
                         if results[i].set(unit()).is_err() {
                             unreachable!("slot {i} written twice");
                         }
@@ -108,7 +110,7 @@ impl Scheduler {
         });
         results
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every unit ran"))
+            .map(|slot| (slot.into_inner()).unwrap_or_else(|| unreachable!("every unit ran")))
             .collect()
     }
 }
@@ -180,7 +182,10 @@ impl<T, F: FnOnce() -> T> Wave<T, F> {
     fn claim(&self) -> Option<(usize, F)> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         let job = self.jobs.get(i)?;
-        Some((i, job.lock().take().expect("each unit claimed once")))
+        let Some(unit) = job.lock().take() else {
+            unreachable!("unit {i} claimed twice");
+        };
+        Some((i, unit))
     }
 
     fn landing(&self) -> std::sync::MutexGuard<'_, Landing<T>> {

@@ -717,7 +717,9 @@ impl<'a> Protocol<'a> {
         let run = &mut self.steps[s];
         // Only `process_list` and `spec_apply` call this, both from
         // inside a `spec` step.
-        let spec = run.spec.as_mut().expect("spec wave outside spec mode");
+        let Some(spec) = run.spec.as_mut() else {
+            unreachable!("spec wave outside spec mode");
+        };
         let width_now = spec.width.min(cap.saturating_sub(run.iterations)).max(1);
         for i in 0..width_now {
             fires.push(Fire {
@@ -887,10 +889,9 @@ impl<'a> Protocol<'a> {
             FireTarget::List => self.process_list(s, text, fires),
             FireTarget::ListPage { offset } => {
                 // A page was fired by `fire_spec_wave`, so `spec` is set.
-                let spec = self.steps[s]
-                    .spec
-                    .as_mut()
-                    .expect("page completion outside spec mode");
+                let Some(spec) = self.steps[s].spec.as_mut() else {
+                    unreachable!("page completion outside spec mode");
+                };
                 spec.inflight -= 1;
                 spec.buffered.insert(offset, text.to_string());
                 // Wave barrier: pages apply (in offset order) only once

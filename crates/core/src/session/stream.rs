@@ -171,13 +171,11 @@ impl StreamSim<'_> {
                 duration: outcome.virtual_ms,
                 completion: done,
             });
-            let completion = outcome
-                .completions
-                .into_iter()
-                .next()
-                // The client answers every prompt of a request; a lost
-                // answer would leave its stage in flight forever.
-                .expect("one completion per prompt");
+            // The client answers every prompt of a request; a lost
+            // answer would leave its stage in flight forever.
+            let Some(completion) = outcome.completions.into_iter().next() else {
+                unreachable!("one completion per prompt");
+            };
             self.events.push(Reverse(StreamEvent {
                 time: done,
                 seq,

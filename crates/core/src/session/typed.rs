@@ -178,7 +178,10 @@ impl Universes {
             universes.values_mut().for_each(|u| u.relation = None);
         }
         if bytes <= self.budget {
-            let universe = universes.get_mut(&at.concept).expect("found above");
+            // Found above; the eviction cleared relations, not universes.
+            let Some(universe) = universes.get_mut(&at.concept) else {
+                unreachable!("universe {} removed under the lock", at.concept);
+            };
             universe.relation = Some(Relation {
                 table: Arc::clone(&table),
                 filled,
