@@ -7,10 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_dataset::Scenario;
-use galois_relational::{
-    Column, DataType, Database, JoinCondition, LogicalPlan, PlanSchema, ResolvedColumn, ScalarExpr,
-    Table, TableSchema, Value,
-};
+use galois_relational::{Column, DataType, Database, Table, TableSchema, Value};
 
 fn bench_planning(c: &mut Criterion) {
     let s = Scenario::generate(42);
@@ -107,85 +104,16 @@ fn bench_table_with_capacity(c: &mut Criterion) {
     });
 }
 
-/// What the serving session's cost planner (`core::plan_choice`, whose
-/// rewrite is private) makes of a select list over an inner equi join
-/// whose right side is the larger: the sides swapped under a projection
-/// that restores the column order — `Project(Project(Join))`.
-fn commuted(plan: LogicalPlan) -> LogicalPlan {
-    let LogicalPlan::Project {
-        input,
-        exprs,
-        schema,
-    } = plan
-    else {
-        panic!("expected a select list over a join");
-    };
-    let LogicalPlan::Join {
-        left,
-        right,
-        join_type,
-        condition,
-        schema: joined,
-    } = *input
-    else {
-        panic!("expected a select list over a join");
-    };
-    let (l_arity, r_arity) = (left.schema().arity(), right.schema().arity());
-    let swapped = LogicalPlan::Join {
-        left: right,
-        right: left,
-        join_type,
-        condition: JoinCondition {
-            equi: condition.equi.into_iter().map(|(l, r)| (r, l)).collect(),
-            residual: None,
-        },
-        schema: PlanSchema::new(
-            joined.columns[l_arity..]
-                .iter()
-                .chain(&joined.columns[..l_arity])
-                .cloned()
-                .collect(),
-        ),
-    };
-    let restore = joined
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, col)| {
-            let column = ScalarExpr::Column(ResolvedColumn {
-                index: if i < l_arity {
-                    r_arity + i
-                } else {
-                    i - l_arity
-                },
-                binding: col.binding.clone(),
-                name: col.name.clone(),
-                data_type: col.data_type,
-            });
-            (column, col.name.clone())
-        })
-        .collect();
-    LogicalPlan::Project {
-        input: Box::new(LogicalPlan::Project {
-            input: Box::new(swapped),
-            exprs: restore,
-            schema: joined,
-        }),
-        exprs,
-        schema,
-    }
-}
-
 /// `item(name, grp, qty)` with 10⁴ rows over 100 groups, `grp(name,
 /// weight)` and `stock(name, population)` with one row per item: what the
 /// residual plan of a serving statement runs over — the join on `grp`
 /// probes 100 keys, the one on `stock` 10⁴ distinct text keys, the
-/// `city ⋈ cityMayor` shape — in FROM order and as the cost planner
-/// commutes it (each joins on its right table's key, so since PR 25 the
-/// executor probes that table's key index; the names predate it), and
-/// `COUNT(*) FROM city`'s shape, a global aggregate. The plan is built
-/// once; the measured part is `execute` alone, whose scans borrow the
-/// tables' rows.
+/// `city ⋈ cityMayor` shape (each joins on its right table's key, so the
+/// executor probes that table's key index; the names say hash), the
+/// `grp` join with `grp` named first in `FROM` (an index join on the left
+/// table's key, since `item` is not keyed on `grp`), and `COUNT(*) FROM
+/// city`'s shape, a global aggregate. The plan is built once; the
+/// measured part is `execute` alone, whose scans borrow the tables' rows.
 fn bench_execution_1e4(c: &mut Criterion) {
     let mut db = Database::new();
     let mut item = Table::new(
@@ -222,8 +150,6 @@ fn bench_execution_1e4(c: &mut Criterion) {
     db.add_table(item).expect("fresh name");
     db.add_table(grp).expect("fresh name");
     db.add_table(stock).expect("fresh name");
-    const TEXT_KEY_JOIN: &str =
-        "SELECT i.name, s.population FROM item i, stock s WHERE i.name = s.name";
     let plans = [
         (
             "exec_scan_filter_project/1e4",
@@ -237,7 +163,14 @@ fn bench_execution_1e4(c: &mut Criterion) {
             "exec_hash_join/1e4",
             "SELECT i.name, g.population FROM item i, grp g WHERE i.grp = g.name",
         ),
-        ("exec_hash_join_text_keys/1e4", TEXT_KEY_JOIN),
+        (
+            "exec_hash_join_text_keys/1e4",
+            "SELECT i.name, s.population FROM item i, stock s WHERE i.name = s.name",
+        ),
+        (
+            "exec_index_join_left/1e4",
+            "SELECT i.name, g.population FROM grp g, item i WHERE g.name = i.grp",
+        ),
         (
             "exec_group_by/1e4",
             "SELECT grp, COUNT(*), AVG(qty) FROM item GROUP BY grp",
@@ -248,11 +181,7 @@ fn bench_execution_1e4(c: &mut Criterion) {
         ),
     ]
     .map(|(name, sql)| (name, db.plan(sql).expect("valid statement")));
-    let commuted_join = commuted(db.plan(TEXT_KEY_JOIN).expect("valid statement"));
-    for (name, plan) in plans
-        .into_iter()
-        .chain([("exec_hash_join_commuted/1e4", commuted_join)])
-    {
+    for (name, plan) in plans {
         c.bench_function(name, |b| {
             b.iter(|| db.execute_plan(black_box(&plan)).expect("executes"))
         });

@@ -48,7 +48,7 @@ pub(crate) use wave::REQUEST_PROMPTS;
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
 use crate::physical::PhysicalPlan;
-use crate::plan_choice::{plan_query, PlannedQuery, Planner, PlannerParams};
+use crate::plan_choice::{plan_query, PlannedQuery, PlannerParams};
 use crate::prompts::PromptBuilder;
 use crate::schedule::Crew;
 use galois_llm::{BatchOutcome, ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
@@ -173,7 +173,7 @@ impl Galois {
     }
 
     /// The calibration snapshot plan choice uses, frozen at the session's
-    /// first statement under either [`Planner`] (every statement, executed
+    /// first statement under either [`Planner`](crate::Planner) (every statement, executed
     /// or explained, is planned through it). Freezing keeps the chosen plan
     /// a deterministic function of the query even when many threads share
     /// the session (live stats would race); a fresh session freezes the
@@ -214,7 +214,7 @@ impl Galois {
             .map_err(|e| GaloisError::from(galois_relational::EngineError::from(e)))
     }
 
-    /// Plans an already-parsed SELECT through the session's [`Planner`]
+    /// Plans an already-parsed SELECT through the session's [`Planner`](crate::Planner)
     /// with one fixed calibration snapshot.
     fn plan_statement(
         &self,
@@ -231,7 +231,7 @@ impl Galois {
         )
     }
 
-    /// Plans a query through the session's [`Planner`] without executing
+    /// Plans a query through the session's [`Planner`](crate::Planner) without executing
     /// it, returning the compiled retrieval program plus its cost report.
     pub fn plan(&self, sql: &str) -> Result<PlannedQuery> {
         let stmt = self.parse_statement(sql)?;
@@ -259,7 +259,7 @@ impl Galois {
     }
 
     /// Every statement's path: parse, plan through the session's
-    /// [`Planner`] with the frozen calibration, then either render an
+    /// [`Planner`](crate::Planner) with the frozen calibration, then either render an
     /// `EXPLAIN`'s plan relation (with an empty trace) or execute the plan.
     fn run(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let stmt = self.parse_statement(sql)?;
@@ -359,7 +359,7 @@ impl Galois {
             .into_iter()
             // The crew delivers every unit's result exactly once, or
             // re-raises the unit's panic.
-            .map(|outcome| outcome.expect("every request completed"))
+            .map(|outcome| outcome.unwrap_or_else(|| unreachable!("request lost")))
             .collect()
     }
 
@@ -425,6 +425,7 @@ fn materialise_step(step: &LlmScanStep, rows: Vec<Vec<Value>>) -> Table {
 mod tests {
     use super::*;
     use crate::compile::CompileOptions;
+    use crate::plan_choice::Planner;
     use galois_dataset::Scenario;
     use galois_llm::{ModelProfile, Parallelism, SimLlm};
 
@@ -804,6 +805,34 @@ mod tests {
             a.stats.total_prompts()
         );
         assert!(b.stats.virtual_ms < a.stats.virtual_ms);
+    }
+
+    #[test]
+    fn a_from_clause_naming_the_keyed_table_first_joins_on_its_index() {
+        let s = Scenario::generate(42);
+        let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
+        let g = Galois::with_options(model, s.database.clone(), GaloisOptions::serving());
+        let forward =
+            "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
+        let reversed =
+            "SELECT p.name, r.electionYear FROM cityMayor r, city p WHERE r.name = p.mayor";
+        // The plan keeps the FROM order; the executor serves the join from
+        // the left side's key instead.
+        let text = g.explain(reversed).unwrap();
+        assert!(
+            text.contains("join order: r ⋈ p  (index join on r's key;"),
+            "{text}"
+        );
+        let rows = |sql| {
+            let mut rows: Vec<String> = (g.execute(sql).unwrap().relation.rows.iter())
+                .map(|r| format!("{r:?}"))
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let reversed_rows = rows(reversed);
+        assert!(!reversed_rows.is_empty());
+        assert_eq!(reversed_rows, rows(forward));
     }
 
     fn oracle_session_batched(batch: PromptBatch) -> (Scenario, Galois) {

@@ -330,8 +330,8 @@ fn plain_columns<'e>(mut exprs: impl Iterator<Item = &'e ScalarExpr>, arity: usi
 }
 
 /// A projection chain as one expression list over the chain's input. While
-/// the operator below is a projection of plain columns and literals — what
-/// restores the column order over a join the planner commuted — its
+/// the operator below is a projection of plain columns and literals — a
+/// select list narrowing or reordering its input's columns — its
 /// expressions are substituted into the list and the operator is skipped:
 /// reading through it costs nothing, and the plan (its `EXPLAIN` text, its
 /// equality) is never rewritten. A projection that computes stays an

@@ -240,9 +240,9 @@ fn filter(g: &mut Gen, (input, types): Typed) -> Typed {
     (plan, types)
 }
 
-/// One projection: a permutation-with-repeats of the input's columns (what
-/// restores a commuted join's column order), or a list that also holds
-/// literals and computed expressions.
+/// One projection: a permutation-with-repeats of the input's columns (a
+/// select list of plain columns, which `exec::composed` reads through), or
+/// a list that also holds literals and computed expressions.
 fn project(g: &mut Gen, (input, types): Typed) -> Typed {
     let plain = g.chance(40) && !types.is_empty();
     let exprs: Vec<ScalarExpr> = (0..1 + g.below(4))
