@@ -14,7 +14,7 @@ use crate::table::Catalog;
 use galois_sql::ast::{self, Expr as AstExpr, FunctionArgs, JoinType, SelectItem, SelectStatement};
 
 /// Plans a SELECT statement against `catalog`.
-pub fn plan_select(stmt: &SelectStatement, catalog: &Catalog) -> Result<LogicalPlan> {
+pub(crate) fn plan_select(stmt: &SelectStatement, catalog: &Catalog) -> Result<LogicalPlan> {
     Builder { catalog }.plan(stmt)
 }
 
@@ -446,13 +446,17 @@ fn require_boolean(expr: &ScalarExpr, clause: &str) -> Result<()> {
 
 /// What kind of expression is being compiled (controls aggregate rejection).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub enum ExprContext {
+pub(crate) enum ExprContext {
     /// Plain scalar context — aggregates are rejected.
     Scalar,
 }
 
 /// Compiles an AST expression against a schema (no aggregates allowed).
-pub fn compile_expr(expr: &AstExpr, schema: &PlanSchema, _ctx: ExprContext) -> Result<ScalarExpr> {
+pub(crate) fn compile_expr(
+    expr: &AstExpr,
+    schema: &PlanSchema,
+    _ctx: ExprContext,
+) -> Result<ScalarExpr> {
     match expr {
         AstExpr::Column(c) => {
             let idx = schema.resolve(c.table.as_deref(), &c.column)?;
@@ -564,7 +568,7 @@ fn check_binary_types(l: &ScalarExpr, op: galois_sql::ast::BinaryOp, r: &ScalarE
 
 /// Splits a join predicate (over the concatenated schema) into equi pairs
 /// and a residual, with each equi side remapped to its own input.
-pub fn split_join_condition(predicate: ScalarExpr, left_arity: usize) -> JoinCondition {
+pub(crate) fn split_join_condition(predicate: ScalarExpr, left_arity: usize) -> JoinCondition {
     let mut equi = Vec::new();
     let mut residual: Option<ScalarExpr> = None;
     for conj in split_conjuncts(predicate) {

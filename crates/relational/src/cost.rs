@@ -15,6 +15,7 @@
 //! needs a *ranking* of candidate plans, not ground truth.
 //!
 //! ```
+//! use std::collections::HashMap;
 //! use galois_relational::{cost, Column, Database, DataType, Table, TableSchema, Value};
 //!
 //! let mut db = Database::new();
@@ -35,9 +36,9 @@
 //! db.add_table(t).unwrap();
 //!
 //! let plan = db.plan("SELECT name FROM city WHERE population > 1000000").unwrap();
-//! let rows = cost::estimate_rows(&plan, db.catalog());
+//! let rows = cost::estimate_rows_with(&plan, db.catalog(), &HashMap::new());
 //! assert!(rows > 0.0 && rows <= 2.0);
-//! assert!(cost::explain_with_rows(&plan, db.catalog()).contains("rows≈"));
+//! assert!(cost::explain_with_rows_overridden(&plan, db.catalog(), &HashMap::new()).contains("rows≈"));
 //! ```
 
 use crate::exec::Relation;
@@ -61,13 +62,13 @@ pub const SEL_IS_NULL: f64 = 0.10;
 /// Selectivity assumed per `IN`-list member.
 pub const SEL_IN_PER_ITEM: f64 = 0.15;
 /// Fallback selectivity for predicates with no recognisable shape.
-pub const SEL_DEFAULT: f64 = 0.50;
+pub(crate) const SEL_DEFAULT: f64 = 0.50;
 /// Fallback cardinality for scans of tables the catalog does not know
 /// (e.g. not-yet-materialised temporaries in a compiled residual plan).
 pub const DEFAULT_SCAN_ROWS: f64 = 100.0;
 /// Fraction of input rows assumed to survive as distinct groups in a
 /// grouped aggregation.
-pub const GROUP_FRACTION: f64 = 0.25;
+pub(crate) const GROUP_FRACTION: f64 = 0.25;
 
 /// Cardinality of an LLM scan whose key universe is already materialised
 /// in a warm key-universe store: the stored key count is the *exact*
@@ -113,7 +114,7 @@ pub fn critical_path_ms(chain_ms: f64, tail_ms: f64, busy_ms: f64, lanes: f64) -
 /// Estimated fraction of input rows satisfying a predicate, derived purely
 /// from the predicate's shape (System-R style constants — the classical
 /// default in the absence of histograms).
-pub fn predicate_selectivity(expr: &ScalarExpr) -> f64 {
+pub(crate) fn predicate_selectivity(expr: &ScalarExpr) -> f64 {
     let sel = match expr {
         ScalarExpr::Literal(Value::Bool(b)) => {
             if *b {
@@ -172,13 +173,9 @@ pub fn predicate_selectivity(expr: &ScalarExpr) -> f64 {
 }
 
 /// Estimated output cardinality of a plan, reading base-table row counts
-/// from the catalog as the planner's statistics.
-pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
-    estimate_rows_with(plan, catalog, &std::collections::HashMap::new())
-}
-
-/// [`estimate_rows`] with per-table cardinality overrides (case-insensitive
-/// table names). The Galois planner uses this to annotate a compiled
+/// from the catalog as the planner's statistics, with per-table
+/// cardinality overrides (case-insensitive table names) taking precedence.
+/// The Galois planner uses the overrides to annotate a compiled
 /// residual plan whose scans reference not-yet-materialised `__llm_*`
 /// temporaries: it knows how many keys it expects each retrieval to
 /// produce, and the catalog does not.
@@ -242,11 +239,12 @@ pub fn estimate_rows_with(
 
 /// Renders the plan tree with a `(rows≈N)` estimate appended to every
 /// operator line — the relational half of the `EXPLAIN` output.
-pub fn explain_with_rows(plan: &LogicalPlan, catalog: &Catalog) -> String {
+pub(crate) fn explain_with_rows(plan: &LogicalPlan, catalog: &Catalog) -> String {
     explain_with_rows_overridden(plan, catalog, &std::collections::HashMap::new())
 }
 
-/// [`explain_with_rows`] with the cardinality overrides of
+/// Renders the plan tree with a `(rows≈N)` estimate appended to every
+/// operator line, under the cardinality overrides of
 /// [`estimate_rows_with`].
 pub fn explain_with_rows_overridden(
     plan: &LogicalPlan,
@@ -306,6 +304,10 @@ mod tests {
         }
         db.add_table(t).unwrap();
         db
+    }
+
+    fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
+        estimate_rows_with(plan, catalog, &std::collections::HashMap::new())
     }
 
     #[test]

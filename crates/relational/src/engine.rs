@@ -34,11 +34,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Plans an already-parsed SELECT: name resolution plus the optimizer
     /// pass. The single entry every SQL-text path (here and in the Galois
     /// session) funnels through.

@@ -62,7 +62,7 @@ impl Relation {
     }
 
     /// Renders an ASCII table (for examples and demos).
-    pub fn to_table_string(&self) -> String {
+    pub(crate) fn to_table_string(&self) -> String {
         let headers = self.column_names();
         let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
         let rendered: Vec<Vec<String>> = self
@@ -364,7 +364,7 @@ fn composed<'p>(
 
 /// Sorts rows — owned, or borrowed by the executor — in place by the given
 /// keys (stable, NULLs first).
-pub fn sort_rows<R: Borrow<Row>>(rows: &mut [R], keys: &[SortKey]) {
+pub(crate) fn sort_rows<R: Borrow<Row>>(rows: &mut [R], keys: &[SortKey]) {
     rows.sort_by(|a, b| {
         let (a, b) = (a.borrow(), b.borrow());
         for k in keys {

@@ -38,24 +38,24 @@ impl fmt::Display for ResolvedColumn {
 /// join's match — the left row's slice and the right's, read as their
 /// concatenation without building it.
 #[derive(Debug, Clone, Copy)]
-pub struct RowView<'r> {
+pub(crate) struct RowView<'r> {
     left: &'r [Value],
     right: &'r [Value],
 }
 
 impl<'r> RowView<'r> {
     /// A stored or already built row.
-    pub fn of(row: &'r [Value]) -> Self {
+    pub(crate) fn of(row: &'r [Value]) -> Self {
         Self::pair(row, &[])
     }
 
     /// A join's match: column `i` is `left[i]`, or `right[i - left.len()]`.
-    pub fn pair(left: &'r [Value], right: &'r [Value]) -> Self {
+    pub(crate) fn pair(left: &'r [Value], right: &'r [Value]) -> Self {
         RowView { left, right }
     }
 
     /// The value of column `index`, if the row is that wide.
-    pub fn get(self, index: usize) -> Option<&'r Value> {
+    pub(crate) fn get(self, index: usize) -> Option<&'r Value> {
         match index.checked_sub(self.left.len()) {
             None => self.left.get(index),
             Some(i) => self.right.get(i),
@@ -63,7 +63,7 @@ impl<'r> RowView<'r> {
     }
 
     /// The row, built: the left values, then the right's.
-    pub fn to_row(self) -> Row {
+    pub(crate) fn to_row(self) -> Row {
         [self.left, self.right].concat()
     }
 }
@@ -131,7 +131,7 @@ pub enum ScalarExpr {
 
 impl ScalarExpr {
     /// The static result type of this expression.
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match self {
             ScalarExpr::Column(c) => c.data_type,
             ScalarExpr::Literal(v) => v.data_type().unwrap_or(DataType::Text),
@@ -190,7 +190,7 @@ impl ScalarExpr {
     }
 
     /// Indices of all referenced input columns.
-    pub fn referenced_indices(&self) -> Vec<usize> {
+    pub(crate) fn referenced_indices(&self) -> Vec<usize> {
         let mut v = Vec::new();
         self.walk(&mut |e| {
             if let ScalarExpr::Column(c) = e {
@@ -204,7 +204,7 @@ impl ScalarExpr {
 
     /// Rewrites every column index through `map` (used when an input's
     /// column order changes, e.g. below a join).
-    pub fn remap_indices(&self, map: &impl Fn(usize) -> usize) -> ScalarExpr {
+    pub(crate) fn remap_indices(&self, map: &impl Fn(usize) -> usize) -> ScalarExpr {
         self.map_columns(&|c| {
             ScalarExpr::Column(ResolvedColumn {
                 index: map(c.index),
@@ -216,7 +216,7 @@ impl ScalarExpr {
     /// Replaces every column reference by `f` of it: an index remap, or the
     /// expression that computes the column one operator below (how the
     /// executor reads through a projection instead of running it).
-    pub fn map_columns(&self, f: &impl Fn(&ResolvedColumn) -> ScalarExpr) -> ScalarExpr {
+    pub(crate) fn map_columns(&self, f: &impl Fn(&ResolvedColumn) -> ScalarExpr) -> ScalarExpr {
         match self {
             ScalarExpr::Column(c) => f(c),
             ScalarExpr::Literal(v) => ScalarExpr::Literal(v.clone()),
@@ -268,7 +268,7 @@ impl ScalarExpr {
     /// Evaluates against a row, returning a value (possibly NULL). Operands
     /// are read through [`ScalarExpr::eval_ref`]: comparing a text column
     /// with a literal copies neither.
-    pub fn eval(&self, row: RowView<'_>) -> Result<Value> {
+    pub(crate) fn eval(&self, row: RowView<'_>) -> Result<Value> {
         match self {
             ScalarExpr::Column(_) | ScalarExpr::Literal(_) => {
                 self.eval_ref(row).map(Cow::into_owned)
@@ -358,7 +358,7 @@ impl ScalarExpr {
     /// plain column or a literal: the value is borrowed from the row or
     /// from the expression. Everything else is evaluated as usual and
     /// returned owned.
-    pub fn eval_ref<'r>(&'r self, row: RowView<'r>) -> Result<Cow<'r, Value>> {
+    pub(crate) fn eval_ref<'r>(&'r self, row: RowView<'r>) -> Result<Cow<'r, Value>> {
         match self {
             ScalarExpr::Column(c) => row
                 .get(c.index)
@@ -371,7 +371,7 @@ impl ScalarExpr {
 
     /// Evaluates as a predicate: true only if the result is boolean TRUE
     /// (NULL counts as false, per SQL WHERE semantics).
-    pub fn eval_predicate(&self, row: RowView<'_>) -> Result<bool> {
+    pub(crate) fn eval_predicate(&self, row: RowView<'_>) -> Result<bool> {
         match &*self.eval_ref(row)? {
             Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
@@ -527,7 +527,7 @@ fn arith(l: &Value, r: &Value, op: BinaryOp) -> Result<Value> {
 /// Case-sensitive, iterative two-pointer algorithm (no backtracking blowup)
 /// over the two strings where they lie: positions are byte offsets of
 /// characters.
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     let first = |text: &str, at: usize| text[at..].chars().next();
     let (mut si, mut pi) = (0usize, 0usize);
     // Where the last `%` ends in the pattern, and the text it has absorbed.

@@ -31,28 +31,27 @@
 //! assert_eq!(result.rows[0][0].render(), "Rome");
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builder;
 pub mod cost;
-pub mod engine;
-pub mod error;
-pub mod exec;
-pub mod expr;
-pub mod optimizer;
-pub mod plan;
-pub mod schema;
-pub mod table;
-pub mod value;
+mod engine;
+mod error;
+mod exec;
+mod expr;
+mod optimizer;
+mod plan;
+mod schema;
+mod table;
+mod value;
 
-pub use cost::{estimate_rows, explain_with_rows, predicate_selectivity};
 pub use engine::Database;
 pub use error::{EngineError, Result};
 pub use exec::{execute, join_algorithm, JoinAlgorithm, Relation};
-pub use expr::{like_match, ResolvedColumn, RowView, ScalarExpr};
-pub use optimizer::{optimize, plan_stats, PlanStats};
-pub use plan::{AggCall, AggFunc, JoinCondition, LogicalPlan, SortKey};
+pub use expr::ScalarExpr;
+pub use optimizer::{optimize, plan_stats};
+pub use plan::LogicalPlan;
 pub use schema::{Column, PlanColumn, PlanSchema, TableSchema};
 pub use table::{Catalog, Row, Table};
 pub use value::{DataType, Date, Value};

@@ -29,7 +29,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Parses an (uppercased) function name.
-    pub fn from_name(name: &str) -> Option<AggFunc> {
+    pub(crate) fn from_name(name: &str) -> Option<AggFunc> {
         Some(match name {
             "COUNT" => AggFunc::Count,
             "SUM" => AggFunc::Sum,
@@ -41,7 +41,7 @@ impl AggFunc {
     }
 
     /// SQL spelling.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AggFunc::Count => "COUNT",
             AggFunc::Sum => "SUM",
@@ -52,7 +52,7 @@ impl AggFunc {
     }
 
     /// Result type given the argument type (`None` for `COUNT(*)`).
-    pub fn output_type(&self, arg: Option<DataType>) -> DataType {
+    pub(crate) fn output_type(&self, arg: Option<DataType>) -> DataType {
         match self {
             AggFunc::Count => DataType::Int,
             AggFunc::Avg => DataType::Float,
@@ -80,7 +80,7 @@ pub struct AggCall {
 
 impl AggCall {
     /// Result type of this call.
-    pub fn output_type(&self) -> DataType {
+    pub(crate) fn output_type(&self) -> DataType {
         self.func
             .output_type(self.arg.as_ref().map(|a| a.data_type()))
     }
@@ -210,7 +210,7 @@ pub enum LogicalPlan {
 
 impl LogicalPlan {
     /// The operator's output schema.
-    pub fn schema(&self) -> PlanSchema {
+    pub(crate) fn schema(&self) -> PlanSchema {
         match self {
             LogicalPlan::Scan { schema, .. }
             | LogicalPlan::Project { schema, .. }
@@ -244,15 +244,16 @@ impl LogicalPlan {
     /// (left before right); every other field is kept. The shared spine
     /// of the tree rewrites — a walker states only the arms that do
     /// something.
-    pub fn map_children(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    pub(crate) fn map_children(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
         match self.try_map_children(|child| Ok::<_, std::convert::Infallible>(f(child))) {
             Ok(plan) => plan,
             Err(never) => match never {},
         }
     }
 
-    /// [`LogicalPlan::map_children`] for a rewrite that can fail: the first
-    /// error is returned and the remaining children are not visited.
+    /// Rebuilds this operator around a fallible `f` applied to each
+    /// immediate child (left before right); every other field is kept. The
+    /// first error is returned and the remaining children are not visited.
     pub fn try_map_children<E>(
         self,
         mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan, E>,
@@ -343,7 +344,7 @@ impl LogicalPlan {
     /// [`LogicalPlan::explain`] with a per-operator suffix supplied by the
     /// caller — e.g. the cost estimator appending `(rows≈N)` to every line
     /// (see [`crate::cost::explain_with_rows`]).
-    pub fn explain_annotated(&self, annotate: &dyn Fn(&LogicalPlan) -> String) -> String {
+    pub(crate) fn explain_annotated(&self, annotate: &dyn Fn(&LogicalPlan) -> String) -> String {
         let mut s = String::new();
         self.explain_into(&mut s, 0, annotate);
         s
@@ -474,7 +475,10 @@ impl LogicalPlan {
 }
 
 /// Builds the output schema of an aggregate node.
-pub fn aggregate_schema(group_by: &[(ScalarExpr, String)], aggregates: &[AggCall]) -> PlanSchema {
+pub(crate) fn aggregate_schema(
+    group_by: &[(ScalarExpr, String)],
+    aggregates: &[AggCall],
+) -> PlanSchema {
     let mut cols = Vec::with_capacity(group_by.len() + aggregates.len());
     for (expr, name) in group_by {
         let (binding, nullable) = match expr {

@@ -73,11 +73,6 @@ impl TableSchema {
         Ok(TableSchema { columns, key })
     }
 
-    /// The key column.
-    pub fn key_column(&self) -> &Column {
-        &self.columns[self.key]
-    }
-
     /// Finds a column index by case-insensitive name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.columns
@@ -108,7 +103,7 @@ pub struct PlanColumn {
 
 impl PlanColumn {
     /// Builds a plan column carried over from a base table.
-    pub fn from_base(binding: &str, col: &Column) -> Self {
+    pub(crate) fn from_base(binding: &str, col: &Column) -> Self {
         PlanColumn {
             binding: Some(binding.to_string()),
             name: col.name.clone(),
@@ -160,7 +155,7 @@ impl PlanSchema {
     /// With a qualifier, both binding and name must match. Without one, the
     /// name must match exactly one column, otherwise the reference is
     /// ambiguous.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+    pub(crate) fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
         let matches: Vec<usize> = self
             .columns
             .iter()
@@ -190,14 +185,14 @@ impl PlanSchema {
     }
 
     /// Concatenates two schemas (join output).
-    pub fn join(&self, right: &PlanSchema) -> PlanSchema {
+    pub(crate) fn join(&self, right: &PlanSchema) -> PlanSchema {
         let mut columns = self.columns.clone();
         columns.extend(right.columns.iter().cloned());
         PlanSchema { columns }
     }
 
     /// Marks every column nullable (right side of a left outer join).
-    pub fn as_nullable(&self) -> PlanSchema {
+    pub(crate) fn as_nullable(&self) -> PlanSchema {
         PlanSchema {
             columns: self
                 .columns
@@ -231,7 +226,7 @@ mod tests {
     fn table_schema_key_resolution() {
         let s = city_schema();
         assert_eq!(s.key, 0);
-        assert_eq!(s.key_column().name, "name");
+        assert_eq!(s.columns[s.key].name, "name");
         assert_eq!(s.index_of("POPULATION"), Some(2));
         assert_eq!(s.index_of("missing"), None);
     }

@@ -202,7 +202,7 @@ impl Table {
 
     /// The position in [`Table::rows`] of the row whose key is `key` —
     /// what an index join probes.
-    pub fn position_of(&self, key: &Value) -> Option<usize> {
+    pub(crate) fn position_of(&self, key: &Value) -> Option<usize> {
         self.index.probe(&self.rows, self.schema.key, key).ok()
     }
 
@@ -240,7 +240,7 @@ impl Table {
     }
 
     /// The plan schema this table produces when scanned under `binding`.
-    pub fn plan_schema(&self, binding: &str) -> PlanSchema {
+    pub(crate) fn plan_schema(&self, binding: &str) -> PlanSchema {
         PlanSchema::new(
             self.schema
                 .columns
@@ -312,16 +312,6 @@ impl Catalog {
         let mut names: Vec<String> = self.tables.values().map(|t| t.name.clone()).collect();
         names.sort();
         names
-    }
-
-    /// Number of registered tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True if no tables are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 }
 

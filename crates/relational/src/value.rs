@@ -22,7 +22,7 @@ pub enum DataType {
 
 impl DataType {
     /// True for `Int` and `Float`.
-    pub fn is_numeric(&self) -> bool {
+    pub(crate) fn is_numeric(&self) -> bool {
         matches!(self, DataType::Int | DataType::Float)
     }
 }
@@ -66,24 +66,9 @@ impl Date {
         Ok(Date { year, month, day })
     }
 
-    /// Year component.
-    pub fn year(&self) -> i32 {
-        self.year
-    }
-
-    /// Month component (1-12).
-    pub fn month(&self) -> u8 {
-        self.month
-    }
-
-    /// Day component (1-31).
-    pub fn day(&self) -> u8 {
-        self.day
-    }
-
     /// Days since 0000-03-01 (an arbitrary epoch); used only for ordering
     /// and distance, so the epoch choice is invisible to callers.
-    pub fn ordinal(&self) -> i64 {
+    pub(crate) fn ordinal(&self) -> i64 {
         // Standard civil-from-days inverse (Howard Hinnant's algorithm).
         let y = i64::from(self.year) - i64::from(self.month <= 2);
         let era = if y >= 0 { y } else { y - 399 } / 400;
@@ -186,7 +171,7 @@ impl Value {
     }
 
     /// Numeric view as f64 for Int/Float; `None` otherwise.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(v) => Some(*v as f64),
             Value::Float(v) => Some(*v),
@@ -195,30 +180,22 @@ impl Value {
     }
 
     /// Borrows the text payload if this is a `Text` value.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Value::Text(s) => Some(s),
             _ => None,
         }
     }
 
-    /// Returns the boolean payload if this is a `Bool` value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL equality: NULL compares as unknown (`None`), otherwise values of
     /// compatible types compare; numeric types compare cross-type.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
+    pub(crate) fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
     /// SQL comparison used by `<`, `<=` etc. Returns `None` when either
     /// side is NULL or the types are incomparable.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
@@ -234,7 +211,7 @@ impl Value {
 
     /// Total ordering for sorting and grouping: NULL sorts first, then by
     /// type, then by value. Unlike [`Value::sql_cmp`], this never fails.
-    pub fn total_cmp(&self, other: &Value) -> Ordering {
+    pub(crate) fn total_cmp(&self, other: &Value) -> Ordering {
         fn type_rank(v: &Value) -> u8 {
             match v {
                 Value::Null => 0,
@@ -269,48 +246,6 @@ impl Value {
             Value::Bool(b) => b.to_string(),
             Value::Text(s) => s.clone(),
             Value::Date(d) => d.to_string(),
-        }
-    }
-
-    /// Attempts to cast the value to `ty`, following SQL-ish rules: numeric
-    /// widening, text→anything by parsing, date↔text.
-    pub fn cast_to(&self, ty: DataType) -> Result<Value> {
-        match (self, ty) {
-            (Value::Null, _) => Ok(Value::Null),
-            (v, t) if v.data_type() == Some(t) => Ok(v.clone()),
-            (Value::Int(v), DataType::Float) => Ok(Value::Float(*v as f64)),
-            (Value::Float(v), DataType::Int) => {
-                if v.fract() == 0.0 && v.abs() <= i64::MAX as f64 {
-                    Ok(Value::Int(*v as i64))
-                } else {
-                    Err(EngineError::Evaluation(format!(
-                        "cannot cast float {v} to INT losslessly"
-                    )))
-                }
-            }
-            (Value::Text(s), DataType::Int) => s
-                .trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| EngineError::Evaluation(format!("cannot cast '{s}' to INT"))),
-            (Value::Text(s), DataType::Float) => s
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| EngineError::Evaluation(format!("cannot cast '{s}' to FLOAT"))),
-            (Value::Text(s), DataType::Bool) => match s.trim().to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "1" => Ok(Value::Bool(true)),
-                "false" | "f" | "no" | "0" => Ok(Value::Bool(false)),
-                _ => Err(EngineError::Evaluation(format!(
-                    "cannot cast '{s}' to BOOL"
-                ))),
-            },
-            (Value::Text(s), DataType::Date) => Date::parse_iso(s).map(Value::Date),
-            (v, DataType::Text) => Ok(Value::Text(v.render())),
-            (v, t) => Err(EngineError::Evaluation(format!(
-                "cannot cast {} to {t}",
-                v.render()
-            ))),
         }
     }
 }
@@ -474,31 +409,6 @@ mod tests {
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
         assert_eq!(h(&Value::Float(0.0)), h(&Value::Float(-0.0)));
         assert_eq!(Value::Int(3), Value::Float(3.0));
-    }
-
-    #[test]
-    fn casts() {
-        assert_eq!(
-            Value::Text("42".into()).cast_to(DataType::Int).unwrap(),
-            Value::Int(42)
-        );
-        assert_eq!(
-            Value::Int(42).cast_to(DataType::Float).unwrap(),
-            Value::Float(42.0)
-        );
-        assert_eq!(
-            Value::Float(2.0).cast_to(DataType::Int).unwrap(),
-            Value::Int(2)
-        );
-        assert!(Value::Float(2.5).cast_to(DataType::Int).is_err());
-        assert!(Value::Text("abc".into()).cast_to(DataType::Int).is_err());
-        assert_eq!(
-            Value::Text("2020-01-02".into())
-                .cast_to(DataType::Date)
-                .unwrap(),
-            Value::Date(Date::new(2020, 1, 2).unwrap())
-        );
-        assert!(Value::Null.cast_to(DataType::Int).unwrap().is_null());
     }
 
     #[test]
