@@ -69,18 +69,11 @@ pub struct ClientStats {
     pub faults: usize,
 }
 
-impl ClientStats {
-    /// Virtual elapsed time in seconds.
-    pub fn virtual_seconds(&self) -> f64 {
-        self.virtual_ms as f64 / 1000.0
-    }
-}
-
 /// Fixed virtual overhead per batch request (network + queueing).
 pub const BATCH_OVERHEAD_MS: u64 = 250;
 
 /// Number of mutex-striped shards in the prompt cache.
-pub const CACHE_SHARDS: usize = 16;
+pub(crate) const CACHE_SHARDS: usize = 16;
 
 /// Accounting for one batch request, returned alongside the completions so
 /// callers (the session scheduler) can compose per-phase virtual time
@@ -462,7 +455,6 @@ pub struct LlmClient {
     /// second lock; [`LlmClient::stats`] folds them into `cache_hits`.
     sub_hits: AtomicUsize,
     stats: Mutex<ClientStats>,
-    cache_enabled: bool,
     parallelism: Parallelism,
     /// Retry/backoff/timeout policy; `None` forwards every fault's
     /// degraded completion downstream untouched (the PR-8 behaviour).
@@ -490,7 +482,6 @@ impl LlmClient {
             sub_entries: SubStore::new(),
             sub_hits: AtomicUsize::new(0),
             stats: Mutex::new(ClientStats::default()),
-            cache_enabled: true,
             parallelism,
             resilience: None,
             breaker: Mutex::new(CircuitBreaker::default()),
@@ -507,19 +498,6 @@ impl LlmClient {
         self
     }
 
-    /// The retry policy in effect, if resilience is on.
-    pub fn resilience(&self) -> Option<RetryPolicy> {
-        self.resilience
-    }
-
-    /// Wraps a model without the prompt cache (every call hits the model).
-    pub fn without_cache(model: Arc<dyn LanguageModel>) -> Self {
-        LlmClient {
-            cache_enabled: false,
-            ..Self::new(model)
-        }
-    }
-
     /// A client whose two stores hash every key to the same value: every
     /// prompt lands in one shard, every key of a column on one chain.
     #[cfg(test)]
@@ -529,16 +507,6 @@ impl LlmClient {
             sub_entries: SubStore::colliding(),
             ..Self::new(model)
         }
-    }
-
-    /// The wrapped model's name.
-    pub fn model_name(&self) -> String {
-        self.model.name().to_string()
-    }
-
-    /// The request-lane count in use.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Completes one prompt (counts as a batch of one).
@@ -568,14 +536,10 @@ impl LlmClient {
         (completion, outcome)
     }
 
-    /// Completes a batch of prompts; one batch overhead is charged and the
-    /// member latencies pack onto the client's request lanes (one lane:
-    /// the provider decodes sequentially per request stream).
-    pub fn complete_batch(&self, prompts: &[String]) -> Vec<Completion> {
-        self.complete_batch_outcome(prompts).completions
-    }
-
-    /// Completes a batch of prompts, returning full accounting.
+    /// Completes a batch of prompts, returning full accounting: one batch
+    /// overhead is charged and the member latencies pack onto the client's
+    /// request lanes (one lane: the provider decodes sequentially per
+    /// request stream).
     pub fn complete_batch_outcome(&self, prompts: &[String]) -> BatchOutcome {
         let mut completions = Vec::with_capacity(prompts.len());
         let mut miss_latencies = Vec::new();
@@ -610,10 +574,6 @@ impl LlmClient {
     /// is walked by exactly one thread, so fault schedules stay
     /// deterministic under lanes.
     fn lookup_or_complete(&self, prompt: &str) -> (Completion, bool, FaultCounters) {
-        if !self.cache_enabled {
-            let (completion, counters) = self.call_model(prompt);
-            return (completion, false, counters);
-        }
         enum Found {
             Ready(Completion),
             Wait(Arc<InFlight>),
@@ -812,16 +772,13 @@ impl LlmClient {
     /// [`SubLookup::InFlight`], which *also* counts as a cache hit — hits
     /// are a function of how often each cell is asked, never of which
     /// thread's store landed first — but obliges the caller to produce the
-    /// answer itself. Always misses when the cache is disabled.
+    /// answer itself.
     pub fn extract_in<R>(
         &self,
         column: &SubColumn,
         key: &str,
         read: impl FnOnce(&str) -> R,
     ) -> SubLookup<R> {
-        if !self.cache_enabled {
-            return SubLookup::Miss;
-        }
         self.count_sub_hit(column.extract(key, read))
     }
 
@@ -835,7 +792,7 @@ impl LlmClient {
     /// poison the sub-entry store for later queries (the in-flight marker
     /// is left in place, so by-signature hit accounting is unaffected).
     pub fn store_in(&self, column: &SubColumn, key: &str, answer: &str) {
-        if self.cache_enabled && !crate::faults::is_fault_text(answer) {
+        if !crate::faults::is_fault_text(answer) {
             column.store(key, answer);
         }
     }
@@ -845,16 +802,13 @@ impl LlmClient {
     /// when it has none), the key is the rest, and the answer is copied
     /// out. A cell is the pair `(prefix, key)`, not their concatenation.
     pub fn extract_sub_entry(&self, sig: &str) -> SubEntryLookup {
-        if !self.cache_enabled {
-            return SubLookup::Miss;
-        }
         self.count_sub_hit(self.sub_entries.extract(sig, str::to_string))
     }
 
     /// [`LlmClient::store_in`] by whole signature, split as
     /// [`LlmClient::extract_sub_entry`] splits it.
     pub fn store_sub_entry(&self, sig: &str, answer: &str) {
-        if self.cache_enabled && !crate::faults::is_fault_text(answer) {
+        if !crate::faults::is_fault_text(answer) {
             self.sub_entries.store(sig, answer);
         }
     }
@@ -1050,13 +1004,6 @@ impl KeyUniverseStore {
     pub fn is_empty(&self) -> bool {
         self.inner.lock().entries.is_empty()
     }
-
-    /// Drops every stored universe.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.warm.clear();
-    }
 }
 
 #[cfg(test)]
@@ -1083,22 +1030,10 @@ mod tests {
     }
 
     #[test]
-    fn without_cache_every_call_counts() {
-        let c = LlmClient::without_cache(Arc::new(FixedResponder {
-            model_name: "fixed".into(),
-            response: "ok".into(),
-        }));
-        c.complete("hello");
-        c.complete("hello");
-        assert_eq!(c.stats().prompts, 2);
-        assert_eq!(c.stats().cache_hits, 0);
-    }
-
-    #[test]
     fn batch_charges_one_overhead() {
         let c = client();
         let prompts: Vec<String> = (0..10).map(|i| format!("p{i}")).collect();
-        c.complete_batch(&prompts);
+        c.complete_batch_outcome(&prompts);
         let s = c.stats();
         assert_eq!(s.batches, 1);
         assert_eq!(s.prompts, 10);
@@ -1204,22 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_entries_disabled_without_cache() {
-        let c = LlmClient::without_cache(Arc::new(FixedResponder {
-            model_name: "fixed".into(),
-            response: "ok".into(),
-        }));
-        c.store_sub_entry("sig", "value");
-        assert_eq!(c.extract_sub_entry("sig"), SubEntryLookup::Miss);
-        let column = c.sub_column("fetch\u{1f}");
-        c.store_in(&column, "Rome", "value");
-        for _ in 0..2 {
-            assert_eq!(c.extract_in(&column, "Rome", str::len), SubLookup::Miss);
-        }
-        assert_eq!(c.stats().cache_hits, 0);
-    }
-
-    #[test]
     fn key_universe_store_reads_publishes_and_invalidates() {
         let store = KeyUniverseStore::new();
         assert!(store.is_empty());
@@ -1290,20 +1209,9 @@ mod tests {
         let second = store.warm_map("sig-a");
         assert_eq!((first.len(), second.len()), (1, 2));
         assert_eq!(second.get("country").copied(), Some(2));
-        // Invalidate-on-read and clear drop it too.
+        // Invalidate-on-read drops it too.
         assert_eq!(store.read("city", "sig-b"), None);
         assert_eq!(store.warm_map("sig-a").len(), 1);
-        store.clear();
-        assert!(store.warm_map("sig-a").is_empty());
-    }
-
-    #[test]
-    fn virtual_seconds() {
-        let s = ClientStats {
-            virtual_ms: 1500,
-            ..Default::default()
-        };
-        assert!((s.virtual_seconds() - 1.5).abs() < 1e-9);
     }
 
     /// A model that records how many times it was actually invoked.
@@ -1528,7 +1436,7 @@ mod tests {
             }
             c.complete("a");
             c.complete("a");
-            c.complete_batch(&["a".to_string(), "b".to_string()]);
+            c.complete_batch_outcome(&["a".to_string(), "b".to_string()]);
             c.stats()
         };
         assert_eq!(run(false), run(true));

@@ -29,15 +29,15 @@ use std::sync::Arc;
 /// un-answer-like (no `key: value` shape, no yes/no prefix) so every
 /// existing parser already rejects it; [`is_fault_text`] lets the session
 /// recognise it outright and degrade gracefully instead of mis-reading it.
-pub const FAULT_MARKER: &str = "\u{26a1}fault";
+pub(crate) const FAULT_MARKER: &str = "\u{26a1}fault";
 
 /// Renders the degraded completion text for a fault kind.
-pub fn fault_text(kind: FaultKind) -> String {
+pub(crate) fn fault_text(kind: FaultKind) -> String {
     format!("{FAULT_MARKER}:{kind}")
 }
 
 /// True when a completion's text is a degraded fault marker (see
-/// [`FAULT_MARKER`]). Truncated-answer faults carry corrupted *answer*
+/// `FAULT_MARKER`). Truncated-answer faults carry corrupted *answer*
 /// text instead and are not detectable this way — by design: a garbled
 /// answer looks like a garbled answer, and must survive the parsing
 /// gauntlet on its own.
@@ -160,11 +160,6 @@ impl FaultyLlm {
             profile,
             attempts: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The fault schedule in use.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
     }
 
     /// Builds the degraded completion of one failed attempt.

@@ -64,7 +64,7 @@ impl PromptValue {
     }
 
     /// The text payload, if textual.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             PromptValue::Text(s) => Some(s),
             PromptValue::Number(_) => None,
@@ -72,7 +72,7 @@ impl PromptValue {
     }
 
     /// The numeric payload, if numeric.
-    pub fn as_number(&self) -> Option<f64> {
+    pub(crate) fn as_number(&self) -> Option<f64> {
         match self {
             PromptValue::Number(n) => Some(*n),
             PromptValue::Text(_) => None,
@@ -156,7 +156,7 @@ impl Condition {
 
     /// Parses an operator phrase; the returned condition has an empty
     /// attribute.
-    pub fn parse_phrase(phrase: &str) -> Option<Condition> {
+    pub(crate) fn parse_phrase(phrase: &str) -> Option<Condition> {
         let phrase = phrase.trim().trim_end_matches(['?', '.']);
         let mk = |op, values| {
             Some(Condition {
@@ -468,7 +468,7 @@ const FILTER_BATCH_MARKER: &str = "Answer with exactly one line per key, \
 /// occurs in schema attribute names or generated keys, so the line prefix
 /// `"{key} ⌁ {attr}: "` is unambiguous even when attribute names collide
 /// with key names or either side contains `:`.
-pub const GRID_SEP: &str = " \u{2301} ";
+pub(crate) const GRID_SEP: &str = " \u{2301} ";
 
 /// Instruction sentence of a grid-fused fetch prompt.
 const FETCH_GRID_MARKER: &str = "Answer with exactly one line per key and attribute, \
@@ -545,7 +545,7 @@ pub fn split_batched_answer(answer: &str, keys: &[String]) -> Vec<Option<String>
 
 /// Renders per-key payloads as the `key: payload` answer lines of a
 /// batched prompt — the inverse of [`split_batched_answer`].
-pub fn render_batched_answer<'a, I>(pairs: I) -> String
+pub(crate) fn render_batched_answer<'a, I>(pairs: I) -> String
 where
     I: IntoIterator<Item = (&'a str, &'a str)>,
 {
@@ -616,7 +616,7 @@ pub fn split_grid_answer(
 
 /// Renders per-cell payloads as the `key ⌁ attr: payload` answer lines of
 /// a grid-fused prompt — the inverse of [`split_grid_answer`].
-pub fn render_grid_answer<'a, I>(cells: I) -> String
+pub(crate) fn render_grid_answer<'a, I>(cells: I) -> String
 where
     I: IntoIterator<Item = (&'a str, &'a str, &'a str)>,
 {
@@ -642,7 +642,7 @@ where
 /// prompt carries one. Anchored to line starts — a `Q: ` in the middle of
 /// a line (a question mentioning a key like `FAQ: basics`, or a batched
 /// key list containing one) is content, not a marker.
-pub fn question_start(prompt: &str) -> Option<usize> {
+pub(crate) fn question_start(prompt: &str) -> Option<usize> {
     match prompt.rfind("\nQ: ") {
         Some(i) => Some(i + 1),
         None => prompt.starts_with("Q: ").then_some(0),
@@ -691,7 +691,7 @@ pub enum ParseOutcome {
 
 impl ParseOutcome {
     /// The decoded task, if the prompt was well-formed.
-    pub fn intent(self) -> Option<TaskIntent> {
+    pub(crate) fn intent(self) -> Option<TaskIntent> {
         match self {
             ParseOutcome::Parsed(t) => Some(t),
             _ => None,

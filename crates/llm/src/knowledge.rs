@@ -201,7 +201,7 @@ impl KnowledgeStore {
     }
 
     /// The entity with this id.
-    pub fn entity(&self, id: EntityId) -> &Entity {
+    pub(crate) fn entity(&self, id: EntityId) -> &Entity {
         &self.entities[id.0 as usize]
     }
 
@@ -241,13 +241,6 @@ impl KnowledgeStore {
         self.index().rank[id.0 as usize] as usize
     }
 
-    /// All entity types present.
-    pub fn entity_types(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.index().by_type.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Resolves a surface form (name or alias) of a given type.
     pub fn resolve(&self, entity_type: &str, surface: &str) -> Option<EntityId> {
         self.by_name
@@ -262,16 +255,6 @@ impl KnowledgeStore {
     pub fn fact(&self, subject: EntityId, predicate: &str) -> Option<&FactValue> {
         self.facts
             .get(&(subject, self.canonical_predicate(predicate)))
-    }
-
-    /// Number of entities.
-    pub fn entity_count(&self) -> usize {
-        self.entities.len()
-    }
-
-    /// Number of facts.
-    pub fn fact_count(&self) -> usize {
-        self.facts.len()
     }
 }
 
@@ -329,7 +312,7 @@ mod tests {
     /// the type's ids in insertion order, stably sorted by popularity
     /// descending, then name.
     fn sorted_by_hand(kb: &KnowledgeStore, ty: &str) -> Vec<EntityId> {
-        let mut v: Vec<&Entity> = (0..kb.entity_count())
+        let mut v: Vec<&Entity> = (0..kb.entities.len())
             .map(|i| kb.entity(EntityId(i as u32)))
             .filter(|e| e.entity_type == ty)
             .collect();
@@ -424,14 +407,13 @@ mod tests {
         assert_eq!(kb.holders("city", "elevation"), [milan]);
         kb.add_fact(milan, "population", FactValue::Number(1.4e6));
         assert_eq!(kb.holders("city", "population")[0], milan);
-        assert_eq!(kb.entity_types(), ["city", "country", "volcano"]);
+        assert_eq!(kb.ids_of_type("volcano").len(), 1);
     }
 
     #[test]
     fn unknown_type_is_empty() {
         let kb = store();
         assert!(kb.entities_of_type("volcano").is_empty());
-        assert_eq!(kb.entity_types(), vec!["city", "country"]);
     }
 
     #[test]

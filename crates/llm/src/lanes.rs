@@ -19,7 +19,6 @@
 //! model is "each scheduling point sees `K`-way concurrency", not a
 //! single global pool of `K` connections.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -50,11 +49,6 @@ impl Parallelism {
     pub fn get(self) -> usize {
         self.0
     }
-
-    /// True for the single-lane (paper-faithful, sequential) setting.
-    pub fn is_sequential(self) -> bool {
-        self.0 == 1
-    }
 }
 
 impl Default for Parallelism {
@@ -75,14 +69,6 @@ impl fmt::Display for Parallelism {
     }
 }
 
-/// Lane count at which [`lane_schedule`] switches from the per-item
-/// min-scan to the binary heap. Below it a linear scan over the lane
-/// loads stays within a couple of cache lines and beats the heap's
-/// pointer shuffling; at and above it the heap's `O(log K)` lookup wins
-/// (measured crossover ≈ 32 on 10k-item waves — see the `lanes` criterion
-/// bench).
-const HEAP_LANES_MIN: usize = 32;
-
 /// Greedy multi-lane makespan.
 ///
 /// Durations are assigned in submission order, each to the currently
@@ -91,83 +77,17 @@ const HEAP_LANES_MIN: usize = 32;
 /// With one lane this is exactly the sum of the durations — the
 /// pre-scheduler accounting.
 ///
-/// Semantically this is [`EventClock`] with every release time at zero: a
-/// wave is the degenerate pipeline in which all work is ready at once.
-/// Wide waves delegate to exactly that (heap-backed, `O(n log K)`);
-/// narrow ones keep the `O(n·K)` min-scan, which is faster below 32
-/// lanes (the measured crossover, `HEAP_LANES_MIN`). Both paths make the
-/// same assignments with the same tie-breaks — bit-identical makespans.
-///
-/// The per-lane load vector and the heap are thread-local scratch buffers
-/// reused across calls, so the per-wave accounting the client and session
-/// do on every batch allocates nothing in steady state. Callers holding a
-/// long-lived [`LaneScratch`] can skip the thread-local lookup too.
+/// This is [`EventClock`] with every release time at zero: a wave is the
+/// degenerate pipeline in which all work is ready at once.
 pub fn lane_schedule<I>(durations: I, lanes: usize) -> u64
 where
     I: IntoIterator<Item = u64>,
 {
-    thread_local! {
-        static SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::new());
+    let mut clock = EventClock::new(lanes);
+    for d in durations {
+        clock.schedule(0, d);
     }
-    SCRATCH.with(|s| s.borrow_mut().lane_schedule(durations, lanes))
-}
-
-/// Reusable scratch buffers for [`lane_schedule`]: the per-lane load
-/// vector of the min-scan path and the `(free_at, lane)` heap of the wide
-/// path, both retained across calls so repeated wave accounting allocates
-/// nothing in steady state. (The free function reuses a thread-local
-/// instance; a long-lived explicit scratch skips even that lookup.)
-///
-/// Both paths make exactly [`lane_schedule`]'s assignments with its
-/// tie-breaks — bit-identical makespans.
-#[derive(Debug, Default)]
-pub struct LaneScratch {
-    load: Vec<u64>,
-    free: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-impl LaneScratch {
-    /// An empty scratch (buffers grow to the first call's lane count and
-    /// stay allocated).
-    pub fn new() -> Self {
-        LaneScratch::default()
-    }
-
-    /// [`lane_schedule`] over this scratch's buffers.
-    pub fn lane_schedule<I>(&mut self, durations: I, lanes: usize) -> u64
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let lanes = lanes.max(1);
-        if lanes == 1 {
-            return durations.into_iter().sum();
-        }
-        if lanes >= HEAP_LANES_MIN {
-            self.free.clear();
-            for i in 0..lanes {
-                self.free.push(Reverse((0, i)));
-            }
-            let mut makespan = 0u64;
-            for d in durations {
-                // The earliest-free lane takes the item in place; the heap
-                // holds one entry per lane, so it is never empty.
-                if let Some(mut top) = self.free.peek_mut() {
-                    let Reverse((free_at, _)) = &mut *top;
-                    *free_at += d;
-                    makespan = makespan.max(*free_at);
-                }
-            }
-            return makespan;
-        }
-        self.load.clear();
-        self.load.resize(lanes, 0);
-        for d in durations {
-            // `lanes ≥ 2` here, so the fallback never applies.
-            let min = (0..lanes).min_by_key(|&i| self.load[i]).unwrap_or(0);
-            self.load[min] += d;
-        }
-        self.load.iter().copied().max().unwrap_or(0)
-    }
+    clock.makespan()
 }
 
 /// Event-driven virtual clock: `K` request lanes serving tasks that become
@@ -212,7 +132,7 @@ impl EventClock {
     }
 
     /// The lane count.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
@@ -255,19 +175,6 @@ impl EventClock {
             .iter()
             .filter(|Reverse((free_at, _))| *free_at <= t)
             .count()
-    }
-
-    /// Resets the clock to `lanes` fresh lanes (clamped to ≥ 1), all free
-    /// at time zero, reusing the heap's allocation. After a reset the
-    /// clock is indistinguishable from `EventClock::new(lanes)`.
-    pub fn reset(&mut self, lanes: usize) {
-        let lanes = lanes.max(1);
-        self.free.clear();
-        for i in 0..lanes {
-            self.free.push(Reverse((0, i)));
-        }
-        self.lanes = lanes;
-        self.makespan = 0;
     }
 }
 
@@ -325,13 +232,8 @@ impl LanePool {
     }
 
     /// The lane count.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.clock.lanes()
-    }
-
-    /// The session count.
-    pub fn sessions(&self) -> usize {
-        self.served.len()
     }
 
     /// Schedules a task of `session` released at `release` with `duration`
@@ -411,7 +313,9 @@ mod tests {
     #[test]
     fn heap_schedule_matches_reference_min_scan() {
         // The pre-heap formulation, kept as the reference: O(lanes)
-        // min-scan per item, first minimal lane wins.
+        // min-scan per item, first minimal lane wins. The lane counts run
+        // from one lane (a plain sum) past 32, about where the heap starts
+        // to beat the min-scan, to 64.
         fn reference(durations: &[u64], lanes: usize) -> u64 {
             let mut load = vec![0u64; lanes];
             for &d in durations {
@@ -432,11 +336,16 @@ mod tests {
                 x % 17
             })
             .collect();
-        for lanes in [2usize, 3, 7, 8, 64] {
+        for lanes in (1..=40).chain([64]) {
             assert_eq!(
                 lane_schedule(durations.iter().copied(), lanes),
                 reference(&durations, lanes),
                 "lanes {lanes}"
+            );
+            assert_eq!(
+                lane_schedule([], lanes),
+                reference(&[], lanes),
+                "empty, lanes {lanes}"
             );
         }
     }
@@ -515,50 +424,9 @@ mod tests {
     #[test]
     fn parallelism_clamps_to_one() {
         assert_eq!(Parallelism::new(0).get(), 1);
-        assert!(Parallelism::default().is_sequential());
+        assert_eq!(Parallelism::default().get(), 1);
         assert_eq!(Parallelism::from(8).get(), 8);
         assert_eq!(Parallelism::new(3).to_string(), "3");
-    }
-
-    #[test]
-    fn scratch_matches_the_free_function_across_reuse() {
-        // One scratch reused across differing lane counts (including the
-        // heap path) must stay bit-identical with fresh-state calls.
-        let mut x = 0xdeadbeefcafef00du64;
-        let durations: Vec<u64> = (0..500)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x % 23
-            })
-            .collect();
-        let mut scratch = LaneScratch::new();
-        for &lanes in &[1usize, 2, 8, 64, 3, 32, 1, 100] {
-            assert_eq!(
-                scratch.lane_schedule(durations.iter().copied(), lanes),
-                lane_schedule(durations.iter().copied(), lanes),
-                "lanes {lanes}"
-            );
-        }
-    }
-
-    #[test]
-    fn event_clock_reset_is_a_fresh_clock() {
-        let mut clock = EventClock::new(2);
-        clock.schedule(0, 10);
-        clock.schedule(0, 7);
-        clock.reset(3);
-        assert_eq!(clock.lanes(), 3);
-        assert_eq!(clock.makespan(), 0);
-        assert_eq!(clock.idle_lanes(0), 3);
-        // Same schedule as a new clock, including tie-breaks.
-        let mut fresh = EventClock::new(3);
-        for &(r, d) in &[(0u64, 5u64), (0, 5), (0, 5), (2, 4), (0, 1)] {
-            assert_eq!(clock.schedule(r, d), fresh.schedule(r, d));
-        }
-        clock.reset(0);
-        assert_eq!(clock.lanes(), 1);
     }
 
     #[test]
@@ -573,7 +441,7 @@ mod tests {
         assert_eq!(pool.makespan(), clock.makespan());
         assert_eq!(pool.served_ms(0), tasks.iter().map(|&(_, d)| d).sum());
         assert_eq!(pool.lanes(), 4);
-        assert_eq!(pool.sessions(), 1);
+        assert_eq!(pool.served.len(), 1);
     }
 
     #[test]
@@ -590,7 +458,7 @@ mod tests {
         // 17 busy ms over 2 lanes × makespan.
         let expect = 17.0 / (2.0 * pool.makespan() as f64);
         assert!((pool.utilisation() - expect).abs() < 1e-12);
-        assert_eq!(LanePool::new(8, 0).sessions(), 1);
+        assert_eq!(LanePool::new(8, 0).served.len(), 1);
         assert_eq!(LanePool::new(8, 2).utilisation(), 0.0);
     }
 

@@ -7,8 +7,8 @@
 //! The paper queries OpenAI GPT-3 / ChatGPT and local Flan-T5 /
 //! Tk-Instruct models. Offline, this crate substitutes a deterministic
 //! simulator with the same *interface* (text in, text out — see
-//! [`model::LanguageModel`]) and the same *failure modes*, each dialled by
-//! a [`profiles::ModelProfile`]:
+//! [`LanguageModel`]) and the same *failure modes*, each dialled by
+//! a [`ModelProfile`]:
 //!
 //! * popularity-biased recall (missing result rows, Table 1),
 //! * hallucinated entities and fabricated values,
@@ -24,35 +24,35 @@
 //! ARCHITECTURE.md's "Crate ↔ paper map" (`crates/llm` — §5 models,
 //! offline substitution) names the module behind each substitution.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod client;
-pub mod columns;
+mod client;
+mod columns;
 pub mod faults;
 pub mod intent;
-pub mod knowledge;
-pub mod lanes;
-pub mod model;
+mod knowledge;
+mod lanes;
+mod model;
 pub mod nlq;
 pub mod noise;
-pub mod profiles;
-pub mod qa;
-pub mod resilience;
-pub mod simllm;
+mod profiles;
+mod qa;
+mod resilience;
+mod simllm;
 pub mod tokenizer;
 
 pub use client::{
     BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LlmClient, SubEntryLookup,
-    BATCH_OVERHEAD_MS, CACHE_SHARDS,
+    BATCH_OVERHEAD_MS,
 };
 pub use columns::{SubColumn, SubLookup};
 pub use faults::{FaultProfile, FaultyLlm};
 pub use intent::{CmpOp, Condition, PromptValue, TaskIntent};
-pub use knowledge::{Entity, EntityId, FactValue, KnowledgeStore};
-pub use lanes::{lane_schedule, EventClock, FairShare, LanePool, LaneScratch, Parallelism};
+pub use knowledge::{Entity, FactValue, KnowledgeStore};
+pub use lanes::{lane_schedule, EventClock, FairShare, LanePool, Parallelism};
 pub use model::{Completion, Fault, FaultKind, FixedResponder, LanguageModel, Usage};
 pub use nlq::{AggIntent, AggKind, JoinIntent, QueryIntent};
 pub use profiles::ModelProfile;
-pub use resilience::{CircuitBreaker, RetryPolicy};
+pub use resilience::RetryPolicy;
 pub use simllm::SimLlm;

@@ -16,13 +16,6 @@ pub struct Usage {
     pub completion_tokens: usize,
 }
 
-impl Usage {
-    /// Total tokens (prompt + completion).
-    pub fn total(&self) -> usize {
-        self.prompt_tokens + self.completion_tokens
-    }
-}
-
 /// The result of one model call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
@@ -152,15 +145,6 @@ impl LanguageModel for FixedResponder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn usage_total() {
-        let u = Usage {
-            prompt_tokens: 10,
-            completion_tokens: 5,
-        };
-        assert_eq!(u.total(), 15);
-    }
 
     #[test]
     fn fixed_responder_echoes() {

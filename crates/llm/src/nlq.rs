@@ -29,7 +29,7 @@ pub enum AggKind {
 
 impl AggKind {
     /// The English noun used in templates.
-    pub fn word(&self) -> &'static str {
+    pub(crate) fn word(&self) -> &'static str {
         match self {
             AggKind::Count => "number",
             AggKind::Sum => "total",
@@ -40,7 +40,7 @@ impl AggKind {
     }
 
     /// Parses the English noun.
-    pub fn from_word(w: &str) -> Option<AggKind> {
+    pub(crate) fn from_word(w: &str) -> Option<AggKind> {
         Some(match w {
             "number" => AggKind::Count,
             "total" => AggKind::Sum,

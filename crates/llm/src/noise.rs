@@ -150,7 +150,7 @@ fn thousands(v: f64) -> String {
 
 /// How a date is rendered in answer text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DateStyle {
+pub(crate) enum DateStyle {
     /// `1961-05-08`
     Iso,
     /// `05/08/1961`
@@ -175,7 +175,7 @@ const MONTHS: [&str; 12] = [
 ];
 
 /// Renders a date in the given style.
-pub fn render_date(year: i32, month: u8, day: u8, style: DateStyle) -> String {
+pub(crate) fn render_date(year: i32, month: u8, day: u8, style: DateStyle) -> String {
     match style {
         DateStyle::Iso => format!("{year:04}-{month:02}-{day:02}"),
         DateStyle::Us => format!("{month:02}/{day:02}/{year:04}"),
@@ -187,7 +187,7 @@ pub fn render_date(year: i32, month: u8, day: u8, style: DateStyle) -> String {
 }
 
 /// Picks a number style with `noise` probability of a non-plain format.
-pub fn pick_number_style(rng: &mut StdRng, noise: f64) -> NumberStyle {
+pub(crate) fn pick_number_style(rng: &mut StdRng, noise: f64) -> NumberStyle {
     if rng.gen::<f64>() >= noise {
         return NumberStyle::Plain;
     }
@@ -200,7 +200,7 @@ pub fn pick_number_style(rng: &mut StdRng, noise: f64) -> NumberStyle {
 }
 
 /// Picks a date style with `noise` probability of a non-ISO format.
-pub fn pick_date_style(rng: &mut StdRng, noise: f64) -> DateStyle {
+pub(crate) fn pick_date_style(rng: &mut StdRng, noise: f64) -> DateStyle {
     if rng.gen::<f64>() >= noise {
         DateStyle::Iso
     } else if rng.gen::<bool>() {
@@ -213,7 +213,7 @@ pub fn pick_date_style(rng: &mut StdRng, noise: f64) -> DateStyle {
 /// Multiplicatively perturbs a numeric value by up to `rel_err` (uniform).
 /// Integral inputs stay integral, matching how models misremember rounded
 /// figures rather than produce fractional populations.
-pub fn perturb_number(v: f64, rel_err: f64, rng: &mut StdRng) -> f64 {
+pub(crate) fn perturb_number(v: f64, rel_err: f64, rng: &mut StdRng) -> f64 {
     if rel_err <= 0.0 || v == 0.0 {
         return v;
     }
@@ -229,7 +229,7 @@ pub fn perturb_number(v: f64, rel_err: f64, rng: &mut StdRng) -> f64 {
 /// Shifts a date by up to `max_days` days in either direction via its
 /// year/month/day parts (approximate calendar arithmetic is fine: the
 /// result only needs to be a *different valid-looking* date).
-pub fn perturb_date(
+pub(crate) fn perturb_date(
     year: i32,
     month: u8,
     day: u8,
@@ -263,7 +263,7 @@ pub fn perturb_date(
 }
 
 /// Generates a plausible-but-fake entity name (hallucination channel).
-pub fn fake_name(rng: &mut StdRng) -> String {
+pub(crate) fn fake_name(rng: &mut StdRng) -> String {
     const STARTS: [&str; 10] = [
         "Bel", "Mar", "Tor", "Kal", "Ver", "San", "Nor", "Lan", "Gro", "Por",
     ];
@@ -280,7 +280,7 @@ pub fn fake_name(rng: &mut StdRng) -> String {
 }
 
 /// Renders a fact value with the given noise dials.
-pub fn render_fact(
+pub(crate) fn render_fact(
     value: &FactValue,
     rng: &mut StdRng,
     format_noise: f64,

@@ -80,7 +80,7 @@ pub struct ModelProfile {
 
 impl ModelProfile {
     /// Recall probability for an entity of the given popularity in [0, 1].
-    pub fn recall_probability(&self, popularity: f64) -> f64 {
+    pub(crate) fn recall_probability(&self, popularity: f64) -> f64 {
         let p = popularity.clamp(0.0, 1.0);
         (self.recall_floor + (self.recall_top - self.recall_floor) * p).clamp(0.0, 1.0)
     }

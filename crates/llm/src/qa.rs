@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Answers a parsed NL question as free text.
-pub fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str) -> String {
+pub(crate) fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str) -> String {
     let ty = model.relation_type(&q.relation);
     let kb = model.knowledge();
     let ids = kb.ids_of_type(&ty);

@@ -61,7 +61,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Virtual backoff before retry `retry` (0-based) of `prompt`:
     /// exponential with ceiling, plus deterministic jitter.
-    pub fn backoff_ms(&self, prompt: &str, retry: u32) -> u64 {
+    pub(crate) fn backoff_ms(&self, prompt: &str, retry: u32) -> u64 {
         let mut base = self.base_backoff_ms;
         for _ in 0..retry {
             base = base.saturating_mul(self.multiplier.max(1));
@@ -88,7 +88,7 @@ impl RetryPolicy {
 /// request after that is the half-open probe — success closes the
 /// breaker, another exhaustion re-opens it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CircuitBreaker {
+pub(crate) enum CircuitBreaker {
     /// Normal operation, counting consecutive retry-exhausted prompts.
     Closed {
         /// Retry-exhausted prompts seen in a row.
@@ -115,7 +115,7 @@ impl CircuitBreaker {
     /// Admission check, advanced *before* a request runs. Returns `false`
     /// when the request must fail fast (breaker open, cooldown not yet
     /// spent).
-    pub fn admit(&mut self, policy: &RetryPolicy) -> bool {
+    pub(crate) fn admit(&mut self, policy: &RetryPolicy) -> bool {
         match *self {
             CircuitBreaker::Closed { .. } | CircuitBreaker::HalfOpen => true,
             CircuitBreaker::Open { remaining } => {
@@ -135,14 +135,14 @@ impl CircuitBreaker {
 
     /// Records a request that produced a clean answer (possibly after
     /// retries): closes the breaker and resets the failure streak.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         *self = CircuitBreaker::default();
     }
 
     /// Records a retry-exhausted request: grows the failure streak and
     /// trips the breaker at the policy threshold; an exhausted half-open
     /// probe re-opens immediately.
-    pub fn record_exhaustion(&mut self, policy: &RetryPolicy) {
+    pub(crate) fn record_exhaustion(&mut self, policy: &RetryPolicy) {
         match *self {
             CircuitBreaker::Closed {
                 consecutive_failures,
@@ -165,11 +165,6 @@ impl CircuitBreaker {
             }
             CircuitBreaker::Open { .. } => {}
         }
-    }
-
-    /// True while the breaker is open (fast-failing).
-    pub fn is_open(&self) -> bool {
-        matches!(self, CircuitBreaker::Open { .. })
     }
 }
 
@@ -208,10 +203,13 @@ mod tests {
         let mut b = CircuitBreaker::default();
         assert!(b.admit(&policy));
         b.record_exhaustion(&policy);
-        assert!(!b.is_open());
+        assert!(!matches!(b, CircuitBreaker::Open { .. }));
         assert!(b.admit(&policy));
         b.record_exhaustion(&policy);
-        assert!(b.is_open(), "threshold 2 reached");
+        assert!(
+            matches!(b, CircuitBreaker::Open { .. }),
+            "threshold 2 reached"
+        );
         // Cooldown: 3 fast-fails.
         for _ in 0..3 {
             assert!(!b.admit(&policy));
@@ -233,11 +231,14 @@ mod tests {
         let mut b = CircuitBreaker::default();
         assert!(b.admit(&policy));
         b.record_exhaustion(&policy);
-        assert!(b.is_open());
+        assert!(matches!(b, CircuitBreaker::Open { .. }));
         assert!(!b.admit(&policy));
         assert!(b.admit(&policy)); // probe
         b.record_exhaustion(&policy);
-        assert!(b.is_open(), "failed probe re-opens");
+        assert!(
+            matches!(b, CircuitBreaker::Open { .. }),
+            "failed probe re-opens"
+        );
     }
 
     #[test]
@@ -250,6 +251,9 @@ mod tests {
         b.record_exhaustion(&policy);
         b.record_success();
         b.record_exhaustion(&policy);
-        assert!(!b.is_open(), "streak was reset in between");
+        assert!(
+            !matches!(b, CircuitBreaker::Open { .. }),
+            "streak was reset in between"
+        );
     }
 }

@@ -103,12 +103,12 @@ impl SimLlm {
     }
 
     /// The profile in use.
-    pub fn profile(&self) -> &ModelProfile {
+    pub(crate) fn profile(&self) -> &ModelProfile {
         &self.profile
     }
 
     /// The underlying knowledge store.
-    pub fn knowledge(&self) -> &KnowledgeStore {
+    pub(crate) fn knowledge(&self) -> &KnowledgeStore {
         &self.kb
     }
 
@@ -141,7 +141,7 @@ impl SimLlm {
     }
 
     /// Does the model recall this entity at all? Stable belief.
-    pub fn recalls(&self, e: &Entity) -> bool {
+    pub(crate) fn recalls(&self, e: &Entity) -> bool {
         self.chance(
             self.profile.recall_probability(e.popularity),
             &["recall", &e.entity_type, &e.name],
@@ -150,7 +150,7 @@ impl SimLlm {
 
     /// The value the model *believes* for `(entity, attribute)`:
     /// `None` = the model would answer "Unknown".
-    pub fn perceived_fact(&self, e: &Entity, attribute: &str) -> Option<FactValue> {
+    pub(crate) fn perceived_fact(&self, e: &Entity, attribute: &str) -> Option<FactValue> {
         let ty = e.entity_type.clone();
         // An entity's "name" is its identity, not a stored fact: asked for
         // the name of something it recalls, the model simply says the name.
@@ -236,7 +236,12 @@ impl SimLlm {
     ///   *last* alias slot being the ground-truth-canonical form and
     ///   `code_drift` the probability a context settles on a different
     ///   standard — the paper's "IT" vs "ITA" join failure.
-    pub fn entity_surface(&self, target: &Entity, context_type: &str, attribute: &str) -> String {
+    pub(crate) fn entity_surface(
+        &self,
+        target: &Entity,
+        context_type: &str,
+        attribute: &str,
+    ) -> String {
         if target.aliases.is_empty() {
             return target.name.clone();
         }
@@ -276,7 +281,7 @@ impl SimLlm {
 
     /// Evaluates a condition against the model's *beliefs* about `e`.
     /// `None` means the model cannot tell (missing value).
-    pub fn condition_holds(&self, e: &Entity, cond: &Condition) -> Option<bool> {
+    pub(crate) fn condition_holds(&self, e: &Entity, cond: &Condition) -> Option<bool> {
         let perceived = self.perceived_fact(e, &cond.attribute);
         match cond.op {
             CmpOp::IsNull => return Some(perceived.is_none()),
@@ -341,7 +346,7 @@ impl SimLlm {
     }
 
     /// The plain text the model associates with a fact (canonical form).
-    pub fn fact_text(&self, v: &FactValue) -> String {
+    pub(crate) fn fact_text(&self, v: &FactValue) -> String {
         match v {
             FactValue::Text(s) => s.clone(),
             FactValue::Number(n) => noise::render_number(*n, noise::NumberStyle::Plain),
@@ -354,7 +359,7 @@ impl SimLlm {
 
     /// Renders a believed fact as answer text, applying format noise and
     /// surface-form conventions.
-    pub fn render_value(
+    pub(crate) fn render_value(
         &self,
         v: &FactValue,
         context_type: &str,
@@ -560,7 +565,7 @@ impl SimLlm {
     }
 
     /// The entity type a prompt-level relation name denotes.
-    pub fn relation_type(&self, relation: &str) -> String {
+    pub(crate) fn relation_type(&self, relation: &str) -> String {
         self.kb.canonical_predicate(relation)
     }
 
@@ -773,7 +778,7 @@ fn preamble(prompt: &str) -> &str {
 
 /// Numeric view of a fact (dates expose their year — models routinely
 /// answer "what year" questions from dates).
-pub fn fact_number(v: &FactValue) -> Option<f64> {
+pub(crate) fn fact_number(v: &FactValue) -> Option<f64> {
     match v {
         FactValue::Number(n) => Some(*n),
         FactValue::Date { year, .. } => Some(f64::from(*year)),
@@ -783,7 +788,7 @@ pub fn fact_number(v: &FactValue) -> Option<f64> {
 
 /// Case-insensitive `%`/`_` pattern match — deliberately sloppier than SQL
 /// LIKE, because the model is matching words, not bytes.
-pub fn sloppy_like(s: &str, pattern: &str) -> bool {
+pub(crate) fn sloppy_like(s: &str, pattern: &str) -> bool {
     let s: Vec<char> = s.to_lowercase().chars().collect();
     let p: Vec<char> = pattern.to_lowercase().chars().collect();
     let (mut si, mut pi) = (0usize, 0usize);

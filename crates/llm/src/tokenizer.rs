@@ -5,7 +5,7 @@
 //! split every four characters — which is within ~20% of GPT-style BPE
 //! counts on English prose and is deterministic and dependency-free.
 //!
-//! There is one walk over the text, [`truncate_tokens`]: it finds where a
+//! There is one walk over the text, `truncate_tokens`: it finds where a
 //! token budget cuts the text *and* how many tokens the kept head holds, so
 //! a model that truncates to its context window and then bills the prompt
 //! reads the prompt's bytes once. [`count_tokens`] is that walk with no
@@ -49,7 +49,7 @@ const PIECE_CHARS: usize = 4;
 /// Truncates `text` to at most `max_tokens` tokens, preserving the head,
 /// and counts the tokens of what is kept — in one pass. The text comes
 /// back unchanged (trailing whitespace included) when it fits.
-pub fn truncate_tokens(text: &str, max_tokens: usize) -> (&str, usize) {
+pub(crate) fn truncate_tokens(text: &str, max_tokens: usize) -> (&str, usize) {
     let bytes = text.as_bytes();
     let mut tokens = 0usize;
     // Characters of the word run so far, zero outside one.
