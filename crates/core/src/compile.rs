@@ -66,7 +66,7 @@ pub struct LlmScanStep {
 
 impl LlmScanStep {
     /// Full column list of the relation, in stored order.
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.temp_schema.columns
     }
 
@@ -78,7 +78,7 @@ impl LlmScanStep {
     ///
     /// Fields are joined with the ASCII unit separator so concatenation
     /// cannot alias two different steps.
-    pub fn concept_signature(&self) -> String {
+    pub(crate) fn concept_signature(&self) -> String {
         concept_signature_for(
             &self.table,
             &self.key_attr,
@@ -92,7 +92,7 @@ impl LlmScanStep {
 }
 
 /// Builds a key-universe concept signature from raw parts — the same
-/// string [`LlmScanStep::concept_signature`] produces. Exposed so tests
+/// string `LlmScanStep::concept_signature` produces. Exposed so tests
 /// and tooling can look up a stored universe from a parsed `ListKeys`
 /// prompt (relation, key attribute, rendered condition) without
 /// compiling a query first.
@@ -378,7 +378,7 @@ fn and_all(mut conjuncts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
 
 /// Translates a resolved conjunct over one binding into a prompt-protocol
 /// condition, when its shape allows (column vs literal(s)).
-pub fn expr_to_condition(expr: &ScalarExpr, binding: &str) -> Option<Condition> {
+pub(crate) fn expr_to_condition(expr: &ScalarExpr, binding: &str) -> Option<Condition> {
     let col_of = |e: &ScalarExpr| -> Option<String> {
         match e {
             ScalarExpr::Column(c)
@@ -517,7 +517,7 @@ pub fn limit_hint(compiled: &CompiledQuery) -> Option<usize> {
 
 /// Renders one retrieval step's header and prompt protocol (the Figure-3
 /// step block of [`crate::plan_choice::PlannedQuery::render`]).
-pub fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
+pub(crate) fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
     out.push_str(&format!(
         "[LLM step {}] scan {} AS {} (key: {})\n",
         index + 1,

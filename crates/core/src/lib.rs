@@ -31,43 +31,41 @@
 //! |---|---|
 //! | [`compile`] | §4 Operators — plan → retrieval steps |
 //! | [`plan_choice`] | §6 Query optimization — cost-based, prompt-aware planner |
-//! | [`physical`] | the physical plan: each retrieval decision of a statement |
+//! | `physical` | the physical plan: each retrieval decision of a statement |
 //! | [`prompts`] | §4 Prompts, Figure 4 |
 //! | [`parse`] | §4 workflow (3): answers → CELL values |
 //! | [`clean`] | §4 workflow (3): normalisation + domain constraints |
-//! | [`session`] | §4 workflow (1)–(4), §5 prompt accounting: options, stats, the one retrieval protocol and its barrier and event drivers |
-//! | [`schedule`] | worker threads for waves of independent units: the session's crew |
-//! | [`multi`] | cross-query scheduling over a shared lane pool |
-//! | [`baselines`] | §5 `T_M` and `T_C_M` |
+//! | `session` | §4 workflow (1)–(4), §5 prompt accounting: options, stats, the one retrieval protocol and its barrier and event drivers |
+//! | `schedule` | worker threads for waves of independent units: the session's crew |
+//! | `multi` | cross-query scheduling over a shared lane pool |
+//! | `baselines` | §5 `T_M` and `T_C_M` |
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod baselines;
+mod baselines;
 pub mod clean;
 pub mod compile;
-pub mod error;
-pub mod multi;
+mod error;
+mod multi;
 pub mod parse;
-pub mod physical;
+mod physical;
 pub mod plan_choice;
 pub mod prompts;
-pub mod schedule;
-pub mod session;
+mod schedule;
+mod session;
 
-pub use baselines::{BaselineKind, BaselineResult, QaBaseline};
+pub use baselines::{BaselineKind, QaBaseline};
 pub use clean::CleaningPolicy;
 pub use compile::{
-    concept_signature_for, limit_hint, CompileOptions, CompiledQuery, DefaultSource, FilterMode,
-    LlmScanStep,
+    concept_signature_for, limit_hint, CompileOptions, DefaultSource, FilterMode, LlmScanStep,
 };
 pub use error::{GaloisError, Result};
 pub use galois_llm::{FairShare, Parallelism, RetryPolicy};
-pub use multi::{run_multi_query, MultiQueryOutcome, MultiQueryReport};
-pub use physical::{PhysicalPlan, Stage, StepPlan};
-pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost};
-pub use schedule::{Crew, Scheduler};
+pub use multi::{run_multi_query, MultiQueryReport};
+pub use plan_choice::{Planner, PlannerParams};
+pub use schedule::Scheduler;
 pub use session::{
     AdmissionPolicy, Galois, GaloisOptions, GaloisResult, ListStore, Pipeline, PromptBatch,
-    QueryStats, Resilience, TypedStats,
+    QueryStats, Resilience,
 };

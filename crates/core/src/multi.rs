@@ -93,7 +93,7 @@ pub struct MultiQueryReport {
 impl MultiQueryReport {
     /// The `p`-th percentile (0.0–1.0) of per-query virtual latency
     /// (`finished − arrival`), by nearest rank over the sorted latencies.
-    pub fn latency_percentile_ms(&self, p: f64) -> u64 {
+    pub(crate) fn latency_percentile_ms(&self, p: f64) -> u64 {
         if self.outcomes.is_empty() {
             return 0;
         }

@@ -59,7 +59,7 @@ pub enum Stage {
 
 impl PhysicalPlan {
     /// The plan `batch` and `pipeline` give `compiled`, every cost zero.
-    pub fn new(compiled: &CompiledQuery, batch: PromptBatch, pipeline: Pipeline) -> Self {
+    pub(crate) fn new(compiled: &CompiledQuery, batch: PromptBatch, pipeline: Pipeline) -> Self {
         let window = limit_hint(compiled).filter(|_| pipeline.stops_at_limit());
         let steps = compiled
             .steps
@@ -80,7 +80,7 @@ impl PhysicalPlan {
 
 /// A step's stages under `batch`: one per filter condition, then one per
 /// fetched column — in grid mode, per group of up to `A` fetched columns.
-pub fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
+pub(crate) fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
     let mut stages: Vec<Stage> = (0..step.filter_conditions.len())
         .map(Stage::Filter)
         .collect();

@@ -21,8 +21,7 @@
 //!   `overhead + miss·latency/lanes`, waves of batches pack onto the
 //!   lanes, and observed [`ClientStats`] calibrate the expected per-prompt
 //!   latency and cache-hit rate. A session freezes this calibration at its
-//!   first planner use (`Galois::recalibrate_planner` re-freezes it), so
-//!   plan choice never depends on which concurrent query's prompts landed
+//!   first planner use, so plan choice never depends on which concurrent query's prompts landed
 //!   first in the shared stats.
 //!
 //! The enumeration space per retrieval step is: leave every condition as a
@@ -70,10 +69,10 @@ use std::sync::Arc;
 
 /// Expected per-prompt model latency (virtual ms) before any observed
 /// [`ClientStats`] are available to calibrate it.
-pub const DEFAULT_PROMPT_LATENCY_MS: f64 = 150.0;
+pub(crate) const DEFAULT_PROMPT_LATENCY_MS: f64 = 150.0;
 
 /// Expected keys returned per key-listing iteration before observation.
-pub const DEFAULT_LIST_PAGE: f64 = 15.0;
+pub(crate) const DEFAULT_LIST_PAGE: f64 = 15.0;
 
 /// Fraction of a single prompt's latency attributed to decoding its answer
 /// tokens — the *marginal* cost of each extra key folded into a multi-key
@@ -81,7 +80,7 @@ pub const DEFAULT_LIST_PAGE: f64 = 15.0;
 /// paid once per prompt regardless of how many keys it carries, which is
 /// the economics batching exploits: a `B`-key prompt is modelled as
 /// `latency · (1 − share + share · B)`, not `latency · B`.
-pub const BATCH_ANSWER_LATENCY_SHARE: f64 = 0.5;
+pub(crate) const BATCH_ANSWER_LATENCY_SHARE: f64 = 0.5;
 
 /// Which plan-choice strategy a session uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -126,7 +125,7 @@ pub struct PlannerParams {
     /// ([`rcost::critical_path_ms`]) instead of the phase-barrier sum, and
     /// steps share the lanes instead of packing as blocks; prompt-count
     /// estimates are unaffected — streaming issues the same prompts. A
-    /// `LIMIT` window ([`PhysicalPlan::window`]) leaves them alone too: how
+    /// `LIMIT` window (`PhysicalPlan::window`) leaves them alone too: how
     /// many keys survive before it fills is data-dependent.
     pub pipeline: Pipeline,
     /// Retry policy in effect ([`GaloisOptions::resilience`]):
@@ -147,7 +146,7 @@ pub struct PlannerParams {
     pub list_page_size: f64,
     /// Concepts already exhausted in the session's key-universe store
     /// ([`crate::ListStore`]), keyed by
-    /// [`LlmScanStep::concept_signature`] and mapping to the stored key
+    /// `LlmScanStep::concept_signature` and mapping to the stored key
     /// count. A warm step's listing phase is estimated at zero prompts
     /// and zero latency with an *exact* cardinality
     /// ([`rcost::warm_list_rows`]). `None` (the default, and always when
@@ -168,7 +167,7 @@ impl PlannerParams {
     /// per-prompt latency and cache-hit rate calibrated from the client's
     /// observed stats (the cold-start defaults apply until the session
     /// has served prompts).
-    pub fn for_session(options: &GaloisOptions, stats: &ClientStats) -> Self {
+    pub(crate) fn for_session(options: &GaloisOptions, stats: &ClientStats) -> Self {
         let mut p = PlannerParams {
             parallelism: options.parallelism,
             prompt_batch: options.prompt_batch,
@@ -200,7 +199,7 @@ impl PlannerParams {
     /// without thawing the latency/hit-rate calibration. Takes the store's
     /// shared snapshot ([`galois_llm::KeyUniverseStore::warm_map`]) as it
     /// is, or a plain map.
-    pub fn with_warm_lists(mut self, warm: impl Into<Arc<BTreeMap<String, usize>>>) -> Self {
+    pub(crate) fn with_warm_lists(mut self, warm: impl Into<Arc<BTreeMap<String, usize>>>) -> Self {
         self.warm_lists = Some(warm.into());
         self
     }
@@ -258,7 +257,7 @@ pub struct StepCost {
 
 impl StepCost {
     /// All prompts the step is expected to issue.
-    pub fn total_prompts(&self) -> f64 {
+    pub(crate) fn total_prompts(&self) -> f64 {
         self.list_prompts + self.filter_prompts + self.fetch_prompts
     }
 }
@@ -292,7 +291,7 @@ pub struct PlanReport {
 
 /// Selectivity of a prompt-protocol condition, using the same System-R
 /// constants as the relational estimator.
-pub fn condition_selectivity(cond: &Condition) -> f64 {
+pub(crate) fn condition_selectivity(cond: &Condition) -> f64 {
     match cond.op {
         CmpOp::Eq => rcost::SEL_EQ,
         CmpOp::NotEq => 1.0 - rcost::SEL_EQ,
@@ -323,8 +322,8 @@ fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, params: &PlannerParam
 }
 
 /// Estimates the cost of one retrieval step, laid out as `stages`
-/// ([`physical::stages`]), against the catalog's stats.
-pub fn estimate_step(
+/// (`physical::stages`), against the catalog's stats.
+pub(crate) fn estimate_step(
     step: &LlmScanStep,
     stages: &[Stage],
     catalog: &Catalog,
@@ -604,7 +603,7 @@ impl PlannedQuery {
     /// Renders the `EXPLAIN` report: every retrieval step with its prompt
     /// protocol and cost estimates, then the residual relational plan with
     /// cardinality annotations, then query totals.
-    pub fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
+    pub(crate) fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
         // The batch factor only appears when a prompt fuses something, so
         // the `PromptBatch::Off` report stays byte-identical to the
         // pre-batch pipeline's.

@@ -33,7 +33,7 @@ A: Unknown
 ";
 
 /// Compact instruction for small instruction-tuned models.
-pub const INSTRUCT_PREAMBLE: &str = "\
+pub(crate) const INSTRUCT_PREAMBLE: &str = "\
 Answer the question concisely and exactly. If the answer is unknown, say \
 \"Unknown\".
 ";
@@ -41,7 +41,7 @@ Answer the question concisely and exactly. If the answer is unknown, say \
 /// A fixed, manually-crafted chain-of-thought exemplar used by the `T_C_M`
 /// baseline (paper §5: "the CoT example in the prompt is fixed as how to
 /// derive a decomposition automatically from t is an open problem").
-pub const COT_EXEMPLAR: &str = "\
+pub(crate) const COT_EXEMPLAR: &str = "\
 Q: List the name of every city whose mayor was elected after 2018.
 A: Let's think step by step.
 Step 1: list the cities I know: Rome, Paris, Berlin.
@@ -92,7 +92,7 @@ impl PromptBuilder {
     }
 
     /// Full prompt for the chain-of-thought baseline (`T_C_M`).
-    pub fn question_cot(&self, question: &str) -> String {
+    pub(crate) fn question_cot(&self, question: &str) -> String {
         format!(
             "{}\n{}\nQ: {question}\nA: Let's think step by step.",
             self.preamble, COT_EXEMPLAR
@@ -119,7 +119,7 @@ impl PromptBuilder {
     /// costs two appends ([`KeyTemplate::render`]). Byte-identical to
     /// [`PromptBuilder::task`] on the equivalent
     /// [`TaskIntent::CheckFilter`] (same [`render_check_filter_parts`]).
-    pub fn filter_template(
+    pub(crate) fn filter_template(
         &self,
         relation: &str,
         key_attr: &str,
@@ -149,7 +149,7 @@ fn splice(prefix: &str, middle: &str, suffix: &str) -> String {
 
 /// A pre-rendered single-key prompt with a hole for the key (see
 /// [`PromptBuilder::fetch_template`] and
-/// [`PromptBuilder::filter_template`]).
+/// `PromptBuilder::filter_template`).
 #[derive(Debug, Clone)]
 pub struct KeyTemplate {
     prefix: String,

@@ -37,7 +37,7 @@ thread_local! {
 /// Executes waves of independent closures across a bounded worker pool.
 ///
 /// No engine path and no harness uses it: a session's concurrency is its
-/// [`Crew`], cross-query concurrency is [`crate::run_multi_query`]'s
+/// `Crew`, cross-query concurrency is [`crate::run_multi_query`]'s
 /// logical pass and replay, and the eval harness is sequential. [`new`]
 /// and [`run_wave`] keep their signatures because `galois_benchmark`'s
 /// `core.schedule.wave_ns_per_unit` probe compiles against them and that
@@ -131,7 +131,7 @@ impl Scheduler {
 ///
 /// Helpers outlive the calls that use them, which is why units must be
 /// `'static`; they exit when the crew (the session) is dropped.
-pub struct Crew {
+pub(crate) struct Crew {
     /// Workers per wave, the calling thread included.
     width: usize,
     shared: Arc<CrewShared>,
@@ -273,7 +273,7 @@ impl CrewShared {
 impl Crew {
     /// A crew running at most `parallelism` units of a wave at once. No
     /// thread starts before a wave needs it.
-    pub fn new(parallelism: Parallelism) -> Self {
+    pub(crate) fn new(parallelism: Parallelism) -> Self {
         Crew {
             width: parallelism.get(),
             shared: Arc::new(CrewShared {
@@ -298,7 +298,7 @@ impl Crew {
     /// (nested waves) everything runs inline, in submission order. A
     /// panicking unit is re-raised on the caller after the surviving
     /// units have been delivered.
-    pub fn run_wave_streaming<T, F, S>(&self, units: Vec<F>, mut sink: S)
+    pub(crate) fn run_wave_streaming<T, F, S>(&self, units: Vec<F>, mut sink: S)
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,

@@ -42,7 +42,7 @@ mod wave;
 pub use options::{AdmissionPolicy, GaloisOptions, ListStore, Pipeline, PromptBatch, Resilience};
 pub use stats::QueryStats;
 pub(crate) use stream::TracedTask;
-pub use typed::TypedStats;
+pub(crate) use typed::TypedStats;
 pub(crate) use wave::REQUEST_PROMPTS;
 
 use crate::compile::{CompiledQuery, LlmScanStep};
@@ -137,11 +137,6 @@ impl Galois {
         }
     }
 
-    /// The key-universe store in use (`None` when [`ListStore::Off`]).
-    pub fn key_universe_store(&self) -> Option<&Arc<KeyUniverseStore>> {
-        self.list_store.as_ref()
-    }
-
     /// The underlying client (stats, cache control).
     pub fn client(&self) -> &LlmClient {
         &self.client
@@ -167,8 +162,8 @@ impl Galois {
     /// now*: the session's options as they stand, expected per-prompt
     /// latency and cache-hit rate from the observed stats. This is the
     /// live reading; plan choice uses the frozen snapshot of
-    /// [`Galois::recalibrate_planner`].
-    pub fn planner_params(&self) -> PlannerParams {
+    /// `Galois::calibration`.
+    pub(crate) fn planner_params(&self) -> PlannerParams {
         PlannerParams::for_session(&self.options, &self.client.stats())
     }
 
@@ -183,13 +178,6 @@ impl Galois {
             .lock()
             .get_or_insert_with(|| self.planner_params())
             .clone()
-    }
-
-    /// Re-freezes the planner calibration from the client's current stats
-    /// — opt-in adaptivity for long-lived sessions (call between
-    /// workloads, not concurrently with queries whose plans should match).
-    pub fn recalibrate_planner(&self) {
-        *self.calibration.lock() = Some(self.planner_params());
     }
 
     /// The parameters one planning pass uses: the frozen calibration,
@@ -607,7 +595,6 @@ mod tests {
             .execute("SELECT name, population FROM city WHERE elevation < 100")
             .unwrap();
         assert_eq!(got.stats.virtual_ms, got.stats.serial_virtual_ms);
-        assert!((got.stats.virtual_speedup() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -650,8 +637,8 @@ mod tests {
             a.stats.virtual_ms,
             b.stats.virtual_ms
         );
-        assert!(b.stats.virtual_speedup() >= 2.0);
-        assert!(b.stats.lane_utilisation(8) <= 1.0 + 1e-12);
+        assert!(b.stats.virtual_ms * 2 <= b.stats.serial_virtual_ms);
+        assert!(b.stats.serial_virtual_ms <= 8 * b.stats.virtual_ms);
     }
 
     #[test]
@@ -763,11 +750,9 @@ mod tests {
             assert_eq!(g.explain(sql).unwrap(), cold, "{planner}");
             g.execute(sql).unwrap();
             assert_eq!(g.explain(sql).unwrap(), cold, "{planner}");
-            // The live reading has moved; re-freezing adopts it.
+            // The live reading has moved; the frozen one has not.
             let default_latency = crate::plan_choice::PlannerParams::default().prompt_latency_ms;
             assert_ne!(g.planner_params().prompt_latency_ms, default_latency);
-            g.recalibrate_planner();
-            assert_ne!(g.explain(sql).unwrap(), cold, "{planner}");
         }
     }
 

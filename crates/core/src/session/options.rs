@@ -59,7 +59,7 @@ pub enum PromptBatch {
 
 impl PromptBatch {
     /// Keys fused per prompt (1 when off).
-    pub fn keys_per_prompt(self) -> usize {
+    pub(crate) fn keys_per_prompt(self) -> usize {
         match self {
             PromptBatch::Off => 1,
             PromptBatch::Keys(n) => n.max(1),
@@ -68,7 +68,7 @@ impl PromptBatch {
     }
 
     /// Attributes fused per fetch prompt (1 unless grid mode).
-    pub fn attrs_per_prompt(self) -> usize {
+    pub(crate) fn attrs_per_prompt(self) -> usize {
         match self {
             PromptBatch::Grid { attrs, .. } => attrs.max(1),
             _ => 1,
@@ -76,12 +76,12 @@ impl PromptBatch {
     }
 
     /// True when the multi-key protocol is in use.
-    pub fn is_on(self) -> bool {
+    pub(crate) fn is_on(self) -> bool {
         !matches!(self, PromptBatch::Off)
     }
 
     /// True when the fetch phase fuses attributes as well as keys.
-    pub fn is_grid(self) -> bool {
+    pub(crate) fn is_grid(self) -> bool {
         matches!(self, PromptBatch::Grid { .. })
     }
 }
@@ -176,7 +176,7 @@ pub enum Pipeline {
 impl Pipeline {
     /// True when the event driver runs the retrieval (either streaming
     /// variant).
-    pub fn is_streaming(self) -> bool {
+    pub(crate) fn is_streaming(self) -> bool {
         !matches!(self, Pipeline::Off)
     }
 
@@ -277,21 +277,16 @@ pub enum Resilience {
 
 impl Resilience {
     /// The retry policy, if resilience is on.
-    pub fn policy(&self) -> Option<RetryPolicy> {
+    pub(crate) fn policy(&self) -> Option<RetryPolicy> {
         match self {
             Resilience::Off => None,
             Resilience::On(policy) => Some(*policy),
         }
     }
-
-    /// True when the retry loop is enabled.
-    pub fn is_on(&self) -> bool {
-        matches!(self, Resilience::On(_))
-    }
 }
 
 /// How the multi-query runner admits queries and shares the lane pool —
-/// the argument of [`crate::multi::run_multi_query`], never a session
+/// the argument of [`crate::run_multi_query`], never a session
 /// option: a session executes a query the same way whatever pool its
 /// trace is later replayed on.
 ///
@@ -304,7 +299,7 @@ impl Resilience {
 /// Admission control never changes *what* a query answers — queries
 /// always execute logically in workload order with identical prompts,
 /// cache hits and result relations; the policy only governs when their
-/// traced tasks run on the shared clock (see [`crate::multi`]). Its
+/// traced tasks run on the shared clock (see [`crate::run_multi_query`]). Its
 /// `Display` form is the one-line description a caller prints beside the
 /// run it applies the policy to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +337,7 @@ impl AdmissionPolicy {
     /// The pool size this policy yields for `sessions` sessions over a
     /// session configured with `k` lanes (`pool_lanes` when set, else
     /// `sessions × k`).
-    pub fn pool_lanes_for(&self, sessions: usize, k: usize) -> usize {
+    pub(crate) fn pool_lanes_for(&self, sessions: usize, k: usize) -> usize {
         if self.pool_lanes > 0 {
             self.pool_lanes
         } else {

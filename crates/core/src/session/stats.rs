@@ -83,25 +83,6 @@ impl QueryStats {
     pub fn virtual_seconds(&self) -> f64 {
         self.virtual_ms as f64 / 1000.0
     }
-
-    /// Virtual speedup over a single-lane run (1.0 when sequential).
-    pub fn virtual_speedup(&self) -> f64 {
-        if self.virtual_ms == 0 {
-            1.0
-        } else {
-            self.serial_virtual_ms as f64 / self.virtual_ms as f64
-        }
-    }
-
-    /// Fraction of the `lanes × virtual_ms` budget that did useful work.
-    pub fn lane_utilisation(&self, lanes: usize) -> f64 {
-        let budget = (lanes.max(1) as u64 * self.virtual_ms) as f64;
-        if budget == 0.0 {
-            0.0
-        } else {
-            self.serial_virtual_ms as f64 / budget
-        }
-    }
 }
 
 /// Retrieval-protocol phase a batch of virtual time is attributed to.
