@@ -44,7 +44,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use galois_llm::{FairShare, LanePool};
 
-use crate::error::Result;
+use crate::error::{GaloisError, Result};
 use crate::session::{AdmissionPolicy, Galois, GaloisResult, TracedTask};
 
 /// One query's outcome under cross-query scheduling.
@@ -158,19 +158,28 @@ impl ReplayQuery {
 /// `admitted − arrival`.
 ///
 /// Requires [`Pipeline::Streaming`](crate::Pipeline::Streaming) (the wave
-/// engine has no task trace to replay) and
-/// `session_of.len() == queries.len()`.
+/// engine has no task trace to replay), and `session_of` must give every
+/// query one session below `queries.len()`; otherwise an error is
+/// returned before any query runs.
 pub fn run_multi_query(
     galois: &Galois,
     queries: &[&str],
     session_of: &[usize],
     policy: &AdmissionPolicy,
 ) -> Result<MultiQueryReport> {
-    assert_eq!(
-        queries.len(),
-        session_of.len(),
-        "session_of must assign every query a session"
-    );
+    if session_of.len() != queries.len() {
+        return Err(GaloisError::Unsupported(format!(
+            "session_of assigns {} sessions to {} queries",
+            session_of.len(),
+            queries.len()
+        )));
+    }
+    if let Some(&s) = session_of.iter().find(|&&s| s >= queries.len()) {
+        return Err(GaloisError::Unsupported(format!(
+            "session {s} of {} queries: sessions are numbered below the query count",
+            queries.len()
+        )));
+    }
     let sessions = session_of.iter().map(|s| s + 1).max().unwrap_or(1);
     let k = galois.options().parallelism.get();
     let pool_lanes = policy.pool_lanes_for(sessions, k);
@@ -587,5 +596,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, crate::GaloisError::Unsupported(_)));
+    }
+
+    #[test]
+    fn bad_session_assignments_are_errors_before_any_query_runs() {
+        let galois = streaming_session(8);
+        let two = &SUITE[..2];
+        for session_of in [&[0][..], &[0, 0, 0], &[0, 2], &[usize::MAX, 0]] {
+            let err =
+                run_multi_query(&galois, two, session_of, &AdmissionPolicy::default()).unwrap_err();
+            assert!(
+                matches!(err, crate::GaloisError::Unsupported(_)),
+                "{session_of:?}"
+            );
+        }
+        assert_eq!(galois.client().stats().prompts, 0);
+        assert!(run_multi_query(&galois, two, &[1, 1], &AdmissionPolicy::default()).is_ok());
     }
 }
