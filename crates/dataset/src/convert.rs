@@ -15,27 +15,23 @@ use galois_relational::{Column, DataType, Database, Date, Table, TableSchema, Va
 
 /// Builds the ground-truth relational database.
 pub fn to_database(world: &World) -> Database {
+    use DataType::{Date as D, Float as F, Int as I, Text as T};
     let mut db = Database::new();
-
-    let mut country = Table::new(
+    add_table(
+        &mut db,
         "country",
-        TableSchema::new(
-            vec![
-                Column::new("name", DataType::Text),
-                Column::new("code", DataType::Text),
-                Column::new("continent", DataType::Text),
-                Column::new("population", DataType::Int),
-                Column::new("gdp", DataType::Float),
-                Column::new("independenceYear", DataType::Int),
-                Column::new("capital", DataType::Text),
-            ],
-            "name",
-        )
-        .expect("static schema"),
-    );
-    for c in &world.countries {
-        country
-            .insert(vec![
+        &[
+            ("name", T),
+            ("code", T),
+            ("continent", T),
+            ("population", I),
+            ("gdp", F),
+            ("independenceYear", I),
+            ("capital", T),
+        ],
+        "name",
+        world.countries.iter().map(|c| {
+            Ok(vec![
                 c.name.clone().into(),
                 c.code3.clone().into(),
                 c.continent.clone().into(),
@@ -44,82 +40,63 @@ pub fn to_database(world: &World) -> Database {
                 Value::Int(c.independence_year),
                 world.cities[c.capital].name.clone().into(),
             ])
-            .expect("generated rows are valid");
-    }
-    db.add_table(country).expect("fresh catalog");
-
-    let mut city = Table::new(
+        }),
+    );
+    add_table(
+        &mut db,
         "city",
-        TableSchema::new(
-            vec![
-                Column::new("name", DataType::Text),
-                Column::new("country", DataType::Text),
-                Column::new("population", DataType::Int),
-                Column::new("elevation", DataType::Int),
-                Column::new("mayor", DataType::Text),
-            ],
-            "name",
-        )
-        .expect("static schema"),
+        &[
+            ("name", T),
+            ("country", T),
+            ("population", I),
+            ("elevation", I),
+            ("mayor", T),
+        ],
+        "name",
+        world.cities.iter().map(|c| {
+            Ok(vec![
+                c.name.clone().into(),
+                world.countries[c.country].name.clone().into(),
+                Value::Int(c.population),
+                Value::Int(c.elevation),
+                world.mayors[c.mayor].name.clone().into(),
+            ])
+        }),
     );
-    for c in &world.cities {
-        city.insert(vec![
-            c.name.clone().into(),
-            world.countries[c.country].name.clone().into(),
-            Value::Int(c.population),
-            Value::Int(c.elevation),
-            world.mayors[c.mayor].name.clone().into(),
-        ])
-        .expect("generated rows are valid");
-    }
-    db.add_table(city).expect("fresh catalog");
-
-    let mut mayor = Table::new(
+    add_table(
+        &mut db,
         "cityMayor",
-        TableSchema::new(
-            vec![
-                Column::new("name", DataType::Text),
-                Column::new("birthDate", DataType::Date),
-                Column::new("electionYear", DataType::Int),
-                Column::new("party", DataType::Text),
-            ],
-            "name",
-        )
-        .expect("static schema"),
-    );
-    for m in &world.mayors {
-        mayor
-            .insert(vec![
+        &[
+            ("name", T),
+            ("birthDate", D),
+            ("electionYear", I),
+            ("party", T),
+        ],
+        "name",
+        world.mayors.iter().map(|m| {
+            Ok(vec![
                 m.name.clone().into(),
-                Value::Date(
-                    Date::new(m.birth.0, m.birth.1, m.birth.2).expect("generated dates valid"),
-                ),
+                Value::Date(Date::new(m.birth.0, m.birth.1, m.birth.2)?),
                 Value::Int(m.election_year),
                 m.party.clone().into(),
             ])
-            .expect("generated rows are valid");
-    }
-    db.add_table(mayor).expect("fresh catalog");
-
-    let mut airport = Table::new(
-        "airport",
-        TableSchema::new(
-            vec![
-                Column::new("code", DataType::Text),
-                Column::new("name", DataType::Text),
-                Column::new("city", DataType::Text),
-                Column::new("country", DataType::Text),
-                Column::new("elevation", DataType::Int),
-                Column::new("yearlyPassengers", DataType::Int),
-                Column::new("runways", DataType::Int),
-            ],
-            "code",
-        )
-        .expect("static schema"),
+        }),
     );
-    for a in &world.airports {
-        airport
-            .insert(vec![
+    add_table(
+        &mut db,
+        "airport",
+        &[
+            ("code", T),
+            ("name", T),
+            ("city", T),
+            ("country", T),
+            ("elevation", I),
+            ("yearlyPassengers", I),
+            ("runways", I),
+        ],
+        "code",
+        world.airports.iter().map(|a| {
+            Ok(vec![
                 a.code.clone().into(),
                 a.name.clone().into(),
                 world.cities[a.city].name.clone().into(),
@@ -128,90 +105,92 @@ pub fn to_database(world: &World) -> Database {
                 Value::Int(a.yearly_passengers),
                 Value::Int(a.runways),
             ])
-            .expect("generated rows are valid");
-    }
-    db.add_table(airport).expect("fresh catalog");
-
-    let mut singer = Table::new(
-        "singer",
-        TableSchema::new(
-            vec![
-                Column::new("name", DataType::Text),
-                Column::new("countryCode", DataType::Text),
-                Column::new("birthYear", DataType::Int),
-                Column::new("genre", DataType::Text),
-                Column::new("netWorth", DataType::Float),
-            ],
-            "name",
-        )
-        .expect("static schema"),
+        }),
     );
-    for s in &world.singers {
-        singer
-            .insert(vec![
+    add_table(
+        &mut db,
+        "singer",
+        &[
+            ("name", T),
+            ("countryCode", T),
+            ("birthYear", I),
+            ("genre", T),
+            ("netWorth", F),
+        ],
+        "name",
+        world.singers.iter().map(|s| {
+            Ok(vec![
                 s.name.clone().into(),
                 world.countries[s.country].code3.clone().into(),
                 Value::Int(s.birth_year),
                 s.genre.clone().into(),
                 Value::Float(s.net_worth),
             ])
-            .expect("generated rows are valid");
-    }
-    db.add_table(singer).expect("fresh catalog");
-
-    let mut concert = Table::new(
-        "concert",
-        TableSchema::new(
-            vec![
-                Column::new("name", DataType::Text),
-                Column::new("singer", DataType::Text),
-                Column::new("year", DataType::Int),
-                Column::new("attendance", DataType::Int),
-                Column::new("city", DataType::Text),
-            ],
-            "name",
-        )
-        .expect("static schema"),
+        }),
     );
-    for c in &world.concerts {
-        concert
-            .insert(vec![
+    add_table(
+        &mut db,
+        "concert",
+        &[
+            ("name", T),
+            ("singer", T),
+            ("year", I),
+            ("attendance", I),
+            ("city", T),
+        ],
+        "name",
+        world.concerts.iter().map(|c| {
+            Ok(vec![
                 c.name.clone().into(),
                 world.singers[c.singer].name.clone().into(),
                 Value::Int(c.year),
                 Value::Int(c.attendance),
                 world.cities[c.city].name.clone().into(),
             ])
-            .expect("generated rows are valid");
-    }
-    db.add_table(concert).expect("fresh catalog");
-
-    let mut employees = Table::new(
-        "employees",
-        TableSchema::new(
-            vec![
-                Column::new("id", DataType::Int),
-                Column::new("name", DataType::Text),
-                Column::new("countryCode", DataType::Text),
-                Column::new("salary", DataType::Float),
-            ],
-            "id",
-        )
-        .expect("static schema"),
+        }),
     );
-    for e in &world.employees {
-        employees
-            .insert(vec![
+    add_table(
+        &mut db,
+        "employees",
+        &[("id", I), ("name", T), ("countryCode", T), ("salary", F)],
+        "id",
+        world.employees.iter().map(|e| {
+            Ok(vec![
                 Value::Int(e.id),
                 e.name.clone().into(),
                 world.countries[e.country].code3.clone().into(),
                 Value::Float(e.salary),
             ])
-            .expect("generated rows are valid");
-    }
-    db.add_table(employees).expect("fresh catalog");
-
+        }),
+    );
     db
+}
+
+/// Adds the table `name` to `db`: `columns`, keyed by `key`, holding
+/// `rows` in order.
+///
+/// Every table is a static schema over a generated world, so nothing here
+/// can fail on correct code: the schema is well formed, each generated
+/// row fits it under a key no other row has (dates included), and no name
+/// is added twice. A failure is a bug in the generator.
+fn add_table(
+    db: &mut Database,
+    name: &str,
+    columns: &[(&str, DataType)],
+    key: &str,
+    rows: impl Iterator<Item = galois_relational::Result<Vec<Value>>>,
+) {
+    let columns = columns.iter().map(|&(c, t)| Column::new(c, t)).collect();
+    let built = TableSchema::new(columns, key).and_then(|schema| {
+        let mut table = Table::new(name, schema);
+        for row in rows {
+            table.insert(row?)?;
+        }
+        db.add_table(table)
+    });
+    if let Err(e) = built {
+        unreachable!("generated table {name}: {e}");
+    }
 }
 
 /// Builds the simulated LLM's knowledge store. Note what is *absent*: the
