@@ -21,8 +21,8 @@
 //!   `overhead + miss·latency/lanes`, waves of batches pack onto the
 //!   lanes, and observed [`ClientStats`] calibrate the expected per-prompt
 //!   latency and cache-hit rate. A session freezes this calibration at its
-//!   first planner use, so plan choice never depends on which concurrent query's prompts landed
-//!   first in the shared stats.
+//!   first planner use, so plan choice never depends on which concurrent
+//!   query's prompts landed first in the shared stats.
 //!
 //! The enumeration space per retrieval step is: leave every condition as a
 //! per-key boolean prompt chain, or push exactly one condition into the

@@ -729,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_calibration_is_frozen_until_recalibrated() {
+    fn planner_calibration_is_frozen_at_the_first_statement() {
         let s = Scenario::generate(42);
         let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
         let sql = "SELECT name FROM city WHERE population > 1000000";

@@ -15,19 +15,18 @@ use galois_relational::{Column, DataType, Database, Date, Table, TableSchema, Va
 
 /// Builds the ground-truth relational database.
 pub fn to_database(world: &World) -> Database {
-    use DataType::{Date as D, Float as F, Int as I, Text as T};
     let mut db = Database::new();
     add_table(
         &mut db,
         "country",
         &[
-            ("name", T),
-            ("code", T),
-            ("continent", T),
-            ("population", I),
-            ("gdp", F),
-            ("independenceYear", I),
-            ("capital", T),
+            ("name", DataType::Text),
+            ("code", DataType::Text),
+            ("continent", DataType::Text),
+            ("population", DataType::Int),
+            ("gdp", DataType::Float),
+            ("independenceYear", DataType::Int),
+            ("capital", DataType::Text),
         ],
         "name",
         world.countries.iter().map(|c| {
@@ -46,11 +45,11 @@ pub fn to_database(world: &World) -> Database {
         &mut db,
         "city",
         &[
-            ("name", T),
-            ("country", T),
-            ("population", I),
-            ("elevation", I),
-            ("mayor", T),
+            ("name", DataType::Text),
+            ("country", DataType::Text),
+            ("population", DataType::Int),
+            ("elevation", DataType::Int),
+            ("mayor", DataType::Text),
         ],
         "name",
         world.cities.iter().map(|c| {
@@ -67,10 +66,10 @@ pub fn to_database(world: &World) -> Database {
         &mut db,
         "cityMayor",
         &[
-            ("name", T),
-            ("birthDate", D),
-            ("electionYear", I),
-            ("party", T),
+            ("name", DataType::Text),
+            ("birthDate", DataType::Date),
+            ("electionYear", DataType::Int),
+            ("party", DataType::Text),
         ],
         "name",
         world.mayors.iter().map(|m| {
@@ -86,13 +85,13 @@ pub fn to_database(world: &World) -> Database {
         &mut db,
         "airport",
         &[
-            ("code", T),
-            ("name", T),
-            ("city", T),
-            ("country", T),
-            ("elevation", I),
-            ("yearlyPassengers", I),
-            ("runways", I),
+            ("code", DataType::Text),
+            ("name", DataType::Text),
+            ("city", DataType::Text),
+            ("country", DataType::Text),
+            ("elevation", DataType::Int),
+            ("yearlyPassengers", DataType::Int),
+            ("runways", DataType::Int),
         ],
         "code",
         world.airports.iter().map(|a| {
@@ -111,11 +110,11 @@ pub fn to_database(world: &World) -> Database {
         &mut db,
         "singer",
         &[
-            ("name", T),
-            ("countryCode", T),
-            ("birthYear", I),
-            ("genre", T),
-            ("netWorth", F),
+            ("name", DataType::Text),
+            ("countryCode", DataType::Text),
+            ("birthYear", DataType::Int),
+            ("genre", DataType::Text),
+            ("netWorth", DataType::Float),
         ],
         "name",
         world.singers.iter().map(|s| {
@@ -132,11 +131,11 @@ pub fn to_database(world: &World) -> Database {
         &mut db,
         "concert",
         &[
-            ("name", T),
-            ("singer", T),
-            ("year", I),
-            ("attendance", I),
-            ("city", T),
+            ("name", DataType::Text),
+            ("singer", DataType::Text),
+            ("year", DataType::Int),
+            ("attendance", DataType::Int),
+            ("city", DataType::Text),
         ],
         "name",
         world.concerts.iter().map(|c| {
@@ -152,7 +151,12 @@ pub fn to_database(world: &World) -> Database {
     add_table(
         &mut db,
         "employees",
-        &[("id", I), ("name", T), ("countryCode", T), ("salary", F)],
+        &[
+            ("id", DataType::Int),
+            ("name", DataType::Text),
+            ("countryCode", DataType::Text),
+            ("salary", DataType::Float),
+        ],
         "id",
         world.employees.iter().map(|e| {
             Ok(vec![
