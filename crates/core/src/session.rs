@@ -835,31 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_mode_matches_off_relations_with_fewer_prompts() {
-        let sql = "SELECT name, population FROM city WHERE elevation < 100";
-        let (_, off) = oracle_session_batched(PromptBatch::Off);
-        let a = off.execute(sql).unwrap();
-        let (_, batched) = oracle_session_batched(PromptBatch::Keys(10));
-        let b = batched.execute(sql).unwrap();
-        assert_eq!(a.relation.rows, b.relation.rows);
-        assert!(
-            b.stats.total_prompts() < a.stats.total_prompts(),
-            "batched {} vs off {}",
-            b.stats.total_prompts(),
-            a.stats.total_prompts()
-        );
-        assert!(
-            b.stats.virtual_ms < a.stats.virtual_ms,
-            "batched {} vs off {} virtual ms",
-            b.stats.virtual_ms,
-            a.stats.virtual_ms
-        );
-        // No fallback on the oracle: ceil(keys / B) prompts per cell.
-        assert!(b.stats.filter_prompts < a.stats.filter_prompts);
-        assert!(b.stats.fetch_prompts < a.stats.fetch_prompts);
-    }
-
-    #[test]
     fn batched_joins_and_aggregates_match_off() {
         for sql in [
             "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name",
@@ -871,19 +846,6 @@ mod tests {
             let b = batched.execute(sql).unwrap();
             assert_eq!(a.relation.rows, b.relation.rows, "{sql}");
         }
-    }
-
-    #[test]
-    fn batch_of_one_matches_off_relations() {
-        // Keys(1): the multi-key protocol at its ablation base case — same
-        // prompt *count* economics as Off, different prompt text.
-        let sql = "SELECT name FROM city WHERE population > 1000000";
-        let (_, off) = oracle_session_batched(PromptBatch::Off);
-        let (_, one) = oracle_session_batched(PromptBatch::Keys(1));
-        let a = off.execute(sql).unwrap();
-        let b = one.execute(sql).unwrap();
-        assert_eq!(a.relation.rows, b.relation.rows);
-        assert_eq!(a.stats.total_prompts(), b.stats.total_prompts());
     }
 
     #[test]
@@ -902,46 +864,6 @@ mod tests {
         assert_eq!(second.stats.fetch_prompts, 0);
         assert!(second.stats.cache_hits > 0);
         assert!(second.stats.virtual_ms < first.stats.virtual_ms);
-    }
-
-    #[test]
-    fn batched_mode_is_deterministic_across_lane_counts() {
-        let sql = "SELECT name, population FROM city WHERE elevation < 100";
-        let base = {
-            let s = Scenario::generate(42);
-            let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
-            Galois::with_options(
-                model,
-                s.database.clone(),
-                GaloisOptions {
-                    prompt_batch: PromptBatch::Keys(10),
-                    ..Default::default()
-                },
-            )
-            .execute(sql)
-            .unwrap()
-        };
-        for lanes in [2usize, 8] {
-            let s = Scenario::generate(42);
-            let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
-            let got = Galois::with_options(
-                model,
-                s.database.clone(),
-                GaloisOptions {
-                    prompt_batch: PromptBatch::Keys(10),
-                    parallelism: Parallelism::new(lanes),
-                    ..Default::default()
-                },
-            )
-            .execute(sql)
-            .unwrap();
-            assert_eq!(got.relation.rows, base.relation.rows, "lanes {lanes}");
-            assert_eq!(
-                got.stats.total_prompts(),
-                base.stats.total_prompts(),
-                "lanes {lanes}"
-            );
-        }
     }
 
     #[test]
@@ -968,21 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_of_one_attr_matches_keys_batched_counts() {
-        // Grid{B, 1}: the grid protocol at its ablation base case — one
-        // attribute per prompt, same prompt-count economics as Keys(B),
-        // different prompt text.
-        let sql = "SELECT name, population FROM city WHERE elevation < 100";
-        let (_, keys) = oracle_session_batched(PromptBatch::Keys(10));
-        let a = keys.execute(sql).unwrap();
-        let (_, grid) = oracle_session_batched(PromptBatch::Grid { keys: 10, attrs: 1 });
-        let b = grid.execute(sql).unwrap();
-        assert_eq!(a.relation.rows, b.relation.rows);
-        assert_eq!(a.stats.total_prompts(), b.stats.total_prompts());
-        assert_eq!(a.stats.fetch_prompts, b.stats.fetch_prompts);
-    }
-
-    #[test]
     fn grid_repeat_queries_are_served_from_sub_entries() {
         let (_, g) = oracle_session_batched(PromptBatch::Grid { keys: 10, attrs: 4 });
         let sql = "SELECT name, population, country FROM city WHERE elevation < 100";
@@ -995,36 +902,6 @@ mod tests {
         assert_eq!(second.stats.filter_prompts, 0);
         assert_eq!(second.stats.fetch_prompts, 0);
         assert!(second.stats.cache_hits > 0);
-    }
-
-    #[test]
-    fn grid_mode_is_deterministic_across_lane_counts() {
-        let sql = "SELECT name, population, country FROM city WHERE elevation < 100";
-        let run = |lanes: usize| {
-            let s = Scenario::generate(42);
-            let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
-            Galois::with_options(
-                model,
-                s.database.clone(),
-                GaloisOptions {
-                    prompt_batch: PromptBatch::Grid { keys: 10, attrs: 2 },
-                    parallelism: Parallelism::new(lanes),
-                    ..Default::default()
-                },
-            )
-            .execute(sql)
-            .unwrap()
-        };
-        let base = run(1);
-        for lanes in [2usize, 8] {
-            let got = run(lanes);
-            assert_eq!(got.relation.rows, base.relation.rows, "lanes {lanes}");
-            assert_eq!(
-                got.stats.total_prompts(),
-                base.stats.total_prompts(),
-                "lanes {lanes}"
-            );
-        }
     }
 
     fn oracle_session_pipelined(pipeline: Pipeline, lanes: usize) -> (Scenario, Galois) {
@@ -1083,36 +960,6 @@ mod tests {
         );
         // At one lane the event clock degenerates to a running sum.
         assert_eq!(b.stats.virtual_ms, b.stats.serial_virtual_ms);
-    }
-
-    #[test]
-    fn streaming_grid_matches_wave_grid_prompts_and_relations() {
-        let sql = "SELECT name, population, country FROM city WHERE elevation < 100";
-        let session = |pipeline| {
-            let s = Scenario::generate(42);
-            let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
-            Galois::with_options(
-                model,
-                s.database.clone(),
-                GaloisOptions {
-                    pipeline,
-                    prompt_batch: PromptBatch::Grid { keys: 10, attrs: 4 },
-                    parallelism: Parallelism::new(8),
-                    ..Default::default()
-                },
-            )
-        };
-        let a = session(Pipeline::Off).execute(sql).unwrap();
-        let b = session(Pipeline::Streaming).execute(sql).unwrap();
-        assert_eq!(a.relation.rows, b.relation.rows);
-        assert_eq!(a.stats.total_prompts(), b.stats.total_prompts());
-        assert_eq!(a.stats.cache_hits, b.stats.cache_hits);
-        assert!(
-            b.stats.virtual_ms < a.stats.virtual_ms,
-            "streaming grid {} vs wave grid {}",
-            b.stats.virtual_ms,
-            a.stats.virtual_ms
-        );
     }
 
     #[test]

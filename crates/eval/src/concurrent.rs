@@ -16,7 +16,7 @@ use galois_core::{run_multi_query, AdmissionPolicy, Galois, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_llm::ModelProfile;
 
-use crate::harness::{model_for, GaloisRun, QueryOutcome, SuiteTotals};
+use crate::harness::{model_for, truth, GaloisRun, QueryOutcome, SuiteTotals};
 use crate::matching::{match_records, relation_to_records};
 
 /// A concurrent suite replay: the per-query outcomes (matched to ground
@@ -116,10 +116,7 @@ pub fn run_suite_concurrent_on(
         .iter()
         .zip(&report.outcomes)
         .map(|(spec, out)| {
-            let truth = scenario
-                .database
-                .execute(&spec.to_sql())
-                .expect("suite queries execute on ground truth");
+            let truth = truth(scenario, &spec.to_sql());
             let relation = &out.result.relation;
             let matching = match_records(&truth, &relation_to_records(relation));
             QueryOutcome {

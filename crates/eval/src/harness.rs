@@ -12,9 +12,10 @@ use crate::matching::{match_records, relation_to_records, MatchOutcome};
 use crate::report::{percent0, signed1, TextTable};
 use galois_core::{BaselineKind, Galois, GaloisOptions, QaBaseline, QueryStats};
 use galois_dataset::{
-    build_operator_suite, OperatorCheck, OperatorFamily, QueryCategory, Scenario,
+    build_operator_suite, OperatorCheck, OperatorFamily, OperatorQuery, QueryCategory, Scenario,
 };
 use galois_llm::{lane_schedule, LanguageModel, ModelProfile, SimLlm};
+use galois_relational::{Relation, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,6 +76,18 @@ impl GaloisRun {
     }
 }
 
+/// Ground truth for one of the scenario's generated statements.
+///
+/// The suites are generated over the scenario's own schema, so the
+/// database executes every statement they hold: a failure is a bug in the
+/// generator.
+pub(crate) fn truth(scenario: &Scenario, sql: &str) -> Relation {
+    match scenario.database.execute(sql) {
+        Ok(truth) => truth,
+        Err(e) => unreachable!("ground truth for {sql}: {e}"),
+    }
+}
+
 /// Builds the simulated model for a profile over the scenario's knowledge.
 pub fn model_for(scenario: &Scenario, profile: ModelProfile) -> Arc<dyn LanguageModel> {
     Arc::new(SimLlm::new(scenario.knowledge.clone(), profile))
@@ -107,18 +120,12 @@ pub fn run_galois_suite_on(scenario: &Scenario, galois: &Galois, model_name: &st
         .iter()
         .map(|spec| {
             let sql = spec.to_sql();
-            let truth = scenario
-                .database
-                .execute(&sql)
-                .expect("suite queries execute on ground truth");
+            let truth = truth(scenario, &sql);
             let (relation, stats) = match galois.execute(&sql) {
                 Ok(r) => (r.relation, r.stats),
                 // An execution failure contributes an empty result —
                 // the system returned nothing for this query.
-                Err(_) => (
-                    galois_relational::Relation::empty(truth.schema.clone()),
-                    QueryStats::default(),
-                ),
+                Err(_) => (Relation::empty(truth.schema.clone()), QueryStats::default()),
             };
             let matching = match_records(&truth, &relation_to_records(&relation));
             QueryOutcome {
@@ -258,10 +265,7 @@ pub fn run_baseline_suite(
         .suite
         .iter()
         .map(|spec| {
-            let truth = scenario
-                .database
-                .execute(&spec.to_sql())
-                .expect("suite queries execute on ground truth");
+            let truth = truth(scenario, &spec.to_sql());
             let result = baseline.ask(&spec.question(), kind);
             BaselineOutcome {
                 id: spec.id,
@@ -432,23 +436,52 @@ impl OperatorRun {
     }
 }
 
-/// Sorted rendered rows — the order-insensitive comparison key the
-/// operator checks use.
-fn sorted_rendered(rel: &galois_relational::Relation) -> Vec<Vec<String>> {
-    let mut rows: Vec<Vec<String>> = rel
-        .rows
-        .iter()
-        .map(|r| r.iter().map(galois_relational::Value::render).collect())
-        .collect();
-    rows.sort();
-    rows
+/// Rendered rows — the comparison key the operator checks use.
+fn rendered(rel: &Relation) -> Vec<Vec<String>> {
+    let render = |row: &Vec<Value>| row.iter().map(Value::render).collect();
+    rel.rows.iter().map(render).collect()
+}
+
+/// Scores one operator-suite query's result (`None`: its execution
+/// failed, which fails the query) against ground truth under its check:
+/// `Exact` must reproduce the truth as a multiset; `Window` must surface
+/// exactly `min(n, |truth| − offset)` rows, all admitted by the unlimited
+/// truth. Returns `|R_D|` (for `Window`, the unlimited truth's) and the
+/// verdict.
+pub fn score_operator(
+    scenario: &Scenario,
+    query: &OperatorQuery,
+    got: Option<&Relation>,
+) -> (usize, bool) {
+    let (sql, window) = match &query.check {
+        OperatorCheck::Exact => (&query.sql, None),
+        OperatorCheck::Window {
+            unlimited_sql,
+            n,
+            offset,
+        } => (unlimited_sql, Some((*n, *offset))),
+    };
+    let mut admitted = rendered(&truth(scenario, sql));
+    admitted.sort();
+    let passed = got.is_some_and(|got| {
+        let mut rows = rendered(got);
+        match window {
+            None => {
+                rows.sort();
+                rows == admitted
+            }
+            Some((n, offset)) => {
+                rows.len() == n.min(admitted.len().saturating_sub(offset))
+                    && rows.iter().all(|row| admitted.binary_search(row).is_ok())
+            }
+        }
+    });
+    (admitted.len(), passed)
 }
 
 /// Runs the operator suite (joins, grouped aggregates, LIMIT windows)
 /// through Galois on the given model, scoring each query against ground
-/// truth under its check semantics: `Exact` queries must reproduce the
-/// truth as a multiset; `Window` queries must surface exactly
-/// `min(n, |truth| − offset)` rows, all admitted by the unlimited truth.
+/// truth with [`score_operator`].
 pub fn run_operator_suite(
     scenario: &Scenario,
     profile: ModelProfile,
@@ -461,55 +494,16 @@ pub fn run_operator_suite(
     let outcomes = build_operator_suite(&scenario.world)
         .iter()
         .map(|q| {
-            let (relation, stats) = match galois.execute(&q.sql) {
-                Ok(r) => (r.relation, r.stats),
-                Err(_) => (
-                    galois_relational::Relation::empty(galois_relational::PlanSchema::new(vec![])),
-                    QueryStats::default(),
-                ),
-            };
-            let (truth_rows, passed) = match &q.check {
-                OperatorCheck::Exact => {
-                    let truth = scenario
-                        .database
-                        .execute(&q.sql)
-                        .expect("operator queries execute on ground truth");
-                    (
-                        truth.len(),
-                        sorted_rendered(&relation) == sorted_rendered(&truth),
-                    )
-                }
-                OperatorCheck::Window {
-                    unlimited_sql,
-                    n,
-                    offset,
-                } => {
-                    let full = scenario
-                        .database
-                        .execute(unlimited_sql)
-                        .expect("operator queries execute on ground truth");
-                    let admitted = sorted_rendered(&full);
-                    let expect = (*n).min(full.len().saturating_sub(*offset));
-                    let ok = relation.len() == expect
-                        && relation
-                            .rows
-                            .iter()
-                            .map(|r| {
-                                r.iter()
-                                    .map(galois_relational::Value::render)
-                                    .collect::<Vec<_>>()
-                            })
-                            .all(|row| admitted.binary_search(&row).is_ok());
-                    (full.len(), ok)
-                }
-            };
+            let result = galois.execute(&q.sql).ok();
+            let (truth_rows, passed) =
+                score_operator(scenario, q, result.as_ref().map(|r| &r.relation));
             OperatorOutcome {
                 id: q.id,
                 family: q.family,
                 truth_rows,
-                result_rows: relation.len(),
+                result_rows: result.as_ref().map_or(0, |r| r.relation.len()),
                 passed,
-                stats,
+                stats: result.map(|r| r.stats).unwrap_or_default(),
             }
         })
         .collect();
@@ -664,6 +658,37 @@ mod tests {
             },
         );
         assert_eq!(stacked.pass_rate(None), 1.0, "\n{}", stacked.render());
+    }
+
+    /// A statement that failed returned nothing, which is not the empty
+    /// relation a query with an empty truth (or a window past its end)
+    /// expects.
+    #[test]
+    fn a_failed_statement_fails_where_the_truth_is_empty() {
+        let s = small_scenario();
+        let query = |sql: &str, check| OperatorQuery {
+            id: 1,
+            family: OperatorFamily::Limit,
+            sql: sql.to_string(),
+            check,
+        };
+        let past_the_end = OperatorCheck::Window {
+            unlimited_sql: "SELECT name FROM country".to_string(),
+            n: 2,
+            offset: 1000,
+        };
+        for q in [
+            query(
+                "SELECT name FROM city WHERE population < 0",
+                OperatorCheck::Exact,
+            ),
+            query("SELECT name FROM country LIMIT 2 OFFSET 1000", past_the_end),
+        ] {
+            let empty = truth(&s, &q.sql);
+            assert!(empty.is_empty(), "{}", q.sql);
+            assert!(score_operator(&s, &q, Some(&empty)).1, "{}", q.sql);
+            assert!(!score_operator(&s, &q, None).1, "{}", q.sql);
+        }
     }
 
     #[test]

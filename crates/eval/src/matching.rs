@@ -12,7 +12,7 @@ use galois_core::clean::{normalise_text, parse_date, parse_number, CleaningPolic
 use galois_relational::{Relation, Value};
 
 /// Relative-error tolerance for numeric cells (paper §5).
-pub const NUMERIC_TOLERANCE: f64 = 0.05;
+const NUMERIC_TOLERANCE: f64 = 0.05;
 
 /// Outcome of matching one candidate result against ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]

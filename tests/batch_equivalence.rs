@@ -1,125 +1,72 @@
-//! Multi-key prompt batching invariants (PR 4):
+//! Multi-key prompt batching (PR 4): cells of the contract battery
+//! (`tests/common/contract.rs`).
 //!
-//! 1. **Off bit-exactness** — `PromptBatch::Off` (the default) must be
-//!    bit-identical to the pre-batching pipeline: prompts per kind, cache
-//!    hits, both virtual clocks and result relations all match a session
-//!    that never heard of batching. This is the same invariant discipline
-//!    as `Parallelism(1)` and `Planner::Heuristic`.
-//! 2. **Batched result invariance** — `PromptBatch::Keys(B)` may reshape
-//!    the prompt schedule arbitrarily, but on a noise-free model it must
-//!    never change `R_M`, for any batch factor and any worker count.
-//! 3. **Fallback safety** — even when batched answers are corrupted so
-//!    per-key lines fail to parse, the per-key fallback re-asks restore
-//!    the exact `PromptBatch::Off` relations; accuracy can never regress,
-//!    only the prompt bill can.
+//! 1. **The default** — `PromptBatch::Off` stays the default, whose
+//!    readings are pinned.
+//! 2. **Result invariance** — `PromptBatch::Keys(B)` reshapes the prompt
+//!    schedule but never `R_M`, for any batch factor and worker count; on
+//!    the oracle it never costs more prompts and saves virtual time, at
+//!    `B = 1` it costs exactly the single-key bill, and lanes move its
+//!    clocks only.
+//! 3. **Fallback safety** — corrupted batched answers fall back to
+//!    single-key re-asks that restore the exact relations.
 
 mod common;
 
-use common::{
-    assert_suite_bit_identical, options, oracle_session, session_with_model, small_config,
-    sorted_rows, LineDropper,
+use common::contract::{
+    drawn, fallback_restores_rows, knob_is_invariant, Cell, Cmp, Contract, Knob, Rows,
 };
+use common::{options, small_config};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::Scenario;
 use proptest::prelude::*;
-use std::sync::Arc;
 
-fn session(s: &Scenario, batch: PromptBatch, lanes: usize) -> galois::core::Galois {
-    oracle_session(s, options(ListStore::Off, Pipeline::Off, batch, lanes))
-}
-
-/// `PromptBatch::Off` is the default: the default-options session and an
-/// explicitly-Off session must agree on *every* observable counter across
-/// the whole suite — prompts per kind, cache hits, both clocks, rows.
+/// The default session's readings are pinned by `tests/wave_golden.rs`.
 #[test]
 fn off_is_bit_identical_to_default_pipeline() {
-    let s = Scenario::generate_with(42, small_config());
-    let default_session = oracle_session(&s, GaloisOptions::default());
-    let off_session = session(&s, PromptBatch::Off, 1);
-    assert_eq!(
-        GaloisOptions::default().prompt_batch,
-        PromptBatch::Off,
-        "Off must stay the default"
-    );
-    assert_suite_bit_identical(&s, &default_session, &off_session, usize::MAX, "batch off");
+    let off = GaloisOptions::default().prompt_batch;
+    assert_eq!(off, PromptBatch::Off, "Off must stay the default");
 }
 
-/// Batched execution returns identical relations for K ∈ {1, 8} worker
-/// threads / request lanes, at several batch factors, over the suite.
 #[test]
 fn batched_relations_match_off_for_one_and_eight_workers() {
     let s = Scenario::generate_with(42, small_config());
-    let off = session(&s, PromptBatch::Off, 1);
-    for spec in &s.suite {
-        let sql = spec.to_sql();
-        let base = off.execute(&sql).unwrap();
-        for lanes in [1usize, 8] {
-            for b in [2usize, 10] {
-                let got = session(&s, PromptBatch::Keys(b), lanes)
-                    .execute(&sql)
-                    .unwrap();
-                assert_eq!(
-                    sorted_rows(&got.relation),
-                    sorted_rows(&base.relation),
-                    "q{} diverged at B={b}, K={lanes}: {sql}",
-                    spec.id
-                );
-            }
-        }
+    let batched = |b, lanes| options(ListStore::Off, Pipeline::Off, PromptBatch::Keys(b), lanes);
+    let off = Cell::new(&s, GaloisOptions::default());
+    let cheaper = Contract {
+        rows: Rows::InOrder,
+        bill: Some(Cmp::Le),
+        clock: Some(Cmp::Lt),
+        ..Contract::R_M
+    };
+    let cells = [(2, 1), (10, 1), (2, 8), (10, 8)].map(|(b, lanes)| off.with(batched(b, lanes)));
+    cheaper.check(&off, &cells);
+    // `Keys(1)`: the multi-key protocol at its base case, a different text
+    // for the same prompts — on a fresh session, where no earlier
+    // statement's sub-entries serve a key.
+    let single = Contract {
+        rows: Rows::InOrder,
+        bill: Some(Cmp::Eq),
+        ..Contract::R_M
+    };
+    for sql in &off.order {
+        let off = off.clone().order(vec![sql.clone()]);
+        single.check(&off, &[off.with(batched(1, 1))]);
     }
+    let one_lane = off.with(batched(10, 1));
+    Contract::CLOCKS_ONLY.check(&one_lane, &[2, 8].map(|k| off.with(batched(10, k))));
 }
 
-/// With half of every batched answer destroyed, the fallback re-asks must
-/// restore the exact `PromptBatch::Off` relations — at K ∈ {1, 8} — while
-/// necessarily spending extra prompts.
 #[test]
 fn corrupted_batches_fall_back_to_off_relations() {
-    let s = Scenario::generate_with(42, small_config());
-    let off = session(&s, PromptBatch::Off, 1);
-    for lanes in [1usize, 8] {
-        let flaky = session_with_model(
-            Arc::new(LineDropper::oracle(&s)),
-            &s,
-            options(ListStore::Off, Pipeline::Off, PromptBatch::Keys(8), lanes),
-        );
-        common::assert_suite_rows_match(
-            &s,
-            &off,
-            &flaky,
-            12,
-            &format!("corrupted batches at K={lanes}"),
-        );
-    }
+    fallback_restores_rows(&[PromptBatch::Keys(8)], &[Pipeline::Off]);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property form over arbitrary worlds, suite queries and batch
-    /// factors: batching never changes `R_M` on a noise-free model, and
-    /// with no fallbacks (the oracle parses cleanly) it never costs more
-    /// prompts than the single-key protocol.
     #[test]
-    fn batching_is_result_invariant_for_any_seed(
-        seed in 0u64..10_000,
-        qi in 0usize..46,
-        b in 2usize..26,
-    ) {
-        let s = Scenario::generate_with(seed, small_config());
-        let spec = &s.suite[qi];
-        let sql = spec.to_sql();
-        let a = session(&s, PromptBatch::Off, 1).execute(&sql)
-            .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
-        let bat = session(&s, PromptBatch::Keys(b), 1).execute(&sql)
-            .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
-        prop_assert_eq!(
-            sorted_rows(&a.relation), sorted_rows(&bat.relation),
-            "q{} R_M diverges at B={}", spec.id, b
-        );
-        prop_assert!(
-            bat.stats.total_prompts() <= a.stats.total_prompts(),
-            "q{}: batched {} > off {} prompts at B={}",
-            spec.id, bat.stats.total_prompts(), a.stats.total_prompts(), b
-        );
+    fn batching_is_result_invariant_for_any_seed(draw in drawn(true)) {
+        knob_is_invariant(Knob::Batch, &draw);
     }
 }

@@ -1,14 +1,13 @@
-//! Chaos battery (PR 9): fault-injected model runs against the fault-free
-//! engine.
+//! The chaos battery (PR 9): fault-injected model runs against the
+//! fault-free engine — cells of the contract battery
+//! (`tests/common/contract.rs`), and the resilience layer's own rules.
 //!
 //! 1. **Fault-free equivalence under retries** — with a bounded fault
 //!    schedule (`max_consecutive` ≤ the retry budget) and
-//!    `Resilience::On`, a faulty run reproduces the fault-free suite
-//!    *bit-exactly*: same rows in order, same prompts net of retries, same
-//!    cache hits and token totals, zero `failed_cells` — only the virtual
-//!    clocks (which legally bill the retry waits) and the resilience
-//!    counters differ. Property-tested over fault seeds × lanes × batch
-//!    shapes × pipelines × list stores.
+//!    `Resilience::On`, a faulty run at fault rate 0.1, 0.2 or 0.5 reads
+//!    the fault-free run's rows in order and every stat but the clocks
+//!    (which bill the retry waits) and the resilience counters: no failed
+//!    cell. Property-tested over the options matrix.
 //! 2. **Graceful degradation on exhaustion** — when the retry budget is
 //!    smaller than the fault schedule, queries still return: partial
 //!    relations with per-cell `Null`s, `failed_cells` counting every
@@ -25,15 +24,11 @@
 
 mod common;
 
-use common::{
-    assert_stats_eq_modulo_resilience, faulty_oracle, options, oracle_session, permutation,
-    session_with_model, small_config,
-};
-use galois::core::{
-    Galois, GaloisOptions, ListStore, Pipeline, PromptBatch, Resilience, RetryPolicy,
-};
+use common::contract::{drawn, faulty, paged, Cell, Cmp, Contract, Field, Model};
+use common::{oracle_session, small_config};
+use galois::core::{GaloisOptions, GaloisResult, ListStore, Pipeline, Resilience, RetryPolicy};
 use galois::dataset::Scenario;
-use galois::llm::{FaultProfile, FaultyLlm, KeyUniverseStore, LanguageModel, ModelProfile, SimLlm};
+use galois::llm::{FaultProfile, KeyUniverseStore, LanguageModel, ModelProfile};
 use galois::relational::Value;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -41,8 +36,9 @@ use std::sync::Arc;
 /// A fault schedule with the marker-detectable kinds only: truncated
 /// faults deliberately survive the parsing gauntlet (they corrupt the
 /// clean answer's prefix), so exhaustion-shape assertions that compare
-/// cell values against the clean run exclude them. The equivalence test
-/// keeps all four kinds — retries absorb truncation before parsing.
+/// cell values against the clean run exclude them. The equivalence
+/// property keeps all four kinds — retries absorb truncation before
+/// parsing.
 fn detectable_faults(seed: u64, rate: f64) -> FaultProfile {
     FaultProfile {
         seed,
@@ -52,63 +48,82 @@ fn detectable_faults(seed: u64, rate: f64) -> FaultProfile {
     }
 }
 
+/// What retries may move under streaming: the clocks, the resilience
+/// counters, and the prompts (with their tokens). A retry's wait moves
+/// the instant a chunk gets its last input, so an idle lane may flush a
+/// chunk the fault-free run filled, or fill one it flushed; the bill stays
+/// at least the wave's, as every streaming run's does.
+const RESCHEDULED: &[Field] = &[
+    Field::Clock,
+    Field::Phases,
+    Field::Serial,
+    Field::Resilience,
+    Field::Prompts,
+    Field::Tokens,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Acceptance grid: fault rate ≤ 20 %, all four fault kinds, retry
-    /// budget ≥ the schedule's `max_consecutive` — the faulty run must be
-    /// bit-exact with the fault-free run on rows, prompts, cache hits and
-    /// tokens, for every seed × lane × batch × pipeline × store corner.
     #[test]
     fn faulty_model_under_retries_reproduces_the_fault_free_suite(
+        draw in drawn(false),
         fault_seed in 1u64..100_000,
-        lanes in prop::sample::select(vec![1usize, 4]),
-        batch_pick in 0u8..3,
-        streaming in any::<bool>(),
-        store_on in any::<bool>(),
-        order_seed in any::<u64>(),
+        rate in prop::sample::select(vec![0.1, 0.2, 0.5]),
     ) {
-        let s = Scenario::generate_with(42, small_config());
-        let batch = match batch_pick {
-            0 => PromptBatch::Off,
-            1 => PromptBatch::Keys(6),
-            _ => PromptBatch::Grid { keys: 6, attrs: 2 },
+        // The oracle listing whole concepts, on which a streaming bill is
+        // bounded below by the wave's.
+        let world = draw.world();
+        let clean = draw.cell(&world).model(Model::Profile(ModelProfile::oracle()));
+        let faults = FaultProfile { seed: fault_seed, ..FaultProfile::with_rate(rate) };
+        prop_assert!(faults.max_consecutive <= RetryPolicy::default().max_retries);
+        let retried = GaloisOptions {
+            resilience: Resilience::On(RetryPolicy::default()),
+            ..draw.options.clone()
         };
-        let pipeline = if streaming { Pipeline::Streaming } else { Pipeline::Off };
-        let store = || if store_on { ListStore::On } else { ListStore::Off };
-
-        let clean = oracle_session(&s, options(store(), pipeline, batch, lanes));
-        let profile = FaultProfile {
-            seed: fault_seed,
-            ..FaultProfile::with_rate(0.2)
-        };
-        prop_assert!(profile.max_consecutive <= RetryPolicy::default().max_retries);
-        let faulty = session_with_model(
-            faulty_oracle(&s, profile),
-            &s,
-            GaloisOptions {
-                resilience: Resilience::On(RetryPolicy::default()),
-                ..options(store(), pipeline, batch, lanes)
-            },
-        );
-
-        for &i in permutation(s.suite.len(), order_seed).iter().take(6) {
-            let sql = s.suite[i].to_sql();
-            let a = clean.execute(&sql).unwrap();
-            let b = faulty.execute(&sql).unwrap();
-            prop_assert_eq!(
-                &a.relation.rows, &b.relation.rows,
-                "q{} rows diverged under faults (seed {}): {}",
-                s.suite[i].id, fault_seed, sql
-            );
-            prop_assert_eq!(a.stats.failed_cells, 0, "clean run can't fail cells");
-            assert_stats_eq_modulo_resilience(
-                &a.stats,
-                &b.stats,
-                &format!("q{} stats (seed {fault_seed}): {sql}", s.suite[i].id),
-            );
+        let model = faulty(&world, ModelProfile::oracle(), faults);
+        let faulty = clean.with(retried).model(Model::Faulty(model));
+        if draw.options.pipeline == Pipeline::Off {
+            Contract::RETRIED.check(&clean, &[faulty]);
+        } else {
+            let rescheduled = Contract { stats: Some(RESCHEDULED), ..Contract::RETRIED };
+            let got = rescheduled.check(&clean, &[faulty]);
+            let wave = GaloisOptions { pipeline: Pipeline::Off, ..draw.options.clone() };
+            let label = "faulty streaming against the fault-free wave";
+            let floor = Contract { bill: Some(Cmp::Ge), ..Contract::R_M };
+            floor.compare(&clean.with(wave).read(), &got[0], label);
         }
     }
+}
+
+/// Sessions over one faulty oracle handle with the default options and
+/// the given retry policy, run on `sql` until one degrades no cell (at
+/// most `tries` of them); returns every run's result.
+fn drain(
+    s: &Scenario,
+    faults: FaultProfile,
+    policy: RetryPolicy,
+    tries: usize,
+) -> Vec<GaloisResult> {
+    let options = GaloisOptions {
+        resilience: Resilience::On(policy),
+        ..GaloisOptions::default()
+    };
+    let cell =
+        Cell::new(s, options).model(Model::Faulty(faulty(s, ModelProfile::oracle(), faults)));
+    let mut runs = Vec::new();
+    while runs.len() < tries
+        && runs
+            .last()
+            .is_none_or(|r: &GaloisResult| r.stats.failed_cells > 0)
+    {
+        runs.push(
+            cell.session()
+                .execute("SELECT name, population FROM city")
+                .unwrap(),
+        );
+    }
+    runs
 }
 
 /// With the retry budget *below* the fault schedule, exhausted cells
@@ -123,25 +138,13 @@ fn retry_exhaustion_degrades_to_partial_results_and_recovers() {
     let want = oracle_session(&s, GaloisOptions::default())
         .execute(sql)
         .unwrap();
-
-    let model = faulty_oracle(&s, detectable_faults(7, 1.0));
     let policy = RetryPolicy {
         max_retries: 1,
         breaker_threshold: u32::MAX,
         ..RetryPolicy::default()
     };
-    let session = || {
-        session_with_model(
-            model.clone(),
-            &s,
-            GaloisOptions {
-                resilience: Resilience::On(policy),
-                ..GaloisOptions::default()
-            },
-        )
-    };
-
-    let first = session().execute(sql).unwrap();
+    let runs = drain(&s, detectable_faults(7, 1.0), policy, 13);
+    let first = &runs[0];
     assert!(
         first.stats.failed_cells > 0,
         "a rate-1.0 schedule must exhaust the 1-retry budget somewhere"
@@ -158,17 +161,9 @@ fn retry_exhaustion_degrades_to_partial_results_and_recovers() {
             "degraded row is neither clean nor Null-annotated: {row:?}"
         );
     }
-
     // Every prompt's schedule is bounded, so fresh sessions over the same
-    // handle drain it; the first fully-clean run is bit-equal to the
-    // fault-free result.
-    let mut last = first;
-    for _ in 0..12 {
-        if last.stats.failed_cells == 0 {
-            break;
-        }
-        last = session().execute(sql).unwrap();
-    }
+    // handle drain it; the first fully-clean run is the fault-free result.
+    let last = runs.last().unwrap();
     assert_eq!(last.stats.failed_cells, 0, "schedule failed to drain");
     assert_eq!(last.relation.rows, want.relation.rows);
 }
@@ -184,25 +179,12 @@ fn breaker_opens_fails_fast_and_recovers_through_half_open_probes() {
     let want = oracle_session(&s, GaloisOptions::default())
         .execute(sql)
         .unwrap();
-
-    let model = faulty_oracle(&s, detectable_faults(11, 1.0));
     let policy = RetryPolicy {
         max_retries: 0,
         breaker_threshold: 2,
         breaker_cooldown: 1,
         ..RetryPolicy::default()
     };
-    let session = || {
-        session_with_model(
-            model.clone(),
-            &s,
-            GaloisOptions {
-                resilience: Resilience::On(policy),
-                ..GaloisOptions::default()
-            },
-        )
-    };
-
     // The breaker is per-session state, and a session whose *listing*
     // exhausts issues no further prompts — the streak builds in the
     // session whose listing finally drains and whose fetch wave then
@@ -210,25 +192,16 @@ fn breaker_opens_fails_fast_and_recovers_through_half_open_probes() {
     // drains; at least one of them must have tripped the breaker, and the
     // short cooldown's half-open probes keep burning the per-prompt
     // schedules even while it flaps, so the runs converge.
-    let mut saw_fastfails = false;
-    let mut saw_failed_cells = false;
-    let mut last = session().execute(sql).unwrap();
-    for _ in 0..30 {
-        saw_fastfails |= last.stats.breaker_fastfails > 0;
-        saw_failed_cells |= last.stats.failed_cells > 0;
-        if last.stats.failed_cells == 0 {
-            break;
-        }
-        last = session().execute(sql).unwrap();
-    }
+    let runs = drain(&s, detectable_faults(11, 1.0), policy, 31);
     assert!(
-        saw_failed_cells,
+        runs.iter().any(|r| r.stats.failed_cells > 0),
         "a rate-1.0 schedule with no retries must degrade cells"
     );
     assert!(
-        saw_fastfails,
+        runs.iter().any(|r| r.stats.breaker_fastfails > 0),
         "the exhaustion streak must open the breaker in some run"
     );
+    let last = runs.last().unwrap();
     assert_eq!(last.stats.failed_cells, 0, "schedule failed to drain");
     assert_eq!(last.relation.rows, want.relation.rows);
 }
@@ -240,42 +213,31 @@ fn breaker_opens_fails_fast_and_recovers_through_half_open_probes() {
 #[test]
 fn faulted_mid_listing_leaves_a_resumable_frontier() {
     let s = Scenario::generate_with(42, small_config());
-    let paged = ModelProfile {
-        list_page_size: 4,
-        ..ModelProfile::oracle()
-    };
     let sql = "SELECT name FROM city";
-    let full = Galois::with_options(
-        Arc::new(SimLlm::new(s.knowledge.clone(), paged.clone())),
-        s.database.clone(),
-        GaloisOptions::default(),
-    )
-    .execute(sql)
-    .unwrap();
+    let paged_cell = Cell::new(&s, GaloisOptions::default()).model(Model::Profile(paged(4)));
+    let full = paged_cell.session().execute(sql).unwrap();
     assert!(full.relation.rows.len() > 8, "need several pages");
+    let session = |model: &Arc<_>, store: &Arc<KeyUniverseStore>, resilience| {
+        let options = GaloisOptions {
+            list_store: ListStore::Shared(store.clone()),
+            resilience,
+            ..GaloisOptions::default()
+        };
+        let cell = paged_cell
+            .with(options)
+            .model(Model::Faulty(Arc::clone(model)));
+        cell.session()
+    };
 
     // Scan fault seeds for one that fails the listing mid-flight (some
     // pages in, some pages short) on a resilience-Off session.
     let mut found = None;
     for seed in 1..=80u64 {
         let store = Arc::new(KeyUniverseStore::default());
-        let model = Arc::new(FaultyLlm::new(
-            Arc::new(SimLlm::new(s.knowledge.clone(), paged.clone())),
-            FaultProfile {
-                fault_rate: 0.35,
-                ..detectable_faults(seed, 0.35)
-            },
-        ));
-        let partial = Galois::with_options(
-            model.clone(),
-            s.database.clone(),
-            GaloisOptions {
-                list_store: ListStore::Shared(store.clone()),
-                ..GaloisOptions::default()
-            },
-        )
-        .execute(sql)
-        .unwrap();
+        let model = faulty(&s, paged(4), detectable_faults(seed, 0.35));
+        let partial = session(&model, &store, Resilience::Off)
+            .execute(sql)
+            .unwrap();
         let n = partial.relation.rows.len();
         if n > 0 && n < full.relation.rows.len() {
             assert!(
@@ -303,17 +265,8 @@ fn faulted_mid_listing_leaves_a_resumable_frontier() {
     // A retrying session over the same model handle and store resumes
     // past the frontier: exact full universe, no duplicates, and fewer
     // list prompts than the clean cold start needed.
-    let resumed = Galois::with_options(
-        model.clone(),
-        s.database.clone(),
-        GaloisOptions {
-            list_store: ListStore::Shared(store.clone()),
-            resilience: Resilience::On(RetryPolicy::default()),
-            ..GaloisOptions::default()
-        },
-    )
-    .execute(sql)
-    .unwrap();
+    let retried = Resilience::On(RetryPolicy::default());
+    let resumed = session(&model, &store, retried).execute(sql).unwrap();
     assert_eq!(resumed.relation.rows, full.relation.rows);
     assert_eq!(resumed.stats.failed_cells, 0);
     assert!(

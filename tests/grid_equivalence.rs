@@ -1,116 +1,78 @@
-//! Grid-fused multi-attribute prompting invariants (PR 7):
+//! Grid-fused multi-attribute prompting (PR 7): cells of the contract
+//! battery (`tests/common/contract.rs`), and the grid's economics.
 //!
-//! 1. **Off bit-exactness** — `PromptBatch::Off` (still the default) must
-//!    stay bit-identical to a default-options session: prompts per kind,
-//!    cache hits, both virtual clocks and result relations all match.
-//!    (`Keys(B)` bit-exactness with the pre-grid engine is carried by
-//!    `tests/batch_equivalence.rs`, which is untouched by this PR.)
+//! 1. **The default** — `PromptBatch::Off` stays the default, whose
+//!    readings are pinned.
 //! 2. **Ablation base case** — `Grid { keys: B, attrs: 1 }` is the grid
-//!    protocol with no attribute fusion: same prompt-count economics as
-//!    `Keys(B)`, same relations.
-//! 3. **Grid result invariance** — `Grid { keys: B, attrs: A }` may
-//!    reshape the fetch schedule arbitrarily, but on a noise-free model it
-//!    never changes `R_M`, for any B, A, worker count or pipeline mode.
-//! 4. **Fallback safety** — when grid answers are corrupted so cells fail
-//!    to parse, the ladder (grid → per-attribute key batch → per-key
-//!    single) restores the exact `PromptBatch::Off` relations; accuracy
-//!    can never regress, only the prompt bill can.
+//!    protocol with no attribute fusion: `Keys(B)`'s prompts per kind and
+//!    cache hits, other text.
+//! 3. **Result invariance** — `Grid { keys: B, attrs: A }` reshapes the
+//!    fetch schedule but never `R_M`, for any B, A, lane count or
+//!    pipeline; lanes move its clocks only; a model that permutes the
+//!    grid's answer lines costs nothing.
+//! 4. **Fallback safety** — when grid answers are corrupted, the ladder
+//!    (grid → per-attribute key batch → per-key single) restores the exact
+//!    relations.
 
 mod common;
 
-use common::{
-    assert_suite_bit_identical, assert_suite_rows_match, options, oracle_session,
-    session_with_model, small_config, sorted_rows, LineDropper, LinePermuter,
+use common::contract::{
+    drawn, fallback_restores_rows, knob_is_invariant, Cell, Contract, Field, Knob, Model,
 };
-use galois::core::{Galois, GaloisOptions, ListStore, Pipeline, PromptBatch};
+use common::{options, oracle_session, small_config, sorted_rows, suite, Pass};
+use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::Scenario;
 use proptest::prelude::*;
-use std::sync::Arc;
 
-fn session(s: &Scenario, batch: PromptBatch, lanes: usize, pipeline: Pipeline) -> Galois {
-    oracle_session(s, options(ListStore::Off, pipeline, batch, lanes))
+fn grid(keys: usize, attrs: usize) -> PromptBatch {
+    PromptBatch::Grid { keys, attrs }
 }
 
-/// `PromptBatch::Off` stays the default, and the default session remains
-/// bit-identical to an explicitly-Off one on every observable counter —
-/// the grid machinery must be invisible until switched on.
+/// The default session's readings are pinned by `tests/wave_golden.rs`.
 #[test]
 fn off_is_bit_identical_to_default_pipeline() {
-    let s = Scenario::generate_with(42, small_config());
-    let default_session = oracle_session(&s, GaloisOptions::default());
-    let off_session = session(&s, PromptBatch::Off, 1, Pipeline::Off);
-    assert_eq!(
-        GaloisOptions::default().prompt_batch,
-        PromptBatch::Off,
-        "Off must stay the default"
-    );
-    assert_suite_bit_identical(&s, &default_session, &off_session, usize::MAX, "grid off");
+    let off = GaloisOptions::default().prompt_batch;
+    assert_eq!(off, PromptBatch::Off, "Off must stay the default");
 }
 
-/// `Grid { keys: B, attrs: 1 }` is the ablation base case: the grid
-/// protocol without attribute fusion must match `Keys(B)`'s prompt-count
-/// economics exactly, on both pipelines.
 #[test]
 fn grid_of_one_attr_matches_keys_batching_counts() {
     let s = Scenario::generate_with(42, small_config());
+    let same_prompts = Contract {
+        stats: Some(&[Field::Clock, Field::Phases, Field::Serial, Field::Tokens]),
+        ..Contract::R_M
+    };
     for pipeline in [Pipeline::Off, Pipeline::Streaming] {
-        let keys = session(&s, PromptBatch::Keys(8), 1, pipeline);
-        let grid = session(&s, PromptBatch::Grid { keys: 8, attrs: 1 }, 1, pipeline);
-        for spec in s.suite.iter().take(12) {
-            let sql = spec.to_sql();
-            let a = keys.execute(&sql).unwrap();
-            let b = grid.execute(&sql).unwrap();
-            assert_eq!(
-                sorted_rows(&a.relation),
-                sorted_rows(&b.relation),
-                "q{} ({pipeline:?})",
-                spec.id
-            );
-            assert_eq!(
-                a.stats.total_prompts(),
-                b.stats.total_prompts(),
-                "q{} ({pipeline:?})",
-                spec.id
-            );
-            assert_eq!(
-                a.stats.fetch_prompts, b.stats.fetch_prompts,
-                "q{} ({pipeline:?})",
-                spec.id
-            );
-        }
+        let keys = Cell::new(
+            &s,
+            options(ListStore::Off, pipeline, PromptBatch::Keys(8), 1),
+        );
+        let keys = keys.order(suite(&s)[..12].to_vec());
+        same_prompts.check(
+            &keys,
+            &[keys.with(options(ListStore::Off, pipeline, grid(8, 1), 1))],
+        );
     }
 }
 
-/// Grid execution returns identical relations across B × A × K × pipeline
-/// over the suite — attribute fusion reshapes the schedule, never `R_M`.
 #[test]
 fn grid_relations_match_off_across_b_a_k_and_pipelines() {
     let s = Scenario::generate_with(42, small_config());
-    let off = session(&s, PromptBatch::Off, 1, Pipeline::Off);
-    for spec in s.suite.iter().take(12) {
-        let sql = spec.to_sql();
-        let base = off.execute(&sql).unwrap();
-        for pipeline in [Pipeline::Off, Pipeline::Streaming] {
-            for lanes in [1usize, 8] {
-                for b in [2usize, 10] {
-                    // `attrs: 64` exceeds every step's fetch width — the
-                    // "all attributes in one prompt" extreme.
-                    for a in [2usize, 64] {
-                        let got =
-                            session(&s, PromptBatch::Grid { keys: b, attrs: a }, lanes, pipeline)
-                                .execute(&sql)
-                                .unwrap();
-                        assert_eq!(
-                            sorted_rows(&got.relation),
-                            sorted_rows(&base.relation),
-                            "q{} diverged at B={b}, A={a}, K={lanes}, {pipeline:?}: {sql}",
-                            spec.id
-                        );
-                    }
-                }
+    let off = Cell::new(&s, GaloisOptions::default()).order(suite(&s)[..12].to_vec());
+    let mut cells = Vec::new();
+    for pipeline in [Pipeline::Off, Pipeline::Streaming] {
+        for lanes in [1, 8] {
+            // `attrs: 64` exceeds every step's fetch width — the "all
+            // attributes in one prompt" extreme.
+            for (b, a) in [(2, 2), (2, 64), (10, 2), (10, 64)] {
+                cells.push(off.with(options(ListStore::Off, pipeline, grid(b, a), lanes)));
             }
         }
     }
+    Contract::R_M.check(&off, &cells);
+    let one_lane = off.with(options(ListStore::Off, Pipeline::Off, grid(10, 2), 1));
+    let lanes = [2, 8].map(|k| off.with(options(ListStore::Off, Pipeline::Off, grid(10, 2), k)));
+    Contract::CLOCKS_ONLY.check(&one_lane, &lanes);
 }
 
 /// The headline economics: on a multi-attribute query the grid spends
@@ -122,13 +84,8 @@ fn grid_cuts_fetch_prompts_and_serves_narrower_queries() {
     let s = Scenario::generate_with(42, small_config());
     let wide = "SELECT name, population, country FROM city WHERE elevation < 3000";
     let narrow = "SELECT name, population FROM city WHERE elevation < 3000";
-    let keys = session(&s, PromptBatch::Keys(10), 1, Pipeline::Off);
-    let grid = session(
-        &s,
-        PromptBatch::Grid { keys: 10, attrs: 4 },
-        1,
-        Pipeline::Off,
-    );
+    let session = |batch| oracle_session(&s, options(ListStore::Off, Pipeline::Off, batch, 1));
+    let (keys, grid) = (session(PromptBatch::Keys(10)), session(grid(10, 4)));
     let a = keys.execute(wide).unwrap();
     let b = grid.execute(wide).unwrap();
     assert_eq!(sorted_rows(&a.relation), sorted_rows(&b.relation));
@@ -151,137 +108,50 @@ fn grid_cuts_fetch_prompts_and_serves_narrower_queries() {
 /// the cross-query lever that breaks the one-new-column-per-query fetch
 /// floor. Key-only batching (and `attrs: 1`, which has no spare width)
 /// must still pay fetch prompts for the unseen column, and the answers
-/// must be bit-identical either way.
+/// must be identical either way.
 #[test]
 fn speculative_pads_serve_unseen_columns_without_prompts() {
     let s = Scenario::generate_with(42, small_config());
-    let first = "SELECT name FROM city WHERE population > 100000";
-    let unseen = "SELECT name, mayor FROM city WHERE population > 100000";
+    let first = "SELECT name FROM city WHERE population > 100000".to_string();
+    let unseen = "SELECT name, mayor FROM city WHERE population > 100000".to_string();
     for pipeline in [Pipeline::Off, Pipeline::Streaming] {
-        let keys = session(&s, PromptBatch::Keys(10), 1, pipeline);
-        let grid = session(&s, PromptBatch::Grid { keys: 10, attrs: 6 }, 1, pipeline);
-        let narrow = session(&s, PromptBatch::Grid { keys: 10, attrs: 1 }, 1, pipeline);
-        keys.execute(first).unwrap();
-        grid.execute(first).unwrap();
-        narrow.execute(first).unwrap();
-        let a = keys.execute(unseen).unwrap();
-        let b = grid.execute(unseen).unwrap();
-        let c = narrow.execute(unseen).unwrap();
-        assert_eq!(sorted_rows(&a.relation), sorted_rows(&b.relation));
-        assert_eq!(sorted_rows(&a.relation), sorted_rows(&c.relation));
-        assert!(a.stats.fetch_prompts > 0, "keys-only must re-fetch");
-        assert!(c.stats.fetch_prompts > 0, "attrs: 1 must re-fetch");
+        let cell =
+            Cell::new(&s, GaloisOptions::default()).order(vec![first.clone(), unseen.clone()]);
+        let [keys, pads, narrow] = [PromptBatch::Keys(10), grid(10, 6), grid(10, 1)].map(|batch| {
+            cell.with(options(ListStore::Off, pipeline, batch, 1))
+                .read()
+        });
+        Contract::R_M.compare(&keys, &pads, "pads");
+        Contract::R_M.compare(&keys, &narrow, "attrs: 1");
+        let fetched = |passes: &[Pass]| passes[0].0[1].stats.fetch_prompts;
+        assert!(fetched(&keys) > 0, "keys-only must re-fetch");
+        assert!(fetched(&narrow) > 0, "attrs: 1 must re-fetch");
         assert_eq!(
-            b.stats.fetch_prompts, 0,
+            fetched(&pads),
+            0,
             "mayor was never selected, but the first query's pads stored it"
         );
     }
 }
 
-/// With half of every grid answer destroyed, the full fallback ladder must
-/// restore the exact `PromptBatch::Off` relations — at K ∈ {1, 8}, both
-/// pipelines — while necessarily spending extra prompts.
 #[test]
 fn corrupted_grids_fall_back_to_off_relations() {
-    let s = Scenario::generate_with(42, small_config());
-    let off = session(&s, PromptBatch::Off, 1, Pipeline::Off);
-    for pipeline in [Pipeline::Off, Pipeline::Streaming] {
-        for lanes in [1usize, 8] {
-            let flaky = session_with_model(
-                Arc::new(LineDropper::oracle(&s)),
-                &s,
-                options(
-                    ListStore::Off,
-                    pipeline,
-                    PromptBatch::Grid { keys: 8, attrs: 4 },
-                    lanes,
-                ),
-            );
-            assert_suite_rows_match(
-                &s,
-                &off,
-                &flaky,
-                12,
-                &format!("corrupted grids at K={lanes}, {pipeline:?}"),
-            );
-        }
-    }
+    fallback_restores_rows(&[grid(8, 4)], &[Pipeline::Off, Pipeline::Streaming]);
 }
 
-/// A model that permutes grid answer lines costs nothing: the parser
-/// matches cells by `key ⌁ attr` label, not position, so relations *and*
-/// the prompt bill match the clean grid run (no fallback fires).
 #[test]
 fn permuted_grid_lines_round_trip_without_fallback() {
     let s = Scenario::generate_with(42, small_config());
-    let clean = session(
-        &s,
-        PromptBatch::Grid { keys: 8, attrs: 4 },
-        1,
-        Pipeline::Off,
-    );
-    let permuted = session_with_model(
-        Arc::new(LinePermuter::oracle(&s)),
-        &s,
-        options(
-            ListStore::Off,
-            Pipeline::Off,
-            PromptBatch::Grid { keys: 8, attrs: 4 },
-            1,
-        ),
-    );
-    for spec in s.suite.iter().take(12) {
-        let sql = spec.to_sql();
-        let a = clean.execute(&sql).unwrap();
-        let b = permuted.execute(&sql).unwrap();
-        assert_eq!(
-            sorted_rows(&a.relation),
-            sorted_rows(&b.relation),
-            "q{}",
-            spec.id
-        );
-        assert_eq!(
-            a.stats.total_prompts(),
-            b.stats.total_prompts(),
-            "q{}: permuted lines must not trigger the fallback ladder",
-            spec.id
-        );
-    }
+    let clean = Cell::new(&s, options(ListStore::Off, Pipeline::Off, grid(8, 4), 1));
+    let clean = clean.order(suite(&s)[..12].to_vec());
+    Contract::BIT_EXACT.check(&clean, &[clean.clone().model(Model::Permuter)]);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property form over arbitrary worlds, suite queries, grid shapes and
-    /// pipelines: grid fusion never changes `R_M` on a noise-free model,
-    /// and with no fallbacks (the oracle parses cleanly) it never costs
-    /// more prompts than key-only batching at the same B.
     #[test]
-    fn grid_is_result_invariant_for_any_seed(
-        seed in 0u64..10_000,
-        qi in 0usize..46,
-        b in 2usize..26,
-        a in 1usize..6,
-        streaming in any::<bool>(),
-    ) {
-        let pipeline = if streaming { Pipeline::Streaming } else { Pipeline::Off };
-        let s = Scenario::generate_with(seed, small_config());
-        let spec = &s.suite[qi];
-        let sql = spec.to_sql();
-        let base = session(&s, PromptBatch::Off, 1, Pipeline::Off).execute(&sql)
-            .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
-        let keys = session(&s, PromptBatch::Keys(b), 1, pipeline).execute(&sql)
-            .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
-        let grid = session(&s, PromptBatch::Grid { keys: b, attrs: a }, 1, pipeline).execute(&sql)
-            .map_err(|e| TestCaseError::fail(format!("q{}: {e}", spec.id)))?;
-        prop_assert_eq!(
-            sorted_rows(&base.relation), sorted_rows(&grid.relation),
-            "q{} R_M diverges at B={}, A={}, {:?}", spec.id, b, a, pipeline
-        );
-        prop_assert!(
-            grid.stats.total_prompts() <= keys.stats.total_prompts(),
-            "q{}: grid {} > keys-only {} prompts at B={}, A={}, {:?}",
-            spec.id, grid.stats.total_prompts(), keys.stats.total_prompts(), b, a, pipeline
-        );
+    fn grid_is_result_invariant_for_any_seed(draw in drawn(true)) {
+        knob_is_invariant(Knob::Grid, &draw);
     }
 }

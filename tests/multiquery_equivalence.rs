@@ -1,14 +1,13 @@
-//! Cross-query scheduling battery (PR 10): the shared lane pool must
-//! change *clocks only*, never answers or prompt accounting.
+//! Cross-query scheduling (PR 10): the shared lane pool changes *clocks
+//! only*, never answers or prompt accounting — cells of the contract
+//! battery (`tests/common/contract.rs`) read through `run_multi_query`.
 //!
 //! 1. **Concurrency invariance** — for any session count, any
 //!    session-assignment permutation, any admission order the fair-share
-//!    rules produce, and any lane/batch shape: every query's relation,
-//!    rows-in-order, and `QueryStats` modulo the clocks (`virtual_ms`,
-//!    `queue_ms`, wall) are bit-identical with the single-session run.
-//!    Per-kind prompt totals and cache hits are pinned per query, not
-//!    just in aggregate — the logical pass runs queries in canonical
-//!    input order regardless of how the replay schedules them.
+//!    rules produce, and any lane/batch shape: every query's rows in order
+//!    and `QueryStats` but the replay's clock and queue equal the
+//!    single-session run's, per query — the logical pass runs queries in
+//!    canonical input order regardless of how the replay schedules them.
 //! 2. **Single-session replay degeneracy** — one session with the
 //!    default (unbounded) admission policy reproduces plain serial
 //!    `execute` *bit-exactly* including `virtual_ms`, with `queue_ms` 0
@@ -25,68 +24,37 @@
 
 mod common;
 
-use common::{assert_stats_eq, options, oracle_session, permutation};
+use common::contract::{replayed, Cell, Cmp, Contract, Rows};
+use common::{options, permutation, small_config, suite};
 use galois::core::{
     run_multi_query, AdmissionPolicy, FairShare, GaloisOptions, ListStore, MultiQueryReport,
-    Pipeline, PromptBatch, QueryStats,
+    Pipeline, PromptBatch,
 };
-use galois::dataset::{Scenario, WorldConfig};
+use galois::dataset::Scenario;
 use proptest::prelude::*;
-
-/// The battery's standard world: small enough that a full suite pass
-/// stays fast under proptest, with enough per-concept keys that the
-/// replay has real micro-batch traces to pack.
-fn scenario(seed: u64) -> Scenario {
-    Scenario::generate_with(
-        seed,
-        WorldConfig {
-            countries: 6,
-            cities: 14,
-            airports: 6,
-            singers: 6,
-            concerts: 8,
-            employees: 10,
-        },
-    )
-}
 
 /// The serving preset's grid batch (`Grid { keys: 10, attrs: 6 }`).
 fn serving_grid() -> PromptBatch {
     GaloisOptions::serving().prompt_batch
 }
 
-/// Runs the scenario's suite through the scheduler at the given shape and
-/// returns the report (fresh session: the store and prompt cache start
-/// cold, so runs are comparable).
-fn run(
-    s: &Scenario,
-    batch: PromptBatch,
-    lanes: usize,
-    session_of: &[usize],
-    policy: &AdmissionPolicy,
-) -> MultiQueryReport {
-    let session = oracle_session(
+/// The streaming cell the replays run: the suite, on a fresh session (the
+/// store and prompt cache start cold, so runs are comparable).
+fn cell(s: &Scenario, batch: PromptBatch, lanes: usize) -> Cell<'_> {
+    Cell::new(
         s,
         options(ListStore::Off, Pipeline::Streaming, batch, lanes),
-    );
-    let sqls: Vec<String> = s.suite.iter().map(|q| q.to_sql()).collect();
-    let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
-    run_multi_query(&session, &queries, session_of, policy).expect("streaming suite replays")
+    )
 }
 
-/// Clock-insensitive stat equality: everything but the replay-owned
-/// clocks (`virtual_ms`, `queue_ms`) and the measured wall clock must
-/// match — prompts per kind, cache hits, rows, token totals, resilience
-/// counters, all of it.
-fn assert_stats_eq_modulo_clocks(a: &QueryStats, b: &QueryStats, label: &str) {
-    let mut a = *a;
-    let mut b = *b;
-    for s in [&mut a, &mut b] {
-        s.wall_ms = 0;
-        s.virtual_ms = 0;
-        s.queue_ms = 0;
-    }
-    assert_eq!(a, b, "{label}");
+/// Replays `cell`'s statements through the scheduler.
+fn replay(cell: &Cell, session_of: &[usize], policy: &AdmissionPolicy) -> MultiQueryReport {
+    let queries: Vec<&str> = cell.order.iter().map(String::as_str).collect();
+    run_multi_query(&cell.session(), &queries, session_of, policy).expect("the suite replays")
+}
+
+fn dealt(n: usize, sessions: usize) -> Vec<usize> {
+    (0..n).map(|i| i % sessions).collect()
 }
 
 proptest! {
@@ -94,8 +62,7 @@ proptest! {
 
     /// Axis sweep: world seed × sessions {1, 2, 8} × assignment
     /// permutation × fair-share rule × lanes × batch shape. The
-    /// single-session run is the reference; every other shape must agree
-    /// on answers and accounting query by query.
+    /// single-session run is the reference.
     #[test]
     fn concurrency_changes_clocks_only(
         seed in prop_oneof![Just(42u64), Just(7u64), Just(1234u64)],
@@ -105,35 +72,17 @@ proptest! {
         lanes in prop_oneof![Just(1usize), Just(8)],
         grid in any::<bool>(),
     ) {
-        let s = scenario(seed);
-        let n = s.suite.len();
-        let batch = if grid {
-            serving_grid()
-        } else {
-            PromptBatch::Keys(10)
-        };
-        let reference = run(&s, batch, lanes, &vec![0usize; n], &AdmissionPolicy::default());
-
-        let perm = permutation(n, perm_state);
-        let session_of: Vec<usize> = perm.iter().map(|&p| p % sessions).collect();
-        let policy = AdmissionPolicy { share, ..AdmissionPolicy::default() };
-        let report = run(&s, batch, lanes, &session_of, &policy);
-
-        prop_assert_eq!(report.outcomes.len(), reference.outcomes.len());
-        for (i, (got, want)) in report.outcomes.iter().zip(&reference.outcomes).enumerate() {
-            // The whole relation — schema and rows in order, not just row
-            // sets: the logical pass is the same engine pass, so even
-            // ordering must survive.
-            prop_assert_eq!(
-                &got.result.relation, &want.result.relation,
-                "relation, query {}", i
-            );
-            assert_stats_eq_modulo_clocks(
-                &got.result.stats,
-                &want.result.stats,
-                &format!("stats, query {i} (seed {seed}, sessions {sessions}, {share:?})"),
-            );
-            prop_assert_eq!(got.session, session_of[i], "session label, query {}", i);
+        let s = Scenario::generate_with(seed, small_config());
+        let batch = if grid { serving_grid() } else { PromptBatch::Keys(10) };
+        let cell = cell(&s, batch, lanes);
+        let n = cell.order.len();
+        let reference = replay(&cell, &vec![0; n], &AdmissionPolicy::default());
+        let session_of: Vec<usize> = permutation(n, perm_state).iter().map(|&p| p % sessions).collect();
+        let report = replay(&cell, &session_of, &AdmissionPolicy { share, ..AdmissionPolicy::default() });
+        let label = format!("seed {seed}, sessions {sessions}, {share:?}");
+        Contract::REPLAYED.compare(&replayed(&reference, &cell.order), &replayed(&report, &cell.order), &label);
+        for (outcome, session) in report.outcomes.iter().zip(&session_of) {
+            prop_assert_eq!(outcome.session, *session, "session label");
         }
         prop_assert!(report.lane_utilisation <= 1.0 + 1e-12);
     }
@@ -141,37 +90,17 @@ proptest! {
 
 #[test]
 fn single_session_replay_is_serial_execution_bit_for_bit() {
-    let s = scenario(42);
-    let n = s.suite.len();
-    let report = run(
-        &s,
-        PromptBatch::Keys(10),
-        8,
-        &vec![0usize; n],
+    let s = Scenario::generate_with(42, small_config());
+    let cell = cell(&s, PromptBatch::Keys(10), 8);
+    let report = replay(
+        &cell,
+        &vec![0; cell.order.len()],
         &AdmissionPolicy::default(),
     );
-
-    let serial = oracle_session(
-        &s,
-        options(
-            ListStore::Off,
-            Pipeline::Streaming,
-            PromptBatch::Keys(10),
-            8,
-        ),
-    );
+    let serial = cell.read();
+    Contract::BIT_EXACT.compare(&serial, &replayed(&report, &cell.order), "serial execution");
     let mut clock = 0u64;
-    for (i, (spec, outcome)) in s.suite.iter().zip(&report.outcomes).enumerate() {
-        let want = serial.execute(&spec.to_sql()).expect("serial suite query");
-        assert_eq!(
-            outcome.result.relation, want.relation,
-            "relation, query {i}"
-        );
-        assert_stats_eq(
-            &outcome.result.stats,
-            &want.stats,
-            &format!("stats, query {i}"),
-        );
+    for (i, (outcome, want)) in report.outcomes.iter().zip(&serial[0].0).enumerate() {
         assert_eq!(
             outcome.result.stats.queue_ms, 0,
             "nothing queues, query {i}"
@@ -191,32 +120,19 @@ fn single_session_replay_is_serial_execution_bit_for_bit() {
 
 #[test]
 fn eight_sessions_beat_the_serial_clock_under_both_shares() {
-    let s = scenario(42);
-    let n = s.suite.len();
-    let serial_sum: u64 = run(
-        &s,
-        PromptBatch::Keys(10),
-        8,
-        &vec![0usize; n],
-        &AdmissionPolicy::default(),
-    )
-    .makespan_ms;
-
-    let session_of: Vec<usize> = (0..n).map(|i| i % 8).collect();
+    let s = Scenario::generate_with(42, small_config());
+    let cell = cell(&s, PromptBatch::Keys(10), 8);
+    let n = cell.order.len();
+    let serial = replay(&cell, &vec![0; n], &AdmissionPolicy::default()).makespan_ms;
     for share in [FairShare::DeficitMs, FairShare::RoundRobin] {
-        let report = run(
-            &s,
-            PromptBatch::Keys(10),
-            8,
-            &session_of,
-            &AdmissionPolicy {
-                share,
-                ..AdmissionPolicy::default()
-            },
-        );
+        let policy = AdmissionPolicy {
+            share,
+            ..AdmissionPolicy::default()
+        };
+        let report = replay(&cell, &dealt(n, 8), &policy);
         assert!(
-            report.makespan_ms < serial_sum,
-            "{share:?}: makespan {} must beat the serial clock {serial_sum}",
+            report.makespan_ms < serial,
+            "{share:?}: makespan {} must beat the serial clock {serial}",
             report.makespan_ms
         );
         assert_eq!(
@@ -242,48 +158,30 @@ fn eight_sessions_beat_the_serial_clock_under_both_shares() {
 
 #[test]
 fn inflight_cap_queues_without_changing_accounting() {
-    let s = scenario(42);
-    let n = s.suite.len();
-    let session_of: Vec<usize> = (0..n).map(|i| i % 8).collect();
-    let free = run(
-        &s,
-        PromptBatch::Keys(10),
-        8,
-        &session_of,
-        &AdmissionPolicy::default(),
-    );
-    let capped = run(
-        &s,
-        PromptBatch::Keys(10),
-        8,
-        &session_of,
-        &AdmissionPolicy {
-            max_inflight: 2,
-            ..AdmissionPolicy::default()
-        },
-    );
+    let s = Scenario::generate_with(42, small_config());
+    let cell = cell(&s, PromptBatch::Keys(10), 8);
+    let session_of = dealt(cell.order.len(), 8);
+    let free = replay(&cell, &session_of, &AdmissionPolicy::default());
+    let capped = AdmissionPolicy {
+        max_inflight: 2,
+        ..AdmissionPolicy::default()
+    };
+    let capped = replay(&cell, &session_of, &capped);
     assert!(capped.total_queue_ms > 0, "a 2-query window must queue");
     assert!(
         capped.makespan_ms >= free.makespan_ms,
         "queueing never speeds up"
     );
-    for (i, (got, want)) in capped.outcomes.iter().zip(&free.outcomes).enumerate() {
-        assert_eq!(
-            got.result.relation, want.result.relation,
-            "relation, query {i}"
-        );
-        assert_stats_eq_modulo_clocks(
-            &got.result.stats,
-            &want.result.stats,
-            &format!("stats, query {i}"),
-        );
+    let (free_pass, capped_pass) = (replayed(&free, &cell.order), replayed(&capped, &cell.order));
+    Contract::REPLAYED.compare(&free_pass, &capped_pass, "capped against free");
+    for (i, got) in capped.outcomes.iter().enumerate() {
         assert!(
             got.arrival_ms <= got.admitted_ms && got.admitted_ms <= got.finished_ms,
             "timeline ordering, query {i}"
         );
+        let waited = got.admitted_ms - got.arrival_ms;
         assert_eq!(
-            got.result.stats.queue_ms,
-            got.admitted_ms - got.arrival_ms,
+            got.result.stats.queue_ms, waited,
             "queue accounting, query {i}"
         );
     }
@@ -295,63 +193,48 @@ fn inflight_cap_queues_without_changing_accounting() {
 /// on the session.
 #[test]
 fn the_admission_policy_is_the_arguments_not_the_sessions() {
-    let s = scenario(42);
+    let s = Scenario::generate_with(42, small_config());
     let opts = GaloisOptions {
         list_store: ListStore::Off,
         ..GaloisOptions::serving()
     };
-    let sqls: Vec<String> = s.suite.iter().map(|q| q.to_sql()).collect();
-    let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
-    let session_of: Vec<usize> = (0..queries.len()).map(|i| i % 8).collect();
-    let replay = |policy: &AdmissionPolicy| {
-        let session = oracle_session(&s, opts.clone());
-        assert_eq!(session.options(), &opts);
-        run_multi_query(&session, &queries, &session_of, policy).expect("serving suite replays")
-    };
-    let free = replay(&AdmissionPolicy::default());
-    let one = replay(&AdmissionPolicy {
+    let cell = Cell::new(&s, opts.clone()).order(suite(&s));
+    assert_eq!(cell.session().options(), &opts);
+    let session_of = dealt(cell.order.len(), 8);
+    let free = replay(&cell, &session_of, &AdmissionPolicy::default());
+    let one = AdmissionPolicy {
         max_inflight: 1,
         ..AdmissionPolicy::default()
-    });
+    };
+    let one = replay(&cell, &session_of, &one);
     assert_eq!(free.total_queue_ms, 0);
     assert!(one.total_queue_ms > 0, "a one-query window must queue");
-    let prompts = |r: &MultiQueryReport| -> usize {
-        r.outcomes
-            .iter()
-            .map(|o| o.result.stats.total_prompts())
-            .sum()
+    let same_answers = Contract {
+        rows: Rows::InOrder,
+        bill: Some(Cmp::Eq),
+        ..Contract::R_M
     };
-    assert_eq!(prompts(&one), prompts(&free));
-    for (i, (got, want)) in one.outcomes.iter().zip(&free.outcomes).enumerate() {
-        assert_eq!(
-            got.result.relation, want.result.relation,
-            "relation, query {i}"
-        );
-    }
+    let (free, one) = (replayed(&free, &cell.order), replayed(&one, &cell.order));
+    same_answers.compare(&free, &one, "one-query window against none");
 }
 
 #[test]
 fn repeat_runs_are_identical_on_every_field() {
-    let s = scenario(42);
-    let n = s.suite.len();
-    let session_of: Vec<usize> = (0..n).map(|i| i % 8).collect();
+    let s = Scenario::generate_with(42, small_config());
+    let cell = cell(&s, serving_grid(), 8);
+    let session_of = dealt(cell.order.len(), 8);
     let policy = AdmissionPolicy {
         max_inflight: 6,
         ..AdmissionPolicy::default()
     };
-    let a = run(&s, serving_grid(), 8, &session_of, &policy);
-    let b = run(&s, serving_grid(), 8, &session_of, &policy);
+    let [a, b] = [(); 2].map(|()| replay(&cell, &session_of, &policy));
     assert_eq!(a.makespan_ms, b.makespan_ms);
     assert_eq!(a.total_queue_ms, b.total_queue_ms);
     assert_eq!(a.lane_utilisation, b.lane_utilisation);
     assert_eq!(a.pool_lanes, b.pool_lanes);
+    let (a_pass, b_pass) = (replayed(&a, &cell.order), replayed(&b, &cell.order));
+    Contract::BIT_EXACT.compare(&a_pass, &b_pass, "repeat run");
     for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
-        assert_eq!(x.result.relation, y.result.relation, "relation, query {i}");
-        assert_stats_eq(
-            &x.result.stats,
-            &y.result.stats,
-            &format!("stats, query {i}"),
-        );
         assert_eq!(
             (x.arrival_ms, x.admitted_ms, x.finished_ms),
             (y.arrival_ms, y.admitted_ms, y.finished_ms),

@@ -1,26 +1,20 @@
-//! Operator-surface battery (PR 8): joins, grouped aggregates and LIMIT
-//! windows over LLM relations, plus LIMIT-aware early termination.
+//! The operator surface (PR 8): joins, grouped aggregates and LIMIT
+//! windows over LLM relations, plus LIMIT-aware early termination —
+//! cells of the contract battery (`tests/common/contract.rs`), and the
+//! early stop's own rules.
 //!
-//! 1. **Defaults stay bit-exact** — `Pipeline::StreamingLimit` is opt-in,
-//!    and *inert* wherever its precondition fails: on queries without a
-//!    plain LIMIT window it reads exactly as `Pipeline::Streaming` does.
-//!    Inert means bit-identical stat snapshots, not just equal rows.
-//!    (Until PR 24 early stop was a knob of its own, `EarlyStop::Limit`,
-//!    and a second case here held that it was inert under `Pipeline::Off`
-//!    — wave retrieval has no per-key release points to cancel. With the
-//!    window policy a variant of the only driver that can honour it, that
-//!    state cannot be written down, and the case went with it.)
+//! 1. **Inert where it cannot act** — `Pipeline::StreamingLimit` is
+//!    opt-in, and on statements without a plain LIMIT window it reads
+//!    bit for bit as `Pipeline::Streaming` does.
 //! 2. **Oracle exactness** — every operator-suite family (LLM ⋈ LLM,
-//!    LLM ⋈ stored, GROUP BY/HAVING, LIMIT) evaluates exactly against
-//!    relational ground truth on the noise-free model, across the three
-//!    pipelines and batch shapes.
+//!    LLM ⋈ stored, GROUP BY/HAVING, LIMIT) passes its check against
+//!    ground truth (`galois_eval::score_operator`) on the noise-free model,
+//!    across the three pipelines and batch shapes.
 //! 3. **Early-stop economics** — on a 100+-key concept, a streaming
 //!    `LIMIT 10` under `Pipeline::StreamingLimit` returns exactly the full
 //!    evaluation truncated, while issuing measurably fewer prompts.
-//! 4. **Fallback safety under LIMIT** — a model that corrupts batched
-//!    answers (forcing mid-flight fallback re-asks) must not make early
-//!    stop skip keys whose verdicts fell back: the surfaced window still
-//!    equals the clean engine's.
+//! 4. **Fallback safety under LIMIT** — corrupted batched answers must not
+//!    make early stop skip keys whose verdicts fell back.
 //! 5. **Property form** — for any seed × B × K × pipeline, `LIMIT n` on
 //!    the noise-free model returns a result that full-evaluation-then-
 //!    truncate admits, and never issues more prompts than the unlimited
@@ -28,64 +22,23 @@
 
 mod common;
 
-use common::{
-    assert_stats_eq, options, oracle_session, session_with_model, small_config, sorted_rows,
-    LineDropper, OptionsMatrix,
+use common::contract::{
+    fallback_restores_rows, operator_suite_is_exact, paged, Cell, Cmp, Contract, Model, Rows,
 };
+use common::{options, oracle_session, small_config, sorted_rows, suite};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
-use galois::dataset::{build_operator_suite, OperatorCheck, Scenario, WorldConfig};
-use galois::llm::{ModelProfile, SimLlm};
-use galois::relational::{Relation, Value};
+use galois::dataset::{QueryCategory, Scenario, WorldConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-fn rendered(rel: &Relation) -> Vec<Vec<String>> {
-    rel.rows
-        .iter()
-        .map(|r| r.iter().map(Value::render).collect())
-        .collect()
+/// A world whose 120 cities are a concept wide enough to stop early in.
+fn wide_world() -> Scenario {
+    let cities = WorldConfig {
+        cities: 120,
+        ..small_config()
+    };
+    Scenario::generate_with(42, cities)
 }
 
-/// Checks one operator result against ground truth under the query's
-/// scoring semantics.
-fn check_against_truth(s: &Scenario, q: &galois::dataset::OperatorQuery, got: &Relation) {
-    match &q.check {
-        OperatorCheck::Exact => {
-            let truth = s.database.execute(&q.sql).unwrap();
-            assert_eq!(
-                sorted_rows(got),
-                sorted_rows(&truth),
-                "op{} ({:?}) diverged from ground truth: {}",
-                q.id,
-                q.family,
-                q.sql
-            );
-        }
-        OperatorCheck::Window {
-            unlimited_sql,
-            n,
-            offset,
-        } => {
-            let full = s.database.execute(unlimited_sql).unwrap();
-            let full_rows = sorted_rows(&full);
-            let expect = (*n).min(full.rows.len().saturating_sub(*offset));
-            assert_eq!(got.rows.len(), expect, "op{} window size: {}", q.id, q.sql);
-            for row in rendered(got) {
-                assert!(
-                    full_rows.contains(&row),
-                    "op{}: row {row:?} not admitted by the unlimited truth: {}",
-                    q.id,
-                    q.sql
-                );
-            }
-        }
-    }
-}
-
-/// Early stop stays opt-in, and switching it on changes *nothing* on
-/// queries without a plain LIMIT window — bit-identical stat snapshots
-/// across the batch × lane matrix, over the paper suite (which contains no
-/// LIMIT clause).
 #[test]
 fn limit_knob_is_inert_without_a_limit_window() {
     let s = Scenario::generate_with(42, small_config());
@@ -94,166 +47,70 @@ fn limit_knob_is_inert_without_a_limit_window() {
             && !GaloisOptions::serving().pipeline.stops_at_limit(),
         "neither preset stops early"
     );
-    for base in OptionsMatrix::new()
-        .pipelines(&[Pipeline::Streaming])
-        .batches(&[PromptBatch::Off, PromptBatch::Keys(8)])
-        .lanes(&[1, 4])
-        .build()
-    {
-        let off = oracle_session(&s, base.clone());
-        let on = oracle_session(
-            &s,
-            GaloisOptions {
-                pipeline: Pipeline::StreamingLimit,
-                ..base.clone()
-            },
-        );
-        for spec in s.suite.iter().take(10) {
-            let sql = spec.to_sql();
-            let a = off.execute(&sql).unwrap();
-            let b = on.execute(&sql).unwrap();
-            assert_eq!(
-                a.relation.rows, b.relation.rows,
-                "q{} rows ({:?})",
-                spec.id, base.prompt_batch
-            );
-            assert_stats_eq(
-                &a.stats,
-                &b.stats,
-                &format!(
-                    "q{} stats ({:?}, K={}): {sql}",
-                    spec.id,
-                    base.prompt_batch,
-                    base.parallelism.get()
-                ),
-            );
+    let streaming = Cell::new(&s, GaloisOptions::default()).order(suite(&s)[..10].to_vec());
+    for batch in [PromptBatch::Off, PromptBatch::Keys(8)] {
+        for lanes in [1, 4] {
+            let full = streaming.with(options(ListStore::Off, Pipeline::Streaming, batch, lanes));
+            let early = options(ListStore::Off, Pipeline::StreamingLimit, batch, lanes);
+            Contract::BIT_EXACT.check(&full, &[full.with(early)]);
         }
     }
 }
 
-/// Every operator family evaluates exactly on the noise-free model,
-/// across the pipeline × batch matrix. This is the oracle
-/// battery of the widened query surface: joins between two LLM scans,
-/// joins against `DB.`-qualified stored tables, GROUP BY/HAVING
-/// aggregates, and LIMIT/OFFSET windows.
 #[test]
 fn operator_suite_is_exact_on_the_oracle_across_the_matrix() {
     let s = Scenario::generate_with(42, small_config());
-    let ops = build_operator_suite(&s.world);
-    for opts in OptionsMatrix::new()
-        .pipelines(&[Pipeline::Off, Pipeline::Streaming, Pipeline::StreamingLimit])
-        .batches(&[
+    for pipeline in [Pipeline::Off, Pipeline::Streaming, Pipeline::StreamingLimit] {
+        for batch in [
             PromptBatch::Off,
             PromptBatch::Keys(8),
             PromptBatch::Grid { keys: 8, attrs: 2 },
-        ])
-        .lanes(&[4])
-        .build()
-    {
-        let session = oracle_session(&s, opts.clone());
-        for q in &ops {
-            let got = session
-                .execute(&q.sql)
-                .unwrap_or_else(|e| panic!("op{}: {}\n{e}", q.id, q.sql));
-            check_against_truth(&s, q, &got.relation);
+        ] {
+            operator_suite_is_exact(&Cell::new(&s, options(ListStore::Off, pipeline, batch, 4)));
         }
     }
 }
 
-/// The headline economics (ISSUE acceptance): a streaming `LIMIT 10` over
-/// a 100+-key concept under `Pipeline::StreamingLimit` surfaces exactly the rows
-/// the full evaluation would keep, while issuing measurably fewer
-/// prompts — the early stop cancels list pages and the per-key filter and
+/// The headline economics: a streaming `LIMIT 10` over a 100+-key
+/// concept under `Pipeline::StreamingLimit` surfaces exactly the rows the
+/// full evaluation would keep, while issuing measurably fewer prompts —
+/// the early stop cancels list pages (ten keys a page here; the default
+/// oracle answers a whole concept in one) and the per-key filter and
 /// fetch work of keys past the covered window.
 #[test]
 fn early_stop_cuts_prompts_on_a_wide_concept() {
-    let s = Scenario::generate_with(
-        42,
-        WorldConfig {
-            countries: 6,
-            cities: 120,
-            airports: 6,
-            singers: 6,
-            concerts: 8,
-            employees: 10,
-        },
-    );
-    // A paged listing (10 keys per page) so the list phase has something
-    // to cancel; the default oracle answers a whole concept in one page.
-    let paged = ModelProfile {
-        list_page_size: 10,
-        ..ModelProfile::oracle()
-    };
-    let session = |pipeline: Pipeline| {
-        galois::core::Galois::with_options(
-            Arc::new(SimLlm::new(s.knowledge.clone(), paged.clone())),
-            s.database.clone(),
-            options(ListStore::Off, pipeline, PromptBatch::Keys(8), 4),
-        )
+    let s = wide_world();
+    let cheaper = Contract {
+        rows: Rows::InOrder,
+        bill: Some(Cmp::Lt),
+        ..Contract::R_M
     };
     for sql in [
         "SELECT name FROM city LIMIT 10",
         "SELECT name, population FROM city WHERE elevation < 3000 LIMIT 10",
         "SELECT name FROM city LIMIT 5 OFFSET 3",
     ] {
-        let full = session(Pipeline::Streaming).execute(sql).unwrap();
-        let early = session(Pipeline::StreamingLimit).execute(sql).unwrap();
-        assert_eq!(
-            early.relation.rows, full.relation.rows,
-            "early stop changed the surfaced window: {sql}"
-        );
+        let full = options(ListStore::Off, Pipeline::Streaming, PromptBatch::Keys(8), 4);
+        let full = Cell::new(&s, full).model(Model::Profile(paged(10)));
+        let full = full.order(vec![sql.to_string()]);
+        let early = GaloisOptions {
+            pipeline: Pipeline::StreamingLimit,
+            ..full.options.clone()
+        };
+        let (want, got) = (full.read(), full.with(early).read());
+        cheaper.compare(&want, &got, sql);
+        let lists = |passes: &[common::Pass]| passes[0].0[0].stats.list_prompts;
         assert!(
-            early.stats.total_prompts() < full.stats.total_prompts(),
-            "{sql}: early {} vs full {} prompts — no measurable saving",
-            early.stats.total_prompts(),
-            full.stats.total_prompts()
-        );
-        assert!(
-            early.stats.list_prompts < full.stats.list_prompts,
-            "{sql}: early stop must cancel list paging ({} vs {})",
-            early.stats.list_prompts,
-            full.stats.list_prompts
+            lists(&got) < lists(&want),
+            "{sql}: early stop must cancel list paging"
         );
     }
 }
 
-/// Satellite: fallback safety under LIMIT. A `LineDropper` model corrupts
-/// every batched filter/fetch answer, forcing mid-flight fallback
-/// re-asks; with grid fusion, streaming and early stop all on, a key
-/// whose filter verdict fell back must still be counted before the stop —
-/// the surfaced window equals the clean engine's exactly.
 #[test]
 fn early_stop_waits_for_fallback_verdicts() {
-    let s = Scenario::generate_with(42, small_config());
-    let ops = build_operator_suite(&s.world);
-    let clean = oracle_session(
-        &s,
-        options(ListStore::Off, Pipeline::Off, PromptBatch::Off, 1),
-    );
-    for lanes in [1usize, 8] {
-        let flaky = session_with_model(
-            Arc::new(LineDropper::oracle(&s)),
-            &s,
-            options(
-                ListStore::Off,
-                Pipeline::StreamingLimit,
-                PromptBatch::Grid { keys: 8, attrs: 2 },
-                lanes,
-            ),
-        );
-        for q in ops
-            .iter()
-            .filter(|q| matches!(q.family, galois::dataset::OperatorFamily::Limit))
-        {
-            let a = clean.execute(&q.sql).unwrap();
-            let b = flaky.execute(&q.sql).unwrap();
-            assert_eq!(
-                a.relation.rows, b.relation.rows,
-                "op{} window diverged under corrupted batches at K={lanes}: {}",
-                q.id, q.sql
-            );
-        }
-    }
+    let grid = PromptBatch::Grid { keys: 8, attrs: 4 };
+    fallback_restores_rows(&[PromptBatch::Keys(8), grid], &[Pipeline::StreamingLimit]);
 }
 
 /// A LIMIT query that stops listing early must not poison the shared key
@@ -262,31 +119,16 @@ fn early_stop_waits_for_fallback_verdicts() {
 /// surfaces the complete relation.
 #[test]
 fn early_stopped_listings_do_not_poison_the_key_universe_store() {
-    let s = Scenario::generate_with(
-        42,
-        WorldConfig {
-            countries: 6,
-            cities: 120,
-            airports: 6,
-            singers: 6,
-            concerts: 8,
-            employees: 10,
-        },
+    let s = wide_world();
+    let early = options(
+        ListStore::On,
+        Pipeline::StreamingLimit,
+        PromptBatch::Keys(8),
+        4,
     );
-    let paged = ModelProfile {
-        list_page_size: 10,
-        ..ModelProfile::oracle()
-    };
-    let session = galois::core::Galois::with_options(
-        Arc::new(SimLlm::new(s.knowledge.clone(), paged)),
-        s.database.clone(),
-        options(
-            ListStore::On,
-            Pipeline::StreamingLimit,
-            PromptBatch::Keys(8),
-            4,
-        ),
-    );
+    let session = Cell::new(&s, early)
+        .model(Model::Profile(paged(10)))
+        .session();
     let limited = session.execute("SELECT name FROM city LIMIT 10").unwrap();
     assert_eq!(limited.relation.rows.len(), 10);
     let full = session.execute("SELECT name FROM city").unwrap();
@@ -316,10 +158,7 @@ proptest! {
     ) {
         let s = Scenario::generate_with(seed, small_config());
         let spec = &s.suite[qi];
-        prop_assert!(matches!(
-            spec.category,
-            galois::dataset::QueryCategory::SelectionOnly
-        ));
+        prop_assert!(matches!(spec.category, QueryCategory::SelectionOnly));
         // The window stops retrieval early only where a driver can.
         let (pipeline, windowed) = if streaming {
             (Pipeline::Streaming, Pipeline::StreamingLimit)

@@ -8,29 +8,29 @@
 //! dataflow that would have built the same table from store hits, so
 //! nothing a caller can observe may depend on which of the two ran: not
 //! the rows, not their order, not one `QueryStats` or `ClientStats`
-//! counter. This file holds that on the serving stack
-//! (`grid_stack_options(8, 10, 6)`: streaming, cost planner, grid
-//! batching, key-universe store) over the evaluation suite and the
-//! operator suite on worlds {1, 7, 42} at x4, says through
-//! `Galois::typed_stats` which steps were served, and then pulls on
-//! everything that must keep a step from being served or its table from
-//! being kept.
+//! counter. The contract battery (`tests/common/contract.rs`) holds that
+//! on the serving stack over the evaluation and operator suites on the
+//! x4 worlds; this file runs it on the cells `typed_cells.rs` does not,
+//! says through `Galois::typed_stats` which steps were served, and pulls
+//! on everything that must keep a step from being served or its table
+//! from being kept.
 
 mod common;
 
-use common::{
-    assert_stats_eq, faulty_oracle, oracle_session, pass, permutation, read, serving_session,
-    session_with_model, statements, Reading,
+use common::contract::{
+    a_republished_universe_retires_what_is_kept, assert_stats_eq,
+    clearing_the_cache_retires_what_is_kept, faulty, served_reads_what_built_read,
+    two_threads_read_the_same_rows, Cell, Model,
 };
+use common::{oracle_session, pass, permutation, read, statements, Reading};
 use galois::core::{
-    limit_hint, CompileOptions, Galois, GaloisOptions, ListStore, Pipeline, Planner, PromptBatch,
-    Resilience, RetryPolicy,
+    limit_hint, CompileOptions, Galois, GaloisOptions, Pipeline, Planner, PromptBatch, Resilience,
+    RetryPolicy,
 };
 use galois::dataset::{build_operator_suite, OperatorCheck, Scenario};
-use galois::llm::{FaultProfile, KeyUniverseStore, ModelProfile, SimLlm};
+use galois::llm::{FaultProfile, ModelProfile};
 use galois::relational::Value;
 use proptest::prelude::*;
-use std::sync::{Arc, Barrier};
 
 /// How a warm statement's steps must split, by its plan: a step with no
 /// filter stage is served, one with a filter stage is built.
@@ -46,50 +46,13 @@ fn steps(readings: &[Reading]) -> (usize, usize) {
     (sum(|r| r.served), sum(|r| r.built))
 }
 
-/// Served ≡ built. Pass 2 of a session builds every table from the store
-/// and publishes it; passes 3 and 4 are handed the relations. Per
-/// statement they return the same rows in order and the same `QueryStats`
-/// in every field but `wall_ms`, and each pass adds the same to the
-/// client's counters — on the oracle, and on a noisy model, whose
-/// universes repeat keys, hold keys that clean to NULL (rows the table
-/// drops, cells the bill still counts) and stored answers that fail to
-/// parse.
+/// Served ≡ built on `gpt3`, whose universes, beside `chatgpt`'s in
+/// `typed_cells.rs`, repeat keys, hold keys that clean to NULL (rows the
+/// table drops, cells the bill still counts) and hallucinated ones.
 #[test]
 fn served_steps_read_what_built_steps_read() {
-    let profiles = [ModelProfile::oracle(), ModelProfile::chatgpt()];
-    for (seed, profile) in [1, 7, 42]
-        .into_iter()
-        .flat_map(|s| profiles.iter().map(move |p| (s, p)))
-    {
-        let scenario = Scenario::generate_scaled(seed, 4);
-        let statements = statements(&scenario);
-        let session = serving_session(&scenario, profile.clone(), GaloisOptions::serving());
-        let seed = format!("{seed} ({})", profile.name);
-        pass(&session, &statements);
-        let second = pass(&session, &statements);
-        let (_, built) = steps(&second.0);
-        assert!(built > 0, "world {seed}: pass 2 builds from the store");
-        assert_eq!(second.1.prompts, 0, "world {seed}: and asks nothing");
-        for nth in [3, 4] {
-            let later = pass(&session, &statements);
-            let all = later.0.iter().zip(&second.0).zip(&statements);
-            for ((later, second), sql) in all {
-                let label = format!("world {seed} x4, pass {nth} against pass 2: {sql}");
-                assert_eq!(later.rows, second.rows, "{label}");
-                assert_stats_eq(&later.stats, &second.stats, &label);
-                assert_eq!(
-                    (later.served, later.built),
-                    (second.served + second.built, 0),
-                    "{label}: every step is served"
-                );
-            }
-            assert_eq!(
-                later.1, second.1,
-                "world {seed}: client stats of pass {nth}"
-            );
-        }
-        let kept = session.typed_stats();
-        assert_eq!(kept.relations, kept.universes, "one table a universe");
+    for seed in [1, 7, 42] {
+        served_reads_what_built_read(seed, ModelProfile::gpt3());
     }
 }
 
@@ -137,86 +100,15 @@ proptest! {
     }
 }
 
-/// `LlmClient::clear_cache` retires every relation: the pass after it
-/// asks the model again and builds every table, exactly as in a session
-/// that had kept none, and returns the rows the served pass returned.
+/// One pass keeps almost nothing; four have served two whole passes.
 #[test]
 fn clearing_the_client_cache_retires_the_relations() {
-    let scenario = Scenario::generate_scaled(7, 4);
-    let statements = statements(&scenario);
-    let after_clear = |warm_passes: usize| {
-        let session = oracle_session(&scenario, GaloisOptions::serving());
-        let before = (0..warm_passes)
-            .map(|_| pass(&session, &statements))
-            .last()
-            .expect("at least one pass");
-        session.client().clear_cache();
-        (before, pass(&session, &statements))
-    };
-    // One pass keeps almost nothing; four have served two whole passes.
-    let (_, barely) = after_clear(1);
-    let (before, kept) = after_clear(4);
-    assert_eq!(steps(&before.0).1, 0, "pass 4 was served");
-    assert!(kept.1.prompts > 0, "the cleared session prompts again");
-    assert_eq!(barely.1, kept.1, "client stats after clear_cache");
-    for (((b, k), s), sql) in barely.0.iter().zip(&kept.0).zip(&before.0).zip(&statements) {
-        assert_eq!(b.rows, k.rows, "rows of {sql} after clear_cache");
-        assert_stats_eq(
-            &b.stats,
-            &k.stats,
-            &format!("stats of {sql} after clear_cache"),
-        );
-        assert_eq!(k.rows, s.rows, "rows of {sql} across clear_cache");
-    }
+    clearing_the_cache_retires_what_is_kept(7, 1, 4);
 }
 
-/// A universe replaced in a shared store retires the relation built over
-/// the old list: a session capped at one list page serves the partial
-/// frontier as terminal — and keeps its ten-row table — until an
-/// uncapped session pages past it and republishes; its next statements
-/// then read the longer list, as a fresh session's do.
 #[test]
 fn a_republished_shared_universe_retires_the_relation() {
-    let scenario = Scenario::generate_scaled(42, 4);
-    let store = Arc::new(KeyUniverseStore::new());
-    let paged = ModelProfile {
-        list_page_size: 10,
-        ..ModelProfile::oracle()
-    };
-    let session = |max_list_iterations: usize| {
-        let options = GaloisOptions {
-            max_list_iterations,
-            list_store: ListStore::Shared(Arc::clone(&store)),
-            ..GaloisOptions::serving()
-        };
-        let model = SimLlm::new(scenario.knowledge.clone(), paged.clone());
-        session_with_model(Arc::new(model), &scenario, options)
-    };
-    let sql = [
-        "SELECT name, population FROM city".to_string(),
-        "SELECT name, country, population FROM city".to_string(),
-    ];
-    let capped = session(1);
-    for _ in 0..3 {
-        pass(&capped, &sql);
-    }
-    let partial = pass(&capped, &sql);
-    assert_eq!(steps(&partial.0), (2, 0), "the partial frontier is served");
-    assert_eq!(capped.typed_stats().relation_rows, 10);
-    let full = pass(&session(100), &sql);
-    let cities = scenario.world.cities.len();
-    assert_eq!(full.0[0].rows.len(), cities);
-    let republished = pass(&capped, &sql);
-    let fresh = pass(&session(1), &sql);
-    for (nth, sql) in sql.iter().enumerate() {
-        assert_eq!(republished.0[nth].rows, full.0[nth].rows, "{sql}");
-        assert_eq!(republished.0[nth].rows, fresh.0[nth].rows, "{sql}");
-    }
-    assert_eq!(
-        republished.0[0].served, 0,
-        "the old table is not the list's"
-    );
-    assert_eq!(capped.typed_stats().relation_rows, cities);
+    a_republished_universe_retires_what_is_kept(42);
 }
 
 /// A step with a filter stage is never served and its table never kept,
@@ -330,14 +222,13 @@ fn a_degraded_cell_never_enters_a_relation() {
         breaker_threshold: u32::MAX,
         ..RetryPolicy::default()
     };
-    let model = faulty_oracle(&scenario, faults);
-    let session = || {
-        let options = GaloisOptions {
-            resilience: Resilience::On(policy),
-            ..GaloisOptions::serving()
-        };
-        session_with_model(model.clone(), &scenario, options)
+    let options = GaloisOptions {
+        resilience: Resilience::On(policy),
+        ..GaloisOptions::serving()
     };
+    let model = faulty(&scenario, ModelProfile::oracle(), faults);
+    let cell = Cell::new(&scenario, options).model(Model::Faulty(model));
+    let session = || cell.session();
     let stuck = session();
     let keys = "SELECT name FROM city";
     let mut degraded_warm_reads = 0;
@@ -390,7 +281,7 @@ fn a_table_of_freshly_asked_answers_is_not_kept() {
         (asked.rows == built.rows, built.rows == served.rows),
         (true, true)
     );
-    assert_stats_eq(&served.stats, &built.stats, sql);
+    assert_stats_eq(&served.stats, &built.stats, &[], sql);
     assert_eq!(read(&session, keys).served, 1);
 }
 
@@ -409,49 +300,13 @@ fn a_self_join_is_served_one_table_under_two_names() {
     assert_eq!((served.served, served.built), (2, 0));
     assert!(!served.rows.is_empty());
     assert_eq!(served.rows, built.rows);
-    assert_stats_eq(&served.stats, &built.stats, sql);
+    assert_stats_eq(&served.stats, &built.stats, &[], sql);
     let kept = session.typed_stats();
     assert_eq!((kept.universes, kept.relations), (1, 1));
     assert_eq!(kept.relation_rows, scenario.world.cities.len());
 }
 
-/// Two threads running the same warm statements race to publish and to
-/// be served: both read the single-threaded relations.
 #[test]
 fn two_threads_publish_and_are_served_the_same_rows() {
-    let scenario = Scenario::generate_scaled(42, 4);
-    let statements = statements(&scenario);
-    let rows = |session: &Galois| -> Vec<Vec<Vec<Value>>> {
-        let readings = statements.iter().map(|sql| read(session, sql));
-        readings.map(|reading| reading.rows).collect()
-    };
-    // One pass: everything is stored, little is published yet. The plans
-    // settle in the second, so a twin session's second pass is the
-    // reference.
-    let session = oracle_session(&scenario, GaloisOptions::serving());
-    let twin = oracle_session(&scenario, GaloisOptions::serving());
-    rows(&session);
-    rows(&twin);
-    let expected = rows(&twin);
-    let start = Barrier::new(2);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| {
-                    start.wait();
-                    (0..3).map(|_| rows(&session)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for worker in workers {
-            for pass in worker.join().expect("worker panicked") {
-                for ((got, want), sql) in pass.iter().zip(&expected).zip(&statements) {
-                    assert_eq!(got, want, "{sql}");
-                }
-            }
-        }
-    });
-    let kept = session.typed_stats();
-    assert_eq!(kept.relations, kept.universes);
-    assert!(kept.steps_served > 0);
+    two_threads_read_the_same_rows(42);
 }

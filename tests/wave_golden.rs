@@ -12,8 +12,10 @@
 //! one thread, for every cell of `PromptBatch::{Off, Keys(8), Grid{8,4}}`
 //! × `ListStore::{Off, On}` × `K ∈ {1, 8}` on the oracle model (store-on
 //! cells run the suite twice on the same session, so warm universes and
-//! sub-entry reads are pinned too), plus two `LineDropper` cells (`Keys(8)`
-//! and `Grid{8,4}`, `K = 1`) that walk the fallback ladder. A line is
+//! sub-entry reads are pinned too), plus two `Model::Dropper` cells
+//! (`Keys(8)` and `Grid{8,4}`, `K = 1`) that walk the fallback ladder. The
+//! `off-nostore-k1` cell is `GaloisOptions::default()`: this is where the
+//! paper default's readings are pinned. A line is
 //!
 //! ```text
 //! <cell> <pass> q<id> <stable> <full>
@@ -46,11 +48,11 @@
 
 mod common;
 
-use common::{options, oracle_session, session_with_model, small_config, sorted_rows, LineDropper};
-use galois::core::{Galois, GaloisOptions, ListStore, Pipeline, PromptBatch, QueryStats};
+use common::contract::{Cell, Model};
+use common::{multiset, options, small_config, Reading};
+use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch, QueryStats};
 use galois::dataset::Scenario;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -66,36 +68,42 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// One fixture cell: a label, whether the suite runs twice, its lanes and
-/// how to open its session.
-struct Cell {
-    label: String,
-    passes: usize,
-    lanes: usize,
-    open: Box<dyn Fn(&Scenario) -> Galois>,
+/// A reading's `stable` and `full` digests.
+fn digests(reading: &Reading) -> (String, String) {
+    let st = reading.stats;
+    let rows = format!("{:?}", multiset(&reading.rows));
+    let stable = format!(
+        "{rows}|{}|{}|{}|{}|{}|{}",
+        st.list_prompts,
+        st.filter_prompts,
+        st.fetch_prompts,
+        st.cache_hits,
+        st.prompt_tokens,
+        st.completion_tokens
+    );
+    let full = format!("{rows}|{:?}", QueryStats { wall_ms: 0, ..st });
+    let digest = |text: &str| format!("{:016x}", fnv1a(text));
+    (digest(&stable), digest(&full))
 }
 
-fn cells() -> Vec<Cell> {
+/// The fixture's cells, labelled: the suite once (twice with the store
+/// on) under `Pipeline::Off`.
+fn cells(s: &Scenario) -> Vec<(String, Cell<'_>)> {
     let batches = [
         ("off", PromptBatch::Off),
         ("keys8", PromptBatch::Keys(8)),
         ("grid8x4", PromptBatch::Grid { keys: 8, attrs: 4 }),
     ];
-    let wave = |batch, store: ListStore, lanes| -> GaloisOptions {
-        options(store, Pipeline::Off, batch, lanes)
-    };
     let mut out = Vec::new();
     for (batch_label, batch) in batches {
         for (store_label, store) in [("nostore", ListStore::Off), ("store", ListStore::On)] {
             for lanes in [1usize, 8] {
                 let passes = if store.is_on() { 2 } else { 1 };
-                let store = store.clone();
-                out.push(Cell {
-                    label: format!("{batch_label}-{store_label}-k{lanes}"),
-                    passes,
-                    lanes,
-                    open: Box::new(move |s| oracle_session(s, wave(batch, store.clone(), lanes))),
-                });
+                let cell = Cell::new(s, options(store.clone(), Pipeline::Off, batch, lanes));
+                out.push((
+                    format!("{batch_label}-{store_label}-k{lanes}"),
+                    cell.passes(passes),
+                ));
             }
         }
     }
@@ -103,55 +111,29 @@ fn cells() -> Vec<Cell> {
         ("dropper-keys8", PromptBatch::Keys(8)),
         ("dropper-grid8x4", PromptBatch::Grid { keys: 8, attrs: 4 }),
     ] {
-        out.push(Cell {
-            label: label.to_string(),
-            passes: 1,
-            lanes: 1,
-            open: Box::new(move |s| {
-                session_with_model(
-                    Arc::new(LineDropper::oracle(s)),
-                    s,
-                    wave(batch, ListStore::Off, 1),
-                )
-            }),
-        });
+        let cell = Cell::new(s, options(ListStore::Off, Pipeline::Off, batch, 1));
+        out.push((label.to_string(), cell.model(Model::Dropper)));
     }
     out
 }
 
 /// One cell's lines: `(key, stable digest, full digest)` per query, and a
 /// `total` line per pass.
-fn run_cell(s: &Scenario, cell: &Cell) -> Vec<(String, String, String)> {
-    let session = (cell.open)(s);
+fn run_cell(s: &Scenario, label: &str, cell: &Cell) -> Vec<(String, String, String)> {
     let mut lines = Vec::new();
-    for pass in 0..cell.passes {
+    for (pass, (readings, _)) in cell.read().iter().enumerate() {
         let mut total = QueryStats::default();
-        for spec in &s.suite {
-            let got = session.execute(&spec.to_sql()).unwrap();
-            let st = got.stats;
-            let rows = format!("{:?}", sorted_rows(&got.relation));
-            let stable = format!(
-                "{rows}|{}|{}|{}|{}|{}|{}",
-                st.list_prompts,
-                st.filter_prompts,
-                st.fetch_prompts,
-                st.cache_hits,
-                st.prompt_tokens,
-                st.completion_tokens
-            );
-            let full = format!("{rows}|{:?}", QueryStats { wall_ms: 0, ..st });
-            lines.push((
-                format!("{} {pass} q{}", cell.label, spec.id),
-                format!("{:016x}", fnv1a(&stable)),
-                format!("{:016x}", fnv1a(&full)),
-            ));
+        for (spec, reading) in s.suite.iter().zip(readings) {
+            let (stable, full) = digests(reading);
+            lines.push((format!("{label} {pass} q{}", spec.id), stable, full));
+            let st = reading.stats;
             total.list_prompts += st.list_prompts;
             total.filter_prompts += st.filter_prompts;
             total.fetch_prompts += st.fetch_prompts;
             total.cache_hits += st.cache_hits;
         }
         lines.push((
-            format!("{} {pass} total", cell.label),
+            format!("{label} {pass} total"),
             format!(
                 "list={},filter={},fetch={}",
                 total.list_prompts, total.filter_prompts, total.fetch_prompts
@@ -175,10 +157,20 @@ fn pipeline_off_reproduces_the_golden_readings() {
         })
         .collect();
     let s = Scenario::generate_with(42, small_config());
+    let cells = cells(&s);
+    // The per-knob batteries assert each knob's default and leave the
+    // paper default's readings to this pin.
+    let (label, first) = &cells[0];
+    assert_eq!(label, "off-nostore-k1");
+    assert_eq!(
+        first.options,
+        GaloisOptions::default(),
+        "{label} is the default"
+    );
     let mut checked = 0;
     let mut moved = Vec::new();
-    for cell in cells() {
-        for (key, stable, full) in run_cell(&s, &cell) {
+    for (label, cell) in cells {
+        for (key, stable, full) in run_cell(&s, &label, &cell) {
             let (pinned_stable, pinned_full) = pinned
                 .get(key.as_str())
                 .unwrap_or_else(|| panic!("{key}: not in the fixture"));
@@ -207,11 +199,11 @@ fn regenerate_wave_golden_fixture() {
     let s = Scenario::generate_with(42, small_config());
     let mut body = String::new();
     let mut unstable = 0;
-    for cell in cells() {
-        let mut lines = run_cell(&s, &cell);
-        if cell.lanes > 1 {
+    for (label, cell) in cells(&s) {
+        let mut lines = run_cell(&s, &label, &cell);
+        if cell.options.parallelism.get() > 1 {
             for _ in 1..REPRODUCTIONS {
-                for (line, again) in lines.iter_mut().zip(run_cell(&s, &cell)) {
+                for (line, again) in lines.iter_mut().zip(run_cell(&s, &label, &cell)) {
                     assert_eq!(line.0, again.0);
                     assert_eq!(line.1, again.1, "{}: stable fields moved", line.0);
                     if line.2 != again.2 && line.2 != "-" {
