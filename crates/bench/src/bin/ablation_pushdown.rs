@@ -31,10 +31,7 @@ fn main() {
         ("pushdown into scan", true),
     ] {
         let options = GaloisOptions {
-            compile: CompileOptions {
-                pushdown,
-                ..Default::default()
-            },
+            compile: CompileOptions { pushdown },
             ..Default::default()
         };
         let run = run_galois_suite(&scenario, ModelProfile::chatgpt(), options);

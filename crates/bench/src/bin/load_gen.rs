@@ -5,7 +5,8 @@
 //! closed-loop sessions through the cross-query scheduler: queries are
 //! dealt round-robin onto sessions, every session submits its next query
 //! the instant the previous one finishes, and all sessions draw lanes
-//! from one shared pool (`sessions × K` lanes) under fair admission.
+//! from one shared pool (`sessions × K` lanes), least-served session
+//! first.
 //! Each sweep point reports the suite **makespan**, p50/p99 per-query
 //! virtual latency, total admission-queue delay, prompts per query and
 //! lane-pool utilisation.
@@ -16,6 +17,8 @@
 //! a sweep); only the clocks change. The `--inflight` cap (0 = unlimited)
 //! makes queueing visible: with it set below the session count, the
 //! `queue ms` column grows while the makespan degrades gracefully.
+//! Without it nothing queues. The binary asserts both promises and exits
+//! non-zero if either breaks.
 //!
 //! Usage: `load_gen [--seed 42] [--parallelism 8] [--scale 3]
 //! [--inflight 0]`.
@@ -33,6 +36,7 @@ fn sweep(
     options: &GaloisOptions,
     policy: &AdmissionPolicy,
 ) {
+    let mut first_prompts = None;
     for sessions in [2usize, 4, 8, 16, 32, 64] {
         let run = run_suite_concurrent(
             scenario,
@@ -42,6 +46,17 @@ fn sweep(
             policy,
         )
         .expect("the serving stack streams, so its traces replay");
+        let prompts = run.prompts_per_query();
+        assert_eq!(
+            *first_prompts.get_or_insert(prompts),
+            prompts,
+            "{world}: prompts/query moved at {sessions} sessions"
+        );
+        assert!(
+            policy.max_inflight > 0 || run.total_queue_ms == 0,
+            "{world}: {} ms queued at {sessions} sessions without an in-flight cap",
+            run.total_queue_ms
+        );
         t.row(vec![
             world.to_string(),
             sessions.to_string(),
@@ -50,7 +65,7 @@ fn sweep(
             run.p50_latency_ms.to_string(),
             run.p99_latency_ms.to_string(),
             run.total_queue_ms.to_string(),
-            format!("{:.1}", run.prompts_per_query()),
+            format!("{prompts:.1}"),
             format!("{:.0}%", run.lane_utilisation * 100.0),
         ]);
     }
@@ -68,7 +83,6 @@ fn main() {
     };
     let policy = AdmissionPolicy {
         max_inflight: inflight,
-        ..Default::default()
     };
     println!(
         "Closed-loop load sweep — serving stack (seed {seed}, K={lanes} lanes/session)\n\

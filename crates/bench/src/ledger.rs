@@ -181,7 +181,6 @@ fn row_table(config: &LedgerConfig) -> Vec<RowSpec> {
             1,
             Drive::SharedPool(AdmissionPolicy {
                 max_inflight: config.inflight,
-                ..Default::default()
             }),
         ),
         // The paper's `T_M` and `T_C_M`: no session, so `options` only

@@ -21,33 +21,26 @@ use crate::parse::value_span;
 use galois_relational::{Column, DataType, Date, Value};
 use std::borrow::Cow;
 
-/// Knobs of the cleaning stage.
+/// The cleaning stage's one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CleaningPolicy {
     /// Normalise flexible formats ("2.8 million", "2,800,000", "May 8,
-    /// 1961"). When off, only plainly-typed strings parse.
+    /// 1961") and enforce basic domain constraints (finite numbers, sane
+    /// magnitude). When off, only plainly-typed strings parse and no
+    /// domain check runs.
     pub normalise: bool,
-    /// Enforce basic domain constraints (finite numbers, sane magnitude,
-    /// valid calendar dates).
-    pub enforce_domains: bool,
 }
 
 impl Default for CleaningPolicy {
     fn default() -> Self {
-        CleaningPolicy {
-            normalise: true,
-            enforce_domains: true,
-        }
+        CleaningPolicy { normalise: true }
     }
 }
 
 impl CleaningPolicy {
     /// The ablation policy: no normalisation, no domain checks.
     pub fn disabled() -> Self {
-        CleaningPolicy {
-            normalise: false,
-            enforce_domains: false,
-        }
+        CleaningPolicy { normalise: false }
     }
 }
 
@@ -98,14 +91,14 @@ fn clean(
         DataType::Text => Some(Value::Text(text(s))),
         DataType::Int => {
             let n = parse_number(&s, policy)?;
-            if policy.enforce_domains && !(n.is_finite() && n.abs() < 9.2e18) {
+            if policy.normalise && !(n.is_finite() && n.abs() < 9.2e18) {
                 return None;
             }
             Some(Value::Int(n.round() as i64))
         }
         DataType::Float => {
             let n = parse_number(&s, policy)?;
-            if policy.enforce_domains && !n.is_finite() {
+            if policy.normalise && !n.is_finite() {
                 return None;
             }
             Some(Value::Float(n))
@@ -393,14 +386,14 @@ mod tests {
             DataType::Text => Some(Value::Text(s)),
             DataType::Int => {
                 let n = reference_parse_number(&s, policy)?;
-                if policy.enforce_domains && !(n.is_finite() && n.abs() < 9.2e18) {
+                if policy.normalise && !(n.is_finite() && n.abs() < 9.2e18) {
                     return None;
                 }
                 Some(Value::Int(n.round() as i64))
             }
             DataType::Float => {
                 let n = reference_parse_number(&s, policy)?;
-                if policy.enforce_domains && !n.is_finite() {
+                if policy.normalise && !n.is_finite() {
                     return None;
                 }
                 Some(Value::Float(n))

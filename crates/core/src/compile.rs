@@ -15,28 +15,6 @@ use galois_sql::ast::{BinaryOp, SourceQualifier};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Where unqualified tables come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefaultSource {
-    /// Unqualified relations are retrieved from the LLM (the paper's main
-    /// experiments run queries entirely against the model).
-    Llm,
-    /// Unqualified relations come from the relational store; only
-    /// `LLM.`-qualified ones hit the model.
-    Db,
-}
-
-/// How Galois executes selections over LLM relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterMode {
-    /// One boolean prompt per key (the paper's operator: "Has city c.name
-    /// more than 1M population?").
-    LlmBoolean,
-    /// Fetch the attribute, then compare in the engine (cleaner, used as
-    /// an ablation).
-    FetchCompare,
-}
-
 /// One LLM base-relation retrieval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlmScanStep {
@@ -111,24 +89,17 @@ pub struct CompiledQuery {
 }
 
 /// Compilation options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Unqualified tables are LLM-sourced (the paper's experiments run queries
+/// entirely against the model); `DB.`-qualified ones come from the
+/// relational store. A selection conjunct over an LLM relation becomes one
+/// boolean prompt per key (the paper's operator: "Has city c.name more than
+/// 1M population?") when it has a prompt condition's shape; any other
+/// conjunct fetches its attributes and is compared in the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileOptions {
-    /// Source for unqualified tables.
-    pub default_source: DefaultSource,
-    /// Selection strategy.
-    pub filter_mode: FilterMode,
     /// Push single simple conditions into the key-listing prompt.
     pub pushdown: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            default_source: DefaultSource::Llm,
-            filter_mode: FilterMode::LlmBoolean,
-            pushdown: false,
-        }
-    }
 }
 
 /// Compiles an (optimized) logical plan against the catalog.
@@ -147,12 +118,9 @@ pub fn compile(
     Ok(CompiledQuery { steps, plan })
 }
 
-fn is_llm_scan(source: Option<SourceQualifier>, options: &CompileOptions) -> bool {
-    match source {
-        Some(SourceQualifier::Llm) => true,
-        Some(SourceQualifier::Db) => false,
-        None => options.default_source == DefaultSource::Llm,
-    }
+/// Every relation is LLM-sourced unless qualified `DB.`.
+fn is_llm_scan(source: Option<SourceQualifier>) -> bool {
+    source != Some(SourceQualifier::Db)
 }
 
 fn collect_needed(plan: &LogicalPlan, needed: &mut HashMap<String, BTreeSet<String>>) {
@@ -236,13 +204,13 @@ fn rewrite(
                 source,
                 schema,
                 key_index,
-            } if is_llm_scan(source, options) => {
+            } if is_llm_scan(source) => {
                 let mut conditions = Vec::new();
                 let mut residual: Vec<ScalarExpr> = Vec::new();
                 for conj in galois_relational::builder::split_conjuncts(predicate) {
-                    match (options.filter_mode, expr_to_condition(&conj, &binding)) {
-                        (FilterMode::LlmBoolean, Some(cond)) => conditions.push(cond),
-                        _ => residual.push(conj),
+                    match expr_to_condition(&conj, &binding) {
+                        Some(cond) => conditions.push(cond),
+                        None => residual.push(conj),
                     }
                 }
                 let scan = make_step(
@@ -268,7 +236,7 @@ fn rewrite(
             source,
             schema,
             key_index,
-        } if is_llm_scan(source, options) => make_step(
+        } if is_llm_scan(source) => make_step(
             &table,
             &binding,
             key_index,
@@ -575,28 +543,10 @@ mod tests {
     }
 
     #[test]
-    fn fetch_compare_keeps_filter_in_plan() {
-        let c = compiled(
-            "SELECT name FROM city WHERE population > 1000000",
-            CompileOptions {
-                filter_mode: FilterMode::FetchCompare,
-                ..Default::default()
-            },
-        );
-        let s = &c.steps[0];
-        assert!(s.filter_conditions.is_empty());
-        assert!(s.fetch.iter().any(|i| s.columns()[*i].name == "population"));
-        assert!(c.plan.explain().contains("Filter"));
-    }
-
-    #[test]
     fn pushdown_moves_condition_into_scan() {
         let c = compiled(
             "SELECT name FROM city WHERE population > 1000000",
-            CompileOptions {
-                pushdown: true,
-                ..Default::default()
-            },
+            CompileOptions { pushdown: true },
         );
         let s = &c.steps[0];
         assert!(s.scan_condition.is_some());
@@ -632,16 +582,9 @@ mod tests {
         );
         assert!(c.steps.is_empty(), "DB relations are not retrieved");
         assert!(c.plan.explain().contains("Scan DB.employees"));
-    }
-
-    #[test]
-    fn db_default_only_fetches_llm_qualified() {
         let c = compiled(
-            "SELECT c.name FROM LLM.city c, country k WHERE c.country = k.name",
-            CompileOptions {
-                default_source: DefaultSource::Db,
-                ..Default::default()
-            },
+            "SELECT c.name FROM LLM.city c, DB.country k WHERE c.country = k.name",
+            CompileOptions::default(),
         );
         assert_eq!(c.steps.len(), 1);
         assert_eq!(c.steps[0].table, "city");

@@ -57,11 +57,9 @@ mod session;
 
 pub use baselines::{BaselineKind, QaBaseline};
 pub use clean::CleaningPolicy;
-pub use compile::{
-    concept_signature_for, limit_hint, CompileOptions, DefaultSource, FilterMode, LlmScanStep,
-};
+pub use compile::{concept_signature_for, limit_hint, CompileOptions, LlmScanStep};
 pub use error::{GaloisError, Result};
-pub use galois_llm::{FairShare, Parallelism, RetryPolicy};
+pub use galois_llm::{Parallelism, RetryPolicy};
 pub use multi::{run_multi_query, MultiQueryReport};
 pub use plan_choice::{Planner, PlannerParams};
 pub use schedule::Scheduler;

@@ -22,27 +22,27 @@
 //!    yields its dataflow's task trace: every micro-batch the private
 //!    clock scheduled, with its private release/duration/completion.
 //! 2. **Global replay** — a discrete-event simulation packs the traced
-//!    tasks onto the shared pool under the
-//!    [`AdmissionPolicy`]: closed-loop sessions,
-//!    FIFO admission with a `max_inflight` cap (the wait is
-//!    [`QueryStats::queue_ms`](crate::QueryStats::queue_ms)), per-session
-//!    in-flight task quotas, and
-//!    [`FairShare`] arbitration between sessions
-//!    with ready tasks at the same instant.
+//!    tasks onto the shared `sessions × K`-lane pool under the
+//!    [`AdmissionPolicy`]: closed-loop sessions, FIFO admission with a
+//!    `max_inflight` cap (the wait is
+//!    [`QueryStats::queue_ms`](crate::QueryStats::queue_ms)), and
+//!    least-served-first arbitration between sessions with ready tasks at
+//!    the same instant (the session with the least lane-busy virtual time
+//!    so far goes first, ties to the lowest index), so sessions with short
+//!    queries never starve behind heavy ones.
 //!
 //! A task may start once every earlier task of the same query that
 //! *preceded it* in the private schedule (private completion ≤ the
 //! task's private release) has completed in the replay — the trace's
-//! happens-before edges, nothing more. With one session, an unlimited
-//! quota and the derived `sessions × K` pool, the replay reproduces the
-//! private schedule bit-exactly, which is what the determinism battery
-//! asserts.
+//! happens-before edges, nothing more. With one session and no in-flight
+//! cap, the replay reproduces the private schedule bit-exactly, which is
+//! what the determinism battery asserts.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use galois_llm::{FairShare, LanePool};
+use galois_llm::LanePool;
 
 use crate::error::{GaloisError, Result};
 use crate::session::{AdmissionPolicy, Galois, GaloisResult, TracedTask};
@@ -94,13 +94,9 @@ impl MultiQueryReport {
     /// The `p`-th percentile (0.0–1.0) of per-query virtual latency
     /// (`finished − arrival`), by nearest rank over the sorted latencies.
     pub(crate) fn latency_percentile_ms(&self, p: f64) -> u64 {
-        if self.outcomes.is_empty() {
-            return 0;
-        }
         let mut lat: Vec<u64> = self.outcomes.iter().map(|o| o.latency_ms()).collect();
         lat.sort_unstable();
-        let idx = ((lat.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        lat[idx]
+        nearest_rank(&lat, p)
     }
 
     /// Median per-query virtual latency.
@@ -112,6 +108,13 @@ impl MultiQueryReport {
     pub fn p99_latency_ms(&self) -> u64 {
         self.latency_percentile_ms(0.99)
     }
+}
+
+/// The nearest-rank `p`-th percentile of `sorted`: its `⌈p·n⌉`-th
+/// smallest value (the smallest, for `p = 0`; zero when empty).
+fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    let rank = (p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.saturating_sub(1)).copied().unwrap_or(0)
 }
 
 /// A query mid-replay: its trace, dependency pointer and clock marks.
@@ -181,8 +184,7 @@ pub fn run_multi_query(
         )));
     }
     let sessions = session_of.iter().map(|s| s + 1).max().unwrap_or(1);
-    let k = galois.options().parallelism.get();
-    let pool_lanes = policy.pool_lanes_for(sessions, k);
+    let pool_lanes = sessions * galois.options().parallelism.get();
 
     // Logical pass: canonical order, shared caches warm in workload order
     // exactly as a serial suite would — the session assignment cannot
@@ -220,8 +222,6 @@ pub fn run_multi_query(
     let mut events: BinaryHeap<Reverse<(u64, u64, usize, usize)>> = BinaryHeap::new();
     let mut seq: u64 = 0;
     let mut inflight_queries: usize = 0;
-    let mut session_tasks: Vec<usize> = vec![0; sessions];
-    let mut rr_cursor: usize = 0;
     let mut makespan: u64 = 0;
     let mut total_queue: u64 = 0;
 
@@ -269,54 +269,32 @@ pub fn run_multi_query(
     }
 
     // One instant of submission: while some admitted query has a ready
-    // task and its session is under quota, pick the fair-share winner and
-    // schedule its next task on the pool (release = now). Recomputed
-    // after every pick — `served_ms` moves under deficit fairness.
+    // task, pick the least-served session with one and schedule its first
+    // ready query's next task on the pool (release = now). Recomputed
+    // after every pick — `served_ms` moves with each task.
     macro_rules! submit_ready {
         ($t:expr) => {{
             let t = $t;
             loop {
-                // Each session under quota with a ready query, and the
-                // first such query (canonical order).
-                let candidates: Vec<(usize, usize)> = (0..sessions)
-                    .filter(|&s| {
-                        policy.session_quota == 0 || session_tasks[s] < policy.session_quota
-                    })
+                let winner = (0..sessions)
                     .filter_map(|s| {
-                        let ready = (0..replay.len()).find(|&q| {
-                            replay[q].session == s
-                                && replay[q].admitted.is_some()
-                                && replay[q].next_ready()
-                        });
-                        ready.map(|q| (s, q))
+                        (0..replay.len())
+                            .find(|&q| {
+                                replay[q].session == s
+                                    && replay[q].admitted.is_some()
+                                    && replay[q].next_ready()
+                            })
+                            .map(|q| (s, q))
                     })
-                    .collect();
-                let Some(&first) = candidates.first() else {
+                    .min_by_key(|&(s, _)| (pool.served_ms(s), s));
+                let Some((session, q)) = winner else {
                     break;
-                };
-                let (winner_session, q) = match policy.share {
-                    FairShare::DeficitMs => (candidates.iter().copied())
-                        .min_by_key(|&(s, _)| (pool.served_ms(s), s))
-                        .unwrap_or(first),
-                    FairShare::RoundRobin => {
-                        let mut pick = first;
-                        for off in 0..sessions {
-                            let s = (rr_cursor + off) % sessions;
-                            if let Some(&candidate) = candidates.iter().find(|c| c.0 == s) {
-                                pick = candidate;
-                                break;
-                            }
-                        }
-                        rr_cursor = (pick.0 + 1) % sessions;
-                        pick
-                    }
                 };
                 let idx = replay[q].next;
                 let duration = replay[q].trace[idx].duration;
-                let done = pool.schedule(winner_session, t, duration);
+                let done = pool.schedule(session, t, duration);
                 replay[q].next = idx + 1;
                 replay[q].running += 1;
-                session_tasks[winner_session] += 1;
                 events.push(Reverse((done, seq, q, idx)));
                 seq += 1;
             }
@@ -338,7 +316,6 @@ pub fn run_multi_query(
             replay[q].done_at[idx] = Some(t);
             replay[q].running -= 1;
             let s = replay[q].session;
-            session_tasks[s] -= 1;
             if replay[q].all_done() {
                 replay[q].finished = Some(t);
                 makespan = makespan.max(t);
@@ -417,6 +394,15 @@ mod tests {
     }
 
     #[test]
+    fn percentiles_take_the_nearest_rank() {
+        let lat = [10, 20, 30, 40];
+        assert_eq!(nearest_rank(&lat, 0.50), 20);
+        assert_eq!(nearest_rank(&lat, 0.99), 40);
+        assert_eq!(nearest_rank(&lat, 0.0), 10);
+        assert_eq!(nearest_rank(&[], 0.50), 0);
+    }
+
+    #[test]
     fn single_session_replay_is_bit_exact_with_serial_runs() {
         let serial = streaming_session(8);
         let reference: Vec<GaloisResult> = SUITE
@@ -492,10 +478,7 @@ mod tests {
     #[test]
     fn inflight_cap_tallies_queue_delay() {
         let galois = streaming_session(8);
-        let policy = AdmissionPolicy {
-            max_inflight: 1,
-            ..Default::default()
-        };
+        let policy = AdmissionPolicy { max_inflight: 1 };
         let report = run_multi_query(&galois, &SUITE, &[0, 1, 2, 3], &policy).unwrap();
         assert!(report.total_queue_ms > 0);
         let stats_queue: u64 = report
@@ -516,54 +499,6 @@ mod tests {
             .map(|o| o.result.stats.virtual_ms)
             .sum();
         assert_eq!(report.makespan_ms, run_sum);
-    }
-
-    #[test]
-    fn round_robin_share_matches_deficit_answers() {
-        let galois = streaming_session(4);
-        let rr = run_multi_query(
-            &galois,
-            &SUITE,
-            &[0, 1, 0, 1],
-            &AdmissionPolicy {
-                share: FairShare::RoundRobin,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let galois = streaming_session(4);
-        let deficit =
-            run_multi_query(&galois, &SUITE, &[0, 1, 0, 1], &AdmissionPolicy::default()).unwrap();
-        for (a, b) in rr.outcomes.iter().zip(&deficit.outcomes) {
-            assert_eq!(a.result.relation.rows, b.result.relation.rows);
-            assert_eq!(
-                a.result.stats.total_prompts(),
-                b.result.stats.total_prompts()
-            );
-        }
-    }
-
-    #[test]
-    fn session_quota_bounds_inflight_tasks_without_changing_answers() {
-        let galois = streaming_session(8);
-        let quota = run_multi_query(
-            &galois,
-            &SUITE,
-            &[0, 1, 0, 1],
-            &AdmissionPolicy {
-                session_quota: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let galois = streaming_session(8);
-        let free =
-            run_multi_query(&galois, &SUITE, &[0, 1, 0, 1], &AdmissionPolicy::default()).unwrap();
-        for (a, b) in quota.outcomes.iter().zip(&free.outcomes) {
-            assert_eq!(a.result.relation.rows, b.result.relation.rows);
-        }
-        // Throttling task issue can only lengthen the replay clock.
-        assert!(quota.makespan_ms >= free.makespan_ms);
     }
 
     #[test]

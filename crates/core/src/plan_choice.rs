@@ -547,11 +547,7 @@ pub fn plan_query(
         Planner::CostBased => {
             // Start from the no-pushdown compilation so every condition is
             // a candidate, then choose per step.
-            let base_options = CompileOptions {
-                pushdown: false,
-                ..*options
-            };
-            let mut compiled = compile(plan, catalog, &base_options)?;
+            let mut compiled = compile(plan, catalog, &CompileOptions { pushdown: false })?;
             let mut candidates = 0usize;
             let mut chosen = Vec::with_capacity(compiled.steps.len());
             for step in &compiled.steps {

@@ -1013,10 +1013,7 @@ mod tests {
             model,
             s.database.clone(),
             GaloisOptions {
-                compile: CompileOptions {
-                    pushdown: true,
-                    ..Default::default()
-                },
+                compile: CompileOptions { pushdown: true },
                 ..Default::default()
             },
         );

@@ -259,9 +259,13 @@ impl PartialEq for ListStore {
 ///   never fires, no backoff is billed, the breaker never opens;
 /// * with a bounded fault schedule (consecutive failures per prompt ≤ the
 ///   retry budget, e.g. [`galois_llm::FaultProfile`]'s default cap under
-///   the default [`RetryPolicy`]), `On` reproduces the fault-free run's
-///   relations, prompt counts, cache hits and token totals bit-exactly —
-///   only the virtual clock grows by the billed retry/backoff time.
+///   the default [`RetryPolicy`]) and [`Pipeline::Off`], `On` reproduces
+///   the fault-free run's relations, prompt counts, cache hits and token
+///   totals bit-exactly — only the virtual clock grows by the billed
+///   retry/backoff time;
+/// * under a streaming [`Pipeline`], a retry's wait can move where a
+///   micro-batch splits, so the prompt bill can move either way — but
+///   never below the fault-free wave run's bill.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Resilience {
     /// No retries: a failed request's degraded completion goes straight
@@ -285,16 +289,18 @@ impl Resilience {
     }
 }
 
-/// How the multi-query runner admits queries and shares the lane pool —
-/// the argument of [`crate::run_multi_query`], never a session
-/// option: a session executes a query the same way whatever pool its
-/// trace is later replayed on.
+/// How the multi-query runner admits queries onto the shared lane pool —
+/// the argument of [`crate::run_multi_query`], never a session option: a
+/// session executes a query the same way whatever pool its trace is later
+/// replayed on.
 ///
-/// Every `0` field means "unbounded / derive automatically", which is also
-/// the default policy: pool sized to `sessions × K`, no in-flight cap, no
-/// per-session task quota, deficit-weighted fairness. Those defaults make
-/// a single-session multi-query run bit-exact with running the same
-/// queries back-to-back through the private streaming engine.
+/// The pool is always `sessions × K` lanes (every session brings its
+/// configured parallelism, so the capacity matches `sessions` independent
+/// `K`-lane query streams), and sessions with ready work at the same
+/// virtual instant are served least-served first. The one knob is the
+/// in-flight cap; the default (no cap) makes a single-session multi-query
+/// run bit-exact with running the same queries back-to-back through the
+/// private streaming engine.
 ///
 /// Admission control never changes *what* a query answers — queries
 /// always execute logically in workload order with identical prompts,
@@ -302,67 +308,24 @@ impl Resilience {
 /// traced tasks run on the shared clock (see [`crate::run_multi_query`]). Its
 /// `Display` form is the one-line description a caller prints beside the
 /// run it applies the policy to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionPolicy {
-    /// Lanes in the shared pool; `0` derives `sessions × K` (every
-    /// session brings its configured parallelism to the pool, so the
-    /// capacity matches `sessions` independent `K`-lane query streams —
-    /// the apples-to-apples comparison against per-query packing).
-    pub pool_lanes: usize,
     /// Maximum queries admitted (running) at once; `0` is unlimited.
     /// Arrivals beyond the cap wait in FIFO order, and their wait is
     /// tallied as [`super::QueryStats::queue_ms`].
     pub max_inflight: usize,
-    /// Maximum micro-batch tasks one session may have in flight on the
-    /// pool at once; `0` is unlimited. A finite quota stops one wide
-    /// query from monopolising the pool within an instant.
-    pub session_quota: usize,
-    /// Fairness rule arbitrating sessions with ready tasks at the same
-    /// virtual instant.
-    pub share: galois_llm::FairShare,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            pool_lanes: 0,
-            max_inflight: 0,
-            session_quota: 0,
-            share: galois_llm::FairShare::DeficitMs,
-        }
-    }
-}
-
-impl AdmissionPolicy {
-    /// The pool size this policy yields for `sessions` sessions over a
-    /// session configured with `k` lanes (`pool_lanes` when set, else
-    /// `sessions × k`).
-    pub(crate) fn pool_lanes_for(&self, sessions: usize, k: usize) -> usize {
-        if self.pool_lanes > 0 {
-            self.pool_lanes
-        } else {
-            sessions.max(1) * k.max(1)
-        }
-    }
 }
 
 impl fmt::Display for AdmissionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let bound = |n: usize, unit: &str| match n {
-            0 => "unlimited".to_string(),
-            n => format!("{n} {unit}"),
-        };
-        match self.pool_lanes {
-            0 => write!(f, "shared pool (sessions × K lanes)")?,
-            n => write!(f, "shared pool ({n} lanes)")?,
-        }
         write!(
             f,
-            ", in-flight cap {}, quota {}, share {}",
-            bound(self.max_inflight, "queries"),
-            bound(self.session_quota, "tasks/session"),
-            self.share,
-        )
+            "shared pool (sessions × K lanes, least-served first), in-flight cap "
+        )?;
+        match self.max_inflight {
+            0 => write!(f, "unlimited"),
+            n => write!(f, "{n} queries"),
+        }
     }
 }
 
@@ -374,7 +337,7 @@ impl fmt::Display for AdmissionPolicy {
 /// workloads run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaloisOptions {
-    /// Plan-compilation options (source routing, filter mode, pushdown).
+    /// Plan-compilation options (prompt pushdown).
     pub compile: CompileOptions,
     /// Cleaning policy for answer strings.
     pub cleaning: CleaningPolicy,
@@ -463,24 +426,12 @@ mod tests {
     #[test]
     fn an_admission_policy_describes_itself_in_one_line() {
         assert_eq!(
-            AdmissionPolicy {
-                max_inflight: 4,
-                ..Default::default()
-            }
-            .to_string(),
-            "shared pool (sessions × K lanes), in-flight cap 4 queries, quota unlimited, \
-             share deficit-ms"
+            AdmissionPolicy { max_inflight: 4 }.to_string(),
+            "shared pool (sessions × K lanes, least-served first), in-flight cap 4 queries"
         );
         assert_eq!(
-            AdmissionPolicy {
-                pool_lanes: 64,
-                max_inflight: 0,
-                session_quota: 2,
-                share: galois_llm::FairShare::RoundRobin,
-            }
-            .to_string(),
-            "shared pool (64 lanes), in-flight cap unlimited, quota 2 tasks/session, \
-             share round-robin"
+            AdmissionPolicy::default().to_string(),
+            "shared pool (sessions × K lanes, least-served first), in-flight cap unlimited"
         );
     }
 

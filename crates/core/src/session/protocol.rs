@@ -32,7 +32,7 @@
 //! the fallback ladder (grid → per-attribute key batch → single key),
 //! pads stored and never consumed, fault text turned into a failed cell.
 
-use super::stats::{Phase, StepStats};
+use super::stats::{Phase, QueryStats};
 use super::typed::Publish;
 use super::Galois;
 use crate::clean::{cell_value, key_row, normalise_text};
@@ -366,7 +366,7 @@ struct StepRun<'a> {
     /// lost at the first cell the store does not answer with a hit.
     publish: Option<Publish>,
     /// The step's accounting.
-    acc: StepStats,
+    acc: QueryStats,
 }
 
 impl StepRun<'_> {
@@ -560,7 +560,7 @@ impl<'a> Protocol<'a> {
                     spec: None,
                     served: None,
                     publish: None,
-                    acc: StepStats::default(),
+                    acc: QueryStats::default(),
                 }
             })
             .collect();
@@ -579,7 +579,7 @@ impl<'a> Protocol<'a> {
     }
 
     /// One step's accounting.
-    pub(super) fn acc(&mut self, s: usize) -> &mut StepStats {
+    pub(super) fn acc(&mut self, s: usize) -> &mut QueryStats {
         &mut self.steps[s].acc
     }
 
@@ -587,7 +587,7 @@ impl<'a> Protocol<'a> {
     /// it hands the relational engine — the relation it was served, or the
     /// rows of the keys that survived, in discovery order, and the right to
     /// publish their table if it still has it and no cell failed.
-    pub(super) fn finish(self) -> impl Iterator<Item = (StepStats, StepTable)> + 'a {
+    pub(super) fn finish(self) -> impl Iterator<Item = (QueryStats, StepTable)> + 'a {
         let typed = &self.session.typed;
         let served = self.steps.iter().filter(|run| run.served.is_some()).count();
         typed.steps_served.fetch_add(served, Ordering::Relaxed);

@@ -1,5 +1,6 @@
-//! Prompt accounting: the public per-query [`QueryStats`] and the
-//! per-step accumulator both drivers fold into it.
+//! Prompt accounting: the public per-query [`QueryStats`], which also
+//! records each retrieval step's accounting before both drivers add the
+//! steps up.
 
 use galois_llm::BatchOutcome;
 
@@ -96,32 +97,13 @@ pub(super) enum Phase {
     Fetch,
 }
 
-/// Per-step accounting accumulated during retrieval, folded into
-/// [`QueryStats`] once the step wave completes.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct StepStats {
-    pub(super) list_prompts: usize,
-    pub(super) filter_prompts: usize,
-    pub(super) fetch_prompts: usize,
-    pub(super) cache_hits: usize,
-    pub(super) prompt_tokens: usize,
-    pub(super) completion_tokens: usize,
-    pub(super) virtual_ms: u64,
-    /// Phase-attributed virtual time, indexed by [`Phase`] discriminant
-    /// order (list, filter, fetch).
-    pub(super) phase_ms: [u64; 3],
-    pub(super) serial_ms: u64,
-    pub(super) retries: usize,
-    pub(super) timeouts: usize,
-    pub(super) rate_limited: usize,
-    pub(super) breaker_fastfails: usize,
-    pub(super) failed_cells: usize,
-}
-
-impl StepStats {
+/// Per-step accounting: each retrieval step accumulates its own
+/// `QueryStats`, and the driver adds the steps up with
+/// [`QueryStats::add_step`].
+impl QueryStats {
     /// Folds one batch's resilience counters in (shared by both absorb
     /// variants — retry accounting is per model call, never per key).
-    pub(super) fn absorb_resilience(&mut self, outcome: &BatchOutcome) {
+    fn absorb_resilience(&mut self, outcome: &BatchOutcome) {
         self.retries += outcome.retries;
         self.timeouts += outcome.timeouts;
         self.rate_limited += outcome.rate_limited;
@@ -132,10 +114,7 @@ impl StepStats {
     /// by the caller, not here).
     pub(super) fn absorb(&mut self, outcome: &BatchOutcome) {
         self.cache_hits += outcome.hits;
-        self.prompt_tokens += outcome.prompt_tokens;
-        self.completion_tokens += outcome.completion_tokens;
-        self.serial_ms += outcome.serial_ms;
-        self.absorb_resilience(outcome);
+        self.absorb_keyed(outcome);
     }
 
     /// Folds one batch's counters in, *except* cache hits — the form used
@@ -150,11 +129,11 @@ impl StepStats {
     /// re-ask chunk can never reproduce an earlier chunk's prompt string
     /// and such hits are zero.
     ///
-    /// [`absorb`]: StepStats::absorb
+    /// [`absorb`]: QueryStats::absorb
     pub(super) fn absorb_keyed(&mut self, outcome: &BatchOutcome) {
         self.prompt_tokens += outcome.prompt_tokens;
         self.completion_tokens += outcome.completion_tokens;
-        self.serial_ms += outcome.serial_ms;
+        self.serial_virtual_ms += outcome.serial_ms;
         self.absorb_resilience(outcome);
     }
 
@@ -168,28 +147,34 @@ impl StepStats {
     /// streaming driver's clock is the event simulation's makespan, not a
     /// sum).
     pub(super) fn charge_phase(&mut self, phase: Phase, ms: u64) {
-        self.phase_ms[phase as usize] += ms;
+        *match phase {
+            Phase::List => &mut self.list_virtual_ms,
+            Phase::Filter => &mut self.filter_virtual_ms,
+            Phase::Fetch => &mut self.fetch_virtual_ms,
+        } += ms;
     }
-}
 
-/// Folds one step's accounting into the query stats — everything except
-/// the packed virtual clock, which each dataflow computes its own way
-/// (wave: lane-packed step times; streaming: the event simulation's
-/// makespan).
-pub(super) fn fold_step_stats(stats: &mut QueryStats, step: &StepStats) {
-    stats.list_prompts += step.list_prompts;
-    stats.filter_prompts += step.filter_prompts;
-    stats.fetch_prompts += step.fetch_prompts;
-    stats.cache_hits += step.cache_hits;
-    stats.prompt_tokens += step.prompt_tokens;
-    stats.completion_tokens += step.completion_tokens;
-    stats.serial_virtual_ms += step.serial_ms;
-    stats.list_virtual_ms += step.phase_ms[Phase::List as usize];
-    stats.filter_virtual_ms += step.phase_ms[Phase::Filter as usize];
-    stats.fetch_virtual_ms += step.phase_ms[Phase::Fetch as usize];
-    stats.retries += step.retries;
-    stats.timeouts += step.timeouts;
-    stats.rate_limited += step.rate_limited;
-    stats.breaker_fastfails += step.breaker_fastfails;
-    stats.failed_cells += step.failed_cells;
+    /// Adds one step's accounting — every field except the packed virtual
+    /// clock, which each dataflow computes its own way (wave: lane-packed
+    /// step times; streaming: the event simulation's makespan).
+    pub(super) fn add_step(&mut self, step: &QueryStats) {
+        self.list_prompts += step.list_prompts;
+        self.filter_prompts += step.filter_prompts;
+        self.fetch_prompts += step.fetch_prompts;
+        self.cache_hits += step.cache_hits;
+        self.prompt_tokens += step.prompt_tokens;
+        self.completion_tokens += step.completion_tokens;
+        self.serial_virtual_ms += step.serial_virtual_ms;
+        self.list_virtual_ms += step.list_virtual_ms;
+        self.filter_virtual_ms += step.filter_virtual_ms;
+        self.fetch_virtual_ms += step.fetch_virtual_ms;
+        self.wall_ms += step.wall_ms;
+        self.rows_retrieved += step.rows_retrieved;
+        self.retries += step.retries;
+        self.timeouts += step.timeouts;
+        self.rate_limited += step.rate_limited;
+        self.breaker_fastfails += step.breaker_fastfails;
+        self.failed_cells += step.failed_cells;
+        self.queue_ms += step.queue_ms;
+    }
 }

@@ -14,7 +14,7 @@
 //! completion time, which is what releases downstream work.
 
 use super::protocol::{Fire, FireTarget, Protocol, StepTable};
-use super::stats::{fold_step_stats, QueryStats};
+use super::stats::QueryStats;
 use super::Galois;
 use galois_llm::EventClock;
 use std::cmp::Reverse;
@@ -97,7 +97,7 @@ pub(super) fn retrieve<'a>(
         .protocol
         .finish()
         .map(|(acc, table)| {
-            fold_step_stats(&mut stats, &acc);
+            stats.add_step(&acc);
             table
         })
         .collect();

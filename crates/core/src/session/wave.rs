@@ -23,7 +23,7 @@
 //! clock is a function of the work, never of thread timing.
 
 use super::protocol::{Fire, Protocol, StepTable};
-use super::stats::{fold_step_stats, QueryStats};
+use super::stats::QueryStats;
 use super::Galois;
 use galois_llm::lane_schedule;
 use std::ops::Range;
@@ -72,7 +72,7 @@ pub(super) fn retrieve(session: &Galois, mut protocol: Protocol) -> (QueryStats,
     let step_tables = protocol
         .finish()
         .map(|(acc, table)| {
-            fold_step_stats(&mut stats, &acc);
+            stats.add_step(&acc);
             step_virtuals.push(acc.virtual_ms);
             table
         })

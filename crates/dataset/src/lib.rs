@@ -24,13 +24,13 @@
 //! assert!(!r.is_empty());
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod convert;
-pub mod names;
-pub mod suite;
-pub mod world;
+mod convert;
+mod names;
+mod suite;
+mod world;
 
 pub use convert::{to_database, to_knowledge};
 pub use suite::{

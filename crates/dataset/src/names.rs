@@ -45,7 +45,7 @@ const CONTINENTS: [&str; 4] = ["Euralia", "Meridia", "Osterra", "Zephyria"];
 /// space holds (6 720 people from 400 names at x40), so almost every entity
 /// spends its whole retry budget on draws that are thrown away.
 #[derive(Default)]
-pub struct NamePool {
+pub(crate) struct NamePool {
     /// Plain names handed out, by index.
     used: Vec<bool>,
     /// Suffixed names handed out: (index, suffix).
@@ -54,7 +54,7 @@ pub struct NamePool {
 
 impl NamePool {
     /// Creates an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -62,7 +62,7 @@ impl NamePool {
     /// collisions disambiguates deterministically: fresh draws paired with
     /// a rising numeric suffix (from 2) until the pair is unused. The
     /// caller renders the index and appends `" {suffix}"` when there is one.
-    pub fn unique(
+    pub(crate) fn unique(
         &mut self,
         rng: &mut StdRng,
         tries: usize,
@@ -89,7 +89,7 @@ impl NamePool {
 }
 
 /// `name`, or `"{name} {suffix}"` for a disambiguated draw.
-pub fn suffixed(name: String, suffix: Option<u32>) -> String {
+pub(crate) fn suffixed(name: String, suffix: Option<u32>) -> String {
     match suffix {
         Some(i) => format!("{name} {i}"),
         None => name,
@@ -97,19 +97,19 @@ pub fn suffixed(name: String, suffix: Option<u32>) -> String {
 }
 
 /// Draws a fictional country name's index.
-pub fn country_id(rng: &mut StdRng) -> usize {
+pub(crate) fn country_id(rng: &mut StdRng) -> usize {
     let stem = rng.gen_range(0..COUNTRY_STEMS.len());
     stem * COUNTRY_ENDS.len() + rng.gen_range(0..COUNTRY_ENDS.len())
 }
 
 /// The country name with index `id`.
-pub fn country_name(id: usize) -> String {
+pub(crate) fn country_name(id: usize) -> String {
     let (stem, end) = (id / COUNTRY_ENDS.len(), id % COUNTRY_ENDS.len());
     format!("{}{}", COUNTRY_STEMS[stem], COUNTRY_ENDS[end])
 }
 
 /// Draws a fictional city name's index.
-pub fn city_id(rng: &mut StdRng) -> usize {
+pub(crate) fn city_id(rng: &mut StdRng) -> usize {
     let spaced = usize::from(rng.gen_bool(0.5));
     let start = rng.gen_range(0..CITY_STARTS.len());
     let core = rng.gen_range(0..CITY_CORES.len());
@@ -117,7 +117,7 @@ pub fn city_id(rng: &mut StdRng) -> usize {
 }
 
 /// The city name with index `id`: "Port Haven" or "Porthaven".
-pub fn city_name(id: usize) -> String {
+pub(crate) fn city_name(id: usize) -> String {
     let (rest, core) = (id / CITY_CORES.len(), CITY_CORES[id % CITY_CORES.len()]);
     let start = CITY_STARTS[rest % CITY_STARTS.len()];
     if rest >= CITY_STARTS.len() {
@@ -128,14 +128,14 @@ pub fn city_name(id: usize) -> String {
 }
 
 /// Draws a fictional person name's index.
-pub fn person_id(rng: &mut StdRng) -> usize {
+pub(crate) fn person_id(rng: &mut StdRng) -> usize {
     let first = rng.gen_range(0..FIRST_NAMES.len());
     first * LAST_NAMES.len() + rng.gen_range(0..LAST_NAMES.len())
 }
 
 /// The person name with index `id`, with its short form ("Anna Rossi" →
 /// "A. Rossi").
-pub fn person_name(id: usize) -> (String, String) {
+pub(crate) fn person_name(id: usize) -> (String, String) {
     let first = FIRST_NAMES[id / LAST_NAMES.len()];
     let last = LAST_NAMES[id % LAST_NAMES.len()];
     (
@@ -145,13 +145,13 @@ pub fn person_name(id: usize) -> (String, String) {
 }
 
 /// A fictional person name (not necessarily unused), with its short form.
-pub fn person(rng: &mut StdRng) -> (String, String) {
+pub(crate) fn person(rng: &mut StdRng) -> (String, String) {
     person_name(person_id(rng))
 }
 
 /// Derives 2- and 3-letter codes from a country name (uppercased prefix;
 /// uniqueness is the caller's concern via [`NamePool`]).
-pub fn country_codes(name: &str) -> (String, String) {
+pub(crate) fn country_codes(name: &str) -> (String, String) {
     let letters: String = name
         .chars()
         .filter(|c| c.is_ascii_alphabetic())
@@ -162,42 +162,27 @@ pub fn country_codes(name: &str) -> (String, String) {
 }
 
 /// A genre for a singer.
-pub fn genre(rng: &mut StdRng) -> String {
+pub(crate) fn genre(rng: &mut StdRng) -> String {
     GENRES[rng.gen_range(0..GENRES.len())].to_string()
 }
 
 /// A political party.
-pub fn party(rng: &mut StdRng) -> String {
+pub(crate) fn party(rng: &mut StdRng) -> String {
     PARTIES[rng.gen_range(0..PARTIES.len())].to_string()
 }
 
 /// A continent name.
-pub fn continent(rng: &mut StdRng) -> String {
+pub(crate) fn continent(rng: &mut StdRng) -> String {
     CONTINENTS[rng.gen_range(0..CONTINENTS.len())].to_string()
 }
 
-/// All continent names (used to pick IN-list conditions).
-pub fn continents() -> Vec<String> {
-    CONTINENTS.iter().map(|s| s.to_string()).collect()
-}
-
-/// All genres.
-pub fn genres() -> Vec<String> {
-    GENRES.iter().map(|s| s.to_string()).collect()
-}
-
-/// All parties.
-pub fn parties() -> Vec<String> {
-    PARTIES.iter().map(|s| s.to_string()).collect()
-}
-
 /// Draws an airport code's index: three letters, read as base 26.
-pub fn airport_code_id(rng: &mut StdRng) -> usize {
+pub(crate) fn airport_code_id(rng: &mut StdRng) -> usize {
     (0..3).fold(0, |id, _| id * 26 + usize::from(rng.gen_range(0..26u8)))
 }
 
 /// The airport code (three uppercase letters) with index `id`.
-pub fn airport_code(id: usize) -> String {
+pub(crate) fn airport_code(id: usize) -> String {
     [id / 676, id / 26 % 26, id % 26]
         .iter()
         .map(|&letter| (b'A' + letter as u8) as char)
@@ -205,7 +190,7 @@ pub fn airport_code(id: usize) -> String {
 }
 
 /// An airport display name derived from its city.
-pub fn airport_name(city: &str, rng: &mut StdRng) -> String {
+pub(crate) fn airport_name(city: &str, rng: &mut StdRng) -> String {
     if rng.gen_bool(0.4) {
         format!("{city} International Airport")
     } else {
@@ -225,12 +210,12 @@ const FESTS: [&str; 8] = [
 ];
 
 /// Draws the index of a concert/venue event name held in `year`.
-pub fn concert_id(rng: &mut StdRng, year: i64) -> usize {
+pub(crate) fn concert_id(rng: &mut StdRng, year: i64) -> usize {
     year as usize * FESTS.len() + rng.gen_range(0..FESTS.len())
 }
 
 /// The event name with index `id`: "Echo Nights 2019".
-pub fn concert_name(id: usize) -> String {
+pub(crate) fn concert_name(id: usize) -> String {
     format!("{} {}", FESTS[id % FESTS.len()], id / FESTS.len())
 }
 

@@ -183,7 +183,7 @@ fn value_sql(v: &PromptValue) -> String {
 }
 
 /// Renders a protocol condition as a SQL predicate.
-pub fn condition_sql(c: &Condition, alias: Option<&str>) -> String {
+pub(crate) fn condition_sql(c: &Condition, alias: Option<&str>) -> String {
     let attr = match alias {
         Some(a) => format!("{a}.{}", c.attribute),
         None => c.attribute.clone(),

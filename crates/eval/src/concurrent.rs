@@ -92,24 +92,12 @@ pub fn run_suite_concurrent(
     let model_name = profile.name.clone();
     let model = model_for(scenario, profile);
     let galois = Galois::with_options(model, scenario.database.clone(), options);
-    run_suite_concurrent_on(scenario, &galois, &model_name, sessions, policy)
-}
-
-/// [`run_suite_concurrent`] over an *existing* shared session, so callers
-/// can replay repeatedly against warm session state.
-pub fn run_suite_concurrent_on(
-    scenario: &Scenario,
-    galois: &Galois,
-    model_name: &str,
-    sessions: usize,
-    policy: &AdmissionPolicy,
-) -> galois_core::Result<ConcurrentSuiteRun> {
     let started = Instant::now();
     let sessions = sessions.max(1);
     let sqls: Vec<String> = scenario.suite.iter().map(|spec| spec.to_sql()).collect();
     let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
     let session_of: Vec<usize> = (0..queries.len()).map(|i| i % sessions).collect();
-    let report = run_multi_query(galois, &queries, &session_of, policy)?;
+    let report = run_multi_query(&galois, &queries, &session_of, policy)?;
 
     let outcomes: Vec<QueryOutcome> = scenario
         .suite
@@ -136,7 +124,7 @@ pub fn run_suite_concurrent_on(
 
     Ok(ConcurrentSuiteRun {
         run: GaloisRun {
-            model: model_name.to_string(),
+            model: model_name,
             outcomes,
             wall_ms: started.elapsed().as_millis() as u64,
         },
@@ -219,10 +207,7 @@ mod tests {
     #[test]
     fn inflight_cap_surfaces_queue_delay_in_totals() {
         let s = small_scenario();
-        let capped = AdmissionPolicy {
-            max_inflight: 2,
-            ..Default::default()
-        };
+        let capped = AdmissionPolicy { max_inflight: 2 };
         let run = run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 8, &capped)
             .unwrap();
         assert!(run.total_queue_ms > 0);

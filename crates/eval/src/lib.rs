@@ -26,7 +26,7 @@ mod matching;
 mod report;
 
 pub use cardinality::{average_diff, cardinality_diff_percent, cardinality_ratio};
-pub use concurrent::{run_suite_concurrent, run_suite_concurrent_on, ConcurrentSuiteRun};
+pub use concurrent::{run_suite_concurrent, ConcurrentSuiteRun};
 pub use harness::{
     model_for, run_baseline_suite, run_galois_suite, run_galois_suite_on, run_operator_suite,
     score_operator, suite_totals, table1, table2, timing_summary, BaselineOutcome, BaselineRun,

@@ -178,30 +178,6 @@ impl EventClock {
     }
 }
 
-/// Fairness rule a shared [`LanePool`] arbitrates concurrent sessions by
-/// when several have work ready at the same virtual instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FairShare {
-    /// Deficit-weighted: the session with the least lane-busy virtual
-    /// time served so far goes first (ties to the lowest session index).
-    /// Sessions with short queries never starve behind heavy ones.
-    #[default]
-    DeficitMs,
-    /// Plain round-robin over session indices: a rotating cursor picks
-    /// the next session with ready work, regardless of how much service
-    /// each has consumed.
-    RoundRobin,
-}
-
-impl fmt::Display for FairShare {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FairShare::DeficitMs => write!(f, "deficit-ms"),
-            FairShare::RoundRobin => write!(f, "round-robin"),
-        }
-    }
-}
-
 /// A global pool of request lanes shared by many concurrent sessions —
 /// [`EventClock`] lifted from "one query's `K` lanes" to "the deployment's
 /// lanes, drawn from by every in-flight query".
@@ -209,8 +185,8 @@ impl fmt::Display for FairShare {
 /// The pool keeps the clock's determinism (earliest-free lane, ties to the
 /// lowest index; tasks must be scheduled in a deterministic order) and
 /// adds per-session service accounting: every scheduled task's duration is
-/// tallied against its session, which is what deficit-weighted fairness
-/// ([`FairShare::DeficitMs`]) and the utilisation report read.
+/// tallied against its session, which is what the multi-query replay's
+/// least-served-first arbitration and the utilisation report read.
 #[derive(Debug, Clone)]
 pub struct LanePool {
     clock: EventClock,
@@ -249,7 +225,7 @@ impl LanePool {
     }
 
     /// Lane-busy virtual milliseconds served to `session` so far — the
-    /// deficit counter [`FairShare::DeficitMs`] arbitrates on.
+    /// counter least-served-first arbitration ranks sessions by.
     pub fn served_ms(&self, session: usize) -> u64 {
         self.served.get(session).copied().unwrap_or(0)
     }
@@ -460,12 +436,5 @@ mod tests {
         assert!((pool.utilisation() - expect).abs() < 1e-12);
         assert_eq!(LanePool::new(8, 0).served.len(), 1);
         assert_eq!(LanePool::new(8, 2).utilisation(), 0.0);
-    }
-
-    #[test]
-    fn fair_share_renders_its_label() {
-        assert_eq!(FairShare::default(), FairShare::DeficitMs);
-        assert_eq!(FairShare::DeficitMs.to_string(), "deficit-ms");
-        assert_eq!(FairShare::RoundRobin.to_string(), "round-robin");
     }
 }

@@ -50,7 +50,7 @@ pub use columns::{SubColumn, SubLookup};
 pub use faults::{FaultProfile, FaultyLlm};
 pub use intent::{CmpOp, Condition, PromptValue, TaskIntent};
 pub use knowledge::{Entity, FactValue, KnowledgeStore};
-pub use lanes::{lane_schedule, EventClock, FairShare, LanePool, Parallelism};
+pub use lanes::{lane_schedule, EventClock, LanePool, Parallelism};
 pub use model::{Completion, Fault, FaultKind, FixedResponder, LanguageModel, Usage};
 pub use nlq::{AggIntent, AggKind, JoinIntent, QueryIntent};
 pub use profiles::ModelProfile;

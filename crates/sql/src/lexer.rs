@@ -138,10 +138,12 @@ impl<'a> Lexer<'a> {
             b'"' => self.lex_quoted_ident(start)?,
             b'0'..=b'9' => self.lex_number(start)?,
             b if b.is_ascii_alphabetic() || b == b'_' => self.lex_word(start),
-            other => {
+            _ => {
+                // The whole character, which may be several bytes long.
+                let ch = self.input[start..].chars().next().unwrap_or_default();
                 return Err(SqlError::new(
-                    format!("unexpected character '{}'", other as char),
-                    Span::new(start, start + 1),
+                    format!("unexpected character '{ch}'"),
+                    Span::new(start, start + ch.len_utf8()),
                 ));
             }
         };
@@ -398,6 +400,17 @@ mod tests {
     #[test]
     fn bare_bang_is_an_error() {
         assert!(tokenize("a ! b").is_err());
+    }
+
+    #[test]
+    fn a_stray_character_is_named_whole() {
+        for (ch, end) in [("é", 9), ("東", 10), ("🦀", 11)] {
+            let sql = format!("SELECT {ch} FROM city");
+            let err = tokenize(&sql).unwrap_err();
+            assert_eq!(err.message, format!("unexpected character '{ch}'"));
+            assert_eq!(err.span, Span::new(7, end));
+            assert_eq!(err.span.slice(&sql), ch);
+        }
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //! assert!(stmt.is_explain());
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ast;
-pub mod error;
+mod error;
 pub mod lexer;
-pub mod parser;
-pub mod token;
+mod parser;
+mod token;
 
 pub use ast::{
     BinaryOp, ColumnRef, Expr, FunctionArgs, Join, JoinType, Literal, OrderItem, SelectItem,
@@ -37,3 +37,4 @@ pub use ast::{
 };
 pub use error::{Result, Span, SqlError};
 pub use parser::{parse, parse_select};
+pub use token::{Keyword, Token, TokenKind};

@@ -2,8 +2,32 @@
 //! an identical AST, and printing must be a fixed point.
 
 use galois_sql::ast::*;
-use galois_sql::parse;
+use galois_sql::lexer::tokenize;
+use galois_sql::{parse, SqlError};
 use proptest::prelude::*;
+
+/// SQL-ish text: the dialect's punctuation, quotes and comment openers,
+/// digits, letters, whitespace, and characters of two, three and four
+/// bytes (`é`, `東`, `🦀`, and the two-byte no-break space).
+const SQL_TEXT: &str = "[a-z0-9 ,.;*()<>=!'\"_%+/\n\u{a0}é東🦀-]{0,8}";
+
+/// A statement-shaped draw: dialect words and qualifiers interleaved with
+/// [`SQL_TEXT`] runs.
+fn mixed_sql_strategy() -> impl Strategy<Value = String> {
+    let word = prop::sample::select(vec![
+        "SELECT", "FROM", "WHERE", "AND", "LIKE", "LIMIT", "EXPLAIN", "LLM.", "DB.", "city",
+        "name", "--", "/*", "*/", "'", "\"",
+    ])
+    .prop_map(str::to_string);
+    prop::collection::vec(prop_oneof![word, SQL_TEXT], 0..12).prop_map(|parts| parts.join(" "))
+}
+
+/// An error's span must cut `input` on character boundaries, so that
+/// `Span::slice` names the offending text.
+fn on_char_boundaries(input: &str, error: &SqlError) -> bool {
+    let span = error.span;
+    span.start <= span.end && input.is_char_boundary(span.start) && input.is_char_boundary(span.end)
+}
 
 /// Identifiers that can never collide with dialect keywords.
 fn ident_strategy() -> impl Strategy<Value = String> {
@@ -281,5 +305,16 @@ proptest! {
     #[test]
     fn parser_never_panics_on_arbitrary_input(input in "[ -~]{0,80}") {
         let _ = parse(&input);
+    }
+
+    #[test]
+    fn multibyte_input_errors_on_char_boundaries(input in mixed_sql_strategy()) {
+        for error in [tokenize(&input).err(), parse(&input).err()].into_iter().flatten() {
+            prop_assert!(
+                on_char_boundaries(&input, &error),
+                "{input:?}: {error} at {}",
+                error.span
+            );
+        }
     }
 }

@@ -164,10 +164,7 @@ fn main() {
     let sqls: Vec<String> = scenario.suite.iter().take(8).map(|q| q.to_sql()).collect();
     let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
     let session_of: Vec<usize> = (0..queries.len()).collect();
-    let policy = AdmissionPolicy {
-        max_inflight: 2,
-        ..Default::default()
-    };
+    let policy = AdmissionPolicy { max_inflight: 2 };
     let report = run_multi_query(&galois, &queries, &session_of, &policy).unwrap();
     println!("\n=== serving stack, 8 sessions on one shared pool ===");
     println!("admission: {policy}");
@@ -180,8 +177,7 @@ fn main() {
     );
     assert_eq!(
         policy.to_string(),
-        "shared pool (sessions × K lanes), in-flight cap 2 queries, quota unlimited, \
-         share deficit-ms"
+        "shared pool (sessions × K lanes, least-served first), in-flight cap 2 queries"
     );
     assert_eq!(report.pool_lanes, 64);
     assert!(

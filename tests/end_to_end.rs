@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: SQL text → plan → prompts → simulated
 //! LLM → parsing/cleaning → relational tail → relation.
 
-use galois::core::{
-    BaselineKind, CompileOptions, DefaultSource, FilterMode, Galois, GaloisOptions, QaBaseline,
-};
+use galois::core::{BaselineKind, Galois, QaBaseline};
 use galois::dataset::Scenario;
 use galois::eval::{match_records, relation_to_records};
 use galois::llm::{ModelProfile, SimLlm};
@@ -89,37 +87,22 @@ fn qa_baseline_is_deterministic() {
 
 #[test]
 fn filter_modes_agree_under_the_oracle() {
+    // The same selection twice: once as a boolean prompt per key, once
+    // through an expression no prompt condition can carry, so the engine
+    // fetches the attribute and compares it itself.
     let scenario = Scenario::generate(42);
-    let sql = "SELECT name FROM city WHERE population > 1000000";
-    let model = Arc::new(SimLlm::new(
-        scenario.knowledge.clone(),
-        ModelProfile::oracle(),
-    ));
-    let boolean = Galois::with_options(
-        model.clone(),
-        scenario.database.clone(),
-        GaloisOptions {
-            compile: CompileOptions {
-                filter_mode: FilterMode::LlmBoolean,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let fetch_compare = Galois::with_options(
-        model,
-        scenario.database.clone(),
-        GaloisOptions {
-            compile: CompileOptions {
-                filter_mode: FilterMode::FetchCompare,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    let galois = oracle(&scenario);
+    let boolean = galois
+        .execute("SELECT name FROM city WHERE population > 1000000")
+        .unwrap();
+    let fetch_compare = galois
+        .execute("SELECT name FROM city WHERE population * 1 > 1000000")
+        .unwrap();
+    assert!(boolean.stats.filter_prompts > 0);
+    assert!(fetch_compare.stats.filter_prompts == 0 && fetch_compare.stats.fetch_prompts > 0);
     assert_eq!(
-        sorted_rows(&boolean.execute(sql).unwrap().relation),
-        sorted_rows(&fetch_compare.execute(sql).unwrap().relation),
+        sorted_rows(&boolean.relation),
+        sorted_rows(&fetch_compare.relation),
     );
 }
 
@@ -149,19 +132,9 @@ fn db_default_source_runs_without_prompts() {
         scenario.knowledge.clone(),
         ModelProfile::chatgpt(),
     ));
-    let galois = Galois::with_options(
-        model,
-        scenario.database.clone(),
-        GaloisOptions {
-            compile: CompileOptions {
-                default_source: DefaultSource::Db,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    let galois = Galois::new(model, scenario.database.clone());
     let got = galois
-        .execute("SELECT name FROM city WHERE population > 1000000")
+        .execute("SELECT name FROM DB.city WHERE population > 1000000")
         .unwrap();
     assert_eq!(got.stats.total_prompts(), 0);
     let truth = scenario

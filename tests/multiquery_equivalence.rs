@@ -3,8 +3,8 @@
 //! battery (`tests/common/contract.rs`) read through `run_multi_query`.
 //!
 //! 1. **Concurrency invariance** — for any session count, any
-//!    session-assignment permutation, any admission order the fair-share
-//!    rules produce, and any lane/batch shape: every query's rows in order
+//!    session-assignment permutation, any admission order least-served
+//!    arbitration produces, and any lane/batch shape: every query's rows in order
 //!    and `QueryStats` but the replay's clock and queue equal the
 //!    single-session run's, per query — the logical pass runs queries in
 //!    canonical input order regardless of how the replay schedules them.
@@ -14,8 +14,8 @@
 //!    and arrival/finish times chaining as the serial clock.
 //! 3. **Concurrency wins the makespan** — at 8 sessions over the derived
 //!    `sessions × K` pool, the suite makespan is strictly below the
-//!    serial suite clock, utilisation lands in `(0, 1]`, and the two
-//!    fair-share rules agree on answers while both stay under it.
+//!    serial suite clock and utilisation lands in `(0, 1]`, whether the
+//!    queries are dealt round-robin or half of them crowd one session.
 //! 4. **Admission delay is measured, not lost** — a `max_inflight` cap
 //!    produces positive `queue_ms` without touching answers or prompts,
 //!    and every outcome still satisfies `arrival ≤ admitted ≤ finished`.
@@ -27,8 +27,8 @@ mod common;
 use common::contract::{replayed, Cell, Cmp, Contract, Rows};
 use common::{options, permutation, small_config, suite};
 use galois::core::{
-    run_multi_query, AdmissionPolicy, FairShare, GaloisOptions, ListStore, MultiQueryReport,
-    Pipeline, PromptBatch,
+    run_multi_query, AdmissionPolicy, GaloisOptions, ListStore, MultiQueryReport, Pipeline,
+    PromptBatch,
 };
 use galois::dataset::Scenario;
 use proptest::prelude::*;
@@ -61,14 +61,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Axis sweep: world seed × sessions {1, 2, 8} × assignment
-    /// permutation × fair-share rule × lanes × batch shape. The
-    /// single-session run is the reference.
+    /// permutation × lanes × batch shape. The single-session run is the
+    /// reference.
     #[test]
     fn concurrency_changes_clocks_only(
         seed in prop_oneof![Just(42u64), Just(7u64), Just(1234u64)],
         sessions in prop_oneof![Just(1usize), Just(2), Just(8)],
         perm_state in any::<u64>(),
-        share in prop_oneof![Just(FairShare::DeficitMs), Just(FairShare::RoundRobin)],
         lanes in prop_oneof![Just(1usize), Just(8)],
         grid in any::<bool>(),
     ) {
@@ -78,8 +77,8 @@ proptest! {
         let n = cell.order.len();
         let reference = replay(&cell, &vec![0; n], &AdmissionPolicy::default());
         let session_of: Vec<usize> = permutation(n, perm_state).iter().map(|&p| p % sessions).collect();
-        let report = replay(&cell, &session_of, &AdmissionPolicy { share, ..AdmissionPolicy::default() });
-        let label = format!("seed {seed}, sessions {sessions}, {share:?}");
+        let report = replay(&cell, &session_of, &AdmissionPolicy::default());
+        let label = format!("seed {seed}, sessions {sessions}");
         Contract::REPLAYED.compare(&replayed(&reference, &cell.order), &replayed(&report, &cell.order), &label);
         for (outcome, session) in report.outcomes.iter().zip(&session_of) {
             prop_assert_eq!(outcome.session, *session, "session label");
@@ -124,34 +123,29 @@ fn eight_sessions_beat_the_serial_clock_under_both_shares() {
     let cell = cell(&s, PromptBatch::Keys(10), 8);
     let n = cell.order.len();
     let serial = replay(&cell, &vec![0; n], &AdmissionPolicy::default()).makespan_ms;
-    for share in [FairShare::DeficitMs, FairShare::RoundRobin] {
-        let policy = AdmissionPolicy {
-            share,
-            ..AdmissionPolicy::default()
-        };
-        let report = replay(&cell, &dealt(n, 8), &policy);
+    // Dealt round-robin, and skewed: the first half of the suite on
+    // session 0, the rest dealt over sessions 1–7.
+    let skewed: Vec<usize> = (0..n)
+        .map(|i| if i < n / 2 { 0 } else { 1 + i % 7 })
+        .collect();
+    for (deal, session_of) in [("dealt", dealt(n, 8)), ("skewed", skewed)] {
+        let report = replay(&cell, &session_of, &AdmissionPolicy::default());
         assert!(
             report.makespan_ms < serial,
-            "{share:?}: makespan {} must beat the serial clock {serial}",
+            "{deal}: makespan {} must beat the serial clock {serial}",
             report.makespan_ms
         );
-        assert_eq!(
-            report.pool_lanes, 64,
-            "{share:?}: derived sessions x K pool"
-        );
+        assert_eq!(report.pool_lanes, 64, "{deal}: derived sessions x K pool");
         assert!(
             report.lane_utilisation > 0.0 && report.lane_utilisation <= 1.0,
-            "{share:?}: utilisation {} out of range",
+            "{deal}: utilisation {} out of range",
             report.lane_utilisation
         );
-        assert_eq!(
-            report.total_queue_ms, 0,
-            "{share:?}: nothing queues uncapped"
-        );
+        assert_eq!(report.total_queue_ms, 0, "{deal}: nothing queues uncapped");
         assert!(
             report.p50_latency_ms() <= report.p99_latency_ms()
                 && report.p99_latency_ms() <= report.makespan_ms,
-            "{share:?}: percentile ordering"
+            "{deal}: percentile ordering"
         );
     }
 }
@@ -162,10 +156,7 @@ fn inflight_cap_queues_without_changing_accounting() {
     let cell = cell(&s, PromptBatch::Keys(10), 8);
     let session_of = dealt(cell.order.len(), 8);
     let free = replay(&cell, &session_of, &AdmissionPolicy::default());
-    let capped = AdmissionPolicy {
-        max_inflight: 2,
-        ..AdmissionPolicy::default()
-    };
+    let capped = AdmissionPolicy { max_inflight: 2 };
     let capped = replay(&cell, &session_of, &capped);
     assert!(capped.total_queue_ms > 0, "a 2-query window must queue");
     assert!(
@@ -202,10 +193,7 @@ fn the_admission_policy_is_the_arguments_not_the_sessions() {
     assert_eq!(cell.session().options(), &opts);
     let session_of = dealt(cell.order.len(), 8);
     let free = replay(&cell, &session_of, &AdmissionPolicy::default());
-    let one = AdmissionPolicy {
-        max_inflight: 1,
-        ..AdmissionPolicy::default()
-    };
+    let one = AdmissionPolicy { max_inflight: 1 };
     let one = replay(&cell, &session_of, &one);
     assert_eq!(free.total_queue_ms, 0);
     assert!(one.total_queue_ms > 0, "a one-query window must queue");
@@ -223,10 +211,7 @@ fn repeat_runs_are_identical_on_every_field() {
     let s = Scenario::generate_with(42, small_config());
     let cell = cell(&s, serving_grid(), 8);
     let session_of = dealt(cell.order.len(), 8);
-    let policy = AdmissionPolicy {
-        max_inflight: 6,
-        ..AdmissionPolicy::default()
-    };
+    let policy = AdmissionPolicy { max_inflight: 6 };
     let [a, b] = [(); 2].map(|()| replay(&cell, &session_of, &policy));
     assert_eq!(a.makespan_ms, b.makespan_ms);
     assert_eq!(a.total_queue_ms, b.total_queue_ms);

@@ -122,10 +122,7 @@ fn a_filter_stage_is_built_every_time() {
     let statements = statements(&scenario);
     let heuristic = |prompt_batch| GaloisOptions {
         planner: Planner::Heuristic,
-        compile: CompileOptions {
-            pushdown: false,
-            ..CompileOptions::default()
-        },
+        compile: CompileOptions { pushdown: false },
         prompt_batch,
         ..GaloisOptions::serving()
     };
