@@ -25,7 +25,7 @@ fn bench_batched_cell_extraction(c: &mut Criterion) {
         )),
         scenario.database.clone(),
         GaloisOptions {
-            prompt_batch: PromptBatch::Keys(10),
+            prompt_batch: PromptBatch::Grid { keys: 10, attrs: 1 },
             ..Default::default()
         },
     );

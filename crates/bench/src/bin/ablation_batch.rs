@@ -1,12 +1,13 @@
 //! Ablation **A5**: the multi-key prompt batching factor.
 //!
-//! Runs the 46-query suite with `PromptBatch::Off` and with
-//! `PromptBatch::Keys(B)` for `B ∈ {1, 2, 5, 10, 25}` (cost-based planner,
-//! `--parallelism` lanes), reporting prompt volume, cache hits and the
-//! virtual clocks. On the oracle profile every row returns identical
-//! relations — batching only reshapes the prompt schedule — so the
-//! accuracy column ties while the cost columns collapse roughly as
-//! `ceil(keys / B)` per retrieval cell. `Keys(1)` isolates the multi-key
+//! Runs the 46-query suite with `PromptBatch::Off` and with key batching,
+//! `PromptBatch::Grid { keys: B, attrs: 1 }`, for `B ∈ {1, 2, 5, 10, 25}`
+//! (cost-based planner, `--parallelism` lanes), reporting prompt volume,
+//! cache hits and the virtual clocks. On the oracle profile every row
+//! returns identical relations — batching only reshapes the prompt
+//! schedule — so the accuracy column ties (the binary asserts it) while
+//! the cost columns collapse roughly as `ceil(keys / B)` per retrieval
+//! cell. `B = 1` isolates the multi-key
 //! protocol's own overhead (same prompt *count* as Off, longer prompts);
 //! large `B` exposes the diminishing returns once the per-prompt fixed
 //! cost is amortised and answer volume dominates.
@@ -38,14 +39,16 @@ fn main() {
         "virtual ms",
         "content all %",
     ]);
+    let keys = |keys| PromptBatch::Grid { keys, attrs: 1 };
     let variants = [
         ("off", PromptBatch::Off),
-        ("B=1", PromptBatch::Keys(1)),
-        ("B=2", PromptBatch::Keys(2)),
-        ("B=5", PromptBatch::Keys(5)),
-        ("B=10", PromptBatch::Keys(10)),
-        ("B=25", PromptBatch::Keys(25)),
+        ("B=1", keys(1)),
+        ("B=2", keys(2)),
+        ("B=5", keys(5)),
+        ("B=10", keys(10)),
+        ("B=25", keys(25)),
     ];
+    let mut scores = Vec::new();
     for (label, prompt_batch) in variants {
         let options = GaloisOptions {
             prompt_batch,
@@ -53,6 +56,7 @@ fn main() {
         };
         let run = run_galois_suite(&scenario, profile.clone(), options);
         let totals = suite_totals(&run, lanes);
+        scores.push(run.content_score(None));
         t.row(vec![
             label.to_string(),
             totals.prompts.to_string(),
@@ -67,4 +71,10 @@ fn main() {
         "(expected: identical content scores; prompts collapse ~ceil(keys/B) per cell; \
          diminishing virtual-ms returns at large B)"
     );
+    if profile.name == "oracle" {
+        assert!(
+            scores.iter().all(|&s| s == scores[0]),
+            "content scores differ across batch factors on the oracle: {scores:?}"
+        );
+    }
 }

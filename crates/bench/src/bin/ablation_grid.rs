@@ -8,14 +8,14 @@
 //! `A ∈ {1, 2, 4, all}`, reporting prompt volume per phase, cache hits and
 //! the virtual clocks. On the oracle profile every variant returns
 //! identical relations — grid fusion only reshapes the fetch schedule — so
-//! the accuracy column ties while the fetch prompts collapse along two
+//! the accuracy column ties (the binary asserts it) while the fetch
+//! prompts collapse along two
 //! axes: `⌈C/A⌉ × ⌈keys/B⌉` prompts per step, and (the bigger lever on a
 //! suite of narrow queries) speculative pad columns that seed the
 //! sub-entry store so later queries on the same table fetch at zero
-//! prompt cost. `A = 1` is the ablation base case (the key-batched
-//! protocol in grid clothing, no spare width to speculate into); `A =
-//! all` fuses a step's whole fetch set and pads to the table's full
-//! non-key width.
+//! prompt cost. `A = 1` is the ablation base case: plain key batching,
+//! no spare width to speculate into; `A = all` fuses a step's whole fetch
+//! set and pads to the table's full non-key width.
 //!
 //! Usage: `ablation_grid [--seed 42] [--parallelism 8] [--model oracle]`.
 
@@ -49,12 +49,14 @@ fn main() {
     // `usize::MAX` exceeds every step's fetch width — the "all attributes
     // in one prompt" extreme.
     let attr_variants: [(&str, usize); 4] = [("1", 1), ("2", 2), ("4", 4), ("all", usize::MAX)];
+    let mut scores = Vec::new();
     for keys in [1usize, 5, 10] {
         for (attr_label, attrs) in attr_variants {
             let session =
                 fresh_session(&scenario, &profile, grid_stack_options(lanes, keys, attrs));
             let run = run_galois_suite_on(&scenario, &session, &profile.name);
             let totals = suite_totals(&run, lanes);
+            scores.push(run.content_score(None));
             let (list, filter, fetch) = run.outcomes.iter().fold((0, 0, 0), |(l, f, a), o| {
                 (
                     l + o.stats.list_prompts,
@@ -78,7 +80,12 @@ fn main() {
     println!("{}", t.render());
     println!(
         "(expected: identical content scores; fetch prompts collapse as ceil(C/A) x ceil(keys/B) \
-         per step plus cross-query cache hits from speculative pads; A=1 matches the key-batched \
-         protocol's counts)"
+         per step plus cross-query cache hits from speculative pads; A=1 is key batching)"
     );
+    if profile.name == "oracle" {
+        assert!(
+            scores.iter().all(|&s| s == scores[0]),
+            "content scores differ across grid shapes on the oracle: {scores:?}"
+        );
+    }
 }

@@ -38,7 +38,10 @@ fn main() {
     };
     let out = flags.get("--out", "BENCH_e2e.json".to_string());
 
-    let ledger = Ledger::build(&config);
+    let ledger = Ledger::build(&config).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    });
     std::fs::write(&out, ledger.to_json()).expect("write report");
     println!("wrote {out}");
 

@@ -239,8 +239,9 @@ fn limit_family(world: &Scenario, windowed: bool) -> Vec<String> {
 }
 
 impl Ledger {
-    /// Drives every row of the table, one after another.
-    pub fn build(config: &LedgerConfig) -> Ledger {
+    /// Drives every row of the table, one after another; an error names
+    /// the row that failed and why.
+    pub fn build(config: &LedgerConfig) -> Result<Ledger, String> {
         let scenario = Scenario::generate(config.seed);
         let oracle = ModelProfile::oracle();
         let suite_on = |session: &Galois, streams| {
@@ -264,16 +265,17 @@ impl Ledger {
         let rows = row_table(config)
             .into_iter()
             .map(|spec| {
+                let failed = |e: &dyn std::fmt::Display| format!("{}: {e}", spec.name);
                 let mut pool = None;
                 let totals = match spec.drive {
                     Drive::Suite => {
                         let fresh = fresh_session(&scenario, &oracle, spec.options.clone());
                         suite_on(session.insert(fresh), spec.streams)
                     }
-                    Drive::SecondPass => suite_on(
-                        session.as_ref().expect("a second pass follows a suite row"),
-                        spec.streams,
-                    ),
+                    Drive::SecondPass => match &session {
+                        Some(first) => suite_on(first, spec.streams),
+                        None => return Err(failed(&"no suite row before it")),
+                    },
                     Drive::FaultySuite => {
                         let model = Arc::new(FaultyLlm::new(
                             model_for(&scenario, oracle.clone()),
@@ -289,10 +291,11 @@ impl Ledger {
                     Drive::LimitFamily { windowed } => {
                         let session = fresh_session(&wide, &paged_oracle, spec.options.clone());
                         let started = std::time::Instant::now();
-                        let stats: Vec<_> = limit_family(&wide, windowed)
+                        let stats = limit_family(&wide, windowed)
                             .iter()
-                            .map(|sql| session.execute(sql).expect("limit bench query").stats)
-                            .collect();
+                            .map(|sql| session.execute(sql).map(|r| r.stats))
+                            .collect::<Result<Vec<_>, _>>()
+                            .map_err(|e| failed(&e))?;
                         let wall_ms = started.elapsed().as_millis() as u64;
                         SuiteTotals::from_stats(&stats, spec.streams, wall_ms)
                     }
@@ -304,7 +307,7 @@ impl Ledger {
                             config.sessions,
                             &policy,
                         )
-                        .expect("the grid stack streams, so its traces replay");
+                        .map_err(|e| failed(&e))?;
                         let totals = run.totals();
                         pool = Some(run);
                         totals
@@ -322,18 +325,18 @@ impl Ledger {
                         }
                     }
                 };
-                LedgerRow {
+                Ok(LedgerRow {
                     name: spec.name,
                     parallelism: spec.options.parallelism.get(),
                     totals,
                     pool,
-                }
+                })
             })
-            .collect();
-        Ledger {
+            .collect::<Result<_, String>>()?;
+        Ok(Ledger {
             config: config.clone(),
             rows,
-        }
+        })
     }
 
     /// The row named `name`.
@@ -460,7 +463,9 @@ impl Ledger {
         // Shared pool: the grid suite's bill, a makespan strictly below
         // its serial clock, and the admission window's queueing measured.
         let multi = self.row("galois_multiquery");
-        let pool = multi.pool.as_ref().expect("the shared-pool fields");
+        let Some(pool) = multi.pool.as_ref() else {
+            panic!("{} carries no shared-pool fields", multi.name);
+        };
         assert!(multi.totals.virtual_ms < grid.virtual_ms);
         assert_eq!(multi.totals.prompts, grid.prompts);
         assert_eq!(multi.totals.cache_hits, grid.cache_hits);
@@ -482,7 +487,7 @@ mod tests {
     /// `perf_report` then writes, and say why.
     #[test]
     fn committed_ledger_is_what_the_rows_regenerate() {
-        let ledger = Ledger::build(&LedgerConfig::default());
+        let ledger = Ledger::build(&LedgerConfig::default()).unwrap();
         let committed = include_str!("../../../BENCH_e2e.json");
         let fresh = ledger.to_json();
         for (line, (ours, theirs)) in fresh.lines().zip(committed.lines()).enumerate() {

@@ -30,6 +30,7 @@
 //! [`ledger`] builds and checks the `BENCH_e2e.json` rows.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ledger;
 
@@ -141,11 +142,15 @@ pub fn cost_planned_options(lanes: usize) -> GaloisOptions {
     }
 }
 
-/// The batched stack: cost-planned plus `PromptBatch::Keys(batch)` (the
-/// `galois_batched` BENCH row).
+/// The batched stack: cost-planned plus key batching,
+/// `PromptBatch::Grid { keys: batch, attrs: 1 }` (the `galois_batched`
+/// BENCH row).
 pub fn batched_options(lanes: usize, batch: usize) -> GaloisOptions {
     GaloisOptions {
-        prompt_batch: PromptBatch::Keys(batch.max(1)),
+        prompt_batch: PromptBatch::Grid {
+            keys: batch.max(1),
+            attrs: 1,
+        },
         ..cost_planned_options(lanes)
     }
 }
@@ -283,10 +288,16 @@ mod tests {
         assert_eq!(cost.parallelism.get(), 8);
         assert_eq!(cost.pipeline, Pipeline::Off);
         let batched = super::batched_options(8, 10);
-        assert_eq!(batched.prompt_batch, PromptBatch::Keys(10));
+        assert_eq!(
+            batched.prompt_batch,
+            PromptBatch::Grid { keys: 10, attrs: 1 }
+        );
         assert_eq!(batched.pipeline, Pipeline::Off);
         let pipelined = super::pipelined_options(8, 10);
-        assert_eq!(pipelined.prompt_batch, PromptBatch::Keys(10));
+        assert_eq!(
+            pipelined.prompt_batch,
+            PromptBatch::Grid { keys: 10, attrs: 1 }
+        );
         assert_eq!(pipelined.pipeline, Pipeline::Streaming);
         let grid = super::grid_stack_options(8, 10, 6);
         assert_eq!(grid.prompt_batch, PromptBatch::Grid { keys: 10, attrs: 6 });

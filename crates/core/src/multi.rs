@@ -386,7 +386,7 @@ mod tests {
             s.database.clone(),
             GaloisOptions {
                 pipeline: Pipeline::Streaming,
-                prompt_batch: PromptBatch::Keys(10),
+                prompt_batch: PromptBatch::Grid { keys: 10, attrs: 1 },
                 parallelism: Parallelism::new(lanes),
                 ..Default::default()
             },

@@ -33,21 +33,15 @@ pub struct StepPlan {
     pub cost: StepCost,
 }
 
-/// One stage of a step: a filter condition, a fetched column or a grid
-/// attr-group.
+/// One stage of a step: a filter condition or a fetch group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stage {
     /// A boolean check of `step.filter_conditions[i]`.
     Filter(usize),
-    /// A fetch of column `col` (an index into `step.columns()`).
+    /// One fetch group: the columns `step.fetch[start..start + len]` in one
+    /// prompt stream, plus `pads`, other columns filling the last group's
+    /// spare width.
     Fetch {
-        /// The fetched column.
-        col: usize,
-    },
-    /// One attr-group of the grid protocol: the columns
-    /// `step.fetch[start..start + len]` in one prompt stream, plus `pads`,
-    /// other columns filling the last group's spare width.
-    Grid {
         /// First fetched column of the group (an index into `step.fetch`).
         start: usize,
         /// Fetched columns in the group.
@@ -55,6 +49,15 @@ pub enum Stage {
         /// Speculative pad columns (indices into `step.columns()`).
         pads: Vec<usize>,
     },
+}
+
+impl Stage {
+    /// Whether the stage's batched prompts are grid prompts: a fetch group
+    /// asking more than one attribute, pads counted. A filter condition or
+    /// a one-column group without pads is sent as a key batch.
+    pub(crate) fn is_grid(&self) -> bool {
+        matches!(self, Stage::Fetch { len, pads, .. } if len + pads.len() > 1)
+    }
 }
 
 impl PhysicalPlan {
@@ -79,32 +82,28 @@ impl PhysicalPlan {
 }
 
 /// A step's stages under `batch`: one per filter condition, then one per
-/// fetched column — in grid mode, per group of up to `A` fetched columns.
+/// group of up to `A` fetched columns (`A = 1` when batching is off).
 pub(crate) fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
     let mut stages: Vec<Stage> = (0..step.filter_conditions.len())
         .map(Stage::Filter)
         .collect();
     let attrs = batch.attrs_per_prompt();
-    if batch.is_grid() {
-        for start in (0..step.fetch.len()).step_by(attrs) {
-            let len = attrs.min(step.fetch.len() - start);
-            let pads = grid_pad_columns(step, start, len, attrs);
-            stages.push(Stage::Grid { start, len, pads });
-        }
-    } else {
-        stages.extend(step.fetch.iter().map(|&col| Stage::Fetch { col }));
+    for start in (0..step.fetch.len()).step_by(attrs) {
+        let len = attrs.min(step.fetch.len() - start);
+        let pads = pad_columns(step, start, len, attrs);
+        stages.push(Stage::Fetch { start, len, pads });
     }
     stages
 }
 
-/// Speculative fill of a grid attr-group's spare width: the step's last
-/// group (the only one narrower than `A`) is padded with the relation's
-/// other columns — schema order, key and fetched columns excluded. Pad
-/// cells ride along in the same prompt and are stored as sub-entries for
+/// Speculative fill of a fetch group's spare width: the step's last group
+/// (the only one narrower than `A`) is padded with the relation's other
+/// columns — schema order, key and fetched columns excluded. Pad cells
+/// ride along in the same grid prompt and are stored as sub-entries for
 /// later queries, never feeding rows or the fallback ladder, so a suite of
 /// narrow queries amortises a table's attributes across a few grid
 /// prompts. Empty for every other group (`A = 1` has no pads).
-fn grid_pad_columns(step: &LlmScanStep, start: usize, len: usize, attrs: usize) -> Vec<usize> {
+fn pad_columns(step: &LlmScanStep, start: usize, len: usize, attrs: usize) -> Vec<usize> {
     if start + len < step.fetch.len() || len >= attrs {
         return Vec::new();
     }
@@ -156,37 +155,35 @@ mod tests {
         assert_eq!(step.key_index, 0);
     }
 
+    /// `Off`, `Grid{B,1}` and `Grid{B,A}` lay out one shape: the filter,
+    /// then groups of up to `A` fetched columns, only the last one padded.
     #[test]
-    fn unbatched_and_keyed_layouts_fetch_one_column_per_stage() {
-        for batch in [PromptBatch::Off, PromptBatch::Keys(10)] {
+    fn every_batch_lays_out_one_fetch_group_shape() {
+        let grid = |attrs| PromptBatch::Grid { keys: 10, attrs };
+        let g = |start, len, pads: Vec<usize>| Stage::Fetch { start, len, pads };
+        let mayor = 4;
+        let one_column_groups = vec![g(0, 1, vec![]), g(1, 1, vec![]), g(2, 1, vec![])];
+        for (batch, groups) in [
+            // One attribute a group: no spare width, no pads.
+            (PromptBatch::Off, one_column_groups.clone()),
+            (grid(1), one_column_groups),
+            // Only the last, narrower group pads — with the one column
+            // neither the key nor fetched.
+            (grid(2), vec![g(0, 2, vec![]), g(2, 1, vec![mayor])]),
+            // One group with spare width: the relation has nothing else.
+            (grid(4), vec![g(0, 3, vec![mayor])]),
+        ] {
             let (_, plan) = layout(batch);
-            let fetch = |col| Stage::Fetch { col };
-            let expected = [Stage::Filter(0), fetch(1), fetch(3), fetch(2)];
+            let expected: Vec<Stage> = std::iter::once(Stage::Filter(0)).chain(groups).collect();
             assert_eq!(plan.stages, expected, "{batch:?}");
             assert_eq!(plan.cost, StepCost::default());
             // A filter stage keeps the universe from standing in.
             assert!(!plan.servable, "{batch:?}");
         }
-    }
-
-    #[test]
-    fn grid_layouts_group_the_fetched_columns_and_pad_the_last_group() {
-        let grid = |attrs| PromptBatch::Grid { keys: 10, attrs };
-        let g = |start, len, pads: Vec<usize>| Stage::Grid { start, len, pads };
-        let mayor = 4;
-        for (attrs, groups) in [
-            // One attribute a group: no spare width, no pads.
-            (1, vec![g(0, 1, vec![]), g(1, 1, vec![]), g(2, 1, vec![])]),
-            // Only the last, narrower group pads — with the one column
-            // neither the key nor fetched.
-            (2, vec![g(0, 2, vec![]), g(2, 1, vec![mayor])]),
-            // One group with spare width: the relation has nothing else.
-            (4, vec![g(0, 3, vec![mayor])]),
-        ] {
-            let (_, plan) = layout(grid(attrs));
-            let expected: Vec<Stage> = std::iter::once(Stage::Filter(0)).chain(groups).collect();
-            assert_eq!(plan.stages, expected, "attrs {attrs}");
-        }
+        // A group asking one attribute and no pads is a key batch; a pad
+        // or a second column makes it a grid.
+        assert!(!Stage::Filter(0).is_grid() && !g(1, 1, vec![]).is_grid());
+        assert!(g(2, 1, vec![mayor]).is_grid() && g(0, 2, vec![]).is_grid());
     }
 
     #[test]
@@ -197,14 +194,18 @@ mod tests {
             (Pipeline::Streaming, None),
             (Pipeline::StreamingLimit, Some(9)),
         ] {
-            let plan = PhysicalPlan::new(&c, PromptBatch::Keys(10), pipeline);
+            let plan = PhysicalPlan::new(&c, PromptBatch::Grid { keys: 10, attrs: 1 }, pipeline);
             assert_eq!(plan.window, window, "{pipeline:?}");
             // A window keeps the universe from standing in.
             assert_eq!(plan.steps[0].servable, window.is_none(), "{pipeline:?}");
         }
         // An ineligible shape has no window under any pipeline.
         let sorted = compiled("SELECT name FROM city ORDER BY population LIMIT 7");
-        let plan = PhysicalPlan::new(&sorted, PromptBatch::Keys(10), Pipeline::StreamingLimit);
+        let plan = PhysicalPlan::new(
+            &sorted,
+            PromptBatch::Grid { keys: 10, attrs: 1 },
+            Pipeline::StreamingLimit,
+        );
         assert_eq!(plan.window, None);
         assert!(plan.steps[0].servable);
     }
@@ -214,7 +215,7 @@ mod tests {
         let c = compiled("SELECT name, population FROM city");
         for (batch, servable) in [
             (PromptBatch::Off, false),
-            (PromptBatch::Keys(1), true),
+            (PromptBatch::Grid { keys: 1, attrs: 1 }, true),
             (PromptBatch::Grid { keys: 10, attrs: 4 }, true),
         ] {
             let plan = PhysicalPlan::new(&c, batch, Pipeline::Streaming);

@@ -375,10 +375,9 @@ pub(crate) fn estimate_step(
     }
 
     // Every (attr-group × chunk) fetch cell is independent — one wave.
-    // The step's fetch stages follow its filter stages, one per group:
-    // without grid fusion each column is its own group; with
-    // `PromptBatch::Grid` the columns fuse into ⌈C/A⌉ groups whose prompts
-    // carry `B × attrs-per-group` answer cells each.
+    // The step's fetch stages follow its filter stages, one per group of
+    // up to `A` columns (one column each when `A = 1`): ⌈C/A⌉ groups whose
+    // prompts carry `B × attrs-per-group` answer cells each.
     let cols = step.fetch.len() as f64;
     let groups = (stages.len() - step.filter_conditions.len()) as f64;
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
@@ -716,6 +715,11 @@ mod tests {
     use galois_dataset::Scenario;
     use galois_llm::RetryPolicy;
 
+    /// Key batching: `B` keys a prompt, one attribute a fetch group.
+    fn keys(keys: usize) -> PromptBatch {
+        PromptBatch::Grid { keys, attrs: 1 }
+    }
+
     /// Default params at another batch shape.
     fn batched(prompt_batch: PromptBatch) -> PlannerParams {
         PlannerParams {
@@ -955,7 +959,7 @@ mod tests {
     fn batch_keys_of_one_matches_unbatched_estimates_exactly() {
         let q = "SELECT name, population FROM city WHERE elevation < 100";
         let base = planned(q, Planner::CostBased, &PlannerParams::default());
-        let one = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(1)));
+        let one = planned(q, Planner::CostBased, &batched(keys(1)));
         assert_eq!(base.report, one.report);
         assert_eq!(step_costs(&base), step_costs(&one));
         assert_eq!(base.compiled, one.compiled);
@@ -965,7 +969,7 @@ mod tests {
     fn batching_shrinks_estimated_prompts_and_virtual_time() {
         let q = "SELECT name, population FROM city WHERE elevation < 100";
         let base = planned(q, Planner::CostBased, &PlannerParams::default());
-        let fused = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(10)));
+        let fused = planned(q, Planner::CostBased, &batched(keys(10)));
         assert!(
             fused.report.est_total_prompts < base.report.est_total_prompts,
             "{} vs {}",
@@ -982,23 +986,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_attrs_of_one_matches_per_column_estimates_exactly() {
-        let q = "SELECT name, population, country FROM city WHERE elevation < 100";
-        let base = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(10)));
-        let one = planned(
-            q,
-            Planner::CostBased,
-            &batched(PromptBatch::Grid { keys: 10, attrs: 1 }),
-        );
-        assert_eq!(base.report, one.report);
-        assert_eq!(step_costs(&base), step_costs(&one));
-        assert_eq!(base.compiled, one.compiled);
-    }
-
-    #[test]
     fn grid_shrinks_estimated_fetch_prompts() {
         let q = "SELECT name, population, country FROM city WHERE elevation < 100";
-        let keys_only = planned(q, Planner::CostBased, &batched(PromptBatch::Keys(10)));
+        let keys_only = planned(q, Planner::CostBased, &batched(keys(10)));
         let grid = planned(
             q,
             Planner::CostBased,
@@ -1043,7 +1033,7 @@ mod tests {
             .plan("SELECT name FROM city WHERE population > 1000000")
             .unwrap();
         let off = PlannerParams::default();
-        let on = batched(PromptBatch::Keys(10));
+        let on = batched(keys(10));
         let render = |params: &PlannerParams| {
             plan_query(
                 &plan,
@@ -1068,7 +1058,7 @@ mod tests {
         let wave = PlannerParams {
             parallelism: Parallelism::new(8),
             prompt_latency_ms: 40.0,
-            ..batched(PromptBatch::Keys(10))
+            ..batched(keys(10))
         };
         let streaming = PlannerParams {
             pipeline: Pipeline::Streaming,
@@ -1088,7 +1078,7 @@ mod tests {
         // estimate must reflect that streaming is the wrong choice there.
         let one_wave = PlannerParams {
             prompt_latency_ms: 40.0,
-            ..batched(PromptBatch::Keys(10))
+            ..batched(keys(10))
         };
         let one_stream = PlannerParams {
             pipeline: Pipeline::Streaming,

@@ -13,7 +13,7 @@
 //! `protocol`: list → filter stages in conjunctive short-circuit order
 //! (condition *n + 1* only prompts for keys that survived condition *n*,
 //! the prompt-pruning the paper's operator relies on) → fetch stages,
-//! with the multi-key and grid prompt forms of
+//! with the key-batch and grid prompt forms of
 //! [`GaloisOptions::prompt_batch`], their fallback ladder, the sub-entry
 //! store and the key-universe store of [`GaloisOptions::list_store`] —
 //! run by one of two drivers, selected by [`GaloisOptions::pipeline`]:
@@ -30,7 +30,8 @@
 //!   the same driver stopping at a covered `LIMIT` window.
 //!
 //! The module is split along those seams: `options`, `stats`,
-//! `protocol`, `stream`, `wave`; this file holds the session itself.
+//! `protocol`, `stream`, `wave`, and `typed` (the universe relations warm
+//! steps are served); this file holds the session itself.
 
 mod options;
 mod protocol;
@@ -89,7 +90,7 @@ pub struct Galois {
     /// Cost-model calibration, frozen at the session's first planner use
     /// so plan choice stays a deterministic function of the query — never
     /// of which concurrent query's prompts happened to land first in the
-    /// shared client stats. [`Galois::recalibrate_planner`] re-freezes it.
+    /// shared client stats. It is never re-frozen.
     calibration: parking_lot::Mutex<Option<PlannerParams>>,
     /// The resolved key-universe store (`None` when [`ListStore::Off`]).
     list_store: Option<Arc<KeyUniverseStore>>,
@@ -841,7 +842,7 @@ mod tests {
             "SELECT continent, COUNT(*) FROM country GROUP BY continent ORDER BY continent",
         ] {
             let (_, off) = oracle_session_batched(PromptBatch::Off);
-            let (_, batched) = oracle_session_batched(PromptBatch::Keys(5));
+            let (_, batched) = oracle_session_batched(PromptBatch::Grid { keys: 5, attrs: 1 });
             let a = off.execute(sql).unwrap();
             let b = batched.execute(sql).unwrap();
             assert_eq!(a.relation.rows, b.relation.rows, "{sql}");
@@ -850,7 +851,7 @@ mod tests {
 
     #[test]
     fn sub_entries_serve_repeat_queries_without_new_prompts() {
-        let (_, g) = oracle_session_batched(PromptBatch::Keys(10));
+        let (_, g) = oracle_session_batched(PromptBatch::Grid { keys: 10, attrs: 1 });
         let sql = "SELECT name, population FROM city WHERE elevation < 100";
         let first = g.execute(sql).unwrap();
         assert!(first.stats.filter_prompts > 0 && first.stats.fetch_prompts > 0);
@@ -871,7 +872,7 @@ mod tests {
         let sql = "SELECT name, population, country FROM city WHERE elevation < 100";
         let (_, off) = oracle_session_batched(PromptBatch::Off);
         let a = off.execute(sql).unwrap();
-        let (_, keys) = oracle_session_batched(PromptBatch::Keys(10));
+        let (_, keys) = oracle_session_batched(PromptBatch::Grid { keys: 10, attrs: 1 });
         let b = keys.execute(sql).unwrap();
         let (_, grid) = oracle_session_batched(PromptBatch::Grid { keys: 10, attrs: 4 });
         let c = grid.execute(sql).unwrap();
@@ -912,7 +913,7 @@ mod tests {
             s.database.clone(),
             GaloisOptions {
                 pipeline,
-                prompt_batch: PromptBatch::Keys(10),
+                prompt_batch: PromptBatch::Grid { keys: 10, attrs: 1 },
                 parallelism: Parallelism::new(lanes),
                 ..Default::default()
             },

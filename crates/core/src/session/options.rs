@@ -9,17 +9,12 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Multi-key prompt batching: how many keys of one retrieval cell (one
-/// filter condition, or one fetched attribute) are fused into a single
-/// prompt.
+/// filter condition, or one group of fetched attributes) are fused into a
+/// single prompt.
 ///
 /// The paper's dominant cost is prompt volume (§5: ~110 *batched* prompts
 /// and ~20 s per query); fusing keys amortises the fixed preamble and
-/// instruction tokens every per-key prompt re-pays. The protocol is
-/// line-oriented ([`galois_llm::intent::TaskIntent::FetchAttrBatch`] /
-/// [`galois_llm::intent::TaskIntent::FilterKeysBatch`]): the prompt lists
-/// the keys one per line, the model answers one `key: value` line per key,
-/// and any key whose line fails to parse is re-asked with the single-key
-/// prompt — batching can cost extra prompts, never accuracy.
+/// instruction tokens every per-key prompt re-pays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PromptBatch {
     /// One task per prompt — the paper-faithful protocol, bit-identical to
@@ -27,27 +22,29 @@ pub enum PromptBatch {
     /// The default.
     #[default]
     Off,
-    /// Fuse up to `n` keys per prompt (clamped to ≥ 1). `Keys(1)` uses the
-    /// multi-key protocol with one key per prompt — the ablation base case
-    /// isolating the protocol's own overhead.
-    Keys(usize),
-    /// Grid fusion: fetch prompts ask up to `attrs` attributes for up to
-    /// `keys` keys at once (both clamped to ≥ 1), cutting the fetch phase
-    /// from `C × ceil(keys / B)` prompts to `ceil(C / A) × ceil(keys / B)`
-    /// per step ([`galois_llm::intent::TaskIntent::FetchGridBatch`]). The
-    /// filter phase behaves exactly like `Keys(keys)` — only fetch cells
-    /// have a second axis to fuse. Unparseable cells fall down the ladder
-    /// grid → per-attribute key batch → per-key single prompt, so grid
-    /// fusion may cost extra prompts, never accuracy. A group with spare
-    /// width (fewer than `attrs` pending columns) is speculatively padded
-    /// with the relation's other columns (schema order, key and fetched
-    /// columns excluded): the pad
-    /// cells seed the per-(key, attr) sub-entry store at no extra prompt
-    /// cost, so later queries touching the same table fetch from cache —
-    /// the lever that breaks the one-new-column-per-query fetch floor
-    /// across a suite. `Grid { keys: B, attrs: 1 }` is the ablation base
-    /// case isolating the grid protocol's own overhead against `Keys(B)`
-    /// (no spare width, so no speculation).
+    /// Up to `keys` keys per filter or fetch prompt and up to `attrs`
+    /// fetched attributes per fetch group (both clamped to ≥ 1), cutting
+    /// the fetch phase from `C × ceil(keys / B)` prompts to
+    /// `ceil(C / A) × ceil(keys / B)` per step. One rule decides each
+    /// group's prompt form: a group asking one attribute with no pad
+    /// columns is a key batch
+    /// ([`galois_llm::intent::TaskIntent::FetchAttrBatch`], one
+    /// `key: value` line per key, like a filter condition's
+    /// [`galois_llm::intent::TaskIntent::FilterKeysBatch`]); every wider
+    /// group is a grid prompt
+    /// ([`galois_llm::intent::TaskIntent::FetchGridBatch`]). So
+    /// `Grid { keys: B, attrs: 1 }` is plain key batching, and
+    /// `Grid { keys: 1, attrs: 1 }` the multi-key protocol at one key a
+    /// prompt — the ablation base case isolating the protocol's own
+    /// overhead. Unparseable cells fall down the ladder grid →
+    /// per-attribute key batch → per-key single prompt, so batching may
+    /// cost extra prompts, never accuracy. A group with spare width
+    /// (fewer than `attrs` pending columns) is speculatively padded with
+    /// the relation's other columns (schema order, key and fetched
+    /// columns excluded): the pad cells seed the per-(key, attr)
+    /// sub-entry store at no extra prompt cost, so later queries touching
+    /// the same table fetch from cache — the lever that breaks the
+    /// one-new-column-per-query fetch floor across a suite.
     Grid {
         /// Keys fused per prompt (the `B` of `⌈keys/B⌉` chunks).
         keys: usize,
@@ -62,27 +59,21 @@ impl PromptBatch {
     pub(crate) fn keys_per_prompt(self) -> usize {
         match self {
             PromptBatch::Off => 1,
-            PromptBatch::Keys(n) => n.max(1),
             PromptBatch::Grid { keys, .. } => keys.max(1),
         }
     }
 
-    /// Attributes fused per fetch prompt (1 unless grid mode).
+    /// Attributes per fetch group (1 when off).
     pub(crate) fn attrs_per_prompt(self) -> usize {
         match self {
+            PromptBatch::Off => 1,
             PromptBatch::Grid { attrs, .. } => attrs.max(1),
-            _ => 1,
         }
     }
 
     /// True when the multi-key protocol is in use.
     pub(crate) fn is_on(self) -> bool {
         !matches!(self, PromptBatch::Off)
-    }
-
-    /// True when the fetch phase fuses attributes as well as keys.
-    pub(crate) fn is_grid(self) -> bool {
-        matches!(self, PromptBatch::Grid { .. })
     }
 }
 
@@ -357,9 +348,10 @@ pub struct GaloisOptions {
     pub planner: Planner,
     /// Multi-key prompt batching factor for the filter and fetch phases.
     /// [`PromptBatch::Off`] (the default) keeps the one-task-per-prompt
-    /// protocol bit for bit; `Keys(B)` emits `ceil(keys / B)` prompts per
-    /// retrieval cell instead of `keys`, with a per-key fallback re-ask
-    /// for unparseable batched answers.
+    /// protocol bit for bit; `Grid { keys: B, attrs: A }` emits
+    /// `ceil(keys / B)` prompts per filter condition and per group of up
+    /// to `A` fetched columns instead of `keys`, with a per-key fallback
+    /// re-ask for unparseable batched answers.
     pub prompt_batch: PromptBatch,
     /// Retrieval dataflow. [`Pipeline::Off`] (the default) runs the
     /// barrier-separated waves bit for bit; [`Pipeline::Streaming`]

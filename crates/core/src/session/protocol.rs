@@ -131,10 +131,10 @@ impl Galois {
     }
 }
 
-/// The columns a grid stage's prompt asks, by name: the group's own
+/// The columns a fetch group's grid prompt asks, by name: the group's own
 /// (`step.fetch[start..start + len]`), then its pads.
 fn grid_attributes(step: &LlmScanStep, stage: &Stage) -> Vec<String> {
-    let Stage::Grid { start, len, pads } = stage else {
+    let Stage::Fetch { start, len, pads } = stage else {
         return Vec::new();
     };
     let own = &step.fetch[*start..start + len];
@@ -144,19 +144,18 @@ fn grid_attributes(step: &LlmScanStep, stage: &Stage) -> Vec<String> {
         .collect()
 }
 
-/// One micro-batch accumulator of the dataflow: a filter condition, a
-/// fetched column or a grid attr-group of one step.
+/// One micro-batch accumulator of the dataflow: a filter condition or a
+/// fetch group of one step.
 #[derive(Debug)]
 struct StageState<'a> {
     /// The stage of the step's plan this accumulates for.
     cell: &'a Stage,
     /// Sub-entry columns of the stage's cells (empty when the multi-key
     /// protocol is off — plain single-key prompts bypass the sub-entry
-    /// store). Single-cell stages use `[0]`; a grid stage holds one per
-    /// attr ordinal, then one per pad column.
+    /// store): one per attr ordinal, then one per pad column.
     sub_columns: Vec<SubColumn>,
-    /// Single-key prompt templates of the stage's own cells (one; a grid
-    /// stage one per attr ordinal), each rendered on first use: the whole
+    /// Single-key prompt templates of the stage's own cells (one per attr
+    /// ordinal), each rendered on first use: the whole
     /// dataflow when batching is off, the ladder's bottom rung otherwise.
     templates: Vec<OnceCell<KeyTemplate>>,
     /// Key slots accumulated towards the next micro-batch.
@@ -166,7 +165,7 @@ struct StageState<'a> {
     /// `(slot, attr ordinal)` cells already consumed at a grid stage —
     /// grid chunks carry keys with *some* cells still cached or
     /// re-delivered, and an answered cell must neither re-consume nor
-    /// re-enter the fallback ladder. Unused at single-cell stages.
+    /// re-enter the fallback ladder. Unused at key-batch stages.
     answered: AnsweredCells,
     /// True once the producing stage (list page stream, or the previous
     /// filter) can no longer deliver keys.
@@ -178,8 +177,8 @@ struct StageState<'a> {
 impl<'a> StageState<'a> {
     fn new(cell: &'a Stage) -> Self {
         let own_cells = match cell {
-            Stage::Grid { len, .. } => *len,
-            Stage::Filter(_) | Stage::Fetch { .. } => 1,
+            Stage::Fetch { len, .. } => *len,
+            Stage::Filter(_) => 1,
         };
         StageState {
             cell,
@@ -193,7 +192,7 @@ impl<'a> StageState<'a> {
         }
     }
 
-    /// How many cells the stage asks of a key itself (a grid group's
+    /// How many cells the stage asks of a key itself (a fetch group's
     /// width; pads are not its own).
     fn own_cells(&self) -> usize {
         self.templates.len()
@@ -202,7 +201,7 @@ impl<'a> StageState<'a> {
     /// Records that a key's `ord`-th cell has been consumed (grid stages
     /// only — see `answered`).
     fn mark_answered(&mut self, slot: usize, ord: usize) {
-        if let Stage::Grid { .. } = self.cell {
+        if self.cell.is_grid() {
             self.answered.insert(slot, ord);
         }
     }
@@ -213,8 +212,7 @@ impl<'a> StageState<'a> {
     fn fetch_col(&self, step: &LlmScanStep, ord: usize) -> Option<usize> {
         match self.cell {
             Stage::Filter(_) => None,
-            Stage::Fetch { col } => Some(*col),
-            Stage::Grid { start, .. } => Some(step.fetch[start + ord]),
+            Stage::Fetch { start, .. } => Some(step.fetch[start + ord]),
         }
     }
 
@@ -222,8 +220,7 @@ impl<'a> StageState<'a> {
     fn batch_cell<'s>(&self, step: &'s LlmScanStep, ord: usize) -> BatchCell<'s> {
         match self.cell {
             Stage::Filter(i) => BatchCell::Filter(&step.filter_conditions[*i]),
-            Stage::Fetch { col } => BatchCell::Fetch(&step.columns()[*col].name),
-            Stage::Grid { start, .. } => {
+            Stage::Fetch { start, .. } => {
                 BatchCell::Fetch(&step.columns()[step.fetch[start + ord]].name)
             }
         }
@@ -232,7 +229,7 @@ impl<'a> StageState<'a> {
     fn phase(&self) -> Phase {
         match self.cell {
             Stage::Filter(_) => Phase::Filter,
-            Stage::Fetch { .. } | Stage::Grid { .. } => Phase::Fetch,
+            Stage::Fetch { .. } => Phase::Fetch,
         }
     }
 }
@@ -409,7 +406,7 @@ pub(super) enum FireTarget {
     ListPage { offset: usize },
     /// One grid prompt: `members` × the stage's attr-group and its pads.
     Grid { stage: usize, members: Vec<usize> },
-    /// One multi-key prompt for the stage's `ord`-th cell: a single-cell
+    /// One multi-key prompt for the stage's `ord`-th cell: a key-batch
     /// stage's micro-batch (`ord` 0), or the middle rung of the grid
     /// ladder — the failed cells of one attr of one grid chunk, re-asked
     /// as a per-attribute key batch ([`TaskIntent::FetchAttrBatch`]).
@@ -529,12 +526,12 @@ impl<'a> Protocol<'a> {
                 let mut stages: Vec<StageState> = plan.stages.iter().map(StageState::new).collect();
                 if batched {
                     for stage in &mut stages {
-                        // Own cells first, then a grid group's speculative
+                        // Own cells first, then a fetch group's speculative
                         // pad columns — the attr order the grid prompt
                         // renders.
                         let pads = match stage.cell {
-                            Stage::Grid { pads, .. } => pads.as_slice(),
-                            Stage::Filter(_) | Stage::Fetch { .. } => &[],
+                            Stage::Fetch { pads, .. } => pads.as_slice(),
+                            Stage::Filter(_) => &[],
                         };
                         stage.sub_columns = (0..stage.own_cells())
                             .map(|ord| session.cell_column(step, &stage.batch_cell(step, ord)))
@@ -741,9 +738,9 @@ impl<'a> Protocol<'a> {
         fires.push(Fire { step: s, target });
     }
 
-    /// Fires one micro-batch of a stage: a grid prompt, a multi-key
-    /// prompt, or — batching off, where micro-batches hold one key — the
-    /// key's single prompt.
+    /// Fires one micro-batch of a stage: a grid prompt (`Stage::is_grid`),
+    /// a key batch, or — batching off, where micro-batches hold one key —
+    /// the key's single prompt.
     fn fire_chunk(&mut self, s: usize, stage: usize, members: &[usize], fires: &mut Vec<Fire>) {
         let target = if !self.batched {
             debug_assert_eq!(members.len(), 1, "unbatched micro-batches hold one key");
@@ -752,7 +749,7 @@ impl<'a> Protocol<'a> {
                 ord: 0,
                 member: members[0],
             }
-        } else if let Stage::Grid { .. } = self.steps[s].stages[stage].cell {
+        } else if self.steps[s].stages[stage].cell.is_grid() {
             FireTarget::Grid {
                 stage,
                 members: members.to_vec(),

@@ -326,7 +326,7 @@ fn suite_cache_hits_are_query_thread_count_invariant() {
     let s = scenario(42);
     let run = |threads| {
         let batched = GaloisOptions {
-            prompt_batch: PromptBatch::Keys(10),
+            prompt_batch: PromptBatch::Grid { keys: 10, attrs: 1 },
             parallelism: Parallelism::new(8),
             ..Default::default()
         };

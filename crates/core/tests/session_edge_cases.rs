@@ -204,7 +204,7 @@ fn limit_early_stop_over_an_x10_relation_keeps_its_prompts_and_rows() {
     let sql = "SELECT name, population FROM city WHERE elevation < 400 LIMIT 5";
     for (batch, pinned) in [
         (PromptBatch::Off, (2, 25, 10, 2510)),
-        (PromptBatch::Keys(8), (2, 4, 2, 753)),
+        (PromptBatch::Grid { keys: 8, attrs: 1 }, (2, 4, 2, 753)),
     ] {
         let got = session(batch, Pipeline::StreamingLimit)
             .execute(sql)

@@ -922,18 +922,6 @@ pub enum OperatorFamily {
     Limit,
 }
 
-impl OperatorFamily {
-    /// Display label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            OperatorFamily::JoinLlm => "LLM ⋈ LLM",
-            OperatorFamily::JoinStored => "LLM ⋈ stored",
-            OperatorFamily::GroupAgg => "Group/Agg",
-            OperatorFamily::Limit => "Limit",
-        }
-    }
-}
-
 /// How an operator query's result is scored against ground truth.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OperatorCheck {

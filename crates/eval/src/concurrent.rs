@@ -161,7 +161,7 @@ mod tests {
     fn streaming_options() -> GaloisOptions {
         GaloisOptions {
             pipeline: Pipeline::Streaming,
-            prompt_batch: PromptBatch::Keys(10),
+            prompt_batch: PromptBatch::Grid { keys: 10, attrs: 1 },
             parallelism: Parallelism::new(8),
             ..Default::default()
         }

@@ -11,9 +11,7 @@ use crate::cardinality::{average_diff, cardinality_diff_percent};
 use crate::matching::{match_records, relation_to_records, MatchOutcome};
 use crate::report::{percent0, signed1, TextTable};
 use galois_core::{BaselineKind, Galois, GaloisOptions, QaBaseline, QueryStats};
-use galois_dataset::{
-    build_operator_suite, OperatorCheck, OperatorFamily, OperatorQuery, QueryCategory, Scenario,
-};
+use galois_dataset::{OperatorCheck, OperatorQuery, QueryCategory, Scenario};
 use galois_llm::{lane_schedule, LanguageModel, ModelProfile, SimLlm};
 use galois_relational::{Relation, Value};
 use std::sync::Arc;
@@ -348,94 +346,6 @@ pub fn table2(scenario: &Scenario, profile: ModelProfile) -> Table2 {
     }
 }
 
-/// One operator-suite query's outcome: whether Galois reproduced the
-/// ground truth under the query's scoring semantics
-/// ([`galois_dataset::OperatorCheck`]), plus its prompt accounting.
-#[derive(Debug, Clone)]
-pub struct OperatorOutcome {
-    /// Query id within the operator suite (1-based).
-    pub id: usize,
-    /// Operator family.
-    pub family: OperatorFamily,
-    /// `|R_D|` (for `Window` checks, the unlimited truth size).
-    pub truth_rows: usize,
-    /// `|R_M|`.
-    pub result_rows: usize,
-    /// True when the result satisfies the query's check exactly.
-    pub passed: bool,
-    /// Prompt accounting.
-    pub stats: QueryStats,
-}
-
-/// An operator-suite run ([`galois_dataset::build_operator_suite`])
-/// through one Galois session.
-#[derive(Debug, Clone)]
-pub struct OperatorRun {
-    /// Model profile name.
-    pub model: String,
-    /// Per-query outcomes, in suite order.
-    pub outcomes: Vec<OperatorOutcome>,
-    /// Real wall-clock milliseconds for the run.
-    pub wall_ms: u64,
-}
-
-impl OperatorRun {
-    /// Fraction of queries passing their check (`None` = all families).
-    pub fn pass_rate(&self, family: Option<OperatorFamily>) -> f64 {
-        let picked: Vec<&OperatorOutcome> = self
-            .outcomes
-            .iter()
-            .filter(|o| family.map(|f| o.family == f).unwrap_or(true))
-            .collect();
-        if picked.is_empty() {
-            0.0
-        } else {
-            picked.iter().filter(|o| o.passed).count() as f64 / picked.len() as f64
-        }
-    }
-
-    /// Renders the per-family report table.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(&["family", "queries", "passed", "prompts"]);
-        for family in [
-            OperatorFamily::JoinLlm,
-            OperatorFamily::JoinStored,
-            OperatorFamily::GroupAgg,
-            OperatorFamily::Limit,
-        ] {
-            let rows: Vec<&OperatorOutcome> = self
-                .outcomes
-                .iter()
-                .filter(|o| o.family == family)
-                .collect();
-            t.row(vec![
-                family.label().to_string(),
-                rows.len().to_string(),
-                rows.iter().filter(|o| o.passed).count().to_string(),
-                rows.iter()
-                    .map(|o| o.stats.total_prompts())
-                    .sum::<usize>()
-                    .to_string(),
-            ]);
-        }
-        t.row(vec![
-            "all".to_string(),
-            self.outcomes.len().to_string(),
-            self.outcomes
-                .iter()
-                .filter(|o| o.passed)
-                .count()
-                .to_string(),
-            self.outcomes
-                .iter()
-                .map(|o| o.stats.total_prompts())
-                .sum::<usize>()
-                .to_string(),
-        ]);
-        t.render()
-    }
-}
-
 /// Rendered rows — the comparison key the operator checks use.
 fn rendered(rel: &Relation) -> Vec<Vec<String>> {
     let render = |row: &Vec<Value>| row.iter().map(Value::render).collect();
@@ -477,41 +387,6 @@ pub fn score_operator(
         }
     });
     (admitted.len(), passed)
-}
-
-/// Runs the operator suite (joins, grouped aggregates, LIMIT windows)
-/// through Galois on the given model, scoring each query against ground
-/// truth with [`score_operator`].
-pub fn run_operator_suite(
-    scenario: &Scenario,
-    profile: ModelProfile,
-    options: GaloisOptions,
-) -> OperatorRun {
-    let started = Instant::now();
-    let model_name = profile.name.clone();
-    let model = model_for(scenario, profile);
-    let galois = Galois::with_options(model, scenario.database.clone(), options);
-    let outcomes = build_operator_suite(&scenario.world)
-        .iter()
-        .map(|q| {
-            let result = galois.execute(&q.sql).ok();
-            let (truth_rows, passed) =
-                score_operator(scenario, q, result.as_ref().map(|r| &r.relation));
-            OperatorOutcome {
-                id: q.id,
-                family: q.family,
-                truth_rows,
-                result_rows: result.as_ref().map_or(0, |r| r.relation.len()),
-                passed,
-                stats: result.map(|r| r.stats).unwrap_or_default(),
-            }
-        })
-        .collect();
-    OperatorRun {
-        model: model_name,
-        outcomes,
-        wall_ms: started.elapsed().as_millis() as u64,
-    }
 }
 
 /// Prompt/latency distribution over a run (paper §5: "GPT-3 takes ∼20
@@ -568,6 +443,7 @@ pub fn timing_summary(run: &GaloisRun) -> TimingSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galois_dataset::OperatorFamily;
 
     fn small_scenario() -> Scenario {
         // Smaller world keeps harness tests quick while exercising every
@@ -630,34 +506,6 @@ mod tests {
         let (table, values) = table1(&s, &[ModelProfile::oracle()]);
         assert_eq!(values.len(), 1);
         assert!(table.render().contains("oracle"));
-    }
-
-    #[test]
-    fn operator_families_are_exact_on_the_oracle() {
-        let s = small_scenario();
-        let run = run_operator_suite(&s, ModelProfile::oracle(), GaloisOptions::default());
-        assert!(run.outcomes.len() >= 16);
-        for o in &run.outcomes {
-            assert!(o.passed, "op{} ({:?}) failed its check", o.id, o.family);
-        }
-        assert_eq!(run.pass_rate(None), 1.0);
-        let text = run.render();
-        for label in ["LLM ⋈ LLM", "LLM ⋈ stored", "Group/Agg", "Limit"] {
-            assert!(text.contains(label), "{text}");
-        }
-        // The widened surface holds under the full engine stack too:
-        // streaming, grid fusion and LIMIT-aware early termination.
-        let stacked = run_operator_suite(
-            &s,
-            ModelProfile::oracle(),
-            GaloisOptions {
-                pipeline: galois_core::Pipeline::StreamingLimit,
-                prompt_batch: galois_core::PromptBatch::Grid { keys: 8, attrs: 2 },
-                parallelism: galois_llm::Parallelism::new(4),
-                ..Default::default()
-            },
-        );
-        assert_eq!(stacked.pass_rate(None), 1.0, "\n{}", stacked.render());
     }
 
     /// A statement that failed returned nothing, which is not the empty
@@ -732,7 +580,7 @@ mod tests {
             &s,
             ModelProfile::oracle(),
             GaloisOptions {
-                prompt_batch: galois_core::PromptBatch::Keys(10),
+                prompt_batch: galois_core::PromptBatch::Grid { keys: 10, attrs: 1 },
                 ..Default::default()
             },
         );
@@ -776,7 +624,7 @@ mod tests {
         let batched = GaloisOptions {
             parallelism: galois_llm::Parallelism::new(lanes),
             planner: galois_core::Planner::CostBased,
-            prompt_batch: galois_core::PromptBatch::Keys(10),
+            prompt_batch: galois_core::PromptBatch::Grid { keys: 10, attrs: 1 },
             ..Default::default()
         };
         let pipelined = GaloisOptions {

@@ -83,31 +83,8 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
             schema,
         } => {
             let left_arity = left.schema().arity();
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut across = Vec::new();
-            for conj in split_conjuncts(predicate) {
-                let refs = conj.referenced_indices();
-                if refs.iter().all(|&i| i < left_arity) && !refs.is_empty() {
-                    to_left.push(conj);
-                } else if refs.iter().all(|&i| i >= left_arity) && !refs.is_empty() {
-                    to_right.push(conj.remap_indices(&|i| i - left_arity));
-                } else {
-                    across.push(conj);
-                }
-            }
-            let new_left = if to_left.is_empty() {
-                *left
-            } else {
-                rewrite(filter_over(*left, to_left))
-            };
-            let new_right = if to_right.is_empty() {
-                *right
-            } else {
-                rewrite(filter_over(*right, to_right))
-            };
-
-            let Some(combined) = and_all(across) else {
+            let (new_left, new_right, across) = push_to_sides(*left, *right, predicate);
+            let Some(combined) = across else {
                 return LogicalPlan::CrossJoin {
                     left: Box::new(new_left),
                     right: Box::new(new_right),
@@ -135,31 +112,9 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
             schema,
         } => {
             let left_arity = left.schema().arity();
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut across = Vec::new();
-            for conj in split_conjuncts(predicate) {
-                let refs = conj.referenced_indices();
-                if refs.iter().all(|&i| i < left_arity) && !refs.is_empty() {
-                    to_left.push(conj);
-                } else if refs.iter().all(|&i| i >= left_arity) && !refs.is_empty() {
-                    to_right.push(conj.remap_indices(&|i| i - left_arity));
-                } else {
-                    across.push(conj);
-                }
-            }
-            let new_left = if to_left.is_empty() {
-                *left
-            } else {
-                rewrite(filter_over(*left, to_left))
-            };
-            let new_right = if to_right.is_empty() {
-                *right
-            } else {
-                rewrite(filter_over(*right, to_right))
-            };
+            let (new_left, new_right, across) = push_to_sides(*left, *right, predicate);
             let mut condition = condition;
-            if let Some(extra) = and_all(across) {
+            if let Some(extra) = across {
                 let extra_cond = split_join_condition(extra, left_arity);
                 condition.equi.extend(extra_cond.equi);
                 condition.residual = match (condition.residual, extra_cond.residual) {
@@ -185,6 +140,41 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
             predicate,
         },
     }
+}
+
+/// Splits a filter above a join between its two sides: conjuncts reading
+/// only the left side are pushed onto it, those reading only the right
+/// side onto it (re-indexed), and the rest — reading both sides, or
+/// neither — are returned, in order, for the join.
+fn push_to_sides(
+    left: LogicalPlan,
+    right: LogicalPlan,
+    predicate: ScalarExpr,
+) -> (LogicalPlan, LogicalPlan, Option<ScalarExpr>) {
+    let left_arity = left.schema().arity();
+    let (mut to_left, mut to_right, mut across) = (Vec::new(), Vec::new(), Vec::new());
+    for conj in split_conjuncts(predicate) {
+        let refs = conj.referenced_indices();
+        if refs.iter().all(|&i| i < left_arity) && !refs.is_empty() {
+            to_left.push(conj);
+        } else if refs.iter().all(|&i| i >= left_arity) && !refs.is_empty() {
+            to_right.push(conj.remap_indices(&|i| i - left_arity));
+        } else {
+            across.push(conj);
+        }
+    }
+    let pushed = |side: LogicalPlan, conjuncts: Vec<ScalarExpr>| {
+        if conjuncts.is_empty() {
+            side
+        } else {
+            rewrite(filter_over(side, conjuncts))
+        }
+    };
+    (
+        pushed(left, to_left),
+        pushed(right, to_right),
+        and_all(across),
+    )
 }
 
 /// Counts operators of each kind — handy for tests and plan statistics.

@@ -37,7 +37,7 @@ fn main() {
         (
             "cost-based + batch 10",
             Planner::CostBased,
-            PromptBatch::Keys(10),
+            PromptBatch::Grid { keys: 10, attrs: 1 },
             Pipeline::Off,
             1,
         ),
@@ -47,7 +47,7 @@ fn main() {
         (
             "cost-based + batch 10 + streaming, 8 lanes",
             Planner::CostBased,
-            PromptBatch::Keys(10),
+            PromptBatch::Grid { keys: 10, attrs: 1 },
             Pipeline::Streaming,
             8,
         ),
@@ -119,7 +119,7 @@ fn main() {
         scenario.database.clone(),
         GaloisOptions {
             planner: Planner::CostBased,
-            prompt_batch: PromptBatch::Keys(10),
+            prompt_batch: PromptBatch::Grid { keys: 10, attrs: 1 },
             resilience: Resilience::On(RetryPolicy::default()),
             ..Default::default()
         },

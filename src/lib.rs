@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub use galois_core as core;
 pub use galois_dataset as dataset;

@@ -3,11 +3,11 @@
 //!
 //! 1. **The default** — `PromptBatch::Off` stays the default, whose
 //!    readings are pinned.
-//! 2. **Result invariance** — `PromptBatch::Keys(B)` reshapes the prompt
-//!    schedule but never `R_M`, for any batch factor and worker count; on
-//!    the oracle it never costs more prompts and saves virtual time, at
-//!    `B = 1` it costs exactly the single-key bill, and lanes move its
-//!    clocks only.
+//! 2. **Result invariance** — key batching, `Grid { keys: B, attrs: 1 }`,
+//!    reshapes the prompt schedule but never `R_M`, for any batch factor
+//!    and worker count; on the oracle it never costs more prompts and
+//!    saves virtual time, at `B = 1` it costs exactly the single-key bill,
+//!    and lanes move its clocks only.
 //! 3. **Fallback safety** — corrupted batched answers fall back to
 //!    single-key re-asks that restore the exact relations.
 
@@ -16,7 +16,7 @@ mod common;
 use common::contract::{
     drawn, fallback_restores_rows, knob_is_invariant, Cell, Cmp, Contract, Knob, Rows,
 };
-use common::{options, small_config};
+use common::{key_batch, options, small_config};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::Scenario;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ fn off_is_bit_identical_to_default_pipeline() {
 #[test]
 fn batched_relations_match_off_for_one_and_eight_workers() {
     let s = Scenario::generate_with(42, small_config());
-    let batched = |b, lanes| options(ListStore::Off, Pipeline::Off, PromptBatch::Keys(b), lanes);
+    let batched = |b, lanes| options(ListStore::Off, Pipeline::Off, key_batch(b), lanes);
     let off = Cell::new(&s, GaloisOptions::default());
     let cheaper = Contract {
         rows: Rows::InOrder,
@@ -41,7 +41,7 @@ fn batched_relations_match_off_for_one_and_eight_workers() {
     };
     let cells = [(2, 1), (10, 1), (2, 8), (10, 8)].map(|(b, lanes)| off.with(batched(b, lanes)));
     cheaper.check(&off, &cells);
-    // `Keys(1)`: the multi-key protocol at its base case, a different text
+    // `B = 1`: the multi-key protocol at its base case, a different text
     // for the same prompts — on a fresh session, where no earlier
     // statement's sub-entries serve a key.
     let single = Contract {
@@ -59,7 +59,7 @@ fn batched_relations_match_off_for_one_and_eight_workers() {
 
 #[test]
 fn corrupted_batches_fall_back_to_off_relations() {
-    fallback_restores_rows(&[PromptBatch::Keys(8)], &[Pipeline::Off]);
+    fallback_restores_rows(&[key_batch(8)], &[Pipeline::Off]);
 }
 
 proptest! {

@@ -14,7 +14,9 @@
 //! default's readings are pinned once, by `tests/wave_golden.rs`.
 //! ARCHITECTURE.md "Contract battery" maps each test to its contract.
 
-use super::{multiset, options, pass, permutation, small_config, statements, suite, Pass, Reading};
+use super::{
+    key_batch, multiset, options, pass, permutation, small_config, statements, suite, Pass, Reading,
+};
 use galois::core::{
     Galois, GaloisOptions, ListStore, MultiQueryReport, Pipeline, Planner, PromptBatch, QueryStats,
 };
@@ -442,9 +444,9 @@ pub fn operator_suite_is_exact(cell: &Cell) {
 /// and leaves off in its reference.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
-    /// `PromptBatch::Off` → the drawn `Keys(B)` or `Grid{B, A}`.
+    /// `PromptBatch::Off` → the drawn `Grid{B, 1}` or `Grid{B, A}`.
     Batch,
-    /// `Keys(B)` → `Grid{B, A}`.
+    /// Key batching, `Grid{B, 1}` → `Grid{B, A}`.
     Grid,
     /// `Pipeline::Off` → `Pipeline::Streaming`.
     Streaming,
@@ -490,7 +492,7 @@ pub fn drawn(noisy: bool) -> BoxedStrategy<Draw> {
                 }
                 let batches = [
                     PromptBatch::Off,
-                    PromptBatch::Keys(keys),
+                    key_batch(keys),
                     PromptBatch::Grid { keys, attrs },
                 ];
                 let store = if store { ListStore::On } else { ListStore::Off };
@@ -543,7 +545,7 @@ pub fn knob_is_invariant(knob: Knob, draw: &Draw) {
     let drawn = draw.cell(&world);
     let (mut off, mut on) = (drawn.options.clone(), drawn.options.clone());
     let (keys, grid) = (
-        PromptBatch::Keys(draw.keys),
+        key_batch(draw.keys),
         PromptBatch::Grid {
             keys: draw.keys,
             attrs: draw.attrs,

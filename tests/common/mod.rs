@@ -138,6 +138,12 @@ pub fn options(
     }
 }
 
+/// Key batching: `keys` keys a prompt, one attribute a fetch group — each
+/// fetch prompt a key batch, never a grid.
+pub fn key_batch(keys: usize) -> PromptBatch {
+    PromptBatch::Grid { keys, attrs: 1 }
+}
+
 /// A deterministic Fisher–Yates permutation of `0..n` driven by a plain
 /// LCG, so proptest can explore statement orderings without a shuffle
 /// strategy.

@@ -18,8 +18,9 @@
 //!
 //! and one statement each under `Resilience::On(default)` (the
 //! `resilience:` line), early stop on a plain `LIMIT` window over the
-//! event driver (the `limit:` line), and `Keys(10)` on `Pipeline::Off`
-//! (the `batch:` tag without the `pipeline:` one). A section is
+//! event driver (the `limit:` line), and key batching (`Grid { keys: 10,
+//! attrs: 1 }`) on `Pipeline::Off` (the `batch:` tag without the
+//! `pipeline:` one). A section is
 //!
 //! ```text
 //! ## <cell> <n>: <sql>
@@ -48,7 +49,7 @@
 
 mod common;
 
-use common::{options, oracle_session, small_config, statements};
+use common::{key_batch, options, oracle_session, small_config, statements};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch, Resilience, RetryPolicy};
 use galois::dataset::Scenario;
 use std::fmt::Write as _;
@@ -120,7 +121,7 @@ fn reports() -> String {
     one(
         &mut out,
         "keys10-wave",
-        options(ListStore::Off, Pipeline::Off, PromptBatch::Keys(10), 1),
+        options(ListStore::Off, Pipeline::Off, key_batch(10), 1),
         "SELECT name, population FROM city WHERE elevation < 100",
     );
     out

@@ -3,9 +3,10 @@
 //!
 //! 1. **The default** — `PromptBatch::Off` stays the default, whose
 //!    readings are pinned.
-//! 2. **Ablation base case** — `Grid { keys: B, attrs: 1 }` is the grid
-//!    protocol with no attribute fusion: `Keys(B)`'s prompts per kind and
-//!    cache hits, other text.
+//! 2. **One fetch-group rule** — a group asking one attribute with no pad
+//!    columns is a key batch, every wider group a grid prompt: so
+//!    `Grid { keys: B, attrs: 1 }` is key batching, and a wider grid's
+//!    last, one-column group without pads is a key batch too.
 //! 3. **Result invariance** — `Grid { keys: B, attrs: A }` reshapes the
 //!    fetch schedule but never `R_M`, for any B, A, lane count or
 //!    pipeline; lanes move its clocks only; a model that permutes the
@@ -17,15 +18,73 @@
 mod common;
 
 use common::contract::{
-    drawn, fallback_restores_rows, knob_is_invariant, Cell, Contract, Field, Knob, Model,
+    drawn, fallback_restores_rows, knob_is_invariant, Cell, Contract, Knob, Model,
 };
-use common::{options, oracle_session, small_config, sorted_rows, suite, Pass};
-use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
+use common::{key_batch, options, oracle_session, small_config, sorted_rows, suite, Pass};
+use galois::core::{Galois, GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::Scenario;
+use galois::llm::intent::{parse_task, TaskIntent};
+use galois::llm::{Completion, LanguageModel, ModelProfile, SimLlm};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 fn grid(keys: usize, attrs: usize) -> PromptBatch {
     PromptBatch::Grid { keys, attrs }
+}
+
+/// A fetch prompt as the model reads it: a key batch asking one
+/// attribute, or a grid prompt asking several.
+#[derive(Debug, PartialEq)]
+enum Fetch {
+    KeyBatch(String),
+    Grid(Vec<String>),
+}
+
+/// The oracle, keeping every fetch prompt it is sent.
+struct FetchRecorder {
+    inner: SimLlm,
+    fetches: Mutex<Vec<Fetch>>,
+}
+
+impl LanguageModel for FetchRecorder {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+    fn complete(&self, prompt: &str) -> Completion {
+        let fetch = match parse_task(prompt) {
+            Some(TaskIntent::FetchAttrBatch { attribute, .. }) => Some(Fetch::KeyBatch(attribute)),
+            Some(TaskIntent::FetchGridBatch { attributes, .. }) => Some(Fetch::Grid(attributes)),
+            _ => None,
+        };
+        self.fetches.lock().unwrap().extend(fetch);
+        self.inner.complete(prompt)
+    }
+}
+
+/// What `sqls` read on a fresh oracle session under `batch` and
+/// `pipeline`: each statement's rows as a multiset, and the fetch prompts
+/// it sent.
+fn fetch_forms(
+    s: &Scenario,
+    batch: PromptBatch,
+    pipeline: Pipeline,
+    sqls: &[String],
+) -> (Vec<Vec<Vec<String>>>, Vec<Fetch>) {
+    let model = Arc::new(FetchRecorder {
+        inner: SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()),
+        fetches: Mutex::new(Vec::new()),
+    });
+    let options = options(ListStore::Off, pipeline, batch, 1);
+    let session = Galois::with_options(model.clone(), s.database.clone(), options);
+    let rows = sqls
+        .iter()
+        .map(|sql| sorted_rows(&session.execute(sql).unwrap().relation))
+        .collect();
+    let fetches = std::mem::take(&mut *model.fetches.lock().unwrap());
+    (rows, fetches)
 }
 
 /// The default session's readings are pinned by `tests/wave_golden.rs`.
@@ -35,22 +94,42 @@ fn off_is_bit_identical_to_default_pipeline() {
     assert_eq!(off, PromptBatch::Off, "Off must stay the default");
 }
 
+/// `Grid { keys: B, attrs: 1 }` is key batching: every fetch prompt it
+/// sends is a key batch, none a grid.
 #[test]
 fn grid_of_one_attr_matches_keys_batching_counts() {
     let s = Scenario::generate_with(42, small_config());
-    let same_prompts = Contract {
-        stats: Some(&[Field::Clock, Field::Phases, Field::Serial, Field::Tokens]),
-        ..Contract::R_M
-    };
     for pipeline in [Pipeline::Off, Pipeline::Streaming] {
-        let keys = Cell::new(
-            &s,
-            options(ListStore::Off, pipeline, PromptBatch::Keys(8), 1),
+        let (_, fetches) = fetch_forms(&s, grid(8, 1), pipeline, &suite(&s)[..12]);
+        assert!(!fetches.is_empty(), "{pipeline:?}: no fetch prompt");
+        assert!(
+            fetches.iter().all(|f| matches!(f, Fetch::KeyBatch(_))),
+            "{pipeline:?}: {fetches:?}"
         );
-        let keys = keys.order(suite(&s)[..12].to_vec());
-        same_prompts.check(
-            &keys,
-            &[keys.with(options(ListStore::Off, pipeline, grid(8, 1), 1))],
+    }
+}
+
+/// At `A = 2` the three non-key columns of `cityMayor` make a two-column
+/// group and a last, one-column group with no spare column to pad it:
+/// the first is sent as grid prompts, the last as key batches, and the
+/// rows are the paper default's.
+#[test]
+fn a_last_group_of_one_column_without_pads_is_sent_as_key_batches() {
+    let s = Scenario::generate_with(42, small_config());
+    let sql = ["SELECT name, birthDate, electionYear, party FROM cityMayor".to_string()];
+    let (off, _) = fetch_forms(&s, PromptBatch::Off, Pipeline::Off, &sql);
+    let pair = Fetch::Grid(vec!["birthDate".to_string(), "electionYear".to_string()]);
+    let last = Fetch::KeyBatch("party".to_string());
+    for pipeline in [Pipeline::Off, Pipeline::Streaming] {
+        let (rows, fetches) = fetch_forms(&s, grid(10, 2), pipeline, &sql);
+        assert_eq!(rows, off, "{pipeline:?}");
+        assert!(
+            fetches.contains(&pair) && fetches.contains(&last),
+            "{pipeline:?}"
+        );
+        assert!(
+            fetches.iter().all(|f| *f == pair || *f == last),
+            "{pipeline:?}: {fetches:?}"
         );
     }
 }
@@ -85,7 +164,7 @@ fn grid_cuts_fetch_prompts_and_serves_narrower_queries() {
     let wide = "SELECT name, population, country FROM city WHERE elevation < 3000";
     let narrow = "SELECT name, population FROM city WHERE elevation < 3000";
     let session = |batch| oracle_session(&s, options(ListStore::Off, Pipeline::Off, batch, 1));
-    let (keys, grid) = (session(PromptBatch::Keys(10)), session(grid(10, 4)));
+    let (keys, grid) = (session(key_batch(10)), session(grid(10, 4)));
     let a = keys.execute(wide).unwrap();
     let b = grid.execute(wide).unwrap();
     assert_eq!(sorted_rows(&a.relation), sorted_rows(&b.relation));
@@ -106,9 +185,9 @@ fn grid_cuts_fetch_prompts_and_serves_narrower_queries() {
 /// relation's *other* columns, so a follow-up query touching columns the
 /// first query never asked for still fetches entirely from sub-entries —
 /// the cross-query lever that breaks the one-new-column-per-query fetch
-/// floor. Key-only batching (and `attrs: 1`, which has no spare width)
-/// must still pay fetch prompts for the unseen column, and the answers
-/// must be identical either way.
+/// floor. Key batching (`attrs: 1`, no spare width) must still pay fetch
+/// prompts for the unseen column, and the answers must be identical
+/// either way.
 #[test]
 fn speculative_pads_serve_unseen_columns_without_prompts() {
     let s = Scenario::generate_with(42, small_config());
@@ -117,15 +196,13 @@ fn speculative_pads_serve_unseen_columns_without_prompts() {
     for pipeline in [Pipeline::Off, Pipeline::Streaming] {
         let cell =
             Cell::new(&s, GaloisOptions::default()).order(vec![first.clone(), unseen.clone()]);
-        let [keys, pads, narrow] = [PromptBatch::Keys(10), grid(10, 6), grid(10, 1)].map(|batch| {
+        let [keys, pads] = [key_batch(10), grid(10, 6)].map(|batch| {
             cell.with(options(ListStore::Off, pipeline, batch, 1))
                 .read()
         });
         Contract::R_M.compare(&keys, &pads, "pads");
-        Contract::R_M.compare(&keys, &narrow, "attrs: 1");
         let fetched = |passes: &[Pass]| passes[0].0[1].stats.fetch_prompts;
-        assert!(fetched(&keys) > 0, "keys-only must re-fetch");
-        assert!(fetched(&narrow) > 0, "attrs: 1 must re-fetch");
+        assert!(fetched(&keys) > 0, "key batching must re-fetch");
         assert_eq!(
             fetched(&pads),
             0,

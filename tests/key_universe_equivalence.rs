@@ -20,10 +20,8 @@
 mod common;
 
 use common::contract::{drawn, knob_is_invariant, paged, Cell, Cmp, Contract, Knob, Model};
-use common::{options, pass, small_config, sorted_rows};
-use galois::core::{
-    concept_signature_for, Galois, GaloisOptions, ListStore, Pipeline, PromptBatch,
-};
+use common::{key_batch, options, pass, small_config, sorted_rows};
+use galois::core::{concept_signature_for, Galois, GaloisOptions, ListStore, Pipeline};
 use galois::dataset::Scenario;
 use galois::llm::intent::{parse_task, TaskIntent};
 use galois::llm::{Completion, KeyUniverseStore, LanguageModel, ModelProfile, SimLlm};
@@ -32,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn keys10(store: ListStore, pipeline: Pipeline, lanes: usize) -> GaloisOptions {
-    options(store, pipeline, PromptBatch::Keys(10), lanes)
+    options(store, pipeline, key_batch(10), lanes)
 }
 
 /// The default session's readings are pinned by `tests/wave_golden.rs`.

@@ -25,7 +25,7 @@
 mod common;
 
 use common::contract::{replayed, Cell, Cmp, Contract, Rows};
-use common::{options, permutation, small_config, suite};
+use common::{key_batch, options, permutation, small_config, suite};
 use galois::core::{
     run_multi_query, AdmissionPolicy, GaloisOptions, ListStore, MultiQueryReport, Pipeline,
     PromptBatch,
@@ -72,7 +72,7 @@ proptest! {
         grid in any::<bool>(),
     ) {
         let s = Scenario::generate_with(seed, small_config());
-        let batch = if grid { serving_grid() } else { PromptBatch::Keys(10) };
+        let batch = if grid { serving_grid() } else { key_batch(10) };
         let cell = cell(&s, batch, lanes);
         let n = cell.order.len();
         let reference = replay(&cell, &vec![0; n], &AdmissionPolicy::default());
@@ -90,7 +90,7 @@ proptest! {
 #[test]
 fn single_session_replay_is_serial_execution_bit_for_bit() {
     let s = Scenario::generate_with(42, small_config());
-    let cell = cell(&s, PromptBatch::Keys(10), 8);
+    let cell = cell(&s, key_batch(10), 8);
     let report = replay(
         &cell,
         &vec![0; cell.order.len()],
@@ -120,7 +120,7 @@ fn single_session_replay_is_serial_execution_bit_for_bit() {
 #[test]
 fn eight_sessions_beat_the_serial_clock_under_both_shares() {
     let s = Scenario::generate_with(42, small_config());
-    let cell = cell(&s, PromptBatch::Keys(10), 8);
+    let cell = cell(&s, key_batch(10), 8);
     let n = cell.order.len();
     let serial = replay(&cell, &vec![0; n], &AdmissionPolicy::default()).makespan_ms;
     // Dealt round-robin, and skewed: the first half of the suite on
@@ -153,7 +153,7 @@ fn eight_sessions_beat_the_serial_clock_under_both_shares() {
 #[test]
 fn inflight_cap_queues_without_changing_accounting() {
     let s = Scenario::generate_with(42, small_config());
-    let cell = cell(&s, PromptBatch::Keys(10), 8);
+    let cell = cell(&s, key_batch(10), 8);
     let session_of = dealt(cell.order.len(), 8);
     let free = replay(&cell, &session_of, &AdmissionPolicy::default());
     let capped = AdmissionPolicy { max_inflight: 2 };

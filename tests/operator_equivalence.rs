@@ -25,7 +25,7 @@ mod common;
 use common::contract::{
     fallback_restores_rows, operator_suite_is_exact, paged, Cell, Cmp, Contract, Model, Rows,
 };
-use common::{options, oracle_session, small_config, sorted_rows, suite};
+use common::{key_batch, options, oracle_session, small_config, sorted_rows, suite};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::{QueryCategory, Scenario, WorldConfig};
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ fn limit_knob_is_inert_without_a_limit_window() {
         "neither preset stops early"
     );
     let streaming = Cell::new(&s, GaloisOptions::default()).order(suite(&s)[..10].to_vec());
-    for batch in [PromptBatch::Off, PromptBatch::Keys(8)] {
+    for batch in [PromptBatch::Off, key_batch(8)] {
         for lanes in [1, 4] {
             let full = streaming.with(options(ListStore::Off, Pipeline::Streaming, batch, lanes));
             let early = options(ListStore::Off, Pipeline::StreamingLimit, batch, lanes);
@@ -63,7 +63,7 @@ fn operator_suite_is_exact_on_the_oracle_across_the_matrix() {
     for pipeline in [Pipeline::Off, Pipeline::Streaming, Pipeline::StreamingLimit] {
         for batch in [
             PromptBatch::Off,
-            PromptBatch::Keys(8),
+            key_batch(8),
             PromptBatch::Grid { keys: 8, attrs: 2 },
         ] {
             operator_suite_is_exact(&Cell::new(&s, options(ListStore::Off, pipeline, batch, 4)));
@@ -90,7 +90,7 @@ fn early_stop_cuts_prompts_on_a_wide_concept() {
         "SELECT name, population FROM city WHERE elevation < 3000 LIMIT 10",
         "SELECT name FROM city LIMIT 5 OFFSET 3",
     ] {
-        let full = options(ListStore::Off, Pipeline::Streaming, PromptBatch::Keys(8), 4);
+        let full = options(ListStore::Off, Pipeline::Streaming, key_batch(8), 4);
         let full = Cell::new(&s, full).model(Model::Profile(paged(10)));
         let full = full.order(vec![sql.to_string()]);
         let early = GaloisOptions {
@@ -110,7 +110,7 @@ fn early_stop_cuts_prompts_on_a_wide_concept() {
 #[test]
 fn early_stop_waits_for_fallback_verdicts() {
     let grid = PromptBatch::Grid { keys: 8, attrs: 4 };
-    fallback_restores_rows(&[PromptBatch::Keys(8), grid], &[Pipeline::StreamingLimit]);
+    fallback_restores_rows(&[key_batch(8), grid], &[Pipeline::StreamingLimit]);
 }
 
 /// A LIMIT query that stops listing early must not poison the shared key
@@ -120,12 +120,7 @@ fn early_stop_waits_for_fallback_verdicts() {
 #[test]
 fn early_stopped_listings_do_not_poison_the_key_universe_store() {
     let s = wide_world();
-    let early = options(
-        ListStore::On,
-        Pipeline::StreamingLimit,
-        PromptBatch::Keys(8),
-        4,
-    );
+    let early = options(ListStore::On, Pipeline::StreamingLimit, key_batch(8), 4);
     let session = Cell::new(&s, early)
         .model(Model::Profile(paged(10)))
         .session();
@@ -165,7 +160,7 @@ proptest! {
         } else {
             (Pipeline::Off, Pipeline::Off)
         };
-        let base = options(ListStore::Off, pipeline, PromptBatch::Keys(b), lanes);
+        let base = options(ListStore::Off, pipeline, key_batch(b), lanes);
         let limited_sql = format!("{} LIMIT {n}", spec.to_sql());
 
         let unlimited = oracle_session(&s, base.clone())

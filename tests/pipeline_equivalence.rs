@@ -22,7 +22,7 @@ mod common;
 use common::contract::{
     drawn, fallback_restores_rows, knob_is_invariant, Cell, Cmp, Contract, Knob,
 };
-use common::{options, small_config};
+use common::{key_batch, options, small_config};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::Scenario;
 use proptest::prelude::*;
@@ -41,7 +41,7 @@ fn streaming_relations_match_off_across_the_grid() {
     let mut cells = Vec::new();
     for lanes in [1, 2, 8] {
         for b in [1, 10] {
-            let batch = PromptBatch::Keys(b);
+            let batch = key_batch(b);
             cells.push(off.with(options(ListStore::Off, Pipeline::Streaming, batch, lanes)));
         }
     }
@@ -53,9 +53,9 @@ fn streaming_preserves_prompts_hits_and_row_order() {
     let s = Scenario::generate_with(42, small_config());
     let grid = PromptBatch::Grid { keys: 10, attrs: 4 };
     for (lanes, batch, clock) in [
-        (1, PromptBatch::Keys(10), Cmp::Ge),
-        (8, PromptBatch::Keys(10), Cmp::Lt),
-        (8, PromptBatch::Keys(1), Cmp::Lt),
+        (1, key_batch(10), Cmp::Ge),
+        (8, key_batch(10), Cmp::Lt),
+        (8, key_batch(1), Cmp::Lt),
         (8, grid, Cmp::Lt),
     ] {
         let wave = Cell::new(&s, options(ListStore::Off, Pipeline::Off, batch, lanes));
@@ -70,7 +70,7 @@ fn streaming_preserves_prompts_hits_and_row_order() {
 
 #[test]
 fn corrupted_streams_fall_back_to_off_relations() {
-    fallback_restores_rows(&[PromptBatch::Keys(8)], &[Pipeline::Streaming]);
+    fallback_restores_rows(&[key_batch(8)], &[Pipeline::Streaming]);
 }
 
 proptest! {

@@ -9,11 +9,11 @@
 //!
 //! `tests/fixtures/wave_golden.txt` holds one line per suite query of
 //! `small_config()` seed 42, executed in suite order on one session and
-//! one thread, for every cell of `PromptBatch::{Off, Keys(8), Grid{8,4}}`
+//! one thread, for every cell of `PromptBatch::{Off, Grid{8,1}, Grid{8,4}}`
 //! × `ListStore::{Off, On}` × `K ∈ {1, 8}` on the oracle model (store-on
 //! cells run the suite twice on the same session, so warm universes and
 //! sub-entry reads are pinned too), plus two `Model::Dropper` cells
-//! (`Keys(8)` and `Grid{8,4}`, `K = 1`) that walk the fallback ladder. The
+//! (`Grid{8,1}` and `Grid{8,4}`, `K = 1`) that walk the fallback ladder. The
 //! `off-nostore-k1` cell is `GaloisOptions::default()`: this is where the
 //! paper default's readings are pinned. A line is
 //!
@@ -49,7 +49,7 @@
 mod common;
 
 use common::contract::{Cell, Model};
-use common::{multiset, options, small_config, Reading};
+use common::{key_batch, multiset, options, small_config, Reading};
 use galois::core::{GaloisOptions, ListStore, Pipeline, PromptBatch, QueryStats};
 use galois::dataset::Scenario;
 use std::fmt::Write as _;
@@ -91,7 +91,7 @@ fn digests(reading: &Reading) -> (String, String) {
 fn cells(s: &Scenario) -> Vec<(String, Cell<'_>)> {
     let batches = [
         ("off", PromptBatch::Off),
-        ("keys8", PromptBatch::Keys(8)),
+        ("keys8", key_batch(8)),
         ("grid8x4", PromptBatch::Grid { keys: 8, attrs: 4 }),
     ];
     let mut out = Vec::new();
@@ -108,7 +108,7 @@ fn cells(s: &Scenario) -> Vec<(String, Cell<'_>)> {
         }
     }
     for (label, batch) in [
-        ("dropper-keys8", PromptBatch::Keys(8)),
+        ("dropper-keys8", key_batch(8)),
         ("dropper-grid8x4", PromptBatch::Grid { keys: 8, attrs: 4 }),
     ] {
         let cell = Cell::new(s, options(ListStore::Off, Pipeline::Off, batch, 1));
