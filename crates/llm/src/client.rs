@@ -1653,6 +1653,78 @@ mod tests {
         assert_eq!((entry.shared, &*entry.tail), (703, "Oslo é"));
     }
 
+    /// Fragments whose bytes overlap: `é` and `è` share their lead byte,
+    /// `亰` and `京` their first two, the two emoji their first three, so a
+    /// key built from them can leave the reference inside a character.
+    const KEY_FRAGMENTS: &[&str] = &[
+        "é", "è", "e", "東", "亰", "京", "😀", "😁", "Q: ", "\n", "a", "",
+    ];
+
+    fn fragments(picks: &[usize]) -> String {
+        picks.iter().map(|&i| KEY_FRAGMENTS[i]).collect()
+    }
+
+    proptest::proptest! {
+        /// A `Striped` map answers every insert, get and remove as a
+        /// `HashMap<String, _>` does. Each key is a prefix of the reference
+        /// (the first key probed), cut at a character, plus fragments.
+        #[test]
+        fn striped_agrees_with_a_hash_map(
+            reference in proptest::collection::vec(0..KEY_FRAGMENTS.len(), 0..8),
+            keys in proptest::collection::vec(
+                (0usize..9, proptest::collection::vec(0..KEY_FRAGMENTS.len(), 0..4)),
+                1..8,
+            ),
+            ops in proptest::collection::vec((0usize..16, 0usize..8, 0usize..1000), 0..64),
+            colliding in proptest::arbitrary::any::<bool>(),
+        ) {
+            let reference = fragments(&reference);
+            let keys: Vec<String> = keys
+                .iter()
+                .map(|(cut, tail)| {
+                    let head: String = reference.chars().take(*cut).collect();
+                    head + &fragments(tail)
+                })
+                .collect();
+            let map: Striped<usize> = if colliding { Striped::colliding() } else { Striped::new() };
+            let mut oracle: HashMap<String, usize> = HashMap::new();
+            let get = |key: &str| {
+                let probe = map.probe(key);
+                let found = map.shard(&probe).lock().get_mut(&probe).copied();
+                found
+            };
+            proptest::prop_assert_eq!(get(&reference), None);
+            for (op, at, value) in ops {
+                let key = &keys[at % keys.len()];
+                let probe = map.probe(key);
+                match op {
+                    0..=5 => {
+                        let mut table = map.shard(&probe).lock();
+                        if let Some(slot) = table.get_mut(&probe) {
+                            *slot = value;
+                        } else {
+                            table.insert(&probe, value);
+                        }
+                        oracle.insert(key.clone(), value);
+                    }
+                    6..=11 => {}
+                    12..=14 => {
+                        map.shard(&probe).lock().remove(&probe);
+                        oracle.remove(key);
+                    }
+                    _ => {
+                        map.clear();
+                        oracle.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(get(key), oracle.get(key).copied(), "{:?}", key);
+            }
+            for key in keys.iter().chain([&reference]) {
+                proptest::prop_assert_eq!(get(key), oracle.get(key).copied(), "{:?}", key);
+            }
+        }
+    }
+
     #[test]
     fn common_prefix_counts_bytes() {
         let long = "0123456789abcdefXYZ";

@@ -240,7 +240,38 @@ mod tests {
             .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
     }
 
+    /// Arbitrary UTF-8: each character's width (one to four bytes) is
+    /// drawn first, then a scalar value of that width.
+    fn any_text() -> impl Strategy<Value = String> {
+        let any_char = proptest::strategy::BoxedStrategy::from_fn(|rng| {
+            let (lo, hi) = [
+                (0, 0x80),
+                (0x80, 0x800),
+                (0x800, 0x1_0000),
+                (0x1_0000, 0x11_0000),
+            ][rng.below(4) as usize];
+            // A surrogate is no scalar value; it stands for U+FFFD.
+            char::from_u32((lo + rng.below(hi - lo)) as u32).unwrap_or('\u{fffd}')
+        });
+        proptest::collection::vec(any_char, 0..40).prop_map(|chars| chars.into_iter().collect())
+    }
+
     proptest! {
+        #[test]
+        fn truncation_of_arbitrary_utf8_splits_no_char(text in any_text()) {
+            let n = piece_spans(&text).count();
+            for max in 0..=n + 1 {
+                let (kept, tokens) = truncate_tokens(&text, max);
+                prop_assert!(text.is_char_boundary(kept.len()) && text.starts_with(kept));
+                let reference = reference_truncate(&text, max);
+                prop_assert_eq!(
+                    (kept, tokens),
+                    (reference, piece_spans(reference).count()),
+                    "max {} of {:?}", max, text
+                );
+            }
+        }
+
         #[test]
         fn one_pass_walk_equals_the_reference_iterator(text in mixed_text()) {
             let n = piece_spans(&text).count();
