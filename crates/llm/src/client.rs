@@ -227,20 +227,24 @@ pub type SubEntryLookup = SubLookup<String>;
 /// lookups of different keys do not serialise on one lock. Backs the
 /// prompt cache (`Striped<Slot>`).
 ///
-/// A lookup reads its key's bytes twice and no more. [`Striped::probe`]
-/// hashes the text once, with a SipHash keyed at random per map — keys
-/// hold model output, which is input from outside the program, so the
-/// hash must stay one an adversary cannot aim. That one `u64` picks the
-/// shard, indexes the shard's table through a pass-through [`Hasher`] and
-/// is the table's stored key, so a growing table never reads key text.
-/// The second read is the comparison: a hash only *locates* candidates,
-/// and an entry answers for a text only if its full text is equal.
-///
 /// Stored text is front-coded against the first key the map ever saw, the
 /// way B-tree pages and string dictionaries compress a sorted run: an
 /// entry keeps how many leading bytes it shares with that reference and
 /// its own tail. Operator prompts share a few-shot preamble of several
 /// hundred bytes, which is stored once.
+///
+/// A lookup reads its key's bytes twice and no more. [`Striped::probe`]
+/// compares the text with the reference to find the length `common` of
+/// their shared prefix, then hashes `common` and the bytes past it (a
+/// prompt's question, not its preamble) with a SipHash keyed at random
+/// per map: keys hold model output, which is input from outside the
+/// program, so the hash must stay one an adversary cannot aim. The
+/// reference is fixed, so `(common, text[common..])` determines the text
+/// and equal texts hash alike. That one `u64` picks the shard, indexes
+/// the shard's table through a pass-through [`Hasher`] and is the table's
+/// stored key, so a growing table never reads key text. The second read
+/// is the comparison: a hash only *locates* candidates, and an entry
+/// answers for a text only if its full text is equal.
 struct Striped<V> {
     shards: Vec<Mutex<Table<V>>>,
     keys: RandomState,
@@ -387,18 +391,16 @@ impl<V> Striped<V> {
         }
     }
 
-    /// Reads `text` for its hash and for its common prefix with the
-    /// reference, which the first text probed becomes.
+    /// Reads `text` for its common prefix with the reference, which the
+    /// first text probed becomes, and hashes that length and the bytes
+    /// past it.
     fn probe<'a>(&self, text: &'a str) -> Probe<'a> {
-        let hash = self.keys.hash_one(text);
+        let reference = self.reference.get_or_init(|| text.into());
+        let common = common_prefix(text.as_bytes(), reference.as_bytes());
+        let hash = self.keys.hash_one((common, &text.as_bytes()[common..]));
         #[cfg(test)]
         let hash = if self.colliding { 0 } else { hash };
-        let reference = self.reference.get_or_init(|| text.into());
-        Probe {
-            text,
-            hash,
-            common: common_prefix(text.as_bytes(), reference.as_bytes()),
-        }
+        Probe { text, hash, common }
     }
 
     /// The shard a probe lives in. The table indexes itself by the hash's

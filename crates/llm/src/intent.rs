@@ -14,7 +14,9 @@
 //! Round-tripping (`parse(render(x)) == x`) is property-tested; the pair is
 //! kept in one module precisely so the "protocol" cannot silently fork.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Comparison operators usable in prompt conditions.
@@ -148,7 +150,7 @@ impl Condition {
 
     /// Parses `<attribute> is <phrase>`.
     pub fn parse(text: &str) -> Option<Condition> {
-        let (attribute, phrase) = text.split_once(" is ")?;
+        let (attribute, phrase) = split(text, &[" is "])?;
         let mut c = Self::parse_phrase(phrase)?;
         c.attribute = attribute.trim().to_string();
         Some(c)
@@ -188,7 +190,7 @@ impl Condition {
             return one(r, CmpOp::LtEq);
         }
         if let Some(r) = phrase.strip_prefix("between ") {
-            let (a, b) = r.split_once(" and ")?;
+            let (a, b) = split(r, &[" and "])?;
             let va = PromptValue::parse(a)?;
             let vb = PromptValue::parse(b)?;
             return mk(CmpOp::Between, vec![va, vb]);
@@ -470,6 +472,9 @@ const FILTER_BATCH_MARKER: &str = "Answer with exactly one line per key, \
 /// with key names or either side contains `:`.
 pub(crate) const GRID_SEP: &str = " \u{2301} ";
 
+/// The mark inside [`GRID_SEP`].
+const GRID_MARK: char = '\u{2301}';
+
 /// Instruction sentence of a grid-fused fetch prompt.
 const FETCH_GRID_MARKER: &str = "Answer with exactly one line per key and attribute, \
      formatted as \"key \u{2301} attribute: value\", or \
@@ -509,12 +514,147 @@ fn parse_key_lines(body: &str) -> Option<Vec<String>> {
 /// whose line the model dropped or garbled yields `None` — the caller's
 /// per-key fallback re-asks exactly those.
 ///
-/// Keys may shadow each other when one contains `:` (`"Rome"` prefixes
+/// Keys may shadow each other when one contains `": "` (`"Rome"` prefixes
 /// `"Rome: Italy"`'s line): a line is assigned to a key only if no
 /// *longer* key of the batch also owns it, so a dropped line can never
 /// silently reroute another key's answer — the shadowed key just falls
 /// back (batching may cost prompts, never accuracy).
+///
+/// When no key contains `": "`, a line's owner is the text before its
+/// first `": "` and no key shadows another, so the split is linear
+/// (`split_by_owner`); otherwise `split_batched_walk` tests every key
+/// against every line.
 pub fn split_batched_answer(answer: &str, keys: &[String]) -> Vec<Option<String>> {
+    if keys.iter().any(|key| find(key, &[": "]).is_some()) {
+        return split_batched_walk(answer, keys);
+    }
+    let cells: Vec<(&str, &str)> = keys.iter().map(|key| (key.as_str(), "")).collect();
+    split_by_owner(
+        answer,
+        &cells,
+        |(key, _), line| line.strip_prefix(key)?.strip_prefix(": "),
+        |line| {
+            let (key, payload) = split(line, &[": "])?;
+            Some(((key, ""), payload))
+        },
+    )
+    .into_iter()
+    .map(|payload| payload.map(str::to_string))
+    .collect()
+}
+
+/// An answer line's owner — `(key, "")` in a batched answer, `(key,
+/// attribute)` in a grid — and its payload.
+type Owned<'a> = ((&'a str, &'a str), &'a str);
+
+/// Hands each cell, in order, the payload of the first line not yet taken
+/// whose owner it is, given that `owner` names the one owner a line can
+/// have. While the lines follow the cells one for one, line `i` is that
+/// line for cell `i`; from the first that does not, the lines left are
+/// indexed by owner, so the split is linear either way.
+fn split_by_owner<'a>(
+    answer: &'a str,
+    cells: &[(&'a str, &'a str)],
+    owns: impl Fn((&str, &str), &'a str) -> Option<&'a str>,
+    owner: impl Fn(&'a str) -> Option<Owned<'a>>,
+) -> Vec<Option<&'a str>> {
+    let mut lines = answer.lines().map(str::trim);
+    let mut payloads = Vec::with_capacity(cells.len());
+    let mut pending = None;
+    for cell in cells {
+        let Some(line) = lines.next() else {
+            break;
+        };
+        match owns(*cell, line) {
+            Some(payload) => payloads.push(Some(payload)),
+            None => {
+                pending = owner(line);
+                break;
+            }
+        }
+    }
+    let done = payloads.len();
+    if done < cells.len() {
+        let owned = pending.into_iter().chain(lines.filter_map(owner));
+        let mut index = LineIndex::new(owned, cells.len() - done);
+        payloads.extend(cells[done..].iter().map(|cell| index.take(*cell)));
+    }
+    payloads
+}
+
+/// Answer lines by owner, each owner's payloads in line order.
+struct LineIndex<'a> {
+    /// Owner → its first payload not yet taken, as an index into `lines`.
+    heads: HashMap<(&'a str, &'a str), Option<usize>, BuildHasherDefault<WordHasher>>,
+    /// Every line's payload and the index of its owner's next line.
+    lines: Vec<(&'a str, Option<usize>)>,
+}
+
+impl<'a> LineIndex<'a> {
+    /// Indexes lines given in line order; `owners` sizes the map.
+    fn new(owned: impl DoubleEndedIterator<Item = Owned<'a>>, owners: usize) -> Self {
+        let mut index = LineIndex {
+            heads: HashMap::with_capacity_and_hasher(owners, BuildHasherDefault::default()),
+            lines: Vec::with_capacity(owners),
+        };
+        // Last line first, so that each owner's head ends at its first.
+        for (owner, payload) in owned.rev() {
+            let next = index.heads.insert(owner, Some(index.lines.len()));
+            index.lines.push((payload, next.flatten()));
+        }
+        index
+    }
+
+    /// The owner's first payload not yet taken.
+    fn take(&mut self, owner: (&'a str, &'a str)) -> Option<&'a str> {
+        let head = self.heads.get_mut(&owner)?;
+        let (payload, next) = *self.lines.get((*head)?)?;
+        *head = next;
+        Some(payload)
+    }
+}
+
+/// The hash of a [`LineIndex`]: a rotate, xor and multiply per eight
+/// bytes (the step of rustc's `FxHasher`), a few nanoseconds per owner
+/// where a keyed SipHash takes tens. It is not keyed, so an answer could
+/// aim its lines at one bucket; that costs the index an owner comparison
+/// per pair of lines, which is what the walk it replaces pays anyway.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(word);
+            self.add(u64::from_le_bytes(le));
+        }
+        let mut last = [0u8; 8];
+        last[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.add(u64::from_le_bytes(last));
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    /// The multiply leaves its entropy in the high bits and the table
+    /// indexes by the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// [`split_batched_answer`] by testing every key against every unused
+/// line: quadratic, and exact for keys that contain `": "`.
+fn split_batched_walk(answer: &str, keys: &[String]) -> Vec<Option<String>> {
     let lines: Vec<&str> = answer.lines().map(str::trim).collect();
     let mut used = vec![false; lines.len()];
     fn owns<'a>(key: &str, line: &'a str) -> Option<&'a str> {
@@ -573,11 +713,56 @@ where
 /// [`split_batched_answer`], a line is assigned to a cell only if no cell
 /// with a *longer* key also owns it — a key containing the separator can
 /// never silently steal another cell's answer, it just falls back.
+///
+/// When no key contains `⌁` and no attribute `": "`, a line's owner is
+/// the text before its first `⌁` and, after the separator, the text before
+/// the first `": "`; no key shadows another, so the split is linear
+/// (`split_by_owner`). Otherwise `split_grid_walk` tests every cell
+/// against every line.
 pub fn split_grid_answer(
     answer: &str,
     keys: &[String],
     attrs: &[String],
 ) -> Vec<Vec<Option<String>>> {
+    if keys.iter().any(|key| key.contains(GRID_MARK))
+        || attrs.iter().any(|attr| find(attr, &[": "]).is_some())
+    {
+        return split_grid_walk(answer, keys, attrs);
+    }
+    let cells: Vec<(&str, &str)> = keys
+        .iter()
+        .flat_map(|key| attrs.iter().map(move |attr| (key.as_str(), attr.as_str())))
+        .collect();
+    let mut payloads = split_by_owner(
+        answer,
+        &cells,
+        |(key, attr), line| {
+            line.strip_prefix(key)?
+                .strip_prefix(GRID_SEP)?
+                .strip_prefix(attr)?
+                .strip_prefix(": ")
+        },
+        |line| {
+            let (key, rest) = line.split_once(GRID_MARK)?;
+            let (attr, payload) = split(rest.strip_prefix(' ')?, &[": "])?;
+            Some(((key.strip_suffix(' ')?, attr), payload))
+        },
+    )
+    .into_iter();
+    keys.iter()
+        .map(|_| {
+            payloads
+                .by_ref()
+                .take(attrs.len())
+                .map(|payload| payload.map(str::to_string))
+                .collect()
+        })
+        .collect()
+}
+
+/// [`split_grid_answer`] by testing every cell against every unused line:
+/// quadratic, and exact for keys that contain `⌁`.
+fn split_grid_walk(answer: &str, keys: &[String], attrs: &[String]) -> Vec<Vec<Option<String>>> {
     let lines: Vec<&str> = answer.lines().map(str::trim).collect();
     let mut used = vec![false; lines.len()];
     fn owns<'a>(key: &str, attr: &str, line: &'a str) -> Option<&'a str> {
@@ -641,12 +826,17 @@ where
 /// Byte offset where the final question's `Q: ` lead-in starts, if the
 /// prompt carries one. Anchored to line starts — a `Q: ` in the middle of
 /// a line (a question mentioning a key like `FAQ: basics`, or a batched
-/// key list containing one) is content, not a marker.
+/// key list containing one) is content, not a marker. Scans back from the
+/// end over newlines, so a batched prompt reads only its question.
 pub(crate) fn question_start(prompt: &str) -> Option<usize> {
-    match prompt.rfind("\nQ: ") {
-        Some(i) => Some(i + 1),
-        None => prompt.starts_with("Q: ").then_some(0),
+    let mut end = prompt.len();
+    while let Some(newline) = prompt[..end].rfind('\n') {
+        if prompt[newline + 1..].starts_with("Q: ") {
+            return Some(newline + 1);
+        }
+        end = newline;
     }
+    prompt.starts_with("Q: ").then_some(0)
 }
 
 /// Extracts the final question from a full prompt (drops the few-shot
@@ -656,13 +846,45 @@ pub fn question_line(prompt: &str) -> &str {
     match question_start(prompt) {
         Some(i) => {
             let rest = &prompt[i + 3..];
-            match rest.find("\nA:") {
+            match find(rest, &["\nA:"]) {
                 Some(j) => rest[..j].trim(),
                 None => rest.trim(),
             }
         }
         None => prompt.trim(),
     }
+}
+
+/// Byte offset of the first occurrence of `parts`, concatenated, in `s`:
+/// a scan for the first part's first character that compares the parts at
+/// each hit, so no substring searcher is built (a prompt's fields are
+/// short). `None` for an empty pattern.
+fn find(s: &str, parts: &[&str]) -> Option<usize> {
+    let first = parts.first()?.chars().next()?;
+    let mut from = 0;
+    while let Some(skip) = s[from..].find(first) {
+        let at = from + skip;
+        let mut rest = &s[at..];
+        let matches = parts.iter().all(|part| match rest.strip_prefix(part) {
+            Some(after) => {
+                rest = after;
+                true
+            }
+            None => false,
+        });
+        if matches {
+            return Some(at);
+        }
+        from = at + first.len_utf8();
+    }
+    None
+}
+
+/// `s.split_once(parts.concat())`, by [`find`].
+fn split<'a>(s: &'a str, parts: &[&str]) -> Option<(&'a str, &'a str)> {
+    let at = find(s, parts)?;
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    Some((&s[..at], &s[at + len..]))
 }
 
 /// The typed result of decoding an operator prompt.
@@ -700,30 +922,40 @@ impl ParseOutcome {
 }
 
 /// Decodes an operator prompt into a typed [`ParseOutcome`] — the
-/// panic-free entry point for the parsing hot path.
+/// panic-free entry point for the parsing hot path. The question's lead
+/// (`List the `, `For the `, `For each `) picks the one family that can
+/// match; a body that does not decode is classified by that family's
+/// markers, so callers can tell a garbled operator prompt apart from an
+/// ordinary NL question.
 pub fn parse_task_outcome(prompt: &str) -> ParseOutcome {
     let q = question_line(prompt);
-    let parsed = parse_list_keys(q)
-        .or_else(|| parse_fetch_attr(q))
-        .or_else(|| parse_check_filter(q))
-        .or_else(|| parse_fetch_attr_batch(q))
-        .or_else(|| parse_fetch_grid_batch(q))
-        .or_else(|| parse_filter_keys_batch(q));
-    if let Some(t) = parsed {
-        return ParseOutcome::Parsed(t);
+    let (parsed, family, markers): (_, _, &[&str]) = if let Some(rest) = q.strip_prefix("List the ")
+    {
+        (
+            parse_list_keys(rest),
+            "list-keys",
+            &[" of every ", ". Answer with"],
+        )
+    } else if let Some(rest) = q.strip_prefix("For the ") {
+        (
+            parse_per_key(rest),
+            "per-key fetch/filter",
+            &[" identified by "],
+        )
+    } else if let Some(rest) = q.strip_prefix("For each ") {
+        (
+            parse_batched(rest),
+            "batched fetch/filter",
+            &[" identified by "],
+        )
+    } else {
+        return ParseOutcome::Unrecognized;
+    };
+    match parsed {
+        Some(t) => ParseOutcome::Parsed(t),
+        None if markers.iter().all(|marker| q.contains(marker)) => ParseOutcome::Malformed(family),
+        None => ParseOutcome::Unrecognized,
     }
-    // No family decoded; classify by marker so callers can tell a garbled
-    // operator prompt apart from an ordinary NL question.
-    if q.starts_with("List the ") && q.contains(" of every ") && q.contains(". Answer with") {
-        return ParseOutcome::Malformed("list-keys");
-    }
-    if q.starts_with("For the ") && q.contains(" identified by ") {
-        return ParseOutcome::Malformed("per-key fetch/filter");
-    }
-    if q.starts_with("For each ") && q.contains(" identified by ") {
-        return ParseOutcome::Malformed("batched fetch/filter");
-    }
-    ParseOutcome::Unrecognized
 }
 
 /// Attempts to decode an operator prompt into a [`TaskIntent`] — the
@@ -733,20 +965,20 @@ pub fn parse_task(prompt: &str) -> Option<TaskIntent> {
     parse_task_outcome(prompt).intent()
 }
 
-fn parse_list_keys(q: &str) -> Option<TaskIntent> {
-    let rest = q.strip_prefix("List the ")?;
-    let (head, tail) = rest.split_once(" of every ")?;
+/// A list question after its `List the ` lead.
+fn parse_list_keys(rest: &str) -> Option<TaskIntent> {
+    let (head, tail) = split(rest, &[" of every "])?;
     let key_attr = head.trim().to_string();
     // tail: `<relation>[ whose <cond>][, excluding: …]. Answer with …`.
     // The "Answer with" marker is mandatory: it is what distinguishes an
     // operator prompt from an NL question that also starts with "List
     // the … of every …" (those go through the QA path instead).
-    let (body, _) = tail.split_once(". Answer with")?;
+    let (body, _) = split(tail, &[". Answer with"])?;
     let body = body.trim();
     // Offset-page form: `…, starting after the first N results`.
-    if let Some((b, off)) = body.split_once(", starting after the first ") {
+    if let Some((b, off)) = split(body, &[", starting after the first "]) {
         let offset: usize = off.strip_suffix(" results")?.trim().parse().ok()?;
-        let (relation, condition) = match b.split_once(" whose ") {
+        let (relation, condition) = match split(b, &[" whose "]) {
             Some((r, c)) => (r.trim().to_string(), Some(Condition::parse(c)?)),
             None => (b.trim().to_string(), None),
         };
@@ -760,7 +992,7 @@ fn parse_list_keys(q: &str) -> Option<TaskIntent> {
             offset,
         });
     }
-    let (body, exclude) = match body.split_once(", excluding: ") {
+    let (body, exclude) = match split(body, &[", excluding: "]) {
         Some((b, ex)) => (
             b,
             Arc::new(
@@ -772,7 +1004,7 @@ fn parse_list_keys(q: &str) -> Option<TaskIntent> {
         ),
         None => (body, Arc::new(Vec::new())),
     };
-    let (relation, condition) = match body.split_once(" whose ") {
+    let (relation, condition) = match split(body, &[" whose "]) {
         Some((r, c)) => (r.trim().to_string(), Some(Condition::parse(c)?)),
         None => (body.trim().to_string(), None),
     };
@@ -787,38 +1019,67 @@ fn parse_list_keys(q: &str) -> Option<TaskIntent> {
     })
 }
 
-fn parse_fetch_attr(q: &str) -> Option<TaskIntent> {
-    let rest = q.strip_prefix("For the ")?;
-    let (relation, rest) = rest.split_once(" identified by ")?;
-    let (key_attr, rest) = rest.split_once(" '")?;
-    let (key, rest) = rest.split_once("', what is its ")?;
-    let attribute = rest.split('?').next()?.trim().to_string();
+/// A per-key question after its `For the ` lead: `<relation> identified
+/// by <key_attr> '<key>', …`, a fetch or else a filter check.
+fn parse_per_key(rest: &str) -> Option<TaskIntent> {
+    let (relation, rest) = split(rest, &[" identified by "])?;
+    let (key_attr, rest) = split(rest, &[" '"])?;
+    let (relation, key_attr) = (relation.trim(), key_attr.trim());
+    parse_fetch_attr(relation, key_attr, rest)
+        .or_else(|| parse_check_filter(relation, key_attr, rest))
+}
+
+/// A batched question after its `For each ` lead: `<relation> identified
+/// by <key_attr> listed below, …`, a key-batch fetch, a grid fetch or a
+/// filter batch, tried in that order.
+fn parse_batched(rest: &str) -> Option<TaskIntent> {
+    let (relation, rest) = split(rest, &[" identified by "])?;
+    let relation = relation.trim();
+    parse_fetch_attr_batch(relation, rest)
+        .or_else(|| parse_fetch_grid_batch(relation, rest))
+        .or_else(|| parse_filter_keys_batch(relation, rest))
+}
+
+/// `<key>', what is its <attribute>? …`.
+fn parse_fetch_attr(relation: &str, key_attr: &str, rest: &str) -> Option<TaskIntent> {
+    let (key, rest) = split(rest, &["', what is its "])?;
+    let attribute = rest.split_once('?').map_or(rest, |(a, _)| a).trim();
     Some(TaskIntent::FetchAttr {
-        relation: relation.trim().to_string(),
-        key_attr: key_attr.trim().to_string(),
+        relation: relation.to_string(),
+        key_attr: key_attr.to_string(),
         key: key.to_string(),
-        attribute,
+        attribute: attribute.to_string(),
     })
 }
 
-fn parse_fetch_attr_batch(q: &str) -> Option<TaskIntent> {
-    let rest = q.strip_prefix("For each ")?;
-    let (relation, rest) = rest.split_once(" identified by ")?;
-    let (key_attr, rest) = rest.split_once(" listed below, what is its ")?;
-    let (attribute, body) = rest.split_once(&format!("? {FETCH_BATCH_MARKER}\n"))?;
+/// `<key>', is its <attribute> <phrase>? Answer …`.
+fn parse_check_filter(relation: &str, key_attr: &str, rest: &str) -> Option<TaskIntent> {
+    let (key, rest) = split(rest, &["', is its "])?;
+    let question = split(rest, &["? Answer"]).map_or(rest, |(q, _)| q);
+    Some(TaskIntent::CheckFilter {
+        relation: relation.to_string(),
+        key_attr: key_attr.to_string(),
+        key: key.to_string(),
+        condition: parse_attribute_phrase(question)?,
+    })
+}
+
+/// `<key_attr> listed below, what is its <attribute>? <marker>\n<keys>`.
+fn parse_fetch_attr_batch(relation: &str, rest: &str) -> Option<TaskIntent> {
+    let (key_attr, rest) = split(rest, &[" listed below, what is its "])?;
+    let (attribute, body) = split(rest, &["? ", FETCH_BATCH_MARKER, "\n"])?;
     Some(TaskIntent::FetchAttrBatch {
-        relation: relation.trim().to_string(),
+        relation: relation.to_string(),
         key_attr: key_attr.trim().to_string(),
         keys: parse_key_lines(body)?,
         attribute: attribute.trim().to_string(),
     })
 }
 
-fn parse_fetch_grid_batch(q: &str) -> Option<TaskIntent> {
-    let rest = q.strip_prefix("For each ")?;
-    let (relation, rest) = rest.split_once(" identified by ")?;
-    let (key_attr, rest) = rest.split_once(" listed below, what are its ")?;
-    let (attributes, body) = rest.split_once(&format!("? {FETCH_GRID_MARKER}\n"))?;
+/// `<key_attr> listed below, what are its <a> / <b>? <marker>\n<keys>`.
+fn parse_fetch_grid_batch(relation: &str, rest: &str) -> Option<TaskIntent> {
+    let (key_attr, rest) = split(rest, &[" listed below, what are its "])?;
+    let (attributes, body) = split(rest, &["? ", FETCH_GRID_MARKER, "\n"])?;
     let attributes: Vec<String> = attributes
         .split(" / ")
         .map(|a| a.trim().to_string())
@@ -827,65 +1088,42 @@ fn parse_fetch_grid_batch(q: &str) -> Option<TaskIntent> {
         return None;
     }
     Some(TaskIntent::FetchGridBatch {
-        relation: relation.trim().to_string(),
+        relation: relation.to_string(),
         key_attr: key_attr.trim().to_string(),
         keys: parse_key_lines(body)?,
         attributes,
     })
 }
 
-fn parse_filter_keys_batch(q: &str) -> Option<TaskIntent> {
-    let rest = q.strip_prefix("For each ")?;
-    let (relation, rest) = rest.split_once(" identified by ")?;
-    let (key_attr, rest) = rest.split_once(" listed below, is its ")?;
-    let (question, body) = rest.split_once(&format!("? {FILTER_BATCH_MARKER}\n"))?;
-    // `question` = `<attribute> <phrase>`; longest attribute first, as in
-    // the single-key filter parser.
-    let words: Vec<&str> = question.split(' ').collect();
-    for split in (1..words.len()).rev() {
-        let attribute = words[..split].join(" ");
-        let phrase = words[split..].join(" ");
-        if let Some(mut c) = Condition::parse_phrase(&phrase) {
-            c.attribute = attribute;
-            return Some(TaskIntent::FilterKeysBatch {
-                relation: relation.trim().to_string(),
-                key_attr: key_attr.trim().to_string(),
-                keys: parse_key_lines(body)?,
-                condition: c,
-            });
-        }
-    }
-    None
+/// `<key_attr> listed below, is its <attribute> <phrase>? <marker>\n<keys>`.
+fn parse_filter_keys_batch(relation: &str, rest: &str) -> Option<TaskIntent> {
+    let (key_attr, rest) = split(rest, &[" listed below, is its "])?;
+    let (question, body) = split(rest, &["? ", FILTER_BATCH_MARKER, "\n"])?;
+    let condition = parse_attribute_phrase(question)?;
+    Some(TaskIntent::FilterKeysBatch {
+        relation: relation.to_string(),
+        key_attr: key_attr.trim().to_string(),
+        keys: parse_key_lines(body)?,
+        condition,
+    })
 }
 
-fn parse_check_filter(q: &str) -> Option<TaskIntent> {
-    let rest = q.strip_prefix("For the ")?;
-    let (relation, rest) = rest.split_once(" identified by ")?;
-    let (key_attr, rest) = rest.split_once(" '")?;
-    let (key, rest) = rest.split_once("', is its ")?;
-    let question = rest.split("? Answer").next()?;
-    // question = `<attribute> <phrase>`; the attribute is the first token
-    // run until a known phrase start. Try longest attribute first.
-    let words: Vec<&str> = question.split(' ').collect();
-    for split in (1..words.len()).rev() {
-        let attribute = words[..split].join(" ");
-        let phrase = words[split..].join(" ");
-        if let Some(mut c) = Condition::parse_phrase(&phrase) {
-            c.attribute = attribute;
-            return Some(TaskIntent::CheckFilter {
-                relation: relation.trim().to_string(),
-                key_attr: key_attr.trim().to_string(),
-                key: key.to_string(),
-                condition: c,
-            });
-        }
-    }
-    None
+/// Splits `<attribute> <phrase>` at the last space after which an operator
+/// phrase parses: the attribute is the first token run until a known
+/// phrase start, longest attribute first.
+fn parse_attribute_phrase(question: &str) -> Option<Condition> {
+    question.rmatch_indices(' ').find_map(|(at, _)| {
+        let mut c = Condition::parse_phrase(&question[at + 1..])?;
+        c.attribute = question[..at].to_string();
+        Some(c)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::BoxedStrategy;
 
     fn cond(attr: &str, op: CmpOp, values: Vec<PromptValue>) -> Condition {
         Condition {
@@ -1331,5 +1569,521 @@ mod tests {
         assert_eq!(c.render_phrase(), "between 5 and ?");
         let c = cond("population", CmpOp::Gt, vec![]);
         assert_eq!(c.render_phrase(), "greater than ?");
+    }
+
+    /// Fragments of hostile text: protocol markers, quotes, separators,
+    /// line breaks and multi-byte characters.
+    const HOSTILE: &[&str] = &[
+        "Rome",
+        "population",
+        "'",
+        "', is its ",
+        "', what is its ",
+        ", ",
+        "\nQ: ",
+        "Q: ",
+        "\n",
+        "\nA:",
+        "é",
+        "東京",
+        "😀",
+        " ",
+        " is ",
+        " and ",
+        " / ",
+        "; ",
+        ": ",
+        "?",
+        "? Answer",
+        " of every ",
+        " identified by ",
+        " whose ",
+        ". Answer with",
+        "- ",
+        "\u{2301}",
+        "equal to ",
+        "greater than 5",
+        "known",
+        "7",
+    ];
+
+    /// Text of up to three hostile fragments, empty included.
+    fn hostile() -> BoxedStrategy<String> {
+        proptest::collection::vec(0..HOSTILE.len(), 0..4)
+            .prop_map(|picks| picks.into_iter().map(|i| HOSTILE[i]).collect())
+    }
+
+    fn prompt_value() -> BoxedStrategy<PromptValue> {
+        prop_oneof![
+            hostile().prop_map(PromptValue::Text),
+            proptest::sample::select(vec![0.0, 5.0, -2.5, 1e6]).prop_map(PromptValue::Number),
+        ]
+    }
+
+    fn condition() -> BoxedStrategy<Condition> {
+        const OPS: [CmpOp; 11] = [
+            CmpOp::Eq,
+            CmpOp::NotEq,
+            CmpOp::Gt,
+            CmpOp::GtEq,
+            CmpOp::Lt,
+            CmpOp::LtEq,
+            CmpOp::Between,
+            CmpOp::In,
+            CmpOp::Like,
+            CmpOp::IsNull,
+            CmpOp::IsNotNull,
+        ];
+        (
+            hostile(),
+            0..OPS.len(),
+            proptest::collection::vec(prompt_value(), 0..4),
+        )
+            .prop_map(|(attribute, op, values)| Condition {
+                attribute,
+                op: OPS[op],
+                values,
+            })
+    }
+
+    /// Every intent kind over hostile relation, key and attribute text.
+    fn hostile_intent() -> BoxedStrategy<TaskIntent> {
+        let fields = (hostile(), hostile(), hostile(), hostile());
+        let keys = proptest::collection::vec(hostile(), 0..4);
+        (
+            0usize..7,
+            fields,
+            keys,
+            proptest::option::of(condition()),
+            condition(),
+            0usize..50,
+        )
+            .prop_map(
+                |(kind, (relation, key_attr, key, attribute), keys, pushed, condition, offset)| {
+                    match kind {
+                        0 => TaskIntent::ListKeys {
+                            relation,
+                            key_attr,
+                            condition: pushed,
+                            exclude: Arc::new(keys),
+                        },
+                        1 => TaskIntent::ListKeysPage {
+                            relation,
+                            key_attr,
+                            condition: pushed,
+                            offset,
+                        },
+                        2 => TaskIntent::FetchAttr {
+                            relation,
+                            key_attr,
+                            key,
+                            attribute,
+                        },
+                        3 => TaskIntent::CheckFilter {
+                            relation,
+                            key_attr,
+                            key,
+                            condition,
+                        },
+                        4 => TaskIntent::FetchAttrBatch {
+                            relation,
+                            key_attr,
+                            keys,
+                            attribute,
+                        },
+                        5 => TaskIntent::FilterKeysBatch {
+                            relation,
+                            key_attr,
+                            keys,
+                            condition,
+                        },
+                        _ => TaskIntent::FetchGridBatch {
+                            relation,
+                            key_attr,
+                            keys,
+                            attributes: vec![attribute, key],
+                        },
+                    }
+                },
+            )
+    }
+
+    /// What a prompt can carry before its question.
+    const PREAMBLES: &[&str] = &[
+        "",
+        "Q: What is 1+1?\nA: 2.\n",
+        "You answer briefly.\nQ: For the city identified by name 'Oslo', what is its \
+         population? Answer with the value only, or \"Unknown\".\nA: 700000\n",
+    ];
+
+    /// A rendered prompt, then garbled: `cut` keeps a char-boundary head
+    /// (of `cut` % (chars + 1) chars; no cut when `cut` is past the end),
+    /// and `insert` splices a hostile fragment in at a char boundary.
+    fn garbled(prompt: &str, cut: usize, insert: Option<(usize, String)>) -> String {
+        let chars: Vec<char> = prompt.chars().collect();
+        let mut chars = if cut <= chars.len() {
+            chars[..cut].to_vec()
+        } else {
+            chars
+        };
+        if let Some((at, text)) = insert {
+            let at = at % (chars.len() + 1);
+            chars.splice(at..at, text.chars());
+        }
+        chars.into_iter().collect()
+    }
+
+    proptest! {
+        #[test]
+        fn parser_matches_its_reference_on_hostile_and_garbled_prompts(
+            intent in hostile_intent(),
+            preamble in 0..PREAMBLES.len(),
+            framed in any::<bool>(),
+            cut in 0usize..2000,
+            insert in proptest::option::of((0usize..2000, hostile())),
+        ) {
+            let question = render_task(&intent);
+            let prompt = if framed {
+                format!("{}Q: {question}\nA:", PREAMBLES[preamble])
+            } else {
+                question
+            };
+            for prompt in [prompt.clone(), garbled(&prompt, cut, insert.clone())] {
+                prop_assert_eq!(
+                    question_start(&prompt),
+                    reference::question_start(&prompt),
+                    "{:?}", prompt
+                );
+                prop_assert_eq!(question_line(&prompt), reference::question_line(&prompt));
+                prop_assert_eq!(
+                    parse_task_outcome(&prompt),
+                    reference::parse_task_outcome(&prompt),
+                    "{:?}", prompt
+                );
+            }
+        }
+
+        #[test]
+        fn linear_answer_splits_match_the_walk(
+            keys in proptest::collection::vec(0..SPLIT_KEYS.len(), 0..6),
+            attrs in proptest::collection::vec(0..SPLIT_KEYS.len(), 1..4),
+            lines in proptest::collection::vec(
+                (0..2 * SPLIT_KEYS.len(), 0..2 * SPLIT_KEYS.len(), hostile(), 0usize..4),
+                0..16,
+            ),
+        ) {
+            let keys: Vec<&str> = keys.into_iter().map(|i| SPLIT_KEYS[i]).collect();
+            let attrs: Vec<&str> = attrs.into_iter().map(|i| SPLIT_KEYS[i]).collect();
+            // Half the lines name one of the call's keys (and attributes),
+            // half any text of the pool.
+            let pick = |of: &[&'static str], i: usize| match i.checked_sub(SPLIT_KEYS.len()) {
+                Some(i) if !of.is_empty() => of[i % of.len()],
+                _ => SPLIT_KEYS[i % SPLIT_KEYS.len()],
+            };
+            let pad = ["", " ", "\t", " \r"];
+            let batched: String = lines
+                .iter()
+                .map(|(k, _, payload, p)| {
+                    format!("{}{}: {payload}{}\n", pad[*p], pick(&keys, *k), pad[3 - p])
+                })
+                .collect();
+            let grid: String = lines
+                .iter()
+                .map(|(k, a, payload, p)| {
+                    let (key, attr) = (pick(&keys, *k), pick(&attrs, *a));
+                    format!("{}{key}{GRID_SEP}{attr}: {payload}{}\n", pad[*p], pad[3 - p])
+                })
+                .collect();
+            let keys: Vec<String> = keys.into_iter().map(String::from).collect();
+            let attrs: Vec<String> = attrs.into_iter().map(String::from).collect();
+            // Each answer as written, and read as the other kind.
+            for answer in [&batched, &grid] {
+                prop_assert_eq!(
+                    split_batched_answer(answer, &keys),
+                    split_batched_walk(answer, &keys),
+                    "{:?} {:?}", keys, answer
+                );
+                prop_assert_eq!(
+                    split_grid_answer(answer, &keys, &attrs),
+                    split_grid_walk(answer, &keys, &attrs),
+                    "{:?} {:?} {:?}", keys, attrs, answer
+                );
+            }
+        }
+    }
+
+    /// Keys and attributes for the split property: prefixes of each other,
+    /// padded, empty, multi-byte, and a few holding a separator (`": "`,
+    /// `⌁`) or the start or end of one, which the walk must serve.
+    const SPLIT_KEYS: &[&str] = &[
+        "Rome",
+        "Rome ",
+        "Ro",
+        "Rome:",
+        "",
+        "é",
+        "東京",
+        "pop",
+        "a:b",
+        " x",
+        "Rome: Italy",
+        "Rome \u{2301}",
+        "x \u{2301} y",
+    ];
+}
+
+/// The prompt parser as it was before it scanned bytes: `split_once` on
+/// substring patterns, a `rfind` for the question, and filter questions
+/// split by joining words. Kept as the reference the parser is checked
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::{parse_key_lines, CmpOp, Condition, ParseOutcome, PromptValue, TaskIntent};
+    use super::{FETCH_BATCH_MARKER, FETCH_GRID_MARKER, FILTER_BATCH_MARKER};
+    use std::sync::Arc;
+
+    fn condition_parse(text: &str) -> Option<Condition> {
+        let (attribute, phrase) = text.split_once(" is ")?;
+        let mut c = parse_phrase(phrase)?;
+        c.attribute = attribute.trim().to_string();
+        Some(c)
+    }
+
+    fn parse_phrase(phrase: &str) -> Option<Condition> {
+        let phrase = phrase.trim().trim_end_matches(['?', '.']);
+        let mk = |op, values| {
+            Some(Condition {
+                attribute: String::new(),
+                op,
+                values,
+            })
+        };
+        let one = |rest: &str, op| mk(op, vec![PromptValue::parse(rest)?]);
+        for (lead, op) in [
+            ("equal to ", CmpOp::Eq),
+            ("different from ", CmpOp::NotEq),
+            ("greater than ", CmpOp::Gt),
+            ("at least ", CmpOp::GtEq),
+            ("less than ", CmpOp::Lt),
+            ("at most ", CmpOp::LtEq),
+        ] {
+            if let Some(r) = phrase.strip_prefix(lead) {
+                return one(r, op);
+            }
+        }
+        if let Some(r) = phrase.strip_prefix("between ") {
+            let (a, b) = r.split_once(" and ")?;
+            return mk(
+                CmpOp::Between,
+                vec![PromptValue::parse(a)?, PromptValue::parse(b)?],
+            );
+        }
+        if let Some(r) = phrase.strip_prefix("one of ") {
+            let values: Option<Vec<PromptValue>> = r.split(" / ").map(PromptValue::parse).collect();
+            return mk(CmpOp::In, values?);
+        }
+        if let Some(r) = phrase.strip_prefix("matching the pattern ") {
+            return one(r, CmpOp::Like);
+        }
+        match phrase {
+            "unknown" => mk(CmpOp::IsNull, vec![]),
+            "known" => mk(CmpOp::IsNotNull, vec![]),
+            _ => None,
+        }
+    }
+
+    pub(super) fn question_start(prompt: &str) -> Option<usize> {
+        match prompt.rfind("\nQ: ") {
+            Some(i) => Some(i + 1),
+            None => prompt.starts_with("Q: ").then_some(0),
+        }
+    }
+
+    pub(super) fn question_line(prompt: &str) -> &str {
+        match question_start(prompt) {
+            Some(i) => {
+                let rest = &prompt[i + 3..];
+                match rest.find("\nA:") {
+                    Some(j) => rest[..j].trim(),
+                    None => rest.trim(),
+                }
+            }
+            None => prompt.trim(),
+        }
+    }
+
+    pub(super) fn parse_task_outcome(prompt: &str) -> ParseOutcome {
+        let q = question_line(prompt);
+        let parsed = parse_list_keys(q)
+            .or_else(|| parse_fetch_attr(q))
+            .or_else(|| parse_check_filter(q))
+            .or_else(|| parse_fetch_attr_batch(q))
+            .or_else(|| parse_fetch_grid_batch(q))
+            .or_else(|| parse_filter_keys_batch(q));
+        if let Some(t) = parsed {
+            return ParseOutcome::Parsed(t);
+        }
+        // No family decoded; classify by marker so callers can tell a garbled
+        // operator prompt apart from an ordinary NL question.
+        if q.starts_with("List the ") && q.contains(" of every ") && q.contains(". Answer with") {
+            return ParseOutcome::Malformed("list-keys");
+        }
+        if q.starts_with("For the ") && q.contains(" identified by ") {
+            return ParseOutcome::Malformed("per-key fetch/filter");
+        }
+        if q.starts_with("For each ") && q.contains(" identified by ") {
+            return ParseOutcome::Malformed("batched fetch/filter");
+        }
+        ParseOutcome::Unrecognized
+    }
+
+    fn parse_list_keys(q: &str) -> Option<TaskIntent> {
+        let rest = q.strip_prefix("List the ")?;
+        let (head, tail) = rest.split_once(" of every ")?;
+        let key_attr = head.trim().to_string();
+        // tail: `<relation>[ whose <cond>][, excluding: …]. Answer with …`.
+        // The "Answer with" marker is mandatory: it is what distinguishes an
+        // operator prompt from an NL question that also starts with "List
+        // the … of every …" (those go through the QA path instead).
+        let (body, _) = tail.split_once(". Answer with")?;
+        let body = body.trim();
+        // Offset-page form: `…, starting after the first N results`.
+        if let Some((b, off)) = body.split_once(", starting after the first ") {
+            let offset: usize = off.strip_suffix(" results")?.trim().parse().ok()?;
+            let (relation, condition) = match b.split_once(" whose ") {
+                Some((r, c)) => (r.trim().to_string(), Some(condition_parse(c)?)),
+                None => (b.trim().to_string(), None),
+            };
+            if relation.is_empty() || key_attr.is_empty() {
+                return None;
+            }
+            return Some(TaskIntent::ListKeysPage {
+                relation,
+                key_attr,
+                condition,
+                offset,
+            });
+        }
+        let (body, exclude) = match body.split_once(", excluding: ") {
+            Some((b, ex)) => (
+                b,
+                Arc::new(
+                    ex.split("; ")
+                        .map(|s| s.trim().to_string())
+                        .filter(|s| !s.is_empty())
+                        .collect(),
+                ),
+            ),
+            None => (body, Arc::new(Vec::new())),
+        };
+        let (relation, condition) = match body.split_once(" whose ") {
+            Some((r, c)) => (r.trim().to_string(), Some(condition_parse(c)?)),
+            None => (body.trim().to_string(), None),
+        };
+        if relation.is_empty() || key_attr.is_empty() {
+            return None;
+        }
+        Some(TaskIntent::ListKeys {
+            relation,
+            key_attr,
+            condition,
+            exclude,
+        })
+    }
+
+    fn parse_fetch_attr(q: &str) -> Option<TaskIntent> {
+        let rest = q.strip_prefix("For the ")?;
+        let (relation, rest) = rest.split_once(" identified by ")?;
+        let (key_attr, rest) = rest.split_once(" '")?;
+        let (key, rest) = rest.split_once("', what is its ")?;
+        let attribute = rest.split('?').next()?.trim().to_string();
+        Some(TaskIntent::FetchAttr {
+            relation: relation.trim().to_string(),
+            key_attr: key_attr.trim().to_string(),
+            key: key.to_string(),
+            attribute,
+        })
+    }
+
+    fn parse_fetch_attr_batch(q: &str) -> Option<TaskIntent> {
+        let rest = q.strip_prefix("For each ")?;
+        let (relation, rest) = rest.split_once(" identified by ")?;
+        let (key_attr, rest) = rest.split_once(" listed below, what is its ")?;
+        let (attribute, body) = rest.split_once(&format!("? {FETCH_BATCH_MARKER}\n"))?;
+        Some(TaskIntent::FetchAttrBatch {
+            relation: relation.trim().to_string(),
+            key_attr: key_attr.trim().to_string(),
+            keys: parse_key_lines(body)?,
+            attribute: attribute.trim().to_string(),
+        })
+    }
+
+    fn parse_fetch_grid_batch(q: &str) -> Option<TaskIntent> {
+        let rest = q.strip_prefix("For each ")?;
+        let (relation, rest) = rest.split_once(" identified by ")?;
+        let (key_attr, rest) = rest.split_once(" listed below, what are its ")?;
+        let (attributes, body) = rest.split_once(&format!("? {FETCH_GRID_MARKER}\n"))?;
+        let attributes: Vec<String> = attributes
+            .split(" / ")
+            .map(|a| a.trim().to_string())
+            .collect();
+        if attributes.iter().any(String::is_empty) {
+            return None;
+        }
+        Some(TaskIntent::FetchGridBatch {
+            relation: relation.trim().to_string(),
+            key_attr: key_attr.trim().to_string(),
+            keys: parse_key_lines(body)?,
+            attributes,
+        })
+    }
+
+    fn parse_filter_keys_batch(q: &str) -> Option<TaskIntent> {
+        let rest = q.strip_prefix("For each ")?;
+        let (relation, rest) = rest.split_once(" identified by ")?;
+        let (key_attr, rest) = rest.split_once(" listed below, is its ")?;
+        let (question, body) = rest.split_once(&format!("? {FILTER_BATCH_MARKER}\n"))?;
+        // `question` = `<attribute> <phrase>`; longest attribute first, as in
+        // the single-key filter parser.
+        let words: Vec<&str> = question.split(' ').collect();
+        for split in (1..words.len()).rev() {
+            let attribute = words[..split].join(" ");
+            let phrase = words[split..].join(" ");
+            if let Some(mut c) = parse_phrase(&phrase) {
+                c.attribute = attribute;
+                return Some(TaskIntent::FilterKeysBatch {
+                    relation: relation.trim().to_string(),
+                    key_attr: key_attr.trim().to_string(),
+                    keys: parse_key_lines(body)?,
+                    condition: c,
+                });
+            }
+        }
+        None
+    }
+
+    fn parse_check_filter(q: &str) -> Option<TaskIntent> {
+        let rest = q.strip_prefix("For the ")?;
+        let (relation, rest) = rest.split_once(" identified by ")?;
+        let (key_attr, rest) = rest.split_once(" '")?;
+        let (key, rest) = rest.split_once("', is its ")?;
+        let question = rest.split("? Answer").next()?;
+        // question = `<attribute> <phrase>`; the attribute is the first token
+        // run until a known phrase start. Try longest attribute first.
+        let words: Vec<&str> = question.split(' ').collect();
+        for split in (1..words.len()).rev() {
+            let attribute = words[..split].join(" ");
+            let phrase = words[split..].join(" ");
+            if let Some(mut c) = parse_phrase(&phrase) {
+                c.attribute = attribute;
+                return Some(TaskIntent::CheckFilter {
+                    relation: relation.trim().to_string(),
+                    key_attr: key_attr.trim().to_string(),
+                    key: key.to_string(),
+                    condition: c,
+                });
+            }
+        }
+        None
     }
 }

@@ -10,12 +10,19 @@
 //! interpretation"), and aliases model the surface-form variance that
 //! breaks joins ("IT" vs "ITA", §5).
 //!
-//! Reads go through two indexes built once, on the first read after the
-//! last [`KnowledgeStore::add_entity`] or [`KnowledgeStore::add_fact`]:
-//! each type's entities in list order (popularity descending, then name,
-//! then insertion), and for each `(type, canonical predicate)` the
-//! entities holding a fact for it, in the same order. No read sorts or
-//! scans a type.
+//! Two maps hold what was added, each keyed outer by the few distinct
+//! strings and inner by the many: surface forms by lowercase entity type,
+//! then lowercase surface; facts by canonical predicate, then subject id.
+//! A lookup ([`KnowledgeStore::resolve`], [`KnowledgeStore::fact`]) reads
+//! both levels with borrowed keys, lowercasing a short surface or label in
+//! a stack buffer, so it allocates nothing.
+//!
+//! Listing reads go through two indexes built once, on the first read
+//! after the last [`KnowledgeStore::add_entity`] or
+//! [`KnowledgeStore::add_fact`]: each type's entities in list order
+//! (popularity descending, then name, then insertion), and for each
+//! `(type, canonical predicate)` the entities holding a fact for it, in
+//! the same order. No read sorts or scans a type.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -64,8 +71,10 @@ pub enum FactValue {
 #[derive(Debug, Default, Clone)]
 pub struct KnowledgeStore {
     entities: Vec<Entity>,
-    by_name: HashMap<(String, String), EntityId>,
-    facts: HashMap<(EntityId, String), FactValue>,
+    /// Lowercase type → lowercase surface form (name or alias) → entity.
+    by_name: HashMap<String, HashMap<String, EntityId>>,
+    /// Canonical predicate → subject → object.
+    facts: HashMap<String, HashMap<EntityId, FactValue>>,
     /// Predicate synonym lexicon: surface label → canonical predicate.
     lexicon: HashMap<String, String>,
     /// Built on the first read after the last `add_entity` / `add_fact`.
@@ -104,13 +113,15 @@ impl Index {
             }
         }
         let mut holders: HashMap<String, HashMap<String, Vec<EntityId>>> = HashMap::new();
-        for (id, predicate) in kb.facts.keys() {
-            holders
-                .entry(kb.entity(*id).entity_type.clone())
-                .or_default()
-                .entry(predicate.clone())
-                .or_default()
-                .push(*id);
+        for (predicate, subjects) in &kb.facts {
+            for id in subjects.keys() {
+                holders
+                    .entry(kb.entity(*id).entity_type.clone())
+                    .or_default()
+                    .entry(predicate.clone())
+                    .or_default()
+                    .push(*id);
+            }
         }
         for ids in holders.values_mut().flat_map(HashMap::values_mut) {
             ids.sort_unstable_by_key(|id| rank[id.0 as usize]);
@@ -132,6 +143,28 @@ fn ascii_lower(s: &str) -> Cow<'_, str> {
     }
 }
 
+/// Longest text [`with_ascii_lower`] lowercases on the stack.
+const STACK_LOWER: usize = 64;
+
+/// Calls `f` with `s` ASCII-lowercased: `s` itself when it has no
+/// uppercase byte, a stack copy when it is at most [`STACK_LOWER`] bytes,
+/// else a heap copy.
+fn with_ascii_lower<R>(s: &str, f: impl FnOnce(&str) -> R) -> R {
+    if !s.bytes().any(|b| b.is_ascii_uppercase()) {
+        return f(s);
+    }
+    let mut buf = [0u8; STACK_LOWER];
+    if let Some(lower) = buf.get_mut(..s.len()) {
+        lower.copy_from_slice(s.as_bytes());
+        lower.make_ascii_lowercase();
+        // ASCII case mapping keeps UTF-8 valid, so this cannot fail.
+        if let Ok(lower) = std::str::from_utf8(lower) {
+            return f(lower);
+        }
+    }
+    f(&s.to_ascii_lowercase())
+}
+
 impl KnowledgeStore {
     /// An empty store.
     pub fn new() -> Self {
@@ -150,7 +183,9 @@ impl KnowledgeStore {
         let entity_type = entity_type.into().to_ascii_lowercase();
         self.index.take();
         self.by_name
-            .insert((entity_type.clone(), name.to_ascii_lowercase()), id);
+            .entry(entity_type.clone())
+            .or_default()
+            .insert(name.to_ascii_lowercase(), id);
         self.entities.push(Entity {
             id,
             name,
@@ -165,7 +200,10 @@ impl KnowledgeStore {
     pub fn add_alias(&mut self, id: EntityId, alias: impl Into<String>) {
         let alias = alias.into();
         let ty = self.entities[id.0 as usize].entity_type.clone();
-        self.by_name.insert((ty, alias.to_ascii_lowercase()), id);
+        self.by_name
+            .entry(ty)
+            .or_default()
+            .insert(alias.to_ascii_lowercase(), id);
         self.entities[id.0 as usize].aliases.push(alias);
     }
 
@@ -174,7 +212,7 @@ impl KnowledgeStore {
     pub fn add_fact(&mut self, subject: EntityId, predicate: impl Into<String>, object: FactValue) {
         let p = self.canonical_predicate(&predicate.into());
         self.index.take();
-        self.facts.insert((subject, p), object);
+        self.facts.entry(p).or_default().insert(subject, object);
     }
 
     /// Registers a predicate synonym: prompts that say `label` mean
@@ -192,7 +230,7 @@ impl KnowledgeStore {
     }
 
     /// [`Self::canonical_predicate`], borrowed where it can be.
-    fn canonical<'a>(&'a self, label: &'a str) -> Cow<'a, str> {
+    pub(crate) fn canonical<'a>(&'a self, label: &'a str) -> Cow<'a, str> {
         let lower = ascii_lower(label);
         match self.lexicon.get(lower.as_ref()) {
             Some(canonical) => Cow::Borrowed(canonical),
@@ -243,18 +281,17 @@ impl KnowledgeStore {
 
     /// Resolves a surface form (name or alias) of a given type.
     pub fn resolve(&self, entity_type: &str, surface: &str) -> Option<EntityId> {
-        self.by_name
-            .get(&(
-                entity_type.to_ascii_lowercase(),
-                surface.trim().to_ascii_lowercase(),
-            ))
-            .copied()
+        let surfaces = with_ascii_lower(entity_type, |ty| self.by_name.get(ty))?;
+        with_ascii_lower(surface.trim(), |surface| surfaces.get(surface).copied())
     }
 
     /// Looks up a fact by subject and (surface) predicate label.
     pub fn fact(&self, subject: EntityId, predicate: &str) -> Option<&FactValue> {
-        self.facts
-            .get(&(subject, self.canonical_predicate(predicate)))
+        with_ascii_lower(predicate, |label| {
+            let canonical = self.lexicon.get(label).map_or(label, String::as_str);
+            self.facts.get(canonical)
+        })?
+        .get(&subject)
     }
 }
 
@@ -414,6 +451,134 @@ mod tests {
     fn unknown_type_is_empty() {
         let kb = store();
         assert!(kb.entities_of_type("volcano").is_empty());
+    }
+
+    /// The store as it was before lookups borrowed their keys: one flat
+    /// map per lookup, keyed by owned tuples built on every call. Kept as
+    /// the reference `resolve` and `fact` are checked against.
+    #[derive(Default)]
+    struct Flat {
+        by_name: HashMap<(String, String), EntityId>,
+        facts: HashMap<(EntityId, String), FactValue>,
+        lexicon: HashMap<String, String>,
+        types: Vec<String>,
+    }
+
+    impl Flat {
+        fn canonical_predicate(&self, label: &str) -> String {
+            let lower = label.to_ascii_lowercase();
+            self.lexicon.get(&lower).cloned().unwrap_or(lower)
+        }
+
+        fn resolve(&self, entity_type: &str, surface: &str) -> Option<EntityId> {
+            self.by_name
+                .get(&(
+                    entity_type.to_ascii_lowercase(),
+                    surface.trim().to_ascii_lowercase(),
+                ))
+                .copied()
+        }
+
+        fn fact(&self, subject: EntityId, predicate: &str) -> Option<&FactValue> {
+            self.facts
+                .get(&(subject, self.canonical_predicate(predicate)))
+        }
+    }
+
+    /// Text on both sides of the stack-lowercasing cut (`STACK_LOWER`
+    /// bytes), in ASCII and with two-byte characters, as given and padded.
+    fn around_the_cut(letter: char) -> Vec<String> {
+        let mut out = Vec::new();
+        for len in [STACK_LOWER - 1, STACK_LOWER, STACK_LOWER + 1] {
+            for c in [letter, letter.to_ascii_lowercase()] {
+                let ascii: String = std::iter::repeat_n(c, len).collect();
+                // `Ü` is two bytes: 31 of them and the rest in `c`.
+                let wide: String = std::iter::repeat_n('Ü', 31)
+                    .chain(std::iter::repeat_n(c, len - 62))
+                    .collect();
+                out.push(format!(" {ascii}"));
+                out.extend([ascii, wide]);
+            }
+        }
+        out
+    }
+
+    fn pool(fixed: &[&str], letter: char) -> Vec<String> {
+        fixed
+            .iter()
+            .map(|s| s.to_string())
+            .chain(around_the_cut(letter))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn borrowed_lookups_match_the_owned_reference(
+            ops in proptest::collection::vec((0usize..4, 0usize..64, 0usize..64, 0usize..64), 0..40),
+        ) {
+            let surfaces = pool(
+                &["Rome", "rome", "ROME", " Rome ", "\tRome\n", "Zürich", "ZÜRICH", "zürich", "東京", "", " ", "IT", "it"],
+                'X',
+            );
+            let types = pool(&["city", "City", "CITY", " city", "country", "Länder", "LÄNDER"], 'T');
+            let labels = pool(
+                &["population", "Population", "Number of Residents", "number of residents", "inhabitants", "name", "Name", "Höhe", "HÖHE", " population"],
+                'P',
+            );
+            let at = |of: &[String], i: usize| of[i % of.len()].clone();
+            let mut kb = KnowledgeStore::new();
+            let mut flat = Flat::default();
+            for (op, a, b, c) in ops {
+                match op {
+                    0 => {
+                        let (name, ty) = (at(&surfaces, a), at(&types, b));
+                        let id = kb.add_entity(name.clone(), ty.clone(), 0.5);
+                        let ty = ty.to_ascii_lowercase();
+                        flat.by_name.insert((ty.clone(), name.to_ascii_lowercase()), id);
+                        flat.types.push(ty);
+                    }
+                    1 if !flat.types.is_empty() => {
+                        let (id, alias) = (a % flat.types.len(), at(&surfaces, b));
+                        kb.add_alias(EntityId(id as u32), alias.clone());
+                        flat.by_name.insert((flat.types[id].clone(), alias.to_ascii_lowercase()), EntityId(id as u32));
+                    }
+                    2 if !flat.types.is_empty() => {
+                        let (id, label) = (EntityId((a % flat.types.len()) as u32), at(&labels, b));
+                        kb.add_fact(id, label.clone(), FactValue::Number(c as f64));
+                        let canonical = flat.canonical_predicate(&label);
+                        flat.facts.insert((id, canonical), FactValue::Number(c as f64));
+                    }
+                    _ => {
+                        let (label, canonical) = (at(&labels, a), at(&labels, b));
+                        kb.add_synonym(label.clone(), canonical.clone());
+                        flat.lexicon.insert(label.to_ascii_lowercase(), canonical.to_ascii_lowercase());
+                    }
+                }
+            }
+            for ty in &types {
+                for surface in &surfaces {
+                    proptest::prop_assert_eq!(kb.resolve(ty, surface), flat.resolve(ty, surface), "{:?} {:?}", ty, surface);
+                }
+            }
+            // One id past the last entity too: no fact, on both sides.
+            for id in 0..=flat.types.len() {
+                for label in &labels {
+                    let id = EntityId(id as u32);
+                    proptest::prop_assert_eq!(kb.fact(id, label), flat.fact(id, label), "{:?} {:?}", id, label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lowercasing_is_exact_on_both_sides_of_the_stack_cut() {
+        for text in around_the_cut('Q')
+            .iter()
+            .chain(&["".to_string(), "É東q".to_string()])
+        {
+            let lowered = with_ascii_lower(text, str::to_string);
+            assert_eq!(lowered, text.to_ascii_lowercase(), "{text:?}");
+        }
     }
 
     #[test]

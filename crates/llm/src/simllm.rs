@@ -40,6 +40,7 @@ use crate::tokenizer::{count_tokens, truncate_tokens};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -151,24 +152,20 @@ impl SimLlm {
     /// The value the model *believes* for `(entity, attribute)`:
     /// `None` = the model would answer "Unknown".
     pub(crate) fn perceived_fact(&self, e: &Entity, attribute: &str) -> Option<FactValue> {
-        let ty = e.entity_type.clone();
-        // An entity's "name" is its identity, not a stored fact: asked for
-        // the name of something it recalls, the model simply says the name.
-        if self.kb.fact(e.id, attribute).is_none()
-            && self.kb.canonical_predicate(attribute) == "name"
-        {
-            return Some(FactValue::Text(e.name.clone()));
-        }
-        let truth = self.kb.fact(e.id, attribute)?;
-        if self.chance(
-            self.profile.unknown_rate,
-            &["know", &ty, &e.name, attribute],
-        ) {
+        let ty = &e.entity_type;
+        let Some(truth) = self.kb.fact(e.id, attribute) else {
+            // An entity's "name" is its identity, not a stored fact: asked
+            // for the name of something it recalls, the model simply says
+            // the name.
+            return (self.kb.canonical(attribute) == "name")
+                .then(|| FactValue::Text(e.name.clone()));
+        };
+        if self.chance(self.profile.unknown_rate, &["know", ty, &e.name, attribute]) {
             return None;
         }
         if self.chance(
             self.profile.value_error_rate,
-            &["err", &ty, &e.name, attribute],
+            &["err", ty, &e.name, attribute],
         ) {
             Some(self.perturbed(truth, e, attribute))
         } else {
@@ -564,9 +561,10 @@ impl SimLlm {
         })
     }
 
-    /// The entity type a prompt-level relation name denotes.
-    pub(crate) fn relation_type(&self, relation: &str) -> String {
-        self.kb.canonical_predicate(relation)
+    /// The entity type a prompt-level relation name denotes, borrowed
+    /// where it can be.
+    pub(crate) fn relation_type<'a>(&'a self, relation: &'a str) -> Cow<'a, str> {
+        self.kb.canonical(relation)
     }
 
     /// The model's stable belief surface list for one relation scan —
@@ -591,7 +589,7 @@ impl SimLlm {
         if ids.is_empty() {
             return None;
         }
-        let concept = ListConcept::new(ty, key_attr, condition);
+        let concept = ListConcept::new(ty.into_owned(), key_attr, condition);
         let memo = self.lists.lock().get(&concept).cloned();
         if memo.is_some() {
             return memo;
