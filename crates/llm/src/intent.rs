@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Comparison operators usable in prompt conditions.
@@ -575,81 +574,22 @@ fn split_by_owner<'a>(
     }
     let done = payloads.len();
     if done < cells.len() {
-        let owned = pending.into_iter().chain(lines.filter_map(owner));
-        let mut index = LineIndex::new(owned, cells.len() - done);
-        payloads.extend(cells[done..].iter().map(|cell| index.take(*cell)));
+        // Each owner's lines, first to last: `heads` holds the first not
+        // yet taken, `next` chains the later ones.
+        let owned: Vec<Owned> = pending.into_iter().chain(lines.filter_map(owner)).collect();
+        let mut heads = HashMap::with_capacity(owned.len());
+        let mut next = vec![None; owned.len()];
+        for (at, (of, _)) in owned.iter().enumerate().rev() {
+            next[at] = heads.insert(*of, Some(at)).flatten();
+        }
+        payloads.extend(cells[done..].iter().map(|cell| {
+            let head = heads.get_mut(cell)?;
+            let at = (*head)?;
+            *head = next[at];
+            Some(owned[at].1)
+        }));
     }
     payloads
-}
-
-/// Answer lines by owner, each owner's payloads in line order.
-struct LineIndex<'a> {
-    /// Owner → its first payload not yet taken, as an index into `lines`.
-    heads: HashMap<(&'a str, &'a str), Option<usize>, BuildHasherDefault<WordHasher>>,
-    /// Every line's payload and the index of its owner's next line.
-    lines: Vec<(&'a str, Option<usize>)>,
-}
-
-impl<'a> LineIndex<'a> {
-    /// Indexes lines given in line order; `owners` sizes the map.
-    fn new(owned: impl DoubleEndedIterator<Item = Owned<'a>>, owners: usize) -> Self {
-        let mut index = LineIndex {
-            heads: HashMap::with_capacity_and_hasher(owners, BuildHasherDefault::default()),
-            lines: Vec::with_capacity(owners),
-        };
-        // Last line first, so that each owner's head ends at its first.
-        for (owner, payload) in owned.rev() {
-            let next = index.heads.insert(owner, Some(index.lines.len()));
-            index.lines.push((payload, next.flatten()));
-        }
-        index
-    }
-
-    /// The owner's first payload not yet taken.
-    fn take(&mut self, owner: (&'a str, &'a str)) -> Option<&'a str> {
-        let head = self.heads.get_mut(&owner)?;
-        let (payload, next) = *self.lines.get((*head)?)?;
-        *head = next;
-        Some(payload)
-    }
-}
-
-/// The hash of a [`LineIndex`]: a rotate, xor and multiply per eight
-/// bytes (the step of rustc's `FxHasher`), a few nanoseconds per owner
-/// where a keyed SipHash takes tens. It is not keyed, so an answer could
-/// aim its lines at one bucket; that costs the index an owner comparison
-/// per pair of lines, which is what the walk it replaces pays anyway.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(word);
-            self.add(u64::from_le_bytes(le));
-        }
-        let mut last = [0u8; 8];
-        last[..words.remainder().len()].copy_from_slice(words.remainder());
-        self.add(u64::from_le_bytes(last));
-    }
-
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-
-    /// The multiply leaves its entropy in the high bits and the table
-    /// indexes by the low ones.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
 }
 
 /// [`split_batched_answer`] by testing every key against every unused
@@ -826,8 +766,7 @@ where
 /// Byte offset where the final question's `Q: ` lead-in starts, if the
 /// prompt carries one. Anchored to line starts — a `Q: ` in the middle of
 /// a line (a question mentioning a key like `FAQ: basics`, or a batched
-/// key list containing one) is content, not a marker. Scans back from the
-/// end over newlines, so a batched prompt reads only its question.
+/// key list containing one) is content, not a marker.
 pub(crate) fn question_start(prompt: &str) -> Option<usize> {
     let mut end = prompt.len();
     while let Some(newline) = prompt[..end].rfind('\n') {
