@@ -868,34 +868,50 @@ impl ParseOutcome {
 /// ordinary NL question.
 pub fn parse_task_outcome(prompt: &str) -> ParseOutcome {
     let q = question_line(prompt);
-    let (parsed, family, markers): (_, _, &[&str]) = if let Some(rest) = q.strip_prefix("List the ")
-    {
-        (
-            parse_list_keys(rest),
-            "list-keys",
-            &[" of every ", ". Answer with"],
-        )
-    } else if let Some(rest) = q.strip_prefix("For the ") {
-        (
-            parse_per_key(rest),
-            "per-key fetch/filter",
-            &[" identified by "],
-        )
-    } else if let Some(rest) = q.strip_prefix("For each ") {
-        (
-            parse_batched(rest),
-            "batched fetch/filter",
-            &[" identified by "],
-        )
-    } else {
-        return ParseOutcome::Unrecognized;
-    };
-    match parsed {
-        Some(t) => ParseOutcome::Parsed(t),
-        None if markers.iter().all(|marker| q.contains(marker)) => ParseOutcome::Malformed(family),
-        None => ParseOutcome::Unrecognized,
+    for (lead, parse, family, markers) in FAMILIES {
+        if let Some(rest) = q.strip_prefix(lead) {
+            return match parse(rest) {
+                Some(t) => ParseOutcome::Parsed(t),
+                None if markers.iter().all(|marker| q.contains(marker)) => {
+                    ParseOutcome::Malformed(family)
+                }
+                None => ParseOutcome::Unrecognized,
+            };
+        }
     }
+    ParseOutcome::Unrecognized
 }
+
+/// The operator families: each one's lead, the parser of what follows it,
+/// its name, and the markers that make a body it cannot decode
+/// `Malformed` rather than `Unrecognized`.
+type Family = (
+    &'static str,
+    fn(&str) -> Option<TaskIntent>,
+    &'static str,
+    &'static [&'static str],
+);
+
+const FAMILIES: [Family; 3] = [
+    (
+        "List the ",
+        parse_list_keys,
+        "list-keys",
+        &[" of every ", ". Answer with"],
+    ),
+    (
+        "For the ",
+        parse_per_key,
+        "per-key fetch/filter",
+        &[" identified by "],
+    ),
+    (
+        "For each ",
+        parse_batched,
+        "batched fetch/filter",
+        &[" identified by "],
+    ),
+];
 
 /// Attempts to decode an operator prompt into a [`TaskIntent`] — the
 /// `Option` adapter over [`parse_task_outcome`] (malformed and
