@@ -14,8 +14,8 @@
 //! strings and inner by the many: surface forms by lowercase entity type,
 //! then lowercase surface; facts by canonical predicate, then subject id.
 //! A lookup ([`KnowledgeStore::resolve`], [`KnowledgeStore::fact`]) reads
-//! both levels with borrowed keys, lowercasing a short surface or label in
-//! a stack buffer, so it allocates nothing.
+//! both levels with borrowed keys, lowercasing a surface or label of up to
+//! 64 bytes in a stack buffer, so it allocates nothing.
 //!
 //! Listing reads go through two indexes built once, on the first read
 //! after the last [`KnowledgeStore::add_entity`] or
