@@ -794,27 +794,46 @@ pub fn question_line(prompt: &str) -> &str {
     }
 }
 
-/// Byte offset of the first occurrence of `parts`, concatenated, in `s`:
-/// a scan for the first part's first character that compares the parts at
-/// each hit, so no substring searcher is built (a prompt's fields are
-/// short). `None` for an empty pattern.
+/// Byte offset of the first occurrence of `parts`, concatenated, in `s`,
+/// without building a substring searcher (a prompt's fields are short).
+/// It scans for one character of the pattern and compares the whole
+/// pattern around each hit: the first ASCII punctuation mark, rarer in a
+/// question than a letter or a space (`, what is its` is found by its
+/// comma, not at every space), else the first character. `None` for an
+/// empty pattern.
 fn find(s: &str, parts: &[&str]) -> Option<usize> {
-    let first = parts.first()?.chars().next()?;
+    let punctuation = parts
+        .iter()
+        .flat_map(|part| part.bytes())
+        .enumerate()
+        .find(|(_, b)| b.is_ascii_punctuation());
+    let (skip, anchor) = match punctuation {
+        Some((skip, b)) => (skip, char::from(b)),
+        None => (0, parts.iter().flat_map(|part| part.chars()).next()?),
+    };
+    let hay = s.as_bytes();
     let mut from = 0;
-    while let Some(skip) = s[from..].find(first) {
-        let at = from + skip;
-        let mut rest = &s[at..];
-        let matches = parts.iter().all(|part| match rest.strip_prefix(part) {
-            Some(after) => {
-                rest = after;
-                true
-            }
-            None => false,
-        });
+    while let Some(hit) = s[from..].find(anchor) {
+        let anchor_at = from + hit;
+        from = anchor_at + anchor.len_utf8();
+        let Some(at) = anchor_at.checked_sub(skip) else {
+            continue;
+        };
+        // A byte match starts on a char boundary: the pattern's first byte
+        // is a character's first byte, as `hay[at]` must then be.
+        let mut rest = &hay[at..];
+        let matches = parts
+            .iter()
+            .all(|part| match rest.strip_prefix(part.as_bytes()) {
+                Some(after) => {
+                    rest = after;
+                    true
+                }
+                None => false,
+            });
         if matches {
             return Some(at);
         }
-        from = at + first.len_utf8();
     }
     None
 }
@@ -1716,6 +1735,18 @@ mod tests {
                     "{:?}", prompt
                 );
             }
+        }
+
+        #[test]
+        fn find_agrees_with_str_find(
+            hay in proptest::collection::vec(hostile(), 0..6),
+            parts in proptest::collection::vec(hostile(), 1..4),
+        ) {
+            let hay = hay.concat();
+            let pattern = parts.concat();
+            let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
+            let expected = (!pattern.is_empty()).then(|| hay.find(&pattern)).flatten();
+            prop_assert_eq!(find(&hay, &parts), expected, "{:?} in {:?}", parts, hay);
         }
 
         #[test]
