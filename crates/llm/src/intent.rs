@@ -768,30 +768,35 @@ where
 /// a line (a question mentioning a key like `FAQ: basics`, or a batched
 /// key list containing one) is content, not a marker.
 pub(crate) fn question_start(prompt: &str) -> Option<usize> {
-    let mut end = prompt.len();
-    while let Some(newline) = prompt[..end].rfind('\n') {
-        if prompt[newline + 1..].starts_with("Q: ") {
-            return Some(newline + 1);
-        }
-        end = newline;
-    }
-    prompt.starts_with("Q: ").then_some(0)
+    question_span(prompt).map(|(start, _)| start)
 }
 
 /// Extracts the final question from a full prompt (drops the few-shot
 /// preamble: the question follows the last line-initial `Q: ` marker, or
 /// is the whole text when no marker is present).
 pub fn question_line(prompt: &str) -> &str {
-    match question_start(prompt) {
-        Some(i) => {
-            let rest = &prompt[i + 3..];
-            match find(rest, &["\nA:"]) {
-                Some(j) => rest[..j].trim(),
-                None => rest.trim(),
-            }
-        }
+    match question_span(prompt) {
+        Some((start, end)) => prompt[start + 3..end.unwrap_or(prompt.len())].trim(),
         None => prompt.trim(),
     }
+}
+
+/// [`question_start`] and, from the same scan back over the prompt's
+/// newlines, where the question ends: the first `\nA:` after it.
+fn question_span(prompt: &str) -> Option<(usize, Option<usize>)> {
+    let mut end = prompt.len();
+    let mut answer = None;
+    while let Some(newline) = prompt[..end].rfind('\n') {
+        let line = &prompt[newline + 1..];
+        if line.starts_with("Q: ") {
+            return Some((newline + 1, answer));
+        }
+        if line.starts_with("A:") {
+            answer = Some(newline);
+        }
+        end = newline;
+    }
+    prompt.starts_with("Q: ").then_some((0, answer))
 }
 
 /// Byte offset of the first occurrence of `parts`, concatenated, in `s`,
@@ -1571,6 +1576,8 @@ mod tests {
         "? Answer",
         " of every ",
         " identified by ",
+        " listed below, what is its ",
+        " listed below, is its ",
         " whose ",
         ". Answer with",
         "- ",
