@@ -13,6 +13,7 @@ use galois_llm::intent::{CmpOp, Condition, PromptValue};
 use galois_relational::{Catalog, Column, LogicalPlan, ScalarExpr, TableSchema, Value};
 use galois_sql::ast::{BinaryOp, SourceQualifier};
 use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One LLM base-relation retrieval.
@@ -108,13 +109,23 @@ pub fn compile(
     catalog: &Catalog,
     options: &CompileOptions,
 ) -> Result<CompiledQuery> {
+    compile_owned(plan.clone(), catalog, options)
+}
+
+/// [`compile`], consuming the plan: the residual plan is rewritten from it
+/// in place.
+pub(crate) fn compile_owned(
+    plan: LogicalPlan,
+    catalog: &Catalog,
+    options: &CompileOptions,
+) -> Result<CompiledQuery> {
     // Pass 1: which attributes does the plan need per binding?
     let mut needed: HashMap<String, BTreeSet<String>> = HashMap::new();
-    collect_needed(plan, &mut needed);
+    collect_needed(&plan, &mut needed);
 
     // Pass 2: rewrite LLM scans (and their filters) into steps.
     let mut steps = Vec::new();
-    let plan = rewrite(plan.clone(), catalog, options, &needed, &mut steps)?;
+    let plan = rewrite(plan, catalog, options, &needed, &mut steps)?;
     Ok(CompiledQuery { steps, plan })
 }
 
@@ -486,25 +497,33 @@ pub fn limit_hint(compiled: &CompiledQuery) -> Option<usize> {
 /// Renders one retrieval step's header and prompt protocol (the Figure-3
 /// step block of [`crate::plan_choice::PlannedQuery::render`]).
 pub(crate) fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
-    out.push_str(&format!(
-        "[LLM step {}] scan {} AS {} (key: {})\n",
+    // Writing to a `String` cannot fail.
+    let _ = write_step(step, index, out);
+}
+
+fn write_step(step: &LlmScanStep, index: usize, out: &mut String) -> std::fmt::Result {
+    writeln!(
+        out,
+        "[LLM step {}] scan {} AS {} (key: {})",
         index + 1,
         step.table,
         step.binding,
         step.key_attr
-    ));
+    )?;
     if let Some(c) = &step.scan_condition {
-        out.push_str(&format!("    pushed-down condition: {}\n", c.render()));
+        writeln!(out, "    pushed-down condition: {}", c.render())?;
     }
     for f in &step.filter_conditions {
-        out.push_str(&format!("    filter prompt per key: {}\n", f.render()));
+        writeln!(out, "    filter prompt per key: {}", f.render())?;
     }
     for idx in &step.fetch {
-        out.push_str(&format!(
-            "    fetch prompt per key: {}\n",
+        writeln!(
+            out,
+            "    fetch prompt per key: {}",
             step.columns()[*idx].name
-        ));
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

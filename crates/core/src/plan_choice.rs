@@ -55,7 +55,7 @@
 //! assert!(cost_based.report.est_virtual_ms <= heuristic.report.est_virtual_ms);
 //! ```
 
-use crate::compile::{compile, CompileOptions, CompiledQuery, LlmScanStep};
+use crate::compile::{compile_owned, CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::Result;
 use crate::physical::{self, PhysicalPlan, Stage};
 use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
@@ -64,7 +64,7 @@ use galois_llm::{ClientStats, Parallelism, BATCH_OVERHEAD_MS};
 use galois_relational::cost as rcost;
 use galois_relational::{join_algorithm, Catalog, JoinAlgorithm, LogicalPlan, TableSchema};
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Expected per-prompt model latency (virtual ms) before any observed
@@ -253,6 +253,11 @@ pub struct StepCost {
     /// overhead); in wave mode it equals `virtual_ms`, the step's packed
     /// block length.
     pub busy_ms: f64,
+    /// The stored key count the listing phase was estimated from, when the
+    /// step's key universe is warm (its concept is in
+    /// [`PlannerParams::warm_lists`]); `None` when it is cold or no store
+    /// is attached.
+    pub warm_keys: Option<usize>,
 }
 
 impl StepCost {
@@ -425,61 +430,78 @@ pub(crate) fn estimate_step(
         expected_cache_hits: params.cache_hit_rate * total,
         virtual_ms,
         busy_ms,
+        warm_keys,
     }
 }
 
 /// Scan bindings of a join side, left to right — the `EXPLAIN` label for
 /// one input of a join.
 fn side_label(plan: &LogicalPlan) -> String {
-    let labels: Vec<&str> = plan
-        .scans()
-        .iter()
-        .filter_map(|s| match s {
-            LogicalPlan::Scan { binding, .. } => Some(binding.as_str()),
-            _ => None,
-        })
-        .collect();
-    if labels.is_empty() {
-        "?".to_string()
-    } else {
-        labels.join(" ⋈ ")
+    fn push_bindings(plan: &LogicalPlan, label: &mut String, scans: &mut usize) {
+        if let LogicalPlan::Scan { binding, .. } = plan {
+            if *scans > 0 {
+                label.push_str(" ⋈ ");
+            }
+            label.push_str(binding);
+            *scans += 1;
+        }
+        for child in plan.children() {
+            push_bindings(child, label, scans);
+        }
     }
+    let (mut label, mut scans) = (String::new(), 0);
+    push_bindings(plan, &mut label, &mut scans);
+    if scans == 0 {
+        label.push('?');
+    }
+    label
 }
 
 /// Appends one `join order:` report line per join node (post-order, so
 /// inner joins print before the joins consuming them): the algorithm the
 /// executor joins with ([`join_algorithm`] over the scans' schemas,
-/// `schema_of`) and the estimated rows of each side.
+/// `schema_of`) and the estimated rows of each side, read from `rows`,
+/// the estimates of `plan`'s nodes in pre-order. Returns how many nodes
+/// `plan` has.
 fn join_order_lines<'s>(
     plan: &LogicalPlan,
-    catalog: &Catalog,
-    overrides: &HashMap<String, f64>,
+    rows: &[f64],
     schema_of: &impl Fn(&str) -> Option<&'s TableSchema>,
     out: &mut String,
-) {
-    for child in plan.children() {
-        join_order_lines(child, catalog, overrides, schema_of, out);
-    }
-    if let LogicalPlan::Join {
-        left,
-        right,
-        condition,
-        ..
-    } = plan
-    {
+) -> std::result::Result<usize, fmt::Error> {
+    let (left, right) = match plan {
+        LogicalPlan::Scan { .. } => return Ok(1),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Distinct { input }
+        | LogicalPlan::Limit { input, .. } => {
+            return Ok(1 + join_order_lines(input, &rows[1..], schema_of, out)?)
+        }
+        LogicalPlan::Join { left, right, .. } | LogicalPlan::CrossJoin { left, right, .. } => {
+            (left, right)
+        }
+    };
+    let left_nodes = join_order_lines(left, &rows[1..], schema_of, out)?;
+    let right_rows = &rows[1 + left_nodes..];
+    let right_nodes = join_order_lines(right, right_rows, schema_of, out)?;
+    if let LogicalPlan::Join { condition, .. } = plan {
         let (l, r) = (side_label(left), side_label(right));
-        let algorithm = match join_algorithm(left, right, condition, schema_of) {
-            JoinAlgorithm::IndexRight(_) => format!("index join on {r}'s key"),
-            JoinAlgorithm::IndexLeft(_) => format!("index join on {l}'s key"),
-            JoinAlgorithm::Hash => format!("hash join building {r}"),
-            JoinAlgorithm::NestedLoop => "nested loop".to_string(),
-        };
-        out.push_str(&format!(
-            "join order: {l} ⋈ {r}  ({algorithm}; left rows≈{:.0}, right rows≈{:.0})\n",
-            rcost::estimate_rows_with(left, catalog, overrides),
-            rcost::estimate_rows_with(right, catalog, overrides),
-        ));
+        write!(out, "join order: {l} ⋈ {r}  (")?;
+        match join_algorithm(left, right, condition, schema_of) {
+            JoinAlgorithm::IndexRight(_) => write!(out, "index join on {r}'s key")?,
+            JoinAlgorithm::IndexLeft(_) => write!(out, "index join on {l}'s key")?,
+            JoinAlgorithm::Hash => write!(out, "hash join building {r}")?,
+            JoinAlgorithm::NestedLoop => out.push_str("nested loop"),
+        }
+        writeln!(
+            out,
+            "; left rows≈{:.0}, right rows≈{:.0})",
+            rows[1], right_rows[0]
+        )?;
     }
+    Ok(1 + left_nodes + right_nodes)
 }
 
 /// [`estimate_step`] over the stages the step is laid out as.
@@ -488,36 +510,46 @@ fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> St
     estimate_step(step, &stages, catalog, params)
 }
 
+/// Whether `cost` beats `best`. Strict improvement keeps ties on the
+/// heuristic shape (and on the lowest candidate), which keeps the choice
+/// deterministic.
+fn cheaper(cost: &StepCost, best: &StepCost) -> bool {
+    cost.virtual_ms < best.virtual_ms - 1e-9
+        || (cost.virtual_ms <= best.virtual_ms + 1e-9
+            && cost.total_prompts() < best.total_prompts() - 1e-9)
+}
+
 /// Picks the cheapest pushdown variant of one step. Returns the chosen
-/// step, its cost, and how many candidates were costed.
+/// step, its cost, and how many candidates were costed. Candidate `j` is
+/// the step with filter condition `j` moved into its scan condition; the
+/// step itself serves as every candidate, each condition moving back after
+/// its estimate, and only the winner's stays pushed.
 fn best_step_variant(
-    step: &LlmScanStep,
+    mut step: LlmScanStep,
     catalog: &Catalog,
     params: &PlannerParams,
 ) -> (LlmScanStep, StepCost, usize) {
-    let mut best = step.clone();
-    let mut best_cost = estimate(step, catalog, params);
-    let mut considered = 1;
+    let mut best_cost = estimate(&step, catalog, params);
     if step.scan_condition.is_some() {
-        return (best, best_cost, considered);
+        return (step, best_cost, 1);
     }
+    let mut best = None;
+    let considered = 1 + step.filter_conditions.len();
     for j in 0..step.filter_conditions.len() {
-        let mut candidate = step.clone();
-        let cond = candidate.filter_conditions.remove(j);
-        candidate.scan_condition = Some(cond);
-        let cost = estimate(&candidate, catalog, params);
-        considered += 1;
-        // Strict improvement keeps ties on the heuristic shape (and on the
-        // lowest j), which keeps the choice deterministic.
-        if cost.virtual_ms < best_cost.virtual_ms - 1e-9
-            || (cost.virtual_ms <= best_cost.virtual_ms + 1e-9
-                && cost.total_prompts() < best_cost.total_prompts() - 1e-9)
-        {
-            best = candidate;
+        step.scan_condition = Some(step.filter_conditions.remove(j));
+        let cost = estimate(&step, catalog, params);
+        if let Some(cond) = step.scan_condition.take() {
+            step.filter_conditions.insert(j, cond);
+        }
+        if cheaper(&cost, &best_cost) {
+            best = Some(j);
             best_cost = cost;
         }
     }
-    (best, best_cost, considered)
+    if let Some(j) = best {
+        step.scan_condition = Some(step.filter_conditions.remove(j));
+    }
+    (step, best_cost, considered)
 }
 
 /// Chooses a retrieval program for an optimized logical plan, and lays it
@@ -535,9 +567,20 @@ pub fn plan_query(
     planner: Planner,
     params: &PlannerParams,
 ) -> Result<PlannedQuery> {
+    plan_owned(plan.clone(), catalog, options, planner, params)
+}
+
+/// [`plan_query`], consuming the plan: it is compiled in place.
+pub(crate) fn plan_owned(
+    plan: LogicalPlan,
+    catalog: &Catalog,
+    options: &CompileOptions,
+    planner: Planner,
+    params: &PlannerParams,
+) -> Result<PlannedQuery> {
     let (compiled, costs, candidates) = match planner {
         Planner::Heuristic => {
-            let compiled = compile(plan, catalog, options)?;
+            let compiled = compile_owned(plan, catalog, options)?;
             let costs: Vec<StepCost> = (compiled.steps.iter())
                 .map(|step| estimate(step, catalog, params))
                 .collect();
@@ -546,10 +589,10 @@ pub fn plan_query(
         Planner::CostBased => {
             // Start from the no-pushdown compilation so every condition is
             // a candidate, then choose per step.
-            let mut compiled = compile(plan, catalog, &CompileOptions { pushdown: false })?;
+            let mut compiled = compile_owned(plan, catalog, &CompileOptions { pushdown: false })?;
             let mut candidates = 0usize;
             let mut chosen = Vec::with_capacity(compiled.steps.len());
-            for step in &compiled.steps {
+            for step in std::mem::take(&mut compiled.steps) {
                 let (step, cost, considered) = best_step_variant(step, catalog, params);
                 chosen.push((step, cost));
                 candidates += considered;
@@ -599,67 +642,83 @@ impl PlannedQuery {
     /// protocol and cost estimates, then the residual relational plan with
     /// cardinality annotations, then query totals.
     pub(crate) fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
+        let mut out = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.write_report(catalog, params, &mut out);
+        out
+    }
+
+    /// [`PlannedQuery::render`], appending to `out`.
+    fn write_report(
+        &self,
+        catalog: &Catalog,
+        params: &PlannerParams,
+        out: &mut String,
+    ) -> fmt::Result {
+        write!(
+            out,
+            "galois plan  (planner: {}, lanes: {}",
+            self.report.planner,
+            params.parallelism.get()
+        )?;
         // The batch factor only appears when a prompt fuses something, so
         // the `PromptBatch::Off` report stays byte-identical to the
         // pre-batch pipeline's.
         let shape = self.physical.batch;
         let (keys, attrs) = (shape.keys_per_prompt(), shape.attrs_per_prompt());
-        let batch = if attrs > 1 {
-            format!(", batch: {keys} keys × {attrs} attrs/prompt")
+        if attrs > 1 {
+            write!(out, ", batch: {keys} keys × {attrs} attrs/prompt")?;
         } else if keys > 1 {
-            format!(", batch: {keys} keys/prompt")
-        } else {
-            String::new()
-        };
+            write!(out, ", batch: {keys} keys/prompt")?;
+        }
         // Likewise the pipeline tag: absent in the default wave mode, so
         // the pre-pipelining report stays byte-identical.
-        let pipeline = if params.pipeline.is_streaming() {
-            ", pipeline: streaming"
-        } else {
-            ""
-        };
-        let mut out = format!(
-            "galois plan  (planner: {}, lanes: {}{batch}{pipeline}, candidates considered: {})\n",
-            self.report.planner,
-            params.parallelism.get(),
+        if params.pipeline.is_streaming() {
+            out.push_str(", pipeline: streaming");
+        }
+        writeln!(
+            out,
+            ", candidates considered: {})",
             self.report.candidates_considered
-        );
+        )?;
         // The early-termination line appears only when the plan has a
         // window, so every other report stays byte-identical to the
         // pre-limit pipeline's.
         if let Some(n) = self.physical.window {
-            out.push_str(&format!("limit: early-stop after ~{n} keys\n"));
+            writeln!(out, "limit: early-stop after ~{n} keys")?;
         }
         // The resilience line appears only with the retry knob on, so
         // every `Resilience::Off` report stays byte-identical to the
         // pre-resilience pipeline's.
         if let Resilience::On(policy) = &params.resilience {
-            out.push_str(&format!(
+            writeln!(
+                out,
                 "resilience: {} retries, backoff {}ms ×{} (cap {}ms), timeout {}ms, \
-                 breaker opens at {}\n",
+                 breaker opens at {}",
                 policy.max_retries,
                 policy.base_backoff_ms,
                 policy.multiplier,
                 policy.max_backoff_ms,
                 policy.timeout_ms,
                 policy.breaker_threshold,
-            ));
+            )?;
         }
         let costs = self.physical.steps.iter().map(|s| &s.cost);
         for (i, (step, cost)) in self.compiled.steps.iter().zip(costs.clone()).enumerate() {
-            crate::compile::render_step_into(step, i, &mut out);
+            crate::compile::render_step_into(step, i, out);
             // Key-universe store line: only when a store is attached, so
             // the store-off report stays byte-identical to the pre-store
             // pipeline's.
             if params.warm_lists.is_some() {
-                match params.warm_keys(step) {
-                    Some(n) => out.push_str(&format!("    list: warm ({n} keys)\n")),
+                match cost.warm_keys {
+                    Some(n) => writeln!(out, "    list: warm ({n} keys)")?,
                     None => out.push_str("    list: cold\n"),
                 }
             }
-            out.push_str(&format!(
+            writeln!(
+                out,
                 "    cost: keys≈{:.0}, prompts≈{:.0} ({:.0} list + {:.0} filter + {:.0} fetch), \
-                 cache hits≈{:.0}, virtual≈{:.0} ms\n",
+                 cache hits≈{:.0}, virtual≈{:.0} ms",
                 cost.est_keys_listed,
                 cost.total_prompts(),
                 cost.list_prompts,
@@ -667,7 +726,7 @@ impl PlannedQuery {
                 cost.fetch_prompts,
                 cost.expected_cache_hits,
                 cost.virtual_ms,
-            ));
+            )?;
         }
         // Each step's temp table (lower-cased) and its estimated rows out:
         // the cardinalities of the `__llm_*` scans the catalog has no rows
@@ -676,6 +735,9 @@ impl PlannedQuery {
             .map(|s| s.temp_name.to_ascii_lowercase())
             .zip(costs.map(|c| c.est_rows_out))
             .collect();
+        // Every node's estimate, computed once: the join-order lines and
+        // the relational tree both read them.
+        let rows = rcost::estimate_rows_preorder(&self.compiled.plan, catalog, &temp_rows);
         // Join-order lines (each join's algorithm and estimated side rows,
         // in `FROM` order) belong to the cost-based report; the heuristic
         // report stays byte-identical without them.
@@ -687,31 +749,22 @@ impl PlannedQuery {
                     Some(step) => Some(step.temp_schema.as_ref()),
                     None => catalog.get(name).ok().map(|t| t.schema.as_ref()),
                 };
-            join_order_lines(
-                &self.compiled.plan,
-                catalog,
-                &temp_rows,
-                &schema_of,
-                &mut out,
-            );
+            join_order_lines(&self.compiled.plan, &rows, &schema_of, out)?;
         }
         out.push_str("[relational plan]\n");
-        out.push_str(&rcost::explain_with_rows_overridden(
-            &self.compiled.plan,
-            catalog,
-            &temp_rows,
-        ));
-        out.push_str(&format!(
-            "total: prompts≈{:.0}, cache hits≈{:.0}, virtual≈{:.0} ms\n",
+        rcost::explain_with_rows_into(&self.compiled.plan, &rows, out);
+        writeln!(
+            out,
+            "total: prompts≈{:.0}, cache hits≈{:.0}, virtual≈{:.0} ms",
             self.report.est_total_prompts, self.report.est_cache_hits, self.report.est_virtual_ms,
-        ));
-        out
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile, concept_signature_for};
     use galois_dataset::Scenario;
     use galois_llm::RetryPolicy;
 
@@ -776,6 +829,88 @@ mod tests {
             assert_eq!(chosen.compiled, direct, "{sql}");
             assert_eq!(chosen.report.candidates_considered, 1);
         }
+    }
+
+    /// The search `best_step_variant` replaced: one clone of the step per
+    /// candidate.
+    fn best_step_variant_reference(
+        step: &LlmScanStep,
+        catalog: &Catalog,
+        params: &PlannerParams,
+    ) -> (LlmScanStep, StepCost, usize) {
+        let mut best = step.clone();
+        let mut best_cost = estimate(step, catalog, params);
+        let mut considered = 1;
+        if step.scan_condition.is_some() {
+            return (best, best_cost, considered);
+        }
+        for j in 0..step.filter_conditions.len() {
+            let mut candidate = step.clone();
+            let cond = candidate.filter_conditions.remove(j);
+            candidate.scan_condition = Some(cond);
+            let cost = estimate(&candidate, catalog, params);
+            considered += 1;
+            if cost.virtual_ms < best_cost.virtual_ms - 1e-9
+                || (cost.virtual_ms <= best_cost.virtual_ms + 1e-9
+                    && cost.total_prompts() < best_cost.total_prompts() - 1e-9)
+            {
+                best = candidate;
+                best_cost = cost;
+            }
+        }
+        (best, best_cost, considered)
+    }
+
+    /// Over the evaluation and operator suites' 46 + 18 statements, with
+    /// every key universe cold and with every other candidate's warm,
+    /// unbatched and on the serving grid: the scratch-step search picks
+    /// the step the clone-per-candidate one did, at the same cost.
+    #[test]
+    fn best_step_variant_matches_the_clone_per_candidate_search() {
+        let s = Scenario::generate(42);
+        let catalog = s.database.catalog();
+        let operators = galois_dataset::build_operator_suite(&s.world);
+        let sqls: Vec<String> = (s.suite.iter().map(|q| q.to_sql()))
+            .chain(operators.into_iter().map(|q| q.sql))
+            .collect();
+        assert_eq!(sqls.len(), 46 + 18);
+        let (mut pushed, mut kept) = (0, 0);
+        for sql in &sqls {
+            let plan = s.database.plan(sql).unwrap();
+            let no_pushdown = CompileOptions { pushdown: false };
+            let steps = compile(&plan, catalog, &no_pushdown).unwrap().steps;
+            let mut warm = BTreeMap::new();
+            for (k, step) in steps.iter().enumerate() {
+                let conditions = step.filter_conditions.iter().map(|c| c.render());
+                for (j, rendered) in std::iter::once(String::new()).chain(conditions).enumerate() {
+                    if (k + j) % 2 == 0 {
+                        let concept = concept_signature_for(&step.table, &step.key_attr, &rendered);
+                        warm.insert(concept, (3 * j + k) % 11);
+                    }
+                }
+            }
+            let warm = Arc::new(warm);
+            for batch in [PromptBatch::Off, PromptBatch::Grid { keys: 10, attrs: 6 }] {
+                for warm_lists in [None, Some(warm.clone())] {
+                    let params = PlannerParams {
+                        warm_lists,
+                        ..batched(batch)
+                    };
+                    for step in &steps {
+                        let want = best_step_variant_reference(step, catalog, &params);
+                        let got = best_step_variant(step.clone(), catalog, &params);
+                        assert_eq!(got, want, "{sql} under {batch:?}");
+                        if got.0.scan_condition.is_some() {
+                            pushed += 1;
+                        } else if got.2 > 1 {
+                            kept += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Both outcomes of a real choice occur.
+        assert!(pushed >= 30 && kept >= 30, "{pushed} pushed, {kept} kept");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub(crate) use wave::REQUEST_PROMPTS;
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
 use crate::physical::PhysicalPlan;
-use crate::plan_choice::{plan_query, PlannedQuery, PlannerParams};
+use crate::plan_choice::{plan_owned, PlannedQuery, PlannerParams};
 use crate::prompts::PromptBuilder;
 use crate::schedule::Crew;
 use galois_llm::{BatchOutcome, ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
@@ -211,8 +211,8 @@ impl Galois {
         params: &PlannerParams,
     ) -> Result<PlannedQuery> {
         let plan = self.db.plan_statement(select).map_err(GaloisError::from)?;
-        plan_query(
-            &plan,
+        plan_owned(
+            plan,
             self.db.catalog(),
             &self.options.compile,
             self.options.planner,

@@ -33,7 +33,7 @@ impl<'a> Builder<'a> {
         self.check_unique_bindings(stmt)?;
         for t in &stmt.from[1..] {
             let right = self.scan(t)?;
-            let schema = plan.schema().join(&right.schema());
+            let schema = plan.schema().join(right.schema());
             plan = LogicalPlan::CrossJoin {
                 left: Box::new(plan),
                 right: Box::new(right),
@@ -49,7 +49,7 @@ impl<'a> Builder<'a> {
 
         // WHERE.
         if let Some(w) = &stmt.where_clause {
-            let predicate = compile_expr(w, &plan.schema(), ExprContext::Scalar)?;
+            let predicate = compile_expr(w, plan.schema(), ExprContext::Scalar)?;
             require_boolean(&predicate, "WHERE")?;
             plan = LogicalPlan::Filter {
                 input: Box::new(plan),
@@ -136,10 +136,9 @@ impl<'a> Builder<'a> {
         join_type: JoinType,
         on: &AstExpr,
     ) -> Result<LogicalPlan> {
-        let left_schema = left.schema();
-        let right_schema = right.schema();
+        let (left_schema, right_schema) = (left.schema(), right.schema());
         let concat = match join_type {
-            JoinType::Inner => left_schema.join(&right_schema),
+            JoinType::Inner => left_schema.join(right_schema),
             JoinType::LeftOuter => left_schema.join(&right_schema.as_nullable()),
         };
         let predicate = compile_expr(on, &concat, ExprContext::Scalar)?;
@@ -182,7 +181,7 @@ impl<'a> Builder<'a> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
-                    let compiled = compile_expr(expr, &input_schema, ExprContext::Scalar)?;
+                    let compiled = compile_expr(expr, input_schema, ExprContext::Scalar)?;
                     let name = alias.clone().unwrap_or_else(|| default_name(expr));
                     visible.push((compiled, name, alias.clone()));
                 }
@@ -194,7 +193,7 @@ impl<'a> Builder<'a> {
         let mut hidden: Vec<(ScalarExpr, String)> = Vec::new();
         let mut sort_keys = Vec::new();
         for o in &stmt.order_by {
-            let compiled = self.resolve_order_key(&o.expr, &visible, &input_schema, None)?;
+            let compiled = self.resolve_order_key(&o.expr, &visible, input_schema, None)?;
             let index = match visible.iter().position(|(e, _, _)| *e == compiled) {
                 Some(i) => i,
                 None => {
@@ -229,7 +228,7 @@ impl<'a> Builder<'a> {
                     "aggregate function in GROUP BY".into(),
                 ));
             }
-            let compiled = compile_expr(g, &input_schema, ExprContext::Scalar)?;
+            let compiled = compile_expr(g, input_schema, ExprContext::Scalar)?;
             group_by.push((compiled, default_name(g)));
             group_asts.push(g.clone());
         }
@@ -237,7 +236,7 @@ impl<'a> Builder<'a> {
         // Aggregate calls from SELECT, HAVING and ORDER BY.
         let mut calls: Vec<(String, AggCall)> = Vec::new();
         let mut collect =
-            |e: &AstExpr| -> Result<()> { collect_aggregates(e, &input_schema, &mut calls) };
+            |e: &AstExpr| -> Result<()> { collect_aggregates(e, input_schema, &mut calls) };
         for item in &stmt.items {
             match item {
                 SelectItem::Expr { expr, .. } => collect(expr)?,
@@ -255,18 +254,11 @@ impl<'a> Builder<'a> {
             collect(&o.expr)?;
         }
 
-        let aggregates: Vec<AggCall> = calls.iter().map(|(_, c)| c.clone()).collect();
-        let agg_keys: Vec<String> = calls.into_iter().map(|(k, _)| k).collect();
+        let (agg_keys, aggregates): (Vec<String>, Vec<AggCall>) = calls.into_iter().unzip();
         let schema = aggregate_schema(&group_by, &aggregates);
-        let mut plan = LogicalPlan::Aggregate {
-            input: Box::new(input),
-            group_by: group_by.clone(),
-            aggregates,
-            schema: schema.clone(),
-        };
 
         let rewriter = PostAggRewriter {
-            input_schema: &input_schema,
+            input_schema,
             group_by: &group_by,
             group_asts: &group_asts,
             agg_keys: &agg_keys,
@@ -274,14 +266,14 @@ impl<'a> Builder<'a> {
         };
 
         // HAVING.
-        if let Some(h) = &stmt.having {
-            let predicate = rewriter.rewrite(h)?;
-            require_boolean(&predicate, "HAVING")?;
-            plan = LogicalPlan::Filter {
-                input: Box::new(plan),
-                predicate,
-            };
-        }
+        let having = match &stmt.having {
+            Some(h) => {
+                let predicate = rewriter.rewrite(h)?;
+                require_boolean(&predicate, "HAVING")?;
+                Some(predicate)
+            }
+            None => None,
+        };
 
         // SELECT list over the aggregate output.
         let mut visible: Vec<(ScalarExpr, String, Option<String>)> = Vec::new();
@@ -317,6 +309,20 @@ impl<'a> Builder<'a> {
             ));
         }
 
+        // The rewriter is done with the input's schema and the group keys:
+        // the aggregate node takes them over.
+        let mut plan = LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by,
+            aggregates,
+            schema,
+        };
+        if let Some(predicate) = having {
+            plan = LogicalPlan::Filter {
+                input: Box::new(plan),
+                predicate,
+            };
+        }
         Ok(assemble(plan, visible, hidden, sort_keys, stmt))
     }
 
@@ -376,14 +382,19 @@ fn assemble(
             }
         })
         .collect();
-    let full_schema = PlanSchema::new(cols);
-    let stripped_schema = PlanSchema::new(full_schema.columns[..visible_len].to_vec());
-    let had_hidden = exprs.len() > visible_len;
+    // With hidden sort columns, a final projection keeps the visible ones.
+    let strip = (exprs.len() > visible_len).then(|| {
+        let visible_cols = cols[..visible_len].to_vec();
+        let exprs: Vec<(ScalarExpr, String)> = (visible_cols.iter().enumerate())
+            .map(|(i, c)| (column_expr(i, c), c.name.clone()))
+            .collect();
+        (exprs, PlanSchema::new(visible_cols))
+    });
 
     let mut plan = LogicalPlan::Project {
         input: Box::new(input),
         exprs,
-        schema: full_schema.clone(),
+        schema: PlanSchema::new(cols),
     };
     if stmt.distinct {
         plan = LogicalPlan::Distinct {
@@ -403,16 +414,11 @@ fn assemble(
             offset: stmt.offset.unwrap_or(0),
         };
     }
-    if had_hidden {
-        let strip: Vec<(ScalarExpr, String)> = full_schema.columns[..visible_len]
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (column_expr(i, c), c.name.clone()))
-            .collect();
+    if let Some((exprs, schema)) = strip {
         plan = LogicalPlan::Project {
             input: Box::new(plan),
-            exprs: strip,
-            schema: stripped_schema,
+            exprs,
+            schema,
         };
     }
     plan

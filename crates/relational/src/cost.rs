@@ -45,9 +45,11 @@ use crate::exec::Relation;
 use crate::expr::ScalarExpr;
 use crate::plan::LogicalPlan;
 use crate::schema::{PlanColumn, PlanSchema};
-use crate::table::Catalog;
+use crate::table::{get_ignore_case, Catalog};
 use crate::value::{DataType, Value};
 use galois_sql::ast::BinaryOp;
+use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Selectivity assumed for an equality comparison against a literal.
 pub const SEL_EQ: f64 = 0.15;
@@ -174,7 +176,8 @@ pub(crate) fn predicate_selectivity(expr: &ScalarExpr) -> f64 {
 
 /// Estimated output cardinality of a plan, reading base-table row counts
 /// from the catalog as the planner's statistics, with per-table
-/// cardinality overrides (case-insensitive table names) taking precedence.
+/// cardinality overrides (keyed by lower-cased table name, looked up
+/// case-insensitively) taking precedence.
 /// The Galois planner uses the overrides to annotate a compiled
 /// residual plan whose scans reference not-yet-materialised `__llm_*`
 /// temporaries: it knows how many keys it expects each retrieval to
@@ -182,26 +185,69 @@ pub(crate) fn predicate_selectivity(expr: &ScalarExpr) -> f64 {
 pub fn estimate_rows_with(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    overrides: &std::collections::HashMap<String, f64>,
+    overrides: &HashMap<String, f64>,
+) -> f64 {
+    node_rows(plan, catalog, overrides, |input| {
+        estimate_rows_with(input, catalog, overrides)
+    })
+}
+
+/// [`estimate_rows_with`] of every node of the plan, in pre-order (a node,
+/// then its children left to right — the order `EXPLAIN` prints them in),
+/// from one bottom-up walk: each node's estimate is computed once, from
+/// its children's.
+pub fn estimate_rows_preorder(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    overrides: &HashMap<String, f64>,
+) -> Vec<f64> {
+    fn walk(
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        overrides: &HashMap<String, f64>,
+        out: &mut Vec<f64>,
+    ) -> f64 {
+        let slot = out.len();
+        out.push(0.0);
+        let rows = node_rows(plan, catalog, overrides, |input| {
+            walk(input, catalog, overrides, out)
+        });
+        out[slot] = rows;
+        rows
+    }
+    let mut out = Vec::new();
+    walk(plan, catalog, overrides, &mut out);
+    out
+}
+
+/// One node's estimate, given `input_rows`, which estimates a child. It is
+/// called on every child exactly once, left before right, so a walk that
+/// records what it returns sees each node in pre-order.
+fn node_rows(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    overrides: &HashMap<String, f64>,
+    mut input_rows: impl FnMut(&LogicalPlan) -> f64,
 ) -> f64 {
     match plan {
-        LogicalPlan::Scan { table, .. } => overrides
-            .get(&table.to_ascii_lowercase())
+        LogicalPlan::Scan { table, .. } => get_ignore_case(overrides, table)
             .copied()
             .or_else(|| catalog.get(table).ok().map(|t| t.len() as f64))
             .unwrap_or(DEFAULT_SCAN_ROWS),
         LogicalPlan::Filter { input, predicate } => {
-            estimate_rows_with(input, catalog, overrides) * predicate_selectivity(predicate)
+            input_rows(input) * predicate_selectivity(predicate)
         }
-        LogicalPlan::Project { input, .. } => estimate_rows_with(input, catalog, overrides),
+        LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Distinct { input } => input_rows(input),
         LogicalPlan::Join {
             left,
             right,
             condition,
             ..
         } => {
-            let l = estimate_rows_with(left, catalog, overrides);
-            let r = estimate_rows_with(right, catalog, overrides);
+            let l = input_rows(left);
+            let r = input_rows(right);
             // Classic equi-join estimate: |L|·|R| / max(|L|, |R|) assumes
             // the join key is (close to) a key of the larger side — the
             // shape of every suite join. A residual shrinks it further.
@@ -215,24 +261,20 @@ pub fn estimate_rows_with(
             }
             rows
         }
-        LogicalPlan::CrossJoin { left, right, .. } => {
-            estimate_rows_with(left, catalog, overrides)
-                * estimate_rows_with(right, catalog, overrides)
-        }
+        LogicalPlan::CrossJoin { left, right, .. } => input_rows(left) * input_rows(right),
         LogicalPlan::Aggregate {
             input, group_by, ..
         } => {
+            let rows = input_rows(input);
             if group_by.is_empty() {
                 1.0
             } else {
-                (estimate_rows_with(input, catalog, overrides) * GROUP_FRACTION).max(1.0)
+                (rows * GROUP_FRACTION).max(1.0)
             }
         }
-        LogicalPlan::Sort { input, .. } | LogicalPlan::Distinct { input } => {
-            estimate_rows_with(input, catalog, overrides)
-        }
-        LogicalPlan::Limit { input, n, .. } => {
-            estimate_rows_with(input, catalog, overrides).min(*n as f64)
+        // The window skips `offset` rows, then keeps up to `n`.
+        LogicalPlan::Limit { input, n, offset } => {
+            (input_rows(input) - *offset as f64).max(0.0).min(*n as f64)
         }
     }
 }
@@ -240,7 +282,7 @@ pub fn estimate_rows_with(
 /// Renders the plan tree with a `(rows≈N)` estimate appended to every
 /// operator line — the relational half of the `EXPLAIN` output.
 pub(crate) fn explain_with_rows(plan: &LogicalPlan, catalog: &Catalog) -> String {
-    explain_with_rows_overridden(plan, catalog, &std::collections::HashMap::new())
+    explain_with_rows_overridden(plan, catalog, &HashMap::new())
 }
 
 /// Renders the plan tree with a `(rows≈N)` estimate appended to every
@@ -249,14 +291,25 @@ pub(crate) fn explain_with_rows(plan: &LogicalPlan, catalog: &Catalog) -> String
 pub fn explain_with_rows_overridden(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    overrides: &std::collections::HashMap<String, f64>,
+    overrides: &HashMap<String, f64>,
 ) -> String {
-    plan.explain_annotated(&|node| {
-        format!(
-            "  (rows≈{})",
-            estimate_rows_with(node, catalog, overrides).round()
-        )
-    })
+    let mut out = String::new();
+    let rows = estimate_rows_preorder(plan, catalog, overrides);
+    explain_with_rows_into(plan, &rows, &mut out);
+    out
+}
+
+/// Appends the plan tree to `out`, each operator line ending in
+/// `  (rows≈N)` with `N` read from `rows`, the plan's estimates in
+/// pre-order ([`estimate_rows_preorder`]).
+pub fn explain_with_rows_into(plan: &LogicalPlan, rows: &[f64], out: &mut String) {
+    let mut rows = rows.iter();
+    plan.explain_into(out, 0, &mut |out| {
+        if let Some(r) = rows.next() {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "  (rows≈{})", r.round());
+        }
+    });
 }
 
 /// Packages explain text as a one-column relation (`QUERY PLAN`, one row
@@ -279,6 +332,7 @@ mod tests {
     use crate::engine::Database;
     use crate::schema::{Column, TableSchema};
     use crate::table::Table;
+    use proptest::prelude::*;
 
     fn db_with_city(rows: usize) -> Database {
         let mut db = Database::new();
@@ -307,7 +361,7 @@ mod tests {
     }
 
     fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
-        estimate_rows_with(plan, catalog, &std::collections::HashMap::new())
+        estimate_rows_with(plan, catalog, &HashMap::new())
     }
 
     #[test]
@@ -414,6 +468,16 @@ mod tests {
     }
 
     #[test]
+    fn limit_estimate_skips_the_offset_first() {
+        let db = db_with_city(40);
+        let rows = |sql: &str| estimate_rows(&db.plan(sql).unwrap(), db.catalog());
+        assert_eq!(rows("SELECT name FROM city LIMIT 3 OFFSET 30"), 3.0);
+        assert_eq!(rows("SELECT name FROM city LIMIT 30 OFFSET 35"), 5.0);
+        // An offset past the input leaves no rows.
+        assert_eq!(rows("SELECT name FROM city LIMIT 3 OFFSET 50"), 0.0);
+    }
+
+    #[test]
     fn join_estimate_is_bounded_by_cross_product() {
         let mut db = db_with_city(12);
         let mut country = Table::new(
@@ -451,5 +515,44 @@ mod tests {
         assert_eq!(rel.schema.arity(), 1);
         assert_eq!(rel.len(), 3);
         assert_eq!(rel.rows[1][0].render(), "b");
+    }
+
+    /// Every node of `plan`, in pre-order.
+    fn preorder<'p>(plan: &'p LogicalPlan, out: &mut Vec<&'p LogicalPlan>) {
+        out.push(plan);
+        for child in plan.children() {
+            preorder(child, out);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On generated plans, as built and as optimized, with and without
+        /// an override: the one-walk estimates are `estimate_rows_with` of
+        /// each node, in pre-order, to the bit.
+        #[test]
+        fn preorder_walk_matches_estimate_rows_with_per_node(
+            seed in any::<u64>(),
+            filter_over_core in any::<bool>(),
+            override_b in any::<bool>(),
+        ) {
+            let (catalog, plan) = crate::exec::differential::case(seed, filter_over_core);
+            let overrides: HashMap<String, f64> =
+                override_b.then(|| ("b".to_string(), 3.5)).into_iter().collect();
+            for plan in [plan.clone(), crate::optimizer::optimize(plan)] {
+                let mut nodes = Vec::new();
+                preorder(&plan, &mut nodes);
+                let walked: Vec<u64> = estimate_rows_preorder(&plan, &catalog, &overrides)
+                    .iter()
+                    .map(|r| r.to_bits())
+                    .collect();
+                let each: Vec<u64> = nodes
+                    .iter()
+                    .map(|node| estimate_rows_with(node, &catalog, &overrides).to_bits())
+                    .collect();
+                prop_assert_eq!(walked, each, "case {}:\n{}", seed, plan.explain());
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 #[cfg(test)]
-mod differential;
+pub(crate) mod differential;
 #[cfg(test)]
 mod reference;
 
@@ -124,7 +124,7 @@ impl fmt::Display for Relation {
 /// distinct, limit or further join over a join — has to own it.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
     Ok(Relation {
-        schema: plan.schema(),
+        schema: plan.schema().clone(),
         rows: run(plan, catalog)?
             .into_iter()
             .map(Cow::into_owned)
@@ -986,7 +986,7 @@ mod tests {
             ),
         ];
         let scan = scan_t(&catalog);
-        let columns = scan.schema().columns;
+        let columns = scan.schema().columns.clone();
         let join_on = |equi: &[(ScalarExpr, ScalarExpr)], join_type| LogicalPlan::Join {
             left: Box::new(scan.clone()),
             right: Box::new(scan.clone()),
@@ -1059,7 +1059,7 @@ mod tests {
         };
         let out = execute(&window, &catalog).unwrap();
         assert_eq!(out.rows, ints(&[&[4, 2], &[3, 1]]));
-        assert_eq!(out.schema, scan_t(&catalog).schema());
+        assert_eq!(&out.schema, scan_t(&catalog).schema());
 
         // DISTINCT over a projection of `v`: first occurrences, in order.
         let distinct = LogicalPlan::Distinct {

@@ -388,9 +388,13 @@ fn join(g: &mut Gen, catalog: &Catalog, depth: usize) -> Typed {
     (plan, types)
 }
 
-/// The whole case: a join core under up to four operators.
-fn plan(g: &mut Gen, catalog: &Catalog) -> LogicalPlan {
+/// The whole case: a join core under up to four operators; with
+/// `filter_over_core`, a `Filter` sits directly on the core first.
+fn plan(g: &mut Gen, catalog: &Catalog, filter_over_core: bool) -> LogicalPlan {
     let mut typed = join(g, catalog, 1);
+    if filter_over_core {
+        typed = filter(g, typed);
+    }
     for _ in 0..g.below(5) {
         typed = match g.below(8) {
             0 => filter(g, typed),
@@ -428,12 +432,20 @@ fn plan(g: &mut Gen, catalog: &Catalog) -> LogicalPlan {
     typed.0
 }
 
+/// Case `seed`'s catalog and plan, for properties of other plan walkers.
+/// With `filter_over_core` a `Filter` sits directly on the join core,
+/// where the optimizer's pushdown rules match.
+pub(crate) fn case(seed: u64, filter_over_core: bool) -> (Catalog, LogicalPlan) {
+    let mut g = Gen(seed);
+    let catalog = catalog(&mut g);
+    let plan = plan(&mut g, &catalog, filter_over_core);
+    (catalog, plan)
+}
+
 /// Runs one case through both executors: each one's rows in `Debug` form,
 /// or `None` where it failed.
 fn outcomes(seed: u64) -> (Option<String>, Option<String>, String) {
-    let mut g = Gen(seed);
-    let catalog = catalog(&mut g);
-    let plan = plan(&mut g, &catalog);
+    let (catalog, plan) = case(seed, false);
     let new = execute(&plan, &catalog)
         .ok()
         .map(|r| format!("{:?}", r.rows));
@@ -567,9 +579,8 @@ fn paths(plan: &LogicalPlan, catalog: &Catalog, paths: &mut HashMap<Path, usize>
 fn generated_cases_reach_every_join_and_aggregate_path() {
     let mut reached = HashMap::new();
     for seed in 0..400 {
-        let mut g = Gen(seed);
-        let catalog = catalog(&mut g);
-        paths(&plan(&mut g, &catalog), &catalog, &mut reached);
+        let (catalog, plan) = case(seed, false);
+        paths(&plan, &catalog, &mut reached);
     }
     let mut counts: Vec<_> = reached.iter().collect();
     counts.sort();

@@ -21,22 +21,25 @@ use galois_sql::ast::{BinaryOp, JoinType};
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
     let mut plan = plan;
     // The rule set strictly reduces the number of Filter/CrossJoin nodes,
-    // so a small fixed iteration bound suffices.
+    // so a small fixed iteration bound suffices. Every rule that fires
+    // reshapes the tree it matched, so a round in which none fired left
+    // the plan as it was: the fixed point.
     for _ in 0..8 {
-        let next = rewrite(plan.clone());
-        if next == plan {
-            return next;
+        let mut fired = false;
+        plan = rewrite(plan, &mut fired);
+        if !fired {
+            break;
         }
-        plan = next;
     }
     plan
 }
 
-fn rewrite(plan: LogicalPlan) -> LogicalPlan {
+/// One bottom-up pass of the rules; sets `fired` when one of them fires.
+fn rewrite(plan: LogicalPlan, fired: &mut bool) -> LogicalPlan {
     // Bottom-up: rewrite children first.
-    let plan = plan.map_children(rewrite);
+    let plan = plan.map_children(|child| rewrite(child, fired));
     match plan {
-        LogicalPlan::Filter { input, predicate } => rewrite_filter(*input, predicate),
+        LogicalPlan::Filter { input, predicate } => rewrite_filter(*input, predicate, fired),
         other => other,
     }
 }
@@ -65,16 +68,20 @@ fn filter_over(input: LogicalPlan, conjuncts: Vec<ScalarExpr>) -> LogicalPlan {
     }
 }
 
-fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
+/// Applies the rule the filter's input matches, if any. A rule that fires
+/// always removes the filter node from above `input`, so the result is a
+/// different tree.
+fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr, fired: &mut bool) -> LogicalPlan {
     match input {
         // Rule 1: merge stacked filters.
         LogicalPlan::Filter {
             input: inner,
             predicate: inner_pred,
         } => {
+            *fired = true;
             let mut conjuncts = split_conjuncts(inner_pred);
             conjuncts.extend(split_conjuncts(predicate));
-            rewrite(filter_over(*inner, conjuncts))
+            rewrite(filter_over(*inner, conjuncts), fired)
         }
         // Rules 2+3: push into / convert a cross join.
         LogicalPlan::CrossJoin {
@@ -82,8 +89,9 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
             right,
             schema,
         } => {
+            *fired = true;
             let left_arity = left.schema().arity();
-            let (new_left, new_right, across) = push_to_sides(*left, *right, predicate);
+            let (new_left, new_right, across) = push_to_sides(*left, *right, predicate, fired);
             let Some(combined) = across else {
                 return LogicalPlan::CrossJoin {
                     left: Box::new(new_left),
@@ -111,8 +119,9 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
             condition,
             schema,
         } => {
+            *fired = true;
             let left_arity = left.schema().arity();
-            let (new_left, new_right, across) = push_to_sides(*left, *right, predicate);
+            let (new_left, new_right, across) = push_to_sides(*left, *right, predicate, fired);
             let mut condition = condition;
             if let Some(extra) = across {
                 let extra_cond = split_join_condition(extra, left_arity);
@@ -150,6 +159,7 @@ fn push_to_sides(
     left: LogicalPlan,
     right: LogicalPlan,
     predicate: ScalarExpr,
+    fired: &mut bool,
 ) -> (LogicalPlan, LogicalPlan, Option<ScalarExpr>) {
     let left_arity = left.schema().arity();
     let (mut to_left, mut to_right, mut across) = (Vec::new(), Vec::new(), Vec::new());
@@ -163,18 +173,15 @@ fn push_to_sides(
             across.push(conj);
         }
     }
-    let pushed = |side: LogicalPlan, conjuncts: Vec<ScalarExpr>| {
+    let mut pushed = |side: LogicalPlan, conjuncts: Vec<ScalarExpr>| {
         if conjuncts.is_empty() {
             side
         } else {
-            rewrite(filter_over(side, conjuncts))
+            rewrite(filter_over(side, conjuncts), fired)
         }
     };
-    (
-        pushed(left, to_left),
-        pushed(right, to_right),
-        and_all(across),
-    )
+    let left = pushed(left, to_left);
+    (left, pushed(right, to_right), and_all(across))
 }
 
 /// Counts operators of each kind — handy for tests and plan statistics.
@@ -221,4 +228,70 @@ pub struct PlanStats {
     pub distincts: usize,
     /// Number of `Limit` nodes.
     pub limits: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::differential::case;
+    use proptest::prelude::*;
+
+    /// The clone-and-compare loop [`optimize`] replaced: each round
+    /// rewrites a copy of the plan and compares it with the plan, stopping
+    /// once they are equal. Returns the plan and, per round, whether a rule
+    /// fired and whether the plan changed.
+    fn optimize_reference(plan: LogicalPlan) -> (LogicalPlan, Vec<(bool, bool)>) {
+        let mut plan = plan;
+        let mut rounds = Vec::new();
+        for _ in 0..8 {
+            let mut fired = false;
+            let next = rewrite(plan.clone(), &mut fired);
+            rounds.push((fired, next != plan));
+            if next == plan {
+                return (next, rounds);
+            }
+            plan = next;
+        }
+        (plan, rounds)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On generated plans, with and without a filter over the join
+        /// core: a round's rules fire exactly when it changes the plan, so
+        /// the flag loop stops where the comparing loop did, on the same
+        /// plan.
+        #[test]
+        fn optimize_matches_the_clone_and_compare_loop(
+            seed in any::<u64>(),
+            filter_over_core in any::<bool>(),
+        ) {
+            let (_, plan) = case(seed, filter_over_core);
+            let (reference, rounds) = optimize_reference(plan.clone());
+            for (round, &(fired, changed)) in rounds.iter().enumerate() {
+                prop_assert_eq!(fired, changed, "case {} round {}:\n{}", seed, round, plan.explain());
+            }
+            prop_assert_eq!(optimize(plan.clone()), reference, "case {}:\n{}", seed, plan.explain());
+        }
+    }
+
+    /// The property is not vacuous: over a fixed run of cases with a
+    /// filter over the join core, rules fire in most, and some plans are
+    /// already optimal.
+    #[test]
+    fn generated_filters_fire_rules_and_some_plans_are_already_optimal() {
+        let (mut fired, mut optimal) = (0, 0);
+        for seed in 0..200 {
+            let (_, plan) = case(seed, true);
+            match optimize_reference(plan).1.as_slice() {
+                [(true, true), ..] => fired += 1,
+                _ => optimal += 1,
+            }
+        }
+        assert!(
+            fired >= 80 && optimal >= 40,
+            "{fired} fired, {optimal} optimal"
+        );
+    }
 }

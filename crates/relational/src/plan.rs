@@ -10,7 +10,7 @@ use crate::expr::ScalarExpr;
 use crate::schema::{PlanColumn, PlanSchema};
 use crate::value::DataType;
 use galois_sql::ast::{JoinType, SortDirection, SourceQualifier};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,14 +209,15 @@ pub enum LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// The operator's output schema.
-    pub(crate) fn schema(&self) -> PlanSchema {
+    /// The operator's output schema, borrowed from the node that defines
+    /// it (a row-wise operator passes its input's through).
+    pub(crate) fn schema(&self) -> &PlanSchema {
         match self {
             LogicalPlan::Scan { schema, .. }
             | LogicalPlan::Project { schema, .. }
             | LogicalPlan::Join { schema, .. }
             | LogicalPlan::CrossJoin { schema, .. }
-            | LogicalPlan::Aggregate { schema, .. } => schema.clone(),
+            | LogicalPlan::Aggregate { schema, .. } => schema,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Distinct { input }
@@ -338,31 +339,47 @@ impl LogicalPlan {
     /// Renders the plan as an indented tree — the paper's Figure 3 style
     /// explanation (`EXPLAIN` output).
     pub fn explain(&self) -> String {
-        self.explain_annotated(&|_| String::new())
-    }
-
-    /// [`LogicalPlan::explain`] with a per-operator suffix supplied by the
-    /// caller — e.g. the cost estimator appending `(rows≈N)` to every line
-    /// (see [`crate::cost::explain_with_rows`]).
-    pub(crate) fn explain_annotated(&self, annotate: &dyn Fn(&LogicalPlan) -> String) -> String {
         let mut s = String::new();
-        self.explain_into(&mut s, 0, annotate);
+        self.explain_into(&mut s, 0, &mut |_| {});
         s
     }
 
-    fn explain_into(
+    /// Appends the plan's indented tree to `out`, `depth` levels in. After
+    /// each operator's text `annotate` appends that operator's suffix —
+    /// e.g. the cost estimator's `  (rows≈N)` (see
+    /// [`crate::cost::explain_with_rows_into`]). Operators are visited in
+    /// pre-order: a node, then its children left to right.
+    pub(crate) fn explain_into(
         &self,
         out: &mut String,
         depth: usize,
-        annotate: &dyn Fn(&LogicalPlan) -> String,
+        annotate: &mut dyn FnMut(&mut String),
     ) {
-        let pad = "  ".repeat(depth);
-        let line = |out: &mut String, body: String| {
-            out.push_str(&pad);
-            out.push_str(&body);
-            out.push_str(&annotate(self));
-            out.push('\n');
-        };
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+        // Writing to a `String` cannot fail.
+        let _ = self.write_operator(out);
+        annotate(out);
+        out.push('\n');
+        match self {
+            LogicalPlan::Scan { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Limit { input, .. } => input.explain_into(out, depth + 1, annotate),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::CrossJoin { left, right, .. } => {
+                left.explain_into(out, depth + 1, annotate);
+                right.explain_into(out, depth + 1, annotate);
+            }
+        }
+    }
+
+    /// Writes this operator's own `EXPLAIN` text (no indent, suffix or
+    /// newline).
+    fn write_operator(&self, out: &mut String) -> fmt::Result {
         match self {
             LogicalPlan::Scan {
                 table,
@@ -375,103 +392,80 @@ impl LogicalPlan {
                     Some(SourceQualifier::Db) => "DB.",
                     None => "",
                 };
-                line(out, format!("Scan {src}{table} AS {binding}"));
+                write!(out, "Scan {src}{table} AS {binding}")
             }
-            LogicalPlan::Filter { input, predicate } => {
-                line(out, format!("Filter {predicate}"));
-                input.explain_into(out, depth + 1, annotate);
-            }
-            LogicalPlan::Project { input, exprs, .. } => {
-                let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e} AS {n}")).collect();
-                line(out, format!("Project {}", cols.join(", ")));
-                input.explain_into(out, depth + 1, annotate);
+            LogicalPlan::Filter { predicate, .. } => write!(out, "Filter {predicate}"),
+            LogicalPlan::Project { exprs, .. } => {
+                out.push_str("Project ");
+                write_separated(out, exprs, ", ", |out, (e, n)| write!(out, "{e} AS {n}"))
             }
             LogicalPlan::Join {
-                left,
-                right,
                 join_type,
                 condition,
                 ..
             } => {
-                let eq: Vec<String> = condition
-                    .equi
-                    .iter()
-                    .map(|(l, r)| format!("{l} = {r}"))
-                    .collect();
-                let res = condition
-                    .residual
-                    .as_ref()
-                    .map(|r| format!(" AND {r}"))
-                    .unwrap_or_default();
-                line(
-                    out,
-                    format!(
-                        "{join_type} ON {}{res}",
-                        if eq.is_empty() {
-                            "TRUE".to_string()
-                        } else {
-                            eq.join(" AND ")
-                        }
-                    ),
-                );
-                left.explain_into(out, depth + 1, annotate);
-                right.explain_into(out, depth + 1, annotate);
+                write!(out, "{join_type} ON ")?;
+                if condition.equi.is_empty() {
+                    out.push_str("TRUE");
+                }
+                write_separated(out, &condition.equi, " AND ", |out, (l, r)| {
+                    write!(out, "{l} = {r}")
+                })?;
+                match &condition.residual {
+                    Some(r) => write!(out, " AND {r}"),
+                    None => Ok(()),
+                }
             }
-            LogicalPlan::CrossJoin { left, right, .. } => {
-                line(out, "CrossJoin".to_string());
-                left.explain_into(out, depth + 1, annotate);
-                right.explain_into(out, depth + 1, annotate);
-            }
+            LogicalPlan::CrossJoin { .. } => write!(out, "CrossJoin"),
             LogicalPlan::Aggregate {
-                input,
                 group_by,
                 aggregates,
                 ..
             } => {
-                let keys: Vec<String> = group_by.iter().map(|(e, _)| e.to_string()).collect();
-                let aggs: Vec<String> = aggregates.iter().map(|a| a.to_string()).collect();
-                line(
-                    out,
-                    format!(
-                        "Aggregate group=[{}] aggs=[{}]",
-                        keys.join(", "),
-                        aggs.join(", ")
-                    ),
-                );
-                input.explain_into(out, depth + 1, annotate);
+                out.push_str("Aggregate group=[");
+                write_separated(out, group_by, ", ", |out, (e, _)| write!(out, "{e}"))?;
+                out.push_str("] aggs=[");
+                write_separated(out, aggregates, ", ", |out, a| write!(out, "{a}"))?;
+                out.push(']');
+                Ok(())
             }
-            LogicalPlan::Sort { input, keys } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|k| {
-                        format!(
-                            "#{}{}",
-                            k.index,
-                            if k.direction == SortDirection::Desc {
-                                " DESC"
-                            } else {
-                                ""
-                            }
-                        )
-                    })
-                    .collect();
-                line(out, format!("Sort {}", ks.join(", ")));
-                input.explain_into(out, depth + 1, annotate);
+            LogicalPlan::Sort { keys, .. } => {
+                out.push_str("Sort ");
+                write_separated(out, keys, ", ", |out, k| {
+                    let desc = if k.direction == SortDirection::Desc {
+                        " DESC"
+                    } else {
+                        ""
+                    };
+                    write!(out, "#{}{desc}", k.index)
+                })
             }
-            LogicalPlan::Distinct { input } => {
-                line(out, "Distinct".to_string());
-                input.explain_into(out, depth + 1, annotate);
-            }
-            LogicalPlan::Limit { input, n, offset } => {
+            LogicalPlan::Distinct { .. } => write!(out, "Distinct"),
+            LogicalPlan::Limit { n, offset, .. } => {
+                write!(out, "Limit {n}")?;
                 if *offset > 0 {
-                    line(out, format!("Limit {n} OFFSET {offset}"));
-                } else {
-                    line(out, format!("Limit {n}"));
+                    write!(out, " OFFSET {offset}")?;
                 }
-                input.explain_into(out, depth + 1, annotate);
+                Ok(())
             }
         }
     }
+}
+
+/// Writes each of `items` with `each`, `separator` between two.
+fn write_separated<'a, T>(
+    out: &mut String,
+    items: &'a [T],
+    separator: &str,
+    mut each: impl FnMut(&mut String, &'a T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(separator);
+        }
+        each(out, item)?;
+    }
+    Ok(())
 }
 
 /// Builds the output schema of an aggregate node.

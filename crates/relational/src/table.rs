@@ -251,6 +251,17 @@ impl Table {
     }
 }
 
+/// Looks `name` up case-insensitively in a map keyed by lower-cased
+/// names. A name without an uppercase ASCII letter is its own key, so only
+/// a mixed-case one is lower-cased into a copy first.
+pub(crate) fn get_ignore_case<'m, V>(map: &'m HashMap<String, V>, name: &str) -> Option<&'m V> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        map.get(&name.to_ascii_lowercase())
+    } else {
+        map.get(name)
+    }
+}
+
 /// A named collection of tables.
 ///
 /// Tables sit behind shared ownership: cloning a catalog copies one
@@ -290,8 +301,7 @@ impl Catalog {
 
     /// Case-insensitive lookup.
     pub fn get(&self, name: &str) -> Result<&Table> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
+        get_ignore_case(&self.tables, name)
             .map(Arc::as_ref)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
