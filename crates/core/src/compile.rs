@@ -496,12 +496,11 @@ pub fn limit_hint(compiled: &CompiledQuery) -> Option<usize> {
 
 /// Renders one retrieval step's header and prompt protocol (the Figure-3
 /// step block of [`crate::plan_choice::PlannedQuery::render`]).
-pub(crate) fn render_step_into(step: &LlmScanStep, index: usize, out: &mut String) {
-    // Writing to a `String` cannot fail.
-    let _ = write_step(step, index, out);
-}
-
-fn write_step(step: &LlmScanStep, index: usize, out: &mut String) -> std::fmt::Result {
+pub(crate) fn render_step_into(
+    step: &LlmScanStep,
+    index: usize,
+    out: &mut String,
+) -> std::fmt::Result {
     writeln!(
         out,
         "[LLM step {}] scan {} AS {} (key: {})",

@@ -437,24 +437,19 @@ pub(crate) fn estimate_step(
 /// Scan bindings of a join side, left to right — the `EXPLAIN` label for
 /// one input of a join.
 fn side_label(plan: &LogicalPlan) -> String {
-    fn push_bindings(plan: &LogicalPlan, label: &mut String, scans: &mut usize) {
-        if let LogicalPlan::Scan { binding, .. } = plan {
-            if *scans > 0 {
-                label.push_str(" ⋈ ");
-            }
-            label.push_str(binding);
-            *scans += 1;
-        }
-        for child in plan.children() {
-            push_bindings(child, label, scans);
-        }
+    let labels: Vec<&str> = plan
+        .scans()
+        .iter()
+        .filter_map(|s| match s {
+            LogicalPlan::Scan { binding, .. } => Some(binding.as_str()),
+            _ => None,
+        })
+        .collect();
+    if labels.is_empty() {
+        "?".to_string()
+    } else {
+        labels.join(" ⋈ ")
     }
-    let (mut label, mut scans) = (String::new(), 0);
-    push_bindings(plan, &mut label, &mut scans);
-    if scans == 0 {
-        label.push('?');
-    }
-    label
 }
 
 /// Appends one `join order:` report line per join node (post-order, so
@@ -510,15 +505,6 @@ fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> St
     estimate_step(step, &stages, catalog, params)
 }
 
-/// Whether `cost` beats `best`. Strict improvement keeps ties on the
-/// heuristic shape (and on the lowest candidate), which keeps the choice
-/// deterministic.
-fn cheaper(cost: &StepCost, best: &StepCost) -> bool {
-    cost.virtual_ms < best.virtual_ms - 1e-9
-        || (cost.virtual_ms <= best.virtual_ms + 1e-9
-            && cost.total_prompts() < best.total_prompts() - 1e-9)
-}
-
 /// Picks the cheapest pushdown variant of one step. Returns the chosen
 /// step, its cost, and how many candidates were costed. Candidate `j` is
 /// the step with filter condition `j` moved into its scan condition; the
@@ -541,7 +527,12 @@ fn best_step_variant(
         if let Some(cond) = step.scan_condition.take() {
             step.filter_conditions.insert(j, cond);
         }
-        if cheaper(&cost, &best_cost) {
+        // Strict improvement keeps ties on the heuristic shape (and on the
+        // lowest j), which keeps the choice deterministic.
+        if cost.virtual_ms < best_cost.virtual_ms - 1e-9
+            || (cost.virtual_ms <= best_cost.virtual_ms + 1e-9
+                && cost.total_prompts() < best_cost.total_prompts() - 1e-9)
+        {
             best = Some(j);
             best_cost = cost;
         }
@@ -705,7 +696,7 @@ impl PlannedQuery {
         }
         let costs = self.physical.steps.iter().map(|s| &s.cost);
         for (i, (step, cost)) in self.compiled.steps.iter().zip(costs.clone()).enumerate() {
-            crate::compile::render_step_into(step, i, out);
+            crate::compile::render_step_into(step, i, out)?;
             // Key-universe store line: only when a store is attached, so
             // the store-off report stays byte-identical to the pre-store
             // pipeline's.
