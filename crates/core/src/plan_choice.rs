@@ -112,7 +112,7 @@ impl fmt::Display for Planner {
 /// cost model's calibration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerParams {
-    /// Request lanes / worker threads ([`GaloisOptions::parallelism`]).
+    /// Virtual request lanes ([`GaloisOptions::parallelism`]).
     pub parallelism: Parallelism,
     /// Keys (and, in grid mode, attributes) fused per filter or fetch
     /// prompt ([`GaloisOptions::prompt_batch`]): the fetch phase costs
@@ -148,10 +148,10 @@ pub struct PlannerParams {
     /// ([`crate::ListStore`]), keyed by
     /// `LlmScanStep::concept_signature` and mapping to the stored key
     /// count. A warm step's listing phase is estimated at zero prompts
-    /// and zero latency with an *exact* cardinality
-    /// ([`rcost::warm_list_rows`]). `None` (the default, and always when
-    /// the store is off) reproduces the store-free estimates bit for bit
-    /// and keeps the `EXPLAIN` report tag-free.
+    /// and zero latency with an *exact* cardinality, the stored key
+    /// count. `None` (the default, and always when the store is off)
+    /// reproduces the store-free estimates bit for bit and keeps the
+    /// `EXPLAIN` report tag-free.
     pub warm_lists: Option<Arc<BTreeMap<String, usize>>>,
 }
 
@@ -338,7 +338,7 @@ pub(crate) fn estimate_step(
     // the stored key count is exact, and the phase issues no prompts.
     let warm_keys = params.warm_keys(step);
     let est_keys_listed = match warm_keys {
-        Some(n) => rcost::warm_list_rows(n),
+        Some(n) => n as f64,
         None => {
             let base = catalog
                 .get(&step.table)

@@ -51,8 +51,7 @@ use crate::error::{GaloisError, Result};
 use crate::physical::PhysicalPlan;
 use crate::plan_choice::{plan_owned, PlannedQuery, PlannerParams};
 use crate::prompts::PromptBuilder;
-use crate::schedule::Crew;
-use galois_llm::{BatchOutcome, ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
+use galois_llm::{ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
 use galois_relational::{Database, Relation, Table, Value};
 use protocol::{Protocol, StepTable};
 use std::sync::Arc;
@@ -76,14 +75,12 @@ pub struct GaloisResult {
 ///
 /// Sessions are `Sync`: one session may serve queries from many threads
 /// concurrently, sharing the prompt cache (`tests/concurrency_determinism.rs`
-/// holds what they may and may not observe of each other).
+/// holds what they may and may not observe of each other). A statement
+/// sends its prompts on the thread that runs it; the session starts no
+/// thread of its own.
 pub struct Galois {
-    /// Shared with the request units handed to [`Crew`] helpers, which
-    /// outlive the call that posts them.
-    client: Arc<LlmClient>,
-    /// The session's standing helper threads: both drivers fan a wave of
-    /// client requests out over them ([`Galois::complete_requests`]).
-    crew: Crew,
+    /// Both drivers send their client requests through it, in order.
+    client: LlmClient,
     db: Database,
     prompt_builder: PromptBuilder,
     options: GaloisOptions,
@@ -126,8 +123,7 @@ impl Galois {
             client = client.with_resilience(policy);
         }
         Galois {
-            client: Arc::new(client),
-            crew: Crew::new(options.parallelism),
+            client,
             db,
             prompt_builder,
             options,
@@ -138,7 +134,10 @@ impl Galois {
         }
     }
 
-    /// The underlying client (stats, cache control).
+    /// The underlying client (stats, cache control). Its
+    /// [`Parallelism`](galois_llm::Parallelism) packs a request's cache
+    /// misses onto virtual lanes; every statement's requests reach it in
+    /// order, from the statement's own thread.
     pub fn client(&self) -> &LlmClient {
         &self.client
     }
@@ -315,41 +314,6 @@ impl Galois {
             ));
         }
         self.run(sql)
-    }
-
-    /// Completes `n` independent client requests — request `i` is the
-    /// batch of prompts `render(i)` returns — and hands back their
-    /// outcomes in request order. One request, or one lane, runs inline,
-    /// each request rendered just before it is sent; otherwise every
-    /// request is rendered here and completed across the session's
-    /// [`Crew`], in whatever order the threads get to them (callers
-    /// account by index, so nothing they compute depends on it).
-    fn complete_requests(
-        &self,
-        n: usize,
-        render: impl Fn(usize) -> Vec<String>,
-    ) -> Vec<BatchOutcome> {
-        if n <= 1 || self.options.parallelism.get() <= 1 {
-            return (0..n)
-                .map(|i| self.client.complete_batch_outcome(&render(i)))
-                .collect();
-        }
-        let units: Vec<_> = (0..n)
-            .map(|i| {
-                let (client, prompts) = (Arc::clone(&self.client), render(i));
-                move || client.complete_batch_outcome(&prompts)
-            })
-            .collect();
-        let mut outcomes: Vec<Option<BatchOutcome>> = Vec::new();
-        outcomes.resize_with(n, || None);
-        self.crew
-            .run_wave_streaming(units, |i, outcome| outcomes[i] = Some(outcome));
-        outcomes
-            .into_iter()
-            // The crew delivers every unit's result exactly once, or
-            // re-raises the unit's panic.
-            .map(|outcome| outcome.unwrap_or_else(|| unreachable!("request lost")))
-            .collect()
     }
 
     /// The hand-off to the relational engine, shared by both drivers:

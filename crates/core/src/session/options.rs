@@ -336,8 +336,9 @@ pub struct GaloisOptions {
     /// iterates "until we stop getting new results"; the cap is the
     /// user-specified threshold alternative).
     pub max_list_iterations: usize,
-    /// Concurrency knob: simulated request lanes for the virtual clock
-    /// *and* real worker threads for the scheduler. `Parallelism(1)` (the
+    /// Concurrency knob: simulated request lanes for the virtual clock,
+    /// and nothing else — a statement sends its prompts in order from the
+    /// thread that runs it, whatever `K` is. `Parallelism(1)` (the
     /// default) is the paper-faithful sequential configuration.
     pub parallelism: Parallelism,
     /// Plan-choice strategy. [`Planner::Heuristic`] (the default)

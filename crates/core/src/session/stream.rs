@@ -7,11 +7,11 @@
 //! are no phase barriers, and a partial micro-batch held while a lane sits
 //! idle is flushed (see [`super::Pipeline`] for the mode's invariants).
 //!
-//! Prompts are *executed* (against the real client, inline or across the
-//! session's [`crate::schedule::Crew`]) at fire time, because a task's
-//! virtual duration — cache hit or model latency — is only known once it
-//! has run; its parsed effects are then applied at its simulated
-//! completion time, which is what releases downstream work.
+//! Prompts are *executed* against the real client at fire time, in fire
+//! order on the thread running the statement, because a task's virtual
+//! duration — cache hit or model latency — is only known once it has run;
+//! its parsed effects are then applied at its simulated completion time,
+//! which is what releases downstream work.
 
 use super::protocol::{Fire, FireTarget, Protocol, StepTable};
 use super::stats::QueryStats;
@@ -154,10 +154,14 @@ impl StreamSim<'_> {
     /// time `t` — in fire order, so lane assignment is deterministic —
     /// and pushes its completion event.
     fn execute_fires(&mut self, t: u64, fires: Vec<Fire>) {
-        let protocol = &self.protocol;
-        let outcomes = self
-            .session
-            .complete_requests(fires.len(), |i| vec![protocol.render(&fires[i])]);
+        let outcomes: Vec<_> = (fires.iter())
+            .map(|fire| {
+                let prompt = self.protocol.render(fire);
+                self.session
+                    .client
+                    .complete_batch_outcome(std::slice::from_ref(&prompt))
+            })
+            .collect();
         for (fire, outcome) in fires.into_iter().zip(outcomes) {
             let phase = self.protocol.phase(&fire);
             self.protocol.bill(&fire, 1, &outcome);

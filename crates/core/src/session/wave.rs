@@ -19,8 +19,9 @@
 //! `lane_schedule` over `K`; a step costs the sum of its rounds (rounds
 //! chain); and the query costs the steps' `lane_schedule` over `K` —
 //! their sum at `Parallelism(1)`, which is the paper's sequential
-//! accounting. Completions are processed in fire order, so the virtual
-//! clock is a function of the work, never of thread timing.
+//! accounting. Requests are sent in order on the thread running the
+//! statement, and completions are processed in fire order, so the virtual
+//! clock is a function of the work alone.
 
 use super::protocol::{Fire, Protocol, StepTable};
 use super::stats::QueryStats;
@@ -82,23 +83,22 @@ pub(super) fn retrieve(session: &Galois, mut protocol: Protocol) -> (QueryStats,
 }
 
 /// Runs one non-empty round of one step: groups the fired prompts into
-/// requests, completes them (across the session's crew when there are
-/// several), charges the round to the step clock and its phase — a round
-/// is single-phase: a stage cannot fire before its upstream drained —
-/// and processes the completions in fire order. Returns what they fired.
+/// requests, sends them in order on the calling thread, charges the round
+/// to the step clock and its phase — a round is single-phase: a stage
+/// cannot fire before its upstream drained — and processes the
+/// completions in fire order. Returns what they fired.
 fn run_round(session: &Galois, protocol: &mut Protocol, fires: Vec<Fire>) -> Vec<Fire> {
     let requests = group_requests(fires.iter().map(|fire| fire.target.cell()), REQUEST_PROMPTS);
-    let outcomes = {
-        let protocol = &*protocol;
-        // Each request renders its own prompts, so an inline round holds
-        // one request's prompts at a time, not the phase's.
-        session.complete_requests(requests.len(), |r| {
-            fires[requests[r].clone()]
-                .iter()
+    // Each request is rendered just before it is sent, so a round holds
+    // one request's prompts at a time, not the phase's.
+    let outcomes: Vec<_> = (requests.iter())
+        .map(|request| {
+            let prompts: Vec<String> = (fires[request.clone()].iter())
                 .map(|fire| protocol.render(fire))
-                .collect()
+                .collect();
+            session.client.complete_batch_outcome(&prompts)
         })
-    };
+        .collect();
     let round_ms = lane_schedule(
         outcomes.iter().map(|o| o.virtual_ms),
         session.options.parallelism.get(),

@@ -1,34 +1,39 @@
-//! Determinism under concurrency: the prompt scheduler must be
+//! Determinism under concurrency: the lanes and the query threads must be
 //! *observationally invisible*.
 //!
 //! For any parallelism level, a query must yield the identical `R_M`
 //! relation, identical per-kind prompt counts, identical cache-hit totals
 //! and identical single-lane virtual time as the strictly sequential path
 //! — only the lane-packed virtual clock (and the wall clock) may shrink.
-//! The suite below drives every retrieval shape (iterated scans,
+//! `Parallelism` names virtual request lanes only: a statement sends every
+//! prompt from the thread that runs it, in order, whatever its `K`. The
+//! property below drives every retrieval shape (iterated scans,
 //! conjunctive filters, multi-column fetches, multi-step joins including a
-//! self-join whose steps race on identical prompts) through real worker
-//! threads.
+//! self-join whose steps ask identical prompts) at several lane counts,
+//! and one test checks that no prompt leaves the calling thread.
 //!
-//! The same holds across statements: query threads sharing one session
+//! Real threads come from the callers: query threads sharing one session
 //! (or one QA baseline) leave every `R_M`, every per-query prompt count
-//! and the suite's cache-hit bill where a single thread puts them. The
-//! eval harness used to check that through its own K query streams; it
-//! is sequential now, and the checks live here on plain scoped threads.
+//! and the suite's cache-hit bill where a single thread puts them, and two
+//! threads racing one cold concept share one universe. These are the
+//! tests of the client's shard locks, its in-flight dedup and the store
+//! race; they live here on plain scoped threads.
 
 use galois_core::{
-    BaselineKind, Galois, GaloisOptions, GaloisResult, ListStore, Parallelism, PromptBatch,
-    QaBaseline,
+    BaselineKind, Galois, GaloisOptions, GaloisResult, ListStore, Parallelism, Pipeline,
+    PromptBatch, QaBaseline,
 };
-use galois_dataset::{Scenario, WorldConfig};
+use galois_dataset::{build_operator_suite, Scenario, WorldConfig};
 use galois_llm::{Completion, KeyUniverseStore, LanguageModel, ModelProfile, SimLlm};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 /// Query shapes covering scans, filters, fetches, aggregates and joins.
-/// The self-join makes two concurrent steps issue *identical* prompts, so
-/// in-flight deduplication is exercised, not just sharded lookups.
+/// The self-join makes two steps issue *identical* prompts: the model
+/// answers each once, and the repeat is a cache hit at any lane count.
 const QUERIES: [&str; 7] = [
     "SELECT name FROM city",
     "SELECT name, population FROM city WHERE elevation < 800",
@@ -100,15 +105,33 @@ proptest! {
     }
 }
 
-/// Counts how many prompts actually reach the model — the caches and the
-/// in-flight dedup sit in front of it, so this is the ground truth for
-/// "how much model work did the race cost".
-struct CountingModel {
+/// Records the thread of every call that reaches the model and holds the
+/// call for `delay`. The caches and the in-flight dedup sit in front of
+/// it, so the number of calls is the ground truth for "how much model
+/// work did the race cost"; a delay of a millisecond is long enough that
+/// a request handed to another thread would reach the model there while
+/// the statement's own thread is busy.
+struct RecordingModel {
     inner: SimLlm,
-    calls: AtomicUsize,
+    delay: Duration,
+    threads: Mutex<Vec<ThreadId>>,
 }
 
-impl LanguageModel for CountingModel {
+impl RecordingModel {
+    fn oracle(scenario: &Scenario, delay: Duration) -> Arc<Self> {
+        Arc::new(RecordingModel {
+            inner: SimLlm::new(scenario.knowledge.clone(), ModelProfile::oracle()),
+            delay,
+            threads: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn calls(&self) -> usize {
+        self.threads.lock().unwrap().len()
+    }
+}
+
+impl LanguageModel for RecordingModel {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -119,8 +142,51 @@ impl LanguageModel for CountingModel {
         self.inner.context_window()
     }
     fn complete(&self, prompt: &str) -> Completion {
-        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        std::thread::sleep(self.delay);
         self.inner.complete(prompt)
+    }
+}
+
+/// Every prompt of a statement reaches the model on the thread that
+/// called `execute`, at eight lanes under both drivers: the serving stack
+/// (the event driver) and the barrier driver with the same grid batching.
+/// The evaluation suite's 46 statements and the operator suite's 18 run
+/// cold on the default seed-42 world, one session per configuration. (On
+/// this world the serving stack fires instants of several requests, which
+/// is where a second thread would show.)
+#[test]
+fn a_statement_answers_every_prompt_on_the_calling_thread() {
+    let s = Scenario::generate(42);
+    let mut statements: Vec<String> = s.suite.iter().map(|spec| spec.to_sql()).collect();
+    statements.extend(build_operator_suite(&s.world).into_iter().map(|q| q.sql));
+    let barrier = GaloisOptions {
+        parallelism: Parallelism::new(8),
+        pipeline: Pipeline::Off,
+        prompt_batch: PromptBatch::Grid { keys: 10, attrs: 6 },
+        ..Default::default()
+    };
+    let caller = std::thread::current().id();
+    for (name, options) in [("serving", GaloisOptions::serving()), ("barrier", barrier)] {
+        let recorder = RecordingModel::oracle(&s, Duration::from_millis(1));
+        let galois = Galois::with_options(recorder.clone(), s.database.clone(), options);
+        for sql in &statements {
+            if let Err(e) = galois.execute(sql) {
+                panic!("{name}: {sql}: {e}");
+            }
+        }
+        let threads = recorder.threads.lock().unwrap();
+        assert!(!threads.is_empty(), "{name}: no prompt reached the model");
+        let elsewhere = threads.iter().filter(|&&id| id != caller).count();
+        assert_eq!(
+            elsewhere,
+            0,
+            "{name}: {elsewhere} of {} model calls ran off the calling thread",
+            threads.len()
+        );
     }
 }
 
@@ -136,10 +202,7 @@ fn racing_threads_share_one_deduplicated_universe() {
     let sql = "SELECT name FROM city";
     let race = || {
         let store = Arc::new(KeyUniverseStore::default());
-        let counter = Arc::new(CountingModel {
-            inner: SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()),
-            calls: AtomicUsize::new(0),
-        });
+        let counter = RecordingModel::oracle(&s, Duration::ZERO);
         let galois = Arc::new(Galois::with_options(
             counter.clone(),
             s.database.clone(),
@@ -158,16 +221,13 @@ fn racing_threads_share_one_deduplicated_universe() {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        (store, counter.calls.load(Ordering::SeqCst), results)
+        (store, counter.calls(), results)
     };
 
     // Sequential ground truth: the same query twice on one session.
     let (seq_store, seq_calls, seq_results) = {
         let store = Arc::new(KeyUniverseStore::default());
-        let counter = Arc::new(CountingModel {
-            inner: SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()),
-            calls: AtomicUsize::new(0),
-        });
+        let counter = RecordingModel::oracle(&s, Duration::ZERO);
         let galois = Galois::with_options(
             counter.clone(),
             s.database.clone(),
@@ -179,7 +239,7 @@ fn racing_threads_share_one_deduplicated_universe() {
         );
         let a = galois.execute(sql).unwrap();
         let b = galois.execute(sql).unwrap();
-        (store, counter.calls.load(Ordering::SeqCst), vec![a, b])
+        (store, counter.calls(), vec![a, b])
     };
     assert_eq!(seq_store.len(), 1, "one concept listed");
 

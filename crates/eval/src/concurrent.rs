@@ -16,8 +16,7 @@ use galois_core::{run_multi_query, AdmissionPolicy, Galois, GaloisOptions};
 use galois_dataset::Scenario;
 use galois_llm::ModelProfile;
 
-use crate::harness::{model_for, truth, GaloisRun, QueryOutcome, SuiteTotals};
-use crate::matching::{match_records, relation_to_records};
+use crate::harness::{model_for, GaloisRun, QueryOutcome, SuiteTotals};
 
 /// A concurrent suite replay: the per-query outcomes (matched to ground
 /// truth, in suite order) plus the shared-pool clock summary.
@@ -103,23 +102,7 @@ pub fn run_suite_concurrent(
         .suite
         .iter()
         .zip(&report.outcomes)
-        .map(|(spec, out)| {
-            let truth = truth(scenario, &spec.to_sql());
-            let relation = &out.result.relation;
-            let matching = match_records(&truth, &relation_to_records(relation));
-            QueryOutcome {
-                id: spec.id,
-                category: spec.category,
-                truth_rows: truth.len(),
-                result_rows: relation.len(),
-                cardinality_diff: crate::cardinality::cardinality_diff_percent(
-                    truth.len(),
-                    relation.len(),
-                ),
-                matching,
-                stats: out.result.stats,
-            }
-        })
+        .map(|(spec, out)| QueryOutcome::score(scenario, spec, &spec.to_sql(), Some(&out.result)))
         .collect();
 
     Ok(ConcurrentSuiteRun {

@@ -10,8 +10,8 @@
 use crate::cardinality::{average_diff, cardinality_diff_percent};
 use crate::matching::{match_records, relation_to_records, MatchOutcome};
 use crate::report::{percent0, signed1, TextTable};
-use galois_core::{BaselineKind, Galois, GaloisOptions, QaBaseline, QueryStats};
-use galois_dataset::{OperatorCheck, OperatorQuery, QueryCategory, Scenario};
+use galois_core::{BaselineKind, Galois, GaloisOptions, GaloisResult, QaBaseline, QueryStats};
+use galois_dataset::{OperatorCheck, OperatorQuery, QueryCategory, QuerySpec, Scenario};
 use galois_llm::{lane_schedule, LanguageModel, ModelProfile, SimLlm};
 use galois_relational::{Relation, Value};
 use std::sync::Arc;
@@ -34,6 +34,33 @@ pub struct QueryOutcome {
     pub matching: MatchOutcome,
     /// Prompt accounting.
     pub stats: QueryStats,
+}
+
+impl QueryOutcome {
+    /// Scores one suite statement's result against the database's answer
+    /// to `sql`, the statement's SQL. A statement that failed (`None`)
+    /// returned nothing: it scores as an empty result with no accounting.
+    pub(crate) fn score(
+        scenario: &Scenario,
+        spec: &QuerySpec,
+        sql: &str,
+        result: Option<&GaloisResult>,
+    ) -> Self {
+        let truth = truth(scenario, sql);
+        let (records, stats) = match result {
+            Some(r) => (relation_to_records(&r.relation), r.stats),
+            None => (Vec::new(), QueryStats::default()),
+        };
+        QueryOutcome {
+            id: spec.id,
+            category: spec.category,
+            truth_rows: truth.len(),
+            result_rows: records.len(),
+            cardinality_diff: cardinality_diff_percent(truth.len(), records.len()),
+            matching: match_records(&truth, &records),
+            stats,
+        }
+    }
 }
 
 /// A full Galois suite run on one model.
@@ -118,23 +145,7 @@ pub fn run_galois_suite_on(scenario: &Scenario, galois: &Galois, model_name: &st
         .iter()
         .map(|spec| {
             let sql = spec.to_sql();
-            let truth = truth(scenario, &sql);
-            let (relation, stats) = match galois.execute(&sql) {
-                Ok(r) => (r.relation, r.stats),
-                // An execution failure contributes an empty result —
-                // the system returned nothing for this query.
-                Err(_) => (Relation::empty(truth.schema.clone()), QueryStats::default()),
-            };
-            let matching = match_records(&truth, &relation_to_records(&relation));
-            QueryOutcome {
-                id: spec.id,
-                category: spec.category,
-                truth_rows: truth.len(),
-                result_rows: relation.len(),
-                cardinality_diff: cardinality_diff_percent(truth.len(), relation.len()),
-                matching,
-                stats,
-            }
+            QueryOutcome::score(scenario, spec, &sql, galois.execute(&sql).ok().as_ref())
         })
         .collect();
     GaloisRun {

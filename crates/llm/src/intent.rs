@@ -120,7 +120,7 @@ impl Condition {
     /// [`Condition::values`]) render their canonical template. A condition
     /// missing an operand — which only arises from hand-built or corrupted
     /// values, never from [`Condition::parse`] — renders a `?` placeholder
-    /// instead of panicking, so a worker thread formatting a prompt can
+    /// instead of panicking, so a query thread formatting a prompt can
     /// never be killed by malformed input.
     pub fn render_phrase(&self) -> String {
         let v = |i: usize| {
@@ -852,7 +852,7 @@ fn split<'a>(s: &'a str, parts: &[&str]) -> Option<(&'a str, &'a str)> {
 
 /// The typed result of decoding an operator prompt.
 ///
-/// The parsing hot path runs on worker threads over *model output and
+/// The parsing hot path runs on query threads over *model output and
 /// injected fault text*, so it must classify garbage instead of panicking:
 ///
 /// * [`Parsed`](ParseOutcome::Parsed) — a well-formed operator prompt;

@@ -25,14 +25,13 @@ use std::fmt;
 
 /// Number of concurrent request lanes a deployment offers.
 ///
-/// The same value drives two things:
-///
-/// * the **virtual clock** — a batch of `n` independent prompts costs
-///   `overhead + max(lane sums)` across `K` simulated lanes instead of
-///   `overhead + sum`, and a wave of independent work units is packed onto
-///   `K` lanes the same way;
-/// * the **real worker pool** — the session scheduler runs at most `K`
-///   retrieval units on OS threads at once.
+/// The lanes are virtual: they shape the **virtual clock** and nothing
+/// else. A batch of `n` independent prompts costs `overhead + max(lane
+/// sums)` across `K` simulated lanes instead of `overhead + sum`, and a
+/// wave of independent work units is packed onto `K` lanes the same way
+/// ([`lane_schedule`], [`EventClock`], [`LanePool`]). The engine starts no
+/// thread for them: a statement sends its requests in order from the
+/// thread that runs it.
 ///
 /// Values are clamped to at least 1; `Parallelism::default()` is 1, the
 /// paper-faithful sequential configuration.

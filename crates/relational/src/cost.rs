@@ -72,18 +72,6 @@ pub const DEFAULT_SCAN_ROWS: f64 = 100.0;
 /// grouped aggregation.
 pub(crate) const GROUP_FRACTION: f64 = 0.25;
 
-/// Cardinality of an LLM scan whose key universe is already materialised
-/// in a warm key-universe store: the stored key count is the *exact*
-/// output of the listing phase, so the estimator uses it directly instead
-/// of shrinking a catalog row count (or [`DEFAULT_SCAN_ROWS`]) by
-/// shape-derived selectivities. A trivial projection today, but it is the
-/// single point where observed universes would be blended with synthetic
-/// statistics (e.g. discounting a partial frontier) if that ever becomes
-/// necessary.
-pub fn warm_list_rows(keys: usize) -> f64 {
-    keys as f64
-}
-
 /// Expected number of prompts needed to cover `items` retrieval tasks when
 /// up to `batch_keys` of them fuse into one multi-key prompt. With a batch
 /// factor of 1 (batching off) this is the identity — the estimate stays
