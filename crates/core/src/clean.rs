@@ -282,12 +282,17 @@ pub fn parse_date(raw: &str, policy: &CleaningPolicy) -> Option<Date> {
 /// Normalises a text cell for joining/matching: trims, collapses
 /// whitespace, strips enclosing quotes and trailing punctuation.
 pub fn normalise_text(raw: &str) -> String {
+    normalised(raw).into_owned()
+}
+
+/// [`normalise_text`], borrowing from `raw` when collapsing whitespace
+/// changes nothing.
+pub(crate) fn normalised(raw: &str) -> Cow<'_, str> {
     collapse_whitespace(
         raw.trim()
             .trim_end_matches(['.', ';'])
             .trim_matches(|c: char| c == '"' || c == '\''),
     )
-    .into_owned()
 }
 
 #[cfg(test)]

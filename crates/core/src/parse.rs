@@ -8,18 +8,21 @@
 
 /// The outcome of a list prompt.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ListAnswer {
-    /// Values extracted from the answer.
-    Values(Vec<String>),
+pub enum ListAnswer<'a> {
+    /// Values extracted from the answer, each a span of it.
+    Values(Vec<&'a str>),
     /// The model signalled exhaustion ("No more results").
     Exhausted,
 }
 
-/// Parses the answer to a key-listing prompt.
-pub fn parse_list_answer(text: &str) -> ListAnswer {
+/// Parses the answer to a key-listing prompt. The exhaustion phrases are
+/// matched case-insensitively in place, without a lower-cased copy.
+pub fn parse_list_answer(text: &str) -> ListAnswer<'_> {
     let t = text.trim();
-    let lower = t.to_ascii_lowercase();
-    if lower.contains("no more results") || lower == "none" || lower == "unknown" {
+    if contains_ignore_ascii_case(t, "no more results")
+        || t.eq_ignore_ascii_case("none")
+        || t.eq_ignore_ascii_case("unknown")
+    {
         return ListAnswer::Exhausted;
     }
     // Strip a chatty prefix up to the first ':' when one precedes values
@@ -47,11 +50,28 @@ pub fn parse_list_answer(text: &str) -> ListAnswer {
                 .trim_matches(|c: char| c == '"' || c == '\'')
                 .trim();
             if !cleaned.is_empty() {
-                values.push(cleaned.to_string());
+                values.push(cleaned);
             }
         }
     }
     ListAnswer::Values(values)
+}
+
+/// Whether `hay` holds `needle` (ASCII) under ASCII case folding — what
+/// `hay.to_ascii_lowercase().contains(needle)` answers for a lower-case
+/// `needle`, without the copy.
+fn contains_ignore_ascii_case(hay: &str, needle: &str) -> bool {
+    let (hay, needle) = (hay.as_bytes(), needle.as_bytes());
+    let Some((first, rest)) = needle.split_first() else {
+        return true;
+    };
+    let Some(last_start) = hay.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    // Scan for the first byte, then compare the rest where it matches.
+    hay[..=last_start].iter().enumerate().any(|(at, b)| {
+        b.eq_ignore_ascii_case(first) && hay[at + 1..at + needle.len()].eq_ignore_ascii_case(rest)
+    })
 }
 
 fn strip_list_marker(line: &str) -> &str {
@@ -223,6 +243,7 @@ fn clean_token(s: &str) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// [`parse_value_answer`] as it was before [`value_span`]: the
     /// reference the equivalence properties compare against.
@@ -253,11 +274,117 @@ pub(crate) mod tests {
         Some(t.to_string())
     }
 
+    /// [`parse_list_answer`] as it was before it returned spans: values
+    /// copied out, the exhaustion phrases matched in a lower-cased copy.
+    /// The reference the equivalence property compares against.
+    pub(crate) fn reference_parse_list_answer(text: &str) -> Option<Vec<String>> {
+        let t = text.trim();
+        let lower = t.to_ascii_lowercase();
+        if lower.contains("no more results") || lower == "none" || lower == "unknown" {
+            return None;
+        }
+        let body = match t.split_once(':') {
+            Some((prefix, rest))
+                if prefix.len() < 60 && !prefix.contains(',') && !rest.trim().is_empty() =>
+            {
+                rest
+            }
+            _ => t,
+        };
+        let mut values = Vec::new();
+        for line in body.lines() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let line = strip_list_marker(line);
+            for piece in line.split(',') {
+                let cleaned = piece
+                    .trim()
+                    .trim_end_matches('.')
+                    .trim_matches(|c: char| c == '"' || c == '\'')
+                    .trim();
+                if !cleaned.is_empty() {
+                    values.push(cleaned.to_string());
+                }
+            }
+        }
+        Some(values)
+    }
+
+    /// The exhaustion phrases in case variants, alone, padded, inside a
+    /// longer answer and cut short.
+    const EXHAUSTION: &[&str] = &[
+        "No more results",
+        "no more results.",
+        "NO MORE RESULTS",
+        "nO mOrE rEsUlTs",
+        "No more result",
+        "No  more results",
+        "none",
+        "None",
+        "NONE.",
+        "nOnE",
+        "unknown",
+        "Unknown",
+        "UNKNOWN",
+        "unknowN?",
+        "Rome, No More Results",
+        "n",
+        "",
+    ];
+
+    /// Arbitrary UTF-8, drawn in pieces so that what the parsers give
+    /// meaning to turns up: printable ASCII, characters of two, three and
+    /// four bytes, control and Unicode whitespace, list numbering, and the
+    /// exhaustion phrases' case variants.
+    pub(crate) fn utf8_text() -> BoxedStrategy<String> {
+        let piece = prop_oneof![
+            "[ -~]{0,8}",
+            "[\u{80}-\u{7ff}\u{800}-\u{d7ff}\u{e000}-\u{fffd}\u{10000}-\u{10ffff}]{1,2}",
+            "[\u{0}-\u{1f}\u{7f}\u{85}\u{a0}\u{2028}\u{3000}]{1,2}",
+            "[0-9]{1,2}[.)] ?",
+            proptest::sample::select(EXHAUSTION.to_vec()).prop_map(str::to_string),
+        ];
+        proptest::collection::vec(piece, 0..8).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn list_parser_matches_its_owned_reference(text in utf8_text()) {
+            let got = match parse_list_answer(&text) {
+                ListAnswer::Exhausted => None,
+                ListAnswer::Values(values) => {
+                    Some(values.into_iter().map(str::to_string).collect())
+                }
+            };
+            prop_assert_eq!(got, reference_parse_list_answer(&text), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn ascii_case_folded_search_matches_searching_a_lower_cased_copy() {
+        for hay in
+            EXHAUSTION
+                .iter()
+                .chain(&["xno more results", "NO MORE RESULTSx", "東no more results"])
+        {
+            for needle in ["no more results", "n", "", "results", "東"] {
+                assert_eq!(
+                    contains_ignore_ascii_case(hay, needle),
+                    hay.to_ascii_lowercase().contains(needle),
+                    "{needle:?} in {hay:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn plain_comma_list() {
         assert_eq!(
             parse_list_answer("Rome, Paris, Milan."),
-            ListAnswer::Values(vec!["Rome".into(), "Paris".into(), "Milan".into()])
+            ListAnswer::Values(vec!["Rome", "Paris", "Milan"])
         );
     }
 
@@ -265,7 +392,7 @@ pub(crate) mod tests {
     fn chatty_prefix_is_stripped() {
         assert_eq!(
             parse_list_answer("Sure! Here are some values: Rome, Paris."),
-            ListAnswer::Values(vec!["Rome".into(), "Paris".into()])
+            ListAnswer::Values(vec!["Rome", "Paris"])
         );
     }
 
@@ -273,7 +400,7 @@ pub(crate) mod tests {
     fn numbered_list() {
         assert_eq!(
             parse_list_answer("1. Rome\n2. Paris\n3. New Milan"),
-            ListAnswer::Values(vec!["Rome".into(), "Paris".into(), "New Milan".into()])
+            ListAnswer::Values(vec!["Rome", "Paris", "New Milan"])
         );
     }
 

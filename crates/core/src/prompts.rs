@@ -8,7 +8,8 @@
 //! model".
 
 use galois_llm::intent::{
-    render_check_filter_parts, render_fetch_attr_parts, render_task, Condition, TaskIntent,
+    render_check_filter_parts, render_fetch_attr_parts, render_task, write_grid_question,
+    Condition, TaskIntent,
 };
 
 /// The paper's Figure 4 preamble, verbatim.
@@ -78,6 +79,26 @@ impl PromptBuilder {
     /// Full prompt for one operator task.
     pub fn task(&self, intent: &TaskIntent) -> String {
         self.wrap(&render_task(intent))
+    }
+
+    /// Full prompt for one grid chunk, from borrowed keys and attribute
+    /// names: byte-identical to [`PromptBuilder::task`] on the equivalent
+    /// [`TaskIntent::FetchGridBatch`], whose render arm writes its question
+    /// through the same [`write_grid_question`].
+    pub(crate) fn grid(
+        &self,
+        relation: &str,
+        key_attr: &str,
+        keys: &[impl AsRef<str>],
+        attributes: &[impl AsRef<str>],
+    ) -> String {
+        // Room for a chunk of a few keys and columns, so that the question
+        // is usually written without a reallocation.
+        let mut out = String::with_capacity(self.question_prefix.len() + 1024);
+        out.push_str(&self.question_prefix);
+        write_grid_question(&mut out, relation, key_attr, keys, attributes);
+        out.push_str("\nA:");
+        out
     }
 
     /// Full prompt for a plain NL question (QA baseline, `T_M`).
@@ -214,6 +235,33 @@ mod tests {
                 format!("{}\nQ: How many cities exist?\nA:", b.preamble),
                 "{model}"
             );
+        }
+    }
+
+    #[test]
+    fn grid_prompt_matches_task_rendering_byte_for_byte() {
+        for model in ["gpt3", "chatgpt", "flan", "tk"] {
+            let b = PromptBuilder::for_model(model);
+            for (keys, attributes) in [
+                (
+                    vec!["Rome", "- dashed", "Val d'Oro: east, 2"],
+                    vec!["population", "country"],
+                ),
+                (vec![""], vec!["a / b"]),
+                (vec!["東京 \u{2301} x"], vec!["elevation", "", "ü"]),
+            ] {
+                let direct = b.task(&TaskIntent::FetchGridBatch {
+                    relation: "city".into(),
+                    key_attr: "name".into(),
+                    keys: keys.iter().map(|k| k.to_string()).collect(),
+                    attributes: attributes.iter().map(|a| a.to_string()).collect(),
+                });
+                assert_eq!(
+                    b.grid("city", "name", &keys, &attributes),
+                    direct,
+                    "{model}"
+                );
+            }
         }
     }
 

@@ -33,6 +33,7 @@
 //! `protocol`, `stream`, `wave`, and `typed` (the universe relations warm
 //! steps are served); this file holds the session itself.
 
+mod dedup;
 mod options;
 mod protocol;
 mod stats;

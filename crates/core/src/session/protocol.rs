@@ -32,20 +32,21 @@
 //! the fallback ladder (grid → per-attribute key batch → single key),
 //! pads stored and never consumed, fault text turned into a failed cell.
 
+use super::dedup::FoldedKeys;
 use super::stats::{Phase, QueryStats};
 use super::typed::Publish;
 use super::Galois;
-use crate::clean::{cell_value, key_row, normalise_text};
+use crate::clean::{cell_value, key_row, normalised};
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::parse::{parse_boolean_answer, parse_list_answer, ListAnswer};
 use crate::physical::{PhysicalPlan, Stage, StepPlan};
 use crate::prompts::KeyTemplate;
 use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
-use galois_llm::{BatchOutcome, KeyUniverse, SubColumn, SubLookup};
+use galois_llm::{BatchOutcome, KeyUniverse, SubColumn, SubKey, SubLookup};
 use galois_relational::{Table, Value};
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -112,8 +113,9 @@ impl Galois {
         &self,
         step: &LlmScanStep,
         cell: &BatchCell,
-        chunk_keys: Vec<String>,
+        chunk_keys: &[&str],
     ) -> TaskIntent {
+        let chunk_keys = chunk_keys.iter().map(|key| key.to_string()).collect();
         match cell {
             BatchCell::Filter(c) => TaskIntent::FilterKeysBatch {
                 relation: step.table.clone(),
@@ -131,19 +133,6 @@ impl Galois {
     }
 }
 
-/// The columns a fetch group's grid prompt asks, by name: the group's own
-/// (`step.fetch[start..start + len]`), then its pads.
-fn grid_attributes(step: &LlmScanStep, stage: &Stage) -> Vec<String> {
-    let Stage::Fetch { start, len, pads } = stage else {
-        return Vec::new();
-    };
-    let own = &step.fetch[*start..start + len];
-    own.iter()
-        .chain(pads)
-        .map(|&c| step.columns()[c].name.clone())
-        .collect()
-}
-
 /// One micro-batch accumulator of the dataflow: a filter condition or a
 /// fetch group of one step.
 #[derive(Debug)]
@@ -154,6 +143,10 @@ struct StageState<'a> {
     /// protocol is off — plain single-key prompts bypass the sub-entry
     /// store): one per attr ordinal, then one per pad column.
     sub_columns: Vec<SubColumn>,
+    /// The names of the columns a grid prompt of the stage asks, in that
+    /// order — the fetch group's own, then its pads — borrowed from the
+    /// step (empty but at a grid stage).
+    grid_names: Vec<&'a str>,
     /// Single-key prompt templates of the stage's own cells (one per attr
     /// ordinal), each rendered on first use: the whole
     /// dataflow when batching is off, the ladder's bottom rung otherwise.
@@ -183,6 +176,7 @@ impl<'a> StageState<'a> {
         StageState {
             cell,
             sub_columns: Vec::new(),
+            grid_names: Vec::new(),
             templates: (0..own_cells).map(|_| OnceCell::new()).collect(),
             pending: Vec::new(),
             inflight: 0,
@@ -329,7 +323,8 @@ struct StepRun<'a> {
     plan: &'a StepPlan,
     /// A terminal stored universe, served as is: the store's own list,
     /// shared, which no page can follow — so nothing is cleaned,
-    /// de-duplicated or copied out of it. `None` when this run lists its
+    /// de-duplicated or copied out of it. Also the list this run's keys
+    /// move into when it publishes them. `None` while this run lists its
     /// keys.
     stored: Option<Arc<[String]>>,
     /// The keys this run listed, in discovery order — also the exclusion
@@ -337,8 +332,12 @@ struct StepRun<'a> {
     /// `Arc`, so rendering a prompt shares rather than re-clones every
     /// seen key). Empty under `stored`.
     exclude: Arc<Vec<String>>,
-    /// Case-folded dedup of the listed keys.
-    seen: HashSet<String>,
+    /// Case-folded dedup of the listed keys: an index over `exclude`.
+    seen: FoldedKeys,
+    /// Each slot's key hashed for the sub-entry store once, as it enters
+    /// the run (multi-key protocol only; empty otherwise): `sub_keys[slot]`
+    /// goes with `keys()[slot]`.
+    sub_keys: Vec<SubKey>,
     /// List iterations fired so far.
     iterations: usize,
     /// Key slots in discovery order — rows materialise in this order.
@@ -374,8 +373,8 @@ impl StepRun<'_> {
     }
 
     /// The keys of a micro-batch's member slots, as a prompt lists them.
-    fn chunk_keys(&self, members: &[usize]) -> Vec<String> {
-        members.iter().map(|&i| self.keys()[i].clone()).collect()
+    fn chunk_keys(&self, members: &[usize]) -> Vec<&str> {
+        members.iter().map(|&i| self.keys()[i].as_str()).collect()
     }
 }
 
@@ -540,6 +539,13 @@ impl<'a> Protocol<'a> {
                                     .cell_column(step, &BatchCell::Fetch(&step.columns()[c].name))
                             }))
                             .collect();
+                        if let Stage::Fetch { start, len, .. } = stage.cell {
+                            if stage.cell.is_grid() {
+                                let columns = step.fetch[*start..start + len].iter().chain(pads);
+                                stage.grid_names =
+                                    columns.map(|&c| step.columns()[c].name.as_str()).collect();
+                            }
+                        }
                     }
                 }
                 StepRun {
@@ -547,7 +553,8 @@ impl<'a> Protocol<'a> {
                     plan,
                     stored: None,
                     exclude: Arc::new(Vec::new()),
-                    seen: HashSet::new(),
+                    seen: FoldedKeys::default(),
+                    sub_keys: Vec::new(),
                     iterations: 0,
                     slots: Vec::new(),
                     n_filters: step.filter_conditions.len(),
@@ -660,6 +667,10 @@ impl<'a> Protocol<'a> {
                     });
                 }
                 run.slots = (0..stored.keys.len()).map(|_| KeySlot::listed()).collect();
+                if self.batched {
+                    let client = &self.session.client;
+                    run.sub_keys = stored.keys.iter().map(|key| client.sub_key(key)).collect();
+                }
                 run.stored = Some(stored.keys);
                 run.iterations = stored.iterations;
                 run.list_exhausted = stored.exhausted;
@@ -808,12 +819,12 @@ impl<'a> Protocol<'a> {
                 condition: step.scan_condition.clone(),
                 offset: *offset,
             }),
-            FireTarget::Grid { stage, members } => builder.task(&TaskIntent::FetchGridBatch {
-                relation: step.table.clone(),
-                key_attr: step.key_attr.clone(),
-                keys: run.chunk_keys(members),
-                attributes: grid_attributes(step, run.stages[*stage].cell),
-            }),
+            FireTarget::Grid { stage, members } => builder.grid(
+                &step.table,
+                &step.key_attr,
+                &run.chunk_keys(members),
+                &run.stages[*stage].grid_names,
+            ),
             FireTarget::Batch {
                 stage,
                 ord,
@@ -823,7 +834,7 @@ impl<'a> Protocol<'a> {
                 builder.task(&self.session.cell_batched_intent(
                     step,
                     &cell,
-                    run.chunk_keys(members),
+                    &run.chunk_keys(members),
                 ))
             }
             FireTarget::Single { stage, ord, member } => {
@@ -913,7 +924,7 @@ impl<'a> Protocol<'a> {
                 let subs = split_batched_answer(text, &self.steps[s].chunk_keys(&members));
                 for (&member, sub) in members.iter().zip(subs) {
                     match sub {
-                        Some(answer) => self.answer_cell(s, stage, ord, member, &answer, fires),
+                        Some(answer) => self.answer_cell(s, stage, ord, member, answer, fires),
                         // The model dropped or mangled this key's line:
                         // re-ask with the single-key prompt, chained after
                         // this batch (batching may cost prompts, never
@@ -941,6 +952,7 @@ impl<'a> Protocol<'a> {
         self.session.client.store_in(
             &run.stages[stage].sub_columns[ord],
             &run.keys()[slot],
+            run.sub_keys[slot],
             answer,
         );
     }
@@ -1003,16 +1015,16 @@ impl<'a> Protocol<'a> {
     ) {
         let run = &self.steps[s];
         let len = run.stages[stage].own_cells();
-        let attr_names = grid_attributes(run.step, run.stages[stage].cell);
-        let mut cells = split_grid_answer(text, &run.chunk_keys(members), &attr_names);
+        let names = &run.stages[stage].grid_names;
+        let cells = split_grid_answer(text, &run.chunk_keys(members), names);
         let mut failed: Vec<Vec<usize>> = vec![Vec::new(); len];
-        for (ki, &slot) in members.iter().enumerate() {
+        for (&slot, row) in members.iter().zip(cells.chunks(names.len())) {
             for (ord, failed_ord) in failed.iter_mut().enumerate() {
                 if self.steps[s].stages[stage].answered.contains(slot, ord) {
                     continue;
                 }
-                match cells[ki][ord].take() {
-                    Some(answer) => self.answer_cell(s, stage, ord, slot, &answer, fires),
+                match row[ord] {
+                    Some(answer) => self.answer_cell(s, stage, ord, slot, answer, fires),
                     None => failed_ord.push(slot),
                 }
             }
@@ -1021,9 +1033,9 @@ impl<'a> Protocol<'a> {
             // no row consumption, no fallback for a dropped pad line
             // (first stored write wins, so a pad can't flap an
             // already-extracted cell).
-            for (ord, cell) in cells[ki].iter_mut().enumerate().skip(len) {
-                if let Some(answer) = cell.take() {
-                    self.store_cell(s, stage, ord, slot, &answer);
+            for (ord, cell) in row.iter().enumerate().skip(len) {
+                if let Some(answer) = cell {
+                    self.store_cell(s, stage, ord, slot, answer);
                 }
             }
         }
@@ -1088,20 +1100,28 @@ impl<'a> Protocol<'a> {
 
     /// Folds one page of raw key surfaces into the step's stream (clean,
     /// case-folded dedup, key slot, dataflow entry), returning how many
-    /// new keys entered.
-    fn enter_page(&mut self, s: usize, values: &[String], fires: &mut Vec<Fire>) -> usize {
+    /// new keys entered. Only a new key is copied.
+    fn enter_page(&mut self, s: usize, values: &[impl AsRef<str>], fires: &mut Vec<Fire>) -> usize {
+        let client = self.batched.then_some(&self.session.client);
         let run = &mut self.steps[s];
         let first_new = run.slots.len();
         let fresh = Arc::make_mut(&mut run.exclude);
+        fresh.reserve(values.len());
+        run.seen.reserve(values.len());
+        run.slots.reserve(values.len());
+        if client.is_some() {
+            run.sub_keys.reserve(values.len());
+        }
         for v in values {
-            let cleaned = normalise_text(v);
-            if cleaned.is_empty() {
+            let cleaned = normalised(v.as_ref());
+            if cleaned.is_empty() || !run.seen.insert(fresh, &cleaned) {
                 continue;
             }
-            if run.seen.insert(cleaned.to_ascii_lowercase()) {
-                run.slots.push(KeySlot::listed());
-                fresh.push(cleaned);
+            run.slots.push(KeySlot::listed());
+            if let Some(client) = client {
+                run.sub_keys.push(client.sub_key(&cleaned));
             }
+            fresh.push(cleaned.into_owned());
         }
         let end = run.slots.len();
         for slot in first_new..end {
@@ -1240,12 +1260,12 @@ impl<'a> Protocol<'a> {
             }
             let fetch_col = stage.fetch_col(run.step, ord);
             let mut failed_cells = 0;
-            let extracted =
-                session
-                    .client
-                    .extract_in(&stage.sub_columns[ord], &run.keys()[slot], |answer| {
-                        session.parse_answer(run.step, fetch_col, answer, &mut failed_cells)
-                    });
+            let extracted = session.client.extract_in(
+                &stage.sub_columns[ord],
+                &run.keys()[slot],
+                run.sub_keys[slot],
+                |answer| session.parse_answer(run.step, fetch_col, answer, &mut failed_cells),
+            );
             let run = &mut self.steps[s];
             run.acc.failed_cells += failed_cells;
             match extracted {
@@ -1282,12 +1302,16 @@ impl<'a> Protocol<'a> {
     fn finish_list(&mut self, s: usize, fires: &mut Vec<Fire>) {
         if let Some(concept) = self.steps[s].concept.take() {
             if let Some(store) = &self.session.list_store {
-                let run = &self.steps[s];
+                // No page follows: the listed keys move, uncopied, into
+                // the list the store keeps, and the run reads them there.
+                let run = &mut self.steps[s];
+                let keys: Arc<[String]> = std::mem::take(Arc::make_mut(&mut run.exclude)).into();
+                run.stored = Some(Arc::clone(&keys));
                 store.publish(
                     &concept,
                     &self.session.model_sig,
                     KeyUniverse {
-                        keys: run.exclude.as_slice().into(),
+                        keys,
                         iterations: run.iterations,
                         exhausted: run.list_exhausted,
                     },

@@ -1,0 +1,144 @@
+//! The engine's allocations on the cold serving path, per retrieved row.
+//!
+//! A counting global allocator (its count is per thread, and a statement
+//! runs on the thread that executes it) reads how many allocations the
+//! 46 suite statements make on a fresh `GaloisOptions::serving()` session
+//! over the default seed-42 world, divided by the rows their steps
+//! retrieved. The model replays answers recorded on an earlier session,
+//! so the count is the engine's plus one copied answer per prompt.
+//!
+//! The budget is the reading of the code that parses answers as spans,
+//! de-duplicates listed keys without lower-cased copies and hashes each
+//! key once for all its sub-entry columns — 11.9 allocations per row on
+//! this world (407 per statement) — plus 10 %. The code before it read
+//! 15.0 (511 per statement). A change that starts copying keys or cells
+//! per row again fails here before any timing shows it.
+
+use galois_core::{Galois, GaloisOptions};
+use galois_dataset::Scenario;
+use galois_llm::{Completion, LanguageModel, ModelProfile, SimLlm};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+/// Allocations per retrieved row this test allows.
+const BUDGET_PER_ROW: f64 = 11.92 * 1.1;
+
+/// The system allocator, counting each allocation and reallocation on the
+/// thread that asks for it.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down still allocates.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; counting touches
+// only a `const`-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// A model that answers from a recording, or records what `live` says.
+struct Recorded {
+    live: SimLlm,
+    answers: Mutex<HashMap<String, Completion>>,
+    replay: bool,
+}
+
+impl LanguageModel for Recorded {
+    fn name(&self) -> &str {
+        self.live.name()
+    }
+
+    fn context_window(&self) -> usize {
+        self.live.context_window()
+    }
+
+    fn complete(&self, prompt: &str) -> Completion {
+        let mut answers = self.answers.lock().unwrap();
+        if self.replay {
+            return answers[prompt].clone();
+        }
+        let completion = self.live.complete(prompt);
+        answers.insert(prompt.to_string(), completion.clone());
+        completion
+    }
+
+    fn signature(&self) -> String {
+        self.live.signature()
+    }
+}
+
+#[test]
+fn the_cold_serving_suite_stays_within_its_allocations_per_retrieved_row() {
+    let scenario = Scenario::generate(42);
+    let statements: Vec<String> = scenario.suite.iter().map(|q| q.to_sql()).collect();
+    assert_eq!(statements.len(), 46);
+    let recorder = Arc::new(Recorded {
+        live: SimLlm::new(scenario.knowledge.clone(), ModelProfile::oracle()),
+        answers: Mutex::new(HashMap::new()),
+        replay: false,
+    });
+    let run = |model: Arc<dyn LanguageModel>| {
+        let session =
+            Galois::with_options(model, scenario.database.clone(), GaloisOptions::serving());
+        let before = allocations();
+        let mut rows = 0;
+        for sql in &statements {
+            rows += session.execute(sql).unwrap().stats.rows_retrieved;
+        }
+        (allocations() - before, rows)
+    };
+    run(Arc::clone(&recorder) as Arc<dyn LanguageModel>);
+    let replay = Arc::new(Recorded {
+        live: SimLlm::new(scenario.knowledge.clone(), ModelProfile::oracle()),
+        answers: Mutex::new(std::mem::take(&mut *recorder.answers.lock().unwrap())),
+        replay: true,
+    });
+    let (allocations, rows) = run(replay);
+    assert!(rows > 0, "the suite retrieved no row");
+    let per_row = allocations as f64 / rows as f64;
+    println!(
+        "{allocations} allocations over {rows} retrieved rows: {per_row:.2} per row, \
+         {:.0} per statement",
+        allocations as f64 / statements.len() as f64
+    );
+    assert!(
+        per_row <= BUDGET_PER_ROW,
+        "{per_row:.2} allocations per retrieved row, over the budget of {BUDGET_PER_ROW:.2}"
+    );
+}

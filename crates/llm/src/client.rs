@@ -26,7 +26,7 @@
 //! lanes ([`lane_schedule`]), with `K = 1` reproducing the original
 //! sequential accounting bit-for-bit.
 
-use crate::columns::{SubColumn, SubLookup, SubStore};
+use crate::columns::{SubColumn, SubKey, SubLookup, SubStore};
 use crate::lanes::{lane_schedule, Parallelism};
 use crate::model::{Completion, FaultKind, LanguageModel, Usage};
 use crate::resilience::{CircuitBreaker, RetryPolicy};
@@ -763,9 +763,18 @@ impl LlmClient {
         self.sub_entries.column(prefix)
     }
 
+    /// `key` hashed for the sub-entry store, once for all its columns: a
+    /// caller asking one key of several columns hands the result to each
+    /// [`LlmClient::extract_in`] and [`LlmClient::store_in`] beside the
+    /// key. It is valid for this client only.
+    pub fn sub_key(&self, key: &str) -> SubKey {
+        self.sub_entries.sub_key(key)
+    }
+
     /// Looks one key's sub-entry up in a column and, on a stored answer,
     /// hands it to `read` — in place, under the column's lock, so `read`
-    /// must not call back into this client.
+    /// must not call back into this client. `sub` is the key's
+    /// [`LlmClient::sub_key`].
     ///
     /// A stored answer is served as [`SubLookup::Hit`] (a cache hit: the
     /// key's answer costs no prompt, so no batch is charged — unlike a
@@ -780,9 +789,10 @@ impl LlmClient {
         &self,
         column: &SubColumn,
         key: &str,
+        sub: SubKey,
         read: impl FnOnce(&str) -> R,
     ) -> SubLookup<R> {
-        self.count_sub_hit(column.extract(key, read))
+        self.count_sub_hit(column.extract(key, sub, read))
     }
 
     /// Stores one key's answer fragment in a column, making it extractable
@@ -794,9 +804,9 @@ impl LlmClient {
     /// Fault-marker text is never stored: a degraded answer must not
     /// poison the sub-entry store for later queries (the in-flight marker
     /// is left in place, so by-signature hit accounting is unaffected).
-    pub fn store_in(&self, column: &SubColumn, key: &str, answer: &str) {
+    pub fn store_in(&self, column: &SubColumn, key: &str, sub: SubKey, answer: &str) {
         if !crate::faults::is_fault_text(answer) {
-            column.store(key, answer);
+            column.store(key, sub, answer);
         }
     }
 

@@ -12,7 +12,9 @@
 //! A column is found by its full prefix text and an entry by its full key
 //! text. The 64-bit key hash — SipHash keyed at random per store, because
 //! keys are model output — only locates candidates; entries with equal
-//! hashes chain through `Entry::next`.
+//! hashes chain through `Entry::next`. Every column of a store hashes with
+//! the same key, so a caller asking one key of several columns hashes it
+//! once, into a [`SubKey`].
 
 use crate::client::PassThrough;
 use parking_lot::Mutex;
@@ -35,6 +37,41 @@ pub enum SubLookup<R> {
     /// First ask of this cell; the caller owes a store once the answer
     /// lands.
     Miss,
+}
+
+/// A key of the sub-entry store, hashed once: its hash under the hasher
+/// every column of one client shares, so that asking one key of several
+/// columns ([`LlmClient::extract_in`](crate::LlmClient::extract_in),
+/// [`LlmClient::store_in`](crate::LlmClient::store_in)) hashes it once.
+/// Only [`LlmClient::sub_key`](crate::LlmClient::sub_key) makes one; the
+/// key itself travels beside it, and a debug build checks that the two
+/// belong together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubKey {
+    hash: u64,
+}
+
+/// The hasher of one store's keys: SipHash keyed at random per store,
+/// shared by all of its columns.
+#[derive(Clone)]
+struct KeyHasher {
+    keys: RandomState,
+    /// Test-only: hash every key to the same value, so that every lookup
+    /// walks one chain.
+    #[cfg(test)]
+    colliding: bool,
+}
+
+impl KeyHasher {
+    fn sub_key(&self, key: &str) -> SubKey {
+        #[cfg(test)]
+        if self.colliding {
+            return SubKey { hash: 0 };
+        }
+        SubKey {
+            hash: self.keys.hash_one(key),
+        }
+    }
 }
 
 /// "No entry": ends a hash chain, and stands in an entry's answer start
@@ -60,11 +97,9 @@ struct Column {
     entries: Vec<Entry>,
     /// Key hash → position of the newest entry with that hash.
     index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
-    keys: RandomState,
-    /// Test-only: hash every key to the same value, so that every lookup
-    /// walks one chain.
-    #[cfg(test)]
-    colliding: bool,
+    /// The store's hasher, which made every [`SubKey`] this column is
+    /// asked by.
+    hasher: KeyHasher,
 }
 
 impl Column {
@@ -73,18 +108,14 @@ impl Column {
         &self.text.as_bytes()[start..start + entry.key_len as usize]
     }
 
-    fn hash(&self, key: &str) -> u64 {
-        #[cfg(test)]
-        if self.colliding {
-            return 0;
-        }
-        self.keys.hash_one(key)
-    }
-
     /// The position of `key`'s entry, or the key's hash when it has none.
-    fn position(&self, key: &str) -> Result<usize, u64> {
-        let hash = self.hash(key);
-        let mut at = self.index.get(&hash).copied().unwrap_or(NONE);
+    fn position(&self, key: &str, sub: SubKey) -> Result<usize, u64> {
+        debug_assert_eq!(
+            sub,
+            self.hasher.sub_key(key),
+            "a SubKey used with another key, or another client's"
+        );
+        let mut at = self.index.get(&sub.hash).copied().unwrap_or(NONE);
         while at != NONE {
             let entry = &self.entries[at as usize];
             if self.key_bytes(entry) == key.as_bytes() {
@@ -92,7 +123,7 @@ impl Column {
             }
             at = entry.next;
         }
-        Err(hash)
+        Err(sub.hash)
     }
 
     /// Whether one more entry and `bytes` more text keep every position
@@ -129,8 +160,8 @@ impl Column {
         });
     }
 
-    fn extract<R>(&mut self, key: &str, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
-        match self.position(key) {
+    fn extract<R>(&mut self, key: &str, sub: SubKey, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
+        match self.position(key, sub) {
             Ok(at) => {
                 let entry = &self.entries[at];
                 if entry.answer_start == NONE {
@@ -146,8 +177,8 @@ impl Column {
         }
     }
 
-    fn store(&mut self, key: &str, answer: &str) {
-        match self.position(key) {
+    fn store(&mut self, key: &str, sub: SubKey, answer: &str) {
+        match self.position(key, sub) {
             Ok(at) if self.entries[at].answer_start == NONE => {
                 if self.room(answer.len()) {
                     let (start, len) = self.append(answer);
@@ -182,40 +213,49 @@ impl std::fmt::Debug for SubColumn {
 }
 
 impl SubColumn {
-    pub(crate) fn extract<R>(&self, key: &str, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
-        self.0.lock().extract(key, read)
+    pub(crate) fn extract<R>(
+        &self,
+        key: &str,
+        sub: SubKey,
+        read: impl FnOnce(&str) -> R,
+    ) -> SubLookup<R> {
+        self.0.lock().extract(key, sub, read)
     }
 
-    pub(crate) fn store(&self, key: &str, answer: &str) {
-        self.0.lock().store(key, answer);
+    pub(crate) fn store(&self, key: &str, sub: SubKey, answer: &str) {
+        self.0.lock().store(key, sub, answer);
     }
 }
 
 /// Every column of one client, by full prefix text.
 pub(crate) struct SubStore {
     columns: Mutex<HashMap<Box<str>, SubColumn>>,
-    keys: RandomState,
-    #[cfg(test)]
-    colliding: bool,
+    hasher: KeyHasher,
 }
 
 impl SubStore {
     pub(crate) fn new() -> Self {
         SubStore {
             columns: Mutex::new(HashMap::new()),
-            keys: RandomState::new(),
-            #[cfg(test)]
-            colliding: false,
+            hasher: KeyHasher {
+                keys: RandomState::new(),
+                #[cfg(test)]
+                colliding: false,
+            },
         }
     }
 
     /// A store whose columns hash every key to the same value.
     #[cfg(test)]
     pub(crate) fn colliding() -> Self {
-        SubStore {
-            colliding: true,
-            ..SubStore::new()
-        }
+        let mut store = SubStore::new();
+        store.hasher.colliding = true;
+        store
+    }
+
+    /// `key` hashed once for every column of the store.
+    pub(crate) fn sub_key(&self, key: &str) -> SubKey {
+        self.hasher.sub_key(key)
     }
 
     /// Runs `f` on the column named `prefix`, created empty on first use,
@@ -227,9 +267,7 @@ impl SubStore {
                 text: String::new(),
                 entries: Vec::new(),
                 index: HashMap::default(),
-                keys: self.keys.clone(),
-                #[cfg(test)]
-                colliding: self.colliding,
+                hasher: self.hasher.clone(),
             };
             columns.insert(prefix.into(), SubColumn(Arc::new(Mutex::new(column))));
         }
@@ -243,13 +281,15 @@ impl SubStore {
     /// [`SubColumn::extract`] by whole signature.
     pub(crate) fn extract<R>(&self, sig: &str, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
         let (prefix, key) = split_signature(sig);
-        self.with_column(prefix, |column| column.extract(key, read))
+        let sub = self.sub_key(key);
+        self.with_column(prefix, |column| column.extract(key, sub, read))
     }
 
     /// [`SubColumn::store`] by whole signature.
     pub(crate) fn store(&self, sig: &str, answer: &str) {
         let (prefix, key) = split_signature(sig);
-        self.with_column(prefix, |column| column.store(key, answer));
+        let sub = self.sub_key(key);
+        self.with_column(prefix, |column| column.store(key, sub, answer));
     }
 
     /// Empties every column in place, so handles already given out stay
@@ -311,14 +351,24 @@ mod tests {
         let c = client(false);
         let outer = c.sub_column("fetch\u{1f}");
         let inner = c.sub_column("fetch\u{1f}city\u{1f}");
-        c.store_in(&outer, "city\u{1f}Rome", "outer");
+        c.store_in(
+            &outer,
+            "city\u{1f}Rome",
+            c.sub_key("city\u{1f}Rome"),
+            "outer",
+        );
         assert_eq!(
-            c.extract_in(&inner, "Rome", str::to_string),
+            c.extract_in(&inner, "Rome", c.sub_key("Rome"), str::to_string),
             SubLookup::Miss
         );
-        c.store_in(&inner, "Rome", "inner");
+        c.store_in(&inner, "Rome", c.sub_key("Rome"), "inner");
         assert_eq!(
-            c.extract_in(&outer, "city\u{1f}Rome", str::to_string),
+            c.extract_in(
+                &outer,
+                "city\u{1f}Rome",
+                c.sub_key("city\u{1f}Rome"),
+                str::to_string
+            ),
             SubLookup::Hit("outer".into())
         );
         // The wrapper splits after the *last* separator.
@@ -328,20 +378,70 @@ mod tests {
         );
     }
 
+    /// With every key hashed alike, keyed lookups walk one chain per
+    /// column and still answer only the cell of an equal `(prefix, key)`
+    /// pair: a key's own entry, never a neighbour's on the chain or the
+    /// same key's in another column.
+    #[test]
+    fn keyed_cells_chain_and_answer_only_their_own_pair_when_hashes_collide() {
+        let c = client(true);
+        let (a, b) = (c.sub_column(PREFIX), c.sub_column("fetch\u{1f}"));
+        let keys = ["Rome", "rome", "Rome ", "", "東京"];
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(c.sub_key(key), c.sub_key("anything else"));
+            c.store_in(&a, key, c.sub_key(key), &format!("a{i}"));
+        }
+        c.store_in(&b, "Rome", c.sub_key("Rome"), "b");
+        for (i, key) in keys.iter().enumerate() {
+            let found = c.extract_in(&a, key, c.sub_key(key), str::to_string);
+            assert_eq!(found, SubLookup::Hit(format!("a{i}")), "{key:?}");
+        }
+        let read = |column: &SubColumn, key: &str| {
+            c.extract_in(column, key, c.sub_key(key), str::to_string)
+        };
+        assert_eq!(read(&b, "Rome"), SubLookup::Hit("b".into()));
+        assert_eq!(read(&b, "rome"), SubLookup::Miss);
+        assert_eq!(read(&a, "Rom"), SubLookup::Miss);
+        // The misses above left in-flight entries on the chains; the
+        // stored cells still answer, and a miss is in flight from then on.
+        assert_eq!(read(&a, "Rome"), SubLookup::Hit("a0".into()));
+        assert_eq!(read(&a, "Rom"), SubLookup::InFlight);
+        // The whole-signature path finds the keyed cells.
+        assert_eq!(
+            c.extract_sub_entry(&format!("{PREFIX}東京")),
+            SubLookup::Hit("a4".into())
+        );
+    }
+
+    /// A [`SubKey`] paired with a key it was not made from is caught.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a SubKey used with another key")]
+    fn a_sub_key_of_another_key_panics_in_debug_builds() {
+        let c = client(false);
+        let column = c.sub_column(PREFIX);
+        let _ = c.extract_in(&column, "Rome", c.sub_key("Oslo"), str::len);
+    }
+
     #[test]
     fn clearing_empties_columns_without_detaching_handles() {
         let c = client(false);
         let column = c.sub_column(PREFIX);
-        c.store_in(&column, "Rome", "2800000");
+        c.store_in(&column, "Rome", c.sub_key("Rome"), "2800000");
         c.clear_cache();
         assert_eq!(
-            c.extract_in(&column, "Rome", str::to_string),
+            c.extract_in(&column, "Rome", c.sub_key("Rome"), str::to_string),
             SubLookup::Miss
         );
-        c.store_in(&column, "Rome", "2800001");
+        c.store_in(&column, "Rome", c.sub_key("Rome"), "2800001");
         // A handle taken after the clear names the same column.
         assert_eq!(
-            c.extract_in(&c.sub_column(PREFIX), "Rome", str::to_string),
+            c.extract_in(
+                &c.sub_column(PREFIX),
+                "Rome",
+                c.sub_key("Rome"),
+                str::to_string
+            ),
             SubLookup::Hit("2800001".into())
         );
     }
@@ -365,10 +465,10 @@ mod tests {
                             // Half the threads walk the keys backwards.
                             let i = if t % 2 == 0 { i } else { KEYS - 1 - i };
                             let key = format!("key {i}");
-                            match c.extract_in(column, &key, str::to_string) {
+                            match c.extract_in(column, &key, c.sub_key(&key), str::to_string) {
                                 SubLookup::Hit(answer) => assert_eq!(answer, key),
                                 SubLookup::InFlight | SubLookup::Miss => {
-                                    c.store_in(column, &key, &key)
+                                    c.store_in(column, &key, c.sub_key(&key), &key)
                                 }
                             }
                         }
@@ -486,7 +586,12 @@ mod tests {
         for op in ops {
             match *op {
                 Op::ExtractIn { column, key } => {
-                    let got = c.extract_in(&columns[column], &keys[key], str::to_string);
+                    let got = c.extract_in(
+                        &columns[column],
+                        &keys[key],
+                        c.sub_key(&keys[key]),
+                        str::to_string,
+                    );
                     let want = extract(&mut model, (PREFIXES[column], &keys[key]), &mut hits);
                     assert_eq!(got, want, "{op:?}");
                 }
@@ -495,7 +600,12 @@ mod tests {
                     key,
                     answer,
                 } => {
-                    c.store_in(&columns[column], &keys[key], &answers[answer]);
+                    c.store_in(
+                        &columns[column],
+                        &keys[key],
+                        c.sub_key(&keys[key]),
+                        &answers[answer],
+                    );
                     store(&mut model, (PREFIXES[column], &keys[key]), &answers[answer]);
                 }
                 Op::ExtractSig { column, key } => {

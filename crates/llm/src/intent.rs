@@ -409,13 +409,43 @@ pub fn render_task(intent: &TaskIntent) -> String {
             key_attr,
             keys,
             attributes,
-        } => format!(
-            "For each {relation} identified by {key_attr} listed below, what are its \
-             {}? {FETCH_GRID_MARKER}\n{}",
-            attributes.join(" / "),
-            render_key_lines(keys),
-        ),
+        } => {
+            let mut out = String::new();
+            write_grid_question(&mut out, relation, key_attr, keys, attributes);
+            out
+        }
     }
+}
+
+/// Appends the [`TaskIntent::FetchGridBatch`] question to `out`, from
+/// borrowed keys and attribute names: a caller that holds them elsewhere
+/// renders a grid prompt without building the intent, byte-identical to
+/// [`render_task`] (whose grid arm is this function).
+pub fn write_grid_question(
+    out: &mut String,
+    relation: &str,
+    key_attr: &str,
+    keys: &[impl AsRef<str>],
+    attributes: &[impl AsRef<str>],
+) {
+    let names: usize = attributes.iter().map(|a| a.as_ref().len() + 3).sum();
+    let lines: usize = keys.iter().map(|k| k.as_ref().len() + 3).sum();
+    out.reserve(relation.len() + key_attr.len() + names + lines + 200);
+    out.push_str("For each ");
+    out.push_str(relation);
+    out.push_str(" identified by ");
+    out.push_str(key_attr);
+    out.push_str(" listed below, what are its ");
+    for (i, attribute) in attributes.iter().enumerate() {
+        if i > 0 {
+            out.push_str(" / ");
+        }
+        out.push_str(attribute.as_ref());
+    }
+    out.push_str("? ");
+    out.push_str(FETCH_GRID_MARKER);
+    out.push('\n');
+    push_key_lines(out, keys);
 }
 
 /// The [`TaskIntent::FetchAttr`] question split around the key. The fetch
@@ -485,14 +515,19 @@ const FETCH_GRID_MARKER: &str = "Answer with exactly one line per key and attrib
 /// the line structure, not a delimiter, carries the boundary.
 fn render_key_lines(keys: &[String]) -> String {
     let mut out = String::with_capacity(keys.iter().map(|k| k.len() + 3).sum());
+    push_key_lines(&mut out, keys);
+    out
+}
+
+/// [`render_key_lines`], appended to `out`.
+fn push_key_lines(out: &mut String, keys: &[impl AsRef<str>]) {
     for (i, key) in keys.iter().enumerate() {
         if i > 0 {
             out.push('\n');
         }
         out.push_str("- ");
-        out.push_str(key);
+        out.push_str(key.as_ref());
     }
-    out
 }
 
 /// Parses the `- key` lines of a batched prompt body.
@@ -505,7 +540,8 @@ fn parse_key_lines(body: &str) -> Option<Vec<String>> {
     Some(keys)
 }
 
-/// Splits a batched answer into per-key payloads in key order.
+/// Splits a batched answer into per-key payloads in key order, each a
+/// span of `answer`.
 ///
 /// The model is asked for one `key: payload` line per key; lines are
 /// consumed greedily in order (first unconsumed line whose prefix is
@@ -523,11 +559,11 @@ fn parse_key_lines(body: &str) -> Option<Vec<String>> {
 /// first `": "` and no key shadows another, so the split is linear
 /// (`split_by_owner`); otherwise `split_batched_walk` tests every key
 /// against every line.
-pub fn split_batched_answer(answer: &str, keys: &[String]) -> Vec<Option<String>> {
-    if keys.iter().any(|key| find(key, &[": "]).is_some()) {
+pub fn split_batched_answer<'a>(answer: &'a str, keys: &[impl AsRef<str>]) -> Vec<Option<&'a str>> {
+    if keys.iter().any(|key| find(key.as_ref(), &[": "]).is_some()) {
         return split_batched_walk(answer, keys);
     }
-    let cells: Vec<(&str, &str)> = keys.iter().map(|key| (key.as_str(), "")).collect();
+    let cells: Vec<(&str, &str)> = keys.iter().map(|key| (key.as_ref(), "")).collect();
     split_by_owner(
         answer,
         &cells,
@@ -537,9 +573,6 @@ pub fn split_batched_answer(answer: &str, keys: &[String]) -> Vec<Option<String>
             Some(((key, ""), payload))
         },
     )
-    .into_iter()
-    .map(|payload| payload.map(str::to_string))
-    .collect()
 }
 
 /// An answer line's owner — `(key, "")` in a batched answer, `(key,
@@ -553,7 +586,7 @@ type Owned<'a> = ((&'a str, &'a str), &'a str);
 /// indexed by owner, so the split is linear either way.
 fn split_by_owner<'a>(
     answer: &'a str,
-    cells: &[(&'a str, &'a str)],
+    cells: &[(&str, &str)],
     owns: impl Fn((&str, &str), &'a str) -> Option<&'a str>,
     owner: impl Fn(&'a str) -> Option<Owned<'a>>,
 ) -> Vec<Option<&'a str>> {
@@ -594,7 +627,7 @@ fn split_by_owner<'a>(
 
 /// [`split_batched_answer`] by testing every key against every unused
 /// line: quadratic, and exact for keys that contain `": "`.
-fn split_batched_walk(answer: &str, keys: &[String]) -> Vec<Option<String>> {
+fn split_batched_walk<'a>(answer: &'a str, keys: &[impl AsRef<str>]) -> Vec<Option<&'a str>> {
     let lines: Vec<&str> = answer.lines().map(str::trim).collect();
     let mut used = vec![false; lines.len()];
     fn owns<'a>(key: &str, line: &'a str) -> Option<&'a str> {
@@ -603,19 +636,21 @@ fn split_batched_walk(answer: &str, keys: &[String]) -> Vec<Option<String>> {
     }
     keys.iter()
         .map(|key| {
+            let key = key.as_ref();
             for (i, line) in lines.iter().enumerate() {
                 if used[i] {
                     continue;
                 }
                 if let Some(payload) = owns(key, line) {
-                    let shadowed = keys
-                        .iter()
-                        .any(|other| other.len() > key.len() && owns(other, line).is_some());
+                    let shadowed = keys.iter().any(|other| {
+                        let other = other.as_ref();
+                        other.len() > key.len() && owns(other, line).is_some()
+                    });
                     if shadowed {
                         continue;
                     }
                     used[i] = true;
-                    return Some(payload.to_string());
+                    return Some(payload);
                 }
             }
             None
@@ -641,10 +676,10 @@ where
     out
 }
 
-/// Splits a grid answer into per-cell payloads: `result[ki][ai]` is the
-/// payload for `keys[ki]` × `attrs[ai]`, or `None` when that cell's line
-/// was dropped or garbled (the caller's fallback ladder re-asks exactly
-/// those cells).
+/// Splits a grid answer into per-cell payloads, each a span of `answer`,
+/// flat and row-major: `result[ki * attrs.len() + ai]` is the payload for
+/// `keys[ki]` × `attrs[ai]`, or `None` when that cell's line was dropped
+/// or garbled (the caller's fallback ladder re-asks exactly those cells).
 ///
 /// The model is asked for one `key ⌁ attr: payload` line per cell. Lines
 /// are matched by their `"{key} ⌁ {attr}: "` prefix, not by position, so
@@ -659,21 +694,23 @@ where
 /// the first `": "`; no key shadows another, so the split is linear
 /// (`split_by_owner`). Otherwise `split_grid_walk` tests every cell
 /// against every line.
-pub fn split_grid_answer(
-    answer: &str,
-    keys: &[String],
-    attrs: &[String],
-) -> Vec<Vec<Option<String>>> {
-    if keys.iter().any(|key| key.contains(GRID_MARK))
-        || attrs.iter().any(|attr| find(attr, &[": "]).is_some())
+pub fn split_grid_answer<'a>(
+    answer: &'a str,
+    keys: &[impl AsRef<str>],
+    attrs: &[impl AsRef<str>],
+) -> Vec<Option<&'a str>> {
+    if keys.iter().any(|key| key.as_ref().contains(GRID_MARK))
+        || attrs
+            .iter()
+            .any(|attr| find(attr.as_ref(), &[": "]).is_some())
     {
         return split_grid_walk(answer, keys, attrs);
     }
     let cells: Vec<(&str, &str)> = keys
         .iter()
-        .flat_map(|key| attrs.iter().map(move |attr| (key.as_str(), attr.as_str())))
+        .flat_map(|key| attrs.iter().map(move |attr| (key.as_ref(), attr.as_ref())))
         .collect();
-    let mut payloads = split_by_owner(
+    split_by_owner(
         answer,
         &cells,
         |(key, attr), line| {
@@ -688,21 +725,15 @@ pub fn split_grid_answer(
             Some(((key.strip_suffix(' ')?, attr), payload))
         },
     )
-    .into_iter();
-    keys.iter()
-        .map(|_| {
-            payloads
-                .by_ref()
-                .take(attrs.len())
-                .map(|payload| payload.map(str::to_string))
-                .collect()
-        })
-        .collect()
 }
 
 /// [`split_grid_answer`] by testing every cell against every unused line:
 /// quadratic, and exact for keys that contain `⌁`.
-fn split_grid_walk(answer: &str, keys: &[String], attrs: &[String]) -> Vec<Vec<Option<String>>> {
+fn split_grid_walk<'a>(
+    answer: &'a str,
+    keys: &[impl AsRef<str>],
+    attrs: &[impl AsRef<str>],
+) -> Vec<Option<&'a str>> {
     let lines: Vec<&str> = answer.lines().map(str::trim).collect();
     let mut used = vec![false; lines.len()];
     fn owns<'a>(key: &str, attr: &str, line: &'a str) -> Option<&'a str> {
@@ -711,32 +742,32 @@ fn split_grid_walk(answer: &str, keys: &[String], attrs: &[String]) -> Vec<Vec<O
             .strip_prefix(attr)?
             .strip_prefix(": ")
     }
-    keys.iter()
-        .map(|key| {
-            attrs
-                .iter()
-                .map(|attr| {
-                    for (i, line) in lines.iter().enumerate() {
-                        if used[i] {
-                            continue;
-                        }
-                        if let Some(payload) = owns(key, attr, line) {
-                            let shadowed = keys.iter().any(|other| {
-                                other.len() > key.len()
-                                    && attrs.iter().any(|a| owns(other, a, line).is_some())
-                            });
-                            if shadowed {
-                                continue;
-                            }
-                            used[i] = true;
-                            return Some(payload.to_string());
-                        }
-                    }
-                    None
-                })
-                .collect()
-        })
-        .collect()
+    let mut payloads = Vec::with_capacity(keys.len() * attrs.len());
+    for key in keys {
+        let key = key.as_ref();
+        for attr in attrs {
+            let attr = attr.as_ref();
+            let found = lines.iter().enumerate().find_map(|(i, line)| {
+                if used[i] {
+                    return None;
+                }
+                let payload = owns(key, attr, line)?;
+                let shadowed = keys.iter().any(|other| {
+                    let other = other.as_ref();
+                    other.len() > key.len()
+                        && attrs
+                            .iter()
+                            .any(|a| owns(other, a.as_ref(), line).is_some())
+                });
+                (!shadowed).then_some((i, payload))
+            });
+            payloads.push(found.map(|(i, payload)| {
+                used[i] = true;
+                payload
+            }));
+        }
+    }
+    payloads
 }
 
 /// Renders per-cell payloads as the `key ⌁ attr: payload` answer lines of
@@ -1285,21 +1316,13 @@ mod tests {
         let answer = "Rome: 2800000\nPa: ris: Unknown\nLyon: 500000";
         assert_eq!(
             split_batched_answer(answer, &keys),
-            vec![
-                Some("2800000".to_string()),
-                Some("Unknown".to_string()),
-                Some("500000".to_string()),
-            ]
+            vec![Some("2800000"), Some("Unknown"), Some("500000"),]
         );
         // A dropped line yields None for that key only.
         let partial = "Rome: 2800000\nLyon: 500000";
         assert_eq!(
             split_batched_answer(partial, &keys),
-            vec![
-                Some("2800000".to_string()),
-                None,
-                Some("500000".to_string())
-            ]
+            vec![Some("2800000"), None, Some("500000")]
         );
     }
 
@@ -1311,12 +1334,12 @@ mod tests {
         let keys: Vec<String> = vec!["Rome".into(), "Rome: Italy".into()];
         assert_eq!(
             split_batched_answer("Rome: Italy: Yes", &keys),
-            vec![None, Some("Yes".to_string())]
+            vec![None, Some("Yes")]
         );
         // With both lines present, both keys resolve.
         assert_eq!(
             split_batched_answer("Rome: No\nRome: Italy: Yes", &keys),
-            vec![Some("No".to_string()), Some("Yes".to_string())]
+            vec![Some("No"), Some("Yes")]
         );
     }
 
@@ -1346,7 +1369,7 @@ mod tests {
         let answer = "A: 1\nA: 2";
         assert_eq!(
             split_batched_answer(answer, &keys),
-            vec![Some("1".to_string()), Some("2".to_string())]
+            vec![Some("1"), Some("2")]
         );
         assert_eq!(split_batched_answer("nonsense", &keys), vec![None, None]);
     }
@@ -1357,7 +1380,7 @@ mod tests {
         let rendered = render_batched_answer(vec![("Rome", "Yes"), ("Lyon", "No")]);
         assert_eq!(
             split_batched_answer(&rendered, &keys),
-            vec![Some("Yes".to_string()), Some("No".to_string())]
+            vec![Some("Yes"), Some("No")]
         );
     }
 
@@ -1405,21 +1428,17 @@ mod tests {
         assert_eq!(
             split_grid_answer(answer, &keys, &attrs),
             vec![
-                vec![
-                    Some("2800000".to_string()),
-                    Some("Italy: South".to_string())
-                ],
-                vec![Some("Unknown".to_string()), Some("France".to_string())],
+                Some("2800000"),
+                Some("Italy: South"),
+                Some("Unknown"),
+                Some("France"),
             ]
         );
         // A dropped line yields None for that cell only.
         let partial = "Rome \u{2301} population: 2800000\nPa: ris \u{2301} country: France";
         assert_eq!(
             split_grid_answer(partial, &keys, &attrs),
-            vec![
-                vec![Some("2800000".to_string()), None],
-                vec![None, Some("France".to_string())],
-            ]
+            vec![Some("2800000"), None, None, Some("France")]
         );
     }
 
@@ -1434,11 +1453,11 @@ mod tests {
         // is preserved by the re-ask, never by guessing).
         assert_eq!(
             split_grid_answer("A \u{2301} x: 1\nA \u{2301} x: ", &keys, &attrs),
-            vec![vec![Some("1".to_string())], vec![None]]
+            vec![Some("1"), None]
         );
         assert_eq!(
             split_grid_answer("nonsense", &keys, &attrs),
-            vec![vec![None], vec![None]]
+            vec![None, None]
         );
     }
 
@@ -1451,7 +1470,7 @@ mod tests {
         let answer = "population \u{2301} population: 7\nRome \u{2301} population: 9";
         assert_eq!(
             split_grid_answer(answer, &keys, &attrs),
-            vec![vec![Some("7".to_string())], vec![Some("9".to_string())]]
+            vec![Some("7"), Some("9")]
         );
     }
 
@@ -1465,7 +1484,7 @@ mod tests {
         let answer = "Rome \u{2301} population: x \u{2301} population: 5";
         assert_eq!(
             split_grid_answer(answer, &keys, &attrs),
-            vec![vec![None], vec![Some("5".to_string())]]
+            vec![None, Some("5")]
         );
     }
 
@@ -1482,8 +1501,10 @@ mod tests {
         assert_eq!(
             split_grid_answer(&rendered, &keys, &attrs),
             vec![
-                vec![Some("2800000".to_string()), Some("Italy".to_string())],
-                vec![Some("500000".to_string()), Some("France".to_string())],
+                Some("2800000"),
+                Some("Italy"),
+                Some("500000"),
+                Some("France"),
             ]
         );
     }
@@ -1801,6 +1822,122 @@ mod tests {
                     split_grid_walk(answer, &keys, &attrs),
                     "{:?} {:?} {:?}", keys, attrs, answer
                 );
+            }
+        }
+    }
+
+    /// Whether `span` lies inside `answer`: a payload is a slice of the
+    /// completion, never a copy.
+    fn is_span_of(span: &str, answer: &str) -> bool {
+        let range = answer.as_bytes().as_ptr_range();
+        let start = span.as_ptr();
+        range.start <= start && start.wrapping_add(span.len()) <= range.end
+    }
+
+    /// A model's answer to a grid or batched prompt, drawn line by line
+    /// from a seeded grammar: well-formed grid and batched lines for the
+    /// call's own keys and attributes, an echoed prompt line (the question
+    /// or a `- key` line), a well-formed line cut inside a multi-byte
+    /// character (decoded as a reader would: the cut character becomes
+    /// U+FFFD), and blank lines. `size` picks an empty answer, the drawn
+    /// lines, or the drawn lines repeated past 100 kB.
+    fn grammar_answer(
+        keys: &[String],
+        attrs: &[String],
+        mut seed: u64,
+        lines: usize,
+        size: usize,
+    ) -> String {
+        let mut pick = |n: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % n.max(1)
+        };
+        const PAYLOADS: [&str; 5] = ["2800000", "Unknown", "Italy: South", "東京🦀é", ""];
+        let mut out = String::new();
+        for _ in 0..lines {
+            let key = keys.get(pick(keys.len())).map_or("", String::as_str);
+            let attr = attrs.get(pick(attrs.len())).map_or("", String::as_str);
+            let payload = PAYLOADS[pick(PAYLOADS.len())];
+            let line = match pick(6) {
+                0 | 1 => format!("{key}{GRID_SEP}{attr}: {payload}"),
+                2 => format!("{key}: {payload}"),
+                3 if pick(2) == 0 => format!("- {key}"),
+                3 => {
+                    let mut question = String::new();
+                    write_grid_question(&mut question, "city", "name", keys, attrs);
+                    question.lines().next().unwrap_or_default().to_string()
+                }
+                4 => {
+                    let whole = format!("{key}{GRID_SEP}{attr}: 東京🦀é");
+                    let cut = (0..whole.len())
+                        .filter(|&at| !whole.is_char_boundary(at))
+                        .nth(pick(4))
+                        .unwrap_or(whole.len());
+                    String::from_utf8_lossy(&whole.as_bytes()[..cut]).into_owned()
+                }
+                _ => String::new(),
+            };
+            out.push_str(&line);
+            out.push_str(["\n", "\r\n", " \n"][pick(3)]);
+        }
+        match size {
+            0 => String::new(),
+            1 => out,
+            _ => {
+                let unit = if out.is_empty() { "x\n" } else { out.as_str() };
+                unit.repeat(100_000 / unit.len() + 1)
+            }
+        }
+    }
+
+    proptest! {
+        /// The flat, borrowed splits on the grammar's answers: one slot
+        /// per asked cell, row-major, every payload a span of the answer,
+        /// and the linear split equal to the walk — for keys that repeat,
+        /// that hold `⌁` or `": "`, and for answers empty or past 100 kB.
+        #[test]
+        fn splits_are_flat_spans_on_grammar_answers(
+            keys in proptest::collection::vec(0..SPLIT_KEYS.len(), 0..5),
+            attrs in proptest::collection::vec(0..SPLIT_KEYS.len(), 1..4),
+            duplicate in any::<bool>(),
+            seed in any::<u64>(),
+            lines in 0usize..24,
+            size in 0usize..8,
+        ) {
+            let mut keys: Vec<String> = keys.into_iter().map(|i| SPLIT_KEYS[i].to_string()).collect();
+            if duplicate && !keys.is_empty() {
+                keys.push(keys[0].clone());
+            }
+            let attrs: Vec<String> = attrs.into_iter().map(|i| SPLIT_KEYS[i].to_string()).collect();
+            // An empty answer one case in eight, a 100 kB one in eight.
+            let size = match size {
+                0 => 0,
+                7 => 2,
+                _ => 1,
+            };
+            let answer = grammar_answer(&keys, &attrs, seed, lines, size);
+            let batched = split_batched_answer(&answer, &keys);
+            let grid = split_grid_answer(&answer, &keys, &attrs);
+            prop_assert_eq!(batched.len(), keys.len());
+            prop_assert_eq!(grid.len(), keys.len() * attrs.len());
+            for payload in batched.iter().chain(&grid).flatten() {
+                prop_assert!(is_span_of(payload, &answer), "{:?}", payload);
+            }
+            prop_assert_eq!(&batched, &split_batched_walk(&answer, &keys));
+            prop_assert_eq!(&grid, &split_grid_walk(&answer, &keys, &attrs));
+            // Row-major: each row is the grid split of that key alone,
+            // where no other key of the call can shadow it.
+            let unshadowed = |key: &str| {
+                !keys.iter().any(|other| other.len() > key.len() && other.starts_with(key))
+            };
+            let unique = |key: &String| keys.iter().filter(|k| *k == key).count() == 1;
+            for (ki, key) in keys.iter().enumerate() {
+                if unique(key) && unshadowed(key) {
+                    let alone = split_grid_answer(&answer, std::slice::from_ref(key), &attrs);
+                    prop_assert_eq!(&grid[ki * attrs.len()..(ki + 1) * attrs.len()], &alone[..]);
+                }
             }
         }
     }

@@ -46,7 +46,7 @@ pub use client::{
     BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LlmClient, SubEntryLookup,
     BATCH_OVERHEAD_MS,
 };
-pub use columns::{SubColumn, SubLookup};
+pub use columns::{SubColumn, SubKey, SubLookup};
 pub use faults::{FaultProfile, FaultyLlm};
 pub use intent::{CmpOp, Condition, PromptValue, TaskIntent};
 pub use knowledge::{Entity, FactValue, KnowledgeStore};

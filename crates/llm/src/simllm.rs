@@ -1034,7 +1034,7 @@ mod tests {
                     attribute: "population".into(),
                 })))
                 .text;
-            assert_eq!(sub.as_deref(), Some(single.as_str()), "key {key}");
+            assert_eq!(sub, Some(single.as_str()), "key {key}");
         }
     }
 
@@ -1054,7 +1054,7 @@ mod tests {
             })))
             .text;
         let split = crate::intent::split_grid_answer(&grid, &keys, &attrs);
-        for (key, row) in keys.iter().zip(split) {
+        for (key, row) in keys.iter().zip(split.chunks(attrs.len())) {
             for (attr, cell) in attrs.iter().zip(row) {
                 let single = m
                     .complete(&with_preamble(&render_task(&TaskIntent::FetchAttr {
@@ -1123,7 +1123,7 @@ mod tests {
                     condition: cond.clone(),
                 })))
                 .text;
-            assert_eq!(sub.as_deref(), Some(single.as_str()), "key {key}");
+            assert_eq!(sub, Some(single.as_str()), "key {key}");
         }
     }
 

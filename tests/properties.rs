@@ -107,7 +107,7 @@ proptest! {
         if let ListAnswer::Values(values) = parse_list_answer(&input) {
             for v in values {
                 prop_assert!(!v.is_empty());
-                prop_assert!(input.contains(v.trim_matches('"')) || input.contains(&v),
+                prop_assert!(input.contains(v.trim_matches('"')) || input.contains(v),
                     "invented {v:?} from {input:?}");
             }
         }
