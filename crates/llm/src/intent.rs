@@ -430,7 +430,8 @@ pub fn write_grid_question(
 ) {
     let names: usize = attributes.iter().map(|a| a.as_ref().len() + 3).sum();
     let lines: usize = keys.iter().map(|k| k.as_ref().len() + 3).sum();
-    out.reserve(relation.len() + key_attr.len() + names + lines + 200);
+    // The fixed words around the fields are under 64 bytes.
+    out.reserve(relation.len() + key_attr.len() + names + lines + FETCH_GRID_MARKER.len() + 64);
     out.push_str("For each ");
     out.push_str(relation);
     out.push_str(" identified by ");
