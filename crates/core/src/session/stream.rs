@@ -33,32 +33,17 @@ pub(crate) struct TracedTask {
     pub(crate) completion: u64,
 }
 
-/// A task-completion event of the simulation, ordered by `(time, seq)` so
-/// simultaneous completions resolve in creation order — the simulation is
-/// a pure function of the work, never of thread timing.
+/// A task-completion event of the simulation, ordered by `(time, seq)` —
+/// its leading fields; `seq` is unique — so simultaneous completions
+/// resolve in creation order: the simulation is a pure function of the
+/// work, never of thread timing.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct StreamEvent {
     time: u64,
     seq: u64,
     step: usize,
     target: FireTarget,
     text: String,
-}
-
-impl PartialEq for StreamEvent {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for StreamEvent {}
-impl PartialOrd for StreamEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for StreamEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// The event-driven simulation driving one streaming query.
@@ -89,19 +74,9 @@ pub(super) fn retrieve<'a>(
         trace: Vec::new(),
     };
     sim.run();
-    let mut stats = QueryStats {
-        virtual_ms: sim.clock.makespan(),
-        ..QueryStats::default()
-    };
-    let step_tables = sim
-        .protocol
-        .finish()
-        .map(|(acc, table)| {
-            stats.add_step(&acc);
-            table
-        })
-        .collect();
-    (stats, step_tables, sim.trace)
+    let mut finished = sim.protocol.finish();
+    finished.stats.virtual_ms = sim.clock.makespan();
+    (finished.stats, finished.tables, sim.trace)
 }
 
 impl StreamSim<'_> {

@@ -68,18 +68,9 @@ pub(super) fn retrieve(session: &Galois, mut protocol: Protocol) -> (QueryStats,
             fires = run_round(session, &mut protocol, fires);
         }
     }
-    let mut stats = QueryStats::default();
-    let mut step_virtuals = Vec::with_capacity(protocol.n_steps());
-    let step_tables = protocol
-        .finish()
-        .map(|(acc, table)| {
-            stats.add_step(&acc);
-            step_virtuals.push(acc.virtual_ms);
-            table
-        })
-        .collect();
-    stats.virtual_ms = lane_schedule(step_virtuals, lanes);
-    (stats, step_tables)
+    let mut finished = protocol.finish();
+    finished.stats.virtual_ms = lane_schedule(finished.step_clocks, lanes);
+    (finished.stats, finished.tables)
 }
 
 /// Runs one non-empty round of one step: groups the fired prompts into
