@@ -60,7 +60,7 @@ use crate::error::Result;
 use crate::physical::{self, PhysicalPlan, Stage};
 use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
 use galois_llm::intent::{CmpOp, Condition};
-use galois_llm::{ClientStats, Parallelism, BATCH_OVERHEAD_MS};
+use galois_llm::{ClientStats, Parallelism, RetryPolicy, BATCH_OVERHEAD_MS};
 use galois_relational::cost as rcost;
 use galois_relational::{join_algorithm, Catalog, JoinAlgorithm, LogicalPlan, TableSchema};
 use std::collections::{BTreeMap, HashMap};
@@ -122,7 +122,7 @@ pub struct PlannerParams {
     pub prompt_batch: PromptBatch,
     /// Retrieval driver ([`GaloisOptions::pipeline`]). Under a streaming
     /// variant latency is estimated as the dataflow's critical path
-    /// ([`rcost::critical_path_ms`]) instead of the phase-barrier sum, and
+    /// (`critical_path_ms`) instead of the phase-barrier sum, and
     /// steps share the lanes instead of packing as blocks; prompt-count
     /// estimates are unaffected — streaming issues the same prompts. A
     /// `LIMIT` window (`PhysicalPlan::window`) leaves them alone too: how
@@ -309,6 +309,35 @@ pub(crate) fn condition_selectivity(cond: &Condition) -> f64 {
     }
 }
 
+/// Expected number of prompts needed to cover `items` retrieval tasks when
+/// up to `batch_keys` of them fuse into one multi-key prompt. With a batch
+/// factor of 1 (batching off) this is the identity — the estimate stays
+/// bit-compatible with the unbatched cost model — and otherwise it is the
+/// `⌈items / B⌉` the batched retrieval phases actually issue.
+fn batched_prompt_count(items: f64, batch_keys: f64) -> f64 {
+    if batch_keys > 1.0 {
+        (items.max(0.0) / batch_keys).ceil()
+    } else {
+        items.max(0.0)
+    }
+}
+
+/// Virtual latency of a pipelined (streaming) execution: the longer of
+/// the dataflow's dependency chain and the busy-time bound.
+///
+/// A wave execution sums its phases — every phase barrier adds its full
+/// wave time. A pipelined execution is instead bounded below by two
+/// quantities: the **critical path** (`chain_ms`, the sequential head the
+/// pipeline cannot overlap — e.g. the key-listing iteration chain — plus
+/// `tail_ms`, the last item's journey through the remaining stages) and
+/// the **busy bound** (`busy_ms` of total lane work spread across `lanes`
+/// — with one lane a pipeline degenerates to executing everything back to
+/// back). The estimate is the max of the two, the classical pipelined
+/// makespan approximation.
+fn critical_path_ms(chain_ms: f64, tail_ms: f64, busy_ms: f64, lanes: f64) -> f64 {
+    (chain_ms + tail_ms).max(busy_ms / lanes.max(1.0))
+}
+
 /// Expected virtual time of one wave of `batches` batch requests carrying
 /// `prompts` prompts in total: each batch costs `overhead` plus its
 /// cache-missing members decoded across the lanes, and the batches
@@ -373,7 +402,7 @@ pub(crate) fn estimate_step(
     let mut filter_prompts = 0.0;
     let mut n = est_keys_listed;
     for cond in &step.filter_conditions {
-        let prompts = rcost::batched_prompt_count(n, batch_keys);
+        let prompts = batched_prompt_count(n, batch_keys);
         filter_prompts += prompts;
         wave_total += wave_ms(prompts, (prompts / request_prompts).ceil(), fused, params);
         n *= condition_selectivity(cond);
@@ -386,7 +415,7 @@ pub(crate) fn estimate_step(
     let cols = step.fetch.len() as f64;
     let groups = (stages.len() - step.filter_conditions.len()) as f64;
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
-    let col_prompts = rcost::batched_prompt_count(n, batch_keys);
+    let col_prompts = batched_prompt_count(n, batch_keys);
     let fetch_prompts = col_prompts * groups;
     let fetch_fused = params.fused_prompt_latency_ms(batch_keys * attrs_per_group.max(1.0));
     wave_total += wave_ms(
@@ -414,8 +443,7 @@ pub(crate) fn estimate_step(
         let stages =
             step.filter_conditions.len() as f64 + if step.fetch.is_empty() { 0.0 } else { 1.0 };
         let chain_head = (list_prompts - 1.0).max(0.0) * per_iter;
-        rcost::critical_path_ms(chain_head, stages * per_stage, busy_ms, params.lanes())
-            .max(list_chain)
+        critical_path_ms(chain_head, stages * per_stage, busy_ms, params.lanes()).max(list_chain)
     } else {
         wave_total
     };
@@ -609,7 +637,7 @@ pub(crate) fn plan_owned(
     let est_virtual_ms = if params.pipeline.is_streaming() {
         let chain = costs.iter().map(|c| c.virtual_ms).fold(0.0, f64::max);
         let busy: f64 = costs.iter().map(|c| c.busy_ms).sum();
-        rcost::critical_path_ms(chain, 0.0, busy, params.lanes())
+        critical_path_ms(chain, 0.0, busy, params.lanes())
     } else {
         let blocks = costs.iter().map(|c| c.virtual_ms.round().max(0.0) as u64);
         galois_llm::lane_schedule(blocks, params.parallelism.get()) as f64
@@ -687,10 +715,10 @@ impl PlannedQuery {
                 "resilience: {} retries, backoff {}ms ×{} (cap {}ms), timeout {}ms, \
                  breaker opens at {}",
                 policy.max_retries,
-                policy.base_backoff_ms,
-                policy.multiplier,
-                policy.max_backoff_ms,
-                policy.timeout_ms,
+                RetryPolicy::BASE_BACKOFF_MS,
+                RetryPolicy::BACKOFF_MULTIPLIER,
+                RetryPolicy::MAX_BACKOFF_MS,
+                RetryPolicy::TIMEOUT_MS,
                 policy.breaker_threshold,
             )?;
         }
@@ -757,7 +785,26 @@ mod tests {
     use super::*;
     use crate::compile::{compile, concept_signature_for};
     use galois_dataset::Scenario;
-    use galois_llm::RetryPolicy;
+
+    #[test]
+    fn batched_prompt_count_is_identity_at_one_and_ceil_above() {
+        assert_eq!(batched_prompt_count(17.3, 1.0), 17.3);
+        assert_eq!(batched_prompt_count(17.3, 10.0), 2.0);
+        assert_eq!(batched_prompt_count(20.0, 10.0), 2.0);
+        assert_eq!(batched_prompt_count(21.0, 10.0), 3.0);
+        assert_eq!(batched_prompt_count(0.0, 10.0), 0.0);
+        assert_eq!(batched_prompt_count(-1.0, 10.0), 0.0);
+    }
+
+    #[test]
+    fn critical_path_takes_the_binding_bound() {
+        // Chain-bound: plenty of lanes, the dependency chain dominates.
+        assert_eq!(critical_path_ms(500.0, 250.0, 1000.0, 8.0), 750.0);
+        // Busy-bound: one lane, total work dominates.
+        assert_eq!(critical_path_ms(500.0, 250.0, 3000.0, 1.0), 3000.0);
+        // Lanes clamp to one.
+        assert_eq!(critical_path_ms(0.0, 0.0, 100.0, 0.0), 100.0);
+    }
 
     /// Key batching: `B` keys a prompt, one attribute a fetch group.
     fn keys(keys: usize) -> PromptBatch {

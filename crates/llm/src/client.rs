@@ -58,7 +58,7 @@ pub struct ClientStats {
     /// `prompts`, which stays net of retries).
     pub retries: usize,
     /// Attempts that exceeded their deadline (timeout faults, plus
-    /// successful answers slower than the policy's `timeout_ms`).
+    /// successful answers slower than [`RetryPolicy::TIMEOUT_MS`]).
     pub timeouts: usize,
     /// Attempts the model refused with a rate-limit signal.
     pub rate_limited: usize,
@@ -494,8 +494,9 @@ impl LlmClient {
 
     /// Enables the resilient retry loop: faulted requests are retried up
     /// to the policy's budget with exponential backoff + jitter billed in
-    /// virtual time, slow answers past `timeout_ms` are re-asked, and the
-    /// circuit breaker fails requests fast after a streak of exhaustions.
+    /// virtual time, slow answers past [`RetryPolicy::TIMEOUT_MS`] are
+    /// re-asked, and the circuit breaker fails requests fast after a
+    /// streak of exhaustions.
     pub fn with_resilience(mut self, policy: RetryPolicy) -> Self {
         self.resilience = Some(policy);
         self
@@ -679,12 +680,14 @@ impl LlmClient {
             let outcome = self.model.try_complete(prompt);
             let budget_left = retry < policy.max_retries;
             match outcome {
-                Ok(completion) if completion.latency_ms > policy.timeout_ms && budget_left => {
+                Ok(completion)
+                    if completion.latency_ms > RetryPolicy::TIMEOUT_MS && budget_left =>
+                {
                     // Too slow: the caller gave up at the deadline. Bill
                     // the window waited plus the backoff, then re-ask.
                     counters.timeouts += 1;
                     counters.retries += 1;
-                    accrued_ms += policy.timeout_ms + policy.backoff_ms(prompt, retry);
+                    accrued_ms += RetryPolicy::TIMEOUT_MS + policy.backoff_ms(prompt, retry);
                     retry += 1;
                 }
                 Ok(mut completion) => {

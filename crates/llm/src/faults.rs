@@ -12,8 +12,8 @@
 //!
 //! The schedule is leading-failure shaped: a prompt drawn as faulty fails
 //! its first `f` attempts (with `f` capped at
-//! [`FaultProfile::max_consecutive`]) and then answers cleanly forever.
-//! A retry budget of at least `max_consecutive` therefore *guarantees*
+//! [`FaultProfile::MAX_CONSECUTIVE`]) and then answers cleanly forever.
+//! A retry budget of at least `MAX_CONSECUTIVE` therefore *guarantees*
 //! every prompt eventually produces the wrapped model's exact completion —
 //! which is what makes the resilience equivalence battery possible: same
 //! answers, same prompt counts net of retries, same cache hits, only the
@@ -61,13 +61,6 @@ pub struct FaultProfile {
     pub rate_limit_weight: u32,
     /// Relative weight of [`FaultKind::Truncated`] draws.
     pub truncated_weight: u32,
-    /// Upper bound on consecutive leading failures of one prompt. A retry
-    /// budget of at least this many re-asks guarantees a clean answer.
-    pub max_consecutive: u32,
-    /// Latency billed by a timed-out attempt (the deadline spent waiting).
-    pub timeout_latency_ms: u64,
-    /// Latency billed by a transient / rate-limit / truncated attempt.
-    pub fault_latency_ms: u64,
 }
 
 impl Default for FaultProfile {
@@ -77,6 +70,14 @@ impl Default for FaultProfile {
 }
 
 impl FaultProfile {
+    /// Upper bound on consecutive leading failures of one prompt. A retry
+    /// budget of at least this many re-asks guarantees a clean answer.
+    pub const MAX_CONSECUTIVE: u32 = 3;
+    /// Latency billed by a timed-out attempt (the deadline spent waiting).
+    pub(crate) const TIMEOUT_LATENCY_MS: u64 = 1_000;
+    /// Latency billed by a transient / rate-limit / truncated attempt.
+    pub(crate) const FAULT_LATENCY_MS: u64 = 30;
+
     /// A schedule failing roughly `rate` of all prompts, with all four
     /// fault kinds in play and at most 3 consecutive failures per prompt.
     pub fn with_rate(rate: f64) -> Self {
@@ -87,23 +88,20 @@ impl FaultProfile {
             timeout_weight: 2,
             rate_limit_weight: 2,
             truncated_weight: 2,
-            max_consecutive: 3,
-            timeout_latency_ms: 1_000,
-            fault_latency_ms: 30,
         }
     }
 
     /// Number of leading failed attempts for a prompt: 0 for most prompts,
-    /// `1..=max_consecutive` for the `fault_rate` share drawn as faulty.
+    /// `1..=MAX_CONSECUTIVE` for the `fault_rate` share drawn as faulty.
     fn leading_faults(&self, prompt: &str) -> u32 {
-        if self.fault_rate <= 0.0 || self.max_consecutive == 0 {
+        if self.fault_rate <= 0.0 {
             return 0;
         }
         let u = seeded(self.seed, &["fault?", prompt]) as f64 / u64::MAX as f64;
         if u >= self.fault_rate {
             return 0;
         }
-        1 + (seeded(self.seed, &["depth", prompt]) % u64::from(self.max_consecutive)) as u32
+        1 + (seeded(self.seed, &["depth", prompt]) % u64::from(Self::MAX_CONSECUTIVE)) as u32
     }
 
     /// The fault kind of one attempt, drawn from the kind weights.
@@ -165,8 +163,8 @@ impl FaultyLlm {
     /// Builds the degraded completion of one failed attempt.
     fn degraded(&self, prompt: &str, attempt: u32, kind: FaultKind) -> Completion {
         let latency_ms = match kind {
-            FaultKind::Timeout => self.profile.timeout_latency_ms,
-            _ => self.profile.fault_latency_ms,
+            FaultKind::Timeout => FaultProfile::TIMEOUT_LATENCY_MS,
+            _ => FaultProfile::FAULT_LATENCY_MS,
         };
         let text = match kind {
             // A truncated/garbled answer: the inner model's clean text cut
@@ -258,7 +256,10 @@ mod tests {
                     break;
                 }
             }
-            assert!(failures <= profile.max_consecutive, "schedule must cap");
+            assert!(
+                failures <= FaultProfile::MAX_CONSECUTIVE,
+                "schedule must cap"
+            );
         }
         assert!(failures >= 1, "rate 1.0 must fail the first attempt");
         // Once clean, clean forever.
@@ -325,7 +326,7 @@ mod tests {
         let faulty = FaultyLlm::new(fixed(), profile.clone());
         let fault = faulty.try_complete("prompt").unwrap_err();
         assert_eq!(fault.kind, FaultKind::Timeout);
-        assert_eq!(fault.degraded.latency_ms, profile.timeout_latency_ms);
+        assert_eq!(fault.degraded.latency_ms, FaultProfile::TIMEOUT_LATENCY_MS);
     }
 
     #[test]

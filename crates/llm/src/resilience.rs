@@ -14,8 +14,9 @@ use crate::noise::seeded;
 /// Bounded-retry configuration (the payload of `Resilience::On`).
 ///
 /// The defaults are deliberately conservative-for-equivalence: 4 retries
-/// covers [`crate::FaultProfile`]'s default 3-consecutive-failure cap, the
-/// timeout is far above any simulated clean latency, and the breaker
+/// cover [`crate::FaultProfile::MAX_CONSECUTIVE`] (3) consecutive
+/// failures, [`RetryPolicy::TIMEOUT_MS`] is far above any simulated clean
+/// latency, and the breaker
 /// threshold is high enough that it never opens while retries are still
 /// winning — so a ≤ 20 % fault rate under the default policy reproduces
 /// the fault-free run bit for bit (only the virtual clock grows).
@@ -23,19 +24,10 @@ use crate::noise::seeded;
 pub struct RetryPolicy {
     /// Re-asks after the first failed attempt (total attempts = 1 + this).
     pub max_retries: u32,
-    /// Backoff before the first retry, in virtual milliseconds.
-    pub base_backoff_ms: u64,
-    /// Multiplier applied to the backoff per further retry.
-    pub multiplier: u64,
-    /// Backoff ceiling, in virtual milliseconds.
-    pub max_backoff_ms: u64,
     /// Deterministic jitter added to each backoff, as a permille fraction
     /// of the backoff (200 = up to +20 %), drawn from a hash of the
     /// prompt and the attempt ordinal so lanes decorrelate reproducibly.
     pub jitter_permille: u64,
-    /// An attempt slower than this (even a successful one) counts as a
-    /// timeout: its window is billed and the request is retried.
-    pub timeout_ms: u64,
     /// Consecutive retry-exhausted prompts that trip the breaker open.
     pub breaker_threshold: u32,
     /// Requests failed fast while the breaker is open, before one
@@ -47,11 +39,7 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 4,
-            base_backoff_ms: 50,
-            multiplier: 2,
-            max_backoff_ms: 2_000,
             jitter_permille: 200,
-            timeout_ms: 30_000,
             breaker_threshold: 8,
             breaker_cooldown: 16,
         }
@@ -59,19 +47,25 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Backoff before the first retry, in virtual milliseconds.
+    pub const BASE_BACKOFF_MS: u64 = 50;
+    /// Multiplier applied to the backoff per further retry.
+    pub const BACKOFF_MULTIPLIER: u64 = 2;
+    /// Backoff ceiling, in virtual milliseconds.
+    pub const MAX_BACKOFF_MS: u64 = 2_000;
+    /// An attempt slower than this many virtual milliseconds (even a
+    /// successful one) counts as a timeout: its window is billed and the
+    /// request is retried.
+    pub const TIMEOUT_MS: u64 = 30_000;
+
     /// Virtual backoff before retry `retry` (0-based) of `prompt`:
     /// exponential with ceiling, plus deterministic jitter.
     pub(crate) fn backoff_ms(&self, prompt: &str, retry: u32) -> u64 {
-        let mut base = self.base_backoff_ms;
-        for _ in 0..retry {
-            base = base.saturating_mul(self.multiplier.max(1));
-            if base >= self.max_backoff_ms {
-                base = self.max_backoff_ms;
-                break;
-            }
-        }
-        base = base.min(self.max_backoff_ms);
-        if self.jitter_permille == 0 || base == 0 {
+        let growth = Self::BACKOFF_MULTIPLIER.saturating_pow(retry);
+        let base = Self::BASE_BACKOFF_MS
+            .saturating_mul(growth)
+            .min(Self::MAX_BACKOFF_MS);
+        if self.jitter_permille == 0 {
             return base;
         }
         let retry_label = retry.to_string();

@@ -36,8 +36,9 @@
 //! db.add_table(t).unwrap();
 //!
 //! let plan = db.plan("SELECT name FROM city WHERE population > 1000000").unwrap();
-//! let rows = cost::estimate_rows_with(&plan, db.catalog(), &HashMap::new());
-//! assert!(rows > 0.0 && rows <= 2.0);
+//! // One estimate per plan node, root first.
+//! let rows = cost::estimate_rows_preorder(&plan, db.catalog(), &HashMap::new());
+//! assert!(rows[0] > 0.0 && rows[0] <= 2.0);
 //! assert!(cost::explain_with_rows_overridden(&plan, db.catalog(), &HashMap::new()).contains("rows≈"));
 //! ```
 
@@ -71,35 +72,6 @@ pub const DEFAULT_SCAN_ROWS: f64 = 100.0;
 /// Fraction of input rows assumed to survive as distinct groups in a
 /// grouped aggregation.
 pub(crate) const GROUP_FRACTION: f64 = 0.25;
-
-/// Expected number of prompts needed to cover `items` retrieval tasks when
-/// up to `batch_keys` of them fuse into one multi-key prompt. With a batch
-/// factor of 1 (batching off) this is the identity — the estimate stays
-/// bit-compatible with the unbatched cost model — and otherwise it is the
-/// `⌈items / B⌉` the batched retrieval phases actually issue.
-pub fn batched_prompt_count(items: f64, batch_keys: f64) -> f64 {
-    if batch_keys > 1.0 {
-        (items.max(0.0) / batch_keys).ceil()
-    } else {
-        items.max(0.0)
-    }
-}
-
-/// Virtual latency of a pipelined (streaming) execution: the longer of
-/// the dataflow's dependency chain and the busy-time bound.
-///
-/// A wave execution sums its phases — every phase barrier adds its full
-/// wave time. A pipelined execution is instead bounded below by two
-/// quantities: the **critical path** (`chain_ms`, the sequential head the
-/// pipeline cannot overlap — e.g. the key-listing iteration chain — plus
-/// `tail_ms`, the last item's journey through the remaining stages) and
-/// the **busy bound** (`busy_ms` of total lane work spread across `lanes`
-/// — with one lane a pipeline degenerates to executing everything back to
-/// back). The estimate is the max of the two, the classical pipelined
-/// makespan approximation.
-pub fn critical_path_ms(chain_ms: f64, tail_ms: f64, busy_ms: f64, lanes: f64) -> f64 {
-    (chain_ms + tail_ms).max(busy_ms / lanes.max(1.0))
-}
 
 /// Estimated fraction of input rows satisfying a predicate, derived purely
 /// from the predicate's shape (System-R style constants — the classical
@@ -162,28 +134,16 @@ pub(crate) fn predicate_selectivity(expr: &ScalarExpr) -> f64 {
     sel.clamp(0.0, 1.0)
 }
 
-/// Estimated output cardinality of a plan, reading base-table row counts
-/// from the catalog as the planner's statistics, with per-table
-/// cardinality overrides (keyed by lower-cased table name, looked up
-/// case-insensitively) taking precedence.
-/// The Galois planner uses the overrides to annotate a compiled
-/// residual plan whose scans reference not-yet-materialised `__llm_*`
-/// temporaries: it knows how many keys it expects each retrieval to
-/// produce, and the catalog does not.
-pub fn estimate_rows_with(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    overrides: &HashMap<String, f64>,
-) -> f64 {
-    node_rows(plan, catalog, overrides, |input| {
-        estimate_rows_with(input, catalog, overrides)
-    })
-}
-
-/// [`estimate_rows_with`] of every node of the plan, in pre-order (a node,
-/// then its children left to right — the order `EXPLAIN` prints them in),
-/// from one bottom-up walk: each node's estimate is computed once, from
-/// its children's.
+/// Estimated output cardinality of every node of the plan, in pre-order
+/// (a node, then its children left to right — the order `EXPLAIN` prints
+/// them in), from one bottom-up walk: each node's estimate is computed
+/// once, from its children's. Base-table row counts are read from the
+/// catalog as the planner's statistics, with per-table cardinality
+/// overrides (keyed by lower-cased table name, looked up
+/// case-insensitively) taking precedence. The Galois planner uses the
+/// overrides to annotate a compiled residual plan whose scans reference
+/// not-yet-materialised `__llm_*` temporaries: it knows how many keys it
+/// expects each retrieval to produce, and the catalog does not.
 pub fn estimate_rows_preorder(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -275,7 +235,7 @@ pub(crate) fn explain_with_rows(plan: &LogicalPlan, catalog: &Catalog) -> String
 
 /// Renders the plan tree with a `(rows≈N)` estimate appended to every
 /// operator line, under the cardinality overrides of
-/// [`estimate_rows_with`].
+/// [`estimate_rows_preorder`].
 pub fn explain_with_rows_overridden(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -348,28 +308,21 @@ mod tests {
         db
     }
 
+    /// Estimated output cardinality of one plan node, recomputing its whole
+    /// subtree: the per-node reference [`estimate_rows_preorder`] is checked
+    /// against.
+    fn estimate_rows_with(
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        overrides: &HashMap<String, f64>,
+    ) -> f64 {
+        node_rows(plan, catalog, overrides, |input| {
+            estimate_rows_with(input, catalog, overrides)
+        })
+    }
+
     fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
         estimate_rows_with(plan, catalog, &HashMap::new())
-    }
-
-    #[test]
-    fn batched_prompt_count_is_identity_at_one_and_ceil_above() {
-        assert_eq!(batched_prompt_count(17.3, 1.0), 17.3);
-        assert_eq!(batched_prompt_count(17.3, 10.0), 2.0);
-        assert_eq!(batched_prompt_count(20.0, 10.0), 2.0);
-        assert_eq!(batched_prompt_count(21.0, 10.0), 3.0);
-        assert_eq!(batched_prompt_count(0.0, 10.0), 0.0);
-        assert_eq!(batched_prompt_count(-1.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn critical_path_takes_the_binding_bound() {
-        // Chain-bound: plenty of lanes, the dependency chain dominates.
-        assert_eq!(critical_path_ms(500.0, 250.0, 1000.0, 8.0), 750.0);
-        // Busy-bound: one lane, total work dominates.
-        assert_eq!(critical_path_ms(500.0, 250.0, 3000.0, 1.0), 3000.0);
-        // Lanes clamp to one.
-        assert_eq!(critical_path_ms(0.0, 0.0, 100.0, 0.0), 100.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! (`tests/common/contract.rs`), and the resilience layer's own rules.
 //!
 //! 1. **Fault-free equivalence under retries** — with a bounded fault
-//!    schedule (`max_consecutive` ≤ the retry budget) and
+//!    schedule (`MAX_CONSECUTIVE` ≤ the retry budget) and
 //!    `Resilience::On`, a faulty run at fault rate 0.1, 0.2 or 0.5 reads
 //!    the fault-free run's rows in order and every stat but the clocks
 //!    (which bill the retry waits) and the resilience counters: no failed
@@ -76,7 +76,7 @@ proptest! {
         let world = draw.world();
         let clean = draw.cell(&world).model(Model::Profile(ModelProfile::oracle()));
         let faults = FaultProfile { seed: fault_seed, ..FaultProfile::with_rate(rate) };
-        prop_assert!(faults.max_consecutive <= RetryPolicy::default().max_retries);
+        prop_assert!(FaultProfile::MAX_CONSECUTIVE <= RetryPolicy::default().max_retries);
         let retried = GaloisOptions {
             resilience: Resilience::On(RetryPolicy::default()),
             ..draw.options.clone()
