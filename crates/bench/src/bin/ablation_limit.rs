@@ -12,7 +12,9 @@
 //! window (the suite's equivalence battery pins this); the table ties on
 //! row counts and separates on prompts and the virtual clock. The
 //! unlimited row is the control: with no window to cover, early stop must
-//! change nothing.
+//! change nothing. The bin asserts all three: equal rows, never more
+//! prompts with early stop on, and an unlimited row tied on prompts and
+//! virtual ms.
 //!
 //! Usage: `ablation_limit [--seed 42] [--parallelism 8]`.
 
@@ -112,6 +114,20 @@ fn main() {
                 off.rows, on.rows,
                 "early stop must not change the window size ({sql})"
             );
+            assert!(
+                on.prompts <= off.prompts,
+                "early stop must never cost prompts ({sql}): {} > {}",
+                on.prompts,
+                off.prompts
+            );
+            if n.is_none() {
+                // No window to cover: early stop must change nothing.
+                assert_eq!(
+                    (on.prompts, on.virtual_ms),
+                    (off.prompts, off.virtual_ms),
+                    "the unlimited row must tie on prompts and virtual ms ({sql})"
+                );
+            }
             t.row(vec![
                 label.to_string(),
                 n.map_or_else(|| "none".to_string(), |n| n.to_string()),
@@ -127,7 +143,8 @@ fn main() {
     }
     println!("{}", t.render());
     println!(
-        "(expected: identical row counts; with early stop on, list pages stop shortly after the \
-         window is covered, so prompts grow with n and the unlimited row ties exactly)"
+        "(asserted: identical row counts, never more prompts with early stop on, and an \
+         unlimited row that ties exactly on prompts and virtual ms; with early stop on, list \
+         pages stop shortly after the window is covered, so prompts grow with n)"
     );
 }
