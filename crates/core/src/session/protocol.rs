@@ -324,7 +324,8 @@ impl<'a> Protocol<'a> {
         let built = self.steps.len() - served;
         typed.steps_built.fetch_add(built, Ordering::Relaxed);
         let (mut stats, mut step_clocks) = (QueryStats::default(), Vec::new());
-        // Collected in place, into the steps' own buffer.
+        // Collected in place, into the steps' own buffer — with no
+        // reallocation while `StepRun`'s size is a multiple of `StepTable`'s.
         let tables = (self.steps.into_iter())
             .map(|run| {
                 stats.add_step(&run.acc);
