@@ -1,6 +1,6 @@
 //! Microbenchmarks for the prompt path's host side: what no
 //! `galois_benchmark` probe times. The client's miss and hit paths, the
-//! tokenizer and the simulator's answers are the probes'
+//! tokenizer on ASCII text and the simulator's answers are the probes'
 //! (`llm.client.{miss,hit}_ns_per_prompt`, `llm.tokenizer.ns_per_kb`,
 //! `llm.simllm.complete_us_per_call`); `crates/bench/README.md` lists
 //! what is kept here and why.
@@ -8,7 +8,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::prompts::PromptBuilder;
 use galois_llm::noise::seeded;
-use galois_llm::{Completion, LanguageModel, LlmClient, SubEntryLookup, SubKey, Usage};
+use galois_llm::tokenizer::count_tokens;
+use galois_llm::{Completion, LanguageModel, LlmClient, SubEntryLookup, SubKey, TaskIntent, Usage};
 use std::sync::Arc;
 
 /// Operations per iteration of every case below: the shim times each
@@ -71,6 +72,76 @@ fn bench_prompt_path(c: &mut Criterion) {
         b.iter(|| {
             for prompt in &prompts {
                 black_box(seeded(42, &["fetch", black_box(prompt)]));
+            }
+        })
+    });
+    bench_tokenizer(c, &prompts);
+}
+
+/// The tokenizer on the texts its probe does not give it. The probe's
+/// corpus (`llm.tokenizer.ns_per_kb`) is all ASCII, so there only a
+/// prompt's tail under 64 bytes reaches the byte walk that every block
+/// holding a byte ≥ 0x80 takes. `prompt_768B` counts the Figure 4 fetch
+/// prompts above (64-byte blocks, then the tail), `grid_prompt` a grid
+/// prompt whose `⌁` markers send their blocks to the byte walk,
+/// `non_ascii_1KB` kilobytes whose every block holds a multi-byte
+/// character. Each does a thousand counts an iteration.
+fn bench_tokenizer(c: &mut Criterion, prompts: &[String]) {
+    c.bench_function("tokenizer/prompt_768B", |b| {
+        b.iter(|| {
+            for prompt in prompts {
+                black_box(count_tokens(black_box(prompt)));
+            }
+        })
+    });
+    let grid = PromptBuilder::for_model("chatgpt").task(&TaskIntent::FetchGridBatch {
+        relation: "city".into(),
+        key_attr: "name".into(),
+        keys: (0..10).map(|i| format!("San Lorenzo {i:08}")).collect(),
+        attributes: "population country mayor area elevation founded"
+            .split(' ')
+            .map(String::from)
+            .collect(),
+    });
+    assert!(grid.contains('\u{2301}'));
+    c.bench_function("tokenizer/grid_prompt", |b| {
+        b.iter(|| {
+            for _ in 0..OPS {
+                black_box(count_tokens(black_box(&grid)));
+            }
+        })
+    });
+    // Sixty-four kilobytes of words in an order that does not repeat, as
+    // in real text, counted in turn: one short text counted over and over
+    // would let the branch predictor learn it.
+    let words: Vec<&str> =
+        "Zürich Москва 東京都庁舎 São Paulo Kraków and the city Ελλάδα population , ; 1961 Québec Mëxico"
+            .split(' ')
+            .collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let non_ascii: Vec<String> = (0..64)
+        .map(|_| {
+            let mut text = String::new();
+            while text.len() < 1024 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                text.push_str(words[(state >> 60) as usize]);
+                text.push(' ');
+            }
+            while text.len() > 1024 {
+                text.pop();
+            }
+            text
+        })
+        .collect();
+    assert!(non_ascii
+        .iter()
+        .all(|text| text.as_bytes().chunks(64).all(|block| !block.is_ascii())));
+    c.bench_function("tokenizer/non_ascii_1KB", |b| {
+        b.iter(|| {
+            for text in non_ascii.iter().cycle().take(OPS) {
+                black_box(count_tokens(black_box(text)));
             }
         })
     });

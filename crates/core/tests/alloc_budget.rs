@@ -1,18 +1,30 @@
-//! The engine's allocations on the cold serving path, per retrieved row.
+//! The engine's allocations on its two cold paths: per retrieved row on
+//! the serving path, per prompt on the paper path.
 //!
 //! A counting global allocator (its count is per thread, and a statement
 //! runs on the thread that executes it) reads how many allocations the
-//! 46 suite statements make on a fresh `GaloisOptions::serving()` session
-//! over the default seed-42 world, divided by the rows their steps
-//! retrieved. The model replays answers recorded on an earlier session,
-//! so the count is the engine's plus one copied answer per prompt.
+//! 46 suite statements make on a fresh session over the default seed-42
+//! world.
 //!
-//! The budget is the reading of the code that parses answers as spans,
-//! de-duplicates listed keys without lower-cased copies and hashes each
-//! key once for all its sub-entry columns — 11.9 allocations per row on
-//! this world (407 per statement) — plus 10 %. The code before it read
-//! 15.0 (511 per statement). A change that starts copying keys or cells
-//! per row again fails here before any timing shows it.
+//! **Serving path.** A `GaloisOptions::serving()` session, divided by the
+//! rows its steps retrieved. The model replays answers recorded on an
+//! earlier session, so the count is the engine's plus one copied answer
+//! per prompt. The budget is the reading of the code that parses answers
+//! as spans, de-duplicates listed keys without lower-cased copies and
+//! hashes each key once for all its sub-entry columns — 11.9 allocations
+//! per row on this world (407 per statement) — plus 10 %. The code before
+//! it read 15.0 (511 per statement). A change that starts copying keys or
+//! cells per row again fails here before any timing shows it.
+//!
+//! **Paper path.** A `GaloisOptions::default()` session over a live oracle
+//! `SimLlm`, divided by the prompts the statements sent, so the count is
+//! the engine's, the client's and the simulator's. The budget is the
+//! reading when the test was added — 16.23 allocations per prompt on this
+//! world (47 411 over 2 921 prompts, 1 031 per statement), the same before
+//! and after token counts went to 64-byte blocks, which allocate nothing —
+//! plus 10 %. On the x20 world `paper_cold` runs
+//! (`Scenario::generate_scaled(42, 20)`) the same code reads 13.13 a prompt
+//! (15 858 per statement).
 
 use galois_core::{Galois, GaloisOptions};
 use galois_dataset::Scenario;
@@ -22,8 +34,11 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Allocations per retrieved row this test allows.
+/// Allocations per retrieved row the serving test allows.
 const BUDGET_PER_ROW: f64 = 11.92 * 1.1;
+
+/// Allocations per prompt the paper-path test allows.
+const BUDGET_PER_PROMPT: f64 = 16.23 * 1.1;
 
 /// The system allocator, counting each allocation and reallocation on the
 /// thread that asks for it.
@@ -140,5 +155,34 @@ fn the_cold_serving_suite_stays_within_its_allocations_per_retrieved_row() {
     assert!(
         per_row <= BUDGET_PER_ROW,
         "{per_row:.2} allocations per retrieved row, over the budget of {BUDGET_PER_ROW:.2}"
+    );
+}
+
+#[test]
+fn the_cold_paper_suite_stays_within_its_allocations_per_prompt() {
+    let scenario = Scenario::generate(42);
+    let statements: Vec<String> = scenario.suite.iter().map(|q| q.to_sql()).collect();
+    assert_eq!(statements.len(), 46);
+    let model = Arc::new(SimLlm::new(
+        scenario.knowledge.clone(),
+        ModelProfile::oracle(),
+    ));
+    let session = Galois::with_options(model, scenario.database.clone(), GaloisOptions::default());
+    let before = allocations();
+    let mut prompts = 0;
+    for sql in &statements {
+        prompts += session.execute(sql).unwrap().stats.total_prompts();
+    }
+    let allocations = allocations() - before;
+    assert!(prompts > 0, "the suite sent no prompt");
+    let per_prompt = allocations as f64 / prompts as f64;
+    println!(
+        "{allocations} allocations over {prompts} prompts: {per_prompt:.2} per prompt, \
+         {:.0} per statement",
+        allocations as f64 / statements.len() as f64
+    );
+    assert!(
+        per_prompt <= BUDGET_PER_PROMPT,
+        "{per_prompt:.2} allocations per prompt, over the budget of {BUDGET_PER_PROMPT:.2}"
     );
 }

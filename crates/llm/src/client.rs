@@ -418,20 +418,19 @@ impl<V> Striped<V> {
     }
 }
 
-/// Length of the longest common prefix of two byte strings.
+/// Length of the longest common prefix of two byte strings: whole 32-byte
+/// chunks first, each compared as one array, then byte by byte from the
+/// first chunk that differs.
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    const WORD: usize = 8;
-    let words = a
-        .chunks_exact(WORD)
-        .zip(b.chunks_exact(WORD))
-        .take_while(|(x, y)| x == y)
-        .count();
-    let rest = a[words * WORD..]
+    const CHUNK: usize = 32;
+    let (xs, ys) = (a.as_chunks::<CHUNK>().0, b.as_chunks::<CHUNK>().0);
+    let same = xs.iter().zip(ys).take_while(|(x, y)| x == y).count() * CHUNK;
+    let rest = a[same..]
         .iter()
-        .zip(&b[words * WORD..])
+        .zip(&b[same..])
         .take_while(|(x, y)| x == y)
         .count();
-    words * WORD + rest
+    same + rest
 }
 
 /// A caching, stats-keeping, thread-safe client over any [`LanguageModel`].
@@ -1756,6 +1755,32 @@ mod tests {
         ] {
             assert_eq!(common_prefix(a.as_bytes(), b.as_bytes()), n, "{a} {b}");
             assert_eq!(common_prefix(b.as_bytes(), a.as_bytes()), n, "{b} {a}");
+        }
+    }
+
+    /// The chunked compare against a byte-by-byte one, on a reference the
+    /// length of a paper-faithful fetch prompt: a divergence at every
+    /// offset, every head of it and the reference with more after it.
+    #[test]
+    fn common_prefix_matches_a_byte_walk() {
+        let byte_walk = |a: &[u8], b: &[u8]| a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        let reference: Vec<u8> = (0..758u32).map(|i| b' ' + (i * 7 % 95) as u8).collect();
+        let mut texts = vec![Vec::new()];
+        for at in 0..reference.len() {
+            let mut diverged = reference.clone();
+            diverged[at] ^= 0x80;
+            texts.push(diverged);
+            texts.push(reference[..at].to_vec());
+        }
+        for extra in [1, 31, 32, 33, 100] {
+            let mut longer = reference.clone();
+            longer.extend(std::iter::repeat_n(b'x', extra));
+            texts.push(longer);
+        }
+        for text in &texts {
+            let n = byte_walk(text, &reference);
+            assert_eq!(common_prefix(text, &reference), n, "{}", text.len());
+            assert_eq!(common_prefix(&reference, text), n, "{}", text.len());
         }
     }
 

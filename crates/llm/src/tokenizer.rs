@@ -10,6 +10,15 @@
 //! a model that truncates to its context window and then bills the prompt
 //! reads the prompt's bytes once. [`count_tokens`] is that walk with no
 //! budget.
+//!
+//! The walk takes the text 64 bytes at a time. An all-ASCII block that the
+//! budget covers is counted from two bitmasks, its word bytes and its
+//! space bytes, which four 16-byte SSE2 compares build on x86_64; a word
+//! run that crosses the block's edge carries its length into the next
+//! block. Three cases are walked byte by byte, so a cut lands where it
+//! always did: the tail under 64 bytes, a block holding a byte ≥ 0x80 (a
+//! multi-byte character), and the block in which the budget runs out. On
+//! other targets every block is walked byte by byte.
 
 /// Counts approximate tokens in `text`.
 pub fn count_tokens(text: &str) -> usize {
@@ -21,6 +30,8 @@ pub fn count_tokens(text: &str) -> usize {
 /// of `WORD` bytes, each the first byte of a character (an ASCII
 /// alphanumeric or a UTF-8 lead byte), and the `CONT`inuation bytes that
 /// follow a lead byte; every fourth character of a run starts a new piece.
+/// `WORD` and `CONT` are the two largest, so `class >= WORD` is a byte of a
+/// word run.
 const SPACE: u8 = 0;
 const PUNCT: u8 = 1;
 const WORD: u8 = 2;
@@ -46,6 +57,9 @@ const BYTE_CLASS: [u8; 256] = {
 /// Characters per word piece.
 const PIECE_CHARS: usize = 4;
 
+/// Bytes per block of the block path.
+const BLOCK: usize = 64;
+
 /// Truncates `text` to at most `max_tokens` tokens, preserving the head,
 /// and counts the tokens of what is kept — in one pass. The text comes
 /// back unchanged (trailing whitespace included) when it fits.
@@ -54,27 +68,135 @@ pub(crate) fn truncate_tokens(text: &str, max_tokens: usize) -> (&str, usize) {
     let mut tokens = 0usize;
     // Characters of the word run so far, zero outside one.
     let mut run = 0usize;
-    // Straight-line per byte: where words end is unpredictable, so the
-    // only branch is the one taken once, at the cut.
-    for (i, &byte) in bytes.iter().enumerate() {
-        let class = BYTE_CLASS[byte as usize];
-        let starts_piece = class == PUNCT || (class == WORD && run.is_multiple_of(PIECE_CHARS));
-        tokens += usize::from(starts_piece);
-        if tokens > max_tokens {
-            // One piece too many: cut where the piece before it ended.
-            let mut end = i;
-            while end > 0 && BYTE_CLASS[bytes[end - 1] as usize] == SPACE {
-                end -= 1;
+    for (n, block) in bytes.chunks(BLOCK).enumerate() {
+        // A whole ASCII block the budget covers is counted from its masks.
+        if let Some((pieces, next_run)) = block_pieces(block, run) {
+            if pieces <= max_tokens - tokens {
+                tokens += pieces;
+                run = next_run;
+                continue;
             }
-            return (&text[..end], max_tokens);
         }
-        run = match class {
-            WORD => run + 1,
-            CONT => run,
-            _ => 0,
-        };
+        // The byte walk: the tail, a block with a byte ≥ 0x80, and the
+        // block the budget runs out in. Straight-line per byte (`&` and
+        // `|` on the flags, the run reset by a multiply): where words end
+        // is unpredictable, so the only branch is the one taken once, at
+        // the cut.
+        for (i, &byte) in block.iter().enumerate() {
+            let class = BYTE_CLASS[byte as usize];
+            let starts_piece =
+                (class == PUNCT) | ((class == WORD) & run.is_multiple_of(PIECE_CHARS));
+            tokens += usize::from(starts_piece);
+            if tokens > max_tokens {
+                // One piece too many: cut where the piece before it ended.
+                let mut end = n * BLOCK + i;
+                while end > 0 && BYTE_CLASS[bytes[end - 1] as usize] == SPACE {
+                    end -= 1;
+                }
+                return (&text[..end], max_tokens);
+            }
+            // A word byte adds a character, a continuation byte keeps the
+            // count, anything else ends the run.
+            run = (run + usize::from(class == WORD)) * usize::from(class >= WORD);
+        }
     }
     (text, tokens)
+}
+
+/// The pieces that start in a whole all-ASCII `block` entered with `run`
+/// word characters behind it, and the run it leaves; `None` for a short
+/// block, one holding a byte ≥ 0x80, or a target without the masks.
+fn block_pieces(block: &[u8], run: usize) -> Option<(usize, usize)> {
+    let (word, space) = ascii_masks(block.try_into().ok()?)?;
+    // Bit i of each mask is byte i. A punctuation byte is a piece, and so
+    // is the first byte of a word run that starts here.
+    let punct = !(word | space);
+    let mut starts = word & !(word << 1);
+    if run > 0 {
+        // A run going on from the block before starts nothing at bit 0;
+        // its next piece is where its character count reaches a multiple
+        // of four, if it gets that far.
+        starts &= !1;
+        let next = (PIECE_CHARS - run % PIECE_CHARS) % PIECE_CHARS;
+        if next < word.trailing_ones() as usize {
+            starts |= 1 << next;
+        }
+    }
+    // Every fourth byte after a piece start, while the run lasts: the
+    // byte and the three before it are word bytes (the start itself is
+    // one already).
+    let four = word & (word << 1) & (word << 2) & (word << 3);
+    let mut pieces = punct | starts;
+    while starts != 0 {
+        starts = (starts << PIECE_CHARS) & four;
+        pieces |= starts;
+    }
+    let next_run = if word == u64::MAX {
+        run + BLOCK
+    } else {
+        word.leading_ones() as usize
+    };
+    Some((pieces.count_ones() as usize, next_run))
+}
+
+/// The word and space masks of an all-ASCII block (bit i is byte i): ASCII
+/// alphanumerics, and [`u8::is_ascii_whitespace`] bytes. `None` when a
+/// byte is ≥ 0x80.
+#[cfg(target_arch = "x86_64")]
+fn ascii_masks(block: &[u8; BLOCK]) -> Option<(u64, u64)> {
+    // SAFETY: SSE2 is part of the x86_64 baseline: every x86_64 CPU has it.
+    unsafe { sse2_masks(block) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn ascii_masks(_: &[u8; BLOCK]) -> Option<(u64, u64)> {
+    None
+}
+
+/// [`ascii_masks`] from four 16-byte compares.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+fn sse2_masks(block: &[u8; BLOCK]) -> Option<(u64, u64)> {
+    use std::arch::x86_64::*;
+    let splat = |byte: u8| _mm_set1_epi8(byte as i8);
+    // Bytes in `lo..=hi`: after subtracting `lo`, exactly those are at
+    // most `hi - lo` as unsigned bytes.
+    let within = |v: __m128i, lo: u8, hi: u8| {
+        let shifted = _mm_sub_epi8(v, splat(lo));
+        _mm_cmpeq_epi8(_mm_min_epu8(shifted, splat(hi - lo)), shifted)
+    };
+    let (halves, _) = block.as_chunks::<8>();
+    let vectors: [__m128i; 4] = std::array::from_fn(|k| {
+        _mm_set_epi64x(
+            i64::from_le_bytes(halves[2 * k + 1]),
+            i64::from_le_bytes(halves[2 * k]),
+        )
+    });
+    // A byte ≥ 0x80 has its top bit set; one such byte sends the block
+    // to the byte walk before any mask is built.
+    let top = _mm_or_si128(
+        _mm_or_si128(vectors[0], vectors[1]),
+        _mm_or_si128(vectors[2], vectors[3]),
+    );
+    if _mm_movemask_epi8(top) != 0 {
+        return None;
+    }
+    let (mut word, mut space) = (0u64, 0u64);
+    for (k, &v) in vectors.iter().enumerate() {
+        // Setting bit 5 folds upper-case letters onto lower-case ones.
+        let alnum = _mm_or_si128(
+            within(v, b'0', b'9'),
+            within(_mm_or_si128(v, splat(0x20)), b'a', b'z'),
+        );
+        // `\t \n \x0C \r` and the space; the vertical tab is punctuation.
+        let white = _mm_or_si128(
+            _mm_cmpeq_epi8(v, splat(b' ')),
+            _mm_andnot_si128(_mm_cmpeq_epi8(v, splat(0x0B)), within(v, b'\t', b'\r')),
+        );
+        word |= u64::from(_mm_movemask_epi8(alnum) as u16) << (16 * k);
+        space |= u64::from(_mm_movemask_epi8(white) as u16) << (16 * k);
+    }
+    Some((word, space))
 }
 
 #[cfg(test)]
@@ -153,6 +275,13 @@ mod tests {
     fn long_words_split() {
         // "population" = 10 chars → 3 pieces (4+4+2).
         assert_eq!(count_tokens("population"), 3);
+        // One 200-byte word spans three whole blocks and a tail.
+        let word = "Q4x9".repeat(50);
+        assert_eq!(count_tokens(&word), 50);
+        for max in 0..=51 {
+            let kept = reference_truncate(&word, max);
+            assert_eq!(truncate_tokens(&word, max), (kept, max.min(50)), "{max}");
+        }
     }
 
     #[test]
@@ -256,7 +385,56 @@ mod tests {
         proptest::collection::vec(any_char, 0..40).prop_map(|chars| chars.into_iter().collect())
     }
 
+    /// Texts of up to 400 bytes whose 64-byte blocks are mostly all ASCII:
+    /// ASCII words of 1–70 characters, so that runs cross a block edge at
+    /// every offset mod 4 and span whole blocks; every separator class
+    /// (each ASCII whitespace byte, the vertical tab, NUL, DEL,
+    /// punctuation); and now and then a multi-byte character, which sends
+    /// its block to the byte walk.
+    fn block_seam_text() -> impl Strategy<Value = String> {
+        const SEPARATORS: &[&str] = &[
+            " ", "\t", "\n", "\u{c}", "\r", "\u{b}", "\u{0}", "\u{7f}", ",", ".", "'", "-", "  ",
+            ". \n\n",
+        ];
+        const WIDE: &[char] = &['ü', '東', '😀', '⌁'];
+        const ALNUM: &[u8] = b"abqxyzAQZ0189";
+        proptest::strategy::BoxedStrategy::from_fn(|rng| {
+            let len = rng.below(401) as usize;
+            let mut text = String::new();
+            while text.len() < len {
+                match rng.below(16) {
+                    0 => text.push(WIDE[rng.below(WIDE.len() as u64) as usize]),
+                    1..=6 => text.push_str(SEPARATORS[rng.below(SEPARATORS.len() as u64) as usize]),
+                    _ => {
+                        let longest = if rng.below(2) == 0 { 8 } else { 70 };
+                        for _ in 0..=rng.below(longest) {
+                            text.push(ALNUM[rng.below(ALNUM.len() as u64) as usize] as char);
+                        }
+                    }
+                }
+            }
+            while text.len() > len {
+                text.pop();
+            }
+            text
+        })
+    }
+
     proptest! {
+        #[test]
+        fn block_seams_count_and_cut_as_the_reference(text in block_seam_text()) {
+            let n = piece_spans(&text).count();
+            prop_assert_eq!(count_tokens(&text), n, "{:?}", text);
+            for max in 0..=n + 1 {
+                let kept = reference_truncate(&text, max);
+                prop_assert_eq!(
+                    truncate_tokens(&text, max),
+                    (kept, piece_spans(kept).count()),
+                    "max {} of {:?}", max, text
+                );
+            }
+        }
+
         #[test]
         fn truncation_of_arbitrary_utf8_splits_no_char(text in any_text()) {
             let n = piece_spans(&text).count();
