@@ -34,9 +34,11 @@ fn bench_galois_queries(c: &mut Criterion) {
 }
 
 /// The 10× world: same 46 query shapes over relations ten times larger,
-/// so retrieval wall-clock is dominated by prompt volume — the regime the
-/// scheduler's worker threads target. One sequential and one 8-way
-/// scheduled session run the same query for a direct wall-clock A/B.
+/// so retrieval wall-clock is dominated by prompt volume. `Parallelism` is
+/// virtual request lanes only — every prompt is sent on the calling
+/// thread either way — so the one-lane and the eight-lane session do the
+/// same host work; the pair measures what the lane bookkeeping (packing
+/// eight lanes instead of one) costs, not any concurrency.
 fn bench_galois_scaled_world(c: &mut Criterion) {
     let s = Scenario::generate_scaled(42, 10);
     let sql = "SELECT name, population FROM city WHERE elevation < 800";

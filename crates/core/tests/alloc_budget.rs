@@ -28,11 +28,10 @@
 
 use galois_core::{Galois, GaloisOptions};
 use galois_dataset::Scenario;
-use galois_llm::{Completion, LanguageModel, ModelProfile, SimLlm};
+use galois_llm::{LanguageModel, ModelProfile, SimLlm, Transcript};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Allocations per retrieved row the serving test allows.
 const BUDGET_PER_ROW: f64 = 11.92 * 1.1;
@@ -87,47 +86,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A model that answers from a recording, or records what `live` says.
-struct Recorded {
-    live: SimLlm,
-    answers: Mutex<HashMap<String, Completion>>,
-    replay: bool,
-}
-
-impl LanguageModel for Recorded {
-    fn name(&self) -> &str {
-        self.live.name()
-    }
-
-    fn context_window(&self) -> usize {
-        self.live.context_window()
-    }
-
-    fn complete(&self, prompt: &str) -> Completion {
-        let mut answers = self.answers.lock().unwrap();
-        if self.replay {
-            return answers[prompt].clone();
-        }
-        let completion = self.live.complete(prompt);
-        answers.insert(prompt.to_string(), completion.clone());
-        completion
-    }
-
-    fn signature(&self) -> String {
-        self.live.signature()
-    }
-}
-
 #[test]
 fn the_cold_serving_suite_stays_within_its_allocations_per_retrieved_row() {
     let scenario = Scenario::generate(42);
     let statements: Vec<String> = scenario.suite.iter().map(|q| q.to_sql()).collect();
     assert_eq!(statements.len(), 46);
-    let recorder = Arc::new(Recorded {
-        live: SimLlm::new(scenario.knowledge.clone(), ModelProfile::oracle()),
-        answers: Mutex::new(HashMap::new()),
-        replay: false,
-    });
+    let recording = Arc::new(Transcript::record(SimLlm::new(
+        scenario.knowledge.clone(),
+        ModelProfile::oracle(),
+    )));
     let run = |model: Arc<dyn LanguageModel>| {
         let session =
             Galois::with_options(model, scenario.database.clone(), GaloisOptions::serving());
@@ -138,13 +105,10 @@ fn the_cold_serving_suite_stays_within_its_allocations_per_retrieved_row() {
         }
         (allocations() - before, rows)
     };
-    run(Arc::clone(&recorder) as Arc<dyn LanguageModel>);
-    let replay = Arc::new(Recorded {
-        live: SimLlm::new(scenario.knowledge.clone(), ModelProfile::oracle()),
-        answers: Mutex::new(std::mem::take(&mut *recorder.answers.lock().unwrap())),
-        replay: true,
-    });
-    let (allocations, rows) = run(replay);
+    run(Arc::clone(&recording) as Arc<dyn LanguageModel>);
+    let replay = Arc::new(recording.transcript().replay());
+    let (allocations, rows) = run(Arc::clone(&replay) as Arc<dyn LanguageModel>);
+    assert_eq!(replay.misses(), 0);
     assert!(rows > 0, "the suite retrieved no row");
     let per_row = allocations as f64 / rows as f64;
     println!(

@@ -21,6 +21,10 @@
 //! * weak self-computed arithmetic for the QA baselines,
 //! * context-window truncation (small models lose long exclusion lists).
 //!
+//! [`Transcript`] records that text — every prompt a model is sent and
+//! the completion it returns — and replays it as a model of its own, so a
+//! run can be reproduced, and checked, with no simulator behind it.
+//!
 //! ARCHITECTURE.md's "Crate ↔ paper map" (`crates/llm` — §5 models,
 //! offline substitution) names the module behind each substitution.
 
@@ -41,6 +45,7 @@ mod qa;
 mod resilience;
 mod simllm;
 pub mod tokenizer;
+mod transcript;
 
 pub use client::{
     BatchOutcome, ClientStats, KeyUniverse, KeyUniverseStore, LlmClient, SubEntryLookup,
@@ -56,3 +61,4 @@ pub use nlq::{AggIntent, AggKind, JoinIntent, QueryIntent};
 pub use profiles::ModelProfile;
 pub use resilience::RetryPolicy;
 pub use simllm::SimLlm;
+pub use transcript::{Recording, Replay, Transcript};

@@ -1,10 +1,15 @@
 //! Cross-crate integration tests: SQL text → plan → prompts → simulated
 //! LLM → parsing/cleaning → relational tail → relation.
 
-use galois::core::{BaselineKind, Galois, QaBaseline};
+mod common;
+
+use common::contract::Contract;
+use common::{pass, sorted_rows, statements};
+use galois::core::{BaselineKind, Galois, GaloisOptions, QaBaseline};
 use galois::dataset::Scenario;
 use galois::eval::{match_records, relation_to_records};
-use galois::llm::{ModelProfile, SimLlm};
+use galois::llm::intent::{parse_task, TaskIntent};
+use galois::llm::{LanguageModel, ModelProfile, SimLlm, Transcript};
 use galois::relational::Value;
 use std::sync::Arc;
 
@@ -14,16 +19,6 @@ fn oracle(scenario: &Scenario) -> Galois {
         ModelProfile::oracle(),
     ));
     Galois::new(model, scenario.database.clone())
-}
-
-fn sorted_rows(rel: &galois::relational::Relation) -> Vec<Vec<String>> {
-    let mut rows: Vec<Vec<String>> = rel
-        .rows
-        .iter()
-        .map(|r| r.iter().map(Value::render).collect())
-        .collect();
-    rows.sort();
-    rows
 }
 
 #[test]
@@ -181,80 +176,67 @@ fn session_stats_accumulate_and_cache_dedupes() {
     assert_eq!(sorted_rows(&first.relation), sorted_rows(&second.relation));
 }
 
+/// The engine reads nothing of the model but its text: the 46 + 18
+/// statements, replayed on a fresh session from the transcript of a
+/// chatgpt run, read what the run read — rows in order and every stat,
+/// hence the same prompts, hits, tokens and both clocks — under the
+/// paper's options and the serving preset, and no prompt misses.
 #[test]
 fn prompt_text_is_the_only_interface() {
-    // The engine's behaviour must be reproducible from prompt text alone:
-    // a transcript of (prompt, completion) pairs replayed through a
-    // FixedResponder-per-prompt mock yields the same relation.
-    use galois::llm::{Completion, LanguageModel, Usage};
-    use std::sync::Mutex;
-
-    struct Recorder {
-        inner: Arc<SimLlm>,
-        log: Mutex<Vec<(String, String)>>,
-    }
-    impl LanguageModel for Recorder {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-        fn context_window(&self) -> usize {
-            self.inner.context_window()
-        }
-        fn complete(&self, prompt: &str) -> Completion {
-            let c = self.inner.complete(prompt);
-            self.log
-                .lock()
-                .unwrap()
-                .push((prompt.to_string(), c.text.clone()));
-            c
-        }
-    }
-
-    struct Replayer {
-        transcript: std::collections::HashMap<String, String>,
-    }
-    impl LanguageModel for Replayer {
-        fn name(&self) -> &str {
-            "chatgpt"
-        }
-        fn context_window(&self) -> usize {
-            4096
-        }
-        fn complete(&self, prompt: &str) -> Completion {
-            let text = self
-                .transcript
-                .get(prompt)
-                .cloned()
-                .unwrap_or_else(|| "Unknown".to_string());
-            Completion {
-                text,
-                usage: Usage::default(),
-                latency_ms: 1,
-            }
-        }
-    }
-
     let scenario = Scenario::generate(42);
-    let sim = Arc::new(SimLlm::new(
-        scenario.knowledge.clone(),
-        ModelProfile::chatgpt(),
-    ));
-    let recorder = Arc::new(Recorder {
-        inner: sim,
-        log: Mutex::new(Vec::new()),
-    });
-    let sql = "SELECT name FROM city WHERE population > 1000000";
-    let galois = Galois::new(recorder.clone(), scenario.database.clone());
-    let original = galois.execute(sql).unwrap();
+    let statements = statements(&scenario);
+    for (label, options) in [
+        ("default", GaloisOptions::default()),
+        ("serving", GaloisOptions::serving()),
+    ] {
+        let session = |model: Arc<dyn LanguageModel>| {
+            Galois::with_options(model, scenario.database.clone(), options.clone())
+        };
+        let recording = Arc::new(Transcript::record(SimLlm::new(
+            scenario.knowledge.clone(),
+            ModelProfile::chatgpt(),
+        )));
+        let recorded = pass(&session(recording.clone()), &statements);
+        let replay = Arc::new(recording.transcript().replay());
+        let replayed = pass(&session(replay.clone()), &statements);
+        let label = format!("chatgpt {label}, replayed against recorded");
+        Contract::BIT_EXACT.compare(&[recorded], &[replayed], &label);
+        assert_eq!(replay.misses(), 0, "{label}");
+    }
+}
 
-    let transcript: std::collections::HashMap<String, String> =
-        recorder.log.lock().unwrap().iter().cloned().collect();
-    let replayed = Galois::new(Arc::new(Replayer { transcript }), scenario.database.clone())
+/// A prompt the transcript lacks fails its cell and nothing else: with
+/// one fetch answer removed the statement returns, that cell reads NULL
+/// and counts in `failed_cells`, and the fault text never becomes the
+/// cell's value — asked again, the cell reads NULL and counts as failed
+/// again, and the model is not asked twice.
+#[test]
+fn a_prompt_missing_from_the_transcript_fails_one_cell() {
+    let scenario = Scenario::generate(42);
+    let sql = "SELECT name, population FROM country";
+    let recording = Arc::new(Transcript::record(SimLlm::new(
+        scenario.knowledge.clone(),
+        ModelProfile::oracle(),
+    )));
+    Galois::new(recording.clone(), scenario.database.clone())
         .execute(sql)
         .unwrap();
-
-    assert_eq!(
-        sorted_rows(&original.relation),
-        sorted_rows(&replayed.relation)
-    );
+    let mut transcript = recording.transcript();
+    let (nth, key) = (transcript.calls.iter().enumerate())
+        .find_map(|(nth, (prompt, _))| match parse_task(prompt)? {
+            TaskIntent::FetchAttr { key, .. } => Some((nth, key)),
+            _ => None,
+        })
+        .unwrap();
+    transcript.calls.remove(nth);
+    let replay = Arc::new(transcript.replay());
+    let session = Galois::new(replay.clone(), scenario.database.clone());
+    for _ in 0..2 {
+        let got = session.execute(sql).unwrap();
+        assert_eq!(got.stats.failed_cells, 1);
+        for row in &got.relation.rows {
+            assert_eq!(row[1] == Value::Null, row[0].render() == key, "{row:?}");
+        }
+        assert_eq!(replay.misses(), 1);
+    }
 }

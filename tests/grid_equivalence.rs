@@ -24,9 +24,9 @@ use common::{key_batch, options, oracle_session, small_config, sorted_rows, suit
 use galois::core::{Galois, GaloisOptions, ListStore, Pipeline, PromptBatch};
 use galois::dataset::Scenario;
 use galois::llm::intent::{parse_task, TaskIntent};
-use galois::llm::{Completion, LanguageModel, ModelProfile, SimLlm};
+use galois::llm::{ModelProfile, SimLlm, Transcript};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn grid(keys: usize, attrs: usize) -> PromptBatch {
     PromptBatch::Grid { keys, attrs }
@@ -40,30 +40,6 @@ enum Fetch {
     Grid(Vec<String>),
 }
 
-/// The oracle, keeping every fetch prompt it is sent.
-struct FetchRecorder {
-    inner: SimLlm,
-    fetches: Mutex<Vec<Fetch>>,
-}
-
-impl LanguageModel for FetchRecorder {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-    fn complete(&self, prompt: &str) -> Completion {
-        let fetch = match parse_task(prompt) {
-            Some(TaskIntent::FetchAttrBatch { attribute, .. }) => Some(Fetch::KeyBatch(attribute)),
-            Some(TaskIntent::FetchGridBatch { attributes, .. }) => Some(Fetch::Grid(attributes)),
-            _ => None,
-        };
-        self.fetches.lock().unwrap().extend(fetch);
-        self.inner.complete(prompt)
-    }
-}
-
 /// What `sqls` read on a fresh oracle session under `batch` and
 /// `pipeline`: each statement's rows as a multiset, and the fetch prompts
 /// it sent.
@@ -73,17 +49,23 @@ fn fetch_forms(
     pipeline: Pipeline,
     sqls: &[String],
 ) -> (Vec<Vec<Vec<String>>>, Vec<Fetch>) {
-    let model = Arc::new(FetchRecorder {
-        inner: SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()),
-        fetches: Mutex::new(Vec::new()),
-    });
+    let model = Arc::new(Transcript::record(SimLlm::new(
+        s.knowledge.clone(),
+        ModelProfile::oracle(),
+    )));
     let options = options(ListStore::Off, pipeline, batch, 1);
     let session = Galois::with_options(model.clone(), s.database.clone(), options);
     let rows = sqls
         .iter()
         .map(|sql| sorted_rows(&session.execute(sql).unwrap().relation))
         .collect();
-    let fetches = std::mem::take(&mut *model.fetches.lock().unwrap());
+    let fetches = (model.transcript().calls.iter())
+        .filter_map(|(prompt, _)| match parse_task(prompt)? {
+            TaskIntent::FetchAttrBatch { attribute, .. } => Some(Fetch::KeyBatch(attribute)),
+            TaskIntent::FetchGridBatch { attributes, .. } => Some(Fetch::Grid(attributes)),
+            _ => None,
+        })
+        .collect();
     (rows, fetches)
 }
 

@@ -6,7 +6,8 @@
 //! of the five profiles it collects
 //!
 //! * every prompt a `GaloisOptions::default()` pass over the suite sends
-//!   on `Scenario::generate_scaled(42, 4)`, recorded by a wrapping model;
+//!   on `Scenario::generate_scaled(42, 4)`, recorded by a
+//!   `galois_llm::Transcript`;
 //! * every prompt a `GaloisOptions::serving()` pass sends on the same
 //!   world, recorded the same way;
 //! * the suite's questions as the QA baselines ask them, plain and chain of
@@ -36,10 +37,10 @@ use galois::core::prompts::PromptBuilder;
 use galois::core::{BaselineKind, Galois, GaloisOptions, QaBaseline};
 use galois::dataset::Scenario;
 use galois::llm::intent::{parse_task, CmpOp, Condition, PromptValue, TaskIntent};
-use galois::llm::{Completion, LanguageModel, ModelProfile, SimLlm};
+use galois::llm::{Completion, LanguageModel, ModelProfile, SimLlm, Transcript};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -50,33 +51,6 @@ fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// Passes every call through to a `SimLlm` and keeps each prompt with the
-/// completion it got.
-struct Recorder {
-    inner: SimLlm,
-    log: Mutex<Vec<(String, Completion)>>,
-}
-
-impl LanguageModel for Recorder {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-    fn signature(&self) -> String {
-        self.inner.signature()
-    }
-    fn complete(&self, prompt: &str) -> Completion {
-        let completion = self.inner.complete(prompt);
-        self.log
-            .lock()
-            .unwrap()
-            .push((prompt.to_string(), completion.clone()));
-        completion
-    }
 }
 
 /// The fixture's name for what a prompt asks.
@@ -176,10 +150,10 @@ fn edge_prompts(s: &Scenario, profile: &ModelProfile) -> Vec<String> {
 
 /// Every `(prompt, completion)` one profile is pinned on.
 fn exchanges(s: &Scenario, profile: &ModelProfile) -> Vec<(String, Completion)> {
-    let recorder = Arc::new(Recorder {
-        inner: SimLlm::new(s.knowledge.clone(), profile.clone()),
-        log: Mutex::new(Vec::new()),
-    });
+    let recorder = Arc::new(Transcript::record(SimLlm::new(
+        s.knowledge.clone(),
+        profile.clone(),
+    )));
     for options in [GaloisOptions::default(), GaloisOptions::serving()] {
         let session = Galois::with_options(recorder.clone(), s.database.clone(), options);
         for spec in &s.suite {
@@ -197,8 +171,7 @@ fn exchanges(s: &Scenario, profile: &ModelProfile) -> Vec<(String, Completion)> 
     for prompt in edge_prompts(s, profile) {
         recorder.complete(&prompt);
     }
-    let mut log = recorder.log.lock().unwrap();
-    std::mem::take(&mut *log)
+    recorder.transcript().calls
 }
 
 /// The fixture's lines for every profile, in file order.
