@@ -20,13 +20,14 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlmScanStep {
     /// Relation name as written in the query.
-    pub table: String,
+    pub table: Arc<str>,
     /// Binding in the query scope.
-    pub binding: String,
-    /// Name of the temporary materialised table.
-    pub temp_name: String,
-    /// Key attribute label.
-    pub key_attr: String,
+    pub binding: Arc<str>,
+    /// Name of the temporary materialised table, shared with the residual
+    /// plan's scan of it.
+    pub temp_name: Arc<str>,
+    /// Key attribute label, shared with the stored key column's name.
+    pub key_attr: Arc<str>,
     /// Index of the key column.
     pub key_index: usize,
     /// Schema of the temporary table: the relation's full column list
@@ -58,15 +59,14 @@ impl LlmScanStep {
     /// Fields are joined with the ASCII unit separator so concatenation
     /// cannot alias two different steps.
     pub(crate) fn concept_signature(&self) -> String {
-        concept_signature_for(
-            &self.table,
-            &self.key_attr,
-            &self
-                .scan_condition
-                .as_ref()
-                .map(|c| c.render())
-                .unwrap_or_default(),
-        )
+        // The rendered condition is the signature's last field: written
+        // after the others, it needs no string of its own.
+        let mut signature = concept_signature_for(&self.table, &self.key_attr, "");
+        if let Some(c) = &self.scan_condition {
+            // Writing to a `String` cannot fail.
+            let _ = write!(signature, "{c}");
+        }
+        signature
     }
 }
 
@@ -120,7 +120,7 @@ pub(crate) fn compile_owned(
     options: &CompileOptions,
 ) -> Result<CompiledQuery> {
     // Pass 1: which attributes does the plan need per binding?
-    let mut needed: HashMap<String, BTreeSet<String>> = HashMap::new();
+    let mut needed: Needed = HashMap::new();
     collect_needed(&plan, &mut needed);
 
     // Pass 2: rewrite LLM scans (and their filters) into steps.
@@ -134,12 +134,16 @@ fn is_llm_scan(source: Option<SourceQualifier>) -> bool {
     source != Some(SourceQualifier::Db)
 }
 
-fn collect_needed(plan: &LogicalPlan, needed: &mut HashMap<String, BTreeSet<String>>) {
+/// The attribute names the plan reads, per binding. Both are the plan's
+/// own shared texts.
+type Needed = HashMap<Arc<str>, BTreeSet<Arc<str>>>;
+
+fn collect_needed(plan: &LogicalPlan, needed: &mut Needed) {
     let mut note_expr = |e: &ScalarExpr| {
         e.walk(&mut |n| {
             if let ScalarExpr::Column(c) = n {
                 if let Some(b) = &c.binding {
-                    needed.entry(b.clone()).or_default().insert(c.name.clone());
+                    (needed.entry(Arc::clone(b)).or_default()).insert(Arc::clone(&c.name));
                 }
             }
         });
@@ -202,7 +206,7 @@ fn rewrite(
     plan: LogicalPlan,
     catalog: &Catalog,
     options: &CompileOptions,
-    needed: &HashMap<String, BTreeSet<String>>,
+    needed: &Needed,
     steps: &mut Vec<LlmScanStep>,
 ) -> Result<LogicalPlan> {
     match plan {
@@ -225,8 +229,7 @@ fn rewrite(
                     }
                 }
                 let scan = make_step(
-                    &table, &binding, key_index, schema, catalog, options, needed, conditions,
-                    steps,
+                    table, binding, key_index, schema, catalog, options, needed, conditions, steps,
                 )?;
                 Ok(match and_all(residual) {
                     Some(p) => LogicalPlan::Filter {
@@ -248,8 +251,8 @@ fn rewrite(
             schema,
             key_index,
         } if is_llm_scan(source) => make_step(
-            &table,
-            &binding,
+            table,
+            binding,
             key_index,
             schema,
             catalog,
@@ -264,23 +267,23 @@ fn rewrite(
 
 #[allow(clippy::too_many_arguments)]
 fn make_step(
-    table: &str,
-    binding: &str,
+    table: Arc<str>,
+    binding: Arc<str>,
     key_index: usize,
     schema: galois_relational::PlanSchema,
     catalog: &Catalog,
     options: &CompileOptions,
-    needed: &HashMap<String, BTreeSet<String>>,
+    needed: &Needed,
     mut filter_conditions: Vec<Condition>,
     steps: &mut Vec<LlmScanStep>,
 ) -> Result<LogicalPlan> {
-    let stored = catalog.get(table).map_err(GaloisError::from)?;
-    let key_attr = stored.schema.columns[key_index].name.clone();
+    let stored = catalog.get(&table).map_err(GaloisError::from)?;
+    let key_attr = Arc::clone(&stored.schema.columns[key_index].name);
 
     // Attributes the plan touches for this binding, as column indexes;
     // the key is retrieved by the scan itself and never fetched.
     let mut fetch = Vec::new();
-    if let Some(names) = needed.get(binding) {
+    if let Some(names) = needed.get(&binding) {
         for name in names {
             if name.eq_ignore_ascii_case(&key_attr) {
                 continue;
@@ -318,11 +321,11 @@ fn make_step(
         key: key_index,
     };
 
-    let temp_name = format!("__llm_{}", binding.to_ascii_lowercase());
+    let temp_name: Arc<str> = format!("__llm_{}", binding.to_ascii_lowercase()).into();
     let step = LlmScanStep {
-        table: table.to_string(),
-        binding: binding.to_string(),
-        temp_name: temp_name.clone(),
+        table,
+        binding: Arc::clone(&binding),
+        temp_name: Arc::clone(&temp_name),
         key_attr,
         key_index,
         temp_schema: Arc::new(temp_schema),
@@ -334,7 +337,7 @@ fn make_step(
 
     Ok(LogicalPlan::Scan {
         table: temp_name,
-        binding: binding.to_string(),
+        binding,
         source: None,
         schema,
         key_index,
@@ -365,7 +368,7 @@ pub(crate) fn expr_to_condition(expr: &ScalarExpr, binding: &str) -> Option<Cond
                     .as_deref()
                     .is_some_and(|b| b.eq_ignore_ascii_case(binding)) =>
             {
-                Some(c.name.clone())
+                Some(c.name.to_string())
             }
             _ => None,
         }
@@ -510,10 +513,10 @@ pub(crate) fn render_step_into(
         step.key_attr
     )?;
     if let Some(c) = &step.scan_condition {
-        writeln!(out, "    pushed-down condition: {}", c.render())?;
+        writeln!(out, "    pushed-down condition: {c}")?;
     }
     for f in &step.filter_conditions {
-        writeln!(out, "    filter prompt per key: {}", f.render())?;
+        writeln!(out, "    filter prompt per key: {f}")?;
     }
     for idx in &step.fetch {
         writeln!(
@@ -541,8 +544,8 @@ mod tests {
         let c = compiled("SELECT name FROM city", CompileOptions::default());
         assert_eq!(c.steps.len(), 1);
         let s = &c.steps[0];
-        assert_eq!(s.table, "city");
-        assert_eq!(s.key_attr, "name");
+        assert_eq!(&*s.table, "city");
+        assert_eq!(&*s.key_attr, "name");
         assert!(s.fetch.is_empty(), "only the key is needed");
         assert!(s.filter_conditions.is_empty());
     }
@@ -578,16 +581,16 @@ mod tests {
             CompileOptions::default(),
         );
         assert_eq!(c.steps.len(), 2);
-        let city = c.steps.iter().find(|s| s.table == "city").unwrap();
+        let city = c.steps.iter().find(|s| &*s.table == "city").unwrap();
         assert!(city
             .fetch
             .iter()
-            .any(|i| city.columns()[*i].name == "mayor"));
-        let mayor = c.steps.iter().find(|s| s.table == "cityMayor").unwrap();
+            .any(|i| &*city.columns()[*i].name == "mayor"));
+        let mayor = c.steps.iter().find(|s| &*s.table == "cityMayor").unwrap();
         assert!(mayor
             .fetch
             .iter()
-            .any(|i| mayor.columns()[*i].name == "birthDate"));
+            .any(|i| &*mayor.columns()[*i].name == "birthDate"));
         // The join stays relational.
         assert!(c.plan.explain().contains("JOIN"));
     }
@@ -605,7 +608,7 @@ mod tests {
             CompileOptions::default(),
         );
         assert_eq!(c.steps.len(), 1);
-        assert_eq!(c.steps[0].table, "city");
+        assert_eq!(&*c.steps[0].table, "city");
     }
 
     #[test]
@@ -620,6 +623,9 @@ mod tests {
         assert_eq!(s.filter_conditions[0].attribute, "elevation");
         assert!(c.plan.explain().contains("Filter"));
         // The attribute feeding the residual filter is fetched.
-        assert!(s.fetch.iter().any(|i| s.columns()[*i].name == "population"));
+        assert!(s
+            .fetch
+            .iter()
+            .any(|i| &*s.columns()[*i].name == "population"));
     }
 }

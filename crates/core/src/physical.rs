@@ -1,6 +1,6 @@
 //! The physical plan: how a [`CompiledQuery`] retrieves, decided once by
-//! [`PhysicalPlan::new`]. The planner prices each step from its stages
-//! ([`crate::plan_choice::estimate_step`]), the retrieval protocol runs
+//! [`PhysicalPlan::new`]. The planner prices each step by the layout its
+//! stages follow (`plan_choice::estimate`), the retrieval protocol runs
 //! them, and `EXPLAIN` prints the plan.
 
 use crate::compile::{limit_hint, CompiledQuery, LlmScanStep};
@@ -83,7 +83,7 @@ impl PhysicalPlan {
 
 /// A step's stages under `batch`: one per filter condition, then one per
 /// group of up to `A` fetched columns (`A = 1` when batching is off).
-pub(crate) fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
+fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
     let mut stages: Vec<Stage> = (0..step.filter_conditions.len())
         .map(Stage::Filter)
         .collect();
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn the_fetch_order_and_columns_the_layouts_read() {
         let (step, _) = layout(PromptBatch::Off);
-        let names: Vec<&str> = step.columns().iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = step.columns().iter().map(|c| &*c.name).collect();
         assert_eq!(
             names,
             ["name", "country", "population", "elevation", "mayor"]

@@ -57,11 +57,11 @@
 
 use crate::compile::{compile_owned, CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::Result;
-use crate::physical::{self, PhysicalPlan, Stage};
+use crate::physical::PhysicalPlan;
 use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
 use galois_llm::intent::{CmpOp, Condition};
 use galois_llm::{ClientStats, Parallelism, RetryPolicy, BATCH_OVERHEAD_MS};
-use galois_relational::cost as rcost;
+use galois_relational::cost::{self as rcost, Estimate};
 use galois_relational::{join_algorithm, Catalog, JoinAlgorithm, LogicalPlan, TableSchema};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
@@ -355,14 +355,10 @@ fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, params: &PlannerParam
     (batches / lanes).ceil() * per_batch
 }
 
-/// Estimates the cost of one retrieval step, laid out as `stages`
-/// (`physical::stages`), against the catalog's stats.
-pub(crate) fn estimate_step(
-    step: &LlmScanStep,
-    stages: &[Stage],
-    catalog: &Catalog,
-    params: &PlannerParams,
-) -> StepCost {
+/// Estimates the cost of one retrieval step, laid out as
+/// `physical::stages` lays it out under the planned batch shape, against
+/// the catalog's stats.
+fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
     // A warm key universe short-circuits the listing estimate entirely:
     // the stored key count is exact, and the phase issues no prompts.
     let warm_keys = params.warm_keys(step);
@@ -413,7 +409,7 @@ pub(crate) fn estimate_step(
     // up to `A` columns (one column each when `A = 1`): ⌈C/A⌉ groups whose
     // prompts carry `B × attrs-per-group` answer cells each.
     let cols = step.fetch.len() as f64;
-    let groups = (stages.len() - step.filter_conditions.len()) as f64;
+    let groups = (step.fetch.len()).div_ceil(params.prompt_batch.attrs_per_prompt()) as f64;
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
     let col_prompts = batched_prompt_count(n, batch_keys);
     let fetch_prompts = col_prompts * groups;
@@ -469,7 +465,7 @@ fn side_label(plan: &LogicalPlan) -> String {
         .scans()
         .iter()
         .filter_map(|s| match s {
-            LogicalPlan::Scan { binding, .. } => Some(binding.as_str()),
+            LogicalPlan::Scan { binding, .. } => Some(&**binding),
             _ => None,
         })
         .collect();
@@ -520,17 +516,12 @@ fn join_order_lines<'s>(
         }
         writeln!(
             out,
-            "; left rows≈{:.0}, right rows≈{:.0})",
-            rows[1], right_rows[0]
+            "; left rows≈{}, right rows≈{})",
+            Estimate(rows[1]),
+            Estimate(right_rows[0])
         )?;
     }
     Ok(1 + left_nodes + right_nodes)
-}
-
-/// [`estimate_step`] over the stages the step is laid out as.
-fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
-    let stages = physical::stages(step, params.prompt_batch);
-    estimate_step(step, &stages, catalog, params)
 }
 
 /// Picks the cheapest pushdown variant of one step. Returns the chosen
@@ -611,7 +602,7 @@ pub(crate) fn plan_owned(
             let mut compiled = compile_owned(plan, catalog, &CompileOptions { pushdown: false })?;
             let mut candidates = 0usize;
             let mut chosen = Vec::with_capacity(compiled.steps.len());
-            for step in std::mem::take(&mut compiled.steps) {
+            for step in compiled.steps.drain(..) {
                 let (step, cost, considered) = best_step_variant(step, catalog, params);
                 chosen.push((step, cost));
                 candidates += considered;
@@ -621,8 +612,11 @@ pub(crate) fn plan_owned(
             // estimated makespan. The sort is stable: ties keep the
             // original order.
             chosen.sort_by(|(_, a), (_, b)| b.virtual_ms.total_cmp(&a.virtual_ms));
-            let costs: Vec<StepCost>;
-            (compiled.steps, costs) = chosen.into_iter().unzip();
+            let mut costs = Vec::with_capacity(chosen.len());
+            for (step, cost) in chosen {
+                compiled.steps.push(step);
+                costs.push(cost);
+            }
             (compiled, costs, candidates.max(1))
         }
     };
@@ -661,7 +655,8 @@ impl PlannedQuery {
     /// protocol and cost estimates, then the residual relational plan with
     /// cardinality annotations, then query totals.
     pub(crate) fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
-        let mut out = String::new();
+        // Most reports fit in a kilobyte; a longer one grows from there.
+        let mut out = String::with_capacity(1024);
         // Writing to a `String` cannot fail.
         let _ = self.write_report(catalog, params, &mut out);
         out
@@ -736,15 +731,15 @@ impl PlannedQuery {
             }
             writeln!(
                 out,
-                "    cost: keys≈{:.0}, prompts≈{:.0} ({:.0} list + {:.0} filter + {:.0} fetch), \
-                 cache hits≈{:.0}, virtual≈{:.0} ms",
-                cost.est_keys_listed,
-                cost.total_prompts(),
-                cost.list_prompts,
-                cost.filter_prompts,
-                cost.fetch_prompts,
-                cost.expected_cache_hits,
-                cost.virtual_ms,
+                "    cost: keys≈{}, prompts≈{} ({} list + {} filter + {} fetch), \
+                 cache hits≈{}, virtual≈{} ms",
+                Estimate(cost.est_keys_listed),
+                Estimate(cost.total_prompts()),
+                Estimate(cost.list_prompts),
+                Estimate(cost.filter_prompts),
+                Estimate(cost.fetch_prompts),
+                Estimate(cost.expected_cache_hits),
+                Estimate(cost.virtual_ms),
             )?;
         }
         // Each step's temp table (lower-cased) and its estimated rows out:
@@ -764,7 +759,7 @@ impl PlannedQuery {
         // schema, any other scan in the catalog.
         if self.report.planner == Planner::CostBased {
             let schema_of =
-                |name: &str| match self.compiled.steps.iter().find(|s| s.temp_name == name) {
+                |name: &str| match self.compiled.steps.iter().find(|s| &*s.temp_name == name) {
                     Some(step) => Some(step.temp_schema.as_ref()),
                     None => catalog.get(name).ok().map(|t| t.schema.as_ref()),
                 };
@@ -774,8 +769,10 @@ impl PlannedQuery {
         rcost::explain_with_rows_into(&self.compiled.plan, &rows, out);
         writeln!(
             out,
-            "total: prompts≈{:.0}, cache hits≈{:.0}, virtual≈{:.0} ms",
-            self.report.est_total_prompts, self.report.est_cache_hits, self.report.est_virtual_ms,
+            "total: prompts≈{}, cache hits≈{}, virtual≈{} ms",
+            Estimate(self.report.est_total_prompts),
+            Estimate(self.report.est_cache_hits),
+            Estimate(self.report.est_virtual_ms),
         )
     }
 }

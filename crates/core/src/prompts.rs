@@ -315,8 +315,8 @@ mod tests {
                             "",
                         ] {
                             let direct = b.task(&TaskIntent::CheckFilter {
-                                relation: step.table.clone(),
-                                key_attr: step.key_attr.clone(),
+                                relation: step.table.to_string(),
+                                key_attr: step.key_attr.to_string(),
                                 key: key.into(),
                                 condition: condition.clone(),
                             });

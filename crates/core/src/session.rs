@@ -361,11 +361,8 @@ impl Galois {
 /// occurrence winning — the key-identifies-tuple assumption is enforced
 /// here.
 fn materialise_step(step: &LlmScanStep, rows: Vec<Vec<Value>>) -> Table {
-    let mut table = Table::with_capacity(
-        step.temp_name.clone(),
-        Arc::clone(&step.temp_schema),
-        rows.len(),
-    );
+    let mut table =
+        Table::with_capacity(&*step.temp_name, Arc::clone(&step.temp_schema), rows.len());
     for row in rows {
         if row[step.key_index].is_null() {
             continue;
@@ -445,7 +442,7 @@ mod tests {
                 ("rome".to_string(), Value::Int(4)),
             ]
         );
-        assert_eq!(table.name, step.temp_name);
+        assert_eq!(*table.name, *step.temp_name);
         assert!(Arc::ptr_eq(&table.schema, &step.temp_schema));
     }
 
@@ -688,7 +685,7 @@ mod tests {
             .execute("EXPLAIN SELECT name FROM city WHERE population > 1000000")
             .unwrap();
         assert_eq!(got.stats.total_prompts(), 0, "EXPLAIN must not prompt");
-        assert_eq!(got.relation.schema.columns[0].name, "QUERY PLAN");
+        assert_eq!(&*got.relation.schema.columns[0].name, "QUERY PLAN");
         let text: Vec<String> = got.relation.rows.iter().map(|r| r[0].render()).collect();
         assert!(text.iter().any(|l| l.contains("[LLM step 1] scan city")));
         assert!(text.iter().any(|l| l.contains("virtual≈")));

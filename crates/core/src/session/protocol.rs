@@ -359,14 +359,14 @@ impl<'a> Protocol<'a> {
         let builder = &self.session.prompt_builder;
         match &fire.target {
             FireTarget::List => builder.task(&TaskIntent::ListKeys {
-                relation: step.table.clone(),
-                key_attr: step.key_attr.clone(),
+                relation: step.table.to_string(),
+                key_attr: step.key_attr.to_string(),
                 condition: step.scan_condition.clone(),
                 exclude: Arc::clone(&run.exclude),
             }),
             FireTarget::ListPage { offset } => builder.task(&TaskIntent::ListKeysPage {
-                relation: step.table.clone(),
-                key_attr: step.key_attr.clone(),
+                relation: step.table.to_string(),
+                key_attr: step.key_attr.to_string(),
                 condition: step.scan_condition.clone(),
                 offset: *offset,
             }),
@@ -384,14 +384,14 @@ impl<'a> Protocol<'a> {
                 let keys = members.iter().map(|&slot| run.keys()[slot].clone());
                 builder.task(&match run.stages[*stage].batch_cell(step, *ord) {
                     BatchCell::Filter(condition) => TaskIntent::FilterKeysBatch {
-                        relation: step.table.clone(),
-                        key_attr: step.key_attr.clone(),
+                        relation: step.table.to_string(),
+                        key_attr: step.key_attr.to_string(),
                         keys: keys.collect(),
                         condition: condition.clone(),
                     },
                     BatchCell::Fetch(attribute) => TaskIntent::FetchAttrBatch {
-                        relation: step.table.clone(),
-                        key_attr: step.key_attr.clone(),
+                        relation: step.table.to_string(),
+                        key_attr: step.key_attr.to_string(),
                         keys: keys.collect(),
                         attribute: attribute.to_string(),
                     },

@@ -149,7 +149,7 @@ impl<'a> StageState<'a> {
             if let Stage::Fetch { start, len, .. } = cell {
                 if cell.is_grid() {
                     let columns = step.fetch[*start..start + len].iter().chain(pads);
-                    stage.grid_names = columns.map(|&c| step.columns()[c].name.as_str()).collect();
+                    stage.grid_names = columns.map(|&c| step.columns()[c].name.as_ref()).collect();
                 }
             }
         }

@@ -1,5 +1,6 @@
-//! The engine's allocations on its two cold paths: per retrieved row on
-//! the serving path, per prompt on the paper path.
+//! The engine's allocations on its two cold paths — per retrieved row on
+//! the serving path, per prompt on the paper path — and per statement on
+//! the planning path `EXPLAIN` runs.
 //!
 //! A counting global allocator (its count is per thread, and a statement
 //! runs on the thread that executes it) reads how many allocations the
@@ -9,35 +10,53 @@
 //! **Serving path.** A `GaloisOptions::serving()` session, divided by the
 //! rows its steps retrieved. The model replays answers recorded on an
 //! earlier session, so the count is the engine's plus one copied answer
-//! per prompt. The budget is the reading of the code that parses answers
-//! as spans, de-duplicates listed keys without lower-cased copies and
-//! hashes each key once for all its sub-entry columns — 11.9 allocations
-//! per row on this world (407 per statement) — plus 10 %. The code before
-//! it read 15.0 (511 per statement). A change that starts copying keys or
-//! cells per row again fails here before any timing shows it.
+//! per prompt. The code that parses answers as spans, de-duplicates
+//! listed keys without lower-cased copies and hashes each key once for
+//! all its sub-entry columns read 11.92 allocations per row on this world
+//! (407 per statement; the code before it, 15.0 and 511); planning each
+//! statement without copying names took that to 8.98 (306 per
+//! statement). The budget is that reading plus 10 %. A change that starts
+//! copying keys or cells per row again fails here before any timing shows
+//! it.
 //!
 //! **Paper path.** A `GaloisOptions::default()` session over a live oracle
 //! `SimLlm`, divided by the prompts the statements sent, so the count is
-//! the engine's, the client's and the simulator's. The budget is the
-//! reading when the test was added — 16.23 allocations per prompt on this
-//! world (47 411 over 2 921 prompts, 1 031 per statement), the same before
-//! and after token counts went to 64-byte blocks, which allocate nothing —
-//! plus 10 %. On the x20 world `paper_cold` runs
-//! (`Scenario::generate_scaled(42, 20)`) the same code reads 13.13 a prompt
-//! (15 858 per statement).
+//! the engine's, the client's and the simulator's. It read 16.23
+//! allocations per prompt when the test was added (47 411 over 2 921
+//! prompts, 1 031 per statement), the same before and after token counts
+//! went to 64-byte blocks, which allocate nothing; planning without copies
+//! and conditions rendered in place took it to 14.84 (943 per statement).
+//! The budget is that reading plus 10 %. On the x20 world `paper_cold`
+//! runs (`Scenario::generate_scaled(42, 20)`) the same code reads 13.05 a
+//! prompt (15 770 per statement; 13.13 and 15 858 before).
+//!
+//! **Planning path.** The 46 statements and the operator suite's 18, each
+//! as `EXPLAIN`, on a serving session warmed by one pass of the suite and
+//! one of the `EXPLAIN`s, per statement: lexing, parsing, binding,
+//! optimising, compiling, cost-based plan choice, the report and its
+//! one-column relation. Sharing names (`Arc<str>` schema and plan names),
+//! a keyword lookup that upper-cases on the stack, a parser that moves
+//! token text instead of cloning it, estimates printed as integers and
+//! conditions rendered in place took it from 194.73 allocations (about
+//! 42 to parse, 62 to build the relational plan, 49 to compile and
+//! choose, 14 to render, 29 for the relation) to 82.30 (12, 16, 22, 6
+//! and 26; the same total on x20). The budget is that reading plus 10 %.
 
 use galois_core::{Galois, GaloisOptions};
-use galois_dataset::Scenario;
+use galois_dataset::{build_operator_suite, Scenario};
 use galois_llm::{LanguageModel, ModelProfile, SimLlm, Transcript};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 /// Allocations per retrieved row the serving test allows.
-const BUDGET_PER_ROW: f64 = 11.92 * 1.1;
+const BUDGET_PER_ROW: f64 = 8.98 * 1.1;
 
 /// Allocations per prompt the paper-path test allows.
-const BUDGET_PER_PROMPT: f64 = 16.23 * 1.1;
+const BUDGET_PER_PROMPT: f64 = 14.84 * 1.1;
+
+/// Allocations per `EXPLAIN` statement the planning test allows.
+const BUDGET_PER_EXPLAIN: f64 = 82.30 * 1.1;
 
 /// The system allocator, counting each allocation and reallocation on the
 /// thread that asks for it.
@@ -148,5 +167,47 @@ fn the_cold_paper_suite_stays_within_its_allocations_per_prompt() {
     assert!(
         per_prompt <= BUDGET_PER_PROMPT,
         "{per_prompt:.2} allocations per prompt, over the budget of {BUDGET_PER_PROMPT:.2}"
+    );
+}
+
+#[test]
+fn explain_on_a_warm_serving_session_stays_within_its_allocations_per_statement() {
+    let scenario = Scenario::generate(42);
+    let suite: Vec<String> = scenario.suite.iter().map(|q| q.to_sql()).collect();
+    let statements: Vec<String> = (suite.iter().cloned())
+        .chain(
+            build_operator_suite(&scenario.world)
+                .into_iter()
+                .map(|q| q.sql),
+        )
+        .map(|sql| format!("EXPLAIN {sql}"))
+        .collect();
+    assert_eq!(statements.len(), 46 + 18);
+    let model = Arc::new(SimLlm::new(
+        scenario.knowledge.clone(),
+        ModelProfile::oracle(),
+    ));
+    let session = Galois::with_options(model, scenario.database.clone(), GaloisOptions::serving());
+    for sql in &suite {
+        session.execute(sql).unwrap();
+    }
+    // One pass first, so every count below is a steady-state statement's.
+    for sql in &statements {
+        session.execute(sql).unwrap();
+    }
+    let before = allocations();
+    for sql in &statements {
+        session.execute(sql).unwrap();
+    }
+    let allocations = allocations() - before;
+    let per_statement = allocations as f64 / statements.len() as f64;
+    println!(
+        "{allocations} allocations over {} EXPLAIN statements: {per_statement:.2} per statement",
+        statements.len()
+    );
+    assert!(
+        per_statement <= BUDGET_PER_EXPLAIN,
+        "{per_statement:.2} allocations per EXPLAIN statement, over the budget of \
+         {BUDGET_PER_EXPLAIN:.2}"
     );
 }

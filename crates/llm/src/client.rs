@@ -572,7 +572,10 @@ impl LlmClient {
     /// model (through the retry loop when resilience is on), then swap the
     /// marker for the landed completion — concurrent requests for the same
     /// prompt wait on the marker and count as hits; with none waiting, the
-    /// completion is cloned once, for the cache. The marker also
+    /// completion is cloned once, for the cache. A completion carrying
+    /// fault-marker text ([`crate::faults::is_fault_text`]) goes to the
+    /// caller and the waiters but is not stored: its marker is removed, so
+    /// a later ask of the prompt is a miss that reaches the model again. The marker also
     /// serialises the retry loop per prompt: a prompt's attempt sequence
     /// is walked by exactly one thread, so fault schedules stay
     /// deterministic under lanes.
@@ -614,14 +617,22 @@ impl LlmClient {
                     };
                     let (completion, counters) = self.call_model(prompt);
                     guard.armed = false;
-                    let stored = Slot::Ready(completion.clone());
+                    // A fault's marker text answers this ask and its
+                    // waiters only: it is not kept, so the next ask of
+                    // the prompt reaches the model again.
+                    let keep = !crate::faults::is_fault_text(&completion.text);
                     {
                         let mut table = shard.lock();
                         match table.get_mut(&probe) {
                             // Normal path: replace our own marker in place.
-                            Some(slot) => *slot = stored,
+                            Some(slot) if keep => *slot = Slot::Ready(completion.clone()),
                             // The cache was cleared mid-flight; re-insert.
-                            None => table.insert(&probe, stored),
+                            None if keep => table.insert(&probe, Slot::Ready(completion.clone())),
+                            // A fault: take our own marker out.
+                            Some(Slot::InFlight(current)) if Arc::ptr_eq(current, &pending) => {
+                                table.remove(&probe)
+                            }
+                            _ => {}
                         }
                     }
                     // Waiters clone the marker under the shard lock, and
@@ -1440,6 +1451,39 @@ mod tests {
         assert_eq!(s.retries, 0);
         assert_eq!(s.faults, 1);
         assert_eq!(s.prompts, 1);
+    }
+
+    #[test]
+    fn a_fault_is_not_cached_so_the_prompt_reaches_the_model_again() {
+        let off = |model: Arc<AlwaysFaulty>| LlmClient::new(model as Arc<dyn LanguageModel>);
+        let exhausted = |model: Arc<AlwaysFaulty>| {
+            LlmClient::new(model as Arc<dyn LanguageModel>).with_resilience(RetryPolicy {
+                max_retries: 1,
+                ..RetryPolicy::default()
+            })
+        };
+        for (label, make, calls_per_ask) in [
+            ("Resilience::Off", &off as &dyn Fn(_) -> LlmClient, 1),
+            ("retries exhausted", &exhausted, 2),
+        ] {
+            let model = Arc::new(AlwaysFaulty::new());
+            let c = make(Arc::clone(&model));
+            for _ in 0..2 {
+                let outcome = c.complete_outcome("prompt");
+                assert!(crate::faults::is_fault_text(&outcome.completions[0].text));
+                assert_eq!(
+                    outcome.hits, 0,
+                    "{label}: a fault was served from the cache"
+                );
+            }
+            let calls = model.calls.load(std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(
+                calls,
+                2 * calls_per_ask,
+                "{label}: both asks reach the model"
+            );
+            assert_eq!((c.stats().prompts, c.stats().cache_hits), (2, 0), "{label}");
+        }
     }
 
     #[test]

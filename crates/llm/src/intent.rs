@@ -96,6 +96,19 @@ impl fmt::Display for PromptValue {
     }
 }
 
+/// An operand of a rendered condition: the value, or `?` when the
+/// condition lacks it.
+struct Operand<'a>(Option<&'a PromptValue>);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(value) => value.fmt(f),
+            None => f.write_str("?"),
+        }
+    }
+}
+
 /// A condition over one attribute, in prompt-protocol form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Condition {
@@ -108,10 +121,19 @@ pub struct Condition {
     pub values: Vec<PromptValue>,
 }
 
+impl fmt::Display for Condition {
+    /// `<attribute> is <phrase>`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} is ", self.attribute)?;
+        self.write_phrase(f)
+    }
+}
+
 impl Condition {
-    /// Renders the condition as `<attribute> is <phrase>`.
+    /// Renders the condition as `<attribute> is <phrase>` (its
+    /// [`Display`](fmt::Display) form).
     pub fn render(&self) -> String {
-        format!("{} is {}", self.attribute, self.render_phrase())
+        self.to_string()
     }
 
     /// Renders only the operator phrase (`greater than 1000000`).
@@ -123,27 +145,37 @@ impl Condition {
     /// instead of panicking, so a query thread formatting a prompt can
     /// never be killed by malformed input.
     pub fn render_phrase(&self) -> String {
-        let v = |i: usize| {
-            self.values
-                .get(i)
-                .map(PromptValue::to_string)
-                .unwrap_or_else(|| "?".to_string())
-        };
+        let mut out = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.write_phrase(&mut out);
+        out
+    }
+
+    /// Writes [`Condition::render_phrase`]'s text, operands straight
+    /// into `out`.
+    fn write_phrase<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        let v = |i: usize| Operand(self.values.get(i));
         match self.op {
-            CmpOp::Eq => format!("equal to {}", v(0)),
-            CmpOp::NotEq => format!("different from {}", v(0)),
-            CmpOp::Gt => format!("greater than {}", v(0)),
-            CmpOp::GtEq => format!("at least {}", v(0)),
-            CmpOp::Lt => format!("less than {}", v(0)),
-            CmpOp::LtEq => format!("at most {}", v(0)),
-            CmpOp::Between => format!("between {} and {}", v(0), v(1)),
+            CmpOp::Eq => write!(out, "equal to {}", v(0)),
+            CmpOp::NotEq => write!(out, "different from {}", v(0)),
+            CmpOp::Gt => write!(out, "greater than {}", v(0)),
+            CmpOp::GtEq => write!(out, "at least {}", v(0)),
+            CmpOp::Lt => write!(out, "less than {}", v(0)),
+            CmpOp::LtEq => write!(out, "at most {}", v(0)),
+            CmpOp::Between => write!(out, "between {} and {}", v(0), v(1)),
             CmpOp::In => {
-                let items: Vec<String> = self.values.iter().map(|v| v.to_string()).collect();
-                format!("one of {}", items.join(" / "))
+                out.write_str("one of ")?;
+                for (i, value) in self.values.iter().enumerate() {
+                    if i > 0 {
+                        out.write_str(" / ")?;
+                    }
+                    write!(out, "{value}")?;
+                }
+                Ok(())
             }
-            CmpOp::Like => format!("matching the pattern {}", v(0)),
-            CmpOp::IsNull => "unknown".to_string(),
-            CmpOp::IsNotNull => "known".to_string(),
+            CmpOp::Like => write!(out, "matching the pattern {}", v(0)),
+            CmpOp::IsNull => out.write_str("unknown"),
+            CmpOp::IsNotNull => out.write_str("known"),
         }
     }
 

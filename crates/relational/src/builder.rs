@@ -12,6 +12,11 @@ use crate::plan::{aggregate_schema, AggCall, AggFunc, JoinCondition, LogicalPlan
 use crate::schema::{PlanColumn, PlanSchema};
 use crate::table::Catalog;
 use galois_sql::ast::{self, Expr as AstExpr, FunctionArgs, JoinType, SelectItem, SelectStatement};
+use std::sync::Arc;
+
+/// A select-list entry: the compiled expression, its output name and the
+/// alias it was written with, if any.
+type Visible<'s> = (ScalarExpr, Arc<str>, Option<&'s str>);
 
 /// Plans a SELECT statement against `catalog`.
 pub(crate) fn plan_select(stmt: &SelectStatement, catalog: &Catalog) -> Result<LogicalPlan> {
@@ -74,8 +79,11 @@ impl<'a> Builder<'a> {
             match item {
                 SelectItem::Expr { expr, alias } => {
                     let compiled = compile_expr(expr, &empty, ExprContext::Scalar)?;
-                    let name = alias.clone().unwrap_or_else(|| expr.to_string());
-                    cols.push(PlanColumn::computed(name.clone(), compiled.data_type()));
+                    let name = output_name(expr, alias.as_deref(), &compiled);
+                    cols.push(PlanColumn::computed(
+                        Arc::clone(&name),
+                        compiled.data_type(),
+                    ));
                     exprs.push((compiled, name));
                 }
                 _ => {
@@ -89,8 +97,8 @@ impl<'a> Builder<'a> {
         // executor produces a single empty row for it.
         Ok(LogicalPlan::Project {
             input: Box::new(LogicalPlan::Scan {
-                table: String::new(),
-                binding: String::new(),
+                table: "".into(),
+                binding: "".into(),
                 source: None,
                 schema: PlanSchema::default(),
                 key_index: 0,
@@ -101,12 +109,13 @@ impl<'a> Builder<'a> {
     }
 
     fn check_unique_bindings(&self, stmt: &SelectStatement) -> Result<()> {
-        let mut seen = std::collections::HashSet::new();
-        for t in stmt.tables() {
-            if !seen.insert(t.binding().to_ascii_lowercase()) {
+        // A statement binds a handful of tables: comparing each with the
+        // ones before it copies no name.
+        for (i, t) in stmt.tables().enumerate() {
+            let binding = t.binding();
+            if (stmt.tables().take(i)).any(|seen| seen.binding().eq_ignore_ascii_case(binding)) {
                 return Err(EngineError::InvalidQuery(format!(
-                    "duplicate table binding '{}'",
-                    t.binding()
+                    "duplicate table binding '{binding}'"
                 )));
             }
         }
@@ -115,16 +124,22 @@ impl<'a> Builder<'a> {
 
     fn scan(&self, t: &ast::TableRef) -> Result<LogicalPlan> {
         let table = self.catalog.get(&t.name)?;
-        let binding = t.binding().to_string();
+        // The table's own spelling of its name. Plans are bound against
+        // catalogs of tables registered under their own names; a table
+        // shared under another one (`Catalog::add_shared`) is reached only
+        // by scans that already carry the registered name. An unaliased
+        // scan spelled as registered shares one text for both.
+        let name: Arc<str> = table.name.as_str().into();
+        let binding = if t.binding() == &*name {
+            Arc::clone(&name)
+        } else {
+            t.binding().into()
+        };
         Ok(LogicalPlan::Scan {
-            // The table's own spelling of its name. Plans are bound against
-            // catalogs of tables registered under their own names; a table
-            // shared under another one (`Catalog::add_shared`) is reached
-            // only by scans that already carry the registered name.
-            table: table.name.clone(),
-            binding: binding.clone(),
-            source: t.source,
+            table: name,
             schema: table.plan_schema(&binding),
+            binding,
+            source: t.source,
             key_index: table.schema.key,
         })
     }
@@ -153,16 +168,20 @@ impl<'a> Builder<'a> {
         })
     }
 
-    fn plan_projection(&self, stmt: &SelectStatement, input: LogicalPlan) -> Result<LogicalPlan> {
+    fn plan_projection<'s>(
+        &self,
+        stmt: &'s SelectStatement,
+        input: LogicalPlan,
+    ) -> Result<LogicalPlan> {
         let input_schema = input.schema();
 
         // Expand the SELECT list.
-        let mut visible: Vec<(ScalarExpr, String, Option<String>)> = Vec::new();
+        let mut visible: Vec<Visible<'s>> = Vec::new();
         for item in &stmt.items {
             match item {
                 SelectItem::Wildcard => {
                     for (i, c) in input_schema.columns.iter().enumerate() {
-                        visible.push((column_expr(i, c), c.name.clone(), None));
+                        visible.push((column_expr(i, c), Arc::clone(&c.name), None));
                     }
                 }
                 SelectItem::QualifiedWildcard(binding) => {
@@ -172,7 +191,7 @@ impl<'a> Builder<'a> {
                             .as_deref()
                             .is_some_and(|b| b.eq_ignore_ascii_case(binding))
                         {
-                            visible.push((column_expr(i, c), c.name.clone(), None));
+                            visible.push((column_expr(i, c), Arc::clone(&c.name), None));
                             any = true;
                         }
                     }
@@ -182,15 +201,15 @@ impl<'a> Builder<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     let compiled = compile_expr(expr, input_schema, ExprContext::Scalar)?;
-                    let name = alias.clone().unwrap_or_else(|| default_name(expr));
-                    visible.push((compiled, name, alias.clone()));
+                    let name = output_name(expr, alias.as_deref(), &compiled);
+                    visible.push((compiled, name, alias.as_deref()));
                 }
             }
         }
 
         // ORDER BY keys: reuse a visible column when possible, otherwise
         // append a hidden one.
-        let mut hidden: Vec<(ScalarExpr, String)> = Vec::new();
+        let mut hidden: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
         let mut sort_keys = Vec::new();
         for o in &stmt.order_by {
             let compiled = self.resolve_order_key(&o.expr, &visible, input_schema, None)?;
@@ -198,7 +217,7 @@ impl<'a> Builder<'a> {
                 Some(i) => i,
                 None => {
                     let idx = visible.len() + hidden.len();
-                    hidden.push((compiled, format!("__sort_{}", hidden.len())));
+                    hidden.push((compiled, format!("__sort_{}", hidden.len()).into()));
                     idx
                 }
             };
@@ -216,11 +235,15 @@ impl<'a> Builder<'a> {
         Ok(assemble(input, visible, hidden, sort_keys, stmt))
     }
 
-    fn plan_aggregate(&self, stmt: &SelectStatement, input: LogicalPlan) -> Result<LogicalPlan> {
+    fn plan_aggregate<'s>(
+        &self,
+        stmt: &'s SelectStatement,
+        input: LogicalPlan,
+    ) -> Result<LogicalPlan> {
         let input_schema = input.schema();
 
         // Group keys.
-        let mut group_by: Vec<(ScalarExpr, String)> = Vec::new();
+        let mut group_by: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
         let mut group_asts: Vec<AstExpr> = Vec::new();
         for g in &stmt.group_by {
             if g.contains_aggregate() {
@@ -229,14 +252,15 @@ impl<'a> Builder<'a> {
                 ));
             }
             let compiled = compile_expr(g, input_schema, ExprContext::Scalar)?;
-            group_by.push((compiled, default_name(g)));
+            let name = output_name(g, None, &compiled);
+            group_by.push((compiled, name));
             group_asts.push(g.clone());
         }
 
         // Aggregate calls from SELECT, HAVING and ORDER BY.
-        let mut calls: Vec<(String, AggCall)> = Vec::new();
+        let mut aggregates: Vec<AggCall> = Vec::new();
         let mut collect =
-            |e: &AstExpr| -> Result<()> { collect_aggregates(e, input_schema, &mut calls) };
+            |e: &AstExpr| -> Result<()> { collect_aggregates(e, input_schema, &mut aggregates) };
         for item in &stmt.items {
             match item {
                 SelectItem::Expr { expr, .. } => collect(expr)?,
@@ -254,14 +278,13 @@ impl<'a> Builder<'a> {
             collect(&o.expr)?;
         }
 
-        let (agg_keys, aggregates): (Vec<String>, Vec<AggCall>) = calls.into_iter().unzip();
         let schema = aggregate_schema(&group_by, &aggregates);
 
         let rewriter = PostAggRewriter {
             input_schema,
             group_by: &group_by,
             group_asts: &group_asts,
-            agg_keys: &agg_keys,
+            aggregates: &aggregates,
             agg_schema: &schema,
         };
 
@@ -276,17 +299,17 @@ impl<'a> Builder<'a> {
         };
 
         // SELECT list over the aggregate output.
-        let mut visible: Vec<(ScalarExpr, String, Option<String>)> = Vec::new();
+        let mut visible: Vec<Visible<'s>> = Vec::new();
         for item in &stmt.items {
             if let SelectItem::Expr { expr, alias } = item {
                 let compiled = rewriter.rewrite(expr)?;
-                let name = alias.clone().unwrap_or_else(|| default_name(expr));
-                visible.push((compiled, name, alias.clone()));
+                let name = output_name(expr, alias.as_deref(), &compiled);
+                visible.push((compiled, name, alias.as_deref()));
             }
         }
 
         // ORDER BY.
-        let mut hidden: Vec<(ScalarExpr, String)> = Vec::new();
+        let mut hidden: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
         let mut sort_keys = Vec::new();
         for o in &stmt.order_by {
             let compiled = self.resolve_order_key(&o.expr, &visible, &schema, Some(&rewriter))?;
@@ -294,7 +317,7 @@ impl<'a> Builder<'a> {
                 Some(i) => i,
                 None => {
                     let idx = visible.len() + hidden.len();
-                    hidden.push((compiled, format!("__sort_{}", hidden.len())));
+                    hidden.push((compiled, format!("__sort_{}", hidden.len()).into()));
                     idx
                 }
             };
@@ -331,17 +354,16 @@ impl<'a> Builder<'a> {
     fn resolve_order_key(
         &self,
         expr: &AstExpr,
-        visible: &[(ScalarExpr, String, Option<String>)],
+        visible: &[Visible<'_>],
         schema: &PlanSchema,
         rewriter: Option<&PostAggRewriter<'_>>,
     ) -> Result<ScalarExpr> {
         if let AstExpr::Column(c) = expr {
             if c.table.is_none() {
-                if let Some((e, _, _)) = visible.iter().find(|(_, _, alias)| {
-                    alias
-                        .as_deref()
-                        .is_some_and(|a| a.eq_ignore_ascii_case(&c.column))
-                }) {
+                if let Some((e, _, _)) = visible
+                    .iter()
+                    .find(|(_, _, alias)| alias.is_some_and(|a| a.eq_ignore_ascii_case(&c.column)))
+                {
                     return Ok(e.clone());
                 }
             }
@@ -357,13 +379,13 @@ impl<'a> Builder<'a> {
 /// strip-Project (drop hidden columns).
 fn assemble(
     input: LogicalPlan,
-    visible: Vec<(ScalarExpr, String, Option<String>)>,
-    hidden: Vec<(ScalarExpr, String)>,
+    visible: Vec<Visible<'_>>,
+    hidden: Vec<(ScalarExpr, Arc<str>)>,
     sort_keys: Vec<SortKey>,
     stmt: &SelectStatement,
 ) -> LogicalPlan {
     let visible_len = visible.len();
-    let mut exprs: Vec<(ScalarExpr, String)> =
+    let mut exprs: Vec<(ScalarExpr, Arc<str>)> =
         visible.into_iter().map(|(e, n, _)| (e, n)).collect();
     exprs.extend(hidden);
 
@@ -376,7 +398,7 @@ fn assemble(
             };
             PlanColumn {
                 binding,
-                name: n.clone(),
+                name: Arc::clone(n),
                 data_type: e.data_type(),
                 nullable: true,
             }
@@ -385,8 +407,8 @@ fn assemble(
     // With hidden sort columns, a final projection keeps the visible ones.
     let strip = (exprs.len() > visible_len).then(|| {
         let visible_cols = cols[..visible_len].to_vec();
-        let exprs: Vec<(ScalarExpr, String)> = (visible_cols.iter().enumerate())
-            .map(|(i, c)| (column_expr(i, c), c.name.clone()))
+        let exprs: Vec<(ScalarExpr, Arc<str>)> = (visible_cols.iter().enumerate())
+            .map(|(i, c)| (column_expr(i, c), Arc::clone(&c.name)))
             .collect();
         (exprs, PlanSchema::new(visible_cols))
     });
@@ -433,10 +455,17 @@ fn column_expr(index: usize, c: &PlanColumn) -> ScalarExpr {
     })
 }
 
-fn default_name(expr: &AstExpr) -> String {
-    match expr {
-        AstExpr::Column(c) => c.column.clone(),
-        other => other.to_string(),
+/// The output name of a select-list or group-by expression: its alias,
+/// else a column reference's name as written — the resolved column's own
+/// text when spelled the same — else the expression's SQL text.
+fn output_name(expr: &AstExpr, alias: Option<&str>, compiled: &ScalarExpr) -> Arc<str> {
+    match (alias, expr, compiled) {
+        (Some(alias), _, _) => alias.into(),
+        (None, AstExpr::Column(c), ScalarExpr::Column(r)) if *r.name == *c.column => {
+            Arc::clone(&r.name)
+        }
+        (None, AstExpr::Column(c), _) => c.column.as_str().into(),
+        (None, other, _) => other.to_string().into(),
     }
 }
 
@@ -578,9 +607,9 @@ pub(crate) fn split_join_condition(predicate: ScalarExpr, left_arity: usize) -> 
     let mut equi = Vec::new();
     let mut residual: Option<ScalarExpr> = None;
     for conj in split_conjuncts(predicate) {
-        match try_equi(&conj, left_arity) {
-            Some(pair) => equi.push(pair),
-            None => {
+        match try_equi(conj, left_arity) {
+            Ok(pair) => equi.push(pair),
+            Err(conj) => {
                 residual = Some(match residual {
                     None => conj,
                     Some(prev) => ScalarExpr::Binary {
@@ -611,35 +640,38 @@ pub fn split_conjuncts(expr: ScalarExpr) -> Vec<ScalarExpr> {
     }
 }
 
-fn try_equi(conj: &ScalarExpr, left_arity: usize) -> Option<(ScalarExpr, ScalarExpr)> {
+/// Splits `left = right` into a join's (left-side, right-side) pair when
+/// each operand reads one side only; any other conjunct comes back as
+/// the error.
+fn try_equi(
+    conj: ScalarExpr,
+    left_arity: usize,
+) -> std::result::Result<(ScalarExpr, ScalarExpr), ScalarExpr> {
+    use galois_sql::ast::BinaryOp::Eq;
     let ScalarExpr::Binary {
         left,
-        op: galois_sql::ast::BinaryOp::Eq,
+        op: Eq,
         right,
     } = conj
     else {
-        return None;
+        return Err(conj);
     };
-    let l_refs = left.referenced_indices();
-    let r_refs = right.referenced_indices();
-    if l_refs.is_empty() || r_refs.is_empty() {
-        return None;
-    }
-    let all_left = |v: &[usize]| v.iter().all(|&i| i < left_arity);
-    let all_right = |v: &[usize]| v.iter().all(|&i| i >= left_arity);
-    if all_left(&l_refs) && all_right(&r_refs) {
-        Some(((**left).clone(), right.remap_indices(&|i| i - left_arity)))
-    } else if all_right(&l_refs) && all_left(&r_refs) {
-        Some(((**right).clone(), left.remap_indices(&|i| i - left_arity)))
-    } else {
-        None
+    let shift = |side: &ScalarExpr| side.remap_indices(&|i| i - left_arity);
+    match (left.reads_sides(left_arity), right.reads_sides(left_arity)) {
+        ((true, false), (false, true)) => Ok((*left, shift(&right))),
+        ((false, true), (true, false)) => Ok((*right, shift(&left))),
+        _ => Err(ScalarExpr::Binary {
+            left,
+            op: Eq,
+            right,
+        }),
     }
 }
 
 fn collect_aggregates(
     expr: &AstExpr,
     input_schema: &PlanSchema,
-    out: &mut Vec<(String, AggCall)>,
+    out: &mut Vec<AggCall>,
 ) -> Result<()> {
     match expr {
         AstExpr::Function {
@@ -653,7 +685,7 @@ fn collect_aggregates(
                 )));
             };
             let key = expr.to_string();
-            if out.iter().any(|(k, _)| k == &key) {
+            if out.iter().any(|a| *a.output_name == key) {
                 return Ok(());
             }
             let arg = match args {
@@ -685,15 +717,12 @@ fn collect_aggregates(
                     )));
                 }
             }
-            out.push((
-                key.clone(),
-                AggCall {
-                    func,
-                    arg,
-                    distinct: *distinct,
-                    output_name: key,
-                },
-            ));
+            out.push(AggCall {
+                func,
+                arg,
+                distinct: *distinct,
+                output_name: key.into(),
+            });
             Ok(())
         }
         _ => {
@@ -718,9 +747,9 @@ fn collect_aggregates(
 /// an aggregate query) against the aggregate's output schema.
 struct PostAggRewriter<'a> {
     input_schema: &'a PlanSchema,
-    group_by: &'a [(ScalarExpr, String)],
+    group_by: &'a [(ScalarExpr, Arc<str>)],
     group_asts: &'a [AstExpr],
-    agg_keys: &'a [String],
+    aggregates: &'a [AggCall],
     agg_schema: &'a PlanSchema,
 }
 
@@ -735,9 +764,11 @@ impl PostAggRewriter<'_> {
         if let AstExpr::Function { name, .. } = expr {
             if ast::is_aggregate_name(name) {
                 let key = expr.to_string();
-                let pos = (self.agg_keys.iter().position(|k| k == &key)).ok_or_else(|| {
-                    EngineError::InvalidQuery(format!("aggregate {key} was not collected"))
-                })?;
+                let pos = (self.aggregates.iter())
+                    .position(|a| *a.output_name == key)
+                    .ok_or_else(|| {
+                        EngineError::InvalidQuery(format!("aggregate {key} was not collected"))
+                    })?;
                 let i = self.group_by.len() + pos;
                 return Ok(column_expr(i, &self.agg_schema.columns[i]));
             }

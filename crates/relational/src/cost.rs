@@ -50,7 +50,7 @@ use crate::table::{get_ignore_case, Catalog};
 use crate::value::{DataType, Value};
 use galois_sql::ast::BinaryOp;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Selectivity assumed for an equality comparison against a literal.
 pub const SEL_EQ: f64 = 0.15;
@@ -253,11 +253,69 @@ pub fn explain_with_rows_overridden(
 pub fn explain_with_rows_into(plan: &LogicalPlan, rows: &[f64], out: &mut String) {
     let mut rows = rows.iter();
     plan.explain_into(out, 0, &mut |out| {
-        if let Some(r) = rows.next() {
+        if let Some(&r) = rows.next() {
             // Writing to a `String` cannot fail.
-            let _ = write!(out, "  (rows≈{})", r.round());
+            out.push_str("  (rows≈");
+            let _ = write_rounded(out, r);
+            out.push(')');
         }
     });
+}
+
+/// Writes `x` exactly as `write!(out, "{x:.0}")` would, without the
+/// float formatter: the estimates of an `EXPLAIN` report are mostly
+/// integral, and `{:.0}` of an integral `f64` takes the formatter's slow
+/// exact path. A finite `x` under 2⁵³ in magnitude rounds half to even,
+/// as `{:.0}` does, and prints as an integer (`-0` when a negative `x`
+/// rounds to zero); anything else goes to the formatter.
+pub fn write_estimate<W: fmt::Write + ?Sized>(out: &mut W, x: f64) -> fmt::Result {
+    match small_integer(x.round_ties_even()) {
+        Some(n) => write_integer(out, n),
+        None => write!(out, "{x:.0}"),
+    }
+}
+
+/// Writes `x.round()` exactly as `write!(out, "{}", x.round())` would —
+/// the `(rows≈N)` form, which rounds half away from zero — with the
+/// integer path of [`write_estimate`].
+pub fn write_rounded<W: fmt::Write + ?Sized>(out: &mut W, x: f64) -> fmt::Result {
+    let r = x.round();
+    match small_integer(r) {
+        Some(n) => write_integer(out, n),
+        None => write!(out, "{r}"),
+    }
+}
+
+/// An estimate that displays as `{:.0}` of it does, through
+/// [`write_estimate`]: `format!("{}", Estimate(x)) == format!("{x:.0}")`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Estimate(pub f64);
+
+impl fmt::Display for Estimate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_estimate(f, self.0)
+    }
+}
+
+/// `r`, an integral value, when an `i64` holds it exactly (magnitude under
+/// 2⁵³), with the sign of a negative zero kept; `None` for NaN, ±∞ and
+/// larger values.
+fn small_integer(r: f64) -> Option<(bool, i64)> {
+    const EXACT: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
+    (r.abs() < EXACT).then(|| (r == 0.0 && r.is_sign_negative(), r as i64))
+}
+
+/// Writes what [`small_integer`] returned: `-0` for a negative zero, else
+/// the integer.
+fn write_integer<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    (negative_zero, n): (bool, i64),
+) -> fmt::Result {
+    if negative_zero {
+        out.write_str("-0")
+    } else {
+        write!(out, "{n}")
+    }
 }
 
 /// Packages explain text as a one-column relation (`QUERY PLAN`, one row
@@ -265,13 +323,9 @@ pub fn explain_with_rows_into(plan: &LogicalPlan, rows: &[f64], out: &mut String
 /// through the ordinary result channel.
 pub fn explain_relation(text: &str) -> Relation {
     let schema = PlanSchema::new(vec![PlanColumn::computed("QUERY PLAN", DataType::Text)]);
-    Relation {
-        schema,
-        rows: text
-            .lines()
-            .map(|line| vec![Value::Text(line.to_string())])
-            .collect(),
-    }
+    let mut rows = Vec::with_capacity(text.lines().count());
+    rows.extend(text.lines().map(|line| vec![Value::Text(line.to_string())]));
+    Relation { schema, rows }
 }
 
 #[cfg(test)]
@@ -463,6 +517,89 @@ mod tests {
         out.push(plan);
         for child in plan.children() {
             preorder(child, out);
+        }
+    }
+
+    /// `write_estimate` against `format!("{:.0}")` and `write_rounded`
+    /// against `format!("{}", x.round())`, on 10⁶ values from one seeded
+    /// generator: random bit patterns, `k + 0.5` ties, values within a few
+    /// ulps of ±2⁵³, small fractions around zero, ±0, NaN and ±∞.
+    #[test]
+    fn estimates_print_as_the_float_formatter_prints_them() {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let special = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            EXACT,
+            -EXACT,
+            EXACT - 1.0,
+            -(EXACT - 1.0),
+            EXACT / 2.0 - 0.5,
+            -(EXACT / 2.0 - 0.5),
+            EXACT.next_up(),
+            EXACT.next_down(),
+            (-EXACT).next_up(),
+            (-EXACT).next_down(),
+        ];
+        let cases = (0..1_000_000usize).map(|i| {
+            let r = next();
+            match i % 6 {
+                _ if i < special.len() => special[i],
+                0 => f64::from_bits(r),
+                // A tie: an integer below 2⁵² plus one half, either sign.
+                1 => ((r >> 12) as i64 as f64 + 0.5) * if r & 1 == 0 { 1.0 } else { -1.0 },
+                // A few ulps either side of ±2⁵³.
+                2 => {
+                    let x = (0..r % 8).fold(EXACT, |x, _| {
+                        if r & 8 == 0 {
+                            x.next_up()
+                        } else {
+                            x.next_down()
+                        }
+                    });
+                    if r & 16 == 0 {
+                        x
+                    } else {
+                        -x
+                    }
+                }
+                // A fraction within ±4, where rounding to ±0 lives.
+                3 => (r as i64 as f64) / (i64::MAX as f64) * 4.0,
+                // An estimate-sized value: an integer under 10⁶ or a
+                // fraction of one.
+                4 => (r % 1_000_000) as f64 / if r & 1 == 0 { 1.0 } else { 7.0 },
+                _ => f64::from_bits(r & !(0x7ff << 52) | (((r >> 52) % 64 + 1023) << 52)),
+            }
+        });
+        let (mut estimate, mut rounded) = (String::new(), String::new());
+        for x in cases {
+            estimate.clear();
+            rounded.clear();
+            write_estimate(&mut estimate, x).unwrap();
+            write_rounded(&mut rounded, x).unwrap();
+            assert_eq!(estimate, format!("{x:.0}"), "{:#x}", x.to_bits());
+            assert_eq!(Estimate(x).to_string(), estimate, "{:#x}", x.to_bits());
+            assert_eq!(rounded, format!("{}", x.round()), "{:#x}", x.to_bits());
         }
     }
 

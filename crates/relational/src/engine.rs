@@ -377,7 +377,7 @@ mod tests {
             .execute("EXPLAIN SELECT name FROM city WHERE population > 5")
             .unwrap();
         assert_eq!(r.schema.arity(), 1);
-        assert_eq!(r.schema.columns[0].name, "QUERY PLAN");
+        assert_eq!(&*r.schema.columns[0].name, "QUERY PLAN");
         let text: Vec<String> = r.rows.iter().map(|row| row[0].render()).collect();
         assert!(text.iter().any(|l| l.contains("Scan city")));
         assert!(text.iter().any(|l| l.contains("rows≈")));

@@ -22,6 +22,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 #[cfg(test)]
 pub(crate) mod differential;
@@ -58,7 +59,11 @@ impl Relation {
 
     /// Column names in order.
     pub fn column_names(&self) -> Vec<String> {
-        self.schema.columns.iter().map(|c| c.name.clone()).collect()
+        self.schema
+            .columns
+            .iter()
+            .map(|c| c.name.to_string())
+            .collect()
     }
 
     /// Renders an ASCII table (for examples and demos).
@@ -339,7 +344,7 @@ fn plain_columns<'e>(mut exprs: impl Iterator<Item = &'e ScalarExpr>, arity: usi
 /// whether or not the list above reads them.
 fn composed<'p>(
     mut input: &'p LogicalPlan,
-    exprs: &'p [(ScalarExpr, String)],
+    exprs: &'p [(ScalarExpr, Arc<str>)],
 ) -> (&'p LogicalPlan, Vec<Cow<'p, ScalarExpr>>) {
     let mut exprs: Vec<_> = exprs.iter().map(|(e, _)| Cow::Borrowed(e)).collect();
     while let LogicalPlan::Project {
@@ -734,7 +739,7 @@ static COUNTED: Value = Value::Int(1);
 fn aggregate<'a>(
     input: &LogicalPlan,
     catalog: &Catalog,
-    group_by: &[(ScalarExpr, String)],
+    group_by: &[(ScalarExpr, Arc<str>)],
     aggregates: &[AggCall],
 ) -> Result<Rows<'a>> {
     let n = aggregates.len();
@@ -855,7 +860,7 @@ mod tests {
         ScalarExpr::Column(ResolvedColumn {
             index: i,
             binding: None,
-            name: format!("c{i}"),
+            name: format!("c{i}").into(),
             data_type: DataType::Int,
         })
     }
@@ -956,7 +961,7 @@ mod tests {
             table: "t".into(),
             binding: "t".into(),
             source: None,
-            schema: catalog.get("t").unwrap().plan_schema("t"),
+            schema: catalog.get("t").unwrap().plan_schema(&"t".into()),
             key_index: 0,
         }
     }

@@ -96,7 +96,7 @@ fn column(index: usize, types: &[DataType]) -> ScalarExpr {
     ScalarExpr::Column(ResolvedColumn {
         index,
         binding: None,
-        name: format!("c{index}"),
+        name: format!("c{index}").into(),
         data_type: types[index],
     })
 }
@@ -258,7 +258,7 @@ fn project(g: &mut Gen, (input, types): Typed) -> Typed {
     let plan = LogicalPlan::Project {
         input: Box::new(input),
         exprs: (exprs.into_iter().enumerate())
-            .map(|(i, e)| (e, format!("c{i}")))
+            .map(|(i, e)| (e, format!("c{i}").into()))
             .collect(),
         schema: schema_of(&out),
     };
@@ -296,7 +296,7 @@ fn aggregate(g: &mut Gen, (input, types): Typed) -> Typed {
                 func,
                 distinct: arg.is_some() && g.chance(30),
                 arg,
-                output_name: format!("agg{i}"),
+                output_name: format!("agg{i}").into(),
             }
         })
         .collect();
@@ -306,7 +306,7 @@ fn aggregate(g: &mut Gen, (input, types): Typed) -> Typed {
     let plan = LogicalPlan::Aggregate {
         input: Box::new(input),
         group_by: (group_by.into_iter().enumerate())
-            .map(|(i, e)| (e, format!("g{i}")))
+            .map(|(i, e)| (e, format!("g{i}").into()))
             .collect(),
         aggregates,
         schema: schema_of(&out),
@@ -320,7 +320,7 @@ fn input(g: &mut Gen, catalog: &Catalog, depth: usize) -> Typed {
         return join(g, catalog, depth - 1);
     }
     let table = g.pick(&["a", "b", "c"]);
-    let schema = catalog.get(table).unwrap().plan_schema(table);
+    let schema = catalog.get(table).unwrap().plan_schema(&table.into());
     let types: Vec<DataType> = schema.columns.iter().map(|c| c.data_type).collect();
     let mut typed = (
         LogicalPlan::Scan {

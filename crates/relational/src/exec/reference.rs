@@ -15,6 +15,7 @@ use crate::value::Value;
 use galois_sql::ast::JoinType;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// [`super::execute`]'s rows, the old way.
 pub(super) fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<Row>> {
@@ -221,7 +222,7 @@ struct GroupAcc {
 
 fn aggregate<'a>(
     input: &[Cow<'_, Row>],
-    group_by: &[(ScalarExpr, String)],
+    group_by: &[(ScalarExpr, Arc<str>)],
     aggregates: &[AggCall],
 ) -> Result<Rows<'a>> {
     let new_group = || GroupAcc {

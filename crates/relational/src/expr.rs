@@ -11,6 +11,7 @@ use crate::value::{DataType, Value};
 use galois_sql::ast::{BinaryOp, UnaryOp};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A column reference resolved against an input schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,9 +19,9 @@ pub struct ResolvedColumn {
     /// Index into the input row.
     pub index: usize,
     /// Binding (table alias) the column came from, if any.
-    pub binding: Option<String>,
+    pub binding: Option<Arc<str>>,
     /// Column name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Column type.
     pub data_type: DataType,
 }
@@ -200,6 +201,23 @@ impl ScalarExpr {
         v.sort_unstable();
         v.dedup();
         v
+    }
+
+    /// Which sides of a join's concatenated input the expression reads:
+    /// `(left, right)`, the left side being the columns below
+    /// `left_arity`. `(false, false)` for an expression reading no column.
+    pub(crate) fn reads_sides(&self, left_arity: usize) -> (bool, bool) {
+        let mut sides = (false, false);
+        self.walk(&mut |e| {
+            if let ScalarExpr::Column(c) = e {
+                if c.index < left_arity {
+                    sides.0 = true;
+                } else {
+                    sides.1 = true;
+                }
+            }
+        });
+        sides
     }
 
     /// Rewrites every column index through `map` (used when an input's
@@ -616,7 +634,7 @@ mod tests {
         ScalarExpr::Column(ResolvedColumn {
             index: i,
             binding: Some("t".into()),
-            name: format!("c{i}"),
+            name: format!("c{i}").into(),
             data_type: ty,
         })
     }

@@ -11,6 +11,7 @@ use crate::schema::{PlanColumn, PlanSchema};
 use crate::value::DataType;
 use galois_sql::ast::{JoinType, SortDirection, SourceQualifier};
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,7 +76,7 @@ pub struct AggCall {
     /// `DISTINCT` inside the call.
     pub distinct: bool,
     /// Output column name, e.g. `COUNT(*)`.
-    pub output_name: String,
+    pub output_name: Arc<str>,
 }
 
 impl AggCall {
@@ -125,9 +126,10 @@ pub enum LogicalPlan {
     /// Base-table access.
     Scan {
         /// Stored table name.
-        table: String,
-        /// Binding (alias) used by the query.
-        binding: String,
+        table: Arc<str>,
+        /// Binding (alias) used by the query, shared with the bindings of
+        /// its schema's columns.
+        binding: Arc<str>,
         /// `LLM.` / `DB.` qualifier if written.
         source: Option<SourceQualifier>,
         /// Output schema.
@@ -147,7 +149,7 @@ pub enum LogicalPlan {
         /// Input operator.
         input: Box<LogicalPlan>,
         /// Output expressions with names.
-        exprs: Vec<(ScalarExpr, String)>,
+        exprs: Vec<(ScalarExpr, Arc<str>)>,
         /// Output schema.
         schema: PlanSchema,
     },
@@ -179,7 +181,7 @@ pub enum LogicalPlan {
         /// Input operator.
         input: Box<LogicalPlan>,
         /// Group-by expressions over the input.
-        group_by: Vec<(ScalarExpr, String)>,
+        group_by: Vec<(ScalarExpr, Arc<str>)>,
         /// Aggregate calls.
         aggregates: Vec<AggCall>,
         /// Output schema: group keys then aggregates.
@@ -241,6 +243,17 @@ impl LogicalPlan {
         }
     }
 
+    /// An empty scan, standing in for a child while it is rewritten.
+    fn placeholder() -> LogicalPlan {
+        LogicalPlan::Scan {
+            table: Arc::default(),
+            binding: Arc::default(),
+            source: None,
+            schema: PlanSchema::default(),
+            key_index: 0,
+        }
+    }
+
     /// Rebuilds this operator around `f` applied to each immediate child
     /// (left before right); every other field is kept. The shared spine
     /// of the tree rewrites — a walker states only the arms that do
@@ -259,7 +272,13 @@ impl LogicalPlan {
         self,
         mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan, E>,
     ) -> Result<LogicalPlan, E> {
-        let mut map = |child: Box<LogicalPlan>| f(*child).map(Box::new);
+        // Each child is rewritten in its own box, so a pass that keeps the
+        // tree's shape allocates nothing. The placeholder it leaves there
+        // for the moment holds no allocation either.
+        let mut map = |mut child: Box<LogicalPlan>| {
+            *child = f(std::mem::replace(&mut *child, LogicalPlan::placeholder()))?;
+            Ok(child)
+        };
         Ok(match self {
             LogicalPlan::Scan { .. } => self,
             LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
@@ -470,7 +489,7 @@ fn write_separated<'a, T>(
 
 /// Builds the output schema of an aggregate node.
 pub(crate) fn aggregate_schema(
-    group_by: &[(ScalarExpr, String)],
+    group_by: &[(ScalarExpr, Arc<str>)],
     aggregates: &[AggCall],
 ) -> PlanSchema {
     let mut cols = Vec::with_capacity(group_by.len() + aggregates.len());
@@ -537,7 +556,7 @@ mod tests {
         let schema = aggregate_schema(&[(key, "country".into())], &[agg]);
         assert_eq!(schema.arity(), 2);
         assert_eq!(schema.columns[0].binding.as_deref(), Some("c"));
-        assert_eq!(schema.columns[1].name, "COUNT(*)");
+        assert_eq!(&*schema.columns[1].name, "COUNT(*)");
         assert_eq!(schema.columns[1].data_type, DataType::Int);
     }
 

@@ -4,12 +4,15 @@
 use crate::error::{EngineError, Result};
 use crate::value::DataType;
 use std::fmt;
+use std::sync::Arc;
 
 /// A column of a stored table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
-    /// Column name (unique within its table).
-    pub name: String,
+    /// Column name (unique within its table). Shared: every plan column,
+    /// resolved reference and temporary schema made from this column holds
+    /// the same text.
+    pub name: Arc<str>,
     /// Data type.
     pub data_type: DataType,
     /// Whether NULLs are allowed.
@@ -18,7 +21,7 @@ pub struct Column {
 
 impl Column {
     /// A non-nullable column.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Column {
             name: name.into(),
             data_type,
@@ -27,7 +30,7 @@ impl Column {
     }
 
     /// A nullable column.
-    pub fn nullable(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn nullable(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Column {
             name: name.into(),
             data_type,
@@ -87,14 +90,16 @@ impl TableSchema {
 }
 
 /// A column as it appears in an operator's output: the stored column name
-/// plus the binding (table alias) that introduced it, if any.
+/// plus the binding (table alias) that introduced it, if any. Both are
+/// shared with the stored column and the scan, so copying a schema or a
+/// plan only counts references.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanColumn {
     /// Binding (FROM-clause alias or table name); `None` for computed
     /// outputs such as aggregates.
-    pub binding: Option<String>,
+    pub binding: Option<Arc<str>>,
     /// Output name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Output type.
     pub data_type: DataType,
     /// Whether NULLs may appear.
@@ -103,17 +108,17 @@ pub struct PlanColumn {
 
 impl PlanColumn {
     /// Builds a plan column carried over from a base table.
-    pub(crate) fn from_base(binding: &str, col: &Column) -> Self {
+    pub(crate) fn from_base(binding: &Arc<str>, col: &Column) -> Self {
         PlanColumn {
-            binding: Some(binding.to_string()),
-            name: col.name.clone(),
+            binding: Some(Arc::clone(binding)),
+            name: Arc::clone(&col.name),
             data_type: col.data_type,
             nullable: col.nullable,
         }
     }
 
     /// Builds a computed output column.
-    pub fn computed(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn computed(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         PlanColumn {
             binding: None,
             name: name.into(),
@@ -156,10 +161,7 @@ impl PlanSchema {
     /// name must match exactly one column, otherwise the reference is
     /// ambiguous.
     pub(crate) fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let matches: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
+        let mut matches = (self.columns.iter().enumerate())
             .filter(|(_, c)| {
                 let name_ok = c.name.eq_ignore_ascii_case(name);
                 match qualifier {
@@ -172,15 +174,14 @@ impl PlanSchema {
                     None => name_ok,
                 }
             })
-            .map(|(i, _)| i)
-            .collect();
-        match matches.len() {
-            0 => Err(EngineError::UnknownColumn(match qualifier {
+            .map(|(i, _)| i);
+        match (matches.next(), matches.next()) {
+            (None, _) => Err(EngineError::UnknownColumn(match qualifier {
                 Some(q) => format!("{q}.{name}"),
                 None => name.to_string(),
             })),
-            1 => Ok(matches[0]),
-            _ => Err(EngineError::AmbiguousColumn(name.to_string())),
+            (Some(i), None) => Ok(i),
+            (Some(_), Some(_)) => Err(EngineError::AmbiguousColumn(name.to_string())),
         }
     }
 
@@ -226,7 +227,7 @@ mod tests {
     fn table_schema_key_resolution() {
         let s = city_schema();
         assert_eq!(s.key, 0);
-        assert_eq!(s.columns[s.key].name, "name");
+        assert_eq!(&*s.columns[s.key].name, "name");
         assert_eq!(s.index_of("POPULATION"), Some(2));
         assert_eq!(s.index_of("missing"), None);
     }
@@ -257,9 +258,9 @@ mod tests {
     #[test]
     fn plan_schema_resolution() {
         let s = PlanSchema::new(vec![
-            PlanColumn::from_base("c", &Column::new("name", DataType::Text)),
-            PlanColumn::from_base("m", &Column::new("name", DataType::Text)),
-            PlanColumn::from_base("c", &Column::new("population", DataType::Int)),
+            PlanColumn::from_base(&"c".into(), &Column::new("name", DataType::Text)),
+            PlanColumn::from_base(&"m".into(), &Column::new("name", DataType::Text)),
+            PlanColumn::from_base(&"c".into(), &Column::new("population", DataType::Int)),
         ]);
         assert_eq!(s.resolve(Some("c"), "name").unwrap(), 0);
         assert_eq!(s.resolve(Some("m"), "name").unwrap(), 1);
@@ -281,11 +282,11 @@ mod tests {
     #[test]
     fn join_concatenates_and_nullable_marks() {
         let a = PlanSchema::new(vec![PlanColumn::from_base(
-            "a",
+            &"a".into(),
             &Column::new("x", DataType::Int),
         )]);
         let b = PlanSchema::new(vec![PlanColumn::from_base(
-            "b",
+            &"b".into(),
             &Column::new("y", DataType::Int),
         )]);
         let j = a.join(&b.as_nullable());

@@ -240,7 +240,7 @@ impl Table {
     }
 
     /// The plan schema this table produces when scanned under `binding`.
-    pub(crate) fn plan_schema(&self, binding: &str) -> PlanSchema {
+    pub(crate) fn plan_schema(&self, binding: &Arc<str>) -> PlanSchema {
         PlanSchema::new(
             self.schema
                 .columns
@@ -252,13 +252,21 @@ impl Table {
 }
 
 /// Looks `name` up case-insensitively in a map keyed by lower-cased
-/// names. A name without an uppercase ASCII letter is its own key, so only
-/// a mixed-case one is lower-cased into a copy first.
+/// names. A name without an uppercase ASCII letter is its own key; a
+/// mixed-case one is lower-cased first, on the stack when it is short.
 pub(crate) fn get_ignore_case<'m, V>(map: &'m HashMap<String, V>, name: &str) -> Option<&'m V> {
-    if name.bytes().any(|b| b.is_ascii_uppercase()) {
-        map.get(&name.to_ascii_lowercase())
-    } else {
-        map.get(name)
+    if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+        return map.get(name);
+    }
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..name.len()) {
+        Some(lower) => {
+            lower.copy_from_slice(name.as_bytes());
+            lower.make_ascii_lowercase();
+            // Lower-casing ASCII letters keeps UTF-8 valid.
+            map.get(std::str::from_utf8(lower).ok()?)
+        }
+        None => map.get(&name.to_ascii_lowercase()),
     }
 }
 
@@ -510,7 +518,7 @@ mod tests {
     #[test]
     fn plan_schema_uses_binding() {
         let t = city_table();
-        let ps = t.plan_schema("c");
+        let ps = t.plan_schema(&"c".into());
         assert_eq!(ps.columns[0].binding.as_deref(), Some("c"));
         assert_eq!(ps.arity(), 2);
     }

@@ -69,12 +69,25 @@ impl Parser {
         &self.peek().kind
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    fn advance(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+    }
+
+    /// The current token's text (an identifier's or a string literal's),
+    /// moved out of the token, advancing past it. The parser never looks
+    /// back, so the token is not read again.
+    fn take_text(&mut self) -> String {
+        let last = self.tokens.len() - 1;
+        let text = match &mut self.tokens[self.pos.min(last)].kind {
+            TokenKind::Ident(s) | TokenKind::QuotedIdent(s) | TokenKind::String(s) => {
+                std::mem::take(s)
+            }
+            _ => String::new(),
+        };
+        self.advance();
+        text
     }
 
     fn error_here(&self, msg: impl Into<String>) -> SqlError {
@@ -129,15 +142,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
-            TokenKind::QuotedIdent(s) => {
-                self.advance();
-                Ok(s)
-            }
+        match self.peek_kind() {
+            TokenKind::Ident(_) | TokenKind::QuotedIdent(_) => Ok(self.take_text()),
             other => Err(self.error_here(format!("expected identifier, found {other}"))),
         }
     }
@@ -265,15 +271,14 @@ impl Parser {
         }
         // `alias.*` needs two tokens of lookahead before falling back to a
         // general expression.
-        if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Dot)
-                && self.tokens.get(self.pos + 2).map(|t| &t.kind) == Some(&TokenKind::Star)
-            {
-                self.advance();
-                self.advance();
-                self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
-            }
+        if matches!(self.peek_kind(), TokenKind::Ident(_))
+            && self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Dot)
+            && self.tokens.get(self.pos + 2).map(|t| &t.kind) == Some(&TokenKind::Star)
+        {
+            let name = self.take_text();
+            self.advance();
+            self.advance();
+            return Ok(SelectItem::QualifiedWildcard(name));
         }
         let expr = self.parse_expr()?;
         let explicit_as = self.eat_keyword(Keyword::As);
@@ -518,7 +523,7 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek_kind().clone() {
+        match *self.peek_kind() {
             TokenKind::Integer(v) => {
                 let v = i64::try_from(v)
                     .map_err(|_| self.error_here("bad integer literal: number too large"))?;
@@ -529,10 +534,7 @@ impl Parser {
                 self.advance();
                 Ok(Expr::Literal(Literal::Float(v)))
             }
-            TokenKind::String(s) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::String(s)))
-            }
+            TokenKind::String(_) => Ok(Expr::Literal(Literal::String(self.take_text()))),
             TokenKind::Keyword(Keyword::True) => {
                 self.advance();
                 Ok(Expr::Literal(Literal::Boolean(true)))
@@ -552,12 +554,12 @@ impl Parser {
                 Ok(e)
             }
             TokenKind::Ident(_) | TokenKind::QuotedIdent(_) => self.parse_name_or_call(),
-            other => Err(self.error_here(format!("expected expression, found {other}"))),
+            ref other => Err(self.error_here(format!("expected expression, found {other}"))),
         }
     }
 
     fn parse_name_or_call(&mut self) -> Result<Expr> {
-        let name = self.expect_ident()?;
+        let mut name = self.expect_ident()?;
         if self.peek_kind() == &TokenKind::LParen {
             self.advance();
             let distinct = self.eat_keyword(Keyword::Distinct);
@@ -573,8 +575,9 @@ impl Parser {
                 FunctionArgs::Exprs(exprs)
             };
             self.expect(&TokenKind::RParen)?;
+            name.make_ascii_uppercase();
             return Ok(Expr::Function {
-                name: name.to_ascii_uppercase(),
+                name,
                 distinct,
                 args,
             });

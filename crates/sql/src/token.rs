@@ -47,38 +47,43 @@ impl Keyword {
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(s: &str) -> Option<Keyword> {
         // SQL keyword sets are small; a linear match on the uppercased text
-        // is faster than building a map for this size.
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
-            "SELECT" => Keyword::Select,
-            "DISTINCT" => Keyword::Distinct,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "GROUP" => Keyword::Group,
-            "BY" => Keyword::By,
-            "HAVING" => Keyword::Having,
-            "ORDER" => Keyword::Order,
-            "LIMIT" => Keyword::Limit,
-            "OFFSET" => Keyword::Offset,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
-            "LIKE" => Keyword::Like,
-            "BETWEEN" => Keyword::Between,
-            "IS" => Keyword::Is,
-            "NULL" => Keyword::Null,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            "JOIN" => Keyword::Join,
-            "INNER" => Keyword::Inner,
-            "LEFT" => Keyword::Left,
-            "OUTER" => Keyword::Outer,
-            "ON" => Keyword::On,
-            "AS" => Keyword::As,
-            "EXPLAIN" => Keyword::Explain,
+        // is faster than building a map for this size. The text is upper-
+        // cased into a stack buffer as long as the longest keyword, so a
+        // longer word is no keyword and nothing is allocated.
+        let mut buf = [0u8; 8];
+        let up = buf.get_mut(..s.len())?;
+        up.copy_from_slice(s.as_bytes());
+        up.make_ascii_uppercase();
+        Some(match &*up {
+            b"SELECT" => Keyword::Select,
+            b"DISTINCT" => Keyword::Distinct,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"GROUP" => Keyword::Group,
+            b"BY" => Keyword::By,
+            b"HAVING" => Keyword::Having,
+            b"ORDER" => Keyword::Order,
+            b"LIMIT" => Keyword::Limit,
+            b"OFFSET" => Keyword::Offset,
+            b"ASC" => Keyword::Asc,
+            b"DESC" => Keyword::Desc,
+            b"AND" => Keyword::And,
+            b"OR" => Keyword::Or,
+            b"NOT" => Keyword::Not,
+            b"IN" => Keyword::In,
+            b"LIKE" => Keyword::Like,
+            b"BETWEEN" => Keyword::Between,
+            b"IS" => Keyword::Is,
+            b"NULL" => Keyword::Null,
+            b"TRUE" => Keyword::True,
+            b"FALSE" => Keyword::False,
+            b"JOIN" => Keyword::Join,
+            b"INNER" => Keyword::Inner,
+            b"LEFT" => Keyword::Left,
+            b"OUTER" => Keyword::Outer,
+            b"ON" => Keyword::On,
+            b"AS" => Keyword::As,
+            b"EXPLAIN" => Keyword::Explain,
             _ => return None,
         })
     }
@@ -232,6 +237,10 @@ mod tests {
         assert_eq!(Keyword::from_str("SeLeCt"), Some(Keyword::Select));
         assert_eq!(Keyword::from_str("GROUP"), Some(Keyword::Group));
         assert_eq!(Keyword::from_str("city"), None);
+        assert_eq!(Keyword::from_str("DiStInCt"), Some(Keyword::Distinct));
+        assert_eq!(Keyword::from_str("distincts"), None);
+        assert_eq!(Keyword::from_str(""), None);
+        assert_eq!(Keyword::from_str("sélect"), None);
     }
 
     #[test]

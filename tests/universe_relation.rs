@@ -196,13 +196,15 @@ fn a_limit_window_is_built_every_time_and_keeps_nothing() {
     }
 }
 
-/// A degraded cell never enters a relation. A model that faults past the
-/// retry budget leaves NULLs in a warm statement's rows (the session's
-/// prompt cache holds on to them), and however often the statement is
-/// repeated its table is never kept — while a statement over the same
-/// universe that reads none of the degraded cells is. Fresh sessions over
-/// the same model drain the fault schedule; the first that reads no
-/// failed cell publishes, and is served, the fault-free relation.
+/// A degraded cell never enters a relation. A model that faults on the
+/// first asks of every prompt, with no retry budget to absorb them, leaves
+/// NULLs in a warm statement's rows. The client keeps no fault, so each
+/// repeat of the statement asks its degraded cells again and walks their
+/// fault schedule forward; while any of them is degraded its table is
+/// never kept — while a statement over the same universe that reads none
+/// of the degraded cells is. Fresh sessions over the same model then find
+/// the schedule drained; the first that reads no failed cell publishes,
+/// and is served, the fault-free relation.
 #[test]
 fn a_degraded_cell_never_enters_a_relation() {
     let scenario = Scenario::generate_scaled(7, 4);
@@ -215,7 +217,7 @@ fn a_degraded_cell_never_enters_a_relation() {
         ..FaultProfile::default()
     };
     let policy = RetryPolicy {
-        max_retries: 1,
+        max_retries: 0,
         breaker_threshold: u32::MAX,
         ..RetryPolicy::default()
     };
@@ -228,24 +230,40 @@ fn a_degraded_cell_never_enters_a_relation() {
     let session = || cell.session();
     let stuck = session();
     let keys = "SELECT name FROM city";
+    // The keys statement reads no fetched cell: once its listing has
+    // drained, its key column is whole, kept, and served from then on.
+    let listed = (0..=FaultProfile::MAX_CONSECUTIVE + 1).any(|_| read(&stuck, keys).served == 1);
+    assert!(listed, "the listing drains");
     let mut degraded_warm_reads = 0;
-    for nth in 0..6 {
+    let clean = (0..=FaultProfile::MAX_CONSECUTIVE).find_map(|nth| {
         let reading = read(&stuck, sql);
-        assert!(reading.stats.failed_cells > 0, "read {nth}");
-        assert!(reading.rows.iter().flatten().any(Value::is_null));
-        assert_eq!(reading.served, 0, "read {nth}");
-        degraded_warm_reads += usize::from(reading.stats.list_prompts == 0);
-        if nth == 3 {
-            // Its key column alone is whole: kept, and served from then on.
-            assert_eq!(stuck.typed_stats().relations, 0, "NULLs were kept");
-            assert_eq!(read(&stuck, keys).built, 1);
+        if reading.stats.failed_cells == 0 {
+            return Some(reading);
         }
-        if nth >= 3 {
-            let names = read(&stuck, keys);
-            assert_eq!((names.served, names.rows.len()), (1, want.rows.len()));
-        }
-    }
-    assert!(degraded_warm_reads >= 3, "warm reads met exhausted retries");
+        assert!(
+            reading.rows.iter().flatten().any(Value::is_null),
+            "read {nth}"
+        );
+        assert_eq!(
+            (reading.served, reading.stats.list_prompts),
+            (0, 0),
+            "read {nth}"
+        );
+        degraded_warm_reads += 1;
+        // The NULLs were not kept: the universe's one relation is still
+        // the whole key column, serving the keys statement.
+        assert_eq!(
+            stuck.typed_stats().relations,
+            1,
+            "read {nth}: NULLs were kept"
+        );
+        let names = read(&stuck, keys);
+        assert_eq!((names.served, names.rows.len()), (1, want.rows.len()));
+        None
+    });
+    // One degraded read per leading fault of the deepest cell's schedule.
+    assert_eq!(degraded_warm_reads, FaultProfile::MAX_CONSECUTIVE);
+    assert_eq!(clean.expect("the fault schedule drains").rows, want.rows);
     let drained = (0..12).map(|_| session()).find_map(|session| {
         let cold = read(&session, sql);
         (cold.stats.failed_cells == 0).then(|| (cold, read(&session, sql), read(&session, sql)))
