@@ -1,6 +1,6 @@
 //! The physical plan: how a [`CompiledQuery`] retrieves, decided once by
-//! [`PhysicalPlan::new`]. The planner prices each step by the layout its
-//! stages follow (`plan_choice::estimate`), the retrieval protocol runs
+//! [`PhysicalPlan::new`]. The planner prices each step from its stages
+//! ([`crate::plan_choice::estimate_step`]), the retrieval protocol runs
 //! them, and `EXPLAIN` prints the plan.
 
 use crate::compile::{limit_hint, CompiledQuery, LlmScanStep};
@@ -83,7 +83,7 @@ impl PhysicalPlan {
 
 /// A step's stages under `batch`: one per filter condition, then one per
 /// group of up to `A` fetched columns (`A = 1` when batching is off).
-fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
+pub(crate) fn stages(step: &LlmScanStep, batch: PromptBatch) -> Vec<Stage> {
     let mut stages: Vec<Stage> = (0..step.filter_conditions.len())
         .map(Stage::Filter)
         .collect();

@@ -57,7 +57,7 @@
 
 use crate::compile::{compile_owned, CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::Result;
-use crate::physical::PhysicalPlan;
+use crate::physical::{self, PhysicalPlan, Stage};
 use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
 use galois_llm::intent::{CmpOp, Condition};
 use galois_llm::{ClientStats, Parallelism, RetryPolicy, BATCH_OVERHEAD_MS};
@@ -355,10 +355,14 @@ fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, params: &PlannerParam
     (batches / lanes).ceil() * per_batch
 }
 
-/// Estimates the cost of one retrieval step, laid out as
-/// `physical::stages` lays it out under the planned batch shape, against
-/// the catalog's stats.
-fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
+/// Estimates the cost of one retrieval step, laid out as `stages`
+/// (`physical::stages`), against the catalog's stats.
+pub(crate) fn estimate_step(
+    step: &LlmScanStep,
+    stages: &[Stage],
+    catalog: &Catalog,
+    params: &PlannerParams,
+) -> StepCost {
     // A warm key universe short-circuits the listing estimate entirely:
     // the stored key count is exact, and the phase issues no prompts.
     let warm_keys = params.warm_keys(step);
@@ -409,7 +413,7 @@ fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> St
     // up to `A` columns (one column each when `A = 1`): ⌈C/A⌉ groups whose
     // prompts carry `B × attrs-per-group` answer cells each.
     let cols = step.fetch.len() as f64;
-    let groups = (step.fetch.len()).div_ceil(params.prompt_batch.attrs_per_prompt()) as f64;
+    let groups = (stages.len() - step.filter_conditions.len()) as f64;
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
     let col_prompts = batched_prompt_count(n, batch_keys);
     let fetch_prompts = col_prompts * groups;
@@ -524,6 +528,12 @@ fn join_order_lines<'s>(
     Ok(1 + left_nodes + right_nodes)
 }
 
+/// [`estimate_step`] over the stages the step is laid out as.
+fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
+    let stages = physical::stages(step, params.prompt_batch);
+    estimate_step(step, &stages, catalog, params)
+}
+
 /// Picks the cheapest pushdown variant of one step. Returns the chosen
 /// step, its cost, and how many candidates were costed. Candidate `j` is
 /// the step with filter condition `j` moved into its scan condition; the
@@ -602,7 +612,7 @@ pub(crate) fn plan_owned(
             let mut compiled = compile_owned(plan, catalog, &CompileOptions { pushdown: false })?;
             let mut candidates = 0usize;
             let mut chosen = Vec::with_capacity(compiled.steps.len());
-            for step in compiled.steps.drain(..) {
+            for step in std::mem::take(&mut compiled.steps) {
                 let (step, cost, considered) = best_step_variant(step, catalog, params);
                 chosen.push((step, cost));
                 candidates += considered;
@@ -612,11 +622,8 @@ pub(crate) fn plan_owned(
             // estimated makespan. The sort is stable: ties keep the
             // original order.
             chosen.sort_by(|(_, a), (_, b)| b.virtual_ms.total_cmp(&a.virtual_ms));
-            let mut costs = Vec::with_capacity(chosen.len());
-            for (step, cost) in chosen {
-                compiled.steps.push(step);
-                costs.push(cost);
-            }
+            let costs: Vec<StepCost>;
+            (compiled.steps, costs) = chosen.into_iter().unzip();
             (compiled, costs, candidates.max(1))
         }
     };
@@ -655,8 +662,7 @@ impl PlannedQuery {
     /// protocol and cost estimates, then the residual relational plan with
     /// cardinality annotations, then query totals.
     pub(crate) fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
-        // Most reports fit in a kilobyte; a longer one grows from there.
-        let mut out = String::with_capacity(1024);
+        let mut out = String::new();
         // Writing to a `String` cannot fail.
         let _ = self.write_report(catalog, params, &mut out);
         out

@@ -288,7 +288,7 @@ impl<V> Entry<V> {
 
 /// Feeds a precomputed `u64` hash through to the table unchanged.
 #[derive(Default)]
-pub(crate) struct PassThrough(u64);
+struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn write(&mut self, _: &[u8]) {

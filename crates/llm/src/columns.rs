@@ -7,19 +7,20 @@
 //! engine asks for the cells of one column, for consecutive keys, so the
 //! store keeps each column's entries together and in the order they
 //! arrived: one text arena, one array of fixed-size entries holding spans
-//! into it, and a hash index over the keys.
+//! into it, and one array of buckets over the entries.
 //!
 //! A column is found by its full prefix text and an entry by its full key
 //! text. The 64-bit key hash — SipHash keyed at random per store, because
-//! keys are model output — only locates candidates; entries with equal
-//! hashes chain through `Entry::next`. Every column of a store hashes with
+//! keys are model output — only locates candidates: its low bits pick a
+//! bucket, whose entries chain through `Entry::next`. A bucket is one
+//! `u32`, and a column keeps at most one entry per bucket on average, so
+//! the index costs a few bytes a cell. Every column of a store hashes with
 //! the same key, so a caller asking one key of several columns hashes it
 //! once, into a [`SubKey`].
 
-use crate::client::PassThrough;
 use parking_lot::Mutex;
 use std::collections::hash_map::{HashMap, RandomState};
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Result of a sub-entry lookup, with whatever the caller read out of a
@@ -74,19 +75,27 @@ impl KeyHasher {
     }
 }
 
-/// "No entry": ends a hash chain, and stands in an entry's answer start
+/// "No entry": ends a bucket's chain, and stands in an entry's answer start
 /// while the cell is asked but not yet answered. Text offsets and entry
 /// positions stay strictly below it ([`Column::room`]).
 const NONE: u32 = u32::MAX;
 
-/// One cell: spans of the column's text arena, and the next entry whose
-/// key has the same hash.
+/// The fewest buckets a column that holds an entry has.
+const MIN_BUCKETS: usize = 8;
+
+/// One cell: spans of the column's text arena, its key's hash, and the
+/// next entry of its bucket.
 struct Entry {
     key_start: u32,
     key_len: u32,
     /// [`NONE`] while the answer is in flight.
     answer_start: u32,
     answer_len: u32,
+    /// The key hash's low 32 bits: enough to pick a bucket of any column
+    /// ([`Column::room`] keeps positions below 2³²), to re-chain the
+    /// entries when the buckets double, and to pass over most other keys
+    /// of a bucket without reading their bytes.
+    hash: u32,
     next: u32,
 }
 
@@ -95,8 +104,9 @@ struct Column {
     /// Key and answer bytes, appended as they arrive and never moved.
     text: String,
     entries: Vec<Entry>,
-    /// Key hash → position of the newest entry with that hash.
-    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// Low hash bits → position of the newest entry with them, or
+    /// [`NONE`]; a power of two, at least as many as there are entries.
+    buckets: Vec<u32>,
     /// The store's hasher, which made every [`SubKey`] this column is
     /// asked by.
     hasher: KeyHasher,
@@ -115,15 +125,32 @@ impl Column {
             self.hasher.sub_key(key),
             "a SubKey used with another key, or another client's"
         );
-        let mut at = self.index.get(&sub.hash).copied().unwrap_or(NONE);
+        let hash = sub.hash as u32;
+        let mut at = if self.buckets.is_empty() {
+            NONE
+        } else {
+            self.buckets[self.bucket(hash)]
+        };
         while at != NONE {
             let entry = &self.entries[at as usize];
-            if self.key_bytes(entry) == key.as_bytes() {
+            if entry.hash == hash && self.key_bytes(entry) == key.as_bytes() {
                 return Ok(at as usize);
             }
             at = entry.next;
         }
         Err(sub.hash)
+    }
+
+    /// The bucket of a hash; the column has buckets.
+    fn bucket(&self, hash: u32) -> usize {
+        hash as usize & (self.buckets.len() - 1)
+    }
+
+    /// Puts entry `at` at the head of its bucket's chain.
+    fn link(&mut self, at: u32) {
+        let bucket = self.bucket(self.entries[at as usize].hash);
+        self.entries[at as usize].next = self.buckets[bucket];
+        self.buckets[bucket] = at;
     }
 
     /// Whether one more entry and `bytes` more text keep every position
@@ -150,14 +177,24 @@ impl Column {
         let (key_start, key_len) = self.append(key);
         let (answer_start, answer_len) = answer.map_or((NONE, 0), |a| self.append(a));
         let at = self.entries.len() as u32;
-        let next = self.index.insert(hash, at).unwrap_or(NONE);
         self.entries.push(Entry {
             key_start,
             key_len,
             answer_start,
             answer_len,
-            next,
+            hash: hash as u32,
+            next: NONE,
         });
+        if self.entries.len() <= self.buckets.len() {
+            self.link(at);
+        } else {
+            // Twice the buckets, every entry re-chained oldest first, so
+            // each chain still starts at its newest entry.
+            self.buckets = vec![NONE; (2 * self.buckets.len()).max(MIN_BUCKETS)];
+            for at in 0..=at {
+                self.link(at);
+            }
+        }
     }
 
     fn extract<R>(&mut self, key: &str, sub: SubKey, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
@@ -195,7 +232,7 @@ impl Column {
     fn clear(&mut self) {
         self.text.clear();
         self.entries.clear();
-        self.index.clear();
+        self.buckets.clear();
     }
 }
 
@@ -266,7 +303,7 @@ impl SubStore {
             let column = Column {
                 text: String::new(),
                 entries: Vec::new(),
-                index: HashMap::default(),
+                buckets: Vec::new(),
                 hasher: self.hasher.clone(),
             };
             columns.insert(prefix.into(), SubColumn(Arc::new(Mutex::new(column))));

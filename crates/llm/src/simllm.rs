@@ -53,7 +53,38 @@ pub struct SimLlm {
     /// profile, the store and the concept, so clones share the memo; it
     /// holds at most (distinct concepts asked × entities of the type)
     /// surfaces.
-    lists: Arc<Mutex<HashMap<ListConcept, Arc<[String]>>>>,
+    lists: Arc<Mutex<HashMap<ListConcept, Arc<Surfaces>>>>,
+}
+
+/// One belief list: its surfaces end to end in one string, and where each
+/// ends — two allocations a list, where a `String` per surface took one
+/// each. A list longer than `u32` offsets reach keeps its surfaces up to
+/// there.
+#[derive(Default)]
+struct Surfaces {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Surfaces {
+    fn push(&mut self, surface: &str) {
+        let Ok(end) = u32::try_from(self.text.len() + surface.len()) else {
+            return;
+        };
+        self.text.push_str(surface);
+        self.ends.push(end);
+    }
+
+    /// The surfaces in list order, from the `offset`-th on (none past the
+    /// end).
+    fn iter_from(&self, offset: usize) -> impl Iterator<Item = &str> {
+        let (before, ends) = self.ends.split_at(offset.min(self.ends.len()));
+        let first = before.last().copied().unwrap_or(0);
+        let starts = std::iter::once(first).chain(ends.iter().copied());
+        starts
+            .zip(ends)
+            .map(|(start, &end)| &self.text[start as usize..end as usize])
+    }
 }
 
 /// What a list prompt asks for, as the belief-list memo keys it: the
@@ -583,7 +614,7 @@ impl SimLlm {
         relation: &str,
         key_attr: &str,
         condition: Option<&Condition>,
-    ) -> Option<Arc<[String]>> {
+    ) -> Option<Arc<Surfaces>> {
         let ty = self.relation_type(relation);
         let ids = self.kb.ids_of_type(&ty);
         if ids.is_empty() {
@@ -594,13 +625,13 @@ impl SimLlm {
         if memo.is_some() {
             return memo;
         }
-        let list: Arc<[String]> = self.belief_list(&concept.ty, key_attr, condition).into();
+        let list = Arc::new(self.belief_list(&concept.ty, key_attr, condition));
         Some(Arc::clone(self.lists.lock().entry(concept).or_insert(list)))
     }
 
     /// Computes [`Self::list_surfaces`]'s list for an entity type.
-    fn belief_list(&self, ty: &str, key_attr: &str, condition: Option<&Condition>) -> Vec<String> {
-        let mut surfaces: Vec<String> = Vec::new();
+    fn belief_list(&self, ty: &str, key_attr: &str, condition: Option<&Condition>) -> Surfaces {
+        let mut surfaces = Surfaces::default();
         for id in self.kb.ids_of_type(ty) {
             let e = self.kb.entity(*id);
             if !self.recalls(e) {
@@ -618,11 +649,11 @@ impl SimLlm {
                     continue;
                 }
             }
-            surfaces.push(self.entity_surface(e, ty, key_attr));
+            surfaces.push(&self.entity_surface(e, ty, key_attr));
             // Hallucination: occasionally invent a neighbour.
             if self.chance(self.profile.hallucination_rate, &["fake", ty, &e.name]) {
                 let mut frng = self.rng(&["fakename", ty, &e.name]);
-                surfaces.push(noise::fake_name(&mut frng));
+                surfaces.push(&noise::fake_name(&mut frng));
             }
         }
         surfaces
@@ -660,7 +691,7 @@ impl SimLlm {
             .collect();
         let mut lowered = String::new();
         let fresh: Vec<&str> = surfaces
-            .iter()
+            .iter_from(0)
             .filter(|s| {
                 lowered.clear();
                 lowered.push_str(s.trim());
@@ -668,7 +699,6 @@ impl SimLlm {
                 !excluded.contains(&lowered)
             })
             .take(self.profile.list_page_size)
-            .map(String::as_str)
             .collect();
         self.render_list_page(&fresh, prompt)
     }
@@ -688,11 +718,8 @@ impl SimLlm {
             return "Unknown".to_string();
         };
         let fresh: Vec<&str> = surfaces
-            .get(offset..)
-            .unwrap_or_default()
-            .iter()
+            .iter_from(offset)
             .take(self.profile.list_page_size)
-            .map(String::as_str)
             .collect();
         self.render_list_page(&fresh, prompt)
     }
@@ -852,6 +879,20 @@ impl LanguageModel for SimLlm {
 mod tests {
     use super::*;
     use crate::intent::render_task;
+
+    #[test]
+    fn a_belief_list_reads_back_its_surfaces_from_any_offset() {
+        let mut list = Surfaces::default();
+        let surfaces = ["Rome", "", "Zürich", "Val d'Oro"];
+        for surface in surfaces {
+            list.push(surface);
+        }
+        for offset in 0..=surfaces.len() + 2 {
+            let read: Vec<&str> = list.iter_from(offset).collect();
+            assert_eq!(read, surfaces.get(offset..).unwrap_or_default(), "{offset}");
+        }
+        assert_eq!(Surfaces::default().iter_from(0).count(), 0);
+    }
 
     fn test_kb() -> Arc<KnowledgeStore> {
         let mut kb = KnowledgeStore::new();

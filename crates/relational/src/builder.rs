@@ -607,9 +607,9 @@ pub(crate) fn split_join_condition(predicate: ScalarExpr, left_arity: usize) -> 
     let mut equi = Vec::new();
     let mut residual: Option<ScalarExpr> = None;
     for conj in split_conjuncts(predicate) {
-        match try_equi(conj, left_arity) {
-            Ok(pair) => equi.push(pair),
-            Err(conj) => {
+        match try_equi(&conj, left_arity) {
+            Some(pair) => equi.push(pair),
+            None => {
                 residual = Some(match residual {
                     None => conj,
                     Some(prev) => ScalarExpr::Binary {
@@ -640,31 +640,28 @@ pub fn split_conjuncts(expr: ScalarExpr) -> Vec<ScalarExpr> {
     }
 }
 
-/// Splits `left = right` into a join's (left-side, right-side) pair when
-/// each operand reads one side only; any other conjunct comes back as
-/// the error.
-fn try_equi(
-    conj: ScalarExpr,
-    left_arity: usize,
-) -> std::result::Result<(ScalarExpr, ScalarExpr), ScalarExpr> {
-    use galois_sql::ast::BinaryOp::Eq;
+fn try_equi(conj: &ScalarExpr, left_arity: usize) -> Option<(ScalarExpr, ScalarExpr)> {
     let ScalarExpr::Binary {
         left,
-        op: Eq,
+        op: galois_sql::ast::BinaryOp::Eq,
         right,
     } = conj
     else {
-        return Err(conj);
+        return None;
     };
-    let shift = |side: &ScalarExpr| side.remap_indices(&|i| i - left_arity);
-    match (left.reads_sides(left_arity), right.reads_sides(left_arity)) {
-        ((true, false), (false, true)) => Ok((*left, shift(&right))),
-        ((false, true), (true, false)) => Ok((*right, shift(&left))),
-        _ => Err(ScalarExpr::Binary {
-            left,
-            op: Eq,
-            right,
-        }),
+    let l_refs = left.referenced_indices();
+    let r_refs = right.referenced_indices();
+    if l_refs.is_empty() || r_refs.is_empty() {
+        return None;
+    }
+    let all_left = |v: &[usize]| v.iter().all(|&i| i < left_arity);
+    let all_right = |v: &[usize]| v.iter().all(|&i| i >= left_arity);
+    if all_left(&l_refs) && all_right(&r_refs) {
+        Some(((**left).clone(), right.remap_indices(&|i| i - left_arity)))
+    } else if all_right(&l_refs) && all_left(&r_refs) {
+        Some(((**right).clone(), left.remap_indices(&|i| i - left_arity)))
+    } else {
+        None
     }
 }
 

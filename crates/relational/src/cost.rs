@@ -323,9 +323,13 @@ fn write_integer<W: fmt::Write + ?Sized>(
 /// through the ordinary result channel.
 pub fn explain_relation(text: &str) -> Relation {
     let schema = PlanSchema::new(vec![PlanColumn::computed("QUERY PLAN", DataType::Text)]);
-    let mut rows = Vec::with_capacity(text.lines().count());
-    rows.extend(text.lines().map(|line| vec![Value::Text(line.to_string())]));
-    Relation { schema, rows }
+    Relation {
+        schema,
+        rows: text
+            .lines()
+            .map(|line| vec![Value::Text(line.to_string())])
+            .collect(),
+    }
 }
 
 #[cfg(test)]

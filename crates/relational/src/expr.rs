@@ -203,23 +203,6 @@ impl ScalarExpr {
         v
     }
 
-    /// Which sides of a join's concatenated input the expression reads:
-    /// `(left, right)`, the left side being the columns below
-    /// `left_arity`. `(false, false)` for an expression reading no column.
-    pub(crate) fn reads_sides(&self, left_arity: usize) -> (bool, bool) {
-        let mut sides = (false, false);
-        self.walk(&mut |e| {
-            if let ScalarExpr::Column(c) = e {
-                if c.index < left_arity {
-                    sides.0 = true;
-                } else {
-                    sides.1 = true;
-                }
-            }
-        });
-        sides
-    }
-
     /// Rewrites every column index through `map` (used when an input's
     /// column order changes, e.g. below a join).
     pub(crate) fn remap_indices(&self, map: &impl Fn(usize) -> usize) -> ScalarExpr {

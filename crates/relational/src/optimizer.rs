@@ -39,25 +39,9 @@ fn rewrite(plan: LogicalPlan, fired: &mut bool) -> LogicalPlan {
     // Bottom-up: rewrite children first.
     let plan = plan.map_children(|child| rewrite(child, fired));
     match plan {
-        LogicalPlan::Filter { input, predicate } if has_rule(&input) => {
-            rewrite_filter(*input, predicate, fired)
-        }
+        LogicalPlan::Filter { input, predicate } => rewrite_filter(*input, predicate, fired),
         other => other,
     }
-}
-
-/// Whether a rule matches a filter over `input`; a filter no rule matches
-/// keeps its node as it is.
-fn has_rule(input: &LogicalPlan) -> bool {
-    matches!(
-        input,
-        LogicalPlan::Filter { .. }
-            | LogicalPlan::CrossJoin { .. }
-            | LogicalPlan::Join {
-                join_type: JoinType::Inner,
-                ..
-            }
-    )
 }
 
 fn and_all(mut conjuncts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
@@ -180,10 +164,13 @@ fn push_to_sides(
     let left_arity = left.schema().arity();
     let (mut to_left, mut to_right, mut across) = (Vec::new(), Vec::new(), Vec::new());
     for conj in split_conjuncts(predicate) {
-        match conj.reads_sides(left_arity) {
-            (true, false) => to_left.push(conj),
-            (false, true) => to_right.push(conj.remap_indices(&|i| i - left_arity)),
-            _ => across.push(conj),
+        let refs = conj.referenced_indices();
+        if refs.iter().all(|&i| i < left_arity) && !refs.is_empty() {
+            to_left.push(conj);
+        } else if refs.iter().all(|&i| i >= left_arity) && !refs.is_empty() {
+            to_right.push(conj.remap_indices(&|i| i - left_arity));
+        } else {
+            across.push(conj);
         }
     }
     let mut pushed = |side: LogicalPlan, conjuncts: Vec<ScalarExpr>| {

@@ -243,17 +243,6 @@ impl LogicalPlan {
         }
     }
 
-    /// An empty scan, standing in for a child while it is rewritten.
-    fn placeholder() -> LogicalPlan {
-        LogicalPlan::Scan {
-            table: Arc::default(),
-            binding: Arc::default(),
-            source: None,
-            schema: PlanSchema::default(),
-            key_index: 0,
-        }
-    }
-
     /// Rebuilds this operator around `f` applied to each immediate child
     /// (left before right); every other field is kept. The shared spine
     /// of the tree rewrites — a walker states only the arms that do
@@ -272,13 +261,7 @@ impl LogicalPlan {
         self,
         mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan, E>,
     ) -> Result<LogicalPlan, E> {
-        // Each child is rewritten in its own box, so a pass that keeps the
-        // tree's shape allocates nothing. The placeholder it leaves there
-        // for the moment holds no allocation either.
-        let mut map = |mut child: Box<LogicalPlan>| {
-            *child = f(std::mem::replace(&mut *child, LogicalPlan::placeholder()))?;
-            Ok(child)
-        };
+        let mut map = |child: Box<LogicalPlan>| f(*child).map(Box::new);
         Ok(match self {
             LogicalPlan::Scan { .. } => self,
             LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {

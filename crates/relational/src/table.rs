@@ -252,21 +252,13 @@ impl Table {
 }
 
 /// Looks `name` up case-insensitively in a map keyed by lower-cased
-/// names. A name without an uppercase ASCII letter is its own key; a
-/// mixed-case one is lower-cased first, on the stack when it is short.
+/// names. A name without an uppercase ASCII letter is its own key, so only
+/// a mixed-case one is lower-cased into a copy first.
 pub(crate) fn get_ignore_case<'m, V>(map: &'m HashMap<String, V>, name: &str) -> Option<&'m V> {
-    if !name.bytes().any(|b| b.is_ascii_uppercase()) {
-        return map.get(name);
-    }
-    let mut buf = [0u8; 64];
-    match buf.get_mut(..name.len()) {
-        Some(lower) => {
-            lower.copy_from_slice(name.as_bytes());
-            lower.make_ascii_lowercase();
-            // Lower-casing ASCII letters keeps UTF-8 valid.
-            map.get(std::str::from_utf8(lower).ok()?)
-        }
-        None => map.get(&name.to_ascii_lowercase()),
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        map.get(&name.to_ascii_lowercase())
+    } else {
+        map.get(name)
     }
 }
 

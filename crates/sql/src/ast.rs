@@ -337,9 +337,10 @@ impl Expr {
 
 /// True if `name` (any case) is one of the supported aggregate functions.
 pub fn is_aggregate_name(name: &str) -> bool {
-    ["COUNT", "SUM", "AVG", "MIN", "MAX"]
-        .iter()
-        .any(|aggregate| aggregate.eq_ignore_ascii_case(name))
+    matches!(
+        name.to_ascii_uppercase().as_str(),
+        "COUNT" | "SUM" | "AVG" | "MIN" | "MAX"
+    )
 }
 
 fn fmt_expr_prec(expr: &Expr, parent_prec: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -31,9 +31,7 @@ impl<'a> Lexer<'a> {
 
     /// Lexes the whole input, appending a final [`TokenKind::Eof`] token.
     pub fn tokenize(mut self) -> Result<Vec<Token>> {
-        // SQL spends about two bytes or more a token (a name or symbol and
-        // its separator), so the vector seldom grows.
-        let mut out = Vec::with_capacity(self.input.len() / 2 + 1);
+        let mut out = Vec::new();
         loop {
             let tok = self.next_token()?;
             let eof = tok.kind == TokenKind::Eof;
@@ -162,24 +160,29 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         let mut value = String::new();
         loop {
-            // The text up to the next quote is copied whole; a quote is
-            // ASCII, so `pos` stays on a character boundary.
-            let rest = &self.input[self.pos..];
-            let Some(quote) = rest.find('\'') else {
-                self.pos = self.input.len();
-                return Err(SqlError::new(
-                    "unterminated string literal",
-                    Span::new(start, self.pos),
-                ));
-            };
-            value.push_str(&rest[..quote]);
-            self.pos += quote + 1;
-            // SQL escapes a quote inside a string as ''.
-            if self.peek() == Some(b'\'') {
-                value.push('\'');
-                self.pos += 1;
-            } else {
-                return Ok(TokenKind::String(value));
+            // Whole (possibly multi-byte) characters: `pos` stays on a
+            // character boundary.
+            match self.input[self.pos..].chars().next() {
+                Some('\'') => {
+                    self.pos += 1;
+                    // SQL escapes a quote inside a string as ''.
+                    if self.peek() == Some(b'\'') {
+                        value.push('\'');
+                        self.pos += 1;
+                    } else {
+                        return Ok(TokenKind::String(value));
+                    }
+                }
+                Some(ch) => {
+                    value.push(ch);
+                    self.pos += ch.len_utf8();
+                }
+                None => {
+                    return Err(SqlError::new(
+                        "unterminated string literal",
+                        Span::new(start, self.pos),
+                    ));
+                }
             }
         }
     }
