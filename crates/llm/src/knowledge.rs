@@ -12,7 +12,8 @@
 //!
 //! Two maps hold what was added, each keyed outer by the few distinct
 //! strings and inner by the many: surface forms by lowercase entity type,
-//! then lowercase surface; facts by canonical predicate, then subject id.
+//! then lowercase surface; facts by canonical predicate, then subject id
+//! (a vector sorted by id).
 //! A lookup ([`KnowledgeStore::resolve`], [`KnowledgeStore::fact`]) reads
 //! both levels with borrowed keys, lowercasing a surface or label of up to
 //! 64 bytes in a stack buffer, so it allocates nothing.
@@ -74,11 +75,38 @@ pub struct KnowledgeStore {
     /// Lowercase type → lowercase surface form (name or alias) → entity.
     by_name: HashMap<String, HashMap<String, EntityId>>,
     /// Canonical predicate → subject → object.
-    facts: HashMap<String, HashMap<EntityId, FactValue>>,
+    facts: HashMap<String, Subjects>,
     /// Predicate synonym lexicon: surface label → canonical predicate.
     lexicon: HashMap<String, String>,
     /// Built on the first read after the last `add_entity` / `add_fact`.
     index: OnceLock<Index>,
+}
+
+/// One predicate's facts as `(subject, object)` pairs sorted by subject
+/// id, looked up by binary search: a pair a fact, where a hash map over
+/// the same pairs left up to half its power-of-two buckets empty. A store
+/// filled in id order, as the generated worlds are, appends every insert.
+#[derive(Debug, Default, Clone)]
+struct Subjects(Vec<(EntityId, FactValue)>);
+
+impl Subjects {
+    /// Records `id`'s fact, replacing the one it had.
+    fn insert(&mut self, id: EntityId, object: FactValue) {
+        match self.0.binary_search_by_key(&id, |&(at, _)| at) {
+            Ok(at) => self.0[at].1 = object,
+            Err(at) => self.0.insert(at, (id, object)),
+        }
+    }
+
+    fn get(&self, id: EntityId) -> Option<&FactValue> {
+        let at = self.0.binary_search_by_key(&id, |&(at, _)| at).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// The subjects holding a fact, by id.
+    fn ids(&self) -> impl Iterator<Item = EntityId> + '_ {
+        self.0.iter().map(|&(id, _)| id)
+    }
 }
 
 /// The store's read orders, derived from `entities` and `facts`.
@@ -114,13 +142,13 @@ impl Index {
         }
         let mut holders: HashMap<String, HashMap<String, Vec<EntityId>>> = HashMap::new();
         for (predicate, subjects) in &kb.facts {
-            for id in subjects.keys() {
+            for id in subjects.ids() {
                 holders
-                    .entry(kb.entity(*id).entity_type.clone())
+                    .entry(kb.entity(id).entity_type.clone())
                     .or_default()
                     .entry(predicate.clone())
                     .or_default()
-                    .push(*id);
+                    .push(id);
             }
         }
         for ids in holders.values_mut().flat_map(HashMap::values_mut) {
@@ -204,7 +232,11 @@ impl KnowledgeStore {
             .entry(ty)
             .or_default()
             .insert(alias.to_ascii_lowercase(), id);
-        self.entities[id.0 as usize].aliases.push(alias);
+        // An entity has one or two aliases: grown one at a time, the list
+        // holds them without the four-slot start a plain push reserves.
+        let aliases = &mut self.entities[id.0 as usize].aliases;
+        aliases.reserve_exact(1);
+        aliases.push(alias);
     }
 
     /// Records a fact `(subject, predicate) → object` (canonicalising the
@@ -291,7 +323,7 @@ impl KnowledgeStore {
             let canonical = self.lexicon.get(label).map_or(label, String::as_str);
             self.facts.get(canonical)
         })?
-        .get(&subject)
+        .get(subject)
     }
 }
 

@@ -625,7 +625,11 @@ impl SimLlm {
         if memo.is_some() {
             return memo;
         }
-        let list = Arc::new(self.belief_list(&concept.ty, key_attr, condition));
+        let mut list = self.belief_list(&concept.ty, key_attr, condition);
+        // The memo keeps the list for the model's lifetime: no spare room.
+        list.text.shrink_to_fit();
+        list.ends.shrink_to_fit();
+        let list = Arc::new(list);
         Some(Arc::clone(self.lists.lock().entry(concept).or_insert(list)))
     }
 
