@@ -574,11 +574,11 @@ impl LlmClient {
     /// prompt wait on the marker and count as hits; with none waiting, the
     /// completion is cloned once, for the cache. A completion carrying
     /// fault-marker text ([`crate::faults::is_fault_text`]) goes to the
-    /// caller and the waiters but is not stored: its marker is removed, so
-    /// a later ask of the prompt is a miss that reaches the model again. The marker also
-    /// serialises the retry loop per prompt: a prompt's attempt sequence
-    /// is walked by exactly one thread, so fault schedules stay
-    /// deterministic under lanes.
+    /// caller and the waiters but is not stored: its marker is removed,
+    /// so a later ask of the prompt is a miss that reaches the model
+    /// again. The marker also serialises the retry loop per prompt: a
+    /// prompt's attempt sequence is walked by exactly one thread, so fault
+    /// schedules stay deterministic under lanes.
     fn lookup_or_complete(&self, prompt: &str) -> (Completion, bool, FaultCounters) {
         enum Found {
             Ready(Completion),
