@@ -21,11 +21,15 @@
 //!    and every outcome still satisfies `arrival ≤ admitted ≤ finished`.
 //! 5. **Repeat-run determinism** — the whole report (every field, modulo
 //!    nothing) is equal across two runs on fresh sessions.
+//! 6. **Pinned replay** — every clock of ten replays of the 46 + 18
+//!    statements on the serving stack (sessions × in-flight caps dealt
+//!    round-robin, plus one uneven deal) folds into one digest that a
+//!    change to the replay's code must leave as it is.
 
 mod common;
 
 use common::contract::{replayed, Cell, Cmp, Contract, Rows};
-use common::{key_batch, options, permutation, small_config, suite};
+use common::{key_batch, options, oracle_session, permutation, small_config, statements, suite};
 use galois::core::{
     run_multi_query, AdmissionPolicy, GaloisOptions, ListStore, MultiQueryReport, Pipeline,
     PromptBatch,
@@ -226,4 +230,68 @@ fn repeat_runs_are_identical_on_every_field() {
             "timeline, query {i}"
         );
     }
+}
+
+fn fold(hash: &mut u64, text: &str) {
+    for byte in text.bytes().chain([0x1f]) {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Every outcome's session and clocks and every report figure of ten
+/// replays of the 46 + 18 statements on a fresh serving session (seed 42,
+/// small world): sessions {1, 3, 16} × in-flight caps {0, 2, 14} dealt
+/// round-robin, then the first half of the list on session 0 and the rest
+/// dealt over sessions 1–4 under a cap of 3. Folded into one FNV-1a
+/// digest, first computed before the replay became a state machine.
+#[test]
+fn every_replay_clock_is_pinned() {
+    let s = Scenario::generate_with(42, small_config());
+    let sqls = statements(&s);
+    assert_eq!(sqls.len(), 46 + 18);
+    let queries: Vec<&str> = sqls.iter().map(String::as_str).collect();
+    let n = queries.len();
+    let mut deals: Vec<(Vec<usize>, usize)> = Vec::new();
+    for sessions in [1, 3, 16] {
+        for max_inflight in [0, 2, 14] {
+            deals.push((dealt(n, sessions), max_inflight));
+        }
+    }
+    let uneven = (0..n).map(|i| if i < n / 2 { 0 } else { 1 + i % 4 });
+    deals.push((uneven.collect(), 3));
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for (session_of, max_inflight) in &deals {
+        let session = oracle_session(&s, GaloisOptions::serving());
+        let policy = AdmissionPolicy {
+            max_inflight: *max_inflight,
+        };
+        let r = run_multi_query(&session, &queries, session_of, &policy).expect("replays");
+        for o in &r.outcomes {
+            let (stats, session) = (&o.result.stats, o.session);
+            fold(
+                &mut digest,
+                &format!(
+                    "{session} {} {} {} {} {}",
+                    o.arrival_ms, o.admitted_ms, o.finished_ms, stats.virtual_ms, stats.queue_ms
+                ),
+            );
+        }
+        fold(
+            &mut digest,
+            &format!(
+                "{} {} {} {} {:x} {} {}",
+                r.makespan_ms,
+                r.total_queue_ms,
+                r.pool_lanes,
+                r.sessions,
+                r.lane_utilisation.to_bits(),
+                r.p50_latency_ms(),
+                r.p99_latency_ms()
+            ),
+        );
+    }
+    assert_eq!(
+        digest, 0xf311_0368_a00c_ea48,
+        "replay digest {digest:#018x}"
+    );
 }
