@@ -47,26 +47,27 @@ fn sweep(
         )
         .expect("the serving stack streams, so its traces replay");
         let prompts = run.prompts_per_query();
+        let report = &run.report;
         assert_eq!(
             *first_prompts.get_or_insert(prompts),
             prompts,
             "{world}: prompts/query moved at {sessions} sessions"
         );
         assert!(
-            policy.max_inflight > 0 || run.total_queue_ms == 0,
+            policy.max_inflight > 0 || report.total_queue_ms == 0,
             "{world}: {} ms queued at {sessions} sessions without an in-flight cap",
-            run.total_queue_ms
+            report.total_queue_ms
         );
         t.row(vec![
             world.to_string(),
             sessions.to_string(),
-            run.pool_lanes.to_string(),
-            run.makespan_ms.to_string(),
-            run.p50_latency_ms.to_string(),
-            run.p99_latency_ms.to_string(),
-            run.total_queue_ms.to_string(),
+            report.pool_lanes.to_string(),
+            report.makespan_ms.to_string(),
+            report.p50_latency_ms().to_string(),
+            report.p99_latency_ms().to_string(),
+            report.total_queue_ms.to_string(),
             format!("{prompts:.1}"),
-            format!("{:.0}%", run.lane_utilisation * 100.0),
+            format!("{:.0}%", report.lane_utilisation * 100.0),
         ]);
     }
 }

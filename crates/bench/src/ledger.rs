@@ -373,11 +373,11 @@ impl Ledger {
                     format!(
                         ", \"sessions\": {}, \"pool_lanes\": {}, \"p50_latency_ms\": {}, \
                          \"p99_latency_ms\": {}, \"lane_utilisation\": {:.3}",
-                        p.sessions,
-                        p.pool_lanes,
-                        p.p50_latency_ms,
-                        p.p99_latency_ms,
-                        p.lane_utilisation,
+                        p.report.sessions,
+                        p.report.pool_lanes,
+                        p.report.p50_latency_ms(),
+                        p.report.p99_latency_ms(),
+                        p.report.lane_utilisation,
                     )
                 });
                 format!(
@@ -470,8 +470,8 @@ impl Ledger {
         assert_eq!(multi.totals.prompts, grid.prompts);
         assert_eq!(multi.totals.cache_hits, grid.cache_hits);
         assert!(multi.totals.queue_ms > 0);
-        assert!(pool.p50_latency_ms <= pool.p99_latency_ms);
-        assert!(pool.p99_latency_ms <= multi.totals.virtual_ms);
+        assert!(pool.report.p50_latency_ms() <= pool.report.p99_latency_ms());
+        assert!(pool.report.p99_latency_ms() <= multi.totals.virtual_ms);
         assert!(self
             .rows
             .iter()

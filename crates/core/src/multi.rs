@@ -23,15 +23,36 @@
 //!    clock scheduled, with its private release/duration/completion.
 //! 2. **Global replay** — a discrete-event simulation packs the traced
 //!    tasks onto the shared `sessions × K`-lane pool under the
-//!    [`AdmissionPolicy`]: closed-loop sessions, FIFO admission with a
-//!    `max_inflight` cap (the wait is
-//!    [`QueryStats::queue_ms`](crate::QueryStats::queue_ms)), and
-//!    least-served-first arbitration between sessions with ready tasks at
-//!    the same instant (the session with the least lane-busy virtual time
-//!    so far goes first, ties to the lowest index), so sessions with short
-//!    queries never starve behind heavy ones.
+//!    [`AdmissionPolicy`].
 //!
-//! A task may start once every earlier task of the same query that
+//! ## The replay's state machine
+//!
+//! One `Replay` value holds each session's iterator of upcoming queries,
+//! each session's admitted query, the FIFO waiting set ordered by
+//! `(arrival, query index)`, the completion-event heap and the pool. Four
+//! transitions move it:
+//!
+//! * **arrive** — a session's next query joins the waiting set: at t = 0
+//!   for each session's first, and the instant its previous query
+//!   finishes for every later one (closed-loop sessions);
+//! * **admit** — waiting queries become admitted, oldest first, while the
+//!   `max_inflight` cap allows; the wait is
+//!   [`QueryStats::queue_ms`](crate::QueryStats::queue_ms). A query with
+//!   no tasks (`EXPLAIN`, a plan the store answers) finishes at once;
+//! * **submit** — while some admitted query's next task is ready, the
+//!   least-served such session (least lane-busy virtual time so far, ties
+//!   to the lowest index) schedules it on the pool, so sessions with short
+//!   queries never starve behind heavy ones;
+//! * **finish** — a query's last task completed: its clocks close and its
+//!   session's next query arrives.
+//!
+//! The event loop drains every completion of an instant, then admits and
+//! submits at that instant. Because a session's next query arrives only
+//! when its previous one finishes, a session holds **at most one admitted,
+//! unfinished query**; `submit` relies on that, checking one query per
+//! session rather than every query.
+//!
+//! A task is ready once every earlier task of the same query that
 //! *preceded it* in the private schedule (private completion ≤ the
 //! task's private release) has completed in the replay — the trace's
 //! happens-before edges, nothing more. With one session and no in-flight
@@ -39,7 +60,6 @@
 //! what the determinism battery asserts.
 
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use galois_llm::LanePool;
@@ -117,35 +137,131 @@ fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
     sorted.get(rank.saturating_sub(1)).copied().unwrap_or(0)
 }
 
-/// A query mid-replay: its trace, dependency pointer and clock marks.
-struct ReplayQuery {
-    session: usize,
-    trace: Vec<TracedTask>,
-    /// Replay completion instant per task (`None` while pending/running).
-    done_at: Vec<Option<u64>>,
-    /// Next trace index to submit (tasks submit strictly in fire order).
+/// A query's task trace mid-replay.
+struct Trace {
+    tasks: Vec<TracedTask>,
+    /// Whether each task has completed in the replay.
+    done: Vec<bool>,
+    /// Next task to submit (tasks submit strictly in fire order).
     next: usize,
-    /// Tasks submitted but not yet completed.
-    running: usize,
-    arrival: Option<u64>,
-    admitted: Option<u64>,
-    finished: Option<u64>,
+    /// Tasks not yet completed.
+    left: usize,
 }
 
-impl ReplayQuery {
+impl Trace {
     /// True when the next task's happens-before edges are all satisfied:
-    /// no in-flight earlier task finished (privately) at or before the
-    /// next task's private release.
+    /// every earlier task that finished (privately) at or before the next
+    /// task's private release has completed.
     fn next_ready(&self) -> bool {
-        if self.next >= self.trace.len() {
+        let Some(task) = self.tasks.get(self.next) else {
             return false;
+        };
+        (self.tasks.iter().zip(&self.done))
+            .take(self.next)
+            .all(|(earlier, &done)| done || earlier.completion > task.release)
+    }
+}
+
+/// The replay's state: see the module docs for its four transitions.
+struct Replay {
+    outcomes: Vec<MultiQueryOutcome>,
+    traces: Vec<Trace>,
+    /// Each session's queries yet to arrive, in canonical order.
+    upcoming: Vec<std::vec::IntoIter<usize>>,
+    /// Each session's admitted, unfinished query (closed loop: at most
+    /// one).
+    admitted: Vec<Option<usize>>,
+    /// Queries arrived and not yet admitted, by `(arrival, query index)`.
+    waiting: BTreeSet<(u64, usize)>,
+    /// Completion events: (time, submission seq, query index, task index).
+    events: BinaryHeap<Reverse<(u64, u64, usize, usize)>>,
+    /// Tasks submitted so far: the next event's submission seq.
+    submitted: u64,
+    pool: LanePool,
+    max_inflight: usize,
+}
+
+impl Replay {
+    /// `session`'s next query, if any, arrives at `t`.
+    fn arrive(&mut self, session: usize, t: u64) {
+        if let Some(q) = self.upcoming[session].next() {
+            self.outcomes[q].arrival_ms = t;
+            self.waiting.insert((t, q));
         }
-        let release = self.trace[self.next].release;
-        (0..self.next).all(|j| self.done_at[j].is_some() || self.trace[j].completion > release)
     }
 
-    fn all_done(&self) -> bool {
-        self.next >= self.trace.len() && self.running == 0
+    /// Admits waiting queries in FIFO order while the in-flight cap allows.
+    fn admit(&mut self, t: u64) {
+        loop {
+            let inflight = self.admitted.iter().flatten().count();
+            if self.max_inflight > 0 && inflight >= self.max_inflight {
+                return;
+            }
+            let Some((arrival, q)) = self.waiting.pop_first() else {
+                return;
+            };
+            let outcome = &mut self.outcomes[q];
+            outcome.admitted_ms = t;
+            outcome.result.stats.queue_ms = t - arrival;
+            self.admitted[outcome.session] = Some(q);
+            if self.traces[q].tasks.is_empty() {
+                self.finish(q, t);
+            }
+        }
+    }
+
+    /// Schedules ready tasks at `t`, one at a time, least-served session
+    /// first (recomputed after each: `served_ms` moves with every task).
+    fn submit(&mut self, t: u64) {
+        loop {
+            let ready = (self.admitted.iter().enumerate())
+                .filter_map(|(s, q)| q.filter(|&q| self.traces[q].next_ready()).map(|q| (s, q)));
+            let Some((session, q)) = ready.min_by_key(|&(s, _)| (self.pool.served_ms(s), s)) else {
+                return;
+            };
+            let trace = &mut self.traces[q];
+            let task = trace.next;
+            trace.next += 1;
+            let done = self.pool.schedule(session, t, trace.tasks[task].duration);
+            self.events.push(Reverse((done, self.submitted, q, task)));
+            self.submitted += 1;
+        }
+    }
+
+    /// Query `q`'s last task completed at `t`: its clocks close and its
+    /// session's next query arrives.
+    fn finish(&mut self, q: usize, t: u64) {
+        let outcome = &mut self.outcomes[q];
+        outcome.finished_ms = t;
+        outcome.result.stats.virtual_ms = t - outcome.admitted_ms;
+        let session = outcome.session;
+        self.admitted[session] = None;
+        self.arrive(session, t);
+    }
+
+    /// Runs the replay to its last completion.
+    fn run(mut self) -> (Vec<MultiQueryOutcome>, LanePool) {
+        for session in 0..self.upcoming.len() {
+            self.arrive(session, 0);
+        }
+        self.admit(0);
+        self.submit(0);
+        while let Some(Reverse((t, _, q, task))) = self.events.pop() {
+            let trace = &mut self.traces[q];
+            trace.done[task] = true;
+            trace.left -= 1;
+            if trace.left == 0 {
+                self.finish(q, t);
+            }
+            // Every completion of an instant lands before anything is
+            // admitted or submitted at it.
+            if self.events.peek().is_none_or(|Reverse(next)| next.0 > t) {
+                self.admit(t);
+                self.submit(t);
+            }
+        }
+        debug_assert!(self.waiting.is_empty() && self.admitted.iter().all(Option::is_none));
+        (self.outcomes, self.pool)
     }
 }
 
@@ -188,176 +304,46 @@ pub fn run_multi_query(
 
     // Logical pass: canonical order, shared caches warm in workload order
     // exactly as a serial suite would — the session assignment cannot
-    // change any answer or prompt count.
-    let mut results = Vec::with_capacity(queries.len());
-    let mut replay: Vec<ReplayQuery> = Vec::with_capacity(queries.len());
-    for (i, sql) in queries.iter().enumerate() {
-        let (result, trace) = galois.execute_traced(sql)?;
-        results.push(result);
-        replay.push(ReplayQuery {
-            session: session_of[i],
-            done_at: vec![None; trace.len()],
-            trace,
-            next: 0,
-            running: 0,
-            arrival: None,
-            admitted: None,
-            finished: None,
-        });
-    }
-
-    // Closed-loop session chains: each session issues its queries in
-    // canonical order, the next arriving the instant the previous
-    // finishes.
-    let mut chain: Vec<Vec<usize>> = vec![Vec::new(); sessions];
-    for (i, &s) in session_of.iter().enumerate() {
-        chain[s].push(i);
-    }
-    let mut chain_pos: Vec<usize> = vec![0; sessions];
-
-    let mut pool = LanePool::new(pool_lanes, sessions);
-    // FIFO admission queue, ordered by (arrival, canonical index).
-    let mut waiting: BTreeSet<(u64, usize)> = BTreeSet::new();
-    // Completion events: (time, submission seq, query index, task index).
-    let mut events: BinaryHeap<Reverse<(u64, u64, usize, usize)>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    let mut inflight_queries: usize = 0;
-    let mut makespan: u64 = 0;
-    let mut total_queue: u64 = 0;
-
-    // Arrive each session's first query at t = 0.
-    for s in 0..sessions {
-        if let Some(&q) = chain[s].first() {
-            chain_pos[s] = 1;
-            replay[q].arrival = Some(0);
-            waiting.insert((0, q));
-        }
-    }
-
-    // One instant of admission: drain the FIFO queue into the in-flight
-    // set while the cap allows. Empty-trace queries (EXPLAIN, pure-DB
-    // plans) finish the instant they are admitted, so their closed-loop
-    // successor arrives — and may itself be admitted — within the loop.
-    macro_rules! admit_and_finish {
-        ($t:expr) => {{
-            let t = $t;
-            loop {
-                let Some(&(arr, q)) = waiting.iter().next() else {
-                    break;
-                };
-                debug_assert!(arr <= t);
-                if policy.max_inflight > 0 && inflight_queries >= policy.max_inflight {
-                    break;
-                }
-                waiting.remove(&(arr, q));
-                replay[q].admitted = Some(t);
-                total_queue += t - arr;
-                if replay[q].trace.is_empty() {
-                    replay[q].finished = Some(t);
-                    makespan = makespan.max(t);
-                    let s = replay[q].session;
-                    if let Some(&next_q) = chain[s].get(chain_pos[s]) {
-                        chain_pos[s] += 1;
-                        replay[next_q].arrival = Some(t);
-                        waiting.insert((t, next_q));
-                    }
-                } else {
-                    inflight_queries += 1;
-                }
-            }
-        }};
-    }
-
-    // One instant of submission: while some admitted query has a ready
-    // task, pick the least-served session with one and schedule its first
-    // ready query's next task on the pool (release = now). Recomputed
-    // after every pick — `served_ms` moves with each task.
-    macro_rules! submit_ready {
-        ($t:expr) => {{
-            let t = $t;
-            loop {
-                let winner = (0..sessions)
-                    .filter_map(|s| {
-                        (0..replay.len())
-                            .find(|&q| {
-                                replay[q].session == s
-                                    && replay[q].admitted.is_some()
-                                    && replay[q].next_ready()
-                            })
-                            .map(|q| (s, q))
-                    })
-                    .min_by_key(|&(s, _)| (pool.served_ms(s), s));
-                let Some((session, q)) = winner else {
-                    break;
-                };
-                let idx = replay[q].next;
-                let duration = replay[q].trace[idx].duration;
-                let done = pool.schedule(session, t, duration);
-                replay[q].next = idx + 1;
-                replay[q].running += 1;
-                events.push(Reverse((done, seq, q, idx)));
-                seq += 1;
-            }
-        }};
-    }
-
-    admit_and_finish!(0);
-    submit_ready!(0);
-
-    while let Some(&Reverse((t, _, _, _))) = events.peek() {
-        // Drain every completion at this instant, finishing queries and
-        // arriving their closed-loop successors.
-        while let Some(top) = events.peek_mut() {
-            let Reverse((et, _, q, idx)) = *top;
-            if et != t {
-                break;
-            }
-            PeekMut::pop(top);
-            replay[q].done_at[idx] = Some(t);
-            replay[q].running -= 1;
-            let s = replay[q].session;
-            if replay[q].all_done() {
-                replay[q].finished = Some(t);
-                makespan = makespan.max(t);
-                inflight_queries -= 1;
-                if let Some(&next_q) = chain[s].get(chain_pos[s]) {
-                    chain_pos[s] += 1;
-                    replay[next_q].arrival = Some(t);
-                    waiting.insert((t, next_q));
-                }
-            }
-        }
-        admit_and_finish!(t);
-        submit_ready!(t);
-    }
-
-    debug_assert!(waiting.is_empty() && inflight_queries == 0);
-
-    let mut outcomes = Vec::with_capacity(results.len());
-    for (result, rq) in results.into_iter().zip(replay) {
-        let (Some(arrival), Some(admitted), Some(finished)) =
-            (rq.arrival, rq.admitted, rq.finished)
-        else {
-            unreachable!("the replay arrives, admits and finishes every query");
-        };
-        let mut result = result;
-        result.stats.virtual_ms = finished - admitted;
-        result.stats.queue_ms = admitted - arrival;
+    // change any answer or prompt count. The replay fills in the clocks.
+    let mut outcomes = Vec::with_capacity(queries.len());
+    let mut traces = Vec::with_capacity(queries.len());
+    let mut upcoming = vec![Vec::new(); sessions];
+    for (q, (sql, &session)) in queries.iter().zip(session_of).enumerate() {
+        let (result, tasks) = galois.execute_traced(sql)?;
         outcomes.push(MultiQueryOutcome {
             result,
-            session: rq.session,
-            arrival_ms: arrival,
-            admitted_ms: admitted,
-            finished_ms: finished,
+            session,
+            arrival_ms: 0,
+            admitted_ms: 0,
+            finished_ms: 0,
         });
+        traces.push(Trace {
+            done: vec![false; tasks.len()],
+            next: 0,
+            left: tasks.len(),
+            tasks,
+        });
+        upcoming[session].push(q);
     }
-    Ok(MultiQueryReport {
+    let replay = Replay {
         outcomes,
-        makespan_ms: makespan,
+        traces,
+        upcoming: upcoming.into_iter().map(Vec::into_iter).collect(),
+        admitted: vec![None; sessions],
+        waiting: BTreeSet::new(),
+        events: BinaryHeap::new(),
+        submitted: 0,
+        pool: LanePool::new(pool_lanes, sessions),
+        max_inflight: policy.max_inflight,
+    };
+    let (outcomes, pool) = replay.run();
+    Ok(MultiQueryReport {
+        makespan_ms: outcomes.iter().map(|o| o.finished_ms).max().unwrap_or(0),
+        total_queue_ms: outcomes.iter().map(|o| o.result.stats.queue_ms).sum(),
+        outcomes,
         pool_lanes,
         sessions,
         lane_utilisation: pool.utilisation(),
-        total_queue_ms: total_queue,
     })
 }
 

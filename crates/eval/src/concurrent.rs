@@ -12,34 +12,23 @@
 
 use std::time::Instant;
 
-use galois_core::{run_multi_query, AdmissionPolicy, Galois, GaloisOptions};
+use galois_core::{run_multi_query, AdmissionPolicy, Galois, GaloisOptions, MultiQueryReport};
 use galois_dataset::Scenario;
 use galois_llm::ModelProfile;
 
 use crate::harness::{model_for, GaloisRun, QueryOutcome, SuiteTotals};
 
 /// A concurrent suite replay: the per-query outcomes (matched to ground
-/// truth, in suite order) plus the shared-pool clock summary.
+/// truth, in suite order) plus the scheduler's report of the replay.
 #[derive(Debug, Clone)]
 pub struct ConcurrentSuiteRun {
     /// The suite run — outcomes carry replay clocks in
     /// [`galois_core::QueryStats::virtual_ms`] /
     /// [`galois_core::QueryStats::queue_ms`].
     pub run: GaloisRun,
-    /// Closed-loop sessions the suite was spread across.
-    pub sessions: usize,
-    /// Lanes in the shared pool.
-    pub pool_lanes: usize,
-    /// Virtual instant the last query finished — the suite makespan.
-    pub makespan_ms: u64,
-    /// Median per-query virtual latency (queueing + execution).
-    pub p50_latency_ms: u64,
-    /// 99th-percentile per-query virtual latency.
-    pub p99_latency_ms: u64,
-    /// Total admission-queue delay across the suite.
-    pub total_queue_ms: u64,
-    /// Fraction of the `pool_lanes × makespan` budget spent doing work.
-    pub lane_utilisation: f64,
+    /// The shared-pool replay: sessions, pool lanes, makespan, queueing,
+    /// utilisation and latency percentiles.
+    pub report: MultiQueryReport,
 }
 
 impl ConcurrentSuiteRun {
@@ -62,8 +51,8 @@ impl ConcurrentSuiteRun {
     /// embed the pool contention, so no further lane packing applies).
     pub fn totals(&self) -> SuiteTotals {
         SuiteTotals {
-            virtual_ms: self.makespan_ms,
-            queue_ms: self.total_queue_ms,
+            virtual_ms: self.report.makespan_ms,
+            queue_ms: self.report.total_queue_ms,
             ..SuiteTotals::from_stats(
                 self.run.outcomes.iter().map(|o| &o.stats),
                 1,
@@ -98,11 +87,8 @@ pub fn run_suite_concurrent(
     let session_of: Vec<usize> = (0..queries.len()).map(|i| i % sessions).collect();
     let report = run_multi_query(&galois, &queries, &session_of, policy)?;
 
-    let outcomes: Vec<QueryOutcome> = scenario
-        .suite
-        .iter()
-        .zip(&report.outcomes)
-        .map(|(spec, out)| QueryOutcome::score(scenario, spec, &spec.to_sql(), Some(&out.result)))
+    let outcomes: Vec<QueryOutcome> = (scenario.suite.iter().zip(&sqls).zip(&report.outcomes))
+        .map(|((spec, sql), out)| QueryOutcome::score(scenario, spec, sql, Some(&out.result)))
         .collect();
 
     Ok(ConcurrentSuiteRun {
@@ -111,13 +97,7 @@ pub fn run_suite_concurrent(
             outcomes,
             wall_ms: started.elapsed().as_millis() as u64,
         },
-        sessions,
-        pool_lanes: report.pool_lanes,
-        makespan_ms: report.makespan_ms,
-        p50_latency_ms: report.p50_latency_ms(),
-        p99_latency_ms: report.p99_latency_ms(),
-        total_queue_ms: report.total_queue_ms,
-        lane_utilisation: report.lane_utilisation,
+        report,
     })
 }
 
@@ -162,8 +142,9 @@ mod tests {
             &AdmissionPolicy::default(),
         )
         .unwrap();
-        assert_eq!(concurrent.sessions, 8);
-        assert_eq!(concurrent.pool_lanes, 64);
+        let report = &concurrent.report;
+        assert_eq!(report.sessions, 8);
+        assert_eq!(report.pool_lanes, 64);
         assert_eq!(serial.outcomes.len(), concurrent.run.outcomes.len());
         for (a, b) in serial.outcomes.iter().zip(&concurrent.run.outcomes) {
             assert_eq!(a.id, b.id);
@@ -174,16 +155,16 @@ mod tests {
         }
         let serial_sum: u64 = serial.outcomes.iter().map(|o| o.stats.virtual_ms).sum();
         assert!(
-            concurrent.makespan_ms < serial_sum,
+            report.makespan_ms < serial_sum,
             "shared pool {} ms vs serial suite {} ms",
-            concurrent.makespan_ms,
+            report.makespan_ms,
             serial_sum
         );
-        assert!(concurrent.p50_latency_ms <= concurrent.p99_latency_ms);
-        assert!(concurrent.p99_latency_ms <= concurrent.makespan_ms);
-        assert!(concurrent.lane_utilisation > 0.0 && concurrent.lane_utilisation <= 1.0);
+        assert!(report.p50_latency_ms() <= report.p99_latency_ms());
+        assert!(report.p99_latency_ms() <= report.makespan_ms);
+        assert!(report.lane_utilisation > 0.0 && report.lane_utilisation <= 1.0);
         // Default policy: unlimited admission, so nothing queues.
-        assert_eq!(concurrent.total_queue_ms, 0);
+        assert_eq!(report.total_queue_ms, 0);
         assert_eq!(concurrent.totals().queue_ms, 0);
     }
 
@@ -193,9 +174,9 @@ mod tests {
         let capped = AdmissionPolicy { max_inflight: 2 };
         let run = run_suite_concurrent(&s, ModelProfile::oracle(), streaming_options(), 8, &capped)
             .unwrap();
-        assert!(run.total_queue_ms > 0);
+        assert!(run.report.total_queue_ms > 0);
         let totals = run.totals();
-        assert_eq!(totals.queue_ms, run.total_queue_ms);
+        assert_eq!(totals.queue_ms, run.report.total_queue_ms);
         assert!(run.prompts_per_query() > 0.0);
         // Serial-harness totals agree on the interleaving-independent
         // accounting (prompt volume, cache hits, serial clock).
@@ -219,7 +200,7 @@ mod tests {
         )
         .unwrap();
         let serial_sum: u64 = serial.outcomes.iter().map(|o| o.stats.virtual_ms).sum();
-        assert_eq!(one.makespan_ms, serial_sum);
+        assert_eq!(one.report.makespan_ms, serial_sum);
         for (a, b) in serial.outcomes.iter().zip(&one.run.outcomes) {
             assert_eq!(a.stats.virtual_ms, b.stats.virtual_ms);
             assert_eq!(b.stats.queue_ms, 0);

@@ -55,7 +55,7 @@ impl TextTable {
             line
         };
         out.push_str(&fmt_row(&self.headers, &widths));
-        let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        let total: usize = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
         for row in &self.rows {
@@ -93,6 +93,16 @@ mod tests {
         assert!(s.contains("model"));
         assert!(s.lines().count() >= 4);
         assert_eq!(t.len(), 2);
+    }
+
+    /// A table with no columns renders an empty header line and an empty
+    /// rule, however it was built.
+    #[test]
+    fn renders_a_table_with_no_columns() {
+        assert_eq!(TextTable::default().render(), "\n\n");
+        let mut t = TextTable::new(&[]);
+        t.row(Vec::new());
+        assert_eq!(t.render(), "\n\n\n");
     }
 
     #[test]

@@ -39,7 +39,10 @@
 //! // One estimate per plan node, root first.
 //! let rows = cost::estimate_rows_preorder(&plan, db.catalog(), &HashMap::new());
 //! assert!(rows[0] > 0.0 && rows[0] <= 2.0);
-//! assert!(cost::explain_with_rows_overridden(&plan, db.catalog(), &HashMap::new()).contains("rows≈"));
+//! // `EXPLAIN`'s relational half: each operator line ends in its estimate.
+//! let text = db.explain("SELECT name FROM city WHERE population > 1000000").unwrap();
+//! assert!(text.lines().count() >= 2);
+//! assert!(text.lines().all(|line| line.ends_with(')') && line.contains("  (rows≈")));
 //! ```
 
 use crate::exec::Relation;
@@ -230,19 +233,8 @@ fn node_rows(
 /// Renders the plan tree with a `(rows≈N)` estimate appended to every
 /// operator line — the relational half of the `EXPLAIN` output.
 pub(crate) fn explain_with_rows(plan: &LogicalPlan, catalog: &Catalog) -> String {
-    explain_with_rows_overridden(plan, catalog, &HashMap::new())
-}
-
-/// Renders the plan tree with a `(rows≈N)` estimate appended to every
-/// operator line, under the cardinality overrides of
-/// [`estimate_rows_preorder`].
-pub fn explain_with_rows_overridden(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    overrides: &HashMap<String, f64>,
-) -> String {
     let mut out = String::new();
-    let rows = estimate_rows_preorder(plan, catalog, overrides);
+    let rows = estimate_rows_preorder(plan, catalog, &HashMap::new());
     explain_with_rows_into(plan, &rows, &mut out);
     out
 }
