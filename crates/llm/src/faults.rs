@@ -337,6 +337,96 @@ mod tests {
         assert_ne!(a.signature(), fixed().signature());
     }
 
+    fn fnv1a(hash: &mut u64, text: &str) {
+        for byte in text.bytes().chain([b'\n']) {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The schedules the fault and retry constants draw, in one digest:
+    /// over a fixed prompt list and the two profiles the benchmark crates
+    /// build (`with_rate(0.2)` and the marker-detectable one), each
+    /// prompt's leading faults with every failed attempt's kind, degraded
+    /// text and latency, and the default policy's backoff before retries
+    /// 0 to 6; then a resilient client's bill per prompt under retry
+    /// budgets 0, 1 and 4, and over a rate-1.0 schedule whose exhaustion
+    /// streaks open the breaker.
+    #[test]
+    fn fault_and_retry_schedules_are_pinned() {
+        let inner: Arc<dyn LanguageModel> = Arc::new(FixedResponder {
+            model_name: "fixed".into(),
+            response: "Zürich, São Paulo, Kraków, Reykjavík, Lyon".into(),
+        });
+        let prompts: Vec<String> = (0..240)
+            .map(|i| match i % 3 {
+                0 => format!("List the names of every city, page {i}."),
+                1 => format!("What is the population of city number {i}?"),
+                _ => format!("Is country {i} in Europe? Answer yes or no."),
+            })
+            .collect();
+        let detectable = FaultProfile {
+            fault_rate: 0.2,
+            truncated_weight: 0,
+            ..FaultProfile::default()
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for profile in [FaultProfile::with_rate(0.2), detectable.clone()] {
+            let faulty = FaultyLlm::new(Arc::clone(&inner), profile.clone());
+            for prompt in &prompts {
+                let mut leading = 0;
+                while let Err(fault) = faulty.try_complete(prompt) {
+                    leading += 1;
+                    let degraded = &fault.degraded;
+                    let line =
+                        format!("{} {} {:?}", fault.kind, degraded.latency_ms, degraded.text);
+                    fnv1a(&mut digest, &line);
+                    assert!(leading <= FaultProfile::MAX_CONSECUTIVE, "{prompt}");
+                }
+                fnv1a(&mut digest, &format!("{prompt} leads with {leading}"));
+            }
+        }
+        let policy = crate::resilience::RetryPolicy::default();
+        for prompt in &prompts {
+            let backoffs: Vec<u64> = (0..=6).map(|r| policy.backoff_ms(prompt, r)).collect();
+            fnv1a(&mut digest, &format!("{backoffs:?}"));
+        }
+        let runs = [
+            (FaultProfile::with_rate(0.2), [0, 1, 4].as_slice()),
+            (detectable, &[0, 1, 4]),
+            (FaultProfile::with_rate(1.0), &[0, 1]),
+        ];
+        for (profile, budgets) in runs {
+            for &max_retries in budgets {
+                let faulty = FaultyLlm::new(Arc::clone(&inner), profile.clone());
+                let policy = crate::resilience::RetryPolicy {
+                    max_retries,
+                    ..Default::default()
+                };
+                let client = crate::LlmClient::new(Arc::new(faulty)).with_resilience(policy);
+                for prompt in &prompts {
+                    let c = client.complete(prompt);
+                    fnv1a(&mut digest, &format!("{} {:?}", c.latency_ms, c.text));
+                }
+                let s = client.stats();
+                let line = format!(
+                    "{} {} {} {} {} {} {}",
+                    s.prompts,
+                    s.virtual_ms,
+                    s.retries,
+                    s.timeouts,
+                    s.rate_limited,
+                    s.breaker_fastfails,
+                    s.faults
+                );
+                fnv1a(&mut digest, &line);
+            }
+        }
+        assert_eq!(
+            digest, 0x59ec_33cb_e6f4_7fb2,
+            "schedule digest {digest:#018x}"
+        );
+    }
+
     #[test]
     fn fault_text_round_trip() {
         assert!(is_fault_text(&fault_text(FaultKind::Transient)));
