@@ -92,13 +92,7 @@ fn main() {
 
     let policies: [(&str, Resilience); 3] = [
         ("off", Resilience::Off),
-        (
-            "retry 1",
-            Resilience::On(RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            }),
-        ),
+        ("retry 1", Resilience::On(RetryPolicy { max_retries: 1 })),
         ("retry 4", Resilience::On(RetryPolicy::default())),
     ];
     let rates = [0.1f64, 0.2, 0.5];

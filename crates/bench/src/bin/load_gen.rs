@@ -9,7 +9,9 @@
 //! first.
 //! Each sweep point reports the suite **makespan**, p50/p99 per-query
 //! virtual latency, total admission-queue delay, prompts per query and
-//! lane-pool utilisation.
+//! lane-pool utilisation. The `sessions` column prints the sessions the
+//! replay ran: a suite shorter than the session count asked for leaves
+//! the extra sessions without a statement.
 //!
 //! The generator is fully deterministic — the logical pass runs queries
 //! in canonical suite order, so answers and prompt totals are identical
@@ -60,7 +62,7 @@ fn sweep(
         );
         t.row(vec![
             world.to_string(),
-            sessions.to_string(),
+            report.sessions.to_string(),
             report.pool_lanes.to_string(),
             report.makespan_ms.to_string(),
             report.p50_latency_ms().to_string(),

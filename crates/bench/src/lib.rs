@@ -202,7 +202,6 @@ pub fn detectable_fault_profile(rate: f64) -> FaultProfile {
     FaultProfile {
         fault_rate: rate,
         truncated_weight: 0,
-        ..FaultProfile::default()
     }
 }
 

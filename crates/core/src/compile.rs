@@ -99,7 +99,10 @@ pub struct CompiledQuery {
 /// conjunct fetches its attributes and is compared in the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileOptions {
-    /// Push single simple conditions into the key-listing prompt.
+    /// Push single simple conditions into the key-listing prompt. A
+    /// session reads it under [`crate::Planner::Heuristic`] only; the
+    /// cost-based planner compiles with pushdown off and chooses, step by
+    /// step, which condition (if any) to push.
     pub pushdown: bool,
 }
 

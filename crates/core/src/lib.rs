@@ -61,7 +61,7 @@ pub use compile::{concept_signature_for, limit_hint, CompileOptions, LlmScanStep
 pub use error::{GaloisError, Result};
 pub use galois_llm::{Parallelism, RetryPolicy};
 pub use multi::{run_multi_query, MultiQueryReport};
-pub use plan_choice::{Planner, PlannerParams};
+pub use plan_choice::Planner;
 pub use schedule::Scheduler;
 pub use session::{
     AdmissionPolicy, Galois, GaloisOptions, GaloisResult, ListStore, Pipeline, PromptBatch,

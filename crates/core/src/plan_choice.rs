@@ -35,19 +35,19 @@
 //! reproduces the pre-planner plans bit for bit.
 //!
 //! ```
-//! use galois_core::plan_choice::{plan_query, Planner, PlannerParams};
-//! use galois_core::CompileOptions;
+//! use std::sync::Arc;
+//! use galois_core::{Galois, GaloisOptions, Planner};
 //! use galois_dataset::Scenario;
+//! use galois_llm::{ModelProfile, SimLlm};
 //!
 //! let s = Scenario::generate(42);
-//! let plan = s.database.plan("SELECT name FROM city WHERE population > 1000000").unwrap();
-//! let params = PlannerParams::default();
-//! let heuristic = plan_query(
-//!     &plan, s.database.catalog(), &CompileOptions::default(), Planner::Heuristic, &params,
-//! ).unwrap();
-//! let cost_based = plan_query(
-//!     &plan, s.database.catalog(), &CompileOptions::default(), Planner::CostBased, &params,
-//! ).unwrap();
+//! let model = Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()));
+//! let plan = |planner| {
+//!     let options = GaloisOptions { planner, ..Default::default() };
+//!     let session = Galois::with_options(model.clone(), s.database.clone(), options);
+//!     session.plan("SELECT name FROM city WHERE population > 1000000").unwrap()
+//! };
+//! let (heuristic, cost_based) = (plan(Planner::Heuristic), plan(Planner::CostBased));
 //! // The cost-based planner pushes the selective condition into the key
 //! // scan, which the fixed heuristic (pushdown off) does not.
 //! assert!(cost_based.compiled.steps[0].scan_condition.is_some());
@@ -58,9 +58,9 @@
 use crate::compile::{compile_owned, CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::Result;
 use crate::physical::{self, PhysicalPlan, Stage};
-use crate::session::{GaloisOptions, Pipeline, PromptBatch, Resilience, REQUEST_PROMPTS};
+use crate::session::{GaloisOptions, Resilience, REQUEST_PROMPTS};
 use galois_llm::intent::{CmpOp, Condition};
-use galois_llm::{ClientStats, Parallelism, RetryPolicy, BATCH_OVERHEAD_MS};
+use galois_llm::{ClientStats, RetryPolicy, BATCH_OVERHEAD_MS};
 use galois_relational::cost::{self as rcost, Estimate};
 use galois_relational::{join_algorithm, Catalog, JoinAlgorithm, LogicalPlan, TableSchema};
 use std::collections::{BTreeMap, HashMap};
@@ -71,8 +71,8 @@ use std::sync::Arc;
 /// [`ClientStats`] are available to calibrate it.
 pub(crate) const DEFAULT_PROMPT_LATENCY_MS: f64 = 150.0;
 
-/// Expected keys returned per key-listing iteration before observation.
-pub(crate) const DEFAULT_LIST_PAGE: f64 = 15.0;
+/// Expected keys returned per key-listing iteration.
+const DEFAULT_LIST_PAGE: f64 = 15.0;
 
 /// Fraction of a single prompt's latency attributed to decoding its answer
 /// tokens — the *marginal* cost of each extra key folded into a multi-key
@@ -106,116 +106,42 @@ impl fmt::Display for Planner {
     }
 }
 
-/// What one planning pass reads: the session's own option values — held
-/// as they are, so the estimator, the `EXPLAIN` renderer and the
-/// retrieval protocol read one statement of each decision — plus the
-/// cost model's calibration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannerParams {
-    /// Virtual request lanes ([`GaloisOptions::parallelism`]).
-    pub parallelism: Parallelism,
-    /// Keys (and, in grid mode, attributes) fused per filter or fetch
-    /// prompt ([`GaloisOptions::prompt_batch`]): the fetch phase costs
-    /// `⌈C/A⌉ × ⌈keys/B⌉` prompts per step. [`PromptBatch::Off`] (the
-    /// default) reproduces the unbatched estimates bit for bit, and the
-    /// report names the batch shape only when it fuses something.
-    pub prompt_batch: PromptBatch,
-    /// Retrieval driver ([`GaloisOptions::pipeline`]). Under a streaming
-    /// variant latency is estimated as the dataflow's critical path
-    /// (`critical_path_ms`) instead of the phase-barrier sum, and
-    /// steps share the lanes instead of packing as blocks; prompt-count
-    /// estimates are unaffected — streaming issues the same prompts. A
-    /// `LIMIT` window (`PhysicalPlan::window`) leaves them alone too: how
-    /// many keys survive before it fills is data-dependent.
-    pub pipeline: Pipeline,
-    /// Retry policy in effect ([`GaloisOptions::resilience`]):
-    /// [`Resilience::On`] adds a `resilience:` header line naming the
-    /// retry budget, backoff shape and breaker threshold. Cost estimates
-    /// are deliberately untouched — retry time depends on the model's live
-    /// fault rate, which calibration already folds into the observed
-    /// per-prompt latency.
-    pub resilience: Resilience,
-    /// Fixed virtual overhead charged per batch request.
-    pub batch_overhead_ms: f64,
+/// The cost model's calibration: the expected latency of one
+/// cache-missing prompt and the expected share of prompts the cache
+/// serves. It is all a session freezes at its first statement, so plan
+/// choice never depends on which concurrent query's prompts landed first
+/// in the shared stats.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Calibration {
     /// Expected virtual latency of one cache-missing prompt.
-    pub prompt_latency_ms: f64,
+    pub(crate) prompt_latency_ms: f64,
     /// Expected fraction of prompts served by the cache (in-flight
     /// deduplication waiters count as hits, like the client's accounting).
-    pub cache_hit_rate: f64,
-    /// Expected keys per key-listing iteration.
-    pub list_page_size: f64,
-    /// Concepts already exhausted in the session's key-universe store
-    /// ([`crate::ListStore`]), keyed by
-    /// `LlmScanStep::concept_signature` and mapping to the stored key
-    /// count. A warm step's listing phase is estimated at zero prompts
-    /// and zero latency with an *exact* cardinality, the stored key
-    /// count. `None` (the default, and always when the store is off)
-    /// reproduces the store-free estimates bit for bit and keeps the
-    /// `EXPLAIN` report tag-free.
-    pub warm_lists: Option<Arc<BTreeMap<String, usize>>>,
+    pub(crate) cache_hit_rate: f64,
 }
 
-impl Default for PlannerParams {
-    /// The default session's options over the cold-start calibration.
-    fn default() -> Self {
-        PlannerParams::for_session(&GaloisOptions::default(), &ClientStats::default())
-    }
-}
+impl Calibration {
+    /// Before any prompt is observed.
+    pub(crate) const COLD: Calibration = Calibration {
+        prompt_latency_ms: DEFAULT_PROMPT_LATENCY_MS,
+        cache_hit_rate: 0.0,
+    };
 
-impl PlannerParams {
-    /// Params for a session: its options as they stand, and the expected
-    /// per-prompt latency and cache-hit rate calibrated from the client's
-    /// observed stats (the cold-start defaults apply until the session
-    /// has served prompts).
-    pub(crate) fn for_session(options: &GaloisOptions, stats: &ClientStats) -> Self {
-        let mut p = PlannerParams {
-            parallelism: options.parallelism,
-            prompt_batch: options.prompt_batch,
-            pipeline: options.pipeline,
-            resilience: options.resilience,
-            batch_overhead_ms: BATCH_OVERHEAD_MS as f64,
-            prompt_latency_ms: DEFAULT_PROMPT_LATENCY_MS,
-            cache_hit_rate: 0.0,
-            list_page_size: DEFAULT_LIST_PAGE,
-            warm_lists: None,
-        };
+    /// Calibrated from a client's observed stats: each reading keeps its
+    /// cold-start value until the stats hold something to read it from.
+    pub(crate) fn observed(stats: &ClientStats) -> Self {
+        let mut c = Calibration::COLD;
         if stats.prompts > 0 {
             let model_ms = stats
                 .serial_ms
                 .saturating_sub(stats.batches as u64 * BATCH_OVERHEAD_MS);
-            p.prompt_latency_ms = (model_ms as f64 / stats.prompts as f64).max(1.0);
+            c.prompt_latency_ms = (model_ms as f64 / stats.prompts as f64).max(1.0);
         }
         let answered = stats.prompts + stats.cache_hits;
         if answered > 0 {
-            p.cache_hit_rate = stats.cache_hits as f64 / answered as f64;
+            c.cache_hit_rate = stats.cache_hits as f64 / answered as f64;
         }
-        p
-    }
-
-    /// Overlays the live key-universe store contents (exhausted concepts
-    /// → stored key counts) onto the frozen calibration, threading
-    /// [`crate::ListStore`] into the estimates. Called per planning
-    /// request, so the planner sees universes warmed by *earlier* queries
-    /// without thawing the latency/hit-rate calibration. Takes the store's
-    /// shared snapshot ([`galois_llm::KeyUniverseStore::warm_map`]) as it
-    /// is, or a plain map.
-    pub(crate) fn with_warm_lists(mut self, warm: impl Into<Arc<BTreeMap<String, usize>>>) -> Self {
-        self.warm_lists = Some(warm.into());
-        self
-    }
-
-    /// Request lanes, as the lane model's divisor.
-    fn lanes(&self) -> f64 {
-        self.parallelism.get() as f64
-    }
-
-    /// The stored key count for a step's concept, when its universe is
-    /// warm (store on *and* concept exhausted).
-    fn warm_keys(&self, step: &LlmScanStep) -> Option<usize> {
-        self.warm_lists
-            .as_ref()
-            .and_then(|m| m.get(&step.concept_signature()))
-            .copied()
+        c
     }
 
     /// Expected latency of one prompt carrying `keys` fused tasks: the
@@ -225,6 +151,52 @@ impl PlannerParams {
     fn fused_prompt_latency_ms(&self, keys: f64) -> f64 {
         self.prompt_latency_ms
             * (1.0 - BATCH_ANSWER_LATENCY_SHARE + BATCH_ANSWER_LATENCY_SHARE * keys.max(1.0))
+    }
+}
+
+/// What one planning pass reads: the session's options where the session
+/// holds them, its frozen [`Calibration`], and the key-universe store's
+/// live warm-list overlay.
+///
+/// The options decide the estimates as follows. `parallelism` is the lane
+/// model's divisor. `prompt_batch` fuses keys (and, in grid mode,
+/// attributes) per filter or fetch prompt, so the fetch phase costs
+/// `⌈C/A⌉ × ⌈keys/B⌉` prompts a step; `PromptBatch::Off` reproduces the
+/// unbatched estimates. Under a streaming `pipeline` latency is the
+/// dataflow's critical path (`critical_path_ms`) instead of the
+/// phase-barrier sum, and steps share the lanes instead of packing as
+/// blocks; prompt counts are unaffected, and so are they by a `LIMIT`
+/// window, since how many keys survive before it fills is data-dependent.
+/// `resilience` adds the report's `resilience:` line and leaves every
+/// estimate alone: retry time depends on the model's live fault rate,
+/// which the observed per-prompt latency already folds in.
+pub(crate) struct Planning<'a> {
+    /// The session's options.
+    pub(crate) options: &'a GaloisOptions,
+    /// The session's frozen calibration.
+    pub(crate) calibration: Calibration,
+    /// Concepts already exhausted in the session's key-universe store
+    /// ([`crate::ListStore`]), keyed by `LlmScanStep::concept_signature`
+    /// and mapping to the stored key count. A warm step's listing phase is
+    /// estimated at zero prompts and zero latency with an *exact*
+    /// cardinality, the stored key count. `None` (always when the store is
+    /// off) keeps the `EXPLAIN` report tag-free.
+    pub(crate) warm_lists: Option<Arc<BTreeMap<String, usize>>>,
+}
+
+impl Planning<'_> {
+    /// Request lanes, as the lane model's divisor.
+    fn lanes(&self) -> f64 {
+        self.options.parallelism.get() as f64
+    }
+
+    /// The stored key count for a step's concept, when its universe is
+    /// warm (store on *and* concept exhausted).
+    fn warm_keys(&self, step: &LlmScanStep) -> Option<usize> {
+        self.warm_lists
+            .as_ref()
+            .and_then(|m| m.get(&step.concept_signature()))
+            .copied()
     }
 }
 
@@ -254,8 +226,8 @@ pub struct StepCost {
     /// block length.
     pub busy_ms: f64,
     /// The stored key count the listing phase was estimated from, when the
-    /// step's key universe is warm (its concept is in
-    /// [`PlannerParams::warm_lists`]); `None` when it is cold or no store
+    /// step's key universe is warm (its concept is exhausted in the
+    /// session's key-universe store); `None` when it is cold or no store
     /// is attached.
     pub warm_keys: Option<usize>,
 }
@@ -343,15 +315,15 @@ fn critical_path_ms(chain_ms: f64, tail_ms: f64, busy_ms: f64, lanes: f64) -> f6
 /// cache-missing members decoded across the lanes, and the batches
 /// themselves occupy the lanes wave-style. `per_prompt_ms` is the expected
 /// latency of one member prompt — `prompt_latency_ms` for single-key
-/// prompts, [`PlannerParams::fused_prompt_latency_ms`] for multi-key ones,
+/// prompts, [`Calibration::fused_prompt_latency_ms`] for multi-key ones,
 /// so batched prompts are charged by answer volume rather than per key.
-fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, params: &PlannerParams) -> f64 {
+fn wave_ms(prompts: f64, batches: f64, per_prompt_ms: f64, planning: &Planning<'_>) -> f64 {
     if batches < 1.0 {
         return 0.0;
     }
-    let lanes = params.lanes();
-    let misses_per_batch = (prompts / batches) * (1.0 - params.cache_hit_rate);
-    let per_batch = params.batch_overhead_ms + (misses_per_batch / lanes) * per_prompt_ms;
+    let lanes = planning.lanes();
+    let misses_per_batch = (prompts / batches) * (1.0 - planning.calibration.cache_hit_rate);
+    let per_batch = BATCH_OVERHEAD_MS as f64 + (misses_per_batch / lanes) * per_prompt_ms;
     (batches / lanes).ceil() * per_batch
 }
 
@@ -361,11 +333,12 @@ pub(crate) fn estimate_step(
     step: &LlmScanStep,
     stages: &[Stage],
     catalog: &Catalog,
-    params: &PlannerParams,
+    planning: &Planning<'_>,
 ) -> StepCost {
     // A warm key universe short-circuits the listing estimate entirely:
     // the stored key count is exact, and the phase issues no prompts.
-    let warm_keys = params.warm_keys(step);
+    let warm_keys = planning.warm_keys(step);
+    let calibration = &planning.calibration;
     let est_keys_listed = match warm_keys {
         Some(n) => n as f64,
         None => {
@@ -382,12 +355,12 @@ pub(crate) fn estimate_step(
 
     // Key listing iterates page by page plus one exhausted page, and the
     // iterations chain — a strictly sequential phase of one-prompt batches.
-    let miss = 1.0 - params.cache_hit_rate;
-    let per_iter = params.batch_overhead_ms + miss * params.prompt_latency_ms;
+    let miss = 1.0 - calibration.cache_hit_rate;
+    let per_iter = BATCH_OVERHEAD_MS as f64 + miss * calibration.prompt_latency_ms;
     let (list_prompts, list_chain) = if warm_keys.is_some() {
         (0.0, 0.0)
     } else {
-        let prompts = (est_keys_listed / params.list_page_size).ceil().max(0.0) + 1.0;
+        let prompts = (est_keys_listed / DEFAULT_LIST_PAGE).ceil().max(0.0) + 1.0;
         (prompts, prompts * per_iter)
     };
     let mut wave_total = list_chain;
@@ -396,15 +369,15 @@ pub(crate) fn estimate_step(
     // the chunks within one condition run as one wave. With multi-key
     // batching the phase issues ⌈keys / B⌉ fused prompts per condition,
     // each charged by answer volume.
-    let batch_keys = params.prompt_batch.keys_per_prompt() as f64;
+    let batch_keys = planning.options.prompt_batch.keys_per_prompt() as f64;
     let request_prompts = REQUEST_PROMPTS as f64;
-    let fused = params.fused_prompt_latency_ms(batch_keys);
+    let fused = calibration.fused_prompt_latency_ms(batch_keys);
     let mut filter_prompts = 0.0;
     let mut n = est_keys_listed;
     for cond in &step.filter_conditions {
         let prompts = batched_prompt_count(n, batch_keys);
         filter_prompts += prompts;
-        wave_total += wave_ms(prompts, (prompts / request_prompts).ceil(), fused, params);
+        wave_total += wave_ms(prompts, (prompts / request_prompts).ceil(), fused, planning);
         n *= condition_selectivity(cond);
     }
 
@@ -417,12 +390,12 @@ pub(crate) fn estimate_step(
     let attrs_per_group = if groups > 0.0 { cols / groups } else { 0.0 };
     let col_prompts = batched_prompt_count(n, batch_keys);
     let fetch_prompts = col_prompts * groups;
-    let fetch_fused = params.fused_prompt_latency_ms(batch_keys * attrs_per_group.max(1.0));
+    let fetch_fused = calibration.fused_prompt_latency_ms(batch_keys * attrs_per_group.max(1.0));
     wave_total += wave_ms(
         fetch_prompts,
         (col_prompts / request_prompts).ceil() * groups,
         fetch_fused,
-        params,
+        planning,
     );
 
     // The streaming pipeline replaces the phase-barrier sum with the
@@ -432,8 +405,8 @@ pub(crate) fn estimate_step(
     // exhausted-page check — hides behind the chain. The busy bound
     // covers the single-lane degeneration, where the per-micro-batch
     // overheads are paid back to back.
-    let per_stage = params.batch_overhead_ms + miss * fused;
-    let streaming = params.pipeline.is_streaming();
+    let per_stage = BATCH_OVERHEAD_MS as f64 + miss * fused;
+    let streaming = planning.options.pipeline.is_streaming();
     let busy_ms = if streaming {
         list_chain + (filter_prompts + fetch_prompts) * per_stage
     } else {
@@ -443,7 +416,7 @@ pub(crate) fn estimate_step(
         let stages =
             step.filter_conditions.len() as f64 + if step.fetch.is_empty() { 0.0 } else { 1.0 };
         let chain_head = (list_prompts - 1.0).max(0.0) * per_iter;
-        critical_path_ms(chain_head, stages * per_stage, busy_ms, params.lanes()).max(list_chain)
+        critical_path_ms(chain_head, stages * per_stage, busy_ms, planning.lanes()).max(list_chain)
     } else {
         wave_total
     };
@@ -455,7 +428,7 @@ pub(crate) fn estimate_step(
         list_prompts,
         filter_prompts,
         fetch_prompts,
-        expected_cache_hits: params.cache_hit_rate * total,
+        expected_cache_hits: calibration.cache_hit_rate * total,
         virtual_ms,
         busy_ms,
         warm_keys,
@@ -529,9 +502,9 @@ fn join_order_lines<'s>(
 }
 
 /// [`estimate_step`] over the stages the step is laid out as.
-fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> StepCost {
-    let stages = physical::stages(step, params.prompt_batch);
-    estimate_step(step, &stages, catalog, params)
+fn estimate(step: &LlmScanStep, catalog: &Catalog, planning: &Planning<'_>) -> StepCost {
+    let stages = physical::stages(step, planning.options.prompt_batch);
+    estimate_step(step, &stages, catalog, planning)
 }
 
 /// Picks the cheapest pushdown variant of one step. Returns the chosen
@@ -542,9 +515,9 @@ fn estimate(step: &LlmScanStep, catalog: &Catalog, params: &PlannerParams) -> St
 fn best_step_variant(
     mut step: LlmScanStep,
     catalog: &Catalog,
-    params: &PlannerParams,
+    planning: &Planning<'_>,
 ) -> (LlmScanStep, StepCost, usize) {
-    let mut best_cost = estimate(&step, catalog, params);
+    let mut best_cost = estimate(&step, catalog, planning);
     if step.scan_condition.is_some() {
         return (step, best_cost, 1);
     }
@@ -552,7 +525,7 @@ fn best_step_variant(
     let considered = 1 + step.filter_conditions.len();
     for j in 0..step.filter_conditions.len() {
         step.scan_condition = Some(step.filter_conditions.remove(j));
-        let cost = estimate(&step, catalog, params);
+        let cost = estimate(&step, catalog, planning);
         if let Some(cond) = step.scan_condition.take() {
             step.filter_conditions.insert(j, cond);
         }
@@ -572,37 +545,29 @@ fn best_step_variant(
     (step, best_cost, considered)
 }
 
-/// Chooses a retrieval program for an optimized logical plan, and lays it
-/// out as its physical plan, each step carrying its estimate.
+/// Chooses a retrieval program for an optimized logical plan under the
+/// session's [`Planner`], compiling the plan in place, and lays it out as
+/// its physical plan, each step carrying its estimate.
 ///
 /// * [`Planner::Heuristic`] compiles the plan exactly as the pre-planner
-///   pipeline did (bit-identical [`CompiledQuery`]) and merely *annotates*
-///   it with cost estimates.
-/// * [`Planner::CostBased`] enumerates one pushed-down condition per step
-///   (or none), keeps the cheapest, and orders steps longest-first.
-pub fn plan_query(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    options: &CompileOptions,
-    planner: Planner,
-    params: &PlannerParams,
-) -> Result<PlannedQuery> {
-    plan_owned(plan.clone(), catalog, options, planner, params)
-}
-
-/// [`plan_query`], consuming the plan: it is compiled in place.
+///   pipeline did (bit-identical [`CompiledQuery`], pushdown as
+///   [`CompileOptions::pushdown`] says) and merely *annotates* it with
+///   cost estimates.
+/// * [`Planner::CostBased`] compiles with pushdown off, enumerates one
+///   pushed-down condition per step (or none), keeps the cheapest, and
+///   orders steps longest-first.
 pub(crate) fn plan_owned(
     plan: LogicalPlan,
     catalog: &Catalog,
-    options: &CompileOptions,
-    planner: Planner,
-    params: &PlannerParams,
+    planning: &Planning<'_>,
 ) -> Result<PlannedQuery> {
+    let options = planning.options;
+    let planner = options.planner;
     let (compiled, costs, candidates) = match planner {
         Planner::Heuristic => {
-            let compiled = compile_owned(plan, catalog, options)?;
+            let compiled = compile_owned(plan, catalog, &options.compile)?;
             let costs: Vec<StepCost> = (compiled.steps.iter())
-                .map(|step| estimate(step, catalog, params))
+                .map(|step| estimate(step, catalog, planning))
                 .collect();
             (compiled, costs, 1)
         }
@@ -613,7 +578,7 @@ pub(crate) fn plan_owned(
             let mut candidates = 0usize;
             let mut chosen = Vec::with_capacity(compiled.steps.len());
             for step in std::mem::take(&mut compiled.steps) {
-                let (step, cost, considered) = best_step_variant(step, catalog, params);
+                let (step, cost, considered) = best_step_variant(step, catalog, planning);
                 chosen.push((step, cost));
                 candidates += considered;
             }
@@ -628,20 +593,20 @@ pub(crate) fn plan_owned(
         }
     };
     // Each cost was estimated over the stages its step is laid out as here.
-    let mut physical = PhysicalPlan::new(&compiled, params.prompt_batch, params.pipeline);
+    let mut physical = PhysicalPlan::new(&compiled, options.prompt_batch, options.pipeline);
     for (step_plan, cost) in physical.steps.iter_mut().zip(&costs) {
         step_plan.cost = *cost;
     }
     // Wave mode packs the steps onto the lanes as blocks; the streaming
     // pipeline shares the lanes across steps, so the query estimate is
     // the slowest step's critical path against the pooled busy bound.
-    let est_virtual_ms = if params.pipeline.is_streaming() {
+    let est_virtual_ms = if options.pipeline.is_streaming() {
         let chain = costs.iter().map(|c| c.virtual_ms).fold(0.0, f64::max);
         let busy: f64 = costs.iter().map(|c| c.busy_ms).sum();
-        critical_path_ms(chain, 0.0, busy, params.lanes())
+        critical_path_ms(chain, 0.0, busy, planning.lanes())
     } else {
         let blocks = costs.iter().map(|c| c.virtual_ms.round().max(0.0) as u64);
-        galois_llm::lane_schedule(blocks, params.parallelism.get()) as f64
+        galois_llm::lane_schedule(blocks, options.parallelism.get()) as f64
     };
     let report = PlanReport {
         planner,
@@ -661,10 +626,10 @@ impl PlannedQuery {
     /// Renders the `EXPLAIN` report: every retrieval step with its prompt
     /// protocol and cost estimates, then the residual relational plan with
     /// cardinality annotations, then query totals.
-    pub(crate) fn render(&self, catalog: &Catalog, params: &PlannerParams) -> String {
+    pub(crate) fn render(&self, catalog: &Catalog, planning: &Planning<'_>) -> String {
         let mut out = String::new();
         // Writing to a `String` cannot fail.
-        let _ = self.write_report(catalog, params, &mut out);
+        let _ = self.write_report(catalog, planning, &mut out);
         out
     }
 
@@ -672,14 +637,15 @@ impl PlannedQuery {
     fn write_report(
         &self,
         catalog: &Catalog,
-        params: &PlannerParams,
+        planning: &Planning<'_>,
         out: &mut String,
     ) -> fmt::Result {
+        let options = planning.options;
         write!(
             out,
             "galois plan  (planner: {}, lanes: {}",
             self.report.planner,
-            params.parallelism.get()
+            options.parallelism.get()
         )?;
         // The batch factor only appears when a prompt fuses something, so
         // the `PromptBatch::Off` report stays byte-identical to the
@@ -693,7 +659,7 @@ impl PlannedQuery {
         }
         // Likewise the pipeline tag: absent in the default wave mode, so
         // the pre-pipelining report stays byte-identical.
-        if params.pipeline.is_streaming() {
+        if options.pipeline.is_streaming() {
             out.push_str(", pipeline: streaming");
         }
         writeln!(
@@ -710,7 +676,7 @@ impl PlannedQuery {
         // The resilience line appears only with the retry knob on, so
         // every `Resilience::Off` report stays byte-identical to the
         // pre-resilience pipeline's.
-        if let Resilience::On(policy) = &params.resilience {
+        if let Resilience::On(policy) = &options.resilience {
             writeln!(
                 out,
                 "resilience: {} retries, backoff {}ms ×{} (cap {}ms), timeout {}ms, \
@@ -720,7 +686,7 @@ impl PlannedQuery {
                 RetryPolicy::BACKOFF_MULTIPLIER,
                 RetryPolicy::MAX_BACKOFF_MS,
                 RetryPolicy::TIMEOUT_MS,
-                policy.breaker_threshold,
+                RetryPolicy::BREAKER_THRESHOLD,
             )?;
         }
         let costs = self.physical.steps.iter().map(|s| &s.cost);
@@ -729,7 +695,7 @@ impl PlannedQuery {
             // Key-universe store line: only when a store is attached, so
             // the store-off report stays byte-identical to the pre-store
             // pipeline's.
-            if params.warm_lists.is_some() {
+            if planning.warm_lists.is_some() {
                 match cost.warm_keys {
                     Some(n) => writeln!(out, "    list: warm ({n} keys)")?,
                     None => out.push_str("    list: cold\n"),
@@ -787,7 +753,9 @@ impl PlannedQuery {
 mod tests {
     use super::*;
     use crate::compile::{compile, concept_signature_for};
+    use crate::session::{Pipeline, PromptBatch};
     use galois_dataset::Scenario;
+    use galois_llm::Parallelism;
 
     #[test]
     fn batched_prompt_count_is_identity_at_one_and_ceil_above() {
@@ -814,19 +782,53 @@ mod tests {
         PromptBatch::Grid { keys, attrs: 1 }
     }
 
-    /// Default params at another batch shape.
-    fn batched(prompt_batch: PromptBatch) -> PlannerParams {
-        PlannerParams {
+    /// Default options at another batch shape.
+    fn batched(prompt_batch: PromptBatch) -> GaloisOptions {
+        GaloisOptions {
             prompt_batch,
             ..Default::default()
         }
     }
 
-    /// Default params at `lanes` request lanes.
-    fn at_lanes(lanes: usize) -> PlannerParams {
-        PlannerParams {
+    /// Default options at `lanes` request lanes.
+    fn at_lanes(lanes: usize) -> GaloisOptions {
+        GaloisOptions {
             parallelism: Parallelism::new(lanes),
             ..Default::default()
+        }
+    }
+
+    /// A storeless session's planning inputs under `options` and `calibration`.
+    fn planning(options: &GaloisOptions, calibration: Calibration) -> Planning<'_> {
+        Planning {
+            options,
+            calibration,
+            warm_lists: None,
+        }
+    }
+
+    /// `sql` on `s`, planned under `options` at the cold-start calibration.
+    fn plan_in(s: &Scenario, sql: &str, options: &GaloisOptions) -> PlannedQuery {
+        let plan = s.database.plan(sql).unwrap();
+        plan_owned(
+            plan,
+            s.database.catalog(),
+            &planning(options, Calibration::COLD),
+        )
+        .unwrap()
+    }
+
+    /// [`plan_in`]'s plan rendered.
+    fn render_in(s: &Scenario, sql: &str, options: &GaloisOptions) -> String {
+        let planning = planning(options, Calibration::COLD);
+        plan_in(s, sql, options).render(s.database.catalog(), &planning)
+    }
+
+    /// `options` under another planner.
+    fn under(planner: Planner, options: &GaloisOptions) -> GaloisOptions {
+        GaloisOptions {
+            planner,
+            ..options.clone()
         }
     }
 
@@ -835,17 +837,8 @@ mod tests {
         planned.physical.steps.iter().map(|s| s.cost).collect()
     }
 
-    fn planned(sql: &str, planner: Planner, params: &PlannerParams) -> PlannedQuery {
-        let s = Scenario::generate(42);
-        let plan = s.database.plan(sql).unwrap();
-        plan_query(
-            &plan,
-            s.database.catalog(),
-            &CompileOptions::default(),
-            planner,
-            params,
-        )
-        .unwrap()
+    fn planned(sql: &str, planner: Planner, options: &GaloisOptions) -> PlannedQuery {
+        plan_in(&Scenario::generate(42), sql, &under(planner, options))
     }
 
     #[test]
@@ -857,16 +850,8 @@ mod tests {
             "SELECT continent, COUNT(*) FROM country GROUP BY continent",
         ] {
             let plan = s.database.plan(sql).unwrap();
-            let options = CompileOptions::default();
-            let direct = compile(&plan, s.database.catalog(), &options).unwrap();
-            let chosen = plan_query(
-                &plan,
-                s.database.catalog(),
-                &options,
-                Planner::Heuristic,
-                &PlannerParams::default(),
-            )
-            .unwrap();
+            let direct = compile(&plan, s.database.catalog(), &CompileOptions::default()).unwrap();
+            let chosen = plan_in(&s, sql, &GaloisOptions::default());
             assert_eq!(chosen.compiled, direct, "{sql}");
             assert_eq!(chosen.report.candidates_considered, 1);
         }
@@ -877,10 +862,10 @@ mod tests {
     fn best_step_variant_reference(
         step: &LlmScanStep,
         catalog: &Catalog,
-        params: &PlannerParams,
+        planning: &Planning<'_>,
     ) -> (LlmScanStep, StepCost, usize) {
         let mut best = step.clone();
-        let mut best_cost = estimate(step, catalog, params);
+        let mut best_cost = estimate(step, catalog, planning);
         let mut considered = 1;
         if step.scan_condition.is_some() {
             return (best, best_cost, considered);
@@ -889,7 +874,7 @@ mod tests {
             let mut candidate = step.clone();
             let cond = candidate.filter_conditions.remove(j);
             candidate.scan_condition = Some(cond);
-            let cost = estimate(&candidate, catalog, params);
+            let cost = estimate(&candidate, catalog, planning);
             considered += 1;
             if cost.virtual_ms < best_cost.virtual_ms - 1e-9
                 || (cost.virtual_ms <= best_cost.virtual_ms + 1e-9
@@ -932,14 +917,15 @@ mod tests {
             }
             let warm = Arc::new(warm);
             for batch in [PromptBatch::Off, PromptBatch::Grid { keys: 10, attrs: 6 }] {
+                let options = batched(batch);
                 for warm_lists in [None, Some(warm.clone())] {
-                    let params = PlannerParams {
+                    let planning = Planning {
                         warm_lists,
-                        ..batched(batch)
+                        ..planning(&options, Calibration::COLD)
                     };
                     for step in &steps {
-                        let want = best_step_variant_reference(step, catalog, &params);
-                        let got = best_step_variant(step.clone(), catalog, &params);
+                        let want = best_step_variant_reference(step, catalog, &planning);
+                        let got = best_step_variant(step.clone(), catalog, &planning);
                         assert_eq!(got, want, "{sql} under {batch:?}");
                         if got.0.scan_condition.is_some() {
                             pushed += 1;
@@ -956,10 +942,10 @@ mod tests {
 
     #[test]
     fn cost_based_pushes_a_selective_condition() {
-        let params = PlannerParams::default();
+        let options = GaloisOptions::default();
         let q = "SELECT name FROM city WHERE population > 1000000";
-        let heuristic = planned(q, Planner::Heuristic, &params);
-        let cost_based = planned(q, Planner::CostBased, &params);
+        let heuristic = planned(q, Planner::Heuristic, &options);
+        let cost_based = planned(q, Planner::CostBased, &options);
         assert!(heuristic.compiled.steps[0].scan_condition.is_none());
         assert!(cost_based.compiled.steps[0].scan_condition.is_some());
         assert!(cost_based.compiled.steps[0].filter_conditions.is_empty());
@@ -975,10 +961,9 @@ mod tests {
 
     #[test]
     fn cost_based_pushes_the_cheapest_of_several_conditions() {
-        let params = PlannerParams::default();
         // Eq is more selective than a range: the planner should push it.
         let q = "SELECT name FROM city WHERE population > 100 AND country = 'Veladria'";
-        let cost_based = planned(q, Planner::CostBased, &params);
+        let cost_based = planned(q, Planner::CostBased, &GaloisOptions::default());
         let step = &cost_based.compiled.steps[0];
         let pushed = step.scan_condition.as_ref().expect("one condition pushed");
         assert_eq!(pushed.attribute, "country");
@@ -988,10 +973,9 @@ mod tests {
 
     #[test]
     fn cost_based_orders_steps_longest_first() {
-        let params = at_lanes(8);
         let q = "SELECT p.name, r.electionYear, r.party, r.birthDate \
                  FROM city p, cityMayor r WHERE p.mayor = r.name";
-        let planned = planned(q, Planner::CostBased, &params);
+        let planned = planned(q, Planner::CostBased, &at_lanes(8));
         let costs = step_costs(&planned);
         assert_eq!(costs.len(), 2);
         assert!(costs[0].virtual_ms >= costs[1].virtual_ms);
@@ -1017,15 +1001,12 @@ mod tests {
             .chain(operators.into_iter().map(|q| q.sql))
             .collect();
         assert_eq!(statements.len(), 46 + 18);
-        let params = PlannerParams::default();
         let mut joins = 0;
         for sql in &statements {
-            let plan = s.database.plan(sql).unwrap();
             let order = |planner| {
-                let options = CompileOptions::default();
-                let planned = plan_query(&plan, s.database.catalog(), &options, planner, &params);
+                let planned = plan_in(&s, sql, &under(planner, &GaloisOptions::default()));
                 let mut sides = Vec::new();
-                join_sides(&planned.unwrap().compiled.plan, &mut sides);
+                join_sides(&planned.compiled.plan, &mut sides);
                 sides
             };
             let heuristic = order(Planner::Heuristic);
@@ -1038,18 +1019,8 @@ mod tests {
     #[test]
     fn render_shows_join_order_only_under_cost_based_planning() {
         let s = Scenario::generate(42);
-        let params = PlannerParams::default();
-        let render = |sql: &str, planner: Planner| {
-            plan_query(
-                &s.database.plan(sql).unwrap(),
-                s.database.catalog(),
-                &CompileOptions::default(),
-                planner,
-                &params,
-            )
-            .unwrap()
-            .render(s.database.catalog(), &params)
-        };
+        let render =
+            |sql: &str, planner: Planner| render_in(&s, sql, &under(planner, &Default::default()));
         let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r \
                  WHERE p.mayor = r.name AND p.population > 1000000";
         assert!(!render(q, Planner::Heuristic).contains("join order:"));
@@ -1071,23 +1042,13 @@ mod tests {
     #[test]
     fn render_shows_the_early_stop_window_only_when_enabled() {
         let s = Scenario::generate(42);
-        let streaming = |pipeline| PlannerParams {
+        let streaming = |pipeline| GaloisOptions {
             pipeline,
             ..Default::default()
         };
         let off = streaming(Pipeline::Streaming);
         let on = streaming(Pipeline::StreamingLimit);
-        let render = |sql: &str, params: &PlannerParams| {
-            plan_query(
-                &s.database.plan(sql).unwrap(),
-                s.database.catalog(),
-                &CompileOptions::default(),
-                Planner::Heuristic,
-                params,
-            )
-            .unwrap()
-            .render(s.database.catalog(), params)
-        };
+        let render = |sql: &str, options: &GaloisOptions| render_in(&s, sql, options);
         let q = "SELECT name FROM city LIMIT 7 OFFSET 2";
         assert!(!render(q, &off).contains("limit:"));
         assert!(
@@ -1104,7 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_calibrate_params() {
+    fn stats_calibrate_the_cost_model() {
         let stats = ClientStats {
             prompts: 100,
             cache_hits: 100,
@@ -1112,29 +1073,25 @@ mod tests {
             serial_ms: 10 * BATCH_OVERHEAD_MS + 100 * 40,
             ..Default::default()
         };
-        let options = GaloisOptions {
-            parallelism: Parallelism::new(4),
-            ..GaloisOptions::serving()
-        };
-        let p = PlannerParams::for_session(&options, &stats);
-        assert!((p.prompt_latency_ms - 40.0).abs() < 1e-9);
-        assert!((p.cache_hit_rate - 0.5).abs() < 1e-9);
-        // The options are held as they are, not re-typed.
-        assert_eq!(p.parallelism, options.parallelism);
-        assert_eq!(p.prompt_batch, options.prompt_batch);
-        assert_eq!(p.pipeline, options.pipeline);
-        assert_eq!(p.resilience, options.resilience);
+        let c = Calibration::observed(&stats);
+        assert!((c.prompt_latency_ms - 40.0).abs() < 1e-9);
+        assert!((c.cache_hit_rate - 0.5).abs() < 1e-9);
         // Cold start keeps the defaults.
-        let cold = PlannerParams::for_session(&options, &ClientStats::default());
-        assert_eq!(cold.prompt_latency_ms, DEFAULT_PROMPT_LATENCY_MS);
-        assert_eq!(cold.cache_hit_rate, 0.0);
-        assert_eq!(cold.warm_lists, None);
+        assert_eq!(
+            Calibration::observed(&ClientStats::default()),
+            Calibration::COLD
+        );
+        assert_eq!(
+            Calibration::COLD.prompt_latency_ms,
+            DEFAULT_PROMPT_LATENCY_MS
+        );
+        assert_eq!(Calibration::COLD.cache_hit_rate, 0.0);
     }
 
     #[test]
     fn batch_keys_of_one_matches_unbatched_estimates_exactly() {
         let q = "SELECT name, population FROM city WHERE elevation < 100";
-        let base = planned(q, Planner::CostBased, &PlannerParams::default());
+        let base = planned(q, Planner::CostBased, &GaloisOptions::default());
         let one = planned(q, Planner::CostBased, &batched(keys(1)));
         assert_eq!(base.report, one.report);
         assert_eq!(step_costs(&base), step_costs(&one));
@@ -1144,7 +1101,7 @@ mod tests {
     #[test]
     fn batching_shrinks_estimated_prompts_and_virtual_time() {
         let q = "SELECT name, population FROM city WHERE elevation < 100";
-        let base = planned(q, Planner::CostBased, &PlannerParams::default());
+        let base = planned(q, Planner::CostBased, &GaloisOptions::default());
         let fused = planned(q, Planner::CostBased, &batched(keys(10)));
         assert!(
             fused.report.est_total_prompts < base.report.est_total_prompts,
@@ -1155,7 +1112,7 @@ mod tests {
         assert!(fused.report.est_virtual_ms < base.report.est_virtual_ms);
         // A fused prompt is charged by answer volume, not per key: ten
         // keys cost less than ten prompts but more than one.
-        let p = PlannerParams::default();
+        let p = Calibration::COLD;
         assert!(p.fused_prompt_latency_ms(10.0) > p.prompt_latency_ms);
         assert!(p.fused_prompt_latency_ms(10.0) < 10.0 * p.prompt_latency_ms);
         assert_eq!(p.fused_prompt_latency_ms(1.0), p.prompt_latency_ms);
@@ -1183,20 +1140,9 @@ mod tests {
     #[test]
     fn render_shows_grid_batch_tag() {
         let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name, population FROM city WHERE elevation < 100")
-            .unwrap();
+        let q = "SELECT name, population FROM city WHERE elevation < 100";
         let grid = batched(PromptBatch::Grid { keys: 10, attrs: 4 });
-        let text = plan_query(
-            &plan,
-            s.database.catalog(),
-            &CompileOptions::default(),
-            Planner::CostBased,
-            &grid,
-        )
-        .unwrap()
-        .render(s.database.catalog(), &grid);
+        let text = render_in(&s, q, &under(Planner::CostBased, &grid));
         assert!(text.contains("batch: 10 keys × 4 attrs/prompt"), "{text}");
         assert!(!text.contains("keys/prompt"), "{text}");
     }
@@ -1204,44 +1150,42 @@ mod tests {
     #[test]
     fn render_shows_batch_factor_only_when_batching() {
         let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name FROM city WHERE population > 1000000")
-            .unwrap();
-        let off = PlannerParams::default();
+        let q = "SELECT name FROM city WHERE population > 1000000";
+        let off = GaloisOptions::default();
         let on = batched(keys(10));
-        let render = |params: &PlannerParams| {
-            plan_query(
-                &plan,
-                s.database.catalog(),
-                &CompileOptions::default(),
-                Planner::CostBased,
-                params,
-            )
-            .unwrap()
-            .render(s.database.catalog(), params)
-        };
+        let render =
+            |options: &GaloisOptions| render_in(&s, q, &under(Planner::CostBased, options));
         assert!(!render(&off).contains("batch:"));
         assert!(render(&on).contains("batch: 10 keys/prompt"));
     }
 
     #[test]
     fn pipeline_estimate_beats_the_wave_sum_with_lanes_and_loses_without() {
+        let s = Scenario::generate(42);
         let q = "SELECT name, population FROM city WHERE elevation < 100";
         // Calibrated-style latency (the cold-start 150 ms default makes
         // fused-answer decode so expensive that the estimator correctly
         // prefers the wave's within-batch lane packing on this query).
-        let wave = PlannerParams {
-            parallelism: Parallelism::new(8),
+        let calibration = Calibration {
             prompt_latency_ms: 40.0,
+            ..Calibration::COLD
+        };
+        let planned = |options: &GaloisOptions| {
+            let plan = s.database.plan(q).unwrap();
+            let options = under(Planner::CostBased, options);
+            let planning = planning(&options, calibration);
+            plan_owned(plan, s.database.catalog(), &planning).unwrap()
+        };
+        let wave = GaloisOptions {
+            parallelism: Parallelism::new(8),
             ..batched(keys(10))
         };
-        let streaming = PlannerParams {
+        let streaming = GaloisOptions {
             pipeline: Pipeline::Streaming,
             ..wave.clone()
         };
-        let a = planned(q, Planner::CostBased, &wave);
-        let b = planned(q, Planner::CostBased, &streaming);
+        let a = planned(&wave);
+        let b = planned(&streaming);
         // Same prompts — streaming only removes the barriers.
         assert_eq!(a.report.est_total_prompts, b.report.est_total_prompts);
         assert!(
@@ -1252,16 +1196,13 @@ mod tests {
         );
         // With one lane the per-micro-batch overheads serialise: the
         // estimate must reflect that streaming is the wrong choice there.
-        let one_wave = PlannerParams {
-            prompt_latency_ms: 40.0,
-            ..batched(keys(10))
-        };
-        let one_stream = PlannerParams {
+        let one_wave = batched(keys(10));
+        let one_stream = GaloisOptions {
             pipeline: Pipeline::Streaming,
             ..one_wave.clone()
         };
-        let c = planned(q, Planner::CostBased, &one_wave);
-        let d = planned(q, Planner::CostBased, &one_stream);
+        let c = planned(&one_wave);
+        let d = planned(&one_stream);
         assert!(
             d.report.est_virtual_ms >= c.report.est_virtual_ms,
             "single-lane streaming {} must not beat the wave {}",
@@ -1275,11 +1216,11 @@ mod tests {
     #[test]
     fn streaming_limit_reproduces_streaming_estimates_bit_for_bit() {
         let q = "SELECT name, population FROM city WHERE elevation < 100 LIMIT 5";
-        let streaming = PlannerParams {
+        let streaming = GaloisOptions {
             pipeline: Pipeline::Streaming,
             ..at_lanes(8)
         };
-        let limit = PlannerParams {
+        let limit = GaloisOptions {
             pipeline: Pipeline::StreamingLimit,
             ..at_lanes(8)
         };
@@ -1295,26 +1236,14 @@ mod tests {
     #[test]
     fn render_shows_pipeline_only_when_streaming() {
         let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name FROM city WHERE population > 1000000")
-            .unwrap();
-        let off = PlannerParams::default();
-        let on = PlannerParams {
+        let q = "SELECT name FROM city WHERE population > 1000000";
+        let off = GaloisOptions::default();
+        let on = GaloisOptions {
             pipeline: Pipeline::Streaming,
             ..Default::default()
         };
-        let render = |params: &PlannerParams| {
-            plan_query(
-                &plan,
-                s.database.catalog(),
-                &CompileOptions::default(),
-                Planner::CostBased,
-                params,
-            )
-            .unwrap()
-            .render(s.database.catalog(), params)
-        };
+        let render =
+            |options: &GaloisOptions| render_in(&s, q, &under(Planner::CostBased, options));
         assert!(!render(&off).contains("pipeline:"));
         assert!(render(&on).contains("pipeline: streaming"));
     }
@@ -1322,26 +1251,14 @@ mod tests {
     #[test]
     fn render_shows_resilience_only_when_on() {
         let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name FROM city WHERE population > 1000000")
-            .unwrap();
-        let off = PlannerParams::default();
-        let on = PlannerParams {
+        let q = "SELECT name FROM city WHERE population > 1000000";
+        let off = GaloisOptions::default();
+        let on = GaloisOptions {
             resilience: Resilience::On(RetryPolicy::default()),
             ..Default::default()
         };
-        let render = |params: &PlannerParams| {
-            plan_query(
-                &plan,
-                s.database.catalog(),
-                &CompileOptions::default(),
-                Planner::CostBased,
-                params,
-            )
-            .unwrap()
-            .render(s.database.catalog(), params)
-        };
+        let render =
+            |options: &GaloisOptions| render_in(&s, q, &under(Planner::CostBased, options));
         assert!(!render(&off).contains("resilience:"));
         let report = render(&on);
         assert!(report.contains("resilience: 4 retries"));
@@ -1358,7 +1275,7 @@ mod tests {
     #[test]
     fn lanes_shrink_estimated_virtual_time() {
         let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
-        let seq = planned(q, Planner::CostBased, &PlannerParams::default());
+        let seq = planned(q, Planner::CostBased, &GaloisOptions::default());
         let par = planned(q, Planner::CostBased, &at_lanes(8));
         assert!(par.report.est_virtual_ms < seq.report.est_virtual_ms);
     }
@@ -1366,20 +1283,8 @@ mod tests {
     #[test]
     fn render_reports_steps_costs_and_residual_plan() {
         let s = Scenario::generate(42);
-        let params = PlannerParams::default();
-        let plan = s
-            .database
-            .plan("SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name")
-            .unwrap();
-        let chosen = plan_query(
-            &plan,
-            s.database.catalog(),
-            &CompileOptions::default(),
-            Planner::CostBased,
-            &params,
-        )
-        .unwrap();
-        let text = chosen.render(s.database.catalog(), &params);
+        let q = "SELECT p.name, r.electionYear FROM city p, cityMayor r WHERE p.mayor = r.name";
+        let text = render_in(&s, q, &under(Planner::CostBased, &GaloisOptions::default()));
         assert!(text.contains("planner: cost-based"));
         assert!(text.contains("[LLM step 1] scan"));
         assert!(text.contains("cost: keys≈"));

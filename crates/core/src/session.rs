@@ -50,7 +50,7 @@ pub(crate) use wave::REQUEST_PROMPTS;
 use crate::compile::{CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
 use crate::physical::PhysicalPlan;
-use crate::plan_choice::{plan_owned, PlannedQuery, PlannerParams};
+use crate::plan_choice::{plan_owned, Calibration, PlannedQuery, Planning};
 use crate::prompts::PromptBuilder;
 use galois_llm::{ClientStats, KeyUniverseStore, LanguageModel, LlmClient};
 use galois_relational::{Database, Relation, Table, Value};
@@ -89,7 +89,7 @@ pub struct Galois {
     /// so plan choice stays a deterministic function of the query — never
     /// of which concurrent query's prompts happened to land first in the
     /// shared client stats. It is never re-frozen.
-    calibration: parking_lot::Mutex<Option<PlannerParams>>,
+    calibration: parking_lot::Mutex<Option<Calibration>>,
     /// The resolved key-universe store (`None` when [`ListStore::Off`]).
     list_store: Option<Arc<KeyUniverseStore>>,
     /// The model's behaviour fingerprint, keying store entries so a
@@ -159,41 +159,30 @@ impl Galois {
         self.typed.stats()
     }
 
-    /// The planner's parameters computed from the client's stats *right
-    /// now*: the session's options as they stand, expected per-prompt
-    /// latency and cache-hit rate from the observed stats. This is the
-    /// live reading; plan choice uses the frozen snapshot of
-    /// `Galois::calibration`.
-    pub(crate) fn planner_params(&self) -> PlannerParams {
-        PlannerParams::for_session(&self.options, &self.client.stats())
+    /// The calibration plan choice uses, read from the client's stats at
+    /// the session's first statement under either
+    /// [`Planner`](crate::Planner) (every statement, executed or explained,
+    /// is planned through it) and frozen there. Freezing keeps the chosen
+    /// plan a deterministic function of the query even when many threads
+    /// share the session (live stats would race); a fresh session freezes
+    /// the documented cold-start defaults.
+    fn calibration(&self) -> Calibration {
+        *(self.calibration.lock())
+            .get_or_insert_with(|| Calibration::observed(&self.client.stats()))
     }
 
-    /// The calibration snapshot plan choice uses, frozen at the session's
-    /// first statement under either [`Planner`](crate::Planner) (every statement, executed
-    /// or explained, is planned through it). Freezing keeps the chosen plan
-    /// a deterministic function of the query even when many threads share
-    /// the session (live stats would race); a fresh session freezes the
-    /// documented cold-start defaults.
-    fn calibration(&self) -> PlannerParams {
-        self.calibration
-            .lock()
-            .get_or_insert_with(|| self.planner_params())
-            .clone()
-    }
-
-    /// The parameters one planning pass uses: the frozen calibration,
-    /// overlaid with the key-universe store's *live* warm-concept
+    /// What one planning pass reads: the session's options, the frozen
+    /// calibration, and the key-universe store's *live* warm-concept
     /// cardinalities. The overlay is intentionally live where the
     /// calibration is frozen — which concepts are warm is exact knowledge
     /// (stored key counts), not a drifting rate estimate, and the whole
     /// point of planner-visible list caching is that a concept listed by
-    /// an earlier query plans as free for the next one. With the store
-    /// off this is exactly the frozen calibration.
-    fn planning_params(&self) -> PlannerParams {
-        let params = self.calibration();
-        match &self.list_store {
-            Some(store) => params.with_warm_lists(store.warm_map(&self.model_sig)),
-            None => params,
+    /// an earlier query plans as free for the next one.
+    fn planning(&self) -> Planning<'_> {
+        Planning {
+            options: &self.options,
+            calibration: self.calibration(),
+            warm_lists: (self.list_store.as_ref()).map(|store| store.warm_map(&self.model_sig)),
         }
     }
 
@@ -208,23 +197,17 @@ impl Galois {
     fn plan_statement(
         &self,
         select: &galois_sql::SelectStatement,
-        params: &PlannerParams,
+        planning: &Planning<'_>,
     ) -> Result<PlannedQuery> {
         let plan = self.db.plan_statement(select).map_err(GaloisError::from)?;
-        plan_owned(
-            plan,
-            self.db.catalog(),
-            &self.options.compile,
-            self.options.planner,
-            params,
-        )
+        plan_owned(plan, self.db.catalog(), planning)
     }
 
     /// Plans a query through the session's [`Planner`](crate::Planner) without executing
     /// it, returning the compiled retrieval program plus its cost report.
     pub fn plan(&self, sql: &str) -> Result<PlannedQuery> {
         let stmt = self.parse_statement(sql)?;
-        self.plan_statement(stmt.select(), &self.planning_params())
+        self.plan_statement(stmt.select(), &self.planning())
     }
 
     /// Renders the chosen plan with per-operator prompt/latency cost
@@ -233,9 +216,9 @@ impl Galois {
     /// Accepts either a plain query or an `EXPLAIN`-prefixed one.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let stmt = self.parse_statement(sql)?;
-        let params = self.planning_params();
-        let planned = self.plan_statement(stmt.select(), &params)?;
-        Ok(planned.render(self.db.catalog(), &params))
+        let planning = self.planning();
+        let planned = self.plan_statement(stmt.select(), &planning)?;
+        Ok(planned.render(self.db.catalog(), &planning))
     }
 
     /// Executes a SQL query against the LLM (and DB for hybrid sources).
@@ -252,10 +235,10 @@ impl Galois {
     /// `EXPLAIN`'s plan relation (with an empty trace) or execute the plan.
     fn run(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let stmt = self.parse_statement(sql)?;
-        let params = self.planning_params();
-        let planned = self.plan_statement(stmt.select(), &params)?;
+        let planning = self.planning();
+        let planned = self.plan_statement(stmt.select(), &planning)?;
         if stmt.is_explain() {
-            let text = planned.render(self.db.catalog(), &params);
+            let text = planned.render(self.db.catalog(), &planning);
             let relation = galois_relational::cost::explain_relation(&text);
             let stats = QueryStats::default();
             return Ok((GaloisResult { relation, stats }, Vec::new()));
@@ -645,7 +628,7 @@ mod tests {
             .contains("limit:"));
     }
 
-    /// The "live overlay" rule of [`Galois::planning_params`]: the warm
+    /// The "live overlay" rule of [`Galois::planning`]: the warm
     /// map is a shared snapshot, and a universe published between two
     /// plans is visible to the second.
     #[test]
@@ -714,8 +697,9 @@ mod tests {
             g.execute(sql).unwrap();
             assert_eq!(g.explain(sql).unwrap(), cold, "{planner}");
             // The live reading has moved; the frozen one has not.
-            let default_latency = crate::plan_choice::PlannerParams::default().prompt_latency_ms;
-            assert_ne!(g.planner_params().prompt_latency_ms, default_latency);
+            let live = Calibration::observed(&g.client().stats());
+            assert_ne!(live.prompt_latency_ms, Calibration::COLD.prompt_latency_ms);
+            assert_eq!(g.calibration(), Calibration::COLD);
         }
     }
 

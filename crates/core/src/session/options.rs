@@ -215,9 +215,13 @@ pub enum ListStore {
     /// Session-private store: queries of this session share listed
     /// universes with each other.
     On,
-    /// An externally owned store, shared across sessions (hand the same
-    /// `Arc` to several sessions — model-signature keying keeps universes
-    /// from leaking across differently-configured models).
+    /// An externally owned store (model-signature keying keeps universes
+    /// from leaking across differently-configured models). No bin,
+    /// example or workload uses it: it is the seam through which the
+    /// store tests seed a store before a session starts and inspect it
+    /// afterwards. Folding it into [`ListStore::On`] is not bit-exact
+    /// (only the prompt counts stay), so it waits for a change with its
+    /// own pin.
     Shared(Arc<KeyUniverseStore>),
 }
 
@@ -328,7 +332,9 @@ impl fmt::Display for AdmissionPolicy {
 /// workloads run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaloisOptions {
-    /// Plan-compilation options (prompt pushdown).
+    /// Plan-compilation options (prompt pushdown). Only
+    /// [`Planner::Heuristic`] reads them: [`Planner::CostBased`] compiles
+    /// with pushdown off and chooses each step's pushdown itself.
     pub compile: CompileOptions,
     /// Cleaning policy for answer strings.
     pub cleaning: CleaningPolicy,

@@ -66,8 +66,10 @@ impl ConcurrentSuiteRun {
 /// sessions, admitted under `policy`, over a fresh shared session built
 /// from `options`.
 ///
-/// Queries are dealt round-robin (`query i` → `session i mod sessions`),
-/// and the options must select a streaming
+/// Queries are dealt round-robin (`query i` → `session i mod sessions`).
+/// With more sessions asked for than the suite has statements, the extra
+/// sessions get no statement: the replay runs, and its report counts,
+/// one session per statement. The options must select a streaming
 /// [`Pipeline`](galois_core::Pipeline) — the wave engine has no task
 /// trace to replay.
 pub fn run_suite_concurrent(
@@ -185,6 +187,23 @@ mod tests {
         assert_eq!(totals.prompts, st.prompts);
         assert_eq!(totals.cache_hits, st.cache_hits);
         assert_eq!(totals.serial_virtual_ms, st.serial_virtual_ms);
+    }
+
+    #[test]
+    fn sessions_beyond_the_statement_count_get_nothing() {
+        let s = small_scenario();
+        let statements = s.suite.len();
+        let lanes = streaming_options().parallelism.get();
+        let run = run_suite_concurrent(
+            &s,
+            ModelProfile::oracle(),
+            streaming_options(),
+            statements + 5,
+            &AdmissionPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(run.report.sessions, statements);
+        assert_eq!(run.report.pool_lanes, statements * lanes);
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl InFlight {
 /// Unwind guard for the thread that owns an [`InFlight`] marker: if the
 /// model call panics, the marker is removed from the shard and waiters are
 /// woken with `Abandoned` instead of blocking forever (the panic itself
-/// still propagates when the scheduler scope joins).
+/// unwinds on, out of the client call that asked the model).
 struct FulfillGuard<'a> {
     shard: &'a Mutex<Table<Slot>>,
     probe: &'a Probe<'a>,
@@ -674,7 +674,7 @@ impl LlmClient {
                 }
             };
         };
-        if !self.breaker.lock().admit(&policy) {
+        if !self.breaker.lock().admit() {
             counters.breaker_fastfails += 1;
             let text = crate::faults::fault_text(FaultKind::Transient);
             let completion = Completion {
@@ -697,7 +697,7 @@ impl LlmClient {
                     // the window waited plus the backoff, then re-ask.
                     counters.timeouts += 1;
                     counters.retries += 1;
-                    accrued_ms += RetryPolicy::TIMEOUT_MS + policy.backoff_ms(prompt, retry);
+                    accrued_ms += RetryPolicy::TIMEOUT_MS + RetryPolicy::backoff_ms(prompt, retry);
                     retry += 1;
                 }
                 Ok(mut completion) => {
@@ -708,12 +708,13 @@ impl LlmClient {
                 Err(fault) if budget_left => {
                     counters.count_kind(fault.kind);
                     counters.retries += 1;
-                    accrued_ms += fault.degraded.latency_ms + policy.backoff_ms(prompt, retry);
+                    accrued_ms +=
+                        fault.degraded.latency_ms + RetryPolicy::backoff_ms(prompt, retry);
                     retry += 1;
                 }
                 Err(fault) => {
                     counters.count_kind(fault.kind);
-                    self.breaker.lock().record_exhaustion(&policy);
+                    self.breaker.lock().record_exhaustion();
                     let mut completion = fault.degraded;
                     completion.latency_ms += accrued_ms;
                     return (completion, counters);
@@ -1396,50 +1397,54 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_the_degraded_completion() {
-        let c = LlmClient::new(Arc::new(AlwaysFaulty::new())).with_resilience(RetryPolicy {
-            max_retries: 2,
-            jitter_permille: 0,
-            ..RetryPolicy::default()
-        });
+        let c = LlmClient::new(Arc::new(AlwaysFaulty::new()))
+            .with_resilience(RetryPolicy { max_retries: 2 });
         let outcome = c.complete_outcome("prompt");
         assert!(crate::faults::is_fault_text(&outcome.completions[0].text));
         let s = c.stats();
         assert_eq!(s.retries, 2);
         assert_eq!(s.faults, 3, "three attempts, all faulted");
-        // Two failed attempts' latency (10 each) + backoffs (50, 100)
-        // accrued onto the final degraded completion's own 10 ms.
-        assert_eq!(outcome.completions[0].latency_ms, 10 + 50 + 10 + 100 + 10);
+        // Two failed attempts' latency (10 each) + backoffs (50 and 100,
+        // each with up to a fifth in jitter) accrued onto the final
+        // degraded completion's own 10 ms.
+        let backoffs = RetryPolicy::backoff_ms("prompt", 0) + RetryPolicy::backoff_ms("prompt", 1);
+        assert!((150..=180).contains(&backoffs), "{backoffs}");
+        assert_eq!(outcome.completions[0].latency_ms, 3 * 10 + backoffs);
     }
 
     #[test]
     fn breaker_fails_fast_after_an_exhaustion_streak() {
         let model = Arc::new(AlwaysFaulty::new());
-        let c = LlmClient::new(Arc::clone(&model) as Arc<dyn LanguageModel>).with_resilience(
-            RetryPolicy {
-                max_retries: 1,
-                breaker_threshold: 2,
-                breaker_cooldown: 3,
-                ..RetryPolicy::default()
-            },
+        let c = LlmClient::new(Arc::clone(&model) as Arc<dyn LanguageModel>)
+            .with_resilience(RetryPolicy { max_retries: 1 });
+        let calls = || model.calls.load(std::sync::atomic::Ordering::SeqCst);
+        let (threshold, cooldown) = (
+            RetryPolicy::BREAKER_THRESHOLD,
+            RetryPolicy::BREAKER_COOLDOWN,
         );
-        c.complete("p1");
-        c.complete("p2");
-        let calls_when_tripped = model.calls.load(std::sync::atomic::Ordering::SeqCst);
-        assert_eq!(calls_when_tripped, 4, "2 prompts × 2 attempts");
-        // Breaker is now open: the next prompts fail fast, no model calls.
-        c.complete("p3");
-        c.complete("p4");
+        let mut asked = 0;
+        let mut ask = |n: u32| {
+            for _ in 0..n {
+                asked += 1;
+                c.complete(&format!("p{asked}"));
+            }
+        };
+        ask(threshold);
+        let calls_when_tripped = calls();
         assert_eq!(
-            model.calls.load(std::sync::atomic::Ordering::SeqCst),
-            calls_when_tripped
+            calls_when_tripped,
+            2 * threshold as usize,
+            "2 attempts a prompt"
         );
-        assert_eq!(c.stats().breaker_fastfails, 2);
-        // Third fast-fail spends the cooldown; the prompt after that is
+        // Breaker is now open: the next prompts fail fast, no model calls.
+        ask(cooldown - 1);
+        assert_eq!(calls(), calls_when_tripped);
+        assert_eq!(c.stats().breaker_fastfails, cooldown as usize - 1);
+        // The last fast-fail spends the cooldown; the prompt after that is
         // the half-open probe and reaches the model again.
-        c.complete("p5");
-        c.complete("p6");
-        assert_eq!(c.stats().breaker_fastfails, 3);
-        assert!(model.calls.load(std::sync::atomic::Ordering::SeqCst) > calls_when_tripped);
+        ask(2);
+        assert_eq!(c.stats().breaker_fastfails, cooldown as usize);
+        assert!(calls() > calls_when_tripped);
     }
 
     #[test]
@@ -1457,10 +1462,8 @@ mod tests {
     fn a_fault_is_not_cached_so_the_prompt_reaches_the_model_again() {
         let off = |model: Arc<AlwaysFaulty>| LlmClient::new(model as Arc<dyn LanguageModel>);
         let exhausted = |model: Arc<AlwaysFaulty>| {
-            LlmClient::new(model as Arc<dyn LanguageModel>).with_resilience(RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            })
+            LlmClient::new(model as Arc<dyn LanguageModel>)
+                .with_resilience(RetryPolicy { max_retries: 1 })
         };
         for (label, make, calls_per_ask) in [
             ("Resilience::Off", &off as &dyn Fn(_) -> LlmClient, 1),

@@ -7,7 +7,7 @@
 //! not raw latency, as the dominant production failure mode. [`FaultyLlm`]
 //! reproduces those failure modes *deterministically*: whether (and how
 //! often, and in which way) a prompt's request fails is a pure function of
-//! the [`FaultProfile`] seed, the prompt text, and the attempt ordinal —
+//! the [`FaultProfile`], the prompt text, and the attempt ordinal —
 //! never of thread timing — so chaos tests are exactly reproducible.
 //!
 //! The schedule is leading-failure shaped: a prompt drawn as faulty fails
@@ -46,20 +46,17 @@ pub fn is_fault_text(text: &str) -> bool {
 }
 
 /// Parameter vector of one fault-injection schedule (the resilience
-/// analogue of [`crate::ModelProfile`]'s noise dials).
+/// analogue of [`crate::ModelProfile`]'s noise dials). The schedule's seed
+/// and the weights of the three marker-detectable kinds are constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
-    /// Deterministic schedule seed; combined with prompt hashes.
-    pub seed: u64,
     /// Probability that a prompt's request sequence starts with faults.
     pub fault_rate: f64,
-    /// Relative weight of [`FaultKind::Transient`] draws.
-    pub transient_weight: u32,
-    /// Relative weight of [`FaultKind::Timeout`] draws.
-    pub timeout_weight: u32,
-    /// Relative weight of [`FaultKind::RateLimit`] draws.
-    pub rate_limit_weight: u32,
-    /// Relative weight of [`FaultKind::Truncated`] draws.
+    /// Relative weight of [`FaultKind::Truncated`] draws, beside
+    /// [`FaultProfile::TRANSIENT_WEIGHT`],
+    /// [`FaultProfile::TIMEOUT_WEIGHT`] and
+    /// [`FaultProfile::RATE_LIMIT_WEIGHT`]; 0 keeps every fault
+    /// marker-detectable.
     pub truncated_weight: u32,
 }
 
@@ -77,16 +74,20 @@ impl FaultProfile {
     pub(crate) const TIMEOUT_LATENCY_MS: u64 = 1_000;
     /// Latency billed by a transient / rate-limit / truncated attempt.
     pub(crate) const FAULT_LATENCY_MS: u64 = 30;
+    /// Deterministic schedule seed; combined with prompt hashes.
+    const SEED: u64 = 0xFA17;
+    /// Relative weight of [`FaultKind::Transient`] draws.
+    pub const TRANSIENT_WEIGHT: u32 = 4;
+    /// Relative weight of [`FaultKind::Timeout`] draws.
+    pub const TIMEOUT_WEIGHT: u32 = 2;
+    /// Relative weight of [`FaultKind::RateLimit`] draws.
+    pub const RATE_LIMIT_WEIGHT: u32 = 2;
 
     /// A schedule failing roughly `rate` of all prompts, with all four
     /// fault kinds in play and at most 3 consecutive failures per prompt.
     pub fn with_rate(rate: f64) -> Self {
         FaultProfile {
-            seed: 0xFA17,
             fault_rate: rate.clamp(0.0, 1.0),
-            transient_weight: 4,
-            timeout_weight: 2,
-            rate_limit_weight: 2,
             truncated_weight: 2,
         }
     }
@@ -97,27 +98,24 @@ impl FaultProfile {
         if self.fault_rate <= 0.0 {
             return 0;
         }
-        let u = seeded(self.seed, &["fault?", prompt]) as f64 / u64::MAX as f64;
+        let u = seeded(Self::SEED, &["fault?", prompt]) as f64 / u64::MAX as f64;
         if u >= self.fault_rate {
             return 0;
         }
-        1 + (seeded(self.seed, &["depth", prompt]) % u64::from(Self::MAX_CONSECUTIVE)) as u32
+        1 + (seeded(Self::SEED, &["depth", prompt]) % u64::from(Self::MAX_CONSECUTIVE)) as u32
     }
 
     /// The fault kind of one attempt, drawn from the kind weights.
     fn kind_for(&self, prompt: &str, attempt: u32) -> FaultKind {
         let kinds = [
-            (FaultKind::Transient, self.transient_weight),
-            (FaultKind::Timeout, self.timeout_weight),
-            (FaultKind::RateLimit, self.rate_limit_weight),
+            (FaultKind::Transient, Self::TRANSIENT_WEIGHT),
+            (FaultKind::Timeout, Self::TIMEOUT_WEIGHT),
+            (FaultKind::RateLimit, Self::RATE_LIMIT_WEIGHT),
             (FaultKind::Truncated, self.truncated_weight),
         ];
         let total: u64 = kinds.iter().map(|&(_, w)| u64::from(w)).sum();
-        if total == 0 {
-            return FaultKind::Transient;
-        }
         let attempt_label = attempt.to_string();
-        let mut pick = seeded(self.seed, &["kind", prompt, &attempt_label]) % total;
+        let mut pick = seeded(Self::SEED, &["kind", prompt, &attempt_label]) % total;
         for (kind, weight) in kinds {
             let w = u64::from(weight);
             if pick < w {
@@ -173,7 +171,7 @@ impl FaultyLlm {
             FaultKind::Truncated => {
                 let clean = self.inner.complete(prompt).text;
                 let attempt_label = attempt.to_string();
-                let keep = seeded(self.profile.seed, &["cut", prompt, &attempt_label]) as usize
+                let keep = seeded(FaultProfile::SEED, &["cut", prompt, &attempt_label]) as usize
                     % (clean.len() + 1);
                 let mut cut = keep;
                 while cut > 0 && !clean.is_char_boundary(cut) {
@@ -315,18 +313,19 @@ mod tests {
 
     #[test]
     fn timeout_bills_the_deadline() {
-        let profile = FaultProfile {
-            fault_rate: 1.0,
-            transient_weight: 0,
-            timeout_weight: 1,
-            rate_limit_weight: 0,
-            truncated_weight: 0,
-            ..FaultProfile::default()
-        };
-        let faulty = FaultyLlm::new(fixed(), profile.clone());
-        let fault = faulty.try_complete("prompt").unwrap_err();
-        assert_eq!(fault.kind, FaultKind::Timeout);
-        assert_eq!(fault.degraded.latency_ms, FaultProfile::TIMEOUT_LATENCY_MS);
+        let faulty = FaultyLlm::new(fixed(), FaultProfile::with_rate(1.0));
+        let mut timeouts = 0;
+        for i in 0..40 {
+            let fault = faulty.try_complete(&format!("p{i}")).unwrap_err();
+            let want = if fault.kind == FaultKind::Timeout {
+                timeouts += 1;
+                FaultProfile::TIMEOUT_LATENCY_MS
+            } else {
+                FaultProfile::FAULT_LATENCY_MS
+            };
+            assert_eq!(fault.degraded.latency_ms, want, "{}", fault.kind);
+        }
+        assert!(timeouts > 0, "a fifth of the draws are timeouts");
     }
 
     #[test]
@@ -367,7 +366,6 @@ mod tests {
         let detectable = FaultProfile {
             fault_rate: 0.2,
             truncated_weight: 0,
-            ..FaultProfile::default()
         };
         let mut digest = 0xcbf2_9ce4_8422_2325;
         for profile in [FaultProfile::with_rate(0.2), detectable.clone()] {
@@ -385,9 +383,10 @@ mod tests {
                 fnv1a(&mut digest, &format!("{prompt} leads with {leading}"));
             }
         }
-        let policy = crate::resilience::RetryPolicy::default();
         for prompt in &prompts {
-            let backoffs: Vec<u64> = (0..=6).map(|r| policy.backoff_ms(prompt, r)).collect();
+            let backoffs: Vec<u64> = (0..=6)
+                .map(|r| crate::resilience::RetryPolicy::backoff_ms(prompt, r))
+                .collect();
             fnv1a(&mut digest, &format!("{backoffs:?}"));
         }
         let runs = [
@@ -398,10 +397,7 @@ mod tests {
         for (profile, budgets) in runs {
             for &max_retries in budgets {
                 let faulty = FaultyLlm::new(Arc::clone(&inner), profile.clone());
-                let policy = crate::resilience::RetryPolicy {
-                    max_retries,
-                    ..Default::default()
-                };
+                let policy = crate::resilience::RetryPolicy { max_retries };
                 let client = crate::LlmClient::new(Arc::new(faulty)).with_resilience(policy);
                 for prompt in &prompts {
                     let c = client.complete(prompt);

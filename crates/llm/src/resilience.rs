@@ -1,10 +1,11 @@
 //! Retry policy and circuit breaker for the resilient client.
 //!
-//! [`RetryPolicy`] is the parameter vector of the `Resilience::On` knob:
-//! how many re-asks a failed request gets, how the exponential backoff
-//! between them grows, how much deterministic jitter decorrelates lanes,
-//! when a slow-but-successful answer counts as a timeout, and when the
-//! per-client [`CircuitBreaker`] stops asking altogether. All waiting is
+//! [`RetryPolicy`] is the payload of the `Resilience::On` knob: how many
+//! re-asks a failed request gets. Its associated constants fix the rest —
+//! how the exponential backoff between re-asks grows, how much
+//! deterministic jitter decorrelates lanes, when a slow-but-successful
+//! answer counts as a timeout, and when the per-client [`CircuitBreaker`]
+//! stops asking altogether. All waiting is
 //! billed in *virtual* milliseconds — it folds into the completion's
 //! `latency_ms` and flows through the event clock like any model latency;
 //! no real time passes.
@@ -16,33 +17,19 @@ use crate::noise::seeded;
 /// The defaults are deliberately conservative-for-equivalence: 4 retries
 /// cover [`crate::FaultProfile::MAX_CONSECUTIVE`] (3) consecutive
 /// failures, [`RetryPolicy::TIMEOUT_MS`] is far above any simulated clean
-/// latency, and the breaker
-/// threshold is high enough that it never opens while retries are still
-/// winning — so a ≤ 20 % fault rate under the default policy reproduces
-/// the fault-free run bit for bit (only the virtual clock grows).
+/// latency, and [`RetryPolicy::BREAKER_THRESHOLD`] is high enough that
+/// the breaker never opens while retries are still winning — so a ≤ 20 %
+/// fault rate under the default policy reproduces the fault-free run bit
+/// for bit (only the virtual clock grows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-asks after the first failed attempt (total attempts = 1 + this).
     pub max_retries: u32,
-    /// Deterministic jitter added to each backoff, as a permille fraction
-    /// of the backoff (200 = up to +20 %), drawn from a hash of the
-    /// prompt and the attempt ordinal so lanes decorrelate reproducibly.
-    pub jitter_permille: u64,
-    /// Consecutive retry-exhausted prompts that trip the breaker open.
-    pub breaker_threshold: u32,
-    /// Requests failed fast while the breaker is open, before one
-    /// half-open probe is let through.
-    pub breaker_cooldown: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            jitter_permille: 200,
-            breaker_threshold: 8,
-            breaker_cooldown: 16,
-        }
+        RetryPolicy { max_retries: 4 }
     }
 }
 
@@ -57,28 +44,35 @@ impl RetryPolicy {
     /// successful one) counts as a timeout: its window is billed and the
     /// request is retried.
     pub const TIMEOUT_MS: u64 = 30_000;
+    /// Deterministic jitter added to each backoff, as a permille fraction
+    /// of the backoff (200 = up to +20 %), drawn from a hash of the prompt
+    /// and the attempt ordinal so lanes decorrelate reproducibly.
+    pub const JITTER_PERMILLE: u64 = 200;
+    /// Consecutive retry-exhausted prompts that trip the breaker open.
+    pub const BREAKER_THRESHOLD: u32 = 8;
+    /// Requests failed fast while the breaker is open, before one
+    /// half-open probe is let through.
+    pub const BREAKER_COOLDOWN: u32 = 16;
 
     /// Virtual backoff before retry `retry` (0-based) of `prompt`:
     /// exponential with ceiling, plus deterministic jitter.
-    pub(crate) fn backoff_ms(&self, prompt: &str, retry: u32) -> u64 {
+    pub(crate) fn backoff_ms(prompt: &str, retry: u32) -> u64 {
         let growth = Self::BACKOFF_MULTIPLIER.saturating_pow(retry);
         let base = Self::BASE_BACKOFF_MS
             .saturating_mul(growth)
             .min(Self::MAX_BACKOFF_MS);
-        if self.jitter_permille == 0 {
-            return base;
-        }
         let retry_label = retry.to_string();
         let jitter = seeded(0x1177E2, &["jitter", prompt, &retry_label])
-            % (base * self.jitter_permille / 1000 + 1);
+            % (base * Self::JITTER_PERMILLE / 1000 + 1);
         base + jitter
     }
 }
 
 /// Per-client circuit breaker, counted in *request outcomes* rather than
-/// wall time (the simulation has none to spare): `breaker_threshold`
-/// consecutive retry-exhausted prompts open it; while open, the next
-/// `breaker_cooldown` requests fail fast without touching the model; the
+/// wall time (the simulation has none to spare):
+/// [`RetryPolicy::BREAKER_THRESHOLD`] consecutive retry-exhausted prompts
+/// open it; while open, the next [`RetryPolicy::BREAKER_COOLDOWN`]
+/// requests fail fast without touching the model; the
 /// request after that is the half-open probe — success closes the
 /// breaker, another exhaustion re-opens it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +103,7 @@ impl CircuitBreaker {
     /// Admission check, advanced *before* a request runs. Returns `false`
     /// when the request must fail fast (breaker open, cooldown not yet
     /// spent).
-    pub(crate) fn admit(&mut self, policy: &RetryPolicy) -> bool {
+    pub(crate) fn admit(&mut self) -> bool {
         match *self {
             CircuitBreaker::Closed { .. } | CircuitBreaker::HalfOpen => true,
             CircuitBreaker::Open { remaining } => {
@@ -120,7 +114,6 @@ impl CircuitBreaker {
                     *self = CircuitBreaker::Open {
                         remaining: remaining - 1,
                     };
-                    let _ = policy;
                     false
                 }
             }
@@ -134,17 +127,17 @@ impl CircuitBreaker {
     }
 
     /// Records a retry-exhausted request: grows the failure streak and
-    /// trips the breaker at the policy threshold; an exhausted half-open
-    /// probe re-opens immediately.
-    pub(crate) fn record_exhaustion(&mut self, policy: &RetryPolicy) {
+    /// trips the breaker at the threshold; an exhausted half-open probe
+    /// re-opens immediately.
+    pub(crate) fn record_exhaustion(&mut self) {
         match *self {
             CircuitBreaker::Closed {
                 consecutive_failures,
             } => {
                 let streak = consecutive_failures + 1;
-                if policy.breaker_threshold > 0 && streak >= policy.breaker_threshold {
+                if streak >= RetryPolicy::BREAKER_THRESHOLD {
                     *self = CircuitBreaker::Open {
-                        remaining: policy.breaker_cooldown,
+                        remaining: RetryPolicy::BREAKER_COOLDOWN,
                     };
                 } else {
                     *self = CircuitBreaker::Closed {
@@ -154,7 +147,7 @@ impl CircuitBreaker {
             }
             CircuitBreaker::HalfOpen => {
                 *self = CircuitBreaker::Open {
-                    remaining: policy.breaker_cooldown,
+                    remaining: RetryPolicy::BREAKER_COOLDOWN,
                 };
             }
             CircuitBreaker::Open { .. } => {}
@@ -168,48 +161,47 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_to_the_ceiling() {
-        let policy = RetryPolicy {
-            jitter_permille: 0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff_ms("p", 0), 50);
-        assert_eq!(policy.backoff_ms("p", 1), 100);
-        assert_eq!(policy.backoff_ms("p", 2), 200);
-        assert_eq!(policy.backoff_ms("p", 10), 2_000);
+        // Each backoff is its base plus at most a fifth of it in jitter.
+        for (retry, base) in [(0, 50), (1, 100), (2, 200), (10, 2_000)] {
+            let backoff = RetryPolicy::backoff_ms("p", retry);
+            assert!(
+                (base..=base + base / 5).contains(&backoff),
+                "retry {retry}: {backoff}"
+            );
+        }
     }
 
     #[test]
     fn jitter_is_bounded_and_deterministic() {
-        let policy = RetryPolicy::default();
-        let a = policy.backoff_ms("prompt", 1);
-        let b = policy.backoff_ms("prompt", 1);
+        let a = RetryPolicy::backoff_ms("prompt", 1);
+        let b = RetryPolicy::backoff_ms("prompt", 1);
         assert_eq!(a, b);
         assert!((100..=120).contains(&a), "base 100 + ≤20%: got {a}");
     }
 
+    /// `n` exhausted requests, each admitted first.
+    fn exhaust(b: &mut CircuitBreaker, n: u32) {
+        for _ in 0..n {
+            assert!(b.admit());
+            b.record_exhaustion();
+        }
+    }
+
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
-        let policy = RetryPolicy {
-            breaker_threshold: 2,
-            breaker_cooldown: 3,
-            ..RetryPolicy::default()
-        };
         let mut b = CircuitBreaker::default();
-        assert!(b.admit(&policy));
-        b.record_exhaustion(&policy);
+        exhaust(&mut b, RetryPolicy::BREAKER_THRESHOLD - 1);
         assert!(!matches!(b, CircuitBreaker::Open { .. }));
-        assert!(b.admit(&policy));
-        b.record_exhaustion(&policy);
+        exhaust(&mut b, 1);
         assert!(
             matches!(b, CircuitBreaker::Open { .. }),
-            "threshold 2 reached"
+            "threshold reached"
         );
-        // Cooldown: 3 fast-fails.
-        for _ in 0..3 {
-            assert!(!b.admit(&policy));
+        for _ in 0..RetryPolicy::BREAKER_COOLDOWN {
+            assert!(!b.admit());
         }
         // Next request is the half-open probe.
-        assert!(b.admit(&policy));
+        assert!(b.admit());
         assert_eq!(b, CircuitBreaker::HalfOpen);
         b.record_success();
         assert_eq!(b, CircuitBreaker::default());
@@ -217,34 +209,29 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let policy = RetryPolicy {
-            breaker_threshold: 1,
-            breaker_cooldown: 1,
-            ..RetryPolicy::default()
-        };
         let mut b = CircuitBreaker::default();
-        assert!(b.admit(&policy));
-        b.record_exhaustion(&policy);
+        exhaust(&mut b, RetryPolicy::BREAKER_THRESHOLD);
         assert!(matches!(b, CircuitBreaker::Open { .. }));
-        assert!(!b.admit(&policy));
-        assert!(b.admit(&policy)); // probe
-        b.record_exhaustion(&policy);
-        assert!(
-            matches!(b, CircuitBreaker::Open { .. }),
+        for _ in 0..RetryPolicy::BREAKER_COOLDOWN {
+            assert!(!b.admit());
+        }
+        assert!(b.admit()); // probe
+        b.record_exhaustion();
+        assert_eq!(
+            b,
+            CircuitBreaker::Open {
+                remaining: RetryPolicy::BREAKER_COOLDOWN
+            },
             "failed probe re-opens"
         );
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let policy = RetryPolicy {
-            breaker_threshold: 2,
-            ..RetryPolicy::default()
-        };
         let mut b = CircuitBreaker::default();
-        b.record_exhaustion(&policy);
+        exhaust(&mut b, RetryPolicy::BREAKER_THRESHOLD - 1);
         b.record_success();
-        b.record_exhaustion(&policy);
+        exhaust(&mut b, RetryPolicy::BREAKER_THRESHOLD - 1);
         assert!(
             !matches!(b, CircuitBreaker::Open { .. }),
             "streak was reset in between"

@@ -39,12 +39,10 @@ use std::sync::Arc;
 /// cell values against the clean run exclude them. The equivalence
 /// property keeps all four kinds — retries absorb truncation before
 /// parsing.
-fn detectable_faults(seed: u64, rate: f64) -> FaultProfile {
+fn detectable_faults(rate: f64) -> FaultProfile {
     FaultProfile {
-        seed,
         fault_rate: rate,
         truncated_weight: 0,
-        ..FaultProfile::default()
     }
 }
 
@@ -68,14 +66,14 @@ proptest! {
     #[test]
     fn faulty_model_under_retries_reproduces_the_fault_free_suite(
         draw in drawn(false),
-        fault_seed in 1u64..100_000,
         rate in prop::sample::select(vec![0.1, 0.2, 0.5]),
     ) {
         // The oracle listing whole concepts, on which a streaming bill is
         // bounded below by the wave's.
         let world = draw.world();
         let clean = draw.cell(&world).model(Model::Profile(ModelProfile::oracle()));
-        let faults = FaultProfile { seed: fault_seed, ..FaultProfile::with_rate(rate) };
+        // The schedule is drawn through the world's prompts and the rate.
+        let faults = FaultProfile::with_rate(rate);
         prop_assert!(FaultProfile::MAX_CONSECUTIVE <= RetryPolicy::default().max_retries);
         let retried = GaloisOptions {
             resilience: Resilience::On(RetryPolicy::default()),
@@ -138,12 +136,8 @@ fn retry_exhaustion_degrades_to_partial_results_and_recovers() {
     let want = oracle_session(&s, GaloisOptions::default())
         .execute(sql)
         .unwrap();
-    let policy = RetryPolicy {
-        max_retries: 1,
-        breaker_threshold: u32::MAX,
-        ..RetryPolicy::default()
-    };
-    let runs = drain(&s, detectable_faults(7, 1.0), policy, 13);
+    let policy = RetryPolicy { max_retries: 1 };
+    let runs = drain(&s, detectable_faults(1.0), policy, 13);
     let first = &runs[0];
     assert!(
         first.stats.failed_cells > 0,
@@ -179,12 +173,7 @@ fn breaker_opens_fails_fast_and_recovers_through_half_open_probes() {
     let want = oracle_session(&s, GaloisOptions::default())
         .execute(sql)
         .unwrap();
-    let policy = RetryPolicy {
-        max_retries: 0,
-        breaker_threshold: 2,
-        breaker_cooldown: 1,
-        ..RetryPolicy::default()
-    };
+    let policy = RetryPolicy { max_retries: 0 };
     // The breaker is per-session state, and a session whose *listing*
     // exhausts issues no further prompts — the streak builds in the
     // session whose listing finally drains and whose fetch wave then
@@ -192,7 +181,7 @@ fn breaker_opens_fails_fast_and_recovers_through_half_open_probes() {
     // drains; at least one of them must have tripped the breaker, and the
     // short cooldown's half-open probes keep burning the per-prompt
     // schedules even while it flaps, so the runs converge.
-    let runs = drain(&s, detectable_faults(11, 1.0), policy, 31);
+    let runs = drain(&s, detectable_faults(1.0), policy, 31);
     assert!(
         runs.iter().any(|r| r.stats.failed_cells > 0),
         "a rate-1.0 schedule with no retries must degrade cells"
@@ -229,12 +218,14 @@ fn faulted_mid_listing_leaves_a_resumable_frontier() {
         cell.session()
     };
 
-    // Scan fault seeds for one that fails the listing mid-flight (some
-    // pages in, some pages short) on a resilience-Off session.
+    // Scan fault rates for one that fails the listing mid-flight (some
+    // pages in, some pages short) on a resilience-Off session: the
+    // schedule's seed is fixed, so the rate decides which pages fault.
     let mut found = None;
-    for seed in 1..=80u64 {
+    for percent in 1..=99u32 {
         let store = Arc::new(KeyUniverseStore::default());
-        let model = faulty(&s, paged(4), detectable_faults(seed, 0.35));
+        let rate = f64::from(percent) / 100.0;
+        let model = faulty(&s, paged(4), detectable_faults(rate));
         let partial = session(&model, &store, Resilience::Off)
             .execute(sql)
             .unwrap();
@@ -253,7 +244,7 @@ fn faulted_mid_listing_leaves_a_resumable_frontier() {
             break;
         }
     }
-    let (store, model, kept) = found.expect("no seed produced a mid-listing failure");
+    let (store, model, kept) = found.expect("no rate produced a mid-listing failure");
 
     // The partial frontier must not be warm-visible (that would make the
     // truncated universe look complete — a poisoned store).

@@ -27,8 +27,10 @@
 //! <the report>
 //! ```
 //!
-//! Every byte is the parent's, generated in this file's first commit with
-//! `PlannerParams::from_session` and its `with_*` chain (the early-stop
+//! Every byte is the parent's, generated in this file's first commit
+//! through the planner's parameter struct of that time, since removed:
+//! planning reads the session's options, a two-number calibration and
+//! the warm-list overlay directly (the early-stop
 //! cell as `EarlyStop::Limit` over `Pipeline::Streaming`, which is
 //! `Pipeline::StreamingLimit` now); no cell set an admission policy, so
 //! the `admission:` line PR 24 took out of the report is in none of them.

@@ -13,24 +13,17 @@ mod common;
 
 use common::contract::{assert_stats_eq, drawn, knob_is_invariant, Cell, Cmp, Contract, Knob};
 use common::{oracle_session, small_config};
-use galois::core::plan_choice::{plan_query, Planner, PlannerParams};
-use galois::core::{compile, GaloisOptions};
+use galois::core::{compile, Galois, GaloisOptions, Planner};
 use galois::dataset::Scenario;
 use proptest::prelude::*;
 
-/// `sql`'s heuristic program is a direct `compile()` of its optimized plan.
-fn heuristic_is_direct(s: &Scenario, sql: &str) -> compile::CompiledQuery {
-    let compile = &GaloisOptions::default().compile;
-    let plan = s.database.plan(sql).unwrap();
-    let direct = compile::compile(&plan, s.database.catalog(), compile).unwrap();
-    let params = PlannerParams::default();
-    let chosen = plan_query(
-        &plan,
-        s.database.catalog(),
-        compile,
-        Planner::Heuristic,
-        &params,
-    );
+/// `sql`'s heuristic program, as `session` (default options) plans it,
+/// is a direct `compile()` of its optimized plan.
+fn heuristic_is_direct(session: &Galois, sql: &str) -> compile::CompiledQuery {
+    let db = session.database();
+    let plan = db.plan(sql).unwrap();
+    let direct = compile::compile(&plan, db.catalog(), &session.options().compile).unwrap();
+    let chosen = session.plan(sql);
     assert_eq!(chosen.unwrap().compiled, direct, "compiled drift: {sql}");
     direct
 }
@@ -45,7 +38,7 @@ fn heuristic_is_bit_identical_to_direct_compilation() {
         let session = oracle_session(&s, GaloisOptions::default());
         for spec in &s.suite {
             let sql = spec.to_sql();
-            let direct = heuristic_is_direct(&s, &sql);
+            let direct = heuristic_is_direct(&session, &sql);
             session.client().clear_cache();
             let a = session.execute_compiled(&direct).unwrap();
             session.client().clear_cache();
@@ -89,8 +82,9 @@ proptest! {
     #[test]
     fn planner_invariants_hold_for_any_seed(draw in drawn(false)) {
         let world = draw.world();
+        let session = oracle_session(&world, GaloisOptions::default());
         for sql in draw.cell(&world).order.iter().filter(|sql| !sql.contains("DB.")) {
-            heuristic_is_direct(&world, sql);
+            heuristic_is_direct(&session, sql);
         }
         knob_is_invariant(Knob::Planner, &draw);
     }

@@ -25,7 +25,6 @@ use common::contract::{
 use common::{oracle_session, pass, permutation, read, statements, Reading};
 use galois::core::{
     limit_hint, CompileOptions, Galois, GaloisOptions, Pipeline, Planner, PromptBatch, Resilience,
-    RetryPolicy,
 };
 use galois::dataset::{build_operator_suite, OperatorCheck, Scenario};
 use galois::llm::{FaultProfile, ModelProfile};
@@ -197,8 +196,9 @@ fn a_limit_window_is_built_every_time_and_keeps_nothing() {
 }
 
 /// A degraded cell never enters a relation. A model that faults on the
-/// first asks of every prompt, with no retry budget to absorb them, leaves
-/// NULLs in a warm statement's rows. The client keeps no fault, so each
+/// first asks of every prompt, with no retry budget to absorb them and no
+/// breaker to skip them (`Resilience::Off`), leaves NULLs in a warm
+/// statement's rows. The client keeps no fault, so each
 /// repeat of the statement asks its degraded cells again and walks their
 /// fault schedule forward; while any of them is degraded its table is
 /// never kept — while a statement over the same universe that reads none
@@ -211,18 +211,11 @@ fn a_degraded_cell_never_enters_a_relation() {
     let sql = "SELECT name, population, country FROM city";
     let want = read(&oracle_session(&scenario, GaloisOptions::serving()), sql);
     let faults = FaultProfile {
-        seed: 7,
         fault_rate: 1.0,
         truncated_weight: 0,
-        ..FaultProfile::default()
-    };
-    let policy = RetryPolicy {
-        max_retries: 0,
-        breaker_threshold: u32::MAX,
-        ..RetryPolicy::default()
     };
     let options = GaloisOptions {
-        resilience: Resilience::On(policy),
+        resilience: Resilience::Off,
         ..GaloisOptions::serving()
     };
     let model = faulty(&scenario, ModelProfile::oracle(), faults);
@@ -231,8 +224,11 @@ fn a_degraded_cell_never_enters_a_relation() {
     let stuck = session();
     let keys = "SELECT name FROM city";
     // The keys statement reads no fetched cell: once its listing has
-    // drained, its key column is whole, kept, and served from then on.
-    let listed = (0..=FaultProfile::MAX_CONSECUTIVE + 1).any(|_| read(&stuck, keys).served == 1);
+    // drained, its key column is whole, kept, and served from then on. A
+    // faulted listing resumes at its frontier, so each listing prompt
+    // costs at most one read per leading fault.
+    let reads = want.stats.list_prompts * FaultProfile::MAX_CONSECUTIVE as usize + 1;
+    let listed = (0..reads).any(|_| read(&stuck, keys).served == 1);
     assert!(listed, "the listing drains");
     let mut degraded_warm_reads = 0;
     let clean = (0..=FaultProfile::MAX_CONSECUTIVE).find_map(|nth| {
