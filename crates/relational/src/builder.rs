@@ -2,9 +2,18 @@
 //! produces a [`LogicalPlan`].
 //!
 //! The builder performs name resolution, type checking, aggregate
-//! extraction and the SELECT-list/ORDER-BY rewrite. Sorting happens over a
-//! projection that may carry *hidden* columns (sort keys not in the SELECT
-//! list); a final projection strips them.
+//! extraction and the SELECT-list/ORDER-BY rewrite. Every statement binds
+//! one way: its input is the cross joins of its FROM list, or, with no
+//! FROM, the one-row "dual" scan, and every clause applies to that input.
+//! One lowering, `lower` over a `Scope`, turns each AST expression into a
+//! [`ScalarExpr`], over an input's rows or over an aggregate's groups.
+//! Sorting happens over a projection that may carry *hidden* columns (sort
+//! keys not in the SELECT list); a final projection strips them.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)
+)]
 
 use crate::error::{EngineError, Result};
 use crate::expr::{ResolvedColumn, ScalarExpr};
@@ -18,6 +27,10 @@ use std::sync::Arc;
 /// alias it was written with, if any.
 type Visible<'s> = (ScalarExpr, Arc<str>, Option<&'s str>);
 
+/// The ORDER BY keys over the projection, and the hidden sort columns the
+/// projection appends after the visible ones.
+type Order = (Vec<SortKey>, Vec<(ScalarExpr, Arc<str>)>);
+
 /// Plans a SELECT statement against `catalog`.
 pub(crate) fn plan_select(stmt: &SelectStatement, catalog: &Catalog) -> Result<LogicalPlan> {
     Builder { catalog }.plan(stmt)
@@ -29,22 +42,7 @@ struct Builder<'a> {
 
 impl<'a> Builder<'a> {
     fn plan(&self, stmt: &SelectStatement) -> Result<LogicalPlan> {
-        if stmt.from.is_empty() {
-            return self.plan_table_less(stmt);
-        }
-
-        // FROM: comma-separated relations become cross joins.
-        let mut plan = self.scan(&stmt.from[0])?;
-        self.check_unique_bindings(stmt)?;
-        for t in &stmt.from[1..] {
-            let right = self.scan(t)?;
-            let schema = plan.schema().join(right.schema());
-            plan = LogicalPlan::CrossJoin {
-                left: Box::new(plan),
-                right: Box::new(right),
-                schema,
-            };
-        }
+        let mut plan = self.source(stmt)?;
 
         // Explicit JOIN … ON clauses.
         for join in &stmt.joins {
@@ -54,7 +52,7 @@ impl<'a> Builder<'a> {
 
         // WHERE.
         if let Some(w) = &stmt.where_clause {
-            let predicate = compile_expr(w, plan.schema(), ExprContext::Scalar)?;
+            let predicate = lower(w, &Scope::Rows(plan.schema()))?;
             require_boolean(&predicate, "WHERE")?;
             plan = LogicalPlan::Filter {
                 input: Box::new(plan),
@@ -69,43 +67,36 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// `SELECT 1 + 2` style statements: a single empty row flows through a
-    /// projection. Modelled as a scan-less project.
-    fn plan_table_less(&self, stmt: &SelectStatement) -> Result<LogicalPlan> {
-        let empty = PlanSchema::default();
-        let mut exprs = Vec::new();
-        let mut cols = Vec::new();
-        for item in &stmt.items {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    let compiled = compile_expr(expr, &empty, ExprContext::Scalar)?;
-                    let name = output_name(expr, alias.as_deref(), &compiled);
-                    cols.push(PlanColumn::computed(
-                        Arc::clone(&name),
-                        compiled.data_type(),
-                    ));
-                    exprs.push((compiled, name));
-                }
-                _ => {
-                    return Err(EngineError::InvalidQuery(
-                        "wildcard without FROM clause".into(),
-                    ));
-                }
+    /// The statement's input: its FROM list's relations as cross joins,
+    /// or with no FROM the "dual" relation, a scan with an empty table
+    /// name for which the executor produces a single empty row.
+    fn source(&self, stmt: &SelectStatement) -> Result<LogicalPlan> {
+        let Some((first, rest)) = stmt.from.split_first() else {
+            if (stmt.items.iter()).any(|item| !matches!(item, SelectItem::Expr { .. })) {
+                return Err(EngineError::InvalidQuery(
+                    "wildcard without FROM clause".into(),
+                ));
             }
-        }
-        // A scan with an empty table name is the "dual" relation: the
-        // executor produces a single empty row for it.
-        Ok(LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Scan {
+            return Ok(LogicalPlan::Scan {
                 table: "".into(),
                 binding: "".into(),
                 source: None,
                 schema: PlanSchema::default(),
                 key_index: 0,
-            }),
-            exprs,
-            schema: PlanSchema::new(cols),
-        })
+            });
+        };
+        let mut plan = self.scan(first)?;
+        self.check_unique_bindings(stmt)?;
+        for t in rest {
+            let right = self.scan(t)?;
+            let schema = plan.schema().join(right.schema());
+            plan = LogicalPlan::CrossJoin {
+                left: Box::new(plan),
+                right: Box::new(right),
+                schema,
+            };
+        }
+        Ok(plan)
     }
 
     fn check_unique_bindings(&self, stmt: &SelectStatement) -> Result<()> {
@@ -156,7 +147,7 @@ impl<'a> Builder<'a> {
             JoinType::Inner => left_schema.join(right_schema),
             JoinType::LeftOuter => left_schema.join(&right_schema.as_nullable()),
         };
-        let predicate = compile_expr(on, &concat, ExprContext::Scalar)?;
+        let predicate = lower(on, &Scope::Rows(&concat))?;
         require_boolean(&predicate, "JOIN ON")?;
         let condition = split_join_condition(predicate, left_schema.arity());
         Ok(LogicalPlan::Join {
@@ -168,93 +159,27 @@ impl<'a> Builder<'a> {
         })
     }
 
-    fn plan_projection<'s>(
-        &self,
-        stmt: &'s SelectStatement,
-        input: LogicalPlan,
-    ) -> Result<LogicalPlan> {
-        let input_schema = input.schema();
-
-        // Expand the SELECT list.
-        let mut visible: Vec<Visible<'s>> = Vec::new();
-        for item in &stmt.items {
-            match item {
-                SelectItem::Wildcard => {
-                    for (i, c) in input_schema.columns.iter().enumerate() {
-                        visible.push((column_expr(i, c), Arc::clone(&c.name), None));
-                    }
-                }
-                SelectItem::QualifiedWildcard(binding) => {
-                    let mut any = false;
-                    for (i, c) in input_schema.columns.iter().enumerate() {
-                        if c.binding
-                            .as_deref()
-                            .is_some_and(|b| b.eq_ignore_ascii_case(binding))
-                        {
-                            visible.push((column_expr(i, c), Arc::clone(&c.name), None));
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        return Err(EngineError::UnknownTable(binding.clone()));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let compiled = compile_expr(expr, input_schema, ExprContext::Scalar)?;
-                    let name = output_name(expr, alias.as_deref(), &compiled);
-                    visible.push((compiled, name, alias.as_deref()));
-                }
-            }
-        }
-
-        // ORDER BY keys: reuse a visible column when possible, otherwise
-        // append a hidden one.
-        let mut hidden: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
-        let mut sort_keys = Vec::new();
-        for o in &stmt.order_by {
-            let compiled = self.resolve_order_key(&o.expr, &visible, input_schema, None)?;
-            let index = match visible.iter().position(|(e, _, _)| *e == compiled) {
-                Some(i) => i,
-                None => {
-                    let idx = visible.len() + hidden.len();
-                    hidden.push((compiled, format!("__sort_{}", hidden.len()).into()));
-                    idx
-                }
-            };
-            sort_keys.push(SortKey {
-                index,
-                direction: o.direction,
-            });
-        }
-        if stmt.distinct && !hidden.is_empty() {
-            return Err(EngineError::InvalidQuery(
-                "for SELECT DISTINCT, ORDER BY expressions must appear in the select list".into(),
-            ));
-        }
-
-        Ok(assemble(input, visible, hidden, sort_keys, stmt))
+    fn plan_projection(&self, stmt: &SelectStatement, input: LogicalPlan) -> Result<LogicalPlan> {
+        let scope = Scope::Rows(input.schema());
+        let visible = select_list(stmt, &scope)?;
+        let order = order_keys(stmt, &visible, &scope)?;
+        Ok(assemble(input, visible, order, stmt))
     }
 
-    fn plan_aggregate<'s>(
-        &self,
-        stmt: &'s SelectStatement,
-        input: LogicalPlan,
-    ) -> Result<LogicalPlan> {
+    fn plan_aggregate(&self, stmt: &SelectStatement, input: LogicalPlan) -> Result<LogicalPlan> {
         let input_schema = input.schema();
 
         // Group keys.
         let mut group_by: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
-        let mut group_asts: Vec<AstExpr> = Vec::new();
         for g in &stmt.group_by {
             if g.contains_aggregate() {
                 return Err(EngineError::InvalidQuery(
                     "aggregate function in GROUP BY".into(),
                 ));
             }
-            let compiled = compile_expr(g, input_schema, ExprContext::Scalar)?;
+            let compiled = lower(g, &Scope::Rows(input_schema))?;
             let name = output_name(g, None, &compiled);
             group_by.push((compiled, name));
-            group_asts.push(g.clone());
         }
 
         // Aggregate calls from SELECT, HAVING and ORDER BY.
@@ -279,60 +204,25 @@ impl<'a> Builder<'a> {
         }
 
         let schema = aggregate_schema(&group_by, &aggregates);
-
-        let rewriter = PostAggRewriter {
-            input_schema,
-            group_by: &group_by,
-            group_asts: &group_asts,
+        let scope = Scope::Groups {
+            input: input_schema,
+            keys: &group_by,
+            key_asts: &stmt.group_by,
             aggregates: &aggregates,
-            agg_schema: &schema,
+            output: &schema,
         };
-
-        // HAVING.
         let having = match &stmt.having {
             Some(h) => {
-                let predicate = rewriter.rewrite(h)?;
+                let predicate = lower(h, &scope)?;
                 require_boolean(&predicate, "HAVING")?;
                 Some(predicate)
             }
             None => None,
         };
+        let visible = select_list(stmt, &scope)?;
+        let order = order_keys(stmt, &visible, &scope)?;
 
-        // SELECT list over the aggregate output.
-        let mut visible: Vec<Visible<'s>> = Vec::new();
-        for item in &stmt.items {
-            if let SelectItem::Expr { expr, alias } = item {
-                let compiled = rewriter.rewrite(expr)?;
-                let name = output_name(expr, alias.as_deref(), &compiled);
-                visible.push((compiled, name, alias.as_deref()));
-            }
-        }
-
-        // ORDER BY.
-        let mut hidden: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
-        let mut sort_keys = Vec::new();
-        for o in &stmt.order_by {
-            let compiled = self.resolve_order_key(&o.expr, &visible, &schema, Some(&rewriter))?;
-            let index = match visible.iter().position(|(e, _, _)| *e == compiled) {
-                Some(i) => i,
-                None => {
-                    let idx = visible.len() + hidden.len();
-                    hidden.push((compiled, format!("__sort_{}", hidden.len()).into()));
-                    idx
-                }
-            };
-            sort_keys.push(SortKey {
-                index,
-                direction: o.direction,
-            });
-        }
-        if stmt.distinct && !hidden.is_empty() {
-            return Err(EngineError::InvalidQuery(
-                "for SELECT DISTINCT, ORDER BY expressions must appear in the select list".into(),
-            ));
-        }
-
-        // The rewriter is done with the input's schema and the group keys:
+        // The scope is done with the input's schema and the group keys:
         // the aggregate node takes them over.
         let mut plan = LogicalPlan::Aggregate {
             input: Box::new(input),
@@ -346,33 +236,232 @@ impl<'a> Builder<'a> {
                 predicate,
             };
         }
-        Ok(assemble(plan, visible, hidden, sort_keys, stmt))
+        Ok(assemble(plan, visible, order, stmt))
+    }
+}
+
+/// What an expression's column references and aggregate calls resolve
+/// against.
+enum Scope<'a> {
+    /// An input's rows: a column resolves by name, and an aggregate call
+    /// is rejected.
+    Rows(&'a PlanSchema),
+    /// An aggregate's output (SELECT list, HAVING and ORDER BY of an
+    /// aggregate query): a whole expression equal to a GROUP BY key, or an
+    /// aggregate call, is the output column it became, and any other
+    /// column is rejected.
+    Groups {
+        input: &'a PlanSchema,
+        keys: &'a [(ScalarExpr, Arc<str>)],
+        key_asts: &'a [AstExpr],
+        aggregates: &'a [AggCall],
+        output: &'a PlanSchema,
+    },
+}
+
+impl Scope<'_> {
+    fn column(&self, c: &ast::ColumnRef) -> Result<ScalarExpr> {
+        match self {
+            Scope::Rows(schema) => {
+                let index = schema.resolve(c.table.as_deref(), &c.column)?;
+                column_at(schema, index).ok_or_else(|| EngineError::UnknownColumn(c.to_string()))
+            }
+            Scope::Groups { .. } => Err(EngineError::InvalidQuery(format!(
+                "column '{c}' must appear in GROUP BY or inside an aggregate"
+            ))),
+        }
     }
 
-    /// Resolves an ORDER BY expression: an alias of a visible column wins,
-    /// then ordinary compilation (post-aggregate rewrite in agg queries).
-    fn resolve_order_key(
-        &self,
-        expr: &AstExpr,
-        visible: &[Visible<'_>],
-        schema: &PlanSchema,
-        rewriter: Option<&PostAggRewriter<'_>>,
-    ) -> Result<ScalarExpr> {
-        if let AstExpr::Column(c) = expr {
-            if c.table.is_none() {
-                if let Some((e, _, _)) = visible
-                    .iter()
-                    .find(|(_, _, alias)| alias.is_some_and(|a| a.eq_ignore_ascii_case(&c.column)))
-                {
-                    return Ok(e.clone());
-                }
-            }
+    /// The aggregate output column `expr` denotes as a whole, if any. A
+    /// GROUP BY key matches as written or lowered over the input, so
+    /// `country` and `c.country` unify.
+    fn group_output(&self, expr: &AstExpr) -> Result<Option<ScalarExpr>> {
+        let Scope::Groups {
+            input,
+            keys,
+            key_asts,
+            aggregates,
+            output,
+        } = self
+        else {
+            return Ok(None);
+        };
+        let key = match key_asts.iter().position(|g| g == expr) {
+            Some(i) => Some(i),
+            None if expr.contains_aggregate() => None,
+            None => (lower(expr, &Scope::Rows(input)).ok())
+                .and_then(|lowered| keys.iter().position(|(g, _)| *g == lowered)),
+        };
+        if let Some(column) = key.and_then(|i| column_at(output, i)) {
+            return Ok(Some(column));
         }
-        match rewriter {
-            Some(r) => r.rewrite(expr),
-            None => compile_expr(expr, schema, ExprContext::Scalar),
+        match expr {
+            AstExpr::Function { name, .. } if ast::is_aggregate_name(name) => {
+                let key = expr.to_string();
+                (aggregates.iter().position(|a| *a.output_name == key))
+                    .and_then(|pos| column_at(output, keys.len() + pos))
+                    .map(Some)
+                    .ok_or_else(|| {
+                        EngineError::InvalidQuery(format!("aggregate {key} was not collected"))
+                    })
+            }
+            _ => Ok(None),
         }
     }
+}
+
+/// Lowers an AST expression over `scope`. The structural arms are written
+/// once; a scope decides only what a column reference and a whole
+/// group-key or aggregate expression become.
+fn lower(expr: &AstExpr, scope: &Scope<'_>) -> Result<ScalarExpr> {
+    if let Some(column) = scope.group_output(expr)? {
+        return Ok(column);
+    }
+    let sub = |e: &AstExpr| lower(e, scope).map(Box::new);
+    Ok(match expr {
+        AstExpr::Column(c) => scope.column(c)?,
+        AstExpr::Literal(l) => ScalarExpr::Literal(literal_value(l)),
+        AstExpr::Unary { op, expr } => ScalarExpr::Unary {
+            op: *op,
+            expr: sub(expr)?,
+        },
+        AstExpr::Binary { left, op, right } => {
+            let l = lower(left, scope)?;
+            let r = lower(right, scope)?;
+            check_binary_types(&l, *op, &r)?;
+            ScalarExpr::Binary {
+                left: Box::new(l),
+                op: *op,
+                right: Box::new(r),
+            }
+        }
+        // Over groups, every aggregate call resolved above.
+        AstExpr::Function { name, .. } if ast::is_aggregate_name(name) => {
+            return Err(EngineError::InvalidQuery(format!(
+                "aggregate {name} not allowed here"
+            )));
+        }
+        AstExpr::Function { name, .. } => {
+            return Err(EngineError::InvalidQuery(format!(
+                "unknown function {name}"
+            )));
+        }
+        AstExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
+            expr: sub(expr)?,
+            negated: *negated,
+        },
+        AstExpr::InList {
+            expr,
+            list,
+            negated,
+        } => ScalarExpr::InList {
+            expr: sub(expr)?,
+            list: (list.iter())
+                .map(|e| lower(e, scope))
+                .collect::<Result<_>>()?,
+            negated: *negated,
+        },
+        AstExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => ScalarExpr::Between {
+            expr: sub(expr)?,
+            low: sub(low)?,
+            high: sub(high)?,
+            negated: *negated,
+        },
+        AstExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => ScalarExpr::Like {
+            expr: sub(expr)?,
+            pattern: sub(pattern)?,
+            negated: *negated,
+        },
+    })
+}
+
+/// The SELECT list lowered over `scope`, a wildcard expanded over the
+/// input's columns.
+fn select_list<'s>(stmt: &'s SelectStatement, scope: &Scope<'_>) -> Result<Vec<Visible<'s>>> {
+    // An aggregate query rejected its wildcards while collecting its
+    // aggregate calls.
+    let columns = || match scope {
+        Scope::Rows(schema) => Ok(schema.columns.iter().enumerate()),
+        Scope::Groups { .. } => Err(EngineError::InvalidQuery(
+            "wildcard in aggregate query".into(),
+        )),
+    };
+    let mut visible: Vec<Visible<'s>> = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Wildcard => {
+                for (i, c) in columns()? {
+                    visible.push((column_expr(i, c), Arc::clone(&c.name), None));
+                }
+            }
+            SelectItem::QualifiedWildcard(binding) => {
+                let mut any = false;
+                for (i, c) in columns()? {
+                    if c.binding
+                        .as_deref()
+                        .is_some_and(|b| b.eq_ignore_ascii_case(binding))
+                    {
+                        visible.push((column_expr(i, c), Arc::clone(&c.name), None));
+                        any = true;
+                    }
+                }
+                if !any {
+                    return Err(EngineError::UnknownTable(binding.clone()));
+                }
+            }
+            SelectItem::Expr { expr, alias } => {
+                let compiled = lower(expr, scope)?;
+                let name = output_name(expr, alias.as_deref(), &compiled);
+                visible.push((compiled, name, alias.as_deref()));
+            }
+        }
+    }
+    Ok(visible)
+}
+
+/// Resolves the ORDER BY keys: an unqualified name that is a visible
+/// column's alias sorts by that column; any other key is lowered over
+/// `scope` and sorts by an equal visible column, or else by a hidden one.
+fn order_keys(stmt: &SelectStatement, visible: &[Visible<'_>], scope: &Scope<'_>) -> Result<Order> {
+    let mut hidden: Vec<(ScalarExpr, Arc<str>)> = Vec::new();
+    let mut sort_keys = Vec::new();
+    for o in &stmt.order_by {
+        let aliased = match &o.expr {
+            AstExpr::Column(c) if c.table.is_none() => (visible.iter())
+                .find(|(_, _, alias)| alias.is_some_and(|a| a.eq_ignore_ascii_case(&c.column))),
+            _ => None,
+        };
+        let key = match aliased {
+            Some((e, _, _)) => e.clone(),
+            None => lower(&o.expr, scope)?,
+        };
+        let index = match visible.iter().position(|(e, _, _)| *e == key) {
+            Some(i) => i,
+            None => {
+                hidden.push((key, format!("__sort_{}", hidden.len()).into()));
+                visible.len() + hidden.len() - 1
+            }
+        };
+        sort_keys.push(SortKey {
+            index,
+            direction: o.direction,
+        });
+    }
+    if stmt.distinct && !hidden.is_empty() {
+        return Err(EngineError::InvalidQuery(
+            "for SELECT DISTINCT, ORDER BY expressions must appear in the select list".into(),
+        ));
+    }
+    Ok((sort_keys, hidden))
 }
 
 /// Shared tail: Project(visible ++ hidden) → Distinct? → Sort? → Limit? →
@@ -380,8 +469,7 @@ impl<'a> Builder<'a> {
 fn assemble(
     input: LogicalPlan,
     visible: Vec<Visible<'_>>,
-    hidden: Vec<(ScalarExpr, Arc<str>)>,
-    sort_keys: Vec<SortKey>,
+    (sort_keys, hidden): Order,
     stmt: &SelectStatement,
 ) -> LogicalPlan {
     let visible_len = visible.len();
@@ -406,7 +494,7 @@ fn assemble(
         .collect();
     // With hidden sort columns, a final projection keeps the visible ones.
     let strip = (exprs.len() > visible_len).then(|| {
-        let visible_cols = cols[..visible_len].to_vec();
+        let visible_cols: Vec<PlanColumn> = cols.iter().take(visible_len).cloned().collect();
         let exprs: Vec<(ScalarExpr, Arc<str>)> = (visible_cols.iter().enumerate())
             .map(|(i, c)| (column_expr(i, c), Arc::clone(&c.name)))
             .collect();
@@ -455,6 +543,11 @@ fn column_expr(index: usize, c: &PlanColumn) -> ScalarExpr {
     })
 }
 
+/// A reference to `schema`'s column `index`, if it has one.
+fn column_at(schema: &PlanSchema, index: usize) -> Option<ScalarExpr> {
+    (schema.columns.get(index)).map(|c| column_expr(index, c))
+}
+
 /// The output name of a select-list or group-by expression: its alias,
 /// else a column reference's name as written — the resolved column's own
 /// text when spelled the same — else the expression's SQL text.
@@ -476,89 +569,6 @@ fn require_boolean(expr: &ScalarExpr, clause: &str) -> Result<()> {
         Err(EngineError::TypeMismatch(format!(
             "{clause} must be a boolean expression"
         )))
-    }
-}
-
-/// What kind of expression is being compiled (controls aggregate rejection).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExprContext {
-    /// Plain scalar context — aggregates are rejected.
-    Scalar,
-}
-
-/// Compiles an AST expression against a schema (no aggregates allowed).
-pub(crate) fn compile_expr(
-    expr: &AstExpr,
-    schema: &PlanSchema,
-    _ctx: ExprContext,
-) -> Result<ScalarExpr> {
-    match expr {
-        AstExpr::Column(c) => {
-            let idx = schema.resolve(c.table.as_deref(), &c.column)?;
-            Ok(column_expr(idx, &schema.columns[idx]))
-        }
-        AstExpr::Literal(l) => Ok(ScalarExpr::Literal(literal_value(l))),
-        AstExpr::Unary { op, expr } => Ok(ScalarExpr::Unary {
-            op: *op,
-            expr: Box::new(compile_expr(expr, schema, _ctx)?),
-        }),
-        AstExpr::Binary { left, op, right } => {
-            let l = compile_expr(left, schema, _ctx)?;
-            let r = compile_expr(right, schema, _ctx)?;
-            check_binary_types(&l, *op, &r)?;
-            Ok(ScalarExpr::Binary {
-                left: Box::new(l),
-                op: *op,
-                right: Box::new(r),
-            })
-        }
-        AstExpr::Function { name, .. } => {
-            if ast::is_aggregate_name(name) {
-                Err(EngineError::InvalidQuery(format!(
-                    "aggregate {name} not allowed here"
-                )))
-            } else {
-                Err(EngineError::InvalidQuery(format!(
-                    "unknown function {name}"
-                )))
-            }
-        }
-        AstExpr::IsNull { expr, negated } => Ok(ScalarExpr::IsNull {
-            expr: Box::new(compile_expr(expr, schema, _ctx)?),
-            negated: *negated,
-        }),
-        AstExpr::InList {
-            expr,
-            list,
-            negated,
-        } => Ok(ScalarExpr::InList {
-            expr: Box::new(compile_expr(expr, schema, _ctx)?),
-            list: list
-                .iter()
-                .map(|e| compile_expr(e, schema, _ctx))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        AstExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Ok(ScalarExpr::Between {
-            expr: Box::new(compile_expr(expr, schema, _ctx)?),
-            low: Box::new(compile_expr(low, schema, _ctx)?),
-            high: Box::new(compile_expr(high, schema, _ctx)?),
-            negated: *negated,
-        }),
-        AstExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Ok(ScalarExpr::Like {
-            expr: Box::new(compile_expr(expr, schema, _ctx)?),
-            pattern: Box::new(compile_expr(pattern, schema, _ctx)?),
-            negated: *negated,
-        }),
     }
 }
 
@@ -693,17 +703,17 @@ fn collect_aggregates(
                     None
                 }
                 FunctionArgs::Exprs(exprs) => {
-                    if exprs.len() != 1 {
+                    let [arg] = exprs.as_slice() else {
                         return Err(EngineError::InvalidQuery(format!(
                             "{name} takes exactly one argument"
                         )));
-                    }
-                    if exprs[0].contains_aggregate() {
+                    };
+                    if arg.contains_aggregate() {
                         return Err(EngineError::InvalidQuery(
                             "nested aggregate functions".into(),
                         ));
                     }
-                    Some(compile_expr(&exprs[0], input_schema, ExprContext::Scalar)?)
+                    Some(lower(arg, &Scope::Rows(input_schema))?)
                 }
             };
             if let Some(a) = &arg {
@@ -737,124 +747,5 @@ fn collect_aggregates(
             });
             result
         }
-    }
-}
-
-/// Rewrites post-aggregation expressions (SELECT list, HAVING, ORDER BY of
-/// an aggregate query) against the aggregate's output schema.
-struct PostAggRewriter<'a> {
-    input_schema: &'a PlanSchema,
-    group_by: &'a [(ScalarExpr, Arc<str>)],
-    group_asts: &'a [AstExpr],
-    aggregates: &'a [AggCall],
-    agg_schema: &'a PlanSchema,
-}
-
-impl PostAggRewriter<'_> {
-    fn rewrite(&self, expr: &AstExpr) -> Result<ScalarExpr> {
-        // 1. A whole expression that matches a GROUP BY key becomes a
-        //    column reference into the aggregate output.
-        if let Some(i) = self.match_group_key(expr)? {
-            return Ok(column_expr(i, &self.agg_schema.columns[i]));
-        }
-        // 2. An aggregate call resolves to its output column.
-        if let AstExpr::Function { name, .. } = expr {
-            if ast::is_aggregate_name(name) {
-                let key = expr.to_string();
-                let pos = (self.aggregates.iter())
-                    .position(|a| *a.output_name == key)
-                    .ok_or_else(|| {
-                        EngineError::InvalidQuery(format!("aggregate {key} was not collected"))
-                    })?;
-                let i = self.group_by.len() + pos;
-                return Ok(column_expr(i, &self.agg_schema.columns[i]));
-            }
-        }
-        // 3. Otherwise recurse structurally.
-        match expr {
-            AstExpr::Column(c) => Err(EngineError::InvalidQuery(format!(
-                "column '{}' must appear in GROUP BY or inside an aggregate",
-                c
-            ))),
-            AstExpr::Literal(l) => Ok(ScalarExpr::Literal(literal_value(l))),
-            AstExpr::Unary { op, expr } => Ok(ScalarExpr::Unary {
-                op: *op,
-                expr: Box::new(self.rewrite(expr)?),
-            }),
-            AstExpr::Binary { left, op, right } => {
-                let l = self.rewrite(left)?;
-                let r = self.rewrite(right)?;
-                check_binary_types(&l, *op, &r)?;
-                Ok(ScalarExpr::Binary {
-                    left: Box::new(l),
-                    op: *op,
-                    right: Box::new(r),
-                })
-            }
-            // Step 2 returned every aggregate call: this one is no function
-            // the engine knows.
-            AstExpr::Function { name, .. } => Err(EngineError::InvalidQuery(format!(
-                "unknown function {name}"
-            ))),
-            AstExpr::IsNull { expr, negated } => Ok(ScalarExpr::IsNull {
-                expr: Box::new(self.rewrite(expr)?),
-                negated: *negated,
-            }),
-            AstExpr::InList {
-                expr,
-                list,
-                negated,
-            } => Ok(ScalarExpr::InList {
-                expr: Box::new(self.rewrite(expr)?),
-                list: list
-                    .iter()
-                    .map(|e| self.rewrite(e))
-                    .collect::<Result<_>>()?,
-                negated: *negated,
-            }),
-            AstExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Ok(ScalarExpr::Between {
-                expr: Box::new(self.rewrite(expr)?),
-                low: Box::new(self.rewrite(low)?),
-                high: Box::new(self.rewrite(high)?),
-                negated: *negated,
-            }),
-            AstExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Ok(ScalarExpr::Like {
-                expr: Box::new(self.rewrite(expr)?),
-                pattern: Box::new(self.rewrite(pattern)?),
-                negated: *negated,
-            }),
-        }
-    }
-
-    /// Does `expr` denote one of the GROUP BY keys? Compared by compiling
-    /// against the *input* schema, so `country` and `c.country` unify.
-    fn match_group_key(&self, expr: &AstExpr) -> Result<Option<usize>> {
-        // Cheap syntactic check first.
-        for (i, g) in self.group_asts.iter().enumerate() {
-            if g == expr {
-                return Ok(Some(i));
-            }
-        }
-        if expr.contains_aggregate() {
-            return Ok(None);
-        }
-        let Ok(compiled) = compile_expr(expr, self.input_schema, ExprContext::Scalar) else {
-            return Ok(None);
-        };
-        for (i, (g, _)) in self.group_by.iter().enumerate() {
-            if *g == compiled {
-                return Ok(Some(i));
-            }
-        }
-        Ok(None)
     }
 }

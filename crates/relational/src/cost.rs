@@ -181,6 +181,8 @@ fn node_rows(
     mut input_rows: impl FnMut(&LogicalPlan) -> f64,
 ) -> f64 {
     match plan {
+        // The unnamed scan is the one-row "dual" of a statement without FROM.
+        LogicalPlan::Scan { table, .. } if table.is_empty() => 1.0,
         LogicalPlan::Scan { table, .. } => get_ignore_case(overrides, table)
             .copied()
             .or_else(|| catalog.get(table).ok().map(|t| t.len() as f64))

@@ -638,17 +638,17 @@ impl SelectStatement {
         self.from.iter().chain(self.joins.iter().map(|j| &j.table))
     }
 
-    /// True if any select item or HAVING clause contains an aggregate, or a
-    /// GROUP BY is present.
+    /// True if the statement is grouped: a GROUP BY or a HAVING is present
+    /// (as in standard SQL, a HAVING alone groups the whole input into one
+    /// group), or a select item contains an aggregate.
     pub fn is_aggregate_query(&self) -> bool {
-        if !self.group_by.is_empty() {
+        if !self.group_by.is_empty() || self.having.is_some() {
             return true;
         }
-        let in_items = self.items.iter().any(|i| match i {
+        self.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             _ => false,
-        });
-        in_items || self.having.as_ref().is_some_and(|h| h.contains_aggregate())
+        })
     }
 }
 
@@ -852,6 +852,28 @@ mod tests {
             limit: None,
             offset: None,
         };
+        assert!(stmt.is_aggregate_query());
+    }
+
+    #[test]
+    fn a_having_without_an_aggregate_groups_the_statement() {
+        let mut stmt = SelectStatement {
+            distinct: false,
+            items: vec![SelectItem::Expr {
+                expr: Expr::col(None, "x"),
+                alias: None,
+            }],
+            from: vec![],
+            joins: vec![],
+            where_clause: None,
+            group_by: vec![],
+            having: None,
+            order_by: vec![],
+            limit: None,
+            offset: None,
+        };
+        assert!(!stmt.is_aggregate_query());
+        stmt.having = Some(Expr::Literal(Literal::Boolean(false)));
         assert!(stmt.is_aggregate_query());
     }
 }
