@@ -23,7 +23,16 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
 
 pub mod ast;
 mod error;

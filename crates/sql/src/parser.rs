@@ -24,14 +24,20 @@
 //! property the test-suite checks with `proptest`.
 
 use crate::ast::*;
-use crate::error::{Result, SqlError};
+use crate::error::{Result, Span, SqlError};
 use crate::lexer::tokenize;
 use crate::token::{Keyword, Token, TokenKind};
 
 /// Parses a single SQL statement.
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut tokens = tokenize(sql)?;
+    let eof = (tokens.pop_if(|t| t.kind == TokenKind::Eof))
+        .unwrap_or_else(|| Token::new(TokenKind::Eof, Span::new(sql.len(), sql.len())));
+    let mut p = Parser {
+        tokens,
+        eof,
+        pos: 0,
+    };
     let stmt = p.parse_statement()?;
     p.expect_eof()?;
     Ok(stmt)
@@ -49,20 +55,23 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement> {
             let start = sql.len() - sql.trim_start().len();
             Err(SqlError::new(
                 "expected a SELECT statement, found EXPLAIN",
-                crate::error::Span::new(start, start + "EXPLAIN".len()),
+                Span::new(start, start + "EXPLAIN".len()),
             ))
         }
     }
 }
 
 struct Parser {
+    /// The statement's tokens up to, not including, its end.
     tokens: Vec<Token>,
+    /// The end-of-input token, read at and past the end.
+    eof: Token,
     pos: usize,
 }
 
 impl Parser {
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        self.tokens.get(self.pos).unwrap_or(&self.eof)
     }
 
     fn peek_kind(&self) -> &TokenKind {
@@ -70,7 +79,7 @@ impl Parser {
     }
 
     fn advance(&mut self) {
-        if self.pos < self.tokens.len() - 1 {
+        if self.pos < self.tokens.len() {
             self.pos += 1;
         }
     }
@@ -79,9 +88,8 @@ impl Parser {
     /// moved out of the token, advancing past it. The parser never looks
     /// back, so the token is not read again.
     fn take_text(&mut self) -> String {
-        let last = self.tokens.len() - 1;
-        let text = match &mut self.tokens[self.pos.min(last)].kind {
-            TokenKind::Ident(s) | TokenKind::QuotedIdent(s) | TokenKind::String(s) => {
+        let text = match self.tokens.get_mut(self.pos).map(|t| &mut t.kind) {
+            Some(TokenKind::Ident(s) | TokenKind::QuotedIdent(s) | TokenKind::String(s)) => {
                 std::mem::take(s)
             }
             _ => String::new(),
