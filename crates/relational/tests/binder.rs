@@ -1,7 +1,9 @@
-//! The binder's answers to statements it must reject: each invalid
-//! statement maps to its exact error text, so a change to how the builder
-//! resolves names, lowers expressions or checks a clause keeps every
-//! message byte for byte.
+//! The binder's answers. Each statement it must reject maps to its exact
+//! error text, so a change to how the builder resolves names, lowers
+//! expressions or checks a clause keeps every message byte for byte. A
+//! statement without FROM binds over the one-row dual scan like any
+//! other: every clause applies to it, and it reads as the same statement
+//! over a one-row table that it never names.
 
 use galois_relational::{Column, DataType, Database, Table, TableSchema};
 use proptest::prelude::*;
@@ -344,7 +346,7 @@ proptest! {
 }
 
 /// The drawn statements are not vacuous: most return rows, some none,
-/// and some are rejected the same way on both sides.
+/// and some are rejected.
 #[test]
 fn drawn_literal_selects_reach_rows_empty_results_and_errors() {
     let db = one_row();
