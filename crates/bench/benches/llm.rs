@@ -1,9 +1,11 @@
-//! Microbenchmarks for the prompt path's host side: what no
-//! `galois_benchmark` probe times. The client's miss and hit paths, the
-//! tokenizer on ASCII text and the simulator's answers are the probes'
-//! (`llm.client.{miss,hit}_ns_per_prompt`, `llm.tokenizer.ns_per_kb`,
-//! `llm.simllm.complete_us_per_call`); `crates/bench/README.md` lists
-//! what is kept here and why.
+//! Microbenchmarks for the prompt path's host side. The tokenizer on
+//! ASCII text and the simulator's answers are `galois_benchmark` probes'
+//! (`llm.tokenizer.ns_per_kb`, `llm.simllm.complete_us_per_call`); the
+//! client's miss and hit paths are probes too
+//! (`llm.client.{miss,hit}_ns_per_prompt`), and are timed here as well
+//! over a paper pass's worth of prompts, so that the prompt cache's
+//! layout has a case of its own. `crates/bench/README.md` lists what is
+//! kept here and why.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::prompts::PromptBuilder;
@@ -17,7 +19,8 @@ use std::sync::Arc;
 /// with a thousand per iteration the printed µs read as ns per operation.
 const OPS: usize = 1000;
 
-/// A model that costs nothing, so the store cases time the store.
+/// A model that costs nothing but a short answer's copy, so the cache and
+/// store cases time the cache and the store.
 struct NullModel;
 
 impl LanguageModel for NullModel {
@@ -29,7 +32,7 @@ impl LanguageModel for NullModel {
     }
     fn complete(&self, _prompt: &str) -> Completion {
         Completion {
-            text: String::new(),
+            text: "2800000".into(),
             usage: Usage::default(),
             latency_ms: 0,
         }
@@ -147,6 +150,41 @@ fn bench_tokenizer(c: &mut Criterion, prompts: &[String]) {
     });
 }
 
+/// The prompt cache on the paper path's shape: forty thousand Figure 4
+/// fetch prompts (the 700-byte preamble, then a question that differs in
+/// its key), about what one `paper_cold` pass stores. `prompt_cache_miss`
+/// asks them all of a fresh client, so each is stored; `prompt_cache_hit`
+/// asks them again of a client that holds them. Time ÷ 4·10⁴ is one
+/// lookup.
+fn bench_prompt_cache(c: &mut Criterion) {
+    const PROMPTS: usize = 40_000;
+    let template = PromptBuilder::for_model("chatgpt").fetch_template("city", "name", "population");
+    let prompts: Vec<String> = (0..PROMPTS)
+        .map(|i| template.render(&format!("San Lorenzo {i:08}")))
+        .collect();
+    c.bench_function("prompt_cache_miss/4e4", |b| {
+        b.iter(|| {
+            let client = LlmClient::new(Arc::new(NullModel));
+            for prompt in &prompts {
+                black_box(client.complete(black_box(prompt)));
+            }
+            client
+        })
+    });
+    let client = LlmClient::new(Arc::new(NullModel));
+    for prompt in &prompts {
+        client.complete(prompt);
+    }
+    c.bench_function("prompt_cache_hit/4e4", |b| {
+        b.iter(|| {
+            for prompt in &prompts {
+                black_box(client.complete(black_box(prompt)));
+            }
+        })
+    });
+    assert_eq!(client.stats().prompts, PROMPTS);
+}
+
 /// The sub-entry store as the engine uses it: a column handle resolved
 /// once, each key hashed once as it enters (`LlmClient::sub_key`), then
 /// one `extract_in` per key and column. Each case does its whole key set
@@ -217,5 +255,10 @@ fn bench_sub_columns(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_prompt_path, bench_sub_columns);
+criterion_group!(
+    benches,
+    bench_prompt_path,
+    bench_prompt_cache,
+    bench_sub_columns
+);
 criterion_main!(benches);

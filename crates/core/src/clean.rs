@@ -123,12 +123,16 @@ fn collapse_whitespace(s: &str) -> Cow<'_, str> {
     // Collapsed form: no whitespace but single spaces between words.
     // `after_space` starts true so that a leading space counts as a run.
     let mut after_space = true;
-    let collapsed = s.chars().all(|c| {
+    let mut single = |c: char| {
         let space = c.is_whitespace();
         let single = !space || (c == ' ' && !after_space);
         after_space = space;
         single
-    });
+    };
+    // An ASCII byte is a whole character: the walk reads bytes up to the
+    // first one ≥ 0x80 and decodes UTF-8 only from there.
+    let (ascii, rest) = s.split_at(s.bytes().position(|b| !b.is_ascii()).unwrap_or(s.len()));
+    let collapsed = ascii.bytes().all(|b| single(char::from(b))) && rest.chars().all(single);
     if collapsed && (s.is_empty() || !after_space) {
         Cow::Borrowed(s)
     } else {
@@ -581,6 +585,22 @@ mod tests {
         .boxed()
     }
 
+    /// `collapse_whitespace` as it was before its ASCII byte walk.
+    fn collapse_by_chars(s: &str) -> Cow<'_, str> {
+        let mut after_space = true;
+        let collapsed = s.chars().all(|c| {
+            let space = c.is_whitespace();
+            let single = !space || (c == ' ' && !after_space);
+            after_space = space;
+            single
+        });
+        if collapsed && (s.is_empty() || !after_space) {
+            Cow::Borrowed(s)
+        } else {
+            Cow::Owned(s.split_whitespace().collect::<Vec<_>>().join(" "))
+        }
+    }
+
     fn padding() -> BoxedStrategy<String> {
         "[ \t\n\u{a0}]{0,2}".boxed()
     }
@@ -605,6 +625,25 @@ mod tests {
                 format!("{lead}{core}{trail}")
             };
             assert_matches_reference(&answer);
+        }
+
+        /// The ASCII byte walk reads a text as the char walk it replaced
+        /// did, whitespace outside ASCII (U+0085, U+00A0, U+3000, …) and
+        /// ASCII controls that are not whitespace included.
+        #[test]
+        fn collapse_whitespace_matches_the_char_walk(
+            parts in prop::collection::vec(
+                prop::sample::select(vec![
+                    " ", "  ", "\t", "\n", "\u{b}", "\u{c}", "\r", "\u{1c}", "\u{85}",
+                    "\u{a0}", "\u{2009}", "\u{3000}", "a", "Rome", "é", "東京",
+                ]),
+                0..12,
+            ),
+            text in "[\t-\r -~\u{1c}-\u{1f}\u{85}\u{a0}\u{1680}\u{2000}-\u{200b}\u{2028}\u{2029}\u{202f}\u{205f}\u{3000}é東]{0,16}",
+        ) {
+            for s in [parts.concat(), text] {
+                prop_assert_eq!(collapse_whitespace(&s), collapse_by_chars(&s));
+            }
         }
 
         #[test]

@@ -132,9 +132,10 @@ pub(crate) fn compile_owned(
     Ok(CompiledQuery { steps, plan })
 }
 
-/// Every relation is LLM-sourced unless qualified `DB.`.
-fn is_llm_scan(source: Option<SourceQualifier>) -> bool {
-    source != Some(SourceQualifier::Db)
+/// Every relation is LLM-sourced unless qualified `DB.`; the unnamed
+/// one-row scan of a statement without `FROM` is no relation at all.
+fn is_llm_scan(table: &str, source: Option<SourceQualifier>) -> bool {
+    !table.is_empty() && source != Some(SourceQualifier::Db)
 }
 
 /// The attribute names the plan reads, per binding. Both are the plan's
@@ -222,7 +223,7 @@ fn rewrite(
                 source,
                 schema,
                 key_index,
-            } if is_llm_scan(source) => {
+            } if is_llm_scan(&table, source) => {
                 let mut conditions = Vec::new();
                 let mut residual: Vec<ScalarExpr> = Vec::new();
                 for conj in galois_relational::builder::split_conjuncts(predicate) {
@@ -253,7 +254,7 @@ fn rewrite(
             source,
             schema,
             key_index,
-        } if is_llm_scan(source) => make_step(
+        } if is_llm_scan(&table, source) => make_step(
             table,
             binding,
             key_index,

@@ -139,6 +139,38 @@ fn unknown_table_is_a_clean_error() {
     assert!(err.to_string().contains("volcanoes"), "{err}");
 }
 
+/// The unnamed one-row scan of a statement without `FROM` is no model
+/// relation: a session answers it as the database does, with no prompt,
+/// under the default and the serving options, and explains it.
+#[test]
+fn a_select_without_from_runs_through_a_session_with_no_prompt() {
+    let s = Scenario::generate(42);
+    for options in [GaloisOptions::default(), GaloisOptions::serving()] {
+        let g = Galois::with_options(
+            Arc::new(SimLlm::new(s.knowledge.clone(), ModelProfile::oracle())),
+            s.database.clone(),
+            options,
+        );
+        for sql in ["SELECT 1", "SELECT 1 + 2 AS x"] {
+            let got = g.execute(sql).unwrap();
+            let truth = s.database.execute(sql).unwrap();
+            assert_eq!(got.relation.rows, truth.rows, "{sql}");
+            assert_eq!(got.stats.total_prompts(), 0, "{sql}");
+        }
+        assert_eq!(
+            s.database.execute("SELECT 1").unwrap().rows,
+            vec![vec![Value::Int(1)]]
+        );
+        let plan = g.explain("SELECT 1").unwrap();
+        assert!(plan.contains("Dual"), "{plan}");
+        assert_eq!(
+            g.execute("EXPLAIN SELECT 1").unwrap().stats.total_prompts(),
+            0
+        );
+        assert_eq!(g.client().stats().prompts, 0);
+    }
+}
+
 #[test]
 fn aggregate_only_query_costs_no_fetch_prompts() {
     under_both_pipelines(GaloisOptions::default(), |s, g, pipeline| {

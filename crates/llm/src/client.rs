@@ -26,13 +26,14 @@
 //! lanes ([`lane_schedule`]), with `K = 1` reproducing the original
 //! sequential accounting bit-for-bit.
 
+use crate::arena::{Arena, Span, NONE};
 use crate::columns::{SubColumn, SubKey, SubLookup, SubStore};
 use crate::lanes::{lane_schedule, Parallelism};
 use crate::model::{Completion, FaultKind, LanguageModel, Usage};
 use crate::resilience::{CircuitBreaker, RetryPolicy};
 use parking_lot::Mutex;
-use std::collections::hash_map::{Entry as MapEntry, HashMap, RandomState};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::collections::hash_map::{HashMap, RandomState};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
@@ -139,13 +140,6 @@ impl FaultCounters {
     }
 }
 
-/// A cache slot: a landed completion, or a marker that some thread is
-/// already asking the model for this prompt.
-enum Slot {
-    Ready(Completion),
-    InFlight(Arc<InFlight>),
-}
-
 /// Progress of one in-flight completion.
 enum InFlightState {
     Pending,
@@ -154,8 +148,9 @@ enum InFlightState {
     Abandoned,
 }
 
-/// Rendezvous for concurrent requests of one prompt. Uses `std::sync`
-/// primitives directly because waiters need a [`Condvar`].
+/// Rendezvous for concurrent requests of one prompt, made when a second
+/// asker finds the prompt in flight. Uses `std::sync` primitives directly
+/// because waiters need a [`Condvar`].
 struct InFlight {
     state: StdMutex<InFlightState>,
     ready: Condvar,
@@ -193,14 +188,15 @@ impl InFlight {
     }
 }
 
-/// Unwind guard for the thread that owns an [`InFlight`] marker: if the
-/// model call panics, the marker is removed from the shard and waiters are
-/// woken with `Abandoned` instead of blocking forever (the panic itself
-/// unwinds on, out of the client call that asked the model).
+/// Unwind guard for the thread that asks the model for a prompt: if the
+/// model call panics, the prompt's in-flight entry is taken out of the
+/// shard and waiters are woken with `Abandoned` instead of blocking
+/// forever (the panic itself unwinds on, out of the client call that
+/// asked the model).
 struct FulfillGuard<'a> {
-    shard: &'a Mutex<Table<Slot>>,
+    shard: &'a Mutex<Shard>,
     probe: &'a Probe<'a>,
-    pending: &'a Arc<InFlight>,
+    ticket: u32,
     armed: bool,
 }
 
@@ -209,14 +205,10 @@ impl Drop for FulfillGuard<'_> {
         if !self.armed {
             return;
         }
-        let mut table = self.shard.lock();
-        if let Some(Slot::InFlight(current)) = table.get_mut(self.probe) {
-            if Arc::ptr_eq(current, self.pending) {
-                table.remove(self.probe);
-            }
+        let waiting = self.shard.lock().abandon(self.probe, self.ticket);
+        if let Some(pending) = waiting {
+            pending.resolve(InFlightState::Abandoned);
         }
-        drop(table);
-        self.pending.resolve(InFlightState::Abandoned);
     }
 }
 
@@ -224,157 +216,277 @@ impl Drop for FulfillGuard<'_> {
 /// ([`LlmClient::extract_sub_entry`]): the stored answer, copied out.
 pub type SubEntryLookup = SubLookup<String>;
 
-/// A string-keyed map striped over [`CACHE_SHARDS`] mutexes, so concurrent
-/// lookups of different keys do not serialise on one lock. Backs the
-/// prompt cache (`Striped<Slot>`).
+/// The prompt cache: full prompt text → completion, striped over
+/// [`CACHE_SHARDS`] mutexes, so concurrent lookups of different prompts
+/// do not serialise on one lock.
 ///
-/// Stored text is front-coded against the first key the map ever saw, the
-/// way B-tree pages and string dictionaries compress a sorted run: an
-/// entry keeps how many leading bytes it shares with that reference and
-/// its own tail. Operator prompts share a few-shot preamble of several
-/// hundred bytes, which is stored once.
+/// Stored text is front-coded against the first prompt the cache ever
+/// saw, the way B-tree pages and string dictionaries compress a sorted
+/// run: an entry keeps how many leading bytes it shares with that
+/// reference and its own tail. Operator prompts share a few-shot preamble
+/// of several hundred bytes, which is stored once.
 ///
-/// A lookup reads its key's bytes twice and no more. [`Striped::probe`]
+/// Each shard is an [`Arena`]: the tails and the completions' text in one
+/// text arena, one fixed-size [`Prompt`] entry per prompt (shared length,
+/// tail and answer spans, token counts, latency) beside its hash bits and
+/// chain link, and `u32` buckets. A stored prompt costs its tail, its
+/// answer and about 46 bytes, in no heap block of its own.
+///
+/// A lookup reads its prompt's bytes twice and no more. [`Striped::probe`]
 /// compares the text with the reference to find the length `common` of
 /// their shared prefix, then hashes `common` and the bytes past it (a
 /// prompt's question, not its preamble) with a SipHash keyed at random
-/// per map: keys hold model output, which is input from outside the
+/// per cache: prompts hold model output, which is input from outside the
 /// program, so the hash must stay one an adversary cannot aim. The
 /// reference is fixed, so `(common, text[common..])` determines the text
-/// and equal texts hash alike. That one `u64` picks the shard, indexes
-/// the shard's table through a pass-through [`Hasher`] and is the table's
-/// stored key, so a growing table never reads key text. The second read
-/// is the comparison: a hash only *locates* candidates, and an entry
-/// answers for a text only if its full text is equal.
-struct Striped<V> {
-    shards: Vec<Mutex<Table<V>>>,
+/// and equal texts hash alike. That one `u64` picks the shard, and its
+/// low 32 bits pick a bucket and are kept in the entry, so a growing
+/// index never reads prompt text. The second read is the comparison: a
+/// hash only *locates* candidates, and an entry answers for a text only
+/// if its full text is equal.
+struct Striped {
+    shards: Vec<Mutex<Shard>>,
     keys: RandomState,
-    /// The first key seen; every entry's `shared` counts bytes of it.
+    /// The first prompt seen; every entry's `shared` counts bytes of it.
     /// Never replaced (entries would decode differently), so it outlives
     /// [`Striped::clear`].
     reference: OnceLock<Box<str>>,
-    /// Test-only: hash every key to the same value, so that every lookup
-    /// exercises the collision chain of one shard.
+    /// Test-only: hash every prompt to the same value, so that every
+    /// lookup exercises the collision chain of one shard.
     #[cfg(test)]
     colliding: bool,
 }
 
-/// One lookup's view of its key: the text, its hash, and how many leading
-/// bytes it has in common with the map's reference.
+/// One lookup's view of its prompt: the text, its hash, and how many
+/// leading bytes it has in common with the cache's reference.
 struct Probe<'a> {
     text: &'a str,
     hash: u64,
     common: usize,
 }
 
-/// One stored key, `reference[..shared] + tail`, and its value. `next`
-/// chains the other keys with the same 64-bit hash, of which there are in
-/// practice none.
-struct Entry<V> {
-    shared: u32,
-    tail: Box<str>,
-    value: V,
-    next: Option<Box<Entry<V>>>,
-}
-
-impl<V> Entry<V> {
-    fn holds(&self, probe: &Probe) -> bool {
-        // `shared <= common` says the text starts with the same
-        // `reference[..shared]` this entry does.
-        let shared = self.shared as usize;
-        shared <= probe.common && probe.text.as_bytes()[shared..] == *self.tail.as_bytes()
-    }
-}
-
-/// Feeds a precomputed `u64` hash through to the table unchanged.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("tables are keyed by u64 hashes");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One shard: key hash → the entries with that hash.
-struct Table<V>(HashMap<u64, Entry<V>, BuildHasherDefault<PassThrough>>);
-
-impl<V> Table<V> {
-    fn get_mut(&mut self, probe: &Probe) -> Option<&mut V> {
-        let mut entry = self.0.get_mut(&probe.hash)?;
-        loop {
-            if entry.holds(probe) {
-                return Some(&mut entry.value);
-            }
-            entry = entry.next.as_deref_mut()?;
-        }
-    }
-
-    /// Stores a key that [`Table::get_mut`] has just reported absent.
-    fn insert(&mut self, probe: &Probe, value: V) {
-        // Back off to a character boundary so the tail is a `str`; `u32`
-        // bounds what one entry can share, never what it can hold.
-        let mut shared = probe.common.min(u32::MAX as usize);
-        while !probe.text.is_char_boundary(shared) {
+impl Probe<'_> {
+    /// How many bytes of the reference an entry for this text shares: the
+    /// common prefix, backed off to a character boundary so that the tail
+    /// is a `str`. `u32` bounds what one entry can share, never what it
+    /// can hold.
+    fn shared(&self) -> usize {
+        let mut shared = self.common.min(u32::MAX as usize);
+        while !self.text.is_char_boundary(shared) {
             shared -= 1;
         }
-        let mut entry = Entry {
-            shared: shared as u32,
-            tail: probe.text[shared..].into(),
-            value,
-            next: None,
-        };
-        match self.0.entry(probe.hash) {
-            MapEntry::Vacant(slot) => {
-                slot.insert(entry);
-            }
-            MapEntry::Occupied(slot) => {
-                let head = slot.into_mut();
-                entry.next = head.next.take();
-                head.next = Some(Box::new(entry));
-            }
-        }
-    }
-
-    fn remove(&mut self, probe: &Probe) {
-        let MapEntry::Occupied(mut slot) = self.0.entry(probe.hash) else {
-            return;
-        };
-        if slot.get().holds(probe) {
-            match slot.get_mut().next.take() {
-                Some(next) => *slot.get_mut() = *next,
-                None => {
-                    slot.remove();
-                }
-            }
-            return;
-        }
-        Self::unlink(&mut slot.get_mut().next, probe);
-    }
-
-    /// Removes the probe's entry from the chain behind a table slot.
-    fn unlink(link: &mut Option<Box<Entry<V>>>, probe: &Probe) {
-        match link {
-            Some(entry) if entry.holds(probe) => *link = entry.next.take(),
-            Some(entry) => Self::unlink(&mut entry.next, probe),
-            None => {}
-        }
+        shared
     }
 }
 
-impl<V> Striped<V> {
+/// One stored prompt, `reference[..shared]` + `tail`, and its completion.
+struct Prompt {
+    shared: u32,
+    tail: Span,
+    /// The completion's text. While the prompt is in flight its start is
+    /// [`NONE`] and its length is the asking thread's ticket.
+    answer: Span,
+    prompt_tokens: u32,
+    completion_tokens: u32,
+    latency_ms: u32,
+}
+
+impl Prompt {
+    /// The asking thread's ticket, while the prompt is in flight.
+    fn ticket(&self) -> Option<u32> {
+        (self.answer.start == NONE).then_some(self.answer.len)
+    }
+}
+
+/// A completion's token counts and latency as a [`Prompt`] holds them, or
+/// `None` when one of them does not fit in `u32`: such a completion is
+/// not stored.
+fn figures(completion: &Completion) -> Option<[u32; 3]> {
+    Some([
+        u32::try_from(completion.usage.prompt_tokens).ok()?,
+        u32::try_from(completion.usage.completion_tokens).ok()?,
+        u32::try_from(completion.latency_ms).ok()?,
+    ])
+}
+
+/// One shard of the prompt cache.
+struct Shard {
+    prompts: Arena<Prompt>,
+    /// The rendezvous of each in-flight prompt that someone waits for, by
+    /// ticket: empty unless two threads ask one prompt at once, so a miss
+    /// allocates none.
+    waiting: Vec<(u32, Arc<InFlight>)>,
+    /// The next in-flight prompt's ticket. A ticket is never handed out
+    /// twice, not even after a clear (an asker whose entry a clear took
+    /// out still resolves its waiters by its ticket), so a shard that has
+    /// handed out all of them stops storing.
+    tickets: u32,
+}
+
+/// What one look at a shard found for a prompt.
+enum Found {
+    Ready(Completion),
+    Wait(Arc<InFlight>),
+    /// The prompt is the caller's to complete, in flight under this
+    /// ticket; `None` when the shard is full and stores nothing more.
+    Mine(Option<u32>),
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard {
+            prompts: Arena::new(),
+            waiting: Vec::new(),
+            tickets: 0,
+        }
+    }
+
+    /// The position of the probe's entry.
+    fn find(&self, probe: &Probe) -> Option<usize> {
+        let prompts = &self.prompts;
+        prompts.find(probe.hash as u32, |prompt| {
+            // `shared <= common` says the text starts with the same
+            // `reference[..shared]` this entry does.
+            let shared = prompt.shared as usize;
+            shared <= probe.common
+                && probe.text.as_bytes()[shared..] == *prompts.text(prompt.tail).as_bytes()
+        })
+    }
+
+    /// A landed completion, the rendezvous of an in-flight one, or — for
+    /// a prompt the shard lacks — the caller's ticket to ask the model.
+    fn look(&mut self, probe: &Probe) -> Found {
+        let Some(at) = self.find(probe) else {
+            return Found::Mine(self.ask(probe).map(|(_, ticket)| ticket));
+        };
+        let prompt = self.prompts.get(at);
+        match prompt.ticket() {
+            Some(ticket) => Found::Wait(self.waiter(ticket)),
+            None => Found::Ready(Completion {
+                text: self.prompts.text(prompt.answer).to_string(),
+                usage: Usage {
+                    prompt_tokens: prompt.prompt_tokens as usize,
+                    completion_tokens: prompt.completion_tokens as usize,
+                },
+                latency_ms: prompt.latency_ms.into(),
+            }),
+        }
+    }
+
+    /// Stores a prompt that [`Shard::find`] has just reported absent, in
+    /// flight under a new ticket: its position and ticket, or `None` when
+    /// the shard is full.
+    fn ask(&mut self, probe: &Probe) -> Option<(usize, u32)> {
+        let ticket = self.tickets;
+        let shared = probe.shared();
+        let tail = &probe.text[shared..];
+        if ticket == NONE || !self.prompts.room(tail.len()) {
+            return None;
+        }
+        self.tickets += 1;
+        let tail = self.prompts.append(tail);
+        let prompt = Prompt {
+            shared: shared as u32,
+            tail,
+            answer: Span {
+                start: NONE,
+                len: ticket,
+            },
+            prompt_tokens: 0,
+            completion_tokens: 0,
+            latency_ms: 0,
+        };
+        Some((self.prompts.push(probe.hash as u32, prompt), ticket))
+    }
+
+    /// The rendezvous of the prompt in flight under `ticket`, made by its
+    /// first waiter.
+    fn waiter(&mut self, ticket: u32) -> Arc<InFlight> {
+        if let Some((_, pending)) = self.waiting.iter().find(|(t, _)| *t == ticket) {
+            return Arc::clone(pending);
+        }
+        let pending = Arc::new(InFlight::default());
+        self.waiting.push((ticket, Arc::clone(&pending)));
+        pending
+    }
+
+    /// Takes the rendezvous of `ticket` out, if anyone waits on it.
+    fn stop_waiting(&mut self, ticket: u32) -> Option<Arc<InFlight>> {
+        let at = self.waiting.iter().position(|(t, _)| *t == ticket)?;
+        Some(self.waiting.swap_remove(at).1)
+    }
+
+    /// Lands the completion that the asker holding `ticket` got, and
+    /// returns that asker's rendezvous if anyone waits on it. An entry in
+    /// flight takes the completion (the asker's own, or — after a clear
+    /// took that out — another asker's); a prompt a clear took out is
+    /// stored again; a landed entry keeps its completion. One that is not
+    /// kept (`keep` false: fault text) or cannot be (a figure past `u32`,
+    /// a full shard) takes the asker's own entry out instead.
+    fn land(
+        &mut self,
+        probe: &Probe,
+        ticket: u32,
+        completion: &Completion,
+        keep: bool,
+    ) -> Option<Arc<InFlight>> {
+        let figures = figures(completion).filter(|_| keep);
+        match (self.find(probe), figures) {
+            (Some(at), Some(figures)) => self.fill(at, ticket, &completion.text, figures),
+            (Some(at), None) => self.forget(at, ticket),
+            (None, Some(figures)) => {
+                if let Some((at, again)) = self.ask(probe) {
+                    self.fill(at, again, &completion.text, figures);
+                }
+            }
+            (None, None) => {}
+        }
+        self.stop_waiting(ticket)
+    }
+
+    /// Stores a completion in entry `at` if it is in flight, or forgets
+    /// the entry if it is `ticket`'s and the text does not fit.
+    fn fill(&mut self, at: usize, ticket: u32, text: &str, figures: [u32; 3]) {
+        if self.prompts.get(at).ticket().is_none() {
+            return;
+        }
+        if !self.prompts.room(text.len()) {
+            return self.forget(at, ticket);
+        }
+        let answer = self.prompts.append(text);
+        let prompt = self.prompts.get_mut(at);
+        prompt.answer = answer;
+        [
+            prompt.prompt_tokens,
+            prompt.completion_tokens,
+            prompt.latency_ms,
+        ] = figures;
+    }
+
+    /// Takes entry `at` out if it is in flight under `ticket`, and its
+    /// tail with it when nothing was appended after it.
+    fn forget(&mut self, at: usize, ticket: u32) {
+        if self.prompts.get(at).ticket() == Some(ticket) {
+            let prompt = self.prompts.remove(at);
+            self.prompts.release(prompt.tail);
+        }
+    }
+
+    /// The unwinding asker's side of [`Shard::land`]: its entry is taken
+    /// out, and its rendezvous returned to be abandoned.
+    fn abandon(&mut self, probe: &Probe, ticket: u32) -> Option<Arc<InFlight>> {
+        if let Some(at) = self.find(probe) {
+            self.forget(at, ticket);
+        }
+        self.stop_waiting(ticket)
+    }
+}
+
+impl Striped {
     fn new() -> Self {
         Striped {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Table(HashMap::default())))
+                .map(|_| Mutex::new(Shard::new()))
                 .collect(),
             keys: RandomState::new(),
             reference: OnceLock::new(),
@@ -383,7 +495,7 @@ impl<V> Striped<V> {
         }
     }
 
-    /// A map that hashes every key to the same value.
+    /// A cache that hashes every prompt to the same value.
     #[cfg(test)]
     fn colliding() -> Self {
         Striped {
@@ -404,16 +516,17 @@ impl<V> Striped<V> {
         Probe { text, hash, common }
     }
 
-    /// The shard a probe lives in. The table indexes itself by the hash's
-    /// low bits and tags entries by its top seven; the shard comes from
-    /// bits neither uses.
-    fn shard(&self, probe: &Probe) -> &Mutex<Table<V>> {
+    /// The shard a probe lives in. The shard's buckets and entries read
+    /// the hash's low 32 bits; the shard comes from bits they do not use.
+    fn shard(&self, probe: &Probe) -> &Mutex<Shard> {
         &self.shards[(probe.hash >> 32) as usize % CACHE_SHARDS]
     }
 
+    /// Empties every shard. In-flight asks land as after any clear, and
+    /// their waiters are still woken.
     fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().0.clear();
+            shard.lock().prompts.clear();
         }
     }
 }
@@ -438,7 +551,7 @@ pub struct LlmClient {
     model: Arc<dyn LanguageModel>,
     /// The prompt cache: full prompt text → completion (or in-flight
     /// marker).
-    cache: Striped<Slot>,
+    cache: Striped,
     /// **Per-key sub-entries**: individual `key → answer` fragments
     /// extracted from batched multi-key answers (and from single-key
     /// answers while batching is on), keyed by a caller-chosen task
@@ -567,40 +680,26 @@ impl LlmClient {
     /// resilience counters)`.
     ///
     /// The prompt is hashed once ([`Striped::probe`]), however many times
-    /// the table is consulted. Hits take a single shard-lock acquisition.
-    /// Misses insert an [`InFlight`] marker, release the lock, call the
-    /// model (through the retry loop when resilience is on), then swap the
-    /// marker for the landed completion — concurrent requests for the same
-    /// prompt wait on the marker and count as hits; with none waiting, the
-    /// completion is cloned once, for the cache. A completion carrying
-    /// fault-marker text ([`crate::faults::is_fault_text`]) goes to the
-    /// caller and the waiters but is not stored: its marker is removed,
-    /// so a later ask of the prompt is a miss that reaches the model
-    /// again. The marker also serialises the retry loop per prompt: a
-    /// prompt's attempt sequence is walked by exactly one thread, so fault
-    /// schedules stay deterministic under lanes.
+    /// its shard is consulted. Hits take a single shard-lock acquisition.
+    /// Misses store the prompt in flight under a ticket, release the lock,
+    /// call the model (through the retry loop when resilience is on), then
+    /// copy the completion into the shard's arena — nothing is allocated
+    /// per miss but the completion the model returns. Concurrent requests
+    /// for the same prompt wait on an [`InFlight`] rendezvous, which the
+    /// first of them makes, and count as hits; with none waiting, the
+    /// completion is not cloned at all. A completion carrying fault-marker
+    /// text ([`crate::faults::is_fault_text`]) goes to the caller and the
+    /// waiters but is not stored: its entry is taken out, so a later ask
+    /// of the prompt is a miss that reaches the model again. The in-flight
+    /// entry also serialises the retry loop per prompt: a prompt's attempt
+    /// sequence is walked by exactly one thread, so fault schedules stay
+    /// deterministic under lanes.
     fn lookup_or_complete(&self, prompt: &str) -> (Completion, bool, FaultCounters) {
-        enum Found {
-            Ready(Completion),
-            Wait(Arc<InFlight>),
-            Mine(Arc<InFlight>),
-        }
         let probe = self.cache.probe(prompt);
         let shard = self.cache.shard(&probe);
         loop {
-            let found = {
-                let mut table = shard.lock();
-                match table.get_mut(&probe) {
-                    Some(Slot::Ready(c)) => Found::Ready(c.clone()),
-                    Some(Slot::InFlight(pending)) => Found::Wait(Arc::clone(pending)),
-                    None => {
-                        let pending = Arc::new(InFlight::default());
-                        table.insert(&probe, Slot::InFlight(Arc::clone(&pending)));
-                        Found::Mine(pending)
-                    }
-                }
-            };
-            match found {
+            let found = shard.lock().look(&probe);
+            let ticket = match found {
                 Found::Ready(c) => return (c, true, FaultCounters::default()),
                 Found::Wait(pending) => match pending.wait() {
                     Some(c) => return (c, true, FaultCounters::default()),
@@ -608,42 +707,31 @@ impl LlmClient {
                     // lookup and complete the prompt ourselves.
                     None => continue,
                 },
-                Found::Mine(pending) => {
-                    let mut guard = FulfillGuard {
-                        shard,
-                        probe: &probe,
-                        pending: &pending,
-                        armed: true,
-                    };
-                    let (completion, counters) = self.call_model(prompt);
-                    guard.armed = false;
-                    // A fault's marker text answers this ask and its
-                    // waiters only: it is not kept, so the next ask of
-                    // the prompt reaches the model again.
-                    let keep = !crate::faults::is_fault_text(&completion.text);
-                    {
-                        let mut table = shard.lock();
-                        match table.get_mut(&probe) {
-                            // Normal path: replace our own marker in place.
-                            Some(slot) if keep => *slot = Slot::Ready(completion.clone()),
-                            // The cache was cleared mid-flight; re-insert.
-                            None if keep => table.insert(&probe, Slot::Ready(completion.clone())),
-                            // A fault: take our own marker out.
-                            Some(Slot::InFlight(current)) if Arc::ptr_eq(current, &pending) => {
-                                table.remove(&probe)
-                            }
-                            _ => {}
-                        }
-                    }
-                    // Waiters clone the marker under the shard lock, and
-                    // the table no longer holds it: if ours is the only
-                    // reference left, nobody waits and nobody will.
-                    if Arc::strong_count(&pending) > 1 {
-                        pending.resolve(InFlightState::Ready(completion.clone()));
-                    }
-                    return (completion, false, counters);
-                }
+                Found::Mine(ticket) => ticket,
+            };
+            let Some(ticket) = ticket else {
+                // A full shard stores nothing more: the model answers
+                // uncached.
+                let (completion, counters) = self.call_model(prompt);
+                return (completion, false, counters);
+            };
+            let mut guard = FulfillGuard {
+                shard,
+                probe: &probe,
+                ticket,
+                armed: true,
+            };
+            let (completion, counters) = self.call_model(prompt);
+            guard.armed = false;
+            // A fault's marker text answers this ask and its waiters
+            // only: it is not kept, so the next ask of the prompt
+            // reaches the model again.
+            let keep = !crate::faults::is_fault_text(&completion.text);
+            let waiting = shard.lock().land(&probe, ticket, &completion, keep);
+            if let Some(pending) = waiting {
+                pending.resolve(InFlightState::Ready(completion.clone()));
             }
+            return (completion, false, counters);
         }
     }
 
@@ -1588,31 +1676,73 @@ mod tests {
             assert_eq!(c.stats().cache_hits, 2, "the neighbours survived");
             // The abandoned prompt left no marker to park behind.
             let probe = c.cache.probe("boom");
-            assert!(c.cache.shard(&probe).lock().get_mut(&probe).is_none());
+            assert!(c.cache.shard(&probe).lock().find(&probe).is_none());
         }
+    }
+
+    /// A completion whose text and figures say which prompt it is for.
+    fn answer(text: &str, n: usize) -> Completion {
+        Completion {
+            text: text.to_string(),
+            usage: Usage {
+                prompt_tokens: n,
+                completion_tokens: n + 1,
+            },
+            latency_ms: n as u64 + 2,
+        }
+    }
+
+    /// The completion a shard serves for a key, `None` for one in flight
+    /// or absent.
+    fn served(map: &Striped, key: &str) -> Option<Option<Completion>> {
+        let probe = map.probe(key);
+        let shard = map.shard(&probe).lock();
+        let at = shard.find(&probe)?;
+        let prompt = shard.prompts.get(at);
+        Some(prompt.ticket().is_none().then(|| Completion {
+            text: shard.prompts.text(prompt.answer).to_string(),
+            usage: Usage {
+                prompt_tokens: prompt.prompt_tokens as usize,
+                completion_tokens: prompt.completion_tokens as usize,
+            },
+            latency_ms: prompt.latency_ms.into(),
+        }))
     }
 
     #[test]
     fn removal_unlinks_one_entry_wherever_it_sits_in_the_chain() {
-        let map: Striped<usize> = Striped::colliding();
-        let keys = ["head", "tail", "middle"]; // chained head → middle → tail
+        let map = Striped::colliding();
+        let keys = ["head", "tail", "middle"]; // chained middle → tail → head
         for victim in keys {
-            let mut table = Table(HashMap::default());
+            let mut shard = Shard::new();
+            let tickets: Vec<u32> = keys
+                .iter()
+                .map(|key| shard.ask(&map.probe(key)).unwrap().1)
+                .collect();
             for (i, key) in keys.iter().enumerate() {
-                table.insert(&map.probe(key), i);
+                let probe = map.probe(key);
+                if *key == victim {
+                    shard.abandon(&probe, tickets[i]);
+                } else {
+                    shard.land(&probe, tickets[i], &answer(key, i), true);
+                }
             }
-            table.remove(&map.probe(victim));
-            table.remove(&map.probe("never stored"));
-            for (i, key) in keys.iter().enumerate() {
-                let found = table.get_mut(&map.probe(key)).copied();
-                assert_eq!(found, (*key != victim).then_some(i), "{victim} / {key}");
+            shard.abandon(&map.probe("never stored"), 99);
+            for key in keys {
+                let probe = map.probe(key);
+                let found = shard.find(&probe).map(|at| shard.prompts.get(at).answer);
+                let text = found.map(|span| shard.prompts.text(span));
+                assert_eq!(text, (key != victim).then_some(key), "{victim} / {key}");
             }
+            assert_eq!(shard.prompts.len(), 2, "{victim}");
         }
-        // Removing the last entry of a hash removes the hash.
-        let mut table = Table(HashMap::default());
-        table.insert(&map.probe("only"), 0);
-        table.remove(&map.probe("only"));
-        assert!(table.0.is_empty());
+        // Taking out the last entry gives back its text: nothing is left.
+        let mut shard = Shard::new();
+        let probe = map.probe("only");
+        let (_, ticket) = shard.ask(&probe).unwrap();
+        shard.abandon(&probe, ticket);
+        assert_eq!(shard.prompts.len(), 0);
+        assert_eq!(shard.prompts.bytes().0, 0);
     }
 
     #[test]
@@ -1701,6 +1831,46 @@ mod tests {
         }
     }
 
+    /// A shard out of tickets, or a completion whose latency is past
+    /// `u32`, still answers every ask — from the model, each time.
+    #[test]
+    fn what_a_shard_cannot_hold_is_answered_uncached() {
+        /// Echoes, taking longer than a `u32` of milliseconds.
+        struct Slow;
+        impl LanguageModel for Slow {
+            fn name(&self) -> &str {
+                "slow"
+            }
+            fn context_window(&self) -> usize {
+                4096
+            }
+            fn complete(&self, prompt: &str) -> Completion {
+                Completion {
+                    latency_ms: u64::from(u32::MAX) + 1,
+                    ..Echo.complete(prompt)
+                }
+            }
+        }
+        let full = LlmClient::colliding(Arc::new(Echo));
+        full.complete("stored");
+        full.cache.shards[0].lock().tickets = NONE;
+        let slow = LlmClient::new(Arc::new(Slow));
+        for (c, prompt) in [(&full, "a"), (&slow, "a")] {
+            for _ in 0..2 {
+                assert_eq!(c.complete(prompt).text, "echo:a");
+            }
+        }
+        assert_eq!((full.stats().prompts, full.stats().cache_hits), (3, 0));
+        assert_eq!((slow.stats().prompts, slow.stats().cache_hits), (2, 0));
+        assert_eq!(
+            slow.complete_outcome("a").serial_ms,
+            BATCH_OVERHEAD_MS + (1 << 32)
+        );
+        // What the full shard stored before still answers.
+        full.complete("stored");
+        assert_eq!(full.stats().cache_hits, 1);
+    }
+
     #[test]
     fn entries_store_only_what_the_reference_lacks() {
         let c = LlmClient::new(Arc::new(Echo));
@@ -1710,9 +1880,46 @@ mod tests {
         let oslo = format!("{preamble}Q: Oslo é");
         let probe = c.cache.probe(&oslo);
         assert_eq!(probe.common, 703);
-        let table = c.cache.shard(&probe).lock();
-        let entry = &table.0[&probe.hash];
-        assert_eq!((entry.shared, &*entry.tail), (703, "Oslo é"));
+        let shard = c.cache.shard(&probe).lock();
+        let prompt = shard.prompts.get(shard.find(&probe).unwrap());
+        let tail = shard.prompts.text(prompt.tail);
+        assert_eq!((prompt.shared, tail), (703, "Oslo é"));
+        assert_eq!(shard.prompts.text(prompt.answer), format!("echo:{oslo}"));
+    }
+
+    /// What a stored prompt costs beyond its text: one fixed-size entry
+    /// and at most two `u32` buckets (their count is a power of two, at
+    /// least the entries'), while the text arena holds each tail and each
+    /// answer once. A layout that grows an entry, or keeps a heap block
+    /// per prompt again, fails here.
+    #[test]
+    fn a_stored_prompt_costs_its_text_and_at_most_48_bytes() {
+        let c = LlmClient::new(Arc::new(Echo));
+        let preamble = "Figure 4 preamble ".repeat(40);
+        let prompts: Vec<String> = (0..5_000)
+            .map(|i| format!("{preamble}Q: San Lorenzo {i:05}?"))
+            .collect();
+        for prompt in &prompts {
+            c.complete(prompt);
+        }
+        let (mut text, mut index, mut entries) = (0, 0, 0);
+        for shard in &c.cache.shards {
+            let shard = shard.lock();
+            let (t, i) = shard.prompts.bytes();
+            (text, index, entries) = (text + t, index + i, entries + shard.prompts.len());
+        }
+        assert_eq!(entries, prompts.len());
+        // Each prompt stores what it does not share with the first, and
+        // each answer is `echo:` + its prompt.
+        let reference = prompts[0].as_bytes();
+        let tails: usize = prompts
+            .iter()
+            .map(|p| p.len() - common_prefix(p.as_bytes(), reference))
+            .sum();
+        let answers: usize = prompts.iter().map(|p| p.len() + 5).sum();
+        assert_eq!(text, tails + answers);
+        assert_eq!(std::mem::size_of::<Prompt>(), 32);
+        assert!(index <= entries * 48, "{} bytes an entry", index / entries);
     }
 
     /// Fragments whose bytes overlap: `é` and `è` share their lead byte,
@@ -1727,9 +1934,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A `Striped` map answers every insert, get and remove as a
-        /// `HashMap<String, _>` does. Each key is a prefix of the reference
-        /// (the first key probed), cut at a character, plus fragments.
+        /// A `Striped` cache answers every ask, landing, fault, abandon
+        /// and clear as a `HashMap<String, _>` of in-flight tickets and
+        /// landed values does. Each key is a prefix of the reference (the
+        /// first key probed), cut at a character, plus fragments; each key
+        /// keeps a queue of the askers holding a ticket for it, which land
+        /// oldest first, so one lands into another's entry after a clear.
         #[test]
         fn striped_agrees_with_a_hash_map(
             reference in proptest::collection::vec(0..KEY_FRAGMENTS.len(), 0..8),
@@ -1740,6 +1950,11 @@ mod tests {
             ops in proptest::collection::vec((0usize..16, 0usize..8, 0usize..1000), 0..64),
             colliding in proptest::arbitrary::any::<bool>(),
         ) {
+            #[derive(Debug, Clone, Copy, PartialEq)]
+            enum State {
+                InFlight(u32),
+                Landed(usize),
+            }
             let reference = fragments(&reference);
             let keys: Vec<String> = keys
                 .iter()
@@ -1748,41 +1963,65 @@ mod tests {
                     head + &fragments(tail)
                 })
                 .collect();
-            let map: Striped<usize> = if colliding { Striped::colliding() } else { Striped::new() };
-            let mut oracle: HashMap<String, usize> = HashMap::new();
-            let get = |key: &str| {
-                let probe = map.probe(key);
-                let found = map.shard(&probe).lock().get_mut(&probe).copied();
-                found
+            let map = if colliding { Striped::colliding() } else { Striped::new() };
+            let mut oracle: HashMap<String, State> = HashMap::new();
+            let mut askers: HashMap<String, std::collections::VecDeque<u32>> = HashMap::new();
+            let agrees = |oracle: &HashMap<String, State>, key: &str| {
+                let want = oracle.get(key).map(|state| match *state {
+                    State::InFlight(_) => None,
+                    State::Landed(v) => Some(answer(&v.to_string(), v)),
+                });
+                served(&map, key) == want
             };
-            proptest::prop_assert_eq!(get(&reference), None);
+            proptest::prop_assert!(agrees(&oracle, &reference));
             for (op, at, value) in ops {
                 let key = &keys[at % keys.len()];
                 let probe = map.probe(key);
-                match op {
-                    0..=5 => {
-                        let mut table = map.shard(&probe).lock();
-                        if let Some(slot) = table.get_mut(&probe) {
-                            *slot = value;
-                        } else {
-                            table.insert(&probe, value);
+                let state = oracle.get(key).copied();
+                if op == 15 {
+                    map.clear();
+                    oracle.clear();
+                } else if op < 5 {
+                    match map.shard(&probe).lock().look(&probe) {
+                        Found::Mine(Some(ticket)) => {
+                            proptest::prop_assert_eq!(state, None);
+                            oracle.insert(key.clone(), State::InFlight(ticket));
+                            askers.entry(key.clone()).or_default().push_back(ticket);
                         }
-                        oracle.insert(key.clone(), value);
+                        Found::Mine(None) => proptest::prop_assert!(false, "a full shard"),
+                        Found::Wait(_) => {
+                            proptest::prop_assert!(matches!(state, Some(State::InFlight(_))));
+                        }
+                        Found::Ready(c) => {
+                            let Some(State::Landed(v)) = state else {
+                                return Err(proptest::test_runner::TestCaseError::fail("ready"));
+                            };
+                            proptest::prop_assert_eq!(c, answer(&v.to_string(), v));
+                        }
                     }
-                    6..=11 => {}
-                    12..=14 => {
-                        map.shard(&probe).lock().remove(&probe);
-                        oracle.remove(key);
-                    }
-                    _ => {
-                        map.clear();
-                        oracle.clear();
+                } else if let Some(ticket) = askers.get_mut(key).and_then(|q| q.pop_front()) {
+                    let mut shard = map.shard(&probe).lock();
+                    if op < 10 {
+                        shard.land(&probe, ticket, &answer(&value.to_string(), value), true);
+                        if !matches!(state, Some(State::Landed(_))) {
+                            oracle.insert(key.clone(), State::Landed(value));
+                        }
+                    } else {
+                        if op < 12 {
+                            let fault = crate::faults::fault_text(FaultKind::Timeout);
+                            shard.land(&probe, ticket, &answer(&fault, value), false);
+                        } else {
+                            shard.abandon(&probe, ticket);
+                        }
+                        if state == Some(State::InFlight(ticket)) {
+                            oracle.remove(key);
+                        }
                     }
                 }
-                proptest::prop_assert_eq!(get(key), oracle.get(key).copied(), "{:?}", key);
+                proptest::prop_assert!(agrees(&oracle, key), "{:?} after op {}", key, op);
             }
             for key in keys.iter().chain([&reference]) {
-                proptest::prop_assert_eq!(get(key), oracle.get(key).copied(), "{:?}", key);
+                proptest::prop_assert!(agrees(&oracle, key), "{:?}", key);
             }
         }
     }

@@ -6,18 +6,19 @@
 //! — a few hundred a session) and the *key* names one cell of it. The
 //! engine asks for the cells of one column, for consecutive keys, so the
 //! store keeps each column's entries together and in the order they
-//! arrived: one text arena, one array of fixed-size entries holding spans
-//! into it, and one array of buckets over the entries.
+//! arrived, in an [`Arena`]: one text arena, one array of fixed-size
+//! entries holding spans into it, and one array of `u32` buckets over the
+//! entries — the layout the prompt cache's shards share.
 //!
 //! A column is found by its full prefix text and an entry by its full key
 //! text. The 64-bit key hash — SipHash keyed at random per store, because
 //! keys are model output — only locates candidates: its low bits pick a
-//! bucket, whose entries chain through `Entry::next`. A bucket is one
-//! `u32`, and a column keeps at most one entry per bucket on average, so
-//! the index costs a few bytes a cell. Every column of a store hashes with
+//! bucket, whose entries chain. A column keeps at most one entry per
+//! bucket on average, so the index costs a few bytes a cell. Every column of a store hashes with
 //! the same key, so a caller asking one key of several columns hashes it
 //! once, into a [`SubKey`].
 
+use crate::arena::{Arena, Span, NONE};
 use parking_lot::Mutex;
 use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::BuildHasher;
@@ -75,138 +76,58 @@ impl KeyHasher {
     }
 }
 
-/// "No entry": ends a bucket's chain, and stands in an entry's answer start
-/// while the cell is asked but not yet answered. Text offsets and entry
-/// positions stay strictly below it ([`Column::room`]).
-const NONE: u32 = u32::MAX;
-
-/// The fewest buckets a column that holds an entry has.
-const MIN_BUCKETS: usize = 8;
-
-/// One cell: spans of the column's text arena, its key's hash, and the
-/// next entry of its bucket.
-struct Entry {
-    key_start: u32,
-    key_len: u32,
-    /// [`NONE`] while the answer is in flight.
-    answer_start: u32,
-    answer_len: u32,
-    /// The key hash's low 32 bits: enough to pick a bucket of any column
-    /// ([`Column::room`] keeps positions below 2³²), to re-chain the
-    /// entries when the buckets double, and to pass over most other keys
-    /// of a bucket without reading their bytes.
-    hash: u32,
-    next: u32,
+/// One cell: its key's span of the column's text, and its answer's —
+/// whose start is [`NONE`] while the answer is in flight.
+struct Cell {
+    key: Span,
+    answer: Span,
 }
 
 /// One column's cells in arrival order.
 struct Column {
-    /// Key and answer bytes, appended as they arrive and never moved.
-    text: String,
-    entries: Vec<Entry>,
-    /// Low hash bits → position of the newest entry with them, or
-    /// [`NONE`]; a power of two, at least as many as there are entries.
-    buckets: Vec<u32>,
+    cells: Arena<Cell>,
     /// The store's hasher, which made every [`SubKey`] this column is
     /// asked by.
     hasher: KeyHasher,
 }
 
 impl Column {
-    fn key_bytes(&self, entry: &Entry) -> &[u8] {
-        let start = entry.key_start as usize;
-        &self.text.as_bytes()[start..start + entry.key_len as usize]
-    }
-
-    /// The position of `key`'s entry, or the key's hash when it has none.
+    /// The position of `key`'s cell, or the key's hash when it has none.
     fn position(&self, key: &str, sub: SubKey) -> Result<usize, u64> {
         debug_assert_eq!(
             sub,
             self.hasher.sub_key(key),
             "a SubKey used with another key, or another client's"
         );
-        let hash = sub.hash as u32;
-        let mut at = if self.buckets.is_empty() {
-            NONE
-        } else {
-            self.buckets[self.bucket(hash)]
-        };
-        while at != NONE {
-            let entry = &self.entries[at as usize];
-            if entry.hash == hash && self.key_bytes(entry) == key.as_bytes() {
-                return Ok(at as usize);
-            }
-            at = entry.next;
-        }
-        Err(sub.hash)
+        let cells = &self.cells;
+        cells
+            .find(sub.hash as u32, |cell| cells.text(cell.key) == key)
+            .ok_or(sub.hash)
     }
 
-    /// The bucket of a hash; the column has buckets.
-    fn bucket(&self, hash: u32) -> usize {
-        hash as usize & (self.buckets.len() - 1)
-    }
-
-    /// Puts entry `at` at the head of its bucket's chain.
-    fn link(&mut self, at: u32) {
-        let bucket = self.bucket(self.entries[at as usize].hash);
-        self.entries[at as usize].next = self.buckets[bucket];
-        self.buckets[bucket] = at;
-    }
-
-    /// Whether one more entry and `bytes` more text keep every position
-    /// and offset below [`NONE`]. A column that is full stops storing; it
-    /// never serves a wrong span.
-    fn room(&self, bytes: usize) -> bool {
-        let end = self.text.len().checked_add(bytes);
-        self.entries.len() < NONE as usize && end.is_some_and(|end| end < NONE as usize)
-    }
-
-    /// Appends `s` to the arena; the caller has checked [`Column::room`].
-    fn append(&mut self, s: &str) -> (u32, u32) {
-        let start = self.text.len() as u32;
-        self.text.push_str(s);
-        (start, s.len() as u32)
-    }
-
-    /// Adds an entry for a key that [`Column::position`] has just reported
+    /// Adds a cell for a key that [`Column::position`] has just reported
     /// absent. Stores nothing when the column is full.
     fn push(&mut self, hash: u64, key: &str, answer: Option<&str>) {
-        if !self.room(key.len() + answer.map_or(0, str::len)) {
+        if !self.cells.room(key.len() + answer.map_or(0, str::len)) {
             return;
         }
-        let (key_start, key_len) = self.append(key);
-        let (answer_start, answer_len) = answer.map_or((NONE, 0), |a| self.append(a));
-        let at = self.entries.len() as u32;
-        self.entries.push(Entry {
-            key_start,
-            key_len,
-            answer_start,
-            answer_len,
-            hash: hash as u32,
-            next: NONE,
-        });
-        if self.entries.len() <= self.buckets.len() {
-            self.link(at);
-        } else {
-            // Twice the buckets, every entry re-chained oldest first, so
-            // each chain still starts at its newest entry.
-            self.buckets = vec![NONE; (2 * self.buckets.len()).max(MIN_BUCKETS)];
-            for at in 0..=at {
-                self.link(at);
-            }
-        }
+        let key = self.cells.append(key);
+        let answer = answer.map_or(
+            Span {
+                start: NONE,
+                len: 0,
+            },
+            |a| self.cells.append(a),
+        );
+        self.cells.push(hash as u32, Cell { key, answer });
     }
 
     fn extract<R>(&mut self, key: &str, sub: SubKey, read: impl FnOnce(&str) -> R) -> SubLookup<R> {
         match self.position(key, sub) {
-            Ok(at) => {
-                let entry = &self.entries[at];
-                if entry.answer_start == NONE {
-                    return SubLookup::InFlight;
-                }
-                let start = entry.answer_start as usize;
-                SubLookup::Hit(read(&self.text[start..start + entry.answer_len as usize]))
-            }
+            Ok(at) => match self.cells.get(at).answer {
+                Span { start: NONE, .. } => SubLookup::InFlight,
+                answer => SubLookup::Hit(read(self.cells.text(answer))),
+            },
             Err(hash) => {
                 self.push(hash, key, None);
                 SubLookup::Miss
@@ -216,23 +137,15 @@ impl Column {
 
     fn store(&mut self, key: &str, sub: SubKey, answer: &str) {
         match self.position(key, sub) {
-            Ok(at) if self.entries[at].answer_start == NONE => {
-                if self.room(answer.len()) {
-                    let (start, len) = self.append(answer);
-                    let entry = &mut self.entries[at];
-                    (entry.answer_start, entry.answer_len) = (start, len);
+            Ok(at) if self.cells.get(at).answer.start == NONE => {
+                if self.cells.room(answer.len()) {
+                    self.cells.get_mut(at).answer = self.cells.append(answer);
                 }
             }
             // First stored write wins.
             Ok(_) => {}
             Err(hash) => self.push(hash, key, Some(answer)),
         }
-    }
-
-    fn clear(&mut self) {
-        self.text.clear();
-        self.entries.clear();
-        self.buckets.clear();
     }
 }
 
@@ -301,9 +214,7 @@ impl SubStore {
         let mut columns = self.columns.lock();
         if !columns.contains_key(prefix) {
             let column = Column {
-                text: String::new(),
-                entries: Vec::new(),
-                buckets: Vec::new(),
+                cells: Arena::new(),
                 hasher: self.hasher.clone(),
             };
             columns.insert(prefix.into(), SubColumn(Arc::new(Mutex::new(column))));
@@ -333,7 +244,7 @@ impl SubStore {
     /// attached.
     pub(crate) fn clear(&self) {
         for column in self.columns.lock().values() {
-            column.0.lock().clear();
+            column.0.lock().cells.clear();
         }
     }
 }

@@ -31,6 +31,7 @@
 #![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod arena;
 mod client;
 mod columns;
 pub mod faults;

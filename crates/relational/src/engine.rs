@@ -370,6 +370,17 @@ mod tests {
         assert!(text.contains("rows≈"));
     }
 
+    /// A statement without FROM reads the one-row "dual" scan, which the
+    /// plan names rather than printing an empty table and binding.
+    #[test]
+    fn explain_names_the_dual_scan() {
+        let db = sample_db();
+        assert_eq!(
+            db.explain("SELECT 1").unwrap(),
+            "Project 1 AS 1  (rows≈1)\n  Dual  (rows≈1)\n"
+        );
+    }
+
     #[test]
     fn explain_statement_returns_plan_relation() {
         let db = sample_db();

@@ -383,6 +383,8 @@ impl LogicalPlan {
     /// newline).
     fn write_operator(&self, out: &mut String) -> fmt::Result {
         match self {
+            // The one-row scan of a statement without FROM.
+            LogicalPlan::Scan { table, .. } if table.is_empty() => out.write_str("Dual"),
             LogicalPlan::Scan {
                 table,
                 binding,
