@@ -5,18 +5,32 @@
 //! The prompt cache keeps one per shard (`client::Striped`), the
 //! sub-entry store one per column ([`crate::columns`]). Each entry costs
 //! its own fixed size plus a bucket or two, however long its text, and
-//! the text lies in one allocation, so an entry adds no heap block of its
-//! own. Positions and text offsets are `u32`, strictly below [`NONE`]:
+//! the text lies in a few large chunks, so an entry adds no heap block of
+//! its own. Positions and span starts are `u32`, strictly below [`NONE`]:
 //! an arena that one more entry or span would overflow reports no
 //! [`Arena::room`], and its owner stops storing rather than serve a
 //! wrong span.
 
 /// "No entry": ends a bucket's chain, and stands in a span's start where
-/// an entry has no text yet. Positions and offsets stay strictly below it.
+/// an entry has no text yet. Positions and span starts stay strictly
+/// below it.
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// The fewest buckets an arena that holds an entry has.
 const MIN_BUCKETS: usize = 8;
+
+/// The bytes a chunk of text holds before the next one starts, unless a
+/// span alone is longer and has a chunk of its own.
+const CHUNK: usize = 32 * 1024;
+
+/// A span's start is its chunk's index shifted past these bits and its
+/// offset in the chunk below them, so a chunk is at most `1 << 16` bytes
+/// apart from one holding a single longer span, which starts at 0.
+const OFFSET_BITS: u32 = 16;
+
+/// Chunks an arena may have, so that every span start stays below
+/// [`NONE`].
+const MAX_CHUNKS: usize = (NONE >> OFFSET_BITS) as usize;
 
 /// A run of an arena's text, or — with `start` [`NONE`] — none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +52,12 @@ struct Slot<E> {
 
 /// Text, fixed-size entries in arrival order, and buckets over them.
 pub(crate) struct Arena<E> {
-    /// Entry text, appended as it arrives and never moved.
-    text: String,
+    /// Entry text, appended as it arrives and never moved from its
+    /// chunk. The first chunk grows as a `String` does, so a small arena
+    /// stays small; every later one is allocated at [`CHUNK`] bytes and
+    /// never grows, so a large arena's text is never copied and leaves no
+    /// freed blocks of its growth behind.
+    text: Vec<String>,
     slots: Vec<Slot<E>>,
     /// Low hash bits → position of the newest entry with them, or
     /// [`NONE`]; a power of two, at least as many as there are entries.
@@ -49,7 +67,7 @@ pub(crate) struct Arena<E> {
 impl<E> Arena<E> {
     pub(crate) const fn new() -> Self {
         Arena {
-            text: String::new(),
+            text: Vec::new(),
             slots: Vec::new(),
             buckets: Vec::new(),
         }
@@ -65,38 +83,60 @@ impl<E> Arena<E> {
 
     /// The text of a span this arena appended.
     pub(crate) fn text(&self, span: Span) -> &str {
-        let start = span.start as usize;
-        &self.text[start..start + span.len as usize]
+        if span.len == 0 {
+            return "";
+        }
+        let (index, at) = Self::locate(span);
+        &self.text[index][at..at + span.len as usize]
     }
 
-    /// Whether one more entry and `bytes` more text keep every position
-    /// and offset below [`NONE`].
+    /// A span's chunk and its offset in it.
+    fn locate(span: Span) -> (usize, usize) {
+        let offset = span.start & ((1 << OFFSET_BITS) - 1);
+        ((span.start >> OFFSET_BITS) as usize, offset as usize)
+    }
+
+    /// Whether one more entry and two more spans of `bytes` in all keep
+    /// every position and span start below [`NONE`].
     pub(crate) fn room(&self, bytes: usize) -> bool {
-        let end = self.text.len().checked_add(bytes);
-        self.slots.len() < NONE as usize && end.is_some_and(|end| end < NONE as usize)
+        self.slots.len() < NONE as usize
+            && bytes < NONE as usize
+            && self.text.len() + 2 <= MAX_CHUNKS
     }
 
     /// Appends `s` to the text; the caller has checked [`Arena::room`].
-    /// Every empty span starts at 0, so that none points past text that
-    /// [`Arena::release`] gave back.
+    /// Every empty span starts at 0 and reads no chunk.
     pub(crate) fn append(&mut self, s: &str) -> Span {
-        let start = if s.is_empty() {
-            0
-        } else {
-            self.text.len() as u32
-        };
-        self.text.push_str(s);
-        Span {
-            start,
-            len: s.len() as u32,
+        let len = s.len() as u32;
+        if s.is_empty() {
+            return Span { start: 0, len };
         }
+        let fits = (self.text.last()).is_some_and(|chunk| chunk.len() + s.len() <= CHUNK);
+        if !fits {
+            let capacity = if self.text.is_empty() { 0 } else { CHUNK };
+            self.text.push(String::with_capacity(capacity.max(s.len())));
+        }
+        let index = self.text.len() - 1;
+        let chunk = &mut self.text[index];
+        if chunk.capacity() - chunk.len() < s.len() {
+            // The first chunk doubles, up to a chunk's size.
+            let capacity = (2 * chunk.capacity()).clamp(chunk.len() + s.len(), CHUNK);
+            chunk.reserve_exact(capacity - chunk.len());
+        }
+        let start = (index as u32) << OFFSET_BITS | chunk.len() as u32;
+        chunk.push_str(s);
+        Span { start, len }
     }
 
     /// Gives back the text of a span that [`Arena::append`] appended last,
     /// when nothing was appended after it; any other span's bytes stay.
     pub(crate) fn release(&mut self, span: Span) {
-        if span.start as usize + span.len as usize == self.text.len() {
-            self.text.truncate(span.start as usize);
+        let (index, at) = Self::locate(span);
+        let last = self.text.len().checked_sub(1);
+        if let Some(chunk) = self.text.last_mut().filter(|_| last == Some(index)) {
+            if span.len > 0 && at + span.len as usize == chunk.len() {
+                chunk.truncate(at);
+            }
         }
     }
 
@@ -182,9 +222,13 @@ impl<E> Arena<E> {
         self.slots.swap_remove(at).value
     }
 
-    /// Empties the arena; it keeps its allocations.
+    /// Empties the arena; it keeps its first chunk's allocation and its
+    /// index's.
     pub(crate) fn clear(&mut self) {
-        self.text.clear();
+        self.text.truncate(1);
+        if let Some(first) = self.text.first_mut() {
+            first.clear();
+        }
         self.slots.clear();
         self.buckets.clear();
     }
@@ -201,7 +245,7 @@ impl<E> Arena<E> {
     pub(crate) fn bytes(&self) -> (usize, usize) {
         let index = self.slots.len() * std::mem::size_of::<Slot<E>>()
             + self.buckets.len() * std::mem::size_of::<u32>();
-        (self.text.len(), index)
+        (self.text.iter().map(String::len).sum(), index)
     }
 }
 
@@ -250,6 +294,40 @@ mod tests {
             let found = arena.find(i, |_| true).map(|at| arena.text(*arena.get(at)));
             let kept = i % 3 != 0;
             assert_eq!(found, kept.then(|| i.to_string()).as_deref(), "{i}");
+        }
+    }
+
+    /// Text past a chunk starts the next one, a span longer than a chunk
+    /// has one of its own, and every span reads back as appended, before
+    /// and after a clear.
+    #[test]
+    fn spans_read_back_across_chunks() {
+        let texts: Vec<String> = (0..200usize)
+            .map(|i| match i % 50 {
+                0 => "long ".repeat(CHUNK / 4 + i),
+                7 => String::new(),
+                _ => format!("text {i} ").repeat(i % 13 + 1) + "é",
+            })
+            .collect();
+        let mut arena: Arena<Span> = Arena::new();
+        for round in 0..2 {
+            let spans: Vec<Span> = texts.iter().map(|t| arena.append(t)).collect();
+            for (span, text) in spans.iter().zip(&texts) {
+                assert_eq!(arena.text(*span), text.as_str(), "round {round}");
+            }
+            assert_eq!(
+                arena.bytes().0,
+                texts.iter().map(String::len).sum::<usize>()
+            );
+            // Four long spans of their own, and the rest in several
+            // chunks, none allocated past its size or a chunk's (but the
+            // first, which a clear keeps).
+            assert!(arena.text.len() > 6, "{} chunks", arena.text.len());
+            for chunk in &arena.text[round..] {
+                assert!(chunk.capacity() <= chunk.len().max(CHUNK));
+            }
+            arena.clear();
+            assert_eq!(arena.text.len(), 1);
         }
     }
 
