@@ -83,11 +83,18 @@ impl<E> Arena<E> {
 
     /// The text of a span this arena appended.
     pub(crate) fn text(&self, span: Span) -> &str {
-        if span.len == 0 {
-            return "";
-        }
         let (index, at) = Self::locate(span);
-        &self.text[index][at..at + span.len as usize]
+        self.text
+            .get(index)
+            .map_or("", |chunk| &chunk[at..at + span.len as usize])
+    }
+
+    /// [`Arena::text`] as bytes, for a comparison.
+    pub(crate) fn bytes(&self, span: Span) -> &[u8] {
+        let (index, at) = Self::locate(span);
+        self.text
+            .get(index)
+            .map_or(&[], |chunk| &chunk.as_bytes()[at..at + span.len as usize])
     }
 
     /// A span's chunk and its offset in it.
@@ -105,7 +112,8 @@ impl<E> Arena<E> {
     }
 
     /// Appends `s` to the text; the caller has checked [`Arena::room`].
-    /// Every empty span starts at 0 and reads no chunk.
+    /// Every empty span starts at 0, which an empty arena has no chunk
+    /// for.
     pub(crate) fn append(&mut self, s: &str) -> Span {
         let len = s.len() as u32;
         if s.is_empty() {
@@ -128,15 +136,15 @@ impl<E> Arena<E> {
         Span { start, len }
     }
 
-    /// Gives back the text of a span that [`Arena::append`] appended last,
-    /// when nothing was appended after it; any other span's bytes stay.
+    /// Gives back a span's text when nothing was appended after it to its
+    /// chunk; any other span's bytes stay.
     pub(crate) fn release(&mut self, span: Span) {
         let (index, at) = Self::locate(span);
-        let last = self.text.len().checked_sub(1);
-        if let Some(chunk) = self.text.last_mut().filter(|_| last == Some(index)) {
-            if span.len > 0 && at + span.len as usize == chunk.len() {
-                chunk.truncate(at);
+        match self.text.get_mut(index) {
+            Some(chunk) if span.len > 0 && at + span.len as usize == chunk.len() => {
+                chunk.truncate(at)
             }
+            _ => {}
         }
     }
 
@@ -242,7 +250,7 @@ impl<E> Arena<E> {
     /// Bytes in use: `(text, index)`, the index being the entries and the
     /// buckets.
     #[cfg(test)]
-    pub(crate) fn bytes(&self) -> (usize, usize) {
+    pub(crate) fn footprint(&self) -> (usize, usize) {
         let index = self.slots.len() * std::mem::size_of::<Slot<E>>()
             + self.buckets.len() * std::mem::size_of::<u32>();
         (self.text.iter().map(String::len).sum(), index)
@@ -316,7 +324,7 @@ mod tests {
                 assert_eq!(arena.text(*span), text.as_str(), "round {round}");
             }
             assert_eq!(
-                arena.bytes().0,
+                arena.footprint().0,
                 texts.iter().map(String::len).sum::<usize>()
             );
             // Four long spans of their own, and the rest in several
@@ -340,7 +348,7 @@ mod tests {
         arena.release(first);
         assert_eq!(arena.text(second), "second");
         arena.release(second);
-        assert_eq!(arena.bytes().0, "first".len());
+        assert_eq!(arena.footprint().0, "first".len());
         assert_eq!((arena.text(first), arena.text(empty)), ("first", ""));
     }
 }

@@ -348,8 +348,7 @@ impl Shard {
             // `shared <= common` says the text starts with the same
             // `reference[..shared]` this entry does.
             let shared = prompt.shared as usize;
-            shared <= probe.common
-                && probe.text.as_bytes()[shared..] == *prompts.text(prompt.tail).as_bytes()
+            shared <= probe.common && probe.text.as_bytes()[shared..] == *prompts.bytes(prompt.tail)
         })
     }
 
@@ -1742,7 +1741,7 @@ mod tests {
         let (_, ticket) = shard.ask(&probe).unwrap();
         shard.abandon(&probe, ticket);
         assert_eq!(shard.prompts.len(), 0);
-        assert_eq!(shard.prompts.bytes().0, 0);
+        assert_eq!(shard.prompts.footprint().0, 0);
     }
 
     #[test]
@@ -1905,7 +1904,7 @@ mod tests {
         let (mut text, mut index, mut entries) = (0, 0, 0);
         for shard in &c.cache.shards {
             let shard = shard.lock();
-            let (t, i) = shard.prompts.bytes();
+            let (t, i) = shard.prompts.footprint();
             (text, index, entries) = (text + t, index + i, entries + shard.prompts.len());
         }
         assert_eq!(entries, prompts.len());

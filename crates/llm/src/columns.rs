@@ -14,9 +14,9 @@
 //! text. The 64-bit key hash — SipHash keyed at random per store, because
 //! keys are model output — only locates candidates: its low bits pick a
 //! bucket, whose entries chain. A column keeps at most one entry per
-//! bucket on average, so the index costs a few bytes a cell. Every column of a store hashes with
-//! the same key, so a caller asking one key of several columns hashes it
-//! once, into a [`SubKey`].
+//! bucket on average, so the index costs a few bytes a cell. Every column
+//! of a store hashes with the same key, so a caller asking one key of
+//! several columns hashes it once, into a [`SubKey`].
 
 use crate::arena::{Arena, Span, NONE};
 use parking_lot::Mutex;
@@ -101,7 +101,9 @@ impl Column {
         );
         let cells = &self.cells;
         cells
-            .find(sub.hash as u32, |cell| cells.text(cell.key) == key)
+            .find(sub.hash as u32, |cell| {
+                cells.bytes(cell.key) == key.as_bytes()
+            })
             .ok_or(sub.hash)
     }
 
