@@ -15,9 +15,9 @@
 //! all its sub-entry columns read 11.92 allocations per row on this world
 //! (407 per statement; the code before it, 15.0 and 511); planning each
 //! statement without copying names took that to 9.41 (321 per
-//! statement). A prompt cache that allocates nothing per miss took 0.11
-//! off that and its text chunks put 0.03 back: 9.30 (317). The budget is
-//! that reading plus 10 %. A change that starts
+//! statement), and a prompt cache that allocates nothing per miss (its
+//! grid prompts' misses) to 9.28 (317). The budget is that reading plus
+//! 10 %. A change that starts
 //! copying keys or cells per row again fails here before any timing shows
 //! it.
 //!
@@ -59,7 +59,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 /// Allocations per retrieved row the serving test allows.
-const BUDGET_PER_ROW: f64 = 9.30 * 1.1;
+const BUDGET_PER_ROW: f64 = 9.28 * 1.1;
 
 /// Allocations per prompt the paper-path test allows.
 const BUDGET_PER_PROMPT: f64 = 13.05 * 1.1;

@@ -52,12 +52,14 @@ struct Slot<E> {
 
 /// Text, fixed-size entries in arrival order, and buckets over them.
 pub(crate) struct Arena<E> {
-    /// Entry text, appended as it arrives and never moved from its
-    /// chunk. The first chunk grows as a `String` does, so a small arena
-    /// stays small; every later one is allocated at [`CHUNK`] bytes and
-    /// never grows, so a large arena's text is never copied and leaves no
-    /// freed blocks of its growth behind.
-    text: Vec<String>,
+    /// The chunk being filled, whose index is `sealed.len()`. Until a
+    /// chunk is sealed it grows as a `String` does, so a small arena stays
+    /// small and reads its text with no indirection.
+    text: String,
+    /// Full chunks. Past the first, each was allocated at [`CHUNK`] bytes
+    /// (or its one longer span's) and never grew, so a large arena's text
+    /// is never copied and leaves no freed blocks of its growth behind.
+    sealed: Vec<String>,
     slots: Vec<Slot<E>>,
     /// Low hash bits → position of the newest entry with them, or
     /// [`NONE`]; a power of two, at least as many as there are entries.
@@ -67,7 +69,8 @@ pub(crate) struct Arena<E> {
 impl<E> Arena<E> {
     pub(crate) const fn new() -> Self {
         Arena {
-            text: Vec::new(),
+            text: String::new(),
+            sealed: Vec::new(),
             slots: Vec::new(),
             buckets: Vec::new(),
         }
@@ -83,24 +86,21 @@ impl<E> Arena<E> {
 
     /// The text of a span this arena appended.
     pub(crate) fn text(&self, span: Span) -> &str {
-        let (index, at) = Self::locate(span);
-        self.text
-            .get(index)
-            .map_or("", |chunk| &chunk[at..at + span.len as usize])
+        let (chunk, at) = self.locate(span);
+        &chunk[at..at + span.len as usize]
     }
 
     /// [`Arena::text`] as bytes, for a comparison.
     pub(crate) fn bytes(&self, span: Span) -> &[u8] {
-        let (index, at) = Self::locate(span);
-        self.text
-            .get(index)
-            .map_or(&[], |chunk| &chunk.as_bytes()[at..at + span.len as usize])
+        let (chunk, at) = self.locate(span);
+        &chunk.as_bytes()[at..at + span.len as usize]
     }
 
     /// A span's chunk and its offset in it.
-    fn locate(span: Span) -> (usize, usize) {
-        let offset = span.start & ((1 << OFFSET_BITS) - 1);
-        ((span.start >> OFFSET_BITS) as usize, offset as usize)
+    fn locate(&self, span: Span) -> (&str, usize) {
+        let index = (span.start >> OFFSET_BITS) as usize;
+        let chunk = self.sealed.get(index).unwrap_or(&self.text);
+        (chunk, (span.start & ((1 << OFFSET_BITS) - 1)) as usize)
     }
 
     /// Whether one more entry and two more spans of `bytes` in all keep
@@ -108,43 +108,41 @@ impl<E> Arena<E> {
     pub(crate) fn room(&self, bytes: usize) -> bool {
         self.slots.len() < NONE as usize
             && bytes < NONE as usize
-            && self.text.len() + 2 <= MAX_CHUNKS
+            && self.sealed.len() + 2 < MAX_CHUNKS
     }
 
     /// Appends `s` to the text; the caller has checked [`Arena::room`].
-    /// Every empty span starts at 0, which an empty arena has no chunk
-    /// for.
+    /// Every empty span starts at 0.
     pub(crate) fn append(&mut self, s: &str) -> Span {
         let len = s.len() as u32;
         if s.is_empty() {
             return Span { start: 0, len };
         }
-        let fits = (self.text.last()).is_some_and(|chunk| chunk.len() + s.len() <= CHUNK);
-        if !fits {
-            let capacity = if self.text.is_empty() { 0 } else { CHUNK };
-            self.text.push(String::with_capacity(capacity.max(s.len())));
+        if !self.text.is_empty() && self.text.len() + s.len() > CHUNK {
+            let next = String::with_capacity(CHUNK.max(s.len()));
+            self.sealed.push(std::mem::replace(&mut self.text, next));
         }
-        let index = self.text.len() - 1;
-        let chunk = &mut self.text[index];
-        if chunk.capacity() - chunk.len() < s.len() {
+        if self.text.capacity() - self.text.len() < s.len() {
             // The first chunk doubles, up to a chunk's size.
-            let capacity = (2 * chunk.capacity()).clamp(chunk.len() + s.len(), CHUNK);
-            chunk.reserve_exact(capacity - chunk.len());
+            let capacity = (2 * self.text.capacity()).min(CHUNK);
+            let capacity = capacity.max(self.text.len() + s.len());
+            self.text.reserve_exact(capacity - self.text.len());
         }
-        let start = (index as u32) << OFFSET_BITS | chunk.len() as u32;
-        chunk.push_str(s);
+        let start = (self.sealed.len() as u32) << OFFSET_BITS | self.text.len() as u32;
+        self.text.push_str(s);
         Span { start, len }
     }
 
     /// Gives back a span's text when nothing was appended after it to its
     /// chunk; any other span's bytes stay.
     pub(crate) fn release(&mut self, span: Span) {
-        let (index, at) = Self::locate(span);
-        match self.text.get_mut(index) {
-            Some(chunk) if span.len > 0 && at + span.len as usize == chunk.len() => {
-                chunk.truncate(at)
-            }
-            _ => {}
+        let (chunk, at) = self.locate(span);
+        if span.len > 0 && at + span.len as usize == chunk.len() {
+            let index = (span.start >> OFFSET_BITS) as usize;
+            self.sealed
+                .get_mut(index)
+                .unwrap_or(&mut self.text)
+                .truncate(at);
         }
     }
 
@@ -230,13 +228,11 @@ impl<E> Arena<E> {
         self.slots.swap_remove(at).value
     }
 
-    /// Empties the arena; it keeps its first chunk's allocation and its
-    /// index's.
+    /// Empties the arena; it keeps the allocations of the chunk being
+    /// filled and of its index.
     pub(crate) fn clear(&mut self) {
-        self.text.truncate(1);
-        if let Some(first) = self.text.first_mut() {
-            first.clear();
-        }
+        self.text.clear();
+        self.sealed.clear();
         self.slots.clear();
         self.buckets.clear();
     }
@@ -253,7 +249,8 @@ impl<E> Arena<E> {
     pub(crate) fn footprint(&self) -> (usize, usize) {
         let index = self.slots.len() * std::mem::size_of::<Slot<E>>()
             + self.buckets.len() * std::mem::size_of::<u32>();
-        (self.text.iter().map(String::len).sum(), index)
+        let text = self.sealed.iter().map(String::len).sum::<usize>() + self.text.len();
+        (text, index)
     }
 }
 
@@ -328,14 +325,13 @@ mod tests {
                 texts.iter().map(String::len).sum::<usize>()
             );
             // Four long spans of their own, and the rest in several
-            // chunks, none allocated past its size or a chunk's (but the
-            // first, which a clear keeps).
-            assert!(arena.text.len() > 6, "{} chunks", arena.text.len());
-            for chunk in &arena.text[round..] {
+            // chunks, none allocated past its size or a chunk's.
+            assert!(arena.sealed.len() > 6, "{} chunks", arena.sealed.len());
+            for chunk in arena.sealed.iter().chain([&arena.text]) {
                 assert!(chunk.capacity() <= chunk.len().max(CHUNK));
             }
             arena.clear();
-            assert_eq!(arena.text.len(), 1);
+            assert!(arena.sealed.is_empty());
         }
     }
 

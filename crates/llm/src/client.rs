@@ -226,11 +226,11 @@ pub type SubEntryLookup = SubLookup<String>;
 /// reference and its own tail. Operator prompts share a few-shot preamble
 /// of several hundred bytes, which is stored once.
 ///
-/// Each shard is an [`Arena`]: the tails and the completions' text in one
-/// text arena, one fixed-size [`Prompt`] entry per prompt (shared length,
-/// tail and answer spans, token counts, latency) beside its hash bits and
-/// chain link, and `u32` buckets. A stored prompt costs its tail, its
-/// answer and about 46 bytes, in no heap block of its own.
+/// Each shard is an [`Arena`]: the tails and the completions' text in its
+/// chunked text arena, one fixed-size [`Prompt`] entry per prompt (shared
+/// length, tail and answer spans, token counts, latency) beside its hash
+/// bits and chain link, and `u32` buckets. A stored prompt costs its
+/// tail, its answer and about 46 bytes, in no heap block of its own.
 ///
 /// A lookup reads its prompt's bytes twice and no more. [`Striped::probe`]
 /// compares the text with the reference to find the length `common` of
