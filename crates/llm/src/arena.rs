@@ -24,8 +24,8 @@ const MIN_BUCKETS: usize = 8;
 const CHUNK: usize = 32 * 1024;
 
 /// A span's start is its chunk's index shifted past these bits and its
-/// offset in the chunk below them, so a chunk is at most `1 << 16` bytes
-/// apart from one holding a single longer span, which starts at 0.
+/// offset in the chunk below them: every span starts below [`CHUNK`] in
+/// its chunk, a longer one at 0 of a chunk of its own.
 const OFFSET_BITS: u32 = 16;
 
 /// Chunks an arena may have, so that every span start stays below
@@ -52,13 +52,15 @@ struct Slot<E> {
 
 /// Text, fixed-size entries in arrival order, and buckets over them.
 pub(crate) struct Arena<E> {
-    /// The chunk being filled, whose index is `sealed.len()`. Until a
-    /// chunk is sealed it grows as a `String` does, so a small arena stays
-    /// small and reads its text with no indirection.
+    /// The chunk being filled, whose index is `sealed.len()`, kept inline
+    /// so that an arena of one chunk reads its text as a plain `String`.
+    /// The first chunk doubles up to [`CHUNK`] bytes, so a small arena
+    /// stays small; every later one is allocated whole (or at its one
+    /// longer span's size).
     text: String,
-    /// Full chunks. Past the first, each was allocated at [`CHUNK`] bytes
-    /// (or its one longer span's) and never grew, so a large arena's text
-    /// is never copied and leaves no freed blocks of its growth behind.
+    /// Full chunks. None grows once the next has started, so a large
+    /// arena's text is never copied and leaves no freed blocks of its
+    /// growth behind.
     sealed: Vec<String>,
     slots: Vec<Slot<E>>,
     /// Low hash bits → position of the newest entry with them, or
