@@ -18,18 +18,19 @@ use super::{
     key_batch, multiset, options, pass, permutation, small_config, statements, suite, Pass, Reading,
 };
 use galois::core::{
-    Galois, GaloisOptions, ListStore, MultiQueryReport, Pipeline, Planner, PromptBatch, QueryStats,
+    run_multi_query, AdmissionPolicy, Galois, GaloisOptions, ListStore, MultiQueryReport, Pipeline,
+    Planner, PromptBatch, QueryStats, Resilience,
 };
 use galois::dataset::{build_operator_suite, OperatorFamily, Scenario};
 use galois::eval::score_operator;
 use galois::llm::intent::{parse_task, TaskIntent};
 use galois::llm::{
-    ClientStats, Completion, FaultProfile, FaultyLlm, KeyUniverseStore, LanguageModel,
-    ModelProfile, SimLlm,
+    ClientStats, Completion, Fault, FaultProfile, FaultyLlm, KeyUniverseStore, LanguageModel,
+    ModelProfile, RetryPolicy, SimLlm,
 };
 use galois::relational::Value;
 use proptest::prelude::*;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// The model a cell's sessions ask: every contract holds per value.
 #[derive(Clone)]
@@ -141,15 +142,24 @@ impl<'w> Cell<'w> {
 
     /// A fresh session of this cell.
     pub fn session(&self) -> Galois {
+        self.session_over(self.language_model())
+    }
+
+    /// The model a fresh session of this cell asks.
+    fn language_model(&self) -> Arc<dyn LanguageModel> {
         let oracle = || SimLlm::new(self.world.knowledge.clone(), ModelProfile::oracle());
-        let model: Arc<dyn LanguageModel> = match &self.model {
+        match &self.model {
             Model::Profile(p) => Arc::new(SimLlm::new(self.world.knowledge.clone(), p.clone())),
             Model::Dropper | Model::Permuter => Arc::new(Rewriter {
                 inner: oracle(),
                 drop_lines: matches!(self.model, Model::Dropper),
             }),
             Model::Faulty(model) => model.clone(),
-        };
+        }
+    }
+
+    /// A fresh session of this cell over `model`.
+    fn session_over(&self, model: Arc<dyn LanguageModel>) -> Galois {
         Galois::with_options(model, self.world.database.clone(), self.options.clone())
     }
 
@@ -754,4 +764,139 @@ pub fn two_threads_read_the_same_rows(seed: u64) {
     let kept = session.typed_stats();
     assert_eq!(kept.relations, kept.universes);
     assert!(kept.steps_served > 0);
+}
+
+/// One pass's raw prompt-cache hits, by prompt class: list prompts
+/// (exclusion-list iterations and offset pages) and keyed prompts, the
+/// ones whose hits the protocol bills by signature instead — under the
+/// multi-key protocol every filter and fetch prompt: grid prompts, key
+/// batches and single-key fallbacks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheHits {
+    pub list: usize,
+    pub keyed: usize,
+}
+
+/// A model that counts the requests its client sends, one per
+/// prompt-cache miss, by prompt class. A re-ask of the client's retry
+/// loop is no request of its own: with resilience on, the client asks a
+/// prompt again at once while the answer is a fault or slower than
+/// `RetryPolicy::TIMEOUT_MS` and the retry budget lasts.
+struct Requests {
+    model: Arc<dyn LanguageModel>,
+    max_retries: u32,
+    /// The prompt whose next ask is a re-ask, and its retries so far.
+    retrying: Mutex<Option<(String, u32)>>,
+    /// Requests of list prompts, then of every other prompt.
+    sent: Mutex<[usize; 2]>,
+}
+
+impl LanguageModel for Requests {
+    fn name(&self) -> &str {
+        self.model.name()
+    }
+    fn context_window(&self) -> usize {
+        self.model.context_window()
+    }
+    fn complete(&self, prompt: &str) -> Completion {
+        self.try_complete(prompt)
+            .unwrap_or_else(|fault| fault.degraded)
+    }
+    fn try_complete(&self, prompt: &str) -> Result<Completion, Fault> {
+        let open = self.retrying.lock().expect("unpoisoned").take();
+        let retries = match open {
+            Some((asked, retries)) if asked == prompt => retries + 1,
+            _ => {
+                let list = matches!(
+                    parse_task(prompt),
+                    Some(TaskIntent::ListKeys { .. } | TaskIntent::ListKeysPage { .. })
+                );
+                self.sent.lock().expect("unpoisoned")[usize::from(!list)] += 1;
+                0
+            }
+        };
+        let answer = self.model.try_complete(prompt);
+        let again = answer
+            .as_ref()
+            .map_or(true, |c| c.latency_ms > RetryPolicy::TIMEOUT_MS);
+        if again && retries < self.max_retries {
+            *self.retrying.lock().expect("unpoisoned") = Some((prompt.to_string(), retries));
+        }
+        answer
+    }
+    fn signature(&self) -> String {
+        self.model.signature()
+    }
+}
+
+/// The prompt-cache census: each of the cell's passes, read by `run` on
+/// one session, counted by [`CacheHits`]. Every prompt a statement fires
+/// is one lookup of the prompt cache, a hit or a miss, and every miss is
+/// one request to the model, so a class's hits are the prompts it fired
+/// less the requests it sent. The requests must add up to the client's
+/// misses (a breaker fast-fail, a miss that sends none, would fail that).
+fn census(cell: &Cell, run: impl Fn(&Galois) -> Vec<QueryStats>) -> Vec<CacheHits> {
+    let label = cell.label();
+    assert_ne!(
+        cell.options.prompt_batch,
+        PromptBatch::Off,
+        "{label}: no keyed prompt"
+    );
+    let max_retries = match cell.options.resilience {
+        Resilience::On(policy) => policy.max_retries,
+        Resilience::Off => 0,
+    };
+    let requests = Arc::new(Requests {
+        model: cell.language_model(),
+        max_retries,
+        retrying: Mutex::default(),
+        sent: Mutex::default(),
+    });
+    let session = cell.session_over(requests.clone());
+    (0..cell.passes)
+        .map(|nth| {
+            session.client().reset_stats();
+            let stats = run(&session);
+            let [list, keyed] = std::mem::take(&mut *requests.sent.lock().expect("unpoisoned"));
+            let misses = session.session_stats().prompts;
+            assert_eq!(
+                list + keyed,
+                misses,
+                "{label}, pass {nth}: a request a miss"
+            );
+            let fired = |of: fn(&QueryStats) -> usize| stats.iter().map(of).sum::<usize>();
+            let hits = |fired: usize, sent: usize| {
+                let hits = fired.checked_sub(sent);
+                hits.unwrap_or_else(|| panic!("{label}, pass {nth}: {sent} requests of {fired}"))
+            };
+            CacheHits {
+                list: hits(fired(|s| s.list_prompts), list),
+                keyed: hits(fired(|s| s.filter_prompts + s.fetch_prompts), keyed),
+            }
+        })
+        .collect()
+}
+
+/// The census of the cell's statements, read in order.
+pub fn cache_hits(cell: &Cell) -> Vec<CacheHits> {
+    census(cell, |session| {
+        let execute = |sql: &String| {
+            session
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"))
+        };
+        cell.order.iter().map(|sql| execute(sql).stats).collect()
+    })
+}
+
+/// The census of `run_multi_query` replays of the cell's statements,
+/// dealt round-robin to `sessions` sessions.
+pub fn replayed_cache_hits(cell: &Cell, sessions: usize) -> Vec<CacheHits> {
+    let queries: Vec<&str> = cell.order.iter().map(String::as_str).collect();
+    let session_of: Vec<usize> = (0..queries.len()).map(|i| i % sessions).collect();
+    census(cell, |session| {
+        let policy = AdmissionPolicy::default();
+        let report = run_multi_query(session, &queries, &session_of, &policy).expect("replays");
+        report.outcomes.iter().map(|o| o.result.stats).collect()
+    })
 }
