@@ -5,6 +5,14 @@
 //! lists, full sentences — so parsing is defensive and never fails: at
 //! worst it yields an empty list or an opaque string for the cleaner to
 //! reject.
+//!
+//! Every answer is text from outside the program, so no function here
+//! indexes or slices it by position: the lints below hold that.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)
+)]
 
 /// The outcome of a list prompt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,25 +70,17 @@ pub fn parse_list_answer(text: &str) -> ListAnswer<'_> {
 /// `needle`, without the copy.
 fn contains_ignore_ascii_case(hay: &str, needle: &str) -> bool {
     let (hay, needle) = (hay.as_bytes(), needle.as_bytes());
-    let Some((first, rest)) = needle.split_first() else {
-        return true;
-    };
-    let Some(last_start) = hay.len().checked_sub(needle.len()) else {
-        return false;
-    };
-    // Scan for the first byte, then compare the rest where it matches.
-    hay[..=last_start].iter().enumerate().any(|(at, b)| {
-        b.eq_ignore_ascii_case(first) && hay[at + 1..at + needle.len()].eq_ignore_ascii_case(rest)
-    })
+    // A window compares its first byte before the rest.
+    needle.is_empty()
+        || (hay.windows(needle.len())).any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 fn strip_list_marker(line: &str) -> &str {
     let line = line.trim_start_matches(['-', '*', '•']).trim_start();
     // "12. Rome" → "Rome" (but keep "2.8 million" intact: the dot must
     // follow the leading integer and be followed by whitespace).
-    let digits: usize = line.chars().take_while(|c| c.is_ascii_digit()).count();
-    if digits > 0 {
-        let rest = &line[digits..];
+    let rest = line.trim_start_matches(|c: char| c.is_ascii_digit());
+    if rest.len() < line.len() {
         if let Some(stripped) = rest.strip_prefix('.') {
             if stripped.starts_with(' ') {
                 return stripped.trim_start();
@@ -108,8 +108,8 @@ pub(crate) fn value_span(text: &str) -> Option<&str> {
         return None;
     }
     let starts_with = |prefix: &str| {
-        t.len() >= prefix.len()
-            && t.as_bytes()[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
+        let head = t.as_bytes().get(..prefix.len());
+        head.is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
     };
     if t.eq_ignore_ascii_case("n/a")
         || t.eq_ignore_ascii_case("none")
@@ -122,10 +122,11 @@ pub(crate) fn value_span(text: &str) -> Option<&str> {
     // Unwrap sentence forms: "The population of Rome is 2.8 million".
     // Only an answer that opens like one is searched for its verb.
     if t.starts_with("The ") || t.starts_with("the ") || t.starts_with("Its ") {
-        if let Some(idx) = t.rfind(" is ") {
-            let tail = t[idx + 4..].trim();
-            // `idx >= 4` keeps the opening word out of the match ("The is x").
-            if idx >= 4 && !tail.is_empty() {
+        if let Some((head, tail)) = t.rsplit_once(" is ") {
+            let tail = tail.trim();
+            // A head of 4 bytes or more keeps the opening word out of the
+            // match ("The is x").
+            if head.len() >= 4 && !tail.is_empty() {
                 return Some(tail);
             }
         }
@@ -155,8 +156,13 @@ pub fn extract_records(text: &str) -> Vec<Vec<String>> {
     }
     // Drop CoT scaffolding: keep only the text after the final "answer
     // is:" marker when present.
-    let t = match t.to_ascii_lowercase().rfind("answer is:") {
-        Some(idx) => t[idx + "answer is:".len()..].trim(),
+    // Lower-casing keeps every byte in its place, so where the marker
+    // ends in the copy is a character boundary of `t`.
+    const MARKER: &str = "answer is:";
+    let t = match t.to_ascii_lowercase().rfind(MARKER) {
+        Some(idx) => {
+            (t.split_at_checked(idx + MARKER.len())).map_or(t, |(_, answer)| answer.trim())
+        }
         None => t,
     };
 
