@@ -121,13 +121,14 @@ impl QueryStats {
     /// for multi-key-protocol prompts (chunks and their single-key
     /// fallbacks), whose keys are billed per signature by the sub-entry
     /// store at extraction time. Counting a prompt-level raw-cache hit on
-    /// such a prompt would bill the same keys twice — and, because
-    /// raw-cache hits on chunk strings only arise when concurrent queries
-    /// race into identical chunks, would make `cache_hits` depend on
-    /// arrival order. With one query thread this equals [`absorb`]
-    /// exactly: a pending key is by construction not yet stored, so a
-    /// re-ask chunk can never reproduce an earlier chunk's prompt string
-    /// and such hits are zero.
+    /// such a prompt would bill the same keys twice, and under concurrent
+    /// queries racing into identical chunks would make `cache_hits`
+    /// depend on arrival order. With one query thread such hits are zero
+    /// — `tests/prompt_cache_census.rs` pins it across profiles, both
+    /// drivers, the store, replays and faults — but for a kept
+    /// truncation: a truncated answer carries no fault marker, so the
+    /// prompt cache keeps it, and a later ask of the same prompt is a raw
+    /// hit that this form does not bill and [`absorb`] would.
     ///
     /// [`absorb`]: QueryStats::absorb
     pub(super) fn absorb_keyed(&mut self, outcome: &BatchOutcome) {

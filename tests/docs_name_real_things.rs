@@ -1,5 +1,5 @@
-//! README.md and ARCHITECTURE.md name real things. In their backticked
-//! spans (fenced blocks aside):
+//! README.md, ARCHITECTURE.md and `crates/bench/README.md` name real
+//! things. In their backticked spans (fenced blocks aside):
 //!
 //! * every `*.rs` path, with or without a `:line`, is the tail of a
 //!   workspace file's path, and that file has the line;
@@ -15,7 +15,7 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const DOCS: &[&str] = &["README.md", "ARCHITECTURE.md"];
+const DOCS: &[&str] = &["README.md", "ARCHITECTURE.md", "crates/bench/README.md"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
