@@ -70,9 +70,11 @@ pub fn parse_list_answer(text: &str) -> ListAnswer<'_> {
 /// `needle`, without the copy.
 fn contains_ignore_ascii_case(hay: &str, needle: &str) -> bool {
     let (hay, needle) = (hay.as_bytes(), needle.as_bytes());
-    // A window compares its first byte before the rest.
+    // A window's comparison stops at its first differing byte.
     needle.is_empty()
-        || (hay.windows(needle.len())).any(|window| window.eq_ignore_ascii_case(needle))
+        || hay
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle))
 }
 
 fn strip_list_marker(line: &str) -> &str {
@@ -160,9 +162,9 @@ pub fn extract_records(text: &str) -> Vec<Vec<String>> {
     // ends in the copy is a character boundary of `t`.
     const MARKER: &str = "answer is:";
     let t = match t.to_ascii_lowercase().rfind(MARKER) {
-        Some(idx) => {
-            (t.split_at_checked(idx + MARKER.len())).map_or(t, |(_, answer)| answer.trim())
-        }
+        Some(idx) => t
+            .split_at_checked(idx + MARKER.len())
+            .map_or(t, |(_, answer)| answer.trim()),
         None => t,
     };
 

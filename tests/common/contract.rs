@@ -11,7 +11,9 @@
 //! `typed_cells.rs`, `universe_relation.rs`) are lists of cells handed to
 //! these checks; the bodies below whose reference is the truth or an
 //! earlier pass of the same session hold the same terms. The paper
-//! default's readings are pinned once, by `tests/wave_golden.rs`.
+//! default's readings are pinned once, by `tests/wave_golden.rs`, and
+//! the prompt cache's raw hits by prompt class ([`cache_hits`]) by
+//! `tests/prompt_cache_census.rs`.
 //! ARCHITECTURE.md "Contract battery" maps each test to its contract.
 
 use super::{
@@ -781,7 +783,8 @@ pub struct CacheHits {
 /// prompt-cache miss, by prompt class. A re-ask of the client's retry
 /// loop is no request of its own: with resilience on, the client asks a
 /// prompt again at once while the answer is a fault or slower than
-/// `RetryPolicy::TIMEOUT_MS` and the retry budget lasts.
+/// `RetryPolicy::TIMEOUT_MS` and the retry budget lasts (the rule of
+/// `LlmClient::call_model`, mirrored here).
 struct Requests {
     model: Arc<dyn LanguageModel>,
     max_retries: u32,
