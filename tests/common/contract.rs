@@ -17,7 +17,8 @@
 //! ARCHITECTURE.md "Contract battery" maps each test to its contract.
 
 use super::{
-    key_batch, multiset, options, pass, permutation, small_config, statements, suite, Pass, Reading,
+    key_batch, multiset, options, pass, permutation, read, small_config, statements, suite, Pass,
+    Reading,
 };
 use galois::core::{
     run_multi_query, AdmissionPolicy, Galois, GaloisOptions, ListStore, MultiQueryReport, Pipeline,
@@ -867,14 +868,14 @@ fn census(cell: &Cell, run: impl Fn(&Galois) -> Vec<QueryStats>) -> Vec<CacheHit
                 misses,
                 "{label}, pass {nth}: a request a miss"
             );
-            let fired = |of: fn(&QueryStats) -> usize| stats.iter().map(of).sum::<usize>();
-            let hits = |fired: usize, sent: usize| {
+            let hits = |fired: fn(&QueryStats) -> usize, sent: usize| {
+                let fired = stats.iter().map(fired).sum::<usize>();
                 let hits = fired.checked_sub(sent);
                 hits.unwrap_or_else(|| panic!("{label}, pass {nth}: {sent} requests of {fired}"))
             };
             CacheHits {
-                list: hits(fired(|s| s.list_prompts), list),
-                keyed: hits(fired(|s| s.filter_prompts + s.fetch_prompts), keyed),
+                list: hits(|s| s.list_prompts, list),
+                keyed: hits(|s| s.filter_prompts + s.fetch_prompts, keyed),
             }
         })
         .collect()
@@ -883,12 +884,9 @@ fn census(cell: &Cell, run: impl Fn(&Galois) -> Vec<QueryStats>) -> Vec<CacheHit
 /// The census of the cell's statements, read in order.
 pub fn cache_hits(cell: &Cell) -> Vec<CacheHits> {
     census(cell, |session| {
-        let execute = |sql: &String| {
-            session
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}: {e}"))
-        };
-        cell.order.iter().map(|sql| execute(sql).stats).collect()
+        (cell.order.iter())
+            .map(|sql| read(session, sql).stats)
+            .collect()
     })
 }
 
