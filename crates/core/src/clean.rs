@@ -16,6 +16,14 @@
 //! number is parsed from that slice, and the only allocation is the
 //! `String` a text cell keeps. Everything else (decorated numerals, long
 //! dates, stray whitespace) takes the general path.
+//!
+//! Every answer is text from outside the program, so no function here
+//! indexes or slices by position: the lints below hold that.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)
+)]
 
 use crate::parse::value_span;
 use galois_relational::{Column, DataType, Date, Value};
@@ -56,7 +64,8 @@ pub fn cell_value(answer: &str, ty: DataType, policy: &CleaningPolicy) -> Value 
 
 /// The row a freshly listed key starts as: every cell NULL but the key's
 /// own, which is the key cleaned to the key column's type (NULL when it
-/// does not clean — such a row is dropped at materialisation).
+/// does not clean, or when `key_index` names no column — such a row is
+/// dropped at materialisation).
 pub fn key_row(
     key: &str,
     columns: &[Column],
@@ -64,8 +73,9 @@ pub fn key_row(
     policy: &CleaningPolicy,
 ) -> Vec<Value> {
     let mut row = vec![Value::Null; columns.len()];
-    row[key_index] =
-        clean_to_type(key, columns[key_index].data_type, policy).unwrap_or(Value::Null);
+    if let (Some(cell), Some(column)) = (row.get_mut(key_index), columns.get(key_index)) {
+        *cell = clean_to_type(key, column.data_type, policy).unwrap_or(Value::Null);
+    }
     row
 }
 
@@ -222,11 +232,14 @@ fn looks_grouped(s: &str) -> bool {
         return false;
     }
     let unsigned = s.strip_prefix('-').unwrap_or(s);
-    let parts: Vec<&str> = unsigned.split(',').collect();
-    if parts.is_empty() || parts[0].is_empty() || parts[0].len() > 3 {
+    let mut parts = unsigned.split(',');
+    if parts
+        .next()
+        .is_none_or(|head| head.is_empty() || head.len() > 3)
+    {
         return false;
     }
-    parts[1..].iter().all(|p| {
+    parts.all(|p| {
         p.len() == 3 && p.chars().all(|c| c.is_ascii_digit())
             || (p.contains('.')
                 && p.split('.')
@@ -263,10 +276,10 @@ pub fn parse_date(raw: &str, policy: &CleaningPolicy) -> Option<Date> {
     }
     // US form MM/DD/YYYY.
     let parts: Vec<&str> = s.split('/').collect();
-    if parts.len() == 3 {
-        let m: u8 = parts[0].parse().ok()?;
-        let d: u8 = parts[1].parse().ok()?;
-        let y: i32 = parts[2].parse().ok()?;
+    if let [m, d, y] = parts[..] {
+        let m: u8 = m.parse().ok()?;
+        let d: u8 = d.parse().ok()?;
+        let y: i32 = y.parse().ok()?;
         return Date::new(y, m, d).ok();
     }
     // Long form "May 8, 1961".

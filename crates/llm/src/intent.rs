@@ -14,7 +14,6 @@
 //! Round-tripping (`parse(render(x)) == x`) is property-tested; the pair is
 //! kept in one module precisely so the "protocol" cannot silently fork.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -535,7 +534,7 @@ const FILTER_BATCH_MARKER: &str = "Answer with exactly one line per key, \
 pub(crate) const GRID_SEP: &str = " \u{2301} ";
 
 /// The mark inside [`GRID_SEP`].
-const GRID_MARK: char = '\u{2301}';
+const GRID_MARK: &str = "\u{2301}";
 
 /// Instruction sentence of a grid-fused fetch prompt.
 const FETCH_GRID_MARKER: &str = "Answer with exactly one line per key and attribute, \
@@ -586,107 +585,51 @@ fn parse_key_lines(body: &str) -> Option<Vec<String>> {
 /// `"Rome: Italy"`'s line): a line is assigned to a key only if no
 /// *longer* key of the batch also owns it, so a dropped line can never
 /// silently reroute another key's answer — the shadowed key just falls
-/// back (batching may cost prompts, never accuracy).
-///
-/// When no key contains `": "`, a line's owner is the text before its
-/// first `": "` and no key shadows another, so the split is linear
-/// (`split_by_owner`); otherwise `split_batched_walk` tests every key
-/// against every line.
+/// back (batching may cost prompts, never accuracy). When no key contains
+/// `": "`, a line has at most one owner and that check is skipped.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
 pub fn split_batched_answer<'a>(answer: &'a str, keys: &[impl AsRef<str>]) -> Vec<Option<&'a str>> {
-    if keys.iter().any(|key| find(key.as_ref(), &[": "]).is_some()) {
-        return split_batched_walk(answer, keys);
-    }
     let cells: Vec<(&str, &str)> = keys.iter().map(|key| (key.as_ref(), "")).collect();
-    split_by_owner(
-        answer,
-        &cells,
-        |(key, _), line| line.strip_prefix(key)?.strip_prefix(": "),
-        |line| {
-            let (key, payload) = split(line, &[": "])?;
-            Some(((key, ""), payload))
-        },
-    )
+    let shadowing = cells.iter().any(|(key, _)| find(key, &[": "]).is_some());
+    split_cells(answer, &cells, shadowing, |(key, _), line| {
+        line.strip_prefix(key)?.strip_prefix(": ")
+    })
 }
 
-/// An answer line's owner — `(key, "")` in a batched answer, `(key,
-/// attribute)` in a grid — and its payload.
-type Owned<'a> = ((&'a str, &'a str), &'a str);
-
-/// Hands each cell, in order, the payload of the first line not yet taken
-/// whose owner it is, given that `owner` names the one owner a line can
-/// have. While the lines follow the cells one for one, line `i` is that
-/// line for cell `i`; from the first that does not, the lines left are
-/// indexed by owner, so the split is linear either way.
-fn split_by_owner<'a>(
+/// Hands each `(key, attribute)` cell, in order, the payload of the first
+/// line not yet taken that it owns (`owns` gives a line's payload for a
+/// cell). With `shadowing`, a line is left to any cell with a *longer*
+/// key that owns it too. The scan starts at the first line not yet taken,
+/// so an answer whose lines follow its cells is read once.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
+fn split_cells<'a>(
     answer: &'a str,
     cells: &[(&str, &str)],
+    shadowing: bool,
     owns: impl Fn((&str, &str), &'a str) -> Option<&'a str>,
-    owner: impl Fn(&'a str) -> Option<Owned<'a>>,
 ) -> Vec<Option<&'a str>> {
-    let mut lines = answer.lines().map(str::trim);
-    let mut payloads = Vec::with_capacity(cells.len());
-    let mut pending = None;
-    for cell in cells {
-        let Some(line) = lines.next() else {
-            break;
-        };
-        match owns(*cell, line) {
-            Some(payload) => payloads.push(Some(payload)),
-            None => {
-                pending = owner(line);
-                break;
-            }
-        }
-    }
-    let done = payloads.len();
-    if done < cells.len() {
-        // Each owner's lines, first to last: `heads` holds the first not
-        // yet taken, `next` chains the later ones.
-        let owned: Vec<Owned> = pending.into_iter().chain(lines.filter_map(owner)).collect();
-        let mut heads = HashMap::with_capacity(owned.len());
-        let mut next = vec![None; owned.len()];
-        for (at, (of, _)) in owned.iter().enumerate().rev() {
-            next[at] = heads.insert(*of, Some(at)).flatten();
-        }
-        payloads.extend(cells[done..].iter().map(|cell| {
-            let head = heads.get_mut(cell)?;
-            let at = (*head)?;
-            *head = next[at];
-            Some(owned[at].1)
-        }));
-    }
-    payloads
-}
-
-/// [`split_batched_answer`] by testing every key against every unused
-/// line: quadratic, and exact for keys that contain `": "`.
-fn split_batched_walk<'a>(answer: &'a str, keys: &[impl AsRef<str>]) -> Vec<Option<&'a str>> {
-    let lines: Vec<&str> = answer.lines().map(str::trim).collect();
-    let mut used = vec![false; lines.len()];
-    fn owns<'a>(key: &str, line: &'a str) -> Option<&'a str> {
-        line.strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix(": "))
-    }
-    keys.iter()
-        .map(|key| {
-            let key = key.as_ref();
-            for (i, line) in lines.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                if let Some(payload) = owns(key, line) {
-                    let shadowed = keys.iter().any(|other| {
-                        let other = other.as_ref();
-                        other.len() > key.len() && owns(other, line).is_some()
-                    });
-                    if shadowed {
-                        continue;
-                    }
-                    used[i] = true;
-                    return Some(payload);
-                }
-            }
-            None
+    // Each line, and whether a cell has taken it.
+    let mut lines: Vec<(&'a str, bool)> = answer.lines().map(|line| (line.trim(), false)).collect();
+    let mut first = 0;
+    cells
+        .iter()
+        .map(|&(key, attr)| {
+            let payload = |line: &'a str| {
+                let payload = owns((key, attr), line)?;
+                let shadowed = shadowing
+                    && cells
+                        .iter()
+                        .any(|&other| other.0.len() > key.len() && owns(other, line).is_some());
+                (!shadowed).then_some(payload)
+            };
+            let (taken, payload) = lines
+                .iter_mut()
+                .skip(first)
+                .filter(|(_, taken)| !*taken)
+                .find_map(|(line, taken)| Some((taken, payload(line)?)))?;
+            *taken = true;
+            first += lines.iter().skip(first).take_while(|line| line.1).count();
+            Some(payload)
         })
         .collect()
 }
@@ -720,87 +663,31 @@ where
 /// keys in a batch consume matching lines greedily in order. As in
 /// [`split_batched_answer`], a line is assigned to a cell only if no cell
 /// with a *longer* key also owns it — a key containing the separator can
-/// never silently steal another cell's answer, it just falls back.
-///
-/// When no key contains `⌁` and no attribute `": "`, a line's owner is
-/// the text before its first `⌁` and, after the separator, the text before
-/// the first `": "`; no key shadows another, so the split is linear
-/// (`split_by_owner`). Otherwise `split_grid_walk` tests every cell
-/// against every line.
+/// never silently steal another cell's answer, it just falls back. When
+/// no key contains `⌁` and no attribute `": "`, a line has at most one
+/// owner and that check is skipped.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
 pub fn split_grid_answer<'a>(
     answer: &'a str,
     keys: &[impl AsRef<str>],
     attrs: &[impl AsRef<str>],
 ) -> Vec<Option<&'a str>> {
-    if keys.iter().any(|key| key.as_ref().contains(GRID_MARK))
-        || attrs
-            .iter()
-            .any(|attr| find(attr.as_ref(), &[": "]).is_some())
-    {
-        return split_grid_walk(answer, keys, attrs);
-    }
     let cells: Vec<(&str, &str)> = keys
         .iter()
         .flat_map(|key| attrs.iter().map(move |attr| (key.as_ref(), attr.as_ref())))
         .collect();
-    split_by_owner(
-        answer,
-        &cells,
-        |(key, attr), line| {
-            line.strip_prefix(key)?
-                .strip_prefix(GRID_SEP)?
-                .strip_prefix(attr)?
-                .strip_prefix(": ")
-        },
-        |line| {
-            let (key, rest) = line.split_once(GRID_MARK)?;
-            let (attr, payload) = split(rest.strip_prefix(' ')?, &[": "])?;
-            Some(((key.strip_suffix(' ')?, attr), payload))
-        },
-    )
-}
-
-/// [`split_grid_answer`] by testing every cell against every unused line:
-/// quadratic, and exact for keys that contain `⌁`.
-fn split_grid_walk<'a>(
-    answer: &'a str,
-    keys: &[impl AsRef<str>],
-    attrs: &[impl AsRef<str>],
-) -> Vec<Option<&'a str>> {
-    let lines: Vec<&str> = answer.lines().map(str::trim).collect();
-    let mut used = vec![false; lines.len()];
-    fn owns<'a>(key: &str, attr: &str, line: &'a str) -> Option<&'a str> {
+    let shadowing = keys
+        .iter()
+        .any(|key| find(key.as_ref(), &[GRID_MARK]).is_some())
+        || attrs
+            .iter()
+            .any(|attr| find(attr.as_ref(), &[": "]).is_some());
+    split_cells(answer, &cells, shadowing, |(key, attr), line| {
         line.strip_prefix(key)?
             .strip_prefix(GRID_SEP)?
             .strip_prefix(attr)?
             .strip_prefix(": ")
-    }
-    let mut payloads = Vec::with_capacity(keys.len() * attrs.len());
-    for key in keys {
-        let key = key.as_ref();
-        for attr in attrs {
-            let attr = attr.as_ref();
-            let found = lines.iter().enumerate().find_map(|(i, line)| {
-                if used[i] {
-                    return None;
-                }
-                let payload = owns(key, attr, line)?;
-                let shadowed = keys.iter().any(|other| {
-                    let other = other.as_ref();
-                    other.len() > key.len()
-                        && attrs
-                            .iter()
-                            .any(|a| owns(other, a.as_ref(), line).is_some())
-                });
-                (!shadowed).then_some((i, payload))
-            });
-            payloads.push(found.map(|(i, payload)| {
-                used[i] = true;
-                payload
-            }));
-        }
-    }
-    payloads
+    })
 }
 
 /// Renders per-cell payloads as the `key ⌁ attr: payload` answer lines of
@@ -870,6 +757,7 @@ fn question_span(prompt: &str) -> Option<(usize, Option<usize>)> {
 /// question than a letter or a space (`, what is its` is found by its
 /// comma, not at every space), else the first character. `None` for an
 /// empty pattern.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
 fn find(s: &str, parts: &[&str]) -> Option<usize> {
     let punctuation = parts
         .iter()
@@ -882,15 +770,17 @@ fn find(s: &str, parts: &[&str]) -> Option<usize> {
     };
     let hay = s.as_bytes();
     let mut from = 0;
-    while let Some(hit) = s[from..].find(anchor) {
+    while let Some(hit) = s.get(from..).and_then(|rest| rest.find(anchor)) {
         let anchor_at = from + hit;
         from = anchor_at + anchor.len_utf8();
         let Some(at) = anchor_at.checked_sub(skip) else {
             continue;
         };
         // A byte match starts on a char boundary: the pattern's first byte
-        // is a character's first byte, as `hay[at]` must then be.
-        let mut rest = &hay[at..];
+        // is a character's first byte, as the one at `at` must then be.
+        let Some(mut rest) = hay.get(at..) else {
+            continue;
+        };
         let matches = parts
             .iter()
             .all(|part| match rest.strip_prefix(part.as_bytes()) {
@@ -908,10 +798,11 @@ fn find(s: &str, parts: &[&str]) -> Option<usize> {
 }
 
 /// `s.split_once(parts.concat())`, by [`find`].
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
 fn split<'a>(s: &'a str, parts: &[&str]) -> Option<(&'a str, &'a str)> {
     let at = find(s, parts)?;
     let len: usize = parts.iter().map(|part| part.len()).sum();
-    Some((&s[..at], &s[at + len..]))
+    Some((s.get(..at)?, s.get(at + len..)?))
 }
 
 /// The typed result of decoding an operator prompt.
@@ -1857,6 +1748,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    // The splitters' reference: every cell tested against every unused
+    // line, with the shadowing check always on.
+
+    /// [`split_batched_answer`] by testing every key against every unused
+    /// line: quadratic, and exact for keys that contain `": "`.
+    fn split_batched_walk<'a>(answer: &'a str, keys: &[impl AsRef<str>]) -> Vec<Option<&'a str>> {
+        let lines: Vec<&str> = answer.lines().map(str::trim).collect();
+        let mut used = vec![false; lines.len()];
+        fn owns<'a>(key: &str, line: &'a str) -> Option<&'a str> {
+            line.strip_prefix(key)
+                .and_then(|rest| rest.strip_prefix(": "))
+        }
+        keys.iter()
+            .map(|key| {
+                let key = key.as_ref();
+                for (i, line) in lines.iter().enumerate() {
+                    if used[i] {
+                        continue;
+                    }
+                    if let Some(payload) = owns(key, line) {
+                        let shadowed = keys.iter().any(|other| {
+                            let other = other.as_ref();
+                            other.len() > key.len() && owns(other, line).is_some()
+                        });
+                        if shadowed {
+                            continue;
+                        }
+                        used[i] = true;
+                        return Some(payload);
+                    }
+                }
+                None
+            })
+            .collect()
+    }
+
+    /// [`split_grid_answer`] by testing every cell against every unused line:
+    /// quadratic, and exact for keys that contain `⌁`.
+    fn split_grid_walk<'a>(
+        answer: &'a str,
+        keys: &[impl AsRef<str>],
+        attrs: &[impl AsRef<str>],
+    ) -> Vec<Option<&'a str>> {
+        let lines: Vec<&str> = answer.lines().map(str::trim).collect();
+        let mut used = vec![false; lines.len()];
+        fn owns<'a>(key: &str, attr: &str, line: &'a str) -> Option<&'a str> {
+            line.strip_prefix(key)?
+                .strip_prefix(GRID_SEP)?
+                .strip_prefix(attr)?
+                .strip_prefix(": ")
+        }
+        let mut payloads = Vec::with_capacity(keys.len() * attrs.len());
+        for key in keys {
+            let key = key.as_ref();
+            for attr in attrs {
+                let attr = attr.as_ref();
+                let found = lines.iter().enumerate().find_map(|(i, line)| {
+                    if used[i] {
+                        return None;
+                    }
+                    let payload = owns(key, attr, line)?;
+                    let shadowed = keys.iter().any(|other| {
+                        let other = other.as_ref();
+                        other.len() > key.len()
+                            && attrs
+                                .iter()
+                                .any(|a| owns(other, a.as_ref(), line).is_some())
+                    });
+                    (!shadowed).then_some((i, payload))
+                });
+                payloads.push(found.map(|(i, payload)| {
+                    used[i] = true;
+                    payload
+                }));
+            }
+        }
+        payloads
     }
 
     /// Whether `span` lies inside `answer`: a payload is a slice of the
