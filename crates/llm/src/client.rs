@@ -686,10 +686,13 @@ impl LlmClient {
     /// per miss but the completion the model returns. Concurrent requests
     /// for the same prompt wait on an [`InFlight`] rendezvous, which the
     /// first of them makes, and count as hits; with none waiting, the
-    /// completion is not cloned at all. A completion carrying fault-marker
-    /// text ([`crate::faults::is_fault_text`]) goes to the caller and the
-    /// waiters but is not stored: its entry is taken out, so a later ask
-    /// of the prompt is a miss that reaches the model again. The in-flight
+    /// completion is not cloned at all. A completion that is not the
+    /// model's answer — a fault's degraded completion, a truncation
+    /// included, or the breaker's fast failure — or that carries
+    /// fault-marker text ([`crate::faults::is_fault_text`], as a
+    /// [`crate::Replay`] miss does) goes to the caller and the waiters but
+    /// is not stored: its entry is taken out, so a later ask of the prompt
+    /// is a miss that reaches the model again. The in-flight
     /// entry also serialises the retry loop per prompt: a prompt's attempt
     /// sequence is walked by exactly one thread, so fault schedules stay
     /// deterministic under lanes.
@@ -711,7 +714,7 @@ impl LlmClient {
             let Some(ticket) = ticket else {
                 // A full shard stores nothing more: the model answers
                 // uncached.
-                let (completion, counters) = self.call_model(prompt);
+                let (completion, counters, _) = self.call_model(prompt);
                 return (completion, false, counters);
             };
             let mut guard = FulfillGuard {
@@ -720,12 +723,11 @@ impl LlmClient {
                 ticket,
                 armed: true,
             };
-            let (completion, counters) = self.call_model(prompt);
+            let (completion, counters, answered) = self.call_model(prompt);
             guard.armed = false;
-            // A fault's marker text answers this ask and its waiters
-            // only: it is not kept, so the next ask of the prompt
-            // reaches the model again.
-            let keep = !crate::faults::is_fault_text(&completion.text);
+            // A fault answers this ask and its waiters only: it is not
+            // kept, so the next ask of the prompt reaches the model again.
+            let keep = answered && !crate::faults::is_fault_text(&completion.text);
             let waiting = shard.lock().land(&probe, ticket, &completion, keep);
             if let Some(pending) = waiting {
                 pending.resolve(InFlightState::Ready(completion.clone()));
@@ -749,15 +751,16 @@ impl LlmClient {
     /// fault-free run once retries succeed. On exhaustion the last fault's
     /// degraded completion (with the accrued wait) goes downstream and the
     /// breaker records the failure; while the breaker is open, requests
-    /// fail fast with marker text and zero model calls.
-    fn call_model(&self, prompt: &str) -> (Completion, FaultCounters) {
+    /// fail fast with marker text and zero model calls. The flag is true
+    /// when the completion is the model's `Ok` answer.
+    fn call_model(&self, prompt: &str) -> (Completion, FaultCounters, bool) {
         let mut counters = FaultCounters::default();
         let Some(policy) = self.resilience else {
             return match self.model.try_complete(prompt) {
-                Ok(completion) => (completion, counters),
+                Ok(completion) => (completion, counters, true),
                 Err(fault) => {
                     counters.count_kind(fault.kind);
-                    (fault.degraded, counters)
+                    (fault.degraded, counters, false)
                 }
             };
         };
@@ -769,7 +772,7 @@ impl LlmClient {
                 text,
                 latency_ms: 0,
             };
-            return (completion, counters);
+            return (completion, counters, false);
         }
         let mut accrued_ms = 0u64;
         let mut retry = 0u32;
@@ -790,7 +793,7 @@ impl LlmClient {
                 Ok(mut completion) => {
                     completion.latency_ms += accrued_ms;
                     self.breaker.lock().record_success();
-                    return (completion, counters);
+                    return (completion, counters, true);
                 }
                 Err(fault) if budget_left => {
                     counters.count_kind(fault.kind);
@@ -804,7 +807,7 @@ impl LlmClient {
                     self.breaker.lock().record_exhaustion();
                     let mut completion = fault.degraded;
                     completion.latency_ms += accrued_ms;
-                    return (completion, counters);
+                    return (completion, counters, false);
                 }
             }
         }
@@ -1574,6 +1577,62 @@ mod tests {
             );
             assert_eq!((c.stats().prompts, c.stats().cache_hits), (2, 0), "{label}");
         }
+    }
+
+    /// A model whose first request is cut short — a truncation, which no
+    /// marker shows — and whose later requests answer in full.
+    struct TruncatedOnce {
+        calls: AtomicUsize,
+    }
+
+    impl LanguageModel for TruncatedOnce {
+        fn name(&self) -> &str {
+            "truncated-once"
+        }
+        fn context_window(&self) -> usize {
+            4096
+        }
+        fn complete(&self, prompt: &str) -> Completion {
+            self.try_complete(prompt)
+                .unwrap_or_else(|fault| fault.degraded)
+        }
+        fn try_complete(&self, _prompt: &str) -> Result<Completion, crate::model::Fault> {
+            let completion = |text: &str| Completion {
+                text: text.into(),
+                usage: Usage::default(),
+                latency_ms: 1,
+            };
+            match self.calls.fetch_add(1, Ordering::SeqCst) {
+                0 => Err(crate::model::Fault {
+                    kind: FaultKind::Truncated,
+                    degraded: completion("Rome ⌁ popul"),
+                }),
+                _ => Ok(completion("Rome ⌁ population: 2800000")),
+            }
+        }
+    }
+
+    #[test]
+    fn a_truncated_answer_is_served_once_and_the_prompt_reaches_the_model_again() {
+        let model = Arc::new(TruncatedOnce {
+            calls: AtomicUsize::new(0),
+        });
+        let c = LlmClient::new(Arc::clone(&model) as Arc<dyn LanguageModel>);
+        let first = c.complete_outcome("prompt");
+        assert_eq!(first.completions[0].text, "Rome ⌁ popul");
+        assert!(!crate::faults::is_fault_text(&first.completions[0].text));
+        let second = c.complete_outcome("prompt");
+        assert_eq!(second.completions[0].text, "Rome ⌁ population: 2800000");
+        assert_eq!(
+            (first.hits, second.hits),
+            (0, 0),
+            "the cut text was served again"
+        );
+        assert_eq!(model.calls.load(Ordering::SeqCst), 2);
+        // The model's own answer is kept like any other.
+        assert_eq!(c.complete_outcome("prompt").hits, 1);
+        assert_eq!(model.calls.load(Ordering::SeqCst), 2);
+        assert_eq!((c.stats().faults, c.stats().cache_hits), (1, 1));
     }
 
     #[test]
