@@ -18,15 +18,11 @@
 //!   with and without retries, under the serving stack and the barrier
 //!   driver's grid.
 //!
-//! Every keyed count is 0 but where a truncated answer was kept. A
-//! truncated fault is an answer cut short, which no marker shows, so the
-//! prompt cache keeps it like any answer; the cells it cut off fail, the
-//! sub-entry store keeps nothing for them, and with no retry to replace
-//! the cut text a later ask of the same keyed prompt is served it again.
-//! That happens once: in the serving stack's cold pass under the rate 0.5
-//! schedule with resilience off, a one-key grid prompt answered
-//! `Belmarch ⌁ popul`. List prompts hit wherever a concept is listed
-//! again with the store off; those counts are data.
+//! Every keyed count is 0, and the test asserts it. A fault's completion,
+//! a truncated answer included, is not kept in the prompt cache, so a
+//! later ask of the same keyed prompt reaches the model again. List
+//! prompts hit wherever a concept is listed again with the store off;
+//! those counts are data.
 //!
 //! `tests/fixtures/prompt_cache_census.txt` holds one line a cell and
 //! pass. Regenerate with
@@ -56,10 +52,10 @@ fn census() -> Vec<String> {
         ("grid-nostore-barrier", grid(Pipeline::Off, 1)),
     ];
     let mut lines = Vec::new();
-    let mut pin = |label: String, hits: Vec<CacheHits>, kept_fault: bool| {
+    let mut pin = |label: String, hits: Vec<CacheHits>| {
         for (pass, CacheHits { list, keyed }) in hits.into_iter().enumerate() {
-            assert!(
-                keyed == 0 || kept_fault,
+            assert_eq!(
+                keyed, 0,
                 "{label}, pass {pass}: the prompt cache served {keyed} keyed prompts"
             );
             lines.push(format!("{label} pass {pass}: list {list} keyed {keyed}"));
@@ -75,10 +71,10 @@ fn census() -> Vec<String> {
             .passes(2);
         for (stack, options) in &stacks {
             let hits = cache_hits(&cell.with(options.clone()));
-            pin(format!("{}/{stack}", profile.name), hits, false);
+            pin(format!("{}/{stack}", profile.name), hits);
         }
         let hits = replayed_cache_hits(&cell, 3);
-        pin(format!("{}/replay-3-sessions", profile.name), hits, false);
+        pin(format!("{}/replay-3-sessions", profile.name), hits);
     }
     let schedules = [
         ("faults-0.1", FaultProfile::with_rate(0.1)),
@@ -107,11 +103,9 @@ fn census() -> Vec<String> {
                     .model(Model::Faulty(model))
                     .order(statements.clone())
                     .passes(2);
-                let kept_fault = faults.truncated_weight > 0 && resilience == Resilience::Off;
                 pin(
                     format!("oracle/{stack}/{schedule}/{retries}"),
                     cache_hits(&cell),
-                    kept_fault,
                 );
             }
         }
@@ -120,7 +114,7 @@ fn census() -> Vec<String> {
 }
 
 #[test]
-fn the_prompt_cache_serves_no_keyed_prompt_but_a_kept_truncation() {
+fn the_prompt_cache_serves_no_keyed_prompt() {
     let fixture = std::fs::read_to_string(FIXTURE).expect("committed fixture");
     let pinned: Vec<&str> = fixture.lines().filter(|l| !l.starts_with('#')).collect();
     let lines = census();
