@@ -123,14 +123,9 @@ impl QueryStats {
     /// store at extraction time. Counting a prompt-level raw-cache hit on
     /// such a prompt would bill the same keys twice, and under concurrent
     /// queries racing into identical chunks would make `cache_hits`
-    /// depend on arrival order. With one query thread such hits are zero
-    /// — `tests/prompt_cache_census.rs` pins it across profiles, both
-    /// drivers, the store, replays and faults — but for a kept
-    /// truncation: a truncated answer carries no fault marker, so the
-    /// prompt cache keeps it, and a later ask of the same prompt is a raw
-    /// hit that this form does not bill and [`absorb`] would.
-    ///
-    /// [`absorb`]: QueryStats::absorb
+    /// depend on arrival order. With one query thread such hits are zero:
+    /// `tests/prompt_cache_census.rs` pins it across profiles, both
+    /// drivers, the store, replays and faults.
     pub(super) fn absorb_keyed(&mut self, outcome: &BatchOutcome) {
         self.prompt_tokens += outcome.prompt_tokens;
         self.completion_tokens += outcome.completion_tokens;

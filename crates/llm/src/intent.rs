@@ -1898,7 +1898,7 @@ mod tests {
     proptest! {
         /// The flat, borrowed splits on the grammar's answers: one slot
         /// per asked cell, row-major, every payload a span of the answer,
-        /// and the linear split equal to the walk — for keys that repeat,
+        /// and the split equal to the walk — for keys that repeat,
         /// that hold `⌁` or `": "`, and for answers empty or past 100 kB.
         #[test]
         fn splits_are_flat_spans_on_grammar_answers(
