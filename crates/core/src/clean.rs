@@ -477,6 +477,12 @@ mod tests {
                     format!("{:?}", [Value::Null, cleaned.unwrap_or(Value::Null)]),
                     "key_row({context})"
                 );
+                // A key index past the columns leaves every cell NULL.
+                assert_eq!(
+                    format!("{:?}", key_row(input, &columns, 2, &policy)),
+                    format!("{:?}", [Value::Null, Value::Null]),
+                    "key_row({context}) at index 2"
+                );
             }
             assert_eq!(
                 parse_number(input, &policy).map(f64::to_bits),
