@@ -11,7 +11,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galois_core::prompts::PromptBuilder;
 use galois_llm::noise::seeded;
 use galois_llm::tokenizer::count_tokens;
-use galois_llm::{Completion, LanguageModel, LlmClient, SubEntryLookup, SubKey, TaskIntent, Usage};
+use galois_llm::{
+    Completion, FactValue, KnowledgeStore, LanguageModel, LlmClient, ModelProfile, SimLlm,
+    SubEntryLookup, SubKey, TaskIntent, Usage,
+};
 use std::sync::Arc;
 
 /// Operations per iteration of every case below: the shim times each
@@ -39,9 +42,10 @@ impl LanguageModel for NullModel {
     }
 }
 
-/// Two whole-signature and whole-prompt passes the probes do not reach:
-/// a sub-entry hit through the signature wrapper, and the noise seed the
-/// simulator folds over a paper-faithful 768-byte prompt.
+/// Whole-signature and whole-prompt passes the probes do not reach: a
+/// sub-entry hit through the signature wrapper, the noise seed the
+/// simulator folds over a paper-faithful 768-byte prompt, and the
+/// simulator's answer to that prompt with the preamble read once.
 fn bench_prompt_path(c: &mut Criterion) {
     // Twenty-byte keys make the prompt the 768 bytes `paper_cold` averages:
     // the 700-byte Figure 4 preamble and a question that differs in its key.
@@ -78,7 +82,35 @@ fn bench_prompt_path(c: &mut Criterion) {
             }
         })
     });
+    bench_simllm(c, &synthetic, &prompts);
     bench_tokenizer(c, &prompts);
+}
+
+/// `SimLlm::complete` on the Figure 4 fetch prompts above, under the
+/// `chatgpt` profile, over a store that holds their thousand cities: each
+/// answer is the token walk and the fetch seed resumed after the preamble
+/// (the memo is warm), the intent parse, a stable belief and its
+/// prompt-seeded format draw. Set beside `seeded/768B`, the whole-prompt
+/// fold the memo stands in for.
+fn bench_simllm(c: &mut Criterion, keys: &[String], prompts: &[String]) {
+    let mut kb = KnowledgeStore::new();
+    for (i, key) in keys.iter().enumerate() {
+        let city = kb.add_entity(key.as_str(), "city", 0.9);
+        kb.add_fact(
+            city,
+            "population",
+            FactValue::Number(1e5 + i as f64 * 7919.0),
+        );
+    }
+    let model = SimLlm::new(Arc::new(kb), ModelProfile::chatgpt());
+    black_box(model.complete(&prompts[0]));
+    c.bench_function("simllm_complete/768B", |b| {
+        b.iter(|| {
+            for prompt in prompts {
+                black_box(model.complete(black_box(prompt)));
+            }
+        })
+    });
 }
 
 /// The tokenizer on the texts its probe does not give it. The probe's

@@ -43,22 +43,50 @@ pub fn fnv1a64(parts: &[&str]) -> u64 {
 /// Mixes a numeric seed into a part list: [`fnv1a64`] of the seed's
 /// little-endian bytes as sixteen lower-case hex digits, then the parts.
 /// The digits go straight into the fold, with no string built — this runs
-/// once per noise draw, over whole prompts. The FNV output is passed
+/// once per noise draw. The FNV output is passed
 /// through a splitmix64 finalizer: FNV alone has poor avalanche on
 /// structured keys ("City1", "City2", …), which visibly biases Bernoulli
 /// draws.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
 pub fn seeded(seed: u64, parts: &[&str]) -> u64 {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut hex = [0u8; 16];
-    for (pair, b) in hex.chunks_exact_mut(2).zip(seed.to_le_bytes()) {
-        pair[0] = HEX[usize::from(b >> 4)];
-        pair[1] = HEX[usize::from(b & 0xf)];
-    }
     let parts = parts.iter().map(|part| part.as_bytes());
-    splitmix64(fnv_parts(
-        FNV_OFFSET,
-        std::iter::once(&hex[..]).chain(parts),
-    ))
+    splitmix64(fnv_parts(seed_state(seed), parts))
+}
+
+/// The FNV state of [`seeded`] after the seed's hex digits and their
+/// separator.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
+fn seed_state(seed: u64) -> u64 {
+    let digit = |nibble: u8| match nibble {
+        0..=9 => b'0' + nibble,
+        _ => b'a' + (nibble - 10),
+    };
+    let digits = seed.to_le_bytes().into_iter().fold(FNV_OFFSET, |h, b| {
+        fnv_byte(fnv_byte(h, digit(b >> 4)), digit(b & 0xf))
+    });
+    fnv_byte(digits, 0xff)
+}
+
+/// The state of [`seeded`]`(seed, [label, prefix + rest])` after `prefix`,
+/// for [`seeded_resume`] to finish over any `rest`: a prompt-seeded draw
+/// over a preamble many prompts share folds the preamble once.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
+pub(crate) fn seeded_prefix(seed: u64, label: &str, prefix: &str) -> u64 {
+    let state = fnv_parts(seed_state(seed), [label.as_bytes()]);
+    prefix.bytes().fold(state, fnv_byte)
+}
+
+/// Finishes a [`seeded_prefix`] state over the rest of the last part,
+/// given as pieces that follow one another with no separator:
+/// `seeded_resume(seeded_prefix(seed, label, p), &[a, b])` is
+/// `seeded(seed, &[label, p + a + b])`.
+#[deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)]
+pub(crate) fn seeded_resume(state: u64, rest: &[&str]) -> u64 {
+    let state = rest
+        .iter()
+        .flat_map(|piece| piece.bytes())
+        .fold(state, fnv_byte);
+    splitmix64(fnv_byte(state, 0xff))
 }
 
 /// splitmix64 finalizer (public domain, Vigna).
@@ -330,6 +358,34 @@ mod tests {
         ) {
             let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
             prop_assert_eq!(seeded(seed, &parts), seeded_via_hex_string(seed, &parts));
+        }
+
+        /// A seed resumed after any char-boundary prefix of the last part,
+        /// over the rest given in two pieces (either may be empty), is the
+        /// seed of the whole part.
+        #[test]
+        fn a_resumed_seed_equals_the_whole_seed(
+            seed in any::<u64>(),
+            label in "(fetch|list|qa|)",
+            text in "[a-zA-Z0-9 :'?üж東😀\n]{0,16}",
+            second in any::<usize>(),
+        ) {
+            let whole = seeded(seed, &[&label, &text]);
+            for at in (0..=text.len()).filter(|&at| text.is_char_boundary(at)) {
+                let (prefix, rest) = text.split_at(at);
+                let state = seeded_prefix(seed, &label, prefix);
+                prop_assert_eq!(seeded_resume(state, &[rest]), whole);
+                let mid = (0..=rest.len())
+                    .filter(|&i| rest.is_char_boundary(i))
+                    .nth(second % (rest.chars().count() + 1))
+                    .unwrap_or(0);
+                let (a, b) = rest.split_at(mid);
+                prop_assert_eq!(
+                    seeded_resume(state, &[a, "", b]),
+                    whole,
+                    "{:?} at {} and {}", text, at, mid
+                );
+            }
         }
     }
 

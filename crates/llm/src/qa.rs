@@ -13,9 +13,9 @@
 use crate::knowledge::FactValue;
 use crate::nlq::{AggKind, QueryIntent};
 use crate::noise;
-use crate::simllm::{fact_number, SimLlm};
+use crate::simllm::{fact_number, PromptSeed, SimLlm};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Answers a parsed NL question as free text.
 pub(crate) fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt: &str) -> String {
@@ -26,7 +26,7 @@ pub(crate) fn answer_question(model: &SimLlm, q: &QueryIntent, cot: bool, prompt
         return "Unknown".to_string();
     }
     let profile = model.profile().clone();
-    let mut rng = StdRng::seed_from_u64(noise::seeded(profile.seed, &["qa", prompt]));
+    let mut rng = model.prompt_rng(PromptSeed::Qa, prompt);
 
     // Enumerate + filter with the model's stable beliefs; QA answers also
     // drop rows (models tire of long enumerations).

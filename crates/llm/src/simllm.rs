@@ -29,6 +29,16 @@
 //! computed once and sliced by every page that asks for it, and a draw
 //! whose outcome is certain (a rate of zero or one, or a prompt-seeded
 //! draw the profile would discard) is never hashed.
+//!
+//! Nor need it grow with the preamble every operator prompt shares (the
+//! paper's few-shot Figure 4 text is most of a fetch prompt). The first
+//! prompt with text before its final `Q: ` line fills a memo, shared by
+//! clones: that text, the tokenizer's state after it and, for each
+//! prompt-seeded draw (`fetch`, `list`, `qa`), the FNV state of its seed
+//! after it. A prompt that starts with the text costs one compare, then
+//! the token walk and its seed resume from there; every other prompt is
+//! read whole. Resuming a walk or a fold is exact, so the answers, token
+//! counts and draws are those of reading the whole prompt.
 
 use crate::intent::{self, CmpOp, Condition, PromptValue, TaskIntent};
 use crate::knowledge::{Entity, FactValue, KnowledgeStore};
@@ -36,24 +46,93 @@ use crate::model::{Completion, LanguageModel, Usage};
 use crate::noise::{self, seeded};
 use crate::profiles::ModelProfile;
 use crate::qa;
-use crate::tokenizer::{count_tokens, truncate_tokens};
+use crate::tokenizer::{count_tokens, truncate_tokens, truncate_tokens_from, walk_state};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// The simulated LLM: a knowledge store viewed through a noisy profile.
 #[derive(Clone)]
 pub struct SimLlm {
     kb: Arc<KnowledgeStore>,
     profile: ModelProfile,
-    /// Belief lists by list concept. A list is a pure function of the
-    /// profile, the store and the concept, so clones share the memo; it
-    /// holds at most (distinct concepts asked × entities of the type)
-    /// surfaces.
-    lists: Arc<Mutex<HashMap<ListConcept, Arc<Surfaces>>>>,
+    /// What the model has worked out from the store and its prompts. Each
+    /// memo is a pure function of the profile, the store and what was
+    /// asked, so clones share them.
+    memo: Arc<Memo>,
+}
+
+#[derive(Default)]
+struct Memo {
+    /// Belief lists by list concept; at most (distinct concepts asked ×
+    /// entities of the type) surfaces.
+    lists: Mutex<HashMap<ListConcept, Arc<Surfaces>>>,
+    /// The first prompt preamble the model read, with the tokenizer's and
+    /// the prompt seeds' states after it.
+    preamble: OnceLock<Preamble>,
+}
+
+/// A prompt preamble read once: everything before the final `Q: ` line of
+/// the first prompt that had something there (every operator prompt
+/// carries the same few-shot preamble). A prompt that starts with `text`
+/// resumes the token walk and its prompt seed from the states here
+/// instead of reading `text` again; the answers, counts and draws are
+/// those of the whole walk.
+struct Preamble {
+    text: String,
+    /// [`walk_state`] of `text`: its tokens and its open word run.
+    tokens: usize,
+    run: usize,
+    /// [`noise::seeded_prefix`] of `text` under each [`PromptSeed`].
+    fetch: u64,
+    list: u64,
+    qa: u64,
+}
+
+impl Preamble {
+    fn new(text: &str, seed: u64) -> Self {
+        let (tokens, run) = walk_state(text);
+        let prefix = |label: PromptSeed| noise::seeded_prefix(seed, label.name(), text);
+        Preamble {
+            text: text.to_string(),
+            tokens,
+            run,
+            fetch: prefix(PromptSeed::Fetch),
+            list: prefix(PromptSeed::List),
+            qa: prefix(PromptSeed::Qa),
+        }
+    }
+
+    fn seed(&self, label: PromptSeed) -> u64 {
+        match label {
+            PromptSeed::Fetch => self.fetch,
+            PromptSeed::List => self.list,
+            PromptSeed::Qa => self.qa,
+        }
+    }
+}
+
+/// The draws seeded by a whole prompt, by their label: a fetch answer's
+/// format and wrapper, a list page's verbose wrapper, and a QA answer.
+#[derive(Clone, Copy)]
+pub(crate) enum PromptSeed {
+    Fetch,
+    List,
+    Qa,
+}
+
+impl PromptSeed {
+    fn name(self) -> &'static str {
+        match self {
+            PromptSeed::Fetch => "fetch",
+            PromptSeed::List => "list",
+            PromptSeed::Qa => "qa",
+        }
+    }
 }
 
 /// One belief list: its surfaces end to end in one string, and where each
@@ -130,7 +209,7 @@ impl SimLlm {
         SimLlm {
             kb,
             profile,
-            lists: Arc::default(),
+            memo: Arc::default(),
         }
     }
 
@@ -164,6 +243,35 @@ impl SimLlm {
     /// RNG seeded stably per (model seed, parts).
     fn rng(&self, parts: &[&str]) -> StdRng {
         StdRng::seed_from_u64(seeded(self.profile.seed, parts))
+    }
+
+    /// [`Self::rng`] of `[label, prompt]`, resumed from the preamble memo
+    /// when the prompt starts with its text.
+    pub(crate) fn prompt_rng(&self, label: PromptSeed, prompt: &str) -> StdRng {
+        let resumed = (self.memo.preamble.get())
+            .and_then(|memo| Some((memo.seed(label), prompt.strip_prefix(&*memo.text)?)));
+        let seed = match resumed {
+            Some((state, rest)) => noise::seeded_resume(state, &[rest]),
+            None => seeded(self.profile.seed, &[label.name(), prompt]),
+        };
+        StdRng::seed_from_u64(seed)
+    }
+
+    /// The preamble memo when `prompt` starts with its text, filling it
+    /// first from `prompt` when it is empty and `prompt` has a preamble.
+    fn memo_for(&self, prompt: &str) -> Option<&Preamble> {
+        let memo = match self.memo.preamble.get() {
+            Some(memo) => memo,
+            None => {
+                let text = preamble(prompt);
+                if text.is_empty() {
+                    return None;
+                }
+                let seed = self.profile.seed;
+                self.memo.preamble.get_or_init(|| Preamble::new(text, seed))
+            }
+        };
+        prompt.starts_with(&*memo.text).then_some(memo)
     }
 
     /// Whether format noise can change a rendered value: without it every
@@ -564,12 +672,15 @@ impl SimLlm {
     /// The prompt-seeded RNG of a fetch answer, built only when
     /// [`Self::fetch_seeded`].
     fn fetch_noise(&self, prompt: &str) -> Option<StdRng> {
-        self.fetch_seeded().then(|| self.rng(&["fetch", prompt]))
+        self.fetch_seeded()
+            .then(|| self.prompt_rng(PromptSeed::Fetch, prompt))
     }
 
     /// [`Self::fetch_noise`] of one cell of a batched or grid fetch: the
-    /// one-cell prompt the cell stands for — the batch's `preamble` plus
-    /// the single fetch question — is formatted only when it would seed.
+    /// seed of the one-cell prompt the cell stands for — the batch's
+    /// `preamble` plus the single fetch question — built only when it
+    /// would seed, from the preamble memo's state when the preamble is its
+    /// text, and with no prompt formatted.
     fn cell_noise(
         &self,
         preamble: &str,
@@ -579,16 +690,17 @@ impl SimLlm {
         attribute: &str,
     ) -> Option<StdRng> {
         self.fetch_seeded().then(|| {
-            let single_prompt = format!(
-                "{preamble}Q: {}\nA:",
-                intent::render_task(&TaskIntent::FetchAttr {
-                    relation: relation.to_string(),
-                    key_attr: key_attr.to_string(),
-                    key: key.to_string(),
-                    attribute: attribute.to_string(),
-                })
-            );
-            self.rng(&["fetch", &single_prompt])
+            let question = intent::render_task(&TaskIntent::FetchAttr {
+                relation: relation.to_string(),
+                key_attr: key_attr.to_string(),
+                key: key.to_string(),
+                attribute: attribute.to_string(),
+            });
+            let state = match self.memo.preamble.get() {
+                Some(memo) if memo.text == preamble => memo.seed(PromptSeed::Fetch),
+                _ => noise::seeded_prefix(self.profile.seed, PromptSeed::Fetch.name(), preamble),
+            };
+            StdRng::seed_from_u64(noise::seeded_resume(state, &["Q: ", &question, "\nA:"]))
         })
     }
 
@@ -621,7 +733,7 @@ impl SimLlm {
             return None;
         }
         let concept = ListConcept::new(ty.into_owned(), key_attr, condition);
-        let memo = self.lists.lock().get(&concept).cloned();
+        let memo = self.memo.lists.lock().get(&concept).cloned();
         if memo.is_some() {
             return memo;
         }
@@ -630,7 +742,9 @@ impl SimLlm {
         list.text.shrink_to_fit();
         list.ends.shrink_to_fit();
         let list = Arc::new(list);
-        Some(Arc::clone(self.lists.lock().entry(concept).or_insert(list)))
+        Some(Arc::clone(
+            self.memo.lists.lock().entry(concept).or_insert(list),
+        ))
     }
 
     /// Computes [`Self::list_surfaces`]'s list for an entity type.
@@ -671,7 +785,7 @@ impl SimLlm {
             return "No more results".to_string();
         }
         let values = fresh.join(", ");
-        if self.profile.verbose && self.rng(&["list", prompt]).gen::<f64>() < 0.5 {
+        if self.profile.verbose && self.prompt_rng(PromptSeed::List, prompt).gen::<f64>() < 0.5 {
             format!("Sure! Here are some values: {values}.")
         } else {
             values
@@ -689,19 +803,10 @@ impl SimLlm {
         let Some(surfaces) = self.list_surfaces(relation, key_attr, condition) else {
             return "Unknown".to_string();
         };
-        let excluded: HashSet<String> = exclude
-            .iter()
-            .map(|s| s.trim().to_ascii_lowercase())
-            .collect();
-        let mut lowered = String::new();
+        let excluded: HashSet<Folded<'_>> = exclude.iter().map(|s| Folded(s.trim())).collect();
         let fresh: Vec<&str> = surfaces
             .iter_from(0)
-            .filter(|s| {
-                lowered.clear();
-                lowered.push_str(s.trim());
-                lowered.make_ascii_lowercase();
-                !excluded.contains(&lowered)
-            })
+            .filter(|s| !excluded.contains(&Folded(s.trim())))
             .take(self.profile.list_page_size)
             .collect();
         self.render_list_page(&fresh, prompt)
@@ -798,6 +903,31 @@ impl SimLlm {
     }
 }
 
+/// A surface as an exclusion set compares it: equal to another under ASCII
+/// case folding, the verdicts of lower-cased copies without the copies.
+struct Folded<'a>(&'a str);
+
+impl PartialEq for Folded<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for Folded<'_> {}
+
+impl Hash for Folded<'_> {
+    /// Hashes the bytes lower-cased, a stack buffer at a time.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut folded = [0u8; 32];
+        for chunk in self.0.as_bytes().chunks(folded.len()) {
+            let folded = &mut folded[..chunk.len()];
+            folded.copy_from_slice(chunk);
+            folded.make_ascii_lowercase();
+            state.write(folded);
+        }
+    }
+}
+
 /// Everything before a prompt's final question's `Q: ` lead-in: prepended
 /// to each reconstructed one-cell prompt of a batch, so per-cell noise
 /// seeds match the single-cell path exactly.
@@ -863,7 +993,13 @@ impl LanguageModel for SimLlm {
     }
 
     fn complete(&self, prompt: &str) -> Completion {
-        let (kept, prompt_tokens) = truncate_tokens(prompt, self.profile.context_window);
+        let window = self.profile.context_window;
+        let (kept, prompt_tokens) = match self.memo_for(prompt) {
+            Some(memo) => {
+                truncate_tokens_from(prompt, memo.text.len(), memo.tokens, memo.run, window)
+            }
+            None => truncate_tokens(prompt, window),
+        };
         let text = self.answer(kept);
         let usage = Usage {
             prompt_tokens,
@@ -1369,9 +1505,191 @@ mod tests {
         m.clone().complete(&list_prompt(&kb, 0, 1, true, 3));
         // "city" and its synonym "cities" are one concept; the condition
         // makes a second; the clone shares the memo.
-        assert_eq!(m.lists.lock().len(), 2);
+        assert_eq!(m.memo.lists.lock().len(), 2);
         assert_eq!(m.complete(&list_prompt(&kb, 3, 0, true, 0)).text, "Unknown");
-        assert_eq!(m.lists.lock().len(), 2, "an unknown type memoises nothing");
+        assert_eq!(
+            m.memo.lists.lock().len(),
+            2,
+            "an unknown type memoises nothing"
+        );
+    }
+
+    /// A few-shot preamble in the shape of the paper's Figure 4 (its
+    /// text ends where the final `Q: ` line starts), and a second one.
+    const FEW_SHOT: &str = "I am a highly intelligent question answering bot. If the \
+                            answer is numerical, I will return the number only.\n\n\
+                            Q: What is the capital of France?\nA: Paris.\n\
+                            Q: How many squigs are in a bonk?\nA: Unknown\n\n";
+    const OTHER_SHOT: &str = "Answer concisely. Q: is not a question here.\n";
+
+    /// Prompts over every path that reads the memo: each prompt-seeded
+    /// label (fetch, the verbose list wrapper, QA), batched and grid
+    /// cells, filters, chain of thought; under the memo's preamble, under
+    /// another, with no `Q: ` marker, and shorter than the memo's text.
+    fn memo_prompts() -> Vec<String> {
+        let fetch = |key: &str, attribute: &str| {
+            render_task(&TaskIntent::FetchAttr {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                key: key.into(),
+                attribute: attribute.into(),
+            })
+        };
+        let keys: Vec<String> = vec!["Rome".into(), "Lyon".into(), "Atlantis".into()];
+        let questions = [
+            fetch("Rome", "population"),
+            fetch("Lyon", "country"),
+            fetch("Atlantis", "population"),
+            render_task(&TaskIntent::ListKeys {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                condition: None,
+                exclude: Arc::new(vec!["rome ".into(), "PARIS".into()]),
+            }),
+            render_task(&TaskIntent::ListKeysPage {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                condition: None,
+                offset: 1,
+            }),
+            render_task(&TaskIntent::FetchAttrBatch {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                keys: keys.clone(),
+                attribute: "population".into(),
+            }),
+            render_task(&TaskIntent::FetchGridBatch {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                keys: keys.clone(),
+                attributes: vec!["population".into(), "countryCode".into()],
+            }),
+            render_task(&TaskIntent::CheckFilter {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                key: "Milan".into(),
+                condition: Condition {
+                    attribute: "population".into(),
+                    op: CmpOp::Gt,
+                    values: vec![PromptValue::Number(1_000_000.0)],
+                },
+            }),
+            "List the name and population of every city.".to_string(),
+            "What is the average population of every city?".to_string(),
+        ];
+        let mut prompts = Vec::new();
+        for question in &questions {
+            for preamble in [FEW_SHOT, OTHER_SHOT, ""] {
+                prompts.push(format!("{preamble}Q: {question}\nA:"));
+            }
+            // Chain of thought: an exemplar after the preamble, and the
+            // answer's lead-in after the question.
+            prompts.push(format!(
+                "{FEW_SHOT}Q: List the name of every city.\nA: Let's think step by step.\n\
+                 The answer is: Rome.\nQ: {question}\nA: Let's think step by step."
+            ));
+            // No marker, and the memo's text with the question run on.
+            prompts.push(question.clone());
+            prompts.push(format!("{FEW_SHOT}{question}"));
+        }
+        // Shorter than the memo's text, and the text itself.
+        prompts.push(FEW_SHOT[..40].to_string());
+        prompts.push(FEW_SHOT.trim_end().to_string());
+        prompts.push(FEW_SHOT.to_string());
+        prompts
+    }
+
+    /// A model of `profile` whose memo holds `preamble`.
+    fn primed(profile: &ModelProfile, preamble: &str) -> SimLlm {
+        let m = SimLlm::new(test_kb(), profile.clone());
+        m.complete(&format!("{preamble}Q: What is the capital of Italy?\nA:"));
+        assert_eq!(
+            m.memo.preamble.get().map(|memo| memo.text.as_str()),
+            Some(preamble)
+        );
+        m
+    }
+
+    #[test]
+    fn a_model_whose_memo_holds_a_preamble_answers_as_a_fresh_one() {
+        let mut narrow = ModelProfile::chatgpt();
+        // A window the preamble alone overflows: every prompt under it is
+        // cut, by the whole walk.
+        narrow.context_window = 20;
+        let profiles = ModelProfile::all()
+            .into_iter()
+            .chain([ModelProfile::oracle(), narrow]);
+        for profile in profiles {
+            let resumed = primed(&profile, FEW_SHOT);
+            // A memo no prompt below starts with: every prompt takes the
+            // whole walk, as before the memo.
+            let whole = primed(&profile, "Nothing here starts like this.\n");
+            for prompt in memo_prompts() {
+                let fresh = SimLlm::new(test_kb(), profile.clone()).complete(&prompt);
+                assert_eq!(
+                    resumed.complete(&prompt),
+                    fresh,
+                    "{} {prompt:?}",
+                    profile.name
+                );
+                assert_eq!(
+                    whole.complete(&prompt),
+                    fresh,
+                    "{} {prompt:?}",
+                    profile.name
+                );
+            }
+            assert_eq!(
+                resumed.memo.preamble.get().map(|memo| memo.text.as_str()),
+                Some(FEW_SHOT),
+                "the first preamble stays"
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_the_preamble_memo() {
+        let m = SimLlm::new(test_kb(), ModelProfile::chatgpt());
+        m.clone().complete("Q: What is the capital of Italy?\nA:");
+        assert!(
+            m.memo.preamble.get().is_none(),
+            "an empty preamble fills nothing"
+        );
+        m.clone()
+            .complete(&format!("{FEW_SHOT}Q: What is the capital of Italy?\nA:"));
+        let memo = m.memo.preamble.get().map(|memo| memo.text.as_str());
+        assert_eq!(memo, Some(FEW_SHOT));
+        assert_eq!(
+            (m.clone().memo.preamble.get()).map(|memo| memo.text.as_str()),
+            memo
+        );
+    }
+
+    #[test]
+    fn exclusions_match_as_lower_cased_trimmed_copies() {
+        let m = oracle();
+        let list = |exclude: Vec<&str>| {
+            let t = TaskIntent::ListKeys {
+                relation: "city".into(),
+                key_attr: "name".into(),
+                condition: None,
+                exclude: Arc::new(exclude.into_iter().map(String::from).collect()),
+            };
+            m.complete(&render_task(&t)).text
+        };
+        assert_eq!(
+            list(vec![" rOME", "MILAN\t", "paris", "lyon "]),
+            "No more results"
+        );
+        let partial = list(vec!["ROME", "Mila", "Pariss", "Lyon"]);
+        assert!(
+            !partial.contains("Rome") && !partial.contains("Lyon"),
+            "{partial}"
+        );
+        assert!(
+            partial.contains("Milan") && partial.contains("Paris"),
+            "{partial}"
+        );
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! token budget cuts the text *and* how many tokens the kept head holds, so
 //! a model that truncates to its context window and then bills the prompt
 //! reads the prompt's bytes once. [`count_tokens`] is that walk with no
-//! budget.
+//! budget. The walk's state between two characters is two counts, the
+//! tokens so far and the characters of the word run it is in, so it can
+//! stop at the end of a prefix (`walk_state`) and resume there
+//! (`truncate_tokens_from`): a model that has walked a preamble its
+//! prompts share walks only what follows it.
 //!
 //! The walk takes the text 64 bytes at a time. An all-ASCII block that the
 //! budget covers is counted from two bitmasks, its word bytes and its
@@ -19,6 +23,14 @@
 //! always did: the tail under 64 bytes, a block holding a byte ≥ 0x80 (a
 //! multi-byte character), and the block in which the budget runs out. On
 //! other targets every block is walked byte by byte.
+//!
+//! Prompts are text from outside the program, so nothing here indexes or
+//! slices by position: the lints below hold that.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::unreachable, clippy::panic)
+)]
 
 /// Counts approximate tokens in `text`.
 pub fn count_tokens(text: &str) -> usize {
@@ -39,20 +51,27 @@ const CONT: u8 = 3;
 
 const BYTE_CLASS: [u8; 256] = {
     let mut table = [PUNCT; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        let byte = b as u8;
+    let mut rest: &mut [u8] = &mut table;
+    let mut byte = 0u8;
+    while let [class, tail @ ..] = rest {
         if byte.is_ascii_whitespace() {
-            table[b] = SPACE;
+            *class = SPACE;
         } else if byte.is_ascii_alphanumeric() || byte >= 0xC0 {
-            table[b] = WORD;
+            *class = WORD;
         } else if byte >= 0x80 {
-            table[b] = CONT;
+            *class = CONT;
         }
-        b += 1;
+        rest = tail;
+        byte = byte.wrapping_add(1);
     }
     table
 };
+
+/// The class of `byte`. The table has an entry for every `u8`, so the
+/// lookup never misses (and compiles to a plain load).
+fn class_of(byte: u8) -> u8 {
+    BYTE_CLASS.get(usize::from(byte)).copied().unwrap_or(PUNCT)
+}
 
 /// Characters per word piece.
 const PIECE_CHARS: usize = 4;
@@ -64,10 +83,56 @@ const BLOCK: usize = 64;
 /// and counts the tokens of what is kept — in one pass. The text comes
 /// back unchanged (trailing whitespace included) when it fits.
 pub(crate) fn truncate_tokens(text: &str, max_tokens: usize) -> (&str, usize) {
-    let bytes = text.as_bytes();
-    let mut tokens = 0usize;
-    // Characters of the word run so far, zero outside one.
-    let mut run = 0usize;
+    truncate_tokens_from(text, 0, 0, 0, max_tokens)
+}
+
+/// The walk's state after the whole of `text` with no budget: its tokens,
+/// and the characters of the word run it ends in (zero outside one). What
+/// [`truncate_tokens_from`] resumes from.
+pub(crate) fn walk_state(text: &str) -> (usize, usize) {
+    // With no budget the walk never cuts; a cut would read as a state
+    // over every budget, which resumes nothing.
+    walk(text.as_bytes(), 0, 0, usize::MAX).unwrap_or((usize::MAX, 0))
+}
+
+/// [`truncate_tokens`] of `text`, resumed at byte `at` from the walk's
+/// state there, `(tokens, run)` = [`walk_state`] of `text[..at]`: the head
+/// is not read again. A state already over the budget, or an `at` that is
+/// no char boundary of `text`, takes the whole walk.
+pub(crate) fn truncate_tokens_from(
+    text: &str,
+    at: usize,
+    tokens: usize,
+    run: usize,
+    max_tokens: usize,
+) -> (&str, usize) {
+    let Some(rest) = text.get(at..).filter(|_| tokens <= max_tokens) else {
+        return truncate_tokens(text, max_tokens);
+    };
+    match walk(rest.as_bytes(), tokens, run, max_tokens) {
+        Ok((tokens, _)) => (text, tokens),
+        Err(cut) => (head_before(text, at + cut), max_tokens),
+    }
+}
+
+/// The head kept when the piece starting at byte `piece` is one too many:
+/// the text before it, less the whitespace that separated the two. A piece
+/// starts at an ASCII byte or a UTF-8 lead byte, so `piece` is a char
+/// boundary and the split always succeeds.
+fn head_before(text: &str, piece: usize) -> &str {
+    let head = text.get(..piece).unwrap_or_default();
+    head.trim_end_matches(|c: char| c.is_ascii_whitespace())
+}
+
+/// The walk over `bytes` entered with `tokens ≤ max_tokens` tokens and
+/// `run` word characters behind it: `Ok` with the state after the last
+/// byte, or `Err` with the offset of the first piece over the budget.
+fn walk(
+    bytes: &[u8],
+    mut tokens: usize,
+    mut run: usize,
+    max_tokens: usize,
+) -> Result<(usize, usize), usize> {
     for (n, block) in bytes.chunks(BLOCK).enumerate() {
         // A whole ASCII block the budget covers is counted from its masks.
         if let Some((pieces, next_run)) = block_pieces(block, run) {
@@ -83,24 +148,19 @@ pub(crate) fn truncate_tokens(text: &str, max_tokens: usize) -> (&str, usize) {
         // is unpredictable, so the only branch is the one taken once, at
         // the cut.
         for (i, &byte) in block.iter().enumerate() {
-            let class = BYTE_CLASS[byte as usize];
+            let class = class_of(byte);
             let starts_piece =
                 (class == PUNCT) | ((class == WORD) & run.is_multiple_of(PIECE_CHARS));
             tokens += usize::from(starts_piece);
             if tokens > max_tokens {
-                // One piece too many: cut where the piece before it ended.
-                let mut end = n * BLOCK + i;
-                while end > 0 && BYTE_CLASS[bytes[end - 1] as usize] == SPACE {
-                    end -= 1;
-                }
-                return (&text[..end], max_tokens);
+                return Err(n * BLOCK + i);
             }
             // A word byte adds a character, a continuation byte keeps the
             // count, anything else ends the run.
             run = (run + usize::from(class == WORD)) * usize::from(class >= WORD);
         }
     }
-    (text, tokens)
+    Ok((tokens, run))
 }
 
 /// The pieces that start in a whole all-ASCII `block` entered with `run`
@@ -165,19 +225,18 @@ fn sse2_masks(block: &[u8; BLOCK]) -> Option<(u64, u64)> {
         let shifted = _mm_sub_epi8(v, splat(lo));
         _mm_cmpeq_epi8(_mm_min_epu8(shifted, splat(hi - lo)), shifted)
     };
-    let (halves, _) = block.as_chunks::<8>();
-    let vectors: [__m128i; 4] = std::array::from_fn(|k| {
-        _mm_set_epi64x(
-            i64::from_le_bytes(halves[2 * k + 1]),
-            i64::from_le_bytes(halves[2 * k]),
-        )
+    // A 64-byte block is four 16-byte quarters; the `else` never runs.
+    let &[q0, q1, q2, q3] = block.as_chunks::<16>().0 else {
+        return None;
+    };
+    let vectors = [q0, q1, q2, q3].map(|quarter| {
+        let v = u128::from_le_bytes(quarter);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
     });
     // A byte ≥ 0x80 has its top bit set; one such byte sends the block
     // to the byte walk before any mask is built.
-    let top = _mm_or_si128(
-        _mm_or_si128(vectors[0], vectors[1]),
-        _mm_or_si128(vectors[2], vectors[3]),
-    );
+    let [v0, v1, v2, v3] = vectors;
+    let top = _mm_or_si128(_mm_or_si128(v0, v1), _mm_or_si128(v2, v3));
     if _mm_movemask_epi8(top) != 0 {
         return None;
     }
@@ -447,6 +506,46 @@ mod tests {
                     (reference, piece_spans(reference).count()),
                     "max {} of {:?}", max, text
                 );
+            }
+        }
+
+        /// Resuming at any char boundary from the walk's state there
+        /// cuts and counts as the whole walk, under every budget: one that
+        /// runs out inside the prefix, one that ends at its last token,
+        /// and every one after.
+        #[test]
+        fn a_resumed_walk_equals_the_whole_walk(text in mixed_text()) {
+            let n = piece_spans(&text).count();
+            for at in (0..=text.len()).filter(|&at| text.is_char_boundary(at)) {
+                let (tokens, run) = walk_state(&text[..at]);
+                prop_assert_eq!(tokens, piece_spans(&text[..at]).count());
+                for max in 0..=n + 1 {
+                    prop_assert_eq!(
+                        truncate_tokens_from(&text, at, tokens, run, max),
+                        truncate_tokens(&text, max),
+                        "split {} max {} of {:?}", at, max, text
+                    );
+                }
+            }
+        }
+
+        /// The same over texts whose blocks take the mask path, split at
+        /// every char boundary (so a resumed walk's blocks start at every
+        /// offset of the whole walk's), under the budgets around the
+        /// prefix's last token and around the whole text's.
+        #[test]
+        fn a_resumed_walk_over_ascii_blocks_equals_the_whole_walk(text in block_seam_text()) {
+            let n = count_tokens(&text);
+            for at in (0..=text.len()).filter(|&at| text.is_char_boundary(at)) {
+                let (tokens, run) = walk_state(&text[..at]);
+                let around = [tokens.saturating_sub(1), tokens, tokens + 1];
+                for max in [0, n, n + 1, usize::MAX].into_iter().chain(around) {
+                    prop_assert_eq!(
+                        truncate_tokens_from(&text, at, tokens, run, max),
+                        truncate_tokens(&text, max),
+                        "split {} max {} of {:?}", at, max, text
+                    );
+                }
             }
         }
 
